@@ -533,9 +533,10 @@ def connect(
     for the new database (e.g. ``Observability(enabled=False)`` for the no-op
     path, or a custom ``slow_query_seconds`` threshold); connections opened
     over an existing ``engine=``/``database=`` share that database's context,
-    reachable as ``conn.database.obs``.  ``execution_mode=`` picks the new
-    database's plan-execution protocol (``"batched"`` columnar chunks by
-    default, ``"row"`` for the costed row-at-a-time path).
+    reachable as ``conn.database.obs``.  ``execution_mode=`` sets the new
+    database's execution mode: ``"batched"`` (default) runs the plan
+    operators over full columnar chunks, ``"row"`` runs the same operators
+    one row per chunk plus a modelled per-tuple dispatch charge.
 
     Connections and cursors are context managers::
 

@@ -52,14 +52,15 @@ class CostModel:
         trigger dispatch); this is what bounds the main-memory Single Entity
         read rate at ~14k reads/s as in Figure 5.
     row_interpret_cpu:
-        Per-tuple *interpretation* overhead of row-at-a-time operator
-        execution — the virtual dispatch, per-row branching and per-value
-        boxing a Volcano-style iterator pays on every tuple at every
-        operator.  Charged only when a database runs in the explicit
-        ``"row"`` execution mode; the default batched/columnar mode
-        amortizes this dispatch over whole chunks, which is exactly the
-        vectorized-execution argument (MonetDB/X100) and is modeled as zero
-        extra cost per tuple.
+        Modelled per-tuple *interpretation* overhead of row-at-a-time
+        operator execution — the virtual dispatch, per-row branching and
+        per-value boxing a Volcano-style iterator pays on every tuple at
+        every operator.  Charged (in ``PlanNode.execute``, from the row
+        counts the runtime records) only when a database runs in the explicit
+        ``"row"`` execution mode, which is the one operator set run at one
+        row per chunk; the default batched mode amortizes this dispatch over
+        whole chunks, which is exactly the vectorized-execution argument
+        (MonetDB/X100) and is modeled as zero extra cost per tuple.
     """
 
     random_page_read: float = 5e-3

@@ -34,10 +34,13 @@ class Database:
         Default constructs an enabled one; pass
         ``Observability(enabled=False)`` for the zero-overhead null path.
     execution_mode:
-        ``"batched"`` (default) runs plan nodes over columnar chunks;
-        ``"row"`` forces the row-at-a-time path and charges
-        ``row_interpret_cpu`` per tuple per operator, modeling Volcano-style
-        interpretation overhead.  Both modes produce identical rows.
+        There is one set of plan operators, all speaking the columnar
+        ``Chunk`` protocol.  ``"batched"`` (default) runs them at
+        ``DEFAULT_CHUNK_ROWS`` rows per chunk; ``"row"`` runs the same
+        operators at one row per chunk and additionally charges the modelled
+        ``row_interpret_cpu`` per tuple per operator (Volcano-style dispatch
+        overhead).  Both modes produce identical rows and identical storage
+        charges.
 
     Examples
     --------

@@ -53,13 +53,15 @@ The read path is **plan-first**; the pipeline is::
                                                   Project, HashJoin, Limit, ...)
         --SQLExecutor---------> rows             (executor.py walks the tree)
 
-Execution is **batched by default**: the executor walks the same tree
-chunk-to-chunk (columnar :class:`~repro.db.sql.plan.Chunk` batches, NumPy
-predicate kernels in ``Filter``), materializing rows only at the root; the
-explicit ``execution_mode="row"`` runs tuple-at-a-time and charges the cost
-model's ``row_interpret_cpu`` per tuple per operator.  Every access node's
-``EXPLAIN`` detail carries a ``mode=batched|row`` flag (and
-``covering=true`` for index-only scans).
+There is **one executor**: every plan node produces columnar
+:class:`~repro.db.sql.plan.Chunk` batches (NumPy predicate kernels in
+``Filter``, one stable ``argsort`` in ``Sort``/``TopK``) and rows are
+materialized once, at the plan root.  The default ``execution_mode="batched"``
+runs the operators over full chunks; the explicit ``execution_mode="row"``
+runs the *same* operators at one row per chunk and adds the cost model's
+``row_interpret_cpu`` per tuple per operator — a modelled dispatch charge,
+not a second code path.  Every access node's ``EXPLAIN`` detail carries a
+``mode=batched|row`` flag (and ``covering=true`` for index-only scans).
 
 ``EXPLAIN`` prints exactly the tree the executor would walk; ``EXPLAIN
 ANALYZE`` walks it and reports actual vs estimated simulated seconds per

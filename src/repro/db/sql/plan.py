@@ -36,26 +36,29 @@ execution time, so a plan cached while a view was served still answers
 correctly after ``STOP SERVING`` (and vice versa) — the label records what the
 planner *chose*, the runtime guarantees the answer stays right.
 
-**Execution protocol.**  Nodes expose two measured entry points:
-:meth:`PlanNode.execute` (rows out) and :meth:`PlanNode.execute_chunks`
-(columnar :class:`Chunk` batches out).  In the default ``"batched"`` execution
-mode the whole tree runs chunk-to-chunk: scans emit fixed-size column-array
-batches, ``Filter`` evaluates predicates as NumPy masks over whole columns
-(via :mod:`repro.linalg.kernels`), and ``Project``/``Aggregate``/``TopK``/
-``HashJoin`` consume chunks directly; rows are only materialized at the plan
-root.  The explicit ``"row"`` mode runs the legacy tuple-at-a-time
-interpretation and charges the cost model's ``row_interpret_cpu`` per tuple
-per operator — the dispatch overhead that vectorization amortizes — which is
-what the vectorized-execution benchmark gate measures.  Simulated storage
-costs are identical in both modes, so batched execution (the default) charges
-exactly what this engine always charged.
+**Execution protocol.**  There is one operator set and it speaks one
+protocol: every node implements :meth:`PlanNode._produce`, which returns a list
+of columnar :class:`Chunk` batches, and is driven through the single measured
+entry point :meth:`PlanNode.execute`.  Scans and view reads emit column-array
+chunks, ``Filter`` evaluates predicates as NumPy masks over whole columns (via
+:mod:`repro.linalg.kernels`), ``Sort``/``TopK`` order them with one stable
+``argsort``, ``Project``/``Aggregate``/``HashJoin`` consume and emit columns,
+and rows are materialized exactly once, at the plan root
+(:meth:`~repro.db.sql.planner.SelectPlan.run`).  The execution mode selects no
+code path.  ``"batched"`` (the default) runs the operators at
+:data:`DEFAULT_CHUNK_ROWS` rows per chunk and charges nothing beyond storage.
+``"row"`` runs the *same* operators at one row per chunk and
+:meth:`PlanNode.execute` adds the cost model's ``row_interpret_cpu`` per tuple
+per operator (tag ``row_execute``) — the modelled tuple-at-a-time dispatch
+overhead that vectorization amortizes, which is what the vectorized-execution
+benchmark gate measures.  Simulated storage costs are identical in both modes.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress
 
 import numpy as np
 
@@ -95,7 +98,6 @@ __all__ = [
     "Aggregate",
     "HashJoin",
     "compare_values",
-    "row_matches",
 ]
 
 
@@ -121,13 +123,6 @@ class Predicate:
             raise SQLExecutionError("not enough parameters for placeholders")
         return parameters[self.param_index]
 
-    def test(self, row, parameters: list) -> bool:
-        """Evaluate this predicate against one row (case-insensitive column match)."""
-        matched = next((key for key in row if key.lower() == self.column.lower()), None)
-        if matched is None:
-            raise SQLExecutionError(f"unknown column {self.column!r} in WHERE clause")
-        return compare_values(row[matched], self.operator, self.bind(parameters))
-
     def render(self) -> str:
         """Stable text form for EXPLAIN output."""
         if self.value is PLACEHOLDER:
@@ -136,27 +131,58 @@ class Predicate:
 
 
 def compare_values(actual: object, operator: str, expected: object) -> bool:
-    """SQL comparison semantics shared by every filtering node."""
+    """SQL comparison semantics shared by every filtering node.
+
+    ``actual`` is the column-side value, ``expected`` the bound.  ``=``/``!=``
+    never raise; an ordering comparison against NULL is False; an ordering
+    comparison between incomparable types raises :class:`SQLExecutionError`.
+    """
     if operator == "=":
         return actual == expected
     if operator == "!=":
         return actual != expected
     if actual is None or expected is None:
         return False
-    if operator == "<":
-        return actual < expected
-    if operator == "<=":
-        return actual <= expected
-    if operator == ">":
-        return actual > expected
-    if operator == ">=":
-        return actual >= expected
+    try:
+        if operator == "<":
+            return actual < expected
+        if operator == "<=":
+            return actual <= expected
+        if operator == ">":
+            return actual > expected
+        if operator == ">=":
+            return actual >= expected
+    except TypeError:
+        raise SQLExecutionError(
+            f"cannot evaluate {operator!r} between a {type(actual).__name__} "
+            f"column value and a {type(expected).__name__} bound"
+        ) from None
     raise SQLExecutionError(f"unsupported operator {operator!r}")
 
 
-def row_matches(row, predicates, parameters) -> bool:
-    """Whether ``row`` satisfies every predicate (AND semantics)."""
-    return all(predicate.test(row, parameters) for predicate in predicates)
+def _tighten(predicates, parameters):
+    """Tighten comparison conjuncts on one column to a single interval
+    ``(low, high, include_low, include_high)`` (None = unbounded).
+
+    Returns None when any bound binds to NULL: no row satisfies an ordering
+    comparison with NULL, and ``col = NULL`` matches only NULL rows, which no
+    index stores — the caller must not answer from an interval.
+    """
+    low = high = None
+    include_low = include_high = True
+    for predicate in predicates:
+        value = predicate.bind(parameters)
+        if value is None:
+            return None
+        if predicate.operator in ("=", ">", ">="):
+            strict = predicate.operator == ">"
+            if low is None or value > low or (value == low and strict):
+                low, include_low = value, not strict
+        if predicate.operator in ("=", "<", "<="):
+            strict = predicate.operator == "<"
+            if high is None or value < high or (value == high and strict):
+                high, include_high = value, not strict
+    return low, high, include_low, include_high
 
 
 #: Rows per columnar batch in batched execution mode.
@@ -170,12 +196,13 @@ _EXACT_FLOAT_INT = 2**53
 class Chunk:
     """A batch of rows, columnar when the producer is schema-shaped.
 
-    Columnar chunks hold one Python list per column (exact original values —
-    results stay byte-identical to row execution) plus lazily-built NumPy
+    Columnar chunks hold one Python list per column (exact original values,
+    so results never depend on the chunk size) plus lazily-built NumPy
     ``float64`` views for numeric columns, which is what the vectorized
-    ``Filter``/``Sort`` kernels operate on.  Producers whose rows are not
-    uniformly shaped (view reads, joins, system tables) use the row-backed
-    form and the consuming operators fall back to per-row evaluation.
+    ``Filter``/``Sort`` kernels operate on.  The row-backed form exists only
+    for the two opaque producers (logical views and ``system.*`` tables),
+    whose row shape is not known at plan time; every operator reads either
+    form through :meth:`resolve` / :meth:`values`.
     """
 
     __slots__ = ("names", "columns", "rows", "length", "_numeric_cache")
@@ -197,6 +224,25 @@ class Chunk:
     def of_rows(cls, rows: list[dict]) -> "Chunk":
         return cls(None, None, rows, len(rows))
 
+    @classmethod
+    def concat(cls, chunks: Sequence["Chunk"]) -> "Chunk":
+        """One chunk holding every row of ``chunks``, in order."""
+        chunks = [chunk for chunk in chunks if chunk.length]
+        if len(chunks) == 1:
+            return chunks[0]
+        if chunks and all(
+            chunk.columns is not None and chunk.names == chunks[0].names for chunk in chunks
+        ):
+            names = chunks[0].names
+            return cls.columnar(
+                names,
+                {
+                    name: list(chain.from_iterable(chunk.columns[name] for chunk in chunks))
+                    for name in names
+                },
+            )
+        return cls.of_rows([row for chunk in chunks for row in chunk.to_rows()])
+
     @property
     def is_columnar(self) -> bool:
         return self.columns is not None
@@ -214,18 +260,25 @@ class Chunk:
 
     def resolve(self, name: str) -> str | None:
         """Case-insensitive column lookup; None when the chunk lacks it."""
-        wanted = name.lower()
         if self.columns is not None:
-            return next((n for n in self.names if n.lower() == wanted), None)
-        if not self.rows:
-            return None
-        return next((key for key in self.rows[0] if key.lower() == wanted), None)
+            if name in self.columns:
+                return name
+            candidates = self.names
+        else:
+            candidates = self.rows[0] if self.rows else ()
+        wanted = name.lower()
+        return next((key for key in candidates if key.lower() == wanted), None)
 
     def values(self, resolved: str) -> list:
         """The value list for a column name returned by :meth:`resolve`."""
         if self.columns is not None:
             return self.columns[resolved]
-        return [row[resolved] for row in self.rows]
+        try:
+            return [row[resolved] for row in self.rows]
+        except KeyError:
+            raise SQLExecutionError(
+                f"the producer's rows do not all carry column {resolved!r}"
+            ) from None
 
     def numeric(self, resolved: str) -> np.ndarray | None:
         """A ``float64`` view of the column, or None when it holds values the
@@ -254,34 +307,42 @@ class Chunk:
             return Chunk.columnar(self.names, kept)
         return Chunk.of_rows(list(compress(self.rows, mask)))
 
-    def head(self, count: int) -> "Chunk":
-        """A new chunk with only the first ``count`` rows."""
-        if count >= self.length:
-            return self
+    def take(self, order: Sequence[int]) -> "Chunk":
+        """A new chunk holding rows ``order[0], order[1], ...`` of this one."""
         if self.columns is not None:
             return Chunk.columnar(
-                self.names, {name: column[:count] for name, column in self.columns.items()}
+                self.names,
+                {name: [column[i] for i in order] for name, column in self.columns.items()},
             )
-        return Chunk.of_rows(self.rows[:count])
+        return Chunk.of_rows([self.rows[i] for i in order])
+
+    def _slice(self, start: int, stop: int) -> "Chunk":
+        if self.columns is not None:
+            return Chunk.columnar(
+                self.names,
+                {name: column[start:stop] for name, column in self.columns.items()},
+            )
+        return Chunk.of_rows(self.rows[start:stop])
+
+    def head(self, count: int) -> "Chunk":
+        """A new chunk with only the first ``count`` rows."""
+        return self if count >= self.length else self._slice(0, count)
+
+    def split(self, size: int) -> list["Chunk"]:
+        """This chunk cut into chunks of at most ``size`` rows (none when empty)."""
+        if self.length <= size:
+            return [self] if self.length else []
+        return [self._slice(start, start + size) for start in range(0, self.length, size)]
 
 
-def _rows_to_chunks(names: Sequence[str], rows) -> list["Chunk"]:
-    """Slice schema-shaped row dicts into columnar chunks of DEFAULT_CHUNK_ROWS."""
-    names = list(names)
-    chunks: list[Chunk] = []
-    columns: list[list] = [[] for _ in names]
-    filled = 0
-    for row in rows:
-        for column, name in zip(columns, names):
-            column.append(row[name])
-        filled += 1
-        if filled == DEFAULT_CHUNK_ROWS:
-            chunks.append(Chunk.columnar(names, dict(zip(names, columns))))
-            columns = [[] for _ in names]
-            filled = 0
-    if filled:
-        chunks.append(Chunk.columnar(names, dict(zip(names, columns))))
-    return chunks
+def _rows_to_chunks(
+    names: Sequence[str], rows, chunk_rows: int = DEFAULT_CHUNK_ROWS
+) -> list["Chunk"]:
+    """Turn schema-shaped row mappings into columnar chunks of ``chunk_rows``."""
+    rows = list(rows)
+    return Chunk.columnar(names, {name: [row[name] for row in rows] for name in names}).split(
+        chunk_rows
+    )
 
 
 @dataclass
@@ -301,9 +362,13 @@ class PlanRuntime:
     :class:`repro.connection.Connection`; served-view nodes use it to read on
     that connection's monotonic read-your-writes session.
 
-    ``mode`` selects the execution protocol: ``"batched"`` (columnar chunks,
-    the default) or ``"row"`` (tuple-at-a-time with per-tuple interpretation
-    charges).  It defaults to the owning database's ``execution_mode``.
+    ``mode`` (default: the owning database's ``execution_mode``) selects no
+    operator implementation.  It sets :attr:`chunk_rows` — ``"batched"`` runs
+    the operators at :data:`DEFAULT_CHUNK_ROWS` rows per chunk, ``"row"`` at
+    one — and :attr:`interpret_cpu`, the per-tuple dispatch charge
+    :meth:`PlanNode.execute` adds: the cost model's ``row_interpret_cpu`` in
+    row mode, zero in batched mode, which amortizes that dispatch away and
+    so charges storage costs only.
     """
 
     def __init__(self, database, parameters, context, cost_probe, mode: str | None = None) -> None:
@@ -313,33 +378,18 @@ class PlanRuntime:
         self._cost_probe = cost_probe
         self.node_stats: dict[int, NodeStats] = {}
         self.mode = mode or getattr(database, "execution_mode", "batched")
-
-    @property
-    def batched(self) -> bool:
-        return self.mode != "row"
+        row_mode = self.mode == "row"
+        self.chunk_rows = 1 if row_mode else DEFAULT_CHUNK_ROWS
+        self.interpret_cpu = database.pool.cost_model.row_interpret_cpu if row_mode else 0.0
+        #: Join probe keys, by ``id`` of the probe-side lookup node they drive.
+        self.probe_keys: dict[int, list] = {}
 
     def cost(self) -> float:
         """Current simulated seconds across every ledger this plan touches."""
         return self._cost_probe()
 
-    def charge_interpretation(self, rows: int) -> None:
-        """Row-mode only: charge ``row_interpret_cpu`` for ``rows`` tuples.
-
-        This is the per-tuple operator-dispatch overhead the batched protocol
-        amortizes away; in batched mode (the default) it is zero, so default
-        execution charges exactly what the engine charged before the batched
-        protocol existed.
-        """
-        if self.mode != "row" or rows <= 0:
-            return
-        cost_model = self.database.pool.cost_model
-        self.database.stats.charge(rows * cost_model.row_interpret_cpu, "row_execute")
-
-    def record(self, node: "PlanNode", rows: int, seconds: float, inclusive: float) -> None:
-        self.node_stats[id(node)] = NodeStats(rows=rows, seconds=seconds, inclusive=inclusive)
-
     def stats_of(self, node: "PlanNode") -> NodeStats:
-        return self.node_stats.get(id(node), NodeStats())
+        return self.node_stats.get(id(node)) or NodeStats()
 
     def view_reader(self, view):
         """The session (or raw server) to read a *served* view through.
@@ -359,6 +409,11 @@ class PlanRuntime:
 class PlanNode:
     """Base class: children, cost annotations, measured execution."""
 
+    #: Which row count row mode's per-tuple dispatch charge applies to:
+    #: ``"produced"`` (this node's output), ``"consumed"`` (what its children
+    #: recorded producing) or None (the node interprets no tuples).
+    interpreted: str | None = None
+
     def __init__(self, children=(), estimated_seconds: float | None = None, detail: str = ""):
         self.children: tuple[PlanNode, ...] = tuple(children)
         self.estimated_seconds = estimated_seconds
@@ -366,49 +421,34 @@ class PlanNode:
 
     # -- execution -----------------------------------------------------------------------
 
-    def execute(self, runtime: PlanRuntime) -> list[dict]:
+    def execute(self, runtime: PlanRuntime) -> list[Chunk]:
         """Run this node (and its children), attributing simulated seconds.
 
-        In batched mode the subtree runs chunk-to-chunk and rows materialize
-        only here; in row mode the legacy tuple-at-a-time ``_run`` path runs.
-        Either way the node's stats are recorded identically.
+        The one measured entry point: it charges row mode's interpretation
+        cost (tag ``row_execute``) for the tuples this node handled and
+        records the node's stats.
         """
         start = runtime.cost()
-        if runtime.batched:
-            chunks = self._run_chunks(runtime)
-            count = sum(chunk.length for chunk in chunks)
-            rows = [row for chunk in chunks for row in chunk.to_rows()]
-        else:
-            rows = self._run(runtime)
-            count = len(rows)
-        self._record(runtime, start, count)
-        return rows
-
-    def execute_chunks(self, runtime: PlanRuntime) -> list[Chunk]:
-        """Run this node, returning columnar chunks (the batched protocol)."""
-        start = runtime.cost()
-        if runtime.batched:
-            chunks = self._run_chunks(runtime)
-        else:
-            chunks = [Chunk.of_rows(self._run(runtime))]
-        self._record(runtime, start, sum(chunk.length for chunk in chunks))
-        return chunks
-
-    def _record(self, runtime: PlanRuntime, start: float, rows: int) -> None:
+        chunks = self._produce(runtime)
+        rows = sum(chunk.length for chunk in chunks)
+        if runtime.interpret_cpu and self.interpreted is not None:
+            handled = rows
+            if self.interpreted == "consumed":
+                handled = sum(runtime.stats_of(child).rows for child in self.children)
+            if handled:
+                runtime.database.stats.charge(handled * runtime.interpret_cpu, "row_execute")
         inclusive = runtime.cost() - start
         children_inclusive = sum(
             runtime.stats_of(child).inclusive for child in self.children
         )
-        runtime.record(self, rows, inclusive - children_inclusive, inclusive)
+        runtime.node_stats[id(self)] = NodeStats(
+            rows=rows, seconds=inclusive - children_inclusive, inclusive=inclusive
+        )
+        return chunks
 
-    def _run(self, runtime: PlanRuntime) -> list[dict]:  # pragma: no cover - abstract
+    def _produce(self, runtime: PlanRuntime) -> list[Chunk]:  # pragma: no cover - abstract
+        """This node's output for one execution, as non-empty chunks."""
         raise NotImplementedError
-
-    def _run_chunks(self, runtime: PlanRuntime) -> list[Chunk]:
-        """Batched implementation; nodes without a native columnar path wrap
-        their row output in a single row-backed chunk."""
-        rows = self._run(runtime)
-        return [Chunk.of_rows(rows)] if rows else []
 
     # -- explain -------------------------------------------------------------------------
 
@@ -431,8 +471,19 @@ def _render_predicates(predicates) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _scan_chunks(table, runtime: PlanRuntime) -> list[Chunk]:
+    """The whole heap of ``table``, in physical order, as columnar chunks."""
+    return _rows_to_chunks(
+        table.schema.column_names(),
+        (row for _, row in table.heap.scan()),
+        runtime.chunk_rows,
+    )
+
+
 class SeqScan(PlanNode):
     """Sequential heap scan of a base table."""
+
+    interpreted = "produced"
 
     def __init__(self, table, **kwargs):
         super().__init__(**kwargs)
@@ -441,18 +492,14 @@ class SeqScan(PlanNode):
     def label(self) -> str:
         return f"SeqScan({self.table.name})"
 
-    def _run(self, runtime: PlanRuntime) -> list[dict]:
-        rows = [dict(row) for row in self.table.scan()]
-        runtime.charge_interpretation(len(rows))
-        return rows
-
-    def _run_chunks(self, runtime: PlanRuntime) -> list[Chunk]:
-        names = self.table.schema.column_names()
-        return _rows_to_chunks(names, (row for _, row in self.table.heap.scan()))
+    def _produce(self, runtime: PlanRuntime) -> list[Chunk]:
+        return _scan_chunks(self.table, runtime)
 
 
 class IndexRange(PlanNode):
     """Primary-key index access; the point form is the degenerate ``[k, k]`` range."""
+
+    interpreted = "produced"
 
     def __init__(self, table, predicate: Predicate, **kwargs):
         super().__init__(**kwargs)
@@ -462,11 +509,11 @@ class IndexRange(PlanNode):
     def label(self) -> str:
         return f"IndexRange({self.table.name}.{self.predicate.render()})"
 
-    def _run(self, runtime: PlanRuntime) -> list[dict]:
-        key = self.predicate.bind(runtime.parameters)
-        row = self.table.try_get_by_key(key)
-        runtime.charge_interpretation(1 if row is not None else 0)
-        return [dict(row)] if row is not None else []
+    def _produce(self, runtime: PlanRuntime) -> list[Chunk]:
+        row = self.table.try_get_by_key(self.predicate.bind(runtime.parameters))
+        return _rows_to_chunks(
+            self.table.schema.column_names(), [row] if row is not None else [], runtime.chunk_rows
+        )
 
 
 class SecondaryIndexRange(PlanNode):
@@ -495,11 +542,14 @@ class SecondaryIndexRange(PlanNode):
     scan — sorted when ordered — whenever the index answer could differ from
     scan semantics: the index was dropped (a cached plan raced the DDL), a
     bound binds to NULL (``col = NULL`` matches NULL rows under this
-    dialect's ``compare_values``, but NULLs are never indexed), or an ordered
-    read finds unindexed NULL rows the ordering must still place.  The
+    dialect's ``compare_values``, but NULLs are never indexed), a bound is of
+    a type the keys cannot be ordered against, or an ordered read finds
+    unindexed NULL rows the ordering must still place.  The
     residual ``Filter`` above re-checks every conjunct either way, so answers
     stay byte-identical to a scan.
     """
+
+    interpreted = "produced"
 
     #: Sentinel distinguishing "fall back to a heap scan" from "provably
     #: empty result" (conflicting equality bindings on a prefix column).
@@ -537,28 +587,6 @@ class SecondaryIndexRange(PlanNode):
             parts.append("covering")
         return f"SecondaryIndexRange({self.table.name}.{self.index_name}: {', '.join(parts)})"
 
-    def _bounds(self, parameters):
-        """Tighten the bound conjuncts to ``(low, high, incl_low, incl_high)``.
-
-        Returns None when any bound binds to NULL — the index cannot answer
-        that (NULLs are unindexed) and the caller must fall back to a scan.
-        """
-        low = high = None
-        include_low = include_high = True
-        for predicate in self.predicates:
-            value = predicate.bind(parameters)
-            if value is None:
-                return None
-            if predicate.operator in ("=", ">", ">="):
-                strict = predicate.operator == ">"
-                if low is None or value > low or (value == low and strict):
-                    low, include_low = value, not strict
-            if predicate.operator in ("=", "<", "<="):
-                strict = predicate.operator == "<"
-                if high is None or value < high or (value == high and strict):
-                    high, include_high = value, not strict
-        return low, high, include_low, include_high
-
     def _composite_probe(self, parameters):
         """Resolve the composite probe: equality prefix values + range bounds.
 
@@ -570,8 +598,7 @@ class SecondaryIndexRange(PlanNode):
         for predicate in self.predicates:
             by_column.setdefault(predicate.column.lower(), []).append(predicate)
         eq_values: list[object] = []
-        low = high = None
-        include_low = include_high = True
+        bounds = (None, None, True, True)
         for key_column in self.key_columns:
             preds = by_column.get(key_column.lower())
             if not preds:
@@ -589,20 +616,11 @@ class SecondaryIndexRange(PlanNode):
                 eq_values.append(first)
                 continue
             # Range column: tighten all its conjuncts to one interval.
-            for predicate in preds:
-                value = predicate.bind(parameters)
-                if value is None:
-                    return None
-                if predicate.operator in ("=", ">", ">="):
-                    strict = predicate.operator == ">"
-                    if low is None or value > low or (value == low and strict):
-                        low, include_low = value, not strict
-                if predicate.operator in ("=", "<", "<="):
-                    strict = predicate.operator == "<"
-                    if high is None or value < high or (value == high and strict):
-                        high, include_high = value, not strict
+            bounds = _tighten(preds, parameters)
+            if bounds is None:
+                return None
             break
-        return tuple(eq_values), low, high, include_low, include_high
+        return (tuple(eq_values), *bounds)
 
     def _matching_entries(self, index, parameters):
         """The probe's index entries — rids, or ``(key, rid)`` when covering.
@@ -613,7 +631,7 @@ class SecondaryIndexRange(PlanNode):
         """
         reverse = self.order == "desc"
         if len(self.key_columns) == 1:
-            bounds = self._bounds(parameters)
+            bounds = _tighten(self.predicates, parameters)
             if bounds is None:
                 return None
             low, high, include_low, include_high = bounds
@@ -641,18 +659,6 @@ class SecondaryIndexRange(PlanNode):
             return entries
         return list(scan)
 
-    def _covered_row(self, key: object) -> dict:
-        """Rebuild a (partial) row from the tree key — no heap access."""
-        if len(self.key_columns) == 1:
-            return {self.key_columns[0]: key}
-        return dict(zip(self.key_columns, key))
-
-    def _fallback_scan(self) -> list[dict]:
-        rows = [dict(row) for row in self.table.scan()]
-        if self.order is not None:
-            rows.sort(key=_sort_key_for(self.column), reverse=self.order == "desc")
-        return rows
-
     def _resolve_entries(self, runtime: PlanRuntime):
         """Index entries for this execution, or None when falling back."""
         index = self.table.secondary_index(self.index_name)
@@ -672,38 +678,30 @@ class SecondaryIndexRange(PlanNode):
             if not self.predicates:
                 # an unbounded read has no predicate to exclude the NULL rows
                 return None
-        return self._matching_entries(index, runtime.parameters)
+        try:
+            return self._matching_entries(index, runtime.parameters)
+        except TypeError:
+            # A bound the key type cannot be ordered against: answer from the
+            # scan, whose residual Filter raises the documented error.
+            return None
 
-    def _run(self, runtime: PlanRuntime) -> list[dict]:
+    def _produce(self, runtime: PlanRuntime) -> list[Chunk]:
         entries = self._resolve_entries(runtime)
         if entries is None:
-            rows = self._fallback_scan()
-            runtime.charge_interpretation(len(rows))
-            return rows
+            chunks = _scan_chunks(self.table, runtime)
+            if self.order is None:
+                return chunks
+            ordered = _sorted_chunk(chunks, self.column, self.order == "desc")
+            return ordered.split(runtime.chunk_rows)
         if self.covering:
-            rows = [self._covered_row(key) for key, _ in entries]
-        else:
-            rows = [
-                dict(self.table.heap.read(rid, sequential=False)) for rid in entries
-            ]
-        runtime.charge_interpretation(len(rows))
-        return rows
-
-    def _run_chunks(self, runtime: PlanRuntime) -> list[Chunk]:
-        names = self.table.schema.column_names()
-        entries = self._resolve_entries(runtime)
-        if entries is None:
-            return _rows_to_chunks(names, self._fallback_scan())
-        if self.covering:
-            if len(self.key_columns) == 1:
-                return _rows_to_chunks(
-                    self.key_columns, ({self.key_columns[0]: key} for key, _ in entries)
-                )
-            return _rows_to_chunks(
-                self.key_columns, (dict(zip(self.key_columns, key)) for key, _ in entries)
-            )
+            # Rebuild the (partial) rows from the tree keys — no heap access.
+            single = len(self.key_columns) == 1
+            rows = (dict(zip(self.key_columns, (key,) if single else key)) for key, _ in entries)
+            return _rows_to_chunks(self.key_columns, rows, runtime.chunk_rows)
         return _rows_to_chunks(
-            names, (self.table.heap.read(rid, sequential=False) for rid in entries)
+            self.table.schema.column_names(),
+            (self.table.heap.read(rid, sequential=False) for rid in entries),
+            runtime.chunk_rows,
         )
 
 
@@ -718,8 +716,8 @@ class LogicalViewScan(PlanNode):
     def label(self) -> str:
         return f"LogicalViewScan({self.name})"
 
-    def _run(self, runtime: PlanRuntime) -> list[dict]:
-        return [dict(row) for row in self.producer()]
+    def _produce(self, runtime: PlanRuntime) -> list[Chunk]:
+        return Chunk.of_rows([dict(row) for row in self.producer()]).split(runtime.chunk_rows)
 
 
 class SystemTableScan(PlanNode):
@@ -740,8 +738,8 @@ class SystemTableScan(PlanNode):
     def label(self) -> str:
         return f"SystemTableScan({self.name})"
 
-    def _run(self, runtime: PlanRuntime) -> list[dict]:
-        return [dict(row) for row in self.producer()]
+    def _produce(self, runtime: PlanRuntime) -> list[Chunk]:
+        return Chunk.of_rows([dict(row) for row in self.producer()]).split(runtime.chunk_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -756,11 +754,12 @@ class _ViewNode(PlanNode):
         super().__init__(**kwargs)
         self.view = view
 
-    def _display_row(self, entity_id: object, binary_label: int) -> dict:
-        return {
-            self.view.definition.view_key: entity_id,
-            "class": self.view.from_binary_label(binary_label),
-        }
+    def _chunks(self, runtime: PlanRuntime, ids: list, labels: list) -> list[Chunk]:
+        """The view's ``(key, class)`` columns for ``ids`` and their binary labels."""
+        key_column = self.view.definition.view_key
+        shown = {label: self.view.from_binary_label(label) for label in set(labels)}
+        columns = {key_column: ids, "class": [shown[label] for label in labels]}
+        return Chunk.columnar([key_column, "class"], columns).split(runtime.chunk_rows)
 
     def _binary_class(self, value: object) -> int | None:
         """Map a user-facing class literal to {-1, +1}; None when unmappable."""
@@ -778,14 +777,13 @@ class ViewScan(_ViewNode):
     def label(self) -> str:
         return f"ViewScan({self.view.name})"
 
-    def _run(self, runtime: PlanRuntime) -> list[dict]:
+    def _produce(self, runtime: PlanRuntime) -> list[Chunk]:
         reader = runtime.view_reader(self.view)
         if reader is None:
-            return [dict(row) for row in self.view.rows()]
-        return [
-            self._display_row(entity_id, label)
-            for entity_id, label in reader.contents().items()
-        ]
+            key_column = self.view.definition.view_key
+            return _rows_to_chunks([key_column, "class"], self.view.rows(), runtime.chunk_rows)
+        contents = reader.contents()
+        return self._chunks(runtime, list(contents), list(contents.values()))
 
 
 class ServedContentsScan(ViewScan):
@@ -807,23 +805,23 @@ class ViewPointRead(_ViewNode):
     def label(self) -> str:
         return f"ViewPointRead({self.view.name}.{self.predicate.render()})"
 
-    def _run(self, runtime: PlanRuntime) -> list[dict]:
+    def _produce(self, runtime: PlanRuntime) -> list[Chunk]:
         key = self.predicate.bind(runtime.parameters)
         reader = runtime.view_reader(self.view)
         try:
             label = reader.label_of(key) if reader is not None else self.view.label_of(key)
         except KeyNotFoundError:
             return []
-        return [self._display_row(key, label)]
+        return self._chunks(runtime, [key], [label])
 
 
 class ServedPointRead(ViewPointRead):
     """Point read through the server's request batcher (session-consistent).
 
     With ``predicate=None`` the node is a *probe-side lookup* for
-    :class:`HashJoin`: it has no key of its own and is executed via
-    :meth:`execute_batch` with the join's probe keys, all driven through the
-    read batcher in one coalesced burst.
+    :class:`HashJoin`: it has no key of its own and reads the probe keys its
+    join left in :attr:`PlanRuntime.probe_keys`, all driven through the read
+    batcher in one coalesced burst.
     """
 
     is_probe_lookup = False
@@ -841,31 +839,27 @@ class ServedPointRead(ViewPointRead):
             return f"ServedPointRead({self.view.name}, batch)"
         return f"ServedPointRead({self.view.name}.{self.predicate.render()})"
 
-    def _run(self, runtime: PlanRuntime) -> list[dict]:
-        if self.is_probe_lookup:  # only a HashJoin may drive this node
+    def _produce(self, runtime: PlanRuntime) -> list[Chunk]:
+        if not self.is_probe_lookup:
+            return super()._produce(runtime)
+        keys = runtime.probe_keys.get(id(self))
+        if keys is None:  # only a HashJoin may drive this node
             raise SQLExecutionError(
                 "a probe-side ServedPointRead executes only through its join"
             )
-        return super()._run(runtime)
-
-    def execute_batch(self, runtime: PlanRuntime, keys) -> list[dict]:
-        """Fetch labels for the join's probe keys; records this node's stats."""
-        start = runtime.cost()
         reader = runtime.view_reader(self.view)
-        rows: list[dict] = []
         if reader is not None:
-            for entity_id, label in reader.labels_of(keys).items():
-                rows.append(self._display_row(entity_id, label))
-        else:
-            for entity_id in keys:
-                try:
-                    label = self.view.label_of(entity_id)
-                except KeyNotFoundError:
-                    continue
-                rows.append(self._display_row(entity_id, label))
-        inclusive = runtime.cost() - start
-        runtime.record(self, len(rows), inclusive, inclusive)
-        return rows
+            found = reader.labels_of(keys)
+            return self._chunks(runtime, list(found), list(found.values()))
+        ids: list = []
+        labels: list = []
+        for entity_id in keys:
+            try:
+                labels.append(self.view.label_of(entity_id))
+            except KeyNotFoundError:
+                continue
+            ids.append(entity_id)
+        return self._chunks(runtime, ids, labels)
 
 
 class ViewMembers(_ViewNode):
@@ -880,13 +874,13 @@ class ViewMembers(_ViewNode):
     def label(self) -> str:
         return f"ViewMembers({self.view.name}, {self.class_predicate.render()})"
 
-    def _run(self, runtime: PlanRuntime) -> list[dict]:
+    def _produce(self, runtime: PlanRuntime) -> list[Chunk]:
         label = self._binary_class(self.class_predicate.bind(runtime.parameters))
         if label is None:
             return []
         reader = runtime.view_reader(self.view)
         members = reader.all_members(label) if reader is not None else self.view.members(label)
-        return [self._display_row(entity_id, label) for entity_id in members]
+        return self._chunks(runtime, list(members), [label] * len(members))
 
 
 class ServedScatterGather(ViewMembers):
@@ -905,6 +899,7 @@ class ViewRangeRead(_ViewNode):
     pushed conjuncts (placeholders included), tightened to a single
     ``[low, high]`` interval, and answered by ``read_range`` — one scan that
     classifies only in-range candidates instead of materializing the view.
+    A bound that binds to NULL matches no row, so the read is empty.
     """
 
     served_planned = False
@@ -918,36 +913,30 @@ class ViewRangeRead(_ViewNode):
         rendered = _render_predicates((self.class_predicate, *self.range_predicates))
         return f"ViewRangeRead({self.view.name}, {rendered})"
 
-    def _bounds(self, parameters):
-        low = high = None
-        include_low = include_high = True
-        for predicate in self.range_predicates:
-            value = predicate.bind(parameters)
-            if predicate.operator in (">", ">="):
-                strict = predicate.operator == ">"
-                if low is None or value > low or (value == low and strict):
-                    low, include_low = value, not strict
-            else:
-                strict = predicate.operator == "<"
-                if high is None or value < high or (value == high and strict):
-                    high, include_high = value, not strict
-        return low, high, include_low, include_high
-
-    def _run(self, runtime: PlanRuntime) -> list[dict]:
+    def _produce(self, runtime: PlanRuntime) -> list[Chunk]:
         label = self._binary_class(self.class_predicate.bind(runtime.parameters))
         if label is None:
             return []
-        low, high, include_low, include_high = self._bounds(runtime.parameters)
         reader = runtime.view_reader(self.view)
-        if reader is not None:
-            members = reader.range_scan(
-                label, low, high, include_low=include_low, include_high=include_high
-            )
-        else:
-            members = self.view.maintainer.read_range(
-                label, low, high, include_low=include_low, include_high=include_high
-            )
-        return [self._display_row(entity_id, label) for entity_id in members]
+        try:
+            bounds = _tighten(self.range_predicates, runtime.parameters)
+            if bounds is None:
+                return []
+            low, high, include_low, include_high = bounds
+            if reader is not None:
+                members = reader.range_scan(
+                    label, low, high, include_low=include_low, include_high=include_high
+                )
+            else:
+                members = self.view.maintainer.read_range(
+                    label, low, high, include_low=include_low, include_high=include_high
+                )
+        except TypeError as exc:
+            raise SQLExecutionError(
+                f"the range bounds on {self.view.definition.view_key!r} cannot be "
+                f"ordered against the keys of view {self.view.name!r}: {exc}"
+            ) from exc
+        return self._chunks(runtime, list(members), [label] * len(members))
 
 
 class ServedRangeScan(ViewRangeRead):
@@ -969,6 +958,8 @@ class ServedRangeScan(ViewRangeRead):
 class Filter(PlanNode):
     """Residual predicate re-check above an access path."""
 
+    interpreted = "consumed"
+
     def __init__(self, child: PlanNode, predicates, **kwargs):
         super().__init__(children=(child,), **kwargs)
         self.predicates = tuple(predicates)
@@ -976,27 +967,18 @@ class Filter(PlanNode):
     def label(self) -> str:
         return f"Filter({_render_predicates(self.predicates)})"
 
-    def _run(self, runtime: PlanRuntime) -> list[dict]:
-        rows = self.children[0].execute(runtime)
-        runtime.charge_interpretation(len(rows))
-        return [row for row in rows if row_matches(row, self.predicates, runtime.parameters)]
-
-    def _run_chunks(self, runtime: PlanRuntime) -> list[Chunk]:
-        chunks = self.children[0].execute_chunks(runtime)
-        out: list[Chunk] = []
-        for chunk in chunks:
-            if chunk.length == 0:
-                continue
-            filtered = self._filter_chunk(chunk, runtime)
-            if filtered.length:
-                out.append(filtered)
-        return out
+    def _produce(self, runtime: PlanRuntime) -> list[Chunk]:
+        filtered = (
+            self._filter_chunk(chunk, runtime) for chunk in self.children[0].execute(runtime)
+        )
+        return [chunk for chunk in filtered if chunk.length]
 
     def _filter_chunk(self, chunk: Chunk, runtime: PlanRuntime) -> Chunk:
         """Evaluate the conjuncts over whole columns; NumPy masks on numeric
-        columns (via :func:`repro.linalg.kernels.compare`), per-value Python
-        comparison otherwise.  Semantics match :func:`row_matches` exactly."""
+        columns (via :func:`repro.linalg.kernels.compare`), per-value
+        :func:`compare_values` — the scalar definition — otherwise."""
         mask: np.ndarray | None = None
+        kept = chunk.length
         for predicate in self.predicates:
             resolved = chunk.resolve(predicate.column)
             if resolved is None:
@@ -1021,55 +1003,48 @@ class Filter(PlanNode):
                     count=chunk.length,
                 )
             mask = predicate_mask if mask is None else mask & predicate_mask
-            if not mask.any():
-                return chunk.filter(mask)
-        return chunk if mask is None else chunk.filter(mask)
+            kept = np.count_nonzero(mask)
+            if not kept:
+                break
+        return chunk if mask is None or kept == chunk.length else chunk.filter(mask)
 
 
-def _sort_key_for(column: str):
-    def sort_key(row: dict):
-        matched = next((key for key in row if key.lower() == column.lower()), None)
-        if matched is None:
-            raise SQLExecutionError(f"unknown ORDER BY column {column!r}")
-        value = row[matched]
-        return (value is None, value)
-
-    return sort_key
+def _sort_key(value: object) -> tuple:
+    """The scalar definition of ORDER BY: NULLs sort after every value, so
+    they come last ascending and first descending."""
+    return (value is None, value)
 
 
-def _sorted_chunk_rows(
-    chunks: list[Chunk], column: str, descending: bool
-) -> list[dict]:
-    """Rows from ``chunks`` ordered by ``column``, vectorized when possible.
+def _sorted_chunk(
+    chunks: list[Chunk], column: str, descending: bool, limit: int | None = None
+) -> Chunk:
+    """The first ``limit`` rows of ``chunks`` ordered by ``column``, as one chunk.
 
-    When every chunk is columnar with a NaN-free numeric sort column, the
-    permutation comes from one stable ``np.argsort`` over the concatenated
-    column (negated for descending — stability then preserves the original
-    order of equal keys, exactly like a stable reverse-order sort).  Anything
-    else falls back to the Python sort with the row-mode key (None-first
-    ascending, None-last descending).
+    A NaN-free numeric sort column is ordered by one stable ``np.argsort``
+    (negated for descending — stability then preserves the original order of
+    equal keys, exactly like a stable reverse-order sort).  Anything else
+    takes the Python sort under :func:`_sort_key`: NULLs last ascending,
+    NULLs first descending, ties in arrival order either way.
     """
-    arrays: list[np.ndarray] = []
-    for chunk in chunks:
-        resolved = chunk.resolve(column) if chunk.is_columnar else None
-        numeric = chunk.numeric(resolved) if resolved is not None else None
-        if numeric is None:
-            arrays = []
-            break
-        arrays.append(numeric)
-    if arrays and len(arrays) == len(chunks):
-        values = np.concatenate(arrays)
-        if not np.isnan(values).any():
-            order = np.argsort(-values if descending else values, kind="stable")
-            rows = [row for chunk in chunks for row in chunk.to_rows()]
-            return [rows[i] for i in order]
-    rows = [row for chunk in chunks for row in chunk.to_rows()]
-    rows.sort(key=_sort_key_for(column), reverse=descending)
-    return rows
+    merged = Chunk.concat(chunks)
+    if merged.length == 0:
+        return merged
+    resolved = merged.resolve(column)
+    if resolved is None:
+        raise SQLExecutionError(f"unknown ORDER BY column {column!r}")
+    numeric = merged.numeric(resolved)
+    if numeric is not None and not np.isnan(numeric).any():
+        order = np.argsort(-numeric if descending else numeric, kind="stable").tolist()
+    else:
+        keys = [_sort_key(value) for value in merged.values(resolved)]
+        order = sorted(range(merged.length), key=keys.__getitem__, reverse=descending)
+    return merged.take(order[:limit])
 
 
 class Sort(PlanNode):
     """Full sort for ORDER BY without LIMIT."""
+
+    interpreted = "consumed"
 
     def __init__(self, child: PlanNode, column: str, descending: bool, **kwargs):
         super().__init__(children=(child,), **kwargs)
@@ -1080,16 +1055,9 @@ class Sort(PlanNode):
         direction = "desc" if self.descending else "asc"
         return f"Sort(by={self.column} {direction})"
 
-    def _run(self, runtime: PlanRuntime) -> list[dict]:
-        rows = list(self.children[0].execute(runtime))
-        runtime.charge_interpretation(len(rows))
-        rows.sort(key=_sort_key_for(self.column), reverse=self.descending)
-        return rows
-
-    def _run_chunks(self, runtime: PlanRuntime) -> list[Chunk]:
-        chunks = self.children[0].execute_chunks(runtime)
-        rows = _sorted_chunk_rows(chunks, self.column, self.descending)
-        return [Chunk.of_rows(rows)] if rows else []
+    def _produce(self, runtime: PlanRuntime) -> list[Chunk]:
+        chunks = self.children[0].execute(runtime)
+        return _sorted_chunk(chunks, self.column, self.descending).split(runtime.chunk_rows)
 
 
 class TopK(PlanNode):
@@ -1097,8 +1065,11 @@ class TopK(PlanNode):
 
     With a child, a stable sort-and-slice over the child's rows.  Without one
     (``view`` set), the *fused* served top-k: per-shard heaps merged across
-    the shards by the server, driven through the session.
+    the shards by the server, driven through the session — it consumes no
+    child rows, so row mode charges it no interpretation.
     """
+
+    interpreted = "consumed"
 
     def __init__(
         self,
@@ -1119,38 +1090,30 @@ class TopK(PlanNode):
         direction = "desc" if self.descending else "asc"
         return f"TopK(k={self.k}, by={self.column} {direction})"
 
-    def _run(self, runtime: PlanRuntime) -> list[dict]:
-        if self.view is not None:
-            reader = runtime.view_reader(self.view)
-            if reader is None:
-                raise SQLExecutionError(
-                    f"ORDER BY margin requires view {self.view.name!r} to be served"
-                )
-            key_column = self.view.definition.view_key
-            return [
-                {
-                    key_column: entity_id,
-                    "class": self.view.from_binary_label(1),
-                    "margin": margin,
-                }
-                for entity_id, margin in reader.top_k(self.k, label=1)
-            ]
-        rows = list(self.children[0].execute(runtime))
-        runtime.charge_interpretation(len(rows))
-        rows.sort(key=_sort_key_for(self.column), reverse=self.descending)
-        return rows[: self.k]
-
-    def _run_chunks(self, runtime: PlanRuntime) -> list[Chunk]:
-        if self.view is not None:
-            rows = self._run(runtime)
-            return [Chunk.of_rows(rows)] if rows else []
-        chunks = self.children[0].execute_chunks(runtime)
-        rows = _sorted_chunk_rows(chunks, self.column, self.descending)[: self.k]
-        return [Chunk.of_rows(rows)] if rows else []
+    def _produce(self, runtime: PlanRuntime) -> list[Chunk]:
+        if self.view is None:
+            chunks = self.children[0].execute(runtime)
+            ranked = _sorted_chunk(chunks, self.column, self.descending, limit=self.k)
+            return ranked.split(runtime.chunk_rows)
+        reader = runtime.view_reader(self.view)
+        if reader is None:
+            raise SQLExecutionError(
+                f"ORDER BY margin requires view {self.view.name!r} to be served"
+            )
+        key_column = self.view.definition.view_key
+        ranked = reader.top_k(self.k, label=1)
+        columns = {
+            key_column: [entity_id for entity_id, _ in ranked],
+            "class": [self.view.from_binary_label(1)] * len(ranked),
+            "margin": [margin for _, margin in ranked],
+        }
+        return Chunk.columnar([key_column, "class", "margin"], columns).split(runtime.chunk_rows)
 
 
 class Limit(PlanNode):
     """LIMIT without ORDER BY."""
+
+    interpreted = "produced"
 
     def __init__(self, child: PlanNode, count: int, **kwargs):
         super().__init__(children=(child,), **kwargs)
@@ -1159,26 +1122,22 @@ class Limit(PlanNode):
     def label(self) -> str:
         return f"Limit({self.count})"
 
-    def _run(self, runtime: PlanRuntime) -> list[dict]:
-        rows = self.children[0].execute(runtime)[: self.count]
-        runtime.charge_interpretation(len(rows))
-        return rows
-
-    def _run_chunks(self, runtime: PlanRuntime) -> list[Chunk]:
+    def _produce(self, runtime: PlanRuntime) -> list[Chunk]:
         out: list[Chunk] = []
         remaining = self.count
-        for chunk in self.children[0].execute_chunks(runtime):
+        for chunk in self.children[0].execute(runtime):
             if remaining <= 0:
                 break
             taken = chunk.head(remaining)
-            if taken.length:
-                out.append(taken)
+            out.append(taken)
             remaining -= taken.length
         return out
 
 
 class Project(PlanNode):
     """Column projection; ``lookups`` are the row keys resolved at plan time."""
+
+    interpreted = "consumed"
 
     def __init__(self, child: PlanNode, lookups, **kwargs):
         super().__init__(children=(child,), **kwargs)
@@ -1187,57 +1146,23 @@ class Project(PlanNode):
     def label(self) -> str:
         return f"Project({', '.join(self.lookups)})"
 
-    def _run(self, runtime: PlanRuntime) -> list[dict]:
-        rows = self.children[0].execute(runtime)
-        runtime.charge_interpretation(len(rows))
-        projected: list[dict] = []
-        for row in rows:
-            out: dict[str, object] = {}
-            for wanted in self.lookups:
-                matched = next((key for key in row if key.lower() == wanted.lower()), None)
-                if matched is None:
-                    raise SQLExecutionError(f"unknown column {wanted!r} in SELECT list")
-                out[matched] = row[matched]
-            projected.append(out)
-        return projected
-
-    def _run_chunks(self, runtime: PlanRuntime) -> list[Chunk]:
+    def _produce(self, runtime: PlanRuntime) -> list[Chunk]:
         out: list[Chunk] = []
-        for chunk in self.children[0].execute_chunks(runtime):
-            if chunk.length == 0:
-                continue
-            if chunk.is_columnar:
-                names: list[str] = []
-                columns: dict[str, list] = {}
-                for wanted in self.lookups:
-                    resolved = chunk.resolve(wanted)
-                    if resolved is None:
-                        raise SQLExecutionError(
-                            f"unknown column {wanted!r} in SELECT list"
-                        )
-                    names.append(resolved)
-                    columns[resolved] = chunk.values(resolved)
-                out.append(Chunk.columnar(names, columns))
-                continue
-            projected: list[dict] = []
-            for row in chunk.to_rows():
-                row_out: dict[str, object] = {}
-                for wanted in self.lookups:
-                    matched = next(
-                        (key for key in row if key.lower() == wanted.lower()), None
-                    )
-                    if matched is None:
-                        raise SQLExecutionError(
-                            f"unknown column {wanted!r} in SELECT list"
-                        )
-                    row_out[matched] = row[matched]
-                projected.append(row_out)
-            out.append(Chunk.of_rows(projected))
+        for chunk in self.children[0].execute(runtime):
+            columns: dict[str, list] = {}
+            for wanted in self.lookups:
+                resolved = chunk.resolve(wanted)
+                if resolved is None:
+                    raise SQLExecutionError(f"unknown column {wanted!r} in SELECT list")
+                columns[resolved] = chunk.values(resolved)
+            out.append(Chunk.columnar(list(columns), columns))
         return out
 
 
 class Aggregate(PlanNode):
     """``COUNT(*)`` over the child's rows."""
+
+    interpreted = "consumed"
 
     def __init__(self, child: PlanNode, **kwargs):
         super().__init__(children=(child,), **kwargs)
@@ -1245,15 +1170,10 @@ class Aggregate(PlanNode):
     def label(self) -> str:
         return "Aggregate(count)"
 
-    def _run(self, runtime: PlanRuntime) -> list[dict]:
-        rows = self.children[0].execute(runtime)
-        runtime.charge_interpretation(len(rows))
-        return [{"count": len(rows)}]
-
-    def _run_chunks(self, runtime: PlanRuntime) -> list[Chunk]:
+    def _produce(self, runtime: PlanRuntime) -> list[Chunk]:
         # Counting never materializes rows: chunk lengths sum directly.
-        total = sum(chunk.length for chunk in self.children[0].execute_chunks(runtime))
-        return [Chunk.of_rows([{"count": total}])]
+        total = sum(chunk.length for chunk in self.children[0].execute(runtime))
+        return [Chunk.columnar(["count"], {"count": [total]})]
 
 
 class HashJoin(PlanNode):
@@ -1264,6 +1184,8 @@ class HashJoin(PlanNode):
     keys drive one batched lookup through the server's read batcher instead of
     materializing the whole view.
     """
+
+    interpreted = "consumed"
 
     def __init__(
         self,
@@ -1283,65 +1205,31 @@ class HashJoin(PlanNode):
         return f"HashJoin({self.left_key} = {self.right_key})"
 
     @staticmethod
-    def _value_of(row: dict, column: str):
-        matched = next((key for key in row if key.lower() == column.lower()), None)
-        if matched is None:
-            raise SQLExecutionError(f"unknown join column {column!r}")
-        return row[matched]
+    def _key_values(chunk: Chunk, key: str) -> list:
+        resolved = chunk.resolve(key.rpartition(".")[2])
+        if resolved is None:
+            raise SQLExecutionError(f"unknown join column {key!r}")
+        return chunk.values(resolved)
 
-    def _run(self, runtime: PlanRuntime) -> list[dict]:
-        left, right = self.children
-        left_rows = left.execute(runtime)
-        right_rows = self._right_rows(runtime, self._probe_keys(left_rows))
-        runtime.charge_interpretation(len(left_rows) + len(right_rows))
-        return self._join(left_rows, right_rows)
-
-    def _run_chunks(self, runtime: PlanRuntime) -> list[Chunk]:
-        left, right = self.children
-        left_chunks = left.execute_chunks(runtime)
-        bare_left = self.left_key.rpartition(".")[2]
-        # Probe keys come straight off the key column arrays, chunk by chunk.
-        seen: dict[object, None] = {}
-        for chunk in left_chunks:
-            if chunk.length == 0:
-                continue
-            resolved = chunk.resolve(bare_left)
-            if resolved is None:
-                raise SQLExecutionError(f"unknown join column {bare_left!r}")
-            for value in chunk.values(resolved):
-                seen.setdefault(value)
-        if getattr(right, "is_probe_lookup", False):
-            right_rows = right.execute_batch(runtime, list(seen))
-        else:
-            right_rows = [row for chunk in right.execute_chunks(runtime) for row in chunk.to_rows()]
-        left_rows = [row for chunk in left_chunks for row in chunk.to_rows()]
-        joined = self._join(left_rows, right_rows)
-        return [Chunk.of_rows(joined)] if joined else []
-
-    def _probe_keys(self, left_rows: list[dict]) -> list:
-        seen: dict[object, None] = {}
-        bare_left = self.left_key.rpartition(".")[2]
-        for row in left_rows:
-            seen.setdefault(self._value_of(row, bare_left))
-        return list(seen)
-
-    def _right_rows(self, runtime: PlanRuntime, probe_keys: list) -> list[dict]:
-        right = self.children[1]
-        if getattr(right, "is_probe_lookup", False):
-            return right.execute_batch(runtime, probe_keys)
-        return right.execute(runtime)
-
-    def _join(self, left_rows: list[dict], right_rows: list[dict]) -> list[dict]:
-        bare_left = self.left_key.rpartition(".")[2]
-        bare_right = self.right_key.rpartition(".")[2]
-        build: dict[object, list[dict]] = {}
-        for row in right_rows:
-            build.setdefault(self._value_of(row, bare_right), []).append(row)
-        joined: list[dict] = []
-        for left_row in left_rows:
-            for right_row in build.get(self._value_of(left_row, bare_left), ()):
-                merged = dict(left_row)
-                for column, value in right_row.items():
-                    merged[self.right_renames.get(column.lower(), column)] = value
-                joined.append(merged)
-        return joined
+    def _produce(self, runtime: PlanRuntime) -> list[Chunk]:
+        left_node, right_node = self.children
+        left = Chunk.concat(left_node.execute(runtime))
+        left_keys = self._key_values(left, self.left_key) if left.length else []
+        if getattr(right_node, "is_probe_lookup", False):
+            runtime.probe_keys[id(right_node)] = list(dict.fromkeys(left_keys))
+        right = Chunk.concat(right_node.execute(runtime))
+        if not left.length or not right.length:
+            return []
+        build: dict[object, list[int]] = {}
+        for position, value in enumerate(self._key_values(right, self.right_key)):
+            build.setdefault(value, []).append(position)
+        left_order: list[int] = []
+        right_order: list[int] = []
+        for position, value in enumerate(left_keys):
+            for match in build.get(value, ()):
+                left_order.append(position)
+                right_order.append(match)
+        columns = dict(left.take(left_order).columns)
+        for name, values in right.take(right_order).columns.items():
+            columns[self.right_renames.get(name.lower(), name)] = values
+        return Chunk.columnar(list(columns), columns).split(runtime.chunk_rows)

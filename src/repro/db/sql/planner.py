@@ -94,9 +94,10 @@ class SelectPlan:
         self.catalog_version = catalog_version
 
     def run(self, database, parameters, context) -> tuple[list[dict], PlanRuntime]:
+        """Execute the plan; rows are materialized here, once, from the root's chunks."""
         runtime = PlanRuntime(database, parameters, context, self._cost_probe(database))
-        rows = self.root.execute(runtime)
-        return rows, runtime
+        chunks = self.root.execute(runtime)
+        return [row for chunk in chunks for row in chunk.to_rows()], runtime
 
     def cost_probe(self, database):
         """The probe ``run`` uses, for callers timing whole statements (tracing)."""

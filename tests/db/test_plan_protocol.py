@@ -1,0 +1,298 @@
+"""The one-executor contract of :mod:`repro.db.sql.plan`.
+
+Every plan node speaks the columnar ``Chunk`` protocol through a single
+producer method and a single measured entry point; the execution mode only
+sets the chunk size (``"row"`` = one row per chunk) and the modelled dispatch
+charge.  These tests pin the protocol's completeness, the answers at chunk
+boundaries against the forced-``SeqScan`` reference, the NULL placement of
+every ordering path, and the documented error for a type-mismatched bound.
+"""
+
+from __future__ import annotations
+
+import inspect
+import json
+
+import pytest
+
+import repro
+from repro.db.costmodel import CostModel
+from repro.db.database import Database
+from repro.db.sql import plan
+from repro.db.sql.parser import parse
+from repro.db.sql.plan import DEFAULT_CHUNK_ROWS, PlanNode, PlanRuntime
+from repro.db.sql.planner import Planner
+from repro.exceptions import SQLExecutionError
+
+from tests.db.test_sql_plan import PreFeaturizedColumn, balanced_portal
+
+MODES = ("batched", "row")
+
+
+# ---------------------------------------------------------------------------
+# Protocol completeness
+# ---------------------------------------------------------------------------
+
+
+def _node_classes() -> list[type]:
+    exported = [getattr(plan, name) for name in plan.__all__]
+    return [
+        obj
+        for obj in exported
+        if inspect.isclass(obj) and issubclass(obj, PlanNode) and obj is not PlanNode
+    ]
+
+
+class TestProtocolCompleteness:
+    def test_every_exported_node_overrides_the_one_producer(self):
+        nodes = _node_classes()
+        assert len(nodes) == 20, [cls.__name__ for cls in nodes]
+        for cls in nodes:
+            assert cls._produce is not PlanNode._produce, cls.__name__
+            for klass in cls.__mro__:
+                assert "_run" not in vars(klass), f"{klass.__name__} defines _run"
+                assert "_run_chunks" not in vars(klass), klass.__name__
+
+    def test_plan_node_has_exactly_one_measured_entry_point(self):
+        measured = [
+            name
+            for name, member in vars(PlanNode).items()
+            if inspect.isfunction(member) and "runtime.cost()" in inspect.getsource(member)
+        ]
+        assert measured == ["execute"]
+        # ... and no subclass re-implements the measurement.
+        for cls in _node_classes():
+            for klass in cls.__mro__[:-2]:  # up to, excluding, PlanNode and object
+                for name, member in vars(klass).items():
+                    if inspect.isfunction(member):
+                        assert "runtime.cost()" not in inspect.getsource(member), (
+                            f"{klass.__name__}.{name} measures on its own"
+                        )
+
+    def test_deleted_names_stay_deleted(self):
+        assert "row_matches" not in plan.__all__
+        assert not hasattr(plan, "row_matches")
+        assert not hasattr(plan.Predicate, "test")
+        assert not hasattr(PlanRuntime, "batched")
+        for name in ("_probe_keys", "_right_rows"):
+            assert not hasattr(plan.HashJoin, name)
+        assert not hasattr(plan.SecondaryIndexRange, "_covered_row")
+
+    def test_mode_only_sets_chunk_size_and_charge(self):
+        batched = PlanRuntime(Database(), [], None, lambda: 0.0)
+        row = PlanRuntime(Database(execution_mode="row"), [], None, lambda: 0.0)
+        assert (batched.chunk_rows, batched.interpret_cpu) == (DEFAULT_CHUNK_ROWS, 0.0)
+        assert (row.chunk_rows, row.interpret_cpu) == (1, CostModel().row_interpret_cpu)
+        assert list(inspect.signature(PlanRuntime).parameters) == [
+            "database", "parameters", "context", "cost_probe", "mode",
+        ]
+
+
+# ---------------------------------------------------------------------------
+# Chunk boundaries vs the forced-SeqScan reference
+# ---------------------------------------------------------------------------
+
+BOUNDARY_ROWS = DEFAULT_CHUNK_ROWS + 5
+
+
+def boundary_db(mode: str) -> Database:
+    """``big`` spans two chunks in batched mode (1024 + 5 rows)."""
+    db = Database(cost_model=CostModel.main_memory(), execution_mode=mode)
+    db.execute("CREATE TABLE big (id integer PRIMARY KEY, v integer, w float)")
+    db.executemany(
+        "INSERT INTO big (id, v, w) VALUES (?, ?, ?)",
+        [(i, (i * 37) % 101, float((i * 13) % 29)) for i in range(BOUNDARY_ROWS)],
+    )
+    db.execute("CREATE TABLE other (id integer PRIMARY KEY, tag text)")
+    db.executemany(
+        "INSERT INTO other (id, tag) VALUES (?, ?)",
+        [(i, f"t{i}") for i in (3, DEFAULT_CHUNK_ROWS - 1, DEFAULT_CHUNK_ROWS, BOUNDARY_ROWS - 1)],
+    )
+    return db
+
+
+#: (sql, ordered) — ``ordered`` answers are compared as sequences.
+BOUNDARY_QUERIES = [
+    (f"SELECT * FROM big LIMIT {DEFAULT_CHUNK_ROWS + 2}", True),  # Limit straddles
+    (f"SELECT id FROM big WHERE id >= {DEFAULT_CHUNK_ROWS}", True),  # first chunk emptied
+    (f"SELECT id FROM big WHERE id < {DEFAULT_CHUNK_ROWS}", True),  # last chunk emptied
+    ("SELECT id, w FROM big ORDER BY w DESC", True),  # Sort across chunks
+    (f"SELECT id, v FROM big ORDER BY v LIMIT {DEFAULT_CHUNK_ROWS + 2}", True),  # TopK
+    ("SELECT big.id, other.tag FROM big JOIN other ON big.id = other.id", False),
+    ("SELECT COUNT(*) FROM big", True),
+    (f"SELECT COUNT(*) FROM big WHERE v > 50 AND id >= {DEFAULT_CHUNK_ROWS - 3}", True),
+]
+
+
+class TestChunkBoundaries:
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("sql,ordered", BOUNDARY_QUERIES)
+    def test_matches_forced_seqscan_reference(self, sql, ordered, mode):
+        db = boundary_db(mode)
+        db.execute("CREATE INDEX idx_v ON big (v)")
+        got = db.execute(sql).rows
+        reference, _ = (
+            Planner(db, use_index_paths=False).plan_select(parse(sql)).run(db, [], None)
+        )
+        if not ordered:
+            got = sorted(got, key=lambda row: row["id"])
+            reference = sorted(reference, key=lambda row: row["id"])
+        assert got == reference
+        assert got, "a boundary case must not be vacuous"
+
+    def test_scan_really_spans_two_chunks_in_batched_mode(self):
+        db = boundary_db("batched")
+        runtime = PlanRuntime(db, [], None, lambda: 0.0)
+        chunks = db.executor.plan_select(parse("SELECT * FROM big")).root.execute(runtime)
+        assert [chunk.length for chunk in chunks] == [DEFAULT_CHUNK_ROWS, 5]
+
+    def test_join_probe_keys_drawn_from_two_chunks(self):
+        """A served, predicate-free join side is driven by the probe keys of
+        *every* left chunk through one batched lookup."""
+        conn = repro.connect(architecture="mainmemory", strategy="hazy", approach="eager")
+        try:
+            conn.engine.registry.register("prefeaturized", PreFeaturizedColumn)
+            conn.execute("CREATE TABLE entities (id integer PRIMARY KEY, features text)")
+            conn.execute("CREATE TABLE examples (id integer, label integer)")
+            conn.executemany(
+                "INSERT INTO entities (id, features) VALUES (?, ?)",
+                [
+                    (i, json.dumps({"0": 1.0 if i % 3 else -1.0, "1": 0.5}))
+                    for i in range(BOUNDARY_ROWS)
+                ],
+            )
+            conn.executemany(
+                "INSERT INTO examples (id, label) VALUES (?, ?)",
+                [(i, 1 if i % 3 else -1) for i in range(60)],
+            )
+            conn.execute(
+                "CREATE CLASSIFICATION VIEW labeled KEY id "
+                "ENTITIES FROM entities KEY id "
+                "EXAMPLES FROM examples KEY id LABEL label "
+                "FEATURE FUNCTION prefeaturized USING SVM"
+            )
+            conn.execute("SERVE VIEW labeled WITH (shards = 2)")
+            sql = (
+                "SELECT entities.id, class FROM entities JOIN labeled "
+                "ON entities.id = labeled.id"
+            )
+            nodes = [row["node"].strip() for row in conn.execute(f"EXPLAIN {sql}").fetchall()]
+            assert "ServedPointRead(labeled, batch)" in nodes
+            got = {row["id"]: row["class"] for row in conn.execute(sql).fetchall()}
+            view = conn.engine.view("labeled")
+            assert got == {i: view.label_of(i) for i in range(BOUNDARY_ROWS)}
+            assert len(set(got.values())) == 2, "fixture must split into both classes"
+        finally:
+            conn.close()
+
+
+# ---------------------------------------------------------------------------
+# NULL ordering: last ascending, first descending, on every ordering path
+# ---------------------------------------------------------------------------
+
+
+def nullable_db(mode: str) -> Database:
+    db = Database(cost_model=CostModel.main_memory(), execution_mode=mode)
+    db.execute("CREATE TABLE papers (id integer PRIMARY KEY, year integer, venue text)")
+    rows = [
+        (1, 2009, "vldb"), (2, None, "sigmod"), (3, 2011, None), (4, 2007, "icde"),
+        (5, None, None), (6, 2011, "cidr"), (7, 2003, "pods"),
+    ]
+    db.executemany("INSERT INTO papers (id, year, venue) VALUES (?, ?, ?)", rows)
+    return db
+
+
+def _expected_order(db: Database, column: str, descending: bool) -> list:
+    values = [row[column] for row in db.execute("SELECT * FROM papers").rows]
+    present = sorted((v for v in values if v is not None), reverse=descending)
+    nulls = [None] * (len(values) - len(present))
+    return nulls + present if descending else present + nulls
+
+
+class TestNullOrdering:
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("descending", [False, True])
+    @pytest.mark.parametrize("column", ["year", "venue"])
+    @pytest.mark.parametrize("path", ["Sort", "TopK", "SecondaryIndexRange"])
+    def test_nulls_last_ascending_first_descending(self, path, column, descending, mode):
+        db = nullable_db(mode)
+        direction = "DESC" if descending else "ASC"
+        sql = f"SELECT id, {column} FROM papers ORDER BY {column} {direction}"
+        if path != "Sort":
+            sql += " LIMIT 7"
+        if path == "SecondaryIndexRange":
+            # The NULL rows are unindexed, so the index-ordered node must
+            # notice and fall back to the sorted scan.
+            db.execute(f"CREATE INDEX idx_{column} ON papers ({column})")
+        nodes = [row["node"].strip() for row in db.execute(f"EXPLAIN {sql}").rows]
+        assert any(node.startswith(path) for node in nodes), nodes
+        if path == "SecondaryIndexRange":
+            assert not any(node.startswith(("Sort", "TopK")) for node in nodes), nodes
+        got = [row[column] for row in db.execute(sql).rows]
+        assert got == _expected_order(db, column, descending)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_limit_cuts_after_null_placement(self, mode):
+        db = nullable_db(mode)
+        top = db.execute("SELECT id FROM papers ORDER BY year DESC LIMIT 3").rows
+        assert [row["id"] for row in top] == [2, 5, 3]  # NULLs first, then 2011 (stable)
+        bottom = db.execute("SELECT id FROM papers ORDER BY year LIMIT 2").rows
+        assert [row["id"] for row in bottom] == [7, 4]
+
+
+# ---------------------------------------------------------------------------
+# A type-mismatched range bound raises the documented error
+# ---------------------------------------------------------------------------
+
+
+class TestIncomparableBound:
+    def _conn(self, mode: str, indexed: bool):
+        conn = repro.connect(execution_mode=mode)
+        conn.execute("CREATE TABLE papers (id integer PRIMARY KEY, year integer)")
+        conn.executemany(
+            "INSERT INTO papers (id, year) VALUES (?, ?)", [(1, 2009), (2, 2011), (3, None)]
+        )
+        if indexed:
+            conn.execute("CREATE INDEX idx_year ON papers (year)")
+        return conn
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("indexed", [False, True])
+    @pytest.mark.parametrize(
+        "sql,params",
+        [
+            ("SELECT * FROM papers WHERE year > ?", ("x",)),
+            ("SELECT COUNT(*) FROM papers WHERE year >= 2000 AND year <= ?", ("x",)),
+            ("UPDATE papers SET year = 1 WHERE year > ?", ("x",)),
+            ("DELETE FROM papers WHERE year < ?", ("x",)),
+        ],
+    )
+    def test_raises_sql_execution_error_naming_both_types(self, sql, params, indexed, mode):
+        with self._conn(mode, indexed) as conn:
+            with pytest.raises(SQLExecutionError, match=r"int column value.*str bound"):
+                conn.execute(sql, params)
+            # Nothing was modified by the failed DML.
+            assert conn.execute("SELECT COUNT(*) FROM papers").scalar() == 3
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_equality_operators_never_raise(self, mode):
+        with self._conn(mode, indexed=False) as conn:
+            assert conn.execute("SELECT * FROM papers WHERE year = ?", ("x",)).fetchall() == []
+            assert (
+                conn.execute("SELECT COUNT(*) FROM papers WHERE year != ?", ("x",)).scalar() == 3
+            )
+
+    @pytest.mark.parametrize("served", [False, True])
+    def test_view_range_pushdown_raises_the_documented_error(self, served):
+        conn = balanced_portal()
+        try:
+            if served:
+                conn.execute("SERVE VIEW labeled WITH (shards = 2)")
+            with pytest.raises(SQLExecutionError, match="cannot be ordered against the keys"):
+                conn.execute("SELECT id FROM labeled WHERE class = 1 AND id > ?", ("x",))
+            # The view (and its server) keeps answering afterwards.
+            assert conn.execute(
+                "SELECT COUNT(*) FROM labeled WHERE class = 1 AND id >= 0"
+            ).scalar() > 0
+        finally:
+            conn.close()
