@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from repro.bench.harness import build_maintained_view
 from repro.bench.reporting import format_table
+from repro.core.bounds import WaterBand
 from repro.workloads import read_trace, update_trace
 
 BUFFER_FRACTIONS = (0.005, 0.01, 0.05, 0.1, 0.2, 0.5, 1.0)
@@ -30,9 +31,7 @@ def _force_band_fraction(view, fraction: float) -> None:
     center = count // 2
     low_index = max(0, center - inside // 2)
     high_index = min(count - 1, low_index + inside - 1)
-    tracker = view.maintainer.tracker
-    tracker._low = eps_values[low_index]
-    tracker._high = eps_values[high_index]
+    view.maintainer.tracker._band = WaterBand(eps_values[low_index], eps_values[high_index])
 
 
 def build_table(dataset, reads: int = 1500):

@@ -18,14 +18,9 @@ import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from repro.core.maintainers import (
-    HazyEagerMaintainer,
-    HazyLazyMaintainer,
-    NaiveEagerMaintainer,
-    NaiveLazyMaintainer,
-    ViewMaintainer,
-)
+from repro.core.maintainers import ViewMaintainer, build_maintainer
 from repro.core.stores import (
+    ARCHITECTURES,
     EntityStore,
     HybridEntityStore,
     InMemoryEntityStore,
@@ -72,32 +67,17 @@ def build_store(
     cost_model: CostModel | None = None,
 ) -> EntityStore:
     """Build an entity store for the named architecture."""
+    if architecture not in ARCHITECTURES:
+        raise ConfigurationError(f"unknown architecture {architecture!r}")
     if architecture == "mainmemory":
         return InMemoryEntityStore(feature_norm_q=feature_norm_q)
     disk_cost_model = cost_model if cost_model is not None else CostModel()
     pool = BufferPool(disk_cost_model, capacity_pages=buffer_pool_pages, statistics=IOStatistics())
     if architecture == "ondisk":
         return OnDiskEntityStore(pool=pool, feature_norm_q=feature_norm_q)
-    if architecture == "hybrid":
-        return HybridEntityStore(
-            pool=pool, feature_norm_q=feature_norm_q, buffer_fraction=buffer_fraction
-        )
-    raise ConfigurationError(f"unknown architecture {architecture!r}")
-
-
-def build_maintainer(
-    strategy: str, approach: str, store: EntityStore, alpha: float = 1.0
-) -> ViewMaintainer:
-    """Build a maintainer for the named strategy/approach over ``store``."""
-    if strategy == "naive" and approach == "eager":
-        return NaiveEagerMaintainer(store)
-    if strategy == "naive" and approach == "lazy":
-        return NaiveLazyMaintainer(store)
-    if strategy == "hazy" and approach == "eager":
-        return HazyEagerMaintainer(store, alpha=alpha)
-    if strategy == "hazy" and approach == "lazy":
-        return HazyLazyMaintainer(store, alpha=alpha)
-    raise ConfigurationError(f"unknown strategy/approach {strategy!r}/{approach!r}")
+    return HybridEntityStore(
+        pool=pool, feature_norm_q=feature_norm_q, buffer_fraction=buffer_fraction
+    )
 
 
 @dataclass

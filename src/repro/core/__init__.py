@@ -7,17 +7,26 @@ This package implements the paper's primary contribution:
 * :mod:`repro.core.skiing` — the Skiing reorganization strategy (ski-rental
   style) and the offline-optimal schedule used to validate Theorem 3.3.
 * :mod:`repro.core.stores` — the three physical architectures: on-disk,
-  main-memory (Hazy-MM), and the hybrid ε-map + buffer design (§3.5).
-* :mod:`repro.core.maintainers` — the four maintenance strategies: naive and
-  Hazy variants of the eager and lazy approaches (§2.2, §3.2, §3.4).
+  main-memory (Hazy-MM), and the hybrid ε-map + buffer design (§3.5); each
+  exposes one heap scan and one clustered ``scan_eps(low, high)``.
+* :mod:`repro.core.maintainers` — the paper's operations (Single Entity read,
+  All Members read, Update; §2.2) written once in ``ViewMaintainer``, and the
+  four strategies — naive and Hazy, eager and lazy (§3.2, §3.4) — that supply
+  only the read hint, the classifier, the candidate scan and the Update.
 * :mod:`repro.core.engine` — the user-facing engine that wires a
   :class:`~repro.db.database.Database`, feature functions, an incremental
   trainer and a maintainer behind ``CREATE CLASSIFICATION VIEW``.
+
+The strategy × approach × architecture matrix is declared once:
+:data:`repro.core.maintainers.MAINTAINERS` (with ``build_maintainer``) and
+:data:`repro.core.stores.STORES`; the engine, the bench harness and the
+checkpoint manifest take their names from those tables.  Models are linear
+throughout: a kernel classifier reaches a view through the random-feature
+linearization in :mod:`repro.learn.random_features` (Appendix B.5).
 """
 
 from repro.core.bounds import WaterBand, WaterBandTracker, holder_pair_for_norm
 from repro.core.engine import ClassificationView, HazyEngine
-from repro.core.kernel_view import KernelHazyEagerMaintainer, KernelNaiveEagerMaintainer
 from repro.core.maintainers import (
     HazyEagerMaintainer,
     HazyLazyMaintainer,
@@ -56,6 +65,4 @@ __all__ = [
     "HazyEngine",
     "ClassificationView",
     "MulticlassClassificationView",
-    "KernelHazyEagerMaintainer",
-    "KernelNaiveEagerMaintainer",
 ]

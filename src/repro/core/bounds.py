@@ -83,16 +83,14 @@ class WaterBandTracker:
         self.q = holder_conjugate(self.p) if self.p != math.inf else 1.0
         self.max_feature_norm = float(max_feature_norm)
         self._stored_model: LinearModel | None = None
-        self._low = 0.0
-        self._high = 0.0
+        self._band = WaterBand(0.0, 0.0)
 
     # -- lifecycle -----------------------------------------------------------------
 
     def reset(self, stored_model: LinearModel) -> None:
         """Start a new epoch: the store was just (re)organized under ``stored_model``."""
         self._stored_model = stored_model.copy()
-        self._low = 0.0
-        self._high = 0.0
+        self._band = WaterBand(0.0, 0.0)
 
     def restore_band(self, low: float, high: float) -> None:
         """Resume a cumulative band mid-stream (checkpoint recovery).
@@ -106,8 +104,7 @@ class WaterBandTracker:
             raise MaintenanceError(
                 f"cumulative band must contain 0, got [{low}, {high}]"
             )
-        self._low = float(low)
-        self._high = float(high)
+        self._band = WaterBand(float(low), float(high))
 
     @property
     def stored_model(self) -> LinearModel:
@@ -133,13 +130,17 @@ class WaterBandTracker:
     def advance(self, current_model: LinearModel) -> WaterBand:
         """Fold the current model's bounds into the cumulative band (Eq. 2)."""
         eps_low, eps_high = self.step_bounds(current_model)
-        self._low = min(self._low, eps_low)
-        self._high = max(self._high, eps_high)
-        return self.band()
+        self._band = WaterBand(min(self._band.low, eps_low), max(self._band.high, eps_high))
+        return self._band
 
     def band(self) -> WaterBand:
-        """The cumulative band ``[lw, hw]`` for the current epoch."""
-        return WaterBand(self._low, self._high)
+        """The cumulative band ``[lw, hw]`` for the current epoch.
+
+        The same frozen object until :meth:`advance`, :meth:`reset` or
+        :meth:`restore_band` moves it, so reads that consult it more than once
+        (the ε-map hint, then the classifier) build nothing.
+        """
+        return self._band
 
     def non_monotone_band(self, previous_model: LinearModel, current_model: LinearModel) -> WaterBand:
         """The alternative band over only the last two rounds (Appendix B.3).

@@ -13,14 +13,9 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Mapping
 
-from repro.core.maintainers import (
-    HazyEagerMaintainer,
-    HazyLazyMaintainer,
-    NaiveEagerMaintainer,
-    NaiveLazyMaintainer,
-    ViewMaintainer,
-)
+from repro.core.maintainers import APPROACHES, STRATEGIES, ViewMaintainer, build_maintainer
 from repro.core.stores import (
+    ARCHITECTURES,
     EntityStore,
     HybridEntityStore,
     InMemoryEntityStore,
@@ -49,13 +44,6 @@ from repro.learn.sgd import SGDTrainer, TrainingExample
 from repro.linalg import SparseVector
 
 __all__ = ["HazyEngine", "ClassificationView"]
-
-#: Valid architecture names for the engine and their store classes.
-ARCHITECTURES = ("mainmemory", "ondisk", "hybrid")
-#: Valid strategy names.
-STRATEGIES = ("hazy", "naive")
-#: Valid approaches.
-APPROACHES = ("eager", "lazy")
 
 
 class ClassificationView:
@@ -354,7 +342,6 @@ class ClassificationView:
         self.trainer.reset()
         for example in self._examples:
             self.trainer.absorb(example)
-        self.maintainer.current_model = self.trainer.model.copy()
         self.maintainer.apply_model(self.trainer.model.copy())
 
     def insert_example(self, entity_id: object, label_value: object) -> None:
@@ -386,15 +373,9 @@ class ClassificationView:
     def rows(self) -> Iterator[dict[str, object]]:
         """The view's rows for SQL access: (key, class) per entity."""
         key_column = self.definition.view_key
-        if self._server is not None:
-            for entity_id, label in self._server.contents().items():
-                yield {key_column: entity_id, "class": self.from_binary_label(label)}
-            return
-        for record in self.maintainer.store.scan_all():
-            yield {
-                key_column: record.entity_id,
-                "class": self.from_binary_label(self.maintainer.read_single(record.entity_id)),
-            }
+        reader = self._server if self._server is not None else self.maintainer
+        for entity_id, label in reader.contents().items():
+            yield {key_column: entity_id, "class": self.from_binary_label(label)}
 
     # -- serving hooks ------------------------------------------------------------------------
 
@@ -499,13 +480,7 @@ class HazyEngine:
         )
 
     def _build_maintainer(self, store: EntityStore) -> ViewMaintainer:
-        if self.strategy == "naive":
-            if self.approach == "eager":
-                return NaiveEagerMaintainer(store)
-            return NaiveLazyMaintainer(store)
-        if self.approach == "eager":
-            return HazyEagerMaintainer(store, alpha=self.alpha)
-        return HazyLazyMaintainer(store, alpha=self.alpha)
+        return build_maintainer(self.strategy, self.approach, store, alpha=self.alpha)
 
     def _build_trainer(self, definition: ClassificationViewDefinition) -> SGDTrainer:
         loss = definition.loss_name() or "svm"

@@ -1,24 +1,40 @@
-"""The maintainer interface: the three operations of §2.2.
+"""The maintainer skeleton: the paper's operations, each written once.
 
-Every maintainer supports the paper's three operations — Single Entity read,
-All Members read, and Update (a new model produced by incremental training) —
-plus the initial bulk load.  The cost of each operation is measured in the
-store's simulated seconds so that the Skiing strategy and the benchmarks see
-the same ledger.
+:class:`ViewMaintainer` writes the three operations of §2.2 — Single Entity
+read, All Members read, Update (Figures 7 and 8) — and the bulk load once,
+with the batched point read, the key-range read and the top-k read built on
+the same scans.  A strategy supplies only what the paper says differs:
+
+* :meth:`~ViewMaintainer.read_hint` — whether a point read can be answered
+  without fetching the tuple (Figure 8's ε-map / water-band short-circuit);
+* :meth:`~ViewMaintainer.classifier` — how a fetched tuple is labelled: the
+  stored label (eager, :class:`EagerReads`), a dot product (naive lazy), or
+  band-then-dot-product (Hazy lazy);
+* :meth:`~ViewMaintainer.candidates` — which tuples a read must look at: the
+  whole table, or only those above low / below high water (Hazy lazy);
+* :meth:`~ViewMaintainer.apply_model` — what an Update does with the new
+  model: swap it, advance the band, or relabel a scan.
+
+Costs are the store's simulated seconds.  Skiing compares accumulated floats,
+so the *order* of charges inside an operation is part of the contract;
+``tests/core/test_operation_ledger.py`` pins it for every cell of the matrix.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from abc import ABC, abstractmethod
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from operator import attrgetter
 
 from repro.core.stats import MaintenanceStatistics
 from repro.core.stores.base import EntityRecord, EntityStore
 from repro.exceptions import KeyNotFoundError, MaintenanceError
-from repro.learn.model import LinearModel
+from repro.learn.model import LinearModel, sign
 from repro.linalg import SparseVector
 
-__all__ = ["ViewMaintainer", "key_in_range"]
+__all__ = ["EagerReads", "ViewMaintainer", "key_in_range"]
 
 
 def key_in_range(
@@ -44,10 +60,10 @@ def key_in_range(
 class ViewMaintainer(ABC):
     """Maintains ``V(id, class)`` as the model evolves."""
 
-    #: Human-readable strategy name used by benchmark tables ("naive", "hazy").
-    strategy_name: str = "maintainer"
-    #: "eager" or "lazy".
-    approach: str = "eager"
+    #: Strategy name ("naive", "hazy") and approach ("eager", "lazy"): the cell
+    #: of :data:`repro.core.maintainers.MAINTAINERS` a concrete class fills.
+    strategy_name: str
+    approach: str
 
     def __init__(self, store: EntityStore):
         self.store = store
@@ -57,11 +73,13 @@ class ViewMaintainer(ABC):
 
     # -- lifecycle --------------------------------------------------------------------
 
-    @abstractmethod
     def bulk_load(
         self, entities: Iterable[tuple[object, SparseVector]], model: LinearModel
     ) -> None:
         """Populate the view from scratch under ``model``."""
+        self.current_model = model.copy()
+        self.store.bulk_load(entities, model)
+        self._loaded = True
 
     @abstractmethod
     def apply_model(self, model: LinearModel) -> None:
@@ -72,17 +90,39 @@ class ViewMaintainer(ABC):
 
         The serving subsystem's background worker groups the models produced
         by a burst of training examples and hands them over together.  The
-        default implementation replays them one by one (always correct);
-        strategies that can amortize work across the batch — the eager Hazy
-        maintainer reclassifies the *cumulative* water band once under the
-        final model — override this.
+        default replays them one by one (always correct); the eager Hazy
+        maintainer overrides it to amortize work across the batch.
         """
         for model in models:
             self.apply_model(model)
 
-    @abstractmethod
+    def _relabel(self, records: Iterable[EntityRecord], model: LinearModel) -> tuple[int, int]:
+        """The eager relabel pass; returns ``(tuples touched, labels changed)``.
+
+        Label writes wait until the scan is exhausted — a store never mutates
+        under its own iterator — and then go out in scan order.
+        """
+        store = self.store
+        touched = 0
+        relabels: list[tuple[object, int]] = []
+        for record in records:
+            touched += 1
+            store.charge_dot_product(record.features)
+            label = sign(model.margin(record.features))
+            if label != record.label:
+                relabels.append((record.entity_id, label))
+        for entity_id, label in relabels:
+            store.update_label(entity_id, label)
+        return touched, len(relabels)
+
     def add_entity(self, entity_id: object, features: SparseVector) -> int:
         """A new entity arrived; classify and store it.  Returns its label."""
+        self._require_loaded()
+        self.store.charge_dot_product(features)
+        eps = self.current_model.margin(features)
+        label = sign(eps)
+        self.store.insert(entity_id, features, eps, label)
+        return label
 
     def remove_entity(self, entity_id: object) -> None:
         """An entity was deleted from the entities table: drop it from the view."""
@@ -127,25 +167,7 @@ class ViewMaintainer(ABC):
         self.store.import_state(state)
         self._loaded = True
 
-    # -- reads ----------------------------------------------------------------------------
-
-    @abstractmethod
-    def read_single(self, entity_id: object) -> int:
-        """Single Entity read: the label of one entity under the current model."""
-
-    @abstractmethod
-    def read_all_members(self, label: int = 1) -> list[object]:
-        """All Members read: ids of every entity carrying ``label``."""
-
-    def classify_record(self, record: EntityRecord) -> int:
-        """Label of an already-fetched record under the current model.
-
-        Used by the batched read path, which fetches records itself (point
-        lookups or one coalesced scan) and only needs the per-record
-        classification logic.  Eager strategies answer from the stored label;
-        lazy strategies override to consult the band and/or recompute.
-        """
-        return record.label
+    # -- what a strategy supplies to the reads ----------------------------------------------
 
     def read_hint(self, entity_id: object) -> int | None:
         """Answer a Single Entity read without touching the record, if possible.
@@ -155,6 +177,36 @@ class ViewMaintainer(ABC):
         on and always return None.
         """
         return None  # noqa: RET501
+
+    @abstractmethod
+    def classifier(self) -> Callable[[EntityRecord], int]:
+        """How this strategy labels a fetched record, resolved once per operation.
+
+        The current model and the water band are looked up here and held by
+        the returned callable, so a scan pays one call per tuple and nothing
+        more.  The callable charges the dot products it computes.
+        """
+
+    def candidates(self, label: int) -> Iterator[EntityRecord]:
+        """The tuples a read for class ``label`` must look at: by default, all of them."""
+        return self.store.scan_all()
+
+    # -- reads ----------------------------------------------------------------------------
+
+    def read_single(self, entity_id: object) -> int:
+        """Single Entity read (Figure 8): the label of one entity under the current model."""
+        self._require_loaded()
+        start = self.store.cost_snapshot()
+        self.store.charge_statement_overhead()
+        label = self.read_hint(entity_id)
+        if label is None:
+            label = self.classify_record(self.store.get(entity_id))
+        self.stats.record_single_read(self.store.cost_snapshot() - start)
+        return label
+
+    def classify_record(self, record: EntityRecord) -> int:
+        """Label of one already-fetched record under the current model."""
+        return self.classifier()(record)
 
     def read_many(
         self,
@@ -187,12 +239,13 @@ class ViewMaintainer(ABC):
             else:
                 remaining.add(entity_id)
         if remaining:
+            classify = self.classifier()
             point_cost = len(remaining) * self.store.point_read_cost_estimate()
             if self.store.scan_cost_estimate() < point_cost:
                 # Coalesce the batch into one sequential scan of the store.
                 for record in self.store.scan_all():
                     if record.entity_id in remaining:
-                        results[record.entity_id] = self.classify_record(record)
+                        results[record.entity_id] = classify(record)
                         remaining.discard(record.entity_id)
                         if on_record is not None:
                             on_record(record)
@@ -201,7 +254,7 @@ class ViewMaintainer(ABC):
             else:
                 for entity_id in remaining:
                     record = self.store.get(entity_id)
-                    results[entity_id] = self.classify_record(record)
+                    results[entity_id] = classify(record)
                     if on_record is not None:
                         on_record(record)
                 remaining.clear()
@@ -210,6 +263,12 @@ class ViewMaintainer(ABC):
             raise KeyNotFoundError(f"no entity with id {missing!r}")
         self.stats.record_batched_read(len(results), self.store.cost_snapshot() - start)
         return results
+
+    def read_all_members(self, label: int = 1) -> list[object]:
+        """All Members read: ids of every entity carrying ``label``."""
+        members, touched, cost = self._scan_members(label)
+        self.stats.record_all_members(touched, cost)
+        return members
 
     def read_range(
         self,
@@ -222,28 +281,62 @@ class ViewMaintainer(ABC):
         """Members of class ``label`` whose entity *key* lies in the range.
 
         This is the pushed-down form of ``WHERE class = x AND <key> <op> k``:
-        one scan of the store that classifies only the in-range candidates,
-        instead of materializing the whole view and post-filtering.  The key
-        filter runs *before* :meth:`classify_record`, so lazy strategies pay
-        dot products only for tuples that can appear in the answer.
+        one scan that classifies only the in-range candidates, instead of
+        materializing the whole view and post-filtering.
+        """
+        members, touched, cost = self._scan_members(label, (low, high, include_low, include_high))
+        self.stats.record_range_read(touched, cost)
+        return members
+
+    def _scan_members(
+        self, label: int, key_range: tuple[object, object, bool, bool] | None = None
+    ) -> tuple[list[object], int, float]:
+        """The scan behind All Members and key-range reads: ``(members, classified, cost)``.
+
+        Keys outside ``key_range`` are dropped *before* classification, so lazy
+        strategies pay dot products only for tuples that can appear in the
+        answer; a key-range read is dispatched as a statement of its own.
         """
         self._require_loaded()
         start = self.store.cost_snapshot()
-        self.store.charge_statement_overhead()
+        if key_range is None:
+            candidates = self.candidates(label)
+        else:
+            self.store.charge_statement_overhead()
+            candidates = (
+                r for r in self.candidates(label) if key_in_range(r.entity_id, *key_range)
+            )
+        classify = self.classifier()
         members: list[object] = []
         touched = 0
-        for record in self.store.scan_all():
-            if not key_in_range(record.entity_id, low, high, include_low, include_high):
-                continue
+        for record in candidates:
             touched += 1
-            if self.classify_record(record) == label:
+            if classify(record) == label:
                 members.append(record.entity_id)
-        self.stats.record_range_read(touched, self.store.cost_snapshot() - start)
-        return members
+        return members, touched, self.store.cost_snapshot() - start
 
     def count_members(self, label: int = 1) -> int:
         """Number of entities in the class (executes an All Members read)."""
         return len(self.read_all_members(label))
+
+    def top_k(self, k: int, label: int = 1) -> list[tuple[object, float]]:
+        """The ``k`` entities deepest inside class ``label``, as ``(id, margin)`` pairs."""
+        model = self.current_model
+        store = self.store
+        tie = itertools.count()
+        heap: list[tuple[float, int, object]] = []
+        for record in store.scan_all():
+            store.charge_dot_product(record.features)
+            margin = model.margin(record.features)
+            score = margin if label == 1 else -margin
+            item = (score, next(tie), record.entity_id)
+            if len(heap) < k:
+                heapq.heappush(heap, item)
+            elif item[0] > heap[0][0]:
+                heapq.heapreplace(heap, item)
+        ranked = sorted(heap, key=lambda item: (-item[0], item[1]))
+        sign_ = 1.0 if label == 1 else -1.0
+        return [(entity_id, sign_ * score) for score, _, entity_id in ranked]
 
     # -- helpers ------------------------------------------------------------------------------
 
@@ -267,3 +360,28 @@ class ViewMaintainer(ABC):
             f"{type(self).__name__}(entities={self.store.count()}, "
             f"updates={self.stats.updates}, reorgs={self.stats.reorganizations})"
         )
+
+
+_stored_label = attrgetter("label")
+
+
+class EagerReads:
+    """The eager approach's reads (§2.2): stored labels are always current.
+
+    Mixed in ahead of a strategy's base; the lazy maintainers classify on
+    read through :class:`ViewMaintainer`'s scan instead.
+    """
+
+    approach = "eager"
+
+    def classifier(self) -> Callable[[EntityRecord], int]:
+        """Every fetched record already carries its label."""
+        return _stored_label
+
+    def read_all_members(self, label: int = 1) -> list[object]:
+        """A plain stored-label filter over the whole table: nothing to classify."""
+        self._require_loaded()
+        start = self.store.cost_snapshot()
+        members = [record.entity_id for record in self.store.scan_all() if record.label == label]
+        self.stats.record_all_members(self.store.count(), self.store.cost_snapshot() - start)
+        return members

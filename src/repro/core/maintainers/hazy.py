@@ -16,12 +16,12 @@ scratch table is worth its cost.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from repro.core.bounds import WaterBandTracker, holder_pair_for_norm
-from repro.core.maintainers.base import ViewMaintainer, key_in_range
+from repro.core.maintainers.base import EagerReads, ViewMaintainer
 from repro.core.skiing import SkiingStrategy
-from repro.core.stores.base import EntityStore
+from repro.core.stores.base import EntityRecord, EntityStore
 from repro.exceptions import MaintenanceError
 from repro.learn.model import LinearModel, sign
 from repro.linalg import SparseVector
@@ -144,45 +144,15 @@ class _HazyMaintainerBase(ViewMaintainer):
         return None
 
 
-class HazyEagerMaintainer(_HazyMaintainerBase):
+class HazyEagerMaintainer(EagerReads, _HazyMaintainerBase):
     """Eager maintenance that only reclassifies the water band on each update."""
 
-    approach = "eager"
-
     def apply_model(self, model: LinearModel) -> None:
-        """One round of Figure 7: reorganize if the waste justifies it, else incremental step."""
-        self._require_loaded()
-        tracker = self._require_tracker()
-        self.current_model = model.copy()
-        if self.skiing.should_reorganize():
-            self._reorganize()
-            # The round still counts as an Update; its cost is recorded as a
-            # reorganization rather than an incremental step.
-            self.stats.record_update(0, 0, 0.0)
-            self.stats.record_band(0, 0.0)
-            return
-        start = self.store.cost_snapshot()
-        self.store.charge_bound_update(model.weights.nnz())
-        band = tracker.advance(model)
-        touched = 0
-        changed = 0
-        relabels: list[tuple[object, int]] = []
-        for record in self.store.scan_eps_range(band.low, band.high):
-            touched += 1
-            self.store.charge_dot_product(record.features)
-            label = sign(model.margin(record.features))
-            if label != record.label:
-                relabels.append((record.entity_id, label))
-                changed += 1
-        for entity_id, label in relabels:
-            self.store.update_label(entity_id, label)
-        cost = self.store.cost_snapshot() - start
-        self.skiing.record_incremental_step(cost)
-        self.stats.record_update(touched, changed, cost)
-        self.stats.record_band(touched, band.width())
+        """One round of Figure 7: an Update is a batch of one model."""
+        self.apply_model_batch([model])
 
     def apply_model_batch(self, models: Sequence[LinearModel]) -> None:
-        """Batched Update: advance the band per model, reclassify the hull once.
+        """Figure 7 for a run of models: reorganize if the waste justifies it, else one pass.
 
         Lemma 3.1's band is *cumulative*: after advancing the tracker through
         every model of the batch, any tuple outside the cumulative band is
@@ -194,68 +164,26 @@ class HazyEagerMaintainer(_HazyMaintainerBase):
         models = list(models)
         if not models:
             return
-        if len(models) == 1:
-            self.apply_model(models[0])
-            return
         self._require_loaded()
         tracker = self._require_tracker()
-        self.current_model = models[-1].copy()
+        final = models[-1]
+        self.current_model = final.copy()
         if self.skiing.should_reorganize():
             self._reorganize()
+            # The round still counts as an Update; its cost is recorded as a
+            # reorganization rather than an incremental step.
             self.stats.record_update(0, 0, 0.0)
             self.stats.record_band(0, 0.0)
             return
         start = self.store.cost_snapshot()
-        band = tracker.band()
         for model in models:
             self.store.charge_bound_update(model.weights.nnz())
             band = tracker.advance(model)
-        final = models[-1]
-        touched = 0
-        changed = 0
-        relabels: list[tuple[object, int]] = []
-        for record in self.store.scan_eps_range(band.low, band.high):
-            touched += 1
-            self.store.charge_dot_product(record.features)
-            label = sign(final.margin(record.features))
-            if label != record.label:
-                relabels.append((record.entity_id, label))
-                changed += 1
-        for entity_id, label in relabels:
-            self.store.update_label(entity_id, label)
+        touched, changed = self._relabel(self.store.scan_eps(band.low, band.high), final)
         cost = self.store.cost_snapshot() - start
         self.skiing.record_incremental_step(cost)
         self.stats.record_update(touched, changed, cost)
         self.stats.record_band(touched, band.width())
-
-    def read_single(self, entity_id: object) -> int:
-        """Stored labels are current; the ε-map (hybrid) short-circuits out-of-band reads."""
-        self._require_loaded()
-        tracker = self._require_tracker()
-        start = self.store.cost_snapshot()
-        self.store.charge_statement_overhead()
-        band = tracker.band()
-        hint = self.store.eps_hint(entity_id)
-        if hint is not None:
-            if band.certain_positive(hint):
-                self.stats.epsmap_hits += 1
-                self.stats.record_single_read(self.store.cost_snapshot() - start)
-                return 1
-            if band.certain_negative(hint):
-                self.stats.epsmap_hits += 1
-                self.stats.record_single_read(self.store.cost_snapshot() - start)
-                return -1
-        label = self.store.get(entity_id).label
-        self.stats.record_single_read(self.store.cost_snapshot() - start)
-        return label
-
-    def read_all_members(self, label: int = 1) -> list[object]:
-        """Stored labels are current, so a plain scan + filter answers the query."""
-        self._require_loaded()
-        start = self.store.cost_snapshot()
-        members = [record.entity_id for record in self.store.scan_all() if record.label == label]
-        self.stats.record_all_members(self.store.count(), self.store.cost_snapshot() - start)
-        return members
 
 
 class HazyLazyMaintainer(_HazyMaintainerBase):
@@ -274,119 +202,42 @@ class HazyLazyMaintainer(_HazyMaintainerBase):
         self.stats.record_update(0, 0, self.store.cost_snapshot() - start)
         self.stats.record_band(-1, band.width())  # -1: size not measured on the lazy path
 
-    def read_single(self, entity_id: object) -> int:
-        """Figure 8: ε-map / band first, then buffer or disk plus one dot product."""
-        self._require_loaded()
-        tracker = self._require_tracker()
-        start = self.store.cost_snapshot()
-        self.store.charge_statement_overhead()
-        band = tracker.band()
-        hint = self.store.eps_hint(entity_id)
-        if hint is not None:
-            if band.certain_positive(hint):
-                self.stats.epsmap_hits += 1
-                self.stats.record_single_read(self.store.cost_snapshot() - start)
-                return 1
-            if band.certain_negative(hint):
-                self.stats.epsmap_hits += 1
-                self.stats.record_single_read(self.store.cost_snapshot() - start)
-                return -1
-        record = self.store.get(entity_id)
-        if band.certain_positive(record.eps):
-            label = 1
-        elif band.certain_negative(record.eps):
-            label = -1
-        else:
-            self.store.charge_dot_product(record.features)
-            label = sign(self.current_model.margin(record.features))
-        self.stats.record_single_read(self.store.cost_snapshot() - start)
-        return label
-
-    def classify_record(self, record) -> int:
-        """Lazy labels may be stale: answer from the band, else one dot product."""
+    def classifier(self) -> Callable[[EntityRecord], int]:
+        """Stored labels may be stale: answer from the band, else one dot product."""
         band = self._require_tracker().band()
-        if band.certain_positive(record.eps):
-            return 1
-        if band.certain_negative(record.eps):
-            return -1
-        self.store.charge_dot_product(record.features)
-        return sign(self.current_model.margin(record.features))
+        low, high = band.low, band.high
+        charge_dot_product = self.store.charge_dot_product
+        margin = self.current_model.margin
 
-    def read_all_members(self, label: int = 1) -> list[object]:
-        """Scan only the tuples that could be in the class; charge the wasted fraction."""
-        self._require_loaded()
-        tracker = self._require_tracker()
-        if self.skiing.should_reorganize():
-            self._reorganize()
-        band = tracker.band()
-        start = self.store.cost_snapshot()
-        members: list[object] = []
-        touched = 0
+        def classify(record: EntityRecord) -> int:
+            eps = record.eps
+            if eps > high:
+                return 1
+            if eps < low:
+                return -1
+            charge_dot_product(record.features)
+            return sign(margin(record.features))
+
+        return classify
+
+    def candidates(self, label: int) -> Iterator[EntityRecord]:
+        """Only the tuples that could be in the class: above low water, or below high water."""
+        band = self._require_tracker().band()
         if label == 1:
-            candidates = self.store.scan_eps_at_least(band.low)
-        else:
-            candidates = self.store.scan_eps_at_most(band.high)
-        for record in candidates:
-            touched += 1
-            if label == 1 and band.certain_positive(record.eps):
-                members.append(record.entity_id)
-                continue
-            if label == -1 and band.certain_negative(record.eps):
-                members.append(record.entity_id)
-                continue
-            self.store.charge_dot_product(record.features)
-            if sign(self.current_model.margin(record.features)) == label:
-                members.append(record.entity_id)
-        scan_cost = self.store.cost_snapshot() - start
-        self.skiing.record_lazy_waste(touched, len(members), scan_cost)
-        self.stats.record_all_members(touched, scan_cost)
-        return members
+            return self.store.scan_eps(low=band.low)
+        return self.store.scan_eps(high=band.high)
 
-    def read_range(
-        self,
-        label: int = 1,
-        low: object | None = None,
-        high: object | None = None,
-        include_low: bool = True,
-        include_high: bool = True,
-    ) -> list[object]:
-        """Band-pruned range read over the eps-clustered store.
+    def _scan_members(
+        self, label: int, key_range: tuple[object, object, bool, bool] | None = None
+    ) -> tuple[list[object], int, float]:
+        """Skiing decides before the scan; the scan's wasted fraction (§3.4) is charged after it.
 
-        Like :meth:`read_all_members`, only the tuples that could possibly be
-        in the class are scanned (everything above the low water for the
-        positive class); the key filter runs before the band check, so dot
-        products are paid only for in-range tuples the band cannot decide.
-        The scan's wasted fraction feeds the same Skiing accounting as All
-        Members reads, so a range-only workload still triggers
-        reorganization when re-clustering pays for itself.
+        Key-range reads feed the same accounting as All Members, so a
+        range-only workload still reorganizes when re-clustering pays.
         """
         self._require_loaded()
-        tracker = self._require_tracker()
         if self.skiing.should_reorganize():
             self._reorganize()
-        band = tracker.band()
-        start = self.store.cost_snapshot()
-        self.store.charge_statement_overhead()
-        if label == 1:
-            candidates = self.store.scan_eps_at_least(band.low)
-        else:
-            candidates = self.store.scan_eps_at_most(band.high)
-        members: list[object] = []
-        touched = 0
-        for record in candidates:
-            if not key_in_range(record.entity_id, low, high, include_low, include_high):
-                continue
-            touched += 1
-            if label == 1 and band.certain_positive(record.eps):
-                members.append(record.entity_id)
-                continue
-            if label == -1 and band.certain_negative(record.eps):
-                members.append(record.entity_id)
-                continue
-            self.store.charge_dot_product(record.features)
-            if sign(self.current_model.margin(record.features)) == label:
-                members.append(record.entity_id)
-        scan_cost = self.store.cost_snapshot() - start
-        self.skiing.record_lazy_waste(touched, len(members), scan_cost)
-        self.stats.record_range_read(touched, scan_cost)
-        return members
+        members, touched, cost = super()._scan_members(label, key_range)
+        self.skiing.record_lazy_waste(touched, len(members), cost)
+        return members, touched, cost

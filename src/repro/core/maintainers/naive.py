@@ -7,72 +7,27 @@ and reclassifies whatever a read touches.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable
 
-from repro.core.maintainers.base import ViewMaintainer
+from repro.core.maintainers.base import EagerReads, ViewMaintainer
+from repro.core.stores.base import EntityRecord
 from repro.learn.model import LinearModel, sign
-from repro.linalg import SparseVector
 
 __all__ = ["NaiveEagerMaintainer", "NaiveLazyMaintainer"]
 
 
-class NaiveEagerMaintainer(ViewMaintainer):
+class NaiveEagerMaintainer(EagerReads, ViewMaintainer):
     """Eager baseline: every Update rescans and relabels the whole table."""
 
     strategy_name = "naive"
-    approach = "eager"
-
-    def bulk_load(
-        self, entities: Iterable[tuple[object, SparseVector]], model: LinearModel
-    ) -> None:
-        self.current_model = model.copy()
-        self.store.bulk_load(entities, model)
-        self._loaded = True
 
     def apply_model(self, model: LinearModel) -> None:
         """Full scan: classify every entity under the new model and write its label."""
         self._require_loaded()
         self.current_model = model.copy()
         start = self.store.cost_snapshot()
-        changed = 0
-        touched = 0
-        relabels: list[tuple[object, int]] = []
-        for record in self.store.scan_all():
-            touched += 1
-            self.store.charge_dot_product(record.features)
-            label = sign(model.margin(record.features))
-            if label != record.label:
-                relabels.append((record.entity_id, label))
-                changed += 1
-        for entity_id, label in relabels:
-            self.store.update_label(entity_id, label)
+        touched, changed = self._relabel(self.store.scan_all(), model)
         self.stats.record_update(touched, changed, self.store.cost_snapshot() - start)
-
-    def add_entity(self, entity_id: object, features: SparseVector) -> int:
-        """Classify the new entity under the current model and store it."""
-        self._require_loaded()
-        self.store.charge_dot_product(features)
-        eps = self.current_model.margin(features)
-        label = sign(eps)
-        self.store.insert(entity_id, features, eps, label)
-        return label
-
-    def read_single(self, entity_id: object) -> int:
-        """Labels are always up to date: return the stored label."""
-        self._require_loaded()
-        start = self.store.cost_snapshot()
-        self.store.charge_statement_overhead()
-        label = self.store.get(entity_id).label
-        self.stats.record_single_read(self.store.cost_snapshot() - start)
-        return label
-
-    def read_all_members(self, label: int = 1) -> list[object]:
-        """Scan the table and collect stored labels (no reclassification needed)."""
-        self._require_loaded()
-        start = self.store.cost_snapshot()
-        members = [record.entity_id for record in self.store.scan_all() if record.label == label]
-        self.stats.record_all_members(self.store.count(), self.store.cost_snapshot() - start)
-        return members
 
 
 class NaiveLazyMaintainer(ViewMaintainer):
@@ -81,53 +36,19 @@ class NaiveLazyMaintainer(ViewMaintainer):
     strategy_name = "naive"
     approach = "lazy"
 
-    def bulk_load(
-        self, entities: Iterable[tuple[object, SparseVector]], model: LinearModel
-    ) -> None:
-        self.current_model = model.copy()
-        self.store.bulk_load(entities, model)
-        self._loaded = True
-
     def apply_model(self, model: LinearModel) -> None:
         """A lazy update only swaps the model pointer (optimal update cost)."""
         self._require_loaded()
         self.current_model = model.copy()
         self.stats.record_update(0, 0, 0.0)
 
-    def add_entity(self, entity_id: object, features: SparseVector) -> int:
-        self._require_loaded()
-        self.store.charge_dot_product(features)
-        eps = self.current_model.margin(features)
-        label = sign(eps)
-        self.store.insert(entity_id, features, eps, label)
-        return label
+    def classifier(self) -> Callable[[EntityRecord], int]:
+        """Stored labels are stale: every fetched record costs one dot product."""
+        charge_dot_product = self.store.charge_dot_product
+        margin = self.current_model.margin
 
-    def read_single(self, entity_id: object) -> int:
-        """Fetch the feature vector and classify it with the current model."""
-        self._require_loaded()
-        start = self.store.cost_snapshot()
-        self.store.charge_statement_overhead()
-        record = self.store.get(entity_id)
-        self.store.charge_dot_product(record.features)
-        label = sign(self.current_model.margin(record.features))
-        self.stats.record_single_read(self.store.cost_snapshot() - start)
-        return label
+        def classify(record: EntityRecord) -> int:
+            charge_dot_product(record.features)
+            return sign(margin(record.features))
 
-    def classify_record(self, record) -> int:
-        """Lazy stored labels are stale: always reclassify with the current model."""
-        self.store.charge_dot_product(record.features)
-        return sign(self.current_model.margin(record.features))
-
-    def read_all_members(self, label: int = 1) -> list[object]:
-        """Scan and reclassify every entity with the current model."""
-        self._require_loaded()
-        start = self.store.cost_snapshot()
-        members: list[object] = []
-        touched = 0
-        for record in self.store.scan_all():
-            touched += 1
-            self.store.charge_dot_product(record.features)
-            if sign(self.current_model.margin(record.features)) == label:
-                members.append(record.entity_id)
-        self.stats.record_all_members(touched, self.store.cost_snapshot() - start)
-        return members
+        return classify

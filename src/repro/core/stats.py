@@ -28,8 +28,6 @@ class MaintenanceStatistics:
     range_reads: int = 0
     tuples_scanned_for_reads: int = 0
     epsmap_hits: int = 0
-    buffer_hits: int = 0
-    disk_lookups: int = 0
     simulated_update_seconds: float = 0.0
     simulated_read_seconds: float = 0.0
     simulated_reorganization_seconds: float = 0.0
@@ -109,8 +107,6 @@ class MaintenanceStatistics:
             "range_reads": self.range_reads,
             "tuples_scanned_for_reads": self.tuples_scanned_for_reads,
             "epsmap_hits": self.epsmap_hits,
-            "buffer_hits": self.buffer_hits,
-            "disk_lookups": self.disk_lookups,
             "simulated_update_seconds": self.simulated_update_seconds,
             "simulated_read_seconds": self.simulated_read_seconds,
             "simulated_reorganization_seconds": self.simulated_reorganization_seconds,

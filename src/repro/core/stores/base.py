@@ -39,6 +39,10 @@ class EntityStore(ABC):
     around it, which is what feeds the Skiing strategy.
     """
 
+    #: The engine-facing name of this architecture ("mainmemory", "ondisk",
+    #: "hybrid"); :data:`repro.core.stores.STORES` is keyed on it.
+    architecture: str
+
     #: Whether concurrent reader threads may safely share this store's read
     #: path without external locking.  Only the in-memory store (which uses
     #: copy-on-write clustering arrays) sets this; callers serving other
@@ -132,16 +136,17 @@ class EntityStore(ABC):
         """Sequential scan of every entity in clustering order."""
 
     @abstractmethod
-    def scan_eps_range(self, low: float, high: float) -> Iterator[EntityRecord]:
-        """Entities with ``low <= eps <= high`` (the water band), in eps order."""
+    def scan_eps(
+        self, low: float | None = None, high: float | None = None
+    ) -> Iterator[EntityRecord]:
+        """The clustered range scan: entities with ``low <= eps <= high``, in eps order.
 
-    @abstractmethod
-    def scan_eps_at_least(self, low: float) -> Iterator[EntityRecord]:
-        """Entities with ``eps >= low``, in eps order (lazy All Members path)."""
-
-    @abstractmethod
-    def scan_eps_at_most(self, high: float) -> Iterator[EntityRecord]:
-        """Entities with ``eps <= high``, in eps order (negative-class queries)."""
+        ``None`` leaves that end unbounded: both bounds give the water band,
+        ``low`` alone the positive-class candidates of a lazy All Members
+        read, ``high`` alone the negative-class ones.  Unlike :meth:`scan_all`
+        (a heap scan in physical order on disk) this walks the eps index, and
+        the two are priced differently.
+        """
 
     # -- checkpoint / recovery -------------------------------------------------------------
 
@@ -184,9 +189,9 @@ class EntityStore(ABC):
         )
         return self.cost_snapshot() - start
 
+    @abstractmethod
     def _import_records(self, records: list[tuple[object, "SparseVector", float, int]]) -> None:
         """Architecture hook for :meth:`import_state`: load pre-classified records."""
-        raise NotImplementedError(f"{type(self).__name__} does not support import_state")
 
     # -- writes ---------------------------------------------------------------------------------
 
@@ -194,13 +199,9 @@ class EntityStore(ABC):
     def update_label(self, entity_id: object, label: int) -> None:
         """Overwrite an entity's label in place."""
 
+    @abstractmethod
     def delete(self, entity_id: object) -> None:
-        """Remove one entity from the store (drives entity ``DELETE`` triggers).
-
-        Concrete architectures override this; the default exists so external
-        store subclasses predating deletion support keep importing cleanly.
-        """
-        raise NotImplementedError(f"{type(self).__name__} does not support deletion")
+        """Remove one entity from the store (drives entity ``DELETE`` triggers)."""
 
     # -- statistics -------------------------------------------------------------------------------
 
@@ -218,7 +219,7 @@ class EntityStore(ABC):
 
     def count_eps_in_range(self, low: float, high: float) -> int:
         """Number of entities whose stored eps lies inside ``[low, high]``."""
-        return sum(1 for _ in self.scan_eps_range(low, high))
+        return sum(1 for _ in self.scan_eps(low, high))
 
     def scan_cost_estimate(self) -> float:
         """Estimated simulated cost of one full sequential scan (the ``sigma * S`` of §3.3)."""

@@ -39,6 +39,8 @@ class HybridEntityStore(EntityStore):
         absolute count when given.
     """
 
+    architecture = "hybrid"
+
     def __init__(
         self,
         pool: BufferPool | None = None,
@@ -135,14 +137,10 @@ class HybridEntityStore(EntityStore):
     def scan_all(self) -> Iterator[EntityRecord]:
         return self.disk.scan_all()
 
-    def scan_eps_range(self, low: float, high: float) -> Iterator[EntityRecord]:
-        return self.disk.scan_eps_range(low, high)
-
-    def scan_eps_at_least(self, low: float) -> Iterator[EntityRecord]:
-        return self.disk.scan_eps_at_least(low)
-
-    def scan_eps_at_most(self, high: float) -> Iterator[EntityRecord]:
-        return self.disk.scan_eps_at_most(high)
+    def scan_eps(
+        self, low: float | None = None, high: float | None = None
+    ) -> Iterator[EntityRecord]:
+        return self.disk.scan_eps(low, high)
 
     # -- writes -------------------------------------------------------------------------------------
 

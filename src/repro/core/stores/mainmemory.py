@@ -33,6 +33,7 @@ class InMemoryEntityStore(EntityStore):
     many threads without locks (``supports_concurrent_reads``).
     """
 
+    architecture = "mainmemory"
     supports_concurrent_reads = True
 
     def __init__(
@@ -62,31 +63,28 @@ class InMemoryEntityStore(EntityStore):
         self._order.clear()
         self._label_counts = {1: 0, -1: 0}
         for entity_id, features in entities:
-            self._observe_features(features)
             self.charge_dot_product(features)
             eps = model.margin(features)
-            label = 1 if eps >= 0 else -1
-            record = EntityRecord(entity_id, features, eps, label)
-            if entity_id in self._records:
-                raise DuplicateKeyError(f"duplicate entity id {entity_id!r}")
-            self._records[entity_id] = record
-            self._label_counts[label] += 1
-            self.stats.tuples_written += 1
-            self.stats.charge(self.cost_model.tuple_cpu, "tuple_write")
+            self._write_record(entity_id, features, eps, 1 if eps >= 0 else -1)
         self._rebuild_order()
         return self.cost_snapshot() - start
 
     def insert(self, entity_id: object, features: SparseVector, eps: float, label: int) -> None:
         """Insert one entity at its sorted position (publishing fresh arrays)."""
-        if entity_id in self._records:
-            raise DuplicateKeyError(f"duplicate entity id {entity_id!r}")
-        self._observe_features(features)
-        record = EntityRecord(entity_id, features, eps, label)
-        self._records[entity_id] = record
+        self._write_record(entity_id, features, eps, label)
         index = bisect.bisect_left(self._order_eps, eps)
         # Copy-on-write: in-flight scans keep iterating the old arrays.
         self._order = self._order[:index] + [(eps, entity_id)] + self._order[index:]
         self._order_eps = self._order_eps[:index] + [eps] + self._order_eps[index:]
+
+    def _write_record(
+        self, entity_id: object, features: SparseVector, eps: float, label: int
+    ) -> None:
+        """The one place a new record enters the store (clustering arrays aside)."""
+        if entity_id in self._records:
+            raise DuplicateKeyError(f"duplicate entity id {entity_id!r}")
+        self._observe_features(features)
+        self._records[entity_id] = EntityRecord(entity_id, features, eps, label)
         self._label_counts[label] = self._label_counts.get(label, 0) + 1
         self.stats.tuples_written += 1
         self.stats.charge(self.cost_model.tuple_cpu, "tuple_write")
@@ -126,13 +124,7 @@ class InMemoryEntityStore(EntityStore):
         self._order.clear()
         self._label_counts = {1: 0, -1: 0}
         for entity_id, features, eps, label in records:
-            if entity_id in self._records:
-                raise DuplicateKeyError(f"duplicate entity id {entity_id!r}")
-            self._observe_features(features)
-            self._records[entity_id] = EntityRecord(entity_id, features, eps, label)
-            self._label_counts[label] = self._label_counts.get(label, 0) + 1
-            self.stats.tuples_written += 1
-            self.stats.charge(self.cost_model.tuple_cpu, "tuple_write")
+            self._write_record(entity_id, features, eps, label)
         # Snapshots are written in clustering order, so this sort is a linear
         # verification pass in practice; no sort cost is charged.
         self._rebuild_order()
@@ -173,22 +165,18 @@ class InMemoryEntityStore(EntityStore):
             self.stats.charge(self.cost_model.tuple_cpu, "tuple_read")
             yield records[entity_id]
 
-    def scan_eps_range(self, low: float, high: float) -> Iterator[EntityRecord]:
-        """Binary search both ends of the band, then walk the slice."""
+    def scan_eps(
+        self, low: float | None = None, high: float | None = None
+    ) -> Iterator[EntityRecord]:
+        """Binary search each bounded end, then walk the slice.
+
+        Not a generator function: the arrays are captured (and bisected) when
+        the scan is created, not on its first ``next()``.
+        """
         order, order_eps, records = self._order, self._order_eps, self._records
-        start = bisect.bisect_left(order_eps, low)
-        stop = bisect.bisect_right(order_eps, high)
+        start = 0 if low is None else bisect.bisect_left(order_eps, low)
+        stop = len(order) if high is None else bisect.bisect_right(order_eps, high)
         return self._scan_slice(order, records, start, stop)
-
-    def scan_eps_at_least(self, low: float) -> Iterator[EntityRecord]:
-        order, order_eps, records = self._order, self._order_eps, self._records
-        start = bisect.bisect_left(order_eps, low)
-        return self._scan_slice(order, records, start, len(order))
-
-    def scan_eps_at_most(self, high: float) -> Iterator[EntityRecord]:
-        order, order_eps, records = self._order, self._order_eps, self._records
-        stop = bisect.bisect_right(order_eps, high)
-        return self._scan_slice(order, records, 0, stop)
 
     # -- writes ---------------------------------------------------------------------------------
 

@@ -44,6 +44,8 @@ class OnDiskEntityStore(EntityStore):
         behaviour right after a reorganization.
     """
 
+    architecture = "ondisk"
+
     def __init__(
         self,
         pool: BufferPool | None = None,
@@ -163,17 +165,11 @@ class OnDiskEntityStore(EntityStore):
             for rid in sorted(by_page[page_id], key=lambda r: r.slot):
                 yield self._record_from_row(self.heap.read(rid, sequential=True))
 
-    def scan_eps_range(self, low: float, high: float) -> Iterator[EntityRecord]:
-        """Water-band scan through the clustered B+-tree."""
+    def scan_eps(
+        self, low: float | None = None, high: float | None = None
+    ) -> Iterator[EntityRecord]:
+        """Range walk of the clustered B+-tree, then the heap pages it points at."""
         rids = [rid for _, rid in self.eps_index.range_scan(low, high)]
-        return self._scan_rids(rids)
-
-    def scan_eps_at_least(self, low: float) -> Iterator[EntityRecord]:
-        rids = [rid for _, rid in self.eps_index.range_scan(low, None)]
-        return self._scan_rids(rids)
-
-    def scan_eps_at_most(self, high: float) -> Iterator[EntityRecord]:
-        rids = [rid for _, rid in self.eps_index.range_scan(None, high)]
         return self._scan_rids(rids)
 
     # -- writes -------------------------------------------------------------------------------------

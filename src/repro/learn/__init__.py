@@ -15,9 +15,10 @@ produced by *incremental* training.  This package provides that substrate:
   paper cites.
 * :mod:`repro.learn.batch` — a batch sub-gradient SVM solver standing in for
   SVMLight in the Figure 10 comparison.
-* :mod:`repro.learn.kernels`, :mod:`repro.learn.kernel_model`,
-  :mod:`repro.learn.random_features` — kernel classifiers and the
-  Rahimi–Recht linearization of shift-invariant kernels (Appendix B.5).
+* :mod:`repro.learn.kernels`, :mod:`repro.learn.random_features` — kernel
+  functions and the Rahimi–Recht linearization of shift-invariant kernels
+  (Appendix B.5), which turns a kernel classifier into a linear one the
+  maintainers handle unchanged.
 * :mod:`repro.learn.multiclass` — one-vs-all reduction (Appendix B.5.4).
 * :mod:`repro.learn.model_selection` — leave-one-out model selection used when
   the view declaration does not name a method.
@@ -25,7 +26,6 @@ produced by *incremental* training.  This package provides that substrate:
 """
 
 from repro.learn.batch import BatchSubgradientSVM
-from repro.learn.kernel_model import KernelClassifier
 from repro.learn.kernels import (
     GaussianKernel,
     Kernel,
@@ -73,7 +73,6 @@ __all__ = [
     "GaussianKernel",
     "LaplacianKernel",
     "PolynomialKernel",
-    "KernelClassifier",
     "RandomFourierFeatures",
     "OneVersusAllClassifier",
     "leave_one_out_error",

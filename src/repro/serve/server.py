@@ -38,9 +38,6 @@ from pathlib import Path
 
 from repro.core.maintainers.base import ViewMaintainer
 from repro.core.stores.base import EntityStore
-from repro.core.stores.hybrid import HybridEntityStore
-from repro.core.stores.mainmemory import InMemoryEntityStore
-from repro.core.stores.ondisk import OnDiskEntityStore
 from repro.db.buffer_pool import IOStatistics
 from repro.db.triggers import Trigger, TriggerEvent
 from repro.exceptions import ConfigurationError, KeyNotFoundError, MaintenanceError
@@ -864,7 +861,7 @@ class ViewServer:
             num_shards=num_shards,
             shard_files=[shard_file_name(index) for index in range(num_shards)],
             examples=examples,
-            architecture=_architecture_name(reference.store),
+            architecture=reference.store.architecture,
             strategy=reference.strategy_name,
             approach=reference.approach,
             definition=definition,
@@ -1170,17 +1167,6 @@ class ViewServer:
             for key, value in shard_stats.items():
                 flat[f"shard{index}.{key}"] = value
         return flat
-
-
-def _architecture_name(store: EntityStore) -> str:
-    """The engine-facing architecture name of a store instance."""
-    if isinstance(store, HybridEntityStore):
-        return "hybrid"
-    if isinstance(store, OnDiskEntityStore):
-        return "ondisk"
-    if isinstance(store, InMemoryEntityStore):
-        return "mainmemory"
-    return type(store).__name__
 
 
 def _maintainer_state(state: ShardState) -> dict[str, object]:

@@ -20,8 +20,6 @@ readers/writer lock; this module only guarantees per-shard linearizability.
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import zlib
 from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -130,22 +128,7 @@ class Shard:
 
     def top_k_local(self, k: int, label: int) -> list[tuple[object, float]]:
         """The ``k`` entities of this partition deepest inside class ``label``."""
-        model = self.maintainer.current_model
-        store = self.maintainer.store
-        tie = itertools.count()
-        heap: list[tuple[float, int, object]] = []
-        for record in store.scan_all():
-            store.charge_dot_product(record.features)
-            margin = model.margin(record.features)
-            score = margin if label == 1 else -margin
-            item = (score, next(tie), record.entity_id)
-            if len(heap) < k:
-                heapq.heappush(heap, item)
-            elif item[0] > heap[0][0]:
-                heapq.heapreplace(heap, item)
-        ranked = sorted(heap, key=lambda item: (-item[0], item[1]))
-        sign_ = 1.0 if label == 1 else -1.0
-        return [(entity_id, sign_ * score) for score, _, entity_id in ranked]
+        return self.maintainer.top_k(k, label)
 
     def apply_models_local(self, models: Sequence[LinearModel]) -> None:
         """Apply a batch of successive models to this partition."""

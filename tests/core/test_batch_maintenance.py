@@ -5,10 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro.core.maintainers import (
+    MAINTAINERS,
     HazyEagerMaintainer,
-    HazyLazyMaintainer,
     NaiveEagerMaintainer,
-    NaiveLazyMaintainer,
+    build_maintainer,
 )
 from repro.core.stores import InMemoryEntityStore, OnDiskEntityStore
 from repro.core.view import view_contents
@@ -17,12 +17,13 @@ from repro.db.costmodel import CostModel
 from repro.exceptions import KeyNotFoundError
 from repro.learn.sgd import SGDTrainer, TrainingExample
 
-MAINTAINERS = {
-    "hazy-eager": lambda store: HazyEagerMaintainer(store, alpha=1.0),
-    "hazy-lazy": lambda store: HazyLazyMaintainer(store, alpha=1.0),
-    "naive-eager": lambda store: NaiveEagerMaintainer(store),
-    "naive-lazy": lambda store: NaiveLazyMaintainer(store),
-}
+CELLS = sorted(f"{strategy}-{approach}" for strategy, approach in MAINTAINERS)
+
+
+def factory_for(name):
+    """A maintainer factory for the ``"<strategy>-<approach>"`` cell of the declared matrix."""
+    strategy, approach = name.split("-")
+    return lambda store: build_maintainer(strategy, approach, store, alpha=1.0)
 
 
 def make_models(tiny_corpus, count=12, seed=9):
@@ -36,9 +37,9 @@ def make_models(tiny_corpus, count=12, seed=9):
     return trainer, models
 
 
-@pytest.mark.parametrize("name", sorted(MAINTAINERS))
+@pytest.mark.parametrize("name", CELLS)
 def test_apply_model_batch_matches_sequential_replay(tiny_entities, tiny_corpus, name):
-    factory = MAINTAINERS[name]
+    factory = factory_for(name)
     trainer, models = make_models(tiny_corpus)
     base_model = SGDTrainer(loss="svm", seed=9)
     for doc in tiny_corpus[:40]:
@@ -81,9 +82,9 @@ def test_eager_batch_is_cheaper_than_replay(tiny_entities, tiny_corpus):
     assert batch_cost < replay_cost
 
 
-@pytest.mark.parametrize("name", sorted(MAINTAINERS))
+@pytest.mark.parametrize("name", CELLS)
 def test_read_many_matches_read_single(tiny_entities, tiny_corpus, name):
-    factory = MAINTAINERS[name]
+    factory = factory_for(name)
     trainer, models = make_models(tiny_corpus)
     maintainer = factory(InMemoryEntityStore(feature_norm_q=1.0))
     maintainer.bulk_load(tiny_entities, trainer.model.copy())

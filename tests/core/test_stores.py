@@ -88,14 +88,14 @@ class TestStoreContract:
         expected = sorted(
             record.entity_id for record in store.scan_all() if low <= record.eps <= high
         )
-        actual = sorted(record.entity_id for record in store.scan_eps_range(low, high))
+        actual = sorted(record.entity_id for record in store.scan_eps(low, high))
         assert actual == expected
 
     def test_at_least_and_at_most_scans(self, kind):
         store = make_store(kind)
         store.bulk_load(sample_entities(), sample_model())
-        at_least = {r.entity_id for r in store.scan_eps_at_least(0.0)}
-        at_most = {r.entity_id for r in store.scan_eps_at_most(-0.05)}
+        at_least = {r.entity_id for r in store.scan_eps(low=0.0)}
+        at_most = {r.entity_id for r in store.scan_eps(high=-0.05)}
         assert at_least == {r.entity_id for r in store.scan_all() if r.eps >= 0.0}
         assert at_most == {r.entity_id for r in store.scan_all() if r.eps <= -0.05}
 
@@ -126,7 +126,7 @@ class TestStoreContract:
         store.insert(1000, SparseVector({1: 9.0}), eps=7.0, label=1)
         assert store.count() == 41
         assert store.get(1000).label == 1
-        assert 1000 in {r.entity_id for r in store.scan_eps_at_least(6.0)}
+        assert 1000 in {r.entity_id for r in store.scan_eps(low=6.0)}
 
     def test_insert_duplicate_rejected(self, kind):
         store = make_store(kind)
@@ -189,7 +189,7 @@ class TestOnDiskSpecifics:
         list(store.scan_all())
         full_scan_reads = store.stats.page_reads - before
         before = store.stats.page_reads
-        list(store.scan_eps_range(-0.05, 0.05))
+        list(store.scan_eps(-0.05, 0.05))
         band_reads = store.stats.page_reads - before
         assert band_reads < full_scan_reads
 
@@ -197,7 +197,7 @@ class TestOnDiskSpecifics:
         store = make_store("ondisk", buffer_pool_pages=4)
         store.bulk_load(sample_entities(300), sample_model())
         before = store.cost_snapshot()
-        list(store.scan_eps_range(-0.05, 0.05))
+        list(store.scan_eps(-0.05, 0.05))
         band_cost = store.cost_snapshot() - before
         reorg_cost = store.reorganize(sample_model())
         assert reorg_cost > band_cost

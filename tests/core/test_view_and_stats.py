@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.core.stats import MaintenanceStatistics
@@ -114,3 +117,10 @@ class TestMaintenanceStatistics:
         summary = stats.as_dict()
         assert summary["updates"] == 1
         assert "average_band_size" in summary
+        # A reported counter is one some maintainer writes: every key moves in
+        # at least one cell of the recorded operation stream.
+        recorded = json.loads(
+            Path(__file__).with_name("operation_ledger_golden.json").read_text()
+        ).values()
+        for key in summary:
+            assert any(float(cell["maintenance"][key]) != 0.0 for cell in recorded), key

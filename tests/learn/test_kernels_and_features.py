@@ -1,4 +1,4 @@
-"""Unit tests for kernels, kernel classifiers and random Fourier features."""
+"""Unit tests for kernels and random Fourier features."""
 
 from __future__ import annotations
 
@@ -6,8 +6,7 @@ import math
 
 import pytest
 
-from repro.exceptions import ConfigurationError, NotFittedError
-from repro.learn.kernel_model import KernelClassifier, KernelPerceptronTrainer, SupportVector
+from repro.exceptions import ConfigurationError
 from repro.learn.kernels import (
     GaussianKernel,
     LaplacianKernel,
@@ -16,7 +15,6 @@ from repro.learn.kernels import (
     get_kernel,
 )
 from repro.learn.random_features import RandomFourierFeatures
-from repro.learn.sgd import TrainingExample
 from repro.linalg import SparseVector
 
 
@@ -76,52 +74,6 @@ class TestKernels:
         assert isinstance(get_kernel("poly", degree=3), PolynomialKernel)
         with pytest.raises(ConfigurationError):
             get_kernel("bogus")
-
-
-class TestKernelClassifier:
-    def test_score_is_weighted_kernel_sum(self):
-        classifier = KernelClassifier(
-            kernel=LinearKernel(),
-            support_vectors=[
-                SupportVector(SparseVector({0: 1.0}), 2.0),
-                SupportVector(SparseVector({0: 1.0}), -0.5),
-            ],
-            bias=0.25,
-        )
-        assert classifier.score(SparseVector({0: 2.0})) == pytest.approx(2.0 * 2 - 0.5 * 2 + 0.25)
-
-    def test_coefficient_l1_delta_pads_shorter_model(self):
-        a = KernelClassifier(support_vectors=[SupportVector(SparseVector({0: 1.0}), 1.0)])
-        b = KernelClassifier(
-            support_vectors=[
-                SupportVector(SparseVector({0: 1.0}), 1.0),
-                SupportVector(SparseVector({1: 1.0}), -2.0),
-            ]
-        )
-        assert a.coefficient_l1_delta(b) == pytest.approx(2.0)
-
-    def test_kernel_perceptron_learns_nonlinear_boundary(self):
-        """A ring/center problem that a linear model cannot separate."""
-        center = [SparseVector({0: 0.05 * i, 1: 0.05 * j}) for i in (-1, 0, 1) for j in (-1, 0, 1)]
-        ring = [
-            SparseVector({0: 1.5 * math.cos(t), 1: 1.5 * math.sin(t)})
-            for t in [k * math.pi / 4 for k in range(8)]
-        ]
-        examples = [TrainingExample(i, v, 1) for i, v in enumerate(center)]
-        examples += [TrainingExample(100 + i, v, -1) for i, v in enumerate(ring)]
-        trainer = KernelPerceptronTrainer(kernel=GaussianKernel(gamma=1.5))
-        trainer.fit(examples, epochs=10)
-        correct = sum(1 for ex in examples if trainer.predict(ex.features) == ex.label)
-        assert correct >= len(examples) - 1
-
-    def test_kernel_perceptron_predict_before_training(self):
-        with pytest.raises(NotFittedError):
-            KernelPerceptronTrainer().predict(SparseVector({0: 1.0}))
-
-    def test_mistakes_add_support_vectors(self):
-        trainer = KernelPerceptronTrainer()
-        trainer.absorb(TrainingExample(0, SparseVector({0: 1.0}), -1))
-        assert len(trainer.model.support_vectors) == 1
 
 
 class TestRandomFourierFeatures:

@@ -59,8 +59,8 @@ class TestStoreStateRoundTrip:
         assert eps_order == sorted(eps_order)
         # Band scans answer identically after the import.
         low, high = eps_order[len(eps_order) // 4], eps_order[3 * len(eps_order) // 4]
-        assert [r.entity_id for r in target.scan_eps_range(low, high)] == [
-            r.entity_id for r in source.scan_eps_range(low, high)
+        assert [r.entity_id for r in target.scan_eps(low, high)] == [
+            r.entity_id for r in source.scan_eps(low, high)
         ]
 
     def test_import_is_cheaper_than_bulk_load(self, architecture, loaded_inputs):
