@@ -28,6 +28,8 @@ from abc import ABC, abstractmethod
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from operator import attrgetter
 
+import numpy as np
+
 from repro.core.stats import MaintenanceStatistics
 from repro.core.stores.base import EntityRecord, EntityStore
 from repro.exceptions import KeyNotFoundError, MaintenanceError
@@ -96,24 +98,30 @@ class ViewMaintainer(ABC):
         for model in models:
             self.apply_model(model)
 
-    def _relabel(self, records: Iterable[EntityRecord], model: LinearModel) -> tuple[int, int]:
+    def _relabel(
+        self, model: LinearModel, band: tuple[float | None, float | None] | None = None
+    ) -> tuple[int, int]:
         """The eager relabel pass; returns ``(tuples touched, labels changed)``.
 
-        Label writes wait until the scan is exhausted — a store never mutates
-        under its own iterator — and then go out in scan order.
+        The store scores the run — the whole table, or the eps slice ``band``
+        — in whatever way its architecture makes cheap; label writes wait
+        until the run is scored — a store never mutates under its own scan —
+        and then go out in scan order.
         """
         store = self.store
-        touched = 0
-        relabels: list[tuple[object, int]] = []
-        for record in records:
-            touched += 1
-            store.charge_dot_product(record.features)
-            label = sign(model.margin(record.features))
-            if label != record.label:
-                relabels.append((record.entity_id, label))
-        for entity_id, label in relabels:
-            store.update_label(entity_id, label)
-        return touched, len(relabels)
+        ids, stored, margins = store.score(model, band, exclusive=True)
+        if isinstance(margins, np.ndarray):
+            # Scored in bulk: sign(margin) != stored label, labels being -1/+1.
+            changed = np.flatnonzero((margins >= 0.0) != (stored > 0)).tolist()
+        else:
+            changed = [
+                position
+                for position, (margin, label) in enumerate(zip(margins, stored))
+                if sign(margin) != label
+            ]
+        for position in changed:
+            store.update_label(ids[position], sign(margins[position]))
+        return len(ids), len(changed)
 
     def add_entity(self, entity_id: object, features: SparseVector) -> int:
         """A new entity arrived; classify and store it.  Returns its label."""
@@ -321,15 +329,12 @@ class ViewMaintainer(ABC):
 
     def top_k(self, k: int, label: int = 1) -> list[tuple[object, float]]:
         """The ``k`` entities deepest inside class ``label``, as ``(id, margin)`` pairs."""
-        model = self.current_model
-        store = self.store
+        ids, _, margins = self.store.score(self.current_model)
         tie = itertools.count()
         heap: list[tuple[float, int, object]] = []
-        for record in store.scan_all():
-            store.charge_dot_product(record.features)
-            margin = model.margin(record.features)
+        for entity_id, margin in zip(ids, np.asarray(margins, dtype=np.float64).tolist()):
             score = margin if label == 1 else -margin
-            item = (score, next(tie), record.entity_id)
+            item = (score, next(tie), entity_id)
             if len(heap) < k:
                 heapq.heappush(heap, item)
             elif item[0] > heap[0][0]:

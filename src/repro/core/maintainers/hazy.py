@@ -179,7 +179,7 @@ class HazyEagerMaintainer(EagerReads, _HazyMaintainerBase):
         for model in models:
             self.store.charge_bound_update(model.weights.nnz())
             band = tracker.advance(model)
-        touched, changed = self._relabel(self.store.scan_eps(band.low, band.high), final)
+        touched, changed = self._relabel(final, (band.low, band.high))
         cost = self.store.cost_snapshot() - start
         self.skiing.record_incremental_step(cost)
         self.stats.record_update(touched, changed, cost)

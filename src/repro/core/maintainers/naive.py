@@ -26,7 +26,7 @@ class NaiveEagerMaintainer(EagerReads, ViewMaintainer):
         self._require_loaded()
         self.current_model = model.copy()
         start = self.store.cost_snapshot()
-        touched, changed = self._relabel(self.store.scan_all(), model)
+        touched, changed = self._relabel(model)
         self.stats.record_update(touched, changed, self.store.cost_snapshot() - start)
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import threading
 from abc import ABC, abstractmethod
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 from repro.db.buffer_pool import IOStatistics
@@ -15,7 +15,7 @@ from repro.linalg import SparseVector
 __all__ = ["EntityRecord", "EntityStore"]
 
 
-@dataclass
+@dataclass(slots=True)
 class EntityRecord:
     """One entity as the scratch table ``H`` sees it.
 
@@ -147,6 +147,49 @@ class EntityStore(ABC):
         (a heap scan in physical order on disk) this walks the eps index, and
         the two are priced differently.
         """
+
+    def score(
+        self,
+        model: LinearModel,
+        band: tuple[float | None, float | None] | None = None,
+        exclusive: bool = False,
+    ) -> tuple[Sequence[object], Sequence[int], Sequence[float]]:
+        """Score one run of tuples under ``model``: ``(ids, stored labels, margins)``.
+
+        ``band=None`` is the whole table as :meth:`scan_all` walks it,
+        ``(low, high)`` the clustered slice :meth:`scan_eps` walks — kept
+        apart because on disk the first is a heap scan in physical order and
+        the second an index walk, priced differently.  The result is three
+        parallel sequences in scan order, and the ledger is charged what the
+        scan charges plus one dot product per tuple, tuple by tuple.  This
+        loop is the definition and returns lists; the main-memory store
+        answers the same call from its feature mirror, with the labels and
+        margins as the NumPy arrays its kernel produced.
+
+        ``exclusive`` says the caller is the store's single writer (the
+        maintenance path, under the server's write lock when served), so the
+        store may build whatever scoring structure the run is worth; a read
+        leaves it ``False`` and the store unchanged.
+        """
+        return self._score_scan(model, self.scan_all() if band is None else self.scan_eps(*band))
+
+    def _score_scan(
+        self, model: LinearModel, records: Iterable[EntityRecord]
+    ) -> tuple[list[object], list[int], list[float]]:
+        """The scan loop behind :meth:`score`: one dot product per scanned tuple.
+
+        Plain lists on purpose: a short run (a small water band) stays out of
+        NumPy, whose calls hand the GIL to the shard relabelling next door.
+        """
+        ids: list[object] = []
+        labels: list[int] = []
+        margins: list[float] = []
+        for record in records:
+            self.charge_dot_product(record.features)
+            ids.append(record.entity_id)
+            labels.append(record.label)
+            margins.append(model.margin(record.features))
+        return ids, labels, margins
 
     # -- checkpoint / recovery -------------------------------------------------------------
 

@@ -13,6 +13,8 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.db.costmodel import CostModel
 from repro.db.page import Page
 from repro.exceptions import PageError
@@ -42,6 +44,26 @@ class IOStatistics:
         self.simulated_seconds += seconds
         if category:
             self.detail[category] = self.detail.get(category, 0.0) + seconds
+
+    def charge_interleaved(self, *charges: tuple[str, np.ndarray | float]) -> None:
+        """One call for a loop that made the same few charges once per tuple, in order.
+
+        Each charge is ``(category, amounts)`` — an array of per-tuple
+        amounts, or one float for every tuple (at least one is an array) —
+        and the loop being replaced charged the first category, then the
+        second (...), tuple after tuple.  Skiing compares accumulated floats,
+        so the totals must be what that loop would have left *bit for bit*:
+        each is an ``np.add.accumulate`` fold — a sequential left fold, unlike
+        ``np.sum``, which adds pairwise — seeded with the current value.
+        """
+        sequence = np.stack(np.broadcast_arrays(*(amounts for _, amounts in charges)), axis=1)
+        if not sequence.size:
+            return
+        self.simulated_seconds = _fold(self.simulated_seconds, sequence.ravel())
+        for position, (category, _) in enumerate(charges):
+            self.detail[category] = _fold(
+                self.detail.get(category, 0.0), sequence[:, position]
+            )
 
     def snapshot(self) -> "IOStatistics":
         """Copy of the current counters (detail dict copied shallowly)."""
@@ -80,6 +102,11 @@ class IOStatistics:
             key: value - earlier.detail.get(key, 0.0) for key, value in self.detail.items()
         }
         return result
+
+
+def _fold(current: float, amounts: np.ndarray) -> float:
+    """``current + amounts[0] + amounts[1] + ...`` added strictly left to right."""
+    return float(np.add.accumulate(np.concatenate(((current,), amounts)))[-1])
 
 
 class DiskManager:

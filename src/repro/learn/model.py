@@ -10,6 +10,7 @@ via Hölder's inequality.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from repro.linalg import SparseVector
@@ -41,6 +42,11 @@ class LinearModel:
     def margin(self, features: SparseVector) -> float:
         """Return the signed distance proxy ``eps = w · f - b``."""
         return self.weights.dot(features) - self.bias
+
+    def margins(self, vectors: Iterable[SparseVector]) -> list[float]:
+        """:meth:`margin` of each vector in turn — the scalar loop the batched
+        kernels of :mod:`repro.linalg.kernels` reproduce bit for bit."""
+        return [self.margin(features) for features in vectors]
 
     def predict(self, features: SparseVector) -> int:
         """Return the label ``sign(w · f - b)`` in ``{-1, +1}``."""

@@ -15,6 +15,8 @@ from collections.abc import Iterable, Iterator, Mapping
 
 import numpy as np
 
+from repro.exceptions import ConfigurationError
+
 __all__ = ["SparseVector", "dot", "to_dense", "to_sparse", "axpy"]
 
 # Smallest positive normal double: naive power sums below this (or non-finite
@@ -30,6 +32,10 @@ class SparseVector:
     exactly zero.  The class is deliberately small and explicit — it is the
     innermost data structure of the whole system and is exercised by every
     training step and every reclassification.
+
+    A vector in R^d has no negative coordinate: a negative index is rejected
+    with :class:`~repro.exceptions.ConfigurationError` (a dense array would
+    read it from the end, a mapping would not, and the two must agree).
     """
 
     __slots__ = ("_data",)
@@ -42,6 +48,10 @@ class SparseVector:
         for index, value in items:
             if value:
                 self._data[int(index)] = float(value)
+        if self._data and min(self._data) < 0:
+            raise ConfigurationError(
+                f"feature index {min(self._data)} is negative; indices start at 0"
+            )
 
     # -- constructors ------------------------------------------------------
 
@@ -70,6 +80,8 @@ class SparseVector:
         return self._data.get(index, 0.0)
 
     def __setitem__(self, index: int, value: float) -> None:
+        if index < 0:
+            raise ConfigurationError(f"feature index {index} is negative; indices start at 0")
         if value:
             self._data[int(index)] = float(value)
         else:
@@ -82,6 +94,10 @@ class SparseVector:
     def indices(self) -> Iterable[int]:
         """Iterate over the indices of the non-zero entries."""
         return self._data.keys()
+
+    def values(self) -> Iterable[float]:
+        """Iterate over the non-zero values, in the order of :meth:`indices`."""
+        return self._data.values()
 
     def nnz(self) -> int:
         """Number of stored (non-zero) entries."""
@@ -100,9 +116,17 @@ class SparseVector:
     # -- arithmetic ---------------------------------------------------------
 
     def dot(self, other: "SparseVector | Mapping[int, float] | np.ndarray") -> float:
-        """Inner product with another sparse vector, mapping, or dense array."""
+        """Inner product with another sparse vector, mapping, or dense array.
+
+        The sum is a left-to-right fold from ``0.0`` over the stored order of
+        the operand with fewer entries (``self`` on a tie, and always against
+        a dense array).  That order is a contract:
+        :func:`repro.linalg.kernels.batch_dot` reproduces it bit for bit, and
+        it is spelled as a loop because built-in ``sum()`` compensates float
+        sums from Python 3.12 on and would round differently there.
+        """
+        total = 0.0
         if isinstance(other, np.ndarray):
-            total = 0.0
             n = other.shape[0]
             for index, value in self._data.items():
                 if index < n:
@@ -113,7 +137,10 @@ class SparseVector:
             small, large = other_data, self._data
         else:
             small, large = self._data, other_data
-        return sum(value * large.get(index, 0.0) for index, value in small.items())
+        get = large.get
+        for index, value in small.items():
+            total += value * get(index, 0.0)
+        return total
 
     def scale(self, factor: float) -> "SparseVector":
         """Return ``factor * self`` as a new vector."""

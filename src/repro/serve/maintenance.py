@@ -23,6 +23,29 @@ Each drained batch goes through two phases:
    snapshot is published, and every ticket in the batch resolves to the new
    epoch.
 
+**When a round starts.**  A burst of acknowledged writes is cheapest applied
+as *one* round — one cumulative-band pass under the final model is what
+``apply_model_batch`` exists for — and a round that starts on the first
+``put`` of the burst both misses the rest of it and competes with the
+producer for the interpreter while the burst is still being acknowledged.
+So after taking the first op of a batch the worker parks on one event, and
+the round starts when someone **demands** it or the batch cannot grow:
+
+a. a :meth:`WriteTicket.wait() <repro.serve.requests.WriteTicket.wait>` on a
+   ticket that is not resolved yet — a session's read-your-writes read,
+   ``flush``, ``STOP SERVING``, ``close``, a restore's WAL replay — starts
+   it immediately;
+b. so does a ``BARRIER`` op;
+c. so does the queue holding a full ``max_batch`` (or being full outright);
+d. otherwise it starts :data:`ROUND_DEADLINE_S` (2 ms) after the first op was
+   taken — the bound on how much later than the end of the previous round a
+   *sessionless* reader can see an acknowledged write.
+
+The event is cleared *before* the greedy drain and set *after* the enqueue,
+so a waiter whose op missed this drain finds the event still set for the next
+one: no lost wake-up.  Durability is unaffected — the WAL append happens
+before ``enqueue``.
+
 Backpressure is the queue bound: when maintenance falls behind, producers
 (SQL triggers, ``insert_example`` callers) block in ``enqueue`` instead of
 growing an unbounded backlog.
@@ -39,9 +62,18 @@ from repro.learn.sgd import TrainingExample
 from repro.serve.requests import WriteKind, WriteOp, WriteTicket
 from repro.serve.sharding import shard_index
 
-__all__ = ["MaintenanceWorker"]
+__all__ = ["MaintenanceWorker", "ROUND_DEADLINE_S"]
 
 _STOP = object()
+
+#: How long a round waits for demand (module docstring, case d).  Longer than a
+#: closed-loop client's enqueue round trip (0.05-0.13 ms on ``perf``'s
+#: ``wire_reads``/``durable_writes``), so a burst is applied as one round;
+#: shorter than one eager round was before band scoring moved to the kernel
+#: (6 ms), so a sessionless reader sees a write no later than it did then.  A
+#: timed ``queue.get`` linger would not do the same job: every ``put`` still
+#: wakes the worker, which then competes with the producer for the interpreter.
+ROUND_DEADLINE_S = 0.002
 
 
 class MaintenanceWorker:
@@ -73,6 +105,9 @@ class MaintenanceWorker:
         self.ops_applied = 0
         self.backpressure_waits = 0
         self.last_error: BaseException | None = None
+        #: Set to start the pending round now; only ever set and cleared
+        #: without another lock held.
+        self._demand = threading.Event()
         self._thread = threading.Thread(
             target=self._run, name="hazy-maintenance", daemon=True
         )
@@ -88,13 +123,21 @@ class MaintenanceWorker:
 
     def enqueue(self, op: WriteOp, timeout: float | None = None) -> WriteTicket:
         """Admit one write; blocks when the queue is full (backpressure)."""
+        op.ticket.on_wait = self._demand.set
         try:
             self._queue.put_nowait(op)
         except queue.Full:
             # The bound is doing its job: count the stall, then block as before.
             self.backpressure_waits += 1
+            self._demand.set()
             self._queue.put(op, timeout=timeout)
+        if op.kind is WriteKind.BARRIER or self._batch_is_full():
+            self._demand.set()
         return op.ticket
+
+    def _batch_is_full(self) -> bool:
+        """Whether the queue holds a whole batch behind the op the worker has taken."""
+        return self._queue.qsize() >= self._max_batch - 1
 
     def flush(self, timeout: float | None = None) -> int:
         """Barrier: returns once everything enqueued before it is visible."""
@@ -110,15 +153,19 @@ class MaintenanceWorker:
         if not self._started:
             return
         self._queue.put(_STOP)
+        self._demand.set()
         self._thread.join(timeout=timeout)
 
     # -- worker side --------------------------------------------------------------------------
 
     def _drain(self) -> tuple[list[WriteOp], bool]:
-        """Block for the first op, then greedily take up to ``max_batch``."""
+        """Block for the first op, park until the round is due, take up to ``max_batch``."""
         first = self._queue.get()
         if first is _STOP:
             return [], True
+        if not self._batch_is_full():
+            self._demand.wait(ROUND_DEADLINE_S)
+        self._demand.clear()
         ops = [first]
         stop = False
         while len(ops) < self._max_batch:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import threading
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 __all__ = ["WriteKind", "WriteOp", "WriteTicket"]
@@ -38,6 +39,9 @@ class WriteTicket:
         self._event = threading.Event()
         self._epoch: int | None = None
         self._error: BaseException | None = None
+        #: Called when someone starts waiting on the still-unresolved ticket;
+        #: the maintenance worker hooks its "start the round now" in here.
+        self.on_wait: Callable[[], None] | None = None
 
     def resolve(self, epoch: int) -> None:
         """Mark the write visible as of ``epoch`` (called by the worker)."""
@@ -50,7 +54,13 @@ class WriteTicket:
         self._event.set()
 
     def wait(self, timeout: float | None = None) -> int:
-        """Block until applied; returns the visibility epoch."""
+        """Block until applied; returns the visibility epoch.
+
+        Waiting on a write that is still queued demands its maintenance round
+        at once instead of leaving it to the worker's deadline.
+        """
+        if self.on_wait is not None and not self._event.is_set():
+            self.on_wait()
         if not self._event.wait(timeout):
             raise TimeoutError("write not applied within timeout")
         if self._error is not None:

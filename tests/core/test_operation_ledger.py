@@ -13,6 +13,11 @@ and the band histories with values recorded once and committed in
 When a change is *meant* to move the ledger, regenerate the golden values with
 ``PYTHONPATH=src python tests/core/test_operation_ledger.py --record`` and say
 in the PR which tags moved and why.
+
+The main-memory store scores a run either through its feature mirror and the
+batched kernel or through the scalar loop, by a size rule; the *differential*
+test at the bottom drives the same stream with the rule forced each way and
+requires the two sides to agree on everything, stored ``eps`` included.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ import pytest
 
 from repro.bench.harness import build_store
 from repro.core.maintainers import MAINTAINERS, build_maintainer
-from repro.core.stores import ARCHITECTURES
+from repro.core.stores import ARCHITECTURES, mainmemory
 from repro.db.costmodel import CostModel
 from repro.learn.sgd import SGDTrainer, TrainingExample
 from repro.workloads.synth_text import SparseCorpusGenerator
@@ -131,7 +136,9 @@ def run_stream(architecture: str, strategy: str, approach: str) -> dict[str, obj
     for counter in ("epsmap_served", "buffer_served", "disk_served"):
         if hasattr(store, counter):
             io[counter] = getattr(store, counter)
+    stored = [[record.entity_id, repr(record.eps), record.label] for record in store.scan_all()]
     return {
+        "stored_digest": _digest(stored),
         "trace_digest": _digest(trace),
         "band_digest": _digest(
             [stats.band_size_history, [repr(width) for width in stats.band_width_history]]
@@ -178,11 +185,47 @@ def test_stream_exercises_what_it_claims(cell, golden):
         assert float(maintenance["average_band_size"]) > 0.0
 
 
+@pytest.mark.parametrize("strategy", ["hazy", "naive"])
+def test_kernel_and_scalar_scoring_leave_the_same_ledger(strategy, monkeypatch):
+    """Main-memory eager, size rule forced to "always kernel" and to "never kernel".
+
+    Every answer, every stored ``eps``, the simulated clock after every step,
+    the per-tag totals, the I/O counters and the band history must be equal —
+    with entity inserts and deletes between the updates, and (Hazy) several
+    reorganizations on each side.  The constant is patched here, in the test:
+    it is not an option.
+    """
+    kernel_calls = []
+    real_kernel = mainmemory.sparse_margins
+
+    def counting_kernel(*args):
+        kernel_calls.append(len(args[3]))
+        return real_kernel(*args)
+
+    monkeypatch.setattr(mainmemory, "sparse_margins", counting_kernel)
+    sides = {}
+    for side, nonzeros_per_row in (("kernel", float("inf")), ("scalar", 0)):
+        monkeypatch.setattr(mainmemory, "KERNEL_NONZEROS_PER_ROW", nonzeros_per_row)
+        kernel_calls.clear()
+        sides[side] = run_stream("mainmemory", strategy, "eager")
+        if side == "scalar":
+            assert not kernel_calls
+        else:
+            # Every relabel pass that touched a tuple, and every reorganization.
+            maintenance = sides[side]["maintenance"]
+            assert len(kernel_calls) >= maintenance["updates"] // 2
+            assert sum(kernel_calls) >= maintenance["tuples_reclassified"]
+        if strategy == "hazy":
+            assert sides[side]["maintenance"]["reorganizations"] >= 1
+    assert sides["kernel"] == sides["scalar"]
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         raise SystemExit(f"usage: {sys.argv[0]} --record")
-    GOLDEN_PATH.write_text(
-        json.dumps({cell_name(cell): run_stream(*cell) for cell in CELLS}, indent=1, sort_keys=True)
-        + "\n"
-    )
+    recorded = {}
+    for cell in CELLS:
+        recorded[cell_name(cell)] = run_stream(*cell)
+        del recorded[cell_name(cell)]["stored_digest"]  # the differential test's, not the golden's
+    GOLDEN_PATH.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n")
     print(f"recorded {len(CELLS)} cells to {GOLDEN_PATH}")

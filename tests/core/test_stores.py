@@ -271,3 +271,101 @@ class TestHybridSpecifics:
         flipped = LinearModel(weights=SparseVector({0: 2.0, 1: -1.0}), bias=0.0, version=3)
         store.reorganize(flipped)
         assert store.eps_hint(0) == pytest.approx(flipped.margin(store.get(0).features))
+
+
+class TestMainMemoryMirror:
+    """The feature mirror: a second way to score a slice, never a second answer."""
+
+    @staticmethod
+    def loaded(count: int = 300):
+        import random
+
+        rng = random.Random(4)
+        entities = [
+            (i, SparseVector({rng.randrange(60): rng.gauss(0, 1) for _ in range(rng.randint(0, 9))}))
+            for i in range(count)
+        ]
+        model = LinearModel(SparseVector({j: rng.gauss(0, 1) for j in range(0, 60, 2)}), bias=0.1)
+        store = InMemoryEntityStore(feature_norm_q=1.0)
+        store.bulk_load(entities, model)
+        moved = LinearModel(SparseVector({j: rng.gauss(0, 1) for j in range(50)}), bias=-0.2)
+        return store, moved, rng
+
+    @staticmethod
+    def scan_loop(store, model, band):
+        """The inherited definition, with the ledger it leaves."""
+        from repro.core.stores.base import EntityStore
+
+        before = store.stats.snapshot()
+        ids, labels, margins = EntityStore.score(store, model, band)
+        return ids, labels, margins, store.stats.diff(before)
+
+    def assert_same_as_scan_loop(self, store, model, band):
+        want_ids, want_labels, want_margins, want_cost = self.scan_loop(store, model, band)
+        before = store.stats.snapshot()
+        ids, labels, margins = store.score(model, band, exclusive=True)
+        cost = store.stats.diff(before)
+        assert (list(ids), list(labels)) == (want_ids, want_labels)
+        assert [repr(float(m)) for m in margins] == [repr(m) for m in want_margins]
+        assert (cost.tuples_read, cost.dot_products) == (want_cost.tuples_read, want_cost.dot_products)
+        assert cost.detail.keys() == want_cost.detail.keys()
+
+    def test_a_read_never_builds_the_mirror_and_a_small_slice_does_not_either(self):
+        store, model, _ = self.loaded()
+        store.score(model)  # a read (top_k): whole table, but not the writer
+        assert store._clustering.mirror is None
+        store.score(model, (-1e-9, 1e-9), exclusive=True)  # the writer, a handful of tuples
+        assert store._clustering.mirror is None
+        store.score(model, (-1.0, 1.0), exclusive=True)
+        assert store._clustering.mirror is not None
+
+    def test_scores_like_the_scan_loop_through_churn(self):
+        store, model, rng = self.loaded()
+        self.assert_same_as_scan_loop(store, model, (-0.8, 0.9))
+        for step in range(60):
+            victim = rng.choice([record.entity_id for record in store.scan_all()])
+            if step % 3 == 0:
+                store.delete(victim)
+            elif step % 3 == 1:
+                features = SparseVector({rng.randrange(70): rng.gauss(0, 1) for _ in range(6)})
+                store.insert(1000 + step, features, eps=rng.gauss(0, 1), label=rng.choice((-1, 1)))
+            else:
+                store.update_label(victim, -store.get(victim).label)
+        assert store._clustering.mirror.count > store.count()  # dead rows are left behind
+        self.assert_same_as_scan_loop(store, model, (-0.8, 0.9))
+        self.assert_same_as_scan_loop(store, model, None)
+        store.reorganize(model)
+        assert store._clustering.mirror.count == store.count()  # and compacted here
+        self.assert_same_as_scan_loop(store, model, (-0.5, 0.5))
+        assert [r.eps for r in store.scan_all()] == sorted(model.margin(r.features) for r in store.scan_all())
+
+    def test_delete_finds_its_row_among_equal_eps(self):
+        store = InMemoryEntityStore(feature_norm_q=1.0)
+        store.bulk_load([(i, SparseVector({0: 1.0})) for i in range(6)], sample_model())
+        store.insert("late", SparseVector({0: 1.0}), eps=-2.0, label=-1)
+        store.insert("zero", SparseVector({1: 1.0}), eps=-0.0, label=1)
+        store.delete(3)
+        store.delete("late")
+        assert [record.entity_id for record in store.scan_all()] == [0, 1, 2, 4, 5, "zero"]
+        assert store.count_label(-1) == 5 and store.count_label(1) == 1
+        with pytest.raises(KeyNotFoundError):
+            store.delete(3)
+
+    def test_a_mirror_that_is_mostly_dead_rows_is_dropped(self):
+        store, model, _ = self.loaded(count=120)
+        store.score(model, None, exclusive=True)
+        for entity_id in range(90):
+            store.delete(entity_id)
+        assert store._clustering.mirror is not None
+        store.insert("fresh", SparseVector({3: 1.0}), eps=0.0, label=1)
+        assert store._clustering.mirror is None
+        self.assert_same_as_scan_loop(store, model, None)  # and rebuilt, compact, on demand
+        assert store._clustering.mirror.count == store.count()
+
+    def test_an_index_too_wide_for_a_dense_model_keeps_the_scalar_loop(self):
+        store, model, _ = self.loaded()
+        store.score(model, None, exclusive=True)
+        store.insert("wide", SparseVector({2**40: 1.0}), eps=0.0, label=1)
+        assert store._clustering.mirror is None
+        self.assert_same_as_scan_loop(store, model, None)
+        assert store._clustering.mirror is None

@@ -52,7 +52,7 @@ class TestBatchDot:
         vectors.append(SparseVector({}))  # empty vector scores exactly zero
         got = batch_margins(vectors, weights, bias=0.25)
         want = self._scalar_margins(vectors, weights, 0.25)
-        assert np.allclose(got, want)
+        assert got.tolist() == want
         assert got[-1] == pytest.approx(-0.25)
 
     def test_out_of_dimension_indices_contribute_zero(self):
@@ -77,6 +77,24 @@ class TestBatchDot:
             SparseVector({}),
         ]
         assert batch_dot(vectors, weights).tolist() == [0.0, 2.0, 0.0, 3.0, 0.0]
+
+    def test_the_three_dot_forms_agree(self):
+        """Sparse . dense array, the batched kernel and sparse . sparse: one answer."""
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            dimension = int(rng.integers(1, 30))
+            weights = rng.normal(size=dimension)
+            vector = SparseVector(
+                {int(j): float(rng.normal()) for j in rng.choice(40, size=int(rng.integers(0, 9)))}
+            )
+            # Longer than the vector, so the sparse form iterates the vector too.
+            padded = np.concatenate((weights, np.zeros(50 - dimension)))
+            sparse_weights = SparseVector()
+            for index, weight in enumerate(padded.tolist()):
+                sparse_weights._data[index] = weight  # keeps the explicit zeros
+            against_dense = vector.dot(weights)
+            assert batch_dot([vector], weights).tolist() == [against_dense]
+            assert sparse_weights.dot(vector) == against_dense
 
     def test_nan_propagates_like_scalar(self):
         weights = np.array([float("nan"), 1.0])

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.exceptions import ConfigurationError
 from repro.linalg import SparseVector, dot, to_dense, to_sparse
 from repro.linalg.vectors import axpy
 
@@ -36,6 +37,19 @@ class TestConstruction:
 
     def test_zeros_constructor(self):
         assert SparseVector.zeros().nnz() == 0
+
+    def test_negative_index_is_rejected(self):
+        # A dense array would read index -1 from the end and a mapping would
+        # not: R^d has no negative coordinate, so neither gets to answer.
+        with pytest.raises(ConfigurationError, match="negative"):
+            SparseVector({-1: 2.0, 0: 1.0})
+        with pytest.raises(ConfigurationError, match="negative"):
+            SparseVector([(3, 1.0), (-2, 1.0)])
+        vector = SparseVector({0: 1.0})
+        with pytest.raises(ConfigurationError, match="negative"):
+            vector[-1] = 2.0
+        assert vector.to_dict() == {0: 1.0}
+        assert SparseVector({-1: 0.0}).nnz() == 0  # a zero is never stored, wherever it is
 
 
 class TestAccess:

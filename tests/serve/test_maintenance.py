@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+import time
+
 import pytest
 
 from repro.core.view import view_contents
@@ -164,3 +168,114 @@ def test_writes_rejected_after_close(serve_corpus):
     server.close(timeout=30)
     with pytest.raises(MaintenanceError):
         server.insert_example(serve_corpus[0].entity_id, 1)
+
+
+# ---------------------------------------------------------------------------
+# When a maintenance round starts (demand-driven rounds)
+# ---------------------------------------------------------------------------
+#
+# The deadline is patched per test — it is a module constant, not an option:
+# a long one means that only a demand can have started a round (a lost demand
+# shows as a timeout, never as a slow pass); a moderate one gives a paced
+# burst room to land in a single round.  The asserts are on the worker's round
+# count, not on elapsed time.
+
+
+def _await_applied(worker, ops: int, timeout: float = 10.0) -> None:
+    """Poll — deliberately without touching a ticket — until ``ops`` writes are applied."""
+    deadline = time.monotonic() + timeout
+    while worker.ops_applied < ops and time.monotonic() < deadline:
+        time.sleep(0.002)
+    assert worker.ops_applied == ops
+
+
+def test_unawaited_burst_is_applied_as_one_round(serve_corpus, monkeypatch):
+    monkeypatch.setattr("repro.serve.maintenance.ROUND_DEADLINE_S", 0.5, raising=False)
+    server = build_standalone_server(serve_corpus)
+    try:
+        epoch = server.epoch
+        for doc in serve_corpus[:10]:
+            server.insert_example(doc.entity_id, doc.label)
+            time.sleep(0.0005)  # pacing: lets a worker that wakes on every put run
+        _await_applied(server.worker, 10)
+        assert server.worker.batches_applied == 1
+        assert server.epoch == epoch + 1
+    finally:
+        server.close(timeout=30)
+
+
+@pytest.mark.parametrize("demand", ["ticket", "flush", "session_read"])
+def test_a_waiter_starts_the_round_at_once(serve_corpus, monkeypatch, demand):
+    monkeypatch.setattr("repro.serve.maintenance.ROUND_DEADLINE_S", 120.0)
+    server = build_standalone_server(serve_corpus)
+    try:
+        doc = serve_corpus[0]
+        if demand == "session_read":
+            session = server.session()
+            session.insert_example(doc.entity_id, doc.label)
+            assert session.label_of(doc.entity_id) in (-1, 1)  # read-your-writes waits
+        else:
+            ticket = server.insert_example(doc.entity_id, doc.label)
+            epoch = ticket.wait(10) if demand == "ticket" else server.flush(timeout=10)
+            assert epoch == server.epoch
+        assert server.worker.ops_applied == 1
+        assert server.worker.batches_applied == 1
+    finally:
+        server.close(timeout=30)
+
+
+def test_a_full_batch_starts_without_a_waiter(serve_corpus, monkeypatch):
+    monkeypatch.setattr("repro.serve.maintenance.ROUND_DEADLINE_S", 120.0)
+    server = build_standalone_server(serve_corpus, max_write_batch=8)
+    try:
+        for doc in serve_corpus[:8]:
+            server.insert_example(doc.entity_id, doc.label)
+        _await_applied(server.worker, 8)
+        assert server.worker.batches_applied >= 1
+    finally:
+        server.close(timeout=30)
+
+
+def test_no_demand_is_lost_between_drains(serve_corpus, monkeypatch):
+    """Writers that enqueue and wait while the worker drains someone else's batch.
+
+    With the deadline out of reach every round needs its demand: a wake-up
+    lost between the worker's clear and its drain would leave a writer
+    waiting out its ticket timeout.
+    """
+    monkeypatch.setattr("repro.serve.maintenance.ROUND_DEADLINE_S", 120.0)
+    server = build_standalone_server(serve_corpus, num_shards=2)
+    failures: list[BaseException] = []
+
+    def writer(offset: int) -> None:
+        try:
+            for step in range(100):
+                doc = serve_corpus[(offset + step) % len(serve_corpus)]
+                server.insert_example(doc.entity_id, doc.label).wait(20)
+        except BaseException as error:  # noqa: BLE001 - reported by the main thread
+            failures.append(error)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=writer, args=(index * 50,)) for index in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures
+        assert server.worker.ops_applied == 400
+    finally:
+        sys.setswitchinterval(interval)
+        server.close(timeout=30)
+
+
+def test_close_drains_what_nobody_waited_for(serve_corpus, monkeypatch):
+    monkeypatch.setattr("repro.serve.maintenance.ROUND_DEADLINE_S", 120.0)
+    server = build_standalone_server(serve_corpus)
+    for doc in serve_corpus[:5]:
+        server.insert_example(doc.entity_id, doc.label)
+    server.close(timeout=30)
+    assert server.worker.ops_applied == 5
+    assert server.worker.backlog() == 0
