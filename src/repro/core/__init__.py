@@ -13,6 +13,9 @@ This package implements the paper's primary contribution:
   All Members read, Update; §2.2) written once in ``ViewMaintainer``, and the
   four strategies — naive and Hazy, eager and lazy (§3.2, §3.4) — that supply
   only the read hint, the classifier, the candidate scan and the Update.
+* :mod:`repro.core.writes` — a view's one write side: ``ViewWriter`` turns a
+  run of base-table writes into entity churn plus a run of models, inline for
+  an unserved view and on the maintenance worker for a served one.
 * :mod:`repro.core.engine` — the user-facing engine that wires a
   :class:`~repro.db.database.Database`, feature functions, an incremental
   trainer and a maintainer behind ``CREATE CLASSIFICATION VIEW``.

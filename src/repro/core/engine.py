@@ -4,14 +4,17 @@
 handles the ``CREATE CLASSIFICATION VIEW`` statement: it resolves the entity
 and example tables, instantiates the declared feature function, trains the
 initial model, bulk-loads a maintainer over the chosen architecture, and wires
-triggers so that ordinary SQL ``INSERT`` statements against the entity and
-example tables keep the view maintained — exactly the developer experience the
-paper describes in §2.1.
+triggers so that ordinary SQL ``INSERT``/``UPDATE``/``DELETE`` statements
+against the entity and example tables keep the view maintained — exactly the
+developer experience the paper describes in §2.1.  Every trigger runs one
+body, :meth:`ClassificationView._on_write`, over the view's one write side
+(:class:`~repro.core.writes.ViewWriter`) — inline, or via the server's queue.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Mapping
+from functools import partial
 
 from repro.core.maintainers import APPROACHES, STRATEGIES, ViewMaintainer, build_maintainer
 from repro.core.stores import (
@@ -22,6 +25,7 @@ from repro.core.stores import (
     OnDiskEntityStore,
 )
 from repro.core.view import ClassificationViewDefinition
+from repro.core.writes import ViewWriter, WriteKind, apply_writes
 from repro.db.buffer_pool import BufferPool, IOStatistics
 from repro.db.database import Database
 from repro.db.sql.ast import (
@@ -47,59 +51,36 @@ __all__ = ["HazyEngine", "ClassificationView"]
 
 
 class ClassificationView:
-    """One maintained classification view: feature function + trainer + maintainer."""
+    """One maintained classification view: a write side plus a maintainer.
+
+    ``writer`` (feature function, trainer, retained examples, label
+    conversion) is the view's one write side; ``maintainer`` answers reads
+    and is what unserved writes are applied to.  With ``restored=True`` the
+    view comes from a checkpoint: nothing is featurized, trained or
+    bulk-loaded — the serving state lives in the restored
+    :class:`~repro.serve.server.ViewServer`'s shards, ``maintainer`` stays
+    *unloaded* until the server hands the view back on close — but the
+    definition is checked and the triggers attached exactly as on the cold
+    path, so post-restore DML maintains the view as usual.
+    """
 
     def __init__(
         self,
         definition: ClassificationViewDefinition,
         database: Database,
-        feature_function: FeatureFunction,
         maintainer: ViewMaintainer,
-        trainer: SGDTrainer,
-        positive_label: object | None = None,
+        writer: ViewWriter,
+        restored: bool = False,
     ):
         self.definition = definition
         self.database = database
-        self.feature_function = feature_function
         self.maintainer = maintainer
-        self.trainer = trainer
-        self.positive_label = positive_label
-        self._examples: list[TrainingExample] = []
+        self.writer = writer
+        self.feature_function = writer.feature_function
+        self.trainer = writer.trainer
         #: When a serving front-end has taken over this view (see
-        #: :meth:`serve`), reads delegate to it and triggers enqueue.
+        #: :meth:`HazyEngine.serve`), reads delegate to it and writes enqueue.
         self._server = None
-        self._initialize()
-
-    # -- initialization -------------------------------------------------------------------
-
-    @classmethod
-    def restore(
-        cls,
-        definition: ClassificationViewDefinition,
-        database: Database,
-        feature_function: FeatureFunction,
-        maintainer: ViewMaintainer,
-        trainer: SGDTrainer,
-        positive_label: object,
-        examples: list[TrainingExample],
-    ) -> "ClassificationView":
-        """Rebuild a view from checkpointed state, skipping the cold initialization.
-
-        Nothing is featurized, trained, or bulk-loaded here — the serving
-        state lives in the restored :class:`~repro.serve.server.ViewServer`'s
-        shards, and ``maintainer`` stays *unloaded* until the server hands the
-        view back on close.  Triggers are attached exactly as in the cold
-        path, so post-restore DML maintains the view as usual.
-        """
-        view = object.__new__(cls)
-        view.definition = definition
-        view.database = database
-        view.feature_function = feature_function
-        view.maintainer = maintainer
-        view.trainer = trainer
-        view.positive_label = positive_label
-        view._examples = list(examples)
-        view._server = None
         entities_table = database.table(definition.entities_table)
         examples_table = database.table(definition.examples_table)
         if not entities_table.schema.has_column(definition.entities_key):
@@ -107,19 +88,17 @@ class ClassificationView:
                 f"entities table {entities_table.name!r} has no column "
                 f"{definition.entities_key!r}"
             )
-        view._attach_triggers(entities_table, examples_table)
-        return view
-
-    def _initialize(self) -> None:
-        entities_table = self.database.table(self.definition.entities_table)
-        examples_table = self.database.table(self.definition.examples_table)
-        if not entities_table.schema.has_column(self.definition.entities_key):
-            raise ViewDefinitionError(
-                f"entities table {entities_table.name!r} has no column "
-                f"{self.definition.entities_key!r}"
+        if not restored:
+            self._resolve_positive_label()
+            self._cold_load(entities_table, examples_table)
+        for table_name, name, event, kind in self._triggers():
+            database.table(table_name).add_trigger(
+                Trigger(name=name, event=event, callback=partial(self._on_write, kind))
             )
-        self._resolve_positive_label()
 
+    # -- initialization -------------------------------------------------------------------
+
+    def _cold_load(self, entities_table, examples_table) -> None:
         # Pass 1: corpus statistics for the feature function.
         self.feature_function.compute_stats(entities_table.scan())
 
@@ -132,13 +111,14 @@ class ClassificationView:
             self.maintainer.store.charge_featurization(features.nnz())
             entity_features[entity_id] = features
         for row in examples_table.scan():
-            example = self._example_from_row(row, entity_features)
-            if example is not None:
-                self._examples.append(example)
+            entity_id = row[self.definition.examples_key]
+            label = self.to_binary_label(row[self.definition.examples_label])
+            if entity_id in entity_features:
+                example = TrainingExample(entity_id, entity_features[entity_id], label)
+                self.writer.examples.append(example)
                 self.trainer.absorb(example)
 
         self.maintainer.bulk_load(entity_features.items(), self.trainer.model.copy())
-        self._attach_triggers(entities_table, examples_table)
 
     def _resolve_positive_label(self) -> None:
         if self.positive_label is not None:
@@ -149,90 +129,48 @@ class ClassificationView:
             labels_table = self.database.table(self.definition.labels_table)
             column = self.definition.labels_column or labels_table.schema.column_names()[0]
             for row in labels_table.scan():
-                self.positive_label = row.get(column)
+                self.writer.positive_label = row.get(column)
                 break
 
-    def _attach_triggers(self, entities_table, examples_table) -> None:
+    def _triggers(self) -> tuple[tuple[str, str, TriggerEvent, WriteKind], ...]:
+        """``(table, trigger name, event, kind)``: the six base-table events
+        this view is maintained under, read by attach and detach alike."""
+        entities, examples = self.definition.entities_table, self.definition.examples_table
         prefix = f"hazy_{self.definition.view_name}"
-        entities_table.add_trigger(
-            Trigger(
-                name=f"{prefix}_entities",
-                event=TriggerEvent.AFTER_INSERT,
-                callback=lambda _table, new_row, _old: self._on_entity_insert(new_row),
-            )
-        )
-        entities_table.add_trigger(
-            Trigger(
-                name=f"{prefix}_entities_update",
-                event=TriggerEvent.AFTER_UPDATE,
-                callback=lambda _table, new_row, old_row: self._on_entity_update(
-                    new_row, old_row
-                ),
-            )
-        )
-        entities_table.add_trigger(
-            Trigger(
-                name=f"{prefix}_entities_delete",
-                event=TriggerEvent.AFTER_DELETE,
-                callback=lambda _table, _new, old_row: self._on_entity_delete(old_row),
-            )
-        )
-        examples_table.add_trigger(
-            Trigger(
-                name=f"{prefix}_examples",
-                event=TriggerEvent.AFTER_INSERT,
-                callback=lambda _table, new_row, _old: self._on_example_insert(new_row),
-            )
-        )
-        examples_table.add_trigger(
-            Trigger(
-                name=f"{prefix}_examples_update",
-                event=TriggerEvent.AFTER_UPDATE,
-                callback=lambda _table, new_row, old_row: self._on_example_update(
-                    new_row, old_row
-                ),
-            )
-        )
-        examples_table.add_trigger(
-            Trigger(
-                name=f"{prefix}_examples_delete",
-                event=TriggerEvent.AFTER_DELETE,
-                callback=lambda _table, _new, old_row: self._on_example_delete(old_row),
-            )
+        on = TriggerEvent
+        return (
+            (entities, f"{prefix}_entities", on.AFTER_INSERT, WriteKind.ENTITY_INSERT),
+            (entities, f"{prefix}_entities_update", on.AFTER_UPDATE, WriteKind.ENTITY_UPDATE),
+            (entities, f"{prefix}_entities_delete", on.AFTER_DELETE, WriteKind.ENTITY_DELETE),
+            (examples, f"{prefix}_examples", on.AFTER_INSERT, WriteKind.EXAMPLE_INSERT),
+            (examples, f"{prefix}_examples_update", on.AFTER_UPDATE, WriteKind.EXAMPLE_UPDATE),
+            (examples, f"{prefix}_examples_delete", on.AFTER_DELETE, WriteKind.EXAMPLE_DELETE),
         )
 
     def _detach_triggers(self) -> None:
         """Drop this view's maintenance triggers (engine rollback path)."""
-        prefix = f"hazy_{self.definition.view_name}"
-        suffixes = (
-            "_entities",
-            "_entities_update",
-            "_entities_delete",
-            "_examples",
-            "_examples_update",
-            "_examples_delete",
-        )
-        for table_name in (self.definition.entities_table, self.definition.examples_table):
+        for table_name, name, _event, _kind in self._triggers():
             try:
                 table = self.database.table(table_name)
             except Exception:
                 continue
-            for suffix in suffixes:
-                table.drop_trigger(f"{prefix}{suffix}")
+            table.drop_trigger(name)
 
-    # -- label conversion ----------------------------------------------------------------------
+    # -- the write side --------------------------------------------------------------------------
+
+    @property
+    def positive_label(self) -> object | None:
+        """The user-facing label value that means +1, when one is known."""
+        return self.writer.positive_label
+
+    @property
+    def _examples(self) -> list[TrainingExample]:
+        """The retained examples (held by the writer)."""
+        return self.writer.examples
 
     def to_binary_label(self, label_value: object) -> int:
         """Convert a user-facing label value to the internal {-1, +1} encoding."""
-        if isinstance(label_value, bool):
-            return 1 if label_value else -1
-        if isinstance(label_value, (int, float)) and label_value in (-1, 1):
-            return int(label_value)
-        if self.positive_label is not None:
-            return 1 if label_value == self.positive_label else -1
-        raise ConfigurationError(
-            f"cannot interpret label {label_value!r}: declare a LABELS table or use -1/+1"
-        )
+        return self.writer.to_binary_label(label_value)
 
     def from_binary_label(self, label: int) -> object:
         """Convert the internal label back to the user-facing value when one is known."""
@@ -242,107 +180,33 @@ class ClassificationView:
             return self.positive_label
         return f"not_{self.positive_label}"
 
-    # -- trigger bodies --------------------------------------------------------------------------
+    def _on_write(self, kind: WriteKind, _table_name: str, new_row, old_row) -> None:
+        """The one trigger body: a base-table write *is* the Update operation.
 
-    def _example_from_row(
-        self, row: Mapping[str, object], feature_lookup: Mapping[object, SparseVector] | None = None
-    ) -> TrainingExample | None:
-        entity_id = row[self.definition.examples_key]
-        label = self.to_binary_label(row[self.definition.examples_label])
-        if feature_lookup is not None and entity_id in feature_lookup:
-            features = feature_lookup[entity_id]
-        else:
-            try:
-                features = self.maintainer.store.get(entity_id).features
-            except Exception:
-                return None
-        return TrainingExample(entity_id=entity_id, features=features, label=label)
-
-    def _on_entity_insert(self, row: Mapping[str, object] | None) -> None:
-        if row is None:
-            return
-        self.feature_function.compute_stats_incremental(row)
-        entity_id = row[self.definition.entities_key]
-        features = self.feature_function.compute_feature(row)
-        self.maintainer.store.charge_featurization(features.nnz())
-        self.maintainer.add_entity(entity_id, features)
-
-    def _on_entity_update(
-        self, new_row: Mapping[str, object] | None, old_row: Mapping[str, object] | None
-    ) -> None:
-        """An entity row changed: refeaturize it and replace it in the view.
-
+        Served, the write goes to the server's queue (and WAL); otherwise —
+        or once the server is closing — it is applied here, as a run of one,
+        and a write that cannot apply raises into the user's statement.
         Corpus statistics are append-only (as in the streaming setting the
-        paper assumes), so the new row's stats are folded in incrementally;
+        paper assumes), so an updated entity's new row folds in incrementally;
         training examples keep the feature snapshot they were absorbed with.
         """
-        if new_row is None or old_row is None:
+        if self._server is not None and self._server.submit(kind, new_row, old_row):
             return
-        old_id = old_row[self.definition.entities_key]
-        self.maintainer.remove_entity(old_id)
-        self._on_entity_insert(new_row)
-
-    def _on_entity_delete(self, old_row: Mapping[str, object] | None) -> None:
-        """An entity row was deleted: drop it from the view."""
-        if old_row is None:
-            return
-        self.maintainer.remove_entity(old_row[self.definition.entities_key])
-
-    def _on_example_insert(self, row: Mapping[str, object] | None) -> None:
-        if row is None:
-            return
-        example = self._example_from_row(row)
-        if example is None:
-            raise ViewDefinitionError(
-                f"training example references unknown entity {row[self.definition.examples_key]!r}"
-            )
-        self._examples.append(example)
-        model = self.trainer.absorb(example)
-        self.maintainer.apply_model(model)
-
-    def _on_example_update(
-        self, new_row: Mapping[str, object] | None, old_row: Mapping[str, object] | None
-    ) -> None:
-        """An example changed: forget the old one, retain the new, retrain once."""
-        if new_row is None or old_row is None:
-            return
-        # Validate the replacement before touching state: a bad new row must
-        # not leave the old example silently dropped without a retrain.
-        new_example = self._example_from_row(new_row)
-        if new_example is None:
-            raise ViewDefinitionError(
-                f"training example references unknown entity "
-                f"{new_row[self.definition.examples_key]!r}"
-            )
-        old_id = old_row[self.definition.examples_key]
-        old_label = self.to_binary_label(old_row[self.definition.examples_label])
-        for index, example in enumerate(self._examples):
-            if example.entity_id == old_id and example.label == old_label:
-                del self._examples[index]
-                break
-        self._examples.append(new_example)
-        self.retrain()
-
-    def _on_example_delete(self, row: Mapping[str, object] | None) -> None:
-        """Deletion of an example retrains the model from scratch (paper footnote 2)."""
-        if row is None:
-            return
-        deleted_id = row[self.definition.examples_key]
-        deleted_label = self.to_binary_label(row[self.definition.examples_label])
-        for index, example in enumerate(self._examples):
-            if example.entity_id == deleted_id and example.label == deleted_label:
-                del self._examples[index]
-                break
-        self.retrain()
+        store = self.maintainer.store
+        entity_ops, models, _steps, refused = self.writer.prepare(
+            ((kind, new_row, old_row),),
+            lambda entity_id: store.get(entity_id).features,
+            store.charge_featurization,
+        )
+        if refused:
+            raise refused[0]
+        apply_writes(self.maintainer, entity_ops, models)
 
     # -- public operations ------------------------------------------------------------------------
 
     def retrain(self) -> None:
         """Retrain the model from the retained examples and rebuild the view."""
-        self.trainer.reset()
-        for example in self._examples:
-            self.trainer.absorb(example)
-        self.maintainer.apply_model(self.trainer.model.copy())
+        self.maintainer.apply_model(self.writer.retrain())
 
     def insert_example(self, entity_id: object, label_value: object) -> None:
         """Insert a training example through the examples table (fires the trigger)."""
@@ -378,11 +242,6 @@ class ClassificationView:
             yield {key_column: entity_id, "class": self.from_binary_label(label)}
 
     # -- serving hooks ------------------------------------------------------------------------
-
-    def model_snapshot(self):
-        """Snapshot hook: ``(version, model copy)`` of the current model."""
-        model = self.trainer.model.copy()
-        return model.version, model
 
     def entity_snapshot(self) -> list[tuple[object, SparseVector]]:
         """Shard hook: materialized ``(id, features)`` pairs for partitioning."""
@@ -488,6 +347,40 @@ class HazyEngine:
             return self._trainer_factory(loss)
         return SGDTrainer(loss=loss)
 
+    def _build_view(
+        self, definition, feature_function: FeatureFunction, positive_label, restored=False
+    ) -> ClassificationView:
+        """A view over a fresh writer and direct maintainer (cold, or restored)."""
+        writer = ViewWriter(
+            self._build_trainer(definition),
+            feature_function,
+            positive_label,
+            entities_key=definition.entities_key,
+            examples_key=definition.examples_key,
+            examples_label=definition.examples_label,
+        )
+        maintainer = self._build_maintainer(self._build_store(feature_function.norm_q))
+        return ClassificationView(definition, self.database, maintainer, writer, restored)
+
+    def _server_arguments(self, view: ClassificationView, server_options) -> dict[str, object]:
+        """The ``ViewServer`` keyword block a fresh serve and a restore share."""
+        feature_norm_q = view.feature_function.norm_q
+
+        def store_factory() -> EntityStore:
+            # Each shard gets a private pool so shard workers never contend
+            # on page latches (the database's pool keeps serving the tables).
+            pool = None
+            if self.architecture != "mainmemory":
+                pool = BufferPool(self.database.cost_model, None, IOStatistics())
+            return self._build_store(feature_norm_q, pool=pool)
+
+        return dict(
+            writer=view.writer,
+            store_factory=store_factory,
+            maintainer_factory=self._build_maintainer,
+            **server_options,
+        )
+
     # -- view management ---------------------------------------------------------------------------
 
     def create_view(
@@ -499,17 +392,7 @@ class HazyEngine:
         if definition.view_name.lower() in self.views:
             raise ViewDefinitionError(f"view {definition.view_name!r} already exists")
         feature_function = self.registry.create(definition.feature_function)
-        store = self._build_store(feature_function.norm_q)
-        maintainer = self._build_maintainer(store)
-        trainer = self._build_trainer(definition)
-        view = ClassificationView(
-            definition=definition,
-            database=self.database,
-            feature_function=feature_function,
-            maintainer=maintainer,
-            trainer=trainer,
-            positive_label=positive_label,
-        )
+        view = self._build_view(definition, feature_function, positive_label)
         self.views[definition.view_name.lower()] = view
         self.database.catalog.register_classification_view(definition.view_name, view)
         return view
@@ -533,8 +416,9 @@ class HazyEngine:
         The server shards the view's entity space across ``num_shards`` worker
         threads (each shard runs this engine's architecture/strategy/approach),
         batches concurrent reads, and maintains the view from a background
-        pipeline; the view's SQL triggers are diverted into the server's write
-        queue until ``server.close()`` hands the view back consistent.
+        pipeline; the view lends the server its writer and its trigger body
+        hands every write to the server's queue until ``server.close()`` hands
+        the view back consistent.
 
         With ``restore_from`` the server **warm-starts** from a checkpoint
         directory written by
@@ -561,31 +445,11 @@ class HazyEngine:
         view = self.view(name)
         if view._server is not None:
             raise ViewDefinitionError(f"view {name!r} is already being served")
-        feature_norm_q = view.feature_function.norm_q
-
-        def store_factory() -> EntityStore:
-            # Each shard gets a private pool so shard workers never contend
-            # on page latches (the database's pool keeps serving the tables).
-            pool = None
-            if self.architecture != "mainmemory":
-                pool = BufferPool(self.database.cost_model, None, IOStatistics())
-            return self._build_store(feature_norm_q, pool=pool)
-
-        _, model = view.model_snapshot()
         server = ViewServer(
             entities=view.entity_snapshot(),
-            model=model,
-            trainer=view.trainer,
-            store_factory=store_factory,
-            maintainer_factory=self._build_maintainer,
-            feature_function=view.feature_function,
-            label_to_binary=view.to_binary_label,
-            entities_key=view.definition.entities_key,
-            examples_key=view.definition.examples_key,
-            examples_label=view.definition.examples_label,
-            initial_examples=list(view._examples),
+            model=view.model.copy(),
             num_shards=num_shards,
-            **server_options,
+            **self._server_arguments(view, server_options),
         )
         server.attach_view(view)
         self._register_serving_metrics(view)
@@ -593,62 +457,35 @@ class HazyEngine:
 
     # -- declarative serving surface (the SQL front door) -------------------------------------------
 
-    #: ``WITH (...)`` option names accepted by SERVE VIEW / RESTORE VIEW and the
-    #: ``ViewServer`` keyword each maps to.
-    _INT_SERVER_OPTIONS = {
-        "shards": "num_shards",
-        "num_shards": "num_shards",
-        "max_read_batch": "max_read_batch",
-        "queue_capacity": "queue_capacity",
-        "max_write_batch": "max_write_batch",
-        "cache_capacity": "cache_capacity",
-        "epoch_history": "epoch_history",
-    }
-    _FLOAT_SERVER_OPTIONS = {
-        "max_wait_s": "read_batch_wait_s",
-        "read_batch_wait_s": "read_batch_wait_s",
-    }
-    _STR_SERVER_OPTIONS = {
-        "wal": "wal_dir",
-        "wal_dir": "wal_dir",
+    #: ``WITH (...)`` option names accepted by SERVE VIEW / RESTORE VIEW:
+    #: the ``ViewServer`` keyword each maps to, the type it must have, and
+    #: how that type is worded in the error.
+    _SERVER_OPTIONS = {
+        "shards": ("num_shards", int, "an integer"),
+        "max_read_batch": ("max_read_batch", int, "an integer"),
+        "queue_capacity": ("queue_capacity", int, "an integer"),
+        "max_write_batch": ("max_write_batch", int, "an integer"),
+        "cache_capacity": ("cache_capacity", int, "an integer"),
+        "epoch_history": ("epoch_history", int, "an integer"),
+        "max_wait_s": ("read_batch_wait_s", float, "a number"),
+        "wal": ("wal_dir", str, "a string"),
+        "adaptive_batching": ("adaptive_batching", bool, "true or false"),
     }
 
     def _server_options(self, options: Mapping[str, object]) -> dict[str, object]:
         """Map declarative ``WITH`` options onto ``ViewServer`` keyword arguments."""
         mapped: dict[str, object] = {}
-        adaptive = False
         for name, value in options.items():
-            key = name.lower()
-            if key in self._INT_SERVER_OPTIONS:
-                if isinstance(value, bool) or not isinstance(value, int):
-                    raise ConfigurationError(f"option {name!r} expects an integer, got {value!r}")
-                mapped[self._INT_SERVER_OPTIONS[key]] = value
-            elif key in self._FLOAT_SERVER_OPTIONS:
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    raise ConfigurationError(f"option {name!r} expects a number, got {value!r}")
-                mapped[self._FLOAT_SERVER_OPTIONS[key]] = float(value)
-            elif key in self._STR_SERVER_OPTIONS:
-                if not isinstance(value, str):
-                    raise ConfigurationError(f"option {name!r} expects a string, got {value!r}")
-                mapped[self._STR_SERVER_OPTIONS[key]] = value
-            elif key == "adaptive_batching":
-                if not isinstance(value, bool):
-                    raise ConfigurationError(
-                        f"option {name!r} expects true or false, got {value!r}"
-                    )
-                if value:
-                    adaptive = True
-            else:
-                known = sorted(
-                    {
-                        *self._INT_SERVER_OPTIONS,
-                        *self._FLOAT_SERVER_OPTIONS,
-                        *self._STR_SERVER_OPTIONS,
-                        "adaptive_batching",
-                    }
+            if name.lower() not in self._SERVER_OPTIONS:
+                raise ConfigurationError(
+                    f"unknown serving option {name!r}; known: {sorted(self._SERVER_OPTIONS)}"
                 )
-                raise ConfigurationError(f"unknown serving option {name!r}; known: {known}")
-        if adaptive:
+            keyword, kind, wording = self._SERVER_OPTIONS[name.lower()]
+            accepted = (int, float) if kind is float else kind
+            if not isinstance(value, accepted) or (kind is not bool and isinstance(value, bool)):
+                raise ConfigurationError(f"option {name!r} expects {wording}, got {value!r}")
+            mapped[keyword] = kind(value)
+        if mapped.pop("adaptive_batching", False):
             if "read_batch_wait_s" in mapped:
                 raise ConfigurationError(
                     "adaptive_batching derives the batching window itself; "
@@ -843,25 +680,9 @@ class HazyEngine:
             # fresh one and pay a stats pass over the entities table.
             feature_function = self.registry.create(definition.feature_function)
             feature_function.compute_stats(self.database.table(definition.entities_table).scan())
-        trainer = self._build_trainer(definition)
-        direct_maintainer = self._build_maintainer(self._build_store(feature_function.norm_q))
-        view = ClassificationView.restore(
-            definition=definition,
-            database=self.database,
-            feature_function=feature_function,
-            maintainer=direct_maintainer,
-            trainer=trainer,
-            positive_label=manifest.positive_label,
-            examples=list(manifest.examples),
+        view = self._build_view(
+            definition, feature_function, manifest.positive_label, restored=True
         )
-
-        feature_norm_q = feature_function.norm_q
-
-        def store_factory() -> EntityStore:
-            pool = None
-            if self.architecture != "mainmemory":
-                pool = BufferPool(self.database.cost_model, None, IOStatistics())
-            return self._build_store(feature_norm_q, pool=pool)
 
         # Register nothing until the server is fully built and the replay has
         # converged: a failure anywhere below must leave the engine exactly as
@@ -871,16 +692,7 @@ class HazyEngine:
         server = None
         try:
             server = ViewServer.restore(
-                checkpoint,
-                trainer=trainer,
-                store_factory=store_factory,
-                maintainer_factory=self._build_maintainer,
-                feature_function=feature_function,
-                label_to_binary=view.to_binary_label,
-                entities_key=definition.entities_key,
-                examples_key=definition.examples_key,
-                examples_label=definition.examples_label,
-                **server_options,
+                checkpoint, **self._server_arguments(view, server_options)
             )
             self.views[key] = view
             self.database.catalog.register_classification_view(definition.view_name, view)
@@ -894,7 +706,7 @@ class HazyEngine:
             view._server = None
             if server is not None:
                 # Skip the hand-back resync (the view was never live); close()
-                # still clears the diverted dispatchers and stops the workers.
+                # still stops the workers.
                 server._view = None
                 try:
                     server.close(timeout=10)
@@ -925,109 +737,58 @@ class HazyEngine:
         from collections import Counter
 
         from repro.persist.snapshot import row_content_hash
-        # Composition-root seam: Engine.serve() constructs the layer above
-        # it; the import stays lazy so `import repro.core` never pulls serve.
-        from repro.serve.requests import WriteKind, WriteOp  # repro: noqa(LAY001)
 
         definition = view.definition
-        entities_table = self.database.table(definition.entities_table)
-        examples_table = self.database.table(definition.examples_table)
+        entities_key = definition.entities_key
         snapshot_ids = set(checkpoint.entity_ids)
         hashes: dict[object, str] = {}
         for state in checkpoint.shard_states:
             for entity_id, digest in state.row_hashes or ():
                 hashes[entity_id] = digest
-        retained = Counter(
-            (example.entity_id, example.label) for example in checkpoint.manifest.examples
-        )
+
+        example_key = view.writer.example_key
+        retained = Counter(map(example_key, checkpoint.manifest.examples))
 
         # ---- Pass 1: WAL replay (bookkeeping keeps pass 2 from double-applying)
-        if server.wal is not None:
-            for record in server.wal.records_after(checkpoint.manifest.wal_applied_seq):
-                kind = WriteKind(record.kind)
-                server.worker.enqueue(
-                    WriteOp(
-                        kind=kind,
-                        row=record.row,
-                        old_row=record.old_row,
-                        wal_seq=record.seq,
-                    )
-                )
-                if kind in (WriteKind.ENTITY_INSERT, WriteKind.ENTITY_UPDATE):
-                    entity_id = record.row[definition.entities_key]
-                    snapshot_ids.add(entity_id)
-                    hashes[entity_id] = row_content_hash(record.row)
-                elif kind is WriteKind.ENTITY_DELETE:
-                    entity_id = record.old_row[definition.entities_key]
-                    snapshot_ids.discard(entity_id)
-                    hashes.pop(entity_id, None)
-                elif kind in (WriteKind.EXAMPLE_INSERT, WriteKind.EXAMPLE_UPDATE):
-                    if kind is WriteKind.EXAMPLE_UPDATE:
-                        retained[
-                            (
-                                record.old_row[definition.examples_key],
-                                view.to_binary_label(
-                                    record.old_row[definition.examples_label]
-                                ),
-                            )
-                        ] -= 1
-                    retained[
-                        (
-                            record.row[definition.examples_key],
-                            view.to_binary_label(record.row[definition.examples_label]),
-                        )
-                    ] += 1
-                elif kind is WriteKind.EXAMPLE_DELETE:
-                    retained[
-                        (
-                            record.old_row[definition.examples_key],
-                            view.to_binary_label(record.old_row[definition.examples_label]),
-                        )
-                    ] -= 1
+        def observe(kind: WriteKind, row, old_row) -> None:
+            if kind in (WriteKind.ENTITY_UPDATE, WriteKind.ENTITY_DELETE):
+                snapshot_ids.discard(old_row[entities_key])
+                hashes.pop(old_row[entities_key], None)
+            if kind in (WriteKind.ENTITY_INSERT, WriteKind.ENTITY_UPDATE):
+                snapshot_ids.add(row[entities_key])
+                hashes[row[entities_key]] = row_content_hash(row)
+            if kind in (WriteKind.EXAMPLE_UPDATE, WriteKind.EXAMPLE_DELETE):
+                retained[example_key(old_row)] -= 1
+            if kind in (WriteKind.EXAMPLE_INSERT, WriteKind.EXAMPLE_UPDATE):
+                retained[example_key(row)] += 1
+
+        server.replay_wal(flush=False, observe=observe)
 
         # ---- Pass 2: diff the (post-WAL) expected state against the base tables
         live_ids: set[object] = set()
-        for row in entities_table.scan():
-            entity_id = row[definition.entities_key]
+        for row in self.database.table(definition.entities_table).scan():
+            entity_id = row[entities_key]
             live_ids.add(entity_id)
             if entity_id not in snapshot_ids:
-                server.worker.enqueue(WriteOp(kind=WriteKind.ENTITY_INSERT, row=dict(row)))
+                server.replay(WriteKind.ENTITY_INSERT, dict(row))
                 continue
             stored = hashes.get(entity_id)
             if stored is not None and stored != row_content_hash(row):
-                server.worker.enqueue(
-                    WriteOp(
-                        kind=WriteKind.ENTITY_UPDATE,
-                        row=dict(row),
-                        old_row={definition.entities_key: entity_id},
-                    )
-                )
+                server.replay(WriteKind.ENTITY_UPDATE, dict(row), {entities_key: entity_id})
         for entity_id in snapshot_ids - live_ids:
-            server.worker.enqueue(
-                WriteOp(
-                    kind=WriteKind.ENTITY_DELETE,
-                    old_row={definition.entities_key: entity_id},
-                )
-            )
-        for row in examples_table.scan():
-            key = (
-                row[definition.examples_key],
-                view.to_binary_label(row[definition.examples_label]),
-            )
+            server.replay(WriteKind.ENTITY_DELETE, None, {entities_key: entity_id})
+        for row in self.database.table(definition.examples_table).scan():
+            key = example_key(row)
             if retained[key] > 0:
                 retained[key] -= 1
             else:
-                server.worker.enqueue(WriteOp(kind=WriteKind.EXAMPLE_INSERT, row=dict(row)))
+                server.replay(WriteKind.EXAMPLE_INSERT, dict(row))
         for (entity_id, label), count in retained.items():
             for _ in range(count):
-                server.worker.enqueue(
-                    WriteOp(
-                        kind=WriteKind.EXAMPLE_DELETE,
-                        old_row={
-                            definition.examples_key: entity_id,
-                            definition.examples_label: label,
-                        },
-                    )
+                server.replay(
+                    WriteKind.EXAMPLE_DELETE,
+                    None,
+                    {definition.examples_key: entity_id, definition.examples_label: label},
                 )
         server.flush()
 

@@ -3,7 +3,10 @@
 Hazy "monitors the relevant views for updates" using standard triggers: an
 ``AFTER INSERT`` trigger on the training-example table is what drives the
 incremental maintenance loop.  This module provides exactly that mechanism for
-the substrate's tables.
+the substrate's tables, and nothing more: a trigger always runs its callback
+inline.  Whether the work is done there or handed to a serving pipeline is
+the callback's own decision (``ClassificationView._on_write`` asks its view
+"am I served?"), so any number of views over one table stay independent.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import enum
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-__all__ = ["TriggerEvent", "Trigger", "TriggerSet", "TriggerDispatcher"]
+__all__ = ["TriggerEvent", "Trigger", "TriggerSet"]
 
 
 class TriggerEvent(enum.Enum):
@@ -35,27 +38,11 @@ class Trigger:
     callback: TriggerCallback
 
 
-#: A dispatcher intercepts trigger firings.  It receives the trigger plus the
-#: full event context and returns True when it *consumed* the firing (e.g. by
-#: enqueuing it for asynchronous maintenance) or False to let the trigger's
-#: callback run inline as usual.
-TriggerDispatcher = Callable[
-    [Trigger, TriggerEvent, str, dict[str, object] | None, dict[str, object] | None], bool
-]
-
-
 @dataclass
 class TriggerSet:
-    """The triggers attached to one table, indexed by event.
-
-    A :data:`TriggerDispatcher` may be installed to divert firings away from
-    the inline callback — the serving subsystem uses this to *enqueue*
-    maintenance work onto its background pipeline instead of retraining inside
-    the user's ``INSERT`` statement.
-    """
+    """The triggers attached to one table, indexed by event."""
 
     _triggers: dict[TriggerEvent, list[Trigger]] = field(default_factory=dict)
-    _dispatcher: TriggerDispatcher | None = None
 
     def add(self, trigger: Trigger) -> None:
         """Attach a trigger."""
@@ -71,19 +58,6 @@ class TriggerSet:
                 self._triggers[event] = kept
         return removed
 
-    def set_dispatcher(self, dispatcher: TriggerDispatcher) -> None:
-        """Divert firings through ``dispatcher`` (see :data:`TriggerDispatcher`)."""
-        self._dispatcher = dispatcher
-
-    def clear_dispatcher(self) -> None:
-        """Restore inline trigger execution."""
-        self._dispatcher = None
-
-    @property
-    def has_dispatcher(self) -> bool:
-        """Whether a dispatcher is currently installed."""
-        return self._dispatcher is not None
-
     def fire(
         self,
         event: TriggerEvent,
@@ -91,16 +65,8 @@ class TriggerSet:
         new_row: dict[str, object] | None,
         old_row: dict[str, object] | None,
     ) -> None:
-        """Invoke every trigger registered for ``event`` in registration order.
-
-        When a dispatcher is installed it sees each trigger first and may
-        consume the firing (return True); unconsumed firings run inline.
-        """
+        """Invoke every trigger registered for ``event`` in registration order."""
         for trigger in self._triggers.get(event, []):
-            if self._dispatcher is not None and self._dispatcher(
-                trigger, event, table_name, new_row, old_row
-            ):
-                continue
             trigger.callback(table_name, new_row, old_row)
 
     def names(self) -> list[str]:

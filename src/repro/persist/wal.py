@@ -1,10 +1,10 @@
 """Write-ahead log for the diverted trigger-op stream.
 
-The serving tier diverts base-table trigger firings into an in-memory
-maintenance queue (``ViewServer._dispatch_trigger``); a crash between a
-client's write returning and the next epoch publish would silently drop
-those queued ops.  :class:`WriteAheadLog` closes that window the standard
-ARIES way, applied to the view-maintenance stream instead of page writes:
+A served view's trigger body hands every base-table write to an in-memory
+maintenance queue (``ViewServer.submit``); a crash between a client's write
+returning and the next epoch publish would silently drop those queued ops.
+:class:`WriteAheadLog` closes that window the standard ARIES way, applied to
+the view-maintenance stream instead of page writes:
 
 * **log-before-enqueue** — the server appends each diverted op here (one
   CRC-framed JSON record, flushed) *before* handing it to the maintenance

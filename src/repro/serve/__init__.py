@@ -14,8 +14,9 @@ Module map
     (``label_of``, ``all_members``, ``top_k``, ``classify``) and writes
     (``insert_entity``, ``insert_example``), epoch-tagged snapshot reads,
     per-client :class:`~repro.serve.server.ClientSession` monotonicity,
-    attachment to a live ``ClassificationView`` (SQL triggers divert into the
-    pipeline), and ``checkpoint(path)`` — a quiesce-free consistent snapshot
+    attachment to a live ``ClassificationView`` (which lends it its
+    :class:`~repro.core.writes.ViewWriter` and hands it every base-table
+    write through ``submit``), and ``checkpoint(path)`` — a quiesce-free consistent snapshot
     of the whole serving state (see :mod:`repro.persist`); ``restore``
     warm-starts a server from one.
 ``sharding``
@@ -28,8 +29,10 @@ Module map
     per-statement overhead that caps read throughput in Figure 5.
 ``maintenance``
     :class:`~repro.serve.maintenance.MaintenanceWorker` — drains a bounded
-    write queue in batches; training runs outside the lock readers take, so
-    reads never block behind model retraining.
+    write queue in batches through the view's one write body
+    (``ViewWriter.prepare``, the code an unserved view runs inline); training
+    runs outside the lock readers take, so reads never block behind model
+    retraining, and a write that cannot apply fails only its own ticket.
 ``cache``
     :class:`~repro.serve.cache.WaterBandResultCache` — serves repeat reads
     straight from cached ε values while the entity sits outside the low/high

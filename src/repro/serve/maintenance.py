@@ -7,21 +7,31 @@ never block behind model retraining*.
 
 Each drained batch goes through two phases:
 
-1. **Prepare (no locks held).**  New entities are featurized, training
-   examples are resolved against entity features, and the global trainer
-   absorbs them — one gradient step per example, collecting the intermediate
-   model snapshots.  Deletions/updates of examples trigger the paper's
-   footnote-2 semantics (full retrain from the retained example set), also
-   outside any lock.  Readers keep streaming through the shards the whole
+1. **Prepare (no locks held).**  The batch is handed, whole and in arrival
+   order, to the view's :class:`~repro.core.writes.ViewWriter` — the same
+   body an unserved view runs inline for a run of one.  It featurizes new
+   entities, resolves training examples against entity features and trains:
+   one gradient step per example, collecting the intermediate model
+   snapshots, or the paper's footnote-2 full retrain when an example was
+   deleted or replaced.  Readers keep streaming through the shards the whole
    time.
-2. **Apply (writers' side of the server lock).**  Entity removals and
-   insertions land on their owning shards, then the collected model run is
-   handed to every shard's
+2. **Apply (writers' side of the server lock).**
+   :func:`~repro.core.writes.apply_writes` lands entity removals and
+   insertions on their owning shards, then hands the collected model run to
+   every shard's
    :meth:`~repro.core.maintainers.base.ViewMaintainer.apply_model_batch` —
    the eager Hazy maintainer reclassifies only the cumulative water band,
    once, under the final model.  The epoch clock then advances, the new model
    snapshot is published, and every ticket in the batch resolves to the new
    epoch.
+
+**A write that cannot apply fails its own ticket and nothing else.**  The
+writer validates each write before touching state and reports the refused
+ones by position (an example for an entity that does not exist, a label with
+no ±1 reading); their tickets fail with that error, ``last_error`` records
+it, and every other ticket of the batch — a barrier included — resolves to
+the published epoch.  A refused op is *consumed*: its WAL sequence number is
+covered by the publish, so recovery never trips over it again.
 
 **When a round starts.**  A burst of acknowledged writes is cheapest applied
 as *one* round — one cumulative-band pass under the final model is what
@@ -57,8 +67,7 @@ import queue
 import threading
 from collections.abc import Sequence
 
-from repro.learn.model import LinearModel
-from repro.learn.sgd import TrainingExample
+from repro.core.writes import apply_writes
 from repro.serve.requests import WriteKind, WriteOp, WriteTicket
 from repro.serve.sharding import shard_index
 
@@ -80,14 +89,12 @@ class MaintenanceWorker:
     """Drains the write queue and applies batches to the sharded view.
 
     ``host`` is the owning :class:`~repro.serve.server.ViewServer`; the worker
-    drives it through a small protocol: ``featurize_entity(row)``,
-    ``entity_key(row)``, ``build_example(row, pending_features)``,
-    ``retain_example(example)``, ``forget_example(old_row)``,
-    ``retained_examples()``, ``charge_model_update()``,
-    ``record_mutations(entity_ops)``,
+    drives it through a small protocol: the ``writer`` it was lent,
+    ``stored_features(entity_id)``, ``charge_featurize(nnz)``,
+    ``charge_training(steps)``, ``record_mutations(entity_ops)``,
     ``publish_epoch(final_model, dirty_shards, wal_seq)`` and
-    ``rotate_wal()`` plus the ``trainer``, ``shards``, ``rw_lock`` and
-    ``epoch_clock`` attributes.
+    ``rotate_wal()`` plus the ``shards``, ``rw_lock`` and ``epoch_clock``
+    attributes.
     """
 
     def __init__(
@@ -197,57 +204,12 @@ class MaintenanceWorker:
         host = self._host
 
         # ---- Phase 1: prepare, train — no locks, readers unaffected ----------------
-        # Entity churn is kept as one *ordered* op list: an insert+delete (or
-        # insert+update) of the same entity within a single drained batch must
-        # replay in arrival order or it corrupts the shards.
-        entity_ops: list[tuple[str, object]] = []  # ("add", (id, features)) | ("remove", id)
-        pending_features: dict[object, object] = {}
-        new_examples: list[TrainingExample] = []
-        needs_retrain = False
-
-        for op in ops:
-            if op.kind is WriteKind.BARRIER:
-                continue
-            if op.kind is WriteKind.ENTITY_INSERT:
-                entity_id, features = host.featurize_entity(op.row)
-                entity_ops.append(("add", (entity_id, features)))
-                pending_features[entity_id] = features
-            elif op.kind is WriteKind.ENTITY_DELETE:
-                entity_id = host.entity_key(op.old_row)
-                entity_ops.append(("remove", entity_id))
-                pending_features.pop(entity_id, None)
-            elif op.kind is WriteKind.ENTITY_UPDATE:
-                entity_ops.append(("remove", host.entity_key(op.old_row)))
-                entity_id, features = host.featurize_entity(op.row)
-                entity_ops.append(("add", (entity_id, features)))
-                pending_features[entity_id] = features
-            elif op.kind is WriteKind.EXAMPLE_INSERT:
-                example = host.build_example(op.row, pending_features)
-                host.retain_example(example)
-                new_examples.append(example)
-            elif op.kind is WriteKind.EXAMPLE_DELETE:
-                if host.forget_example(op.old_row):
-                    needs_retrain = True
-            elif op.kind is WriteKind.EXAMPLE_UPDATE:
-                if host.forget_example(op.old_row):
-                    needs_retrain = True
-                example = host.build_example(op.row, pending_features)
-                host.retain_example(example)
-                new_examples.append(example)
-
-        models: list[LinearModel] = []
-        if needs_retrain:
-            # Footnote 2: deletion invalidates the incremental trajectory —
-            # retrain from scratch over the retained examples, still unlocked.
-            host.trainer.reset()
-            for example in host.retained_examples():
-                host.charge_model_update()
-                host.trainer.absorb(example)
-            models = [host.trainer.model.copy()]
-        elif new_examples:
-            for example in new_examples:
-                host.charge_model_update()
-                models.append(host.trainer.absorb(example))
+        entity_ops, models, training_steps, refused = host.writer.prepare(
+            [(op.kind, op.row, op.old_row) for op in ops],
+            host.stored_features,
+            host.charge_featurize,
+        )
+        host.charge_training(training_steps)
 
         # ---- Phase 2: apply — exclusive, but short (no training in here) -------------
         mutated = bool(entity_ops or models)
@@ -271,14 +233,7 @@ class MaintenanceWorker:
                 (op.wal_seq for op in ops if op.wal_seq is not None), default=None
             )
             with host.rw_lock.write_locked():
-                for action, payload in entity_ops:
-                    if action == "remove":
-                        host.shards.remove_entity(payload)
-                    else:
-                        entity_id, features = payload
-                        host.shards.add_entity(entity_id, features)
-                if models:
-                    host.shards.apply_model_batch(models)
+                apply_writes(host.shards, entity_ops, models)
                 host.record_mutations(entity_ops)
                 epoch = host.publish_epoch(
                     models[-1] if models else None,
@@ -290,9 +245,14 @@ class MaintenanceWorker:
             epoch = host.epoch_clock.epoch
 
         self.batches_applied += 1
-        self.ops_applied += sum(1 for op in ops if op.kind is not WriteKind.BARRIER)
-        for op in ops:
-            op.ticket.resolve(epoch)
+        self.ops_applied += sum(1 for op in ops if op.kind is not WriteKind.BARRIER) - len(refused)
+        for position, op in enumerate(ops):
+            error = refused.get(position)
+            if error is None:
+                op.ticket.resolve(epoch)
+            else:
+                self.last_error = error
+                op.ticket.fail(error)
 
     def stats(self) -> dict[str, float]:
         """Worker counters for dashboards and benchmarks (canonical

@@ -1,35 +1,23 @@
 """Request and ticket types exchanged between the front-end and the pipeline.
 
 Writes accepted by the :class:`~repro.serve.server.ViewServer` — directly or
-via SQL triggers on the entity/example tables — are normalized into
-:class:`WriteOp` values and pushed onto the maintenance worker's bounded
-queue.  Each enqueue hands back a :class:`WriteTicket`; when the worker makes
-the batch containing the op visible, the ticket resolves to that epoch, which
-is how client sessions implement read-your-writes.
+from a served view's trigger body — are normalized into :class:`WriteOp`
+values (a :class:`~repro.core.writes.WriteKind`, re-exported here, plus the
+rows) and pushed onto the maintenance worker's bounded queue.  Each enqueue
+hands back a :class:`WriteTicket`; when the worker makes the batch containing
+the op visible, the ticket resolves to that epoch, which is how client
+sessions implement read-your-writes.
 """
 
 from __future__ import annotations
 
-import enum
 import threading
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
+from repro.core.writes import WriteKind
+
 __all__ = ["WriteKind", "WriteOp", "WriteTicket"]
-
-
-class WriteKind(enum.Enum):
-    """The kinds of maintenance work the pipeline understands."""
-
-    ENTITY_INSERT = "entity_insert"
-    ENTITY_UPDATE = "entity_update"
-    ENTITY_DELETE = "entity_delete"
-    EXAMPLE_INSERT = "example_insert"
-    EXAMPLE_UPDATE = "example_update"
-    EXAMPLE_DELETE = "example_delete"
-    #: A no-op used by ``flush``: its ticket resolves once everything enqueued
-    #: before it has been applied.
-    BARRIER = "barrier"
 
 
 class WriteTicket:

@@ -8,8 +8,9 @@ The server owns four moving parts and wires them together:
 * a :class:`~repro.serve.batcher.ReadBatcher` — concurrent ``label_of`` calls
   coalesce into batched, per-shard ``read_many`` rounds;
 * a :class:`~repro.serve.maintenance.MaintenanceWorker` — writes are queued
-  (bounded, backpressuring) and applied in batches, with training kept outside
-  the lock readers take;
+  (bounded, backpressuring) and applied in batches by the view's one write
+  side, a :class:`~repro.core.writes.ViewWriter` the server is *lent* while it
+  serves, with training kept outside the lock readers take;
 * the :class:`~repro.serve.sync.ReadWriteLock` + :class:`~repro.serve.sync.EpochClock`
   pair giving **snapshot consistency**: every read executes under the shared
   side of the lock, so it observes a fully applied epoch, and is tagged with
@@ -17,13 +18,15 @@ The server owns four moving parts and wires them together:
   :class:`ClientSession` threads the two together into monotonic
   read-your-writes semantics.
 
-The server can be built standalone (benchmarks drive it straight from a
-bulk-loaded maintainer) or attached to a live
+The server can be built standalone (tests drive it straight from a corpus and
+a writer of their own) or attached to a live
 :class:`~repro.core.engine.ClassificationView` via
 :meth:`ViewServer.attach_view` / ``HazyEngine.serve`` — in attached mode the
-view's SQL triggers are diverted into the maintenance queue, so ordinary
-``INSERT``/``UPDATE``/``DELETE`` statements feed the pipeline instead of
-retraining inline.
+view's trigger body hands every base-table write to :meth:`ViewServer.submit`
+(WAL append, then enqueue), so ordinary ``INSERT``/``UPDATE``/``DELETE``
+statements feed the pipeline instead of retraining inline.  The server holds
+no trigger, no trigger name and no table: it is the view that asks "am I
+served?", so two served views over one base table never meet.
 """
 
 from __future__ import annotations
@@ -38,11 +41,11 @@ from pathlib import Path
 
 from repro.core.maintainers.base import ViewMaintainer
 from repro.core.stores.base import EntityStore
+from repro.core.writes import ViewWriter
 from repro.db.buffer_pool import IOStatistics
-from repro.db.triggers import Trigger, TriggerEvent
 from repro.exceptions import ConfigurationError, KeyNotFoundError, MaintenanceError
 from repro.learn.model import LinearModel, sign
-from repro.learn.sgd import SGDTrainer, TrainingExample
+from repro.learn.sgd import TrainingExample
 from repro.linalg import SparseVector
 from repro.obs import Counter, current_trace
 from repro.persist.checkpoint import (
@@ -182,32 +185,22 @@ class ViewServer:
         ``(entity_id, features)`` pairs to bulk-load the shards from.
     model:
         The model the view currently reflects (epoch 0).
-    trainer:
-        The *global* incremental trainer; owned by the maintenance worker
-        from here on.
+    writer:
+        The view's write side — feature function, trainer, retained examples,
+        label conversion — *lent* to the server: the maintenance worker runs
+        every batch through it, and an attached view gets it back, as it then
+        stands, on :meth:`close`.
     store_factory / maintainer_factory:
         Build one private store / maintainer per shard.
-    feature_function:
-        Needed for ``classify`` and for featurizing entity-row inserts; may be
-        None when entities are only ever inserted pre-featurized.
-    label_to_binary:
-        Maps user-facing label values to {-1, +1} (defaults to requiring
-        ±1 / bool).
     """
 
     def __init__(
         self,
         entities: Iterable[tuple[object, SparseVector]],
         model: LinearModel,
-        trainer: SGDTrainer,
+        writer: ViewWriter,
         store_factory: Callable[[], EntityStore],
         maintainer_factory: Callable[[EntityStore], ViewMaintainer],
-        feature_function=None,
-        label_to_binary: Callable[[object], int] | None = None,
-        entities_key: str = "id",
-        examples_key: str = "id",
-        examples_label: str = "label",
-        initial_examples: Sequence[TrainingExample] = (),
         num_shards: int = 4,
         max_read_batch: int = 64,
         read_batch_wait_s: float | str = 0.0,
@@ -234,36 +227,29 @@ class ViewServer:
                 num_shards=num_shards,
                 cache_capacity=cache_capacity,
             )
-        self.trainer = trainer
-        self.feature_function = feature_function
+        self.writer = writer
+        self.trainer = writer.trainer
         self.rw_lock = ReadWriteLock()
         self.epoch_clock = EpochClock(start=initial_epoch)
-        self._label_to_binary = label_to_binary if label_to_binary is not None else _default_binary
-        self._entities_key = entities_key
-        self._examples_key = examples_key
-        self._examples_label = examples_label
-        self._examples: list[TrainingExample] = list(initial_examples)
         #: The retained examples as of the last *published* epoch.  Phase 1 of
-        #: a maintenance batch appends to ``_examples`` before the batch is
-        #: visible; checkpoints must only capture the published prefix, so this
-        #: tuple is refreshed under the write lock at each epoch publish.
-        self._published_examples: tuple[TrainingExample, ...] = tuple(self._examples)
+        #: a maintenance batch appends to ``writer.examples`` before the batch
+        #: is visible; checkpoints must only capture the published prefix, so
+        #: this tuple is refreshed under the write lock at each epoch publish.
+        self._published_examples: tuple[TrainingExample, ...] = tuple(writer.examples)
         self._model_snapshot = model.copy()
         self._epoch_history = int(epoch_history)
         self._epoch_models: OrderedDict[int, LinearModel] = OrderedDict(
             {initial_epoch: model.copy()}
         )
-        self._feature_lock = threading.RLock()
         self._train_stats = IOStatistics()
         self._cost_model = self.shards.shards[0].maintainer.store.cost_model
-        #: Ordered entity churn ("add"/"remove" ops) applied while serving,
-        #: replayed in order against the source view on close.
-        self._entity_ops: list[tuple[str, object]] = []
+        #: The last write to each entity id touched while serving — its
+        #: features, None once removed — replayed against the source view on
+        #: close.  Bounded by the distinct ids written, not by the write count.
+        self._entity_writes: dict[object, SparseVector | None] = {}
         self._accepting = True
         self._closed = False
         self._view = None
-        self._dispatched_tables: list = []
-        self._trigger_kinds: dict[str, WriteKind] = {}
         self._ticket_local = threading.local()
         #: Observability counters (thread-safe; mirrored into the metrics
         #: registry by the engine's per-view provider and by ``stats()``).
@@ -460,12 +446,12 @@ class ViewServer:
         if isinstance(row, SparseVector):
             features = row
         else:
-            if self.feature_function is None:
+            if self.writer.feature_function is None:
                 raise MaintenanceError("server has no feature function; pass a SparseVector")
-            with self._feature_lock:
+            with self.writer.feature_lock:
                 # Stateful featurizers exist to be serialized by exactly this
                 # lock; the work belongs under it.
-                features = self.feature_function.compute_feature(row)  # repro: noqa(LOCK002)
+                features = self.writer.feature_function.compute_feature(row)  # repro: noqa(LOCK002)
         return sign(self._model_snapshot.margin(features))
 
     def contents(self) -> dict[object, int]:
@@ -501,7 +487,7 @@ class ViewServer:
         into the queue; standalone, the op is enqueued directly.
         """
         self._require_accepting()
-        row = {self._examples_key: entity_id, self._examples_label: label_value}
+        row = {self.writer.examples_key: entity_id, self.writer.examples_label: label_value}
         if self._view is not None:
             return self._insert_via_table(self._view.definition.examples_table, row)
         return self._enqueue_logged(WriteKind.EXAMPLE_INSERT, row, None)
@@ -527,16 +513,35 @@ class ViewServer:
         wal_seq = None
         if self._wal is not None:
             wal_seq = self._wal.append(kind.value, row, old_row)
+        return self.replay(kind, row, old_row, wal_seq)
+
+    def replay(
+        self, kind: WriteKind, row=None, old_row=None, wal_seq: int | None = None
+    ) -> WriteTicket:
+        """Enqueue a write **without** logging it — recovery's entry point: the
+        op is already in the WAL (``wal_seq``) or derivable from the base tables."""
         return self.worker.enqueue(
             WriteOp(kind=kind, row=row, old_row=old_row, wal_seq=wal_seq)
         )
 
+    def submit(self, kind: WriteKind, row, old_row) -> bool:
+        """An attached view's trigger body hands over one base-table write.
+
+        Returns False once the server is closing — the view then applies the
+        write inline.  Otherwise the write is logged, enqueued, and its ticket
+        parked for :meth:`take_session_ticket`.
+        """
+        if not self._accepting:
+            return False
+        self._ticket_local.ticket = self._enqueue_logged(kind, row, old_row)
+        self.trigger_diverts.inc()
+        return True
+
     def _insert_via_table(self, table_name: str, row: dict[str, object]) -> WriteTicket:
         self._ticket_local.ticket = None
         self._view.database.table(table_name).insert(row)
-        ticket = self._ticket_local.ticket
-        self._ticket_local.ticket = None
-        if ticket is None:  # dispatcher missed it — should not happen while attached
+        ticket = self.take_session_ticket()
+        if ticket is None:  # the trigger did not submit — should not happen while attached
             raise MaintenanceError("insert did not reach the maintenance queue")
         return ticket
 
@@ -548,7 +553,7 @@ class ViewServer:
         """Claim the ticket of the last diverted write issued on this thread.
 
         SQL DML against the view's base tables reaches the maintenance queue
-        through the trigger dispatcher, which parks the resulting ticket in a
+        through :meth:`submit`, which parks the resulting ticket in a
         thread-local; the connection layer claims it here (exactly once) to
         give its per-connection session read-your-writes over plain SQL.
         """
@@ -567,69 +572,23 @@ class ViewServer:
 
     # ------------------------------------------- host protocol (maintenance worker)
 
-    def featurize_entity(self, row) -> tuple[object, SparseVector]:
-        """Worker hook: turn an entity row into ``(id, features)``."""
-        if isinstance(row, tuple):
-            return row
-        if self.feature_function is None:
-            raise MaintenanceError("server has no feature function; insert (id, features)")
-        with self._feature_lock:
-            self.feature_function.compute_stats_incremental(row)
-            # Stats update + featurize must be atomic with respect to other
-            # featurizing threads — this lock IS the serialization point.
-            features = self.feature_function.compute_feature(row)  # repro: noqa(LOCK002)
-        self._train_stats.charge(self._cost_model.featurize_cost(features.nnz()), "featurize")
-        return row[self._entities_key], features
+    def stored_features(self, entity_id: object) -> SparseVector:
+        """Worker hook: the features the owning shard stores for an entity."""
+        shard = self.shards.shard_for(entity_id)
+        return shard.call(lambda: shard.maintainer.store.get(entity_id).features)
 
-    def entity_key(self, row) -> object:
-        """Worker hook: the entity key of a (possibly pre-featurized) row."""
-        if isinstance(row, tuple):
-            return row[0]
-        return row[self._entities_key]
+    def charge_featurize(self, nonzeros: int) -> None:
+        """Worker hook: account one featurization on the training ledger."""
+        self._train_stats.charge(self._cost_model.featurize_cost(nonzeros), "featurize")
 
-    def build_example(self, row, pending_features: dict) -> TrainingExample:
-        """Worker hook: resolve an example row against entity features."""
-        if isinstance(row, TrainingExample):
-            return row
-        entity_id = row[self._examples_key]
-        label = self._label_to_binary(row[self._examples_label])
-        features = pending_features.get(entity_id)
-        if features is None:
-            shard = self.shards.shard_for(entity_id)
-            try:
-                features = shard.call(
-                    lambda: shard.maintainer.store.get(entity_id).features
-                )
-            except KeyNotFoundError:
-                raise MaintenanceError(
-                    f"training example references unknown entity {entity_id!r}"
-                ) from None
-        return TrainingExample(entity_id=entity_id, features=features, label=label)
-
-    def retain_example(self, example: TrainingExample) -> None:
-        """Worker hook: remember an absorbed example (for retrains and close)."""
-        self._examples.append(example)
-
-    def forget_example(self, old_row) -> bool:
-        """Worker hook: drop the retained example matching a deleted row."""
-        if isinstance(old_row, TrainingExample):
-            entity_id, label = old_row.entity_id, old_row.label
-        else:
-            entity_id = old_row[self._examples_key]
-            label = self._label_to_binary(old_row[self._examples_label])
-        for index, example in enumerate(self._examples):
-            if example.entity_id == entity_id and example.label == label:
-                del self._examples[index]
-                return True
-        return False
+    def charge_training(self, steps: int) -> None:
+        """Worker hook: account ``steps`` incremental training steps, one charge each."""
+        for _ in range(steps):
+            self._train_stats.charge(self._cost_model.model_update, "model_update")
 
     def retained_examples(self) -> list[TrainingExample]:
-        """Worker hook: the full retained example set (retrain input)."""
-        return list(self._examples)
-
-    def charge_model_update(self) -> None:
-        """Worker hook: account one incremental training step."""
-        self._train_stats.charge(self._cost_model.model_update, "model_update")
+        """The full retained example set (retrain input)."""
+        return list(self.writer.examples)
 
     def publish_epoch(
         self,
@@ -646,7 +605,7 @@ class ViewServer:
         """
         if final_model is not None:
             self._model_snapshot = final_model.copy()
-        self._published_examples = tuple(self._examples)
+        self._published_examples = tuple(self.writer.examples)
         epoch = self.epoch_clock.advance()
         self.epochs_published.inc()
         for index in dirty_shards:
@@ -671,8 +630,13 @@ class ViewServer:
         return self._wal
 
     def record_mutations(self, entity_ops: Sequence[tuple[str, object]]) -> None:
-        """Worker hook: log ordered entity churn so ``close`` can resync the view."""
-        self._entity_ops.extend(entity_ops)
+        """Worker hook: keep each entity's last write so ``close`` can resync the view."""
+        for action, payload in entity_ops:
+            if action == "remove":
+                self._entity_writes[payload] = None
+            else:
+                entity_id, features = payload
+                self._entity_writes[entity_id] = features
 
     # ------------------------------------------------------------ checkpoint / recovery
 
@@ -841,17 +805,15 @@ class ViewServer:
                 else:
                     shard_entities.append(0)
 
-        has_features = self.feature_function is not None
-        if has_features:
-            with self._feature_lock:
-                total_bytes += write_feature_function(directory, self.feature_function)
+        feature_function = self.writer.feature_function
+        if feature_function is not None:
+            with self.writer.feature_lock:
+                total_bytes += write_feature_function(directory, feature_function)
 
         definition = None
-        positive_label = None
         if self._view is not None:
             definition = dataclasses.asdict(self._view.definition)
             definition["options"] = dict(definition.get("options") or {})
-            positive_label = self._view.positive_label
         reference = self.shards.shards[0].maintainer
         manifest = CheckpointManifest(
             view_name=self._view.definition.view_name if self._view is not None else None,
@@ -865,8 +827,8 @@ class ViewServer:
             strategy=reference.strategy_name,
             approach=reference.approach,
             definition=definition,
-            positive_label=positive_label,
-            has_feature_function=has_features,
+            positive_label=self.writer.positive_label,
+            has_feature_function=feature_function is not None,
             wal_applied_seq=wal_applied_seq,
             shard_epochs=shard_epochs,
             shard_shas=shard_shas,
@@ -893,14 +855,9 @@ class ViewServer:
     def restore(
         cls,
         checkpoint: LoadedCheckpoint,
-        trainer: SGDTrainer,
+        writer: ViewWriter,
         store_factory: Callable[[], EntityStore],
         maintainer_factory: Callable[[EntityStore], ViewMaintainer],
-        feature_function=None,
-        label_to_binary: Callable[[object], int] | None = None,
-        entities_key: str = "id",
-        examples_key: str = "id",
-        examples_label: str = "label",
         cache_capacity: int = 100_000,
         **server_options,
     ) -> "ViewServer":
@@ -908,11 +865,13 @@ class ViewServer:
 
         Shard stores are rebuilt via ``import_state`` — no featurization, no
         dot products, no re-sort — the epoch clock resumes at the snapshot
-        epoch, and the trainer is rewound to the published model.  The shard
-        count always comes from the snapshot (eps values are only meaningful
-        on the shard that stored them); asking for a different ``num_shards``
-        is a :class:`~repro.exceptions.ConfigurationError`, not a silent
-        override.
+        epoch, and the writer is rewound to the published state: the trainer
+        to the published model, the retained examples to the manifest's (and
+        a writer without a feature function adopts the checkpoint's).  The
+        shard count always comes from the snapshot (eps values are only
+        meaningful on the shard that stored them); asking for a different
+        ``num_shards`` is a :class:`~repro.exceptions.ConfigurationError`,
+        not a silent override.
         """
         manifest = checkpoint.manifest
         requested_shards = server_options.pop("num_shards", None)
@@ -929,21 +888,16 @@ class ViewServer:
             maintainer_factory=maintainer_factory,
             cache_capacity=cache_capacity,
         )
-        trainer.load_state(manifest.model, manifest.trainer_steps)
-        if feature_function is None:
-            feature_function = checkpoint.feature_function
+        writer.trainer.load_state(manifest.model, manifest.trainer_steps)
+        writer.examples[:] = manifest.examples
+        if writer.feature_function is None:
+            writer.feature_function = checkpoint.feature_function
         return cls(
             entities=(),
             model=manifest.model.copy(),
-            trainer=trainer,
+            writer=writer,
             store_factory=store_factory,
             maintainer_factory=maintainer_factory,
-            feature_function=feature_function,
-            label_to_binary=label_to_binary,
-            entities_key=entities_key,
-            examples_key=examples_key,
-            examples_label=examples_label,
-            initial_examples=manifest.examples,
             restored_shards=shard_set,
             initial_epoch=manifest.epoch,
             initial_wal_seq=manifest.wal_applied_seq,
@@ -951,30 +905,28 @@ class ViewServer:
             **server_options,
         )
 
-    def replay_wal(self, flush: bool = True) -> int:
+    def replay_wal(self, flush: bool = True, observe: Callable | None = None) -> int:
         """Re-enqueue every WAL record not yet reflected in this server's state.
 
-        The standalone recovery path (attached servers are replayed by
-        ``HazyEngine._serve_restored``, which also reconciles the base
-        tables): records above the restored ``wal_applied_seq`` re-enter the
-        queue in arrival order, carrying their original sequence numbers so
-        the next publish and checkpoint account for them.  Individual ops
-        that no longer apply (e.g. an example referencing an entity deleted
-        by later history) fail their ticket without poisoning the rest.
-        Returns the number of records re-enqueued.
+        Recovery's one replay loop — a standalone server calls it directly,
+        ``HazyEngine._replay_post_checkpoint`` calls it with ``observe`` (shown
+        each record's ``(kind, row, old_row)`` so it can reconcile the base
+        tables afterwards): records above the restored ``wal_applied_seq``
+        re-enter the queue in arrival order, not logged again and carrying
+        their original sequence numbers so the next publish and checkpoint
+        account for them.  Individual ops that no longer apply (e.g. an
+        example referencing an entity deleted by later history) fail their
+        ticket without poisoning the rest.  Returns the number of records
+        re-enqueued.
         """
         if self._wal is None:
             return 0
         records = self._wal.records_after(self._wal_applied_seq)
-        tickets = []
         for record in records:
-            op = WriteOp(
-                kind=WriteKind(record.kind),
-                row=record.row,
-                old_row=record.old_row,
-                wal_seq=record.seq,
-            )
-            tickets.append(self.worker.enqueue(op))
+            kind = WriteKind(record.kind)
+            self.replay(kind, record.row, record.old_row, record.seq)
+            if observe is not None:
+                observe(kind, record.row, record.old_row)
         if flush and records:
             self.worker.flush()
         return len(records)
@@ -984,46 +936,14 @@ class ViewServer:
     def attach_view(self, view) -> None:
         """Take over maintenance of a live ``ClassificationView``.
 
-        The view's entity/example triggers are diverted into the maintenance
-        queue (``INSERT``/``UPDATE``/``DELETE`` statements enqueue instead of
-        retraining inline) and the view's read methods delegate here until
-        :meth:`close`.
+        From here until :meth:`close` the view's trigger body hands its writes
+        to :meth:`submit` (``INSERT``/``UPDATE``/``DELETE`` statements enqueue
+        instead of retraining inline) and its read methods delegate here.
         """
         if self._view is not None:
             raise MaintenanceError("server is already attached to a view")
         self._view = view
-        prefix = f"hazy_{view.definition.view_name}"
-        entities_table = view.database.table(view.definition.entities_table)
-        examples_table = view.database.table(view.definition.examples_table)
-        self._trigger_kinds = {
-            f"{prefix}_entities": WriteKind.ENTITY_INSERT,
-            f"{prefix}_entities_update": WriteKind.ENTITY_UPDATE,
-            f"{prefix}_entities_delete": WriteKind.ENTITY_DELETE,
-            f"{prefix}_examples": WriteKind.EXAMPLE_INSERT,
-            f"{prefix}_examples_update": WriteKind.EXAMPLE_UPDATE,
-            f"{prefix}_examples_delete": WriteKind.EXAMPLE_DELETE,
-        }
-        for table in (entities_table, examples_table):
-            table.triggers.set_dispatcher(self._dispatch_trigger)
-            self._dispatched_tables.append(table)
         view._server = self
-
-    def _dispatch_trigger(
-        self,
-        trigger: Trigger,
-        event: TriggerEvent,
-        table_name: str,
-        new_row: dict[str, object] | None,
-        old_row: dict[str, object] | None,
-    ) -> bool:
-        """Trigger dispatcher: divert this view's maintenance triggers to the queue."""
-        kind = self._trigger_kinds.get(trigger.name)
-        if kind is None or not self._accepting:
-            return False  # not ours (or closing): run inline
-        ticket = self._enqueue_logged(kind, new_row, old_row)
-        self.trigger_diverts.inc()
-        self._ticket_local.ticket = ticket
-        return True
 
     # ------------------------------------------------------------------ lifecycle
 
@@ -1051,38 +971,27 @@ class ViewServer:
                     # Hand back a fresh load from the served shards' current
                     # contents under the final model.
                     entities = [
-                        (entity_id, features, eps, label)
-                        for state in (
-                            shard.call(shard.export_state_local)
-                            for shard in self.shards.shards
-                        )
-                        for entity_id, features, eps, label in state["records"]
+                        (entity_id, features)
+                        for shard in self.shards.shards
+                        for entity_id, features, _eps, _label in shard.call(
+                            shard.export_state_local
+                        )["records"]
                     ]
-                    view.maintainer.bulk_load(
-                        ((entity_id, features) for entity_id, features, _, _ in entities),
-                        self.trainer.model.copy(),
-                    )
-                    view._examples[:] = self._examples
+                    view.maintainer.bulk_load(entities, self.trainer.model.copy())
                 else:
-                    # Replay entity churn in arrival order: an entity inserted
-                    # and later deleted while serving must end up absent, not
-                    # resurrected.
-                    for action, payload in self._entity_ops:
-                        if action == "remove":
-                            try:
-                                view.maintainer.remove_entity(payload)
-                            except KeyNotFoundError:
-                                pass
-                        else:
-                            entity_id, features = payload
+                    # Bring each entity written while serving to its last
+                    # state: one inserted and later deleted must end up
+                    # absent, not resurrected; one rewritten, replaced.
+                    for entity_id, features in self._entity_writes.items():
+                        try:
+                            view.maintainer.remove_entity(entity_id)
+                        except KeyNotFoundError:
+                            pass
+                        if features is not None:
                             view.maintainer.add_entity(entity_id, features)
-                    view._examples[:] = self._examples
                     view.maintainer.apply_model(self.trainer.model.copy())
         finally:
             # Even if resync fails, never leave the view wired to a dead server.
-            for table in self._dispatched_tables:
-                table.triggers.clear_dispatcher()
-            self._dispatched_tables.clear()
             if self._view is not None:
                 self._view._server = None
                 self._view = None
@@ -1185,14 +1094,3 @@ def _maintainer_state(state: ShardState) -> dict[str, object]:
         document["band_high"] = state.band_high
         document["skiing"] = state.skiing
     return document
-
-
-def _default_binary(label_value: object) -> int:
-    """Fallback label conversion: accepts bools and ±1."""
-    if isinstance(label_value, bool):
-        return 1 if label_value else -1
-    if isinstance(label_value, (int, float)) and label_value in (-1, 1):
-        return int(label_value)
-    raise MaintenanceError(
-        f"cannot interpret label {label_value!r}: provide label_to_binary"
-    )

@@ -7,7 +7,7 @@ import pytest
 from repro.core.engine import HazyEngine
 from repro.core.view import ClassificationViewDefinition
 from repro.db.database import Database
-from repro.exceptions import ConfigurationError, ViewDefinitionError
+from repro.exceptions import ConfigurationError, MaintenanceError, ViewDefinitionError
 from repro.workloads.synth_text import SparseCorpusGenerator
 
 VIEW_DDL = """
@@ -159,7 +159,7 @@ class TestIncrementalMaintenanceThroughSQL:
         db, _ = build_database()
         HazyEngine(db)
         db.execute(VIEW_DDL)
-        with pytest.raises(ViewDefinitionError):
+        with pytest.raises(MaintenanceError):
             db.execute("INSERT INTO example_papers (id, label) VALUES (123456, 'database')")
 
     def test_example_delete_triggers_retraining(self):

@@ -148,6 +148,43 @@ class TestServingLifecycle:
             db.execute("SERVE VIEW labeled_papers WITH (bogus = 1)")
         assert engine.view("labeled_papers").server is None
 
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            # One spelling per option: the old aliases are gone.
+            ("num_shards = 2", "unknown serving option 'num_shards'"),
+            ("read_batch_wait_s = 0.1", "unknown serving option 'read_batch_wait_s'"),
+            ("wal_dir = 'somewhere'", "unknown serving option 'wal_dir'"),
+            ("shards = true", "option 'shards' expects an integer, got True"),
+            ("cache_capacity = 2.5", "option 'cache_capacity' expects an integer, got 2.5"),
+            ("max_wait_s = 'soon'", "option 'max_wait_s' expects a number, got 'soon'"),
+            ("max_wait_s = false", "option 'max_wait_s' expects a number, got False"),
+            ("wal = 3", "option 'wal' expects a string, got 3"),
+            ("adaptive_batching = 1", "option 'adaptive_batching' expects true or false, got 1"),
+        ],
+    )
+    def test_serve_option_names_and_types(self, options, message):
+        db, engine, _ = build_portal(count=20)
+        with pytest.raises(ConfigurationError, match=message):
+            db.execute(f"SERVE VIEW labeled_papers WITH ({options})")
+        assert engine.view("labeled_papers").server is None
+
+    def test_every_serving_option_is_accepted_under_its_one_name(self, tmp_path):
+        db, engine, _ = build_portal(count=20)
+        db.execute(
+            "SERVE VIEW labeled_papers WITH (shards = 2, max_read_batch = 8, "
+            "queue_capacity = 64, max_write_batch = 4, cache_capacity = 100, "
+            f"epoch_history = 8, max_wait_s = 0, wal = '{tmp_path / 'wal'}', "
+            "adaptive_batching = false)"
+        )
+        server = engine.view("labeled_papers").server
+        assert len(server.shards) == 2 and server.wal is not None
+        assert sorted(engine._SERVER_OPTIONS) == sorted(
+            "shards max_read_batch queue_capacity max_write_batch cache_capacity "
+            "epoch_history max_wait_s wal adaptive_batching".split()
+        )
+        db.execute("STOP SERVING labeled_papers")
+
     def test_adaptive_batching_conflicts_with_fixed_window(self):
         db, engine, _ = build_portal(count=20)
         # Rejected in either option order — never silently resolved.

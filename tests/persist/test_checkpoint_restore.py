@@ -9,6 +9,7 @@ import pytest
 from repro import Database, HazyEngine
 from repro.core.maintainers import HazyEagerMaintainer
 from repro.core.stores import InMemoryEntityStore
+from repro.core.writes import ViewWriter
 from repro.exceptions import (
     SnapshotCorruptionError,
     SnapshotError,
@@ -54,7 +55,7 @@ def corpus():
 def restore_standalone(checkpoint_dir) -> ViewServer:
     return ViewServer.restore(
         load_checkpoint(checkpoint_dir),
-        trainer=SGDTrainer(loss="svm", seed=1),
+        writer=ViewWriter(SGDTrainer(loss="svm", seed=1)),
         store_factory=lambda: InMemoryEntityStore(feature_norm_q=1.0),
         maintainer_factory=lambda store: HazyEagerMaintainer(store, alpha=1.0),
     )

@@ -16,7 +16,8 @@ import pytest
 from repro import HazyEngine
 from repro.core.maintainers import HazyEagerMaintainer
 from repro.core.stores import InMemoryEntityStore
-from repro.exceptions import SnapshotCorruptionError
+from repro.core.writes import ViewWriter
+from repro.exceptions import MaintenanceError, SnapshotCorruptionError
 from repro.learn.sgd import SGDTrainer
 from repro.persist import load_checkpoint
 from repro.persist.wal import SEGMENT_SUFFIX
@@ -30,7 +31,7 @@ from tests.serve.conftest import build_standalone_server
 def restore_with_wal(checkpoint_dir, wal_dir) -> ViewServer:
     return ViewServer.restore(
         load_checkpoint(checkpoint_dir),
-        trainer=SGDTrainer(loss="svm", seed=1),
+        writer=ViewWriter(SGDTrainer(loss="svm", seed=1)),
         store_factory=lambda: InMemoryEntityStore(feature_norm_q=1.0),
         maintainer_factory=lambda store: HazyEagerMaintainer(store, alpha=1.0),
         wal_dir=wal_dir,
@@ -207,5 +208,63 @@ class TestEngineCrashes:
         try:
             assert restored.wal is not None
             assert answers(restored) == reference
+        finally:
+            restored.close()
+
+    def test_an_orphan_example_row_blocks_neither_its_batch_nor_recovery(
+        self, corpus, tmp_path
+    ):
+        """A write that cannot apply fails its own ticket — before and after a crash.
+
+        The examples table has no foreign key, so plain SQL accepts a row for
+        an entity that does not exist.  Served, that row is WAL-logged and
+        acknowledged like its neighbours; it must not take them down with it
+        when they share a maintenance batch, and replaying the log after a
+        crash (where it is batched with them again) must not make
+        ``RESTORE VIEW`` raise for as long as the row exists.
+        """
+        wal_dir = tmp_path / "wal"
+        engine = HazyEngine(build_engine_database(corpus))
+        db = engine.database
+        db.execute(DDL)
+        db.execute(f"SERVE VIEW Labeled_Papers WITH (shards = 2, wal = '{wal_dir}')")
+        server = engine.view("Labeled_Papers").server
+        db.execute(f"CHECKPOINT VIEW Labeled_Papers TO '{tmp_path / 'ckpt'}'")
+        retained = len(server.retained_examples())
+
+        churn = [
+            (corpus[30].entity_id, "database"),
+            (corpus[31].entity_id, "other"),
+            (4242, "database"),  # no such paper
+            (corpus[32].entity_id, "database"),
+            (corpus[33].entity_id, "other"),
+        ]
+        tickets = []
+        for row in churn:
+            db.execute("INSERT INTO example_papers (id, label) VALUES (?, ?)", row)
+            tickets.append(server.take_session_ticket())
+        server.flush()
+        for row, ticket in zip(churn, tickets):
+            if row[0] == 4242:
+                with pytest.raises(MaintenanceError, match="unknown entity 4242"):
+                    ticket.wait(10)
+            else:
+                ticket.wait(10)
+        assert len(server.retained_examples()) == retained + 4
+        assert server.trainer.model.version == retained + 4
+        reference = answers(server)
+        server.close()  # cleanup only; ckpt + WAL on disk are the crash state
+
+        restart_db = build_engine_database(corpus)
+        restart_db.executemany("INSERT INTO example_papers (id, label) VALUES (?, ?)", churn)
+        restart = HazyEngine(restart_db)
+        restart_db.execute(
+            f"RESTORE VIEW Labeled_Papers FROM '{tmp_path / 'ckpt'}' WITH (wal = '{wal_dir}')"
+        )
+        restored = restart.view("Labeled_Papers").server
+        try:
+            assert answers(restored) == reference
+            assert len(restored.retained_examples()) == retained + 4
+            assert restored.trainer.model.version == retained + 4
         finally:
             restored.close()

@@ -9,6 +9,7 @@ import pytest
 from repro import HazyEngine
 from repro.core.maintainers import HazyEagerMaintainer
 from repro.core.stores import InMemoryEntityStore
+from repro.core.writes import ViewWriter
 from repro.exceptions import ConfigurationError, SnapshotCorruptionError
 from repro.learn.sgd import SGDTrainer
 from repro.linalg import SparseVector
@@ -289,7 +290,7 @@ class TestRestoreShardMismatch:
         with pytest.raises(ConfigurationError, match="cannot restore with shards=8"):
             ViewServer.restore(
                 load_checkpoint(tmp_path / "ckpt"),
-                trainer=SGDTrainer(loss="svm", seed=1),
+                writer=ViewWriter(SGDTrainer(loss="svm", seed=1)),
                 store_factory=lambda: InMemoryEntityStore(feature_norm_q=1.0),
                 maintainer_factory=lambda store: HazyEagerMaintainer(store, alpha=1.0),
                 num_shards=8,

@@ -8,6 +8,7 @@ import pytest
 
 from repro.core.maintainers import HazyEagerMaintainer
 from repro.core.stores import InMemoryEntityStore
+from repro.core.writes import ViewWriter
 from repro.learn.sgd import SGDTrainer, TrainingExample
 from repro.serve import ViewServer
 from repro.workloads.synth_text import SparseCorpusGenerator
@@ -32,13 +33,15 @@ def warm_trainer_for(corpus, count: int = 60, seed: int = 2) -> SGDTrainer:
     return trainer
 
 
-def build_standalone_server(corpus, num_shards: int = 4, **server_options) -> ViewServer:
+def build_standalone_server(
+    corpus, num_shards: int = 4, feature_function=None, **server_options
+) -> ViewServer:
     """A ViewServer over the corpus, no database attached (main-memory shards)."""
     trainer = warm_trainer_for(corpus)
     return ViewServer(
         entities=[(doc.entity_id, doc.features) for doc in corpus],
         model=trainer.model.copy(),
-        trainer=trainer,
+        writer=ViewWriter(trainer, feature_function),
         store_factory=lambda: InMemoryEntityStore(feature_norm_q=1.0),
         maintainer_factory=lambda store: HazyEagerMaintainer(store, alpha=1.0),
         num_shards=num_shards,

@@ -100,6 +100,29 @@ def test_bad_write_fails_its_ticket_but_server_survives(serve_corpus):
         good = server.insert_example(serve_corpus[0].entity_id, serve_corpus[0].label)
         good.wait(10)
         assert server.label_of(serve_corpus[0].entity_id) in (-1, 1)
+
+        # Batched with good writes it fails its own ticket and nothing else, and
+        # leaves no trace.  A reader holds the worker at the write lock while
+        # good, bad, good are queued, so the three share the next round.
+        steps = server.trainer.model.version
+        retained = len(server.retained_examples())
+        gate, first, second = serve_corpus[1:4]
+        with server.rw_lock.read_locked():
+            held = server.insert_example(gate.entity_id, gate.label)
+            deadline = time.monotonic() + 10
+            while server.trainer.model.version == steps and time.monotonic() < deadline:
+                time.sleep(0.001)
+            before = server.insert_example(first.entity_id, first.label)
+            bad = server.insert_example("no-such-entity", 1)
+            after = server.insert_example(second.entity_id, second.label)
+        epoch = server.flush(timeout=10)
+        assert held.wait(10) < before.wait(10) == after.wait(10) == epoch
+        with pytest.raises(MaintenanceError, match="unknown entity 'no-such-entity'"):
+            bad.wait(10)
+        assert isinstance(server.worker.last_error, MaintenanceError)
+        assert len(server.retained_examples()) == retained + 3
+        assert server.trainer.model.version == steps + 3
+        assert server.contents() == oracle_for(server, serve_corpus)
     finally:
         server.close(timeout=30)
 

@@ -132,7 +132,6 @@ def test_close_replays_entity_churn_in_order(served_setup):
     assert 8801 not in view.maintainer.contents()  # not resurrected by resync
     assert view.maintainer.store.count() == len(corpus)
     assert view.maintainer.contents() == direct_oracle(view)
-    assert not db.table("papers").triggers.has_dispatcher
 
 
 def test_double_serve_rejected(served_setup):
@@ -168,6 +167,72 @@ def test_close_hands_back_a_consistent_view(served_setup):
         (doc.entity_id, word_label(doc)),
     )
     assert view.maintainer.contents() == direct_oracle(view)
-    # And the trigger dispatchers were removed.
-    assert not db.table("papers").triggers.has_dispatcher
-    assert not db.table("example_papers").triggers.has_dispatcher
+    # And the view is its own again.
+    assert view.server is None
+
+
+def test_two_served_views_over_one_base_table_stay_connected(served_setup, tmp_path):
+    """Serving a second view over the same entities table must not disconnect
+    the first, and ``STOP SERVING`` one must leave the other serving."""
+    db, engine, view, corpus = served_setup
+    db.execute("CREATE TABLE example_other (id integer PRIMARY KEY, label text)")
+    db.execute(
+        """
+        CREATE CLASSIFICATION VIEW Other_Papers KEY id
+        ENTITIES FROM Papers KEY id
+        LABELS FROM Paper_Area LABEL label
+        EXAMPLES FROM Example_Other KEY id LABEL label
+        FEATURE FUNCTION tf_bag_of_words
+        USING SVM
+        """
+    )
+    other = engine.view("Other_Papers")
+    db.execute(f"SERVE VIEW Labeled_Papers WITH (shards = 2, wal = '{tmp_path / 'wal'}')")
+    db.execute("SERVE VIEW Other_Papers WITH (shards = 2)")
+    first, second = view.server, other.server
+    try:
+        db.execute("INSERT INTO papers (id, title) VALUES (?, ?)", (9101, "seen by both"))
+        first.flush(timeout=30)
+        second.flush(timeout=30)
+        assert first.shards.count() == second.shards.count() == len(corpus) + 1
+        assert first.trigger_diverts.value == second.trigger_diverts.value == 1
+
+        db.execute("STOP SERVING Other_Papers")
+        assert other.server is None and view.server is first
+        db.execute("INSERT INTO papers (id, title) VALUES (?, ?)", (9102, "one served, one not"))
+        db.execute(
+            "INSERT INTO example_papers (id, label) VALUES (?, ?)",
+            (corpus[30].entity_id, word_label(corpus[30])),
+        )
+        first.flush(timeout=30)
+        # Still diverting into its own queue and WAL...
+        assert first.trigger_diverts.value == first.wal.stats()["appends_total"] == 3
+        assert first.shards.count() == len(corpus) + 2
+        assert first.contents() == server_oracle(first)
+        # ...while the stopped view maintains itself inline again.
+        assert other.maintainer.store.count() == len(corpus) + 2
+        assert other.maintainer.contents() == direct_oracle(other)
+    finally:
+        first.close(timeout=30)
+    assert view.maintainer.store.count() == len(corpus) + 2
+    assert view.maintainer.contents() == direct_oracle(view)
+
+
+def test_hand_back_state_is_bounded_by_the_ids_written(served_setup):
+    """A long-served CRUD view keeps one hand-back entry per entity id written,
+    not one per write — and still hands back the last state of each."""
+    db, engine, view, corpus = served_setup
+    server = engine.serve("Labeled_Papers", num_shards=2)
+    target = corpus[0].entity_id
+    for round_index in range(30):
+        db.execute("UPDATE papers SET title = ? WHERE id = ?", (f"rewrite {round_index}", target))
+        db.execute("INSERT INTO papers (id, title) VALUES (?, ?)", (8900, "comes and goes"))
+        db.execute("DELETE FROM papers WHERE id = ?", (8900,))
+    server.flush(timeout=30)
+    assert len(server._entity_writes) == 2
+    server.close(timeout=30)
+    assert 8900 not in view.maintainer.contents()
+    assert view.maintainer.store.count() == len(corpus)
+    assert view.maintainer.contents() == direct_oracle(view)
+    expected = view.feature_function.compute_feature({"id": target, "title": "rewrite 29"})
+    assert view.maintainer.store.get(target).features == expected
