@@ -13,10 +13,11 @@ body, :meth:`ClassificationView._on_write`, over the view's one write side
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, Mapping
+from collections.abc import Callable, Mapping
 from functools import partial
 
 from repro.core.maintainers import APPROACHES, STRATEGIES, ViewMaintainer, build_maintainer
+from repro.core.reads import DirectReads
 from repro.core.stores import (
     ARCHITECTURES,
     EntityStore,
@@ -51,13 +52,14 @@ __all__ = ["HazyEngine", "ClassificationView"]
 
 
 class ClassificationView:
-    """One maintained classification view: a write side plus a maintainer.
+    """One maintained classification view: a write side, a read side, a maintainer.
 
     ``writer`` (feature function, trainer, retained examples, label
-    conversion) is the view's one write side; ``maintainer`` answers reads
-    and is what unserved writes are applied to.  With ``restored=True`` the
-    view comes from a checkpoint: nothing is featurized, trained or
-    bulk-loaded — the serving state lives in the restored
+    conversion) is the view's one write side; :meth:`reader` hands out its one
+    read side — whoever answers reads *now*; ``maintainer`` is what unserved
+    reads are answered from and unserved writes applied to.  With
+    ``restored=True`` the view comes from a checkpoint: nothing is featurized,
+    trained or bulk-loaded — the serving state lives in the restored
     :class:`~repro.serve.server.ViewServer`'s shards, ``maintainer`` stays
     *unloaded* until the server hands the view back on close — but the
     definition is checked and the triggers attached exactly as on the cold
@@ -81,6 +83,7 @@ class ClassificationView:
         #: When a serving front-end has taken over this view (see
         #: :meth:`HazyEngine.serve`), reads delegate to it and writes enqueue.
         self._server = None
+        self._direct = DirectReads(maintainer)
         entities_table = database.table(definition.entities_table)
         examples_table = database.table(definition.examples_table)
         if not entities_table.schema.has_column(definition.entities_key):
@@ -218,28 +221,33 @@ class ClassificationView:
             }
         )
 
+    def reader(self, sessions=None):
+        """The view's one read side: whoever answers the six reads *now*.
+
+        The only place a read asks "am I served?": the view's own maintainer
+        (:class:`~repro.core.reads.DirectReads`) while it is not, the server
+        while it is — or, given a connection's session registry, that
+        connection's read-your-writes session on it.  Ask again for every
+        read: ``SERVE VIEW`` / ``STOP SERVING`` change who answers.
+        """
+        server = self._server
+        if server is None:
+            return self._direct
+        if sessions is None:
+            return server
+        return sessions.session_for(self.definition.view_name, server)
+
     def label_of(self, entity_id: object) -> int:
         """Single Entity read: the entity's label in {-1, +1}."""
-        if self._server is not None:
-            return self._server.label_of(entity_id)
-        return self.maintainer.read_single(entity_id)
+        return self.reader().label_of(entity_id)
 
     def members(self, label: int = 1) -> list[object]:
         """All Members read: ids of every entity with the given binary label."""
-        if self._server is not None:
-            return self._server.all_members(label)
-        return self.maintainer.read_all_members(label)
+        return self.reader().all_members(label)
 
     def count_members(self, label: int = 1) -> int:
         """Number of entities in the class."""
         return len(self.members(label))
-
-    def rows(self) -> Iterator[dict[str, object]]:
-        """The view's rows for SQL access: (key, class) per entity."""
-        key_column = self.definition.view_key
-        reader = self._server if self._server is not None else self.maintainer
-        for entity_id, label in reader.contents().items():
-            yield {key_column: entity_id, "class": self.from_binary_label(label)}
 
     # -- serving hooks ------------------------------------------------------------------------
 
@@ -318,7 +326,7 @@ class HazyEngine:
         database.executor.set_serving_handler(self._handle_serving_statement)
         # SELECTs against classification views need no reader hook: the
         # planner resolves the view object through the catalog and its plan
-        # nodes read the maintainer or the ViewServer directly.
+        # nodes read through ``ClassificationView.reader``.
         # Replace the database's placeholder system.served_views producer with
         # one that can actually see this engine's serving registry.
         database.catalog.register_system_table("system.served_views", self._served_views_rows)

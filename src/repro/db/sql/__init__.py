@@ -48,10 +48,16 @@ The read path is **plan-first**; the pipeline is::
                                                   predicate pushdown, validation)
         --cost annotation-----> physical plan    (plan.py: SeqScan, IndexRange,
                                                   SecondaryIndexRange,
-                                                  ServedPointRead, ServedScatterGather,
-                                                  ServedRangeScan, TopK, Filter,
-                                                  Project, HashJoin, Limit, ...)
+                                                  ViewPointRead, ViewMembers,
+                                                  ViewRangeRead, ViewScan, TopK,
+                                                  Filter, Project, HashJoin, ...)
         --SQLExecutor---------> rows             (executor.py walks the tree)
+
+A classification-view node reads through ``view.reader()`` — the view's own
+maintainer, or the server it is behind — and the planner takes its estimates
+from that reader; ``EXPLAIN`` prints a view node planned against a live server
+under its served name (``ServedPointRead``, ``ServedScatterGather``,
+``ServedRangeScan``).
 
 There is **one executor**: every plan node produces columnar
 :class:`~repro.db.sql.plan.Chunk` batches (NumPy predicate kernels in

@@ -16,12 +16,10 @@ The node vocabulary:
                           per match; optionally index-ordered with a fused LIMIT
 ``LogicalViewScan``       materialization of an opaque logical view callable
 ``ViewScan``              full materialization of a classification view
-``ViewPointRead``         Single Entity read on a view's direct maintainer
-``ServedPointRead``       batched point read through the ``ViewServer`` batcher
-``ServedScatterGather``   All Members / contents scatter/gather across the shards
-``ServedRangeScan``       class + key-range predicate pushed into the shards
-``ViewRangeRead``         the same pushdown against an unserved view's maintainer
-``TopK``                  ranked read (fused per-shard heaps when served)
+``ViewPointRead``         Single Entity read
+``ViewMembers``           All Members read
+``ViewRangeRead``         class + key-range predicate pushed into the view's reader
+``TopK``                  ranked read (fused: the view's own top-k, no child)
 ``Sort`` / ``Limit``      ORDER BY without LIMIT / LIMIT without ORDER BY
 ``Filter`` / ``Project``  residual predicate re-check / column projection
 ``Aggregate``             ``COUNT(*)``
@@ -29,12 +27,20 @@ The node vocabulary:
                           through the read batcher with the probe side's keys
 ========================  ==========================================================
 
+A view node reads through ``view.reader(...)`` — whoever answers the view's
+reads *now* (:mod:`repro.core.reads`) — and never asks whether the view is
+served.  ``ServedPointRead``, ``ServedScatterGather`` (All Members, and
+``(v, contents)`` for the scan) and ``ServedRangeScan`` are the names
+``EXPLAIN`` prints for ``ViewPointRead``, ``ViewMembers``/``ViewScan`` and
+``ViewRangeRead`` when the planner saw a live server — batcher point reads,
+shard scatter/gather under one epoch — not classes of their own.
+
 Nodes are immutable after planning (a cached plan is re-executed by re-binding
 ``?`` parameters only); all per-execution state lives in a
-:class:`PlanRuntime`.  View-access nodes re-resolve the serving state at
+:class:`PlanRuntime`.  View-access nodes ask the view for its reader at
 execution time, so a plan cached while a view was served still answers
 correctly after ``STOP SERVING`` (and vice versa) — the label records what the
-planner *chose*, the runtime guarantees the answer stays right.
+planner *saw*, the reader guarantees the answer stays right.
 
 **Execution protocol.**  There is one operator set and it speaks one
 protocol: every node implements :meth:`PlanNode._produce`, which returns a list
@@ -83,13 +89,9 @@ __all__ = [
     "LogicalViewScan",
     "SystemTableScan",
     "ViewScan",
-    "ServedContentsScan",
     "ViewPointRead",
-    "ServedPointRead",
     "ViewMembers",
-    "ServedScatterGather",
     "ViewRangeRead",
-    "ServedRangeScan",
     "TopK",
     "Sort",
     "Limit",
@@ -390,20 +392,6 @@ class PlanRuntime:
 
     def stats_of(self, node: "PlanNode") -> NodeStats:
         return self.node_stats.get(id(node)) or NodeStats()
-
-    def view_reader(self, view):
-        """The session (or raw server) to read a *served* view through.
-
-        Returns None when the view is not currently served — the node then
-        falls back to the direct maintainer, which keeps cached plans correct
-        across SERVE VIEW / STOP SERVING transitions.
-        """
-        server = view.server
-        if server is None:
-            return None
-        if self.context is not None and hasattr(self.context, "session_for"):
-            return self.context.session_for(view.name, server)
-        return server
 
 
 class PlanNode:
@@ -748,11 +736,24 @@ class SystemTableScan(PlanNode):
 
 
 class _ViewNode(PlanNode):
-    """Shared machinery for nodes reading a classification view."""
+    """Shared machinery for nodes reading a classification view.
 
-    def __init__(self, view, **kwargs):
+    Every read goes to ``view.reader(runtime.context)`` — the view's own
+    maintainer, or this connection's session on its server — asked for at
+    execution, so a cached plan stays right across ``SERVE VIEW`` / ``STOP
+    SERVING``.  ``served`` is what the planner saw: it only picks the name
+    ``EXPLAIN`` prints (:attr:`names`: unserved, served).
+    """
+
+    names: tuple[str, str]
+
+    def __init__(self, view, served: bool = False, **kwargs):
         super().__init__(**kwargs)
         self.view = view
+        self.served = served
+
+    def _label(self, argument: str) -> str:
+        return f"{self.names[self.served]}({self.view.name}{argument})"
 
     def _chunks(self, runtime: PlanRuntime, ids: list, labels: list) -> list[Chunk]:
         """The view's ``(key, class)`` columns for ``ids`` and their binary labels."""
@@ -772,51 +773,19 @@ class _ViewNode(PlanNode):
 class ViewScan(_ViewNode):
     """Full materialization of a classification view (one coherent epoch when served)."""
 
-    served_planned = False
+    names = ("ViewScan", "ServedScatterGather")
 
     def label(self) -> str:
-        return f"ViewScan({self.view.name})"
+        return self._label(", contents" if self.served else "")
 
     def _produce(self, runtime: PlanRuntime) -> list[Chunk]:
-        reader = runtime.view_reader(self.view)
-        if reader is None:
-            key_column = self.view.definition.view_key
-            return _rows_to_chunks([key_column, "class"], self.view.rows(), runtime.chunk_rows)
-        contents = reader.contents()
+        contents = self.view.reader(runtime.context).contents()
         return self._chunks(runtime, list(contents), list(contents.values()))
 
 
-class ServedContentsScan(ViewScan):
-    """``ViewScan`` planned against a live server (scatter/gather contents)."""
-
-    served_planned = True
-
-    def label(self) -> str:
-        return f"ServedScatterGather({self.view.name}, contents)"
-
-
 class ViewPointRead(_ViewNode):
-    """Single Entity read answered by the view's direct maintainer."""
-
-    def __init__(self, view, predicate: Predicate, **kwargs):
-        super().__init__(view, **kwargs)
-        self.predicate = predicate
-
-    def label(self) -> str:
-        return f"ViewPointRead({self.view.name}.{self.predicate.render()})"
-
-    def _produce(self, runtime: PlanRuntime) -> list[Chunk]:
-        key = self.predicate.bind(runtime.parameters)
-        reader = runtime.view_reader(self.view)
-        try:
-            label = reader.label_of(key) if reader is not None else self.view.label_of(key)
-        except KeyNotFoundError:
-            return []
-        return self._chunks(runtime, [key], [label])
-
-
-class ServedPointRead(ViewPointRead):
-    """Point read through the server's request batcher (session-consistent).
+    """Single Entity read; planned against a live server it goes through the
+    request batcher, session-consistent, and prints as ``ServedPointRead``.
 
     With ``predicate=None`` the node is a *probe-side lookup* for
     :class:`HashJoin`: it has no key of its own and reads the probe keys its
@@ -824,85 +793,67 @@ class ServedPointRead(ViewPointRead):
     batcher in one coalesced burst.
     """
 
-    is_probe_lookup = False
+    names = ("ViewPointRead", "ServedPointRead")
 
     def __init__(self, view, predicate: Predicate | None, **kwargs):
-        if predicate is None:
-            _ViewNode.__init__(self, view, **kwargs)
-            self.predicate = None
-            self.is_probe_lookup = True
-        else:
-            super().__init__(view, predicate, **kwargs)
+        super().__init__(view, **kwargs)
+        self.predicate = predicate
+        self.is_probe_lookup = predicate is None
 
     def label(self) -> str:
-        if self.is_probe_lookup:
-            return f"ServedPointRead({self.view.name}, batch)"
-        return f"ServedPointRead({self.view.name}.{self.predicate.render()})"
+        return self._label(", batch" if self.is_probe_lookup else f".{self.predicate.render()}")
 
     def _produce(self, runtime: PlanRuntime) -> list[Chunk]:
-        if not self.is_probe_lookup:
-            return super()._produce(runtime)
-        keys = runtime.probe_keys.get(id(self))
-        if keys is None:  # only a HashJoin may drive this node
-            raise SQLExecutionError(
-                "a probe-side ServedPointRead executes only through its join"
-            )
-        reader = runtime.view_reader(self.view)
-        if reader is not None:
+        reader = self.view.reader(runtime.context)
+        if self.is_probe_lookup:
+            keys = runtime.probe_keys.get(id(self))
+            if keys is None:  # only a HashJoin may drive this node
+                raise SQLExecutionError(
+                    "a probe-side ServedPointRead executes only through its join"
+                )
             found = reader.labels_of(keys)
             return self._chunks(runtime, list(found), list(found.values()))
-        ids: list = []
-        labels: list = []
-        for entity_id in keys:
-            try:
-                labels.append(self.view.label_of(entity_id))
-            except KeyNotFoundError:
-                continue
-            ids.append(entity_id)
-        return self._chunks(runtime, ids, labels)
+        key = self.predicate.bind(runtime.parameters)
+        try:
+            label = reader.label_of(key)
+        except KeyNotFoundError:
+            return []
+        return self._chunks(runtime, [key], [label])
 
 
 class ViewMembers(_ViewNode):
-    """All Members read on the direct maintainer."""
+    """All Members read; ``ServedScatterGather`` across the shards when served."""
 
-    served_planned = False
+    names = ("ViewMembers", "ServedScatterGather")
 
     def __init__(self, view, class_predicate: Predicate, **kwargs):
         super().__init__(view, **kwargs)
         self.class_predicate = class_predicate
 
     def label(self) -> str:
-        return f"ViewMembers({self.view.name}, {self.class_predicate.render()})"
+        return self._label(f", {self.class_predicate.render()}")
 
     def _produce(self, runtime: PlanRuntime) -> list[Chunk]:
         label = self._binary_class(self.class_predicate.bind(runtime.parameters))
         if label is None:
             return []
-        reader = runtime.view_reader(self.view)
-        members = reader.all_members(label) if reader is not None else self.view.members(label)
+        members = self.view.reader(runtime.context).all_members(label)
         return self._chunks(runtime, list(members), [label] * len(members))
 
 
-class ServedScatterGather(ViewMembers):
-    """All Members scatter/gather across the shards (session-consistent)."""
-
-    served_planned = True
-
-    def label(self) -> str:
-        return f"ServedScatterGather({self.view.name}, {self.class_predicate.render()})"
-
-
 class ViewRangeRead(_ViewNode):
-    """``class = x AND <key> <op> k`` pushed into the view's maintainer.
+    """``class = x AND <key> <op> k`` pushed into the view's reader.
 
     The range over the entity key is resolved at execution time from the
     pushed conjuncts (placeholders included), tightened to a single
-    ``[low, high]`` interval, and answered by ``read_range`` — one scan that
-    classifies only in-range candidates instead of materializing the view.
+    ``[low, high]`` interval, and answered by ``range_scan`` — one scan that
+    classifies only in-range candidates instead of materializing the view
+    (``ServedRangeScan`` when served: a shard operator, scattered to every
+    shard under one epoch, gathering only the in-class, in-range ids).
     A bound that binds to NULL matches no row, so the read is empty.
     """
 
-    served_planned = False
+    names = ("ViewRangeRead", "ServedRangeScan")
 
     def __init__(self, view, class_predicate: Predicate, range_predicates, **kwargs):
         super().__init__(view, **kwargs)
@@ -910,44 +861,25 @@ class ViewRangeRead(_ViewNode):
         self.range_predicates = tuple(range_predicates)
 
     def label(self) -> str:
-        rendered = _render_predicates((self.class_predicate, *self.range_predicates))
-        return f"ViewRangeRead({self.view.name}, {rendered})"
+        return self._label(
+            f", {_render_predicates((self.class_predicate, *self.range_predicates))}"
+        )
 
     def _produce(self, runtime: PlanRuntime) -> list[Chunk]:
         label = self._binary_class(self.class_predicate.bind(runtime.parameters))
         if label is None:
             return []
-        reader = runtime.view_reader(self.view)
         try:
             bounds = _tighten(self.range_predicates, runtime.parameters)
             if bounds is None:
                 return []
-            low, high, include_low, include_high = bounds
-            if reader is not None:
-                members = reader.range_scan(
-                    label, low, high, include_low=include_low, include_high=include_high
-                )
-            else:
-                members = self.view.maintainer.read_range(
-                    label, low, high, include_low=include_low, include_high=include_high
-                )
+            members = self.view.reader(runtime.context).range_scan(label, *bounds)
         except TypeError as exc:
             raise SQLExecutionError(
                 f"the range bounds on {self.view.definition.view_key!r} cannot be "
                 f"ordered against the keys of view {self.view.name!r}: {exc}"
             ) from exc
         return self._chunks(runtime, list(members), [label] * len(members))
-
-
-class ServedRangeScan(ViewRangeRead):
-    """The range pushdown as a shard operator: scatter ``read_range`` to every
-    shard under one epoch, gather only the in-class, in-range ids."""
-
-    served_planned = True
-
-    def label(self) -> str:
-        rendered = _render_predicates((self.class_predicate, *self.range_predicates))
-        return f"ServedRangeScan({self.view.name}, {rendered})"
 
 
 # ---------------------------------------------------------------------------
@@ -1064,9 +996,10 @@ class TopK(PlanNode):
     """Ranked read: ORDER BY + LIMIT.
 
     With a child, a stable sort-and-slice over the child's rows.  Without one
-    (``view`` set), the *fused* served top-k: per-shard heaps merged across
-    the shards by the server, driven through the session — it consumes no
-    child rows, so row mode charges it no interpretation.
+    (``view`` set), the *fused* top-k answered by the view's reader — the
+    maintainer's heap, or per-shard heaps merged across the shards by the
+    server and driven through the session — it consumes no child rows, so
+    row mode charges it no interpretation.
     """
 
     interpreted = "consumed"
@@ -1095,13 +1028,8 @@ class TopK(PlanNode):
             chunks = self.children[0].execute(runtime)
             ranked = _sorted_chunk(chunks, self.column, self.descending, limit=self.k)
             return ranked.split(runtime.chunk_rows)
-        reader = runtime.view_reader(self.view)
-        if reader is None:
-            raise SQLExecutionError(
-                f"ORDER BY margin requires view {self.view.name!r} to be served"
-            )
         key_column = self.view.definition.view_key
-        ranked = reader.top_k(self.k, label=1)
+        ranked = self.view.reader(runtime.context).top_k(self.k, label=1)
         columns = {
             key_column: [entity_id for entity_id, _ in ranked],
             "class": [self.view.from_binary_label(1)] * len(ranked),
@@ -1179,7 +1107,7 @@ class Aggregate(PlanNode):
 class HashJoin(PlanNode):
     """Inner equi-join: build a hash table on the right side, probe with the left.
 
-    When the right child is a probe-side :class:`ServedPointRead` (a served
+    When the right child is a probe-side :class:`ViewPointRead` (a served
     view with no pushable predicate), the left side runs first and its join
     keys drive one batched lookup through the server's read batcher instead of
     materializing the whole view.

@@ -26,12 +26,16 @@ Access-path choice per source:
   additionally considers the *index-ordered* form (walk the leaf chain in
   either direction — the ``prev_leaf`` back-chain makes DESC early-exit too —
   fetch at most k rows, no ``Sort``/``TopK``) against scan-and-sort;
-* classification view, not served — ``read_single`` / ``read_all_members`` /
-  ``read_range`` on the direct maintainer, full materialization otherwise;
-* classification view, served — the batcher point read, All Members
-  scatter/gather, the pushed-down :class:`ServedRangeScan` shard operator, or
-  a coherent-epoch contents scan; ``ORDER BY margin DESC LIMIT k`` fuses into
-  the server's per-shard top-k.
+* classification view — a key equality takes a :class:`ViewPointRead`,
+  ``class = x`` a :class:`ViewMembers`, ``class = x`` plus a key range the
+  pushed-down :class:`ViewRangeRead`, anything else a :class:`ViewScan`, and
+  ``ORDER BY margin DESC LIMIT k`` fuses into the view's own top-k.  The
+  planner asks the view for its reader (``view.reader()``,
+  :mod:`repro.core.reads`) once per access node and takes from it whether a
+  live server answers (the ``Served*`` names ``EXPLAIN`` prints: batcher point
+  read, shard scatter/gather, one coherent epoch), the fan-out, and the
+  estimate — a reader prices its own reads, so nothing here looks inside a
+  view.
 
 All original WHERE conjuncts are kept as a residual :class:`Filter` re-check
 above the access node: the pushdown decides what the storage layer *scans*,
@@ -54,10 +58,6 @@ from repro.db.sql.plan import (
     Project,
     SecondaryIndexRange,
     SeqScan,
-    ServedContentsScan,
-    ServedPointRead,
-    ServedRangeScan,
-    ServedScatterGather,
     SystemTableScan,
     Sort,
     TopK,
@@ -71,6 +71,30 @@ from repro.exceptions import SQLPlanningError
 __all__ = ["Planner", "SelectPlan"]
 
 _RANGE_OPERATORS = ("<", "<=", ">", ">=")
+#: ``EXPLAIN`` detail per view read: (unserved, served over ``{n}`` shards).
+_VIEW_READ_DETAILS = {
+    "label_of": (
+        "direct maintainer read_single (view is not served)",
+        "batched read on the owning shard of {n}; statement overhead amortized per "
+        "coalesced batch",
+    ),
+    "all_members": (
+        "direct maintainer All Members read (view is not served)",
+        "scatter/gather All Members across {n} shards",
+    ),
+    "range_scan": (
+        "maintainer read_range (view is not served)",
+        "pushed-down read_range across {n} shards; classifies only in-range candidates",
+    ),
+    "contents": (
+        "materialize the view through the direct maintainer",
+        "materialize one coherent epoch via read_single per entity across {n} shards",
+    ),
+    "top_k": (
+        "direct maintainer top-k heap over one scored scan (view is not served)",
+        "per-shard top-k heaps + n-way merge across {n} shards",
+    ),
+}
 #: Operators a secondary B+-tree index can serve (NULL-valued literals excluded).
 _INDEXABLE_OPERATORS = ("=", "<", "<=", ">", ">=")
 
@@ -95,26 +119,19 @@ class SelectPlan:
 
     def run(self, database, parameters, context) -> tuple[list[dict], PlanRuntime]:
         """Execute the plan; rows are materialized here, once, from the root's chunks."""
-        runtime = PlanRuntime(database, parameters, context, self._cost_probe(database))
+        runtime = PlanRuntime(database, parameters, context, self.cost_probe(database))
         chunks = self.root.execute(runtime)
         return [row for chunk in chunks for row in chunk.to_rows()], runtime
 
     def cost_probe(self, database):
-        """The probe ``run`` uses, for callers timing whole statements (tracing)."""
-        return self._cost_probe(database)
-
-    def _cost_probe(self, database):
-        """Sum every ledger this plan's sources charge (database + view stores)."""
+        """Sum every ledger this plan's sources charge (database + view stores);
+        also used by callers timing whole statements (tracing)."""
         views = self._views
 
         def probe() -> float:
             total = database.stats.simulated_seconds
             for view in views:
-                server = view.server
-                if server is not None:
-                    total += server.shards.simulated_seconds()
-                else:
-                    total += view.maintainer.store.stats.simulated_seconds
+                total += view.reader().ledger_seconds()
             return total
 
         return probe
@@ -424,25 +441,8 @@ class Planner:
         )
 
     def _fused_topk_node(self, select: Select, source: _Source) -> TopK:
-        view = source.obj
-        server = view.server  # captured once; see _plan_view_access
-        if server is not None:
-            shards = server.shards
-            estimate = self._served_statement_overhead(shards) + sum(
-                shard.maintainer.store.scan_cost_estimate() for shard in shards.shards
-            )
-            detail = f"per-shard top-k heaps + n-way merge across {len(shards)} shards"
-        else:
-            estimate = None
-            detail = "requires the view to be served"
-        return TopK(
-            select.limit,
-            "margin",
-            True,
-            view=view,
-            estimated_seconds=estimate,
-            detail=detail,
-        )
+        annotations = self._view_read(source.obj.reader(), "top_k")
+        return TopK(select.limit, "margin", True, view=source.obj, **annotations)
 
     # -- access-path planning -------------------------------------------------------------
 
@@ -738,8 +738,13 @@ class Planner:
         return best, order_fused
 
     @staticmethod
-    def _served_statement_overhead(shards) -> float:
-        return shards.shards[0].maintainer.store.cost_model.statement_overhead
+    def _view_read(reader, operation: str) -> dict[str, object]:
+        """What one view read is annotated with: the reader's own estimate and
+        the ``EXPLAIN`` detail for who the planner saw answering it."""
+        return {
+            "estimated_seconds": reader.estimate(operation),
+            "detail": _VIEW_READ_DETAILS[operation][reader.served].format(n=reader.fanout),
+        }
 
     def _plan_view_access(self, view, predicates, allow_probe_lookup: bool = False) -> PlanNode:
         """Choose the access path for a classification-view source.
@@ -747,10 +752,10 @@ class Planner:
         ``allow_probe_lookup`` is set for the JOIN side *when the join key is
         the view's entity key*: a predicate-free served view then becomes a
         batch point-lookup driven by the probe side's join keys instead of a
-        full materialization.  The serving handle is captured **once** —
+        full materialization.  The view's reader is captured **once** —
         ``STOP SERVING`` on another thread between here and node construction
         must degrade to the unserved plan, never crash planning (execution
-        re-resolves serving state again anyway).
+        asks the view for its reader again anyway).
         """
         key_column = view.definition.view_key.lower()
         class_eq = next(
@@ -766,121 +771,27 @@ class Planner:
             for p in predicates
             if p.column.lower() == key_column and p.operator in _RANGE_OPERATORS
         ]
-        server = view.server
-        if allow_probe_lookup and server is not None and not predicates:
-            return ServedPointRead(
+        reader = view.reader()
+        served = reader.served
+        if allow_probe_lookup and served and not predicates:
+            return ViewPointRead(
                 view,
                 None,
+                served=True,
                 estimated_seconds=None,
                 detail="batched point reads for the join's probe keys through the read batcher",
             )
         if key_eq is not None:
-            return self._point_node(view, key_eq, server)
+            return ViewPointRead(view, key_eq, served=served, **self._view_read(reader, "label_of"))
         if class_eq is not None and key_ranges:
-            return self._range_node(view, class_eq, key_ranges, server)
+            return ViewRangeRead(
+                view, class_eq, key_ranges, served=served, **self._view_read(reader, "range_scan")
+            )
         if class_eq is not None:
-            return self._members_node(view, class_eq, server)
-        return self._contents_node(view, server)
-
-    def _point_node(self, view, predicate, server) -> PlanNode:
-        if server is not None:
-            shards = server.shards
-            store = shards.shards[0].maintainer.store
-            estimate = self._served_statement_overhead(shards) + min(
-                store.point_read_cost_estimate(), store.scan_cost_estimate()
+            return ViewMembers(
+                view, class_eq, served=served, **self._view_read(reader, "all_members")
             )
-            return ServedPointRead(
-                view,
-                predicate,
-                estimated_seconds=estimate,
-                detail=(
-                    f"batched read on the owning shard of {len(shards)}; statement "
-                    "overhead amortized per coalesced batch"
-                ),
-            )
-        store = view.maintainer.store
-        estimate = store.cost_model.statement_overhead + min(
-            store.point_read_cost_estimate(), store.scan_cost_estimate()
-        )
-        return ViewPointRead(
-            view,
-            predicate,
-            estimated_seconds=estimate,
-            detail="direct maintainer read_single (view is not served)",
-        )
-
-    def _members_node(self, view, class_predicate, server) -> PlanNode:
-        if server is not None:
-            shards = server.shards
-            estimate = self._served_statement_overhead(shards) + sum(
-                shard.maintainer.store.scan_cost_estimate() for shard in shards.shards
-            )
-            return ServedScatterGather(
-                view,
-                class_predicate,
-                estimated_seconds=estimate,
-                detail=f"scatter/gather All Members across {len(shards)} shards",
-            )
-        store = view.maintainer.store
-        return ViewMembers(
-            view,
-            class_predicate,
-            estimated_seconds=store.cost_model.statement_overhead
-            + store.scan_cost_estimate(),
-            detail="direct maintainer All Members read (view is not served)",
-        )
-
-    def _range_node(self, view, class_predicate, key_ranges, server) -> PlanNode:
-        if server is not None:
-            shards = server.shards
-            estimate = self._served_statement_overhead(shards) + sum(
-                shard.maintainer.store.scan_cost_estimate() for shard in shards.shards
-            )
-            return ServedRangeScan(
-                view,
-                class_predicate,
-                key_ranges,
-                estimated_seconds=estimate,
-                detail=(
-                    f"pushed-down read_range across {len(shards)} shards; "
-                    "classifies only in-range candidates"
-                ),
-            )
-        store = view.maintainer.store
-        return ViewRangeRead(
-            view,
-            class_predicate,
-            key_ranges,
-            estimated_seconds=store.cost_model.statement_overhead
-            + store.scan_cost_estimate(),
-            detail="maintainer read_range (view is not served)",
-        )
-
-    def _contents_node(self, view, server) -> PlanNode:
-        if server is not None:
-            shards = server.shards
-            overhead = self._served_statement_overhead(shards)
-            estimate = overhead + sum(
-                shard.maintainer.store.scan_cost_estimate()
-                + shard.maintainer.store.count()
-                * (overhead + shard.maintainer.store.point_read_cost_estimate())
-                for shard in shards.shards
-            )
-            return ServedContentsScan(
-                view,
-                estimated_seconds=estimate,
-                detail=(
-                    f"materialize one coherent epoch via read_single per entity "
-                    f"across {len(shards)} shards"
-                ),
-            )
-        store = view.maintainer.store
-        estimate = store.cost_model.statement_overhead + store.scan_cost_estimate()
-        return ViewScan(
-            view,
-            estimated_seconds=estimate,
-            detail="materialize the view through the direct maintainer",
-        )
+        return ViewScan(view, served=served, **self._view_read(reader, "contents"))
 
     # -- join planning --------------------------------------------------------------------
 

@@ -57,8 +57,9 @@ BULK_LANE = "bulk"
 LANES = (POINT_LANE, BULK_LANE)
 
 #: Plan nodes that are cheap per-statement point accesses.  ``ServedPointRead``
-#: subclasses ``ViewPointRead``; ``SystemTableScan`` costs zero simulated
-#: seconds by construction, so observability dashboards ride the fast lane.
+#: is the name ``EXPLAIN`` prints for a ``ViewPointRead`` planned against a
+#: live server; ``SystemTableScan`` costs zero simulated seconds by
+#: construction, so observability dashboards ride the fast lane.
 _POINT_ACCESS_NODES = (IndexRange, ViewPointRead, SystemTableScan)
 
 #: Structural nodes that never touch storage themselves.

@@ -12,7 +12,8 @@ Module map
 ``server``
     :class:`~repro.serve.server.ViewServer` — the front-end.  Reads
     (``label_of``, ``all_members``, ``top_k``, ``classify``) and writes
-    (``insert_entity``, ``insert_example``), epoch-tagged snapshot reads,
+    (``insert_entity``, ``insert_example``), epoch-tagged snapshot reads
+    (``read(operation, ...)`` — the one body every read runs through),
     per-client :class:`~repro.serve.server.ClientSession` monotonicity,
     attachment to a live ``ClassificationView`` (which lends it its
     :class:`~repro.core.writes.ViewWriter` and hands it every base-table
@@ -22,7 +23,8 @@ Module map
 ``sharding``
     :class:`~repro.serve.sharding.ShardSet` — the entity space
     hash-partitioned across N worker threads, one store + maintainer + cache
-    per shard; scatter/gather for ``ALL_MEMBERS``-style and top-k queries.
+    per shard; one scatter (a maintainer operation submitted to every shard
+    worker) and a per-read gather for ``ALL_MEMBERS``-style and top-k queries.
 ``batcher``
     :class:`~repro.serve.batcher.ReadBatcher` — coalesces concurrent Single
     Entity reads into batched per-shard ``read_many`` rounds, amortizing the

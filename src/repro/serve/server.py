@@ -18,6 +18,15 @@ The server owns four moving parts and wires them together:
   :class:`ClientSession` threads the two together into monotonic
   read-your-writes semantics.
 
+The server and its sessions are two of a view's three **readers**
+(:mod:`repro.core.reads`; the third is the unserved view's own maintainer),
+each answering the same six reads, and both halves are written once:
+:meth:`ViewServer.read` holds the closed check, the trace span, the shared
+lock and the epoch capture and returns ``(answer, epoch)`` — the named reads
+(``label_of``, ``all_members``, ...) are its untagged forms — and
+:meth:`ClientSession._read` the wait-for-my-write before and the monotonic
+check after.  The server also prices its reads for the planner (``estimate``).
+
 The server can be built standalone (tests drive it straight from a corpus and
 a writer of their own) or attached to a live
 :class:`~repro.core.engine.ClassificationView` via
@@ -40,6 +49,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from repro.core.maintainers.base import ViewMaintainer
+from repro.core.reads import READS, read_estimate
 from repro.core.stores.base import EntityStore
 from repro.core.writes import ViewWriter
 from repro.db.buffer_pool import IOStatistics
@@ -87,42 +97,36 @@ class ClientSession:
         self.last_epoch = 0
         self._pending: WriteTicket | None = None
 
-    def _before_read(self) -> None:
+    def _read(self, operation: str, *args):
+        """Every session read: wait for this session's pending write
+        (read-your-writes), read, verify the epoch (monotonic reads)."""
         if self._pending is not None:
             # Clear the ticket before waiting: if the write failed, its error
             # surfaces on this read (read-your-writes of the failure) and the
             # session then recovers instead of re-raising forever.
             ticket, self._pending = self._pending, None
             self.last_epoch = max(self.last_epoch, ticket.wait())
-
-    def _observe(self, epoch: int) -> None:
+        answer, epoch = self._server.read(operation, *args)
         if epoch < self.last_epoch:
             raise MaintenanceError(
                 f"monotonic-read violation: session at epoch {self.last_epoch}, "
                 f"server answered from epoch {epoch}"
             )
         self.last_epoch = epoch
+        return answer
 
     def label_of(self, entity_id: object) -> int:
         """Single Entity read with session consistency."""
-        self._before_read()
-        label, epoch = self._server.label_of_tagged(entity_id)
-        self._observe(epoch)
-        return label
+        return self._read("label_of", entity_id)
+
+    def labels_of(self, entity_ids) -> dict[object, int]:
+        """Batched point reads with session consistency (join probe path);
+        unknown ids are simply absent from the result (inner-join semantics)."""
+        return self._read("labels_of", entity_ids)
 
     def all_members(self, label: int = 1) -> list[object]:
         """All Members read with session consistency."""
-        self._before_read()
-        members, epoch = self._server.all_members_tagged(label)
-        self._observe(epoch)
-        return members
-
-    def top_k(self, k: int, label: int = 1) -> list[tuple[object, float]]:
-        """Ranked read with session consistency."""
-        self._before_read()
-        ranked, epoch = self._server.top_k_tagged(k, label)
-        self._observe(epoch)
-        return ranked
+        return self._read("all_members", label)
 
     def range_scan(
         self,
@@ -133,30 +137,15 @@ class ClientSession:
         include_high: bool = True,
     ) -> list[object]:
         """Pushed-down key-range read with session consistency."""
-        self._before_read()
-        members, epoch = self._server.range_scan_tagged(
-            label, low, high, include_low=include_low, include_high=include_high
-        )
-        self._observe(epoch)
-        return members
+        return self._read("range_scan", label, low, high, include_low, include_high)
 
-    def labels_of(self, entity_ids) -> dict[object, int]:
-        """Batched point reads with session consistency (join probe path).
-
-        Unknown ids are simply absent from the result (inner-join semantics);
-        the epoch observed is the newest any coalesced round answered from,
-        which keeps the session watermark monotonic.
-        """
-        self._before_read()
-        labels, epoch = self._server.labels_of_tagged(entity_ids)
-        if labels:
-            self._observe(epoch)
-        return labels
+    def top_k(self, k: int, label: int = 1) -> list[tuple[object, float]]:
+        """Ranked read with session consistency."""
+        return self._read("top_k", k, label)
 
     def contents(self) -> dict[object, int]:
-        """Full-view read (one coherent epoch) that waits for this session's writes."""
-        self._before_read()
-        return self._server.contents()
+        """Full-view read (one coherent epoch) with session consistency."""
+        return self._read("contents")
 
     def insert_example(self, entity_id: object, label_value: object) -> WriteTicket:
         """Queue a training example; subsequent session reads see it applied."""
@@ -227,6 +216,7 @@ class ViewServer:
                 num_shards=num_shards,
                 cache_capacity=cache_capacity,
             )
+        self.fanout = len(self.shards)
         self.writer = writer
         self.trainer = writer.trainer
         self.rw_lock = ReadWriteLock()
@@ -346,84 +336,41 @@ class ViewServer:
                     simulated_seconds=later - earlier,
                 )
 
-    def label_of_tagged(self, entity_id: object) -> tuple[int, int]:
-        """Single Entity read through the batcher: ``(label, epoch)``."""
-        return self.batcher.read(entity_id)
+    def read(self, operation: str, *args) -> tuple[object, int]:
+        """The one read entry point: ``(answer, epoch)`` for one of the six
+        :data:`~repro.core.reads.READS`, the epoch being the published epoch
+        the answer reflects.
 
-    def label_of(self, entity_id: object) -> int:
-        """Single Entity read: the entity's label in {-1, +1}."""
-        return self.label_of_tagged(entity_id)[0]
-
-    def all_members_tagged(self, label: int = 1) -> tuple[list[object], int]:
-        """Scatter/gather All Members read: ``(ids, epoch)``."""
-        with self._shard_span("all_members"), self.rw_lock.read_locked():
-            epoch = self.epoch_clock.epoch
-            members = self.shards.all_members(label)
-        return members, epoch
-
-    def all_members(self, label: int = 1) -> list[object]:
-        """All Members read across every shard."""
-        return self.all_members_tagged(label)[0]
-
-    def count_members(self, label: int = 1) -> int:
-        """Number of entities in the class."""
-        return len(self.all_members(label))
-
-    def top_k_tagged(self, k: int, label: int = 1) -> tuple[list[tuple[object, float]], int]:
-        """Scatter/gather ranked read: ``([(id, margin)], epoch)``."""
-        with self._shard_span("top_k"), self.rw_lock.read_locked():
-            epoch = self.epoch_clock.epoch
-            ranked = self.shards.top_k(k, label)
-        return ranked, epoch
-
-    def range_scan_tagged(
-        self,
-        label: int = 1,
-        low: object | None = None,
-        high: object | None = None,
-        include_low: bool = True,
-        include_high: bool = True,
-    ) -> tuple[list[object], int]:
-        """Pushed-down ``class = label AND key in range`` read: ``(ids, epoch)``.
-
-        The range operator runs as a real shard operation — every shard scans
-        its own eps-clustered store with the key filter applied before any
-        classification work — under one coherent epoch.
+        Point reads go through the request batcher, whose rounds run under
+        the shared side of the readers/writer lock
+        (:meth:`_execute_read_batch`); every other read is a scatter/gather
+        across the shards under that lock, with the epoch captured inside it.
         """
-        with self._shard_span("range_scan"), self.rw_lock.read_locked():
+        if self._closed:
+            raise MaintenanceError("server is closed")
+        if operation == "label_of":
+            return self.batcher.read(*args)
+        if operation == "labels_of":
+            return self._labels_of(*args)
+        if operation not in READS:
+            raise ConfigurationError(f"unknown read {operation!r}; known: {READS}")
+        with self._shard_span(operation), self.rw_lock.read_locked():
             epoch = self.epoch_clock.epoch
-            members = self.shards.range_scan(
-                label, low, high, include_low=include_low, include_high=include_high
-            )
-        return members, epoch
+            answer = getattr(self.shards, operation)(*args)
+        return answer, epoch
 
-    def range_scan(
-        self,
-        label: int = 1,
-        low: object | None = None,
-        high: object | None = None,
-        include_low: bool = True,
-        include_high: bool = True,
-    ) -> list[object]:
-        """Pushed-down key-range read across every shard."""
-        return self.range_scan_tagged(
-            label, low, high, include_low=include_low, include_high=include_high
-        )[0]
-
-    def labels_of_tagged(self, entity_ids) -> tuple[dict[object, int], int]:
-        """Batched Single Entity reads through the batcher: ``({id: label}, epoch)``.
-
-        Every key is submitted to the request batcher in one burst, so the
+    def _labels_of(self, entity_ids) -> tuple[dict[object, int], int]:
+        """Every key is submitted to the request batcher in one burst, so the
         whole batch coalesces into as few ``read_many`` rounds as the batch
-        window allows.  Unknown ids are dropped from the result; the returned
-        epoch is the newest any round answered from (0 when nothing matched).
-        """
+        window allows.  Unknown ids are dropped from the result; the epoch is
+        the newest any round answered from — never older than the one
+        published when the burst was submitted."""
+        epoch = self.epoch_clock.epoch
         futures = [
             (entity_id, self.batcher.submit(entity_id))
             for entity_id in dict.fromkeys(entity_ids)
         ]
         labels: dict[object, int] = {}
-        epoch = 0
         for entity_id, future in futures:
             try:
                 label, tag = future.result()
@@ -433,13 +380,50 @@ class ViewServer:
             epoch = max(epoch, tag)
         return labels, epoch
 
+    def label_of(self, entity_id: object) -> int:
+        """Single Entity read: the entity's label in {-1, +1}."""
+        return self.read("label_of", entity_id)[0]
+
     def labels_of(self, entity_ids) -> dict[object, int]:
         """Batched point reads; unknown ids are absent from the result."""
-        return self.labels_of_tagged(entity_ids)[0]
+        return self.read("labels_of", entity_ids)[0]
+
+    def all_members(self, label: int = 1) -> list[object]:
+        """All Members read across every shard."""
+        return self.read("all_members", label)[0]
+
+    def range_scan(
+        self,
+        label: int = 1,
+        low: object | None = None,
+        high: object | None = None,
+        include_low: bool = True,
+        include_high: bool = True,
+    ) -> list[object]:
+        """Pushed-down ``class = label AND key in range`` read: every shard
+        scans its own eps-clustered store with the key filter applied before
+        any classification work, under one coherent epoch."""
+        return self.read("range_scan", label, low, high, include_low, include_high)[0]
 
     def top_k(self, k: int, label: int = 1) -> list[tuple[object, float]]:
         """The ``k`` entities deepest inside class ``label`` under the current model."""
-        return self.top_k_tagged(k, label)[0]
+        return self.read("top_k", k, label)[0]
+
+    def contents(self) -> dict[object, int]:
+        """The full view ``{id: label}`` under one coherent epoch."""
+        return self.read("contents")[0]
+
+    #: The reader protocol's planning half (see :mod:`repro.core.reads`), with
+    #: ``fanout``, the number of shards a scatter/gather read fans out to.
+    served = True
+
+    def estimate(self, operation: str) -> float:
+        """What the planner should expect ``operation`` to cost here."""
+        return read_estimate(operation, [shard.maintainer.store for shard in self.shards.shards])
+
+    def ledger_seconds(self) -> float:
+        """Simulated seconds on the ledgers reads charge (the shard stores')."""
+        return self.shards.simulated_seconds()
 
     def classify(self, row) -> int:
         """Classify an ad-hoc entity row (or feature vector) without storing it."""
@@ -453,11 +437,6 @@ class ViewServer:
                 # lock; the work belongs under it.
                 features = self.writer.feature_function.compute_feature(row)  # repro: noqa(LOCK002)
         return sign(self._model_snapshot.margin(features))
-
-    def contents(self) -> dict[object, int]:
-        """The full view ``{id: label}`` under one coherent epoch."""
-        with self._shard_span("contents"), self.rw_lock.read_locked():
-            return self.shards.contents()
 
     def session(self) -> ClientSession:
         """A new per-client session with monotonic read-your-writes semantics."""
@@ -734,7 +713,7 @@ class ViewServer:
                 ]
             exports = {
                 index: self.shards.shards[index].submit(
-                    self.shards.shards[index].export_state_local
+                    self.shards.shards[index].maintainer.export_state
                 )
                 for index in rewrite
             }
@@ -961,8 +940,9 @@ class ViewServer:
         self._accepting = False
         self.worker.flush(timeout=timeout)
         self.worker.close(timeout=timeout)
-        self.batcher.close()
+        self._closed = True  # from here a read raises MaintenanceError, not the batcher's error
         try:
+            self.batcher.close()
             if self._view is not None:
                 view = self._view
                 if not view.maintainer._loaded:
@@ -974,7 +954,7 @@ class ViewServer:
                         (entity_id, features)
                         for shard in self.shards.shards
                         for entity_id, features, _eps, _label in shard.call(
-                            shard.export_state_local
+                            shard.maintainer.export_state
                         )["records"]
                     ]
                     view.maintainer.bulk_load(entities, self.trainer.model.copy())
@@ -998,7 +978,6 @@ class ViewServer:
             if self._wal is not None:
                 self._wal.close()
             self.shards.shutdown()
-            self._closed = True
 
     def __enter__(self) -> "ViewServer":
         return self

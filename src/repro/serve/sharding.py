@@ -13,9 +13,15 @@ others.
 Cross-shard operations (``ALL_MEMBERS``-style queries, ``top_k``, batched
 reads spanning partitions) follow a **scatter/gather** path: work is split by
 partition, submitted to every involved shard's worker concurrently, and the
-partial answers are merged.  Coherence across shards (so a gather never mixes
-model epochs) is the :class:`~repro.serve.server.ViewServer`'s job via its
-readers/writer lock; this module only guarantees per-shard linearizability.
+partial answers are merged.  The scatter is written once —
+:meth:`ShardSet._scatter` submits one *maintainer* operation to every shard
+worker and returns the partials in shard order; each read keeps only its own
+merge, and the bulk load and the snapshot import are the same scatter.  A
+:class:`Shard` adds a method of its own only where the result cache is
+involved (:meth:`Shard.read_batch_local`, :meth:`Shard.remove_entity_local`).
+Coherence across shards (so a gather never mixes model epochs) is the
+:class:`~repro.serve.server.ViewServer`'s job via its readers/writer lock;
+this module only guarantees per-shard linearizability.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from __future__ import annotations
 import zlib
 from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures import Future, ThreadPoolExecutor
+from itertools import chain
 
 from repro.core.maintainers.base import ViewMaintainer
 from repro.core.stores.base import EntityStore
@@ -109,43 +116,6 @@ class Shard:
                         results[entity_id] = error
         return results
 
-    def all_members_local(self, label: int) -> list[object]:
-        """This partition's contribution to an All Members read."""
-        return self.maintainer.read_all_members(label)
-
-    def read_range_local(
-        self,
-        label: int,
-        low: object | None,
-        high: object | None,
-        include_low: bool,
-        include_high: bool,
-    ) -> list[object]:
-        """This partition's contribution to a pushed-down key-range read."""
-        return self.maintainer.read_range(
-            label, low, high, include_low=include_low, include_high=include_high
-        )
-
-    def top_k_local(self, k: int, label: int) -> list[tuple[object, float]]:
-        """The ``k`` entities of this partition deepest inside class ``label``."""
-        return self.maintainer.top_k(k, label)
-
-    def apply_models_local(self, models: Sequence[LinearModel]) -> None:
-        """Apply a batch of successive models to this partition."""
-        self.maintainer.apply_model_batch(models)
-
-    def add_entity_local(self, entity_id: object, features: SparseVector) -> int:
-        """Insert a new entity into this partition."""
-        return self.maintainer.add_entity(entity_id, features)
-
-    def export_state_local(self) -> dict[str, object]:
-        """This partition's maintainer state (checkpoint write path)."""
-        return self.maintainer.export_state()
-
-    def import_state_local(self, state: dict[str, object]) -> None:
-        """Restore this partition's maintainer from a snapshot (warm restart)."""
-        self.maintainer.import_state(state)
-
     def remove_entity_local(self, entity_id: object) -> None:
         """Delete an entity from this partition (and its cache entry)."""
         self.cache.evict(entity_id)
@@ -180,14 +150,10 @@ class ShardSet:
             Shard(index, maintainer_factory(store_factory()), cache_capacity=cache_capacity)
             for index in range(num_shards)
         ]
+        shard_set = cls(shards)
         # Bulk-load in parallel, one load per shard worker.
-        loads = [
-            shard.submit(shard.maintainer.bulk_load, partition, model.copy())
-            for shard, partition in zip(shards, partitions)
-        ]
-        for future in loads:
-            future.result()
-        return cls(shards)
+        shard_set._scatter("bulk_load", each=[(part, model.copy()) for part in partitions])
+        return shard_set
 
     @classmethod
     def restore(
@@ -209,13 +175,9 @@ class ShardSet:
             Shard(index, maintainer_factory(store_factory()), cache_capacity=cache_capacity)
             for index in range(len(shard_states))
         ]
-        imports = [
-            shard.submit(shard.import_state_local, state)
-            for shard, state in zip(shards, shard_states)
-        ]
-        for future in imports:
-            future.result()
-        return cls(shards)
+        shard_set = cls(shards)
+        shard_set._scatter("import_state", each=[(state,) for state in shard_states])
+        return shard_set
 
     # -- routing --------------------------------------------------------------------------
 
@@ -255,13 +217,19 @@ class ShardSet:
             raise result
         return result
 
+    def _scatter(self, operation: str, *args, each: Sequence[tuple] | None = None) -> list:
+        """Run one maintainer operation on every shard's worker thread,
+        concurrently — with ``args``, or with shard ``i``'s own ``each[i]`` —
+        and return the partial answers in shard order."""
+        futures = [
+            shard.submit(getattr(shard.maintainer, operation), *(args if each is None else each[i]))
+            for i, shard in enumerate(self.shards)
+        ]
+        return [future.result() for future in futures]
+
     def all_members(self, label: int = 1) -> list[object]:
         """Scatter an All Members read to every shard, gather the union."""
-        futures = [shard.submit(shard.all_members_local, label) for shard in self.shards]
-        members: list[object] = []
-        for future in futures:
-            members.extend(future.result())
-        return members
+        return list(chain.from_iterable(self._scatter("read_all_members", label)))
 
     def range_scan(
         self,
@@ -278,47 +246,33 @@ class ShardSet:
         classification work, which is what makes this cheaper than gathering
         the full view and post-filtering.
         """
-        futures = [
-            shard.submit(
-                shard.read_range_local, label, low, high, include_low, include_high
-            )
-            for shard in self.shards
-        ]
-        members: list[object] = []
-        for future in futures:
-            members.extend(future.result())
-        return members
+        partials = self._scatter("read_range", label, low, high, include_low, include_high)
+        return list(chain.from_iterable(partials))
 
     def top_k(self, k: int, label: int = 1) -> list[tuple[object, float]]:
         """Global top-k by margin: per-shard top-k, then an n-way merge."""
-        futures = [shard.submit(shard.top_k_local, k, label) for shard in self.shards]
-        merged: list[tuple[object, float]] = []
-        for future in futures:
-            merged.extend(future.result())
+        merged = list(chain.from_iterable(self._scatter("top_k", k, label)))
         sign_ = 1.0 if label == 1 else -1.0
         merged.sort(key=lambda pair: sign_ * pair[1], reverse=True)
         return merged[:k]
 
     def contents(self) -> dict[object, int]:
         """The full view ``{id: label}`` across every shard."""
-        futures = [shard.submit(shard.maintainer.contents) for shard in self.shards]
         combined: dict[object, int] = {}
-        for future in futures:
-            combined.update(future.result())
+        for partial in self._scatter("contents"):
+            combined.update(partial)
         return combined
 
     # -- writes (driven by the maintenance worker) ---------------------------------------
 
     def apply_model_batch(self, models: Sequence[LinearModel]) -> None:
         """Apply a batch of models to every shard concurrently; waits for all."""
-        futures = [shard.submit(shard.apply_models_local, models) for shard in self.shards]
-        for future in futures:
-            future.result()
+        self._scatter("apply_model_batch", models)
 
     def add_entity(self, entity_id: object, features: SparseVector) -> int:
         """Insert a new entity on its owning shard."""
         shard = self.shard_for(entity_id)
-        return shard.call(shard.add_entity_local, entity_id, features)
+        return shard.call(shard.maintainer.add_entity, entity_id, features)
 
     def remove_entity(self, entity_id: object) -> None:
         """Delete an entity from its owning shard."""

@@ -28,7 +28,7 @@ VIEW_DDL = (
 )
 
 
-def build_portal(count: int = 80, seed: int = 11):
+def build_portal(count: int = 80, seed: int = 11, **engine_options):
     db = Database()
     db.execute("CREATE TABLE papers (id integer PRIMARY KEY, title text)")
     db.execute("CREATE TABLE paper_area (label text PRIMARY KEY)")
@@ -41,7 +41,7 @@ def build_portal(count: int = 80, seed: int = 11):
         "INSERT INTO papers (id, title) VALUES (?, ?)",
         [(doc.entity_id, doc.text) for doc in documents],
     )
-    engine = HazyEngine(db)
+    engine = HazyEngine(db, **engine_options)
     db.execute(VIEW_DDL)
     for doc in documents[:30]:
         db.execute(

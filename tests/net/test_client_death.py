@@ -124,7 +124,12 @@ class TestMidWritesDeath:
         # the base table holds all eleven labels...
         count = backend.execute("SELECT COUNT(*) FROM example_papers").scalar()
         assert count == 40 + len(fresh) + 1
-        # ...and the view still answers consistently for a healthy client.
+        # ...and the view still answers consistently for a healthy client.  The
+        # three reads below are separate statements: wait out the queued writes
+        # first, or a maintenance round landing between the two member reads
+        # (the view turns from all-positive to all-negative at its first
+        # publish) makes the class sizes sum to twice the total.
+        backend.engine.view("labeled_papers").server.flush(timeout=TEST_TIMEOUT_S)
         with connect(server.host, server.port, timeout=TEST_TIMEOUT_S) as client:
             total = client.execute("SELECT COUNT(*) FROM labeled_papers").scalar()
             members = client.execute(

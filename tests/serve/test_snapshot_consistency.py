@@ -35,7 +35,7 @@ def test_all_members_reads_are_snapshot_consistent(serve_corpus):
     def reader():
         try:
             while not stop.is_set():
-                members, epoch = server.all_members_tagged(1)
+                members, epoch = server.read("all_members", 1)
                 with lock:
                     observations.append((epoch, frozenset(members)))
         except BaseException as error:  # pragma: no cover - failure path
@@ -83,7 +83,7 @@ def test_single_reads_are_snapshot_consistent(serve_corpus):
             while not stop.is_set():
                 doc = serve_corpus[index % len(serve_corpus)]
                 index += 1
-                label, epoch = server.label_of_tagged(doc.entity_id)
+                label, epoch = server.read("label_of", doc.entity_id)
                 with lock:
                     observations.append((doc.entity_id, label, epoch))
         except BaseException as error:  # pragma: no cover - failure path
