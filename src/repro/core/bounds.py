@@ -141,13 +141,3 @@ class WaterBandTracker:
         (the ε-map hint, then the classifier) build nothing.
         """
         return self._band
-
-    def non_monotone_band(self, previous_model: LinearModel, current_model: LinearModel) -> WaterBand:
-        """The alternative band over only the last two rounds (Appendix B.3).
-
-        This violates the monotone-cost assumption of the Skiing analysis but
-        can be tighter in practice; it is exposed for the ablation benchmark.
-        """
-        prev_low, prev_high = self.step_bounds(previous_model)
-        cur_low, cur_high = self.step_bounds(current_model)
-        return WaterBand(min(prev_low, cur_low), max(prev_high, cur_high))

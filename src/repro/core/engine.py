@@ -196,7 +196,7 @@ class ClassificationView:
         if self._server is not None and self._server.submit(kind, new_row, old_row):
             return
         store = self.maintainer.store
-        entity_ops, models, _steps, refused = self.writer.prepare(
+        entity_ops, models, _steps, refused, _rows = self.writer.prepare(
             ((kind, new_row, old_row),),
             lambda entity_id: store.get(entity_id).features,
             store.charge_featurization,
@@ -465,9 +465,10 @@ class HazyEngine:
 
     # -- declarative serving surface (the SQL front door) -------------------------------------------
 
-    #: ``WITH (...)`` option names accepted by SERVE VIEW / RESTORE VIEW:
-    #: the ``ViewServer`` keyword each maps to, the type it must have, and
-    #: how that type is worded in the error.
+    #: ``WITH (...)`` option names accepted by SERVE VIEW / RESTORE VIEW and
+    #: by CHECKPOINT VIEW: the ``ViewServer`` / ``ViewServer.checkpoint``
+    #: keyword each maps to, the type it must have, and how that type is
+    #: worded in the error.
     _SERVER_OPTIONS = {
         "shards": ("num_shards", int, "an integer"),
         "max_read_batch": ("max_read_batch", int, "an integer"),
@@ -479,20 +480,31 @@ class HazyEngine:
         "wal": ("wal_dir", str, "a string"),
         "adaptive_batching": ("adaptive_batching", bool, "true or false"),
     }
+    _CHECKPOINT_OPTIONS = {
+        "incremental": ("incremental", bool, "true or false"),
+        "parent": ("parent", str, "a string path"),
+    }
 
-    def _server_options(self, options: Mapping[str, object]) -> dict[str, object]:
-        """Map declarative ``WITH`` options onto ``ViewServer`` keyword arguments."""
+    @staticmethod
+    def _validated(
+        options: Mapping[str, object] | None, table: Mapping[str, tuple], what: str
+    ) -> dict[str, object]:
+        """The one ``WITH (...)`` validator: declarative options, checked
+        against ``table``, as the keyword arguments they stand for."""
         mapped: dict[str, object] = {}
-        for name, value in options.items():
-            if name.lower() not in self._SERVER_OPTIONS:
-                raise ConfigurationError(
-                    f"unknown serving option {name!r}; known: {sorted(self._SERVER_OPTIONS)}"
-                )
-            keyword, kind, wording = self._SERVER_OPTIONS[name.lower()]
+        for name, value in (options or {}).items():
+            if name.lower() not in table:
+                raise ConfigurationError(f"unknown {what} option {name!r}; known: {sorted(table)}")
+            keyword, kind, wording = table[name.lower()]
             accepted = (int, float) if kind is float else kind
             if not isinstance(value, accepted) or (kind is not bool and isinstance(value, bool)):
                 raise ConfigurationError(f"option {name!r} expects {wording}, got {value!r}")
             mapped[keyword] = kind(value)
+        return mapped
+
+    def _server_options(self, options: Mapping[str, object] | None) -> dict[str, object]:
+        """Map declarative ``WITH`` options onto ``ViewServer`` keyword arguments."""
+        mapped = self._validated(options, self._SERVER_OPTIONS, "serving")
         if mapped.pop("adaptive_batching", False):
             if "read_batch_wait_s" in mapped:
                 raise ConfigurationError(
@@ -504,7 +516,7 @@ class HazyEngine:
 
     def serve_view(self, name: str, options: Mapping[str, object] | None = None):
         """``SERVE VIEW name WITH (...)``: start serving with declarative options."""
-        return self.serve(name, **self._server_options(options or {}))
+        return self.serve(name, **self._server_options(options))
 
     def stop_serving(self, name: str) -> ClassificationView:
         """``STOP SERVING name``: quiesce the server, hand the view back consistent."""
@@ -531,31 +543,10 @@ class HazyEngine:
             raise ViewDefinitionError(
                 f"view {name!r} is not being served; SERVE VIEW it before CHECKPOINT"
             )
-        incremental = False
-        parent = None
-        for option, value in (options or {}).items():
-            key = option.lower()
-            if key == "incremental":
-                if not isinstance(value, bool):
-                    raise ConfigurationError(
-                        f"option {option!r} expects true or false, got {value!r}"
-                    )
-                incremental = value
-            elif key == "parent":
-                if not isinstance(value, str):
-                    raise ConfigurationError(
-                        f"option {option!r} expects a string path, got {value!r}"
-                    )
-                parent = value
-            else:
-                raise ConfigurationError(
-                    f"unknown checkpoint option {option!r}; known: ['incremental', 'parent']"
-                )
-        if parent is not None and not incremental:
-            raise ConfigurationError(
-                "checkpoint option 'parent' requires incremental = true"
-            )
-        return server.checkpoint(path, incremental=incremental, parent=parent)
+        mapped = self._validated(options, self._CHECKPOINT_OPTIONS, "checkpoint")
+        if "parent" in mapped and not mapped.get("incremental"):
+            raise ConfigurationError("checkpoint option 'parent' requires incremental = true")
+        return server.checkpoint(path, **mapped)
 
     def restore_view(self, name: str, path: str, options: Mapping[str, object] | None = None):
         """``RESTORE VIEW name FROM path``: warm-start serving from a checkpoint.
@@ -564,8 +555,7 @@ class HazyEngine:
         is a :class:`~repro.exceptions.ConfigurationError` — shard assignment
         always comes from the snapshot.
         """
-        mapped = self._server_options(options or {})
-        return self.serve(name, restore_from=path, **mapped)
+        return self.serve(name, restore_from=path, **self._server_options(options))
 
     def served_views(self) -> list[ClassificationView]:
         """Every view currently behind a server (lifecycle management)."""
@@ -749,13 +739,10 @@ class HazyEngine:
         definition = view.definition
         entities_key = definition.entities_key
         snapshot_ids = set(checkpoint.entity_ids)
-        hashes: dict[object, str] = {}
-        for state in checkpoint.shard_states:
-            for entity_id, digest in state.row_hashes or ():
-                hashes[entity_id] = digest
+        hashes = dict(checkpoint.published.row_hashes or {})
 
         example_key = view.writer.example_key
-        retained = Counter(map(example_key, checkpoint.manifest.examples))
+        retained = Counter(map(example_key, checkpoint.published.examples))
 
         # ---- Pass 1: WAL replay (bookkeeping keeps pass 2 from double-applying)
         def observe(kind: WriteKind, row, old_row) -> None:

@@ -41,6 +41,7 @@ from repro.features import FeatureFunction
 from repro.learn.model import LinearModel
 from repro.learn.sgd import SGDTrainer, TrainingExample
 from repro.linalg import SparseVector
+from repro.persist.checkpoint import pickle_feature_function
 
 __all__ = ["WriteKind", "ViewWriter", "PreparedWrites", "apply_writes"]
 
@@ -71,6 +72,10 @@ class PreparedWrites(NamedTuple):
     training_steps: int
     #: Position in the run -> why that write was refused.
     refused: dict[int, HazyError]
+    #: The base-table row each entity written in this run was last featurized
+    #: from — None once removed, or when it arrived as a ready ``(id,
+    #: features)`` pair.  What a served view's published row hashes follow.
+    entity_rows: dict[object, object]
 
 
 class ViewWriter:
@@ -101,7 +106,8 @@ class ViewWriter:
         self.trainer = trainer
         self.feature_function = feature_function
         #: Serializes stats update + featurize for stateful featurizers; also
-        #: taken by anyone else who runs or pickles the feature function.
+        #: taken by anyone else who runs the feature function, and by
+        #: :meth:`pickled_feature_function`.
         self.feature_lock = threading.RLock()
         self.positive_label = positive_label
         self.entities_key = entities_key
@@ -129,6 +135,20 @@ class ViewWriter:
         if isinstance(row, TrainingExample):
             return row.entity_id, row.label
         return row[self.examples_key], self.to_binary_label(row[self.examples_label])
+
+    def pickled_feature_function(self) -> bytes | Exception | None:
+        """The feature function as a checkpoint stores it, corpus statistics as
+        they stand *now* — so call it at an epoch boundary: at construction, or
+        on the thread that featurized, between a batch's prepare and its
+        publish.  One that does not pickle still serves: the exception is
+        returned, for a checkpoint to raise, not raised into the publisher."""
+        if self.feature_function is None:
+            return None
+        with self.feature_lock:
+            try:
+                return pickle_feature_function(self.feature_function)
+            except Exception as error:
+                return error
 
     # -- the one body -------------------------------------------------------------------------
 
@@ -158,6 +178,7 @@ class ViewWriter:
         entity_ops: list[tuple[str, object]] = []
         #: Entities written earlier in this run: their features, None once removed.
         pending: dict[object, SparseVector | None] = {}
+        entity_rows: dict[object, object] = {}
         new_examples: list[TrainingExample] = []
         refused: dict[int, HazyError] = {}
         forgot = False
@@ -168,13 +189,14 @@ class ViewWriter:
                     if kind is WriteKind.ENTITY_UPDATE:
                         old_id = self._entity_key(old_row)
                         entity_ops.append(("remove", old_id))
-                        pending[old_id] = None
+                        pending[old_id] = entity_rows[old_id] = None
                     entity_ops.append(("add", (entity_id, features)))
                     pending[entity_id] = features
+                    entity_rows[entity_id] = None if isinstance(row, tuple) else row
                 elif kind is WriteKind.ENTITY_DELETE:
                     entity_id = self._entity_key(old_row)
                     entity_ops.append(("remove", entity_id))
-                    pending[entity_id] = None
+                    pending[entity_id] = entity_rows[entity_id] = None
                 elif kind in (WriteKind.EXAMPLE_INSERT, WriteKind.EXAMPLE_UPDATE):
                     example = self._resolve(row, pending, features_of)
                     if kind is WriteKind.EXAMPLE_UPDATE and self._forget(old_row):
@@ -194,7 +216,7 @@ class ViewWriter:
         else:
             models = [self.trainer.absorb(example) for example in new_examples]
             steps = len(models)
-        return PreparedWrites(entity_ops, models, steps, refused)
+        return PreparedWrites(entity_ops, models, steps, refused, entity_rows)
 
     def retrain(self) -> LinearModel:
         """Retrain from scratch over the retained examples; returns the model."""

@@ -10,18 +10,12 @@ produced by *incremental* training.  This package provides that substrate:
 * :mod:`repro.learn.model` — the ``(w, b)`` pair itself plus serialization.
 * :mod:`repro.learn.sgd` — Bottou-style stochastic gradient descent, Hazy's
   default trainer.
-* :mod:`repro.learn.passive_aggressive` / :mod:`repro.learn.perceptron` —
-  alternative online learners from the incremental-learning literature the
-  paper cites.
 * :mod:`repro.learn.batch` — a batch sub-gradient SVM solver standing in for
   SVMLight in the Figure 10 comparison.
 * :mod:`repro.learn.kernels`, :mod:`repro.learn.random_features` — kernel
   functions and the Rahimi–Recht linearization of shift-invariant kernels
   (Appendix B.5), which turns a kernel classifier into a linear one the
   maintainers handle unchanged.
-* :mod:`repro.learn.multiclass` — one-vs-all reduction (Appendix B.5.4).
-* :mod:`repro.learn.model_selection` — leave-one-out model selection used when
-  the view declaration does not name a method.
 * :mod:`repro.learn.metrics` — precision/recall/accuracy/F1.
 """
 
@@ -31,15 +25,10 @@ from repro.learn.kernels import (
     Kernel,
     LaplacianKernel,
     LinearKernel,
-    PolynomialKernel,
 )
 from repro.learn.loss import HingeLoss, LogisticLoss, Loss, SquaredLoss, get_loss
 from repro.learn.metrics import accuracy, confusion_counts, f1_score, precision_recall
 from repro.learn.model import LinearModel, ModelDelta
-from repro.learn.model_selection import leave_one_out_error, select_method
-from repro.learn.multiclass import OneVersusAllClassifier
-from repro.learn.passive_aggressive import PassiveAggressiveTrainer
-from repro.learn.perceptron import PerceptronTrainer
 from repro.learn.random_features import RandomFourierFeatures
 from repro.learn.regularizers import (
     ElasticNetPenalty,
@@ -65,18 +54,12 @@ __all__ = [
     "ModelDelta",
     "TrainingExample",
     "SGDTrainer",
-    "PassiveAggressiveTrainer",
-    "PerceptronTrainer",
     "BatchSubgradientSVM",
     "Kernel",
     "LinearKernel",
     "GaussianKernel",
     "LaplacianKernel",
-    "PolynomialKernel",
     "RandomFourierFeatures",
-    "OneVersusAllClassifier",
-    "leave_one_out_error",
-    "select_method",
     "accuracy",
     "precision_recall",
     "f1_score",

@@ -17,7 +17,6 @@ from repro.linalg import SparseVector
 __all__ = [
     "Kernel",
     "LinearKernel",
-    "PolynomialKernel",
     "GaussianKernel",
     "LaplacianKernel",
     "get_kernel",
@@ -47,25 +46,6 @@ class LinearKernel(Kernel):
 
     def __call__(self, left: SparseVector, right: SparseVector) -> float:
         return left.dot(right)
-
-
-class PolynomialKernel(Kernel):
-    """``K(x, y) = (gamma * x·y + coef0)^degree``."""
-
-    name = "polynomial"
-
-    def __init__(self, degree: int = 2, gamma: float = 1.0, coef0: float = 1.0):
-        if degree < 1:
-            raise ConfigurationError("polynomial degree must be >= 1")
-        self.degree = int(degree)
-        self.gamma = float(gamma)
-        self.coef0 = float(coef0)
-
-    def __call__(self, left: SparseVector, right: SparseVector) -> float:
-        return (self.gamma * left.dot(right) + self.coef0) ** self.degree
-
-    def __repr__(self) -> str:
-        return f"PolynomialKernel(degree={self.degree}, gamma={self.gamma}, coef0={self.coef0})"
 
 
 def _squared_distance(left: SparseVector, right: SparseVector) -> float:
@@ -130,8 +110,6 @@ class LaplacianKernel(Kernel):
 #: Registry of kernels selectable by name in view declarations.
 KERNELS: dict[str, type[Kernel]] = {
     "linear": LinearKernel,
-    "polynomial": PolynomialKernel,
-    "poly": PolynomialKernel,
     "gaussian": GaussianKernel,
     "rbf": GaussianKernel,
     "laplacian": LaplacianKernel,

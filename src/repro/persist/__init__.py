@@ -16,22 +16,24 @@ the pieces:
   trigger ops, replayed on warm restart so queued-but-unpublished writes
   survive a crash.
 
-The write side is driven by
-:meth:`repro.serve.server.ViewServer.checkpoint` (per-shard concurrent
-export under the *shared* side of the server's readers/writer lock, so
-readers stay live); the warm-restart path is
+The write side is composed by
+:class:`~repro.persist.checkpoint.CheckpointWriter` from the one
+:class:`~repro.persist.snapshot.PublishedState` a served view last published;
+:meth:`repro.serve.server.ViewServer.checkpoint` owns only the cut (per-shard
+concurrent export under the *shared* side of the server's readers/writer
+lock, so readers stay live); the warm-restart path is
 ``HazyEngine.serve(name, restore_from=path)``, which imports shard states and
 replays only the base-table churn that happened after the checkpoint.
 """
 
 from repro.persist.checkpoint import (
     FEATURES_NAME,
+    CheckpointWriter,
     MANIFEST_NAME,
     describe_checkpoint,
     load_checkpoint,
     shard_file_name,
     shard_file_sha,
-    write_feature_function,
     write_manifest,
     write_shard_state,
 )
@@ -46,6 +48,7 @@ from repro.persist.format import (
 from repro.persist.snapshot import (
     CheckpointManifest,
     LoadedCheckpoint,
+    PublishedState,
     ShardState,
     row_content_hash,
 )
@@ -61,6 +64,8 @@ __all__ = [
     "CheckpointManifest",
     "LoadedCheckpoint",
     "ShardState",
+    "PublishedState",
+    "CheckpointWriter",
     "MANIFEST_NAME",
     "FEATURES_NAME",
     "shard_file_name",
@@ -69,7 +74,6 @@ __all__ = [
     "describe_checkpoint",
     "write_shard_state",
     "write_manifest",
-    "write_feature_function",
     "row_content_hash",
     "WalRecord",
     "WriteAheadLog",

@@ -1,4 +1,4 @@
-"""Checkpoint directory layout and the read side of recovery.
+"""The checkpoint directory layout, both directions.
 
 A checkpoint is a directory::
 
@@ -14,6 +14,17 @@ Every file is CRC-checked and version-checked (see
 :class:`~repro.exceptions.SnapshotCorruptionError` before any state is
 imported.
 
+Both directions are a function of one value — the
+:class:`~repro.persist.snapshot.PublishedState` a served view last published —
+plus its shards' exported state.  :class:`CheckpointWriter`, the write side,
+is handed that value and those exports, never a shard, a lock or a table, and
+owns every rule of the format: when a parent may anchor an **incremental**
+checkpoint, which shards one rewrites, how an unchanged shard is referenced,
+and the manifest, written last.  Its caller keeps what is not format: the
+consistent cut and the threads the per-shard files are written from
+(:meth:`repro.serve.server.ViewServer.checkpoint`).  :func:`load_checkpoint`
+maps the directory back onto the same value.
+
 The feature function is serialized with :mod:`pickle` inside a CRC frame —
 only restore checkpoints you wrote yourself (the usual pickle trust model).
 """
@@ -22,11 +33,17 @@ from __future__ import annotations
 
 import hashlib
 import pickle
+from collections.abc import Iterable, Mapping, Sequence
 from pathlib import Path
 
-from repro.exceptions import SnapshotCorruptionError, SnapshotError
+from repro.exceptions import ConfigurationError, SnapshotCorruptionError, SnapshotError
 from repro.persist.format import read_frame, read_json_frame, write_frame, write_json_frame
-from repro.persist.snapshot import CheckpointManifest, LoadedCheckpoint, ShardState
+from repro.persist.snapshot import (
+    CheckpointManifest,
+    LoadedCheckpoint,
+    PublishedState,
+    ShardState,
+)
 
 __all__ = [
     "MANIFEST_NAME",
@@ -35,7 +52,8 @@ __all__ = [
     "shard_file_sha",
     "write_shard_state",
     "write_manifest",
-    "write_feature_function",
+    "pickle_feature_function",
+    "CheckpointWriter",
     "load_checkpoint",
     "describe_checkpoint",
 ]
@@ -67,10 +85,159 @@ def write_manifest(directory: Path | str, manifest: CheckpointManifest) -> int:
     return write_json_frame(Path(directory) / MANIFEST_NAME, manifest.to_document())
 
 
-def write_feature_function(directory: Path | str, feature_function: object) -> int:
-    """Pickle the feature function (corpus statistics included) into a frame."""
-    payload = pickle.dumps(feature_function, protocol=pickle.HIGHEST_PROTOCOL)
-    return write_frame(Path(directory) / FEATURES_NAME, payload)
+def pickle_feature_function(feature_function: object) -> bytes:
+    """The feature function (corpus statistics included) as ``features.hzs``'s payload."""
+    return pickle.dumps(feature_function, protocol=pickle.HIGHEST_PROTOCOL)
+
+
+class CheckpointWriter:
+    """One checkpoint directory being written: what to rewrite, then the commit.
+
+    ``parent`` is the checkpoint an incremental one builds on.  Between
+    construction and :meth:`commit` the caller writes the files of
+    :meth:`stale_shards` with :func:`write_shard_state`.
+    """
+
+    def __init__(
+        self,
+        path: Path | str,
+        num_shards: int,
+        incremental: bool = False,
+        parent: Path | str | None = None,
+    ):
+        self.directory = Path(path)
+        self.directory.mkdir(parents=True, exist_ok=True)
+        self.num_shards = num_shards
+        self.parent_dir: Path | None = None
+        self.parent: CheckpointManifest | None = None
+        if not incremental:
+            return
+        if parent is None:
+            raise ConfigurationError(
+                "incremental checkpoint needs a parent: no full checkpoint was "
+                "written by this server and no parent path was given"
+            )
+        parent_dir = Path(parent).resolve()
+        if parent_dir == self.directory.resolve():
+            raise ConfigurationError(
+                f"incremental checkpoint cannot use itself ({self.directory}) as parent"
+            )
+        manifest = CheckpointManifest.from_document(read_json_frame(parent_dir / MANIFEST_NAME))
+        if manifest.num_shards != num_shards:
+            raise ConfigurationError(
+                f"parent checkpoint {parent_dir} holds {manifest.num_shards} shards, "
+                f"this server runs {num_shards}"
+            )
+        if manifest.shard_epochs is None:
+            raise ConfigurationError(
+                f"parent checkpoint {parent_dir} predates per-shard epoch tracking "
+                "and cannot anchor an incremental checkpoint; write a full one first"
+            )
+        self.parent_dir, self.parent = parent_dir, manifest
+
+    def stale_shards(self, shard_epochs: Sequence[int]) -> list[int]:
+        """The shards this checkpoint rewrites: all of them, or, incrementally,
+        those whose epoch of last change moved since the parent's cut."""
+        if self.parent is None:
+            return list(range(self.num_shards))
+        return [
+            index
+            for index in range(self.num_shards)
+            if shard_epochs[index] != self.parent.shard_epochs[index]
+        ]
+
+    @staticmethod
+    def shard_state(
+        index: int, exported: dict[str, object], row_hashes: Mapping[object, str] | None
+    ) -> ShardState:
+        """Shard ``index``'s file content: its ``export_state()`` dict plus
+        the published hashes of the rows it stores."""
+        hashes = None
+        if row_hashes is not None:
+            hashes = [
+                [entity_id, row_hashes[entity_id]]
+                for entity_id, _, _, _ in exported["records"]
+                if entity_id in row_hashes
+            ]
+        return ShardState(index=index, row_hashes=hashes, **exported)
+
+    def commit(
+        self,
+        published: PublishedState,
+        written: Iterable[ShardState],
+        shard_bytes: int,
+        **identity: object,
+    ) -> dict[str, object]:
+        """Write the feature function and then the manifest — the commit point.
+
+        ``written`` are the shard states whose files now exist in the
+        directory (``shard_bytes`` in total), ``identity`` the manifest fields
+        naming the view and its engine configuration.  Returns the info row
+        ``CHECKPOINT VIEW`` answers with.
+        """
+        records = {state.index: len(state.records) for state in written}
+        shard_shas: list[str] = []
+        shard_sources: list[str | None] = []
+        shard_entities: list[int] = []
+        for index in range(self.num_shards):
+            if index in records:
+                shard_shas.append(shard_file_sha(self.directory / shard_file_name(index)))
+                shard_sources.append(None)
+                shard_entities.append(records[index])
+                continue
+            # Unchanged since the parent cut: reference the parent's file
+            # (flattening chains — a source never points at another
+            # reference) and carry its digest and record count forward.
+            parent = self.parent
+            source = parent.shard_sources[index] if parent.shard_sources is not None else None
+            resolved = Path(source) if source else self.parent_dir / parent.shard_files[index]
+            if parent.shard_shas is not None:
+                shard_shas.append(parent.shard_shas[index])
+            else:
+                shard_shas.append(shard_file_sha(resolved))
+            shard_sources.append(str(resolved))
+            shard_entities.append(
+                parent.shard_entities[index] if parent.shard_entities is not None else 0
+            )
+
+        total_bytes = shard_bytes
+        pickled = published.feature_function
+        if isinstance(pickled, Exception):
+            raise pickled
+        if pickled is not None:
+            total_bytes += write_frame(self.directory / FEATURES_NAME, pickled)
+        manifest = CheckpointManifest(
+            epoch=published.epoch,
+            model=published.model,
+            trainer_steps=published.model.version,
+            num_shards=self.num_shards,
+            shard_files=[shard_file_name(index) for index in range(self.num_shards)],
+            examples=list(published.examples),
+            has_feature_function=pickled is not None,
+            wal_applied_seq=published.wal_applied_seq,
+            shard_epochs=list(published.shard_epochs),
+            shard_shas=shard_shas,
+            shard_sources=shard_sources if self.parent is not None else None,
+            shard_entities=shard_entities,
+            parent=str(self.parent_dir) if self.parent_dir is not None else None,
+            **identity,
+        )
+        total_bytes += write_manifest(self.directory, manifest)
+        return {
+            "path": str(self.directory),
+            "epoch": published.epoch,
+            "entities": sum(shard_entities),
+            "bytes": total_bytes,
+            "shards_written": len(records),
+            "shard_bytes": shard_bytes,
+        }
+
+
+def _read_manifest(path: Path | str) -> tuple[Path, CheckpointManifest]:
+    directory = Path(path)
+    if not directory.is_dir():
+        raise SnapshotError(f"checkpoint directory {directory} does not exist")
+    return directory, CheckpointManifest.from_document(read_json_frame(directory / MANIFEST_NAME))
 
 
 def describe_checkpoint(path: Path | str) -> dict[str, object]:
@@ -79,10 +246,7 @@ def describe_checkpoint(path: Path | str) -> dict[str, object]:
     Cheap inspection for tooling and the SQL ``RESTORE VIEW`` result row: no
     shard payloads are decoded and no feature function is unpickled.
     """
-    directory = Path(path)
-    if not directory.is_dir():
-        raise SnapshotError(f"checkpoint directory {directory} does not exist")
-    manifest = CheckpointManifest.from_document(read_json_frame(directory / MANIFEST_NAME))
+    directory, manifest = _read_manifest(path)
     return {
         "path": str(directory),
         "view": manifest.view_name,
@@ -99,10 +263,7 @@ def describe_checkpoint(path: Path | str) -> dict[str, object]:
 
 def load_checkpoint(path: Path | str) -> LoadedCheckpoint:
     """Read a whole checkpoint directory back into memory, validating every frame."""
-    directory = Path(path)
-    if not directory.is_dir():
-        raise SnapshotError(f"checkpoint directory {directory} does not exist")
-    manifest = CheckpointManifest.from_document(read_json_frame(directory / MANIFEST_NAME))
+    directory, manifest = _read_manifest(path)
     if len(manifest.shard_files) != manifest.num_shards:
         raise SnapshotCorruptionError(
             f"checkpoint {directory} promises {manifest.num_shards} shards but its "
@@ -127,15 +288,32 @@ def load_checkpoint(path: Path | str) -> LoadedCheckpoint:
         shard_states.append(
             ShardState.from_document(read_json_frame(file_path), payload_bytes=payload_bytes)
         )
-    feature_function = None
+    feature_function = pickled = None
     if manifest.has_feature_function:
-        payload = read_frame(directory / FEATURES_NAME)
+        pickled = read_frame(directory / FEATURES_NAME)
         try:
-            feature_function = pickle.loads(payload)
+            feature_function = pickle.loads(pickled)
         except Exception as error:
             raise SnapshotCorruptionError(
                 f"checkpoint {directory} has an unreadable feature function: {error}"
             ) from error
+    hashed = [state.row_hashes for state in shard_states if state.row_hashes is not None]
+    row_hashes = {entity_id: digest for pairs in hashed for entity_id, digest in pairs}
+    shard_epochs = manifest.shard_epochs
+    if shard_epochs is None or len(shard_epochs) != manifest.num_shards:
+        shard_epochs = [manifest.epoch] * manifest.num_shards
+    published = PublishedState(
+        epoch=manifest.epoch,
+        model=manifest.model,
+        examples=tuple(manifest.examples),
+        shard_epochs=tuple(int(value) for value in shard_epochs),
+        wal_applied_seq=manifest.wal_applied_seq,
+        feature_function=pickled,
+        row_hashes=row_hashes if hashed else None,
+    )
     return LoadedCheckpoint(
-        manifest=manifest, shard_states=shard_states, feature_function=feature_function
+        manifest=manifest,
+        shard_states=shard_states,
+        published=published,
+        feature_function=feature_function,
     )

@@ -7,6 +7,14 @@ JSON-serializable documents and back.  Floats round-trip exactly (``json``
 emits shortest-round-trip ``repr`` forms), so a restored model answers reads
 bit-identically to the one that was checkpointed.
 
+Two values carry everything a checkpoint says.  :class:`PublishedState` is
+what a served view last *published* — the one value its server swaps in per
+epoch, a checkpoint is a function of, and a warm restart resumes from.
+:class:`ShardState` *is* the dict ``ViewMaintainer.export_state`` returns,
+with the shard's index and its rows' content hashes beside it: the field
+names are that dict's keys, so ``ShardState(index=i, row_hashes=h, **state)``
+is the mapping one way and :meth:`ShardState.to_import` the other.
+
 Entity ids must be JSON-native scalars (str, int, float, bool) — the same
 values the SQL substrate stores as keys.
 """
@@ -24,6 +32,7 @@ from repro.learn.sgd import TrainingExample
 from repro.linalg import SparseVector
 
 __all__ = [
+    "PublishedState",
     "ShardState",
     "CheckpointManifest",
     "LoadedCheckpoint",
@@ -123,6 +132,37 @@ def decode_examples(rows: list[list]) -> list[TrainingExample]:
     ]
 
 
+@dataclass(frozen=True)
+class PublishedState:
+    """What a served view last published: one immutable value per epoch.
+
+    The paper's view is "a pure function of the entities and training
+    examples" (§3.5.1) — and of the feature function's corpus statistics
+    (§2.1) — so this, plus each shard's clustering, is exactly what must
+    cross a crash.  The server swaps the next value in with one assignment
+    under its write lock; a checkpoint reads one and nothing behind it.
+    """
+
+    epoch: int
+    #: Shared, never mutated: the epoch history and every checkpoint hold
+    #: this same object.
+    model: LinearModel
+    #: The retained examples (the retrain input), in absorption order.
+    examples: tuple[TrainingExample, ...] = ()
+    #: Per-shard epoch of last change — what an incremental checkpoint diffs.
+    shard_epochs: tuple[int, ...] = ()
+    #: Highest WAL sequence number whose op this state reflects.
+    wal_applied_seq: int = 0
+    #: The pickled feature function, corpus statistics as of this epoch
+    #: (see :func:`~repro.persist.checkpoint.pickle_feature_function`) — or
+    #: the exception pickling raised, which a checkpoint re-raises; None for
+    #: a view without one.
+    feature_function: bytes | Exception | None = None
+    #: ``{entity id: row_content_hash(base-table row)}`` of the row each
+    #: stored entity's features were computed from; None without a base table.
+    row_hashes: Mapping[object, str] | None = None
+
+
 @dataclass
 class ShardState:
     """One shard's exported state, as produced by ``ViewMaintainer.export_state``.
@@ -150,11 +190,18 @@ class ShardState:
     #: sequential read against the shard's ledger); 0 when freshly exported.
     payload_bytes: int = 0
     #: ``[entity_id, content_hash]`` pairs (see :func:`row_content_hash`) for
-    #: this shard's entities, captured from the base table at checkpoint
-    #: time.  None for standalone servers (no base table) and for snapshots
-    #: written before hashes existed; replay then falls back to the
-    #: insert/delete-only diff.
+    #: this shard's entities: the hash of the base-table row each one's
+    #: features were computed from.  None for standalone servers (no base
+    #: table) and for snapshots written before hashes existed; replay then
+    #: falls back to the insert/delete-only diff.
     row_hashes: list[list[object]] | None = None
+
+    def to_import(self) -> dict[str, object]:
+        """``ViewMaintainer.import_state``'s input: the exported dict back,
+        with ``payload_bytes`` for the restore's read charge."""
+        state = dict(vars(self))
+        del state["index"], state["row_hashes"]
+        return state
 
     def to_document(self) -> dict[str, object]:
         document: dict[str, object] = {
@@ -294,6 +341,9 @@ class LoadedCheckpoint:
 
     manifest: CheckpointManifest
     shard_states: list[ShardState]
+    #: The published state the manifest and the shards' hashes spell — what a
+    #: warm-restarted server resumes from.
+    published: PublishedState
     feature_function: object | None = None
 
     @property

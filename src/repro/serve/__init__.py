@@ -40,10 +40,10 @@ Module map
     straight from cached ε values while the entity sits outside the low/high
     water band (Figure 8), invalidating only on reorganization.
 ``sync``
-    :class:`~repro.serve.sync.ReadWriteLock` and
-    :class:`~repro.serve.sync.EpochClock` — the snapshot-consistency
-    machinery: reads observe fully applied epochs, writes resolve to the
-    epoch at which they became visible.
+    :class:`~repro.serve.sync.ReadWriteLock` — the snapshot-consistency
+    machinery: reads observe fully applied epochs (the epoch is part of the
+    server's one published state), writes resolve to the epoch at which they
+    became visible.
 ``requests``
     :class:`~repro.serve.requests.WriteOp` / ``WriteTicket`` — the normalized
     write operations flowing through the queue and the visibility handles

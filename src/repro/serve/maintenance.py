@@ -21,9 +21,12 @@ Each drained batch goes through two phases:
    every shard's
    :meth:`~repro.core.maintainers.base.ViewMaintainer.apply_model_batch` —
    the eager Hazy maintainer reclassifies only the cumulative water band,
-   once, under the final model.  The epoch clock then advances, the new model
-   snapshot is published, and every ticket in the batch resolves to the new
-   epoch.
+   once, under the final model.  The server's next published state is then
+   swapped in (:meth:`~repro.serve.server.ViewServer.publish_epoch`: the
+   epoch, the model, and — for a batch that featurized rows — their content
+   hashes and the feature function re-pickled *here*, on the thread that
+   moved its statistics, before the lock is taken), and every ticket in the
+   batch resolves to the new epoch.
 
 **A write that cannot apply fails its own ticket and nothing else.**  The
 writer validates each write before touching state and reports the refused
@@ -68,6 +71,7 @@ import threading
 from collections.abc import Sequence
 
 from repro.core.writes import apply_writes
+from repro.persist.snapshot import row_content_hash
 from repro.serve.requests import WriteKind, WriteOp, WriteTicket
 from repro.serve.sharding import shard_index
 
@@ -92,9 +96,9 @@ class MaintenanceWorker:
     drives it through a small protocol: the ``writer`` it was lent,
     ``stored_features(entity_id)``, ``charge_featurize(nnz)``,
     ``charge_training(steps)``, ``record_mutations(entity_ops)``,
-    ``publish_epoch(final_model, dirty_shards, wal_seq)`` and
-    ``rotate_wal()`` plus the ``shards``, ``rw_lock`` and ``epoch_clock``
-    attributes.
+    ``publish_epoch(final_model, dirty_shards, wal_seq, row_hashes,
+    feature_function)`` and ``rotate_wal()`` plus the ``shards``, ``rw_lock``
+    and ``epoch`` attributes.
     """
 
     def __init__(
@@ -204,7 +208,7 @@ class MaintenanceWorker:
         host = self._host
 
         # ---- Phase 1: prepare, train — no locks, readers unaffected ----------------
-        entity_ops, models, training_steps, refused = host.writer.prepare(
+        entity_ops, models, training_steps, refused, entity_rows = host.writer.prepare(
             [(op.kind, op.row, op.old_row) for op in ops],
             host.stored_features,
             host.charge_featurize,
@@ -232,6 +236,17 @@ class MaintenanceWorker:
             applied_seq = max(
                 (op.wal_seq for op in ops if op.wal_seq is not None), default=None
             )
+            # What else the batch moves in the published state, worked out
+            # off the lock: the hash of each row it featurized, and — only
+            # this thread moves the corpus statistics, and it is between
+            # batches — the feature function as of exactly this epoch.
+            row_hashes = {
+                entity_id: row_content_hash(row) if row is not None else None
+                for entity_id, row in entity_rows.items()
+            }
+            feature_function = None
+            if any(row_hashes.values()):
+                feature_function = host.writer.pickled_feature_function()
             with host.rw_lock.write_locked():
                 apply_writes(host.shards, entity_ops, models)
                 host.record_mutations(entity_ops)
@@ -239,10 +254,12 @@ class MaintenanceWorker:
                     models[-1] if models else None,
                     dirty_shards=dirty_shards,
                     wal_seq=applied_seq,
+                    row_hashes=row_hashes,
+                    feature_function=feature_function,
                 )
             host.rotate_wal()
         else:
-            epoch = host.epoch_clock.epoch
+            epoch = host.epoch
 
         self.batches_applied += 1
         self.ops_applied += sum(1 for op in ops if op.kind is not WriteKind.BARRIER) - len(refused)

@@ -1,6 +1,6 @@
 """The ``ViewServer`` front-end: concurrent access to one classification view.
 
-The server owns four moving parts and wires them together:
+The server owns five moving parts and wires them together:
 
 * a :class:`~repro.serve.sharding.ShardSet` — the entity space hash-partitioned
   across N worker threads, each with its own store, maintainer, and
@@ -11,12 +11,21 @@ The server owns four moving parts and wires them together:
   (bounded, backpressuring) and applied in batches by the view's one write
   side, a :class:`~repro.core.writes.ViewWriter` the server is *lent* while it
   serves, with training kept outside the lock readers take;
-* the :class:`~repro.serve.sync.ReadWriteLock` + :class:`~repro.serve.sync.EpochClock`
-  pair giving **snapshot consistency**: every read executes under the shared
-  side of the lock, so it observes a fully applied epoch, and is tagged with
-  that epoch; writes resolve to the epoch at which they became visible; a
-  :class:`ClientSession` threads the two together into monotonic
-  read-your-writes semantics.
+* one **published state** — an immutable
+  :class:`~repro.persist.snapshot.PublishedState` (epoch, model, retained
+  examples, per-shard epochs, applied WAL sequence number, the pickled
+  feature function, the base-row hash of every stored entity) that
+  :meth:`ViewServer.publish_epoch` swaps in with one assignment under the
+  write lock.  A read's epoch tag, the model :meth:`ViewServer.classify`
+  scores under and everything a checkpoint writes beside the shards' own
+  exports are read from it: a checkpoint is a function of that one value,
+  composed in :mod:`repro.persist.checkpoint`, and a warm restart resumes
+  from the same value (:meth:`ViewServer.restore`);
+* the :class:`~repro.serve.sync.ReadWriteLock` giving **snapshot
+  consistency**: every read executes under the shared side of the lock, so it
+  observes a fully applied epoch, and is tagged with that epoch; writes
+  resolve to the epoch at which they became visible; a :class:`ClientSession`
+  threads the two together into monotonic read-your-writes semantics.
 
 The server and its sessions are two of a view's three **readers**
 (:mod:`repro.core.reads`; the third is the unserved view's own maintainer),
@@ -44,7 +53,7 @@ import dataclasses
 import threading
 import time
 from collections import OrderedDict
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Collection, Iterable, Mapping, Sequence
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -58,27 +67,14 @@ from repro.learn.model import LinearModel, sign
 from repro.learn.sgd import TrainingExample
 from repro.linalg import SparseVector
 from repro.obs import Counter, current_trace
-from repro.persist.checkpoint import (
-    MANIFEST_NAME,
-    shard_file_name,
-    shard_file_sha,
-    write_feature_function,
-    write_manifest,
-    write_shard_state,
-)
-from repro.persist.format import read_json_frame
-from repro.persist.snapshot import (
-    CheckpointManifest,
-    LoadedCheckpoint,
-    ShardState,
-    row_content_hash,
-)
+from repro.persist.checkpoint import CheckpointWriter, write_shard_state
+from repro.persist.snapshot import LoadedCheckpoint, PublishedState, row_content_hash
 from repro.persist.wal import WriteAheadLog
 from repro.serve.batcher import ReadBatcher
 from repro.serve.maintenance import MaintenanceWorker
 from repro.serve.requests import WriteKind, WriteOp, WriteTicket
 from repro.serve.sharding import ShardSet
-from repro.serve.sync import EpochClock, ReadWriteLock
+from repro.serve.sync import ReadWriteLock
 
 __all__ = ["ViewServer", "ClientSession"]
 
@@ -181,6 +177,10 @@ class ViewServer:
         stands, on :meth:`close`.
     store_factory / maintainer_factory:
         Build one private store / maintainer per shard.
+    resume:
+        Warm restart (see :meth:`restore`): a loaded checkpoint whose shard
+        states are imported instead of bulk-loading ``entities`` and whose
+        published state the server resumes from.
     """
 
     def __init__(
@@ -197,39 +197,38 @@ class ViewServer:
         max_write_batch: int = 64,
         cache_capacity: int = 100_000,
         epoch_history: int = 256,
-        restored_shards: ShardSet | None = None,
-        initial_epoch: int = 0,
         wal_dir: str | Path | None = None,
-        initial_wal_seq: int = 0,
-        initial_shard_epochs: Sequence[int] | None = None,
+        resume: LoadedCheckpoint | None = None,
     ):
-        if restored_shards is not None:
-            # Warm restart (see :meth:`restore`): the shards were rebuilt from
-            # a checkpoint; skip the bulk load and resume the epoch clock.
-            self.shards = restored_shards
+        per_shard = dict(
+            store_factory=store_factory,
+            maintainer_factory=maintainer_factory,
+            cache_capacity=cache_capacity,
+        )
+        if resume is not None:
+            imports = [state.to_import() for state in resume.shard_states]
+            self.shards = ShardSet.restore(imports, **per_shard)
+            published = resume.published
         else:
-            self.shards = ShardSet.build(
-                entities,
-                model,
-                store_factory=store_factory,
-                maintainer_factory=maintainer_factory,
-                num_shards=num_shards,
-                cache_capacity=cache_capacity,
+            self.shards = ShardSet.build(entities, model, num_shards=num_shards, **per_shard)
+            published = PublishedState(
+                0, model.copy(), tuple(writer.examples), shard_epochs=(0,) * num_shards
             )
         self.fanout = len(self.shards)
         self.writer = writer
         self.trainer = writer.trainer
         self.rw_lock = ReadWriteLock()
-        self.epoch_clock = EpochClock(start=initial_epoch)
-        #: The retained examples as of the last *published* epoch.  Phase 1 of
-        #: a maintenance batch appends to ``writer.examples`` before the batch
-        #: is visible; checkpoints must only capture the published prefix, so
-        #: this tuple is refreshed under the write lock at each epoch publish.
-        self._published_examples: tuple[TrainingExample, ...] = tuple(writer.examples)
-        self._model_snapshot = model.copy()
+        #: The one published state.  Phase 1 of a batch moves the writer's
+        #: examples, trainer and corpus statistics before the batch is visible;
+        #: whatever must describe the *published* epoch — a read's tag, a
+        #: checkpoint — reads this.  Replaced, never mutated, under the write lock.
+        self.published = dataclasses.replace(
+            published, feature_function=writer.pickled_feature_function()
+        )
         self._epoch_history = int(epoch_history)
+        #: Epoch -> the model published at it, newest ``epoch_history`` only.
         self._epoch_models: OrderedDict[int, LinearModel] = OrderedDict(
-            {initial_epoch: model.copy()}
+            {published.epoch: published.model}
         )
         self._train_stats = IOStatistics()
         self._cost_model = self.shards.shards[0].maintainer.store.cost_model
@@ -245,25 +244,10 @@ class ViewServer:
         #: registry by the engine's per-view provider and by ``stats()``).
         self.epochs_published = Counter()
         self.trigger_diverts = Counter()
-        #: Per-shard epoch of last change — the basis for incremental
-        #: checkpoints.  Written only under the write lock (publish_epoch),
-        #: read under the read lock (checkpoint).
-        num = len(self.shards)
-        if initial_shard_epochs is not None and len(initial_shard_epochs) == num:
-            self._shard_epochs = [int(value) for value in initial_shard_epochs]
-        else:
-            self._shard_epochs = [initial_epoch] * num
         #: Write-ahead log of diverted ops (optional).  A fresh serve wipes
         #: any stale segments — the base tables are authoritative for
         #: pre-serve state — while a warm restart continues the survivor.
-        self._wal = (
-            WriteAheadLog(wal_dir, fresh=restored_shards is None)
-            if wal_dir is not None
-            else None
-        )
-        #: Highest WAL sequence number whose op has been published (recorded
-        #: in checkpoint manifests so recovery knows where replay starts).
-        self._wal_applied_seq = int(initial_wal_seq)
+        self._wal = WriteAheadLog(wal_dir, fresh=resume is None) if wal_dir is not None else None
         #: Where the last successful checkpoint landed — the default parent
         #: for ``checkpoint(..., incremental=True)``.
         self._last_checkpoint_path: Path | None = None
@@ -295,7 +279,7 @@ class ViewServer:
         that key's waiters, not the whole round.
         """
         with self.rw_lock.read_locked():
-            epoch = self.epoch_clock.epoch
+            epoch = self.published.epoch
             labels = self.shards.read_batch(keys)
         return {
             key: value if isinstance(value, BaseException) else (value, epoch)
@@ -355,7 +339,7 @@ class ViewServer:
         if operation not in READS:
             raise ConfigurationError(f"unknown read {operation!r}; known: {READS}")
         with self._shard_span(operation), self.rw_lock.read_locked():
-            epoch = self.epoch_clock.epoch
+            epoch = self.published.epoch
             answer = getattr(self.shards, operation)(*args)
         return answer, epoch
 
@@ -365,7 +349,7 @@ class ViewServer:
         window allows.  Unknown ids are dropped from the result; the epoch is
         the newest any round answered from — never older than the one
         published when the burst was submitted."""
-        epoch = self.epoch_clock.epoch
+        epoch = self.published.epoch
         futures = [
             (entity_id, self.batcher.submit(entity_id))
             for entity_id in dict.fromkeys(entity_ids)
@@ -436,7 +420,7 @@ class ViewServer:
                 # Stateful featurizers exist to be serialized by exactly this
                 # lock; the work belongs under it.
                 features = self.writer.feature_function.compute_feature(row)  # repro: noqa(LOCK002)
-        return sign(self._model_snapshot.margin(features))
+        return sign(self.published.model.margin(features))
 
     def session(self) -> ClientSession:
         """A new per-client session with monotonic read-your-writes semantics."""
@@ -450,7 +434,7 @@ class ViewServer:
     @property
     def epoch(self) -> int:
         """The latest published epoch."""
-        return self.epoch_clock.epoch
+        return self.published.epoch
 
     # ------------------------------------------------------------------ writes
 
@@ -572,26 +556,45 @@ class ViewServer:
     def publish_epoch(
         self,
         final_model: LinearModel | None,
-        dirty_shards: Iterable[int] = (),
+        dirty_shards: Collection[int] = (),
         wal_seq: int | None = None,
+        row_hashes: Mapping[object, str | None] | None = None,
+        feature_function: bytes | Exception | None = None,
     ) -> int:
-        """Worker hook (under the write lock): advance the clock, snapshot the model.
+        """Worker hook (under the write lock): swap in the next published state.
 
         ``dirty_shards`` are the shards the batch touched (their last-change
         epoch moves to the new epoch — the bookkeeping incremental
         checkpoints diff against) and ``wal_seq`` is the highest WAL
         sequence number the batch carried, now durable in published state.
+        ``row_hashes`` holds the content hash of each base-table row the
+        batch featurized (None: the entity is gone), ``feature_function`` the
+        function re-pickled after it did; both default to "unchanged".
         """
-        if final_model is not None:
-            self._model_snapshot = final_model.copy()
-        self._published_examples = tuple(self.writer.examples)
-        epoch = self.epoch_clock.advance()
+        last = self.published
+        epoch = last.epoch + 1
+        hashes = last.row_hashes
+        if row_hashes and hashes is not None:
+            hashes = dict(hashes)
+            for entity_id, digest in row_hashes.items():
+                if digest is None:
+                    hashes.pop(entity_id, None)
+                else:
+                    hashes[entity_id] = digest
+        self.published = PublishedState(
+            epoch=epoch,
+            model=final_model.copy() if final_model is not None else last.model,
+            examples=tuple(self.writer.examples),
+            shard_epochs=tuple(
+                epoch if index in dirty_shards else value
+                for index, value in enumerate(last.shard_epochs)
+            ),
+            wal_applied_seq=max(last.wal_applied_seq, wal_seq or 0),
+            feature_function=feature_function or last.feature_function,
+            row_hashes=hashes,
+        )
         self.epochs_published.inc()
-        for index in dirty_shards:
-            self._shard_epochs[index] = epoch
-        if wal_seq is not None and wal_seq > self._wal_applied_seq:
-            self._wal_applied_seq = wal_seq
-        self._epoch_models[epoch] = self._model_snapshot.copy()
+        self._epoch_models[epoch] = self.published.model
         while len(self._epoch_models) > self._epoch_history:
             self._epoch_models.popitem(last=False)
         return epoch
@@ -619,46 +622,32 @@ class ViewServer:
 
     # ------------------------------------------------------------ checkpoint / recovery
 
-    def _resolve_parent(
-        self, directory: Path, parent: str | Path | None
-    ) -> tuple[Path, CheckpointManifest]:
-        """Locate and sanity-check the parent of an incremental checkpoint."""
-        parent_dir = Path(parent) if parent is not None else self._last_checkpoint_path
-        if parent_dir is None:
-            raise ConfigurationError(
-                "incremental checkpoint needs a parent: no full checkpoint was "
-                "written by this server and no parent path was given"
-            )
-        parent_dir = parent_dir.resolve()
-        if parent_dir == directory.resolve():
-            raise ConfigurationError(
-                f"incremental checkpoint cannot use itself ({directory}) as parent"
-            )
-        manifest = CheckpointManifest.from_document(
-            read_json_frame(parent_dir / MANIFEST_NAME)
-        )
-        if manifest.num_shards != len(self.shards):
-            raise ConfigurationError(
-                f"parent checkpoint {parent_dir} holds {manifest.num_shards} shards, "
-                f"this server runs {len(self.shards)}"
-            )
-        if manifest.shard_epochs is None:
-            raise ConfigurationError(
-                f"parent checkpoint {parent_dir} predates per-shard epoch tracking "
-                "and cannot anchor an incremental checkpoint; write a full one first"
-            )
-        return parent_dir, manifest
+    def _base_row_hashes(self) -> dict[object, str]:
+        """Content hashes of the attached view's base-table entity rows.
 
-    def _base_row_hashes(self) -> dict[object, str] | None:
-        """Content hashes of the current base-table entity rows (attached only).
-
-        Stored per shard in the snapshot so warm-restart replay can detect
-        content-only UPDATEs — churn an insert/delete diff cannot see."""
-        if self._view is None:
-            return None
+        Kept per entity in the published state and stored per shard in a
+        snapshot so warm-restart replay can detect content-only UPDATEs —
+        churn an insert/delete diff cannot see."""
         table = self._view.database.table(self._view.definition.entities_table)
         key = self._view.definition.entities_key
         return {row[key]: row_content_hash(row) for row in table.scan()}
+
+    def _manifest_identity(self) -> dict[str, object]:
+        """The manifest fields naming the view and its engine configuration."""
+        reference = self.shards.shards[0].maintainer
+        definition = view_name = None
+        if self._view is not None:
+            view_name = self._view.definition.view_name
+            definition = dataclasses.asdict(self._view.definition)
+            definition["options"] = dict(definition.get("options") or {})
+        return dict(
+            view_name=view_name,
+            definition=definition,
+            architecture=reference.store.architecture,
+            strategy=reference.strategy_name,
+            approach=reference.approach,
+            positive_label=self.writer.positive_label,
+        )
 
     def checkpoint(
         self,
@@ -668,167 +657,55 @@ class ViewServer:
     ) -> dict[str, object]:
         """Write a consistent snapshot of the whole serving state to ``path``.
 
-        The cut is **quiesce-free**: state is gathered while holding only the
-        *shared* side of the readers/writer lock, so concurrent reads keep
-        flowing — the maintenance worker's short apply phase is the only thing
-        excluded, which is exactly what makes the cut consistent (every shard,
-        the model, the epoch clock, and the retained examples all reflect the
-        same published epoch).  Per-shard serialization and file writes happen
-        on the shard worker threads, concurrently, after the lock is released;
-        the manifest is written last, atomically, as the commit point.
+        The cut is **quiesce-free**: under the *shared* side of the
+        readers/writer lock — reads keep flowing, only the maintenance
+        worker's short apply phase is excluded — the published state is read
+        once and the shards export theirs, so the snapshot reflects one
+        published epoch.  Nothing else is read: the writer, the feature
+        function and the base table may all be ahead of that epoch already.
+        Shard files are serialized and written on the shard workers,
+        concurrently, after the lock is released; the manifest is written
+        last, as the commit point, and the WAL is pruned only after it.
 
         With ``incremental=True`` only shards whose epoch moved since
         ``parent`` (default: this server's last checkpoint) are rewritten;
-        unchanged shards are referenced by absolute path plus a content
-        digest of the parent file, so a later restore can prove the
-        reference was not rewritten underneath.  The manifest, retained
-        examples, and feature function are always written fresh.
+        the directory format, incremental rules included, is
+        :class:`~repro.persist.checkpoint.CheckpointWriter`'s.
 
         Returns a small info dict (``path``, ``epoch``, ``entities``,
         ``bytes``, ``shards_written``, ``shard_bytes``).
         """
         if self._closed:
             raise MaintenanceError("cannot checkpoint a closed server")
-        directory = Path(path)
-        directory.mkdir(parents=True, exist_ok=True)
-        parent_dir: Path | None = None
-        parent_manifest: CheckpointManifest | None = None
-        if incremental:
-            parent_dir, parent_manifest = self._resolve_parent(directory, parent)
-
-        num_shards = len(self.shards)
+        writer = CheckpointWriter(
+            path, len(self.shards), incremental, parent or self._last_checkpoint_path
+        )
+        shards = self.shards.shards
         with self.rw_lock.read_locked():
-            epoch = self.epoch_clock.epoch
-            model = self._model_snapshot.copy()
-            examples = list(self._published_examples)
-            shard_epochs = list(self._shard_epochs)
-            wal_applied_seq = self._wal_applied_seq
-            if parent_manifest is None:
-                rewrite = list(range(num_shards))
-            else:
-                rewrite = [
-                    index
-                    for index in range(num_shards)
-                    if shard_epochs[index] != parent_manifest.shard_epochs[index]
-                ]
+            published = self.published
             exports = {
-                index: self.shards.shards[index].submit(
-                    self.shards.shards[index].maintainer.export_state
-                )
-                for index in rewrite
+                index: shards[index].submit(shards[index].maintainer.export_state)
+                for index in writer.stale_shards(published.shard_epochs)
             }
             # Deliberate: the read lock pins a consistent cut across shards
             # while their state exports drain.
-            states = {index: future.result() for index, future in exports.items()}  # repro: noqa(LOCK002)
-
-        row_hashes = self._base_row_hashes()
-        shard_states: dict[int, ShardState] = {}
-        for index, state in states.items():
-            hashes = None
-            if row_hashes is not None:
-                hashes = [
-                    [entity_id, row_hashes[entity_id]]
-                    for entity_id, _, _, _ in state["records"]
-                    if entity_id in row_hashes
-                ]
-            shard_states[index] = ShardState(
-                index=index,
-                strategy=state["strategy"],
-                approach=state["approach"],
-                records=state["records"],
-                current_model=state["current_model"],
-                max_feature_norm=state.get("max_feature_norm", 0.0),
-                stored_model=state.get("stored_model"),
-                band_low=state.get("band_low", 0.0),
-                band_high=state.get("band_high", 0.0),
-                skiing=state.get("skiing"),
-                row_hashes=hashes,
-            )
-        writes = {
-            index: self.shards.shards[index].submit(
-                write_shard_state, directory, shard_state
-            )
-            for index, shard_state in shard_states.items()
-        }
-        shard_bytes = sum(future.result() for future in writes.values())
-        total_bytes = shard_bytes
-
-        shard_shas: list[str] = []
-        shard_sources: list[str | None] = []
-        shard_entities: list[int] = []
-        for index in range(num_shards):
-            if index in shard_states:
-                shard_shas.append(shard_file_sha(directory / shard_file_name(index)))
-                shard_sources.append(None)
-                shard_entities.append(len(shard_states[index].records))
-            else:
-                # Unchanged since the parent cut: reference the parent's file
-                # (flattening chains — a source never points at another
-                # reference) and carry its digest and record count forward.
-                source = None
-                if parent_manifest.shard_sources is not None:
-                    source = parent_manifest.shard_sources[index]
-                resolved = (
-                    Path(source)
-                    if source
-                    else parent_dir / parent_manifest.shard_files[index]
-                )
-                if parent_manifest.shard_shas is not None:
-                    sha = parent_manifest.shard_shas[index]
-                else:
-                    sha = shard_file_sha(resolved)
-                shard_shas.append(sha)
-                shard_sources.append(str(resolved))
-                if parent_manifest.shard_entities is not None:
-                    shard_entities.append(parent_manifest.shard_entities[index])
-                else:
-                    shard_entities.append(0)
-
-        feature_function = self.writer.feature_function
-        if feature_function is not None:
-            with self.writer.feature_lock:
-                total_bytes += write_feature_function(directory, feature_function)
-
-        definition = None
-        if self._view is not None:
-            definition = dataclasses.asdict(self._view.definition)
-            definition["options"] = dict(definition.get("options") or {})
-        reference = self.shards.shards[0].maintainer
-        manifest = CheckpointManifest(
-            view_name=self._view.definition.view_name if self._view is not None else None,
-            epoch=epoch,
-            model=model,
-            trainer_steps=model.version,
-            num_shards=num_shards,
-            shard_files=[shard_file_name(index) for index in range(num_shards)],
-            examples=examples,
-            architecture=reference.store.architecture,
-            strategy=reference.strategy_name,
-            approach=reference.approach,
-            definition=definition,
-            positive_label=self.writer.positive_label,
-            has_feature_function=feature_function is not None,
-            wal_applied_seq=wal_applied_seq,
-            shard_epochs=shard_epochs,
-            shard_shas=shard_shas,
-            shard_sources=shard_sources if incremental else None,
-            shard_entities=shard_entities,
-            parent=str(parent_dir) if parent_dir is not None else None,
-        )
-        total_bytes += write_manifest(directory, manifest)
-        if self._wal is not None and wal_applied_seq:
+            exported = {index: future.result() for index, future in exports.items()}  # repro: noqa(LOCK002)
+        states = [
+            writer.shard_state(index, state, published.row_hashes)
+            for index, state in exported.items()
+        ]
+        writes = [
+            shards[state.index].submit(write_shard_state, writer.directory, state)
+            for state in states
+        ]
+        shard_bytes = sum(future.result() for future in writes)
+        info = writer.commit(published, states, shard_bytes, **self._manifest_identity())
+        if self._wal is not None and published.wal_applied_seq:
             # Everything at or below the manifest's applied seq is durable in
             # the snapshot; replay will never need those segments again.
-            self._wal.prune(wal_applied_seq)
-        self._last_checkpoint_path = directory
-        return {
-            "path": str(directory),
-            "epoch": epoch,
-            "entities": sum(shard_entities),
-            "bytes": total_bytes,
-            "shards_written": len(shard_states),
-            "shard_bytes": shard_bytes,
-        }
+            self._wal.prune(published.wal_applied_seq)
+        self._last_checkpoint_path = writer.directory
+        return info
 
     @classmethod
     def restore(
@@ -843,10 +720,10 @@ class ViewServer:
         """Warm-start a server from a loaded checkpoint.
 
         Shard stores are rebuilt via ``import_state`` — no featurization, no
-        dot products, no re-sort — the epoch clock resumes at the snapshot
-        epoch, and the writer is rewound to the published state: the trainer
-        to the published model, the retained examples to the manifest's (and
-        a writer without a feature function adopts the checkpoint's).  The
+        dot products, no re-sort — the server resumes from the checkpoint's
+        published state, and the writer is rewound to it: the trainer to the
+        published model, the retained examples to the published ones (and a
+        writer without a feature function adopts the checkpoint's).  The
         shard count always comes from the snapshot (eps values are only
         meaningful on the shard that stored them); asking for a different
         ``num_shards`` is a :class:`~repro.exceptions.ConfigurationError`,
@@ -861,26 +738,19 @@ class ViewServer:
                 "values are only meaningful on the shard that stored them, so "
                 "restore always preserves the snapshot's shard assignment"
             )
-        shard_set = ShardSet.restore(
-            [_maintainer_state(state) for state in checkpoint.shard_states],
-            store_factory=store_factory,
-            maintainer_factory=maintainer_factory,
-            cache_capacity=cache_capacity,
-        )
-        writer.trainer.load_state(manifest.model, manifest.trainer_steps)
-        writer.examples[:] = manifest.examples
+        published = checkpoint.published
+        writer.trainer.load_state(published.model, manifest.trainer_steps)
+        writer.examples[:] = published.examples
         if writer.feature_function is None:
             writer.feature_function = checkpoint.feature_function
         return cls(
             entities=(),
-            model=manifest.model.copy(),
+            model=published.model,
             writer=writer,
             store_factory=store_factory,
             maintainer_factory=maintainer_factory,
-            restored_shards=shard_set,
-            initial_epoch=manifest.epoch,
-            initial_wal_seq=manifest.wal_applied_seq,
-            initial_shard_epochs=manifest.shard_epochs,
+            cache_capacity=cache_capacity,
+            resume=checkpoint,
             **server_options,
         )
 
@@ -900,7 +770,7 @@ class ViewServer:
         """
         if self._wal is None:
             return 0
-        records = self._wal.records_after(self._wal_applied_seq)
+        records = self._wal.records_after(self.published.wal_applied_seq)
         for record in records:
             kind = WriteKind(record.kind)
             self.replay(kind, record.row, record.old_row, record.seq)
@@ -922,6 +792,13 @@ class ViewServer:
         if self._view is not None:
             raise MaintenanceError("server is already attached to a view")
         self._view = view
+        if self.published.row_hashes is None:
+            # The one scan of the base table: nothing is queued yet, so table
+            # and shards agree; from here the hashes follow the writes.  (A
+            # resumed server already carries its snapshot's.)
+            row_hashes = self._base_row_hashes()
+            with self.rw_lock.write_locked():
+                self.published = dataclasses.replace(self.published, row_hashes=row_hashes)
         view._server = self
 
     # ------------------------------------------------------------------ lifecycle
@@ -1056,20 +933,3 @@ class ViewServer:
                 flat[f"shard{index}.{key}"] = value
         return flat
 
-
-def _maintainer_state(state: ShardState) -> dict[str, object]:
-    """Map a decoded :class:`ShardState` onto ``ViewMaintainer.import_state`` input."""
-    document: dict[str, object] = {
-        "strategy": state.strategy,
-        "approach": state.approach,
-        "records": state.records,
-        "current_model": state.current_model,
-        "max_feature_norm": state.max_feature_norm,
-        "payload_bytes": state.payload_bytes,
-    }
-    if state.stored_model is not None:
-        document["stored_model"] = state.stored_model
-        document["band_low"] = state.band_low
-        document["band_high"] = state.band_high
-        document["skiing"] = state.skiing
-    return document

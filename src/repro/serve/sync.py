@@ -1,6 +1,6 @@
 """Synchronization primitives for the serving subsystem.
 
-Two small pieces:
+Three small pieces:
 
 * :class:`ReadWriteLock` — a writer-preferring readers/writer lock.  Many
   client threads may hold it shared (scatter/gather reads, batched read
@@ -8,10 +8,9 @@ Two small pieces:
   short *apply* phase of each batch.  Model retraining happens entirely
   outside the lock, which is what gives the subsystem its "reads never block
   behind retraining" property.
-* :class:`EpochClock` — a monotonically increasing epoch counter published by
-  the maintenance worker after each fully applied batch.  Readers tag results
-  with the epoch they observed, write tickets resolve to the epoch at which
-  the write became visible, and ``wait_for`` implements read-your-writes.
+* :class:`EpochClock` — a monotonically increasing epoch counter with
+  blocking waits.  The server no longer keeps one (its epoch is a field of
+  the published state it swaps in per batch, and tickets carry the waits).
 * :class:`SessionRegistry` — one client-side session per served view,
   lazily created and re-created when a view is re-served.  This is the
   "context" object :func:`repro.connect` threads through the SQL executor so

@@ -123,13 +123,3 @@ class TestWaterBandTracker:
                 assert current.predict(vector) == 1
             if band.certain_negative(eps):
                 assert current.predict(vector) == -1
-
-    def test_non_monotone_band_covers_last_two_rounds(self):
-        tracker = self.make_tracker()
-        previous = LinearModel(SparseVector({0: 1.5}), 0.2, 1)
-        current = LinearModel(SparseVector({0: 0.7}), -0.1, 2)
-        band = tracker.non_monotone_band(previous, current)
-        p_low, p_high = tracker.step_bounds(previous)
-        c_low, c_high = tracker.step_bounds(current)
-        assert band.low == pytest.approx(min(p_low, c_low))
-        assert band.high == pytest.approx(max(p_high, c_high))

@@ -11,7 +11,6 @@ from repro.learn.kernels import (
     GaussianKernel,
     LaplacianKernel,
     LinearKernel,
-    PolynomialKernel,
     get_kernel,
 )
 from repro.learn.random_features import RandomFourierFeatures
@@ -22,16 +21,6 @@ class TestKernels:
     def test_linear_kernel_is_dot_product(self):
         kernel = LinearKernel()
         assert kernel(SparseVector({0: 1.0, 1: 2.0}), SparseVector({1: 3.0})) == pytest.approx(6.0)
-
-    def test_polynomial_kernel(self):
-        kernel = PolynomialKernel(degree=2, gamma=1.0, coef0=1.0)
-        x = SparseVector({0: 1.0})
-        y = SparseVector({0: 2.0})
-        assert kernel(x, y) == pytest.approx((2.0 + 1.0) ** 2)
-
-    def test_polynomial_requires_positive_degree(self):
-        with pytest.raises(ConfigurationError):
-            PolynomialKernel(degree=0)
 
     def test_gaussian_kernel_identity(self):
         kernel = GaussianKernel(gamma=0.5)
@@ -61,7 +50,6 @@ class TestKernels:
         assert GaussianKernel().shift_invariant
         assert LaplacianKernel().shift_invariant
         assert not LinearKernel().shift_invariant
-        assert not PolynomialKernel().shift_invariant
 
     def test_invalid_gamma(self):
         with pytest.raises(ConfigurationError):
@@ -71,7 +59,6 @@ class TestKernels:
 
     def test_registry(self):
         assert isinstance(get_kernel("rbf"), GaussianKernel)
-        assert isinstance(get_kernel("poly", degree=3), PolynomialKernel)
         with pytest.raises(ConfigurationError):
             get_kernel("bogus")
 

@@ -1,123 +1,10 @@
-"""Unit tests for multiclass reduction, model selection and metrics."""
+"""Unit tests for the metrics."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.exceptions import ConfigurationError, NotFittedError
 from repro.learn.metrics import accuracy, confusion_counts, f1_score, precision_recall
-from repro.learn.model_selection import (
-    DEFAULT_CANDIDATES,
-    cross_validation_error,
-    leave_one_out_error,
-    select_method,
-)
-from repro.learn.multiclass import LabeledExample, OneVersusAllClassifier
-from repro.learn.sgd import SGDTrainer, TrainingExample
-from repro.linalg import SparseVector
-
-
-def three_class_examples() -> list[LabeledExample]:
-    """Each class concentrates on its own feature index."""
-    examples = []
-    for i in range(12):
-        cls = i % 3
-        features = SparseVector({cls: 1.0, 3: 0.1})
-        examples.append(LabeledExample(entity_id=i, features=features, label=f"class{cls}"))
-    return examples
-
-
-class TestOneVersusAll:
-    def test_requires_two_labels(self):
-        with pytest.raises(ConfigurationError):
-            OneVersusAllClassifier(["only"])
-
-    def test_rejects_duplicate_labels(self):
-        with pytest.raises(ConfigurationError):
-            OneVersusAllClassifier(["a", "a"])
-
-    def test_unknown_label_rejected(self):
-        clf = OneVersusAllClassifier(["a", "b"])
-        with pytest.raises(ConfigurationError):
-            clf.absorb(LabeledExample(0, SparseVector({0: 1.0}), "c"))
-
-    def test_predict_before_training_raises(self):
-        clf = OneVersusAllClassifier(["a", "b"])
-        with pytest.raises(NotFittedError):
-            clf.predict(SparseVector({0: 1.0}))
-
-    def test_learns_three_classes(self):
-        clf = OneVersusAllClassifier(
-            ["class0", "class1", "class2"],
-            trainer_factory=lambda: SGDTrainer(loss="svm", learning_rate=0.5, decay=0.0),
-        )
-        examples = three_class_examples()
-        for _ in range(10):
-            clf.absorb_many(examples)
-        assert all(clf.predict(ex.features) == ex.label for ex in examples)
-
-    def test_scores_has_every_label(self):
-        clf = OneVersusAllClassifier(["a", "b", "c"])
-        clf.absorb(LabeledExample(0, SparseVector({0: 1.0}), "a"))
-        assert set(clf.scores(SparseVector({0: 1.0}))) == {"a", "b", "c"}
-
-    def test_absorbed_counter(self):
-        clf = OneVersusAllClassifier(["a", "b"])
-        clf.absorb(LabeledExample(0, SparseVector({0: 1.0}), "a"))
-        assert clf.absorbed == 1
-
-    def test_models_snapshot(self):
-        clf = OneVersusAllClassifier(["a", "b"])
-        clf.absorb(LabeledExample(0, SparseVector({0: 1.0}), "a"))
-        models = clf.models()
-        assert set(models) == {"a", "b"}
-        assert models["a"].version == 1
-
-
-def _simple_separable() -> list[TrainingExample]:
-    return [
-        TrainingExample(i, SparseVector({0: 1.0 + 0.1 * i}), 1) for i in range(5)
-    ] + [
-        TrainingExample(10 + i, SparseVector({0: -1.0 - 0.1 * i}), -1) for i in range(5)
-    ]
-
-
-class TestModelSelection:
-    def test_leave_one_out_zero_error_on_easy_data(self):
-        def factory():
-            return SGDTrainer(loss="svm", learning_rate=0.5, decay=0.0)
-
-        error = leave_one_out_error(factory, _simple_separable(), epochs=5)
-        assert error == pytest.approx(0.0)
-
-    def test_leave_one_out_requires_two_examples(self):
-        with pytest.raises(ConfigurationError):
-            leave_one_out_error(SGDTrainer, _simple_separable()[:1])
-
-    def test_cross_validation_needs_enough_examples(self):
-        with pytest.raises(ConfigurationError):
-            cross_validation_error(SGDTrainer, _simple_separable()[:3], folds=5)
-
-    def test_cross_validation_low_error_on_easy_data(self):
-        def factory():
-            return SGDTrainer(loss="svm", learning_rate=0.5, decay=0.0)
-
-        error = cross_validation_error(factory, _simple_separable(), folds=5, epochs=5)
-        assert error <= 0.2
-
-    def test_select_method_returns_known_candidate(self):
-        name, error = select_method(_simple_separable(), epochs=3)
-        assert name in DEFAULT_CANDIDATES
-        assert 0.0 <= error <= 1.0
-
-    def test_select_method_rejects_empty_candidates(self):
-        with pytest.raises(ConfigurationError):
-            select_method(_simple_separable(), candidates={})
-
-    def test_select_method_switches_to_cv_for_large_sets(self):
-        examples = _simple_separable() * 10
-        name, error = select_method(examples, max_exact=5, epochs=1)
-        assert name in DEFAULT_CANDIDATES
 
 
 class TestMetrics:

@@ -1,4 +1,4 @@
-"""Unit tests for the passive-aggressive, perceptron and batch learners."""
+"""Unit tests for the batch learner."""
 
 from __future__ import annotations
 
@@ -6,8 +6,6 @@ import pytest
 
 from repro.exceptions import ConfigurationError, NotFittedError
 from repro.learn.batch import BatchSubgradientSVM
-from repro.learn.passive_aggressive import PassiveAggressiveTrainer
-from repro.learn.perceptron import PerceptronTrainer
 from repro.learn.sgd import TrainingExample
 from repro.linalg import SparseVector
 
@@ -22,91 +20,6 @@ def separable_examples() -> list[TrainingExample]:
         TrainingExample(4, SparseVector({0: -2.0}), -1),
         TrainingExample(5, SparseVector({0: -0.7, 1: -0.2}), -1),
     ]
-
-
-class TestPassiveAggressive:
-    def test_invalid_aggressiveness(self):
-        with pytest.raises(ConfigurationError):
-            PassiveAggressiveTrainer(aggressiveness=0.0)
-
-    def test_learns_separable_data(self):
-        trainer = PassiveAggressiveTrainer()
-        examples = separable_examples()
-        for _ in range(5):
-            trainer.absorb_many(examples)
-        assert all(trainer.predict(ex.features) == ex.label for ex in examples)
-
-    def test_no_update_when_margin_satisfied(self):
-        trainer = PassiveAggressiveTrainer()
-        example = TrainingExample(0, SparseVector({0: 1.0}), 1)
-        for _ in range(10):
-            trainer.absorb(example)
-        weights_before = trainer.model.weights.to_dict()
-        trainer.absorb(example)
-        assert trainer.model.weights.to_dict() == pytest.approx(weights_before)
-
-    def test_step_capped_by_aggressiveness(self):
-        gentle = PassiveAggressiveTrainer(aggressiveness=0.01)
-        example = TrainingExample(0, SparseVector({0: 1.0}), 1)
-        gentle.absorb(example)
-        # tau <= 0.01, feature value 1 -> weight change <= 0.01
-        assert gentle.model.weights[0] <= 0.01 + 1e-12
-
-    def test_versions_and_reset(self):
-        trainer = PassiveAggressiveTrainer()
-        trainer.absorb_many(separable_examples())
-        assert trainer.steps == 6
-        trainer.reset()
-        assert trainer.steps == 0
-        assert trainer.model.is_zero()
-
-
-class TestPerceptron:
-    def test_invalid_learning_rate(self):
-        with pytest.raises(ConfigurationError):
-            PerceptronTrainer(learning_rate=0.0)
-
-    def test_learns_separable_data(self):
-        trainer = PerceptronTrainer()
-        examples = separable_examples()
-        for _ in range(10):
-            trainer.absorb_many(examples)
-        assert all(trainer.predict(ex.features) == ex.label for ex in examples)
-
-    def test_mistake_driven_updates_only(self):
-        trainer = PerceptronTrainer()
-        example = TrainingExample(0, SparseVector({0: 1.0}), 1)
-        trainer.absorb(example)  # first example: prediction sign(0) = +1 == label, no update
-        assert trainer.model.weights.nnz() == 0
-
-    def test_mistake_triggers_update(self):
-        trainer = PerceptronTrainer()
-        example = TrainingExample(0, SparseVector({0: 1.0}), -1)
-        trainer.absorb(example)  # sign(0) = +1 != -1 -> update
-        assert trainer.model.weights[0] == pytest.approx(-1.0)
-
-    def test_averaged_snapshot_differs_from_raw(self):
-        trainer = PerceptronTrainer(averaged=True)
-        examples = separable_examples()
-        trainer.absorb_many(examples)
-        averaged = trainer.snapshot()
-        assert averaged.weights.to_dict() != trainer.model.weights.to_dict() or (
-            averaged.bias != trainer.model.bias
-        )
-
-    def test_averaged_also_learns(self):
-        trainer = PerceptronTrainer(averaged=True)
-        examples = separable_examples()
-        for _ in range(10):
-            trainer.absorb_many(examples)
-        assert all(trainer.predict(ex.features) == ex.label for ex in examples)
-
-    def test_reset(self):
-        trainer = PerceptronTrainer(averaged=True)
-        trainer.absorb_many(separable_examples())
-        trainer.reset()
-        assert trainer.steps == 0
-        assert trainer.snapshot().is_zero()
 
 
 class TestBatchSubgradientSVM:

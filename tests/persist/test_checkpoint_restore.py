@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 import threading
 
 import pytest
@@ -159,6 +160,29 @@ class TestStandaloneServer:
             assert 999_999 not in restored.contents()
         finally:
             restored.close()
+
+    def test_a_feature_function_that_does_not_pickle_fails_the_checkpoint_not_the_serving(
+        self, corpus, tmp_path
+    ):
+        """The statistics are pickled at each publish that featurized; what
+        cannot be pickled is kept as the error and raised by ``checkpoint``."""
+
+        class Unpicklable(FeatureFunction):  # a local class: pickle cannot find it
+            name = "unpicklable"
+
+            def compute_feature(self, row):
+                return SparseVector({0: 1.0})
+
+        server = build_standalone_server(corpus, feature_function=Unpicklable())
+        try:
+            server.insert_entity({"id": 999_999}).wait(10)
+            assert server.label_of(999_999) in (-1, 1)
+            with pytest.raises((pickle.PicklingError, AttributeError), match="Unpicklable"):
+                server.checkpoint(tmp_path / "ckpt")
+            assert not (tmp_path / "ckpt" / MANIFEST_NAME).exists()
+            assert server.classify({"id": 7}) in (-1, 1)
+        finally:
+            server.close()
 
 
 class TestCrashShapes:

@@ -10,6 +10,7 @@ in-memory pipeline held is deliberately thrown away.
 from __future__ import annotations
 
 import shutil
+import threading
 
 import pytest
 
@@ -104,7 +105,7 @@ class TestStandaloneCrashes:
         server, wal_dir, ckpt = self._serve_checkpoint_then_write(corpus, tmp_path)
         reference = answers(server)
 
-        import repro.serve.server as server_module
+        import repro.persist.checkpoint as server_module  # where the commit point lives
 
         def crash_before_manifest(directory, manifest):
             raise OSError("simulated crash before the manifest rename")
@@ -268,3 +269,147 @@ class TestEngineCrashes:
             assert restored.trainer.model.version == retained + 4
         finally:
             restored.close()
+
+
+TFIDF_DDL = DDL.replace("tf_bag_of_words", "tf_idf_bag_of_words")
+
+
+@pytest.fixture
+def hold_after_prepare(monkeypatch):
+    """Park the maintenance worker between the two phases of a batch.
+
+    ``ViewWriter.prepare`` is wrapped so the first batch that carries entity
+    churn stops *after* phase 1 returned (the row is featurized, the corpus
+    statistics have moved, the base table holds the new row) and *before*
+    phase 2 begins (nothing is applied, nothing is published).  Returns
+    ``(parked, release)``: wait for the first, set the second.
+    """
+    parked, release = threading.Event(), threading.Event()
+    original = ViewWriter.prepare
+
+    def prepare(self, writes, features_of, charge_featurize):
+        prepared = original(self, writes, features_of, charge_featurize)
+        if prepared.entity_ops and threading.current_thread().name == "hazy-maintenance":
+            parked.set()
+            assert release.wait(timeout=30)
+        return prepared
+
+    monkeypatch.setattr(ViewWriter, "prepare", prepare)
+    yield parked, release
+    release.set()
+
+
+class TestCheckpointBehindItsOwnCut:
+    """``checkpoint()`` reads nothing but what the server last *published*.
+
+    Both tests take a checkpoint while a batch is parked between its phases;
+    at the parent the checkpoint reached behind the cut it had just taken —
+    for the feature function (statistics ahead of the epoch) and for the base
+    table (row hashes ahead of the features).
+    """
+
+    def _serve(self, docs, ddl, tmp_path, wal: bool):
+        engine = HazyEngine(build_engine_database(docs))
+        db = engine.database
+        db.execute(ddl)
+        with_wal = f", wal = '{tmp_path / 'wal'}'" if wal else ""
+        db.execute(f"SERVE VIEW Labeled_Papers WITH (shards = 2{with_wal})")
+        return engine, engine.view("Labeled_Papers").server
+
+    def _restore(self, db, tmp_path, wal: bool):
+        engine = HazyEngine(db)
+        with_wal = f" WITH (wal = '{tmp_path / 'crash-wal'}')" if wal else ""
+        db.execute(f"RESTORE VIEW Labeled_Papers FROM '{tmp_path / 'crash-ckpt'}'{with_wal}")
+        return engine.view("Labeled_Papers").server
+
+    def _crash_image(self, db, tmp_path, wal: bool) -> None:
+        """Checkpoint now, and keep what the disk holds at this instant."""
+        db.execute(f"CHECKPOINT VIEW Labeled_Papers TO '{tmp_path / 'ckpt'}'")
+        shutil.copytree(tmp_path / "ckpt", tmp_path / "crash-ckpt")
+        if wal:
+            shutil.copytree(tmp_path / "wal", tmp_path / "crash-wal")
+
+    def test_statistics_are_those_of_the_snapshotted_epoch(
+        self, corpus, tmp_path, hold_after_prepare
+    ):
+        """Defect A: a row featurized but not yet published was in the pickled
+        statistics *and* in the WAL, so recovery counted it twice."""
+        parked, release = hold_after_prepare
+        docs = corpus[:40]
+        new_paper = (100, "database query brandnewtoken")
+        engine, server = self._serve(docs, TFIDF_DDL, tmp_path, wal=True)
+        db = engine.database
+        epoch = server.epoch
+
+        db.execute("INSERT INTO papers (id, title) VALUES (?, ?)", new_paper)
+        assert parked.wait(timeout=10)
+        self._crash_image(db, tmp_path, wal=True)
+        snapshot = load_checkpoint(tmp_path / "crash-ckpt")
+        assert snapshot.manifest.epoch == epoch and 100 not in snapshot.entity_ids
+        release.set()
+        server.flush()
+        live = server.writer.feature_function
+        live_vector = dict(server.stored_features(100).items())
+        reference = answers(server)
+        server.close()
+
+        restart_db = build_engine_database(docs)
+        restart_db.execute("INSERT INTO papers (id, title) VALUES (?, ?)", new_paper)
+        restored = self._restore(restart_db, tmp_path, wal=True)
+        try:
+            recovered = restored.writer.feature_function
+            assert recovered.document_count == live.document_count == len(docs) + 1
+            assert snapshot.feature_function.document_count == len(docs)
+            assert recovered.document_frequency == live.document_frequency
+            assert recovered.vocabulary.tokens() == live.vocabulary.tokens()
+            assert dict(restored.stored_features(100).items()) == live_vector
+            assert answers(restored) == reference
+        finally:
+            restored.close()
+
+    @pytest.mark.parametrize("wal", [False, True], ids=["no-wal", "wal"])
+    def test_row_hashes_describe_the_rows_the_snapshot_featurized(
+        self, corpus, tmp_path, hold_after_prepare, wal
+    ):
+        """Defect B: the snapshot stored an entity's *old* features next to the
+        hash of its *new* row, so a restore without a WAL saw "hash matches"
+        and kept the stale vector forever.  (With a WAL the replayed UPDATE
+        hid it: pinned.)"""
+        parked, release = hold_after_prepare
+        docs = corpus[:40]
+        target = docs[5]
+        update = ("UPDATE papers SET title = ? WHERE id = ?", (docs[6].text, target.entity_id))
+        engine, server = self._serve(docs, DDL, tmp_path, wal=wal)
+        db = engine.database
+        old_vector = dict(server.stored_features(target.entity_id).items())
+
+        db.execute(*update)
+        assert parked.wait(timeout=10)
+        self._crash_image(db, tmp_path, wal=wal)
+        release.set()
+        server.flush()
+        new_vector = dict(server.stored_features(target.entity_id).items())
+        assert new_vector != old_vector
+        reference = answers(server)
+        server.close()
+
+        restart_db = build_engine_database(docs)
+        restart_db.execute(*update)  # the base table as the crash left it
+        restored = self._restore(restart_db, tmp_path, wal=wal)
+        try:
+            assert dict(restored.stored_features(target.entity_id).items()) == new_vector
+            assert answers(restored) == reference
+        finally:
+            restored.close()
+
+    def test_a_checkpoint_does_not_scan_the_entities_table(self, corpus, tmp_path, monkeypatch):
+        engine, server = self._serve(corpus[:40], DDL, tmp_path, wal=False)
+        table = engine.database.table("papers")
+        scans = []
+        original = table.scan
+        monkeypatch.setattr(table, "scan", lambda *a, **k: scans.append(1) or original(*a, **k))
+        try:
+            engine.database.execute(f"CHECKPOINT VIEW Labeled_Papers TO '{tmp_path / 'ckpt'}'")
+            assert not scans
+        finally:
+            server.close()

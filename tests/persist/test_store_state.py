@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
-from repro.core.stores import HybridEntityStore, InMemoryEntityStore, OnDiskEntityStore
+from repro.core.maintainers import MAINTAINERS, build_maintainer
+from repro.core.stores import STORES, HybridEntityStore, InMemoryEntityStore, OnDiskEntityStore
 from repro.learn.model import LinearModel
+from repro.learn.sgd import SGDTrainer, TrainingExample
 from repro.linalg import SparseVector
+from repro.persist.snapshot import ShardState
 from repro.workloads.synth_text import SparseCorpusGenerator
 
 ARCHITECTURES = ["mainmemory", "ondisk", "hybrid"]
@@ -92,3 +97,41 @@ def test_hybrid_import_rebuilds_epsmap_and_buffer(loaded_inputs):
     for entity_id, _ in entities:
         assert target.eps_hint(entity_id) is not None
     assert target.buffer_size() == source.buffer_size()
+
+
+# -- the one mapping between ``export_state`` and a shard file ---------------------------------
+
+
+@pytest.mark.parametrize("architecture", list(STORES))
+@pytest.mark.parametrize("strategy,approach", list(MAINTAINERS))
+def test_every_cell_survives_the_shard_state_round_trip(architecture, strategy, approach):
+    """``export_state → ShardState → document → ShardState → to_import →
+    import_state`` reproduces the answers in every registered cell.
+
+    ``ShardState``'s fields *are* ``export_state``'s keys, so a maintainer or
+    store that starts exporting a key the snapshot does not know fails here,
+    in its own cell, not at some checkpoint.
+    """
+    corpus = SparseCorpusGenerator(
+        vocabulary_size=120, nonzeros_per_document=8, positive_fraction=0.4, seed=3
+    ).generate_list(80)
+    trainer = SGDTrainer(loss="svm", seed=5)
+    source = build_maintainer(strategy, approach, make_store(architecture))
+    source.bulk_load([(doc.entity_id, doc.features) for doc in corpus], trainer.model.copy())
+    for doc in corpus[:25]:  # enough steps to open a water band and move Skiing's accounts
+        source.apply_model(trainer.absorb(TrainingExample(doc.entity_id, doc.features, doc.label)))
+
+    exported = source.export_state()
+    state = ShardState(index=3, row_hashes=[[doc.entity_id, "h"] for doc in corpus], **exported)
+    document = json.loads(json.dumps(state.to_document()))
+    decoded = ShardState.from_document(document, payload_bytes=4096)
+    assert (decoded.index, decoded.row_hashes) == (3, state.row_hashes)
+    assert set(exported) | {"payload_bytes"} <= set(decoded.to_import())
+
+    target = build_maintainer(strategy, approach, make_store(architecture))
+    target.import_state(decoded.to_import())
+    assert target.contents() == source.contents()
+    for label in (1, -1):
+        assert target.top_k(20, label) == source.top_k(20, label)
+        assert target.read_all_members(label) == source.read_all_members(label)
+    assert target.export_state().keys() == exported.keys()
