@@ -13,10 +13,12 @@ Prepared statements
 
 ``execute(sql, params)`` treats every SQL string as a prepared statement:
 each connection keeps an LRU cache (``plan_cache_size`` entries, default 128)
-keyed on the SQL text holding the parsed AST *and*, for SELECTs, the planned
-:class:`~repro.db.sql.planner.SelectPlan`.  Re-executing the same text —
-including through ``executemany`` — re-binds the ``?`` parameters without
-re-parsing or re-planning.  Statements that change what a plan may assume
+keyed on the SQL text holding the parsed AST *and* its planned
+:class:`~repro.db.sql.planner.SelectPlan` — a SELECT's own, and for ``UPDATE``
+/ ``DELETE`` the plan that locates the rows to write (``EXPLAIN`` of any of
+them caches the same plan).  Re-executing the same text — including through
+``executemany`` — re-binds the ``?`` parameters without re-parsing or
+re-planning.  Statements that change what a plan may assume
 (DDL, ``CREATE CLASSIFICATION VIEW``, the serving lifecycle verbs) clear the
 cache; plans are additionally serving-state tolerant at execution time, so a
 plan cached by one connection stays correct when another connection serves or
@@ -63,10 +65,8 @@ from repro.db.sql.ast import (
     Delete,
     DropIndex,
     DropTable,
-    Explain,
     Insert,
     RestoreView,
-    Select,
     ServeView,
     Statement,
     StopServing,
@@ -106,7 +106,8 @@ _CACHE_INVALIDATING = (
 
 
 class PreparedStatement:
-    """One cached compilation: the parsed AST plus, for SELECTs, its plan.
+    """One cached compilation: the parsed AST plus its plan, if it has one
+    (:meth:`SQLExecutor.plan_for <repro.db.sql.executor.SQLExecutor.plan_for>`).
 
     ``probe`` memoizes the plan's cost probe (``probe_plan`` records which
     plan it was built for, so a refreshed plan rebuilds it) — the traced
@@ -286,18 +287,9 @@ class Connection:
         """Run a prepared statement once per parameter row."""
         return self.cursor().executemany(sql, parameter_rows)
 
-    def _plan_statement(self, statement: Statement):
-        """The cacheable plan for a statement: SELECTs and ``EXPLAIN <select>``
-        (the Explain handler honours it under the same catalog-version guard
-        the SELECT path uses)."""
-        if isinstance(statement, Select):
-            return self.database.executor.plan_select(statement)
-        if isinstance(statement, Explain) and isinstance(statement.statement, Select):
-            return self.database.executor.plan_select(statement.statement)
-        return None
-
     def prepare(self, sql: str) -> PreparedStatement:
-        """Parse (and for SELECTs, plan) once; cached by SQL text in LRU order.
+        """Parse (and plan, where there is a WHERE to plan) once; cached by SQL
+        text in LRU order.
 
         Spans record work actually performed: a plan-cache hit parses and
         plans nothing, so it records nothing — parse/plan spans appear on
@@ -315,7 +307,7 @@ class Connection:
                 # DDL on another connection sharing this engine moved the
                 # catalog; refresh the plan once here so the hot path does
                 # not re-plan on every execution forever.
-                cached.plan = self._plan_statement(cached.statement)
+                cached.plan = self.database.executor.plan_for(cached.statement)
                 self._plan_cache_invalidations += 1
                 trace = current_trace()
                 if trace is not None:
@@ -336,7 +328,7 @@ class Connection:
                 wall_seconds=time.perf_counter() - started,
             )
         started = time.perf_counter()
-        plan = self._plan_statement(statement)
+        plan = self.database.executor.plan_for(statement)
         if trace is not None:
             trace.add_span(
                 "plan",
@@ -361,10 +353,10 @@ class Connection:
     def _statement_cost_probe(self, prepared: PreparedStatement):
         """Simulated-seconds probe covering every ledger this statement touches.
 
-        Planned SELECTs reuse the plan's own probe (database + served-shard +
-        view-store ledgers); everything else charges the database ledger only
-        (DML's serving-side cost is applied asynchronously by the maintenance
-        worker and attributed there).
+        Planned statements reuse the plan's own probe (database + served-shard
+        + view-store ledgers); everything else charges the database ledger
+        only (DML's serving-side cost is applied asynchronously by the
+        maintenance worker and attributed there).
         """
         plan = prepared.plan
         if plan is not None:
@@ -526,8 +518,8 @@ def connect(
     ``architecture`` / ``strategy`` / ``approach`` and any extra keyword
     arguments configure the engine exactly as :class:`HazyEngine` does; they
     are rejected when ``engine=`` is supplied.  ``plan_cache_size`` bounds the
-    per-connection prepared-statement LRU (parsed AST + SELECT plan per SQL
-    text; 0 disables caching).
+    per-connection prepared-statement LRU (parsed AST + plan per SQL text; 0
+    disables caching).
 
     ``observability=`` supplies a preconfigured :class:`repro.obs.Observability`
     for the new database (e.g. ``Observability(enabled=False)`` for the no-op

@@ -7,11 +7,10 @@ from collections.abc import Mapping, Sequence
 from repro.db.buffer_pool import BufferPool, IOStatistics
 from repro.db.catalog import Catalog
 from repro.db.costmodel import CostModel
-from repro.db.schema import Column, TableSchema
+from repro.db.schema import TableSchema
 from repro.db.sql.executor import ResultSet, SQLExecutor
 from repro.db.sql.parser import parse
 from repro.db.table import Table
-from repro.db.types import DataType
 from repro.obs import Observability
 
 __all__ = ["Database"]
@@ -143,22 +142,6 @@ class Database:
         table = Table(schema, self.pool)
         self.catalog.register_table(table)
         return table
-
-    def create_table_from_columns(
-        self,
-        name: str,
-        columns: Sequence[tuple[str, DataType | str]],
-        primary_key: str | None = None,
-    ) -> Table:
-        """Convenience: create a table from ``(name, type)`` pairs."""
-        schema_columns = [
-            Column(
-                column_name,
-                data_type if isinstance(data_type, DataType) else DataType.from_name(data_type),
-            )
-            for column_name, data_type in columns
-        ]
-        return self.create_table(TableSchema(name, schema_columns, primary_key=primary_key))
 
     def drop_table(self, name: str) -> None:
         """Drop a table and release its pages."""

@@ -6,21 +6,23 @@ into a :class:`~repro.db.sql.planner.SelectPlan` of typed
 :mod:`~repro.db.sql.plan` nodes and executed by walking that tree; the
 executor itself contains no statement-shape dispatch.  ``EXPLAIN`` prints the
 same plan the executor would run; ``EXPLAIN ANALYZE`` runs it and reports
-actual vs estimated simulated seconds per node.  DML and DDL execute directly
-(their cost is dominated by triggers and maintained views, not access-path
-choice).
+actual vs estimated simulated seconds per node.  A statement has **one
+WHERE**: ``UPDATE`` and ``DELETE`` locate their rows by running the plan of
+``SELECT <pk> FROM t WHERE <the same conjuncts>`` to completion — same
+validation, access path, residual ``Filter``, ``?`` binding, plan cache and
+``EXPLAIN`` as a read — and only then write by key, which fires the triggers.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.db.schema import Column, TableSchema
 from repro.db.sql.ast import (
     PLACEHOLDER,
     CheckpointView,
-    Comparison,
     CreateClassificationView,
     CreateIndex,
     CreateTable,
@@ -36,7 +38,6 @@ from repro.db.sql.ast import (
     StopServing,
     Update,
 )
-from repro.db.sql.plan import compare_values
 from repro.db.sql.planner import Planner, SelectPlan
 from repro.db.types import DataType
 from repro.exceptions import SQLExecutionError, SQLPlanningError
@@ -98,8 +99,43 @@ class SQLExecutor:
     # -- planning ------------------------------------------------------------------------
 
     def plan_select(self, statement: Select) -> SelectPlan:
-        """Compile one SELECT into its plan (the prepared-statement cache hook)."""
+        """Compile one SELECT into its plan."""
         return self._planner.plan_select(statement)
+
+    def plan_for(self, statement: Statement) -> SelectPlan | None:
+        """The plan this statement runs — or, under ``EXPLAIN``, prints — if it
+        has one (the prepared-statement cache hook): a SELECT's own, and the
+        locating plan of an UPDATE or DELETE."""
+        if isinstance(statement, Explain):
+            statement = statement.statement
+        if isinstance(statement, Select):
+            return self.plan_select(statement)
+        if isinstance(statement, (Update, Delete)):
+            return self._planner.plan_locate(statement)
+        return None
+
+    def _current_plan(self, statement: Statement, plan: SelectPlan | None) -> SelectPlan | None:
+        """``plan`` if it may still be walked, else a fresh one.
+
+        A supplied plan is only honoured while the catalog it was built
+        against is unchanged: DDL on *any* connection sharing this database
+        bumps the version — ``CREATE INDEX``/``DROP INDEX`` too, which change
+        access paths without changing the namespace — and a stale plan holding
+        a dropped or replaced table/view object must be rebuilt, not walked
+        (nor printed by ``EXPLAIN``).
+        """
+        if plan is None or plan.catalog_version != self._database.catalog.version:
+            plan = self.plan_for(statement)
+        return plan
+
+    def _run(self, plan: SelectPlan, parameters: list, context: object) -> list[dict]:
+        rows, runtime = plan.run(self._database, parameters, context)
+        trace = current_trace()
+        if trace is not None:
+            # Mirror the executed tree's per-node actuals as spans; the same
+            # numbers EXPLAIN ANALYZE would report for this statement.
+            trace.add_plan_tree(plan, runtime, trace.cross_thread_parent_id)
+        return rows
 
     # -- entry point ---------------------------------------------------------------------
 
@@ -116,8 +152,8 @@ class SQLExecutor:
         :class:`repro.connection.Connection`) threaded through to served-view
         plan nodes so that reads against served views get that connection's
         monotonic read-your-writes session.  ``plan`` short-circuits planning
-        for SELECT statements (the prepared-statement cache passes the plan it
-        already built; parameters are re-bound without re-planning).
+        (the prepared-statement cache passes the :meth:`plan_for` it already
+        built; parameters are re-bound without re-planning).
         """
         parameters = list(parameters or [])
         if isinstance(statement, CreateTable):
@@ -133,11 +169,10 @@ class SQLExecutor:
         if isinstance(statement, Insert):
             return self._execute_insert(statement, parameters)
         if isinstance(statement, Select):
-            return self._execute_select(statement, parameters, context, plan)
-        if isinstance(statement, Update):
-            return self._execute_update(statement, parameters)
-        if isinstance(statement, Delete):
-            return self._execute_delete(statement, parameters)
+            rows = self._run(self._current_plan(statement, plan), parameters, context)
+            return ResultSet(rows=rows, rowcount=len(rows), statement_type="SELECT")
+        if isinstance(statement, (Update, Delete)):
+            return self._execute_write(statement, parameters, context, plan)
         if isinstance(statement, _SERVING_STATEMENTS):
             return self._execute_serving_statement(statement)
         if isinstance(statement, Explain):
@@ -154,11 +189,10 @@ class SQLExecutor:
         """Execute one statement per parameter row; returns the total rowcount.
 
         The shared prepared-execution loop behind ``Database.executemany`` and
-        ``Connection.executemany``: the statement is already parsed (and, for
-        SELECTs, optionally planned) — each iteration only re-binds ``?``.
+        ``Connection.executemany``: the statement is already parsed (and
+        optionally planned) — each iteration only re-binds ``?``.
         """
-        if plan is None and isinstance(statement, Select):
-            plan = self.plan_select(statement)
+        plan = self._current_plan(statement, plan)
         total = 0
         for parameters in parameter_rows:
             total += self.execute(statement, parameters, context, plan=plan).rowcount
@@ -239,111 +273,53 @@ class SQLExecutor:
 
     # -- DML ----------------------------------------------------------------------------
 
+    @staticmethod
+    def _bind_values(literals: Sequence[object], supplied: Iterator[object]) -> list[object]:
+        """``literals`` with each ``?`` replaced by the next supplied parameter."""
+        bound = []
+        for value in literals:
+            if value is PLACEHOLDER:
+                value = next(supplied, PLACEHOLDER)
+                if value is PLACEHOLDER:
+                    raise SQLExecutionError("not enough parameters for placeholders")
+            bound.append(value)
+        return bound
+
     def _execute_insert(self, statement: Insert, parameters: list) -> ResultSet:
         table = self._database.catalog.table(statement.table)
         columns = list(statement.columns) or table.schema.column_names()
-        inserted = 0
-        cursor = 0
+        supplied = iter(parameters)
         for literal_row in statement.rows:
             if len(literal_row) != len(columns):
                 raise SQLExecutionError(
                     f"INSERT expects {len(columns)} values per row, got {len(literal_row)}"
                 )
-            bound_row: dict[str, object] = {}
-            for column, literal in zip(columns, literal_row):
-                value = literal
-                if literal is PLACEHOLDER:
-                    if cursor >= len(parameters):
-                        raise SQLExecutionError("not enough parameters for placeholders")
-                    value = parameters[cursor]
-                    cursor += 1
-                bound_row[column] = value
-            table.insert(bound_row)
-            inserted += 1
-        return ResultSet(rowcount=inserted, statement_type="INSERT")
+            table.insert(dict(zip(columns, self._bind_values(literal_row, supplied))))
+        return ResultSet(rowcount=len(statement.rows), statement_type="INSERT")
 
-    def _bind_where(
-        self, where: tuple[Comparison, ...], parameters: list, cursor: int
-    ) -> tuple[list[Comparison], int]:
-        bound: list[Comparison] = []
-        for comparison in where:
-            value = comparison.value
-            if value is PLACEHOLDER:
-                if cursor >= len(parameters):
-                    raise SQLExecutionError("not enough parameters for placeholders")
-                value = parameters[cursor]
-                cursor += 1
-            bound.append(Comparison(comparison.column, comparison.operator, value))
-        return bound, cursor
-
-    @staticmethod
-    def _matches(row: Mapping[str, object], comparisons: Iterable[Comparison]) -> bool:
-        for comparison in comparisons:
-            matched_key = next(
-                (key for key in row if key.lower() == comparison.column.lower()), None
-            )
-            if matched_key is None:
-                raise SQLExecutionError(f"unknown column {comparison.column!r} in WHERE clause")
-            if not compare_values(row[matched_key], comparison.operator, comparison.value):
-                return False
-        return True
-
-    # -- SELECT (plan-first) -------------------------------------------------------------
-
-    def _execute_select(
-        self,
-        statement: Select,
-        parameters: list,
-        context: object = None,
-        plan: SelectPlan | None = None,
+    def _execute_write(
+        self, statement: Update | Delete, parameters: list, context: object, plan
     ) -> ResultSet:
-        if plan is None or plan.catalog_version != self._database.catalog.version:
-            # A supplied plan is only honoured while the catalog it was built
-            # against is unchanged: DDL on *any* connection sharing this
-            # database bumps the version, and a stale plan holding a dropped
-            # or replaced table/view object must be rebuilt, not walked.
-            plan = self._planner.plan_select(statement)
-        rows, runtime = plan.run(self._database, parameters, context)
-        trace = current_trace()
-        if trace is not None:
-            # Mirror the executed tree's per-node actuals as spans; the same
-            # numbers EXPLAIN ANALYZE would report for this statement.
-            trace.add_plan_tree(plan, runtime, trace.cross_thread_parent_id)
-        return ResultSet(rows=rows, rowcount=len(rows), statement_type="SELECT")
+        """``UPDATE`` / ``DELETE``: locate, then write.
 
-    def _execute_update(self, statement: Update, parameters: list) -> ResultSet:
+        The locating plan runs **to completion before the first row is
+        written** — ``UPDATE t SET num = ? WHERE num = ?`` over an index on
+        ``num`` must touch each matched row once.  ``SET``'s ``?``s precede
+        WHERE's, so the plan binds the tail of the parameter list.
+        """
+        plan = self._current_plan(statement, plan)
         table = self._database.catalog.table(statement.table)
-        cursor = 0
-        assignments: list[tuple[str, object]] = []
-        for column, literal in statement.assignments:
-            value = literal
-            if literal is PLACEHOLDER:
-                if cursor >= len(parameters):
-                    raise SQLExecutionError("not enough parameters for placeholders")
-                value = parameters[cursor]
-                cursor += 1
-            assignments.append((column, value))
-        where, cursor = self._bind_where(statement.where, parameters, cursor)
-        if table.schema.primary_key is None:
-            raise SQLExecutionError(f"UPDATE requires a primary key on {statement.table!r}")
-        pk = table.schema.primary_key
-        keys_to_update = [
-            row[pk] for row in table.scan() if self._matches(row, where)
-        ]
-        for key in keys_to_update:
-            table.update_by_key(key, dict(assignments))
-        return ResultSet(rowcount=len(keys_to_update), statement_type="UPDATE")
-
-    def _execute_delete(self, statement: Delete, parameters: list) -> ResultSet:
-        table = self._database.catalog.table(statement.table)
-        where, _ = self._bind_where(statement.where, parameters, 0)
-        if table.schema.primary_key is None:
-            raise SQLExecutionError(f"DELETE requires a primary key on {statement.table!r}")
-        pk = table.schema.primary_key
-        keys_to_delete = [row[pk] for row in table.scan() if self._matches(row, where)]
-        for key in keys_to_delete:
-            table.delete_by_key(key)
-        return ResultSet(rowcount=len(keys_to_delete), statement_type="DELETE")
+        supplied = iter(parameters)
+        write = table.delete_by_key
+        if isinstance(statement, Update):
+            columns, literals = zip(*statement.assignments)
+            changes = dict(zip(columns, self._bind_values(literals, supplied)))
+            write = partial(table.update_by_key, changes=changes)
+        (key_column,) = plan.select.columns
+        keys = [row[key_column] for row in self._run(plan, list(supplied), context)]
+        for key in keys:
+            write(key)
+        return ResultSet(rowcount=len(keys), statement_type=type(statement).__name__.upper())
 
     # -- serving lifecycle ---------------------------------------------------------------
 
@@ -367,44 +343,48 @@ class SQLExecutor:
     ) -> ResultSet:
         """Print the plan (and, under ANALYZE, execute it and report actuals).
 
-        A cached ``plan`` (the connection layer prepares ``EXPLAIN <select>``
-        like any SELECT) is honoured under the same catalog-version guard as
-        execution: DDL anywhere — including ``CREATE INDEX``/``DROP INDEX``,
-        which change access paths without changing the namespace — must make
-        EXPLAIN report the re-planned tree, never a stale one.
+        A cached ``plan`` (the connection layer prepares ``EXPLAIN <statement>``
+        like the statement itself) is honoured under the same guard as
+        execution.  ``UPDATE`` / ``DELETE`` print one row for the write — its
+        estimate is the locating plan's — above that plan's rows, which are
+        ``EXPLAIN SELECT <pk> FROM t WHERE ...``'s indented one level.
         """
         inner = statement.statement
-        if isinstance(inner, Select):
-            if plan is None or plan.catalog_version != self._database.catalog.version:
-                plan = self._planner.plan_select(inner)
-            if statement.analyze:
-                before = self._database.stats.snapshot()
-                _, runtime = plan.run(self._database, parameters, context)
-                io_delta = self._database.stats.diff(before)
-                rows = plan.explain_rows(runtime, io_delta)
-                return ResultSet(
-                    rows=rows, rowcount=len(rows), statement_type="EXPLAIN ANALYZE"
-                )
-            rows = plan.explain_rows()
-            return ResultSet(rows=rows, rowcount=len(rows), statement_type="EXPLAIN")
-        if statement.analyze:
+        if statement.analyze and not isinstance(inner, Select):
             raise SQLExecutionError(
                 "EXPLAIN ANALYZE supports SELECT statements only "
                 "(executing DML under EXPLAIN would mutate the database)"
             )
-        if isinstance(inner, (Insert, Update, Delete)):
-            row = {
+        plan = self._current_plan(statement, plan)
+        if statement.analyze:
+            before = self._database.stats.snapshot()
+            _, runtime = plan.run(self._database, parameters, context)
+            io_delta = self._database.stats.diff(before)
+            rows = plan.explain_rows(runtime, io_delta)
+            return ResultSet(rows=rows, rowcount=len(rows), statement_type="EXPLAIN ANALYZE")
+        if isinstance(inner, Select):
+            rows = plan.explain_rows()
+        elif plan is not None:
+            write = {
                 "node": f"{type(inner).__name__.upper()}({inner.table})",
+                "estimated_seconds": plan.root.estimated_seconds,
+                "detail": "write each located row by primary key (fires the table's "
+                "triggers; attached views add their own cost)",
+            }
+            rows = [write] + [{**row, "node": "  " + row["node"]} for row in plan.explain_rows()]
+        elif isinstance(inner, Insert):
+            rows = [{
+                "node": f"INSERT({inner.table})",
                 "estimated_seconds": None,
                 "detail": "DML statements run triggers; cost depends on attached views",
-            }
+            }]
         else:
             target = getattr(
                 inner, "table", getattr(inner, "view", getattr(inner, "name", None))
             )
-            row = {
+            rows = [{
                 "node": f"{type(inner).__name__}({target})",
                 "estimated_seconds": None,
                 "detail": "no cost estimate for this statement type",
-            }
-        return ResultSet(rows=[row], rowcount=1, statement_type="EXPLAIN")
+            }]
+        return ResultSet(rows=rows, rowcount=len(rows), statement_type="EXPLAIN")

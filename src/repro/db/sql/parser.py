@@ -126,12 +126,6 @@ class _Parser:
             return True
         return False
 
-    def _at_end(self) -> bool:
-        token = self._peek()
-        return token.type is TokenType.END or (
-            token.type is TokenType.PUNCTUATION and token.value == ";"
-        )
-
     # -- literals -----------------------------------------------------------------------
 
     def _parse_literal(self) -> object:

@@ -69,9 +69,11 @@ from itertools import chain, compress
 import numpy as np
 
 from repro.db.sql.ast import PLACEHOLDER
+from repro.db.types import DataType, coerce_value
 from repro.exceptions import (
     ConfigurationError,
     KeyNotFoundError,
+    SchemaError,
     SQLExecutionError,
 )
 from repro.linalg import kernels
@@ -110,26 +112,51 @@ class Predicate:
     ``column`` is the bare (unqualified) name the produced rows carry;
     ``value`` is either a literal or :data:`PLACEHOLDER`, in which case
     ``param_index`` names the positional ``?`` parameter bound at execution.
+    ``data_type`` is the column's declared type when the planner knows it.
     """
 
     column: str
     operator: str
     value: object
     param_index: int | None = None
+    data_type: DataType | None = None
 
     def bind(self, parameters: list) -> object:
-        """The concrete comparison value for this execution."""
-        if self.value is not PLACEHOLDER:
-            return self.value
-        if self.param_index is None or self.param_index >= len(parameters):
-            raise SQLExecutionError("not enough parameters for placeholders")
-        return parameters[self.param_index]
+        """The concrete comparison value for this execution — the one place a
+        WHERE value becomes concrete, so it is :func:`typed_bound` here."""
+        value = self.value
+        if value is PLACEHOLDER:
+            if self.param_index is None or self.param_index >= len(parameters):
+                raise SQLExecutionError("not enough parameters for placeholders")
+            value = parameters[self.param_index]
+        data_type = self.data_type
+        if data_type is None or type(value) is data_type.spelling:
+            return value  # (the common case costs this one test)
+        return typed_bound(value, data_type)
 
     def render(self) -> str:
         """Stable text form for EXPLAIN output."""
         if self.value is PLACEHOLDER:
             return f"{self.column} {self.operator} ?"
         return f"{self.column} {self.operator} {self.value!r}"
+
+
+def typed_bound(value: object, data_type: DataType | None) -> object:
+    """``value`` spelled as a stored value of ``data_type`` when one equals it.
+
+    ``3.0`` or ``True`` against an INTEGER key become ``3`` / ``1`` — every
+    layer below (a shard router hashing ``repr(key)``, an answer echoing the
+    key) then sees the stored key.  A bound no stored value can equal
+    (``3.5``, ``'3'``, ``'abc'``) stays what it is and finds nothing.
+    """
+    spelling = data_type.spelling if data_type is not None else None
+    if spelling is None or value is None or type(value) is spelling:
+        return value
+    try:
+        coerced = coerce_value(value, data_type)
+    except (SchemaError, OverflowError):
+        return value
+    return coerced if coerced == value else value
 
 
 def compare_values(actual: object, operator: str, expected: object) -> bool:
@@ -790,15 +817,17 @@ class ViewPointRead(_ViewNode):
     With ``predicate=None`` the node is a *probe-side lookup* for
     :class:`HashJoin`: it has no key of its own and reads the probe keys its
     join left in :attr:`PlanRuntime.probe_keys`, all driven through the read
-    batcher in one coalesced burst.
+    batcher in one coalesced burst — each spelled as the view's key column
+    stores it (``key_type``, :func:`typed_bound`), as a bound predicate's is.
     """
 
     names = ("ViewPointRead", "ServedPointRead")
 
-    def __init__(self, view, predicate: Predicate | None, **kwargs):
+    def __init__(self, view, predicate: Predicate | None, key_type=None, **kwargs):
         super().__init__(view, **kwargs)
         self.predicate = predicate
         self.is_probe_lookup = predicate is None
+        self.key_type = key_type
 
     def label(self) -> str:
         return self._label(", batch" if self.is_probe_lookup else f".{self.predicate.render()}")
@@ -811,7 +840,7 @@ class ViewPointRead(_ViewNode):
                 raise SQLExecutionError(
                     "a probe-side ServedPointRead executes only through its join"
                 )
-            found = reader.labels_of(keys)
+            found = reader.labels_of([typed_bound(key, self.key_type) for key in keys])
             return self._chunks(runtime, list(found), list(found.values()))
         key = self.predicate.bind(runtime.parameters)
         try:

@@ -1,6 +1,9 @@
 """The query planner: Select AST -> logical/physical plan tree.
 
-This is the seam between the SQL front-end and execution.  ``plan_select``
+This is the seam between the SQL front-end and execution, and the one module
+that decides how a statement finds its rows — a write's too: ``plan_locate``
+plans an ``UPDATE`` / ``DELETE`` as ``SELECT <pk> FROM t WHERE <its conjuncts>``
+(built from the AST), so everything below holds for DML.  ``plan_select``
 resolves every name against the catalog, validates column references at *plan
 time* (carrying the parser's machine-readable ``position``/``token``
 diagnostics into :class:`~repro.exceptions.SQLPlanningError`), chooses an
@@ -39,12 +42,15 @@ Access-path choice per source:
 
 All original WHERE conjuncts are kept as a residual :class:`Filter` re-check
 above the access node: the pushdown decides what the storage layer *scans*,
-the re-check keeps answers byte-identical to the post-filter semantics.
+the re-check keeps answers byte-identical to the post-filter semantics.  Each
+predicate carries its column's declared type where the catalog knows it (a
+view's key column: its entities table's), so a bound that equals a stored
+value is bound *as* that value (:func:`~repro.db.sql.plan.typed_bound`).
 """
 
 from __future__ import annotations
 
-from repro.db.sql.ast import PLACEHOLDER, Comparison, Select
+from repro.db.sql.ast import PLACEHOLDER, Comparison, Delete, Select, Update
 from repro.db.sql.plan import (
     Aggregate,
     Filter,
@@ -66,7 +72,8 @@ from repro.db.sql.plan import (
     ViewRangeRead,
     ViewScan,
 )
-from repro.exceptions import SQLPlanningError
+from repro.db.types import DataType
+from repro.exceptions import SQLExecutionError, SQLPlanningError
 
 __all__ = ["Planner", "SelectPlan"]
 
@@ -220,6 +227,17 @@ class Planner:
             return self._plan_join(select)
         return self._plan_single(select)
 
+    def plan_locate(self, statement: Update | Delete) -> SelectPlan:
+        """Where a write lands: the plan of ``SELECT <pk> FROM t WHERE <the
+        statement's own conjuncts>`` — a write finds its rows as a read would."""
+        table = self._database.catalog.table(statement.table)
+        if table.schema.primary_key is None:
+            verb = type(statement).__name__.upper()
+            raise SQLExecutionError(f"{verb} requires a primary key on {statement.table!r}")
+        return self.plan_select(
+            Select(statement.table, (table.schema.primary_key,), statement.where)
+        )
+
     # -- name resolution -----------------------------------------------------------------
 
     def _resolve_source(self, name: str, position: int | None = None) -> _Source:
@@ -265,8 +283,24 @@ class Planner:
 
     # -- predicates ----------------------------------------------------------------------
 
-    @staticmethod
-    def _build_predicate(comparison: Comparison, column: str, counter: list[int]) -> Predicate:
+    def _view_key_type(self, view) -> DataType:
+        """A view's key column is typed by its entities table's key column."""
+        definition = view.definition
+        entities = self._database.catalog.table(definition.entities_table)
+        return entities.schema.column(definition.entities_key).data_type
+
+    def _column_type(self, source: _Source, column: str) -> DataType | None:
+        """The declared type of a source's column, when the catalog knows it."""
+        if source.kind == "table":
+            return source.obj.schema.column(column).data_type
+        if source.kind == "classification_view":
+            if column.lower() == source.obj.definition.view_key.lower():
+                return self._view_key_type(source.obj)
+        return None
+
+    def _build_predicate(
+        self, comparison: Comparison, column: str, counter: list[int], source: _Source
+    ) -> Predicate:
         param_index = None
         if comparison.value is PLACEHOLDER:
             param_index = counter[0]
@@ -276,6 +310,7 @@ class Planner:
             operator=comparison.operator,
             value=comparison.value,
             param_index=param_index,
+            data_type=self._column_type(source, column),
         )
 
     # -- single-source planning -----------------------------------------------------------
@@ -290,7 +325,7 @@ class Planner:
                 self._validate_view_column(source, column, comparison.position, "WHERE clause")
             else:
                 self._require_column(source, column, comparison.position, "WHERE clause")
-            predicates.append(self._build_predicate(comparison, column, counter))
+            predicates.append(self._build_predicate(comparison, column, counter, source))
 
         topk_fused = False
         order_fused = False
@@ -777,6 +812,7 @@ class Planner:
             return ViewPointRead(
                 view,
                 None,
+                key_type=self._view_key_type(view),
                 served=True,
                 estimated_seconds=None,
                 detail="batched point reads for the join's probe keys through the read batcher",
@@ -808,8 +844,12 @@ class Planner:
                     token=source.name,
                 )
 
-        left_key = self._resolve_join_side(join.left_column, join.left_position, left, right)
-        right_key = self._resolve_join_side(join.right_column, join.right_position, left, right)
+        left_key = self._resolve_column_side(
+            join.left_column, join.left_position, left, right, "JOIN ON"
+        )
+        right_key = self._resolve_column_side(
+            join.right_column, join.right_position, left, right, "JOIN ON"
+        )
         if {left_key[0], right_key[0]} != {"left", "right"}:
             raise SQLPlanningError(
                 "JOIN ... ON must reference one column from each side",
@@ -826,7 +866,8 @@ class Planner:
             side, bare = self._resolve_column_side(
                 comparison.column, comparison.position, left, right, "WHERE clause"
             )
-            predicate = self._build_predicate(comparison, bare, counter)
+            source = left if side == "left" else right
+            predicate = self._build_predicate(comparison, bare, counter, source)
             (left_predicates if side == "left" else right_predicates).append(predicate)
 
         left_node = self._plan_join_side(left, left_predicates)
@@ -885,12 +926,6 @@ class Planner:
                 detail="residual re-check of every WHERE conjunct",
             )
         return node
-
-    def _resolve_join_side(
-        self, reference: str, position, left: _Source, right: _Source
-    ) -> tuple[str, str]:
-        side, bare = self._resolve_column_side(reference, position, left, right, "JOIN ON")
-        return side, bare
 
     def _resolve_column_side(
         self, reference: str, position, left: _Source, right: _Source, clause: str

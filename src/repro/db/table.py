@@ -195,15 +195,6 @@ class Table:
         """The index called ``name``, or None."""
         return self.secondary_indexes.get(name.lower())
 
-    def indexes_on(self, column: str) -> list[SecondaryIndex]:
-        """Every secondary index whose *leading* key column is ``column``
-        (case-insensitive) — the ones whose key order sorts by it."""
-        return [
-            index
-            for index in self.secondary_indexes.values()
-            if index.column.lower() == column.lower()
-        ]
-
     def secondary_index_names(self) -> list[str]:
         """Sorted names of this table's secondary indexes."""
         return sorted(index.name for index in self.secondary_indexes.values())

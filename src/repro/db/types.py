@@ -23,6 +23,11 @@ class DataType(enum.Enum):
     BOOLEAN = "boolean"
     VECTOR = "vector"
 
+    def __init__(self, name: str) -> None:
+        #: The python type stored values of this column type are spelled in
+        #: (exactly — a bool is not INTEGER's spelling); None for VECTOR.
+        self.spelling = {"integer": int, "float": float, "text": str, "boolean": bool}.get(name)
+
     @classmethod
     def from_name(cls, name: str) -> "DataType":
         """Resolve a SQL type name (``int``, ``double``, ``varchar`` ...)."""

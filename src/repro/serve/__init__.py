@@ -56,7 +56,7 @@ from repro.serve.maintenance import MaintenanceWorker
 from repro.serve.requests import WriteKind, WriteOp, WriteTicket
 from repro.serve.server import ClientSession, ViewServer
 from repro.serve.sharding import Shard, ShardSet, shard_index
-from repro.serve.sync import EpochClock, ReadWriteLock, SessionRegistry
+from repro.serve.sync import ReadWriteLock, SessionRegistry
 
 __all__ = [
     "ViewServer",
@@ -70,7 +70,6 @@ __all__ = [
     "MaintenanceWorker",
     "WaterBandResultCache",
     "ReadWriteLock",
-    "EpochClock",
     "WriteKind",
     "WriteOp",
     "WriteTicket",

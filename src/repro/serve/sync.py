@@ -1,6 +1,6 @@
 """Synchronization primitives for the serving subsystem.
 
-Three small pieces:
+Two small pieces:
 
 * :class:`ReadWriteLock` — a writer-preferring readers/writer lock.  Many
   client threads may hold it shared (scatter/gather reads, batched read
@@ -8,9 +8,6 @@ Three small pieces:
   short *apply* phase of each batch.  Model retraining happens entirely
   outside the lock, which is what gives the subsystem its "reads never block
   behind retraining" property.
-* :class:`EpochClock` — a monotonically increasing epoch counter with
-  blocking waits.  The server no longer keeps one (its epoch is a field of
-  the published state it swaps in per batch, and tickets carry the waits).
 * :class:`SessionRegistry` — one client-side session per served view,
   lazily created and re-created when a view is re-served.  This is the
   "context" object :func:`repro.connect` threads through the SQL executor so
@@ -23,7 +20,7 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 
-__all__ = ["ReadWriteLock", "EpochClock", "SessionRegistry"]
+__all__ = ["ReadWriteLock", "SessionRegistry"]
 
 
 class ReadWriteLock:
@@ -100,47 +97,12 @@ class ReadWriteLock:
             self.release_write()
 
 
-class EpochClock:
-    """A monotonic epoch counter with blocking waits.
-
-    Epoch 0 is the state the server was built from (the bulk-loaded view);
-    each maintenance batch that becomes visible advances the clock by one.
-    """
-
-    # The epoch is published under the condition; the lock-free property read
-    # is safe (int loads are atomic) and reads are not what the pass checks.
-    _GUARDED_BY = {"_epoch": "_condition"}
-
-    def __init__(self, start: int = 0) -> None:
-        if start < 0:
-            raise ValueError("epoch clock cannot start below 0")
-        self._condition = threading.Condition()
-        self._epoch = int(start)
-
-    @property
-    def epoch(self) -> int:
-        """The latest published epoch."""
-        return self._epoch
-
-    def advance(self) -> int:
-        """Publish the next epoch and wake any waiters; returns the new epoch."""
-        with self._condition:
-            self._epoch += 1
-            self._condition.notify_all()
-            return self._epoch
-
-    def wait_for(self, epoch: int, timeout: float | None = None) -> bool:
-        """Block until the clock reaches ``epoch``; False on timeout."""
-        with self._condition:
-            return self._condition.wait_for(lambda: self._epoch >= epoch, timeout=timeout)
-
-
 class SessionRegistry:
     """Per-connection map from served view name to its live ``ClientSession``.
 
     A session belongs to one ``ViewServer`` incarnation: when a view is
     stopped and served again (or restored from a checkpoint), the stale
-    session is silently replaced — the new server's epoch clock may have
+    session is silently replaced — the new server's published epoch may have
     restarted, so carrying the old session's watermark across would raise
     spurious monotonicity violations.
     """

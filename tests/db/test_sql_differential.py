@@ -13,6 +13,14 @@ ORDER BY column sequence (SQL leaves tie order unspecified, so ties are
 compared as sets).  Each program also draws its execution mode (``batched``
 or ``row``) at random, so both protocols face the oracle.
 
+Writes face it too.  Before each generated ``UPDATE`` / ``DELETE`` — the
+``WHERE num = ?`` of old, a composite-index prefix, ranges, up to three
+conjuncts over any column (the assigned one included), literals and ``?``
+mixed — the reference answers ``SELECT id FROM t WHERE <the same predicate>``;
+the statement's ``rowcount`` must equal that answer's length, and afterwards
+the table, read through the reference, must equal a dict model in which
+exactly those keys changed or vanished.
+
 The seed is fixed for the tier-1 run so failures reproduce; CI's nightly-style
 job rotates it through ``SQL_DIFFERENTIAL_SEED`` to keep exploring new
 programs without blocking merges.
@@ -22,6 +30,7 @@ from __future__ import annotations
 
 import os
 import random
+from collections import Counter
 
 import pytest
 
@@ -106,23 +115,83 @@ class Program:
         self.next_index = 0
         self.next_row_id = 10_000  # fresh-id counter: inserts can never collide
         self.live_indexes: list[str] = []
+        #: What each table must hold: ``{table: {id: row}}``, kept by every write.
+        self.model: dict[str, dict[int, dict]] = {table: {} for table in self.columns}
+        #: Access node of every generated UPDATE/DELETE's locating plan; rows written.
+        self.write_paths: Counter = Counter()
+        self.rows_written = 0
         for table in self.columns:
             self.db.execute(
                 f"CREATE TABLE {table} (id integer PRIMARY KEY, num integer, "
                 "score float, tag text)"
             )
             for row_id in range(rng.randrange(*ROWS_PER_TABLE)):
-                self.db.execute(
-                    f"INSERT INTO {table} (id, num, score, tag) VALUES (?, ?, ?, ?)",
-                    (
-                        row_id,
-                        rng.randrange(0, 25),
-                        round(rng.uniform(-2.0, 2.0), 3),
-                        rng.choice(("alpha", "beta", "gamma", "delta")),
-                    ),
-                )
+                self.insert(table, row_id)
 
     # -- random DDL/DML churn ------------------------------------------------------------
+
+    def insert(self, table: str, row_id: int) -> None:
+        rng = self.rng
+        row = {
+            "id": row_id,
+            "num": rng.randrange(0, 25),
+            "score": round(rng.uniform(-2.0, 2.0), 3),
+            "tag": rng.choice(("alpha", "beta", "gamma", "delta")),
+        }
+        self.db.execute(
+            f"INSERT INTO {table} (id, num, score, tag) VALUES (?, ?, ?, ?)", tuple(row.values())
+        )
+        self.model[table][row_id] = row
+
+    def write(self, table: str) -> None:
+        """One UPDATE or DELETE, against the forced-scan reference and the model."""
+        rng = self.rng
+        rows = self.model[table]
+        shape = rng.random()
+        if shape < 0.15 and rows:  # by primary key, the commonest write there is
+            comparisons = [("id", "=", rng.choice(list(rows)))]
+        elif shape < 0.35:  # the one shape generated before DML was planned
+            comparisons = [("num", "=", rng.randrange(0, 25))]
+        elif shape < 0.5:  # a composite (num, score) prefix: equality, then a range
+            comparisons = [
+                ("num", "=", rng.randrange(0, 25)),
+                ("score", rng.choice(("<", "<=", ">", ">=")), round(rng.uniform(-2.0, 2.0), 3)),
+            ]
+        else:
+            comparisons = [self._comparison() for _ in range(rng.choice((1, 1, 2, 3)))]
+        conjuncts, bounds = [], []
+        for column, op, value in comparisons:
+            if rng.random() < 0.5:
+                conjuncts.append(f"{column} {op} ?")
+                bounds.append(value)
+            else:
+                conjuncts.append(f"{column} {op} {value!r}")
+        where = " AND ".join(conjuncts)
+        located = [
+            row["id"] for row in self.run_reference(f"SELECT id FROM {table} WHERE {where}", bounds)
+        ]
+        # (A DELETE that would take an eighth of the table becomes an UPDATE:
+        # the SELECTs need rows to disagree about.)
+        if rng.random() < 0.55 or len(located) > max(3, len(rows) // 8):
+            # ``num`` is often the column the WHERE (and a live index) is on.
+            changes = {"num": rng.randrange(0, 25), "score": round(rng.uniform(-2.0, 2.0), 3)}
+            sql, parameters = f"UPDATE {table} SET num = ?, score = ? WHERE {where}", [
+                *changes.values(),
+                *bounds,
+            ]
+            for key in located:
+                rows[key].update(changes)
+        else:
+            sql, parameters = f"DELETE FROM {table} WHERE {where}", bounds
+            for key in located:
+                del rows[key]
+        access = self.db.execute(f"EXPLAIN {sql}", parameters).rows[-1]["node"]
+        self.write_paths[access.strip().partition("(")[0]] += 1
+        self.rows_written += len(located)
+        context = f"{sql}  {parameters!r} (mode={self.db.execution_mode})"
+        assert self.db.execute(sql, parameters).rowcount == len(located), context
+        stored = self.run_reference(f"SELECT * FROM {table}")
+        assert len(stored) == len(rows) and {row["id"]: row for row in stored} == rows, context
 
     def mutate(self) -> None:
         rng = self.rng
@@ -130,22 +199,9 @@ class Program:
         roll = rng.random()
         if roll < 0.35:
             self.next_row_id += 1
-            self.db.execute(
-                f"INSERT INTO {table} (id, num, score, tag) VALUES (?, ?, ?, ?)",
-                (
-                    self.next_row_id,
-                    rng.randrange(0, 25),
-                    round(rng.uniform(-2.0, 2.0), 3),
-                    rng.choice(("alpha", "beta", "gamma", "delta")),
-                ),
-            )
-        elif roll < 0.6:
-            self.db.execute(
-                f"UPDATE {table} SET num = ?, score = ? WHERE num = ?",
-                (rng.randrange(0, 25), round(rng.uniform(-2.0, 2.0), 3), rng.randrange(0, 25)),
-            )
+            self.insert(table, self.next_row_id)
         elif roll < 0.8:
-            self.db.execute(f"DELETE FROM {table} WHERE num = ?", (rng.randrange(0, 25),))
+            self.write(table)
         elif roll < 0.92 or not self.live_indexes:
             name = f"idx_{self.next_index}"
             self.next_index += 1
@@ -161,19 +217,23 @@ class Program:
 
     # -- random SELECTs ------------------------------------------------------------------
 
-    def _predicate(self, qualifier: str = "") -> str:
+    def _comparison(self) -> tuple[str, str, object]:
         rng = self.rng
         column = rng.choice(["id", "num", "score", "tag"])
         op = rng.choice(_COMPARABLE_OPS)
         if column == "id":
-            value = str(rng.randrange(0, 150))
+            value = rng.randrange(0, 150)
         elif column == "num":
-            value = str(rng.randrange(0, 25))
+            value = rng.randrange(0, 25)
         elif column == "score":
-            value = str(round(rng.uniform(-2.0, 2.0), 3))
+            value = round(rng.uniform(-2.0, 2.0), 3)
         else:
-            value = f"'{rng.choice(('alpha', 'beta', 'gamma', 'delta'))}'"
-        return f"{qualifier}{column} {op} {value}"
+            value = rng.choice(("alpha", "beta", "gamma", "delta"))
+        return column, op, value
+
+    def _predicate(self, qualifier: str = "") -> str:
+        column, op, value = self._comparison()
+        return f"{qualifier}{column} {op} {value!r}"
 
     def random_select(self) -> tuple[str, str | None, str | None]:
         """``(sql, order_by_column, unlimited_sql)`` — the last is set only for
@@ -223,9 +283,9 @@ class Program:
         reference = self.run_reference(sql)
         return chosen, reference
 
-    def run_reference(self, sql: str) -> list[dict]:
+    def run_reference(self, sql: str, parameters=()) -> list[dict]:
         reference_plan = self.reference_planner.plan_select(parse(sql))
-        rows, _ = reference_plan.run(self.db, [], None)
+        rows, _ = reference_plan.run(self.db, list(parameters), None)
         return rows
 
 
@@ -249,6 +309,17 @@ def test_differential_oracle(program_index: int, cost_model_name: str):
             program.run_reference(unlimited_sql) if unlimited_sql is not None else None
         )
         assert_equivalent(chosen, reference, sql, order_by, unlimited)
+
+
+def test_generated_writes_reach_every_access_path():
+    """The write oracle has teeth: over one fixed program the generated
+    UPDATEs and DELETEs are located through the primary index, a secondary
+    index and a scan, and they do write rows."""
+    program = Program(random.Random("writes"), CostModel.main_memory())
+    for _ in range(300):
+        program.mutate()
+    assert {"IndexRange", "SecondaryIndexRange", "SeqScan"} <= set(program.write_paths)
+    assert program.rows_written > 100
 
 
 def test_reference_planner_never_uses_indexes():

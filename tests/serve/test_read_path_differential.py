@@ -1,18 +1,23 @@
 """Differential oracle for "one read path": unserved == 1 shard == 3 shards.
 
 One seeded SQL program — point reads (known, unknown, wrong-typed and NULL
-keys), All Members for both classes and an unmappable one, key ranges (plain,
-empty, inverted, NULL and incomparable bounds), ``SELECT *``, ``COUNT(*)``,
-ranked reads, the join with a view-side predicate, with none (the batched
-probe lookup when served) and with a pushed-down key range, interleaved with
+keys; keys that *equal* a stored key without being spelled like it —
+``float(id)``, ``True`` — and near-misses that equal none — ``id + 0.5``,
+``str(id)``), All Members for both classes and an unmappable one, key ranges
+(plain, empty, inverted, float, NULL and incomparable bounds), ``SELECT *``,
+``COUNT(*)``, ranked reads, the join with a view-side predicate, with none
+(the batched probe lookup when served), with a pushed-down key range and
+through a REAL probe column against the INTEGER view key, interleaved with
 example inserts that move the model — runs through an unserved view (every
 read answered by :class:`~repro.core.reads.DirectReads`), a 1-shard and a
 3-shard served view (the connection's ``ClientSession`` on a ``ViewServer``).
 Statement by statement the three must agree: rows as multisets, errors by
-class and text; every ``SELECT *`` must also equal ``view_contents`` computed
-from scratch under the model of the moment.  A ranked read compares margins
-exactly and ids only above the cut — entities tied at the k-th margin may be
-kept in a different order by different shard layouts.
+class and text, and every ``id`` an answer carries is the stored ``int``,
+never an echo of the bound; every ``SELECT *`` must also equal
+``view_contents`` computed from scratch under the model of the moment.  A
+ranked read compares margins exactly and ids only above the cut — entities
+tied at the k-th margin may be kept in a different order by different shard
+layouts.
 
 The seeds are fixed for the tier-1 run so failures reproduce; CI's
 non-blocking job rotates one through ``READ_PATH_DIFFERENTIAL_SEED``.
@@ -47,6 +52,7 @@ ENTITIES = 48
 STATEMENTS = 60
 RANKED = "SELECT id, margin FROM labeled ORDER BY margin DESC LIMIT "
 JOIN = "SELECT entities.id, tag, class FROM entities JOIN labeled ON entities.id = labeled.id"
+REAL_JOIN = "SELECT probes.k, labeled.id, class FROM probes JOIN labeled ON probes.ref = labeled.id"
 
 
 def corpus(rng: random.Random) -> list[tuple[int, dict[str, float], int]]:
@@ -72,6 +78,12 @@ def build(rows, shards: int | None, **engine_options):
         "INSERT INTO examples (k, id, label) VALUES (?, ?, ?)",
         [(entity_id, entity_id, label) for entity_id, _, label in rows[: ENTITIES // 3]],
     )
+    # A REAL column holding every key as a float, and a near-miss between each pair.
+    conn.execute("CREATE TABLE probes (k integer PRIMARY KEY, ref float)")
+    conn.executemany(
+        "INSERT INTO probes (k, ref) VALUES (?, ?)",
+        [(2 * entity_id + half, entity_id + half / 2) for entity_id, _, _ in rows for half in (0, 1)],
+    )
     conn.execute(
         "CREATE CLASSIFICATION VIEW labeled KEY id ENTITIES FROM entities KEY id "
         "EXAMPLES FROM examples KEY id LABEL label FEATURE FUNCTION prefeaturized USING SVM"
@@ -96,6 +108,18 @@ def program(rng: random.Random, rows) -> list[tuple[str, tuple]]:
         "point unknown": lambda: ("SELECT class FROM labeled WHERE id = ?", (ENTITIES + known(),)),
         "point wrong type": lambda: ("SELECT class FROM labeled WHERE id = ?", ("abc",)),
         "point null": lambda: ("SELECT class FROM labeled WHERE id = ?", (None,)),
+        "point equal float": lambda: (
+            "SELECT id, class FROM labeled WHERE id = ?", (float(known()),)
+        ),
+        "point equal bool": lambda: (
+            "SELECT id, class FROM labeled WHERE id = ?", (rng.choice((True, False)),)
+        ),
+        "point near-miss float": lambda: (
+            "SELECT id, class FROM labeled WHERE id = ?", (known() + 0.5,)
+        ),
+        "point near-miss text": lambda: (
+            "SELECT id, class FROM labeled WHERE id = ?", (str(known()),)
+        ),
         "members": lambda: ("SELECT id FROM labeled WHERE class = ?", (rng.choice((1, -1)),)),
         "members unmappable": lambda: ("SELECT id FROM labeled WHERE class = ?", ("maybe",)),
         "range": lambda: (
@@ -107,6 +131,10 @@ def program(rng: random.Random, rows) -> list[tuple[str, tuple]]:
         ),
         "range inverted": lambda: (
             "SELECT id FROM labeled WHERE class = -1 AND id >= ? AND id <= ?", (30, 10)
+        ),
+        "range float bounds": lambda: (
+            "SELECT id FROM labeled WHERE class = ? AND id >= ? AND id < ?",
+            (rng.choice((1, -1)), float(known() // 2), ENTITIES // 2 + known() // 2 + 0.5),
         ),
         "range null bound": lambda: (
             "SELECT id FROM labeled WHERE class = 1 AND id >= ?", (None,)
@@ -127,6 +155,10 @@ def program(rng: random.Random, rows) -> list[tuple[str, tuple]]:
         "join probe": lambda: (JOIN, ()),
         "join probe, table predicate": lambda: (JOIN + " WHERE entities.id <= ?", (known(),)),
         "join range": lambda: (JOIN + " WHERE class = 1 AND labeled.id >= ?", (known(),)),
+        "join real probe": lambda: (REAL_JOIN, ()),
+        "join real probe, table predicate": lambda: (
+            REAL_JOIN + " WHERE probes.ref <= ?", (known() + 0.25,)
+        ),
         "example": lambda: ("INSERT INTO examples (k, id, label) VALUES (?, ?, ?)", example()),
     }
     names = list(shapes)
@@ -146,6 +178,8 @@ def answer(conn, sql: str, parameters: tuple):
         margins = [row["margin"] for row in rows]
         above_cut = sorted(row["id"] for row in rows if row["margin"] > min(margins))
         return ("ranked", margins, above_cut)
+    # (1.0 == 1 and the multisets below would not tell them apart.)
+    assert all(type(row["id"]) is int for row in rows if "id" in row), (sql, parameters, rows)
     return ("rows", Counter(tuple(sorted(row.items(), key=repr)) for row in rows))
 
 
@@ -194,3 +228,43 @@ def test_every_reader_answers_the_same_program_the_same_way(seed, configuration)
         for got in runs["unserved"]
     ), context
     assert any(got[0] == "ranked" and len(set(got[1])) > 1 for got in runs["unserved"]), context
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_a_bound_that_equals_a_stored_key_finds_it_and_answers_with_the_stored_key(variant):
+    """ROADMAP 1(c): ``float(i)`` routed apart from ``i`` on 3 shards (20 of 48
+    found) and the unserved answer echoed the bound (``{'id': 1.0}``)."""
+    rows, _ = draw(SEEDS[0])
+    conn = build(rows, VARIANTS[variant], **CONFIGURATIONS["mainmemory-eager"])
+    try:
+        point = "SELECT id, class FROM labeled WHERE id = ?"
+        expected = {row["id"]: row["class"] for row in conn.execute("SELECT * FROM labeled")}
+        assert len(expected) == ENTITIES
+        for entity_id in range(ENTITIES):
+            found = conn.execute(point, (float(entity_id),)).fetchall()
+            assert found == [{"id": entity_id, "class": expected[entity_id]}], entity_id
+            assert type(found[0]["id"]) is int
+            assert conn.execute(point, (entity_id + 0.5,)).fetchall() == []
+            assert conn.execute(point, (str(entity_id),)).fetchall() == []
+        found = conn.execute("SELECT id, class FROM labeled WHERE id = true").fetchall()
+        assert found == [{"id": 1, "class": expected[1]}] and type(found[0]["id"]) is int
+        joined = conn.execute(REAL_JOIN).fetchall()
+        assert sorted(row["id"] for row in joined) == list(range(ENTITIES))
+        assert all(type(row["id"]) is int and row["k"] == 2 * row["id"] for row in joined)
+    finally:
+        conn.close()
+
+
+def test_shard_index_is_the_function_existing_checkpoints_were_routed_by():
+    """The fix types the bound; it must not touch the router (that would
+    re-route the float- and bool-keyed entities of every existing checkpoint)."""
+    import zlib
+
+    from repro.serve.sharding import shard_index
+
+    for key in (0, 1, 47, -3, 2**70, 1.0, 3.5, True, False, None, "1", "abc", ("a", 1)):
+        for shards in (1, 2, 3, 4, 7):
+            assert shard_index(key, shards) == zlib.crc32(repr(key).encode("utf-8")) % shards
+    assert [shard_index(key, 3) for key in (1, 1.0, True, "1")] == [2, 0, 0, 0]
+    apart = [i for i in range(1, 49) if shard_index(float(i), 3) != shard_index(i, 3)]
+    assert len(apart) == 28

@@ -1,11 +1,11 @@
-"""Unit tests for the readers/writer lock and the epoch clock."""
+"""Unit tests for the readers/writer lock."""
 
 from __future__ import annotations
 
 import threading
 import time
 
-from repro.serve.sync import EpochClock, ReadWriteLock
+from repro.serve.sync import ReadWriteLock
 
 
 class TestReadWriteLock:
@@ -63,26 +63,3 @@ class TestReadWriteLock:
             pass
         with lock.read_locked():
             pass  # lock is reusable after a writer cycle
-
-
-class TestEpochClock:
-    def test_advance_and_wait(self):
-        clock = EpochClock()
-        assert clock.epoch == 0
-        assert clock.advance() == 1
-        assert clock.wait_for(1, timeout=0.1)
-        assert not clock.wait_for(5, timeout=0.05)
-
-    def test_wait_wakes_on_advance(self):
-        clock = EpochClock()
-        seen = []
-
-        def waiter():
-            seen.append(clock.wait_for(3, timeout=5))
-
-        thread = threading.Thread(target=waiter)
-        thread.start()
-        for _ in range(3):
-            clock.advance()
-        thread.join(timeout=5)
-        assert seen == [True]
