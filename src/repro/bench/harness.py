@@ -132,9 +132,7 @@ def build_maintained_view(
     )
     maintainer = build_maintainer(strategy, approach, store, alpha=alpha)
     trainer = SGDTrainer(loss=loss)
-    for example in warm_examples:
-        trainer.absorb(example)
-    maintainer.bulk_load(dataset.entities, trainer.model.copy())
+    maintainer.bulk_load(dataset.entities, trainer.absorb_many(warm_examples))
     return MaintainedView(
         maintainer=maintainer,
         trainer=trainer,

@@ -334,7 +334,7 @@ class Connection:
                 "plan",
                 parent_id=trace.cross_thread_parent_id,
                 wall_seconds=time.perf_counter() - started,
-                estimated_seconds=plan.root.estimated_seconds if plan is not None else None,
+                estimated_seconds=plan.estimated_seconds if plan is not None else None,
                 detail="plan cache miss" if plan is not None else "not a planned statement",
             )
         prepared = PreparedStatement(sql, statement, plan)
@@ -389,9 +389,7 @@ class Connection:
                 "execute",
                 parent_id=root.span_id,
                 estimated_seconds=(
-                    prepared.plan.root.estimated_seconds
-                    if prepared.plan is not None
-                    else None
+                    prepared.plan.estimated_seconds if prepared.plan is not None else None
                 ),
             )
             trace.cross_thread_parent_id = execute_span.span_id

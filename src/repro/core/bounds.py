@@ -13,6 +13,8 @@ stored margin ``eps = w_s · f - b_s`` and ``M = max_t ||f(t)||_q``:
 The cumulative band ``[lw, hw]`` (Eq. 2) takes the min/max of these bounds
 over every round since the last reorganization, so that entities outside the
 band are guaranteed to still carry the label they had when ``H`` was built.
+The stored model is held by reference (a model version is never changed) and
+``||delta_w||_p`` is one pass over both weight vectors; no ``delta_w`` is built.
 """
 
 from __future__ import annotations
@@ -89,7 +91,7 @@ class WaterBandTracker:
 
     def reset(self, stored_model: LinearModel) -> None:
         """Start a new epoch: the store was just (re)organized under ``stored_model``."""
-        self._stored_model = stored_model.copy()
+        self._stored_model = stored_model
         self._band = WaterBand(0.0, 0.0)
 
     def restore_band(self, low: float, high: float) -> None:
@@ -122,10 +124,10 @@ class WaterBandTracker:
 
     def step_bounds(self, current_model: LinearModel) -> tuple[float, float]:
         """``(eps_low, eps_high)`` of Lemma 3.1 for the given current model."""
-        delta = current_model.delta_from(self.stored_model)
-        delta_norm = delta.weight_norm(self.p)
-        radius = self.max_feature_norm * delta_norm
-        return (-radius + delta.bias_delta, radius + delta.bias_delta)
+        stored = self.stored_model
+        radius = self.max_feature_norm * current_model.weights.distance(stored.weights, self.p)
+        bias_delta = current_model.bias - stored.bias
+        return (-radius + bias_delta, radius + bias_delta)
 
     def advance(self, current_model: LinearModel) -> WaterBand:
         """Fold the current model's bounds into the cumulative band (Eq. 2)."""

@@ -121,7 +121,7 @@ class ClassificationView:
                 self.writer.examples.append(example)
                 self.trainer.absorb(example)
 
-        self.maintainer.bulk_load(entity_features.items(), self.trainer.model.copy())
+        self.maintainer.bulk_load(entity_features.items(), self.trainer.model)
 
     def _resolve_positive_label(self) -> None:
         if self.positive_label is not None:
@@ -455,7 +455,7 @@ class HazyEngine:
             raise ViewDefinitionError(f"view {name!r} is already being served")
         server = ViewServer(
             entities=view.entity_snapshot(),
-            model=view.model.copy(),
+            model=view.model,
             num_shards=num_shards,
             **self._server_arguments(view, server_options),
         )

@@ -79,7 +79,7 @@ class ViewMaintainer(ABC):
         self, entities: Iterable[tuple[object, SparseVector]], model: LinearModel
     ) -> None:
         """Populate the view from scratch under ``model``."""
-        self.current_model = model.copy()
+        self.current_model = model
         self.store.bulk_load(entities, model)
         self._loaded = True
 
@@ -145,14 +145,15 @@ class ViewMaintainer(ABC):
         The base implementation covers the naive strategies (whose only state
         beyond the store is the current model); the Hazy strategies extend the
         dict with their water-band and Skiing state.  Model objects are
-        copies, so the export stays consistent even if maintenance continues
-        afterwards.
+        held by reference — a model is never mutated after the trainer
+        returns it — so the export stays consistent even if maintenance
+        continues afterwards.
         """
         self._require_loaded()
         state: dict[str, object] = {
             "strategy": self.strategy_name,
             "approach": self.approach,
-            "current_model": self.current_model.copy(),
+            "current_model": self.current_model,
         }
         state.update(self.store.export_state())
         return state
@@ -171,7 +172,7 @@ class ViewMaintainer(ABC):
                 f"snapshot was written by a {state.get('strategy')}/{state.get('approach')} "
                 f"maintainer; this one is {self.strategy_name}/{self.approach}"
             )
-        self.current_model = state["current_model"].copy()
+        self.current_model = state["current_model"]
         self.store.import_state(state)
         self._loaded = True
 

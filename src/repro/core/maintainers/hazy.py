@@ -51,7 +51,7 @@ class _HazyMaintainerBase(ViewMaintainer):
         self, entities: Iterable[tuple[object, SparseVector]], model: LinearModel
     ) -> None:
         """Load and cluster under ``model``; the load cost seeds the estimate of S."""
-        self.current_model = model.copy()
+        self.current_model = model
         load_cost = self.store.bulk_load(entities, model)
         self.tracker = WaterBandTracker(self.holder_p, self.store.max_feature_norm)
         self.tracker.reset(model)
@@ -63,7 +63,7 @@ class _HazyMaintainerBase(ViewMaintainer):
         state = super().export_state()
         tracker = self._require_tracker()
         band = tracker.band()
-        state["stored_model"] = tracker.stored_model.copy()
+        state["stored_model"] = tracker.stored_model
         state["band_low"] = band.low
         state["band_high"] = band.high
         state["max_feature_norm"] = tracker.max_feature_norm
@@ -167,7 +167,7 @@ class HazyEagerMaintainer(EagerReads, _HazyMaintainerBase):
         self._require_loaded()
         tracker = self._require_tracker()
         final = models[-1]
-        self.current_model = final.copy()
+        self.current_model = final
         if self.skiing.should_reorganize():
             self._reorganize()
             # The round still counts as an Update; its cost is recorded as a
@@ -195,7 +195,7 @@ class HazyLazyMaintainer(_HazyMaintainerBase):
         """A lazy update is just a model swap plus a constant-time band update."""
         self._require_loaded()
         tracker = self._require_tracker()
-        self.current_model = model.copy()
+        self.current_model = model
         start = self.store.cost_snapshot()
         self.store.charge_bound_update(model.weights.nnz())
         band = tracker.advance(model)

@@ -24,7 +24,7 @@ class NaiveEagerMaintainer(EagerReads, ViewMaintainer):
     def apply_model(self, model: LinearModel) -> None:
         """Full scan: classify every entity under the new model and write its label."""
         self._require_loaded()
-        self.current_model = model.copy()
+        self.current_model = model
         start = self.store.cost_snapshot()
         touched, changed = self._relabel(model)
         self.stats.record_update(touched, changed, self.store.cost_snapshot() - start)
@@ -39,7 +39,7 @@ class NaiveLazyMaintainer(ViewMaintainer):
     def apply_model(self, model: LinearModel) -> None:
         """A lazy update only swaps the model pointer (optimal update cost)."""
         self._require_loaded()
-        self.current_model = model.copy()
+        self.current_model = model
         self.stats.record_update(0, 0, 0.0)
 
     def classifier(self) -> Callable[[EntityRecord], int]:

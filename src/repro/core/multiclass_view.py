@@ -65,7 +65,7 @@ class MulticlassClassificationView:
         """Load every entity into every per-label view (initial, untrained models)."""
         materialized = list(entities)
         for label in self.labels:
-            self.maintainers[label].bulk_load(materialized, self.trainers[label].model.copy())
+            self.maintainers[label].bulk_load(materialized, self.trainers[label].model)
         self._loaded = True
 
     def add_entity(self, entity_id: object, features: SparseVector) -> None:

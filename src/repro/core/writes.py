@@ -221,9 +221,7 @@ class ViewWriter:
     def retrain(self) -> LinearModel:
         """Retrain from scratch over the retained examples; returns the model."""
         self.trainer.reset()
-        for example in self.examples:
-            self.trainer.absorb(example)
-        return self.trainer.model.copy()
+        return self.trainer.absorb_many(self.examples)
 
     # -- per-write steps ------------------------------------------------------------------------
 

@@ -367,7 +367,7 @@ class SQLExecutor:
         elif plan is not None:
             write = {
                 "node": f"{type(inner).__name__.upper()}({inner.table})",
-                "estimated_seconds": plan.root.estimated_seconds,
+                "estimated_seconds": plan.estimated_seconds,
                 "detail": "write each located row by primary key (fires the table's "
                 "triggers; attached views add their own cost)",
             }

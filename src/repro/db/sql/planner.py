@@ -123,6 +123,9 @@ class SelectPlan:
         #: re-plans when the namespace changed (a dropped/replaced table or
         #: view must never be read through a stale cached plan).
         self.catalog_version = catalog_version
+        estimates = [n.estimated_seconds for _, n in root.walk() if n.estimated_seconds is not None]
+        #: The statement's estimate: the sum of its nodes' own (None: no node has one).
+        self.estimated_seconds = sum(estimates) if estimates else None
 
     def run(self, database, parameters, context) -> tuple[list[dict], PlanRuntime]:
         """Execute the plan; rows are materialized here, once, from the root's chunks."""

@@ -7,7 +7,8 @@ produced by *incremental* training.  This package provides that substrate:
 * :mod:`repro.learn.loss` / :mod:`repro.learn.regularizers` — the convex
   building blocks of Figure 9 (hinge, squared, logistic losses; lp, Tikhonov,
   entropy penalties).
-* :mod:`repro.learn.model` — the ``(w, b)`` pair itself plus serialization.
+* :mod:`repro.learn.model` — the ``(w, b)`` pair itself.  A model version is
+  a value: built once by the trainer, shared by reference, never changed.
 * :mod:`repro.learn.sgd` — Bottou-style stochastic gradient descent, Hazy's
   default trainer.
 * :mod:`repro.learn.batch` — a batch sub-gradient SVM solver standing in for
@@ -28,7 +29,7 @@ from repro.learn.kernels import (
 )
 from repro.learn.loss import HingeLoss, LogisticLoss, Loss, SquaredLoss, get_loss
 from repro.learn.metrics import accuracy, confusion_counts, f1_score, precision_recall
-from repro.learn.model import LinearModel, ModelDelta
+from repro.learn.model import LinearModel
 from repro.learn.random_features import RandomFourierFeatures
 from repro.learn.regularizers import (
     ElasticNetPenalty,
@@ -51,7 +52,6 @@ __all__ = [
     "ElasticNetPenalty",
     "get_regularizer",
     "LinearModel",
-    "ModelDelta",
     "TrainingExample",
     "SGDTrainer",
     "BatchSubgradientSVM",

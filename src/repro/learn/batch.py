@@ -92,7 +92,7 @@ class BatchSubgradientSVM:
                 break
             previous = current
         self.model = model
-        return model.copy()
+        return model
 
     def predict(self, features: SparseVector) -> int:
         """Label a feature vector with the fitted model."""

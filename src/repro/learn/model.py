@@ -1,21 +1,23 @@
-"""The linear model ``(w, b)`` and model deltas.
+"""The linear model ``(w, b)``.
 
 A linear model labels an entity with feature vector ``f`` as
 ``sign(w · f - b)``.  The Hazy core compares a *stored* model (the one used to
-cluster the scratch table ``H``) against the *current* model; the difference
-between them — captured here as :class:`ModelDelta` — is what Lemma 3.1 bounds
-via Hölder's inequality.
+cluster the scratch table ``H``) against the *current* model; the distance
+between their weights, ``||w - w_s||_p``, is what Lemma 3.1 bounds via
+Hölder's inequality (:meth:`repro.linalg.SparseVector.distance`).
+
+A model version is a value: :class:`~repro.learn.sgd.SGDTrainer` builds each
+one once and never changes it, and everyone else shares it by reference.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from repro.linalg import SparseVector
 
-__all__ = ["LinearModel", "ModelDelta", "sign"]
+__all__ = ["LinearModel", "sign"]
 
 
 def sign(x: float) -> int:
@@ -52,15 +54,6 @@ class LinearModel:
         """Return the label ``sign(w · f - b)`` in ``{-1, +1}``."""
         return sign(self.margin(features))
 
-    def delta_from(self, stored: "LinearModel") -> "ModelDelta":
-        """Return the delta ``(w - w_s, b - b_s)`` relative to a stored model."""
-        return ModelDelta(
-            weight_delta=self.weights.subtract(stored.weights),
-            bias_delta=self.bias - stored.bias,
-            from_version=stored.version,
-            to_version=self.version,
-        )
-
     def norm(self, p: float = 2.0) -> float:
         """Return ``||w||_p``."""
         return self.weights.norm(p)
@@ -74,25 +67,3 @@ class LinearModel:
             f"LinearModel(nnz={self.weights.nnz()}, bias={self.bias:.4f}, "
             f"version={self.version})"
         )
-
-
-@dataclass(frozen=True)
-class ModelDelta:
-    """The difference between two models, used by the water-band bounds."""
-
-    weight_delta: SparseVector
-    bias_delta: float
-    from_version: int
-    to_version: int
-
-    def weight_norm(self, p: float) -> float:
-        """Return ``||delta_w||_p`` (``p`` may be ``math.inf``)."""
-        return self.weight_delta.norm(p)
-
-    def is_empty(self) -> bool:
-        """True when both models are identical."""
-        return self.weight_delta.nnz() == 0 and self.bias_delta == 0.0
-
-    def magnitude(self) -> float:
-        """A scalar summary (l2 of the weight delta plus |bias delta|)."""
-        return math.hypot(self.weight_delta.norm(2), self.bias_delta)

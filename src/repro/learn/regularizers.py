@@ -2,8 +2,11 @@
 
 The SGD trainer applies the penalty's gradient contribution once per example
 (scaled by the learning rate and ``lambda / n`` as usual for stochastic
-methods).  ``L1Penalty`` uses the common truncation approach so that weights
-actually reach exactly zero, preserving sparsity of the model vector.
+methods).  A step returns the shrunk weights as a new vector and leaves its
+argument alone, so the trainer's shrink *is* the next model's weights and the
+model it shrank from stays what it was.  ``L1Penalty`` uses the common
+truncation approach so that weights actually reach exactly zero, preserving
+sparsity of the model vector.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ __all__ = [
 
 
 class Regularizer(ABC):
-    """A strongly convex penalty ``P(w)`` with an in-place proximal/gradient step."""
+    """A strongly convex penalty ``P(w)`` with a proximal/gradient step."""
 
     name = "penalty"
 
@@ -38,8 +41,8 @@ class Regularizer(ABC):
         """Return ``P(w)``."""
 
     @abstractmethod
-    def apply(self, weights: SparseVector, learning_rate: float) -> None:
-        """Apply one regularization step to ``weights`` in place."""
+    def shrink(self, weights: SparseVector, learning_rate: float) -> SparseVector:
+        """One regularization step: ``weights`` shrunk, as a new vector."""
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(strength={self.strength})"
@@ -53,11 +56,11 @@ class L2Penalty(Regularizer):
     def value(self, weights: SparseVector) -> float:
         return 0.5 * self.strength * weights.norm(2) ** 2
 
-    def apply(self, weights: SparseVector, learning_rate: float) -> None:
+    def shrink(self, weights: SparseVector, learning_rate: float) -> SparseVector:
         factor = 1.0 - learning_rate * self.strength
         if factor < 0.0:
             factor = 0.0
-        weights.scale_inplace(factor)
+        return weights.scale(factor)
 
 
 class L1Penalty(Regularizer):
@@ -68,21 +71,17 @@ class L1Penalty(Regularizer):
     def value(self, weights: SparseVector) -> float:
         return self.strength * weights.norm(1)
 
-    def apply(self, weights: SparseVector, learning_rate: float) -> None:
+    def shrink(self, weights: SparseVector, learning_rate: float) -> SparseVector:
         shrink = learning_rate * self.strength
         if shrink <= 0.0:
-            return
+            return weights.copy()
         updated: dict[int, float] = {}
         for index, value in weights.items():
             if value > shrink:
                 updated[index] = value - shrink
             elif value < -shrink:
                 updated[index] = value + shrink
-        # Rebuild in place to drop truncated entries.
-        for index in list(weights.indices()):
-            weights[index] = 0.0
-        for index, value in updated.items():
-            weights[index] = value
+        return SparseVector(updated)
 
 
 class ElasticNetPenalty(Regularizer):
@@ -101,9 +100,8 @@ class ElasticNetPenalty(Regularizer):
     def value(self, weights: SparseVector) -> float:
         return self._l1.value(weights) + self._l2.value(weights)
 
-    def apply(self, weights: SparseVector, learning_rate: float) -> None:
-        self._l2.apply(weights, learning_rate)
-        self._l1.apply(weights, learning_rate)
+    def shrink(self, weights: SparseVector, learning_rate: float) -> SparseVector:
+        return self._l1.shrink(self._l2.shrink(weights, learning_rate), learning_rate)
 
 
 #: Registry of penalties selectable by name.

@@ -5,6 +5,9 @@ it examines a small number of training examples per step, has a tiny memory
 footprint, and — crucially for view maintenance — updates the model
 *incrementally*: each new training example produces the next model
 ``(w(i+1), b(i+1))`` from ``(w(i), b(i))`` with one gradient step.
+Each step builds the next :class:`~repro.learn.model.LinearModel` as a new
+value: a model the trainer returned is never changed, so everyone holds it by
+reference and nobody copies it.
 """
 
 from __future__ import annotations
@@ -96,7 +99,7 @@ class SGDTrainer:
             steps = model.version
         if steps < 0:
             raise ConfigurationError("steps must be >= 0")
-        self.model = model.copy()
+        self.model = model
         self._steps = int(steps)
 
     def current_step_size(self) -> float:
@@ -104,33 +107,33 @@ class SGDTrainer:
         return self.learning_rate / (1.0 + self.decay * self._steps)
 
     def absorb(self, example: TrainingExample) -> LinearModel:
-        """Absorb one training example and return a snapshot of the new model.
+        """Absorb one training example and return the new model.
 
         This is the subroutine Hazy invokes on every ``INSERT`` into the
         examples table: one gradient step on the incoming example.
         """
         eta = self.current_step_size()
-        margin = self.model.margin(example.features)
-        grad = self.loss.derivative(margin, float(example.label))
+        grad = self.loss.derivative(self.model.margin(example.features), float(example.label))
 
         # Regularize first (shrink), then take the loss step — the usual
-        # ordering for truncated-gradient style updates.
-        self.regularizer.apply(self.model.weights, eta)
+        # ordering for truncated-gradient style updates.  The shrunk vector is
+        # new, so the loss step changes no model anyone holds.
+        weights = self.regularizer.shrink(self.model.weights, eta)
+        bias = self.model.bias
         if grad != 0.0:
-            self.model.weights.add_inplace(example.features, -eta * grad)
+            weights.add_inplace(example.features, -eta * grad)
             if self.fit_bias:
                 # d(eps)/db = -1, so the bias moves in the opposite direction.
-                self.model.bias += eta * grad
+                bias += eta * grad
         self._steps += 1
-        self.model.version = self._steps
-        return self.model.copy()
+        self.model = LinearModel(weights, bias, self._steps)
+        return self.model
 
     def absorb_many(self, examples: Iterable[TrainingExample]) -> LinearModel:
-        """Absorb a stream of examples; returns the final model snapshot."""
-        snapshot = self.model.copy()
+        """Absorb a stream of examples; returns the final model."""
         for example in examples:
-            snapshot = self.absorb(example)
-        return snapshot
+            self.absorb(example)
+        return self.model
 
     # -- batch-style API ------------------------------------------------------
 
@@ -143,7 +146,7 @@ class SGDTrainer:
             self._rng.shuffle(order)
             for example in order:
                 self.absorb(example)
-        return self.model.copy()
+        return self.model
 
     def predict(self, features: SparseVector) -> int:
         """Label a single feature vector with the current model."""

@@ -11,7 +11,7 @@ arrays are accepted anywhere a vector is expected and are converted through
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Collection, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -184,44 +184,41 @@ class SparseVector:
 
     def norm(self, p: float = 2.0) -> float:
         """Return the `p`-norm of the vector (``p`` may be ``math.inf``)."""
-        if not self._data:
-            return 0.0
-        if p == math.inf:
-            return max(abs(v) for v in self._data.values())
-        if p == 1:
-            return sum(abs(v) for v in self._data.values())
-        if p == 2:
-            total = sum(v * v for v in self._data.values())
-            if math.isfinite(total) and total >= _NORMAL_MIN:
-                return math.sqrt(total)
-            return self._scaled_norm(2.0)
-        if p <= 0:
-            raise ValueError(f"p-norm requires p > 0, got {p}")
-        total = sum(abs(v) ** p for v in self._data.values())
-        if math.isfinite(total) and total >= _NORMAL_MIN:
-            return total ** (1.0 / p)
-        return self._scaled_norm(p)
+        return _norm(self._data.values(), p)
 
-    def _scaled_norm(self, p: float) -> float:
-        """`p`-norm computed with components pre-scaled by the largest
-        magnitude, for vectors whose powers under- or overflow the naive sum
-        (e.g. a component near 1e-160 squares into the subnormal range)."""
-        scale = max(abs(v) for v in self._data.values())
-        if scale == 0.0 or not math.isfinite(scale):
-            return scale
-        return scale * sum((abs(v) / scale) ** p for v in self._data.values()) ** (1.0 / p)
+    def distance(self, other: "SparseVector", p: float = 2.0) -> float:
+        """``self.subtract(other).norm(p)`` as bits, without the difference vector:
+        a maximum is exact in any order, and every other norm sums the differences
+        in ``subtract``'s order (``self``'s keys, then ``other``'s; a zero adds nothing)."""
+        mine, theirs = self._data, other._data
+        get = theirs.get
+        if p == math.inf:
+            return max(
+                max((abs(v - get(i, 0.0)) for i, v in mine.items()), default=0.0),
+                max((abs(v) for i, v in theirs.items() if i not in mine), default=0.0),
+            )
+        differences = [v - get(i, 0.0) for i, v in mine.items()]
+        differences += [v for i, v in theirs.items() if i not in mine]
+        return _norm(differences, p)
 
     def normalized(self, p: float = 2.0) -> "SparseVector":
         """Return the vector scaled to unit `p`-norm (zero vector unchanged).
 
         Divides elementwise rather than multiplying by ``1/length``: for
         subnormal components the reciprocal overflows to ``inf`` even though
-        the division itself is exact.
+        the division itself is exact.  A subnormal or overflowed norm (``{0:
+        5e-324, 1: 5e-324}`` has 2-norm ``5e-324``) divides the pre-scaled vector.
         """
         length = self.norm(p)
         if length == 0.0:
             return self.copy()
-        return SparseVector({index: value / length for index, value in self._data.items()})
+        data = self._data
+        if not _NORMAL_MIN <= length < math.inf:
+            largest = max(abs(v) for v in data.values())
+            if largest < math.inf:
+                data = {index: value / largest for index, value in data.items()}
+                length = _norm(data.values(), p)
+        return SparseVector({index: value / length for index, value in data.items()})
 
     def max_index(self) -> int:
         """Largest stored index, or -1 for the zero vector."""
@@ -257,6 +254,30 @@ class SparseVector:
         # One (int, float) pair per non-zero entry: 8 bytes key + 8 bytes value
         # plus dict overhead amortized to ~8 bytes per slot.
         return 24 * len(self._data) + 64
+
+
+def _norm(values: Collection[float], p: float) -> float:
+    """The `p`-norm of ``values``' magnitudes, summed in their order."""
+    if not values:
+        return 0.0
+    if p == math.inf:
+        return max(abs(v) for v in values)
+    if p == 1:
+        return sum(abs(v) for v in values)
+    if p <= 0:
+        raise ValueError(f"p-norm requires p > 0, got {p}")
+    try:
+        total = sum(v * v for v in values) if p == 2 else sum(abs(v) ** p for v in values)
+    except OverflowError:  # float ** raises where * would give inf
+        total = math.inf
+    if math.isfinite(total) and total >= _NORMAL_MIN:
+        return math.sqrt(total) if p == 2 else total ** (1.0 / p)
+    # The powers under- or overflowed the naive sum (e.g. a component near
+    # 1e-160 squares into the subnormal range): pre-scale by the largest magnitude.
+    scale = max(abs(v) for v in values)
+    if scale == 0.0 or not math.isfinite(scale):
+        return scale
+    return scale * sum((abs(v) / scale) ** p for v in values) ** (1.0 / p)
 
 
 def to_sparse(vector: SparseVector | Mapping[int, float] | Iterable[float] | np.ndarray) -> SparseVector:

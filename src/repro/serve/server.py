@@ -212,7 +212,7 @@ class ViewServer:
         else:
             self.shards = ShardSet.build(entities, model, num_shards=num_shards, **per_shard)
             published = PublishedState(
-                0, model.copy(), tuple(writer.examples), shard_epochs=(0,) * num_shards
+                0, model, tuple(writer.examples), shard_epochs=(0,) * num_shards
             )
         self.fanout = len(self.shards)
         self.writer = writer
@@ -428,8 +428,7 @@ class ViewServer:
 
     def model_for_epoch(self, epoch: int) -> LinearModel | None:
         """The model published at ``epoch`` (None once evicted from history)."""
-        model = self._epoch_models.get(epoch)
-        return model.copy() if model is not None else None
+        return self._epoch_models.get(epoch)
 
     @property
     def epoch(self) -> int:
@@ -583,7 +582,7 @@ class ViewServer:
                     hashes[entity_id] = digest
         self.published = PublishedState(
             epoch=epoch,
-            model=final_model.copy() if final_model is not None else last.model,
+            model=final_model if final_model is not None else last.model,
             examples=tuple(self.writer.examples),
             shard_epochs=tuple(
                 epoch if index in dirty_shards else value
@@ -834,7 +833,7 @@ class ViewServer:
                             shard.maintainer.export_state
                         )["records"]
                     ]
-                    view.maintainer.bulk_load(entities, self.trainer.model.copy())
+                    view.maintainer.bulk_load(entities, self.trainer.model)
                 else:
                     # Bring each entity written while serving to its last
                     # state: one inserted and later deleted must end up
@@ -846,7 +845,7 @@ class ViewServer:
                             pass
                         if features is not None:
                             view.maintainer.add_entity(entity_id, features)
-                    view.maintainer.apply_model(self.trainer.model.copy())
+                    view.maintainer.apply_model(self.trainer.model)
         finally:
             # Even if resync fails, never leave the view wired to a dead server.
             if self._view is not None:

@@ -152,7 +152,7 @@ class ShardSet:
         ]
         shard_set = cls(shards)
         # Bulk-load in parallel, one load per shard worker.
-        shard_set._scatter("bulk_load", each=[(part, model.copy()) for part in partitions])
+        shard_set._scatter("bulk_load", each=[(part, model) for part in partitions])
         return shard_set
 
     @classmethod

@@ -186,3 +186,27 @@ class TestLifecycle:
         assert conn.database is db
         assert conn.execute("SELECT COUNT(*) FROM t").scalar() == 0
         conn.close()
+
+
+
+def model_bits(model) -> tuple:
+    """A model as exact bits: ordered ``(index, value.hex())`` weights, bias, version."""
+    return [(i, v.hex()) for i, v in model.weights.items()], model.bias.hex(), model.version
+
+
+class TestModelValue:
+    def test_a_held_view_model_never_changes_under_its_holder(self):
+        """A model version is a value: an ``INSERT`` into the examples table
+        makes the view a new model and leaves the one a caller holds alone."""
+        conn, documents = build_connection()
+        view = conn.engine.view("labeled_papers")
+        held = view.model
+        before = model_bits(held)
+        conn.execute(
+            "INSERT INTO example_papers (id, label) VALUES (?, ?)",
+            (documents[0].entity_id, "database"),
+        )
+        assert view.model.version == 1 and view.model is not held
+        assert model_bits(held) == before
+        assert held.version == 0
+        conn.close()

@@ -179,7 +179,7 @@ class TestExplainOfAWrite:
         write = db.execute(f"EXPLAIN {verb} WHERE {predicate}").rows
         read = db.execute(f"EXPLAIN SELECT id FROM t WHERE {predicate}").rows
         assert write[0]["node"] == f"{verb.split()[0]}(t)"
-        assert write[0]["estimated_seconds"] == read[0]["estimated_seconds"]
+        assert write[0]["estimated_seconds"] == sum(row["estimated_seconds"] for row in read)
         assert "DML statements run triggers" not in write[0]["detail"]
         assert write[1:] == [{**row, "node": "  " + row["node"]} for row in read]
         assert write[-1]["node"].strip() == self.PREDICATES[predicate]
@@ -249,8 +249,25 @@ class TestAPreparedWriteCachesItsPlan:
             conn.execute("DELETE FROM t WHERE id = ?", (1,))
             trace = conn.database.obs.traces.snapshot()[-1]
             spans = {span.name: span for span in trace.spans()}
-            assert spans["execute"].estimated_seconds is not None
+            located = conn.prepare("DELETE FROM t WHERE id = ?").plan.explain_rows()
+            assert spans["execute"].estimated_seconds == sum(
+                row["estimated_seconds"] for row in located
+            ) > 0.0
             assert "node:IndexRange(t.id = ?)" in spans  # the locating plan, node by node
+
+    def test_a_traced_read_carries_the_sum_of_its_nodes_estimates(self):
+        """A ``Project`` root estimates only itself (0.0): the statement is the whole tree."""
+        with repro.connect() as conn:
+            conn.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, x INTEGER, tag TEXT)")
+            conn.execute("INSERT INTO t (id, x, tag) VALUES (1, 1, 'a')")
+            conn.execute("SELECT x FROM t WHERE id = ?", (1,))
+            trace = conn.database.obs.traces.snapshot()[-1]
+            spans = {span.name: span for span in trace.spans()}
+            rows = conn.prepare("SELECT x FROM t WHERE id = ?").plan.explain_rows()
+            assert rows[0]["node"].startswith("Project") and rows[0]["estimated_seconds"] == 0.0
+            expected = sum(row["estimated_seconds"] for row in rows)
+            assert expected > 0.0
+            assert spans["plan"].estimated_seconds == spans["execute"].estimated_seconds == expected
 
     @pytest.mark.parametrize("sql", [UPDATE, "DELETE FROM t WHERE id = ?"])
     def test_a_write_stays_on_the_bulk_lane_planned_or_not(self, db, sql):

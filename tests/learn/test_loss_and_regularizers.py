@@ -97,13 +97,13 @@ class TestL2Penalty:
     def test_apply_shrinks_weights(self):
         penalty = L2Penalty(strength=0.1)
         weights = SparseVector({0: 1.0})
-        penalty.apply(weights, learning_rate=1.0)
+        weights = penalty.shrink(weights, learning_rate=1.0)
         assert weights[0] == pytest.approx(0.9)
 
     def test_apply_never_flips_sign(self):
         penalty = L2Penalty(strength=10.0)
         weights = SparseVector({0: 1.0})
-        penalty.apply(weights, learning_rate=1.0)
+        weights = penalty.shrink(weights, learning_rate=1.0)
         assert weights[0] == 0.0
 
     def test_negative_strength_rejected(self):
@@ -118,14 +118,14 @@ class TestL1Penalty:
     def test_truncation_drives_small_weights_to_zero(self):
         penalty = L1Penalty(strength=1.0)
         weights = SparseVector({0: 0.5, 1: -2.0})
-        penalty.apply(weights, learning_rate=1.0)
+        weights = penalty.shrink(weights, learning_rate=1.0)
         assert 0 not in weights
         assert weights[1] == pytest.approx(-1.0)
 
     def test_zero_learning_rate_is_noop(self):
         penalty = L1Penalty(strength=1.0)
         weights = SparseVector({0: 0.5})
-        penalty.apply(weights, learning_rate=0.0)
+        weights = penalty.shrink(weights, learning_rate=0.0)
         assert weights[0] == 0.5
 
 
@@ -143,7 +143,7 @@ class TestElasticNet:
     def test_apply_shrinks(self):
         penalty = ElasticNetPenalty(strength=0.2, ratio=0.5)
         weights = SparseVector({0: 1.0})
-        penalty.apply(weights, learning_rate=1.0)
+        weights = penalty.shrink(weights, learning_rate=1.0)
         assert 0.0 < weights[0] < 1.0
 
 

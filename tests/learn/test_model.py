@@ -1,4 +1,4 @@
-"""Unit tests for LinearModel and ModelDelta."""
+"""Unit tests for LinearModel."""
 
 from __future__ import annotations
 
@@ -59,33 +59,3 @@ class TestLinearModel:
 
     def test_repr_contains_version(self, simple_model):
         assert "version=1" in repr(simple_model)
-
-
-class TestModelDelta:
-    def test_delta_weights_and_bias(self, simple_model):
-        newer = LinearModel(weights=SparseVector({0: -1.0, 1: 2.0}), bias=1.0, version=2)
-        delta = newer.delta_from(simple_model)
-        assert delta.weight_delta.to_dict() == {1: 1.0}
-        assert delta.bias_delta == pytest.approx(0.5)
-        assert delta.from_version == 1
-        assert delta.to_version == 2
-
-    def test_empty_delta(self, simple_model):
-        delta = simple_model.delta_from(simple_model)
-        assert delta.is_empty()
-        assert delta.magnitude() == 0.0
-
-    def test_weight_norm_for_holder_pairs(self, simple_model):
-        newer = simple_model.copy()
-        newer.weights = newer.weights.add(SparseVector({0: 0.3, 5: -0.4}))
-        delta = newer.delta_from(simple_model)
-        assert delta.weight_norm(math.inf) == pytest.approx(0.4)
-        assert delta.weight_norm(1) == pytest.approx(0.7)
-        assert delta.weight_norm(2) == pytest.approx(0.5)
-
-    def test_magnitude_combines_weights_and_bias(self, simple_model):
-        newer = simple_model.copy()
-        newer.bias += 3.0
-        newer.weights.add_inplace(SparseVector({9: 4.0}))
-        delta = newer.delta_from(simple_model)
-        assert delta.magnitude() == pytest.approx(5.0)

@@ -44,12 +44,41 @@ class TestConstruction:
         assert SGDTrainer().model.is_zero()
 
 
+def model_bits(model) -> tuple:
+    """A model as exact bits: ordered ``(index, value.hex())`` weights, bias, version."""
+    return [(i, v.hex()) for i, v in model.weights.items()], model.bias.hex(), model.version
+
+
 class TestIncrementalTraining:
     def test_absorb_returns_snapshot(self):
         trainer = SGDTrainer()
         snapshot = trainer.absorb(TrainingExample(0, SparseVector({0: 1.0}), 1))
-        assert snapshot is not trainer.model
+        before = model_bits(snapshot)
+        trainer.absorb(TrainingExample(1, SparseVector({0: 1.0, 1: 2.0}), -1))
+        assert model_bits(snapshot) == before
         assert snapshot.version == 1
+
+    def test_absorb_builds_one_new_weights_vector_and_copies_none(self, monkeypatch):
+        trainer = SGDTrainer()
+        trainer.absorb(TrainingExample(0, SparseVector({0: 1.0}), 1))
+        copies = []
+        monkeypatch.setattr(
+            SparseVector, "copy", lambda vector: copies.append(vector) or SparseVector()
+        )
+        before = trainer.model
+        after = trainer.absorb(TrainingExample(1, SparseVector({0: -1.0, 1: 2.0}), -1))
+        assert after is trainer.model
+        assert after is not before and after.weights is not before.weights
+        assert copies == []
+
+    def test_load_state_keeps_the_model_it_is_given(self):
+        trainer = SGDTrainer()
+        model = SGDTrainer().absorb(TrainingExample(0, SparseVector({0: 1.0}), 1))
+        before = model_bits(model)
+        trainer.load_state(model)
+        assert trainer.model is model
+        trainer.absorb(TrainingExample(1, SparseVector({0: 1.0}), -1))
+        assert model_bits(model) == before
 
     def test_version_counts_examples(self):
         trainer = SGDTrainer()

@@ -167,12 +167,51 @@ class TestNorms:
         with pytest.raises(ValueError):
             SparseVector({0: 1.0}).norm(0)
 
+    def test_general_p_norm_of_a_huge_component_is_rescaled_not_raised(self):
+        # 1e200 ** 3 raises OverflowError where 1e200 * 1e200 gives inf.
+        assert SparseVector({0: 1e200, 1: -1e200}).norm(3) == pytest.approx(2 ** (1 / 3) * 1e200)
+
     def test_normalized_l1(self):
         vector = SparseVector({0: 2.0, 1: 2.0}).normalized(p=1.0)
         assert vector.norm(1) == pytest.approx(1.0)
 
     def test_normalized_zero_vector_is_unchanged(self):
         assert SparseVector().normalized().nnz() == 0
+
+    def test_normalized_subnormal_vector_has_unit_norm(self):
+        # sqrt(2) * 5e-324 rounds to 5e-324: dividing by that rounded norm
+        # would give {0: 1.0, 1: 1.0}, whose 2-norm is 1.414.
+        vector = SparseVector({0: 5e-324, 1: 5e-324})
+        for p in (1.0, 2.0, 3.0, math.inf):
+            assert vector.normalized(p).norm(p) == pytest.approx(1.0)
+        assert vector.normalized(2).to_dict() == {0: 1.0 / math.sqrt(2.0), 1: 1.0 / math.sqrt(2.0)}
+
+    def test_normalized_normal_range_vector_divides_by_its_norm(self):
+        vector = SparseVector({0: 3.0, 1: -4.0})
+        assert vector.normalized(2).to_dict() == {0: 3.0 / 5.0, 1: -4.0 / 5.0}
+
+
+class TestDistance:
+    """``||w - w_s||_p``, the radius of Lemma 3.1, without the difference vector."""
+
+    def test_distance_for_holder_pairs(self, simple_model):
+        moved = simple_model.weights.add(SparseVector({0: 0.3, 5: -0.4}))
+        assert moved.distance(simple_model.weights, math.inf) == pytest.approx(0.4)
+        assert moved.distance(simple_model.weights, 1) == pytest.approx(0.7)
+        assert moved.distance(simple_model.weights, 2) == pytest.approx(0.5)
+
+    def test_distance_to_itself_is_zero(self, simple_model):
+        for p in (1, 2, 3, math.inf):
+            assert simple_model.weights.distance(simple_model.weights, p) == 0.0
+
+    def test_keys_on_either_side_only_count(self):
+        left, right = SparseVector({0: 1.0, 2: -2.0}), SparseVector({1: 3.0})
+        assert left.distance(right, math.inf) == 3.0
+        assert right.distance(left, 1) == 6.0
+
+    def test_invalid_p_raises(self):
+        with pytest.raises(ValueError):
+            SparseVector({0: 1.0}).distance(SparseVector(), 0)
 
 
 class TestConversion:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.db.btree import BPlusTree
@@ -52,6 +52,7 @@ class TestVectorAlgebraProperties:
         assert abs(x.dot(y)) <= x.norm(p) * y.norm(q) + 1e-6
 
     @given(sparse_vectors)
+    @example(SparseVector({0: 5e-324, 1: 5e-324}))  # its 2-norm rounds to 5e-324
     def test_normalization_produces_unit_norm(self, x):
         for p in (1.0, 2.0):
             normalized = x.normalized(p)
