@@ -3,7 +3,7 @@
 Builds the same Papers view as ``examples/quickstart.py``, then drives the
 serving subsystem entirely through the declarative surface:
 
-* ``SERVE VIEW ... WITH (...)`` shards the entity space across worker threads
+* ``SERVE VIEW ... WITH (...)`` shards the entity space into hash partitions
   and starts the request batcher + background maintenance pipeline;
 * concurrent clients are just extra :func:`repro.connect` connections — each
   one gets its own monotonic read-your-writes session, and its ``SELECT`` /

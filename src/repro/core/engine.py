@@ -375,8 +375,8 @@ class HazyEngine:
         feature_norm_q = view.feature_function.norm_q
 
         def store_factory() -> EntityStore:
-            # Each shard gets a private pool so shard workers never contend
-            # on page latches (the database's pool keeps serving the tables).
+            # Each shard gets a private pool, so the shard's lock covers its
+            # pages (the database's pool keeps serving the tables).
             pool = None
             if self.architecture != "mainmemory":
                 pool = BufferPool(self.database.cost_model, None, IOStatistics())
@@ -421,8 +421,8 @@ class HazyEngine:
     ):
         """Put a view behind a concurrent :class:`~repro.serve.server.ViewServer`.
 
-        The server shards the view's entity space across ``num_shards`` worker
-        threads (each shard runs this engine's architecture/strategy/approach),
+        The server shards the view's entity space into ``num_shards`` hash
+        partitions (each shard runs this engine's architecture/strategy/approach),
         batches concurrent reads, and maintains the view from a background
         pipeline; the view lends the server its writer and its trigger body
         hands every write to the server's queue until ``server.close()`` hands
@@ -467,22 +467,22 @@ class HazyEngine:
 
     #: ``WITH (...)`` option names accepted by SERVE VIEW / RESTORE VIEW and
     #: by CHECKPOINT VIEW: the ``ViewServer`` / ``ViewServer.checkpoint``
-    #: keyword each maps to, the type it must have, and how that type is
-    #: worded in the error.
+    #: keyword each maps to, the type it must have, how that type is worded
+    #: in the error, and the least value a number may take (None: any).
     _SERVER_OPTIONS = {
-        "shards": ("num_shards", int, "an integer"),
-        "max_read_batch": ("max_read_batch", int, "an integer"),
-        "queue_capacity": ("queue_capacity", int, "an integer"),
-        "max_write_batch": ("max_write_batch", int, "an integer"),
-        "cache_capacity": ("cache_capacity", int, "an integer"),
-        "epoch_history": ("epoch_history", int, "an integer"),
-        "max_wait_s": ("read_batch_wait_s", float, "a number"),
-        "wal": ("wal_dir", str, "a string"),
-        "adaptive_batching": ("adaptive_batching", bool, "true or false"),
+        "shards": ("num_shards", int, "an integer", 1),
+        "max_read_batch": ("max_read_batch", int, "an integer", 1),
+        "queue_capacity": ("queue_capacity", int, "an integer", 1),
+        "max_write_batch": ("max_write_batch", int, "an integer", 1),
+        "cache_capacity": ("cache_capacity", int, "an integer", 0),
+        "epoch_history": ("epoch_history", int, "an integer", 0),
+        "max_wait_s": ("read_batch_wait_s", float, "a number", 0),
+        "wal": ("wal_dir", str, "a string", None),
+        "adaptive_batching": ("adaptive_batching", bool, "true or false", None),
     }
     _CHECKPOINT_OPTIONS = {
-        "incremental": ("incremental", bool, "true or false"),
-        "parent": ("parent", str, "a string path"),
+        "incremental": ("incremental", bool, "true or false", None),
+        "parent": ("parent", str, "a string path", None),
     }
 
     @staticmethod
@@ -495,10 +495,12 @@ class HazyEngine:
         for name, value in (options or {}).items():
             if name.lower() not in table:
                 raise ConfigurationError(f"unknown {what} option {name!r}; known: {sorted(table)}")
-            keyword, kind, wording = table[name.lower()]
+            keyword, kind, wording, least = table[name.lower()]
             accepted = (int, float) if kind is float else kind
             if not isinstance(value, accepted) or (kind is not bool and isinstance(value, bool)):
                 raise ConfigurationError(f"option {name!r} expects {wording}, got {value!r}")
+            if least is not None and not value >= least:  # "not >=" also refuses NaN
+                raise ConfigurationError(f"option {name!r} must be >= {least}, got {value!r}")
             mapped[keyword] = kind(value)
         return mapped
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import threading
 from abc import ABC, abstractmethod
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
@@ -43,20 +42,11 @@ class EntityStore(ABC):
     #: "hybrid"); :data:`repro.core.stores.STORES` is keyed on it.
     architecture: str
 
-    #: Whether concurrent reader threads may safely share this store's read
-    #: path without external locking.  Only the in-memory store (which uses
-    #: copy-on-write clustering arrays) sets this; callers serving other
-    #: architectures from multiple threads must serialize on :attr:`read_lock`.
-    supports_concurrent_reads: bool = False
-
     def __init__(self, cost_model: CostModel, stats: IOStatistics, feature_norm_q: float = 1.0):
         self.cost_model = cost_model
         self.stats = stats
         self.feature_norm_q = float(feature_norm_q)
         self._max_feature_norm = 0.0
-        #: Coarse lock for callers that drive the read path from several
-        #: threads against an architecture without a concurrent-safe read path.
-        self.read_lock = threading.RLock()
 
     # -- cost helpers -----------------------------------------------------------------
 

@@ -208,12 +208,10 @@ class InMemoryEntityStore(EntityStore):
     (insert, delete, reorganize) publish a fresh :class:`_Clustering` instead
     of mutating the lists in place, and every scan captures it once, when the
     scan is created.  Concurrent readers therefore always walk a coherent
-    snapshot of the clustering, which is what lets the serving subsystem drive
-    this store from many threads without locks (``supports_concurrent_reads``).
+    snapshot of the clustering.
     """
 
     architecture = "mainmemory"
-    supports_concurrent_reads = True
 
     def __init__(
         self,

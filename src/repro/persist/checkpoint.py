@@ -3,7 +3,7 @@
 A checkpoint is a directory::
 
     <path>/
-        shard-0000.hzs ... shard-NNNN.hzs   one frame per shard (written concurrently)
+        shard-0000.hzs ... shard-NNNN.hzs   one frame per shard
         features.hzs                        pickled feature function (optional)
         MANIFEST.hzs                        global state — written LAST, atomically
 
@@ -21,7 +21,7 @@ is handed that value and those exports, never a shard, a lock or a table, and
 owns every rule of the format: when a parent may anchor an **incremental**
 checkpoint, which shards one rewrites, how an unchanged shard is referenced,
 and the manifest, written last.  Its caller keeps what is not format: the
-consistent cut and the threads the per-shard files are written from
+consistent cut and the thread the per-shard files are written from
 (:meth:`repro.serve.server.ViewServer.checkpoint`).  :func:`load_checkpoint`
 maps the directory back onto the same value.
 

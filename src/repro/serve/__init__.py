@@ -22,9 +22,10 @@ Module map
     warm-starts a server from one.
 ``sharding``
     :class:`~repro.serve.sharding.ShardSet` — the entity space
-    hash-partitioned across N worker threads, one store + maintainer + cache
-    per shard; one scatter (a maintainer operation submitted to every shard
-    worker) and a per-read gather for ``ALL_MEMBERS``-style and top-k queries.
+    hash-partitioned into N shards, one store + maintainer + cache + lock per
+    shard, each operation run on the caller's thread under the shard's lock;
+    one scatter (a maintainer operation run on every shard in turn) and a
+    per-read gather for ``ALL_MEMBERS``-style and top-k queries.
 ``batcher``
     :class:`~repro.serve.batcher.ReadBatcher` — coalesces concurrent Single
     Entity reads into batched per-shard ``read_many`` rounds, amortizing the

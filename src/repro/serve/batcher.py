@@ -2,7 +2,7 @@
 
 Figure 5's lesson is that per-statement overhead, not classification work,
 caps Single Entity read throughput.  The batcher exploits it: client threads
-submit individual reads and get a future back; a collector thread drains the
+submit individual reads and get a handle back; a collector thread drains the
 submission queue and executes whole batches at once through the maintainers'
 :meth:`~repro.core.maintainers.base.ViewMaintainer.read_many` path, which
 charges the statement dispatch once per *batch* instead of once per read.
@@ -28,13 +28,33 @@ import queue
 import threading
 import time
 from collections.abc import Callable, Sequence
-from concurrent.futures import Future
 
 from repro.obs import TraceContext, current_trace
 
-__all__ = ["ReadBatcher", "AdaptiveBatchWindow"]
+__all__ = ["ReadBatcher", "AdaptiveBatchWindow", "PendingRead"]
 
 _SHUTDOWN = object()
+
+
+class PendingRead:
+    """One submitted read: answered once by the collector, awaited by its client."""
+
+    def __init__(self) -> None:
+        self._answered = threading.Event()
+        self._answer: object = None
+
+    def answer(self, value: object) -> None:
+        """Resolve the read; an exception instance fails it with that error."""
+        self._answer = value
+        self._answered.set()
+
+    def result(self, timeout: float | None = None) -> object:
+        """Block until answered; the answer, or the error it is, raised."""
+        if not self._answered.wait(timeout):
+            raise TimeoutError("read not answered within timeout")
+        if isinstance(self._answer, BaseException):
+            raise self._answer
+        return self._answer
 
 
 class AdaptiveBatchWindow:
@@ -161,18 +181,18 @@ class ReadBatcher:
 
     # -- client side ------------------------------------------------------------------------
 
-    def submit(self, key: object) -> Future:
-        """Enqueue one read; the future resolves to ``execute_batch``'s value for it."""
+    def submit(self, key: object) -> PendingRead:
+        """Enqueue one read; it is answered with ``execute_batch``'s value for it."""
         if self._closed:
             raise RuntimeError("batcher is closed")
         if self.window is not None:
             self.window.observe(time.monotonic())
-        future: Future = Future()
+        pending = PendingRead()
         # Capture the submitting statement's trace here, on the client thread:
         # the collector thread has no context of its own, so the trace must
         # ride along with the request.
-        self._queue.put((key, future, current_trace()))
-        return future
+        self._queue.put((key, pending, current_trace()))
+        return pending
 
     def read(self, key: object, timeout: float | None = None):
         """Synchronous convenience wrapper around :meth:`submit`."""
@@ -180,7 +200,7 @@ class ReadBatcher:
 
     # -- collector thread -------------------------------------------------------------------
 
-    def _collect(self) -> list[tuple[object, Future, TraceContext | None]] | None:
+    def _collect(self) -> list[tuple[object, PendingRead, TraceContext | None]] | None:
         """Block for the first request, then opportunistically fill the round."""
         item = self._queue.get()
         if item is _SHUTDOWN:
@@ -224,23 +244,19 @@ class ReadBatcher:
                 results = self._execute_batch(keys)
             except BaseException as error:  # propagate to every waiter
                 self._record_round(batch, keys, cost_before, wall_started)
-                for _, future, _ in batch:
-                    future.set_exception(error)
+                for _, pending, _ in batch:
+                    pending.answer(error)
                 continue
-            # Record spans before resolving futures: a waiter may finalize its
-            # trace the instant its future resolves, and the round's span must
+            # Record spans before answering: a waiter may finalize its trace
+            # the instant its read is answered, and the round's span must
             # already be in the tree by then.
             self._record_round(batch, keys, cost_before, wall_started)
-            for key, future, _ in batch:
-                value = results[key]
-                if isinstance(value, BaseException):
-                    future.set_exception(value)
-                else:
-                    future.set_result(value)
+            for key, pending, _ in batch:
+                pending.answer(results[key])
 
     def _record_round(
         self,
-        batch: list[tuple[object, Future, TraceContext | None]],
+        batch: list[tuple[object, PendingRead, TraceContext | None]],
         keys: list[object],
         cost_before: float,
         wall_started: float,
@@ -285,8 +301,8 @@ class ReadBatcher:
             except queue.Empty:
                 break
             if item is not _SHUTDOWN:
-                _, future, _ = item
-                future.set_exception(RuntimeError("batcher is closed"))
+                _, pending, _ = item
+                pending.answer(RuntimeError("batcher is closed"))
 
     def stats(self) -> dict[str, float]:
         """Coalescing counters (average batch size is the interesting one).

@@ -16,8 +16,8 @@ Two events bound the cache's validity:
   so all cached margins become meaningless — the cache watches the
   maintainer's reorganization counter and drops everything when it moves.
 
-Entries are evicted FIFO beyond ``capacity``.  The cache is manipulated only
-by its shard's worker thread, so it needs no internal locking.
+Entries are evicted FIFO beyond ``capacity`` (0 keeps none).  The cache is
+manipulated only under its shard's lock, so it needs no locking of its own.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ class WaterBandResultCache:
     reorg_supplier:
         Returns the shard's reorganization count; any change invalidates.
     capacity:
-        Maximum number of cached ε entries (FIFO eviction).
+        Maximum number of cached ε entries (FIFO eviction; 0 caches nothing).
     """
 
     def __init__(
@@ -87,9 +87,9 @@ class WaterBandResultCache:
     def observe(self, record: EntityRecord) -> None:
         """Deposit the stored ε of a record some read just fetched."""
         self._check_epoch()
-        if record.entity_id not in self._eps and len(self._eps) >= self._capacity:
-            self._eps.popitem(last=False)
         self._eps[record.entity_id] = record.eps
+        if len(self._eps) > self._capacity:
+            self._eps.popitem(last=False)
 
     def evict(self, entity_id: object) -> None:
         """Drop one entity (entity update/delete)."""

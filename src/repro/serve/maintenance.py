@@ -7,10 +7,11 @@ never block behind model retraining*.
 
 Each drained batch goes through two phases:
 
-1. **Prepare (no locks held).**  The batch is handed, whole and in arrival
-   order, to the view's :class:`~repro.core.writes.ViewWriter` — the same
-   body an unserved view runs inline for a run of one.  It featurizes new
-   entities, resolves training examples against entity features and trains:
+1. **Prepare (no server lock held).**  The batch is handed, whole and in
+   arrival order, to the view's :class:`~repro.core.writes.ViewWriter` — the
+   same body an unserved view runs inline for a run of one.  It featurizes new
+   entities, resolves training examples against entity features (each lookup
+   under its shard's lock, for that lookup only) and trains:
    one gradient step per example, collecting the intermediate model
    snapshots, or the paper's footnote-2 full retrain when an example was
    deleted or replaced.  Readers keep streaming through the shards the whole
@@ -94,8 +95,8 @@ class MaintenanceWorker:
 
     ``host`` is the owning :class:`~repro.serve.server.ViewServer`; the worker
     drives it through a small protocol: the ``writer`` it was lent,
-    ``stored_features(entity_id)``, ``charge_featurize(nnz)``,
-    ``charge_training(steps)``, ``record_mutations(entity_ops)``,
+    ``charge_featurize(nnz)``, ``charge_training(steps)``,
+    ``record_mutations(entity_ops)``,
     ``publish_epoch(final_model, dirty_shards, wal_seq, row_hashes,
     feature_function)`` and ``rotate_wal()`` plus the ``shards``, ``rw_lock``
     and ``epoch`` attributes.
@@ -207,10 +208,10 @@ class MaintenanceWorker:
     def _apply_batch(self, ops: Sequence[WriteOp]) -> None:
         host = self._host
 
-        # ---- Phase 1: prepare, train — no locks, readers unaffected ----------------
+        # ---- Phase 1: prepare, train — no server lock, readers unaffected ----------
         entity_ops, models, training_steps, refused, entity_rows = host.writer.prepare(
             [(op.kind, op.row, op.old_row) for op in ops],
-            host.stored_features,
+            host.shards.stored_features,
             host.charge_featurize,
         )
         host.charge_training(training_steps)

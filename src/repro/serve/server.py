@@ -3,8 +3,10 @@
 The server owns five moving parts and wires them together:
 
 * a :class:`~repro.serve.sharding.ShardSet` — the entity space hash-partitioned
-  across N worker threads, each with its own store, maintainer, and
-  water-band result cache;
+  into N shards, each with its own store, maintainer, water-band result cache
+  and lock; an operation on a shard runs on the caller's thread under that
+  lock, so serving runs two threads of its own, the batcher's and the
+  maintenance worker's;
 * a :class:`~repro.serve.batcher.ReadBatcher` — concurrent ``label_of`` calls
   coalesce into batched, per-shard ``read_many`` rounds;
 * a :class:`~repro.serve.maintenance.MaintenanceWorker` — writes are queued
@@ -251,6 +253,11 @@ class ViewServer:
         #: Where the last successful checkpoint landed — the default parent
         #: for ``checkpoint(..., incremental=True)``.
         self._last_checkpoint_path: Path | None = None
+        # Serving's two threads start last, after everything that can raise:
+        # the batcher's in its constructor, the worker's in ``start``.
+        self.worker = MaintenanceWorker(
+            self, queue_capacity=queue_capacity, max_batch=max_write_batch
+        )
         if read_batch_wait_s == "adaptive":
             self.batcher = ReadBatcher(
                 self._execute_read_batch,
@@ -265,9 +272,6 @@ class ViewServer:
                 max_wait_s=float(read_batch_wait_s),
                 cost_probe=self.shards.simulated_seconds,
             )
-        self.worker = MaintenanceWorker(
-            self, queue_capacity=queue_capacity, max_batch=max_write_batch
-        )
         self.worker.start()
 
     # ------------------------------------------------------------------ reads
@@ -291,9 +295,10 @@ class ViewServer:
         """Record a scatter/gather read as spans on the active trace.
 
         One parent span for the whole gather plus one child per shard, each
-        carrying that shard's simulated-seconds delta (read off the shard
-        store ledgers from the calling thread — benign races, the shard
-        workers only ever grow them).  No-op when nothing is tracing.
+        carrying that shard's simulated-seconds delta, read off the shard
+        store ledgers before and after the gather without their locks (a
+        ledger only grows; a batcher round running beside the gather can
+        add to a delta).  No-op when nothing is tracing.
         """
         trace = current_trace()
         if trace is None:
@@ -534,11 +539,6 @@ class ViewServer:
 
     # ------------------------------------------- host protocol (maintenance worker)
 
-    def stored_features(self, entity_id: object) -> SparseVector:
-        """Worker hook: the features the owning shard stores for an entity."""
-        shard = self.shards.shard_for(entity_id)
-        return shard.call(lambda: shard.maintainer.store.get(entity_id).features)
-
     def charge_featurize(self, nonzeros: int) -> None:
         """Worker hook: account one featurization on the training ledger."""
         self._train_stats.charge(self._cost_model.featurize_cost(nonzeros), "featurize")
@@ -662,8 +662,9 @@ class ViewServer:
         once and the shards export theirs, so the snapshot reflects one
         published epoch.  Nothing else is read: the writer, the feature
         function and the base table may all be ahead of that epoch already.
-        Shard files are serialized and written on the shard workers,
-        concurrently, after the lock is released; the manifest is written
+        Shard files are serialized and written on this thread, one after
+        another, after the lock is released — the exports are detached
+        copies, so the writes take no shard lock; the manifest is written
         last, as the commit point, and the WAL is pruned only after it.
 
         With ``incremental=True`` only shards whose epoch moved since
@@ -679,25 +680,14 @@ class ViewServer:
         writer = CheckpointWriter(
             path, len(self.shards), incremental, parent or self._last_checkpoint_path
         )
-        shards = self.shards.shards
         with self.rw_lock.read_locked():
             published = self.published
-            exports = {
-                index: shards[index].submit(shards[index].maintainer.export_state)
-                for index in writer.stale_shards(published.shard_epochs)
-            }
-            # Deliberate: the read lock pins a consistent cut across shards
-            # while their state exports drain.
-            exported = {index: future.result() for index, future in exports.items()}  # repro: noqa(LOCK002)
+            exported = self.shards.export_states(writer.stale_shards(published.shard_epochs))
         states = [
             writer.shard_state(index, state, published.row_hashes)
             for index, state in exported.items()
         ]
-        writes = [
-            shards[state.index].submit(write_shard_state, writer.directory, state)
-            for state in states
-        ]
-        shard_bytes = sum(future.result() for future in writes)
+        shard_bytes = sum(write_shard_state(writer.directory, state) for state in states)
         info = writer.commit(published, states, shard_bytes, **self._manifest_identity())
         if self._wal is not None and published.wal_applied_seq:
             # Everything at or below the manifest's applied seq is durable in
@@ -828,10 +818,8 @@ class ViewServer:
                     # contents under the final model.
                     entities = [
                         (entity_id, features)
-                        for shard in self.shards.shards
-                        for entity_id, features, _eps, _label in shard.call(
-                            shard.maintainer.export_state
-                        )["records"]
+                        for state in self.shards.export_states(range(len(self.shards))).values()
+                        for entity_id, features, _eps, _label in state["records"]
                     ]
                     view.maintainer.bulk_load(entities, self.trainer.model)
                 else:
@@ -853,7 +841,6 @@ class ViewServer:
                 self._view = None
             if self._wal is not None:
                 self._wal.close()
-            self.shards.shutdown()
 
     def __enter__(self) -> "ViewServer":
         return self

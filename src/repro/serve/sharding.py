@@ -1,34 +1,36 @@
-"""Per-view sharding of the entity space across N worker threads.
+"""Per-view sharding of the entity space: N hash partitions, no threads.
 
 Every classification view served by a :class:`~repro.serve.server.ViewServer`
 is split into ``num_shards`` hash partitions of its entity key space.  Each
 :class:`Shard` bundles a private entity store, a private maintainer (same
-strategy/approach as the source view), a private water-band result cache —
-and, crucially, a **dedicated worker thread**: all access to a shard's state,
-reads and writes alike, runs on that one thread.  That single rule makes the
-whole structure free of data races without any per-record locking, keeps the
-cost ledgers exact, and means a heavy read on one shard never stalls the
-others.
+strategy/approach as the source view), a private water-band result cache and
+**one lock**: whoever runs an operation on a shard — a batcher round, a
+scatter/gather read, the maintenance worker, a checkpoint — takes that lock
+and runs the operation on its own thread.  Every operation takes it, reads
+included: a lazy read records waste and may reorganize, and neither the
+on-disk / hybrid buffer pool nor the result cache has a lock of its own.  That
+one rule keeps each shard linearizable and its cost ledger exact.  A caller
+never holds two shard locks at once, and takes the server's readers/writer
+lock, when it needs it, first.
 
 Cross-shard operations (``ALL_MEMBERS``-style queries, ``top_k``, batched
 reads spanning partitions) follow a **scatter/gather** path: work is split by
-partition, submitted to every involved shard's worker concurrently, and the
-partial answers are merged.  The scatter is written once —
-:meth:`ShardSet._scatter` submits one *maintainer* operation to every shard
-worker and returns the partials in shard order; each read keeps only its own
-merge, and the bulk load and the snapshot import are the same scatter.  A
-:class:`Shard` adds a method of its own only where the result cache is
-involved (:meth:`Shard.read_batch_local`, :meth:`Shard.remove_entity_local`).
-Coherence across shards (so a gather never mixes model epochs) is the
+partition, run on each involved shard in turn, and the partial answers are
+merged.  The scatter is written once — :meth:`ShardSet._scatter` runs one
+*maintainer* operation on every shard and returns the partials in shard
+order; each read keeps only its own merge, and the bulk load and the snapshot
+import are the same scatter.  :meth:`Shard.read_batch_local` is the one
+operation a :class:`Shard` adds of its own, because it involves the result
+cache.  Coherence across shards (so a gather never mixes model epochs) is the
 :class:`~repro.serve.server.ViewServer`'s job via its readers/writer lock;
 this module only guarantees per-shard linearizability.
 """
 
 from __future__ import annotations
 
+import threading
 import zlib
 from collections.abc import Callable, Iterable, Sequence
-from concurrent.futures import Future, ThreadPoolExecutor
 from itertools import chain
 
 from repro.core.maintainers.base import ViewMaintainer
@@ -53,7 +55,8 @@ def shard_index(entity_id: object, num_shards: int) -> int:
 
 
 class Shard:
-    """One hash partition: store + maintainer + cache + its worker thread."""
+    """One hash partition: store + maintainer + cache, and the lock every
+    operation on them takes."""
 
     def __init__(self, index: int, maintainer: ViewMaintainer, cache_capacity: int = 100_000):
         self.index = index
@@ -63,32 +66,15 @@ class Shard:
             reorg_supplier=lambda: self.maintainer.stats.reorganizations,
             capacity=cache_capacity,
         )
-        self._executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix=f"hazy-shard-{index}"
-        )
+        self.lock = threading.Lock()
 
     def _band(self):
         tracker = getattr(self.maintainer, "tracker", None)
         return tracker.band() if tracker is not None else None
 
-    # -- the worker-thread rule --------------------------------------------------------
-
-    def submit(self, fn: Callable, *args) -> Future:
-        """Run ``fn(*args)`` on this shard's worker thread."""
-        return self._executor.submit(fn, *args)
-
-    def call(self, fn: Callable, *args):
-        """Run ``fn(*args)`` on the worker thread and wait for the result."""
-        return self.submit(fn, *args).result()
-
-    def shutdown(self) -> None:
-        """Stop the worker thread (pending work completes first)."""
-        self._executor.shutdown(wait=True)
-
-    # -- shard-local operations (must run on the worker thread) ---------------------------
-
     def read_batch_local(self, entity_ids: Sequence[object]) -> dict[object, object]:
-        """Cache-first batched Single Entity read over this partition.
+        """Cache-first batched Single Entity read over this partition (the
+        caller holds :attr:`lock`).
 
         Unknown ids resolve to the :class:`~repro.exceptions.KeyNotFoundError`
         *instance* instead of raising, so one bad key cannot fail the whole
@@ -115,11 +101,6 @@ class Shard:
                     except KeyNotFoundError as error:
                         results[entity_id] = error
         return results
-
-    def remove_entity_local(self, entity_id: object) -> None:
-        """Delete an entity from this partition (and its cache entry)."""
-        self.cache.evict(entity_id)
-        self.maintainer.remove_entity(entity_id)
 
 
 class ShardSet:
@@ -151,7 +132,6 @@ class ShardSet:
             for index in range(num_shards)
         ]
         shard_set = cls(shards)
-        # Bulk-load in parallel, one load per shard worker.
         shard_set._scatter("bulk_load", each=[(part, model) for part in partitions])
         return shard_set
 
@@ -169,7 +149,6 @@ class ShardSet:
         from the snapshot because eps values are only comparable within the
         shard that stored them (each shard reorganizes independently), and
         :func:`shard_index` is process-stable so routing still agrees.
-        Imports run concurrently, one per shard worker.
         """
         shards = [
             Shard(index, maintainer_factory(store_factory()), cache_capacity=cache_capacity)
@@ -200,32 +179,22 @@ class ShardSet:
         Unknown ids map to their ``KeyNotFoundError`` instance (per-key error
         isolation through the batcher); known ids map to their label.
         """
-        futures = [
-            shard.submit(shard.read_batch_local, ids)
-            for shard, ids in self.partition_ids(entity_ids).items()
-        ]
         results: dict[object, object] = {}
-        for future in futures:
-            results.update(future.result())
+        for shard, ids in self.partition_ids(entity_ids).items():
+            with shard.lock:
+                results.update(shard.read_batch_local(ids))
         return results
 
-    def read_single(self, entity_id: object) -> int:
-        """One Single Entity read routed to its owning shard."""
-        shard = self.shard_for(entity_id)
-        result = shard.call(shard.read_batch_local, [entity_id])[entity_id]
-        if isinstance(result, BaseException):
-            raise result
-        return result
-
     def _scatter(self, operation: str, *args, each: Sequence[tuple] | None = None) -> list:
-        """Run one maintainer operation on every shard's worker thread,
-        concurrently — with ``args``, or with shard ``i``'s own ``each[i]`` —
-        and return the partial answers in shard order."""
-        futures = [
-            shard.submit(getattr(shard.maintainer, operation), *(args if each is None else each[i]))
-            for i, shard in enumerate(self.shards)
-        ]
-        return [future.result() for future in futures]
+        """Run one maintainer operation on every shard in turn, each under its
+        lock — with ``args``, or with shard ``i``'s own ``each[i]`` — and
+        return the partial answers in shard order."""
+        partials = []
+        for i, shard in enumerate(self.shards):
+            with shard.lock:
+                operate = getattr(shard.maintainer, operation)
+                partials.append(operate(*(args if each is None else each[i])))
+        return partials
 
     def all_members(self, label: int = 1) -> list[object]:
         """Scatter an All Members read to every shard, gather the union."""
@@ -263,28 +232,42 @@ class ShardSet:
             combined.update(partial)
         return combined
 
+    def stored_features(self, entity_id: object) -> SparseVector:
+        """The features the owning shard stores for an entity."""
+        shard = self.shard_for(entity_id)
+        with shard.lock:
+            return shard.maintainer.store.get(entity_id).features
+
+    def export_states(self, indices: Iterable[int]) -> dict[int, dict[str, object]]:
+        """``export_state()`` of each shard in ``indices``, by index — a
+        detached copy, so nothing read from it later needs the shard's lock."""
+        exported: dict[int, dict[str, object]] = {}
+        for index in indices:
+            shard = self.shards[index]
+            with shard.lock:
+                exported[index] = shard.maintainer.export_state()
+        return exported
+
     # -- writes (driven by the maintenance worker) ---------------------------------------
 
     def apply_model_batch(self, models: Sequence[LinearModel]) -> None:
-        """Apply a batch of models to every shard concurrently; waits for all."""
+        """Apply a batch of models to every shard."""
         self._scatter("apply_model_batch", models)
 
     def add_entity(self, entity_id: object, features: SparseVector) -> int:
         """Insert a new entity on its owning shard."""
         shard = self.shard_for(entity_id)
-        return shard.call(shard.maintainer.add_entity, entity_id, features)
+        with shard.lock:
+            return shard.maintainer.add_entity(entity_id, features)
 
     def remove_entity(self, entity_id: object) -> None:
-        """Delete an entity from its owning shard."""
+        """Delete an entity (and its cache entry) from its owning shard."""
         shard = self.shard_for(entity_id)
-        shard.call(shard.remove_entity_local, entity_id)
+        with shard.lock:
+            shard.cache.evict(entity_id)
+            shard.maintainer.remove_entity(entity_id)
 
-    # -- lifecycle / accounting --------------------------------------------------------------
-
-    def shutdown(self) -> None:
-        """Stop every shard worker."""
-        for shard in self.shards:
-            shard.shutdown()
+    # -- accounting --------------------------------------------------------------------------
 
     def count(self) -> int:
         """Total entities across shards."""

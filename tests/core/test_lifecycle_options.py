@@ -3,9 +3,10 @@
 ``SERVE VIEW`` / ``RESTORE VIEW`` options (``HazyEngine._SERVER_OPTIONS``) and
 ``CHECKPOINT VIEW`` options (``HazyEngine._CHECKPOINT_OPTIONS``) go through
 ``HazyEngine._validated``; the cases below are generated from those two
-tables, so an option added to either is checked here without being listed,
-and each case is issued twice — as SQL and through the imperative method —
-and must be refused with the same message.
+tables — a value of the wrong type, and one below the option's least value —
+so an option added to either is checked here without being listed, and each
+case is issued twice — as SQL and through the imperative method — and must be
+refused with the same message.
 """
 
 from __future__ import annotations
@@ -34,9 +35,12 @@ TABLES = {
 def cases():
     for verb, (table, what) in TABLES.items():
         yield verb, {"bogus": 1}, f"unknown {what} option 'bogus'; known: {sorted(table)}"
-        for name, (_keyword, kind, wording) in table.items():
+        for name, (_keyword, kind, wording, least) in table.items():
             for value in WRONG[kind]:
                 yield verb, {name: value}, f"option {name!r} expects {wording}, got {value!r}"
+            if least is not None:
+                for value in dict.fromkeys((least - 1, -1)):
+                    yield verb, {name: value}, f"option {name!r} must be >= {least}, got {value!r}"
     yield "checkpoint", {"parent": "/elsewhere"}, "'parent' requires incremental = true"
     yield "checkpoint", {"parent": "/elsewhere", "incremental": False}, "requires incremental"
     for verb in ("serve", "restore"):
@@ -86,3 +90,11 @@ def test_a_bad_option_is_refused_the_same_way_in_sql_and_imperatively(
             attempt()
     assert (engine.view(VIEW).server is None) == (verb != "checkpoint")
     assert not list(tmp_path.iterdir())
+
+
+def test_a_nan_wait_is_refused_imperatively(portals):
+    """SQL has no NaN literal; a caller's dict can carry one, and it is no number >= 0."""
+    message = "option 'max_wait_s' must be >= 0, got nan"
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        portals["serve"].serve_view(VIEW, {"max_wait_s": float("nan")})
+    assert portals["serve"].view(VIEW).server is None

@@ -349,7 +349,7 @@ class TestCheckpointBehindItsOwnCut:
         release.set()
         server.flush()
         live = server.writer.feature_function
-        live_vector = dict(server.stored_features(100).items())
+        live_vector = dict(server.shards.stored_features(100).items())
         reference = answers(server)
         server.close()
 
@@ -362,7 +362,7 @@ class TestCheckpointBehindItsOwnCut:
             assert snapshot.feature_function.document_count == len(docs)
             assert recovered.document_frequency == live.document_frequency
             assert recovered.vocabulary.tokens() == live.vocabulary.tokens()
-            assert dict(restored.stored_features(100).items()) == live_vector
+            assert dict(restored.shards.stored_features(100).items()) == live_vector
             assert answers(restored) == reference
         finally:
             restored.close()
@@ -381,14 +381,14 @@ class TestCheckpointBehindItsOwnCut:
         update = ("UPDATE papers SET title = ? WHERE id = ?", (docs[6].text, target.entity_id))
         engine, server = self._serve(docs, DDL, tmp_path, wal=wal)
         db = engine.database
-        old_vector = dict(server.stored_features(target.entity_id).items())
+        old_vector = dict(server.shards.stored_features(target.entity_id).items())
 
         db.execute(*update)
         assert parked.wait(timeout=10)
         self._crash_image(db, tmp_path, wal=wal)
         release.set()
         server.flush()
-        new_vector = dict(server.stored_features(target.entity_id).items())
+        new_vector = dict(server.shards.stored_features(target.entity_id).items())
         assert new_vector != old_vector
         reference = answers(server)
         server.close()
@@ -397,7 +397,7 @@ class TestCheckpointBehindItsOwnCut:
         restart_db.execute(*update)  # the base table as the crash left it
         restored = self._restore(restart_db, tmp_path, wal=wal)
         try:
-            assert dict(restored.stored_features(target.entity_id).items()) == new_vector
+            assert dict(restored.shards.stored_features(target.entity_id).items()) == new_vector
             assert answers(restored) == reference
         finally:
             restored.close()

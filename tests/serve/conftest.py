@@ -36,14 +36,17 @@ def warm_trainer_for(corpus, count: int = 60, seed: int = 2) -> SGDTrainer:
 def build_standalone_server(
     corpus, num_shards: int = 4, feature_function=None, **server_options
 ) -> ViewServer:
-    """A ViewServer over the corpus, no database attached (main-memory shards)."""
+    """A ViewServer over the corpus, no database attached (main-memory eager
+    shards unless ``store_factory`` / ``maintainer_factory`` say otherwise)."""
     trainer = warm_trainer_for(corpus)
+    server_options.setdefault("store_factory", lambda: InMemoryEntityStore(feature_norm_q=1.0))
+    server_options.setdefault(
+        "maintainer_factory", lambda store: HazyEagerMaintainer(store, alpha=1.0)
+    )
     return ViewServer(
         entities=[(doc.entity_id, doc.features) for doc in corpus],
         model=trainer.model.copy(),
         writer=ViewWriter(trainer, feature_function),
-        store_factory=lambda: InMemoryEntityStore(feature_norm_q=1.0),
-        maintainer_factory=lambda store: HazyEagerMaintainer(store, alpha=1.0),
         num_shards=num_shards,
         **server_options,
     )

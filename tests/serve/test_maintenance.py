@@ -22,7 +22,7 @@ def oracle_for(server, corpus):
     current = {
         record.entity_id: record.features
         for shard in server.shards.shards
-        for record in shard.call(lambda s=shard: list(s.maintainer.store.scan_all()))
+        for record in shard.maintainer.store.scan_all()
     }
     entities.update(current)
     return view_contents(entities.items(), server.trainer.model.copy())
@@ -53,6 +53,29 @@ def test_entity_inserts_flow_through_the_queue(serve_corpus):
         assert server.label_of("brand-new") in (-1, 1)
         assert server.shards.count() == len(serve_corpus) + 1
         assert server.contents() == oracle_for(server, serve_corpus)
+    finally:
+        server.close(timeout=30)
+
+
+def test_zero_cache_capacity_and_epoch_history_keep_nothing(serve_corpus):
+    """0 means "keep none": no cached eps and no past model, while reads and
+    writes still answer exactly what the oracle does."""
+    server = build_standalone_server(
+        serve_corpus, num_shards=2, cache_capacity=0, epoch_history=0
+    )
+    try:
+        for doc in serve_corpus[:20]:
+            server.insert_example(doc.entity_id, doc.label)
+        server.insert_entity(("brand-new", serve_corpus[0].features))
+        epoch = server.flush(timeout=30)
+        expected = oracle_for(server, serve_corpus)
+        # A second pass is where a cache that kept anything would answer.
+        for _ in range(2):
+            assert server.labels_of(list(expected)) == expected
+            assert server.label_of("brand-new") == expected["brand-new"]
+        assert server.contents() == expected
+        assert server.shards.cache_stats()["entries"] == 0
+        assert server.model_for_epoch(epoch) is None
     finally:
         server.close(timeout=30)
 

@@ -57,7 +57,7 @@ def server_oracle(server):
     entities = [
         (record.entity_id, record.features)
         for shard in server.shards.shards
-        for record in shard.call(lambda s=shard: list(s.maintainer.store.scan_all()))
+        for record in shard.maintainer.store.scan_all()
     ]
     return view_contents(entities, server.trainer.model.copy())
 
