@@ -13,8 +13,9 @@ stored margin ``eps = w_s · f - b_s`` and ``M = max_t ||f(t)||_q``:
 The cumulative band ``[lw, hw]`` (Eq. 2) takes the min/max of these bounds
 over every round since the last reorganization, so that entities outside the
 band are guaranteed to still carry the label they had when ``H`` was built.
-The stored model is held by reference (a model version is never changed) and
-``||delta_w||_p`` is one pass over both weight vectors; no ``delta_w`` is built.
+The stored model is held by reference (a model version is never changed), and
+``||delta_w||_p`` (:func:`weight_distance`) is two vectorised passes over the
+two weight arrays, zero-padded to one length: the difference, then its norm.
 """
 
 from __future__ import annotations
@@ -22,11 +23,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.exceptions import MaintenanceError
 from repro.learn.model import LinearModel
-from repro.linalg import holder_conjugate
+from repro.learn.weights import Weights
+from repro.linalg import holder_conjugate, p_norm
 
-__all__ = ["WaterBand", "WaterBandTracker", "holder_pair_for_norm"]
+__all__ = ["WaterBand", "WaterBandTracker", "holder_pair_for_norm", "weight_distance"]
 
 
 def holder_pair_for_norm(feature_norm_q: float) -> tuple[float, float]:
@@ -39,6 +43,24 @@ def holder_pair_for_norm(feature_norm_q: float) -> tuple[float, float]:
     if q < 1:
         raise MaintenanceError(f"feature norm q must be >= 1, got {q}")
     return holder_conjugate(q), q
+
+
+def weight_distance(current: Weights, stored: Weights, p: float) -> float:
+    """``||w - w_s||_p`` over the zero-padded weight arrays.
+
+    For ``p = inf`` — text features, the per-update case — one vectorised
+    maximum, exact in any order; any other ``p`` sums in index order.
+    """
+    w, w_s = current.array, stored.array
+    with np.errstate(over="ignore"):  # a difference past the float range is inf, as in Python
+        if len(w) != len(w_s):
+            shared = min(len(w), len(w_s))
+            difference = np.concatenate((w[:shared] - w_s[:shared], w[shared:], -w_s[shared:]))
+        else:
+            difference = w - w_s
+    if p == math.inf:
+        return float(np.abs(difference).max(initial=0.0))
+    return p_norm(difference.tolist(), p)
 
 
 @dataclass(frozen=True)
@@ -125,7 +147,9 @@ class WaterBandTracker:
     def step_bounds(self, current_model: LinearModel) -> tuple[float, float]:
         """``(eps_low, eps_high)`` of Lemma 3.1 for the given current model."""
         stored = self.stored_model
-        radius = self.max_feature_norm * current_model.weights.distance(stored.weights, self.p)
+        radius = self.max_feature_norm * weight_distance(
+            current_model.weights, stored.weights, self.p
+        )
         bias_delta = current_model.bias - stored.bias
         return (-radius + bias_delta, radius + bias_delta)
 

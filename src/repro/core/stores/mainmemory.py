@@ -14,9 +14,10 @@ CSR arrays (``int32`` indices, ``float64`` values, row pointers), one
 ``dot_product`` charge and one ``int8`` label per row, and — in the published
 clustering — the permutation that lists the rows in eps order.  A bisected
 slice of that permutation is scored by one call of
-:func:`repro.linalg.kernels.sparse_margins`, bit-identical to
-``LinearModel.margin`` and charged to the ledger exactly as the per-tuple loop
-charged it (:meth:`IOStatistics.charge_interleaved`).  Its invariants:
+:func:`repro.linalg.kernels.sparse_margins` against the model's dense weight
+array as it is, bit-identical to ``LinearModel.margin`` on every row, and
+charged to the ledger exactly as the per-tuple loop charged it
+(:meth:`IOStatistics.charge_interleaved`).  Its invariants:
 
 * Rows sit in *slot* order — the order the records entered ``_records`` — and
   each keeps its feature dict's own iteration order, which is the summation
@@ -43,7 +44,7 @@ charged it (:meth:`IOStatistics.charge_interleaved`).  Its invariants:
 from __future__ import annotations
 
 import bisect
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from typing import NamedTuple
 
 import numpy as np
@@ -60,18 +61,21 @@ __all__ = ["InMemoryEntityStore", "KERNEL_NONZEROS_PER_ROW"]
 
 #: The kernel/scalar size rule: a run of ``rows`` tuples is scored by the
 #: kernel when ``rows * KERNEL_NONZEROS_PER_ROW >= max(nnz(w), dimension)`` —
-#: when the slice holds at least about as many non-zeros as the dense weight
-#: vector, which the kernel must first fill from the model's dict, has cells.
-#: Filling it costs ~0.06 us per model non-zero plus ~50 us of fixed NumPy
-#: calls; the scalar loop costs ~0.1 us per feature non-zero.  Measured with
-#: ``perf/run.py --trace 1``: ``feedback_eager`` and ``wire_reads`` (bands of
-#: ~1,700 tuples x ~18 non-zeros against a 1,900-wide model) sit far on the
-#: kernel side (``core.apply_model_ms`` 6.2 -> 1.4); ``durable_writes`` (bands
-#: of ~15 tuples per shard) sits on the scalar side, where forcing the kernel
-#: made ``core.apply_model_ms`` 0.47 -> 0.65.  The ``dimension`` half keeps the
-#: dense vector no bigger than the block it is gathered into (and every stored
-#: index inside ``int32``).  Both sides produce the same bits and the same
-#: ledger, which ``tests/core/test_operation_ledger.py`` pins by forcing each.
+#: when the slice holds at least about as many non-zeros as the weight array
+#: has cells.  The model already is that array (zero-padded only when the
+#: store's ``dimension`` reaches past it), so the kernel's fixed cost is its
+#: ~50 us of NumPy calls against ~0.1 us per feature non-zero for the scalar
+#: loop; the rule was measured when the kernel also filled a dense vector from
+#: a dict model (~0.06 us per model non-zero) and is kept as it was, so the
+#: same slices take the same side.  Measured with ``perf/run.py --trace 1``
+#: then: ``feedback_eager`` and ``wire_reads`` (bands of ~1,700 tuples x ~18
+#: non-zeros against a 1,900-wide model) sit far on the kernel side
+#: (``core.apply_model_ms`` 6.2 -> 1.4); ``durable_writes`` (bands of ~15
+#: tuples per shard) sits on the scalar side, where forcing the kernel made
+#: ``core.apply_model_ms`` 0.47 -> 0.65.  The ``dimension`` half keeps every
+#: stored index inside ``int32``.  Both sides produce the same bits and the
+#: same ledger, which ``tests/core/test_operation_ledger.py`` pins by forcing
+#: each.
 KERNEL_NONZEROS_PER_ROW = 16
 
 
@@ -112,27 +116,10 @@ class _FeatureMirror:
         self.count = row + 1
         return row
 
-    def margins(
-        self,
-        rows: np.ndarray,
-        model: LinearModel,
-        dimension: int,
-        vector_of: Callable[[int], SparseVector],
-    ) -> np.ndarray:
-        """``model.margin`` of the given rows, bit for bit, in one kernel call.
-
-        ``vector_of(position)`` is the feature vector of ``rows[position]``,
-        for the rows the kernel must leave to the scalar.
-        """
+    def margins(self, rows: np.ndarray, model: LinearModel, dimension: int) -> np.ndarray:
+        """``model.margin`` of the given rows, bit for bit, in one kernel call."""
         return sparse_margins(
-            self.indptr,
-            self.indices,
-            self.values,
-            rows,
-            model.weights,
-            model.bias,
-            dimension,
-            vector_of,
+            self.indptr, self.indices, self.values, rows, model.weights.array, model.bias, dimension
         )
 
     def nbytes(self) -> int:
@@ -332,9 +319,7 @@ class InMemoryEntityStore(EntityStore):
         """
         count = len(vectors)
         if mirror is not None:
-            margins = mirror.margins(
-                np.arange(count), model, self._dimension, vectors.__getitem__
-            )
+            margins = mirror.margins(np.arange(count), model, self._dimension)
             charges = mirror.charges[:count]
         else:
             margins = np.array(model.margins(vectors), dtype=np.float64)
@@ -454,9 +439,7 @@ class InMemoryEntityStore(EntityStore):
         mirror = clustering.mirror
         rows = clustering.rows[start:stop]
         ids = clustering.ids[start:stop]
-        margins = mirror.margins(
-            rows, model, self._dimension, lambda position: records[ids[position]].features
-        )
+        margins = mirror.margins(rows, model, self._dimension)
         self.stats.tuples_read += len(ids)
         self.stats.dot_products += len(ids)
         self.stats.charge_interleaved(

@@ -8,7 +8,9 @@ produced by *incremental* training.  This package provides that substrate:
   building blocks of Figure 9 (hinge, squared, logistic losses; lp, Tikhonov,
   entropy penalties).
 * :mod:`repro.learn.model` — the ``(w, b)`` pair itself.  A model version is
-  a value: built once by the trainer, shared by reference, never changed.
+  a value: built once by the trainer, shared by reference, never changed — a
+  frozen dataclass whose ``w`` is one read-only array
+  (:mod:`repro.learn.weights`).
 * :mod:`repro.learn.sgd` — Bottou-style stochastic gradient descent, Hazy's
   default trainer.
 * :mod:`repro.learn.batch` — a batch sub-gradient SVM solver standing in for

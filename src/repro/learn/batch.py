@@ -16,7 +16,9 @@ from collections.abc import Sequence
 from repro.exceptions import ConfigurationError, NotFittedError
 from repro.learn.loss import Loss, get_loss
 from repro.learn.model import LinearModel
+from repro.learn.regularizers import L2Penalty
 from repro.learn.sgd import TrainingExample
+from repro.learn.weights import Weights, add_scaled
 from repro.linalg import SparseVector
 
 __all__ = ["BatchSubgradientSVM"]
@@ -45,6 +47,7 @@ class BatchSubgradientSVM:
         self.regularization = float(regularization)
         self.iterations = int(iterations)
         self.loss = get_loss(loss)
+        self._shrink = L2Penalty(self.regularization)
         self.tolerance = float(tolerance)
         self._rng = random.Random(seed)
         self.model: LinearModel | None = None
@@ -59,7 +62,7 @@ class BatchSubgradientSVM:
         risk = sum(
             self.loss.value(model.margin(ex.features), float(ex.label)) for ex in examples
         ) / len(examples)
-        return 0.5 * self.regularization * model.weights.norm(2) ** 2 + risk
+        return 0.5 * self.regularization * model.norm(2) ** 2 + risk
 
     def fit(self, examples: Sequence[TrainingExample]) -> LinearModel:
         """Train on ``examples`` with full-batch sub-gradient descent."""
@@ -81,11 +84,9 @@ class BatchSubgradientSVM:
                     gradient.add_inplace(example.features, g / n)
                     bias_gradient -= g / n
                 self.examples_visited += 1
-            # w <- (1 - step*lambda) w - step * grad
-            model.weights.scale_inplace(max(0.0, 1.0 - step * self.regularization))
-            model.weights.add_inplace(gradient, -step)
-            model.bias -= step * bias_gradient
-            model.version = t
+            # w <- (1 - step*lambda) w - step * grad, as the next model
+            weights = add_scaled(self._shrink.shrink(model.weights.array, step), gradient, -step)
+            model = LinearModel(Weights(weights), model.bias - step * bias_gradient, t)
             current = self.objective(model, examples)
             self.objective_trace.append(current)
             if abs(previous - current) < self.tolerance:

@@ -4,10 +4,12 @@ A linear model labels an entity with feature vector ``f`` as
 ``sign(w · f - b)``.  The Hazy core compares a *stored* model (the one used to
 cluster the scratch table ``H``) against the *current* model; the distance
 between their weights, ``||w - w_s||_p``, is what Lemma 3.1 bounds via
-Hölder's inequality (:meth:`repro.linalg.SparseVector.distance`).
+Hölder's inequality (:func:`repro.core.bounds.weight_distance`).
 
-A model version is a value: :class:`~repro.learn.sgd.SGDTrainer` builds each
-one once and never changes it, and everyone else shares it by reference.
+A model version is a value, and the runtime enforces it: the dataclass is
+frozen and ``w`` is one read-only array (:class:`~repro.learn.weights.Weights`).
+:class:`~repro.learn.sgd.SGDTrainer` builds each version once and everyone
+else shares it by reference.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
-from repro.linalg import SparseVector
+from repro.learn.weights import Weights
+from repro.linalg import SparseVector, p_norm
 
 __all__ = ["LinearModel", "sign"]
 
@@ -25,7 +28,7 @@ def sign(x: float) -> int:
     return 1 if x >= 0.0 else -1
 
 
-@dataclass
+@dataclass(frozen=True)
 class LinearModel:
     """A linear classification model ``(w, b)``.
 
@@ -33,17 +36,29 @@ class LinearModel:
     Hazy core uses it as the "round" index ``i`` of the paper.
     """
 
-    weights: SparseVector = field(default_factory=SparseVector)
+    weights: Weights = field(default_factory=Weights)
     bias: float = 0.0
     version: int = 0
 
-    def copy(self) -> "LinearModel":
-        """Return an independent snapshot of this model."""
-        return LinearModel(weights=self.weights.copy(), bias=self.bias, version=self.version)
-
     def margin(self, features: SparseVector) -> float:
-        """Return the signed distance proxy ``eps = w · f - b``."""
-        return self.weights.dot(features) - self.bias
+        """Return the signed distance proxy ``eps = w · f - b``.
+
+        A left-to-right fold from ``0.0`` over ``features``' stored order, an
+        index past the weights' end meeting ``0.0`` — the order
+        :func:`repro.linalg.kernels.row_margins` reproduces bit for bit.  A
+        loop, not ``sum()``, which compensates float sums from Python 3.12 on.
+        """
+        cells = self.weights.cells
+        total = 0.0
+        try:
+            for index, value in features.items():
+                total += value * cells[index]
+        except IndexError:  # an index past the end: fold again, bounds-checked
+            size = len(cells)
+            total = 0.0
+            for index, value in features.items():
+                total += value * (cells[index] if index < size else 0.0)
+        return total - self.bias
 
     def margins(self, vectors: Iterable[SparseVector]) -> list[float]:
         """:meth:`margin` of each vector in turn — the scalar loop the batched
@@ -55,8 +70,8 @@ class LinearModel:
         return sign(self.margin(features))
 
     def norm(self, p: float = 2.0) -> float:
-        """Return ``||w||_p``."""
-        return self.weights.norm(p)
+        """Return ``||w||_p``, summed in index order."""
+        return p_norm(self.weights.array, p)
 
     def is_zero(self) -> bool:
         """True when the model has no weights and no bias (untrained)."""

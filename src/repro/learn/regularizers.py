@@ -2,19 +2,22 @@
 
 The SGD trainer applies the penalty's gradient contribution once per example
 (scaled by the learning rate and ``lambda / n`` as usual for stochastic
-methods).  A step returns the shrunk weights as a new vector and leaves its
-argument alone, so the trainer's shrink *is* the next model's weights and the
-model it shrank from stays what it was.  ``L1Penalty`` uses the common
-truncation approach so that weights actually reach exactly zero, preserving
-sparsity of the model vector.
+methods).  Weights are a model's dense array (:mod:`repro.learn.weights`), and
+a step is one vectorised pass over it that returns a new, writable array: the
+trainer writes its loss step into that array before freezing it as the next
+model, and the model it shrank from stays what it was.  ``L1Penalty`` uses the
+common truncation approach so that weights actually reach exactly zero.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 
+import numpy as np
+
 from repro.exceptions import ConfigurationError
-from repro.linalg import SparseVector
+from repro.learn.weights import Array
+from repro.linalg import p_norm
 
 __all__ = [
     "Regularizer",
@@ -37,12 +40,12 @@ class Regularizer(ABC):
         self.strength = float(strength)
 
     @abstractmethod
-    def value(self, weights: SparseVector) -> float:
+    def value(self, weights: Array) -> float:
         """Return ``P(w)``."""
 
     @abstractmethod
-    def shrink(self, weights: SparseVector, learning_rate: float) -> SparseVector:
-        """One regularization step: ``weights`` shrunk, as a new vector."""
+    def shrink(self, weights: Array, learning_rate: float) -> Array:
+        """One regularization step: ``weights`` shrunk, as a new array."""
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(strength={self.strength})"
@@ -53,14 +56,14 @@ class L2Penalty(Regularizer):
 
     name = "l2"
 
-    def value(self, weights: SparseVector) -> float:
-        return 0.5 * self.strength * weights.norm(2) ** 2
+    def value(self, weights: Array) -> float:
+        return 0.5 * self.strength * p_norm(weights, 2) ** 2
 
-    def shrink(self, weights: SparseVector, learning_rate: float) -> SparseVector:
+    def shrink(self, weights: Array, learning_rate: float) -> Array:
         factor = 1.0 - learning_rate * self.strength
-        if factor < 0.0:
-            factor = 0.0
-        return weights.scale(factor)
+        if factor <= 0.0:
+            return np.zeros(len(weights))
+        return weights * factor
 
 
 class L1Penalty(Regularizer):
@@ -68,20 +71,17 @@ class L1Penalty(Regularizer):
 
     name = "l1"
 
-    def value(self, weights: SparseVector) -> float:
-        return self.strength * weights.norm(1)
+    def value(self, weights: Array) -> float:
+        return self.strength * p_norm(weights, 1)
 
-    def shrink(self, weights: SparseVector, learning_rate: float) -> SparseVector:
+    def shrink(self, weights: Array, learning_rate: float) -> Array:
         shrink = learning_rate * self.strength
         if shrink <= 0.0:
             return weights.copy()
-        updated: dict[int, float] = {}
-        for index, value in weights.items():
-            if value > shrink:
-                updated[index] = value - shrink
-            elif value < -shrink:
-                updated[index] = value + shrink
-        return SparseVector(updated)
+        # |w| <= shrink (and NaN) truncates to 0.0.
+        return np.where(
+            weights > shrink, weights - shrink, np.where(weights < -shrink, weights + shrink, 0.0)
+        )
 
 
 class ElasticNetPenalty(Regularizer):
@@ -97,10 +97,10 @@ class ElasticNetPenalty(Regularizer):
         self._l1 = L1Penalty(strength * ratio)
         self._l2 = L2Penalty(strength * (1.0 - ratio))
 
-    def value(self, weights: SparseVector) -> float:
+    def value(self, weights: Array) -> float:
         return self._l1.value(weights) + self._l2.value(weights)
 
-    def shrink(self, weights: SparseVector, learning_rate: float) -> SparseVector:
+    def shrink(self, weights: Array, learning_rate: float) -> Array:
         return self._l1.shrink(self._l2.shrink(weights, learning_rate), learning_rate)
 
 

@@ -6,8 +6,10 @@ footprint, and — crucially for view maintenance — updates the model
 *incrementally*: each new training example produces the next model
 ``(w(i+1), b(i+1))`` from ``(w(i), b(i))`` with one gradient step.
 Each step builds the next :class:`~repro.learn.model.LinearModel` as a new
-value: a model the trainer returned is never changed, so everyone holds it by
-reference and nobody copies it.
+value: the regularizer's shrink returns a fresh weight array, the loss step is
+written into it, and it is frozen as the next model's weights.  A model the
+trainer returned is never changed, so everyone holds it by reference and
+nobody copies it.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from repro.exceptions import ConfigurationError
 from repro.learn.loss import Loss, get_loss
 from repro.learn.model import LinearModel
 from repro.learn.regularizers import Regularizer, get_regularizer
+from repro.learn.weights import Weights, add_scaled
 from repro.linalg import SparseVector
 
 __all__ = ["TrainingExample", "SGDTrainer"]
@@ -116,17 +119,17 @@ class SGDTrainer:
         grad = self.loss.derivative(self.model.margin(example.features), float(example.label))
 
         # Regularize first (shrink), then take the loss step — the usual
-        # ordering for truncated-gradient style updates.  The shrunk vector is
+        # ordering for truncated-gradient style updates.  The shrunk array is
         # new, so the loss step changes no model anyone holds.
-        weights = self.regularizer.shrink(self.model.weights, eta)
+        weights = self.regularizer.shrink(self.model.weights.array, eta)
         bias = self.model.bias
         if grad != 0.0:
-            weights.add_inplace(example.features, -eta * grad)
+            weights = add_scaled(weights, example.features, -eta * grad)
             if self.fit_bias:
                 # d(eps)/db = -1, so the bias moves in the opposite direction.
                 bias += eta * grad
         self._steps += 1
-        self.model = LinearModel(weights, bias, self._steps)
+        self.model = LinearModel(Weights(weights), bias, self._steps)
         return self.model
 
     def absorb_many(self, examples: Iterable[TrainingExample]) -> LinearModel:

@@ -9,14 +9,15 @@ instead of once per *value*.  They back two hot loops:
   one dense weight vector — the bulk form of the ``w · f − b`` evaluation every
   Hazy reclassification performs.  ``batch_dot`` / ``batch_margins`` /
   ``batch_eps`` flatten a list of vectors and call it; :func:`sparse_margins`
-  calls it for a ``SparseVector`` model over a store's feature mirror.
+  calls it for a model's dense weight array over a store's feature mirror.
 * ``compare`` evaluates one comparison operator over a whole column array at
   once and is what the batched ``Filter``/scan nodes use for scan-side
   predicate evaluation on numeric columns.
 
-**There is one summation order in the repo, and it is the scalar one.**
-Labels are ``sign(w · f − b)`` and Skiing compares accumulated floats, so a
-kernel that rounded differently from :meth:`SparseVector.dot` could flip a
+**A margin folds in the feature vector's stored order.**  Labels are
+``sign(w · f − b)`` and Skiing compares accumulated floats, so a kernel that
+rounded differently from ``LinearModel.margin`` (or, for ``batch_dot``, from
+:meth:`SparseVector.dot` against a dense array — the same fold) could flip a
 label at margin 0 or a reorganization at a knife edge.  ``row_margins`` is
 therefore *row-sequential*: a chunk of rows is gathered into a zero-padded
 ``(width, rows)`` block and one padded column is added per step, so every row
@@ -31,7 +32,7 @@ remain responsible for ledger accounting.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from itertools import chain
 
 import numpy as np
@@ -144,37 +145,20 @@ def sparse_margins(
     indices: np.ndarray,
     values: np.ndarray,
     rows: np.ndarray,
-    weights: SparseVector,
+    weights: np.ndarray,
     bias: float,
     dimension: int,
-    vector_of: Callable[[int], SparseVector],
 ) -> np.ndarray:
-    """``w · f − b`` of CSR rows under a sparse model, as ``LinearModel.margin`` computes it.
+    """``w · f − b`` of CSR rows under a model's weight array, as ``LinearModel.margin`` does.
 
-    ``weights.dot(f)`` iterates the operand with fewer entries, so the
-    row-sequential kernel is its exact image only for rows with strictly
-    fewer non-zeros than the model; any other row (an untrained or tiny
-    model, a giant document) is scored by the scalar, on the vector
-    ``vector_of(position)`` returns for its position in ``rows``.  Indices the
-    model lacks meet a ``0.0`` weight, exactly as ``dict.get(index, 0.0)``
-    does; weights at or beyond ``dimension`` (no stored row has them) are
-    dropped.
+    ``LinearModel.margin`` folds over the features' stored order and an index
+    past the weights' end meets ``0.0``, so :func:`row_margins` is its exact
+    image on every row once ``weights`` covers the rows' ``dimension``: a
+    shorter array is zero-padded to it, a longer one is used as it is.
     """
-    count = weights.nnz()
-    lengths = indptr[rows + 1] - indptr[rows]
-    scalar_rows = np.flatnonzero(lengths >= count)
-    if len(scalar_rows) == len(rows):
-        margins = np.empty(len(rows), dtype=np.float64)
-    else:
-        dense = np.zeros(dimension, dtype=np.float64)
-        weight_indices = np.fromiter(weights.indices(), dtype=np.int64, count=count)
-        weight_values = np.fromiter(weights.values(), dtype=np.float64, count=count)
-        inside = weight_indices < dimension
-        dense[weight_indices[inside]] = weight_values[inside]
-        margins = row_margins(indptr, indices, values, rows, dense, bias)
-    for position in scalar_rows.tolist():
-        margins[position] = weights.dot(vector_of(position)) - bias
-    return margins
+    if len(weights) < dimension:
+        weights = np.concatenate((weights, np.zeros(dimension - len(weights))))
+    return row_margins(indptr, indices, values, rows, weights, bias)
 
 
 def batch_margins(

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 
-from repro.linalg.vectors import SparseVector
+from repro.linalg.vectors import SparseVector, _norm
 
 __all__ = ["p_norm", "holder_conjugate", "HOLDER_PAIRS"]
 
@@ -35,18 +35,11 @@ def holder_conjugate(p: float) -> float:
 
 
 def p_norm(vector: SparseVector | Iterable[float], p: float) -> float:
-    """Return the ``p``-norm of a sparse vector or a dense iterable."""
+    """Return the ``p``-norm of a sparse vector or a dense iterable.
+
+    A dense iterable is summed left to right in its order, as
+    :meth:`SparseVector.norm` sums its values.
+    """
     if isinstance(vector, SparseVector):
         return vector.norm(p)
-    values = [float(v) for v in vector]
-    if not values:
-        return 0.0
-    if p == math.inf:
-        return max(abs(v) for v in values)
-    if p == 1:
-        return sum(abs(v) for v in values)
-    if p == 2:
-        return math.sqrt(sum(v * v for v in values))
-    if p <= 0:
-        raise ValueError(f"p-norm requires p > 0, got {p}")
-    return sum(abs(v) ** p for v in values) ** (1.0 / p)
+    return _norm([float(v) for v in vector], p)

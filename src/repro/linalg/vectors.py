@@ -186,21 +186,6 @@ class SparseVector:
         """Return the `p`-norm of the vector (``p`` may be ``math.inf``)."""
         return _norm(self._data.values(), p)
 
-    def distance(self, other: "SparseVector", p: float = 2.0) -> float:
-        """``self.subtract(other).norm(p)`` as bits, without the difference vector:
-        a maximum is exact in any order, and every other norm sums the differences
-        in ``subtract``'s order (``self``'s keys, then ``other``'s; a zero adds nothing)."""
-        mine, theirs = self._data, other._data
-        get = theirs.get
-        if p == math.inf:
-            return max(
-                max((abs(v - get(i, 0.0)) for i, v in mine.items()), default=0.0),
-                max((abs(v) for i, v in theirs.items() if i not in mine), default=0.0),
-            )
-        differences = [v - get(i, 0.0) for i, v in mine.items()]
-        differences += [v for i, v in theirs.items() if i not in mine]
-        return _norm(differences, p)
-
     def normalized(self, p: float = 2.0) -> "SparseVector":
         """Return the vector scaled to unit `p`-norm (zero vector unchanged).
 

@@ -431,10 +431,10 @@ class SQLServer:
         """
         with self._lock:
             removed = self._handlers.pop(handler.name, None)
-        handler.teardown()
-        if removed is not None and handler.parted == "error":
-            with self._lock:
+            # Counted with the pop, so no reader sees the roster without the count.
+            if removed is not None and handler.parted == "error":
                 self.reaped_total += 1
+        handler.teardown()
 
     # -- observability -------------------------------------------------------------------
 

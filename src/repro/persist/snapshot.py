@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from repro.exceptions import SnapshotError
 from repro.learn.model import LinearModel
 from repro.learn.sgd import TrainingExample
+from repro.learn.weights import Weights
 from repro.linalg import SparseVector
 
 __all__ = [
@@ -73,8 +74,8 @@ def _check_id(entity_id: object) -> object:
     return entity_id
 
 
-def encode_vector(vector: SparseVector) -> dict[str, float]:
-    """A sparse vector as ``{index: value}`` with stringified keys."""
+def encode_vector(vector: SparseVector | Weights) -> dict[str, float]:
+    """A sparse vector, or a model's non-zero weights, as ``{index: value}`` (string keys)."""
     return {str(index): value for index, value in vector.items()}
 
 
@@ -96,7 +97,7 @@ def encode_model(model: LinearModel) -> dict[str, object]:
 
 def decode_model(document: dict[str, object]) -> LinearModel:
     return LinearModel(
-        weights=decode_vector(document["weights"]),
+        weights=Weights.of(decode_vector(document["weights"])),
         bias=float(document["bias"]),
         version=int(document["version"]),
     )

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from repro.learn.model import LinearModel
+from repro.learn.weights import Weights
 from repro.learn.sgd import SGDTrainer, TrainingExample
 from repro.linalg import SparseVector
 from repro.workloads.datasets import dblife_like
@@ -16,7 +17,7 @@ from repro.workloads.synth_text import SparseCorpusGenerator
 @pytest.fixture
 def simple_model() -> LinearModel:
     """The model of the paper's Example 2.2: w = (-1, 1), b = 0.5."""
-    return LinearModel(weights=SparseVector({0: -1.0, 1: 1.0}), bias=0.5, version=1)
+    return LinearModel(weights=Weights.of(SparseVector({0: -1.0, 1: 1.0})), bias=0.5, version=1)
 
 
 @pytest.fixture

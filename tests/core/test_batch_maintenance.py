@@ -46,12 +46,12 @@ def test_apply_model_batch_matches_sequential_replay(tiny_entities, tiny_corpus,
         base_model.absorb(TrainingExample(doc.entity_id, doc.features, doc.label))
 
     sequential = factory(InMemoryEntityStore(feature_norm_q=1.0))
-    sequential.bulk_load(tiny_entities, base_model.model.copy())
+    sequential.bulk_load(tiny_entities, base_model.model)
     for model in models:
         sequential.apply_model(model)
 
     batched = factory(InMemoryEntityStore(feature_norm_q=1.0))
-    batched.bulk_load(tiny_entities, base_model.model.copy())
+    batched.bulk_load(tiny_entities, base_model.model)
     batched.apply_model_batch(models)
 
     oracle = view_contents(tiny_entities, models[-1])
@@ -66,14 +66,14 @@ def test_eager_batch_is_cheaper_than_replay(tiny_entities, tiny_corpus):
         base.absorb(TrainingExample(doc.entity_id, doc.features, doc.label))
 
     replay = HazyEagerMaintainer(InMemoryEntityStore(feature_norm_q=1.0), alpha=1.0)
-    replay.bulk_load(tiny_entities, base.model.copy())
+    replay.bulk_load(tiny_entities, base.model)
     replay_start = replay.store.cost_snapshot()
     for model in models:
         replay.apply_model(model)
     replay_cost = replay.store.cost_snapshot() - replay_start
 
     batched = HazyEagerMaintainer(InMemoryEntityStore(feature_norm_q=1.0), alpha=1.0)
-    batched.bulk_load(tiny_entities, base.model.copy())
+    batched.bulk_load(tiny_entities, base.model)
     batch_start = batched.store.cost_snapshot()
     batched.apply_model_batch(models)
     batch_cost = batched.store.cost_snapshot() - batch_start
@@ -87,7 +87,7 @@ def test_read_many_matches_read_single(tiny_entities, tiny_corpus, name):
     factory = factory_for(name)
     trainer, models = make_models(tiny_corpus)
     maintainer = factory(InMemoryEntityStore(feature_norm_q=1.0))
-    maintainer.bulk_load(tiny_entities, trainer.model.copy())
+    maintainer.bulk_load(tiny_entities, trainer.model)
     for model in models[:3]:
         maintainer.apply_model(model)
 
@@ -100,7 +100,7 @@ def test_read_many_matches_read_single(tiny_entities, tiny_corpus, name):
 def test_read_many_amortizes_statement_overhead(tiny_entities, tiny_corpus):
     trainer, _ = make_models(tiny_corpus)
     loop = HazyEagerMaintainer(InMemoryEntityStore(feature_norm_q=1.0), alpha=1.0)
-    loop.bulk_load(tiny_entities, trainer.model.copy())
+    loop.bulk_load(tiny_entities, trainer.model)
     ids = [entity_id for entity_id, _ in tiny_entities][:60]
     loop_start = loop.store.cost_snapshot()
     for entity_id in ids:
@@ -108,7 +108,7 @@ def test_read_many_amortizes_statement_overhead(tiny_entities, tiny_corpus):
     loop_cost = loop.store.cost_snapshot() - loop_start
 
     batched = HazyEagerMaintainer(InMemoryEntityStore(feature_norm_q=1.0), alpha=1.0)
-    batched.bulk_load(tiny_entities, trainer.model.copy())
+    batched.bulk_load(tiny_entities, trainer.model)
     batch_start = batched.store.cost_snapshot()
     batched.read_many(ids)
     batch_cost = batched.store.cost_snapshot() - batch_start
@@ -123,7 +123,7 @@ def test_read_many_coalesces_into_a_scan_on_disk(tiny_entities, tiny_corpus):
     trainer, _ = make_models(tiny_corpus)
     pool = BufferPool(CostModel(), capacity_pages=8, statistics=IOStatistics())
     maintainer = NaiveEagerMaintainer(OnDiskEntityStore(pool=pool, feature_norm_q=1.0))
-    maintainer.bulk_load(tiny_entities, trainer.model.copy())
+    maintainer.bulk_load(tiny_entities, trainer.model)
     ids = [entity_id for entity_id, _ in tiny_entities]  # every entity: scan wins
     expected = {entity_id: maintainer.store.get(entity_id).label for entity_id in ids}
     start_random = maintainer.store.stats.random_reads
@@ -136,7 +136,7 @@ def test_read_many_coalesces_into_a_scan_on_disk(tiny_entities, tiny_corpus):
 def test_read_many_unknown_id_raises(tiny_entities, tiny_corpus):
     trainer, _ = make_models(tiny_corpus)
     maintainer = HazyEagerMaintainer(InMemoryEntityStore(feature_norm_q=1.0), alpha=1.0)
-    maintainer.bulk_load(tiny_entities, trainer.model.copy())
+    maintainer.bulk_load(tiny_entities, trainer.model)
     with pytest.raises(KeyNotFoundError):
         maintainer.read_many(["definitely-not-there"])
 
@@ -155,7 +155,7 @@ def test_read_many_unknown_id_raises(tiny_entities, tiny_corpus):
 def test_remove_entity(tiny_entities, tiny_corpus, store_factory):
     trainer, _ = make_models(tiny_corpus)
     maintainer = HazyEagerMaintainer(store_factory(), alpha=1.0)
-    maintainer.bulk_load(tiny_entities, trainer.model.copy())
+    maintainer.bulk_load(tiny_entities, trainer.model)
     victim = tiny_entities[3][0]
     count_before = maintainer.store.count()
     maintainer.remove_entity(victim)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.core.bounds import WaterBandTracker
@@ -11,6 +13,7 @@ from repro.db.buffer_pool import BufferPool, IOStatistics
 from repro.db.costmodel import CostModel
 from repro.exceptions import DuplicateKeyError, KeyNotFoundError
 from repro.learn.model import LinearModel
+from repro.learn.weights import Weights
 from repro.learn.sgd import SGDTrainer, TrainingExample
 from repro.linalg import SparseVector
 
@@ -77,7 +80,7 @@ class TestExtremeModels:
         entities = [(i, SparseVector({0: 1.0, 1: float(i)})) for i in range(30)]
         maintainer = HazyEagerMaintainer(InMemoryEntityStore(feature_norm_q=1.0))
         trainer = SGDTrainer(learning_rate=50.0, decay=0.0)
-        maintainer.bulk_load(entities, trainer.model.copy())
+        maintainer.bulk_load(entities, trainer.model)
         model = trainer.absorb(TrainingExample(0, SparseVector({0: 1.0, 1: 29.0}), -1))
         maintainer.apply_model(model)
         for entity_id, features in entities:
@@ -86,11 +89,9 @@ class TestExtremeModels:
     def test_identical_model_update_is_free_of_reclassification(self):
         entities = [(i, SparseVector({0: float(i) - 5.0})) for i in range(10)]
         maintainer = HazyEagerMaintainer(InMemoryEntityStore())
-        model = LinearModel(weights=SparseVector({0: 1.0}), bias=0.0, version=1)
+        model = LinearModel(weights=Weights.of(SparseVector({0: 1.0})), bias=0.0, version=1)
         maintainer.bulk_load(entities, model)
-        same = model.copy()
-        same.version = 2
-        maintainer.apply_model(same)
+        maintainer.apply_model(dataclasses.replace(model, version=2))
         # Band is degenerate [0, 0]: only tuples with eps exactly 0 are rechecked.
         assert maintainer.stats.tuples_reclassified <= 1
 
@@ -109,7 +110,7 @@ class TestSkiingIntegrationWithStores:
         maintainer = HazyEagerMaintainer(store, alpha=0.01)
         entities = [(i, SparseVector({0: 1.0, 1: i / 50.0})) for i in range(300)]
         trainer = SGDTrainer(learning_rate=1.0, decay=0.0)
-        maintainer.bulk_load(entities, trainer.model.copy())
+        maintainer.bulk_load(entities, trainer.model)
         initial_estimate = maintainer.skiing.reorganization_cost
         assert initial_estimate > 0
         for i in range(20):
@@ -123,7 +124,7 @@ class TestSkiingIntegrationWithStores:
         maintainer = HazyEagerMaintainer(InMemoryEntityStore(), alpha=0.0)
         entities = [(i, SparseVector({0: float(i)})) for i in range(20)]
         trainer = SGDTrainer()
-        maintainer.bulk_load(entities, trainer.model.copy())
+        maintainer.bulk_load(entities, trainer.model)
         for i in range(5):
             maintainer.apply_model(
                 trainer.absorb(TrainingExample(i, entities[i][1], 1))
@@ -134,7 +135,7 @@ class TestSkiingIntegrationWithStores:
         maintainer = HazyEagerMaintainer(InMemoryEntityStore(), alpha=1e9)
         entities = [(i, SparseVector({0: float(i)})) for i in range(20)]
         trainer = SGDTrainer()
-        maintainer.bulk_load(entities, trainer.model.copy())
+        maintainer.bulk_load(entities, trainer.model)
         for i in range(10):
             maintainer.apply_model(
                 trainer.absorb(TrainingExample(i, entities[i][1], -1 if i % 2 else 1))
@@ -147,14 +148,18 @@ class TestTrackerEdgeCases:
         """All-zero feature vectors: M = 0, so only the bias delta matters."""
         tracker = WaterBandTracker(p=2.0, max_feature_norm=0.0)
         tracker.reset(LinearModel())
-        band = tracker.advance(LinearModel(weights=SparseVector({0: 5.0}), bias=0.3, version=1))
+        band = tracker.advance(
+            LinearModel(weights=Weights.of(SparseVector({0: 5.0})), bias=0.3, version=1)
+        )
         assert band.high == pytest.approx(0.3)
         assert band.low == pytest.approx(0.0)
 
     def test_band_after_reset_is_degenerate(self):
         tracker = WaterBandTracker(p=2.0, max_feature_norm=1.0)
         tracker.reset(LinearModel())
-        tracker.advance(LinearModel(weights=SparseVector({0: 1.0}), bias=1.0, version=1))
-        tracker.reset(LinearModel(weights=SparseVector({0: 1.0}), bias=1.0, version=1))
+        tracker.advance(
+            LinearModel(weights=Weights.of(SparseVector({0: 1.0})), bias=1.0, version=1)
+        )
+        tracker.reset(LinearModel(weights=Weights.of(SparseVector({0: 1.0})), bias=1.0, version=1))
         band = tracker.band()
         assert band.low == 0.0 and band.high == 0.0

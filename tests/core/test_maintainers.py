@@ -85,7 +85,7 @@ class TestAgainstDeclarativeSemantics:
         entities = [(doc.entity_id, doc.features) for doc in documents]
         trainer = SGDTrainer(seed=5)
         maintainer = MAINTAINER_CLASSES[name](make_store("mainmemory"))
-        maintainer.bulk_load(entities, trainer.model.copy())
+        maintainer.bulk_load(entities, trainer.model)
         final_model = run_update_stream(maintainer, trainer, documents, updates=60)
         oracle = view_contents(entities, final_model)
         for entity_id, expected in oracle.items():
@@ -96,7 +96,7 @@ class TestAgainstDeclarativeSemantics:
         entities = [(doc.entity_id, doc.features) for doc in documents]
         trainer = SGDTrainer(seed=2)
         maintainer = MAINTAINER_CLASSES[name](make_store("mainmemory"))
-        maintainer.bulk_load(entities, trainer.model.copy())
+        maintainer.bulk_load(entities, trainer.model)
         final_model = run_update_stream(maintainer, trainer, documents, updates=40, seed=9)
         oracle = view_contents(entities, final_model)
         expected_positive = {eid for eid, label in oracle.items() if label == 1}
@@ -109,7 +109,7 @@ class TestAgainstDeclarativeSemantics:
         entities = [(doc.entity_id, doc.features) for doc in documents]
         trainer = SGDTrainer(seed=8)
         maintainer = MAINTAINER_CLASSES[name](make_store("mainmemory"))
-        maintainer.bulk_load(entities, trainer.model.copy())
+        maintainer.bulk_load(entities, trainer.model)
         run_update_stream(maintainer, trainer, documents, updates=25, seed=4)
         # A new entity arrives mid-stream.
         newcomer = corpus(5, seed=99)[0]
@@ -129,12 +129,12 @@ class TestArchitectureConsistency:
 
         naive_trainer = SGDTrainer(seed=7)
         naive = NaiveEagerMaintainer(make_store("mainmemory"))
-        naive.bulk_load(entities, naive_trainer.model.copy())
+        naive.bulk_load(entities, naive_trainer.model)
         run_update_stream(naive, naive_trainer, documents, updates=50, seed=13)
 
         hazy_trainer = SGDTrainer(seed=7)
         hazy = HazyEagerMaintainer(make_store(kind))
-        hazy.bulk_load(entities, hazy_trainer.model.copy())
+        hazy.bulk_load(entities, hazy_trainer.model)
         run_update_stream(hazy, hazy_trainer, documents, updates=50, seed=13)
 
         assert hazy.contents() == naive.contents()
@@ -145,12 +145,12 @@ class TestArchitectureConsistency:
 
         naive_trainer = SGDTrainer(seed=17)
         naive = NaiveEagerMaintainer(make_store("mainmemory"))
-        naive.bulk_load(entities, naive_trainer.model.copy())
+        naive.bulk_load(entities, naive_trainer.model)
         run_update_stream(naive, naive_trainer, documents, updates=40, seed=23)
 
         lazy_trainer = SGDTrainer(seed=17)
         lazy = HazyLazyMaintainer(make_store(kind))
-        lazy.bulk_load(entities, lazy_trainer.model.copy())
+        lazy.bulk_load(entities, lazy_trainer.model)
         run_update_stream(lazy, lazy_trainer, documents, updates=40, seed=23)
 
         assert lazy.contents() == naive.contents()
@@ -169,7 +169,7 @@ class TestHazyEagerBehaviour:
         for example in warm:
             trainer.absorb(example)
         hazy = HazyEagerMaintainer(make_store("mainmemory"))
-        hazy.bulk_load(entities, trainer.model.copy())
+        hazy.bulk_load(entities, trainer.model)
         run_update_stream(hazy, trainer, documents, updates=30, seed=29)
         naive_tuples = 30 * len(entities)
         assert hazy.stats.tuples_reclassified < naive_tuples
@@ -179,7 +179,7 @@ class TestHazyEagerBehaviour:
         entities = [(doc.entity_id, doc.features) for doc in documents]
         trainer = SGDTrainer(seed=19, learning_rate=1.0, decay=0.0)
         hazy = HazyEagerMaintainer(InMemoryEntityStore(feature_norm_q=1.0), alpha=0.05)
-        hazy.bulk_load(entities, trainer.model.copy())
+        hazy.bulk_load(entities, trainer.model)
         run_update_stream(hazy, trainer, documents, updates=60, seed=37)
         assert hazy.stats.reorganizations >= 1
         assert hazy.skiing.reorganizations == hazy.stats.reorganizations
@@ -189,7 +189,7 @@ class TestHazyEagerBehaviour:
         entities = [(doc.entity_id, doc.features) for doc in documents]
         trainer = SGDTrainer(seed=23)
         hazy = HazyEagerMaintainer(make_store("mainmemory"))
-        hazy.bulk_load(entities, trainer.model.copy())
+        hazy.bulk_load(entities, trainer.model)
         run_update_stream(hazy, trainer, documents, updates=10, seed=41)
         assert len(hazy.stats.band_size_history) == 10
         assert hazy.band_tuple_count() >= 0
@@ -207,7 +207,7 @@ class TestHazyEagerBehaviour:
         for example in warm:
             trainer.absorb(example)
         hazy = HazyEagerMaintainer(make_store("hybrid"))
-        hazy.bulk_load(entities, trainer.model.copy())
+        hazy.bulk_load(entities, trainer.model)
         run_update_stream(hazy, trainer, documents, updates=3, seed=43)
         for doc in documents[:50]:
             hazy.read_single(doc.entity_id)
@@ -220,7 +220,7 @@ class TestHazyLazyBehaviour:
         entities = [(doc.entity_id, doc.features) for doc in documents]
         trainer = SGDTrainer(seed=31)
         lazy = HazyLazyMaintainer(make_store("mainmemory"))
-        lazy.bulk_load(entities, trainer.model.copy())
+        lazy.bulk_load(entities, trainer.model)
         run_update_stream(lazy, trainer, documents, updates=20, seed=47)
         assert lazy.stats.tuples_reclassified == 0
 
@@ -237,7 +237,7 @@ class TestHazyLazyBehaviour:
             for example in warm:
                 trainer.absorb(example)
             maintainer = maintainer_cls(make_store("mainmemory"))
-            maintainer.bulk_load(entities, trainer.model.copy())
+            maintainer.bulk_load(entities, trainer.model)
             run_update_stream(maintainer, trainer, documents, updates=5, seed=53)
             maintainer.read_all_members(1)
             return maintainer
@@ -251,7 +251,7 @@ class TestHazyLazyBehaviour:
         entities = [(doc.entity_id, doc.features) for doc in documents]
         trainer = SGDTrainer(seed=41)
         lazy = HazyLazyMaintainer(InMemoryEntityStore(feature_norm_q=1.0), alpha=0.01)
-        lazy.bulk_load(entities, trainer.model.copy())
+        lazy.bulk_load(entities, trainer.model)
         for _ in range(15):
             run_update_stream(lazy, trainer, documents, updates=3, seed=59)
             lazy.read_all_members(1)
@@ -262,7 +262,7 @@ class TestHazyLazyBehaviour:
         entities = [(doc.entity_id, doc.features) for doc in documents]
         trainer = SGDTrainer(seed=43)
         lazy = HazyLazyMaintainer(make_store("mainmemory"))
-        lazy.bulk_load(entities, trainer.model.copy())
+        lazy.bulk_load(entities, trainer.model)
         final_model = run_update_stream(lazy, trainer, documents, updates=20, seed=61)
         expected = {eid for eid, label in view_contents(entities, final_model).items() if label == -1}
         assert set(lazy.read_all_members(-1)) == expected
@@ -274,7 +274,7 @@ class TestNaiveBehaviour:
         entities = [(doc.entity_id, doc.features) for doc in documents]
         trainer = SGDTrainer(seed=47)
         naive = NaiveEagerMaintainer(make_store("mainmemory"))
-        naive.bulk_load(entities, trainer.model.copy())
+        naive.bulk_load(entities, trainer.model)
         run_update_stream(naive, trainer, documents, updates=10, seed=67)
         assert naive.stats.tuples_reclassified == 10 * len(entities)
 
@@ -283,7 +283,7 @@ class TestNaiveBehaviour:
         entities = [(doc.entity_id, doc.features) for doc in documents]
         trainer = SGDTrainer(seed=53)
         naive = NaiveLazyMaintainer(make_store("mainmemory"))
-        naive.bulk_load(entities, trainer.model.copy())
+        naive.bulk_load(entities, trainer.model)
         run_update_stream(naive, trainer, documents, updates=10, seed=71)
         assert naive.stats.simulated_update_seconds == 0.0
 
@@ -292,7 +292,7 @@ class TestNaiveBehaviour:
         entities = [(doc.entity_id, doc.features) for doc in documents]
         trainer = SGDTrainer(seed=59)
         naive = NaiveEagerMaintainer(make_store("mainmemory"))
-        naive.bulk_load(entities, trainer.model.copy())
+        naive.bulk_load(entities, trainer.model)
         for doc in documents[:10]:
             naive.read_single(doc.entity_id)
         assert naive.stats.single_reads == 10

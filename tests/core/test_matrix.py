@@ -118,11 +118,11 @@ def test_an_update_is_a_batch_of_one(architecture, strategy, approach, tiny_corp
         maintainer = build_maintainer(
             strategy, approach, build_store(architecture, buffer_pool_pages=8), alpha=0.5
         )
-        maintainer.bulk_load(tiny_entities, trainer.model.copy())
+        maintainer.bulk_load(tiny_entities, trainer.model)
         clock = []
         for doc in tiny_corpus[:40]:
             model = trainer.absorb(TrainingExample(doc.entity_id, doc.features, doc.label))
-            update(maintainer, model.copy())
+            update(maintainer, model)
             clock.append(repr(maintainer.store.stats.simulated_seconds))
         members = maintainer.read_all_members(1)
         return clock, maintainer.store.stats.detail, maintainer.stats, members

@@ -78,7 +78,7 @@ def run_stream(architecture: str, strategy: str, approach: str) -> dict[str, obj
 
     def next_model():
         doc = rng.choice(corpus)
-        return trainer.absorb(TrainingExample(doc.entity_id, doc.features, doc.label)).copy()
+        return trainer.absorb(TrainingExample(doc.entity_id, doc.features, doc.label))
 
     for _ in range(200):
         next_model()
@@ -97,7 +97,7 @@ def run_stream(architecture: str, strategy: str, approach: str) -> dict[str, obj
     def step(operation: str, answer: object = None) -> None:
         trace.append([operation, answer, repr(store.stats.simulated_seconds)])
 
-    maintainer.bulk_load([(doc.entity_id, doc.features) for doc in initial], trainer.model.copy())
+    maintainer.bulk_load([(doc.entity_id, doc.features) for doc in initial], trainer.model)
     step("bulk_load")
     live = [doc.entity_id for doc in initial]
     for round_index in range(ROUNDS):

@@ -10,6 +10,7 @@ from repro.db.buffer_pool import BufferPool, IOStatistics
 from repro.db.costmodel import CostModel
 from repro.exceptions import DuplicateKeyError, KeyNotFoundError
 from repro.learn.model import LinearModel
+from repro.learn.weights import Weights
 from repro.linalg import SparseVector
 
 
@@ -29,7 +30,7 @@ def sample_entities(count: int = 40) -> list[tuple[int, SparseVector]]:
 
 def sample_model() -> LinearModel:
     # margin = -2 + 0.1 * i for entity i (with the vectors above).
-    return LinearModel(weights=SparseVector({0: -2.0, 1: 1.0}), bias=0.0, version=0)
+    return LinearModel(weights=Weights.of(SparseVector({0: -2.0, 1: 1.0})), bias=0.0, version=0)
 
 
 STORE_KINDS = ["mainmemory", "ondisk", "hybrid"]
@@ -137,7 +138,9 @@ class TestStoreContract:
     def test_reorganize_reclusters_under_new_model(self, kind):
         store = make_store(kind)
         store.bulk_load(sample_entities(), sample_model())
-        flipped = LinearModel(weights=SparseVector({0: 2.0, 1: -1.0}), bias=0.0, version=5)
+        flipped = LinearModel(
+            weights=Weights.of(SparseVector({0: 2.0, 1: -1.0})), bias=0.0, version=5
+        )
         cost = store.reorganize(flipped)
         assert cost >= 0.0
         eps_values = [record.eps for record in store.scan_all()]
@@ -268,7 +271,9 @@ class TestHybridSpecifics:
     def test_reorganize_rebuilds_eps_map(self):
         store = make_store("hybrid")
         store.bulk_load(sample_entities(), sample_model())
-        flipped = LinearModel(weights=SparseVector({0: 2.0, 1: -1.0}), bias=0.0, version=3)
+        flipped = LinearModel(
+            weights=Weights.of(SparseVector({0: 2.0, 1: -1.0})), bias=0.0, version=3
+        )
         store.reorganize(flipped)
         assert store.eps_hint(0) == pytest.approx(flipped.margin(store.get(0).features))
 
@@ -285,10 +290,14 @@ class TestMainMemoryMirror:
             (i, SparseVector({rng.randrange(60): rng.gauss(0, 1) for _ in range(rng.randint(0, 9))}))
             for i in range(count)
         ]
-        model = LinearModel(SparseVector({j: rng.gauss(0, 1) for j in range(0, 60, 2)}), bias=0.1)
+        model = LinearModel(
+            Weights.of(SparseVector({j: rng.gauss(0, 1) for j in range(0, 60, 2)})), bias=0.1
+        )
         store = InMemoryEntityStore(feature_norm_q=1.0)
         store.bulk_load(entities, model)
-        moved = LinearModel(SparseVector({j: rng.gauss(0, 1) for j in range(50)}), bias=-0.2)
+        moved = LinearModel(
+            Weights.of(SparseVector({j: rng.gauss(0, 1) for j in range(50)})), bias=-0.2
+        )
         return store, moved, rng
 
     @staticmethod

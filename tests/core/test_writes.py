@@ -129,7 +129,7 @@ def test_entity_churn_inside_a_run_keeps_arrival_order(writer):
         ("add", ("twice", two)),
     ]
     maintainer = HazyEagerMaintainer(InMemoryEntityStore(feature_norm_q=1.0))
-    maintainer.bulk_load(STORED.items(), writer.trainer.model.copy())
+    maintainer.bulk_load(STORED.items(), writer.trainer.model)
     apply_writes(maintainer, prepared.entity_ops, prepared.models)
     assert set(maintainer.contents()) == {1, 2, 3, "twice"}
     assert maintainer.store.get("twice").features == two

@@ -52,7 +52,7 @@ def maintained_view():
 
 def assert_consistent(view):
     """The maintained view equals the oracle over its current entities/model."""
-    oracle = view_contents(view.entity_snapshot(), view.trainer.model.copy())
+    oracle = view_contents(view.entity_snapshot(), view.trainer.model)
     assert view.maintainer.contents() == oracle
 
 

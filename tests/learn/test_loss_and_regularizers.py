@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
@@ -14,7 +15,6 @@ from repro.learn.regularizers import (
     L2Penalty,
     get_regularizer,
 )
-from repro.linalg import SparseVector
 
 
 class TestHingeLoss:
@@ -92,18 +92,18 @@ class TestLossRegistry:
 class TestL2Penalty:
     def test_value(self):
         penalty = L2Penalty(strength=0.5)
-        assert penalty.value(SparseVector({0: 2.0})) == pytest.approx(1.0)
+        assert penalty.value(np.array([2.0])) == pytest.approx(1.0)
 
     def test_apply_shrinks_weights(self):
         penalty = L2Penalty(strength=0.1)
-        weights = SparseVector({0: 1.0})
-        weights = penalty.shrink(weights, learning_rate=1.0)
-        assert weights[0] == pytest.approx(0.9)
+        weights = np.array([1.0])
+        shrunk = penalty.shrink(weights, learning_rate=1.0)
+        assert shrunk[0] == pytest.approx(0.9)
+        assert shrunk is not weights and weights[0] == 1.0
 
     def test_apply_never_flips_sign(self):
         penalty = L2Penalty(strength=10.0)
-        weights = SparseVector({0: 1.0})
-        weights = penalty.shrink(weights, learning_rate=1.0)
+        weights = penalty.shrink(np.array([1.0]), learning_rate=1.0)
         assert weights[0] == 0.0
 
     def test_negative_strength_rejected(self):
@@ -113,27 +113,25 @@ class TestL2Penalty:
 
 class TestL1Penalty:
     def test_value(self):
-        assert L1Penalty(strength=0.5).value(SparseVector({0: -2.0})) == pytest.approx(1.0)
+        assert L1Penalty(strength=0.5).value(np.array([-2.0])) == pytest.approx(1.0)
 
     def test_truncation_drives_small_weights_to_zero(self):
         penalty = L1Penalty(strength=1.0)
-        weights = SparseVector({0: 0.5, 1: -2.0})
-        weights = penalty.shrink(weights, learning_rate=1.0)
-        assert 0 not in weights
+        weights = penalty.shrink(np.array([0.5, -2.0]), learning_rate=1.0)
+        assert weights[0] == 0.0
         assert weights[1] == pytest.approx(-1.0)
 
     def test_zero_learning_rate_is_noop(self):
         penalty = L1Penalty(strength=1.0)
-        weights = SparseVector({0: 0.5})
-        weights = penalty.shrink(weights, learning_rate=0.0)
-        assert weights[0] == 0.5
+        weights = np.array([0.5])
+        shrunk = penalty.shrink(weights, learning_rate=0.0)
+        assert shrunk[0] == 0.5 and shrunk is not weights
 
 
 class TestElasticNet:
     def test_combines_both_penalties(self):
         penalty = ElasticNetPenalty(strength=1.0, ratio=0.5)
-        weights = SparseVector({0: 1.0})
-        value = penalty.value(weights)
+        value = penalty.value(np.array([1.0]))
         assert value == pytest.approx(0.5 * 1.0 + 0.5 * 0.5 * 1.0)
 
     def test_invalid_ratio_rejected(self):
@@ -142,8 +140,7 @@ class TestElasticNet:
 
     def test_apply_shrinks(self):
         penalty = ElasticNetPenalty(strength=0.2, ratio=0.5)
-        weights = SparseVector({0: 1.0})
-        weights = penalty.shrink(weights, learning_rate=1.0)
+        weights = penalty.shrink(np.array([1.0]), learning_rate=1.0)
         assert 0.0 < weights[0] < 1.0
 
 

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from repro.learn.model import LinearModel, sign
+from repro.learn.weights import Weights
 from repro.linalg import SparseVector
 
 
@@ -42,12 +45,24 @@ class TestLinearModel:
         }
         assert labels == {"P1": 1, "P2": -1, "P3": 1, "P4": -1, "P5": -1}
 
-    def test_copy_is_independent(self, simple_model):
-        clone = simple_model.copy()
-        clone.weights[0] = 99.0
-        clone.bias = 7.0
-        assert simple_model.weights[0] == -1.0
-        assert simple_model.bias == 0.5
+    def test_a_model_cannot_be_written(self, simple_model):
+        with pytest.raises(ValueError):
+            simple_model.weights.array[0] = 99.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            simple_model.bias = 7.0
+        assert simple_model.weights.cells.readonly
+        assert simple_model.weights.array[0] == -1.0 and simple_model.bias == 0.5
+
+    def test_sparse_weights_become_a_dense_array(self):
+        model = LinearModel(Weights.of(SparseVector({3: 2.0, 1: -1.0})), bias=0.5)
+        assert model.weights.array.tolist() == [0.0, -1.0, 0.0, 2.0]
+        assert list(model.weights.items()) == [(1, -1.0), (3, 2.0)]
+        assert model.weights.nnz() == 2
+        assert model == LinearModel(Weights(np.array([0.0, -1.0, 0.0, 2.0, 0.0])), bias=0.5)
+
+    def test_margin_reads_past_the_weights_as_zero(self):
+        model = LinearModel(Weights.of(SparseVector({0: 2.0})), bias=1.0)
+        assert model.margin(SparseVector({0: 1.5, 7: 4.0})) == 2.0
 
     def test_is_zero(self):
         assert LinearModel().is_zero()

@@ -1,12 +1,14 @@
-"""Only the trainer makes a model; nobody changes one afterwards.
+"""What keeps a model a value that the runtime cannot check.
 
 A model version is a value: :class:`~repro.learn.sgd.SGDTrainer` builds it
 once and every view, maintainer, water-band tracker, published epoch and
-checkpoint holds that same object by reference.  That is sound only while
-nothing else writes into a model, so this walk keeps the writes where they
-belong — ``learn/sgd.py`` (which builds each next model) and
-``learn/batch.py`` (which changes only the model it built for itself) — and
-keeps out defensive copies, which a value never needs.
+checkpoint holds that same object by reference.  The runtime refuses the
+writes: ``LinearModel`` is a frozen dataclass (``FrozenInstanceError``) and
+its weight array is read-only (``ValueError``), which
+``tests/learn/test_model.py`` pins.  What it cannot refuse is a way around
+either — ``object.__setattr__`` on a frozen instance, an array made writable
+again — or a defensive copy, which a value never needs.  This walk keeps all
+three out of the package.
 """
 
 from __future__ import annotations
@@ -18,9 +20,6 @@ from pathlib import Path
 import repro
 
 ROOT = Path(repro.__file__).parent
-MODEL_BUILDERS = {"learn/sgd.py", "learn/batch.py"}
-IN_PLACE = {"add_inplace", "scale_inplace"}
-MODEL_FIELDS = {"weights", "bias", "version"}
 #: The receiver of a ``.copy()`` that copies a model.
 MODEL_RECEIVER = re.compile(r'(model|final|\["current_model"\])$')
 
@@ -34,36 +33,18 @@ def modules() -> list[tuple[str, ast.AST]]:
     ]
 
 
-def assignment_targets(node: ast.AST) -> list[ast.AST]:
-    if isinstance(node, ast.Assign):
-        return [leaf for target in node.targets for leaf in ast.walk(target)]
-    if isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-        return list(ast.walk(node.target))
-    return []
-
-
-def is_weights(node: ast.AST) -> bool:
-    return isinstance(node, ast.Attribute) and node.attr == "weights"
-
-
-def test_nothing_outside_the_trainer_writes_into_a_model():
+def test_nothing_goes_around_the_frozen_model():
     found = []
     for name, tree in modules():
-        if name in MODEL_BUILDERS:
-            continue
         for node in ast.walk(tree):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in IN_PLACE
-                and is_weights(node.func.value)
-            ):
-                found.append(f"{name}:{node.lineno}: .weights.{node.func.attr}(...)")
-            for target in assignment_targets(node):
-                if isinstance(target, ast.Subscript) and is_weights(target.value):
-                    found.append(f"{name}:{node.lineno}: .weights[...] = ...")
-                elif isinstance(target, ast.Attribute) and target.attr in MODEL_FIELDS:
-                    found.append(f"{name}:{node.lineno}: .{target.attr} = ...")
+            text = ast.unparse(node) if isinstance(node, (ast.Call, ast.Assign)) else ""
+            if text.startswith("object.__setattr__("):
+                found.append(f"{name}:{node.lineno}: {text}")
+            unfrozen = isinstance(node, ast.Assign) and ".writeable = " in text
+            if unfrozen and name != "learn/weights.py":
+                found.append(f"{name}:{node.lineno}: {text}")
+            if isinstance(node, ast.Call) and ".setflags(" in text:
+                found.append(f"{name}:{node.lineno}: {text}")
     assert found == []
 
 
@@ -77,27 +58,4 @@ def test_no_model_is_copied():
         and node.func.attr == "copy"
         and MODEL_RECEIVER.search(ast.unparse(node.func.value))
     ]
-    assert found == []
-
-
-def test_no_regularizer_step_mutates_its_argument():
-    tree = ast.parse((ROOT / "learn" / "regularizers.py").read_text(encoding="utf-8"))
-    found = []
-    for function in ast.walk(tree):
-        if not isinstance(function, ast.FunctionDef):
-            continue
-        parameters = {arg.arg for arg in function.args.args} - {"self"}
-        for node in ast.walk(function):
-            receivers = [
-                target.value for target in assignment_targets(node)
-                if isinstance(target, (ast.Subscript, ast.Attribute))
-            ]
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-                if node.func.attr in IN_PLACE | {"__setitem__", "clear", "update", "pop"}:
-                    receivers.append(node.func.value)
-            found += [
-                f"regularizers.py:{node.lineno}: {function.name} writes into {receiver.id}"
-                for receiver in receivers
-                if isinstance(receiver, ast.Name) and receiver.id in parameters
-            ]
     assert found == []

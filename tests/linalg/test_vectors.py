@@ -191,29 +191,6 @@ class TestNorms:
         assert vector.normalized(2).to_dict() == {0: 3.0 / 5.0, 1: -4.0 / 5.0}
 
 
-class TestDistance:
-    """``||w - w_s||_p``, the radius of Lemma 3.1, without the difference vector."""
-
-    def test_distance_for_holder_pairs(self, simple_model):
-        moved = simple_model.weights.add(SparseVector({0: 0.3, 5: -0.4}))
-        assert moved.distance(simple_model.weights, math.inf) == pytest.approx(0.4)
-        assert moved.distance(simple_model.weights, 1) == pytest.approx(0.7)
-        assert moved.distance(simple_model.weights, 2) == pytest.approx(0.5)
-
-    def test_distance_to_itself_is_zero(self, simple_model):
-        for p in (1, 2, 3, math.inf):
-            assert simple_model.weights.distance(simple_model.weights, p) == 0.0
-
-    def test_keys_on_either_side_only_count(self):
-        left, right = SparseVector({0: 1.0, 2: -2.0}), SparseVector({1: 3.0})
-        assert left.distance(right, math.inf) == 3.0
-        assert right.distance(left, 1) == 6.0
-
-    def test_invalid_p_raises(self):
-        with pytest.raises(ValueError):
-            SparseVector({0: 1.0}).distance(SparseVector(), 0)
-
-
 class TestConversion:
     def test_to_dense_dimension(self):
         dense = SparseVector({1: 2.0}).to_dense(4)

@@ -17,10 +17,12 @@ from __future__ import annotations
 
 import socket
 import struct
+import threading
 import time
 
 from repro.net import connect
 from repro.net.protocol import read_frame, write_frame
+from repro.net.server import _Handler
 
 from tests.net.conftest import TEST_TIMEOUT_S
 
@@ -67,6 +69,27 @@ class TestMidFrameDeath:
         victim.close()
         wait_for_roster(server, 0)
         assert server.stats()["reaped_total"] == before + 1
+
+    def test_the_reap_is_counted_when_the_roster_drops(self, server, monkeypatch):
+        """A slow teardown must not leave the roster at 0 with the old count."""
+        release = threading.Event()
+        teardown = _Handler.teardown
+
+        def slow_teardown(handler):
+            release.wait(TEST_TIMEOUT_S)
+            teardown(handler)
+
+        monkeypatch.setattr(_Handler, "teardown", slow_teardown)
+        try:
+            victim = raw_dial(server)
+            wait_for_roster(server, 1)
+            before = server.stats()["reaped_total"]
+            victim.sendall(struct.pack(">I", 500) + b"x" * 5)
+            victim.close()
+            wait_for_roster(server, 0)
+            assert server.stats()["reaped_total"] == before + 1
+        finally:
+            release.set()
 
     def test_abrupt_close_without_goodbye_is_not_counted_as_reap(self, server):
         victim = raw_dial(server)

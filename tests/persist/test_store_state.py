@@ -9,6 +9,7 @@ import pytest
 from repro.core.maintainers import MAINTAINERS, build_maintainer
 from repro.core.stores import STORES, HybridEntityStore, InMemoryEntityStore, OnDiskEntityStore
 from repro.learn.model import LinearModel
+from repro.learn.weights import Weights
 from repro.learn.sgd import SGDTrainer, TrainingExample
 from repro.linalg import SparseVector
 from repro.persist.snapshot import ShardState
@@ -31,7 +32,9 @@ def loaded_inputs():
         vocabulary_size=120, nonzeros_per_document=8, positive_fraction=0.4, seed=3
     ).generate_list(80)
     entities = [(doc.entity_id, doc.features) for doc in corpus]
-    model = LinearModel(weights=SparseVector({1: 0.4, 5: -0.7, 9: 0.2}), bias=0.05, version=3)
+    model = LinearModel(
+        weights=Weights.of(SparseVector({1: 0.4, 5: -0.7, 9: 0.2})), bias=0.05, version=3
+    )
     return entities, model
 
 
@@ -117,7 +120,7 @@ def test_every_cell_survives_the_shard_state_round_trip(architecture, strategy, 
     ).generate_list(80)
     trainer = SGDTrainer(loss="svm", seed=5)
     source = build_maintainer(strategy, approach, make_store(architecture))
-    source.bulk_load([(doc.entity_id, doc.features) for doc in corpus], trainer.model.copy())
+    source.bulk_load([(doc.entity_id, doc.features) for doc in corpus], trainer.model)
     for doc in corpus[:25]:  # enough steps to open a water band and move Skiing's accounts
         source.apply_model(trainer.absorb(TrainingExample(doc.entity_id, doc.features, doc.label)))
 

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from repro.core.bounds import WaterBandTracker
 from repro.core.skiing import OfflineOptimalScheduler, simulate_skiing_on_trace
 from repro.learn.model import LinearModel
+from repro.learn.weights import Weights
 from repro.linalg import SparseVector
 
 DIMENSION = 12
@@ -54,18 +55,16 @@ class TestWaterBandSoundness:
         self, entities, initial_weights, initial_bias, updates, holder_p
     ):
         q = 1.0 if holder_p == math.inf else 2.0
-        stored = LinearModel(weights=initial_weights, bias=initial_bias, version=0)
+        stored = LinearModel(weights=Weights.of(initial_weights), bias=initial_bias, version=0)
         max_norm = max(vector.norm(q) for vector in entities)
         tracker = WaterBandTracker(holder_p, max_norm)
         tracker.reset(stored)
         stored_eps = [stored.margin(vector) for vector in entities]
 
-        current = stored.copy()
+        weights, current = initial_weights, stored
         for step, (weight_change, bias_change) in enumerate(updates, start=1):
-            current = current.copy()
-            current.weights.add_inplace(SparseVector(weight_change))
-            current.bias += bias_change
-            current.version = step
+            weights = weights.add(SparseVector(weight_change))
+            current = LinearModel(Weights.of(weights), current.bias + bias_change, step)
             band = tracker.advance(current)
             for eps, vector in zip(stored_eps, entities):
                 if band.certain_positive(eps):
@@ -78,13 +77,11 @@ class TestWaterBandSoundness:
     def test_band_grows_monotonically(self, updates):
         tracker = WaterBandTracker(math.inf, 1.0)
         tracker.reset(LinearModel())
-        current = LinearModel()
+        weights, current = SparseVector(), LinearModel()
         previous_band = tracker.band()
         for step, (weight_change, bias_change) in enumerate(updates, start=1):
-            current = current.copy()
-            current.weights.add_inplace(SparseVector(weight_change))
-            current.bias += bias_change
-            current.version = step
+            weights = weights.add(SparseVector(weight_change))
+            current = LinearModel(Weights.of(weights), current.bias + bias_change, step)
             band = tracker.advance(current)
             assert band.low <= previous_band.low
             assert band.high >= previous_band.high

@@ -4,14 +4,14 @@ Labels are ``sign(w . f - b)`` and Skiing compares accumulated floats, so the
 kernel that scores a water band (:func:`repro.linalg.kernels.sparse_margins`
 over a store's CSR feature mirror, :func:`~repro.linalg.kernels.batch_dot`
 over a list of vectors) is not allowed to be *close* to
-``LinearModel.margin``: it has to be the same number.  This property compares
-them as ``int64`` views (NaNs by ``isnan``) over the inputs where a different
-summation order, a different start value or a careless padding would show:
-empty rows, rows with at least as many non-zeros as the model (which must take
-the scalar route), indices the model lacks, weights beyond the mirror's
-dimension, negative / subnormal / huge values, ``+-0.0`` weights and bias,
-NaN and infinite weights, rows whose every product is ``-0.0``, arbitrary row
-orders and chunk boundaries.
+``LinearModel.margin``: it has to be the same number, on *every* row.  This
+property compares them as ``int64`` views (NaNs by ``isnan``) over the inputs
+where a different summation order, a different start value or a careless
+padding would show: empty rows, rows with more non-zeros than the model,
+indices past the model's array (which meet a ``0.0`` weight), weights beyond
+the mirror's dimension, negative / subnormal / huge values, ``+-0.0`` weights
+and bias, NaN and infinite weights and feature values, rows whose every
+product is ``-0.0``, arbitrary row orders and chunk boundaries.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.learn.model import LinearModel
+from repro.learn.weights import Weights
 from repro.linalg import SparseVector, kernels
 
 DIMENSION = 12
@@ -53,12 +54,15 @@ def entries(values, max_index: int, max_size: int):
     )
 
 
-rows = st.lists(entries(finite, DIMENSION - 1, 9).map(vector_of), max_size=14)
-#: Up to 18 weights over indices 0..19: some beyond the rows' dimension, and
-#: often fewer than a row has non-zeros.
+rows = st.lists(entries(weights_values, DIMENSION - 1, 9).map(vector_of), max_size=14)
+#: Up to 18 weights over indices 0..top: the array is often shorter than the
+#: rows' dimension, sometimes longer, and often has fewer non-zeros than a row.
 models = st.builds(
     LinearModel,
-    weights=entries(weights_values, 19, 18).map(vector_of),
+    weights=st.integers(0, 19)
+    .flatmap(lambda top: entries(weights_values, top, 18))
+    .map(vector_of)
+    .map(Weights.of),
     bias=st.one_of(finite, st.sampled_from([0.0, -0.0])),
 )
 
@@ -78,27 +82,14 @@ def test_sparse_margins_equal_linear_model_margin(rows, model, chunk, order):
     picked = list(range(len(rows))) * 2  # any order, repeats allowed
     order.shuffle(picked)
     picked = np.array(picked[: len(rows) + 3], dtype=np.int32)
-    scalar_routed: list[int] = []
-
-    def fetch(position: int) -> SparseVector:
-        scalar_routed.append(position)
-        return rows[picked[position]]
-
     rows_per_step, kernels.ROW_CHUNK = kernels.ROW_CHUNK, chunk
     try:
         got = kernels.sparse_margins(
-            indptr, indices, values, picked, model.weights, model.bias, DIMENSION, fetch
+            indptr, indices, values, picked, model.weights.array, model.bias, DIMENSION
         )
     finally:
         kernels.ROW_CHUNK = rows_per_step
     assert same_bits(got, [model.margin(rows[row]) for row in picked.tolist()])
-    # The kernel is the scalar's image only where the scalar iterates the
-    # features: every other row must have gone through the scalar itself.
-    assert scalar_routed == [
-        position
-        for position, row in enumerate(picked.tolist())
-        if rows[row].nnz() >= model.weights.nnz()
-    ]
 
 
 @settings(max_examples=200, deadline=None)
@@ -116,10 +107,10 @@ def test_batch_margins_equal_the_scalar_dot_against_a_dense_array(rows, weights,
 def test_a_row_of_negative_zero_products_sums_to_positive_zero():
     """``sum`` starts from ``0`` and ``0.0 + -0.0 == 0.0``: the accumulator must start there too."""
     row = vector_of([(0, 1.0), (1, 2.0)])
-    model = LinearModel(weights=vector_of([(0, -0.0), (1, -0.0), (2, 1.0)]), bias=0.0)
+    model = LinearModel(weights=Weights.of(vector_of([(0, -0.0), (1, -0.0), (2, 1.0)])), bias=0.0)
     indptr, indices, values = kernels.flatten([row], np.int32)
     got = kernels.sparse_margins(
-        indptr, indices, values, np.array([0]), model.weights, model.bias, 3, [row].__getitem__
+        indptr, indices, values, np.array([0]), model.weights.array, model.bias, 3
     )
     assert math.copysign(1.0, model.margin(row)) == 1.0
     assert same_bits(got, [model.margin(row)])
@@ -128,9 +119,23 @@ def test_a_row_of_negative_zero_products_sums_to_positive_zero():
 def test_a_nonfinite_weight_does_not_leak_through_the_padding():
     """Row 0 is shorter than row 1: its padded cell must not pick up the NaN weight."""
     short, long = vector_of([(0, 1.0)]), vector_of([(0, 1.0), (1, 1.0)])
-    model = LinearModel(weights=vector_of([(0, 2.0), (1, math.nan), (2, 1.0)]), bias=0.5)
+    model = LinearModel(
+        weights=Weights.of(vector_of([(0, 2.0), (1, math.nan), (2, 1.0)])), bias=0.5
+    )
     indptr, indices, values = kernels.flatten([short, long], np.int32)
     got = kernels.sparse_margins(
-        indptr, indices, values, np.array([0, 1]), model.weights, model.bias, 3, None
+        indptr, indices, values, np.array([0, 1]), model.weights.array, model.bias, 3
     )
     assert got[0] == 1.5 and math.isnan(got[1])
+
+
+def test_an_index_past_the_model_meets_a_zero_weight():
+    """The model's array ends at index 1; the kernel pads it to the rows' dimension."""
+    rows = [vector_of([(0, 2.0), (5, 3.0)]), vector_of([(5, math.inf)])]
+    model = LinearModel(weights=Weights.of(vector_of([(0, 0.5), (1, 1.0)])), bias=0.25)
+    indptr, indices, values = kernels.flatten(rows, np.int32)
+    got = kernels.sparse_margins(
+        indptr, indices, values, np.array([0, 1]), model.weights.array, model.bias, 6
+    )
+    assert got[0] == 0.75 == model.margin(rows[0])
+    assert math.isnan(got[1]) and math.isnan(model.margin(rows[1]))  # inf * 0.0

@@ -1,17 +1,22 @@
-"""A model version is a value, and it is the value the in-place trainer made.
+"""A model version is a dense, read-only array, and it is what the dict trainer made.
 
-:class:`~repro.learn.sgd.SGDTrainer` builds each next model once, from a
-regularizer step that returns a new vector, and hands the same object to
-everyone.  Before that it changed one model in place and handed out a copy
-per step.  Labels are ``sign(w . f - b)`` and Skiing compares accumulated
-floats, so the new trainer is not allowed to be *close* to the old one: the
-weights (in stored order), the bias and the version must be the same bits
-after every step.  The old trainer is kept here, as the reference, and only
-here.
+:class:`~repro.learn.sgd.SGDTrainer` builds each next model once — a
+vectorised shrink into a fresh array, the loss step written into it, the array
+frozen — and hands the same object to everyone.  Before that a model's
+weights were a dict (a :class:`~repro.linalg.SparseVector`).  Labels are
+``sign(w . f - b)`` and Skiing compares accumulated floats, so the array
+trainer is not allowed to be *close* to the dict one: after every step each
+weight, read by index, must be the same bits (a zero of either sign, stored
+or not, counts as zero), and so must the bias and the version.  The dict
+trainer is kept here, as the reference, and only here.  Its margin folds over
+the feature vector's stored order, as ``LinearModel.margin`` does; the dict
+model's own ``dot`` folded over whichever operand had fewer entries, the one
+place where the two were allowed to part.
 
-The radius of Lemma 3.1, ``||w - w_s||_p``, is likewise one pass
-(:meth:`~repro.linalg.SparseVector.distance`) that must be the same bits as
-building the difference and taking its norm.
+The radius of Lemma 3.1, ``||w - w_s||_p``
+(:func:`repro.core.bounds.weight_distance`), is likewise held against the dict
+form: the same bits as ``subtract(...).norm(inf)`` for ``p = inf``, within
+``1e-12`` relative of an exactly rounded sum for ``p`` in ``{1, 2, 3}``.
 """
 
 from __future__ import annotations
@@ -22,80 +27,88 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.bounds import weight_distance
 from repro.learn.loss import get_loss
 from repro.learn.model import LinearModel
-from repro.learn.regularizers import ElasticNetPenalty, L1Penalty, L2Penalty
 from repro.learn.sgd import SGDTrainer, TrainingExample
+from repro.learn.weights import Weights
 from repro.linalg import SparseVector
 
 
-def model_bits(model: LinearModel) -> tuple:
-    """A model as exact bits: ordered ``(index, value.hex())`` weights, bias, version."""
-    return [(i, v.hex()) for i, v in model.weights.items()], model.bias.hex(), model.version
+def weight_bits(weights) -> dict[int, str]:
+    """Non-zero weights by index, as exact bits (either container)."""
+    return {index: value.hex() for index, value in weights.items() if value != 0.0}
 
 
-def shrink_in_place(penalty, weights: SparseVector, learning_rate: float) -> None:
-    """The regularizer step as it was: ``weights`` changed in place."""
-    if isinstance(penalty, ElasticNetPenalty):
-        shrink_in_place(penalty._l2, weights, learning_rate)
-        shrink_in_place(penalty._l1, weights, learning_rate)
-    elif isinstance(penalty, L2Penalty):
-        factor = 1.0 - learning_rate * penalty.strength
-        if factor < 0.0:
-            factor = 0.0
-        weights.scale_inplace(factor)
-    else:
-        assert isinstance(penalty, L1Penalty)
-        shrink = learning_rate * penalty.strength
-        if shrink <= 0.0:
-            return
-        updated: dict[int, float] = {}
-        for index, value in weights.items():
-            if value > shrink:
-                updated[index] = value - shrink
-            elif value < -shrink:
-                updated[index] = value + shrink
-        for index in list(weights.indices()):
-            weights[index] = 0.0
-        for index, value in updated.items():
-            weights[index] = value
+def model_bits(model) -> tuple:
+    return weight_bits(model.weights), model.bias.hex(), model.version
 
 
-class InPlaceTrainer:
-    """The trainer as it was: one model changed in place, a copy handed out."""
+class DictModel:
+    """A model as it was: a dict of weights, a bias, a version."""
+
+    def __init__(self, weights: SparseVector, bias: float = 0.0, version: int = 0):
+        self.weights, self.bias, self.version = weights, bias, version
+
+    def margin(self, features: SparseVector) -> float:
+        get, total = self.weights._data.get, 0.0
+        for index, value in features.items():
+            total += value * get(index, 0.0)
+        return total - self.bias
+
+
+def dict_shrink(name: str, strength: float, weights: SparseVector, learning_rate: float):
+    """The regularizer step as it was, over a dict: a new vector, ``weights`` untouched."""
+    if name == "elastic_net":
+        shrunk = dict_shrink("l2", strength * 0.5, weights, learning_rate)
+        return dict_shrink("l1", strength * 0.5, shrunk, learning_rate)
+    if name == "l2":
+        factor = max(0.0, 1.0 - learning_rate * strength)
+        return weights.scale(factor)
+    shrink = learning_rate * strength
+    if shrink <= 0.0:
+        return weights.copy()
+    updated = {}
+    for index, value in weights.items():
+        if value > shrink:
+            updated[index] = value - shrink
+        elif value < -shrink:
+            updated[index] = value + shrink
+    return SparseVector(updated)
+
+
+class DictTrainer:
+    """The trainer as it was: each step a new dict model."""
 
     def __init__(self, loss, regularizer, regularization, fit_bias, seed):
         self.loss = get_loss(loss)
-        self.regularizer = {"l2": L2Penalty, "l1": L1Penalty, "elastic_net": ElasticNetPenalty}[
-            regularizer
-        ](regularization)
+        self.regularizer, self.strength = regularizer, regularization
         self.learning_rate, self.decay, self.fit_bias = 0.3, 0.02, fit_bias
         self._rng = random.Random(seed)
         self._steps = 0
-        self.model = LinearModel()
+        self.model = DictModel(SparseVector())
 
     def load_state(self, model, steps=None):
-        self.model = model.copy()
+        self.model = model
         self._steps = int(model.version if steps is None else steps)
 
     def absorb(self, example):
         eta = self.learning_rate / (1.0 + self.decay * self._steps)
-        margin = self.model.margin(example.features)
-        grad = self.loss.derivative(margin, float(example.label))
-        shrink_in_place(self.regularizer, self.model.weights, eta)
+        grad = self.loss.derivative(self.model.margin(example.features), float(example.label))
+        weights = dict_shrink(self.regularizer, self.strength, self.model.weights, eta)
+        bias = self.model.bias
         if grad != 0.0:
-            self.model.weights.add_inplace(example.features, -eta * grad)
+            weights.add_inplace(example.features, -eta * grad)
             if self.fit_bias:
-                self.model.bias += eta * grad
+                bias += eta * grad
         self._steps += 1
-        self.model.version = self._steps
-        return self.model.copy()
+        self.model = DictModel(weights, bias, self._steps)
+        return self.model
 
     def absorb_many(self, examples):
-        snapshot = self.model.copy()
         for example in examples:
-            snapshot = self.absorb(example)
-        return snapshot
+            self.absorb(example)
+        return self.model
 
     def fit(self, examples, epochs):
         order = list(examples)
@@ -103,79 +116,90 @@ class InPlaceTrainer:
             self._rng.shuffle(order)
             for example in order:
                 self.absorb(example)
-        return self.model.copy()
+        return self.model
 
 
 feature_values = st.one_of(
     st.floats(min_value=-50, max_value=50, allow_nan=False, allow_infinity=False),
     st.sampled_from([1.0, -1.0, 0.5, 1e-3, 1e-160, -2.5e-308]),
 )
-examples = st.builds(
-    TrainingExample,
-    entity_id=st.just(0),
-    features=st.dictionaries(st.integers(0, 11), feature_values, max_size=6).map(SparseVector),
-    label=st.sampled_from([-1, 1]),
-)
-operations = st.lists(
-    st.one_of(
-        st.tuples(st.just("absorb"), examples),
-        st.tuples(st.just("absorb_many"), st.lists(examples, max_size=4)),
-        st.tuples(st.just("fit"), st.lists(examples, min_size=1, max_size=4), st.integers(1, 2)),
-        st.tuples(
-            st.just("load_state"),
-            st.dictionaries(st.integers(0, 11), feature_values, max_size=6),
-            feature_values,
-            st.integers(0, 40),
-            st.one_of(st.none(), st.integers(0, 40)),
-            examples,
+
+
+def feature_vectors(width: int):
+    """Vectors over ``0..width-1``, their indices in arbitrary order: wider than
+    the model early in a stream, so the dict ``dot`` would have folded over the model."""
+    return st.dictionaries(st.integers(0, width - 1), feature_values, max_size=width).map(
+        SparseVector
+    )
+
+
+def example_stream(width: int):
+    examples = st.builds(
+        TrainingExample,
+        entity_id=st.just(0),
+        features=feature_vectors(width),
+        label=st.sampled_from([-1, 1]),
+    )
+    return st.lists(
+        st.one_of(
+            st.tuples(st.just("absorb"), examples),
+            st.tuples(st.just("absorb_many"), st.lists(examples, max_size=4)),
+            st.tuples(
+                st.just("fit"), st.lists(examples, min_size=1, max_size=4), st.integers(1, 2)
+            ),
+            st.tuples(
+                st.just("load_state"),
+                st.dictionaries(st.integers(0, width - 1), feature_values, max_size=6),
+                feature_values,
+                st.integers(0, 40),
+                st.one_of(st.none(), st.integers(0, 40)),
+                examples,
+            ),
         ),
-    ),
-    min_size=1,
-    max_size=12,
-)
+        min_size=1,
+        max_size=12,
+    )
 
 
 @settings(max_examples=200, deadline=None)
 @given(
-    ops=operations,
+    ops=st.sampled_from([12, 50]).flatmap(example_stream),
     loss=st.sampled_from(["svm", "logistic", "ridge"]),
     regularizer=st.sampled_from(["l2", "l1", "elastic_net"]),
     regularization=st.sampled_from([0.0, 1e-4, 0.05, 0.5, 5.0]),
     fit_bias=st.booleans(),
     seed=st.integers(0, 3),
 )
-def test_the_trainer_is_the_in_place_trainer_as_bits(
+def test_the_trainer_is_the_dict_trainer_as_bits(
     ops, loss, regularizer, regularization, fit_bias, seed
 ):
     trainer = SGDTrainer(
         loss=loss, regularizer=regularizer, regularization=regularization,
         fit_bias=fit_bias, seed=seed,
     )
-    reference = InPlaceTrainer(loss, regularizer, regularization, fit_bias, seed)
+    reference = DictTrainer(loss, regularizer, regularization, fit_bias, seed)
     handed_out: list[tuple[LinearModel, tuple]] = []
     for op, *args in ops:
         if op == "load_state":
             # Resume from a model, then absorb one example on top of it.
             weights, bias, version, steps, example = args
-            loaded = LinearModel(SparseVector(weights), bias, version)
+            loaded = LinearModel(Weights.of(SparseVector(weights)), bias, version)
             trainer.load_state(loaded, steps)
-            reference.load_state(LinearModel(SparseVector(weights), bias, version), steps)
+            reference.load_state(DictModel(SparseVector(weights), bias, version), steps)
             handed_out.append((loaded, model_bits(loaded)))
             got, want = trainer.absorb(example), reference.absorb(example)
         else:
             got, want = getattr(trainer, op)(*args), getattr(reference, op)(*args)
         assert model_bits(got) == model_bits(want)
-        assert model_bits(trainer.model) == model_bits(reference.model)
+        assert not got.weights.array.flags.writeable
         handed_out.append((got, model_bits(got)))
     # Every model the trainer handed out is still the value it was.
     assert [model_bits(model) for model, _ in handed_out] == [bits for _, bits in handed_out]
 
 
-
 #: Finite weights, including what makes a norm take its rescaled path:
 #: subnormals, values whose squares underflow, values near overflow whose
-#: differences overflow; and the explicit ``+-0.0`` entries an underflowing
-#: L2 shrink leaves behind.
+#: differences overflow; and explicit ``+-0.0`` cells.
 weight_values = st.one_of(
     st.floats(min_value=-10, max_value=10),  # where summation order shows in the last bit
     st.floats(allow_nan=False, allow_infinity=False),
@@ -198,6 +222,14 @@ weight_vectors = st.lists(
 ).map(vector_of)
 
 
+def exact_norm(values: list[float], p: float) -> float:
+    """``||values||_p`` with an exactly rounded sum over magnitudes scaled by the largest."""
+    scale = max(map(abs, values), default=0.0)
+    if scale == 0.0 or not math.isfinite(scale):
+        return scale
+    return scale * math.fsum((abs(value) / scale) ** p for value in values) ** (1.0 / p)
+
+
 @settings(max_examples=500, deadline=None)
 @given(
     current=weight_vectors,
@@ -205,11 +237,16 @@ weight_vectors = st.lists(
     cancelled=st.lists(st.integers(0, 40), max_size=10),
     p=st.sampled_from([1.0, 2.0, 3.0, math.inf]),
 )
-def test_distance_is_the_norm_of_the_difference_as_bits(current, stored, cancelled, p):
+def test_the_radius_is_the_norm_of_the_dict_difference(current, stored, cancelled, p):
     # Keys in ``cancelled`` the current model holds take the same value in
     # the stored one: their differences cancel exactly.
     for index in cancelled:
         if index in current:
             stored._data[index] = current._data[index]
-    assert current.distance(stored, p).hex() == current.subtract(stored).norm(p).hex()
-    assert stored.distance(current, p).hex() == stored.subtract(current).norm(p).hex()
+    for left, right in ((current, stored), (stored, current)):
+        got = weight_distance(Weights.of(left), Weights.of(right), p)
+        difference = left.subtract(right)
+        if p == math.inf:
+            assert got.hex() == difference.norm(p).hex()
+        else:
+            assert math.isclose(got, exact_norm(list(difference.values()), p), rel_tol=1e-12)

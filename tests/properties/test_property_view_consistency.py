@@ -67,12 +67,12 @@ def check_scenario(cell, scenario, trainer_seed):
     trainer = SGDTrainer(seed=trainer_seed)
     store = build_store(architecture, buffer_fraction=0.1, buffer_pool_pages=16)
     maintainer = build_maintainer(strategy, approach, store, alpha=alpha)
-    maintainer.bulk_load(list(live.items()), trainer.model.copy())
+    maintainer.bulk_load(list(live.items()), trainer.model)
 
     def absorb(example):
         index, label = example
         doc = documents[index % len(documents)]
-        return trainer.absorb(TrainingExample(doc.entity_id, doc.features, label)).copy()
+        return trainer.absorb(TrainingExample(doc.entity_id, doc.features, label))
 
     def pick(index):
         ids = sorted(live)

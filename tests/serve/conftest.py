@@ -45,7 +45,7 @@ def build_standalone_server(
     )
     return ViewServer(
         entities=[(doc.entity_id, doc.features) for doc in corpus],
-        model=trainer.model.copy(),
+        model=trainer.model,
         writer=ViewWriter(trainer, feature_function),
         num_shards=num_shards,
         **server_options,

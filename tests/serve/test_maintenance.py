@@ -25,7 +25,7 @@ def oracle_for(server, corpus):
         for record in shard.maintainer.store.scan_all()
     }
     entities.update(current)
-    return view_contents(entities.items(), server.trainer.model.copy())
+    return view_contents(entities.items(), server.trainer.model)
 
 
 def test_queued_examples_apply_in_batches(serve_corpus):

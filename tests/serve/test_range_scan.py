@@ -120,7 +120,7 @@ class TestMaintainerReadRange:
         trainer = warm_trainer_for(corpus)
         maintainer = HazyLazyMaintainer(InMemoryEntityStore(feature_norm_q=1.0))
         maintainer.bulk_load(
-            [(doc.entity_id, doc.features) for doc in corpus], trainer.model.copy()
+            [(doc.entity_id, doc.features) for doc in corpus], trainer.model
         )
         members = set(maintainer.read_all_members(1))
         ids = sorted(members)

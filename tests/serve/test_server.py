@@ -50,7 +50,7 @@ def word_label(doc):
 
 def direct_oracle(view):
     """Expected contents from the view's *current* trainer model and features."""
-    return view_contents(view.entity_snapshot(), view.trainer.model.copy())
+    return view_contents(view.entity_snapshot(), view.trainer.model)
 
 
 def server_oracle(server):
@@ -59,7 +59,7 @@ def server_oracle(server):
         for shard in server.shards.shards
         for record in shard.maintainer.store.scan_all()
     ]
-    return view_contents(entities, server.trainer.model.copy())
+    return view_contents(entities, server.trainer.model)
 
 
 def test_sql_writes_flow_through_the_pipeline(served_setup):

@@ -19,7 +19,7 @@ def build_shard_set(corpus, num_shards=4, maintainer_cls=HazyEagerMaintainer):
     trainer = warm_trainer_for(corpus)
     shard_set = ShardSet.build(
         [(doc.entity_id, doc.features) for doc in corpus],
-        trainer.model.copy(),
+        trainer.model,
         store_factory=lambda: InMemoryEntityStore(feature_norm_q=1.0),
         maintainer_factory=lambda store: maintainer_cls(store, alpha=1.0),
         num_shards=num_shards,
