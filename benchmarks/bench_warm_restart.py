@@ -104,7 +104,7 @@ def run_restart_experiment(architecture: str, checkpoint_dir: str | Path, corpus
     warm_db = _build_database(corpus)
     warm_base = warm_db.pool.stats.simulated_seconds
     warm_engine = HazyEngine(warm_db, architecture=architecture, strategy="hazy", approach="eager")
-    warm_server = warm_engine.serve("Labeled_Papers", restore_from=checkpoint_dir)
+    warm_server = warm_engine.restore("Labeled_Papers", checkpoint_dir)
     warm_view = warm_engine.view("Labeled_Papers")
     warm_cost = _startup_cost(warm_db, warm_view, warm_server) - warm_base
 
@@ -167,7 +167,7 @@ def test_warm_restart_resumes_serving(tmp_path):
     restart_engine = HazyEngine(
         restart_db, architecture="mainmemory", strategy="hazy", approach="eager"
     )
-    restored = restart_engine.serve("Labeled_Papers", restore_from=tmp_path / "ckpt")
+    restored = restart_engine.restore("Labeled_Papers", tmp_path / "ckpt")
     session = restored.session()
     # Fresh example rows (ids past the EXAMPLES prefix already in the table).
     for doc in corpus[EXAMPLES : EXAMPLES + 10]:

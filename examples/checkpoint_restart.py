@@ -3,9 +3,10 @@
 Builds the Papers classification view, serves it, and writes a checkpoint
 while reads keep flowing.  Then the "process dies": every in-memory object is
 thrown away.  A second engine — the restarted process — reloads the base
-tables, and ``engine.serve(name, restore_from=...)`` brings the view back by
-importing the snapshot instead of re-featurizing and re-classifying every
-entity; rows inserted while the server was down are picked up by the replay.
+tables, and ``engine.restore(name, path)`` (``RESTORE VIEW``) brings the view
+back by importing the snapshot instead of re-featurizing and re-classifying
+every entity; rows inserted while the server was down are picked up by the
+replay.
 
 Run with::
 
@@ -63,7 +64,7 @@ def main() -> None:
     engine = HazyEngine(db, architecture="mainmemory", strategy="hazy", approach="eager")
     db.execute(DDL)
     view = engine.view("Labeled_Papers")
-    server = engine.serve("Labeled_Papers", num_shards=4)
+    server = engine.serve("Labeled_Papers", shards=4)
     server.flush()
     # Cold start pays twice: featurize/classify into the view's maintainer,
     # then bulk-load every shard.
@@ -93,7 +94,7 @@ def main() -> None:
 
     # ---- second life: warm restart from the snapshot -----------------------------
     engine = HazyEngine(db, architecture="mainmemory", strategy="hazy", approach="eager")
-    server = engine.serve("Labeled_Papers", restore_from=checkpoint_dir)
+    server = engine.restore("Labeled_Papers", checkpoint_dir)
     warm_cost = server.simulated_seconds()
     print(
         f"warm restart served {server.shards.count()} entities "

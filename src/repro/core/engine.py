@@ -196,14 +196,14 @@ class ClassificationView:
         if self._server is not None and self._server.submit(kind, new_row, old_row):
             return
         store = self.maintainer.store
-        entity_ops, models, _steps, refused, _rows = self.writer.prepare(
+        prepared = self.writer.prepare(
             ((kind, new_row, old_row),),
             lambda entity_id: store.get(entity_id).features,
             store.charge_featurization,
         )
-        if refused:
-            raise refused[0]
-        apply_writes(self.maintainer, entity_ops, models)
+        if prepared.refused:
+            raise prepared.refused[0]
+        apply_writes(self.maintainer, prepared.entity_ops, prepared.models)
 
     # -- public operations ------------------------------------------------------------------------
 
@@ -370,8 +370,8 @@ class HazyEngine:
         maintainer = self._build_maintainer(self._build_store(feature_function.norm_q))
         return ClassificationView(definition, self.database, maintainer, writer, restored)
 
-    def _server_arguments(self, view: ClassificationView, server_options) -> dict[str, object]:
-        """The ``ViewServer`` keyword block a fresh serve and a restore share."""
+    def _store_factory(self, view: ClassificationView) -> Callable[[], EntityStore]:
+        """What builds each shard's store when ``view`` is served."""
         feature_norm_q = view.feature_function.norm_q
 
         def store_factory() -> EntityStore:
@@ -382,12 +382,7 @@ class HazyEngine:
                 pool = BufferPool(self.database.cost_model, None, IOStatistics())
             return self._build_store(feature_norm_q, pool=pool)
 
-        return dict(
-            writer=view.writer,
-            store_factory=store_factory,
-            maintainer_factory=self._build_maintainer,
-            **server_options,
-        )
+        return store_factory
 
     # -- view management ---------------------------------------------------------------------------
 
@@ -412,113 +407,81 @@ class HazyEngine:
             raise ViewDefinitionError(f"no classification view named {name!r}")
         return view
 
-    def serve(
-        self,
-        name: str,
-        num_shards: int | None = None,
-        restore_from: str | None = None,
-        **server_options,
-    ):
-        """Put a view behind a concurrent :class:`~repro.serve.server.ViewServer`.
+    # -- serving: one front door for SQL and Python ------------------------------------------------
 
-        The server shards the view's entity space into ``num_shards`` hash
-        partitions (each shard runs this engine's architecture/strategy/approach),
-        batches concurrent reads, and maintains the view from a background
-        pipeline; the view lends the server its writer and its trigger body
-        hands every write to the server's queue until ``server.close()`` hands
-        the view back consistent.
-
-        With ``restore_from`` the server **warm-starts** from a checkpoint
-        directory written by
-        :meth:`~repro.serve.server.ViewServer.checkpoint`:
-        the view itself is rebuilt from the snapshot (it must not have been
-        created in this engine yet), shard stores are imported instead of
-        bulk-loaded, and only the base-table churn that happened *after* the
-        checkpoint is featurized and replayed — restart cost is the snapshot
-        read plus the delta, not a full load.  On restore the snapshot's
-        shard assignment is preserved; passing a ``num_shards`` that
-        disagrees with it raises
-        :class:`~repro.exceptions.ConfigurationError`.
-        """
-        # Composition-root seam: Engine.serve() constructs the layer above
-        # it; the import stays lazy so `import repro.core` never pulls serve.
-        from repro.serve.server import ViewServer  # repro: noqa(LAY001)
-
-        if restore_from is not None:
-            if num_shards is not None:
-                server_options["num_shards"] = num_shards
-            return self._serve_restored(name, restore_from, **server_options)
-        if num_shards is None:
-            num_shards = 4
-        view = self.view(name)
-        if view._server is not None:
-            raise ViewDefinitionError(f"view {name!r} is already being served")
-        server = ViewServer(
-            entities=view.entity_snapshot(),
-            model=view.model,
-            num_shards=num_shards,
-            **self._server_arguments(view, server_options),
-        )
-        server.attach_view(view)
-        self._register_serving_metrics(view)
-        return server
-
-    # -- declarative serving surface (the SQL front door) -------------------------------------------
-
-    #: ``WITH (...)`` option names accepted by SERVE VIEW / RESTORE VIEW and
-    #: by CHECKPOINT VIEW: the ``ViewServer`` / ``ViewServer.checkpoint``
-    #: keyword each maps to, the type it must have, how that type is worded
-    #: in the error, and the least value a number may take (None: any).
+    #: The options ``SERVE VIEW`` / ``RESTORE VIEW ... WITH (...)``, ``serve``
+    #: and ``restore`` accept — each the ``ViewServer`` keyword of that name —
+    #: and those ``CHECKPOINT VIEW`` and ``checkpoint`` accept: the type each
+    #: must have, how that type is worded in the error, and the least value a
+    #: number may take (None: any).
     _SERVER_OPTIONS = {
-        "shards": ("num_shards", int, "an integer", 1),
-        "max_read_batch": ("max_read_batch", int, "an integer", 1),
-        "queue_capacity": ("queue_capacity", int, "an integer", 1),
-        "max_write_batch": ("max_write_batch", int, "an integer", 1),
-        "cache_capacity": ("cache_capacity", int, "an integer", 0),
-        "epoch_history": ("epoch_history", int, "an integer", 0),
-        "max_wait_s": ("read_batch_wait_s", float, "a number", 0),
-        "wal": ("wal_dir", str, "a string", None),
-        "adaptive_batching": ("adaptive_batching", bool, "true or false", None),
+        "shards": (int, "an integer", 1),
+        "max_read_batch": (int, "an integer", 1),
+        "queue_capacity": (int, "an integer", 1),
+        "max_write_batch": (int, "an integer", 1),
+        "cache_capacity": (int, "an integer", 0),
+        "epoch_history": (int, "an integer", 0),
+        "max_wait_s": (float, "a number", 0),
+        "wal": (str, "a string", None),
+        "adaptive_batching": (bool, "true or false", None),
     }
     _CHECKPOINT_OPTIONS = {
-        "incremental": ("incremental", bool, "true or false", None),
-        "parent": ("parent", str, "a string path", None),
+        "incremental": (bool, "true or false", None),
+        "parent": (str, "a string path", None),
     }
 
     @staticmethod
     def _validated(
-        options: Mapping[str, object] | None, table: Mapping[str, tuple], what: str
+        options: Mapping[str, object], table: Mapping[str, tuple], what: str
     ) -> dict[str, object]:
-        """The one ``WITH (...)`` validator: declarative options, checked
-        against ``table``, as the keyword arguments they stand for."""
-        mapped: dict[str, object] = {}
-        for name, value in (options or {}).items():
+        """The one options validator: every option checked against ``table``,
+        returned under its lower-cased name as the type it stands for."""
+        validated: dict[str, object] = {}
+        for name, value in options.items():
             if name.lower() not in table:
                 raise ConfigurationError(f"unknown {what} option {name!r}; known: {sorted(table)}")
-            keyword, kind, wording, least = table[name.lower()]
+            kind, wording, least = table[name.lower()]
             accepted = (int, float) if kind is float else kind
             if not isinstance(value, accepted) or (kind is not bool and isinstance(value, bool)):
                 raise ConfigurationError(f"option {name!r} expects {wording}, got {value!r}")
             if least is not None and not value >= least:  # "not >=" also refuses NaN
                 raise ConfigurationError(f"option {name!r} must be >= {least}, got {value!r}")
-            mapped[keyword] = kind(value)
-        return mapped
+            validated[name.lower()] = kind(value)
+        return validated
 
-    def _server_options(self, options: Mapping[str, object] | None) -> dict[str, object]:
-        """Map declarative ``WITH`` options onto ``ViewServer`` keyword arguments."""
-        mapped = self._validated(options, self._SERVER_OPTIONS, "serving")
-        if mapped.pop("adaptive_batching", False):
-            if "read_batch_wait_s" in mapped:
-                raise ConfigurationError(
-                    "adaptive_batching derives the batching window itself; "
-                    "it cannot be combined with max_wait_s"
-                )
-            mapped["read_batch_wait_s"] = "adaptive"
-        return mapped
+    def _serving_options(self, options: Mapping[str, object]) -> dict[str, object]:
+        """``serve`` / ``restore`` options, validated."""
+        validated = self._validated(options, self._SERVER_OPTIONS, "serving")
+        if validated.get("adaptive_batching") and "max_wait_s" in validated:
+            raise ConfigurationError(
+                "adaptive_batching derives the batching window itself; "
+                "it cannot be combined with max_wait_s"
+            )
+        return validated
 
-    def serve_view(self, name: str, options: Mapping[str, object] | None = None):
-        """``SERVE VIEW name WITH (...)``: start serving with declarative options."""
-        return self.serve(name, **self._server_options(options))
+    def serve(self, name: str, /, **options):
+        """``SERVE VIEW name [WITH (...)]``: put a view behind a
+        :class:`~repro.serve.server.ViewServer`.
+
+        The server shards the view's entity space into ``shards`` hash
+        partitions (each shard runs this engine's architecture/strategy/approach),
+        batches concurrent reads, and maintains the view from a background
+        pipeline; the view lends the server its writer and its trigger body
+        hands every write to the server's queue until ``server.close()`` hands
+        the view back consistent.  ``options`` are the ``WITH`` options
+        (:attr:`_SERVER_OPTIONS`).
+        """
+        # Composition-root seam: Engine.serve() constructs the layer above
+        # it; the import stays lazy so `import repro.core` never pulls serve.
+        from repro.serve.server import ViewServer  # repro: noqa(LAY001)
+
+        options = self._serving_options(options)
+        view = self.view(name)
+        if view._server is not None:
+            raise ViewDefinitionError(f"view {name!r} is already being served")
+        server = ViewServer(view, self._store_factory(view), self._build_maintainer, **options)
+        self._register_serving_metrics(view)
+        return server
 
     def stop_serving(self, name: str) -> ClassificationView:
         """``STOP SERVING name``: quiesce the server, hand the view back consistent."""
@@ -530,9 +493,7 @@ class HazyEngine:
         self.database.obs.registry.remove_provider(f"serve.{view.name}")
         return view
 
-    def checkpoint_view(
-        self, name: str, path: str, options: Mapping[str, object] | None = None
-    ) -> dict[str, object]:
+    def checkpoint(self, name: str, path, /, **options) -> dict[str, object]:
         """``CHECKPOINT VIEW name TO path [WITH (...)]``: consistent snapshot of a served view.
 
         Options: ``incremental`` (bool — rewrite only shards whose epoch
@@ -545,19 +506,10 @@ class HazyEngine:
             raise ViewDefinitionError(
                 f"view {name!r} is not being served; SERVE VIEW it before CHECKPOINT"
             )
-        mapped = self._validated(options, self._CHECKPOINT_OPTIONS, "checkpoint")
-        if "parent" in mapped and not mapped.get("incremental"):
+        options = self._validated(options, self._CHECKPOINT_OPTIONS, "checkpoint")
+        if "parent" in options and not options.get("incremental"):
             raise ConfigurationError("checkpoint option 'parent' requires incremental = true")
-        return server.checkpoint(path, **mapped)
-
-    def restore_view(self, name: str, path: str, options: Mapping[str, object] | None = None):
-        """``RESTORE VIEW name FROM path``: warm-start serving from a checkpoint.
-
-        A ``shards =`` option that disagrees with the snapshot's shard count
-        is a :class:`~repro.exceptions.ConfigurationError` — shard assignment
-        always comes from the snapshot.
-        """
-        return self.serve(name, restore_from=path, **self._server_options(options))
+        return server.checkpoint(path, **options)
 
     def served_views(self) -> list[ClassificationView]:
         """Every view currently behind a server (lifecycle management)."""
@@ -602,7 +554,7 @@ class HazyEngine:
     def _handle_serving_statement(self, statement: Statement) -> ResultSet:
         """Executor hook: run one serving lifecycle statement, return its result row."""
         if isinstance(statement, ServeView):
-            server = self.serve_view(statement.view, statement.options)
+            server = self.serve(statement.view, **statement.options)
             row = {
                 "view": self.view(statement.view).name,
                 "status": "serving",
@@ -618,13 +570,13 @@ class HazyEngine:
                 statement_type="STOP SERVING",
             )
         if isinstance(statement, CheckpointView):
-            info = self.checkpoint_view(statement.view, statement.path, statement.options)
+            info = self.checkpoint(statement.view, statement.path, **statement.options)
             row = {"view": self.view(statement.view).name, **info}
             return ResultSet(rows=[row], rowcount=1, statement_type="CHECKPOINT VIEW")
         if isinstance(statement, RestoreView):
             from repro.persist.checkpoint import describe_checkpoint
 
-            server = self.restore_view(statement.view, statement.path, statement.options)
+            server = self.restore(statement.view, statement.path, **statement.options)
             summary = describe_checkpoint(statement.path)
             row = {
                 "view": self.view(statement.view).name,
@@ -642,21 +594,28 @@ class HazyEngine:
 
     # -- warm restart -------------------------------------------------------------------------------
 
-    def _serve_restored(self, name: str, path: str, **server_options):
-        """The ``serve(restore_from=...)`` path: rebuild view + server from a checkpoint."""
+    def restore(self, name: str, path, /, **options):
+        """``RESTORE VIEW name FROM path [WITH (...)]``: warm-start serving from a checkpoint.
+
+        The checkpoint is a directory written by
+        :meth:`~repro.serve.server.ViewServer.checkpoint`.  The view itself is
+        rebuilt from the snapshot (it must not have been created in this
+        engine yet), shard stores are imported instead of bulk-loaded, and
+        only the base-table churn that happened *after* the checkpoint is
+        featurized and replayed — restart cost is the snapshot read plus the
+        delta, not a full load.  ``options`` are :meth:`serve`'s; the
+        snapshot's shard assignment is preserved, and a ``shards`` that
+        disagrees with it is a :class:`~repro.exceptions.ConfigurationError`.
+        """
         from repro.persist.checkpoint import load_checkpoint
-        # Composition-root seam: Engine.serve() constructs the layer above
+        # Composition-root seam: Engine.restore() constructs the layer above
         # it; the import stays lazy so `import repro.core` never pulls serve.
         from repro.serve.server import ViewServer  # repro: noqa(LAY001)
 
+        options = self._serving_options(options)
         checkpoint = load_checkpoint(path)
         manifest = checkpoint.manifest
-        if manifest.definition is None or manifest.view_name is None:
-            raise SnapshotMismatchError(
-                f"checkpoint {path} was written from a standalone server; "
-                "it cannot restore an engine view"
-            )
-        if manifest.view_name.lower() != name.lower():
+        if (manifest.view_name or "").lower() != name.lower():
             raise SnapshotMismatchError(
                 f"checkpoint {path} holds view {manifest.view_name!r}, not {name!r}"
             )
@@ -692,11 +651,10 @@ class HazyEngine:
         server = None
         try:
             server = ViewServer.restore(
-                checkpoint, **self._server_arguments(view, server_options)
+                checkpoint, view, self._store_factory(view), self._build_maintainer, **options
             )
             self.views[key] = view
             self.database.catalog.register_classification_view(definition.view_name, view)
-            server.attach_view(view)
             self._register_serving_metrics(view)
             self._replay_post_checkpoint(view, server, checkpoint)
         except BaseException:
@@ -705,9 +663,6 @@ class HazyEngine:
             view._detach_triggers()
             view._server = None
             if server is not None:
-                # Skip the hand-back resync (the view was never live); close()
-                # still stops the workers.
-                server._view = None
                 try:
                     server.close(timeout=10)
                 except Exception:
@@ -731,8 +686,8 @@ class HazyEngine:
         content hash no longer matches the base table are re-featurized as
         updates — the fix for the warm-restart staleness bug where a
         content-only UPDATE between checkpoint and restore silently kept the
-        stale features.  Snapshots without stored hashes (standalone-written
-        or pre-hash) keep the old insert/delete-only contract.
+        stale features.  Snapshots written before hashes were stored keep the
+        old insert/delete-only contract.
         """
         from collections import Counter
 

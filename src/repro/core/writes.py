@@ -8,9 +8,10 @@ operation is written — once.  It owns what a write needs and nothing else:
 the feature function and the lock that serializes it, the incremental
 trainer, the retained examples and the label conversion.
 
-:meth:`ViewWriter.prepare` turns a run of ``(kind, row, old_row)`` writes into
-what a maintainer has to do — ordered entity churn plus the run of models
-training produced — and :func:`apply_writes` does it, to a
+:meth:`ViewWriter.prepare` turns a run of ``(kind, row, old_row)`` writes —
+the rows always the base-table rows a trigger saw, an entity's featurized by
+the view's feature function — into what a maintainer has to do (ordered
+entity churn plus the run of models training produced), and :func:`apply_writes` does it, to a
 :class:`~repro.core.maintainers.base.ViewMaintainer` or to a
 :class:`~repro.serve.sharding.ShardSet` (they share the three calls it
 makes).  The same two steps run
@@ -73,9 +74,11 @@ class PreparedWrites(NamedTuple):
     #: Position in the run -> why that write was refused.
     refused: dict[int, HazyError]
     #: The base-table row each entity written in this run was last featurized
-    #: from — None once removed, or when it arrived as a ready ``(id,
-    #: features)`` pair.  What a served view's published row hashes follow.
+    #: from — None once removed.  What a served view's published row hashes follow.
     entity_rows: dict[object, object]
+    #: The features each entity written in this run was last stored with —
+    #: None once removed.  What a served view hands back to its source on close.
+    entity_features: dict[object, SparseVector | None]
 
 
 class ViewWriter:
@@ -86,8 +89,7 @@ class ViewWriter:
     trainer:
         The view's incremental trainer.
     feature_function:
-        Featurizes entity rows; may be None when entities only ever arrive
-        pre-featurized as ``(id, features)`` pairs (standalone servers).
+        Featurizes entity rows.
     positive_label:
         The user-facing value that means +1 (None: labels are ±1 / bools).
     entities_key / examples_key / examples_label:
@@ -97,7 +99,7 @@ class ViewWriter:
     def __init__(
         self,
         trainer: SGDTrainer,
-        feature_function: FeatureFunction | None = None,
+        feature_function: FeatureFunction,
         positive_label: object | None = None,
         entities_key: str = "id",
         examples_key: str = "id",
@@ -131,19 +133,17 @@ class ViewWriter:
         )
 
     def example_key(self, row) -> tuple[object, int]:
-        """``(entity id, ±1 label)`` of an example row (or of a ready example)."""
+        """``(entity id, ±1 label)`` of an example row (or of a retained example)."""
         if isinstance(row, TrainingExample):
             return row.entity_id, row.label
         return row[self.examples_key], self.to_binary_label(row[self.examples_label])
 
-    def pickled_feature_function(self) -> bytes | Exception | None:
+    def pickled_feature_function(self) -> bytes | Exception:
         """The feature function as a checkpoint stores it, corpus statistics as
         they stand *now* — so call it at an epoch boundary: at construction, or
         on the thread that featurized, between a batch's prepare and its
         publish.  One that does not pickle still serves: the exception is
         returned, for a checkpoint to raise, not raised into the publisher."""
-        if self.feature_function is None:
-            return None
         with self.feature_lock:
             try:
                 return pickle_feature_function(self.feature_function)
@@ -187,14 +187,14 @@ class ViewWriter:
                 if kind in (WriteKind.ENTITY_INSERT, WriteKind.ENTITY_UPDATE):
                     entity_id, features = self._featurize(row, charge_featurize)
                     if kind is WriteKind.ENTITY_UPDATE:
-                        old_id = self._entity_key(old_row)
+                        old_id = old_row[self.entities_key]
                         entity_ops.append(("remove", old_id))
                         pending[old_id] = entity_rows[old_id] = None
                     entity_ops.append(("add", (entity_id, features)))
                     pending[entity_id] = features
-                    entity_rows[entity_id] = None if isinstance(row, tuple) else row
+                    entity_rows[entity_id] = row
                 elif kind is WriteKind.ENTITY_DELETE:
-                    entity_id = self._entity_key(old_row)
+                    entity_id = old_row[self.entities_key]
                     entity_ops.append(("remove", entity_id))
                     pending[entity_id] = entity_rows[entity_id] = None
                 elif kind in (WriteKind.EXAMPLE_INSERT, WriteKind.EXAMPLE_UPDATE):
@@ -216,7 +216,7 @@ class ViewWriter:
         else:
             models = [self.trainer.absorb(example) for example in new_examples]
             steps = len(models)
-        return PreparedWrites(entity_ops, models, steps, refused, entity_rows)
+        return PreparedWrites(entity_ops, models, steps, refused, entity_rows, pending)
 
     def retrain(self) -> LinearModel:
         """Retrain from scratch over the retained examples; returns the model."""
@@ -226,11 +226,7 @@ class ViewWriter:
     # -- per-write steps ------------------------------------------------------------------------
 
     def _featurize(self, row, charge_featurize: Callable) -> tuple[object, SparseVector]:
-        """``(id, features)`` of an entity row (a ready pair passes through uncharged)."""
-        if isinstance(row, tuple):
-            return row
-        if self.feature_function is None:
-            raise MaintenanceError("view has no feature function; insert (id, features)")
+        """``(id, features)`` of an entity row."""
         with self.feature_lock:
             self.feature_function.compute_stats_incremental(row)
             # Stats update + featurize must be atomic with respect to other
@@ -239,14 +235,8 @@ class ViewWriter:
         charge_featurize(features.nnz())
         return row[self.entities_key], features
 
-    def _entity_key(self, row) -> object:
-        """The entity key of a (possibly pre-featurized) row."""
-        return row[0] if isinstance(row, tuple) else row[self.entities_key]
-
     def _resolve(self, row, pending: dict, features_of: Callable) -> TrainingExample:
-        """The training example an example row stands for (a ready one passes through)."""
-        if isinstance(row, TrainingExample):
-            return row
+        """The training example an example row stands for."""
         entity_id, label = self.example_key(row)
         if entity_id in pending:
             features = pending[entity_id]

@@ -22,7 +22,7 @@ The write side is composed by
 :meth:`repro.serve.server.ViewServer.checkpoint` owns only the cut (per-shard
 concurrent export under the *shared* side of the server's readers/writer
 lock, so readers stay live); the warm-restart path is
-``HazyEngine.serve(name, restore_from=path)``, which imports shard states and
+``RESTORE VIEW name FROM path`` (``HazyEngine.restore``), which imports shard states and
 replays only the base-table churn that happened after the checkpoint.
 """
 

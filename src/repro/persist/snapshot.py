@@ -156,11 +156,12 @@ class PublishedState:
     wal_applied_seq: int = 0
     #: The pickled feature function, corpus statistics as of this epoch
     #: (see :func:`~repro.persist.checkpoint.pickle_feature_function`) — or
-    #: the exception pickling raised, which a checkpoint re-raises; None for
-    #: a view without one.
+    #: the exception pickling raised, which a checkpoint re-raises; None
+    #: until a server fills it in.
     feature_function: bytes | Exception | None = None
     #: ``{entity id: row_content_hash(base-table row)}`` of the row each
-    #: stored entity's features were computed from; None without a base table.
+    #: stored entity's features were computed from; None for a snapshot
+    #: written before hashes were stored (a server scans the table then).
     row_hashes: Mapping[object, str] | None = None
 
 
@@ -192,9 +193,8 @@ class ShardState:
     payload_bytes: int = 0
     #: ``[entity_id, content_hash]`` pairs (see :func:`row_content_hash`) for
     #: this shard's entities: the hash of the base-table row each one's
-    #: features were computed from.  None for standalone servers (no base
-    #: table) and for snapshots written before hashes existed; replay then
-    #: falls back to the insert/delete-only diff.
+    #: features were computed from.  None for snapshots written before
+    #: hashes existed; replay then falls back to the insert/delete-only diff.
     row_hashes: list[list[object]] | None = None
 
     def to_import(self) -> dict[str, object]:
@@ -260,8 +260,8 @@ class CheckpointManifest:
     architecture: str | None = None
     strategy: str | None = None
     approach: str | None = None
-    #: The ``CREATE CLASSIFICATION VIEW`` definition as a plain dict, when the
-    #: checkpointed server was attached to an engine view (None standalone).
+    #: The ``CREATE CLASSIFICATION VIEW`` definition of the checkpointed
+    #: view, as a plain dict.
     definition: dict[str, object] | None = None
     positive_label: object = None
     has_feature_function: bool = False

@@ -23,6 +23,10 @@ Crash tolerance follows the frame layer's contract
 segment — the one a crash mid-append tears — is expected, and replay stops
 at the last complete record; torn bytes anywhere else mean the log device
 lied and raise :class:`~repro.exceptions.SnapshotCorruptionError`.
+
+A record is ``{"seq", "kind", "row", "old_row"}``, each row the trigger's
+base-table row as ``{"row": {column: value}}`` or null.  One that passes its
+CRC but does not have that shape raises the same error, naming its segment.
 """
 
 from __future__ import annotations
@@ -34,9 +38,7 @@ from pathlib import Path
 from typing import BinaryIO
 
 from repro.exceptions import SnapshotCorruptionError
-from repro.linalg import SparseVector
 from repro.persist.format import pack_wal_record, scan_wal_records, wal_header
-from repro.persist.snapshot import decode_vector, encode_vector
 
 __all__ = ["WalRecord", "WriteAheadLog", "SEGMENT_SUFFIX"]
 
@@ -54,24 +56,13 @@ def _segment_first_seq(path: Path) -> int:
 
 
 def _encode_row(row: object) -> object:
-    """One op row as JSON: a table-row dict, a standalone (id, features) pair, or None."""
-    if row is None:
-        return None
-    if isinstance(row, tuple):
-        entity_id, features = row
-        doc = encode_vector(features) if isinstance(features, SparseVector) else features
-        return {"pair": [entity_id, doc]}
-    return {"row": dict(row)}
+    """One op row as JSON: a base-table row, or None."""
+    return None if row is None else {"row": dict(row)}
 
 
-def _decode_row(document: object) -> object:
+def _decode_row(document: object) -> dict[str, object] | None:
     if document is None:
         return None
-    if "pair" in document:
-        entity_id, features = document["pair"]
-        if isinstance(features, dict):
-            features = decode_vector(features)
-        return (entity_id, features)
     return dict(document["row"])
 
 
@@ -81,8 +72,8 @@ class WalRecord:
 
     seq: int
     kind: str
-    row: object
-    old_row: object
+    row: dict[str, object] | None
+    old_row: dict[str, object] | None
 
     def to_payload(self) -> bytes:
         document = {
@@ -101,12 +92,18 @@ class WalRecord:
             raise SnapshotCorruptionError(
                 f"WAL segment {path} record passed its CRC but holds unparseable JSON: {error}"
             ) from error
-        return cls(
-            seq=int(document["seq"]),
-            kind=str(document["kind"]),
-            row=_decode_row(document.get("row")),
-            old_row=_decode_row(document.get("old_row")),
-        )
+        try:
+            return cls(
+                seq=int(document["seq"]),
+                kind=str(document["kind"]),
+                row=_decode_row(document.get("row")),
+                old_row=_decode_row(document.get("old_row")),
+            )
+        except (KeyError, TypeError, ValueError) as error:
+            raise SnapshotCorruptionError(
+                f"WAL segment {path} record passed its CRC but is not a WAL record: "
+                f"{type(error).__name__}: {error}"
+            ) from error
 
 
 class WriteAheadLog:

@@ -10,16 +10,17 @@ Module map
 ----------
 
 ``server``
-    :class:`~repro.serve.server.ViewServer` — the front-end.  Reads
-    (``label_of``, ``all_members``, ``top_k``, ``classify``) and writes
-    (``insert_entity``, ``insert_example``), epoch-tagged snapshot reads
-    (``read(operation, ...)`` — the one body every read runs through),
-    per-client :class:`~repro.serve.server.ClientSession` monotonicity,
-    attachment to a live ``ClassificationView`` (which lends it its
+    :class:`~repro.serve.server.ViewServer` — the front-end of one live
+    ``ClassificationView``, which lends it its
     :class:`~repro.core.writes.ViewWriter` and hands it every base-table
-    write through ``submit``), and ``checkpoint(path)`` — a quiesce-free consistent snapshot
-    of the whole serving state (see :mod:`repro.persist`); ``restore``
-    warm-starts a server from one.
+    write through ``submit``.  Reads (``label_of``, ``all_members``,
+    ``top_k``, ``classify``) and writes (``insert_entity``,
+    ``insert_example``), epoch-tagged snapshot reads (``read(operation,
+    ...)`` — the one body every read runs through), per-client
+    :class:`~repro.serve.server.ClientSession` monotonicity, and
+    ``checkpoint(path)`` — a quiesce-free consistent snapshot of the whole
+    serving state (see :mod:`repro.persist`); ``restore`` warm-starts a
+    server from one.
 ``sharding``
     :class:`~repro.serve.sharding.ShardSet` — the entity space
     hash-partitioned into N shards, one store + maintainer + cache + lock per

@@ -96,10 +96,9 @@ class MaintenanceWorker:
     ``host`` is the owning :class:`~repro.serve.server.ViewServer`; the worker
     drives it through a small protocol: the ``writer`` it was lent,
     ``charge_featurize(nnz)``, ``charge_training(steps)``,
-    ``record_mutations(entity_ops)``,
     ``publish_epoch(final_model, dirty_shards, wal_seq, row_hashes,
-    feature_function)`` and ``rotate_wal()`` plus the ``shards``, ``rw_lock``
-    and ``epoch`` attributes.
+    feature_function, entity_features)`` and ``rotate_wal()`` plus the
+    ``shards``, ``rw_lock`` and ``epoch`` attributes.
     """
 
     def __init__(
@@ -209,12 +208,13 @@ class MaintenanceWorker:
         host = self._host
 
         # ---- Phase 1: prepare, train — no server lock, readers unaffected ----------
-        entity_ops, models, training_steps, refused, entity_rows = host.writer.prepare(
+        prepared = host.writer.prepare(
             [(op.kind, op.row, op.old_row) for op in ops],
             host.shards.stored_features,
             host.charge_featurize,
         )
-        host.charge_training(training_steps)
+        entity_ops, models, refused = prepared.entity_ops, prepared.models, prepared.refused
+        host.charge_training(prepared.training_steps)
 
         # ---- Phase 2: apply — exclusive, but short (no training in here) -------------
         mutated = bool(entity_ops or models)
@@ -243,20 +243,20 @@ class MaintenanceWorker:
             # batches — the feature function as of exactly this epoch.
             row_hashes = {
                 entity_id: row_content_hash(row) if row is not None else None
-                for entity_id, row in entity_rows.items()
+                for entity_id, row in prepared.entity_rows.items()
             }
             feature_function = None
             if any(row_hashes.values()):
                 feature_function = host.writer.pickled_feature_function()
             with host.rw_lock.write_locked():
                 apply_writes(host.shards, entity_ops, models)
-                host.record_mutations(entity_ops)
                 epoch = host.publish_epoch(
                     models[-1] if models else None,
                     dirty_shards=dirty_shards,
                     wal_seq=applied_seq,
                     row_hashes=row_hashes,
                     feature_function=feature_function,
+                    entity_features=prepared.entity_features,
                 )
             host.rotate_wal()
         else:

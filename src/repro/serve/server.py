@@ -38,14 +38,15 @@ lock and the epoch capture and returns ``(answer, epoch)`` — the named reads
 :meth:`ClientSession._read` the wait-for-my-write before and the monotonic
 check after.  The server also prices its reads for the planner (``estimate``).
 
-The server can be built standalone (tests drive it straight from a corpus and
-a writer of their own) or attached to a live
-:class:`~repro.core.engine.ClassificationView` via
-:meth:`ViewServer.attach_view` / ``HazyEngine.serve`` — in attached mode the
-view's trigger body hands every base-table write to :meth:`ViewServer.submit`
-(WAL append, then enqueue), so ordinary ``INSERT``/``UPDATE``/``DELETE``
-statements feed the pipeline instead of retraining inline.  The server holds
-no trigger, no trigger name and no table: it is the view that asks "am I
+A server serves one live :class:`~repro.core.engine.ClassificationView`
+(``SERVE VIEW`` / ``HazyEngine.serve`` build it, :meth:`ViewServer.restore`
+warm-starts it): it takes the view's entities, model and writer when it is
+built, and from then until :meth:`ViewServer.close` the view's trigger body
+hands every base-table write to :meth:`ViewServer.submit` (WAL append, then
+enqueue), so ordinary ``INSERT``/``UPDATE``/``DELETE`` statements feed the
+pipeline instead of retraining inline — the server's own ``insert_example``
+and ``insert_entity`` are inserts into those tables too.  The server holds no
+trigger, no trigger name and no table: it is the view that asks "am I
 served?", so two served views over one base table never meet.
 """
 
@@ -55,18 +56,17 @@ import dataclasses
 import threading
 import time
 from collections import OrderedDict
-from collections.abc import Callable, Collection, Iterable, Mapping, Sequence
+from collections.abc import Callable, Collection, Mapping, Sequence
 from contextlib import contextmanager
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from repro.core.maintainers.base import ViewMaintainer
 from repro.core.reads import READS, read_estimate
 from repro.core.stores.base import EntityStore
-from repro.core.writes import ViewWriter
 from repro.db.buffer_pool import IOStatistics
 from repro.exceptions import ConfigurationError, KeyNotFoundError, MaintenanceError
 from repro.learn.model import LinearModel, sign
-from repro.learn.sgd import TrainingExample
 from repro.linalg import SparseVector
 from repro.obs import Counter, current_trace
 from repro.persist.checkpoint import CheckpointWriter, write_shard_state
@@ -77,6 +77,9 @@ from repro.serve.maintenance import MaintenanceWorker
 from repro.serve.requests import WriteKind, WriteOp, WriteTicket
 from repro.serve.sharding import ShardSet
 from repro.serve.sync import ReadWriteLock
+
+if TYPE_CHECKING:
+    from repro.core.engine import ClassificationView
 
 __all__ = ["ViewServer", "ClientSession"]
 
@@ -168,40 +171,42 @@ class ViewServer:
 
     Parameters
     ----------
-    entities:
-        ``(entity_id, features)`` pairs to bulk-load the shards from.
-    model:
-        The model the view currently reflects (epoch 0).
-    writer:
-        The view's write side — feature function, trainer, retained examples,
-        label conversion — *lent* to the server: the maintenance worker runs
-        every batch through it, and an attached view gets it back, as it then
-        stands, on :meth:`close`.
+    view:
+        The view to serve.  The shards bulk-load its entities under its model
+        (epoch 0), and its write side — feature function, trainer, retained
+        examples, label conversion — is *lent* to the server: the maintenance
+        worker runs every batch through it, and the view gets it back, as it
+        then stands, on :meth:`close`.
     store_factory / maintainer_factory:
         Build one private store / maintainer per shard.
+    shards ... wal:
+        The serving options, each under its ``SERVE VIEW ... WITH (...)``
+        name (``HazyEngine._SERVER_OPTIONS``, which validates them before a
+        server is built).
     resume:
         Warm restart (see :meth:`restore`): a loaded checkpoint whose shard
-        states are imported instead of bulk-loading ``entities`` and whose
-        published state the server resumes from.
+        states are imported instead of bulk-loading the view's entities and
+        whose published state the server resumes from.
     """
 
     def __init__(
         self,
-        entities: Iterable[tuple[object, SparseVector]],
-        model: LinearModel,
-        writer: ViewWriter,
+        view: "ClassificationView",
         store_factory: Callable[[], EntityStore],
         maintainer_factory: Callable[[EntityStore], ViewMaintainer],
-        num_shards: int = 4,
+        shards: int = 4,
         max_read_batch: int = 64,
-        read_batch_wait_s: float | str = 0.0,
+        max_wait_s: float = 0.0,
+        adaptive_batching: bool = False,
         queue_capacity: int = 4096,
         max_write_batch: int = 64,
         cache_capacity: int = 100_000,
         epoch_history: int = 256,
-        wal_dir: str | Path | None = None,
+        wal: str | Path | None = None,
         resume: LoadedCheckpoint | None = None,
     ):
+        writer = view.writer
+        self._view = view
         per_shard = dict(
             store_factory=store_factory,
             maintainer_factory=maintainer_factory,
@@ -212,10 +217,17 @@ class ViewServer:
             self.shards = ShardSet.restore(imports, **per_shard)
             published = resume.published
         else:
-            self.shards = ShardSet.build(entities, model, num_shards=num_shards, **per_shard)
-            published = PublishedState(
-                0, model, tuple(writer.examples), shard_epochs=(0,) * num_shards
+            self.shards = ShardSet.build(
+                view.entity_snapshot(), view.model, num_shards=shards, **per_shard
             )
+            published = PublishedState(
+                0, view.model, tuple(writer.examples), shard_epochs=(0,) * shards
+            )
+        if published.row_hashes is None:
+            # The one scan of the base table: nothing is queued yet, so table
+            # and shards agree; from here the hashes follow the writes.  (A
+            # resumed server carries its snapshot's, unless that predates them.)
+            published = dataclasses.replace(published, row_hashes=self._base_row_hashes())
         self.fanout = len(self.shards)
         self.writer = writer
         self.trainer = writer.trainer
@@ -240,7 +252,6 @@ class ViewServer:
         self._entity_writes: dict[object, SparseVector | None] = {}
         self._accepting = True
         self._closed = False
-        self._view = None
         self._ticket_local = threading.local()
         #: Observability counters (thread-safe; mirrored into the metrics
         #: registry by the engine's per-view provider and by ``stats()``).
@@ -249,7 +260,7 @@ class ViewServer:
         #: Write-ahead log of diverted ops (optional).  A fresh serve wipes
         #: any stale segments — the base tables are authoritative for
         #: pre-serve state — while a warm restart continues the survivor.
-        self._wal = WriteAheadLog(wal_dir, fresh=resume is None) if wal_dir is not None else None
+        self._wal = WriteAheadLog(wal, fresh=resume is None) if wal is not None else None
         #: Where the last successful checkpoint landed — the default parent
         #: for ``checkpoint(..., incremental=True)``.
         self._last_checkpoint_path: Path | None = None
@@ -258,21 +269,16 @@ class ViewServer:
         self.worker = MaintenanceWorker(
             self, queue_capacity=queue_capacity, max_batch=max_write_batch
         )
-        if read_batch_wait_s == "adaptive":
-            self.batcher = ReadBatcher(
-                self._execute_read_batch,
-                max_batch=max_read_batch,
-                adaptive=True,
-                cost_probe=self.shards.simulated_seconds,
-            )
-        else:
-            self.batcher = ReadBatcher(
-                self._execute_read_batch,
-                max_batch=max_read_batch,
-                max_wait_s=float(read_batch_wait_s),
-                cost_probe=self.shards.simulated_seconds,
-            )
+        self.batcher = ReadBatcher(
+            self._execute_read_batch,
+            max_batch=max_read_batch,
+            max_wait_s=max_wait_s,
+            adaptive=adaptive_batching,
+            cost_probe=self.shards.simulated_seconds,
+        )
         self.worker.start()
+        # From here the view's trigger body hands its writes to ``submit``.
+        view._server = self
 
     # ------------------------------------------------------------------ reads
 
@@ -415,16 +421,11 @@ class ViewServer:
         return self.shards.simulated_seconds()
 
     def classify(self, row) -> int:
-        """Classify an ad-hoc entity row (or feature vector) without storing it."""
-        if isinstance(row, SparseVector):
-            features = row
-        else:
-            if self.writer.feature_function is None:
-                raise MaintenanceError("server has no feature function; pass a SparseVector")
-            with self.writer.feature_lock:
-                # Stateful featurizers exist to be serialized by exactly this
-                # lock; the work belongs under it.
-                features = self.writer.feature_function.compute_feature(row)  # repro: noqa(LOCK002)
+        """Classify an ad-hoc entity row without storing it."""
+        with self.writer.feature_lock:
+            # Stateful featurizers exist to be serialized by exactly this
+            # lock; the work belongs under it.
+            features = self.writer.feature_function.compute_feature(row)  # repro: noqa(LOCK002)
         return sign(self.published.model.margin(features))
 
     def session(self) -> ClientSession:
@@ -449,22 +450,17 @@ class ViewServer:
     def insert_example(self, entity_id: object, label_value: object) -> WriteTicket:
         """Queue one training example; returns its visibility ticket.
 
-        In attached mode the row is inserted into the real examples table (so
-        SQL state stays authoritative) and the diverted trigger carries it
-        into the queue; standalone, the op is enqueued directly.
+        The row is inserted into the view's examples table (so SQL state stays
+        authoritative) and the diverted trigger carries it into the queue.
         """
         self._require_accepting()
         row = {self.writer.examples_key: entity_id, self.writer.examples_label: label_value}
-        if self._view is not None:
-            return self._insert_via_table(self._view.definition.examples_table, row)
-        return self._enqueue_logged(WriteKind.EXAMPLE_INSERT, row, None)
+        return self._insert_via_table(self._view.definition.examples_table, row)
 
     def insert_entity(self, row) -> WriteTicket:
-        """Queue one new entity: a table row (attached/featurized) or ``(id, features)``."""
+        """Queue one new entity: a row inserted into the view's entities table."""
         self._require_accepting()
-        if self._view is not None and not isinstance(row, tuple):
-            return self._insert_via_table(self._view.definition.entities_table, dict(row))
-        return self._enqueue_logged(WriteKind.ENTITY_INSERT, row, None)
+        return self._insert_via_table(self._view.definition.entities_table, dict(row))
 
     def _enqueue_logged(
         self,
@@ -492,7 +488,7 @@ class ViewServer:
         )
 
     def submit(self, kind: WriteKind, row, old_row) -> bool:
-        """An attached view's trigger body hands over one base-table write.
+        """The view's trigger body hands over one base-table write.
 
         Returns False once the server is closing — the view then applies the
         write inline.  Otherwise the write is logged, enqueued, and its ticket
@@ -508,7 +504,7 @@ class ViewServer:
         self._ticket_local.ticket = None
         self._view.database.table(table_name).insert(row)
         ticket = self.take_session_ticket()
-        if ticket is None:  # the trigger did not submit — should not happen while attached
+        if ticket is None:  # the trigger did not submit — should not happen while serving
             raise MaintenanceError("insert did not reach the maintenance queue")
         return ticket
 
@@ -529,9 +525,7 @@ class ViewServer:
         return ticket
 
     def source_table_names(self) -> tuple[str, ...]:
-        """Lower-cased base-table names feeding this server (attached mode)."""
-        if self._view is None:
-            return ()
+        """Lower-cased base-table names feeding this server."""
         return (
             self._view.definition.entities_table.lower(),
             self._view.definition.examples_table.lower(),
@@ -548,10 +542,6 @@ class ViewServer:
         for _ in range(steps):
             self._train_stats.charge(self._cost_model.model_update, "model_update")
 
-    def retained_examples(self) -> list[TrainingExample]:
-        """The full retained example set (retrain input)."""
-        return list(self.writer.examples)
-
     def publish_epoch(
         self,
         final_model: LinearModel | None,
@@ -559,6 +549,7 @@ class ViewServer:
         wal_seq: int | None = None,
         row_hashes: Mapping[object, str | None] | None = None,
         feature_function: bytes | Exception | None = None,
+        entity_features: Mapping[object, SparseVector | None] | None = None,
     ) -> int:
         """Worker hook (under the write lock): swap in the next published state.
 
@@ -569,17 +560,21 @@ class ViewServer:
         ``row_hashes`` holds the content hash of each base-table row the
         batch featurized (None: the entity is gone), ``feature_function`` the
         function re-pickled after it did; both default to "unchanged".
+        ``entity_features`` holds the features each entity the batch wrote was
+        last stored with (None: removed) — what :meth:`close` hands back.
         """
         last = self.published
         epoch = last.epoch + 1
         hashes = last.row_hashes
-        if row_hashes and hashes is not None:
+        if row_hashes:
             hashes = dict(hashes)
             for entity_id, digest in row_hashes.items():
                 if digest is None:
                     hashes.pop(entity_id, None)
                 else:
                     hashes[entity_id] = digest
+        if entity_features:
+            self._entity_writes.update(entity_features)
         self.published = PublishedState(
             epoch=epoch,
             model=final_model if final_model is not None else last.model,
@@ -610,19 +605,10 @@ class ViewServer:
         """The server's write-ahead log, when one was configured."""
         return self._wal
 
-    def record_mutations(self, entity_ops: Sequence[tuple[str, object]]) -> None:
-        """Worker hook: keep each entity's last write so ``close`` can resync the view."""
-        for action, payload in entity_ops:
-            if action == "remove":
-                self._entity_writes[payload] = None
-            else:
-                entity_id, features = payload
-                self._entity_writes[entity_id] = features
-
     # ------------------------------------------------------------ checkpoint / recovery
 
     def _base_row_hashes(self) -> dict[object, str]:
-        """Content hashes of the attached view's base-table entity rows.
+        """Content hashes of the view's base-table entity rows.
 
         Kept per entity in the published state and stored per shard in a
         snapshot so warm-restart replay can detect content-only UPDATEs —
@@ -634,13 +620,10 @@ class ViewServer:
     def _manifest_identity(self) -> dict[str, object]:
         """The manifest fields naming the view and its engine configuration."""
         reference = self.shards.shards[0].maintainer
-        definition = view_name = None
-        if self._view is not None:
-            view_name = self._view.definition.view_name
-            definition = dataclasses.asdict(self._view.definition)
-            definition["options"] = dict(definition.get("options") or {})
+        definition = dataclasses.asdict(self._view.definition)
+        definition["options"] = dict(definition.get("options") or {})
         return dict(
-            view_name=view_name,
+            view_name=self._view.definition.view_name,
             definition=definition,
             architecture=reference.store.architecture,
             strategy=reference.strategy_name,
@@ -700,26 +683,24 @@ class ViewServer:
     def restore(
         cls,
         checkpoint: LoadedCheckpoint,
-        writer: ViewWriter,
+        view: "ClassificationView",
         store_factory: Callable[[], EntityStore],
         maintainer_factory: Callable[[EntityStore], ViewMaintainer],
-        cache_capacity: int = 100_000,
-        **server_options,
+        **options,
     ) -> "ViewServer":
-        """Warm-start a server from a loaded checkpoint.
+        """Warm-start a server for ``view`` from a loaded checkpoint.
 
         Shard stores are rebuilt via ``import_state`` — no featurization, no
         dot products, no re-sort — the server resumes from the checkpoint's
-        published state, and the writer is rewound to it: the trainer to the
-        published model, the retained examples to the published ones (and a
-        writer without a feature function adopts the checkpoint's).  The
-        shard count always comes from the snapshot (eps values are only
+        published state, and the view's writer is rewound to it: the trainer
+        to the published model, the retained examples to the published ones.
+        The shard count always comes from the snapshot (eps values are only
         meaningful on the shard that stored them); asking for a different
-        ``num_shards`` is a :class:`~repro.exceptions.ConfigurationError`,
-        not a silent override.
+        ``shards`` is a :class:`~repro.exceptions.ConfigurationError`, not a
+        silent override.
         """
         manifest = checkpoint.manifest
-        requested_shards = server_options.pop("num_shards", None)
+        requested_shards = options.pop("shards", None)
         if requested_shards is not None and int(requested_shards) != manifest.num_shards:
             raise ConfigurationError(
                 f"checkpoint was written with {manifest.num_shards} shards; "
@@ -728,31 +709,19 @@ class ViewServer:
                 "restore always preserves the snapshot's shard assignment"
             )
         published = checkpoint.published
-        writer.trainer.load_state(published.model, manifest.trainer_steps)
-        writer.examples[:] = published.examples
-        if writer.feature_function is None:
-            writer.feature_function = checkpoint.feature_function
-        return cls(
-            entities=(),
-            model=published.model,
-            writer=writer,
-            store_factory=store_factory,
-            maintainer_factory=maintainer_factory,
-            cache_capacity=cache_capacity,
-            resume=checkpoint,
-            **server_options,
-        )
+        view.writer.trainer.load_state(published.model, manifest.trainer_steps)
+        view.writer.examples[:] = published.examples
+        return cls(view, store_factory, maintainer_factory, resume=checkpoint, **options)
 
     def replay_wal(self, flush: bool = True, observe: Callable | None = None) -> int:
         """Re-enqueue every WAL record not yet reflected in this server's state.
 
-        Recovery's one replay loop — a standalone server calls it directly,
-        ``HazyEngine._replay_post_checkpoint`` calls it with ``observe`` (shown
-        each record's ``(kind, row, old_row)`` so it can reconcile the base
-        tables afterwards): records above the restored ``wal_applied_seq``
-        re-enter the queue in arrival order, not logged again and carrying
-        their original sequence numbers so the next publish and checkpoint
-        account for them.  Individual ops that no longer apply (e.g. an
+        Recovery's one replay loop — ``HazyEngine._replay_post_checkpoint``
+        calls it with ``observe`` (shown each record's ``(kind, row,
+        old_row)`` so it can reconcile the base tables afterwards): records
+        above the restored ``wal_applied_seq`` re-enter the queue in arrival
+        order, not logged again and carrying their original sequence numbers
+        so the next publish and checkpoint account for them.  Individual ops that no longer apply (e.g. an
         example referencing an entity deleted by later history) fail their
         ticket without poisoning the rest.  Returns the number of records
         re-enqueued.
@@ -769,31 +738,10 @@ class ViewServer:
             self.worker.flush()
         return len(records)
 
-    # ------------------------------------------------------------ view attachment
-
-    def attach_view(self, view) -> None:
-        """Take over maintenance of a live ``ClassificationView``.
-
-        From here until :meth:`close` the view's trigger body hands its writes
-        to :meth:`submit` (``INSERT``/``UPDATE``/``DELETE`` statements enqueue
-        instead of retraining inline) and its read methods delegate here.
-        """
-        if self._view is not None:
-            raise MaintenanceError("server is already attached to a view")
-        self._view = view
-        if self.published.row_hashes is None:
-            # The one scan of the base table: nothing is queued yet, so table
-            # and shards agree; from here the hashes follow the writes.  (A
-            # resumed server already carries its snapshot's.)
-            row_hashes = self._base_row_hashes()
-            with self.rw_lock.write_locked():
-                self.published = dataclasses.replace(self.published, row_hashes=row_hashes)
-        view._server = self
-
     # ------------------------------------------------------------------ lifecycle
 
     def close(self, timeout: float | None = None) -> None:
-        """Quiesce the pipeline and (if attached) hand the view back, consistent.
+        """Quiesce the pipeline and hand the view back, consistent.
 
         Drains the write queue, stops the worker and batcher, then resyncs the
         source view's direct maintainer: entity churn is replayed and the final
@@ -809,36 +757,33 @@ class ViewServer:
         self._closed = True  # from here a read raises MaintenanceError, not the batcher's error
         try:
             self.batcher.close()
-            if self._view is not None:
-                view = self._view
-                if not view.maintainer._loaded:
-                    # Warm-restored view: its direct maintainer was never
-                    # bulk-loaded (that is the whole point of the warm start).
-                    # Hand back a fresh load from the served shards' current
-                    # contents under the final model.
-                    entities = [
-                        (entity_id, features)
-                        for state in self.shards.export_states(range(len(self.shards))).values()
-                        for entity_id, features, _eps, _label in state["records"]
-                    ]
-                    view.maintainer.bulk_load(entities, self.trainer.model)
-                else:
-                    # Bring each entity written while serving to its last
-                    # state: one inserted and later deleted must end up
-                    # absent, not resurrected; one rewritten, replaced.
-                    for entity_id, features in self._entity_writes.items():
-                        try:
-                            view.maintainer.remove_entity(entity_id)
-                        except KeyNotFoundError:
-                            pass
-                        if features is not None:
-                            view.maintainer.add_entity(entity_id, features)
-                    view.maintainer.apply_model(self.trainer.model)
+            maintainer = self._view.maintainer
+            if not maintainer._loaded:
+                # Warm-restored view: its direct maintainer was never
+                # bulk-loaded (that is the whole point of the warm start).
+                # Hand back a fresh load from the served shards' current
+                # contents under the final model.
+                entities = [
+                    (entity_id, features)
+                    for state in self.shards.export_states(range(len(self.shards))).values()
+                    for entity_id, features, _eps, _label in state["records"]
+                ]
+                maintainer.bulk_load(entities, self.trainer.model)
+            else:
+                # Bring each entity written while serving to its last
+                # state: one inserted and later deleted must end up
+                # absent, not resurrected; one rewritten, replaced.
+                for entity_id, features in self._entity_writes.items():
+                    try:
+                        maintainer.remove_entity(entity_id)
+                    except KeyNotFoundError:
+                        pass
+                    if features is not None:
+                        maintainer.add_entity(entity_id, features)
+                maintainer.apply_model(self.trainer.model)
         finally:
             # Even if resync fails, never leave the view wired to a dead server.
-            if self._view is not None:
-                self._view._server = None
-                self._view = None
+            self._view._server = None
             if self._wal is not None:
                 self._wal.close()
 

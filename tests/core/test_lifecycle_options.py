@@ -5,8 +5,9 @@
 ``HazyEngine._validated``; the cases below are generated from those two
 tables — a value of the wrong type, and one below the option's least value —
 so an option added to either is checked here without being listed, and each
-case is issued twice — as SQL and through the imperative method — and must be
-refused with the same message.
+case is issued twice — as SQL and through the imperative ``serve`` /
+``restore`` / ``checkpoint``, keyword for option — and must be refused with
+the same message.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ TABLES = {
 def cases():
     for verb, (table, what) in TABLES.items():
         yield verb, {"bogus": 1}, f"unknown {what} option 'bogus'; known: {sorted(table)}"
-        for name, (_keyword, kind, wording, least) in table.items():
+        for name, (kind, wording, least) in table.items():
             for value in WRONG[kind]:
                 yield verb, {name: value}, f"option {name!r} expects {wording}, got {value!r}"
             if least is not None:
@@ -75,14 +76,14 @@ def test_a_bad_option_is_refused_the_same_way_in_sql_and_imperatively(
     engine = portals[verb]
     with_clause = ", ".join(f"{name} = {literal(value)}" for name, value in options.items())
     sql, call = {
-        "serve": (f"SERVE VIEW {VIEW}", lambda: engine.serve_view(VIEW, options)),
+        "serve": (f"SERVE VIEW {VIEW}", lambda: engine.serve(VIEW, **options)),
         "restore": (
             f"RESTORE VIEW {VIEW} FROM '{tmp_path}'",
-            lambda: engine.restore_view(VIEW, str(tmp_path), options),
+            lambda: engine.restore(VIEW, str(tmp_path), **options),
         ),
         "checkpoint": (
             f"CHECKPOINT VIEW {VIEW} TO '{tmp_path}'",
-            lambda: engine.checkpoint_view(VIEW, str(tmp_path), options),
+            lambda: engine.checkpoint(VIEW, str(tmp_path), **options),
         ),
     }[verb]
     for attempt in (lambda: engine.database.execute(f"{sql} WITH ({with_clause})"), call):
@@ -96,5 +97,5 @@ def test_a_nan_wait_is_refused_imperatively(portals):
     """SQL has no NaN literal; a caller's dict can carry one, and it is no number >= 0."""
     message = "option 'max_wait_s' must be >= 0, got nan"
     with pytest.raises(ConfigurationError, match=re.escape(message)):
-        portals["serve"].serve_view(VIEW, {"max_wait_s": float("nan")})
+        portals["serve"].serve(VIEW, max_wait_s=float("nan"))
     assert portals["serve"].view(VIEW).server is None

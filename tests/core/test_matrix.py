@@ -81,7 +81,7 @@ def test_checkpoint_restore_round_trips_the_architecture_name(architecture, tiny
     assert describe_checkpoint(tmp_path / "ckpt")["architecture"] == architecture
 
     restart = HazyEngine(build_engine_database(tiny_corpus), architecture=architecture)
-    restored = restart.serve("Labeled_Papers", restore_from=tmp_path / "ckpt")
+    restored = restart.restore("Labeled_Papers", tmp_path / "ckpt")
     try:
         assert restored.contents() == before
     finally:
@@ -90,7 +90,7 @@ def test_checkpoint_restore_round_trips_the_architecture_name(architecture, tiny
     other = next(name for name in ARCHITECTURES if name != architecture)
     mismatched = HazyEngine(build_engine_database(tiny_corpus), architecture=other)
     with pytest.raises(SnapshotMismatchError, match="architecture"):
-        mismatched.serve("Labeled_Papers", restore_from=tmp_path / "ckpt")
+        mismatched.restore("Labeled_Papers", tmp_path / "ckpt")
 
 
 @pytest.mark.parametrize("cls", MAINTAINERS.values(), ids=lambda cls: cls.__name__)

@@ -9,6 +9,7 @@ from repro.core.stores import InMemoryEntityStore
 from repro.core.writes import ViewWriter, WriteKind, apply_writes
 from repro.exceptions import ConfigurationError, KeyNotFoundError, MaintenanceError
 from repro.features import default_registry
+from repro.features.base import FeatureFunction
 from repro.learn.sgd import SGDTrainer
 from repro.linalg import SparseVector
 
@@ -23,7 +24,20 @@ def features_of(entity_id):
 
 
 def uncharged(nonzeros):
-    raise AssertionError("pre-featurized rows are not charged")
+    raise AssertionError("only entity rows are featurized and charged")
+
+
+class Given(FeatureFunction):
+    """The features an entity row carries in its ``features`` column."""
+
+    name = "given"
+
+    def compute_feature(self, row):
+        return row["features"]
+
+
+def entity(entity_id, features):
+    return {"id": entity_id, "features": features}
 
 
 def example(entity_id, label):
@@ -32,7 +46,7 @@ def example(entity_id, label):
 
 @pytest.fixture
 def writer():
-    writer = ViewWriter(SGDTrainer(loss="svm", seed=1))
+    writer = ViewWriter(SGDTrainer(loss="svm", seed=1), Given())
     prepared = writer.prepare(
         [(WriteKind.EXAMPLE_INSERT, example(1, 1), None), (WriteKind.EXAMPLE_INSERT, example(2, -1), None)],
         features_of,
@@ -110,17 +124,19 @@ def test_retrain_only_when_an_example_was_actually_forgotten(writer):
 
 def test_entity_churn_inside_a_run_keeps_arrival_order(writer):
     one, two = SparseVector({5: 1.0}), SparseVector({6: 1.0})
+    charges: list[int] = []
     prepared = writer.prepare(
         [
-            (WriteKind.ENTITY_INSERT, ("ephemeral", one), None),
-            (WriteKind.ENTITY_DELETE, None, ("ephemeral", one)),
-            (WriteKind.ENTITY_INSERT, ("twice", one), None),
-            (WriteKind.ENTITY_UPDATE, ("twice", two), ("twice", one)),
+            (WriteKind.ENTITY_INSERT, entity("ephemeral", one), None),
+            (WriteKind.ENTITY_DELETE, None, entity("ephemeral", one)),
+            (WriteKind.ENTITY_INSERT, entity("twice", one), None),
+            (WriteKind.ENTITY_UPDATE, entity("twice", two), entity("twice", one)),
         ],
         features_of,
-        uncharged,
+        charges.append,
     )
     assert not prepared.refused and not prepared.models
+    assert charges == [1, 1, 1]
     assert prepared.entity_ops == [
         ("add", ("ephemeral", one)),
         ("remove", "ephemeral"),
@@ -128,6 +144,9 @@ def test_entity_churn_inside_a_run_keeps_arrival_order(writer):
         ("remove", "twice"),
         ("add", ("twice", two)),
     ]
+    # The last write to each entity: what a served view hands back on close.
+    assert prepared.entity_features == {"ephemeral": None, "twice": two}
+    assert prepared.entity_rows == {"ephemeral": None, "twice": entity("twice", two)}
     maintainer = HazyEagerMaintainer(InMemoryEntityStore(feature_norm_q=1.0))
     maintainer.bulk_load(STORED.items(), writer.trainer.model)
     apply_writes(maintainer, prepared.entity_ops, prepared.models)
@@ -139,13 +158,13 @@ def test_an_example_resolves_against_entities_written_earlier_in_the_run(writer)
     fresh = SparseVector({7: 1.0})
     prepared = writer.prepare(
         [
-            (WriteKind.ENTITY_INSERT, ("fresh", fresh), None),
+            (WriteKind.ENTITY_INSERT, entity("fresh", fresh), None),
             (WriteKind.EXAMPLE_INSERT, example("fresh", 1), None),
             (WriteKind.ENTITY_DELETE, None, {"id": 3}),
             (WriteKind.EXAMPLE_INSERT, example(3, 1), None),  # deleted one write earlier
         ],
         features_of,
-        uncharged,
+        lambda nonzeros: None,
     )
     assert sorted(prepared.refused) == [3]
     assert writer.examples[-1].entity_id == "fresh" and writer.examples[-1].features is fresh
@@ -165,8 +184,3 @@ def test_entity_rows_are_featurized_and_charged_once():
     ((action, (entity_id, features)),) = prepared.entity_ops
     assert (action, entity_id) == ("add", 7)
     assert charges == [features.nnz()] and features.nnz() > 0
-    refusing = ViewWriter(SGDTrainer())
-    prepared = refusing.prepare(
-        [(WriteKind.ENTITY_INSERT, {"id": 8, "title": "x"}, None)], features_of, charges.append
-    )
-    assert isinstance(prepared.refused[0], MaintenanceError) and not prepared.entity_ops

@@ -1,4 +1,4 @@
-"""Checkpoint/recovery tests: standalone servers, engine views, crash shapes."""
+"""Checkpoint/recovery tests: a served corpus view, engine views, crash shapes."""
 
 from __future__ import annotations
 
@@ -8,25 +8,26 @@ import threading
 import pytest
 
 from repro import Database, HazyEngine
-from repro.core.maintainers import HazyEagerMaintainer
-from repro.core.stores import InMemoryEntityStore
-from repro.core.writes import ViewWriter
 from repro.exceptions import (
+    ConfigurationError,
     SnapshotCorruptionError,
     SnapshotError,
     SnapshotMismatchError,
     SnapshotVersionError,
     ViewDefinitionError,
 )
-from repro.features.base import FeatureFunction
-from repro.learn.sgd import SGDTrainer
 from repro.linalg import SparseVector
 from repro.persist import FORMAT_VERSION, MANIFEST_NAME, load_checkpoint
 from repro.persist.format import read_frame, write_frame
-from repro.serve import ViewServer
 from repro.workloads.synth_text import SparseCorpusGenerator
 
-from tests.serve.conftest import build_standalone_server
+from tests.db.test_sql_plan import PreFeaturizedColumn
+from tests.serve.conftest import (
+    build_corpus_server,
+    copy_base_tables,
+    entity_row,
+    restore_by_sql,
+)
 
 
 #: Events driving :class:`BlockingFeatures` (module-level so pickle can see the class).
@@ -34,12 +35,15 @@ _FEATURIZE_RELEASE = threading.Event()
 _FEATURIZE_ENTERED = threading.Event()
 
 
-class BlockingFeatures(FeatureFunction):
-    """Featurization that parks the maintenance worker inside phase 1."""
+class BlockingFeatures(PreFeaturizedColumn):
+    """Featurization that parks the maintenance worker inside phase 1 on a
+    row without features."""
 
     name = "blocking"
 
     def compute_feature(self, row):
+        if row["features"] is not None:
+            return super().compute_feature(row)
         _FEATURIZE_ENTERED.set()
         _FEATURIZE_RELEASE.wait(timeout=30)
         return SparseVector({0: 1.0})
@@ -53,21 +57,12 @@ def corpus():
     return generator.generate_list(200)
 
 
-def restore_standalone(checkpoint_dir) -> ViewServer:
-    return ViewServer.restore(
-        load_checkpoint(checkpoint_dir),
-        writer=ViewWriter(SGDTrainer(loss="svm", seed=1)),
-        store_factory=lambda: InMemoryEntityStore(feature_norm_q=1.0),
-        maintainer_factory=lambda store: HazyEagerMaintainer(store, alpha=1.0),
-    )
-
-
-class TestStandaloneServer:
+class TestCorpusServer:
     def test_round_trip_is_bit_identical(self, corpus, tmp_path):
-        server = build_standalone_server(corpus)
+        server = build_corpus_server(corpus)
         session = server.session()
         for doc in corpus[:30]:
-            session.insert_example(doc.entity_id, doc.label == 1)
+            session.insert_example(doc.entity_id, doc.label)
         server.flush()
         before_contents = server.contents()
         before_top = server.top_k(20)
@@ -76,7 +71,7 @@ class TestStandaloneServer:
         server.close()
 
         assert info["entities"] == len(corpus)
-        restored = restore_standalone(tmp_path / "ckpt")
+        restored = restore_by_sql(server._view.database, tmp_path / "ckpt")
         try:
             assert restored.epoch == before_epoch
             assert restored.contents() == before_contents
@@ -85,16 +80,16 @@ class TestStandaloneServer:
             restored.close()
 
     def test_restored_server_keeps_serving_writes(self, corpus, tmp_path):
-        server = build_standalone_server(corpus)
+        server = build_corpus_server(corpus)
         server.flush()
         server.checkpoint(tmp_path / "ckpt")
         server.close()
 
-        restored = restore_standalone(tmp_path / "ckpt")
+        restored = restore_by_sql(server._view.database, tmp_path / "ckpt")
         try:
             session = restored.session()
             for doc in corpus[:15]:
-                session.insert_example(doc.entity_id, doc.label == 1)
+                session.insert_example(doc.entity_id, doc.label)
             assert session.label_of(corpus[0].entity_id) in (-1, 1)
             assert restored.epoch > 0
         finally:
@@ -102,7 +97,7 @@ class TestStandaloneServer:
 
     def test_checkpoint_readers_stay_live(self, corpus, tmp_path):
         """Reads issued while a checkpoint is being written still complete."""
-        server = build_standalone_server(corpus)
+        server = build_corpus_server(corpus)
         errors: list[BaseException] = []
         stop = threading.Event()
 
@@ -133,19 +128,21 @@ class TestStandaloneServer:
         """A checkpoint taken while a batch trains captures only the published epoch."""
         _FEATURIZE_RELEASE.clear()
         _FEATURIZE_ENTERED.clear()
-        server = build_standalone_server(corpus, feature_function=BlockingFeatures())
+        server = build_corpus_server(corpus, feature_function=BlockingFeatures)
         session = server.session()
         for doc in corpus[:10]:
-            session.insert_example(doc.entity_id, doc.label == 1)
+            session.insert_example(doc.entity_id, doc.label)
         server.flush()
         published_contents = server.contents()
         published_epoch = server.epoch
+        # The base tables as of the published epoch, for the restore below.
+        published_tables = copy_base_tables(server._view.database)
 
         # This entity row blocks the worker inside phase 1 (no locks held) and
         # the example behind it queues up — neither may reach the snapshot.
-        server.insert_entity({"id": 999_999})
+        server.insert_entity({"id": 999_999, "features": None})
         assert _FEATURIZE_ENTERED.wait(timeout=10)
-        server.insert_example(corpus[11].entity_id, corpus[11].label == 1)
+        server.insert_example(corpus[11].entity_id, corpus[11].label)
         try:
             server.checkpoint(tmp_path / "ckpt")
         finally:
@@ -153,7 +150,8 @@ class TestStandaloneServer:
         server.flush()
         server.close()
 
-        restored = restore_standalone(tmp_path / "ckpt")
+        # Nothing to replay over those tables: the restore publishes no epoch.
+        restored = restore_by_sql(published_tables, tmp_path / "ckpt")
         try:
             assert restored.epoch == published_epoch
             assert restored.contents() == published_contents
@@ -167,27 +165,24 @@ class TestStandaloneServer:
         """The statistics are pickled at each publish that featurized; what
         cannot be pickled is kept as the error and raised by ``checkpoint``."""
 
-        class Unpicklable(FeatureFunction):  # a local class: pickle cannot find it
+        class Unpicklable(PreFeaturizedColumn):  # a local class: pickle cannot find it
             name = "unpicklable"
 
-            def compute_feature(self, row):
-                return SparseVector({0: 1.0})
-
-        server = build_standalone_server(corpus, feature_function=Unpicklable())
+        server = build_corpus_server(corpus, feature_function=Unpicklable)
         try:
-            server.insert_entity({"id": 999_999}).wait(10)
+            server.insert_entity(entity_row(999_999, SparseVector({0: 1.0}))).wait(10)
             assert server.label_of(999_999) in (-1, 1)
             with pytest.raises((pickle.PicklingError, AttributeError), match="Unpicklable"):
                 server.checkpoint(tmp_path / "ckpt")
             assert not (tmp_path / "ckpt" / MANIFEST_NAME).exists()
-            assert server.classify({"id": 7}) in (-1, 1)
+            assert server.classify(entity_row(7, SparseVector({0: 1.0}))) in (-1, 1)
         finally:
             server.close()
 
 
 class TestCrashShapes:
     def _checkpoint(self, corpus, tmp_path):
-        server = build_standalone_server(corpus)
+        server = build_corpus_server(corpus)
         server.flush()
         server.checkpoint(tmp_path / "ckpt")
         server.close()
@@ -297,7 +292,7 @@ class TestEngineWarmRestart:
             strategy="hazy",
             approach="eager",
         )
-        restored = restart.serve("Labeled_Papers", restore_from=tmp_path / "ckpt")
+        restored = restart.restore("Labeled_Papers", tmp_path / "ckpt")
         try:
             assert restored.contents() == before
         finally:
@@ -331,7 +326,7 @@ class TestEngineWarmRestart:
         restart = HazyEngine(
             restart_db, architecture="mainmemory", strategy="hazy", approach="eager"
         )
-        restored = restart.serve("Labeled_Papers", restore_from=tmp_path / "ckpt")
+        restored = restart.restore("Labeled_Papers", tmp_path / "ckpt")
         try:
             after = restored.contents()
             # Every snapshotted entity is still present; every new row was absorbed.
@@ -356,7 +351,7 @@ class TestEngineWarmRestart:
         restart = HazyEngine(
             restart_db, architecture="mainmemory", strategy="hazy", approach="eager"
         )
-        restored = restart.serve("Labeled_Papers", restore_from=tmp_path / "ckpt")
+        restored = restart.restore("Labeled_Papers", tmp_path / "ckpt")
         try:
             assert dropped not in restored.contents()
         finally:
@@ -374,7 +369,7 @@ class TestEngineWarmRestart:
             approach="eager",
         )
         with pytest.raises(SnapshotMismatchError, match="holds view"):
-            restart.serve("Other_View", restore_from=tmp_path / "ckpt")
+            restart.restore("Other_View", tmp_path / "ckpt")
 
     def test_restore_rejects_configuration_mismatch(self, corpus, tmp_path):
         engine = cold_engine(corpus)
@@ -388,9 +383,9 @@ class TestEngineWarmRestart:
             approach="eager",
         )
         with pytest.raises(SnapshotMismatchError, match="architecture"):
-            restart.serve("Labeled_Papers", restore_from=tmp_path / "ckpt")
+            restart.restore("Labeled_Papers", tmp_path / "ckpt")
 
-    def test_failed_restore_leaves_engine_clean(self, corpus, tmp_path):
+    def test_failed_restore_leaves_engine_clean(self, corpus, tmp_path, monkeypatch):
         """A restore that dies mid-flight must not poison the engine for a retry."""
         engine = cold_engine(corpus)
         server = engine.serve("Labeled_Papers")
@@ -403,10 +398,17 @@ class TestEngineWarmRestart:
         restart = HazyEngine(
             restart_db, architecture="mainmemory", strategy="hazy", approach="eager"
         )
-        with pytest.raises(TypeError):
-            restart.serve(
-                "Labeled_Papers", restore_from=tmp_path / "ckpt", bogus_option=True
-            )
+        with pytest.raises(ConfigurationError, match="unknown serving option"):
+            restart.restore("Labeled_Papers", tmp_path / "ckpt", bogus_option=True)
+
+        def fail(*_args):
+            raise RuntimeError("simulated failure during the replay")
+
+        # The server is built and the view registered when the replay dies.
+        monkeypatch.setattr(HazyEngine, "_replay_post_checkpoint", fail)
+        with pytest.raises(RuntimeError, match="simulated failure"):
+            restart.restore("Labeled_Papers", tmp_path / "ckpt")
+        monkeypatch.undo()
         # Nothing was registered and the triggers were rolled back...
         assert "labeled_papers" not in restart.views
         assert not restart_db.catalog.has_classification_view("Labeled_Papers")
@@ -414,7 +416,7 @@ class TestEngineWarmRestart:
             "INSERT INTO papers (id, title) VALUES (777001, 'post-failure row')"
         )
         # ...so the retry succeeds and picks up the row inserted in between.
-        restored = restart.serve("Labeled_Papers", restore_from=tmp_path / "ckpt")
+        restored = restart.restore("Labeled_Papers", tmp_path / "ckpt")
         try:
             after = restored.contents()
             assert 777001 in after
@@ -429,4 +431,4 @@ class TestEngineWarmRestart:
         server.close()
         # The same engine already holds the view: restoring over it is an error.
         with pytest.raises(ViewDefinitionError, match="already exists"):
-            engine.serve("Labeled_Papers", restore_from=tmp_path / "ckpt")
+            engine.restore("Labeled_Papers", tmp_path / "ckpt")

@@ -15,48 +15,41 @@ import threading
 import pytest
 
 from repro import HazyEngine
-from repro.core.maintainers import HazyEagerMaintainer
-from repro.core.stores import InMemoryEntityStore
 from repro.core.writes import ViewWriter
 from repro.exceptions import MaintenanceError, SnapshotCorruptionError
-from repro.learn.sgd import SGDTrainer
 from repro.persist import load_checkpoint
 from repro.persist.wal import SEGMENT_SUFFIX
-from repro.serve import ViewServer
 from repro.serve.requests import WriteKind
 
 from tests.persist.test_checkpoint_restore import DDL, build_engine_database
-from tests.serve.conftest import build_standalone_server
-
-
-def restore_with_wal(checkpoint_dir, wal_dir) -> ViewServer:
-    return ViewServer.restore(
-        load_checkpoint(checkpoint_dir),
-        writer=ViewWriter(SGDTrainer(loss="svm", seed=1)),
-        store_factory=lambda: InMemoryEntityStore(feature_norm_q=1.0),
-        maintainer_factory=lambda store: HazyEagerMaintainer(store, alpha=1.0),
-        wal_dir=wal_dir,
-    )
+from tests.serve.conftest import build_corpus_server, copy_base_tables, restore_directly
 
 
 def answers(server):
     return server.contents(), server.top_k(50), server.top_k(50, label=-1)
 
 
-class TestStandaloneCrashes:
+class TestCorpusCrashes:
+    """Recovery by hand: ``ViewServer.restore`` over the base tables as of the
+    checkpoint, then :meth:`~repro.serve.server.ViewServer.replay_wal`."""
+
     def _serve_checkpoint_then_write(self, corpus, tmp_path):
-        """Common prologue: serve with a WAL, checkpoint, then keep writing."""
+        """Common prologue: serve with a WAL, checkpoint, then keep writing.
+
+        Returns the server, its WAL directory, the checkpoint and a copy of
+        the base tables as of the checkpoint (the WAL holds the rest)."""
         wal_dir = tmp_path / "wal"
-        server = build_standalone_server(corpus, wal_dir=wal_dir)
+        server = build_corpus_server(corpus, wal=wal_dir)
         session = server.session()
         for doc in corpus[:20]:
-            session.insert_example(doc.entity_id, doc.label == 1)
+            session.insert_example(doc.entity_id, doc.label)
         server.flush()
         server.checkpoint(tmp_path / "ckpt")
+        tables = copy_base_tables(server._view.database)
         for doc in corpus[20:30]:
-            session.insert_example(doc.entity_id, doc.label == 1)
+            session.insert_example(doc.entity_id, doc.label)
         server.flush()
-        return server, wal_dir, tmp_path / "ckpt"
+        return server, wal_dir, tmp_path / "ckpt", tables
 
     def test_kill_between_wal_append_and_enqueue(self, corpus, tmp_path):
         """An op the WAL holds but the queue never saw is applied on recovery.
@@ -66,7 +59,7 @@ class TestStandaloneCrashes:
         normal write path — recovery must land on the same answers, margin
         for margin (same SGD step order, same model bits).
         """
-        server, wal_dir, ckpt = self._serve_checkpoint_then_write(corpus, tmp_path)
+        server, wal_dir, ckpt, tables = self._serve_checkpoint_then_write(corpus, tmp_path)
         twin_wal = tmp_path / "wal-twin"
         shutil.copytree(wal_dir, twin_wal)
 
@@ -74,22 +67,22 @@ class TestStandaloneCrashes:
         # The crash point: _enqueue_logged appended, then died before enqueue.
         server.wal.append(
             WriteKind.EXAMPLE_INSERT.value,
-            {"id": extra.entity_id, "label": extra.label == 1},
+            {"id": extra.entity_id, "label": extra.label},
             None,
         )
         server.close()  # cleanup only; the disk state above is what recovery sees
 
-        recovered = restore_with_wal(ckpt, wal_dir)
+        recovered = restore_directly(tables, ckpt, wal=wal_dir)
         try:
             assert recovered.replay_wal() == 11  # 10 queued post-ckpt + the dangler
             recovered_answers = answers(recovered)
         finally:
             recovered.close()
 
-        twin = restore_with_wal(ckpt, twin_wal)
+        twin = restore_directly(tables, ckpt, wal=twin_wal)
         try:
             assert twin.replay_wal() == 10
-            twin.insert_example(extra.entity_id, extra.label == 1)
+            twin.insert_example(extra.entity_id, extra.label)
             twin.flush()
             assert recovered_answers == answers(twin)
         finally:
@@ -102,7 +95,7 @@ class TestStandaloneCrashes:
         because the WAL prunes only *after* the manifest commit, recovery
         from the previous checkpoint still has every record it needs.
         """
-        server, wal_dir, ckpt = self._serve_checkpoint_then_write(corpus, tmp_path)
+        server, wal_dir, ckpt, tables = self._serve_checkpoint_then_write(corpus, tmp_path)
         reference = answers(server)
 
         import repro.persist.checkpoint as server_module  # where the commit point lives
@@ -119,7 +112,7 @@ class TestStandaloneCrashes:
         with pytest.raises(SnapshotCorruptionError, match="missing"):
             load_checkpoint(tmp_path / "ckpt-2")
         # ...and the survivor plus the unpruned WAL reproduce the lost state.
-        recovered = restore_with_wal(ckpt, wal_dir)
+        recovered = restore_directly(tables, ckpt, wal=wal_dir)
         try:
             recovered.replay_wal()
             assert answers(recovered) == reference
@@ -133,12 +126,12 @@ class TestStandaloneCrashes:
         return), so losing it is correct — recovery must match the last
         published pre-crash state exactly.
         """
-        server, wal_dir, ckpt = self._serve_checkpoint_then_write(corpus, tmp_path)
+        server, wal_dir, ckpt, tables = self._serve_checkpoint_then_write(corpus, tmp_path)
         reference = answers(server)
 
         server.wal.append(
             WriteKind.EXAMPLE_INSERT.value,
-            {"id": corpus[35].entity_id, "label": True},
+            {"id": corpus[35].entity_id, "label": 1},
             None,
         )
         server.close()
@@ -146,7 +139,7 @@ class TestStandaloneCrashes:
         raw = newest.read_bytes()
         newest.write_bytes(raw[: len(raw) - 7])  # tear mid-record
 
-        recovered = restore_with_wal(ckpt, wal_dir)
+        recovered = restore_directly(tables, ckpt, wal=wal_dir)
         try:
             recovered.replay_wal()
             assert answers(recovered) == reference
@@ -231,7 +224,7 @@ class TestEngineCrashes:
         db.execute(f"SERVE VIEW Labeled_Papers WITH (shards = 2, wal = '{wal_dir}')")
         server = engine.view("Labeled_Papers").server
         db.execute(f"CHECKPOINT VIEW Labeled_Papers TO '{tmp_path / 'ckpt'}'")
-        retained = len(server.retained_examples())
+        retained = len(server.writer.examples)
 
         churn = [
             (corpus[30].entity_id, "database"),
@@ -251,7 +244,7 @@ class TestEngineCrashes:
                     ticket.wait(10)
             else:
                 ticket.wait(10)
-        assert len(server.retained_examples()) == retained + 4
+        assert len(server.writer.examples) == retained + 4
         assert server.trainer.model.version == retained + 4
         reference = answers(server)
         server.close()  # cleanup only; ckpt + WAL on disk are the crash state
@@ -265,7 +258,7 @@ class TestEngineCrashes:
         restored = restart.view("Labeled_Papers").server
         try:
             assert answers(restored) == reference
-            assert len(restored.retained_examples()) == retained + 4
+            assert len(restored.writer.examples) == retained + 4
             assert restored.trainer.model.version == retained + 4
         finally:
             restored.close()

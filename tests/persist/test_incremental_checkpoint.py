@@ -7,27 +7,23 @@ from pathlib import Path
 import pytest
 
 from repro import HazyEngine
-from repro.core.maintainers import HazyEagerMaintainer
-from repro.core.stores import InMemoryEntityStore
-from repro.core.writes import ViewWriter
 from repro.exceptions import ConfigurationError, SnapshotCorruptionError
-from repro.learn.sgd import SGDTrainer
 from repro.linalg import SparseVector
 from repro.persist import load_checkpoint
 from repro.persist.format import read_frame, write_frame
-from repro.serve import ViewServer
 
-from tests.persist.test_checkpoint_restore import (
-    build_engine_database,
-    cold_engine,
-    restore_standalone,
+from tests.persist.test_checkpoint_restore import build_engine_database, cold_engine
+from tests.serve.conftest import (
+    build_corpus_server,
+    entity_row,
+    restore_by_sql,
+    restore_directly,
 )
-from tests.serve.conftest import build_standalone_server
 
 
-class TestStandaloneIncremental:
+class TestCorpusIncremental:
     def test_idle_view_rewrites_no_shard_payloads(self, corpus, tmp_path):
-        server = build_standalone_server(corpus)
+        server = build_corpus_server(corpus)
         server.flush()
         full = server.checkpoint(tmp_path / "full")
         assert full["shards_written"] == 4
@@ -39,18 +35,18 @@ class TestStandaloneIncremental:
         contents = server.contents()
         server.close()
 
-        restored = restore_standalone(tmp_path / "inc")
+        restored = restore_by_sql(server._view.database, tmp_path / "inc")
         try:
             assert restored.contents() == contents
         finally:
             restored.close()
 
     def test_entity_insert_dirties_only_its_shard(self, corpus, tmp_path):
-        server = build_standalone_server(corpus)
+        server = build_corpus_server(corpus)
         server.flush()
         server.checkpoint(tmp_path / "full")
         new_id = 999_001
-        server.insert_entity((new_id, SparseVector({3: 1.0})))
+        server.insert_entity(entity_row(new_id, SparseVector({3: 1.0})))
         server.flush()
         info = server.checkpoint(tmp_path / "inc", incremental=True)
         assert info["shards_written"] == 1
@@ -58,7 +54,7 @@ class TestStandaloneIncremental:
         contents = server.contents()
         server.close()
 
-        restored = restore_standalone(tmp_path / "inc")
+        restored = restore_by_sql(server._view.database, tmp_path / "inc")
         try:
             after = restored.contents()
             assert after == contents
@@ -67,11 +63,11 @@ class TestStandaloneIncremental:
             restored.close()
 
     def test_model_movement_dirties_every_shard(self, corpus, tmp_path):
-        server = build_standalone_server(corpus)
+        server = build_corpus_server(corpus)
         server.flush()
         server.checkpoint(tmp_path / "full")
         # A training example moves the model, and the model lives everywhere.
-        server.insert_example(corpus[0].entity_id, corpus[0].label == 1)
+        server.insert_example(corpus[0].entity_id, corpus[0].label)
         server.flush()
         info = server.checkpoint(tmp_path / "inc", incremental=True)
         assert info["shards_written"] == 4
@@ -80,13 +76,13 @@ class TestStandaloneIncremental:
     def test_parent_chain_flattens_references(self, corpus, tmp_path):
         """C3 -> C2 -> C1: unchanged shards must reference real payload files
         directly (C1's), never chase another reference through C2."""
-        server = build_standalone_server(corpus)
+        server = build_corpus_server(corpus)
         server.flush()
         server.checkpoint(tmp_path / "c1")
-        server.insert_entity((999_001, SparseVector({3: 1.0})))
+        server.insert_entity(entity_row(999_001, SparseVector({3: 1.0})))
         server.flush()
         server.checkpoint(tmp_path / "c2", incremental=True)
-        server.insert_entity((999_002, SparseVector({5: 1.0})))
+        server.insert_entity(entity_row(999_002, SparseVector({5: 1.0})))
         server.flush()
         server.checkpoint(
             tmp_path / "c3", incremental=True, parent=tmp_path / "c2"
@@ -104,7 +100,7 @@ class TestStandaloneIncremental:
             assert Path(source).parent in (tmp_path / "c1", tmp_path / "c2")
             assert Path(source).is_file()
 
-        restored = restore_standalone(tmp_path / "c3")
+        restored = restore_by_sql(server._view.database, tmp_path / "c3")
         try:
             after = restored.contents()
             assert after == contents
@@ -113,7 +109,7 @@ class TestStandaloneIncremental:
             restored.close()
 
     def test_incremental_without_parent_is_an_error(self, corpus, tmp_path):
-        server = build_standalone_server(corpus)
+        server = build_corpus_server(corpus)
         try:
             server.flush()
             with pytest.raises(ConfigurationError, match="needs a parent"):
@@ -122,7 +118,7 @@ class TestStandaloneIncremental:
             server.close()
 
     def test_incremental_rejects_itself_as_parent(self, corpus, tmp_path):
-        server = build_standalone_server(corpus)
+        server = build_corpus_server(corpus)
         try:
             server.flush()
             server.checkpoint(tmp_path / "ckpt")
@@ -134,12 +130,12 @@ class TestStandaloneIncremental:
             server.close()
 
     def test_parent_shard_count_mismatch_is_an_error(self, corpus, tmp_path):
-        narrow = build_standalone_server(corpus, num_shards=2)
+        narrow = build_corpus_server(corpus, shards=2)
         narrow.flush()
         narrow.checkpoint(tmp_path / "narrow")
         narrow.close()
 
-        server = build_standalone_server(corpus)
+        server = build_corpus_server(corpus)
         try:
             server.flush()
             with pytest.raises(ConfigurationError, match="2 shards"):
@@ -152,10 +148,10 @@ class TestStandaloneIncremental:
 
 class TestReferenceIntegrity:
     def _chain(self, corpus, tmp_path):
-        server = build_standalone_server(corpus)
+        server = build_corpus_server(corpus)
         server.flush()
         server.checkpoint(tmp_path / "full")
-        server.insert_entity((999_001, SparseVector({3: 1.0})))
+        server.insert_entity(entity_row(999_001, SparseVector({3: 1.0})))
         server.flush()
         server.checkpoint(tmp_path / "inc", incremental=True)
         server.close()
@@ -265,7 +261,7 @@ class TestRestoreShardMismatch:
         # The failed restore left the engine clean: the retry (without the
         # conflicting option) succeeds.
         assert "labeled_papers" not in restart.views
-        restored = restart.serve("Labeled_Papers", restore_from=ckpt)
+        restored = restart.restore("Labeled_Papers", ckpt)
         try:
             assert len(restored.shards) == 4
         finally:
@@ -280,21 +276,15 @@ class TestRestoreShardMismatch:
             approach="eager",
         )
         with pytest.raises(ConfigurationError, match="cannot restore with shards=2"):
-            restart.serve("Labeled_Papers", restore_from=ckpt, num_shards=2)
+            restart.restore("Labeled_Papers", ckpt, shards=2)
 
-    def test_standalone_restore_rejects_mismatched_shards(self, corpus, tmp_path):
-        server = build_standalone_server(corpus)
+    def test_direct_restore_rejects_mismatched_shards(self, corpus, tmp_path):
+        server = build_corpus_server(corpus)
         server.flush()
         server.checkpoint(tmp_path / "ckpt")
         server.close()
         with pytest.raises(ConfigurationError, match="cannot restore with shards=8"):
-            ViewServer.restore(
-                load_checkpoint(tmp_path / "ckpt"),
-                writer=ViewWriter(SGDTrainer(loss="svm", seed=1)),
-                store_factory=lambda: InMemoryEntityStore(feature_norm_q=1.0),
-                maintainer_factory=lambda store: HazyEagerMaintainer(store, alpha=1.0),
-                num_shards=8,
-            )
+            restore_directly(server._view.database, tmp_path / "ckpt", shards=8)
 
     def test_matching_shard_count_is_accepted(self, corpus, tmp_path):
         ckpt = self._engine_checkpoint(corpus, tmp_path)

@@ -92,7 +92,7 @@ def test_updated_row_is_refeaturized_on_restore(corpus, tmp_path):
     restart_db = build_engine_database(corpus)
     restart_db.execute(*update)
     restart = _engine_over(restart_db)
-    restored = restart.serve("Labeled_Papers", restore_from=tmp_path / "ckpt")
+    restored = restart.restore("Labeled_Papers", tmp_path / "ckpt")
     try:
         restored_contents = restored.contents()
         restored_top = restored.top_k(len(corpus))
@@ -122,7 +122,7 @@ def test_untouched_restore_stays_bit_identical(corpus, tmp_path):
     server.close()
 
     restart = _engine_over(build_engine_database(corpus))
-    restored = restart.serve("Labeled_Papers", restore_from=tmp_path / "ckpt")
+    restored = restart.restore("Labeled_Papers", tmp_path / "ckpt")
     try:
         assert restored.contents() == before_contents
         assert restored.top_k(len(corpus)) == before_top
@@ -156,7 +156,7 @@ def test_legacy_checkpoint_without_hashes_keeps_the_old_contract(corpus, tmp_pat
     restart_db = build_engine_database(corpus)
     restart_db.execute(*update)
     restart = _engine_over(restart_db)
-    restored = restart.serve("Labeled_Papers", restore_from=tmp_path / "ckpt")
+    restored = restart.restore("Labeled_Papers", tmp_path / "ckpt")
     try:
         # The target keeps its stale pre-update margin, bit for bit.
         assert dict(restored.top_k(len(corpus)))[target_id] == before_top[target_id]

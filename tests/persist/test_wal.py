@@ -5,11 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import SnapshotCorruptionError, SnapshotVersionError
-from repro.linalg import SparseVector
 from repro.persist.format import WAL_VERSION, pack_wal_record, wal_header
 from repro.persist.wal import SEGMENT_SUFFIX, WriteAheadLog
 
-from tests.serve.conftest import build_standalone_server
+from tests.serve.conftest import build_corpus_server
 
 
 def segments_of(directory):
@@ -20,7 +19,7 @@ class TestAppendReplay:
     def test_round_trip_preserves_rows_and_order(self, tmp_path):
         log = WriteAheadLog(tmp_path)
         log.append("entity_insert", {"id": 7, "title": "a row"}, None)
-        log.append("entity_insert", (42, SparseVector({0: 1.0, 3: 0.5})), None)
+        log.append("entity_delete", None, {"id": 42, "score": 0.5})
         log.append(
             "entity_update",
             {"id": 7, "title": "changed"},
@@ -33,9 +32,8 @@ class TestAppendReplay:
         assert records[0].kind == "entity_insert"
         assert records[0].row == {"id": 7, "title": "a row"}
         assert records[0].old_row is None
-        entity_id, features = records[1].row
-        assert entity_id == 42
-        assert features == SparseVector({0: 1.0, 3: 0.5})
+        assert records[1].row is None
+        assert records[1].old_row == {"id": 42, "score": 0.5}
         assert records[2].old_row == {"id": 7, "title": "a row"}
 
     def test_records_after_filters_applied_prefix(self, tmp_path):
@@ -199,13 +197,37 @@ class TestTornTails:
         assert [record.seq for record in log.records_after(0)] == [1]
 
 
+class TestMalformedRecords:
+    """A record whose CRC holds but whose JSON is not a WAL record is corruption."""
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            b'{"seq":1,"kind":"entity_insert","row":{"x":1}}',
+            b'{"kind":"entity_insert","row":null}',
+            b'[1,"entity_insert",null,null]',
+            b'{"seq":"one","kind":"entity_insert"}',
+            b'{"seq":1,"kind":"entity_insert","row":{"row":[1,2,3]}}',
+        ],
+        ids=["row-not-wrapped", "no-seq", "list", "seq-not-a-number", "row-not-a-mapping"],
+    )
+    def test_a_record_that_passes_its_crc_but_is_malformed_names_its_segment(
+        self, tmp_path, payload
+    ):
+        segment = tmp_path / f"wal-{1:016d}{SEGMENT_SUFFIX}"
+        segment.write_bytes(wal_header() + pack_wal_record(payload))
+        with pytest.raises(SnapshotCorruptionError, match="is not a WAL record") as excinfo:
+            WriteAheadLog(tmp_path, fresh=False)
+        assert segment.name in str(excinfo.value)
+
+
 class TestServerSurfaces:
     def test_stats_and_metrics_expose_wal_counters(self, corpus, tmp_path):
-        server = build_standalone_server(corpus[:40], wal_dir=tmp_path / "wal")
+        server = build_corpus_server(corpus[:40], wal=tmp_path / "wal")
         try:
             session = server.session()
             for doc in corpus[:5]:
-                session.insert_example(doc.entity_id, doc.label == 1)
+                session.insert_example(doc.entity_id, doc.label)
             server.flush()
             stats = server.stats()
             assert stats["wal"]["appends_total"] == 5
@@ -218,7 +240,7 @@ class TestServerSurfaces:
             server.close()
 
     def test_no_wal_means_no_wal_stats(self, corpus):
-        server = build_standalone_server(corpus[:40])
+        server = build_corpus_server(corpus[:40])
         try:
             assert server.wal is None
             assert "wal" not in server.stats()

@@ -1,4 +1,4 @@
-"""Tests for the background maintenance pipeline (standalone server)."""
+"""Tests for the background maintenance pipeline."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from repro.core.view import view_contents
 from repro.exceptions import MaintenanceError
 from repro.serve.requests import WriteKind, WriteOp
 
-from tests.serve.conftest import build_standalone_server
+from tests.serve.conftest import build_corpus_server, entity_row
 
 
 def oracle_for(server, corpus):
@@ -29,7 +29,7 @@ def oracle_for(server, corpus):
 
 
 def test_queued_examples_apply_in_batches(serve_corpus):
-    server = build_standalone_server(serve_corpus, max_write_batch=16)
+    server = build_corpus_server(serve_corpus, max_write_batch=16)
     try:
         tickets = [
             server.insert_example(doc.entity_id, doc.label) for doc in serve_corpus[:40]
@@ -45,12 +45,12 @@ def test_queued_examples_apply_in_batches(serve_corpus):
 
 
 def test_entity_inserts_flow_through_the_queue(serve_corpus):
-    server = build_standalone_server(serve_corpus)
+    server = build_corpus_server(serve_corpus)
     try:
         features = serve_corpus[0].features
-        ticket = server.insert_entity(("brand-new", features))
+        ticket = server.insert_entity(entity_row(90_001, features))
         ticket.wait(10)
-        assert server.label_of("brand-new") in (-1, 1)
+        assert server.label_of(90_001) in (-1, 1)
         assert server.shards.count() == len(serve_corpus) + 1
         assert server.contents() == oracle_for(server, serve_corpus)
     finally:
@@ -60,19 +60,17 @@ def test_entity_inserts_flow_through_the_queue(serve_corpus):
 def test_zero_cache_capacity_and_epoch_history_keep_nothing(serve_corpus):
     """0 means "keep none": no cached eps and no past model, while reads and
     writes still answer exactly what the oracle does."""
-    server = build_standalone_server(
-        serve_corpus, num_shards=2, cache_capacity=0, epoch_history=0
-    )
+    server = build_corpus_server(serve_corpus, shards=2, cache_capacity=0, epoch_history=0)
     try:
         for doc in serve_corpus[:20]:
             server.insert_example(doc.entity_id, doc.label)
-        server.insert_entity(("brand-new", serve_corpus[0].features))
+        server.insert_entity(entity_row(90_001, serve_corpus[0].features))
         epoch = server.flush(timeout=30)
         expected = oracle_for(server, serve_corpus)
         # A second pass is where a cache that kept anything would answer.
         for _ in range(2):
             assert server.labels_of(list(expected)) == expected
-            assert server.label_of("brand-new") == expected["brand-new"]
+            assert server.label_of(90_001) == expected[90_001]
         assert server.contents() == expected
         assert server.shards.cache_stats()["entries"] == 0
         assert server.model_for_epoch(epoch) is None
@@ -81,19 +79,19 @@ def test_zero_cache_capacity_and_epoch_history_keep_nothing(serve_corpus):
 
 
 def test_example_delete_retrains(serve_corpus):
-    server = build_standalone_server(serve_corpus)
+    server = build_corpus_server(serve_corpus)
     try:
         doc = serve_corpus[0]
         server.insert_example(doc.entity_id, doc.label)
         server.flush(timeout=30)
-        retained_before = len(server.retained_examples())
+        retained_before = len(server.writer.examples)
         op = WriteOp(
             kind=WriteKind.EXAMPLE_DELETE,
             old_row={"id": doc.entity_id, "label": doc.label},
         )
         server.worker.enqueue(op)
         op.ticket.wait(10)
-        assert len(server.retained_examples()) == retained_before - 1
+        assert len(server.writer.examples) == retained_before - 1
         # Retrained-from-scratch model still yields a consistent view.
         assert server.contents() == oracle_for(server, serve_corpus)
     finally:
@@ -101,7 +99,7 @@ def test_example_delete_retrains(serve_corpus):
 
 
 def test_flush_is_a_barrier(serve_corpus):
-    server = build_standalone_server(serve_corpus)
+    server = build_corpus_server(serve_corpus)
     try:
         before = server.epoch
         for doc in serve_corpus[:10]:
@@ -114,9 +112,9 @@ def test_flush_is_a_barrier(serve_corpus):
 
 
 def test_bad_write_fails_its_ticket_but_server_survives(serve_corpus):
-    server = build_standalone_server(serve_corpus)
+    server = build_corpus_server(serve_corpus)
     try:
-        ticket = server.insert_example("no-such-entity", 1)
+        ticket = server.insert_example(4242, 1)
         with pytest.raises(MaintenanceError):
             ticket.wait(10)
         # The pipeline keeps serving after the poison op.
@@ -128,7 +126,7 @@ def test_bad_write_fails_its_ticket_but_server_survives(serve_corpus):
         # leaves no trace.  A reader holds the worker at the write lock while
         # good, bad, good are queued, so the three share the next round.
         steps = server.trainer.model.version
-        retained = len(server.retained_examples())
+        retained = len(server.writer.examples)
         gate, first, second = serve_corpus[1:4]
         with server.rw_lock.read_locked():
             held = server.insert_example(gate.entity_id, gate.label)
@@ -136,14 +134,14 @@ def test_bad_write_fails_its_ticket_but_server_survives(serve_corpus):
             while server.trainer.model.version == steps and time.monotonic() < deadline:
                 time.sleep(0.001)
             before = server.insert_example(first.entity_id, first.label)
-            bad = server.insert_example("no-such-entity", 1)
+            bad = server.insert_example(4242, 1)
             after = server.insert_example(second.entity_id, second.label)
         epoch = server.flush(timeout=10)
         assert held.wait(10) < before.wait(10) == after.wait(10) == epoch
-        with pytest.raises(MaintenanceError, match="unknown entity 'no-such-entity'"):
+        with pytest.raises(MaintenanceError, match="unknown entity 4242"):
             bad.wait(10)
         assert isinstance(server.worker.last_error, MaintenanceError)
-        assert len(server.retained_examples()) == retained + 3
+        assert len(server.writer.examples) == retained + 3
         assert server.trainer.model.version == steps + 3
         assert server.contents() == oracle_for(server, serve_corpus)
     finally:
@@ -152,25 +150,20 @@ def test_bad_write_fails_its_ticket_but_server_survives(serve_corpus):
 
 def test_insert_then_delete_same_entity_in_one_batch(serve_corpus):
     """Intra-batch entity churn must replay in arrival order, not grouped."""
-    server = build_standalone_server(serve_corpus, max_write_batch=64)
+    server = build_corpus_server(serve_corpus, max_write_batch=64)
     try:
-        features = serve_corpus[0].features
-        first = server.insert_entity(("ephemeral", features))
-        op = WriteOp(kind=WriteKind.ENTITY_DELETE, old_row=("ephemeral", features))
-        second = server.worker.enqueue(op)
+        row = entity_row(90_001, serve_corpus[0].features)
+        first = server.insert_entity(row)
+        second = server.worker.enqueue(WriteOp(kind=WriteKind.ENTITY_DELETE, old_row=row))
         first.wait(10)
         second.wait(10)
         assert server.worker.last_error is None
         assert server.shards.count() == len(serve_corpus)
-        assert "ephemeral" not in server.contents()
+        assert 90_001 not in server.contents()
         # And an insert+update pair of the same entity also survives a batch.
-        third = server.insert_entity(("twice", features))
-        update = WriteOp(
-            kind=WriteKind.ENTITY_UPDATE,
-            row=("twice", features),
-            old_row=("twice", features),
-        )
-        fourth = server.worker.enqueue(update)
+        row = entity_row(90_002, serve_corpus[0].features)
+        third = server.insert_entity(row)
+        fourth = server.worker.enqueue(WriteOp(kind=WriteKind.ENTITY_UPDATE, row=row, old_row=row))
         third.wait(10)
         fourth.wait(10)
         assert server.worker.last_error is None
@@ -183,7 +176,7 @@ def test_read_of_unknown_id_does_not_poison_the_batch(serve_corpus):
     """Per-key error isolation: one bad key fails only its own waiters."""
     import threading
 
-    server = build_standalone_server(serve_corpus)
+    server = build_corpus_server(serve_corpus)
     try:
         results = {}
         errors = {}
@@ -210,7 +203,7 @@ def test_read_of_unknown_id_does_not_poison_the_batch(serve_corpus):
 
 
 def test_writes_rejected_after_close(serve_corpus):
-    server = build_standalone_server(serve_corpus)
+    server = build_corpus_server(serve_corpus)
     server.close(timeout=30)
     with pytest.raises(MaintenanceError):
         server.insert_example(serve_corpus[0].entity_id, 1)
@@ -237,7 +230,7 @@ def _await_applied(worker, ops: int, timeout: float = 10.0) -> None:
 
 def test_unawaited_burst_is_applied_as_one_round(serve_corpus, monkeypatch):
     monkeypatch.setattr("repro.serve.maintenance.ROUND_DEADLINE_S", 0.5, raising=False)
-    server = build_standalone_server(serve_corpus)
+    server = build_corpus_server(serve_corpus)
     try:
         epoch = server.epoch
         for doc in serve_corpus[:10]:
@@ -253,7 +246,7 @@ def test_unawaited_burst_is_applied_as_one_round(serve_corpus, monkeypatch):
 @pytest.mark.parametrize("demand", ["ticket", "flush", "session_read"])
 def test_a_waiter_starts_the_round_at_once(serve_corpus, monkeypatch, demand):
     monkeypatch.setattr("repro.serve.maintenance.ROUND_DEADLINE_S", 120.0)
-    server = build_standalone_server(serve_corpus)
+    server = build_corpus_server(serve_corpus)
     try:
         doc = serve_corpus[0]
         if demand == "session_read":
@@ -272,7 +265,7 @@ def test_a_waiter_starts_the_round_at_once(serve_corpus, monkeypatch, demand):
 
 def test_a_full_batch_starts_without_a_waiter(serve_corpus, monkeypatch):
     monkeypatch.setattr("repro.serve.maintenance.ROUND_DEADLINE_S", 120.0)
-    server = build_standalone_server(serve_corpus, max_write_batch=8)
+    server = build_corpus_server(serve_corpus, max_write_batch=8)
     try:
         for doc in serve_corpus[:8]:
             server.insert_example(doc.entity_id, doc.label)
@@ -290,7 +283,7 @@ def test_no_demand_is_lost_between_drains(serve_corpus, monkeypatch):
     waiting out its ticket timeout.
     """
     monkeypatch.setattr("repro.serve.maintenance.ROUND_DEADLINE_S", 120.0)
-    server = build_standalone_server(serve_corpus, num_shards=2)
+    server = build_corpus_server(serve_corpus, shards=2)
     failures: list[BaseException] = []
 
     def writer(offset: int) -> None:
@@ -319,7 +312,7 @@ def test_no_demand_is_lost_between_drains(serve_corpus, monkeypatch):
 
 def test_close_drains_what_nobody_waited_for(serve_corpus, monkeypatch):
     monkeypatch.setattr("repro.serve.maintenance.ROUND_DEADLINE_S", 120.0)
-    server = build_standalone_server(serve_corpus)
+    server = build_corpus_server(serve_corpus)
     for doc in serve_corpus[:5]:
         server.insert_example(doc.entity_id, doc.label)
     server.close(timeout=30)

@@ -6,7 +6,7 @@ import pytest
 
 from repro.exceptions import MaintenanceError
 
-from tests.serve.conftest import build_standalone_server
+from tests.serve.conftest import build_corpus_server, entity_row
 
 
 def in_range(key, low=None, high=None, include_low=True, include_high=True):
@@ -18,8 +18,8 @@ def in_range(key, low=None, high=None, include_low=True, include_high=True):
 
 
 class TestRangeScan:
-    def test_matches_post_filtered_all_members(self, standalone_server):
-        members = set(standalone_server.all_members(1))
+    def test_matches_post_filtered_all_members(self, corpus_server):
+        members = set(corpus_server.all_members(1))
         assert members  # the fixture trains a model that splits the corpus
         ids = sorted(members)
         low, high = ids[len(ids) // 4], ids[3 * len(ids) // 4]
@@ -30,23 +30,23 @@ class TestRangeScan:
             dict(low=low, include_low=False),
             dict(low=low, high=high, include_high=False),
         ):
-            got = standalone_server.range_scan(1, **bounds)
+            got = corpus_server.range_scan(1, **bounds)
             assert sorted(got) == sorted(
                 m for m in members if in_range(m, **bounds)
             ), bounds
 
-    def test_negative_class_and_empty_range(self, standalone_server):
-        negatives = set(standalone_server.all_members(-1))
-        got = standalone_server.range_scan(-1, low=0)
+    def test_negative_class_and_empty_range(self, corpus_server):
+        negatives = set(corpus_server.all_members(-1))
+        got = corpus_server.range_scan(-1, low=0)
         assert sorted(got) == sorted(m for m in negatives if m >= 0)
-        assert standalone_server.range_scan(1, low=10, high=5) == []
+        assert corpus_server.range_scan(1, low=10, high=5) == []
 
     def test_session_range_scan_waits_for_writes(self, serve_corpus):
-        server = build_standalone_server(serve_corpus[:120], num_shards=2)
+        server = build_corpus_server(serve_corpus[:120], shards=2)
         try:
             session = server.session()
             doc = serve_corpus[121]
-            session.insert_entity((doc.entity_id, doc.features))
+            session.insert_entity(entity_row(doc.entity_id, doc.features))
             session.insert_example(doc.entity_id, doc.label)
             members = session.range_scan(doc.label, low=doc.entity_id, high=doc.entity_id)
             # Read-your-writes: the freshly inserted entity is classified and,
@@ -58,32 +58,32 @@ class TestRangeScan:
         finally:
             server.close(timeout=30)
 
-    def test_range_scan_cheaper_than_contents(self, standalone_server):
-        ids = sorted(standalone_server.all_members(1))
+    def test_range_scan_cheaper_than_contents(self, corpus_server):
+        ids = sorted(corpus_server.all_members(1))
         low = ids[len(ids) // 2]
-        start = standalone_server.shards.simulated_seconds()
-        standalone_server.range_scan(1, low=low)
-        pushed = standalone_server.shards.simulated_seconds() - start
-        start = standalone_server.shards.simulated_seconds()
-        standalone_server.contents()
-        materialized = standalone_server.shards.simulated_seconds() - start
+        start = corpus_server.shards.simulated_seconds()
+        corpus_server.range_scan(1, low=low)
+        pushed = corpus_server.shards.simulated_seconds() - start
+        start = corpus_server.shards.simulated_seconds()
+        corpus_server.contents()
+        materialized = corpus_server.shards.simulated_seconds() - start
         assert pushed * 2 <= materialized
 
 
 class TestLabelsOf:
-    def test_batched_lookup_drops_unknown_ids(self, standalone_server):
-        known = [doc_id for doc_id, _ in list(standalone_server.contents().items())[:40]]
-        labels = standalone_server.labels_of(known + ["nope", "missing"])
+    def test_batched_lookup_drops_unknown_ids(self, corpus_server):
+        known = [doc_id for doc_id, _ in list(corpus_server.contents().items())[:40]]
+        labels = corpus_server.labels_of(known + ["nope", "missing"])
         assert set(labels) == set(known)
-        contents = standalone_server.contents()
+        contents = corpus_server.contents()
         assert all(labels[key] == contents[key] for key in known)
 
     def test_session_labels_of_is_monotonic(self, serve_corpus):
-        server = build_standalone_server(serve_corpus[:120], num_shards=2)
+        server = build_corpus_server(serve_corpus[:120], shards=2)
         try:
             session = server.session()
             doc = serve_corpus[121]
-            session.insert_entity((doc.entity_id, doc.features))
+            session.insert_entity(entity_row(doc.entity_id, doc.features))
             labels = session.labels_of([doc.entity_id, serve_corpus[0].entity_id])
             assert doc.entity_id in labels  # waited for the pending write
             watermark = session.last_epoch
@@ -93,9 +93,9 @@ class TestLabelsOf:
         finally:
             server.close(timeout=30)
 
-    def test_all_unknown_ids_leave_the_session_watermark_alone(self, standalone_server):
-        session = standalone_server.session()
-        session.label_of(next(iter(standalone_server.contents())))
+    def test_all_unknown_ids_leave_the_session_watermark_alone(self, corpus_server):
+        session = corpus_server.session()
+        session.label_of(next(iter(corpus_server.contents())))
         watermark = session.last_epoch
         assert session.labels_of(["ghost-1", "ghost-2"]) == {}
         assert session.last_epoch == watermark  # epoch 0 result must not regress it

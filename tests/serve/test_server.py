@@ -64,7 +64,7 @@ def server_oracle(server):
 
 def test_sql_writes_flow_through_the_pipeline(served_setup):
     db, engine, view, corpus = served_setup
-    server = engine.serve("Labeled_Papers", num_shards=4)
+    server = engine.serve("Labeled_Papers", shards=4)
     try:
         for doc in corpus[25:45]:
             db.execute(
@@ -85,7 +85,7 @@ def test_sql_writes_flow_through_the_pipeline(served_setup):
 
 def test_sql_update_and_delete_while_serving(served_setup):
     db, engine, view, corpus = served_setup
-    server = engine.serve("Labeled_Papers", num_shards=2)
+    server = engine.serve("Labeled_Papers", shards=2)
     try:
         # Flip one example's label, delete another, rewrite an entity.
         db.execute("UPDATE example_papers SET label = 'other' WHERE id = ?", (corpus[0].entity_id,))
@@ -101,7 +101,7 @@ def test_sql_update_and_delete_while_serving(served_setup):
 
 def test_reads_while_serving(served_setup):
     db, engine, view, corpus = served_setup
-    server = engine.serve("Labeled_Papers", num_shards=4)
+    server = engine.serve("Labeled_Papers", shards=4)
     try:
         oracle = server_oracle(server)
         # View-level reads delegate to the server while attached.
@@ -120,7 +120,7 @@ def test_close_replays_entity_churn_in_order(served_setup):
     """An entity inserted then deleted while served must stay deleted after
     close, and repeated updates of one entity must not break the resync."""
     db, engine, view, corpus = served_setup
-    server = engine.serve("Labeled_Papers", num_shards=2)
+    server = engine.serve("Labeled_Papers", shards=2)
     db.execute("INSERT INTO papers (id, title) VALUES (?, ?)", (8801, "short lived"))
     server.flush(timeout=30)
     db.execute("DELETE FROM papers WHERE id = ?", (8801,))
@@ -146,7 +146,7 @@ def test_double_serve_rejected(served_setup):
 
 def test_close_hands_back_a_consistent_view(served_setup):
     db, engine, view, corpus = served_setup
-    server = engine.serve("Labeled_Papers", num_shards=4)
+    server = engine.serve("Labeled_Papers", shards=4)
     for doc in corpus[25:40]:
         db.execute(
             "INSERT INTO example_papers (id, label) VALUES (?, ?)",
@@ -222,7 +222,7 @@ def test_hand_back_state_is_bounded_by_the_ids_written(served_setup):
     """A long-served CRUD view keeps one hand-back entry per entity id written,
     not one per write — and still hands back the last state of each."""
     db, engine, view, corpus = served_setup
-    server = engine.serve("Labeled_Papers", num_shards=2)
+    server = engine.serve("Labeled_Papers", shards=2)
     target = corpus[0].entity_id
     for round_index in range(30):
         db.execute("UPDATE papers SET title = ? WHERE id = ?", (f"rewrite {round_index}", target))

@@ -28,14 +28,11 @@ import pytest
 from repro.core.maintainers import HazyEagerMaintainer, HazyLazyMaintainer
 from repro.core.stores import HybridEntityStore, InMemoryEntityStore, OnDiskEntityStore
 from repro.core.view import view_contents
-from repro.core.writes import ViewWriter
 from repro.db.buffer_pool import BufferPool, IOStatistics
 from repro.db.costmodel import CostModel
-from repro.learn.sgd import SGDTrainer
 from repro.persist.checkpoint import load_checkpoint
-from repro.serve import ViewServer
 
-from tests.serve.conftest import build_standalone_server
+from tests.serve.conftest import build_corpus_server, restore_directly
 
 READERS = 4
 WRITES = 60
@@ -124,7 +121,7 @@ def assert_checkpoints_hold_their_epoch(server, checkpoints, entities, factories
         restored_epochs.add(loaded.published.epoch)
         model = server.model_for_epoch(loaded.published.epoch)
         assert model is not None
-        restored = ViewServer.restore(loaded, ViewWriter(SGDTrainer(loss="svm")), **factories)
+        restored = restore_directly(server._view.database, path, **factories)
         try:
             assert restored.contents() == view_contents(entities, model), path.name
         finally:
@@ -133,8 +130,8 @@ def assert_checkpoints_hold_their_epoch(server, checkpoints, entities, factories
 
 def test_all_members_reads_are_snapshot_consistent(serve_corpus, factories, tmp_path):
     """Concurrent gather reads match the oracle at their tagged epoch exactly."""
-    server = build_standalone_server(
-        serve_corpus, num_shards=4, epoch_history=100_000, max_write_batch=BATCH, **factories
+    server = build_corpus_server(
+        serve_corpus, shards=4, epoch_history=100_000, max_write_batch=BATCH, **factories
     )
     entities = [(doc.entity_id, doc.features) for doc in serve_corpus]
     observations: list[tuple[int, frozenset]] = []
@@ -163,8 +160,8 @@ def test_all_members_reads_are_snapshot_consistent(serve_corpus, factories, tmp_
 
 def test_single_reads_are_snapshot_consistent(serve_corpus, factories, tmp_path):
     """Batched label_of answers agree with the oracle at their tagged epoch."""
-    server = build_standalone_server(
-        serve_corpus, num_shards=4, epoch_history=100_000, max_write_batch=BATCH, **factories
+    server = build_corpus_server(
+        serve_corpus, shards=4, epoch_history=100_000, max_write_batch=BATCH, **factories
     )
     entities = [(doc.entity_id, doc.features) for doc in serve_corpus]
     features = dict(entities)
@@ -198,8 +195,8 @@ def test_single_reads_are_snapshot_consistent(serve_corpus, factories, tmp_path)
 def test_sessions_are_monotonic_with_read_your_writes(serve_corpus, factories):
     """Per-client sessions never observe epochs going backwards, and writes
     are visible to the writer's next read."""
-    server = build_standalone_server(
-        serve_corpus, num_shards=4, epoch_history=100_000, **factories
+    server = build_corpus_server(
+        serve_corpus, shards=4, epoch_history=100_000, **factories
     )
     errors: list[BaseException] = []
 

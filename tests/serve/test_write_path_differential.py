@@ -125,7 +125,7 @@ def random_stream(rng: random.Random) -> list[tuple[str, tuple]]:
 def run(stream, approach: str, served: bool):
     """Each write's ``(refusal, contents after it)``, then the final write-side state."""
     db, view, engine = build(approach)
-    server = engine.serve("v", num_shards=1) if served else None
+    server = engine.serve("v", shards=1) if served else None
     trajectory: list[tuple[str | None, dict]] = []
     try:
         for sql, parameters in stream:
