@@ -11,7 +11,8 @@ the same scans.  A strategy supplies only what the paper says differs:
   stored label (eager, :class:`EagerReads`), a dot product (naive lazy), or
   band-then-dot-product (Hazy lazy);
 * :meth:`~ViewMaintainer.candidates` — which tuples a read must look at: the
-  whole table, or only those above low / below high water (Hazy lazy);
+  whole table, or only those above low / below high water (Hazy, both
+  approaches);
 * :meth:`~ViewMaintainer.apply_model` — what an Update does with the new
   model: swap it, advance the band, or relabel a scan.
 
@@ -25,7 +26,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from abc import ABC, abstractmethod
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from operator import attrgetter
 
 import numpy as np
@@ -196,9 +197,13 @@ class ViewMaintainer(ABC):
         more.  The callable charges the dot products it computes.
         """
 
-    def candidates(self, label: int) -> Iterator[EntityRecord]:
-        """The tuples a read for class ``label`` must look at: by default, all of them."""
-        return self.store.scan_all()
+    def candidates(self, label: int) -> tuple[float | None, float | None] | None:
+        """The run a read for class ``label`` must look at, as ``store.scan`` takes it.
+
+        By default the whole table (``None``); a Hazy strategy narrows it to an
+        eps slice.
+        """
+        return None  # noqa: RET501
 
     # -- reads ----------------------------------------------------------------------------
 
@@ -308,13 +313,10 @@ class ViewMaintainer(ABC):
         """
         self._require_loaded()
         start = self.store.cost_snapshot()
-        if key_range is None:
-            candidates = self.candidates(label)
-        else:
+        candidates = self.store.scan(self.candidates(label))
+        if key_range is not None:
             self.store.charge_statement_overhead()
-            candidates = (
-                r for r in self.candidates(label) if key_in_range(r.entity_id, *key_range)
-            )
+            candidates = (r for r in candidates if key_in_range(r.entity_id, *key_range))
         classify = self.classifier()
         members: list[object] = []
         touched = 0
@@ -385,9 +387,9 @@ class EagerReads:
         return _stored_label
 
     def read_all_members(self, label: int = 1) -> list[object]:
-        """A plain stored-label filter over the whole table: nothing to classify."""
+        """A stored-label filter over the candidate run: nothing to classify, one store call."""
         self._require_loaded()
         start = self.store.cost_snapshot()
-        members = [record.entity_id for record in self.store.scan_all() if record.label == label]
-        self.stats.record_all_members(self.store.count(), self.store.cost_snapshot() - start)
+        members, scanned = self.store.stored_members(label, self.candidates(label))
+        self.stats.record_all_members(scanned, self.store.cost_snapshot() - start)
         return members

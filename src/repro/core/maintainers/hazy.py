@@ -8,15 +8,18 @@ scratch table is worth its cost.
 
 * The **eager** variant reclassifies only the tuples inside the band on every
   model update, so updates touch a small fraction of the table.
-* The **lazy** variant never reclassifies on update; All Members reads scan
-  only the tuples that could possibly be in the class (everything above the
-  low water for the positive class), and the wasted fraction of each scan is
-  the cost fed to the Skiing strategy (§3.4).
+* The **lazy** variant never reclassifies on update, and the wasted fraction
+  of each All Members scan is the cost fed to the Skiing strategy (§3.4).
+
+Both read All Members from the clustered layout: only the tuples that could
+possibly be in the class (everything above the low water for the positive
+class, below the high water for the negative) are scanned — the eager variant
+filters their stored labels, the lazy one classifies them.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Sequence
 
 from repro.core.bounds import WaterBandTracker, holder_pair_for_norm
 from repro.core.maintainers.base import EagerReads, ViewMaintainer
@@ -143,6 +146,16 @@ class _HazyMaintainerBase(ViewMaintainer):
             return -1
         return None
 
+    def candidates(self, label: int) -> tuple[float | None, float | None]:
+        """Only the tuples that could be in the class: above low water, or below high water.
+
+        Lemma 3.1: below the low-water mark every tuple is negative under the
+        current model, above the high-water mark every tuple positive — so an
+        eager read's stored labels and a lazy read's classifier agree there.
+        """
+        band = self._require_tracker().band()
+        return (band.low, None) if label == 1 else (None, band.high)
+
 
 class HazyEagerMaintainer(EagerReads, _HazyMaintainerBase):
     """Eager maintenance that only reclassifies the water band on each update."""
@@ -219,13 +232,6 @@ class HazyLazyMaintainer(_HazyMaintainerBase):
             return sign(margin(record.features))
 
         return classify
-
-    def candidates(self, label: int) -> Iterator[EntityRecord]:
-        """Only the tuples that could be in the class: above low water, or below high water."""
-        band = self._require_tracker().band()
-        if label == 1:
-            return self.store.scan_eps(low=band.low)
-        return self.store.scan_eps(high=band.high)
 
     def _scan_members(
         self, label: int, key_range: tuple[object, object, bool, bool] | None = None

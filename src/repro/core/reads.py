@@ -39,7 +39,10 @@ def read_estimate(operation: str, stores: Sequence[EntityStore]) -> float:
     A point read is priced on the first store (the cheaper of a point lookup
     and a scan, as ``read_many`` chooses); All Members, a key range and a
     ranked read scan every store once; a contents read also answers through
-    ``read_single`` — statement overhead included — per stored entity.
+    ``read_single`` — statement overhead included — per stored entity.  On a
+    Hazy strategy All Members and a key range scan only the eps slice above
+    low / below high water, so the full scan is their upper bound, the price
+    the plan shows before the band is known.
     """
     first = stores[0]
     overhead = first.cost_model.statement_overhead

@@ -132,11 +132,21 @@ class EntityStore(ABC):
         """The clustered range scan: entities with ``low <= eps <= high``, in eps order.
 
         ``None`` leaves that end unbounded: both bounds give the water band,
-        ``low`` alone the positive-class candidates of a lazy All Members
+        ``low`` alone the positive-class candidates of a Hazy All Members
         read, ``high`` alone the negative-class ones.  Unlike :meth:`scan_all`
         (a heap scan in physical order on disk) this walks the eps index, and
         the two are priced differently.
         """
+
+    def scan(self, band: tuple[float | None, float | None] | None) -> Iterator[EntityRecord]:
+        """One run of tuples: the whole table or an eps slice.
+
+        ``band=None`` is the whole table as :meth:`scan_all` walks it,
+        ``(low, high)`` the clustered slice :meth:`scan_eps` walks — kept
+        apart because on disk the first is a heap scan in physical order and
+        the second an index walk, priced differently.
+        """
+        return self.scan_all() if band is None else self.scan_eps(*band)
 
     def score(
         self,
@@ -146,10 +156,7 @@ class EntityStore(ABC):
     ) -> tuple[Sequence[object], Sequence[int], Sequence[float]]:
         """Score one run of tuples under ``model``: ``(ids, stored labels, margins)``.
 
-        ``band=None`` is the whole table as :meth:`scan_all` walks it,
-        ``(low, high)`` the clustered slice :meth:`scan_eps` walks — kept
-        apart because on disk the first is a heap scan in physical order and
-        the second an index walk, priced differently.  The result is three
+        ``band`` picks the run as for :meth:`scan`.  The result is three
         parallel sequences in scan order, and the ledger is charged what the
         scan charges plus one dot product per tuple, tuple by tuple.  This
         loop is the definition and returns lists; the main-memory store
@@ -161,7 +168,26 @@ class EntityStore(ABC):
         store may build whatever scoring structure the run is worth; a read
         leaves it ``False`` and the store unchanged.
         """
-        return self._score_scan(model, self.scan_all() if band is None else self.scan_eps(*band))
+        return self._score_scan(model, self.scan(band))
+
+    def stored_members(
+        self, label: int, band: tuple[float | None, float | None] | None
+    ) -> tuple[list[object], int]:
+        """Ids in one run whose *stored* label is ``label``, and how many tuples the run held.
+
+        ``band`` picks the run as for :meth:`scan`.  The ids come in scan
+        order and the ledger is charged what the scan charges, nothing more.
+        This loop is the definition; the main-memory store answers the same
+        call from its clustering and the feature mirror's label column with
+        one mask, charging one ``tuple_read`` per tuple of the slice.
+        """
+        members: list[object] = []
+        scanned = 0
+        for record in self.scan(band):
+            scanned += 1
+            if record.label == label:
+                members.append(record.entity_id)
+        return members, scanned
 
     def _score_scan(
         self, model: LinearModel, records: Iterable[EntityRecord]

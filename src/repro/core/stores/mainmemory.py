@@ -33,12 +33,14 @@ charged to the ledger exactly as the per-tuple loop charged it
   compacts (``insert`` drops a mirror that is mostly dead rows; the next big
   slice builds a fresh one).
 * The label column follows ``record.label`` (``update_label``, ``insert``,
-  ``reorganize``); reads still answer from the records, the column exists so
-  a relabel pass compares labels without touching the band's Python objects.
+  ``reorganize``): a relabel pass compares labels without touching the band's
+  Python objects, and an eager All Members read (``stored_members``) answers
+  from it with one mask over its eps slice.  Point reads answer from the
+  records.
 * Only the write path writes it (bulk load, insert, delete, reorganize, and
   ``score(..., exclusive=True)`` — under the server's write lock when served).
-  A read that uses it (``top_k``) captures the clustering once, as every scan
-  does, and never builds or extends it.
+  A read that uses it (``top_k``, All Members) captures the clustering once,
+  as every scan does, and never builds or extends it.
 """
 
 from __future__ import annotations
@@ -446,6 +448,27 @@ class InMemoryEntityStore(EntityStore):
             ("tuple_read", self.cost_model.tuple_cpu), ("dot_product", mirror.charges.take(rows))
         )
         return ids, mirror.labels.take(rows), margins
+
+    def stored_members(
+        self, label: int, band: tuple[float | None, float | None] | None
+    ) -> tuple[list[object], int]:
+        """The slice's ids whose label is ``label``: one mask over the mirror's label column.
+
+        Same answer (eps order) and same ledger as the inherited scan loop.
+        Without a mirror the records' labels are read instead; a read never
+        builds one.
+        """
+        clustering, records = self._clustering, self._records
+        start, stop = clustering.bounds(band)
+        ids = clustering.ids[start:stop]
+        if clustering.mirror is None:
+            members = [entity_id for entity_id in ids if records[entity_id].label == label]
+        else:
+            kept = clustering.mirror.labels.take(clustering.rows[start:stop]) == label
+            members = [ids[position] for position in np.flatnonzero(kept).tolist()]
+        self.stats.tuples_read += len(ids)
+        self.stats.charge_interleaved(("tuple_read", np.full(len(ids), self.cost_model.tuple_cpu)))
+        return members, len(ids)
 
     # -- writes ---------------------------------------------------------------------------------
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -12,7 +13,12 @@ from repro.core.maintainers import (
     NaiveEagerMaintainer,
     NaiveLazyMaintainer,
 )
-from repro.core.stores import HybridEntityStore, InMemoryEntityStore, OnDiskEntityStore
+from repro.core.stores import (
+    HybridEntityStore,
+    InMemoryEntityStore,
+    OnDiskEntityStore,
+    mainmemory,
+)
 from repro.core.view import view_contents
 from repro.db.buffer_pool import BufferPool, IOStatistics
 from repro.db.costmodel import CostModel
@@ -224,28 +230,6 @@ class TestHazyLazyBehaviour:
         run_update_stream(lazy, trainer, documents, updates=20, seed=47)
         assert lazy.stats.tuples_reclassified == 0
 
-    def test_all_members_scans_fewer_tuples_than_naive_lazy(self):
-        documents = corpus(200, seed=95)
-        entities = [(doc.entity_id, doc.features) for doc in documents]
-
-        def warmed(maintainer_cls):
-            trainer = SGDTrainer(seed=37)
-            warm = [
-                TrainingExample(doc.entity_id, doc.features, doc.label)
-                for doc in random.Random(7).sample(documents, 120)
-            ]
-            for example in warm:
-                trainer.absorb(example)
-            maintainer = maintainer_cls(make_store("mainmemory"))
-            maintainer.bulk_load(entities, trainer.model)
-            run_update_stream(maintainer, trainer, documents, updates=5, seed=53)
-            maintainer.read_all_members(1)
-            return maintainer
-
-        hazy = warmed(HazyLazyMaintainer)
-        naive = warmed(NaiveLazyMaintainer)
-        assert hazy.stats.tuples_scanned_for_reads < naive.stats.tuples_scanned_for_reads
-
     def test_waste_accumulates_and_triggers_reorganization(self):
         documents = corpus(100, seed=97)
         entities = [(doc.entity_id, doc.features) for doc in documents]
@@ -266,6 +250,92 @@ class TestHazyLazyBehaviour:
         final_model = run_update_stream(lazy, trainer, documents, updates=20, seed=61)
         expected = {eid for eid, label in view_contents(entities, final_model).items() if label == -1}
         assert set(lazy.read_all_members(-1)) == expected
+
+
+#: ``(architecture, label column)``: main memory twice, its size rule forced so
+#: the eager relabel pass builds the feature mirror (the read then answers from
+#: the mirror's label column) or never does (the read falls back to the records).
+SLICE_STORES = [("mainmemory", True), ("mainmemory", False), ("ondisk", None), ("hybrid", None)]
+
+
+@pytest.mark.parametrize(
+    ("kind", "label_column"),
+    SLICE_STORES,
+    ids=["mainmemory-label-column", "mainmemory-records", "ondisk", "hybrid"],
+)
+class TestAllMembersFromTheSlice:
+    """A Hazy All Members read, eager or lazy, scans only the eps slice Lemma 3.1 leaves open."""
+
+    def warmed(self, maintainer_cls, kind, documents):
+        trainer = SGDTrainer(seed=37)
+        for doc in random.Random(7).sample(documents, 120):
+            trainer.absorb(TrainingExample(doc.entity_id, doc.features, doc.label))
+        maintainer = maintainer_cls(make_store(kind))
+        maintainer.bulk_load([(doc.entity_id, doc.features) for doc in documents], trainer.model)
+        run_update_stream(maintainer, trainer, documents, updates=5, seed=53)
+        return maintainer
+
+    @staticmethod
+    def force_size_rule(monkeypatch, label_column):
+        if label_column is not None:
+            monkeypatch.setattr(
+                mainmemory, "KERNEL_NONZEROS_PER_ROW", float("inf") if label_column else 0
+            )
+
+    @pytest.mark.parametrize("approach", ["eager", "lazy"])
+    def test_all_members_scans_fewer_tuples_than_naive(
+        self, approach, kind, label_column, monkeypatch
+    ):
+        self.force_size_rule(monkeypatch, label_column)
+        documents = corpus(200, seed=95)
+        hazy_cls, naive_cls = {
+            "eager": (HazyEagerMaintainer, NaiveEagerMaintainer),
+            "lazy": (HazyLazyMaintainer, NaiveLazyMaintainer),
+        }[approach]
+        hazy = self.warmed(hazy_cls, kind, documents)
+        naive = self.warmed(naive_cls, kind, documents)
+        if label_column is not None and approach == "eager":
+            assert (hazy.store._clustering.mirror is not None) == label_column
+
+        for label in (1, -1):
+            scanned = hazy.stats.tuples_scanned_for_reads
+            members = hazy.read_all_members(label)
+            band = hazy.tracker.band()
+            slice_ = (band.low, None) if label == 1 else (None, band.high)
+            assert hazy.stats.tuples_scanned_for_reads - scanned == hazy.store.count_eps_in_range(
+                *slice_
+            )
+            if approach == "eager":
+                assert members
+                expected = [r.entity_id for r in hazy.store.scan_all() if r.label == label]
+                if kind == "mainmemory":
+                    assert members == expected
+                else:
+                    assert Counter(members) == Counter(expected)
+            naive.read_all_members(label)
+
+        assert naive.stats.tuples_scanned_for_reads == 2 * len(documents)
+        assert hazy.stats.tuples_scanned_for_reads < naive.stats.tuples_scanned_for_reads
+
+    def test_eager_key_range_read_scans_only_the_slice(self, kind, label_column, monkeypatch):
+        self.force_size_rule(monkeypatch, label_column)
+        documents = corpus(200, seed=95)
+        hazy = self.warmed(HazyEagerMaintainer, kind, documents)
+        ids = sorted(doc.entity_id for doc in documents)
+        low, high = ids[20], ids[150]
+        for label in (1, -1):
+            band = hazy.tracker.band()
+            slice_ = (band.low, None) if label == 1 else (None, band.high)
+            in_slice = hazy.store.count_eps_in_range(*slice_)
+            read_before = hazy.store.stats.tuples_read
+            members = hazy.read_range(label, low, high)
+            assert hazy.store.stats.tuples_read - read_before == in_slice < len(documents)
+            expected = [
+                r.entity_id
+                for r in hazy.store.scan_all()
+                if r.label == label and low <= r.entity_id <= high
+            ]
+            assert Counter(members) == Counter(expected)
 
 
 class TestNaiveBehaviour:
