@@ -277,15 +277,18 @@ class Chunk:
         return self.columns is not None
 
     def to_rows(self) -> list[dict]:
-        """Materialize as fresh row dicts (column order preserved)."""
+        """Materialize as fresh row dicts (column order preserved).
+
+        A columnar chunk becomes rows in one pass: ``zip(*columns)`` yields
+        each row's values as a tuple and ``dict(zip(names, values))`` builds
+        the row from it, so no Python code runs per column.  This serves every
+        in-process SELECT and every response the wire server sends.
+        """
         if self.rows is not None:
             return self.rows
         names = self.names
         columns = [self.columns[name] for name in names]
-        return [
-            {name: column[i] for name, column in zip(names, columns)}
-            for i in range(self.length)
-        ]
+        return [dict(zip(names, values)) for values in zip(*columns)]
 
     def resolve(self, name: str) -> str | None:
         """Case-insensitive column lookup; None when the chunk lacks it."""

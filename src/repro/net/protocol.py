@@ -13,7 +13,17 @@ Every message — in either direction — is one **frame**::
 The length prefix counts payload bytes only.  Frames larger than
 :data:`MAX_FRAME_BYTES` are rejected before any allocation happens, so a
 garbage prefix (or a client speaking a different protocol) fails fast instead
-of stalling the server on a multi-gigabyte read.
+of stalling the server on a multi-gigabyte read.  On the sending side
+:func:`encode_frame` refuses an oversize payload before a byte is sent, so
+the server answers an oversize result with an error frame and keeps the
+connection; :func:`send_frame` puts an encoded frame on the socket, and
+:func:`write_frame` is the two in a row.  A payload that is not UTF-8, not
+JSON, nested too deeply for the decoder, or not an object is a
+:class:`ProtocolError`, like a truncated frame.
+
+Every payload is encoded by one shared ``JSONEncoder`` — one C call for a
+small message, one per slice of :data:`_INCREMENTAL_ROWS` rows for a large
+result set (see :func:`_encode_payload`).
 
 JSON is the payload format because every value the SQL surface produces
 (ints, floats, text, booleans, NULL) round-trips exactly through Python's
@@ -59,6 +69,8 @@ from repro.exceptions import (
 __all__ = [
     "MAX_FRAME_BYTES",
     "PROTOCOL_VERSION",
+    "encode_frame",
+    "send_frame",
     "read_frame",
     "write_frame",
     "encode_error",
@@ -76,45 +88,71 @@ MAX_FRAME_BYTES = 64 * 1024 * 1024
 _LENGTH = struct.Struct(">I")
 
 
-#: Row count above which a response's ``rows`` list is serialized row by row.
+#: Row count per slice when a response's ``rows`` list is encoded in slices.
 _INCREMENTAL_ROWS = 256
+
+#: The one encoder every frame goes through.  ``json.dumps`` with a
+#: non-default ``separators`` builds a fresh ``JSONEncoder`` per call; this
+#: one is built once.  It keeps no state between calls (each ``encode`` makes
+#: its own C encoder and circular-reference markers), so handler threads
+#: share it.
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
 def _encode_payload(message: dict[str, object]) -> bytes:
     """JSON-encode one frame's payload.
 
-    A large result set is encoded **incrementally** — one ``json.dumps`` call
-    per row instead of one for the whole message.  Each C-level dumps call
-    holds the GIL for its full duration, so a monolithic encode of a several-
-    thousand-row scan response stalls every other handler thread for
-    milliseconds; per-row encoding yields between rows and keeps concurrent
-    point reads' tail latency flat.  When ``rows`` is the message's final key
-    — the server builds query responses that way — the bytes are identical to
-    a monolithic dumps; otherwise only the key order differs, which JSON
-    object semantics ignore.
+    A small message is one ``_ENCODER.encode`` call.  A ``rows`` list longer
+    than :data:`_INCREMENTAL_ROWS` is encoded in slices of that many rows —
+    one C-level call per slice, the slices' brackets stripped and the pieces
+    joined with commas — so no single call holds the GIL for a whole
+    several-thousand-row scan response.  Slicing gives the GIL up no less
+    often than encoding row by row did: a thread holding the GIL is only
+    asked to drop it after another thread has waited a switch interval
+    (5 ms by default), and one slice takes a small fraction of that.  When
+    ``rows`` is the message's final key — the server builds query responses
+    that way — the bytes are identical to ``json.dumps(message,
+    separators=(",", ":"))``; otherwise only the key order differs, which
+    JSON object semantics ignore.
     """
     rows = message.get("rows")
     if not (isinstance(rows, list) and len(rows) > _INCREMENTAL_ROWS):
-        return json.dumps(message, separators=(",", ":")).encode("utf-8")
+        return _ENCODER.encode(message).encode("utf-8")
     head = {key: value for key, value in message.items() if key != "rows"}
-    opener = json.dumps(head, separators=(",", ":"))[:-1] + ("," if head else "")
-    parts = [opener, '"rows":[']
-    parts.append(",".join(json.dumps(row, separators=(",", ":")) for row in rows))
-    parts.append("]}")
-    return "".join(parts).encode("utf-8")
+    opener = _ENCODER.encode(head)[:-1] + ("," if head else "")
+    body = ",".join(
+        _ENCODER.encode(rows[start : start + _INCREMENTAL_ROWS])[1:-1]
+        for start in range(0, len(rows), _INCREMENTAL_ROWS)
+    )
+    return f'{opener}"rows":[{body}]}}'.encode("utf-8")
 
 
-def write_frame(sock: socket.socket, message: dict[str, object]) -> None:
-    """Serialize ``message`` and send it as one frame."""
+def encode_frame(message: dict[str, object]) -> bytes:
+    """Serialize ``message`` as one frame: length prefix plus payload.
+
+    Raises :class:`ProtocolError` when the payload exceeds
+    :data:`MAX_FRAME_BYTES`; nothing has been sent at that point, so the
+    caller can still answer with an error frame instead.
+    """
     payload = _encode_payload(message)
     if len(payload) > MAX_FRAME_BYTES:
         raise ProtocolError(
             f"frame of {len(payload)} bytes exceeds the {MAX_FRAME_BYTES}-byte limit"
         )
+    return _LENGTH.pack(len(payload)) + payload
+
+
+def send_frame(sock: socket.socket, frame: bytes) -> None:
+    """Send one frame :func:`encode_frame` built."""
     try:
-        sock.sendall(_LENGTH.pack(len(payload)) + payload)
+        sock.sendall(frame)
     except (BrokenPipeError, ConnectionResetError, OSError) as error:
         raise ConnectionClosedError(f"peer closed the connection: {error}") from error
+
+
+def write_frame(sock: socket.socket, message: dict[str, object]) -> None:
+    """Serialize ``message`` and send it as one frame."""
+    send_frame(sock, encode_frame(message))
 
 
 def _read_exactly(sock: socket.socket, count: int, *, eof_ok: bool) -> bytes | None:
@@ -165,6 +203,8 @@ def read_frame(sock: socket.socket, *, eof_ok: bool = False) -> dict[str, object
         message = json.loads(payload.decode("utf-8")) if length else {}
     except (UnicodeDecodeError, json.JSONDecodeError) as error:
         raise ProtocolError(f"frame payload is not valid JSON: {error}") from error
+    except RecursionError as error:
+        raise ProtocolError("frame payload nests too deeply to decode") from error
     if not isinstance(message, dict):
         raise ProtocolError(f"frame payload must be a JSON object, got {type(message).__name__}")
     return cast("dict[str, object]", message)

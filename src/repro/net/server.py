@@ -51,7 +51,9 @@ from repro.net.admission import (
 from repro.net.protocol import (
     PROTOCOL_VERSION,
     encode_error,
+    encode_frame,
     read_frame,
+    send_frame,
     write_frame,
 )
 
@@ -114,7 +116,13 @@ class _Handler:
             self.server._reap(self)
 
     def _serve_one(self, request: dict) -> bool:
-        """Handle one request frame; False ends the session (goodbye)."""
+        """Handle one request frame; False ends the session (goodbye).
+
+        The response is encoded inside the ``try``: a result too large for
+        one frame is a statement error answered with an error frame, and the
+        connection stays usable.  Only the send is left outside, where a
+        failure means the peer is gone.
+        """
         op = request.get("op")
         try:
             if op == "goodbye":
@@ -128,10 +136,11 @@ class _Handler:
                 response = {"ok": True, "pong": True}
             else:
                 raise ProtocolError(f"unknown operation {op!r}")
+            frame = encode_frame(response)
         except HazyError as error:
             self.errors_total += 1
             self.server._count_error()
-            response = {"ok": False, "error": encode_error(error)}
+            frame = encode_frame({"ok": False, "error": encode_error(error)})
         except Exception as error:  # noqa: BLE001 — internal fault must not leak
             self.errors_total += 1
             self.server._count_error()
@@ -139,10 +148,11 @@ class _Handler:
                 "ok": False,
                 "error": {"type": "InternalError", "message": f"{type(error).__name__}: {error}"},
             }
+            frame = encode_frame(response)
         finally:
             self.state = "idle"
             self.current_lane = None
-        write_frame(self.sock, response)
+        send_frame(self.sock, frame)
         return True
 
     def _admission_timeout(self, request: dict) -> float | None:
@@ -170,9 +180,9 @@ class _Handler:
             self.point_statements_total += 1
         else:
             self.bulk_statements_total += 1
-        # ``rows`` deliberately last: the protocol's incremental encoder emits
-        # large row lists at the end of the payload, so this order keeps the
-        # frame bytes identical to a monolithic json.dumps of this dict.
+        # ``rows`` deliberately last: the protocol encodes a large row list in
+        # slices and appends them at the end of the payload, so this order
+        # keeps the frame bytes identical to one json.dumps of this dict.
         return {
             "ok": True,
             "rowcount": result.rowcount,

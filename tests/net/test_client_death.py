@@ -70,6 +70,21 @@ class TestMidFrameDeath:
         wait_for_roster(server, 0)
         assert server.stats()["reaped_total"] == before + 1
 
+    def test_deeply_nested_frame_reaps_without_killing_the_thread(self, server, monkeypatch):
+        died: list[threading.ExceptHookArgs] = []
+        monkeypatch.setattr(threading, "excepthook", died.append)
+        victim = raw_dial(server)
+        wait_for_roster(server, 1)
+        before = server.stats()["reaped_total"]
+        payload = b"[" * 200_000
+        victim.sendall(struct.pack(">I", len(payload)) + payload)
+        wait_for_roster(server, 0)
+        victim.close()
+        assert server.stats()["reaped_total"] == before + 1
+        assert died == []
+        with connect(server.host, server.port, timeout=TEST_TIMEOUT_S) as other:
+            assert other.execute("SELECT COUNT(*) FROM items").scalar() == 20
+
     def test_the_reap_is_counted_when_the_roster_drops(self, server, monkeypatch):
         """A slow teardown must not leave the roster at 0 with the old count."""
         release = threading.Event()

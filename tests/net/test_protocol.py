@@ -135,6 +135,23 @@ class TestFraming:
             left.close()
             right.close()
 
+    def test_deeply_nested_payload_is_protocol_error(self):
+        # The decoder gives up on deep nesting with a RecursionError; the frame
+        # layer must report it as a protocol fault like any other bad payload.
+        left, right = pair()
+        payload = b"[" * 200_000
+        sender = threading.Thread(
+            target=left.sendall, args=(struct.pack(">I", len(payload)) + payload,)
+        )
+        sender.start()
+        try:
+            with pytest.raises(ProtocolError, match="nests too deeply"):
+                read_frame(right)
+        finally:
+            sender.join(timeout=5.0)
+            left.close()
+            right.close()
+
     def test_read_timeout_raises_network_timeout(self):
         left, right = pair()
         try:
@@ -167,6 +184,40 @@ class TestFraming:
 
         message = {"rows": [{"id": i} for i in range(_INCREMENTAL_ROWS + 1)]}
         assert json.loads(_encode_payload(message)) == message
+
+    def test_handler_threads_share_the_encoder(self):
+        # Every frame goes through one module-level JSONEncoder; concurrent
+        # encodes, switched as often as the interpreter allows, must each get
+        # their own message's bytes.
+        import json
+        import sys
+
+        from repro.net.protocol import _INCREMENTAL_ROWS, _encode_payload
+
+        messages = [
+            {"ok": True, "rowcount": n, "rows": [{"id": i, "tag": f"m{n}"} for i in range(n)]}
+            for n in (3, _INCREMENTAL_ROWS + 1, 3 * _INCREMENTAL_ROWS)
+        ]
+        expected = [json.dumps(m, separators=(",", ":")).encode("utf-8") for m in messages]
+        wrong: list[int] = []
+
+        def encode(index: int) -> None:
+            for _ in range(40):
+                if _encode_payload(messages[index % 3]) != expected[index % 3]:
+                    wrong.append(index)
+
+        threads = [threading.Thread(target=encode, args=(index,)) for index in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
 
     def test_large_frame_crosses_in_chunks(self):
         # Big enough to need many recv() calls on a real socket buffer.

@@ -116,6 +116,26 @@ class TestErrors:
             client._exchange({"op": "mystery"})
         assert client.usable  # a structured error response keeps framing intact
 
+    def test_oversize_result_fails_the_statement_not_the_connection(
+        self, server, backend, client, monkeypatch
+    ):
+        import repro.net.protocol as protocol
+
+        backend.execute("CREATE TABLE t (id integer PRIMARY KEY, name text)")
+        backend.executemany(
+            "INSERT INTO t (id, name) VALUES (?, ?)", [(i, f"row-{i:040d}") for i in range(50)]
+        )
+        monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 2_000)
+        with pytest.raises(ProtocolError) as excinfo:
+            client.execute("SELECT * FROM t")
+        assert "exceeds the 2000-byte limit" in str(excinfo.value)
+        # The same connection answers its next statement.
+        assert client.usable
+        assert client.execute("SELECT COUNT(*) FROM t").scalar() == 50
+        stats = server.stats()
+        assert stats["errors_total"] == 1
+        assert stats["reaped_total"] == 0
+
     def test_closed_client_raises_locally(self, server):
         conn = connect(server.host, server.port, timeout=TEST_TIMEOUT_S)
         conn.close()
