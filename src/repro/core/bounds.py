@@ -60,7 +60,7 @@ def weight_distance(current: Weights, stored: Weights, p: float) -> float:
             difference = w - w_s
     if p == math.inf:
         return float(np.abs(difference).max(initial=0.0))
-    return p_norm(difference.tolist(), p)
+    return p_norm(difference, p)
 
 
 @dataclass(frozen=True)

@@ -574,18 +574,15 @@ class HazyEngine:
             row = {"view": self.view(statement.view).name, **info}
             return ResultSet(rows=[row], rowcount=1, statement_type="CHECKPOINT VIEW")
         if isinstance(statement, RestoreView):
-            from repro.persist.checkpoint import describe_checkpoint
-
-            server = self.restore(statement.view, statement.path, **statement.options)
-            summary = describe_checkpoint(statement.path)
+            server, manifest = self._restore(statement.view, statement.path, statement.options)
             row = {
                 "view": self.view(statement.view).name,
                 "status": "serving",
                 "restored_from": statement.path,
                 "shards": len(server.shards),
                 "epoch": server.epoch,
-                "checkpoint_epoch": summary["epoch"],
-                "examples": summary["examples"],
+                "checkpoint_epoch": manifest.epoch,
+                "examples": len(manifest.examples),
             }
             return ResultSet(rows=[row], rowcount=1, statement_type="RESTORE VIEW")
         raise ConfigurationError(
@@ -607,6 +604,10 @@ class HazyEngine:
         snapshot's shard assignment is preserved, and a ``shards`` that
         disagrees with it is a :class:`~repro.exceptions.ConfigurationError`.
         """
+        return self._restore(name, path, options)[0]
+
+    def _restore(self, name: str, path, options: dict):
+        """:meth:`restore`, also returning the manifest it read (the checkpoint is read once)."""
         from repro.persist.checkpoint import load_checkpoint
         # Composition-root seam: Engine.restore() constructs the layer above
         # it; the import stays lazy so `import repro.core` never pulls serve.
@@ -668,7 +669,7 @@ class HazyEngine:
                 except Exception:
                     pass
             raise
-        return server
+        return server, manifest
 
     def _replay_post_checkpoint(self, view: ClassificationView, server, checkpoint) -> None:
         """Replay everything that happened after the checkpoint cut, in two passes.

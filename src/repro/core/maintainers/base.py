@@ -110,7 +110,7 @@ class ViewMaintainer(ABC):
         and then go out in scan order.
         """
         store = self.store
-        ids, stored, margins = store.score(model, band, exclusive=True)
+        ids, stored, margins = store.score(model, band)
         if isinstance(margins, np.ndarray):
             # Scored in bulk: sign(margin) != stored label, labels being -1/+1.
             changed = np.flatnonzero((margins >= 0.0) != (stored > 0)).tolist()

@@ -149,10 +149,7 @@ class EntityStore(ABC):
         return self.scan_all() if band is None else self.scan_eps(*band)
 
     def score(
-        self,
-        model: LinearModel,
-        band: tuple[float | None, float | None] | None = None,
-        exclusive: bool = False,
+        self, model: LinearModel, band: tuple[float | None, float | None] | None = None
     ) -> tuple[Sequence[object], Sequence[int], Sequence[float]]:
         """Score one run of tuples under ``model``: ``(ids, stored labels, margins)``.
 
@@ -162,11 +159,6 @@ class EntityStore(ABC):
         loop is the definition and returns lists; the main-memory store
         answers the same call from its feature mirror, with the labels and
         margins as the NumPy arrays its kernel produced.
-
-        ``exclusive`` says the caller is the store's single writer (the
-        maintenance path, under the server's write lock when served), so the
-        store may build whatever scoring structure the run is worth; a read
-        leaves it ``False`` and the store unchanged.
         """
         return self._score_scan(model, self.scan(band))
 

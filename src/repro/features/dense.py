@@ -50,10 +50,10 @@ class DenseColumnsFeature(FeatureFunction):
 
     def compute_feature(self, row: EntityRow) -> SparseVector:
         """Vector of the configured numeric columns (rescaled, l2-normalized)."""
-        vector = SparseVector()
-        for position, column in enumerate(self.columns):
-            value = float(row.get(column, 0.0) or 0.0)
-            vector[position] = self._scaled(column, value)
+        vector = SparseVector(
+            (position, self._scaled(column, float(row.get(column, 0.0) or 0.0)))
+            for position, column in enumerate(self.columns)
+        )
         if self.normalize:
             vector = vector.normalized(p=2.0)
         return vector

@@ -70,10 +70,11 @@ class TfIcfBagOfWords(FeatureFunction):
     def compute_feature(self, row: EntityRow) -> SparseVector:
         """tf-icf vector for the row (unseen tokens get the maximum icf)."""
         counts = Counter(self._tokens(row))
-        vector = SparseVector()
+        weights: dict[int, float] = {}
         for token, count in counts.items():
             index = self.vocabulary.get_or_add(token)
-            vector[index] = float(count) * self.inverse_corpus_frequency(index)
+            weights[index] = float(count) * self.inverse_corpus_frequency(index)
+        vector = SparseVector(weights)
         if self.normalize:
             vector = vector.normalized(p=2.0)
         return vector

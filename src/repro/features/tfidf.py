@@ -56,10 +56,11 @@ class TfIdfBagOfWords(FeatureFunction):
                 "scan the corpus (or insert documents through the engine) first"
             )
         counts = Counter(self._tokens(row))
-        vector = SparseVector()
+        weights: dict[int, float] = {}
         for token, count in counts.items():
             index = self.vocabulary.get_or_add(token)
-            vector[index] = float(count) * self.inverse_document_frequency(index)
+            weights[index] = float(count) * self.inverse_document_frequency(index)
+        vector = SparseVector(weights)
         if self.normalize:
             vector = vector.normalized(p=2.0)
         return vector

@@ -13,6 +13,8 @@ from __future__ import annotations
 import random
 from collections.abc import Sequence
 
+import numpy as np
+
 from repro.exceptions import ConfigurationError, NotFittedError
 from repro.learn.loss import Loss, get_loss
 from repro.learn.model import LinearModel
@@ -75,17 +77,18 @@ class BatchSubgradientSVM:
         previous = float("inf")
         for t in range(1, self.iterations + 1):
             step = 1.0 / (self.regularization * t)
-            gradient = SparseVector()
+            gradient = np.zeros(0)
             bias_gradient = 0.0
             for example in examples:
                 margin = model.margin(example.features)
                 g = self.loss.derivative(margin, float(example.label))
                 if g != 0.0:
-                    gradient.add_inplace(example.features, g / n)
+                    gradient = add_scaled(gradient, example.features, g / n)
                     bias_gradient -= g / n
                 self.examples_visited += 1
-            # w <- (1 - step*lambda) w - step * grad, as the next model
-            weights = add_scaled(self._shrink.shrink(model.weights.array, step), gradient, -step)
+            # w <- (1 - step*lambda) w - step * grad, over the gradient's non-zero cells
+            shrunk = self._shrink.shrink(model.weights.array, step)
+            weights = add_scaled(shrunk, SparseVector.from_dense(gradient), -step)
             model = LinearModel(Weights(weights), model.bias - step * bias_gradient, t)
             current = self.objective(model, examples)
             self.objective_trace.append(current)

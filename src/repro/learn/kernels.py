@@ -50,23 +50,25 @@ class LinearKernel(Kernel):
 
 def _squared_distance(left: SparseVector, right: SparseVector) -> float:
     """``||left - right||_2^2`` without materializing the difference twice."""
+    left_values, right_values = dict(left.items()), dict(right.items())
     total = 0.0
-    for index, value in left.items():
-        diff = value - right[index]
+    for index, value in left_values.items():
+        diff = value - right_values.get(index, 0.0)
         total += diff * diff
-    for index, value in right.items():
-        if index not in left:
+    for index, value in right_values.items():
+        if index not in left_values:
             total += value * value
     return total
 
 
 def _l1_distance(left: SparseVector, right: SparseVector) -> float:
     """``||left - right||_1``."""
+    left_values, right_values = dict(left.items()), dict(right.items())
     total = 0.0
-    for index, value in left.items():
-        total += abs(value - right[index])
-    for index, value in right.items():
-        if index not in left:
+    for index, value in left_values.items():
+        total += abs(value - right_values.get(index, 0.0))
+    for index, value in right_values.items():
+        if index not in left_values:
             total += abs(value)
     return total
 

@@ -45,20 +45,10 @@ class LinearModel:
 
         A left-to-right fold from ``0.0`` over ``features``' stored order, an
         index past the weights' end meeting ``0.0`` — the order
-        :func:`repro.linalg.kernels.row_margins` reproduces bit for bit.  A
-        loop, not ``sum()``, which compensates float sums from Python 3.12 on.
+        :func:`repro.linalg.kernels.row_margins` reproduces bit for bit
+        (:meth:`SparseVector.dot_weights`).
         """
-        cells = self.weights.cells
-        total = 0.0
-        try:
-            for index, value in features.items():
-                total += value * cells[index]
-        except IndexError:  # an index past the end: fold again, bounds-checked
-            size = len(cells)
-            total = 0.0
-            for index, value in features.items():
-                total += value * (cells[index] if index < size else 0.0)
-        return total - self.bias
+        return features.dot_weights(self.weights.array) - self.bias
 
     def margins(self, vectors: Iterable[SparseVector]) -> list[float]:
         """:meth:`margin` of each vector in turn — the scalar loop the batched

@@ -50,11 +50,8 @@ class Weights:
     @classmethod
     def of(cls, vector: SparseVector) -> Weights:
         """The weights holding ``vector``'s entries (a checkpoint's, a test's)."""
-        count = vector.nnz()
         array = np.zeros(vector.max_index() + 1)
-        array[np.fromiter(vector.indices(), np.intp, count)] = np.fromiter(
-            vector.values(), np.float64, count
-        )
+        array[vector.indices()] = vector.values()
         return cls(array)
 
     def items(self) -> Iterator[tuple[int, float]]:
@@ -85,13 +82,11 @@ def add_scaled(array: Array, vector: SparseVector, scale: float) -> Array:
     the cells are written into a zero-padded copy instead.  A zero ``scale``
     changes nothing.
     """
-    count = vector.nnz()
-    if scale == 0.0 or not count:
+    if scale == 0.0 or not vector.nnz():
         return array
     size = vector.max_index() + 1
     if size > len(array):
         array = np.concatenate((array, np.zeros(size - len(array))))
-    indices = np.fromiter(vector.indices(), np.intp, count)
     with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN arise as with Python floats
-        array[indices] += scale * np.fromiter(vector.values(), np.float64, count)
+        array[vector.indices()] += scale * vector.values()
     return array

@@ -3,8 +3,8 @@
 The paper's text workloads (DBLife, Citeseer) use sparse bag-of-words feature
 vectors with very large dimensionality, while the Forest data set uses small
 dense vectors.  :class:`~repro.linalg.vectors.SparseVector` covers both cases
-with a dictionary representation; dense ``numpy`` arrays can be converted to and
-from it.  :mod:`repro.linalg.norms` provides the p-norms and Hölder conjugate
+as a value of two read-only arrays (indices and values, in stored order); dense
+``numpy`` arrays can be converted to and from it.  :mod:`repro.linalg.norms` provides the p-norms and Hölder conjugate
 pairs that the low/high-water bound computation relies on (Lemma 3.1).
 """
 

@@ -33,7 +33,6 @@ remain responsible for ledger accounting.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from itertools import chain
 
 import numpy as np
 
@@ -89,14 +88,12 @@ def flatten(
     ``values``), in the vector's own stored order — which is the summation
     order of :meth:`SparseVector.dot` and must survive the flattening.
     """
-    count = len(vectors)
-    indptr = np.zeros(count + 1, dtype=np.int64)
-    np.cumsum(np.fromiter(map(len, vectors), dtype=np.int64, count=count), out=indptr[1:])
-    total = int(indptr[-1])
-    indices = np.fromiter(chain.from_iterable(vectors), dtype=index_dtype, count=total)
-    values = np.fromiter(
-        chain.from_iterable(vector.values() for vector in vectors), dtype=np.float64, count=total
+    indptr = np.zeros(len(vectors) + 1, dtype=np.int64)
+    np.cumsum([vector.nnz() for vector in vectors], out=indptr[1:])
+    indices = np.concatenate(
+        [np.zeros(0, index_dtype), *(vector.indices() for vector in vectors)], dtype=index_dtype
     )
+    values = np.concatenate([np.zeros(0), *(vector.values() for vector in vectors)])
     return indptr, indices, values
 
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 
+import numpy as np
+
 from repro.linalg.vectors import SparseVector, _norm
 
 __all__ = ["p_norm", "holder_conjugate", "HOLDER_PAIRS"]
@@ -42,4 +44,6 @@ def p_norm(vector: SparseVector | Iterable[float], p: float) -> float:
     """
     if isinstance(vector, SparseVector):
         return vector.norm(p)
+    if isinstance(vector, np.ndarray):
+        return _norm(vector.astype(np.float64, copy=False), p)
     return _norm([float(v) for v in vector], p)

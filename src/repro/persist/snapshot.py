@@ -26,7 +26,7 @@ import json
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
-from repro.exceptions import SnapshotError
+from repro.exceptions import ConfigurationError, SnapshotCorruptionError, SnapshotError
 from repro.learn.model import LinearModel
 from repro.learn.sgd import TrainingExample
 from repro.learn.weights import Weights
@@ -59,8 +59,16 @@ def row_content_hash(row: Mapping[str, object]) -> str:
     shortest-round-trip floats, so equal SQL values hash equal across
     processes.
     """
-    canonical = json.dumps(dict(row), sort_keys=True, separators=(",", ":"), default=repr)
+    canonical = json.dumps(dict(row), sort_keys=True, separators=(",", ":"), default=_hashable)
     return hashlib.blake2b(canonical.encode("utf-8"), digest_size=8).hexdigest()
+
+
+def _hashable(value: object) -> object:
+    """A vector as all its pairs (its ``repr`` abbreviates), anything else as its ``repr``."""
+    if isinstance(value, SparseVector):
+        return list(value.items())
+    return repr(value)
+
 
 _SCALAR_TYPES = (str, int, float, bool)
 
@@ -80,10 +88,23 @@ def encode_vector(vector: SparseVector | Weights) -> dict[str, float]:
 
 
 def decode_vector(document: dict[str, float]) -> SparseVector:
-    vector = SparseVector()
-    for index, value in document.items():
-        vector[int(index)] = float(value)
-    return vector
+    """The vector :func:`encode_vector` wrote: digit-string keys, int / float values;
+    anything else raises :class:`SnapshotCorruptionError` (a frame's CRC vouches
+    only for its bytes), where the constructor would drop or convert it."""
+    try:
+        if not isinstance(document, dict):
+            raise TypeError(f"expected an object, got {type(document).__name__}")
+        if document:
+            digits = "".join(document)
+            if "" in document or not (digits.isascii() and digits.isdigit()):
+                raise ValueError("an index is not a decimal integer")
+            if not set(map(type, document.values())) <= {int, float}:
+                raise TypeError("a value is not a number")
+        return SparseVector(document)
+    except (TypeError, ValueError, OverflowError, ConfigurationError) as error:
+        raise SnapshotCorruptionError(
+            f"snapshot holds a malformed feature vector {document!r:.80}: {error}"
+        ) from error
 
 
 def encode_model(model: LinearModel) -> dict[str, object]:

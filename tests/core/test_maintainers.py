@@ -252,16 +252,17 @@ class TestHazyLazyBehaviour:
         assert set(lazy.read_all_members(-1)) == expected
 
 
-#: ``(architecture, label column)``: main memory twice, its size rule forced so
-#: the eager relabel pass builds the feature mirror (the read then answers from
-#: the mirror's label column) or never does (the read falls back to the records).
+#: ``(architecture, kernel)``: main memory twice, its size rule forced so the
+#: eager relabel pass scores every band with the kernel or with the scalar
+#: loop; the read answers from the feature mirror's label column either way,
+#: which both passes must keep in step with the records.
 SLICE_STORES = [("mainmemory", True), ("mainmemory", False), ("ondisk", None), ("hybrid", None)]
 
 
 @pytest.mark.parametrize(
-    ("kind", "label_column"),
+    ("kind", "kernel"),
     SLICE_STORES,
-    ids=["mainmemory-label-column", "mainmemory-records", "ondisk", "hybrid"],
+    ids=["mainmemory-kernel", "mainmemory-scalar", "ondisk", "hybrid"],
 )
 class TestAllMembersFromTheSlice:
     """A Hazy All Members read, eager or lazy, scans only the eps slice Lemma 3.1 leaves open."""
@@ -276,17 +277,17 @@ class TestAllMembersFromTheSlice:
         return maintainer
 
     @staticmethod
-    def force_size_rule(monkeypatch, label_column):
-        if label_column is not None:
+    def force_size_rule(monkeypatch, kernel):
+        if kernel is not None:
             monkeypatch.setattr(
-                mainmemory, "KERNEL_NONZEROS_PER_ROW", float("inf") if label_column else 0
+                mainmemory, "KERNEL_NONZEROS_PER_ROW", float("inf") if kernel else 0
             )
 
     @pytest.mark.parametrize("approach", ["eager", "lazy"])
     def test_all_members_scans_fewer_tuples_than_naive(
-        self, approach, kind, label_column, monkeypatch
+        self, approach, kind, kernel, monkeypatch
     ):
-        self.force_size_rule(monkeypatch, label_column)
+        self.force_size_rule(monkeypatch, kernel)
         documents = corpus(200, seed=95)
         hazy_cls, naive_cls = {
             "eager": (HazyEagerMaintainer, NaiveEagerMaintainer),
@@ -294,8 +295,10 @@ class TestAllMembersFromTheSlice:
         }[approach]
         hazy = self.warmed(hazy_cls, kind, documents)
         naive = self.warmed(naive_cls, kind, documents)
-        if label_column is not None and approach == "eager":
-            assert (hazy.store._clustering.mirror is not None) == label_column
+        if kind == "mainmemory":
+            clustering = hazy.store._clustering
+            labels = clustering.mirror.labels.take(clustering.rows).tolist()
+            assert labels == [record.label for record in hazy.store.scan_all()]
 
         for label in (1, -1):
             scanned = hazy.stats.tuples_scanned_for_reads
@@ -317,8 +320,8 @@ class TestAllMembersFromTheSlice:
         assert naive.stats.tuples_scanned_for_reads == 2 * len(documents)
         assert hazy.stats.tuples_scanned_for_reads < naive.stats.tuples_scanned_for_reads
 
-    def test_eager_key_range_read_scans_only_the_slice(self, kind, label_column, monkeypatch):
-        self.force_size_rule(monkeypatch, label_column)
+    def test_eager_key_range_read_scans_only_the_slice(self, kind, kernel, monkeypatch):
+        self.force_size_rule(monkeypatch, kernel)
         documents = corpus(200, seed=95)
         hazy = self.warmed(HazyEagerMaintainer, kind, documents)
         ids = sorted(doc.entity_id for doc in documents)

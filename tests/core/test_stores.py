@@ -279,7 +279,7 @@ class TestHybridSpecifics:
 
 
 class TestMainMemoryMirror:
-    """The feature mirror: a second way to score a slice, never a second answer."""
+    """The feature mirror: every row, always; another way to score a slice, not another answer."""
 
     @staticmethod
     def loaded(count: int = 300):
@@ -312,21 +312,35 @@ class TestMainMemoryMirror:
     def assert_same_as_scan_loop(self, store, model, band):
         want_ids, want_labels, want_margins, want_cost = self.scan_loop(store, model, band)
         before = store.stats.snapshot()
-        ids, labels, margins = store.score(model, band, exclusive=True)
+        ids, labels, margins = store.score(model, band)
         cost = store.stats.diff(before)
         assert (list(ids), list(labels)) == (want_ids, want_labels)
         assert [repr(float(m)) for m in margins] == [repr(m) for m in want_margins]
         assert (cost.tuples_read, cost.dot_products) == (want_cost.tuples_read, want_cost.dot_products)
         assert cost.detail.keys() == want_cost.detail.keys()
 
-    def test_a_read_never_builds_the_mirror_and_a_small_slice_does_not_either(self):
+    @staticmethod
+    def assert_mirror_holds_the_records(store):
+        clustering = store._clustering
+        assert clustering.mirror.count == store.count()  # no dead rows
+        records = [store._records[entity_id] for entity_id in clustering.ids]
+        assert clustering.mirror.labels[clustering.rows].tolist() == [r.label for r in records]
+        indptr, indices = clustering.mirror.indptr, clustering.mirror.indices
+        for row, record in zip(clustering.rows.tolist(), records):
+            stored = indices[indptr[row] : indptr[row + 1]]
+            assert stored.tolist() == record.features.indices().tolist()
+
+    def test_bulk_load_and_a_warm_restart_build_every_row(self):
         store, model, _ = self.loaded()
-        store.score(model)  # a read (top_k): whole table, but not the writer
-        assert store._clustering.mirror is None
-        store.score(model, (-1e-9, 1e-9), exclusive=True)  # the writer, a handful of tuples
-        assert store._clustering.mirror is None
-        store.score(model, (-1.0, 1.0), exclusive=True)
-        assert store._clustering.mirror is not None
+        self.assert_mirror_holds_the_records(store)
+        assert not store._kernel_pays(3, model)  # a handful of tuples: the scalar loop
+        self.assert_same_as_scan_loop(store, model, (-1e-9, 1e-9))
+        assert store._kernel_pays(store.count(), model)  # the table: the kernel
+        self.assert_same_as_scan_loop(store, model, None)
+        restarted = InMemoryEntityStore(feature_norm_q=1.0)
+        restarted.import_state(store.export_state())
+        self.assert_mirror_holds_the_records(restarted)
+        assert restarted._clustering.ids == store._clustering.ids
 
     def test_scores_like_the_scan_loop_through_churn(self):
         store, model, rng = self.loaded()
@@ -360,21 +374,21 @@ class TestMainMemoryMirror:
         with pytest.raises(KeyNotFoundError):
             store.delete(3)
 
-    def test_a_mirror_that_is_mostly_dead_rows_is_dropped(self):
+    def test_an_insert_compacts_a_mirror_that_is_mostly_dead_rows(self):
         store, model, _ = self.loaded(count=120)
-        store.score(model, None, exclusive=True)
+        ids_before = store._clustering.ids
         for entity_id in range(90):
             store.delete(entity_id)
-        assert store._clustering.mirror is not None
+        assert store._clustering.mirror.count == 120  # 90 dead rows, 30 live ones
         store.insert("fresh", SparseVector({3: 1.0}), eps=0.0, label=1)
-        assert store._clustering.mirror is None
-        self.assert_same_as_scan_loop(store, model, None)  # and rebuilt, compact, on demand
-        assert store._clustering.mirror.count == store.count()
+        self.assert_mirror_holds_the_records(store)  # compacted, then appended to
+        survivors = [entity_id for entity_id in ids_before if entity_id not in range(90)]
+        assert [i for i in store._clustering.ids if i != "fresh"] == survivors  # order kept
+        self.assert_same_as_scan_loop(store, model, None)
 
     def test_an_index_too_wide_for_a_dense_model_keeps_the_scalar_loop(self):
         store, model, _ = self.loaded()
-        store.score(model, None, exclusive=True)
-        store.insert("wide", SparseVector({2**40: 1.0}), eps=0.0, label=1)
-        assert store._clustering.mirror is None
+        store.insert("wide", SparseVector({2**31 - 1: 1.0}), eps=0.0, label=1)
+        assert store._clustering.mirror.count == store.count()  # in the mirror all the same
+        assert not store._kernel_pays(store.count(), model)
         self.assert_same_as_scan_loop(store, model, None)
-        assert store._clustering.mirror is None

@@ -49,7 +49,7 @@ class TestCoercion:
 
     def test_vector_accepts_sparse_and_dict(self):
         assert isinstance(coerce_value(SparseVector({0: 1.0}), DataType.VECTOR), SparseVector)
-        assert coerce_value({1: 2.0}, DataType.VECTOR)[1] == 2.0
+        assert coerce_value({1: 2.0}, DataType.VECTOR) == SparseVector({1: 2.0})
 
     def test_vector_rejects_other_types(self):
         with pytest.raises(SchemaError):

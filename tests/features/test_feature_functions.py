@@ -59,8 +59,7 @@ class TestTfBagOfWords:
         vector = feature.compute_feature({"text": "db db systems"})
         db_index = feature.vocabulary.get("db")
         systems_index = feature.vocabulary.get("systems")
-        assert vector[db_index] == 2.0
-        assert vector[systems_index] == 1.0
+        assert dict(vector.items()) == {db_index: 2.0, systems_index: 1.0}
 
     def test_l1_normalization_default(self):
         feature = TfBagOfWords()
@@ -69,15 +68,15 @@ class TestTfBagOfWords:
 
     def test_vocabulary_indices_stable_across_documents(self):
         feature = TfBagOfWords()
-        first = feature.compute_feature({"text": "alpha beta"})
-        second = feature.compute_feature({"text": "beta gamma"})
+        first = dict(feature.compute_feature({"text": "alpha beta"}).items())
+        second = dict(feature.compute_feature({"text": "beta gamma"}).items())
         beta = feature.vocabulary.get("beta")
         assert first[beta] > 0 and second[beta] > 0
 
     def test_multiple_text_columns_concatenated(self):
         feature = TfBagOfWords(text_columns=("title", "abstract"), normalize=False)
         vector = feature.compute_feature({"title": "query", "abstract": "query plans"})
-        assert vector[feature.vocabulary.get("query")] == 2.0
+        assert dict(vector.items())[feature.vocabulary.get("query")] == 2.0
 
     def test_missing_column_treated_as_empty(self):
         feature = TfBagOfWords(text_columns=("title",))
@@ -110,7 +109,7 @@ class TestTfIdf:
     def test_rare_terms_weighted_higher(self):
         feature = TfIdfBagOfWords(normalize=False)
         feature.compute_stats([{"text": "db systems"}, {"text": "db theory"}, {"text": "db"}])
-        vector = feature.compute_feature({"text": "db theory"})
+        vector = dict(feature.compute_feature({"text": "db theory"}).items())
         assert vector[feature.vocabulary.get("theory")] > vector[feature.vocabulary.get("db")]
 
     def test_incremental_stats_update(self):
@@ -146,7 +145,7 @@ class TestTfIcf:
     def test_unseen_terms_get_maximum_icf(self):
         feature = TfIcfBagOfWords(normalize=False)
         feature.compute_stats([{"text": "db db systems"}])
-        vector = feature.compute_feature({"text": "db novelterm"})
+        vector = dict(feature.compute_feature({"text": "db novelterm"}).items())
         assert vector[feature.vocabulary.get("novelterm")] > vector[feature.vocabulary.get("db")]
 
     def test_feature_computable_before_any_stats(self):
@@ -162,18 +161,17 @@ class TestDenseColumns:
     def test_vector_positions_follow_declaration_order(self):
         feature = DenseColumnsFeature(columns=("a", "b"), rescale=False, normalize=False)
         vector = feature.compute_feature({"a": 2.0, "b": 5.0})
-        assert vector[0] == 2.0
-        assert vector[1] == 5.0
+        assert dict(vector.items()) == {0: 2.0, 1: 5.0}
 
     def test_rescaling_to_unit_range(self):
         feature = DenseColumnsFeature(columns=("a",), rescale=True, normalize=False)
         feature.compute_stats([{"a": 0.0}, {"a": 10.0}])
-        assert feature.compute_feature({"a": 5.0})[0] == pytest.approx(0.5)
+        assert dict(feature.compute_feature({"a": 5.0}).items()) == {0: pytest.approx(0.5)}
 
     def test_constant_column_rescales_to_zero(self):
         feature = DenseColumnsFeature(columns=("a",), rescale=True, normalize=False)
         feature.compute_stats([{"a": 3.0}, {"a": 3.0}])
-        assert feature.compute_feature({"a": 3.0})[0] == 0.0
+        assert feature.compute_feature({"a": 3.0}).nnz() == 0
 
     def test_l2_normalization(self):
         feature = DenseColumnsFeature(columns=("a", "b"), rescale=False, normalize=True)
@@ -181,7 +179,7 @@ class TestDenseColumns:
 
     def test_missing_values_read_as_zero(self):
         feature = DenseColumnsFeature(columns=("a", "b"), rescale=False, normalize=False)
-        assert feature.compute_feature({"a": 1.0})[1] == 0.0
+        assert dict(feature.compute_feature({"a": 1.0}).items()) == {0: 1.0}
 
     def test_fixed_dimension(self):
         assert DenseColumnsFeature(columns=("a", "b", "c")).dimension() == 3

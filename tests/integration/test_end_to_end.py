@@ -150,7 +150,7 @@ class TestDenseWorkloadThroughEngine:
         db.execute("CREATE TABLE measurement_examples (id integer PRIMARY KEY, label integer)")
         for entity_id, features in dataset.entities:
             columns = ["id"] + [f"f{i}" for i in range(54)]
-            values = [entity_id] + [features[i] for i in range(54)]
+            values = [entity_id] + features.to_dense(54).tolist()
             placeholders = ", ".join("?" for _ in columns)
             db.execute(
                 f"INSERT INTO measurements ({', '.join(columns)}) VALUES ({placeholders})",

@@ -105,6 +105,8 @@ def test_sql_only_end_to_end_checkpoint_restore(tmp_path):
     ).fetchone()
     assert restore_row["status"] == "serving"
     assert restore_row["epoch"] == info["epoch"]
+    assert restore_row["checkpoint_epoch"] == info["epoch"]
+    assert restore_row["examples"] == 60  # the labels given before the checkpoint
 
     everything_after = conn2.execute(
         "SELECT id, class FROM labeled_papers ORDER BY id"

@@ -41,7 +41,7 @@ def test_nothing_goes_around_the_frozen_model():
             if text.startswith("object.__setattr__("):
                 found.append(f"{name}:{node.lineno}: {text}")
             unfrozen = isinstance(node, ast.Assign) and ".writeable = " in text
-            if unfrozen and name != "learn/weights.py":
+            if unfrozen and name not in ("learn/weights.py", "linalg/vectors.py"):
                 found.append(f"{name}:{node.lineno}: {text}")
             if isinstance(node, ast.Call) and ".setflags(" in text:
                 found.append(f"{name}:{node.lineno}: {text}")

@@ -18,7 +18,7 @@ from repro.exceptions import (
 )
 from repro.linalg import SparseVector
 from repro.persist import FORMAT_VERSION, MANIFEST_NAME, load_checkpoint
-from repro.persist.format import read_frame, write_frame
+from repro.persist.format import read_frame, read_json_frame, write_frame, write_json_frame
 from repro.workloads.synth_text import SparseCorpusGenerator
 
 from tests.db.test_sql_plan import PreFeaturizedColumn
@@ -221,6 +221,43 @@ class TestCrashShapes:
         payload = read_frame(shard_file)
         write_frame(shard_file, payload + b" ")
         with pytest.raises(SnapshotCorruptionError, match="content digest"):
+            load_checkpoint(directory)
+
+    @pytest.mark.parametrize(
+        "vector",
+        [
+            {"x": 1.0},
+            {"1": "abc"},
+            {"-1": 1.0},
+            ["oops"],
+            {"3000000000": 1.0},
+            {"1": None},
+            {"1": True},
+            {"1": "2.5"},
+            {" 1": 1.0},
+            {"1": 10**400},
+        ],
+        ids=[
+            "index-not-a-number",
+            "value-not-a-number",
+            "negative-index",
+            "not-a-mapping",
+            "index-past-int32",
+            "value-null",
+            "value-boolean",
+            "value-numeric-string",
+            "index-with-a-space",
+            "value-past-float",
+        ],
+    )
+    def test_a_malformed_vector_in_a_valid_frame_is_corruption(self, corpus, tmp_path, vector):
+        """The frame's CRC vouches for the bytes, not for what they say."""
+        directory = self._checkpoint(corpus, tmp_path)
+        manifest = directory / MANIFEST_NAME
+        document = read_json_frame(manifest)
+        document["examples"][0][1] = vector
+        write_json_frame(manifest, document)
+        with pytest.raises(SnapshotCorruptionError, match="malformed feature vector"):
             load_checkpoint(directory)
 
     def test_missing_manifest_means_no_checkpoint(self, corpus, tmp_path):

@@ -12,9 +12,11 @@ from __future__ import annotations
 import json
 
 from repro import HazyEngine
+from repro.linalg import SparseVector
 from repro.persist import MANIFEST_NAME, load_checkpoint
 from repro.persist.checkpoint import shard_file_name
 from repro.persist.format import read_frame, write_frame
+from repro.persist.snapshot import row_content_hash
 
 from tests.persist.test_checkpoint_restore import DDL, build_engine_database
 
@@ -162,3 +164,19 @@ def test_legacy_checkpoint_without_hashes_keeps_the_old_contract(corpus, tmp_pat
         assert dict(restored.top_k(len(corpus)))[target_id] == before_top[target_id]
     finally:
         restored.close()
+
+
+def test_a_vector_column_hashes_every_entry():
+    """Two rows that differ only in a vector's 7th entry hash apart.
+
+    A vector's ``repr`` shows its first six entries, so a hash over it could
+    not see an in-place UPDATE past them; the hash covers every pair.
+    """
+    entries = {index: float(index + 1) for index in range(8)}
+    changed = {**entries, 6: 99.0}
+    assert repr(SparseVector(entries)) == repr(SparseVector(changed))
+    before = row_content_hash({"id": 1, "features": SparseVector(entries)})
+    after = row_content_hash({"id": 1, "features": SparseVector(changed)})
+    assert before != after
+    # A row without a vector hashes as it always has: its canonical JSON.
+    assert row_content_hash({"id": 1, "title": "a"}) == "999d93b8a365e506"

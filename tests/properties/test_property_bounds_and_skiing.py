@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.bounds import WaterBandTracker
 from repro.core.skiing import OfflineOptimalScheduler, simulate_skiing_on_trace
 from repro.learn.model import LinearModel
-from repro.learn.weights import Weights
+from repro.learn.weights import Weights, add_scaled
 from repro.linalg import SparseVector
 
 DIMENSION = 12
@@ -61,10 +62,10 @@ class TestWaterBandSoundness:
         tracker.reset(stored)
         stored_eps = [stored.margin(vector) for vector in entities]
 
-        weights, current = initial_weights, stored
+        weights, current = initial_weights.to_dense(), stored
         for step, (weight_change, bias_change) in enumerate(updates, start=1):
-            weights = weights.add(SparseVector(weight_change))
-            current = LinearModel(Weights.of(weights), current.bias + bias_change, step)
+            weights = add_scaled(weights.copy(), SparseVector(weight_change), 1.0)
+            current = LinearModel(Weights(weights), current.bias + bias_change, step)
             band = tracker.advance(current)
             for eps, vector in zip(stored_eps, entities):
                 if band.certain_positive(eps):
@@ -77,11 +78,11 @@ class TestWaterBandSoundness:
     def test_band_grows_monotonically(self, updates):
         tracker = WaterBandTracker(math.inf, 1.0)
         tracker.reset(LinearModel())
-        weights, current = SparseVector(), LinearModel()
+        weights, current = np.zeros(0), LinearModel()
         previous_band = tracker.band()
         for step, (weight_change, bias_change) in enumerate(updates, start=1):
-            weights = weights.add(SparseVector(weight_change))
-            current = LinearModel(Weights.of(weights), current.bias + bias_change, step)
+            weights = add_scaled(weights.copy(), SparseVector(weight_change), 1.0)
+            current = LinearModel(Weights(weights), current.bias + bias_change, step)
             band = tracker.advance(current)
             assert band.low <= previous_band.low
             assert band.high >= previous_band.high

@@ -33,18 +33,20 @@ finite = st.one_of(
     st.sampled_from([1.0, -1.0, 0.5, 3.0, 5e-324, -5e-324, 2.5e-308, 1e308, -1e308, 1e-200]),
 )
 #: Weights (and the bias) may also be signed zeros, infinities and NaN: zeros
-#: are what an underflowing ``scale_inplace`` leaves behind, the others what a
-#: diverged trainer does.
+#: are what an underflowing shrink leaves behind, the others what a diverged
+#: trainer does.  A feature vector never stores a zero (its constructor drops
+#: them), so in a row these values mean non-zero entries and dropped ones.
 weights_values = st.one_of(
     finite, st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan])
 )
 
 
-def vector_of(pairs: list[tuple[int, float]]) -> SparseVector:
-    """A vector holding exactly ``pairs``, in that order — explicit zeros included."""
-    vector = SparseVector()
-    vector._data.update(pairs)
-    return vector
+def weights_of(pairs: list[tuple[int, float]]) -> Weights:
+    """A weight array holding exactly ``pairs`` — explicit ``+-0.0`` cells included."""
+    array = np.zeros(max((index for index, _ in pairs), default=-1) + 1)
+    for index, value in pairs:
+        array[index] = value
+    return Weights(array)
 
 
 def entries(values, max_index: int, max_size: int):
@@ -54,15 +56,14 @@ def entries(values, max_index: int, max_size: int):
     )
 
 
-rows = st.lists(entries(weights_values, DIMENSION - 1, 9).map(vector_of), max_size=14)
+rows = st.lists(entries(weights_values, DIMENSION - 1, 9).map(SparseVector), max_size=14)
 #: Up to 18 weights over indices 0..top: the array is often shorter than the
 #: rows' dimension, sometimes longer, and often has fewer non-zeros than a row.
 models = st.builds(
     LinearModel,
     weights=st.integers(0, 19)
     .flatmap(lambda top: entries(weights_values, top, 18))
-    .map(vector_of)
-    .map(Weights.of),
+    .map(weights_of),
     bias=st.one_of(finite, st.sampled_from([0.0, -0.0])),
 )
 
@@ -94,7 +95,7 @@ def test_sparse_margins_equal_linear_model_margin(rows, model, chunk, order):
 
 @settings(max_examples=200, deadline=None)
 @given(
-    rows=st.lists(entries(finite, 15, 9).map(vector_of), max_size=10),
+    rows=st.lists(entries(finite, 15, 9).map(SparseVector), max_size=10),
     weights=st.lists(weights_values, max_size=DIMENSION),
     bias=finite,
 )
@@ -106,8 +107,8 @@ def test_batch_margins_equal_the_scalar_dot_against_a_dense_array(rows, weights,
 
 def test_a_row_of_negative_zero_products_sums_to_positive_zero():
     """``sum`` starts from ``0`` and ``0.0 + -0.0 == 0.0``: the accumulator must start there too."""
-    row = vector_of([(0, 1.0), (1, 2.0)])
-    model = LinearModel(weights=Weights.of(vector_of([(0, -0.0), (1, -0.0), (2, 1.0)])), bias=0.0)
+    row = SparseVector([(0, 1.0), (1, 2.0)])
+    model = LinearModel(weights=weights_of([(0, -0.0), (1, -0.0), (2, 1.0)]), bias=0.0)
     indptr, indices, values = kernels.flatten([row], np.int32)
     got = kernels.sparse_margins(
         indptr, indices, values, np.array([0]), model.weights.array, model.bias, 3
@@ -118,9 +119,9 @@ def test_a_row_of_negative_zero_products_sums_to_positive_zero():
 
 def test_a_nonfinite_weight_does_not_leak_through_the_padding():
     """Row 0 is shorter than row 1: its padded cell must not pick up the NaN weight."""
-    short, long = vector_of([(0, 1.0)]), vector_of([(0, 1.0), (1, 1.0)])
+    short, long = SparseVector([(0, 1.0)]), SparseVector([(0, 1.0), (1, 1.0)])
     model = LinearModel(
-        weights=Weights.of(vector_of([(0, 2.0), (1, math.nan), (2, 1.0)])), bias=0.5
+        weights=weights_of([(0, 2.0), (1, math.nan), (2, 1.0)]), bias=0.5
     )
     indptr, indices, values = kernels.flatten([short, long], np.int32)
     got = kernels.sparse_margins(
@@ -131,8 +132,8 @@ def test_a_nonfinite_weight_does_not_leak_through_the_padding():
 
 def test_an_index_past_the_model_meets_a_zero_weight():
     """The model's array ends at index 1; the kernel pads it to the rows' dimension."""
-    rows = [vector_of([(0, 2.0), (5, 3.0)]), vector_of([(5, math.inf)])]
-    model = LinearModel(weights=Weights.of(vector_of([(0, 0.5), (1, 1.0)])), bias=0.25)
+    rows = [SparseVector([(0, 2.0), (5, 3.0)]), SparseVector([(5, math.inf)])]
+    model = LinearModel(weights=weights_of([(0, 0.5), (1, 1.0)]), bias=0.25)
     indptr, indices, values = kernels.flatten(rows, np.int32)
     got = kernels.sparse_margins(
         indptr, indices, values, np.array([0, 1]), model.weights.array, model.bias, 6

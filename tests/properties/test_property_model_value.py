@@ -3,7 +3,8 @@
 :class:`~repro.learn.sgd.SGDTrainer` builds each next model once — a
 vectorised shrink into a fresh array, the loss step written into it, the array
 frozen — and hands the same object to everyone.  Before that a model's
-weights were a dict (a :class:`~repro.linalg.SparseVector`).  Labels are
+weights were a dict (the dict-backed vector ``tests/linalg/dict_vector.py``
+keeps).  Labels are
 ``sign(w . f - b)`` and Skiing compares accumulated floats, so the array
 trainer is not allowed to be *close* to the dict one: after every step each
 weight, read by index, must be the same bits (a zero of either sign, stored
@@ -24,6 +25,7 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,6 +35,7 @@ from repro.learn.model import LinearModel
 from repro.learn.sgd import SGDTrainer, TrainingExample
 from repro.learn.weights import Weights
 from repro.linalg import SparseVector
+from tests.linalg.dict_vector import DictVector
 
 
 def weight_bits(weights) -> dict[int, str]:
@@ -47,17 +50,17 @@ def model_bits(model) -> tuple:
 class DictModel:
     """A model as it was: a dict of weights, a bias, a version."""
 
-    def __init__(self, weights: SparseVector, bias: float = 0.0, version: int = 0):
+    def __init__(self, weights: DictVector, bias: float = 0.0, version: int = 0):
         self.weights, self.bias, self.version = weights, bias, version
 
     def margin(self, features: SparseVector) -> float:
-        get, total = self.weights._data.get, 0.0
+        weight, total = self.weights.__getitem__, 0.0
         for index, value in features.items():
-            total += value * get(index, 0.0)
+            total += value * weight(index)
         return total - self.bias
 
 
-def dict_shrink(name: str, strength: float, weights: SparseVector, learning_rate: float):
+def dict_shrink(name: str, strength: float, weights: DictVector, learning_rate: float):
     """The regularizer step as it was, over a dict: a new vector, ``weights`` untouched."""
     if name == "elastic_net":
         shrunk = dict_shrink("l2", strength * 0.5, weights, learning_rate)
@@ -74,7 +77,7 @@ def dict_shrink(name: str, strength: float, weights: SparseVector, learning_rate
             updated[index] = value - shrink
         elif value < -shrink:
             updated[index] = value + shrink
-    return SparseVector(updated)
+    return DictVector(updated)
 
 
 class DictTrainer:
@@ -86,7 +89,7 @@ class DictTrainer:
         self.learning_rate, self.decay, self.fit_bias = 0.3, 0.02, fit_bias
         self._rng = random.Random(seed)
         self._steps = 0
-        self.model = DictModel(SparseVector())
+        self.model = DictModel(DictVector())
 
     def load_state(self, model, steps=None):
         self.model = model
@@ -185,7 +188,7 @@ def test_the_trainer_is_the_dict_trainer_as_bits(
             weights, bias, version, steps, example = args
             loaded = LinearModel(Weights.of(SparseVector(weights)), bias, version)
             trainer.load_state(loaded, steps)
-            reference.load_state(DictModel(SparseVector(weights), bias, version), steps)
+            reference.load_state(DictModel(DictVector(weights), bias, version), steps)
             handed_out.append((loaded, model_bits(loaded)))
             got, want = trainer.absorb(example), reference.absorb(example)
         else:
@@ -210,16 +213,17 @@ weight_values = st.one_of(
 )
 
 
-def vector_of(pairs: list[tuple[int, float]]) -> SparseVector:
-    """A vector holding exactly ``pairs``, in that order — explicit zeros included."""
-    vector = SparseVector()
-    vector._data.update(pairs)
-    return vector
-
-
 weight_vectors = st.lists(
     st.tuples(st.integers(0, 40), weight_values), max_size=20, unique_by=lambda pair: pair[0]
-).map(vector_of)
+).map(DictVector.from_pairs)
+
+
+def weights_of(vector: DictVector) -> Weights:
+    """The weight array holding ``vector``'s entries, explicit ``+-0.0`` cells included."""
+    array = np.zeros(max((index for index, _ in vector.items()), default=-1) + 1)
+    for index, value in vector.items():
+        array[index] = value
+    return Weights(array)
 
 
 def exact_norm(values: list[float], p: float) -> float:
@@ -244,7 +248,7 @@ def test_the_radius_is_the_norm_of_the_dict_difference(current, stored, cancelle
         if index in current:
             stored._data[index] = current._data[index]
     for left, right in ((current, stored), (stored, current)):
-        got = weight_distance(Weights.of(left), Weights.of(right), p)
+        got = weight_distance(weights_of(left), weights_of(right), p)
         difference = left.subtract(right)
         if p == math.inf:
             assert got.hex() == difference.norm(p).hex()

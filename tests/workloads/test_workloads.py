@@ -34,13 +34,13 @@ class TestSparseCorpusGenerator:
     def test_deterministic_given_seed(self):
         a = SparseCorpusGenerator(seed=5).generate_list(20)
         b = SparseCorpusGenerator(seed=5).generate_list(20)
-        assert [d.features.to_dict() for d in a] == [d.features.to_dict() for d in b]
+        assert [list(d.features.items()) for d in a] == [list(d.features.items()) for d in b]
         assert [d.label for d in a] == [d.label for d in b]
 
     def test_different_seeds_differ(self):
         a = SparseCorpusGenerator(seed=1).generate_list(20)
         b = SparseCorpusGenerator(seed=2).generate_list(20)
-        assert [d.features.to_dict() for d in a] != [d.features.to_dict() for d in b]
+        assert [list(d.features.items()) for d in a] != [list(d.features.items()) for d in b]
 
     def test_entity_ids_are_sequential(self):
         docs = SparseCorpusGenerator(seed=0).generate_list(10, start_id=100)
@@ -104,7 +104,7 @@ class TestDenseGenerator:
     def test_deterministic_given_seed(self):
         a = DenseDatasetGenerator(seed=3).generate_list(10)
         b = DenseDatasetGenerator(seed=3).generate_list(10)
-        assert [x.features.to_dict() for x in a] == [x.features.to_dict() for x in b]
+        assert [list(x.features.items()) for x in a] == [list(x.features.items()) for x in b]
 
     def test_vectors_are_unit_l2(self):
         for example in DenseDatasetGenerator(seed=1).generate_list(20):
