@@ -4,7 +4,8 @@ Builds the same Papers view as ``examples/quickstart.py``, then drives the
 serving subsystem entirely through the declarative surface:
 
 * ``SERVE VIEW ... WITH (...)`` shards the entity space into hash partitions
-  and starts the request batcher + background maintenance pipeline;
+  and starts the background maintenance pipeline; point reads coalesce in the
+  request batcher, whose rounds run on the reading clients' own threads;
 * concurrent clients are just extra :func:`repro.connect` connections — each
   one gets its own monotonic read-your-writes session, and its ``SELECT`` /
   ``INSERT`` statements route through the server automatically;

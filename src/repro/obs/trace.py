@@ -5,18 +5,18 @@ statement as a tree of :class:`Span` records: the statement root, then
 parse → plan → execute children, then one span per plan node (mirroring
 ``EXPLAIN ANALYZE`` — the per-node *actual* simulated seconds are read from the
 same ``PlanRuntime.node_stats`` the EXPLAIN renderer uses, so the two always
-agree to the last digit), and finally spans recorded by *other* threads the
-statement's work crossed into: batcher rounds and per-shard scatter/gather
-calls.
+agree to the last digit), and finally spans recorded for the statement's work
+in the serving layer: batcher rounds and per-shard scatter/gather calls.
 
-The cross-thread hand-off is a :mod:`contextvars` variable.  The client thread
+The trace travels in a :mod:`contextvars` variable.  The client thread
 activates its trace with :func:`use_trace`; anything running on that thread
 (the executor, the serving façade) can reach it via :func:`current_trace`.
-When work hops threads — a read enters the batcher queue — the submitting side
-captures ``current_trace()`` into the queue item, and the collector thread
-records its round span directly into the captured context.  Span ids come from
-an atomic counter and the span list only ever grows by ``list.append``, so
-concurrent recorders never tear the tree.
+A batcher round serves every reader queued for it but runs on one reader's
+thread, so each reader captures ``current_trace()`` into its queued request,
+and the reader running the round records the round's span directly into
+every captured context.  Span ids come from an atomic counter and the span
+list only ever grows by ``list.append``, so concurrent recorders never tear
+the tree.
 
 Every span carries simulated seconds (the paper's cost-model currency),
 estimated simulated seconds where a plan estimate exists, and wall-clock

@@ -30,7 +30,8 @@ Module map
 ``batcher``
     :class:`~repro.serve.batcher.ReadBatcher` — coalesces concurrent Single
     Entity reads into batched per-shard ``read_many`` rounds, amortizing the
-    per-statement overhead that caps read throughput in Figure 5.
+    per-statement overhead that caps read throughput in Figure 5.  It has no
+    thread: each round is run by one of the waiting readers on its own.
 ``maintenance``
     :class:`~repro.serve.maintenance.MaintenanceWorker` — drains a bounded
     write queue in batches through the view's one write body

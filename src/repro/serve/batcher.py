@@ -1,18 +1,23 @@
 """Request batcher: coalesce concurrent Single Entity reads.
 
 Figure 5's lesson is that per-statement overhead, not classification work,
-caps Single Entity read throughput.  The batcher exploits it: client threads
-submit individual reads and get a handle back; a collector thread drains the
-submission queue and executes whole batches at once through the maintainers'
+caps Single Entity read throughput.  The batcher exploits it: readers queue
+their keys, and whole rounds execute at once through the maintainers'
 :meth:`~repro.core.maintainers.base.ViewMaintainer.read_many` path, which
-charges the statement dispatch once per *batch* instead of once per read.
+charges the statement dispatch once per *round* instead of once per read.
 
-Batching is load-adaptive.  With ``max_wait_s=0`` (the default) the collector
-never sleeps: a lone client sees batches of one and zero added latency, while
-under concurrency requests pile up behind the executing batch and the next
-round drains them together — throughput rises exactly when it matters.  A
-positive ``max_wait_s`` additionally holds the first request of a round open
-for stragglers, trading a bounded latency hit for fuller batches.
+The batcher has no thread: rounds run one at a time, each on the thread of
+a reader (leader/follower combining).  A reader that finds no round running
+runs one; the others wait.  The reader running a round answers every request
+it drained, then passes the next round to the oldest waiter — itself while
+keys of its own are still queued, and never once they are all answered.
+
+Batching is load-adaptive.  With ``max_wait_s=0`` (the default) no round ever
+sleeps: a lone reader runs a round of one with no hand-off, while under
+concurrency requests pile up behind the executing round and the next round
+drains them together — throughput rises exactly when it matters.
+A positive ``max_wait_s`` additionally holds a round open for stragglers,
+trading a bounded latency hit for fuller rounds.
 
 With ``adaptive=True`` the window is not configured at all: an
 :class:`AdaptiveBatchWindow` tracks an EWMA of observed inter-arrival times
@@ -24,37 +29,26 @@ that a short hold genuinely coalesces work.
 
 from __future__ import annotations
 
-import queue
+import dataclasses
 import threading
 import time
-from collections.abc import Callable, Sequence
+from collections import deque
+from collections.abc import Callable, Iterable, Sequence
 
 from repro.obs import TraceContext, current_trace
 
-__all__ = ["ReadBatcher", "AdaptiveBatchWindow", "PendingRead"]
-
-_SHUTDOWN = object()
+__all__ = ["ReadBatcher", "AdaptiveBatchWindow"]
 
 
-class PendingRead:
-    """One submitted read: answered once by the collector, awaited by its client."""
+@dataclasses.dataclass(slots=True)
+class _Request:
+    """One queued key: answered once by the reader that runs its round."""
 
-    def __init__(self) -> None:
-        self._answered = threading.Event()
-        self._answer: object = None
-
-    def answer(self, value: object) -> None:
-        """Resolve the read; an exception instance fails it with that error."""
-        self._answer = value
-        self._answered.set()
-
-    def result(self, timeout: float | None = None) -> object:
-        """Block until answered; the answer, or the error it is, raised."""
-        if not self._answered.wait(timeout):
-            raise TimeoutError("read not answered within timeout")
-        if isinstance(self._answer, BaseException):
-            raise self._answer
-        return self._answer
+    key: object
+    reader: int
+    trace: TraceContext | None
+    answer: object = None
+    answered: bool = False
 
 
 class AdaptiveBatchWindow:
@@ -113,7 +107,7 @@ class AdaptiveBatchWindow:
             return self._interarrival_s
 
     def window_s(self) -> float:
-        """The wait the collector should use for the next round."""
+        """The wait the next round should hold open for stragglers."""
         with self._lock:
             interarrival = self._interarrival_s
         if interarrival is None or interarrival >= self.max_wait_cap_s:
@@ -122,21 +116,21 @@ class AdaptiveBatchWindow:
 
 
 class ReadBatcher:
-    """Coalesces submitted keys into batched calls of ``execute_batch``.
+    """Coalesces concurrently read keys into batched calls of ``execute_batch``.
 
     Parameters
     ----------
     execute_batch:
         Called with a list of unique keys; returns ``{key: result}``.  Runs on
-        the collector thread.  A ``BaseException`` instance as a *value* fails
-        only that key's waiters (per-key error isolation — one bad key must
-        not poison the rest of the round); raising fails the whole round.
+        the thread of the reader that runs the round.  A ``BaseException``
+        instance as a *value* fails only that key's waiters (per-key error
+        isolation — one bad key must not poison the rest of the round);
+        raising fails the whole round.
     max_batch:
         Hard cap on keys per round.
     max_wait_s:
-        How long the collector holds a round open for more arrivals once it
-        has at least one request.  0 = drain-only (no added latency).
-        Ignored when ``adaptive`` is set.
+        How long a round is held open for more arrivals before it drains.
+        0 = drain-only (no added latency).  Ignored when ``adaptive`` is set.
     adaptive:
         Derive the wait from an :class:`AdaptiveBatchWindow` over observed
         arrival rates instead of the fixed ``max_wait_s``.
@@ -147,8 +141,19 @@ class ReadBatcher:
         batched reads draw against (the shard ledgers).  When set, each round
         records a ``batcher.round`` span — with the round's simulated-cost
         delta — into every distinct trace whose statement contributed a
-        request, so per-query traces stay complete across the thread hop.
+        request, so per-query traces stay complete whichever reader ran it.
     """
+
+    # Shared-state contract, enforced by repro-lint's lock pass: the queue,
+    # the turn to run the next round and the counters are read and written
+    # by every reader.
+    _GUARDED_BY = {
+        "_queue": "_lock",
+        "_leader": "_lock",
+        "rounds": "_lock",
+        "requests": "_lock",
+        "largest_batch": "_lock",
+    }
 
     def __init__(
         self,
@@ -169,140 +174,132 @@ class ReadBatcher:
         self.window = (
             AdaptiveBatchWindow(max_batch, max_wait_cap_s, ewma_alpha) if adaptive else None
         )
-        self._queue: queue.Queue = queue.Queue()
-        self._closed = False
+        self._lock = threading.Lock()
+        #: Notified when the queue grows behind a round (one held open for
+        #: stragglers waits on it) and when a round is answered (readers wait).
+        self._queued = threading.Condition(self._lock)
+        self._answered = threading.Condition(self._lock)
+        self._queue: deque[_Request] = deque()
+        #: The thread that runs the next round: None while no round is running
+        #: or due, and then the queue is empty.
+        self._leader: int | None = None
         self.rounds = 0
         self.requests = 0
         self.largest_batch = 0
-        self._thread = threading.Thread(
-            target=self._run, name="hazy-read-batcher", daemon=True
-        )
-        self._thread.start()
 
-    # -- client side ------------------------------------------------------------------------
+    # -- readers -----------------------------------------------------------------------------
 
-    def submit(self, key: object) -> PendingRead:
-        """Enqueue one read; it is answered with ``execute_batch``'s value for it."""
-        if self._closed:
-            raise RuntimeError("batcher is closed")
+    def read(self, key: object) -> object:
+        """One key's ``execute_batch`` value; an error value is raised."""
+        answer = self.read_many((key,))[key]
+        if isinstance(answer, BaseException):
+            raise answer
+        return answer
+
+    def read_many(self, keys: Iterable[object]) -> dict[object, object]:
+        """Every distinct key's ``execute_batch`` value, errors as instances.
+
+        The keys queue as one burst, so they coalesce into as few rounds as
+        ``max_batch`` allows; a failed round answers each of its keys with its
+        error.  Returns once every key is answered, having run rounds on this
+        thread whenever it was this reader's turn.
+        """
+        reader = threading.get_ident()
+        # Capture the reading statement's trace here, on its own thread: the
+        # round may run on another reader's thread, so the trace must ride
+        # along with the request.
+        trace = current_trace()
+        mine = [_Request(key, reader, trace) for key in dict.fromkeys(keys)]
+        if not mine:
+            return {}
         if self.window is not None:
             self.window.observe(time.monotonic())
-        pending = PendingRead()
-        # Capture the submitting statement's trace here, on the client thread:
-        # the collector thread has no context of its own, so the trace must
-        # ride along with the request.
-        self._queue.put((key, pending, current_trace()))
-        return pending
+        with self._lock:
+            self._queue.extend(mine)
+            if self._leader is None:
+                self._leader = reader
+            else:
+                self._queued.notify_all()
+        try:
+            # Rounds answer the queue in order, so the last key answered means all.
+            while True:
+                with self._lock:
+                    while not mine[-1].answered and self._leader != reader:
+                        self._answered.wait()
+                    if mine[-1].answered:
+                        break
+                    batch = self._drain()
+                self._run_round(batch)
+        except BaseException:
+            # Interrupted while waiting: withdraw this reader's keys, so that
+            # no round is ever handed to a reader that has left.
+            with self._lock:
+                self._queue = deque(request for request in self._queue if request.reader != reader)
+                if self._leader == reader:
+                    self._leader = self._queue[0].reader if self._queue else None
+                    self._answered.notify_all()
+            raise
+        return {request.key: request.answer for request in mine}
 
-    def read(self, key: object, timeout: float | None = None):
-        """Synchronous convenience wrapper around :meth:`submit`."""
-        return self.submit(key).result(timeout=timeout)
+    # -- rounds ------------------------------------------------------------------------------
 
-    # -- collector thread -------------------------------------------------------------------
-
-    def _collect(self) -> list[tuple[object, PendingRead, TraceContext | None]] | None:
-        """Block for the first request, then opportunistically fill the round."""
-        item = self._queue.get()
-        if item is _SHUTDOWN:
-            return None
-        batch = [item]
+    def _drain(self) -> list[_Request]:  # repro: locked(_lock)
+        """Hold the round open for its window, then take up to ``max_batch``."""
         wait_s = self.window.window_s() if self.window is not None else self._max_wait_s
-        deadline = time.monotonic() + wait_s
-        while len(batch) < self._max_batch:
-            remaining = deadline - time.monotonic()
-            try:
-                if remaining > 0:
-                    item = self._queue.get(timeout=remaining)
-                else:
-                    item = self._queue.get_nowait()
-            except queue.Empty:
-                break
-            if item is _SHUTDOWN:
-                # Re-post so the outer loop terminates after this round.
-                self._queue.put(_SHUTDOWN)
-                break
-            batch.append(item)
+        if wait_s > 0:
+            self._queued.wait_for(lambda: len(self._queue) >= self._max_batch, wait_s)
+        batch = [self._queue.popleft() for _ in range(min(len(self._queue), self._max_batch))]
+        self.rounds += 1
+        self.requests += len(batch)
+        self.largest_batch = max(self.largest_batch, len(batch))
         return batch
 
-    def _run(self) -> None:
-        while True:
-            batch = self._collect()
-            if batch is None:
-                break
-            keys: list[object] = []
-            seen: set[object] = set()
-            for key, _, _ in batch:
-                if key not in seen:
-                    seen.add(key)
-                    keys.append(key)
-            self.rounds += 1
-            self.requests += len(batch)
-            self.largest_batch = max(self.largest_batch, len(batch))
+    def _run_round(self, batch: list[_Request]) -> None:
+        """Execute one drained round on this thread, answer it, pass the next on.
+
+        Every distinct reading trace gets one ``batcher.round`` span first: a
+        waiter may finalize its trace the instant its read is answered, and
+        the round's span must already be in the tree by then.
+        """
+        keys = list(dict.fromkeys(request.key for request in batch))
+        wall_started = time.perf_counter()
+        cost_before = 0.0
+        try:
             cost_before = self._cost_probe() if self._cost_probe is not None else 0.0
-            wall_started = time.perf_counter()
-            try:
-                results = self._execute_batch(keys)
-            except BaseException as error:  # propagate to every waiter
-                self._record_round(batch, keys, cost_before, wall_started)
-                for _, pending, _ in batch:
-                    pending.answer(error)
-                continue
-            # Record spans before answering: a waiter may finalize its trace
-            # the instant its read is answered, and the round's span must
-            # already be in the tree by then.
-            self._record_round(batch, keys, cost_before, wall_started)
-            for key, pending, _ in batch:
-                pending.answer(results[key])
-
-    def _record_round(
-        self,
-        batch: list[tuple[object, PendingRead, TraceContext | None]],
-        keys: list[object],
-        cost_before: float,
-        wall_started: float,
-    ) -> None:
-        """Hang one ``batcher.round`` span under every distinct submitting trace."""
-        traces: list[TraceContext] = []
-        trace_ids: set[int] = set()
-        for _, _, trace in batch:
-            if trace is not None and trace.trace_id not in trace_ids:
-                trace_ids.add(trace.trace_id)
-                traces.append(trace)
-        if not traces:
-            return
-        wall = time.perf_counter() - wall_started
-        simulated = (
-            self._cost_probe() - cost_before if self._cost_probe is not None else 0.0
-        )
-        detail = f"coalesced {len(batch)} requests into {len(keys)} keys"
-        for trace in traces:
-            trace.add_span(
-                "batcher.round",
-                parent_id=trace.cross_thread_parent_id,
-                simulated_seconds=simulated,
-                wall_seconds=wall,
-                rows=len(keys),
-                detail=detail,
+            results = self._execute_batch(keys)
+            answers = [results[request.key] for request in batch]
+        except BaseException as error:  # the round fails for every waiter in it
+            # This reader's own key is always in the round it runs, so an
+            # interrupt here reaches it as that key's answer.
+            answers = [error] * len(batch)
+        traces = {
+            request.trace.trace_id: request.trace
+            for request in batch
+            if request.trace is not None
+        }
+        if traces:
+            wall = time.perf_counter() - wall_started
+            simulated = (
+                self._cost_probe() - cost_before if self._cost_probe is not None else 0.0
             )
+            detail = f"coalesced {len(batch)} requests into {len(keys)} keys"
+            for trace in traces.values():
+                trace.add_span(
+                    "batcher.round",
+                    parent_id=trace.cross_thread_parent_id,
+                    simulated_seconds=simulated,
+                    wall_seconds=wall,
+                    rows=len(keys),
+                    detail=detail,
+                )
+        with self._lock:
+            for request, answer in zip(batch, answers):
+                request.answer = answer
+                request.answered = True
+            self._leader = self._queue[0].reader if self._queue else None
+            self._answered.notify_all()
 
-    # -- lifecycle ---------------------------------------------------------------------------
-
-    def close(self) -> None:
-        """Stop the collector; in-flight rounds finish, late submits fail fast."""
-        if self._closed:
-            return
-        self._closed = True
-        self._queue.put(_SHUTDOWN)
-        self._thread.join()
-        # Fail anything that slipped in after the sentinel.
-        while True:
-            try:
-                item = self._queue.get_nowait()
-            except queue.Empty:
-                break
-            if item is not _SHUTDOWN:
-                _, pending, _ = item
-                pending.answer(RuntimeError("batcher is closed"))
+    # -- counters ----------------------------------------------------------------------------
 
     def stats(self) -> dict[str, float]:
         """Coalescing counters (average batch size is the interesting one).
@@ -310,12 +307,13 @@ class ReadBatcher:
         Keys are canonical ``snake_case`` with ``_total`` / ``_seconds``
         suffixes.
         """
-        stats: dict[str, float] = {
-            "rounds_total": self.rounds,
-            "requests_total": self.requests,
-            "largest_batch": self.largest_batch,
-            "avg_batch": self.requests / self.rounds if self.rounds else 0.0,
-        }
+        with self._lock:
+            stats: dict[str, float] = {
+                "rounds_total": self.rounds,
+                "requests_total": self.requests,
+                "largest_batch": self.largest_batch,
+                "avg_batch": self.requests / self.rounds if self.rounds else 0.0,
+            }
         if self.window is not None:
             stats["adaptive_window_seconds"] = self.window.window_s()
         return stats

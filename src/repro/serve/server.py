@@ -5,10 +5,10 @@ The server owns five moving parts and wires them together:
 * a :class:`~repro.serve.sharding.ShardSet` — the entity space hash-partitioned
   into N shards, each with its own store, maintainer, water-band result cache
   and lock; an operation on a shard runs on the caller's thread under that
-  lock, so serving runs two threads of its own, the batcher's and the
-  maintenance worker's;
+  lock, so serving runs one thread of its own, the maintenance worker's;
 * a :class:`~repro.serve.batcher.ReadBatcher` — concurrent ``label_of`` calls
-  coalesce into batched, per-shard ``read_many`` rounds;
+  coalesce into batched, per-shard ``read_many`` rounds, each run by one of
+  the waiting readers on its own thread;
 * a :class:`~repro.serve.maintenance.MaintenanceWorker` — writes are queued
   (bounded, backpressuring) and applied in batches by the view's one write
   side, a :class:`~repro.core.writes.ViewWriter` the server is *lent* while it
@@ -264,8 +264,6 @@ class ViewServer:
         #: Where the last successful checkpoint landed — the default parent
         #: for ``checkpoint(..., incremental=True)``.
         self._last_checkpoint_path: Path | None = None
-        # Serving's two threads start last, after everything that can raise:
-        # the batcher's in its constructor, the worker's in ``start``.
         self.worker = MaintenanceWorker(
             self, queue_capacity=queue_capacity, max_batch=max_write_batch
         )
@@ -276,6 +274,7 @@ class ViewServer:
             adaptive=adaptive_batching,
             cost_probe=self.shards.simulated_seconds,
         )
+        # Serving's one thread starts last, after everything that can raise.
         self.worker.start()
         # From here the view's trigger body hands its writes to ``submit``.
         view._server = self
@@ -283,7 +282,7 @@ class ViewServer:
     # ------------------------------------------------------------------ reads
 
     def _execute_read_batch(self, keys: Sequence[object]) -> dict[object, object]:
-        """Batcher callback: one coherent, epoch-tagged round across the shards.
+        """Batcher round: one coherent, epoch-tagged read across the shards.
 
         Unknown ids stay as their exception instance so the batcher fails only
         that key's waiters, not the whole round.
@@ -340,6 +339,8 @@ class ViewServer:
         the shared side of the readers/writer lock
         (:meth:`_execute_read_batch`); every other read is a scatter/gather
         across the shards under that lock, with the epoch captured inside it.
+        A read that passes the closed check while :meth:`close` runs answers
+        from the last published epoch: closing leaves the shards readable.
         """
         if self._closed:
             raise MaintenanceError("server is closed")
@@ -355,22 +356,19 @@ class ViewServer:
         return answer, epoch
 
     def _labels_of(self, entity_ids) -> tuple[dict[object, int], int]:
-        """Every key is submitted to the request batcher in one burst, so the
-        whole batch coalesces into as few ``read_many`` rounds as the batch
-        window allows.  Unknown ids are dropped from the result; the epoch is
-        the newest any round answered from — never older than the one
-        published when the burst was submitted."""
+        """Every distinct key is queued with the request batcher in one burst,
+        so the whole batch coalesces into as few ``read_many`` rounds as the
+        batch window allows.  Unknown ids are dropped from the result; the
+        epoch is the newest any round answered from — never older than the
+        one published when the burst was queued."""
         epoch = self.published.epoch
-        futures = [
-            (entity_id, self.batcher.submit(entity_id))
-            for entity_id in dict.fromkeys(entity_ids)
-        ]
         labels: dict[object, int] = {}
-        for entity_id, future in futures:
-            try:
-                label, tag = future.result()
-            except KeyNotFoundError:
+        for entity_id, answer in self.batcher.read_many(entity_ids).items():
+            if isinstance(answer, KeyNotFoundError):
                 continue
+            if isinstance(answer, BaseException):
+                raise answer
+            label, tag = answer
             labels[entity_id] = label
             epoch = max(epoch, tag)
         return labels, epoch
@@ -743,7 +741,7 @@ class ViewServer:
     def close(self, timeout: float | None = None) -> None:
         """Quiesce the pipeline and hand the view back, consistent.
 
-        Drains the write queue, stops the worker and batcher, then resyncs the
+        Drains the write queue, stops the worker, then resyncs the
         source view's direct maintainer: entity churn is replayed and the final
         model applied once — sound because the cumulative band since the
         maintainer's last reorganization covers every model movement in
@@ -754,9 +752,8 @@ class ViewServer:
         self._accepting = False
         self.worker.flush(timeout=timeout)
         self.worker.close(timeout=timeout)
-        self._closed = True  # from here a read raises MaintenanceError, not the batcher's error
+        self._closed = True  # from here a read raises MaintenanceError
         try:
-            self.batcher.close()
             maintainer = self._view.maintainer
             if not maintainer._loaded:
                 # Warm-restored view: its direct maintainer was never

@@ -4,8 +4,9 @@ Every classification view served by a :class:`~repro.serve.server.ViewServer`
 is split into ``num_shards`` hash partitions of its entity key space.  Each
 :class:`Shard` bundles a private entity store, a private maintainer (same
 strategy/approach as the source view), a private water-band result cache and
-**one lock**: whoever runs an operation on a shard — a batcher round, a
-scatter/gather read, the maintenance worker, a checkpoint — takes that lock
+**one lock**: whoever runs an operation on a shard — a reader running a
+batcher round, a scatter/gather read, the maintenance worker, a checkpoint —
+takes that lock
 and runs the operation on its own thread.  Every operation takes it, reads
 included: a lazy read records waste and may reorganize, and neither the
 on-disk / hybrid buffer pool nor the result cache has a lock of its own.  That

@@ -135,6 +135,22 @@ class TestServedViewObservability:
         conn.execute("STOP SERVING labeled_papers")
         conn.close()
 
+    def test_served_point_read_has_one_batcher_round_span(self):
+        """A lone reader runs its round on its own thread; the round's span
+        hangs under the statement's execute span, once."""
+        conn, documents = build_served_connection()
+        conn.execute(
+            "SELECT class FROM labeled_papers WHERE id = ?", (documents[0].entity_id,)
+        ).fetchall()
+        trace = conn.database.obs.traces.snapshot()[-1]
+        spans = {span.span_id: span for span in trace.spans()}
+        rounds = [span for span in spans.values() if span.name == "batcher.round"]
+        assert len(rounds) == 1
+        assert spans[rounds[0].parent_id].name == "execute"
+        assert rounds[0].detail == "coalesced 1 requests into 1 keys"
+        conn.execute("STOP SERVING labeled_papers")
+        conn.close()
+
     def test_serve_metrics_appear_and_disappear_with_lifecycle(self):
         conn, _ = build_served_connection()
         conn.execute("SELECT * FROM labeled_papers").fetchall()

@@ -150,6 +150,33 @@ def test_every_read_on_a_closed_server_raises_the_documented_error(plain, handle
     assert plain.execute("SELECT class FROM labeled WHERE id = 3").scalar() in (1, -1)
 
 
+@pytest.mark.parametrize("read", ["label_of", "labels_of"])
+def test_a_point_read_racing_close_answers_from_the_last_epoch(plain, read):
+    """A point read that passes the closed check while ``close()`` runs either
+    answers from the last published epoch or raises the documented
+    ``MaintenanceError`` — never a ``RuntimeError`` of the batcher's."""
+    plain.execute("SERVE VIEW labeled WITH (shards = 2)")
+    server = plain.engine.view("labeled").server
+    expected = server.read(read, *SIX_READS[read])
+    batcher = server.batcher
+    entry = "read" if read == "label_of" else "read_many"
+    delegate = getattr(batcher, entry)
+
+    def close_first(*args):
+        server.close()
+        return delegate(*args)
+
+    setattr(batcher, entry, close_first)
+    try:
+        answer = server.read(read, *SIX_READS[read])
+    except MaintenanceError as error:
+        assert str(error) == "server is closed"
+    else:
+        assert answer == expected
+        assert answer[1] == server.published.epoch
+    assert plain.engine.view("labeled").server is None
+
+
 class TestRankedReadNeedsNoServer:
     SQL = "SELECT id, margin FROM labeled ORDER BY margin DESC LIMIT 5"
 

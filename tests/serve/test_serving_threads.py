@@ -1,11 +1,11 @@
-"""A served view runs exactly two threads of its own, whatever its shard count.
+"""A served view runs exactly one thread of its own, whatever its shard count.
 
 A shard is a partition, not a thread: every shard operation runs on the
-caller's thread under the shard's lock.  The two threads that carry meaning
-are the read batcher's collector (coalescing) and the maintenance worker
-(write-behind).  Nothing else may start, and nothing may be left running after
-``STOP SERVING`` — or after a ``SERVE VIEW`` that fails, which must start its
-threads only once nothing else can raise.
+caller's thread under the shard's lock, and so does every read batcher round
+(the reader that opens a round runs it).  The one thread that carries meaning
+is the maintenance worker (write-behind).  Nothing else may start, and nothing
+may be left running after ``STOP SERVING`` — or after a ``SERVE VIEW`` that
+fails, which must start its thread only once nothing else can raise.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from repro.exceptions import ConfigurationError
 from tests.db.test_sql_serving import build_portal
 
 VIEW = "labeled_papers"
-SERVING_THREADS = ["hazy-maintenance", "hazy-read-batcher"]
+SERVING_THREADS = ["hazy-maintenance"]
 
 
 def started_since(before: set[threading.Thread]) -> list[str]:
@@ -32,7 +32,7 @@ def started_since(before: set[threading.Thread]) -> list[str]:
 
 
 @pytest.mark.parametrize("shards", [1, 3, 8])
-def test_a_served_view_runs_two_threads(tmp_path, shards):
+def test_a_served_view_runs_one_thread(tmp_path, shards):
     db, _engine, documents = build_portal(count=40)
     before = set(threading.enumerate())
     db.execute(f"SERVE VIEW {VIEW} WITH (shards = {shards})")

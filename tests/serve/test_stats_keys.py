@@ -27,11 +27,8 @@ LEGACY_KEYS = {
 
 def test_batcher_stats_have_no_legacy_aliases():
     batcher = ReadBatcher(lambda keys: {key: key for key in keys}, adaptive=True)
-    try:
-        batcher.read(1, timeout=5)
-        stats = batcher.stats()
-    finally:
-        batcher.close()
+    batcher.read(1)
+    stats = batcher.stats()
     assert not LEGACY_KEYS & stats.keys()
     assert {"rounds_total", "requests_total", "adaptive_window_seconds"} <= stats.keys()
 

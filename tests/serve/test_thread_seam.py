@@ -1,12 +1,11 @@
 """A shard is a partition, not a thread — and stays one.
 
-A served view runs two threads of its own: the read batcher's collector
-(coalescing concurrent point reads is what its rounds are for) and the
-maintenance worker (write-behind: tickets, rounds, WAL order).  Everything
-else — every shard operation, every scatter/gather, every checkpoint export
-and write — runs on the caller's thread under the shard's lock, and the
-paper's machinery in ``repro.core`` starts no thread at all.  This walk keeps
-executors, futures and extra threads from coming back.
+A served view runs one thread of its own: the maintenance worker
+(write-behind: tickets, rounds, WAL order).  Everything else — every read
+batcher round, every shard operation, every scatter/gather, every checkpoint
+export and write — runs on the caller's thread, and the paper's machinery in
+``repro.core`` starts no thread at all.  This walk keeps executors, futures
+and extra threads from coming back.
 """
 
 from __future__ import annotations
@@ -44,11 +43,11 @@ def test_nothing_under_serve_or_core_imports_an_executor_or_a_future():
     assert found == []
 
 
-def test_only_the_batcher_and_the_maintenance_worker_start_threads():
+def test_only_the_maintenance_worker_starts_a_thread():
     starts = [
         where
         for where, node in walk_serve_and_core()
         if isinstance(node, ast.Call)
         and "Thread" in (getattr(node.func, "attr", None), getattr(node.func, "id", None))
     ]
-    assert sorted(starts) == ["serve/batcher.py", "serve/maintenance.py"]
+    assert starts == ["serve/maintenance.py"]
