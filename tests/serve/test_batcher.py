@@ -110,10 +110,10 @@ def test_readers_queued_behind_a_running_round_coalesce_into_the_next():
     assert len(execute.rounds) == 2 == batcher.rounds
     assert execute.rounds[0] == [0]
     assert sorted(execute.rounds[1]) == list(range(1, 9))
-    # The reader of key 0 stops once its own key is answered: the next round
-    # is run by a reader that was waiting in it.
+    # The reader of key 0 stops once its own key is answered and passes the
+    # next round to the oldest waiter: the reader of its first key.
     assert execute.threads[0] == first.ident
-    assert execute.threads[1] in {thread.ident for thread in readers}
+    assert execute.threads[1] == readers[execute.rounds[1][0] - 1].ident
     assert batcher.stats()["avg_batch"] == 4.5
     assert batcher.largest_batch == 8
 
