@@ -58,13 +58,7 @@ def _setup(dataset):
     """Portal + served view + wire server; returns (conn, server, trace)."""
     trace = update_trace(dataset, warmup=400, timed=WRITES, seed=7)
     conn = _sql_portal(dataset, trace.warm_examples())
-    # A 2ms coalescing window: long enough that the dispatch sleep — not
-    # scheduler jitter — dominates the unloaded tail, which keeps the
-    # loaded/unloaded p99 ratio a stable measure of admission quality.
-    conn.execute(
-        f"SERVE VIEW served_entities WITH (shards = {NUM_SHARDS}, "
-        "max_read_batch = 64, max_wait_s = 0.002)"
-    )
+    conn.execute(f"SERVE VIEW served_entities WITH (shards = {NUM_SHARDS})")
     server = SQLServer(
         conn.engine,
         # Enough slots for every pooled reader to be in flight (the batcher

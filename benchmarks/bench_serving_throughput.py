@@ -132,7 +132,7 @@ def run_served(dataset, check_consistency: bool = False):
     epoch_history = 100_000 if check_consistency else 256
     conn.execute(
         f"SERVE VIEW served_entities WITH (shards = {NUM_SHARDS}, "
-        f"max_read_batch = 64, max_wait_s = 0.001, epoch_history = {epoch_history})"
+        f"epoch_history = {epoch_history})"
     )
     server = conn.engine.view("served_entities").server
     timed = list(trace.timed_examples())

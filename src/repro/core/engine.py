@@ -416,14 +416,11 @@ class HazyEngine:
     #: number may take (None: any).
     _SERVER_OPTIONS = {
         "shards": (int, "an integer", 1),
-        "max_read_batch": (int, "an integer", 1),
         "queue_capacity": (int, "an integer", 1),
         "max_write_batch": (int, "an integer", 1),
         "cache_capacity": (int, "an integer", 0),
         "epoch_history": (int, "an integer", 0),
-        "max_wait_s": (float, "a number", 0),
         "wal": (str, "a string", None),
-        "adaptive_batching": (bool, "true or false", None),
     }
     _CHECKPOINT_OPTIONS = {
         "incremental": (bool, "true or false", None),
@@ -435,29 +432,32 @@ class HazyEngine:
         options: Mapping[str, object], table: Mapping[str, tuple], what: str
     ) -> dict[str, object]:
         """The one options validator: every option checked against ``table``,
-        returned under its lower-cased name as the type it stands for."""
+        returned under its lower-cased name."""
         validated: dict[str, object] = {}
         for name, value in options.items():
             if name.lower() not in table:
                 raise ConfigurationError(f"unknown {what} option {name!r}; known: {sorted(table)}")
             kind, wording, least = table[name.lower()]
-            accepted = (int, float) if kind is float else kind
-            if not isinstance(value, accepted) or (kind is not bool and isinstance(value, bool)):
+            if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
                 raise ConfigurationError(f"option {name!r} expects {wording}, got {value!r}")
             if least is not None and not value >= least:  # "not >=" also refuses NaN
                 raise ConfigurationError(f"option {name!r} must be >= {least}, got {value!r}")
-            validated[name.lower()] = kind(value)
+            if kind is str and not value:  # '' would name the process's working directory
+                raise ConfigurationError(f"option {name!r} must not be empty")
+            validated[name.lower()] = value
         return validated
+
+    @staticmethod
+    def _checkpoint_directory(path, clause: str):
+        """A checkpoint directory as given, refused if empty: ``''`` would
+        name the process's working directory."""
+        if isinstance(path, str) and not path:
+            raise ConfigurationError(f"{clause} needs a directory, got ''")
+        return path
 
     def _serving_options(self, options: Mapping[str, object]) -> dict[str, object]:
         """``serve`` / ``restore`` options, validated."""
-        validated = self._validated(options, self._SERVER_OPTIONS, "serving")
-        if validated.get("adaptive_batching") and "max_wait_s" in validated:
-            raise ConfigurationError(
-                "adaptive_batching derives the batching window itself; "
-                "it cannot be combined with max_wait_s"
-            )
-        return validated
+        return self._validated(options, self._SERVER_OPTIONS, "serving")
 
     def serve(self, name: str, /, **options):
         """``SERVE VIEW name [WITH (...)]``: put a view behind a
@@ -509,6 +509,7 @@ class HazyEngine:
         options = self._validated(options, self._CHECKPOINT_OPTIONS, "checkpoint")
         if "parent" in options and not options.get("incremental"):
             raise ConfigurationError("checkpoint option 'parent' requires incremental = true")
+        path = self._checkpoint_directory(path, "CHECKPOINT VIEW ... TO")
         return server.checkpoint(path, **options)
 
     def served_views(self) -> list[ClassificationView]:
@@ -614,7 +615,7 @@ class HazyEngine:
         from repro.serve.server import ViewServer  # repro: noqa(LAY001)
 
         options = self._serving_options(options)
-        checkpoint = load_checkpoint(path)
+        checkpoint = load_checkpoint(self._checkpoint_directory(path, "RESTORE VIEW ... FROM"))
         manifest = checkpoint.manifest
         if (manifest.view_name or "").lower() != name.lower():
             raise SnapshotMismatchError(

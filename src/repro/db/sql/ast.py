@@ -207,7 +207,8 @@ class ServeView(Statement):
 
     Puts a classification view behind the concurrent serving front-end;
     ``options`` carries the ``WITH`` clause verbatim (``shards``,
-    ``max_read_batch``, ``max_wait_s``, ``adaptive_batching``, ...).
+    ``queue_capacity``, ``max_write_batch``, ``cache_capacity``,
+    ``epoch_history``, ``wal``).
     """
 
     view: str

@@ -31,7 +31,9 @@ Module map
     :class:`~repro.serve.batcher.ReadBatcher` — coalesces concurrent Single
     Entity reads into batched per-shard ``read_many`` rounds, amortizing the
     per-statement overhead that caps read throughput in Figure 5.  It has no
-    thread: each round is run by one of the waiting readers on its own.
+    thread and no window: each round is run at once by one of the waiting
+    readers on its own thread, and drains whatever queued behind the last
+    one (up to ``MAX_READ_BATCH`` keys).
 ``maintenance``
     :class:`~repro.serve.maintenance.MaintenanceWorker` — drains a bounded
     write queue in batches through the view's one write body
@@ -53,7 +55,7 @@ Module map
     handed back to producers.
 """
 
-from repro.serve.batcher import AdaptiveBatchWindow, ReadBatcher
+from repro.serve.batcher import ReadBatcher
 from repro.serve.cache import WaterBandResultCache
 from repro.serve.maintenance import MaintenanceWorker
 from repro.serve.requests import WriteKind, WriteOp, WriteTicket
@@ -69,7 +71,6 @@ __all__ = [
     "Shard",
     "shard_index",
     "ReadBatcher",
-    "AdaptiveBatchWindow",
     "MaintenanceWorker",
     "WaterBandResultCache",
     "ReadWriteLock",

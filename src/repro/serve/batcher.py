@@ -12,19 +12,11 @@ runs one; the others wait.  The reader running a round answers every request
 it drained, then passes the next round to the oldest waiter — itself while
 keys of its own are still queued, and never once they are all answered.
 
-Batching is load-adaptive.  With ``max_wait_s=0`` (the default) no round ever
-sleeps: a lone reader runs a round of one with no hand-off, while under
-concurrency requests pile up behind the executing round and the next round
-drains them together — throughput rises exactly when it matters.
-A positive ``max_wait_s`` additionally holds a round open for stragglers,
-trading a bounded latency hit for fuller rounds.
-
-With ``adaptive=True`` the window is not configured at all: an
-:class:`AdaptiveBatchWindow` tracks an EWMA of observed inter-arrival times
-and sizes the wait to what would plausibly fill a batch — near zero when
-requests are sparse (a lone client never waits for stragglers that are not
-coming), approaching ``max_wait_cap_s`` only when arrivals are dense enough
-that a short hold genuinely coalesces work.
+A round never waits: it drains up to :data:`MAX_READ_BATCH` queued keys and
+runs at once.  A lone reader runs a round of one with no hand-off, while
+under concurrency requests pile up behind the running round and the next
+round drains them together — batches grow exactly when load does, with no
+window to configure.
 """
 
 from __future__ import annotations
@@ -37,7 +29,10 @@ from collections.abc import Callable, Iterable, Sequence
 
 from repro.obs import TraceContext, current_trace
 
-__all__ = ["ReadBatcher", "AdaptiveBatchWindow"]
+__all__ = ["MAX_READ_BATCH", "ReadBatcher"]
+
+#: Most keys one round drains.
+MAX_READ_BATCH = 64
 
 
 @dataclasses.dataclass(slots=True)
@@ -51,70 +46,6 @@ class _Request:
     answered: bool = False
 
 
-class AdaptiveBatchWindow:
-    """Derives a batching window from an EWMA of request inter-arrival times.
-
-    The policy, with ``a`` the smoothed inter-arrival time:
-
-    * no arrivals observed yet → window 0 (never penalize the first client);
-    * ``a >= max_wait_cap_s`` → window 0 — at that rate even a full cap-length
-      hold would coalesce at most one extra request, so waiting is pure
-      latency;
-    * otherwise → ``min(a * (max_batch - 1), max_wait_cap_s)`` — long enough
-      to plausibly fill a batch at the observed rate, never above the cap.
-
-    The window is therefore always inside ``[0, max_wait_cap_s]`` (the bound
-    the unit tests pin), and observation is O(1) per request under one lock.
-    """
-
-    # Shared-state contract, enforced by repro-lint's lock pass: every
-    # request thread calls observe() concurrently.
-    _GUARDED_BY = {"_last_arrival": "_lock", "_interarrival_s": "_lock"}
-
-    def __init__(
-        self, max_batch: int, max_wait_cap_s: float = 0.002, alpha: float = 0.2
-    ) -> None:
-        if max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
-        if max_wait_cap_s < 0:
-            raise ValueError("max_wait_cap_s must be >= 0")
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError("alpha must be in (0, 1]")
-        self._max_batch = int(max_batch)
-        self.max_wait_cap_s = float(max_wait_cap_s)
-        self._alpha = float(alpha)
-        self._lock = threading.Lock()
-        self._last_arrival: float | None = None
-        self._interarrival_s: float | None = None
-
-    def observe(self, now: float) -> None:
-        """Fold one request arrival (monotonic timestamp) into the EWMA."""
-        with self._lock:
-            if self._last_arrival is not None:
-                delta = max(0.0, now - self._last_arrival)
-                if self._interarrival_s is None:
-                    self._interarrival_s = delta
-                else:
-                    self._interarrival_s = (
-                        self._alpha * delta + (1.0 - self._alpha) * self._interarrival_s
-                    )
-            self._last_arrival = now
-
-    @property
-    def interarrival_s(self) -> float | None:
-        """The smoothed inter-arrival estimate (None until two arrivals)."""
-        with self._lock:
-            return self._interarrival_s
-
-    def window_s(self) -> float:
-        """The wait the next round should hold open for stragglers."""
-        with self._lock:
-            interarrival = self._interarrival_s
-        if interarrival is None or interarrival >= self.max_wait_cap_s:
-            return 0.0
-        return min(interarrival * (self._max_batch - 1), self.max_wait_cap_s)
-
-
 class ReadBatcher:
     """Coalesces concurrently read keys into batched calls of ``execute_batch``.
 
@@ -126,16 +57,6 @@ class ReadBatcher:
         instance as a *value* fails only that key's waiters (per-key error
         isolation — one bad key must not poison the rest of the round);
         raising fails the whole round.
-    max_batch:
-        Hard cap on keys per round.
-    max_wait_s:
-        How long a round is held open for more arrivals before it drains.
-        0 = drain-only (no added latency).  Ignored when ``adaptive`` is set.
-    adaptive:
-        Derive the wait from an :class:`AdaptiveBatchWindow` over observed
-        arrival rates instead of the fixed ``max_wait_s``.
-    max_wait_cap_s / ewma_alpha:
-        Bound and smoothing factor for the adaptive window.
     cost_probe:
         Zero-arg callable returning the cumulative simulated seconds the
         batched reads draw against (the shard ledgers).  When set, each round
@@ -158,26 +79,12 @@ class ReadBatcher:
     def __init__(
         self,
         execute_batch: Callable[[Sequence[object]], dict[object, object]],
-        max_batch: int = 64,
-        max_wait_s: float = 0.0,
-        adaptive: bool = False,
-        max_wait_cap_s: float = 0.002,
-        ewma_alpha: float = 0.2,
         cost_probe: Callable[[], float] | None = None,
     ):
-        if max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
         self._execute_batch = execute_batch
-        self._max_batch = int(max_batch)
-        self._max_wait_s = float(max_wait_s)
         self._cost_probe = cost_probe
-        self.window = (
-            AdaptiveBatchWindow(max_batch, max_wait_cap_s, ewma_alpha) if adaptive else None
-        )
         self._lock = threading.Lock()
-        #: Notified when the queue grows behind a round (one held open for
-        #: stragglers waits on it) and when a round is answered (readers wait).
-        self._queued = threading.Condition(self._lock)
+        #: Notified when a round is answered (waiting readers check their keys).
         self._answered = threading.Condition(self._lock)
         self._queue: deque[_Request] = deque()
         #: The thread that runs the next round: None while no round is running
@@ -200,9 +107,9 @@ class ReadBatcher:
         """Every distinct key's ``execute_batch`` value, errors as instances.
 
         The keys queue as one burst, so they coalesce into as few rounds as
-        ``max_batch`` allows; a failed round answers each of its keys with its
-        error.  Returns once every key is answered, having run rounds on this
-        thread whenever it was this reader's turn.
+        :data:`MAX_READ_BATCH` allows; a failed round answers each of its keys
+        with its error.  Returns once every key is answered, having run rounds
+        on this thread whenever it was this reader's turn.
         """
         reader = threading.get_ident()
         # Capture the reading statement's trace here, on its own thread: the
@@ -212,14 +119,10 @@ class ReadBatcher:
         mine = [_Request(key, reader, trace) for key in dict.fromkeys(keys)]
         if not mine:
             return {}
-        if self.window is not None:
-            self.window.observe(time.monotonic())
         with self._lock:
             self._queue.extend(mine)
             if self._leader is None:
                 self._leader = reader
-            else:
-                self._queued.notify_all()
         try:
             # Rounds answer the queue in order, so the last key answered means all.
             while True:
@@ -244,11 +147,8 @@ class ReadBatcher:
     # -- rounds ------------------------------------------------------------------------------
 
     def _drain(self) -> list[_Request]:  # repro: locked(_lock)
-        """Hold the round open for its window, then take up to ``max_batch``."""
-        wait_s = self.window.window_s() if self.window is not None else self._max_wait_s
-        if wait_s > 0:
-            self._queued.wait_for(lambda: len(self._queue) >= self._max_batch, wait_s)
-        batch = [self._queue.popleft() for _ in range(min(len(self._queue), self._max_batch))]
+        """Take up to :data:`MAX_READ_BATCH` queued requests, oldest first."""
+        batch = [self._queue.popleft() for _ in range(min(len(self._queue), MAX_READ_BATCH))]
         self.rounds += 1
         self.requests += len(batch)
         self.largest_batch = max(self.largest_batch, len(batch))
@@ -308,12 +208,9 @@ class ReadBatcher:
         suffixes.
         """
         with self._lock:
-            stats: dict[str, float] = {
+            return {
                 "rounds_total": self.rounds,
                 "requests_total": self.requests,
                 "largest_batch": self.largest_batch,
                 "avg_batch": self.requests / self.rounds if self.rounds else 0.0,
             }
-        if self.window is not None:
-            stats["adaptive_window_seconds"] = self.window.window_s()
-        return stats

@@ -195,9 +195,6 @@ class ViewServer:
         store_factory: Callable[[], EntityStore],
         maintainer_factory: Callable[[EntityStore], ViewMaintainer],
         shards: int = 4,
-        max_read_batch: int = 64,
-        max_wait_s: float = 0.0,
-        adaptive_batching: bool = False,
         queue_capacity: int = 4096,
         max_write_batch: int = 64,
         cache_capacity: int = 100_000,
@@ -268,11 +265,7 @@ class ViewServer:
             self, queue_capacity=queue_capacity, max_batch=max_write_batch
         )
         self.batcher = ReadBatcher(
-            self._execute_read_batch,
-            max_batch=max_read_batch,
-            max_wait_s=max_wait_s,
-            adaptive=adaptive_batching,
-            cost_probe=self.shards.simulated_seconds,
+            self._execute_read_batch, cost_probe=self.shards.simulated_seconds
         )
         # Serving's one thread starts last, after everything that can raise.
         self.worker.start()
@@ -357,8 +350,8 @@ class ViewServer:
 
     def _labels_of(self, entity_ids) -> tuple[dict[object, int], int]:
         """Every distinct key is queued with the request batcher in one burst,
-        so the whole batch coalesces into as few ``read_many`` rounds as the
-        batch window allows.  Unknown ids are dropped from the result; the
+        so the whole batch coalesces into as few ``read_many`` rounds as
+        ``MAX_READ_BATCH`` allows.  Unknown ids are dropped from the result; the
         epoch is the newest any round answered from — never older than the
         one published when the burst was queued."""
         epoch = self.published.epoch

@@ -3,11 +3,13 @@
 ``SERVE VIEW`` / ``RESTORE VIEW`` options (``HazyEngine._SERVER_OPTIONS``) and
 ``CHECKPOINT VIEW`` options (``HazyEngine._CHECKPOINT_OPTIONS``) go through
 ``HazyEngine._validated``; the cases below are generated from those two
-tables — a value of the wrong type, and one below the option's least value —
-so an option added to either is checked here without being listed, and each
-case is issued twice — as SQL and through the imperative ``serve`` /
-``restore`` / ``checkpoint``, keyword for option — and must be refused with
-the same message.
+tables — a value of the wrong type, one below the option's least value, an
+empty string — so an option added to either is checked here without being
+listed.  Beside them: an empty TO / FROM directory, and the removed batching
+options.  Each case is issued twice — as SQL and through the imperative
+``serve`` / ``restore`` / ``checkpoint``, keyword for option — and must be
+refused with the same message, leaving nothing in the directory given or in
+the working directory an empty path would stand for.
 """
 
 from __future__ import annotations
@@ -22,9 +24,11 @@ from repro.exceptions import ConfigurationError
 from tests.db.test_sql_serving import build_portal
 
 VIEW = "labeled_papers"
+#: Stands for the test's own empty directory in a case's TO / FROM.
+DIR = object()
 
-#: kind -> values of the wrong type (a bool is never an integer or a number).
-WRONG = {int: ("many", True, 2.5), float: ("soon", False), str: (3, True), bool: (1, "yes")}
+#: kind -> values of the wrong type (a bool is never an integer).
+WRONG = {int: ("many", True, 2.5), str: (3, True), bool: (1, "yes")}
 
 TABLES = {
     "serve": (HazyEngine._SERVER_OPTIONS, "serving"),
@@ -34,22 +38,28 @@ TABLES = {
 
 
 def cases():
+    """``(verb, target, options, message)``: ``target`` is the TO / FROM
+    directory — ``DIR`` for an empty one the test creates, or a literal path."""
     for verb, (table, what) in TABLES.items():
-        yield verb, {"bogus": 1}, f"unknown {what} option 'bogus'; known: {sorted(table)}"
+        yield verb, DIR, {"bogus": 1}, f"unknown {what} option 'bogus'; known: {sorted(table)}"
         for name, (kind, wording, least) in table.items():
             for value in WRONG[kind]:
-                yield verb, {name: value}, f"option {name!r} expects {wording}, got {value!r}"
+                yield verb, DIR, {name: value}, f"option {name!r} expects {wording}, got {value!r}"
             if least is not None:
                 for value in dict.fromkeys((least - 1, -1)):
-                    yield verb, {name: value}, f"option {name!r} must be >= {least}, got {value!r}"
-    yield "checkpoint", {"parent": "/elsewhere"}, "'parent' requires incremental = true"
-    yield "checkpoint", {"parent": "/elsewhere", "incremental": False}, "requires incremental"
+                    message = f"option {name!r} must be >= {least}, got {value!r}"
+                    yield verb, DIR, {name: value}, message
+            if kind is str:
+                yield verb, DIR, {name: ""}, f"option {name!r} must not be empty"
     for verb in ("serve", "restore"):
-        for options in (
-            {"adaptive_batching": True, "max_wait_s": 0.001},
-            {"max_wait_s": 0.001, "adaptive_batching": True},
-        ):
-            yield verb, options, "adaptive_batching derives the batching window itself"
+        # A read round never waits and drains a fixed 64 keys: nothing configures it.
+        for removed in ("max_wait_s", "adaptive_batching", "max_read_batch"):
+            yield verb, DIR, {removed: 1}, f"unknown serving option {removed!r}"
+    yield "checkpoint", DIR, {"parent": "/elsewhere"}, "'parent' requires incremental = true"
+    yield "checkpoint", DIR, {"parent": "/elsewhere", "incremental": False}, "requires incremental"
+    yield "checkpoint", DIR, {"incremental": True, "parent": ""}, "option 'parent' must not be empty"
+    yield "checkpoint", "", {}, "CHECKPOINT VIEW ... TO needs a directory, got ''"
+    yield "restore", "", {}, "RESTORE VIEW ... FROM needs a directory, got ''"
 
 
 def literal(value: object) -> str:
@@ -69,33 +79,39 @@ def portals():
     live_db.execute(f"STOP SERVING {VIEW}")
 
 
-@pytest.mark.parametrize("verb, options, message", list(cases()))
+@pytest.mark.parametrize("verb, target, options, message", list(cases()))
 def test_a_bad_option_is_refused_the_same_way_in_sql_and_imperatively(
-    portals, tmp_path, verb, options, message
+    portals, tmp_path, monkeypatch, verb, target, options, message
 ):
+    """Refused before anything is written — in the directory given, or, for
+    an empty path, in the working directory it would stand for."""
+    monkeypatch.chdir(tmp_path)
     engine = portals[verb]
+    target = str(tmp_path) if target is DIR else target
     with_clause = ", ".join(f"{name} = {literal(value)}" for name, value in options.items())
     sql, call = {
         "serve": (f"SERVE VIEW {VIEW}", lambda: engine.serve(VIEW, **options)),
         "restore": (
-            f"RESTORE VIEW {VIEW} FROM '{tmp_path}'",
-            lambda: engine.restore(VIEW, str(tmp_path), **options),
+            f"RESTORE VIEW {VIEW} FROM '{target}'",
+            lambda: engine.restore(VIEW, target, **options),
         ),
         "checkpoint": (
-            f"CHECKPOINT VIEW {VIEW} TO '{tmp_path}'",
-            lambda: engine.checkpoint(VIEW, str(tmp_path), **options),
+            f"CHECKPOINT VIEW {VIEW} TO '{target}'",
+            lambda: engine.checkpoint(VIEW, target, **options),
         ),
     }[verb]
-    for attempt in (lambda: engine.database.execute(f"{sql} WITH ({with_clause})"), call):
+    if with_clause:
+        sql += f" WITH ({with_clause})"
+    for attempt in (lambda: engine.database.execute(sql), call):
         with pytest.raises(ConfigurationError, match=re.escape(message)):
             attempt()
     assert (engine.view(VIEW).server is None) == (verb != "checkpoint")
     assert not list(tmp_path.iterdir())
 
 
-def test_a_nan_wait_is_refused_imperatively(portals):
-    """SQL has no NaN literal; a caller's dict can carry one, and it is no number >= 0."""
-    message = "option 'max_wait_s' must be >= 0, got nan"
+def test_a_nan_capacity_is_refused_imperatively(portals):
+    """SQL has no NaN literal; a caller's dict can carry one, and it is no integer."""
+    message = "option 'cache_capacity' expects an integer, got nan"
     with pytest.raises(ConfigurationError, match=re.escape(message)):
-        portals["serve"].serve(VIEW, max_wait_s=float("nan"))
+        portals["serve"].serve(VIEW, cache_capacity=float("nan"))
     assert portals["serve"].view(VIEW).server is None

@@ -59,14 +59,8 @@ class TestParsing:
         assert statement.options == {}
 
     def test_serve_view_with_options(self):
-        statement = parse(
-            "SERVE VIEW v WITH (shards = 8, max_wait_s = 0.002, adaptive_batching = true)"
-        )
-        assert statement.options == {
-            "shards": 8,
-            "max_wait_s": 0.002,
-            "adaptive_batching": True,
-        }
+        statement = parse("SERVE VIEW v WITH (shards = 8, wal = '/tmp/wal', epoch_history = 16)")
+        assert statement.options == {"shards": 8, "wal": "/tmp/wal", "epoch_history": 16}
 
     def test_stop_serving(self):
         statement = parse("STOP SERVING v;")
@@ -79,10 +73,10 @@ class TestParsing:
         assert (statement.view, statement.path) == ("v", "/tmp/ck")
 
     def test_restore_view_with_options(self):
-        statement = parse("RESTORE VIEW v FROM '/tmp/ck' WITH (max_read_batch = 32)")
+        statement = parse("RESTORE VIEW v FROM '/tmp/ck' WITH (cache_capacity = 32)")
         assert isinstance(statement, RestoreView)
         assert statement.path == "/tmp/ck"
-        assert statement.options == {"max_read_batch": 32}
+        assert statement.options == {"cache_capacity": 32}
 
     def test_explain_wraps_any_statement(self):
         statement = parse("EXPLAIN SELECT * FROM t WHERE id = 3")
@@ -157,10 +151,12 @@ class TestServingLifecycle:
             ("wal_dir = 'somewhere'", "unknown serving option 'wal_dir'"),
             ("shards = true", "option 'shards' expects an integer, got True"),
             ("cache_capacity = 2.5", "option 'cache_capacity' expects an integer, got 2.5"),
-            ("max_wait_s = 'soon'", "option 'max_wait_s' expects a number, got 'soon'"),
-            ("max_wait_s = false", "option 'max_wait_s' expects a number, got False"),
             ("wal = 3", "option 'wal' expects a string, got 3"),
-            ("adaptive_batching = 1", "option 'adaptive_batching' expects true or false, got 1"),
+            ("wal = ''", "option 'wal' must not be empty"),
+            # A read round never waits and drains a fixed 64 keys: nothing configures it.
+            ("max_wait_s = 0.001", "unknown serving option 'max_wait_s'"),
+            ("adaptive_batching = true", "unknown serving option 'adaptive_batching'"),
+            ("max_read_batch = 64", "unknown serving option 'max_read_batch'"),
         ],
     )
     def test_serve_option_names_and_types(self, options, message):
@@ -172,32 +168,15 @@ class TestServingLifecycle:
     def test_every_serving_option_is_accepted_under_its_one_name(self, tmp_path):
         db, engine, _ = build_portal(count=20)
         db.execute(
-            "SERVE VIEW labeled_papers WITH (shards = 2, max_read_batch = 8, "
+            "SERVE VIEW labeled_papers WITH (shards = 2, "
             "queue_capacity = 64, max_write_batch = 4, cache_capacity = 100, "
-            f"epoch_history = 8, max_wait_s = 0, wal = '{tmp_path / 'wal'}', "
-            "adaptive_batching = false)"
+            f"epoch_history = 8, wal = '{tmp_path / 'wal'}')"
         )
         server = engine.view("labeled_papers").server
         assert len(server.shards) == 2 and server.wal is not None
         assert sorted(engine._SERVER_OPTIONS) == sorted(
-            "shards max_read_batch queue_capacity max_write_batch cache_capacity "
-            "epoch_history max_wait_s wal adaptive_batching".split()
+            "shards queue_capacity max_write_batch cache_capacity epoch_history wal".split()
         )
-        db.execute("STOP SERVING labeled_papers")
-
-    def test_adaptive_batching_conflicts_with_fixed_window(self):
-        db, engine, _ = build_portal(count=20)
-        # Rejected in either option order — never silently resolved.
-        for options in (
-            "adaptive_batching = true, max_wait_s = 0.001",
-            "max_wait_s = 0.001, adaptive_batching = true",
-        ):
-            with pytest.raises(ConfigurationError, match="adaptive_batching"):
-                db.execute(f"SERVE VIEW labeled_papers WITH ({options})")
-        assert engine.view("labeled_papers").server is None
-        # adaptive_batching = false is just "use the default window".
-        db.execute("SERVE VIEW labeled_papers WITH (adaptive_batching = false)")
-        assert engine.view("labeled_papers").server.batcher.window is None
         db.execute("STOP SERVING labeled_papers")
 
     def test_stop_serving_unserved_view_fails(self):

@@ -54,7 +54,7 @@ def test_sql_only_end_to_end_checkpoint_restore(tmp_path):
     create_base_tables(conn, documents)
     conn.execute(VIEW_DDL)
     serve_row = conn.execute(
-        "SERVE VIEW labeled_papers WITH (shards = 2, adaptive_batching = true)"
+        "SERVE VIEW labeled_papers WITH (shards = 2)"
     ).fetchone()
     assert serve_row["status"] == "serving"
 

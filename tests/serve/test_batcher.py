@@ -1,8 +1,10 @@
 """Unit tests for the read batcher: readers run the rounds, and coalesce.
 
-Deterministic where it matters: a round is held open on an ``Event`` and the
-tests wait on the batcher's own queue (under its lock, through the condition
-the queue notifies) instead of on a timer.
+A round never waits, so coalescing is tested the only way it happens: the
+first round is held on an ``Event``, readers queue behind it, and the next
+round drains them together.  The tests wait on the batcher's own queue
+(swapped for one that announces arrivals on the batcher's lock) instead of
+on a timer.
 """
 
 from __future__ import annotations
@@ -10,17 +12,37 @@ from __future__ import annotations
 import random
 import sys
 import threading
+from collections import deque
 
 import pytest
 
 from repro.obs import TraceContext, use_trace
-from repro.serve.batcher import AdaptiveBatchWindow, ReadBatcher
+from repro.serve.batcher import MAX_READ_BATCH, ReadBatcher
+
+
+class WatchedQueue(deque):
+    """A batcher queue that notifies ``grew`` (on the batcher's lock, which
+    every ``extend`` runs under) whenever readers queue keys."""
+
+    def __init__(self, lock):
+        super().__init__()
+        self.grew = threading.Condition(lock)
+
+    def extend(self, requests):
+        super().extend(requests)
+        self.grew.notify_all()
+
+
+def watched(batcher: ReadBatcher) -> ReadBatcher:
+    """``batcher`` with a :class:`WatchedQueue`, before any reader starts."""
+    batcher._queue = WatchedQueue(batcher._lock)
+    return batcher
 
 
 def wait_until_queued(batcher: ReadBatcher, count: int) -> None:
-    """Block until ``count`` keys wait in the batcher's queue."""
+    """Block until ``count`` keys wait in a :func:`watched` batcher's queue."""
     with batcher._lock:
-        assert batcher._queued.wait_for(lambda: len(batcher._queue) == count, timeout=10)
+        assert batcher._queue.grew.wait_for(lambda: len(batcher._queue) == count, timeout=10)
 
 
 class HeldFirstRound:
@@ -64,6 +86,18 @@ def start_readers(batcher: ReadBatcher, keys, results: dict) -> list[threading.T
     return threads
 
 
+def start_bursts(batcher: ReadBatcher, bursts, results: dict) -> list[threading.Thread]:
+    """One thread per burst of keys, each ``read_many``-ing its burst into ``results``."""
+
+    def reader(keys):
+        results.update(batcher.read_many(keys))
+
+    threads = [threading.Thread(target=reader, args=(list(keys),)) for keys in bursts]
+    for thread in threads:
+        thread.start()
+    return threads
+
+
 def hold_first_round(batcher: ReadBatcher, execute: HeldFirstRound, results: dict):
     """Start a reader of key 0 and return its thread once its round is held."""
     (thread,) = start_readers(batcher, [0], results)
@@ -98,7 +132,7 @@ def test_a_lone_readers_round_runs_on_its_own_thread():
 
 def test_readers_queued_behind_a_running_round_coalesce_into_the_next():
     execute = HeldFirstRound()
-    batcher = ReadBatcher(execute, max_batch=64)
+    batcher = watched(ReadBatcher(execute))
     results: dict = {}
     first = hold_first_round(batcher, execute, results)
     readers = start_readers(batcher, range(1, 9), results)
@@ -118,18 +152,20 @@ def test_readers_queued_behind_a_running_round_coalesce_into_the_next():
     assert batcher.largest_batch == 8
 
 
-def test_a_read_many_burst_is_answered_in_max_batch_rounds():
+def test_a_read_many_burst_is_answered_in_rounds_of_max_read_batch():
     rounds = []
 
     def execute(keys):
         rounds.append(list(keys))
         return {key: -key for key in keys}
 
-    batcher = ReadBatcher(execute, max_batch=4)
-    keys = list(range(3 * 4 + 1))
+    batcher = ReadBatcher(execute)
+    size = MAX_READ_BATCH
+    keys = list(range(3 * size + 1))
     assert batcher.read_many(keys) == {key: -key for key in keys}
-    assert rounds == [keys[0:4], keys[4:8], keys[8:12], keys[12:]]
+    assert rounds == [keys[0:size], keys[size : 2 * size], keys[2 * size : 3 * size], keys[-1:]]
     assert batcher.stats()["rounds_total"] == 4
+    assert batcher.largest_batch == size
 
 
 def test_read_many_deduplicates_and_returns_error_values():
@@ -151,15 +187,21 @@ def test_read_many_deduplicates_and_returns_error_values():
 
 def test_a_failed_round_fails_its_waiters_and_passes_the_next_round_on():
     execute = HeldFirstRound(fail_round=1)
-    batcher = ReadBatcher(execute, max_batch=4)
+    batcher = watched(ReadBatcher(execute))
     results: dict = {}
     first = hold_first_round(batcher, execute, results)
-    readers = start_readers(batcher, range(1, 7), results)
-    wait_until_queued(batcher, 6)
+    # Two bursts queue behind the held round: all of the first and four keys
+    # of the second fill the failing round, the second's last two the next.
+    bursts = [range(1, MAX_READ_BATCH - 3), range(MAX_READ_BATCH - 3, MAX_READ_BATCH + 3)]
+    (earlier,) = start_bursts(batcher, bursts[:1], results)
+    wait_until_queued(batcher, MAX_READ_BATCH - 4)
+    readers = [earlier, *start_bursts(batcher, bursts[1:], results)]
+    wait_until_queued(batcher, MAX_READ_BATCH + 2)
     execute.release.set()
     for thread in [first, *readers]:
         thread.join(timeout=10)
-    assert [len(keys) for keys in execute.rounds] == [1, 4, 2]
+    assert [len(keys) for keys in execute.rounds] == [1, MAX_READ_BATCH, 2]
+    assert execute.rounds[2] == [MAX_READ_BATCH + 1, MAX_READ_BATCH + 2]
     assert results[0] == 0
     failed = execute.rounds[1]
     assert all(isinstance(results[key], ValueError) for key in failed)
@@ -209,14 +251,16 @@ def test_many_readers_lose_no_request_under_rapid_switching():
     def execute(keys):
         return {key: KeyError(key) if key % 7 == 0 else key + 1 for key in keys}
 
-    batcher = ReadBatcher(execute, max_batch=5)
+    batcher = ReadBatcher(execute)
     queued = [0] * 8
     failures: list[str] = []
 
     def reader(index):
         rng = random.Random(index)
         for _ in range(150):
-            keys = [rng.randrange(40) for _ in range(rng.choice([1, 1, 3, 12]))]
+            # Bursts of up to 70 keys over 100 ids: eight readers' queued keys
+            # often pass MAX_READ_BATCH, so rounds split bursts too.
+            keys = [rng.randrange(100) for _ in range(rng.choice([1, 1, 3, 12, 70]))]
             queued[index] += len(set(keys))
             answers = batcher.read_many(keys)
             for key, answer in answers.items():
@@ -242,57 +286,42 @@ def test_many_readers_lose_no_request_under_rapid_switching():
 
 
 def test_concurrent_reads_coalesce():
-    rounds = []
-
-    def execute(keys):
-        rounds.append(len(keys))
-        return {key: -key for key in keys}
-
-    batcher = ReadBatcher(execute, max_batch=64, max_wait_s=0.2)
-    start = threading.Barrier(16, timeout=5)
-    results = {}
-    lock = threading.Lock()
-
-    def client(key):
-        start.wait()
-        value = batcher.read(key)
-        with lock:
-            results[key] = value
-
-    threads = [threading.Thread(target=client, args=(key,)) for key in range(16)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
+    execute = HeldFirstRound()
+    batcher = watched(ReadBatcher(execute))
+    results: dict = {}
+    first = hold_first_round(batcher, execute, results)
+    readers = start_readers(batcher, range(1, 17), results)
+    wait_until_queued(batcher, 16)
+    execute.release.set()
+    for thread in [first, *readers]:
         thread.join(timeout=10)
-    assert results == {key: -key for key in range(16)}
-    # 16 simultaneous requests with a generous window must not take 16 rounds.
-    assert batcher.rounds < 16
-    assert batcher.largest_batch > 1
+    assert results == {key: key * 10 for key in range(17)}
+    # Sixteen readers queued behind one round are one round, not sixteen.
+    assert batcher.rounds == 2
+    assert batcher.largest_batch == 16
 
 
 def test_duplicate_keys_share_one_execution():
-    seen = []
-
-    def execute(keys):
-        seen.extend(keys)
-        return {key: "x" for key in keys}
-
-    batcher = ReadBatcher(execute, max_batch=8, max_wait_s=0.2)
-    start = threading.Barrier(4, timeout=5)
+    execute = HeldFirstRound()
+    batcher = watched(ReadBatcher(execute))
+    results: dict = {}
     outputs = []
+    first = hold_first_round(batcher, execute, results)
 
     def client():
-        start.wait()
         outputs.append(batcher.read(7))
 
-    threads = [threading.Thread(target=client) for _ in range(4)]
-    for thread in threads:
+    clients = [threading.Thread(target=client) for _ in range(4)]
+    for thread in clients:
         thread.start()
-    for thread in threads:
+    wait_until_queued(batcher, 4)
+    execute.release.set()
+    for thread in [first, *clients]:
         thread.join(timeout=10)
-    assert outputs == ["x"] * 4
-    # The executed key list was deduplicated per round.
-    assert seen.count(7) == batcher.rounds
+    assert outputs == [70] * 4
+    # Four requests in the round, one execution of their key.
+    assert execute.rounds == [[0], [7]]
+    assert batcher.stats()["requests_total"] == 5
 
 
 def test_errors_propagate_to_all_waiters():
@@ -313,7 +342,7 @@ class TestRoundSpans:
 
     def test_two_coalesced_readers_each_get_the_round_span(self):
         execute = HeldFirstRound()
-        batcher = ReadBatcher(execute, cost_probe=lambda: 0.0)
+        batcher = watched(ReadBatcher(execute, cost_probe=lambda: 0.0))
         traces = {key: TraceContext(f"read {key}") for key in (1, 2)}
         results: dict = {}
 
@@ -335,80 +364,3 @@ class TestRoundSpans:
             (span,) = [span for span in trace.spans() if span.name == "batcher.round"]
             assert span.rows == 2
             assert span.detail == "coalesced 2 requests into 2 keys"
-
-
-class TestAdaptiveBatchWindow:
-    """Pins the adaptation bounds: the derived wait is always in [0, cap]."""
-
-    CAP = 0.002
-
-    def feed(self, window: AdaptiveBatchWindow, interarrival: float, count: int = 50):
-        now = 100.0
-        for _ in range(count):
-            window.observe(now)
-            now += interarrival
-        return window
-
-    def test_no_arrivals_means_no_wait(self):
-        window = AdaptiveBatchWindow(max_batch=64, max_wait_cap_s=self.CAP)
-        assert window.window_s() == 0.0
-        window.observe(1.0)  # a single arrival still gives no inter-arrival estimate
-        assert window.window_s() == 0.0
-
-    def test_sparse_arrivals_collapse_to_zero_wait(self):
-        # Inter-arrival above the cap: even a full hold coalesces ~1 request.
-        window = self.feed(
-            AdaptiveBatchWindow(max_batch=64, max_wait_cap_s=self.CAP), interarrival=0.05
-        )
-        assert window.window_s() == 0.0
-
-    def test_dense_arrivals_scale_with_rate_and_never_exceed_cap(self):
-        dense = self.feed(
-            AdaptiveBatchWindow(max_batch=64, max_wait_cap_s=self.CAP), interarrival=1e-5
-        )
-        denser = self.feed(
-            AdaptiveBatchWindow(max_batch=64, max_wait_cap_s=self.CAP), interarrival=1e-6
-        )
-        assert 0.0 < denser.window_s() <= dense.window_s() <= self.CAP
-        # At 10us inter-arrival a 64-batch plausibly fills in 63 * 10us.
-        assert dense.window_s() == pytest.approx(63 * 1e-5)
-
-    def test_window_always_within_bounds_across_regimes(self):
-        window = AdaptiveBatchWindow(max_batch=32, max_wait_cap_s=self.CAP, alpha=0.5)
-        now = 0.0
-        for interarrival in (1e-6, 0.5, 1e-5, 0.1, 1e-4, 1e-3, 10.0, 1e-7):
-            for _ in range(10):
-                window.observe(now)
-                now += interarrival
-            assert 0.0 <= window.window_s() <= self.CAP
-
-    def test_ewma_tracks_rate_changes(self):
-        window = AdaptiveBatchWindow(max_batch=64, max_wait_cap_s=self.CAP, alpha=0.2)
-        self.feed(window, interarrival=1e-6)
-        fast = window.interarrival_s
-        self.feed(window, interarrival=1e-3, count=100)
-        assert window.interarrival_s > fast
-
-    def test_max_batch_one_never_waits(self):
-        window = self.feed(
-            AdaptiveBatchWindow(max_batch=1, max_wait_cap_s=self.CAP), interarrival=1e-6
-        )
-        assert window.window_s() == 0.0
-
-    def test_invalid_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            AdaptiveBatchWindow(max_batch=0)
-        with pytest.raises(ValueError):
-            AdaptiveBatchWindow(max_batch=4, max_wait_cap_s=-1.0)
-        with pytest.raises(ValueError):
-            AdaptiveBatchWindow(max_batch=4, alpha=0.0)
-
-
-def test_adaptive_batcher_reports_window_and_serves():
-    batcher = ReadBatcher(
-        lambda keys: {key: key * 2 for key in keys}, max_batch=8, adaptive=True
-    )
-    assert batcher.read(3) == 6
-    stats = batcher.stats()
-    assert "adaptive_window_seconds" in stats
-    assert 0.0 <= stats["adaptive_window_seconds"] <= batcher.window.max_wait_cap_s

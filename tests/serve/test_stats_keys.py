@@ -26,11 +26,11 @@ LEGACY_KEYS = {
 
 
 def test_batcher_stats_have_no_legacy_aliases():
-    batcher = ReadBatcher(lambda keys: {key: key for key in keys}, adaptive=True)
+    batcher = ReadBatcher(lambda keys: {key: key for key in keys})
     batcher.read(1)
     stats = batcher.stats()
     assert not LEGACY_KEYS & stats.keys()
-    assert {"rounds_total", "requests_total", "adaptive_window_seconds"} <= stats.keys()
+    assert stats.keys() == {"rounds_total", "requests_total", "largest_batch", "avg_batch"}
 
 
 def test_cache_stats_have_no_legacy_aliases():

@@ -43,6 +43,25 @@ def test_nothing_under_serve_or_core_imports_an_executor_or_a_future():
     assert found == []
 
 
+def test_a_read_round_never_waits_on_a_clock():
+    """The batcher waits only for a round to be answered: no timed ``wait`` /
+    ``wait_for`` (a window held open for stragglers) and no ``time.monotonic``."""
+    tree = ast.parse((ROOT / "serve" / "batcher.py").read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Attribute):
+            continue
+        name = node.func.attr
+        timed = {"wait": 1, "wait_for": 2}.get(name)
+        if timed is not None and (
+            len(node.args) >= timed or any(k.arg == "timeout" for k in node.keywords)
+        ):
+            found.append(f"{name} with a timeout at line {node.lineno}")
+        if name == "monotonic":
+            found.append(f"monotonic at line {node.lineno}")
+    assert found == []
+
+
 def test_only_the_maintenance_worker_starts_a_thread():
     starts = [
         where
