@@ -57,7 +57,8 @@ def cases():
             yield verb, DIR, {removed: 1}, f"unknown serving option {removed!r}"
     yield "checkpoint", DIR, {"parent": "/elsewhere"}, "'parent' requires incremental = true"
     yield "checkpoint", DIR, {"parent": "/elsewhere", "incremental": False}, "requires incremental"
-    yield "checkpoint", DIR, {"incremental": True, "parent": ""}, "option 'parent' must not be empty"
+    empty_parent = {"incremental": True, "parent": ""}
+    yield "checkpoint", DIR, empty_parent, "option 'parent' must not be empty"
     yield "checkpoint", "", {}, "CHECKPOINT VIEW ... TO needs a directory, got ''"
     yield "restore", "", {}, "RESTORE VIEW ... FROM needs a directory, got ''"
 
@@ -79,15 +80,8 @@ def portals():
     live_db.execute(f"STOP SERVING {VIEW}")
 
 
-@pytest.mark.parametrize("verb, target, options, message", list(cases()))
-def test_a_bad_option_is_refused_the_same_way_in_sql_and_imperatively(
-    portals, tmp_path, monkeypatch, verb, target, options, message
-):
-    """Refused before anything is written — in the directory given, or, for
-    an empty path, in the working directory it would stand for."""
-    monkeypatch.chdir(tmp_path)
-    engine = portals[verb]
-    target = str(tmp_path) if target is DIR else target
+def attempts(engine, verb: str, target: str, options: dict) -> dict:
+    """``{"sql": ..., "imperative": ...}``: the statement issued both ways."""
     with_clause = ", ".join(f"{name} = {literal(value)}" for name, value in options.items())
     sql, call = {
         "serve": (f"SERVE VIEW {VIEW}", lambda: engine.serve(VIEW, **options)),
@@ -102,11 +96,59 @@ def test_a_bad_option_is_refused_the_same_way_in_sql_and_imperatively(
     }[verb]
     if with_clause:
         sql += f" WITH ({with_clause})"
-    for attempt in (lambda: engine.database.execute(sql), call):
+    return {"sql": lambda: engine.database.execute(sql), "imperative": call}
+
+
+@pytest.mark.parametrize("verb, target, options, message", list(cases()))
+def test_a_bad_option_is_refused_the_same_way_in_sql_and_imperatively(
+    portals, tmp_path, monkeypatch, verb, target, options, message
+):
+    """Refused before anything is written — in the directory given, or, for
+    an empty path, in the working directory it would stand for."""
+    monkeypatch.chdir(tmp_path)
+    engine = portals[verb]
+    target = str(tmp_path) if target is DIR else target
+    for attempt in attempts(engine, verb, target, options).values():
         with pytest.raises(ConfigurationError, match=re.escape(message)):
             attempt()
     assert (engine.view(VIEW).server is None) == (verb != "checkpoint")
     assert not list(tmp_path.iterdir())
+
+
+#: ``(verb, target, options, message)`` for every empty path; ``DIR`` is a
+#: sibling of the working directory, which holds a checkpoint and a WAL.
+EMPTY_PATHS = [
+    ("serve", DIR, {"wal": ""}, "option 'wal' must not be empty"),
+    ("restore", DIR, {"wal": ""}, "option 'wal' must not be empty"),
+    ("restore", "", {}, "RESTORE VIEW ... FROM needs a directory, got ''"),
+    ("checkpoint", "", {}, "CHECKPOINT VIEW ... TO needs a directory, got ''"),
+    ("checkpoint", DIR, {"incremental": True, "parent": ""}, "option 'parent' must not be empty"),
+]
+
+
+@pytest.mark.parametrize("form", ["sql", "imperative"])
+@pytest.mark.parametrize("verb, target, options, message", EMPTY_PATHS)
+def test_an_empty_path_never_stands_for_a_usable_working_directory(
+    portals, tmp_path, monkeypatch, form, verb, target, options, message
+):
+    """With a real checkpoint and a stale WAL segment in the working
+    directory, an empty path would find something there to restore from,
+    to fall back on as a parent, to overwrite or to wipe: each is refused,
+    and the directory is left byte for byte as it was."""
+    cwd = tmp_path / "cwd"
+    portals["checkpoint"].checkpoint(VIEW, str(cwd))
+    (cwd / "wal-0000000000000001.hzl").write_bytes(b"stale segment")
+    before = {path.name: path.read_bytes() for path in cwd.iterdir()}
+    assert "MANIFEST.hzs" in before
+    monkeypatch.chdir(cwd)
+    engine = portals[verb]
+    elsewhere = tmp_path / "elsewhere"
+    target = str(cwd if verb == "restore" else elsewhere) if target is DIR else target
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        attempts(engine, verb, target, options)[form]()
+    assert (engine.view(VIEW).server is None) == (verb != "checkpoint")
+    assert {path.name: path.read_bytes() for path in cwd.iterdir()} == before
+    assert not elsewhere.exists()
 
 
 def test_a_nan_capacity_is_refused_imperatively(portals):

@@ -152,7 +152,11 @@ def test_readers_queued_behind_a_running_round_coalesce_into_the_next():
     assert batcher.largest_batch == 8
 
 
-def test_a_read_many_burst_is_answered_in_rounds_of_max_read_batch():
+BURSTS = [1, MAX_READ_BATCH - 1, MAX_READ_BATCH, MAX_READ_BATCH + 1, 2 * MAX_READ_BATCH]
+
+
+@pytest.mark.parametrize("count", [*BURSTS, 3 * MAX_READ_BATCH + 1])
+def test_a_read_many_burst_is_answered_in_rounds_of_max_read_batch(count):
     rounds = []
 
     def execute(keys):
@@ -161,11 +165,48 @@ def test_a_read_many_burst_is_answered_in_rounds_of_max_read_batch():
 
     batcher = ReadBatcher(execute)
     size = MAX_READ_BATCH
-    keys = list(range(3 * size + 1))
+    keys = list(range(count))
     assert batcher.read_many(keys) == {key: -key for key in keys}
-    assert rounds == [keys[0:size], keys[size : 2 * size], keys[2 * size : 3 * size], keys[-1:]]
-    assert batcher.stats()["rounds_total"] == 4
-    assert batcher.largest_batch == size
+    assert rounds == [keys[start : start + size] for start in range(0, count, size)]
+    assert batcher.stats()["rounds_total"] == -(-count // size)
+    assert batcher.largest_batch == min(count, size)
+
+
+@pytest.mark.parametrize("count", [MAX_READ_BATCH, MAX_READ_BATCH + 1, 2 * MAX_READ_BATCH + 5])
+def test_readers_queued_past_max_read_batch_are_answered_in_full_rounds(count):
+    """Queued single-key readers are drained oldest first, at most
+    :data:`MAX_READ_BATCH` to a round, each round run as soon as the last
+    is answered."""
+    execute = HeldFirstRound()
+    batcher = watched(ReadBatcher(execute))
+    results: dict = {}
+    first = hold_first_round(batcher, execute, results)
+    readers = start_readers(batcher, range(1, count + 1), results)
+    wait_until_queued(batcher, count)
+    execute.release.set()
+    for thread in [first, *readers]:
+        thread.join(timeout=10)
+    assert results == {key: key * 10 for key in range(count + 1)}
+    full, rest = divmod(count, MAX_READ_BATCH)
+    sizes = [1] + [MAX_READ_BATCH] * full + [rest] * (rest > 0)
+    assert [len(keys) for keys in execute.rounds] == sizes
+    assert batcher.largest_batch == MAX_READ_BATCH
+    assert batcher._leader is None and not batcher._queue
+
+
+@pytest.mark.parametrize("knob", ["max_batch", "max_wait_s", "adaptive"])
+def test_the_batcher_takes_no_window_or_batch_size_knob(knob):
+    with pytest.raises(TypeError, match=knob):
+        ReadBatcher(lambda keys: {}, **{knob: 1})
+
+
+def test_no_batch_window_is_exported():
+    import repro.serve
+    import repro.serve.batcher
+
+    assert "AdaptiveBatchWindow" not in repro.serve.__all__
+    assert not hasattr(repro.serve, "AdaptiveBatchWindow")
+    assert not hasattr(repro.serve.batcher, "AdaptiveBatchWindow")
 
 
 def test_read_many_deduplicates_and_returns_error_values():
