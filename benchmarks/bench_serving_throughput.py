@@ -195,7 +195,7 @@ def run_served(dataset, check_consistency: bool = False):
         "sim_reads_per_s": round(len(ids) / read_seconds, 1),
         "wall_reads_per_s": round(len(ids) / wall, 1),
         "avg_read_batch": round(server.batcher.stats()["avg_batch"], 2),
-        "cache_hits": server.shards.cache_stats()["hits_total"],
+        "cache_hits": server.stats()["cache.hits_total"],
     }
     consistency = None
     if check_consistency:

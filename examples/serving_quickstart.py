@@ -104,7 +104,8 @@ def main() -> None:
     server = conn.engine.view("Labeled_Papers").server
     stats = server.stats()
     print(f"epoch after maintenance: {stats['epoch']}")
-    print(f"read batching: {stats['batcher']}")
+    batching = {key: value for key, value in stats.items() if key.startswith("batcher.")}
+    print(f"read batching: {batching}")
 
     # The same numbers, through the SQL front door: the system.* virtual
     # tables expose the whole metrics registry and the serving dashboard.

@@ -5,8 +5,8 @@ this pass makes it a whole-repo guarantee.  Checked sites:
 
 * string keys of dict literals (and string subscript-assignments) inside any
   function named ``stats``/``metrics`` or ending in ``_stats``/``_metrics``;
-* the literal first argument of ``counter``/``gauge``/``gauge_fn``/
-  ``histogram``/``provider`` calls on a registry-like receiver.
+* the literal first argument of ``counter``/``histogram``/``provider`` calls
+  on a registry-like receiver.
 
 Grammar: dot-separated segments, each ``[a-z][a-z0-9_]*``, no double or
 trailing underscores (STAT001).  Unit-bearing names must use the canonical
@@ -28,7 +28,7 @@ from repro.analysis.runner import ModuleContext
 __all__ = ["StatsNamingPass"]
 
 _SEGMENT_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
-_REGISTRY_METHODS = frozenset({"counter", "gauge", "gauge_fn", "histogram", "provider"})
+_REGISTRY_METHODS = frozenset({"counter", "histogram", "provider"})
 _REGISTRY_HINTS = ("registry", "metrics")
 
 

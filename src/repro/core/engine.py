@@ -530,11 +530,11 @@ class HazyEngine:
                     "num_shards": stats["num_shards"],
                     "epochs_published_total": stats["epochs_published_total"],
                     "trigger_diverts_total": stats["trigger_diverts_total"],
-                    "queue_backlog": stats["maintenance"]["backlog"],
-                    "batcher_requests_total": stats["batcher"]["requests_total"],
-                    "batcher_avg_batch": stats["batcher"]["avg_batch"],
-                    "cache_hits_total": stats["cache"]["hits_total"],
-                    "simulated_seconds_total": stats["simulated_seconds"],
+                    "queue_backlog": stats["maintenance.backlog"],
+                    "batcher_requests_total": stats["batcher.requests_total"],
+                    "batcher_avg_batch": stats["batcher.avg_batch"],
+                    "cache_hits_total": stats["cache.hits_total"],
+                    "simulated_seconds_total": stats["simulated_seconds_total"],
                 }
             )
         return rows
@@ -548,7 +548,7 @@ class HazyEngine:
 
         def provider() -> dict[str, float]:
             server = view.server
-            return server.metrics() if server is not None else {}
+            return server.stats() if server is not None else {}
 
         self.database.obs.registry.provider(f"serve.{view.name}", provider)
 

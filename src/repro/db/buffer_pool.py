@@ -210,10 +210,6 @@ class BufferPool:
         """Number of pages currently cached."""
         return len(self._resident)
 
-    def is_resident(self, page_id: int) -> bool:
-        """Whether a page is currently cached (no cost, no LRU update)."""
-        return page_id in self._resident
-
     # -- internals --------------------------------------------------------------
 
     def _make_resident(self, page: Page, charge_read: bool, sequential: bool) -> None:

@@ -182,14 +182,6 @@ class Catalog:
             raise CatalogError(f"no system table named {name!r}")
         return producer
 
-    def has_system_table(self, name: str) -> bool:
-        """Whether a system table with this name exists."""
-        return name.lower() in self._system_tables
-
-    def system_table_names(self) -> list[str]:
-        """Sorted system table names."""
-        return sorted(self._system_tables)
-
     def object_kind(self, name: str) -> str | None:
         """Which namespace a name lives in: ``"table"``, ``"view"``,
         ``"classification_view"``, ``"system_table"``, or None when unknown.

@@ -109,7 +109,3 @@ class HeapFile:
     def row_count(self) -> int:
         """Number of live rows."""
         return self._row_count
-
-    def page_ids(self) -> list[int]:
-        """The file's page ids in physical order."""
-        return list(self._page_ids)

@@ -57,10 +57,6 @@ class Page:
         """Number of non-deleted rows on the page."""
         return sum(1 for slot in self._slots if slot is not None)
 
-    def slot_count(self) -> int:
-        """Number of allocated slots, including tombstones."""
-        return len(self._slots)
-
     # -- row operations --------------------------------------------------------
 
     def insert(self, row: dict[str, object], row_size: int) -> int:

@@ -18,7 +18,10 @@ All-Members scans cannot starve point reads under load.  Per-lane depth and
 wait metrics are mirrored into the engine database's metrics registry as a
 lazy ``net.admission`` pull provider, the server's own counters as
 ``net.server``, and the live connection roster is queryable in SQL through
-the virtual ``system.connections`` table.
+the virtual ``system.connections`` table.  Those names are fixed, so a
+database has at most one running server: a second :meth:`SQLServer.start`
+on it raises :class:`~repro.exceptions.ConfigurationError` until the first
+closes.
 
 A client that dies ungracefully — mid-frame, mid-statement, or with writes
 still in flight — is *reaped*: its handler closes the server-side connection
@@ -40,8 +43,9 @@ import socket
 import sys
 import threading
 import time
+import weakref
 
-from repro.exceptions import HazyError, NetworkError, ProtocolError
+from repro.exceptions import ConfigurationError, HazyError, NetworkError, ProtocolError
 from repro.net.admission import (
     BULK_LANE,
     POINT_LANE,
@@ -60,6 +64,11 @@ from repro.net.protocol import (
 __all__ = ["SQLServer", "main"]
 
 _SERVER_IDS = itertools.count(1)
+
+#: The running server of each database: the observability names a server
+#: registers are per database, so only one server may hold them at a time.
+_RUNNING: "weakref.WeakKeyDictionary[object, SQLServer]" = weakref.WeakKeyDictionary()
+_RUNNING_LOCK = threading.Lock()
 
 
 class _Handler:
@@ -315,20 +324,38 @@ class SQLServer:
     # -- lifecycle -----------------------------------------------------------------------
 
     def start(self) -> "SQLServer":
-        """Bind, listen, register observability surfaces, begin accepting."""
+        """Bind, listen, register observability surfaces, begin accepting.
+
+        Raises :class:`ConfigurationError` while another server is running
+        on the same database.
+        """
         if self._running:
             return self
+        database = self.engine.database
+        with _RUNNING_LOCK:
+            running = _RUNNING.get(database)
+            if running is not None:
+                raise ConfigurationError(
+                    f"{running.name} is already serving this database on "
+                    f"{running.host}:{running.port}; close it before starting {self.name}"
+                )
+            _RUNNING[database] = self
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((self.host, self.port))
-        listener.listen(128)
+        try:
+            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            listener.bind((self.host, self.port))
+            listener.listen(128)
+        except BaseException:
+            listener.close()
+            with _RUNNING_LOCK:
+                del _RUNNING[database]
+            raise
         # Closing a listener does not reliably wake a blocked accept(); a
         # short timeout lets the accept loop notice shutdown promptly.
         listener.settimeout(0.2)
         self.port = listener.getsockname()[1]
         self._listener = listener
         self._running = True
-        database = self.engine.database
         registry = database.obs.registry
         registry.provider("net.admission", self.admission.stats)
         registry.provider("net.server", self.stats)
@@ -381,6 +408,8 @@ class SQLServer:
         database.obs.registry.remove_provider("net.admission")
         database.obs.registry.remove_provider("net.server")
         database.catalog.register_system_table("system.connections", list)
+        with _RUNNING_LOCK:
+            del _RUNNING[database]
 
     def __enter__(self) -> "SQLServer":
         return self.start()

@@ -4,8 +4,8 @@ One process-wide :class:`Observability` object (owned by the
 :class:`~repro.db.database.Database`, shared by every connection, engine and
 served view built on it) bundles the three concerns the subsystem provides:
 
-* a :class:`~repro.obs.registry.MetricsRegistry` of counters, gauges and
-  histograms into which every layer's statistics are pushed or mirrored;
+* a :class:`~repro.obs.registry.MetricsRegistry` of counters, histograms and
+  pull providers into which every layer's statistics are pushed or mirrored;
 * per-statement :class:`~repro.obs.trace.TraceContext` span trees, retained in
   a bounded :class:`~repro.obs.trace.TraceRing`;
 * a **slow-query log**: any statement whose *simulated* cost meets
@@ -27,7 +27,6 @@ import threading
 from repro.obs.registry import (
     NULL_REGISTRY,
     Counter,
-    Gauge,
     Histogram,
     MetricSample,
     MetricsRegistry,
@@ -44,7 +43,6 @@ from repro.obs.trace import (
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricSample",
     "MetricsRegistry",

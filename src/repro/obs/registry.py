@@ -1,13 +1,13 @@
-"""Thread-safe metrics registry: counters, gauges, histograms, pull providers.
+"""Thread-safe metrics registry: counters, histograms, pull providers.
 
 The registry is the single sink the scattered per-component statistics are
 mirrored into (buffer pool, cost ledger, batcher, result caches, maintenance
 workers, plan caches).  Two acquisition styles coexist deliberately:
 
-* **push instruments** — :class:`Counter`, :class:`Gauge`, :class:`Histogram`
-  objects handed to the component that owns the event.  Each instrument
-  carries its own lock, so concurrent increments never lose updates (the
-  concurrency reconciliation tests pin this exactly).
+* **push instruments** — :class:`Counter` and :class:`Histogram` objects
+  handed to the component that owns the event.  Each instrument carries its
+  own lock, so concurrent increments never lose updates (the concurrency
+  reconciliation tests pin this exactly).
 * **pull providers** — callables registered with :meth:`MetricsRegistry.provider`
   that are sampled only when somebody *reads* the registry
   (:meth:`MetricsRegistry.collect`, ``SELECT * FROM system.metrics``, text
@@ -35,7 +35,6 @@ from collections.abc import Callable, Mapping, Sequence
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricSample",
     "MetricsRegistry",
@@ -70,8 +69,9 @@ DEFAULT_QUANTILES = (0.5, 0.9, 0.99)
 class MetricSample:
     """One collected data point: ``(name, kind, value)``.
 
-    ``kind`` is ``"counter"``, ``"gauge"`` or ``"histogram"``; provider-mirrored
-    values report as gauges (they are snapshots of someone else's counter).
+    ``kind`` is ``"counter"`` or ``"histogram"`` for a push instrument and
+    ``"gauge"`` for a provider-mirrored value (a snapshot of someone else's
+    counter).
     """
 
     __slots__ = ("name", "kind", "value")
@@ -108,36 +108,6 @@ class Counter:
             raise ValueError("counters only go up")
         with self._lock:
             self._value += amount
-
-    @property
-    def value(self) -> float:
-        with self._lock:
-            return self._value
-
-
-class Gauge:
-    """A point-in-time value that can move in either direction."""
-
-    __slots__ = ("_lock", "_value")
-
-    # Shared-state contract, enforced by repro-lint's lock pass.
-    _GUARDED_BY = {"_value": "_lock"}
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._value = 0.0
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self._value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value -= amount
 
     @property
     def value(self) -> float:
@@ -187,18 +157,6 @@ class Histogram:
         with self._lock:
             return self._sum
 
-    def bucket_counts(self) -> list[tuple[float, int]]:
-        """Cumulative ``(upper_bound, count)`` pairs, +Inf last."""
-        with self._lock:
-            counts = list(self._counts)
-        cumulative = 0
-        out: list[tuple[float, int]] = []
-        for bound, count in zip(self.buckets, counts):
-            cumulative += count
-            out.append((bound, cumulative))
-        out.append((float("inf"), cumulative + counts[-1]))
-        return out
-
     def quantile(self, q: float) -> float:
         """Estimated ``q``-quantile, interpolated within the landing bucket.
 
@@ -247,26 +205,6 @@ class _NullCounter(Counter):
         return 0.0
 
 
-class _NullGauge(Gauge):
-    __slots__ = ()
-
-    def __init__(self) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def dec(self, amount: float = 1.0) -> None:
-        pass
-
-    @property
-    def value(self) -> float:
-        return 0.0
-
-
 class _NullHistogram(Histogram):
     __slots__ = ()
     buckets = DEFAULT_BUCKETS
@@ -285,15 +223,11 @@ class _NullHistogram(Histogram):
     def sum(self) -> float:
         return 0.0
 
-    def bucket_counts(self) -> list[tuple[float, int]]:
-        return []
-
     def quantile(self, q: float) -> float:
         return 0.0
 
 
 _NULL_COUNTER = _NullCounter()
-_NULL_GAUGE = _NullGauge()
 _NULL_HISTOGRAM = _NullHistogram()
 
 
@@ -309,8 +243,6 @@ class MetricsRegistry:
     # Shared-state contract, enforced by repro-lint's lock pass.
     _GUARDED_BY = {
         "_counters": "_lock",
-        "_gauges": "_lock",
-        "_gauge_fns": "_lock",
         "_histograms": "_lock",
         "_providers": "_lock",
     }
@@ -319,8 +251,6 @@ class MetricsRegistry:
         self.enabled = bool(enabled)
         self._lock = threading.Lock()
         self._counters: dict[str, Counter] = {}
-        self._gauges: dict[str, Gauge] = {}
-        self._gauge_fns: dict[str, Callable[[], float]] = {}
         self._histograms: dict[str, Histogram] = {}
         self._providers: dict[str, Callable[[], Mapping[str, float]]] = {}
 
@@ -329,8 +259,6 @@ class MetricsRegistry:
     def _check_free(self, name: str, kind: str) -> None:
         registrations: tuple[tuple[str, Mapping[str, object]], ...] = (
             ("counter", self._counters),
-            ("gauge", self._gauges),
-            ("gauge", self._gauge_fns),
             ("histogram", self._histograms),
         )
         for registered_kind, names in registrations:
@@ -347,25 +275,6 @@ class MetricsRegistry:
                 self._check_free(name, "counter")
                 instrument = self._counters[name] = Counter()
             return instrument
-
-    def gauge(self, name: str) -> Gauge:
-        """The settable gauge called ``name``, created on first use."""
-        if not self.enabled:
-            return _NULL_GAUGE
-        with self._lock:
-            instrument = self._gauges.get(name)
-            if instrument is None:
-                self._check_free(name, "gauge")
-                instrument = self._gauges[name] = Gauge()
-            return instrument
-
-    def gauge_fn(self, name: str, fn: Callable[[], float]) -> None:
-        """Register a callback gauge sampled at collect time (replaces prior)."""
-        if not self.enabled:
-            return
-        with self._lock:
-            self._check_free(name, "gauge")
-            self._gauge_fns[name] = fn
 
     def histogram(self, name: str, buckets: Sequence[float] = DEFAULT_BUCKETS) -> Histogram:
         """The histogram called ``name``, created on first use."""
@@ -409,20 +318,11 @@ class MetricsRegistry:
             return []
         with self._lock:
             counters = list(self._counters.items())
-            gauges = list(self._gauges.items())
-            gauge_fns = list(self._gauge_fns.items())
             histograms = list(self._histograms.items())
             providers = list(self._providers.items())
         samples: list[MetricSample] = []
         for name, counter in counters:
             samples.append(MetricSample(name, "counter", counter.value))
-        for name, gauge in gauges:
-            samples.append(MetricSample(name, "gauge", gauge.value))
-        for name, fn in gauge_fns:
-            try:
-                samples.append(MetricSample(name, "gauge", float(fn())))
-            except Exception:
-                continue
         for name, histogram in histograms:
             samples.append(MetricSample(f"{name}_count", "histogram", histogram.count))
             samples.append(MetricSample(f"{name}_sum", "histogram", histogram.sum))

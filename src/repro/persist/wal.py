@@ -255,8 +255,8 @@ class WriteAheadLog:
                 records.extend(record for record in segment_records if record.seq > seq)
         return records
 
-    def stats(self) -> dict[str, object]:
-        """Counters for the server's ``stats()``/``metrics()`` surfaces."""
+    def stats(self) -> dict[str, int]:
+        """Log counters, reported as ``wal.*`` in the server's ``stats()``."""
         with self._lock:
             return {
                 "appends_total": self._appends,

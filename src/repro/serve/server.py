@@ -250,8 +250,8 @@ class ViewServer:
         self._accepting = True
         self._closed = False
         self._ticket_local = threading.local()
-        #: Observability counters (thread-safe; mirrored into the metrics
-        #: registry by the engine's per-view provider and by ``stats()``).
+        #: Observability counters (thread-safe; reported by ``stats()``, which
+        #: the engine registers as the per-view metrics provider).
         self.epochs_published = Counter()
         self.trigger_diverts = Counter()
         #: Write-ahead log of diverted ops (optional).  A fresh serve wipes
@@ -793,64 +793,41 @@ class ViewServer:
         """Simulated seconds spent serving reads."""
         return self.shards.simulated_read_seconds()
 
-    def stats(self) -> dict[str, object]:
-        """One dashboard dict: epoch, batcher, worker, cache, shard counters.
+    def stats(self) -> dict[str, float]:
+        """Every serving counter as one flat ``{dotted_name: number}`` dict.
 
-        Assembled under the shared side of the readers/writer lock so the
+        Taken under the shared side of the readers/writer lock so the
         snapshot is consistent: a maintenance batch mid-apply can never leak
         a new epoch paired with the old queue/cache numbers (or vice versa).
-        Counter keys — nested component dicts included — follow the house
-        convention (``snake_case`` with ``_total`` / ``_seconds`` suffixes).
+        The engine registers it unchanged as the ``serve.<view>`` provider.
         """
         with self.rw_lock.read_locked():
-            snapshot = {
+            flat: dict[str, float] = {
                 "epoch": self.epoch,
                 "entities": self.shards.count(),
                 "num_shards": len(self.shards),
                 "epochs_published_total": self.epochs_published.value,
                 "trigger_diverts_total": self.trigger_diverts.value,
+                "simulated_seconds_total": self.simulated_seconds(),
+                "simulated_read_seconds_total": self.simulated_read_seconds(),
+            }
+            per_shard = self.shards.per_shard_stats()
+            components = {
                 "batcher": self.batcher.stats(),
                 "maintenance": self.worker.stats(),
-                "cache": self.shards.cache_stats(),
-                "simulated_seconds": self.simulated_seconds(),
-                "simulated_read_seconds": self.simulated_read_seconds(),
+                "cache": {
+                    key.removeprefix("cache_"): sum(shard[key] for shard in per_shard)
+                    for key in per_shard[0]
+                    if key.startswith("cache_")
+                },
             }
             if self._wal is not None:
-                snapshot["wal"] = self._wal.stats()
-            return snapshot
-
-    def metrics(self) -> dict[str, float]:
-        """Flat canonical-key metrics for the registry's per-view provider.
-
-        Same consistent snapshot as :meth:`stats`, flattened to dotted
-        ``snake_case`` names with no legacy aliases (the registry must not
-        report the same counter twice).
-        """
-        stats = self.stats()
-        flat: dict[str, float] = {
-            "epoch": stats["epoch"],
-            "entities": stats["entities"],
-            "num_shards": stats["num_shards"],
-            "epochs_published_total": stats["epochs_published_total"],
-            "trigger_diverts_total": stats["trigger_diverts_total"],
-            "simulated_seconds_total": stats["simulated_seconds"],
-            "simulated_read_seconds_total": stats["simulated_read_seconds"],
-        }
-        for component in ("batcher", "maintenance", "cache"):
-            for key, value in stats[component].items():
-                if key.endswith(("_total", "_seconds")) or key in (
-                    "largest_batch",
-                    "avg_batch",
-                    "avg_ops_per_batch",
-                    "backlog",
-                    "entries",
-                ):
+                components["wal"] = self._wal.stats()
+            for component, stats in components.items():
+                for key, value in stats.items():
                     flat[f"{component}.{key}"] = value
-        for key, value in stats.get("wal", {}).items():
-            if key.endswith(("_total", "_bytes")) or key == "segments":
-                flat[f"wal.{key}"] = value
-        for index, shard_stats in enumerate(self.shards.per_shard_stats()):
-            for key, value in shard_stats.items():
-                flat[f"shard{index}.{key}"] = value
-        return flat
+            for index, shard_stats in enumerate(per_shard):
+                for key, value in shard_stats.items():
+                    flat[f"shard{index}.{key}"] = value
+            return flat
 

@@ -282,20 +282,12 @@ class ShardSet:
         """Simulated seconds spent on reads, summed across shards."""
         return sum(shard.maintainer.stats.simulated_read_seconds for shard in self.shards)
 
-    def cache_stats(self) -> dict[str, int]:
-        """Aggregated result-cache counters (summed over whatever keys shards report)."""
-        totals: dict[str, int] = {}
-        for shard in self.shards:
-            for key, value in shard.cache.stats().items():
-                totals[key] = totals.get(key, 0) + value
-        return totals
-
     def per_shard_stats(self) -> list[dict[str, float]]:
         """Per-shard ledger and cache counters, indexed by shard position.
 
-        This is the ground truth the aggregated registry metrics must
-        reconcile against: summing any key over this list equals the
-        corresponding total reported elsewhere.
+        The one place the shard counters are read: ``ViewServer.stats``
+        reports each row and sums the ``cache_*`` keys into its ``cache.*``
+        totals.
         """
         rows: list[dict[str, float]] = []
         for shard in self.shards:

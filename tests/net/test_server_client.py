@@ -248,6 +248,34 @@ class TestServerLifecycle:
             with connect(server.host, server.port, timeout=TEST_TIMEOUT_S) as retry:
                 assert retry.ping()
 
+    def test_a_second_server_on_one_database_is_refused(self, server, backend):
+        """The ``net.*`` providers and ``system.connections`` are per database:
+        a second server would take them over, and its close would remove them
+        from under the first.  It is refused, and the first keeps reporting."""
+        second = SQLServer(backend.engine)
+        with pytest.raises(ConfigurationError) as excinfo:
+            second.start()
+        assert server.name in str(excinfo.value)
+        second.close()  # never started: a no-op that must not touch the first
+        with connect(server.host, server.port, timeout=TEST_TIMEOUT_S) as client:
+            client.execute("SELECT COUNT(*) FROM items")
+            rows = backend.execute("SELECT * FROM system.connections").fetchall()
+            assert len(rows) == 1
+            assert backend.database.obs.registry.value("net.server.statements_total") >= 1
+            assert server.stats()["statements_total"] >= 1
+
+    def test_a_server_that_fails_to_bind_leaves_the_database_free(self, backend):
+        import socket
+
+        with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen(1)
+            with pytest.raises(OSError):
+                SQLServer(backend.engine, port=taken.getsockname()[1]).start()
+        with SQLServer(backend.engine) as server:
+            with connect(server.host, server.port, timeout=TEST_TIMEOUT_S) as client:
+                assert client.ping()
+
     def test_close_is_idempotent_and_engine_survives(self, backend):
         server = SQLServer(backend.engine).start()
         server.close()

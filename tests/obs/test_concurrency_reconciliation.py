@@ -78,18 +78,15 @@ def test_hammered_served_view_counters_reconcile_exactly():
     per_shard = server.shards.per_shard_stats()
 
     # Every submitted read was counted, exactly once.
-    assert stats["batcher"]["requests_total"] == threads_n * reads_m
+    assert stats["batcher.requests_total"] == threads_n * reads_m
 
     # Aggregated cache counters == sum of the per-shard ground truth.
     for key in ("hits", "misses", "invalidations"):
-        assert stats["cache"][f"{key}_total"] == sum(
+        assert stats[f"cache.{key}_total"] == sum(
             shard[f"cache_{key}_total"] for shard in per_shard
         )
     # Every read resolved from cache or store; nothing double- or un-counted.
-    assert (
-        stats["cache"]["hits_total"] + stats["cache"]["misses_total"]
-        == threads_n * reads_m
-    )
+    assert stats["cache.hits_total"] + stats["cache.misses_total"] == threads_n * reads_m
 
     # The server's simulated-seconds total is exactly the shard-ledger sum,
     # and the registry mirrors the server number (shards + training cost).

@@ -9,7 +9,6 @@ import pytest
 from repro.obs import (
     NULL_REGISTRY,
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     render_text,
@@ -25,13 +24,6 @@ class TestInstruments:
         with pytest.raises(ValueError):
             counter.inc(-1)
 
-    def test_gauge_set_inc_dec(self):
-        gauge = Gauge()
-        gauge.set(10)
-        gauge.inc(2.5)
-        gauge.dec(0.5)
-        assert gauge.value == 12.0
-
     def test_histogram_count_sum_and_quantiles(self):
         histogram = Histogram()
         for value in (0.001, 0.002, 0.004, 0.1, 2.0):
@@ -41,16 +33,6 @@ class TestInstruments:
         # The median lands inside the bucket holding the third observation.
         assert 0.0 < histogram.quantile(0.5) <= 0.1
         assert histogram.quantile(0.99) <= 10.0
-
-    def test_histogram_bucket_counts_are_cumulative(self):
-        histogram = Histogram(buckets=(0.01, 0.1, 1.0))
-        for value in (0.005, 0.05, 0.5, 5.0):
-            histogram.observe(value)
-        pairs = histogram.bucket_counts()
-        assert pairs[-1][0] == float("inf")
-        counts = [count for _, count in pairs]
-        assert counts == sorted(counts)
-        assert counts[-1] == 4
 
 
 class TestRegistry:
@@ -62,12 +44,15 @@ class TestRegistry:
         registry = MetricsRegistry()
         registry.counter("a.b_total")
         with pytest.raises(ValueError):
-            registry.gauge("a.b_total")
+            registry.histogram("a.b_total")
+        registry.histogram("a.c_seconds")
+        with pytest.raises(ValueError):
+            registry.counter("a.c_seconds")
 
     def test_collect_is_sorted_and_typed(self):
         registry = MetricsRegistry()
         registry.counter("z.last_total").inc(3)
-        registry.gauge("a.first").set(1)
+        registry.provider("a", lambda: {"first": 1})
         registry.histogram("m.mid_seconds").observe(0.01)
         samples = registry.collect()
         names = [sample.name for sample in samples]
@@ -102,7 +87,7 @@ class TestRegistry:
     def test_disabled_registry_is_a_noop(self):
         assert NULL_REGISTRY.enabled is False
         NULL_REGISTRY.counter("x_total").inc(100)
-        NULL_REGISTRY.gauge("y").set(5)
+        NULL_REGISTRY.histogram("x_total").observe(5.0)  # nothing registered: no collision
         NULL_REGISTRY.histogram("z_seconds").observe(1.0)
         NULL_REGISTRY.provider("p", lambda: {"v": 1})
         assert NULL_REGISTRY.collect() == []
@@ -110,6 +95,7 @@ class TestRegistry:
     def test_disabled_registry_shares_null_instruments(self):
         registry = MetricsRegistry(enabled=False)
         assert registry.counter("a_total") is registry.counter("b_total")
+        assert registry.histogram("a_seconds") is registry.histogram("b_seconds")
 
     def test_counter_thread_hammer_is_exact(self):
         registry = MetricsRegistry()
@@ -153,7 +139,7 @@ class TestRenderText:
     def test_prometheus_style_exposition(self):
         registry = MetricsRegistry()
         registry.counter("db.reads_total").inc(2)
-        registry.gauge("db.resident_pages").set(3)
+        registry.provider("db", lambda: {"resident_pages": 3})
         text = render_text(registry)
         assert "# TYPE db_reads_total counter" in text
         assert "db_reads_total 2" in text

@@ -17,7 +17,7 @@ VIEW_DDL = (
 )
 
 
-def build_served_connection(count: int = 60, shards: int = 2, seed: int = 23):
+def build_served_connection(count: int = 60, shards: int = 2, seed: int = 23, wal=None):
     conn = repro.connect()
     conn.execute("CREATE TABLE papers (id integer PRIMARY KEY, title text)")
     conn.execute("CREATE TABLE paper_area (label text PRIMARY KEY)")
@@ -36,8 +36,54 @@ def build_served_connection(count: int = 60, shards: int = 2, seed: int = 23):
             (doc.entity_id, "database" if doc.label == 1 else "other"),
         )
     conn.execute(VIEW_DDL)
-    conn.execute(f"SERVE VIEW labeled_papers WITH (shards = {shards})")
+    wal_option = f", wal = '{wal}'" if wal is not None else ""
+    conn.execute(f"SERVE VIEW labeled_papers WITH (shards = {shards}{wal_option})")
     return conn, documents
+
+
+#: Every ``serve.<view>.*`` name of a 2-shard served view with a WAL.
+SERVED_VIEW_METRICS = [
+    "batcher.avg_batch",
+    "batcher.largest_batch",
+    "batcher.requests_total",
+    "batcher.rounds_total",
+    "cache.entries",
+    "cache.hits_total",
+    "cache.invalidations_total",
+    "cache.misses_total",
+    "entities",
+    "epoch",
+    "epochs_published_total",
+    "maintenance.avg_ops_per_batch",
+    "maintenance.backlog",
+    "maintenance.backpressure_waits_total",
+    "maintenance.batches_applied_total",
+    "maintenance.ops_applied_total",
+    "num_shards",
+    "shard0.cache_entries",
+    "shard0.cache_hits_total",
+    "shard0.cache_invalidations_total",
+    "shard0.cache_misses_total",
+    "shard0.entities",
+    "shard0.simulated_read_seconds_total",
+    "shard0.simulated_seconds_total",
+    "shard1.cache_entries",
+    "shard1.cache_hits_total",
+    "shard1.cache_invalidations_total",
+    "shard1.cache_misses_total",
+    "shard1.entities",
+    "shard1.simulated_read_seconds_total",
+    "shard1.simulated_seconds_total",
+    "simulated_read_seconds_total",
+    "simulated_seconds_total",
+    "trigger_diverts_total",
+    "wal.appended_bytes",
+    "wal.appends_total",
+    "wal.next_seq",
+    "wal.pruned_segments_total",
+    "wal.rotations_total",
+    "wal.segments",
+]
 
 
 class TestSystemMetrics:
@@ -88,6 +134,44 @@ class TestServedViewObservability:
         assert row["entities"] == 60
         conn.execute("STOP SERVING labeled_papers")
         assert conn.execute("SELECT * FROM system.served_views").fetchall() == []
+        conn.close()
+
+    def test_served_view_metrics_are_its_flat_stats(self, tmp_path):
+        conn, documents = build_served_connection(wal=tmp_path / "wal")
+        server = conn.engine.view("labeled_papers").server
+        conn.execute(
+            "INSERT INTO example_papers (id, label) VALUES (?, 'other')",
+            (documents[20].entity_id,),
+        )
+        server.flush(timeout=30)
+        for doc in documents[:10]:
+            conn.execute("SELECT class FROM labeled_papers WHERE id = ?", (doc.entity_id,))
+        prefix = "serve.labeled_papers."
+        mirrored = {
+            row["name"].removeprefix(prefix): row["value"]
+            for row in conn.execute("SELECT name, value FROM system.metrics").fetchall()
+            if row["name"].startswith(prefix)
+        }
+        assert sorted(mirrored) == SERVED_VIEW_METRICS
+        stats = server.stats()
+        assert mirrored == {key: float(value) for key, value in stats.items()}
+        assert stats["wal.next_seq"] == stats["wal.appends_total"] + 1
+        assert stats["batcher.requests_total"] == 10
+        row = conn.execute("SELECT * FROM system.served_views").fetchone()
+        assert row == {
+            "view": "labeled_papers",
+            "epoch": stats["epoch"],
+            "entities": stats["entities"],
+            "num_shards": 2,
+            "epochs_published_total": stats["epochs_published_total"],
+            "trigger_diverts_total": stats["trigger_diverts_total"],
+            "queue_backlog": stats["maintenance.backlog"],
+            "batcher_requests_total": 10,
+            "batcher_avg_batch": stats["batcher.avg_batch"],
+            "cache_hits_total": stats["cache.hits_total"],
+            "simulated_seconds_total": stats["simulated_seconds_total"],
+        }
+        conn.execute("STOP SERVING labeled_papers")
         conn.close()
 
     def test_slow_served_statement_has_complete_span_tree(self):

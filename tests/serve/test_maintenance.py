@@ -72,7 +72,7 @@ def test_zero_cache_capacity_and_epoch_history_keep_nothing(serve_corpus):
             assert server.labels_of(list(expected)) == expected
             assert server.label_of(90_001) == expected[90_001]
         assert server.contents() == expected
-        assert server.shards.cache_stats()["entries"] == 0
+        assert server.stats()["cache.entries"] == 0
         assert server.model_for_epoch(epoch) is None
     finally:
         server.close(timeout=30)
