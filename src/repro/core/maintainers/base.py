@@ -33,31 +33,12 @@ import numpy as np
 
 from repro.core.stats import MaintenanceStatistics
 from repro.core.stores.base import EntityRecord, EntityStore
+from repro.db.types import KeyRange
 from repro.exceptions import KeyNotFoundError, MaintenanceError
 from repro.learn.model import LinearModel, sign
 from repro.linalg import SparseVector
 
-__all__ = ["EagerReads", "ViewMaintainer", "key_in_range"]
-
-
-def key_in_range(
-    key: object,
-    low: object | None,
-    high: object | None,
-    include_low: bool = True,
-    include_high: bool = True,
-) -> bool:
-    """Whether an entity key lies inside the (possibly half-open) range.
-
-    ``None`` bounds are unbounded.  Keys compare with Python semantics — the
-    SQL layer only pushes ranges over a view's key column, whose values share
-    one type.
-    """
-    if low is not None and (key < low or (key == low and not include_low)):
-        return False
-    if high is not None and (key > high or (key == high and not include_high)):
-        return False
-    return True
+__all__ = ["EagerReads", "ViewMaintainer"]
 
 
 class ViewMaintainer(ABC):
@@ -284,26 +265,19 @@ class ViewMaintainer(ABC):
         self.stats.record_all_members(touched, cost)
         return members
 
-    def read_range(
-        self,
-        label: int = 1,
-        low: object | None = None,
-        high: object | None = None,
-        include_low: bool = True,
-        include_high: bool = True,
-    ) -> list[object]:
-        """Members of class ``label`` whose entity *key* lies in the range.
+    def read_range(self, label: int, key_range: KeyRange) -> list[object]:
+        """Members of class ``label`` whose entity *key* lies in ``key_range``.
 
         This is the pushed-down form of ``WHERE class = x AND <key> <op> k``:
         one scan that classifies only the in-range candidates, instead of
         materializing the whole view and post-filtering.
         """
-        members, touched, cost = self._scan_members(label, (low, high, include_low, include_high))
+        members, touched, cost = self._scan_members(label, key_range)
         self.stats.record_range_read(touched, cost)
         return members
 
     def _scan_members(
-        self, label: int, key_range: tuple[object, object, bool, bool] | None = None
+        self, label: int, key_range: KeyRange | None = None
     ) -> tuple[list[object], int, float]:
         """The scan behind All Members and key-range reads: ``(members, classified, cost)``.
 
@@ -316,7 +290,7 @@ class ViewMaintainer(ABC):
         candidates = self.store.scan(self.candidates(label))
         if key_range is not None:
             self.store.charge_statement_overhead()
-            candidates = (r for r in candidates if key_in_range(r.entity_id, *key_range))
+            candidates = (r for r in candidates if key_range.contains(r.entity_id))
         classify = self.classifier()
         members: list[object] = []
         touched = 0

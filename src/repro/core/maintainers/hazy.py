@@ -25,6 +25,7 @@ from repro.core.bounds import WaterBandTracker, holder_pair_for_norm
 from repro.core.maintainers.base import EagerReads, ViewMaintainer
 from repro.core.skiing import SkiingStrategy
 from repro.core.stores.base import EntityRecord, EntityStore
+from repro.db.types import KeyRange
 from repro.exceptions import MaintenanceError
 from repro.learn.model import LinearModel, sign
 from repro.linalg import SparseVector
@@ -234,7 +235,7 @@ class HazyLazyMaintainer(_HazyMaintainerBase):
         return classify
 
     def _scan_members(
-        self, label: int, key_range: tuple[object, object, bool, bool] | None = None
+        self, label: int, key_range: KeyRange | None = None
     ) -> tuple[list[object], int, float]:
         """Skiing decides before the scan; the scan's wasted fraction (§3.4) is charged after it.
 

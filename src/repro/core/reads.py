@@ -1,7 +1,8 @@
 """The read side of a classification view: one reader, asked for once.
 
 The paper reads a view two ways (§2.2) — Single Entity and All Members — and
-the SQL layer adds a key range, a ranked read and a contents scan.  Whoever
+the SQL layer adds a key range (one :class:`~repro.db.types.KeyRange`, handed
+unchanged to the maintainer), a ranked read and a contents scan.  Whoever
 answers them *now* is the view's **reader**, handed out by
 :meth:`~repro.core.engine.ClassificationView.reader`, the one place that asks
 "am I served?" for a read: :class:`DirectReads` over the view's own maintainer
@@ -22,6 +23,7 @@ from collections.abc import Iterable, Sequence
 
 from repro.core.maintainers.base import ViewMaintainer
 from repro.core.stores.base import EntityStore
+from repro.db.types import KeyRange
 from repro.exceptions import KeyNotFoundError
 
 __all__ = ["READS", "ESTIMATES", "DirectReads", "read_estimate"]
@@ -90,16 +92,9 @@ class DirectReads:
         """All Members read: ids of every entity carrying ``label``."""
         return self._maintainer.read_all_members(label)
 
-    def range_scan(
-        self,
-        label: int = 1,
-        low: object | None = None,
-        high: object | None = None,
-        include_low: bool = True,
-        include_high: bool = True,
-    ) -> list[object]:
-        """Members of class ``label`` whose key lies in the range."""
-        return self._maintainer.read_range(label, low, high, include_low, include_high)
+    def range_scan(self, label: int, key_range: KeyRange) -> list[object]:
+        """Members of class ``label`` whose key lies in ``key_range``."""
+        return self._maintainer.read_range(label, key_range)
 
     def top_k(self, k: int, label: int = 1) -> list[tuple[object, float]]:
         """The ``k`` entities deepest inside class ``label``: ``(id, margin)`` pairs."""

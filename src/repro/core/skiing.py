@@ -18,7 +18,7 @@ optimum by dynamic programming so tests and benchmarks can measure the ratio.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro.exceptions import ConfigurationError
@@ -179,10 +179,6 @@ class OfflineOptimalScheduler:
             final_candidates.append((cost_so_far + tail, schedule))
         return min(final_candidates, key=lambda pair: pair[0])
 
-    def solve_from_matrix(self, costs: Sequence[Sequence[float]]) -> tuple[float, list[int]]:
-        """Convenience wrapper: ``costs[s][i]`` = cost at round ``i`` given last reorg at ``s``."""
-        rounds = len(costs[0]) - 1 if costs else 0
-        return self.solve(lambda s, i: costs[s][i], rounds)
 
 
 def simulate_skiing_on_trace(

@@ -85,14 +85,6 @@ class MaintenanceStatistics:
             return 0.0
         return sum(self.band_size_history) / len(self.band_size_history)
 
-    def total_simulated_seconds(self) -> float:
-        """Total simulated time across updates, reads and reorganizations."""
-        return (
-            self.simulated_update_seconds
-            + self.simulated_read_seconds
-            + self.simulated_reorganization_seconds
-        )
-
     def as_dict(self) -> dict[str, float]:
         """Flat dictionary for reporting (band histories summarized)."""
         return {

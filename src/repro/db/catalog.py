@@ -1,4 +1,4 @@
-"""The system catalog: tables, views, classification views, system tables."""
+"""The system catalog: tables, classification views, system tables."""
 
 from __future__ import annotations
 
@@ -9,21 +9,20 @@ from repro.exceptions import CatalogError
 
 __all__ = ["Catalog"]
 
-#: A logical (non-materialized) view: a callable producing rows on demand.
-ViewFunction = Callable[[], Iterator[Mapping[str, object]]]
+#: A ``system.*`` table's producer: a callable yielding rows on demand.
+RowProducer = Callable[[], Iterator[Mapping[str, object]]]
 
 
 class Catalog:
-    """Name -> object mapping for tables, logical views and classification views.
+    """Name -> object mapping for tables, classification views and system tables.
 
     Names are case-insensitive, as in PostgreSQL's default folding.
     """
 
     def __init__(self) -> None:
         self._tables: dict[str, Table] = {}
-        self._views: dict[str, ViewFunction] = {}
         self._classification_views: dict[str, object] = {}
-        self._system_tables: dict[str, ViewFunction] = {}
+        self._system_tables: dict[str, RowProducer] = {}
         self._indexes: dict[str, str] = {}  # index name -> owning table name (lowered)
         self._version = 0
 
@@ -46,7 +45,7 @@ class Catalog:
     def register_table(self, table: Table) -> None:
         """Add a table; duplicate names are an error."""
         key = table.name.lower()
-        if key in self._tables or key in self._views or key in self._classification_views:
+        if key in self._tables or key in self._classification_views:
             raise CatalogError(f"object {table.name!r} already exists")
         self._tables[key] = table
         self._version += 1
@@ -71,10 +70,6 @@ class Catalog:
             index: table for index, table in self._indexes.items() if table != name.lower()
         }
         self._version += 1
-
-    def table_names(self) -> list[str]:
-        """Sorted table names."""
-        return sorted(table.name for table in self._tables.values())
 
     # -- secondary indexes -------------------------------------------------------------
 
@@ -108,33 +103,12 @@ class Catalog:
         """Sorted secondary-index names."""
         return sorted(self._indexes)
 
-    # -- logical views -----------------------------------------------------------------
-
-    def register_view(self, name: str, producer: ViewFunction) -> None:
-        """Add a logical view backed by a row-producing callable."""
-        key = name.lower()
-        if key in self._tables or key in self._views or key in self._classification_views:
-            raise CatalogError(f"object {name!r} already exists")
-        self._views[key] = producer
-        self._version += 1
-
-    def view(self, name: str) -> ViewFunction:
-        """Look up a logical view by name."""
-        producer = self._views.get(name.lower())
-        if producer is None:
-            raise CatalogError(f"no view named {name!r}")
-        return producer
-
-    def has_view(self, name: str) -> bool:
-        """Whether a logical view with this name exists."""
-        return name.lower() in self._views
-
     # -- classification views -------------------------------------------------------------
 
     def register_classification_view(self, name: str, view: object) -> None:
         """Add a classification view (maintained by the Hazy engine)."""
         key = name.lower()
-        if key in self._tables or key in self._views or key in self._classification_views:
+        if key in self._tables or key in self._classification_views:
             raise CatalogError(f"object {name!r} already exists")
         self._classification_views[key] = view
         self._version += 1
@@ -157,13 +131,9 @@ class Catalog:
         """Whether a classification view with this name exists."""
         return name.lower() in self._classification_views
 
-    def classification_view_names(self) -> list[str]:
-        """Sorted classification view names."""
-        return sorted(self._classification_views)
-
     # -- system tables ---------------------------------------------------------------------
 
-    def register_system_table(self, name: str, producer: ViewFunction) -> None:
+    def register_system_table(self, name: str, producer: RowProducer) -> None:
         """Add (or replace) a virtual ``system.*`` table.
 
         System tables are observability surfaces (``system.metrics``,
@@ -175,7 +145,7 @@ class Catalog:
         self._system_tables[name.lower()] = producer
         self._version += 1
 
-    def system_table(self, name: str) -> ViewFunction:
+    def system_table(self, name: str) -> RowProducer:
         """Look up a system table's row producer by name."""
         producer = self._system_tables.get(name.lower())
         if producer is None:
@@ -183,15 +153,13 @@ class Catalog:
         return producer
 
     def object_kind(self, name: str) -> str | None:
-        """Which namespace a name lives in: ``"table"``, ``"view"``,
+        """Which namespace a name lives in: ``"table"``,
         ``"classification_view"``, ``"system_table"``, or None when unknown.
         Used by the SQL front-end to pick an access path without
         trial-and-error lookups."""
         key = name.lower()
         if key in self._tables:
             return "table"
-        if key in self._views:
-            return "view"
         if key in self._classification_views:
             return "classification_view"
         if key in self._system_tables:
@@ -199,13 +167,11 @@ class Catalog:
         return None
 
     def resolve(self, name: str) -> object:
-        """Return whichever catalog object (table/view/classification view/
-        system table) matches."""
+        """Return whichever catalog object (table/classification view/system
+        table) matches."""
         key = name.lower()
         if key in self._tables:
             return self._tables[key]
-        if key in self._views:
-            return self._views[key]
         if key in self._classification_views:
             return self._classification_views[key]
         if key in self._system_tables:

@@ -188,23 +188,3 @@ class Database:
     def insert_row(self, table_name: str, row: Mapping[str, object]) -> None:
         """Insert a row dict directly (bypasses SQL parsing, keeps triggers/costs)."""
         self.catalog.table(table_name).insert(row)
-
-    def io_snapshot(self) -> IOStatistics:
-        """Copy of the database-wide I/O statistics."""
-        return self.stats.snapshot()
-
-    def reset_statistics(self) -> None:
-        """Zero the I/O ledger (used between benchmark phases)."""
-        fresh = IOStatistics()
-        self.stats.page_reads = fresh.page_reads
-        self.stats.page_writes = fresh.page_writes
-        self.stats.sequential_reads = fresh.sequential_reads
-        self.stats.random_reads = fresh.random_reads
-        self.stats.buffer_hits = fresh.buffer_hits
-        self.stats.buffer_misses = fresh.buffer_misses
-        self.stats.evictions = fresh.evictions
-        self.stats.tuples_read = fresh.tuples_read
-        self.stats.tuples_written = fresh.tuples_written
-        self.stats.dot_products = fresh.dot_products
-        self.stats.simulated_seconds = 0.0
-        self.stats.detail.clear()

@@ -7,11 +7,15 @@ Single-column indexes store the raw column value as the tree key; composite
 indexes (``CREATE INDEX idx ON t (a, b)``) store the tuple of column values,
 compared lexicographically, which gives the planner the classic
 leftmost-prefix rule: equality conjuncts on leading columns plus at most one
-range on the next column become a contiguous key range.  The table maintains
-its indexes inline on every INSERT/UPDATE/DELETE, so an index scan is always
-exactly as fresh as a heap scan; the planner prices the access paths against
-each other and the :class:`~repro.db.sql.plan.SecondaryIndexRange` node is
-what an index win executes.
+range on the next column become a contiguous key range.  A probe takes that
+range as one :class:`~repro.db.types.KeyRange` — :meth:`SecondaryIndex.scan`
+walks the tree over its inclusive bounds and drops what
+:meth:`~repro.db.types.KeyRange.contains` excludes — and the planner's
+estimators take the same value, None when it is unknown at plan time.  The
+table maintains its indexes inline on every INSERT/UPDATE/DELETE, so an index
+scan is always exactly as fresh as a heap scan; the planner prices the access
+paths against each other and the :class:`~repro.db.sql.plan.SecondaryIndexRange`
+node is what an index win executes.
 
 NULL values are **not** indexed (as in most engines), and a composite entry is
 skipped when *any* key component is NULL: a predicate never selects such rows
@@ -38,6 +42,7 @@ from collections.abc import Iterator, Sequence
 from repro.db.btree import BPlusTree
 from repro.db.buffer_pool import BufferPool
 from repro.db.page import RecordId
+from repro.db.types import KeyRange
 
 __all__ = ["SecondaryIndex"]
 
@@ -192,15 +197,13 @@ class SecondaryIndex:
         return len(self.tree) == live_rows
 
     def _tree_bounds(
-        self,
-        low: object | None,
-        high: object | None,
-        equalities: tuple,
+        self, key_range: KeyRange, equalities: tuple
     ) -> tuple[object | None, object | None]:
         """Full tree-key bounds for an equality prefix plus a range on the
         next column.  A shorter tuple is already an inclusive lower bound for
         every extension; the upper bound appends :data:`_TOP` so every
         extension of the bounded prefix stays in range."""
+        low, high = key_range.low, key_range.high
         if len(self.columns) == 1:
             return low, high
         tree_low: object | None = equalities + ((low,) if low is not None else ())
@@ -216,10 +219,7 @@ class SecondaryIndex:
 
     def scan(
         self,
-        low: object | None = None,
-        high: object | None = None,
-        include_low: bool = True,
-        include_high: bool = True,
+        key_range: KeyRange,
         equalities: Sequence[object] = (),
         reverse: bool = False,
         with_keys: bool = False,
@@ -227,13 +227,13 @@ class SecondaryIndex:
         """Record ids (or ``(key, rid)`` pairs) matching the probe, in key order.
 
         ``equalities`` pins the leading key columns (composite indexes only);
-        ``low``/``high`` bound the next key column, ``None`` meaning unbounded
-        on that side.  Strict bounds drop the equal key while walking the
-        (inclusive) leaf chain.  ``reverse=True`` walks the leaf back-chain so
-        descending consumers can early-exit; ``with_keys=True`` additionally
-        yields the tree key, which is how covering scans rebuild rows without
-        touching the heap.  Each visited entry and each descent level charges
-        ``tuple_cpu`` to the ledger.
+        ``key_range`` bounds the next key column.  The tree walks the
+        inclusive ``[low, high]`` leaf chain and :meth:`KeyRange.contains`
+        drops the equal key of a strict bound.  ``reverse=True`` walks the
+        leaf back-chain so descending consumers can early-exit;
+        ``with_keys=True`` additionally yields the tree key, which is how
+        covering scans rebuild rows without touching the heap.  Each visited
+        entry and each descent level charges ``tuple_cpu`` to the ledger.
         """
         equalities = tuple(equalities)
         if equalities and len(self.columns) == 1:
@@ -241,7 +241,7 @@ class SecondaryIndex:
         charge = self.pool.stats.charge
         tuple_cpu = self.pool.cost_model.tuple_cpu
         charge(self.tree.height * tuple_cpu, "index_read")
-        tree_low, tree_high = self._tree_bounds(low, high, equalities)
+        tree_low, tree_high = self._tree_bounds(key_range, equalities)
         entries = (
             self.tree.range_scan_reversed(tree_low, tree_high)
             if reverse
@@ -250,12 +250,8 @@ class SecondaryIndex:
         position = len(equalities)
         for key, rid in entries:
             charge(tuple_cpu, "index_read")
-            part = key if len(self.columns) == 1 else key[position]
-            if not include_low and low is not None and part == low:
-                continue
-            if not include_high and high is not None and part == high:
-                continue
-            yield (key, rid) if with_keys else rid
+            if key_range.contains(key if len(self.columns) == 1 else key[position]):
+                yield (key, rid) if with_keys else rid
 
     # -- statistics for the planner -------------------------------------------------------
 
@@ -263,19 +259,14 @@ class SecondaryIndex:
     def _numeric(value: object) -> bool:
         return isinstance(value, (int, float)) and not isinstance(value, bool)
 
-    def estimate_matches(
-        self,
-        low: object | None = None,
-        high: object | None = None,
-        equality: bool = False,
-        bounds_known: bool = True,
-    ) -> float:
-        """Estimated matching entries for a single-column ``[low, high]`` probe.
+    def estimate_matches(self, key_range: KeyRange | None, equality: bool = False) -> float:
+        """Estimated matching entries for a single-column probe over ``key_range``.
 
         Pure statistics — no data access.  Equality probes use the classic
         ``n / distinct`` estimator; ranges with known numeric bounds
-        interpolate uniformly between the tree's min and max keys; unknown
-        (``?``-parameterized) or non-numeric bounds fall back to
+        interpolate uniformly between the tree's min and max keys; a range
+        unknown at plan time (None: ``?`` parameters, or literals that cannot
+        be ordered against each other) or non-numeric bounds fall back to
         :data:`DEFAULT_RANGE_SELECTIVITY`.
         """
         n = len(self.tree)
@@ -283,14 +274,14 @@ class SecondaryIndex:
             return 0.0
         if equality:
             return n / max(1, self.tree.distinct_keys)
-        if not bounds_known:
+        if key_range is None:
             return n * DEFAULT_RANGE_SELECTIVITY
         min_key, max_key = self.tree.min_key(), self.tree.max_key()
         if not (self._numeric(min_key) and self._numeric(max_key)):
             return n * DEFAULT_RANGE_SELECTIVITY
         span = max_key - min_key
-        lo = min_key if low is None else low
-        hi = max_key if high is None else high
+        lo = min_key if key_range.low is None else key_range.low
+        hi = max_key if key_range.high is None else key_range.high
         if not (self._numeric(lo) and self._numeric(hi)):
             return n * DEFAULT_RANGE_SELECTIVITY
         if span <= 0:
@@ -301,12 +292,7 @@ class SecondaryIndex:
         return n * min(1.0, covered / span)
 
     def estimate_prefix_matches(
-        self,
-        eq_count: int,
-        has_range: bool,
-        low: object | None = None,
-        high: object | None = None,
-        bounds_known: bool = True,
+        self, eq_count: int, has_range: bool, key_range: KeyRange | None
     ) -> float:
         """Estimated matches for an equality prefix of ``eq_count`` leading
         columns plus an optional range on the next one.
@@ -325,9 +311,7 @@ class SecondaryIndex:
             return 0.0
         ncols = len(self.columns)
         if ncols == 1:
-            if eq_count:
-                return self.estimate_matches(equality=True)
-            return self.estimate_matches(low, high, equality=False, bounds_known=bounds_known)
+            return self.estimate_matches(key_range, equality=bool(eq_count))
         if eq_count >= ncols:
             return n / max(1, self.tree.distinct_keys)
         estimate = float(n)

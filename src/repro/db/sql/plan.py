@@ -14,7 +14,7 @@ The node vocabulary:
 ``IndexRange``            primary-key index access (point form: a ``[k, k]`` range)
 ``SecondaryIndexRange``   B+-tree probe on a ``CREATE INDEX`` column + heap fetch
                           per match; optionally index-ordered with a fused LIMIT
-``LogicalViewScan``       materialization of an opaque logical view callable
+``SystemTableScan``       materialization of a virtual ``system.*`` table
 ``ViewScan``              full materialization of a classification view
 ``ViewPointRead``         Single Entity read
 ``ViewMembers``           All Members read
@@ -69,7 +69,7 @@ from itertools import chain, compress
 import numpy as np
 
 from repro.db.sql.ast import PLACEHOLDER
-from repro.db.types import DataType, coerce_value
+from repro.db.types import DataType, KeyRange, coerce_value
 from repro.exceptions import (
     ConfigurationError,
     KeyNotFoundError,
@@ -88,7 +88,6 @@ __all__ = [
     "SeqScan",
     "IndexRange",
     "SecondaryIndexRange",
-    "LogicalViewScan",
     "SystemTableScan",
     "ViewScan",
     "ViewPointRead",
@@ -189,29 +188,10 @@ def compare_values(actual: object, operator: str, expected: object) -> bool:
     raise SQLExecutionError(f"unsupported operator {operator!r}")
 
 
-def _tighten(predicates, parameters):
-    """Tighten comparison conjuncts on one column to a single interval
-    ``(low, high, include_low, include_high)`` (None = unbounded).
-
-    Returns None when any bound binds to NULL: no row satisfies an ordering
-    comparison with NULL, and ``col = NULL`` matches only NULL rows, which no
-    index stores — the caller must not answer from an interval.
-    """
-    low = high = None
-    include_low = include_high = True
-    for predicate in predicates:
-        value = predicate.bind(parameters)
-        if value is None:
-            return None
-        if predicate.operator in ("=", ">", ">="):
-            strict = predicate.operator == ">"
-            if low is None or value > low or (value == low and strict):
-                low, include_low = value, not strict
-        if predicate.operator in ("=", "<", "<="):
-            strict = predicate.operator == "<"
-            if high is None or value < high or (value == high and strict):
-                high, include_high = value, not strict
-    return low, high, include_low, include_high
+def _key_range(predicates, parameters) -> KeyRange | None:
+    """The one interval this execution's bindings of ``predicates`` admit
+    (:meth:`KeyRange.tighten`; None when a bound binds to NULL)."""
+    return KeyRange.tighten((p.operator, p.bind(parameters)) for p in predicates)
 
 
 #: Rows per columnar batch in batched execution mode.
@@ -223,23 +203,20 @@ _EXACT_FLOAT_INT = 2**53
 
 
 class Chunk:
-    """A batch of rows, columnar when the producer is schema-shaped.
+    """A batch of rows, held as columns.
 
-    Columnar chunks hold one Python list per column (exact original values,
-    so results never depend on the chunk size) plus lazily-built NumPy
+    A chunk holds one Python list per column (exact original values, so
+    results never depend on the chunk size) plus lazily-built NumPy
     ``float64`` views for numeric columns, which is what the vectorized
-    ``Filter``/``Sort`` kernels operate on.  The row-backed form exists only
-    for the two opaque producers (logical views and ``system.*`` tables),
-    whose row shape is not known at plan time; every operator reads either
-    form through :meth:`resolve` / :meth:`values`.
+    ``Filter``/``Sort`` kernels operate on.  Every operator reads a chunk
+    through :meth:`resolve` / :meth:`values`.
     """
 
-    __slots__ = ("names", "columns", "rows", "length", "_numeric_cache")
+    __slots__ = ("names", "columns", "length", "_numeric_cache")
 
-    def __init__(self, names, columns, rows, length):
-        self.names = names  # ordered column names (columnar form only)
+    def __init__(self, names, columns, length):
+        self.names = names  # ordered column names
         self.columns = columns  # dict name -> list of values
-        self.rows = rows  # list of dict rows (row-backed form only)
         self.length = length
         self._numeric_cache: dict[str, np.ndarray | None] = {}
 
@@ -247,114 +224,85 @@ class Chunk:
     def columnar(cls, names: Sequence[str], columns: dict[str, list]) -> "Chunk":
         names = list(names)
         length = len(columns[names[0]]) if names else 0
-        return cls(names, columns, None, length)
-
-    @classmethod
-    def of_rows(cls, rows: list[dict]) -> "Chunk":
-        return cls(None, None, rows, len(rows))
+        return cls(names, columns, length)
 
     @classmethod
     def concat(cls, chunks: Sequence["Chunk"]) -> "Chunk":
-        """One chunk holding every row of ``chunks``, in order."""
+        """One chunk holding every row of ``chunks``, in order.
+
+        Every producer emits one column set, so all of ``chunks`` share the
+        first one's names.
+        """
         chunks = [chunk for chunk in chunks if chunk.length]
         if len(chunks) == 1:
             return chunks[0]
-        if chunks and all(
-            chunk.columns is not None and chunk.names == chunks[0].names for chunk in chunks
-        ):
-            names = chunks[0].names
-            return cls.columnar(
-                names,
-                {
-                    name: list(chain.from_iterable(chunk.columns[name] for chunk in chunks))
-                    for name in names
-                },
-            )
-        return cls.of_rows([row for chunk in chunks for row in chunk.to_rows()])
-
-    @property
-    def is_columnar(self) -> bool:
-        return self.columns is not None
+        if not chunks:
+            return cls.columnar([], {})
+        names = chunks[0].names
+        return cls.columnar(
+            names,
+            {
+                name: list(chain.from_iterable(chunk.columns[name] for chunk in chunks))
+                for name in names
+            },
+        )
 
     def to_rows(self) -> list[dict]:
         """Materialize as fresh row dicts (column order preserved).
 
-        A columnar chunk becomes rows in one pass: ``zip(*columns)`` yields
-        each row's values as a tuple and ``dict(zip(names, values))`` builds
-        the row from it, so no Python code runs per column.  This serves every
-        in-process SELECT and every response the wire server sends.
+        A chunk becomes rows in one pass: ``zip(*columns)`` yields each row's
+        values as a tuple and ``dict(zip(names, values))`` builds the row from
+        it, so no Python code runs per column.  This serves every in-process
+        SELECT and every response the wire server sends.
         """
-        if self.rows is not None:
-            return self.rows
         names = self.names
         columns = [self.columns[name] for name in names]
         return [dict(zip(names, values)) for values in zip(*columns)]
 
     def resolve(self, name: str) -> str | None:
         """Case-insensitive column lookup; None when the chunk lacks it."""
-        if self.columns is not None:
-            if name in self.columns:
-                return name
-            candidates = self.names
-        else:
-            candidates = self.rows[0] if self.rows else ()
+        if name in self.columns:
+            return name
         wanted = name.lower()
-        return next((key for key in candidates if key.lower() == wanted), None)
+        return next((key for key in self.names if key.lower() == wanted), None)
 
     def values(self, resolved: str) -> list:
         """The value list for a column name returned by :meth:`resolve`."""
-        if self.columns is not None:
-            return self.columns[resolved]
-        try:
-            return [row[resolved] for row in self.rows]
-        except KeyError:
-            raise SQLExecutionError(
-                f"the producer's rows do not all carry column {resolved!r}"
-            ) from None
+        return self.columns[resolved]
 
     def numeric(self, resolved: str) -> np.ndarray | None:
         """A ``float64`` view of the column, or None when it holds values the
         conversion could change (None, bools, strings, huge ints)."""
         if resolved in self._numeric_cache:
             return self._numeric_cache[resolved]
+        values = self.columns[resolved]
         view: np.ndarray | None = None
-        if self.columns is not None:
-            values = self.columns[resolved]
-            if all(
-                type(value) is float
-                or (type(value) is int and -_EXACT_FLOAT_INT <= value <= _EXACT_FLOAT_INT)
-                for value in values
-            ):
-                view = np.array(values, dtype=np.float64)
+        if all(
+            type(value) is float
+            or (type(value) is int and -_EXACT_FLOAT_INT <= value <= _EXACT_FLOAT_INT)
+            for value in values
+        ):
+            view = np.array(values, dtype=np.float64)
         self._numeric_cache[resolved] = view
         return view
 
     def filter(self, mask: np.ndarray) -> "Chunk":
         """A new chunk keeping only the rows where ``mask`` is True."""
-        if self.columns is not None:
-            kept = {
-                name: list(compress(column, mask))
-                for name, column in self.columns.items()
-            }
-            return Chunk.columnar(self.names, kept)
-        return Chunk.of_rows(list(compress(self.rows, mask)))
+        kept = {name: list(compress(column, mask)) for name, column in self.columns.items()}
+        return Chunk.columnar(self.names, kept)
 
     def take(self, order: Sequence[int]) -> "Chunk":
         """A new chunk holding rows ``order[0], order[1], ...`` of this one."""
-        if self.columns is not None:
-            return Chunk.columnar(
-                self.names,
-                {name: [column[i] for i in order] for name, column in self.columns.items()},
-            )
-        return Chunk.of_rows([self.rows[i] for i in order])
+        return Chunk.columnar(
+            self.names,
+            {name: [column[i] for i in order] for name, column in self.columns.items()},
+        )
 
     def _slice(self, start: int, stop: int) -> "Chunk":
-        if self.columns is not None:
-            return Chunk.columnar(
-                self.names,
-                {name: column[start:stop] for name, column in self.columns.items()},
-            )
-        return Chunk.of_rows(self.rows[start:stop])
+        return Chunk.columnar(
+            self.names,
+            {name: column[start:stop] for name, column in self.columns.items()},
+        )
 
     def head(self, count: int) -> "Chunk":
         """A new chunk with only the first ``count`` rows."""
@@ -606,17 +554,18 @@ class SecondaryIndexRange(PlanNode):
         return f"SecondaryIndexRange({self.table.name}.{self.index_name}: {', '.join(parts)})"
 
     def _composite_probe(self, parameters):
-        """Resolve the composite probe: equality prefix values + range bounds.
+        """Resolve the probe: equality prefix values + the range on the next
+        key column (a single-column index is the case with no prefix).
 
         Returns None for scan fallback (a NULL binding), :data:`_EMPTY` when
         conflicting equality bindings make the result provably empty, or
-        ``(eq_values, low, high, incl_low, incl_high)``.
+        ``(eq_values, key_range)``.
         """
         by_column: dict[str, list[Predicate]] = {}
         for predicate in self.predicates:
             by_column.setdefault(predicate.column.lower(), []).append(predicate)
         eq_values: list[object] = []
-        bounds = (None, None, True, True)
+        key_range: KeyRange | None = KeyRange()
         for key_column in self.key_columns:
             preds = by_column.get(key_column.lower())
             if not preds:
@@ -634,11 +583,11 @@ class SecondaryIndexRange(PlanNode):
                 eq_values.append(first)
                 continue
             # Range column: tighten all its conjuncts to one interval.
-            bounds = _tighten(preds, parameters)
-            if bounds is None:
+            key_range = _key_range(preds, parameters)
+            if key_range is None:
                 return None
             break
-        return (tuple(eq_values), *bounds)
+        return tuple(eq_values), key_range
 
     def _matching_entries(self, index, parameters):
         """The probe's index entries — rids, or ``(key, rid)`` when covering.
@@ -647,27 +596,18 @@ class SecondaryIndexRange(PlanNode):
         back to a heap scan.  Applies the fused ``limit`` by early-exiting
         the leaf walk in either direction.
         """
-        reverse = self.order == "desc"
-        if len(self.key_columns) == 1:
-            bounds = _tighten(self.predicates, parameters)
-            if bounds is None:
-                return None
-            low, high, include_low, include_high = bounds
-            scan = index.scan(
-                low, high, include_low, include_high,
-                reverse=reverse, with_keys=self.covering,
-            )
-        else:
-            probe = self._composite_probe(parameters)
-            if probe is None:
-                return None
-            if probe is self._EMPTY:
-                return []
-            eq_values, low, high, include_low, include_high = probe
-            scan = index.scan(
-                low, high, include_low, include_high,
-                equalities=eq_values, reverse=reverse, with_keys=self.covering,
-            )
+        probe = self._composite_probe(parameters)
+        if probe is None:
+            return None
+        if probe is self._EMPTY:
+            return []
+        eq_values, key_range = probe
+        scan = index.scan(
+            key_range,
+            equalities=eq_values,
+            reverse=self.order == "desc",
+            with_keys=self.covering,
+        )
         if self.limit is not None:
             entries = []
             for entry in scan:
@@ -723,28 +663,13 @@ class SecondaryIndexRange(PlanNode):
         )
 
 
-class LogicalViewScan(PlanNode):
-    """Materialization of a logical (callable-backed) view."""
-
-    def __init__(self, name: str, producer, **kwargs):
-        super().__init__(**kwargs)
-        self.name = name
-        self.producer = producer
-
-    def label(self) -> str:
-        return f"LogicalViewScan({self.name})"
-
-    def _produce(self, runtime: PlanRuntime) -> list[Chunk]:
-        return Chunk.of_rows([dict(row) for row in self.producer()]).split(runtime.chunk_rows)
-
-
 class SystemTableScan(PlanNode):
     """Materialization of a virtual ``system.*`` observability table.
 
-    Like :class:`LogicalViewScan`, the producer is a callable returning row
-    mappings; unlike every other access path it reads process state rather
-    than stored data, so its estimated cost is pinned to zero — observability
-    reads must never perturb the cost model they report on.
+    The producer is a callable returning row mappings, whose columns are the
+    first row's keys; unlike every other access path it reads process state
+    rather than stored data, so its estimated cost is pinned to zero —
+    observability reads must never perturb the cost model they report on.
     """
 
     def __init__(self, name: str, producer, **kwargs):
@@ -757,7 +682,13 @@ class SystemTableScan(PlanNode):
         return f"SystemTableScan({self.name})"
 
     def _produce(self, runtime: PlanRuntime) -> list[Chunk]:
-        return Chunk.of_rows([dict(row) for row in self.producer()]).split(runtime.chunk_rows)
+        rows = list(self.producer())
+        try:
+            return _rows_to_chunks(list(rows[0]) if rows else [], rows, runtime.chunk_rows)
+        except KeyError as missing:
+            raise SQLExecutionError(
+                f"the producer's rows do not all carry column {missing.args[0]!r}"
+            ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -902,10 +833,10 @@ class ViewRangeRead(_ViewNode):
         if label is None:
             return []
         try:
-            bounds = _tighten(self.range_predicates, runtime.parameters)
-            if bounds is None:
+            key_range = _key_range(self.range_predicates, runtime.parameters)
+            if key_range is None:
                 return []
-            members = self.view.reader(runtime.context).range_scan(label, *bounds)
+            members = self.view.reader(runtime.context).range_scan(label, key_range)
         except TypeError as exc:
             raise SQLExecutionError(
                 f"the range bounds on {self.view.definition.view_key!r} cannot be "

@@ -57,7 +57,6 @@ from repro.db.sql.plan import (
     HashJoin,
     IndexRange,
     Limit,
-    LogicalViewScan,
     PlanNode,
     PlanRuntime,
     Predicate,
@@ -72,7 +71,7 @@ from repro.db.sql.plan import (
     ViewRangeRead,
     ViewScan,
 )
-from repro.db.types import DataType
+from repro.db.types import DataType, KeyRange
 from repro.exceptions import SQLExecutionError, SQLPlanningError
 
 __all__ = ["Planner", "SelectPlan"]
@@ -178,11 +177,12 @@ class _Source:
 
     def __init__(self, name: str, kind: str, obj) -> None:
         self.name = name
-        self.kind = kind  # "table" | "classification_view" | "view" | "system_table"
+        self.kind = kind  # "table" | "classification_view" | "system_table"
         self.obj = obj
 
     def columns(self) -> list[str] | None:
-        """Statically known column names (None for opaque logical/system views)."""
+        """Statically known column names (None for a ``system.*`` table, whose
+        columns are its producer's)."""
         if self.kind == "table":
             return list(self.obj.schema.column_names())
         if self.kind == "classification_view":
@@ -253,9 +253,7 @@ class Planner:
             return _Source(name, kind, self._database.catalog.table(name))
         if kind == "classification_view":
             return _Source(name, kind, self._database.catalog.classification_view(name))
-        if kind == "system_table":
-            return _Source(name, kind, self._database.catalog.system_table(name))
-        return _Source(name, kind, self._database.catalog.view(name))
+        return _Source(name, kind, self._database.catalog.system_table(name))
 
     @staticmethod
     def _split_reference(reference: str) -> tuple[str | None, str]:
@@ -341,18 +339,11 @@ class Planner:
             )
         elif source.kind == "table":
             access, order_fused = self._plan_table_read(source.obj, predicates, select, source)
-        elif source.kind == "system_table":
+        else:
             access = SystemTableScan(
                 source.name,
                 source.obj,
                 detail="virtual observability table; reads process state, costs nothing",
-            )
-        else:
-            access = LogicalViewScan(
-                source.name,
-                self._database.catalog.view(source.name),
-                estimated_seconds=None,
-                detail="logical views materialize through an opaque callable",
             )
 
         node = access
@@ -515,8 +506,9 @@ class Planner:
 
         Walks the key columns in order, consuming pure-equality conjuncts for
         leading columns and stopping at the first column with a range (or no)
-        conjunct.  Returns ``(servable, eq_count, has_range, low, high,
-        bounds_known)`` — or None when even the leading column is unserved.
+        conjunct.  Returns ``(servable, eq_count, has_range, key_range)`` —
+        ``key_range`` None when unknown at plan time — or None when even the
+        leading column is unserved.
         """
         by_column: dict[str, list[Predicate]] = {}
         for predicate in predicates:
@@ -525,8 +517,7 @@ class Planner:
         servable: list[Predicate] = []
         eq_count = 0
         has_range = False
-        low = high = None
-        bounds_known = True
+        key_range: KeyRange | None = KeyRange()
         for column in index.columns:
             conjuncts = by_column.get(column.lower())
             if not conjuncts:
@@ -535,15 +526,15 @@ class Planner:
             if all(p.operator == "=" for p in conjuncts):
                 eq_count += 1
                 if any(p.value is PLACEHOLDER for p in conjuncts):
-                    bounds_known = False
+                    key_range = None
                 continue
             has_range = True
-            low, high, _, range_known = Planner._static_bounds(conjuncts)
-            bounds_known = bounds_known and range_known
+            if key_range is not None:
+                key_range = Planner._static_range(conjuncts)
             break
         if not servable:
             return None
-        return servable, eq_count, has_range, low, high, bounds_known
+        return servable, eq_count, has_range, key_range
 
     def _covers(self, index, needed) -> bool:
         """Whether every column the query touches sits inside the index key."""
@@ -553,29 +544,23 @@ class Planner:
         return set(needed) <= key
 
     @staticmethod
-    def _static_bounds(servable) -> tuple[object, object, bool, bool]:
-        """``(low, high, equality, bounds_known)`` from the literal conjuncts.
-
-        Placeholder values leave the bounds unknown at plan time — the
-        estimator then falls back to its default selectivities.
+    def _static_range(conjuncts) -> KeyRange | None:
+        """The range the literal ``conjuncts`` admit, tightened as execution
+        tightens it — or None when it is unknown at plan time: a ``?``
+        placeholder, or literals that cannot be ordered against each other.
+        The estimator then falls back to its default selectivities.
         """
-        low = high = None
-        equality = False
-        known = True
-        for predicate in servable:
-            if predicate.operator == "=":
-                equality = True
-            if predicate.value is PLACEHOLDER:
-                known = False
-                continue
-            value = predicate.value
-            if predicate.operator in ("=", ">", ">="):
-                if low is None or value > low:
-                    low = value
-            if predicate.operator in ("=", "<", "<="):
-                if high is None or value < high:
-                    high = value
-        return low, high, equality, known
+        if any(p.value is PLACEHOLDER for p in conjuncts):
+            return None
+        try:
+            return KeyRange.tighten((p.operator, p.value) for p in conjuncts)
+        except TypeError:
+            return None
+
+    def _single_column_estimate(self, index, servable) -> float:
+        """Estimated matches of a single-column probe answering ``servable``."""
+        equality = any(p.operator == "=" for p in servable)
+        return index.estimate_matches(self._static_range(servable), equality=equality)
 
     def _index_probe_estimate(self, index, est_matches: float, fetch_rows: float) -> float:
         """Cost of one index read: descend the tree, walk ``est_matches``
@@ -622,17 +607,14 @@ class Planner:
                 match = self._composite_servable(index, predicates)
                 if match is None:
                     continue
-                servable, eq_count, has_range, low, high, known = match
-                est = index.estimate_prefix_matches(
-                    eq_count, has_range, low=low, high=high, bounds_known=known
-                )
+                servable, eq_count, has_range, key_range = match
+                est = index.estimate_prefix_matches(eq_count, has_range, key_range)
                 probe = "(" + ", ".join(repr(c) for c in index.columns) + ") prefix"
             else:
                 servable = self._servable_by(index, predicates)
                 if not servable:
                     continue
-                low, high, equality, known = self._static_bounds(servable)
-                est = index.estimate_matches(low, high, equality=equality, bounds_known=known)
+                est = self._single_column_estimate(index, servable)
                 probe = f"{index.column!r}"
             covering = self._covers(index, needed)
             cost = self._index_probe_estimate(index, est, 0.0 if covering else est)
@@ -733,15 +715,12 @@ class Planner:
                 continue
             if index.is_composite:
                 match = self._composite_servable(index, predicates)
-                servable, eq_count, has_range, low, high, known = match or ((), 0, False, None, None, True)
-                est = index.estimate_prefix_matches(
-                    eq_count, has_range, low=low, high=high, bounds_known=known
-                )
+                servable, eq_count, has_range, key_range = match or ((), 0, False, KeyRange())
+                est = index.estimate_prefix_matches(eq_count, has_range, key_range)
                 servable = list(servable)
             else:
                 servable = self._servable_by(index, predicates)
-                low, high, equality, known = self._static_bounds(servable)
-                est = index.estimate_matches(low, high, equality=equality, bounds_known=known)
+                est = self._single_column_estimate(index, servable)
             fetches = min(est, float(select.limit))
             # Both directions early-exit after k entries: ascending walks the
             # leaf chain forward, descending walks the prev_leaf back-chain.

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterable
+from dataclasses import dataclass
 
 from repro.exceptions import SchemaError
 from repro.linalg import SparseVector
 
-__all__ = ["DataType", "coerce_value", "estimate_value_size"]
+__all__ = ["DataType", "KeyRange", "coerce_value", "estimate_value_size"]
 
 
 class DataType(enum.Enum):
@@ -116,3 +118,54 @@ def estimate_value_size(value: object) -> int:
     if isinstance(value, SparseVector):
         return value.approx_size_bytes()
     return 16
+
+
+@dataclass(frozen=True)
+class KeyRange:
+    """An interval over one key column, ``None`` bounds meaning unbounded.
+
+    This is how a range travels from a plan node to whoever answers it — a
+    secondary index, a view's reader, a shard, a maintainer — and
+    :meth:`tighten` is the one place ``WHERE`` conjuncts on a column become
+    one.  Keys and bounds compare with Python semantics.
+    """
+
+    low: object = None
+    high: object = None
+    include_low: bool = True
+    include_high: bool = True
+
+    @classmethod
+    def tighten(cls, conjuncts: Iterable[tuple[str, object]]) -> "KeyRange | None":
+        """The interval ``(operator, value)`` conjuncts (``=``, ``<``, ``<=``,
+        ``>``, ``>=``) on one column admit together.
+
+        Returns None when any bound is NULL: no key satisfies an ordering
+        comparison with NULL, and ``col = NULL`` matches only NULL rows, which
+        no index stores — the caller must not answer from an interval.  Two
+        bounds on the same side that cannot be ordered against each other
+        raise :class:`TypeError`.
+        """
+        low = high = None
+        include_low = include_high = True
+        for operator, value in conjuncts:
+            if value is None:
+                return None
+            if operator in ("=", ">", ">="):
+                strict = operator == ">"
+                if low is None or value > low or (value == low and strict):
+                    low, include_low = value, not strict
+            if operator in ("=", "<", "<="):
+                strict = operator == "<"
+                if high is None or value < high or (value == high and strict):
+                    high, include_high = value, not strict
+        return cls(low, high, include_low, include_high)
+
+    def contains(self, key: object) -> bool:
+        """Whether ``key`` lies inside the interval."""
+        low, high = self.low, self.high
+        if low is not None and (key < low or (key == low and not self.include_low)):
+            return False
+        if high is not None and (key > high or (key == high and not self.include_high)):
+            return False
+        return True

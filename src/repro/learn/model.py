@@ -63,10 +63,6 @@ class LinearModel:
         """Return ``||w||_p``, summed in index order."""
         return p_norm(self.weights.array, p)
 
-    def is_zero(self) -> bool:
-        """True when the model has no weights and no bias (untrained)."""
-        return self.weights.nnz() == 0 and self.bias == 0.0
-
     def __repr__(self) -> str:
         return (
             f"LinearModel(nnz={self.weights.nnz()}, bias={self.bias:.4f}, "

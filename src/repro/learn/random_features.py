@@ -81,7 +81,3 @@ class RandomFourierFeatures:
                 projected += value * self._directions[:, index]
         transformed = self._amplitude * np.cos(projected + self._offsets)
         return SparseVector.from_dense(transformed.tolist())
-
-    def approximate_kernel(self, left: SparseVector, right: SparseVector) -> float:
-        """``z(left) · z(right)`` — should be close to ``K(left, right)``."""
-        return self.transform(left).dot(self.transform(right))

@@ -155,16 +155,6 @@ class SGDTrainer:
         """Label a single feature vector with the current model."""
         return self.model.predict(features)
 
-    def average_loss(self, examples: Sequence[TrainingExample]) -> float:
-        """Mean loss of the current model over ``examples`` (diagnostics)."""
-        if not examples:
-            return 0.0
-        total = sum(
-            self.loss.value(self.model.margin(ex.features), float(ex.label))
-            for ex in examples
-        )
-        return total / len(examples)
-
     @property
     def steps(self) -> int:
         """Number of gradient steps taken so far."""

@@ -65,6 +65,7 @@ from repro.core.maintainers.base import ViewMaintainer
 from repro.core.reads import READS, read_estimate
 from repro.core.stores.base import EntityStore
 from repro.db.buffer_pool import IOStatistics
+from repro.db.types import KeyRange
 from repro.exceptions import ConfigurationError, KeyNotFoundError, MaintenanceError
 from repro.learn.model import LinearModel, sign
 from repro.linalg import SparseVector
@@ -129,16 +130,9 @@ class ClientSession:
         """All Members read with session consistency."""
         return self._read("all_members", label)
 
-    def range_scan(
-        self,
-        label: int = 1,
-        low: object | None = None,
-        high: object | None = None,
-        include_low: bool = True,
-        include_high: bool = True,
-    ) -> list[object]:
+    def range_scan(self, label: int, key_range: KeyRange) -> list[object]:
         """Pushed-down key-range read with session consistency."""
-        return self._read("range_scan", label, low, high, include_low, include_high)
+        return self._read("range_scan", label, key_range)
 
     def top_k(self, k: int, label: int = 1) -> list[tuple[object, float]]:
         """Ranked read with session consistency."""
@@ -378,18 +372,11 @@ class ViewServer:
         """All Members read across every shard."""
         return self.read("all_members", label)[0]
 
-    def range_scan(
-        self,
-        label: int = 1,
-        low: object | None = None,
-        high: object | None = None,
-        include_low: bool = True,
-        include_high: bool = True,
-    ) -> list[object]:
+    def range_scan(self, label: int, key_range: KeyRange) -> list[object]:
         """Pushed-down ``class = label AND key in range`` read: every shard
         scans its own eps-clustered store with the key filter applied before
         any classification work, under one coherent epoch."""
-        return self.read("range_scan", label, low, high, include_low, include_high)[0]
+        return self.read("range_scan", label, key_range)[0]
 
     def top_k(self, k: int, label: int = 1) -> list[tuple[object, float]]:
         """The ``k`` entities deepest inside class ``label`` under the current model."""

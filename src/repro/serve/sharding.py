@@ -36,6 +36,7 @@ from itertools import chain
 
 from repro.core.maintainers.base import ViewMaintainer
 from repro.core.stores.base import EntityStore
+from repro.db.types import KeyRange
 from repro.exceptions import KeyNotFoundError
 from repro.learn.model import LinearModel
 from repro.linalg import SparseVector
@@ -201,22 +202,16 @@ class ShardSet:
         """Scatter an All Members read to every shard, gather the union."""
         return list(chain.from_iterable(self._scatter("read_all_members", label)))
 
-    def range_scan(
-        self,
-        label: int = 1,
-        low: object | None = None,
-        high: object | None = None,
-        include_low: bool = True,
-        include_high: bool = True,
-    ) -> list[object]:
+    def range_scan(self, label: int, key_range: KeyRange) -> list[object]:
         """Scatter a pushed-down ``class = label AND key in range`` read, gather the union.
 
         Each shard runs :meth:`~repro.core.maintainers.base.ViewMaintainer.read_range`
-        over its own eps-clustered store — the key filter is applied *before*
+        with the same :class:`~repro.db.types.KeyRange` over its own
+        eps-clustered store — the key filter is applied *before*
         classification work, which is what makes this cheaper than gathering
         the full view and post-filtering.
         """
-        partials = self._scatter("read_range", label, low, high, include_low, include_high)
+        partials = self._scatter("read_range", label, key_range)
         return list(chain.from_iterable(partials))
 
     def top_k(self, k: int, label: int = 1) -> list[tuple[object, float]]:

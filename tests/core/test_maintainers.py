@@ -22,6 +22,7 @@ from repro.core.stores import (
 from repro.core.view import view_contents
 from repro.db.buffer_pool import BufferPool, IOStatistics
 from repro.db.costmodel import CostModel
+from repro.db.types import KeyRange
 from repro.exceptions import MaintenanceError
 from repro.learn.sgd import SGDTrainer, TrainingExample
 from repro.linalg import SparseVector
@@ -331,7 +332,7 @@ class TestAllMembersFromTheSlice:
             slice_ = (band.low, None) if label == 1 else (None, band.high)
             in_slice = hazy.store.count_eps_in_range(*slice_)
             read_before = hazy.store.stats.tuples_read
-            members = hazy.read_range(label, low, high)
+            members = hazy.read_range(label, KeyRange(low, high))
             assert hazy.store.stats.tuples_read - read_before == in_slice < len(documents)
             expected = [
                 r.entity_id

@@ -35,6 +35,7 @@ from repro.bench.harness import build_store
 from repro.core.maintainers import MAINTAINERS, build_maintainer
 from repro.core.stores import ARCHITECTURES, mainmemory
 from repro.db.costmodel import CostModel
+from repro.db.types import KeyRange
 from repro.learn.sgd import SGDTrainer, TrainingExample
 from repro.workloads.synth_text import SparseCorpusGenerator
 
@@ -118,8 +119,8 @@ def run_stream(architecture: str, strategy: str, approach: str) -> dict[str, obj
             step("read_all_members-", maintainer.read_all_members(-1))
         if round_index % 7 == 2:
             low = rng.randrange(0, 150)
-            step("read_range+", maintainer.read_range(1, low, low + 60))
-            step("read_range-", maintainer.read_range(-1, low, None, include_low=False))
+            step("read_range+", maintainer.read_range(1, KeyRange(low, low + 60)))
+            step("read_range-", maintainer.read_range(-1, KeyRange(low, include_low=False)))
         if round_index % 6 == 4 and arrivals:
             doc = arrivals.pop()
             step("add_entity", maintainer.add_entity(doc.entity_id, doc.features))

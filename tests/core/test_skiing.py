@@ -119,14 +119,6 @@ class TestOfflineOptimal:
         assert cost == pytest.approx(10.0)
         assert schedule == []
 
-    def test_matrix_interface(self):
-        # costs[s][i]: always 2 regardless of reorganization.
-        costs = [[2.0] * 6 for _ in range(6)]
-        scheduler = OfflineOptimalScheduler(reorganization_cost=50.0)
-        cost, schedule = scheduler.solve_from_matrix(costs)
-        assert cost == pytest.approx(10.0)
-        assert schedule == []
-
     def test_negative_rounds_rejected(self):
         with pytest.raises(ConfigurationError):
             OfflineOptimalScheduler(1.0).solve(lambda s, i: 0.0, rounds=-1)

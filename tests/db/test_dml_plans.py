@@ -92,12 +92,11 @@ class TestWhatMustNotMove:
         from tests.db.test_sql_serving import build_portal
 
         database, _, _ = build_portal(count=12)
-        database.catalog.register_view("recent", lambda: [{"id": 1}])
-        for target in ("labeled_papers", "recent"):
-            with pytest.raises(CatalogError, match=f"no table named '{target}'"):
-                database.execute(f"UPDATE {target} SET class = 'database' WHERE id = 1")
-            with pytest.raises(CatalogError, match=f"no table named '{target}'"):
-                database.execute(f"DELETE FROM {target} WHERE id = 1")
+        target = "labeled_papers"
+        with pytest.raises(CatalogError, match=f"no table named '{target}'"):
+            database.execute(f"UPDATE {target} SET class = 'database' WHERE id = 1")
+        with pytest.raises(CatalogError, match=f"no table named '{target}'"):
+            database.execute(f"DELETE FROM {target} WHERE id = 1")
         for sql in ("UPDATE system.metrics SET value = 0", "DELETE FROM system.metrics"):
             with pytest.raises(SQLSyntaxError):  # a dotted name is no DML target
                 database.execute(sql)

@@ -9,6 +9,7 @@ import pytest
 from repro.db.btree import BPlusTree
 from repro.db.hash_index import HashIndex
 from repro.db.page import RecordId
+from repro.db.types import KeyRange
 from repro.exceptions import DatabaseError, DuplicateKeyError, KeyNotFoundError
 
 
@@ -235,7 +236,7 @@ class TestSecondaryIndexMaintenance:
         assert len(index) == 11
         db.execute("UPDATE t SET v = 2 WHERE id = 10")
         db.execute("DELETE FROM t WHERE id = 0")
-        rids = list(index.scan(2, 2))
+        rids = list(index.scan(KeyRange(2, 2)))
         rows = [table.heap.read(rid) for rid in rids]
         assert sorted(row["id"] for row in rows) == [2, 5, 8, 10]
 
@@ -262,10 +263,10 @@ class TestSecondaryIndexMaintenance:
         def ids(rids):
             return sorted(table.heap.read(rid)["id"] for rid in rids)
 
-        assert ids(index.scan("fig", "pear")) == [2, 3, 4]
-        assert ids(index.scan("fig", "pear", include_low=False)) == [2, 4]
-        assert ids(index.scan("fig", "pear", include_high=False)) == [3]
-        assert ids(index.scan(None, "fig")) == [1, 3]
+        assert ids(index.scan(KeyRange("fig", "pear"))) == [2, 3, 4]
+        assert ids(index.scan(KeyRange("fig", "pear", include_low=False))) == [2, 4]
+        assert ids(index.scan(KeyRange("fig", "pear", include_high=False))) == [3]
+        assert ids(index.scan(KeyRange(None, "fig"))) == [1, 3]
 
     def test_truncate_clears_indexes(self):
         db, table = self._table()
@@ -309,12 +310,12 @@ class TestSecondaryIndexMaintenance:
             "INSERT INTO t (id, v) VALUES (?, ?)", [(i, i % 10) for i in range(100)]
         )
         index = table.create_secondary_index("idx_v", "v")
-        assert index.estimate_matches(equality=True) == pytest.approx(10.0)
+        assert index.estimate_matches(KeyRange(), equality=True) == pytest.approx(10.0)
         # Uniform interpolation over [0, 9]: [0, 3] covers a third of the span.
-        est = index.estimate_matches(0, 3)
+        est = index.estimate_matches(KeyRange(0, 3))
         assert 20 <= est <= 50
-        assert index.estimate_matches(bounds_known=False) == pytest.approx(100 / 3)
-        assert index.estimate_matches(20, 30) == 0.0
+        assert index.estimate_matches(None) == pytest.approx(100 / 3)
+        assert index.estimate_matches(KeyRange(20, 30)) == 0.0
 
     def test_nan_values_are_never_indexed(self):
         from repro.db.costmodel import CostModel
@@ -408,17 +409,17 @@ class TestCompositeSecondaryIndex:
         assert index.columns == ("a", "b")
         assert len(index) == 12
         # Full-key equality.
-        assert self._ids(table, index.scan(4.0, 4.0, equalities=(1,))) == [4]
+        assert self._ids(table, index.scan(KeyRange(4.0, 4.0), equalities=(1,))) == [4]
         # Prefix equality, unbounded range: every a=1 row, ordered by b.
-        rids = list(index.scan(None, None, equalities=(1,)))
+        rids = list(index.scan(KeyRange(), equalities=(1,)))
         assert [table.heap.read(rid)["id"] for rid in rids] == [1, 4, 7, 10]
         # Prefix equality + range on the second column.
-        assert self._ids(table, index.scan(4.0, 8.0, equalities=(1,))) == [4, 7]
+        assert self._ids(table, index.scan(KeyRange(4.0, 8.0), equalities=(1,))) == [4, 7]
         assert self._ids(
-            table, index.scan(4.0, 8.0, include_low=False, equalities=(1,))
+            table, index.scan(KeyRange(4.0, 8.0, include_low=False), equalities=(1,))
         ) == [7]
         # Reverse walk early-exits from the high end.
-        rids = list(index.scan(None, None, equalities=(1,), reverse=True))
+        rids = list(index.scan(KeyRange(), equalities=(1,), reverse=True))
         assert [table.heap.read(rid)["id"] for rid in rids] == [10, 7, 4, 1]
 
     def test_null_in_any_key_column_unindexes_the_row(self):
@@ -435,8 +436,8 @@ class TestCompositeSecondaryIndex:
         db.execute("INSERT INTO m (id, a, b) VALUES (1, 1, 1.0), (2, 2, 2.0)")
         index = table.create_secondary_index("idx_ab", ("a", "b"))
         db.execute("UPDATE m SET b = 9.0 WHERE id = 1")
-        assert self._ids(table, index.scan(9.0, 9.0, equalities=(1,))) == [1]
-        assert self._ids(table, index.scan(1.0, 1.0, equalities=(1,))) == []
+        assert self._ids(table, index.scan(KeyRange(9.0, 9.0), equalities=(1,))) == [1]
+        assert self._ids(table, index.scan(KeyRange(1.0, 1.0), equalities=(1,))) == []
         db.execute("DELETE FROM m WHERE id = 2")
         assert len(index) == 1
 
@@ -459,7 +460,7 @@ class TestCompositeSecondaryIndex:
         db.execute("INSERT INTO m (id, a, b) VALUES (1, 1, 1.0)")
         index = table.create_secondary_index("idx_a", "a")
         with pytest.raises(ValueError):
-            list(index.scan(None, None, equalities=(1,)))
+            list(index.scan(KeyRange(), equalities=(1,)))
 
     def test_estimate_prefix_matches(self):
         db, table = self._table()
@@ -469,11 +470,11 @@ class TestCompositeSecondaryIndex:
         )
         index = table.create_secondary_index("idx_ab", ("a", "b"))
         # Full-key equality: n / distinct keys.
-        full = index.estimate_prefix_matches(2, False)
+        full = index.estimate_prefix_matches(2, False, KeyRange())
         assert full == pytest.approx(100 / index.tree.distinct_keys)
         # One equality column: n / distinct^(1/2).
-        one_eq = index.estimate_prefix_matches(1, False)
+        one_eq = index.estimate_prefix_matches(1, False, KeyRange())
         assert one_eq == pytest.approx(100 / (index.tree.distinct_keys**0.5))
         # Adding a range tightens the estimate further.
-        assert index.estimate_prefix_matches(1, True) < one_eq
-        assert index.estimate_prefix_matches(0, False) == pytest.approx(100.0)
+        assert index.estimate_prefix_matches(1, True, KeyRange()) < one_eq
+        assert index.estimate_prefix_matches(0, False, KeyRange()) == pytest.approx(100.0)

@@ -46,7 +46,7 @@ def _node_classes() -> list[type]:
 class TestProtocolCompleteness:
     def test_every_exported_node_overrides_the_one_producer(self):
         nodes = _node_classes()
-        assert len(nodes) == 16, [cls.__name__ for cls in nodes]
+        assert len(nodes) == 15, [cls.__name__ for cls in nodes]
         for cls in nodes:
             assert cls._produce is not PlanNode._produce, cls.__name__
             for klass in cls.__mro__:

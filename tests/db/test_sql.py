@@ -250,12 +250,6 @@ class TestExecutor:
                 "EXAMPLES FROM examples KEY id LABEL label FEATURE FUNCTION tf_bag_of_words"
             )
 
-    def test_logical_view_readable_through_sql(self):
-        db = self.make_db()
-        db.catalog.register_view("recent", lambda: iter([{"id": 1, "year": 2011}]))
-        rows = db.execute("SELECT * FROM recent WHERE year = 2011").rows
-        assert rows == [{"id": 1, "year": 2011}]
-
     def test_scalar_on_empty_result_raises(self):
         db = self.make_db()
         result = db.execute("SELECT * FROM papers WHERE id = 99")
@@ -264,8 +258,6 @@ class TestExecutor:
 
     def test_io_statistics_accumulate(self):
         db = self.make_db()
-        before = db.io_snapshot().tuples_read
+        before = db.stats.tuples_read
         db.execute("SELECT COUNT(*) FROM papers")
         assert db.stats.tuples_read > before
-        db.reset_statistics()
-        assert db.stats.tuples_read == 0

@@ -165,13 +165,10 @@ class TestCatalog:
         catalog.register_table(table)
         assert catalog.table("PAPERS") is table
         assert catalog.has_table("papers")
-        assert catalog.table_names() == ["papers"]
 
     def test_duplicate_names_rejected_across_kinds(self):
         catalog = Catalog()
         catalog.register_table(make_table())
-        with pytest.raises(CatalogError):
-            catalog.register_view("papers", lambda: iter([]))
         with pytest.raises(CatalogError):
             catalog.register_classification_view("Papers", object())
 
@@ -179,8 +176,6 @@ class TestCatalog:
         catalog = Catalog()
         with pytest.raises(CatalogError):
             catalog.table("nope")
-        with pytest.raises(CatalogError):
-            catalog.view("nope")
         with pytest.raises(CatalogError):
             catalog.classification_view("nope")
         with pytest.raises(CatalogError):
@@ -194,21 +189,21 @@ class TestCatalog:
         with pytest.raises(CatalogError):
             catalog.drop_table("papers")
 
-    def test_views_and_classification_views(self):
+    def test_classification_views(self):
         catalog = Catalog()
-        catalog.register_view("v", lambda: iter([{"a": 1}]))
         marker = object()
         catalog.register_classification_view("cv", marker)
-        assert list(catalog.view("v")()) == [{"a": 1}]
         assert catalog.classification_view("cv") is marker
-        assert catalog.has_view("v")
         assert catalog.has_classification_view("CV")
-        assert catalog.classification_view_names() == ["cv"]
 
     def test_resolve_dispatches_by_kind(self):
         catalog = Catalog()
         table = make_table()
         catalog.register_table(table)
-        catalog.register_view("v", lambda: iter([]))
+
+        def producer():
+            return iter([])
+
+        catalog.register_system_table("system.x", producer)
         assert catalog.resolve("papers") is table
-        assert callable(catalog.resolve("v"))
+        assert catalog.resolve("system.x") is producer

@@ -54,7 +54,6 @@ class TestChunk:
         chunks = _rows_to_chunks(["a", "b"], iter(rows))
         assert len(chunks) == 1
         chunk = chunks[0]
-        assert chunk.is_columnar
         assert chunk.length == 3
         assert chunk.to_rows() == rows
 
@@ -95,8 +94,6 @@ class TestChunk:
         assert kept.values("a") == [10, 30]
         assert chunk.head(2).values("a") == [10, 20]
         assert chunk.head(9) is chunk
-        row_backed = Chunk.of_rows([{"a": 1}, {"a": 2}])
-        assert row_backed.filter(np.array([False, True])).to_rows() == [{"a": 2}]
 
 
 # ---------------------------------------------------------------------------

@@ -64,10 +64,6 @@ class TestLinearModel:
         model = LinearModel(Weights.of(SparseVector({0: 2.0})), bias=1.0)
         assert model.margin(SparseVector({0: 1.5, 7: 4.0})) == 2.0
 
-    def test_is_zero(self):
-        assert LinearModel().is_zero()
-        assert not LinearModel(bias=1.0).is_zero()
-
     def test_norm(self, simple_model):
         assert simple_model.norm(2) == pytest.approx(math.sqrt(2.0))
         assert simple_model.norm(math.inf) == pytest.approx(1.0)

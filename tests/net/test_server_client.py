@@ -99,6 +99,13 @@ class TestErrors:
         with pytest.raises(SQLExecutionError):
             client.execute("SELECT * FROM no_such_table_anywhere")
 
+    def test_incomparable_range_bounds_cross_as_the_documented_error(self, client):
+        client.execute("CREATE INDEX ix_qty ON items (qty)")
+        with pytest.raises(SQLExecutionError) as raised:
+            client.execute("SELECT id FROM items WHERE qty > 5 AND qty > 'a'")
+        assert str(raised.value) == "cannot evaluate '>' between a int column value and a str bound"
+        assert client.usable
+
     def test_executemany_error_crosses(self, client):
         with pytest.raises(SQLSyntaxError) as excinfo:
             client.executemany("INSRT INTO items VALUES (?)", [(1,)])

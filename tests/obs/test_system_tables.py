@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 import repro
-from repro.exceptions import SQLPlanningError
+from repro.exceptions import SQLExecutionError, SQLPlanningError
+from repro.net import SQLServer, connect
 from repro.workloads.synth_text import SparseCorpusGenerator
 
 VIEW_DDL = (
@@ -263,3 +264,56 @@ class TestPlanCacheTable:
         assert mine[0]["hits_total"] >= 1
         assert mine[0]["misses_total"] >= 1
         conn.close()
+
+
+#: ``SELECT *`` column order of every ``system.*`` table: its producer's keys.
+SYSTEM_TABLE_COLUMNS = {
+    "metrics": ["name", "kind", "value"],
+    "slow_queries": [
+        "trace_id", "sql", "simulated_seconds", "wall_seconds", "spans", "threshold_seconds",
+    ],
+    "traces": [
+        "trace_id", "span_id", "parent_id", "name", "simulated_seconds",
+        "estimated_seconds", "wall_seconds", "rows", "detail", "sql",
+    ],
+    "plan_cache": [
+        "hits_total", "misses_total", "invalidations_total", "entries", "capacity", "connection",
+    ],
+    "served_views": [
+        "view", "epoch", "entities", "num_shards", "epochs_published_total",
+        "trigger_diverts_total", "queue_backlog", "batcher_requests_total",
+        "batcher_avg_batch", "cache_hits_total", "simulated_seconds_total",
+    ],
+    "connections": [
+        "connection", "remote", "state", "lane", "statements_total",
+        "point_statements_total", "bulk_statements_total", "errors_total",
+        "connected_seconds",
+    ],
+}
+
+
+def test_select_star_column_order_of_every_system_table():
+    conn, _ = build_served_connection()
+    conn.database.obs.slow_query_seconds = 0.0  # every statement lands in the slow log
+    conn.execute("SELECT * FROM labeled_papers WHERE class = 'other'").fetchall()
+    try:
+        with SQLServer(conn.engine) as server:
+            client = connect(server.host, server.port, timeout=15)
+            client.execute("SELECT id FROM papers LIMIT 1").fetchall()
+            for table, columns in SYSTEM_TABLE_COLUMNS.items():
+                rows = conn.execute(f"SELECT * FROM system.{table}").fetchall()
+                assert rows, table
+                assert all(list(row) == columns for row in rows), table
+            client.close()
+    finally:
+        conn.execute("STOP SERVING labeled_papers")
+        conn.close()
+
+
+def test_a_system_row_missing_a_column_is_an_execution_error():
+    conn = repro.connect()
+    rows = [{"a": 1, "b": 2}, {"a": 3}]
+    conn.database.catalog.register_system_table("system.ragged", lambda: rows)
+    with pytest.raises(SQLExecutionError, match="do not all carry column 'b'"):
+        conn.execute("SELECT * FROM system.ragged")
+    conn.close()

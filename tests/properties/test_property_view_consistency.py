@@ -16,6 +16,7 @@ from repro.bench.harness import build_store
 from repro.core.maintainers import MAINTAINERS, build_maintainer
 from repro.core.stores import ARCHITECTURES
 from repro.core.view import view_contents
+from repro.db.types import KeyRange
 from repro.learn.sgd import SGDTrainer, TrainingExample
 from repro.workloads.synth_text import SparseCorpusGenerator
 
@@ -107,7 +108,8 @@ def check_scenario(cell, scenario, trainer_seed):
         elif operation == "read_range":
             label, first, second = argument
             low, high = sorted((pick(first), pick(second)))
-            assert sorted(maintainer.read_range(label, low, high, include_high=False)) == sorted(
+            key_range = KeyRange(low, high, include_high=False)
+            assert sorted(maintainer.read_range(label, key_range)) == sorted(
                 entity_id
                 for entity_id, entity_label in oracle.items()
                 if entity_label == label and low <= entity_id < high

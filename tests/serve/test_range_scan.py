@@ -4,17 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.db.types import KeyRange
 from repro.exceptions import MaintenanceError
 
 from tests.serve.conftest import build_corpus_server, entity_row
-
-
-def in_range(key, low=None, high=None, include_low=True, include_high=True):
-    if low is not None and (key < low or (key == low and not include_low)):
-        return False
-    if high is not None and (key > high or (key == high and not include_high)):
-        return False
-    return True
 
 
 class TestRangeScan:
@@ -23,23 +16,23 @@ class TestRangeScan:
         assert members  # the fixture trains a model that splits the corpus
         ids = sorted(members)
         low, high = ids[len(ids) // 4], ids[3 * len(ids) // 4]
-        for bounds in (
-            dict(low=low),
-            dict(high=high),
-            dict(low=low, high=high),
-            dict(low=low, include_low=False),
-            dict(low=low, high=high, include_high=False),
+        for key_range in (
+            KeyRange(low=low),
+            KeyRange(high=high),
+            KeyRange(low=low, high=high),
+            KeyRange(low=low, include_low=False),
+            KeyRange(low=low, high=high, include_high=False),
         ):
-            got = corpus_server.range_scan(1, **bounds)
+            got = corpus_server.range_scan(1, key_range)
             assert sorted(got) == sorted(
-                m for m in members if in_range(m, **bounds)
-            ), bounds
+                m for m in members if key_range.contains(m)
+            ), key_range
 
     def test_negative_class_and_empty_range(self, corpus_server):
         negatives = set(corpus_server.all_members(-1))
-        got = corpus_server.range_scan(-1, low=0)
+        got = corpus_server.range_scan(-1, KeyRange(low=0))
         assert sorted(got) == sorted(m for m in negatives if m >= 0)
-        assert corpus_server.range_scan(1, low=10, high=5) == []
+        assert corpus_server.range_scan(1, KeyRange(low=10, high=5)) == []
 
     def test_session_range_scan_waits_for_writes(self, serve_corpus):
         server = build_corpus_server(serve_corpus[:120], shards=2)
@@ -48,7 +41,9 @@ class TestRangeScan:
             doc = serve_corpus[121]
             session.insert_entity(entity_row(doc.entity_id, doc.features))
             session.insert_example(doc.entity_id, doc.label)
-            members = session.range_scan(doc.label, low=doc.entity_id, high=doc.entity_id)
+            members = session.range_scan(
+                doc.label, KeyRange(low=doc.entity_id, high=doc.entity_id)
+            )
             # Read-your-writes: the freshly inserted entity is classified and,
             # if it landed in the class, visible to the range read.
             assert session.last_epoch >= 1
@@ -62,7 +57,7 @@ class TestRangeScan:
         ids = sorted(corpus_server.all_members(1))
         low = ids[len(ids) // 2]
         start = corpus_server.shards.simulated_seconds()
-        corpus_server.range_scan(1, low=low)
+        corpus_server.range_scan(1, KeyRange(low=low))
         pushed = corpus_server.shards.simulated_seconds() - start
         start = corpus_server.shards.simulated_seconds()
         corpus_server.contents()
@@ -108,7 +103,7 @@ class TestMaintainerReadRange:
 
         maintainer = HazyEagerMaintainer(InMemoryEntityStore())
         with pytest.raises(MaintenanceError):
-            maintainer.read_range(1, low=0)
+            maintainer.read_range(1, KeyRange(low=0))
 
     def test_lazy_range_read_prunes_by_band(self, serve_corpus):
         """The lazy strategy answers range reads from the band-pruned scan."""
@@ -125,6 +120,6 @@ class TestMaintainerReadRange:
         members = set(maintainer.read_all_members(1))
         ids = sorted(members)
         low = ids[len(ids) // 3]
-        got = maintainer.read_range(1, low=low)
+        got = maintainer.read_range(1, KeyRange(low=low))
         assert sorted(got) == sorted(m for m in members if m >= low)
         assert maintainer.stats.range_reads == 1

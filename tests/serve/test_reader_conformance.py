@@ -21,6 +21,7 @@ import pytest
 
 from repro.core.reads import ESTIMATES, READS, DirectReads
 from repro.core.view import view_contents
+from repro.db.types import KeyRange
 from repro.exceptions import HazyError, MaintenanceError
 from repro.net.protocol import decode_error, encode_error
 from repro.serve import ClientSession, SessionRegistry, ViewServer
@@ -96,10 +97,12 @@ def test_every_reader_answers_every_read_like_view_contents(conn, name):
     for label in (1, -1):
         members = sorted(entity_id for entity_id, got in truth.items() if got == label)
         assert sorted(reader.all_members(label)) == members
-        assert sorted(reader.range_scan(label, 5, 20, True, False)) == [
+        assert sorted(reader.range_scan(label, KeyRange(5, 20, True, False))) == [
             entity_id for entity_id in members if 5 <= entity_id < 20
         ]
-        assert sorted(reader.range_scan(label, low=30)) == [i for i in members if i >= 30]
+        assert sorted(reader.range_scan(label, KeyRange(low=30))) == [
+            i for i in members if i >= 30
+        ]
         ranked = sorted(margins.items(), key=lambda pair: pair[1], reverse=label == 1)[:5]
         assert reader.top_k(5, label) == ranked
     assert set(answered) | {"all_members", "range_scan", "top_k"} == set(READS)
@@ -123,7 +126,7 @@ SIX_READS = {
     "label_of": (3,),
     "labels_of": ([3, 4],),
     "all_members": (1,),
-    "range_scan": (1, 2, 9),
+    "range_scan": (1, KeyRange(2, 9)),
     "top_k": (3,),
     "contents": (),
 }
