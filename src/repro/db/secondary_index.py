@@ -9,9 +9,9 @@ compared lexicographically, which gives the planner the classic
 leftmost-prefix rule: equality conjuncts on leading columns plus at most one
 range on the next column become a contiguous key range.  A probe takes that
 range as one :class:`~repro.db.types.KeyRange` — :meth:`SecondaryIndex.scan`
-walks the tree over its inclusive bounds and drops what
-:meth:`~repro.db.types.KeyRange.contains` excludes — and the planner's
-estimators take the same value, None when it is unknown at plan time.  The
+walks the tree over its inclusive bounds and drops the equal key of a strict
+bound — and the single-column estimator takes the same value, None when it is
+unknown at plan time.  The
 table maintains its indexes inline on every INSERT/UPDATE/DELETE, so an index
 scan is always exactly as fresh as a heap scan; the planner prices the access
 paths against each other and the :class:`~repro.db.sql.plan.SecondaryIndexRange`
@@ -228,12 +228,12 @@ class SecondaryIndex:
 
         ``equalities`` pins the leading key columns (composite indexes only);
         ``key_range`` bounds the next key column.  The tree walks the
-        inclusive ``[low, high]`` leaf chain and :meth:`KeyRange.contains`
-        drops the equal key of a strict bound.  ``reverse=True`` walks the
-        leaf back-chain so descending consumers can early-exit;
-        ``with_keys=True`` additionally yields the tree key, which is how
-        covering scans rebuild rows without touching the heap.  Each visited
-        entry and each descent level charges ``tuple_cpu`` to the ledger.
+        inclusive ``[low, high]`` leaf chain, so a strict bound has only its
+        equal key left to drop.  ``reverse=True`` walks the leaf back-chain so
+        descending consumers can early-exit; ``with_keys=True`` additionally
+        yields the tree key, which is how covering scans rebuild rows without
+        touching the heap.  Each visited entry and each descent level charges
+        ``tuple_cpu`` to the ledger.
         """
         equalities = tuple(equalities)
         if equalities and len(self.columns) == 1:
@@ -248,10 +248,15 @@ class SecondaryIndex:
             else self.tree.range_scan(tree_low, tree_high)
         )
         position = len(equalities)
+        low, high = key_range.low, key_range.high
+        drop_low = low is not None and not key_range.include_low
+        drop_high = high is not None and not key_range.include_high
         for key, rid in entries:
             charge(tuple_cpu, "index_read")
-            if key_range.contains(key if len(self.columns) == 1 else key[position]):
-                yield (key, rid) if with_keys else rid
+            part = key if len(self.columns) == 1 else key[position]
+            if (drop_low and part == low) or (drop_high and part == high):
+                continue
+            yield (key, rid) if with_keys else rid
 
     # -- statistics for the planner -------------------------------------------------------
 
@@ -291,27 +296,21 @@ class SecondaryIndex:
             return 0.0
         return n * min(1.0, covered / span)
 
-    def estimate_prefix_matches(
-        self, eq_count: int, has_range: bool, key_range: KeyRange | None
-    ) -> float:
+    def estimate_prefix_matches(self, eq_count: int, has_range: bool) -> float:
         """Estimated matches for an equality prefix of ``eq_count`` leading
-        columns plus an optional range on the next one.
+        columns of a composite key plus an optional range on the next one.
 
-        Single-column probes delegate to :meth:`estimate_matches` so their
-        estimates are unchanged.  Composite probes assume independent columns:
-        the full-tuple distinct count spreads evenly across the key columns,
-        so each leading equality divides by ``distinct ** (1/ncols)`` (which
-        degenerates to the classic ``n / distinct`` when the whole key is
-        pinned), and a trailing range multiplies by
-        :data:`DEFAULT_RANGE_SELECTIVITY` (tuple min/max keys do not
-        interpolate).
+        Columns are assumed independent: the full-tuple distinct count spreads
+        evenly across the key columns, so each leading equality divides by
+        ``distinct ** (1/ncols)`` (which degenerates to the classic
+        ``n / distinct`` when the whole key is pinned), and a trailing range
+        multiplies by :data:`DEFAULT_RANGE_SELECTIVITY` (tuple min/max keys do
+        not interpolate).
         """
         n = len(self.tree)
         if n == 0:
             return 0.0
         ncols = len(self.columns)
-        if ncols == 1:
-            return self.estimate_matches(key_range, equality=bool(eq_count))
         if eq_count >= ncols:
             return n / max(1, self.tree.distinct_keys)
         estimate = float(n)

@@ -506,9 +506,8 @@ class Planner:
 
         Walks the key columns in order, consuming pure-equality conjuncts for
         leading columns and stopping at the first column with a range (or no)
-        conjunct.  Returns ``(servable, eq_count, has_range, key_range)`` —
-        ``key_range`` None when unknown at plan time — or None when even the
-        leading column is unserved.
+        conjunct.  Returns ``(servable, eq_count, has_range)`` — or None when
+        even the leading column is unserved.
         """
         by_column: dict[str, list[Predicate]] = {}
         for predicate in predicates:
@@ -517,7 +516,6 @@ class Planner:
         servable: list[Predicate] = []
         eq_count = 0
         has_range = False
-        key_range: KeyRange | None = KeyRange()
         for column in index.columns:
             conjuncts = by_column.get(column.lower())
             if not conjuncts:
@@ -525,16 +523,12 @@ class Planner:
             servable.extend(conjuncts)
             if all(p.operator == "=" for p in conjuncts):
                 eq_count += 1
-                if any(p.value is PLACEHOLDER for p in conjuncts):
-                    key_range = None
                 continue
             has_range = True
-            if key_range is not None:
-                key_range = Planner._static_range(conjuncts)
             break
         if not servable:
             return None
-        return servable, eq_count, has_range, key_range
+        return servable, eq_count, has_range
 
     def _covers(self, index, needed) -> bool:
         """Whether every column the query touches sits inside the index key."""
@@ -607,8 +601,8 @@ class Planner:
                 match = self._composite_servable(index, predicates)
                 if match is None:
                     continue
-                servable, eq_count, has_range, key_range = match
-                est = index.estimate_prefix_matches(eq_count, has_range, key_range)
+                servable, eq_count, has_range = match
+                est = index.estimate_prefix_matches(eq_count, has_range)
                 probe = "(" + ", ".join(repr(c) for c in index.columns) + ") prefix"
             else:
                 servable = self._servable_by(index, predicates)
@@ -715,8 +709,8 @@ class Planner:
                 continue
             if index.is_composite:
                 match = self._composite_servable(index, predicates)
-                servable, eq_count, has_range, key_range = match or ((), 0, False, KeyRange())
-                est = index.estimate_prefix_matches(eq_count, has_range, key_range)
+                servable, eq_count, has_range = match or ((), 0, False)
+                est = index.estimate_prefix_matches(eq_count, has_range)
                 servable = list(servable)
             else:
                 servable = self._servable_by(index, predicates)

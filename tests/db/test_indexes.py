@@ -470,11 +470,11 @@ class TestCompositeSecondaryIndex:
         )
         index = table.create_secondary_index("idx_ab", ("a", "b"))
         # Full-key equality: n / distinct keys.
-        full = index.estimate_prefix_matches(2, False, KeyRange())
+        full = index.estimate_prefix_matches(2, False)
         assert full == pytest.approx(100 / index.tree.distinct_keys)
         # One equality column: n / distinct^(1/2).
-        one_eq = index.estimate_prefix_matches(1, False, KeyRange())
+        one_eq = index.estimate_prefix_matches(1, False)
         assert one_eq == pytest.approx(100 / (index.tree.distinct_keys**0.5))
         # Adding a range tightens the estimate further.
-        assert index.estimate_prefix_matches(1, True, KeyRange()) < one_eq
-        assert index.estimate_prefix_matches(0, False, KeyRange()) == pytest.approx(100.0)
+        assert index.estimate_prefix_matches(1, True) < one_eq
+        assert index.estimate_prefix_matches(0, False) == pytest.approx(100.0)

@@ -270,23 +270,55 @@ class TestPlanCacheTable:
 SYSTEM_TABLE_COLUMNS = {
     "metrics": ["name", "kind", "value"],
     "slow_queries": [
-        "trace_id", "sql", "simulated_seconds", "wall_seconds", "spans", "threshold_seconds",
+        "trace_id",
+        "sql",
+        "simulated_seconds",
+        "wall_seconds",
+        "spans",
+        "threshold_seconds",
     ],
     "traces": [
-        "trace_id", "span_id", "parent_id", "name", "simulated_seconds",
-        "estimated_seconds", "wall_seconds", "rows", "detail", "sql",
+        "trace_id",
+        "span_id",
+        "parent_id",
+        "name",
+        "simulated_seconds",
+        "estimated_seconds",
+        "wall_seconds",
+        "rows",
+        "detail",
+        "sql",
     ],
     "plan_cache": [
-        "hits_total", "misses_total", "invalidations_total", "entries", "capacity", "connection",
+        "hits_total",
+        "misses_total",
+        "invalidations_total",
+        "entries",
+        "capacity",
+        "connection",
     ],
     "served_views": [
-        "view", "epoch", "entities", "num_shards", "epochs_published_total",
-        "trigger_diverts_total", "queue_backlog", "batcher_requests_total",
-        "batcher_avg_batch", "cache_hits_total", "simulated_seconds_total",
+        "view",
+        "epoch",
+        "entities",
+        "num_shards",
+        "epochs_published_total",
+        "trigger_diverts_total",
+        "queue_backlog",
+        "batcher_requests_total",
+        "batcher_avg_batch",
+        "cache_hits_total",
+        "simulated_seconds_total",
     ],
     "connections": [
-        "connection", "remote", "state", "lane", "statements_total",
-        "point_statements_total", "bulk_statements_total", "errors_total",
+        "connection",
+        "remote",
+        "state",
+        "lane",
+        "statements_total",
+        "point_statements_total",
+        "bulk_statements_total",
+        "errors_total",
         "connected_seconds",
     ],
 }
