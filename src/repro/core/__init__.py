@@ -8,11 +8,14 @@ This package implements the paper's primary contribution:
   style) and the offline-optimal schedule used to validate Theorem 3.3.
 * :mod:`repro.core.stores` — the three physical architectures: on-disk,
   main-memory (Hazy-MM), and the hybrid ε-map + buffer design (§3.5); each
-  exposes one heap scan and one clustered ``scan_eps(low, high)``.
+  exposes one heap scan and one clustered ``scan_eps(low, high)``, and answers
+  each read of a run of tuples in one call (``score``, ``stored_members``,
+  ``lazy_members``).
 * :mod:`repro.core.maintainers` — the paper's operations (Single Entity read,
   All Members read, Update; §2.2) written once in ``ViewMaintainer``, and the
   four strategies — naive and Hazy, eager and lazy (§3.2, §3.4) — that supply
-  only the read hint, the classifier, the candidate scan and the Update.
+  only the read hint, the candidate run, the position band (from which the
+  lazy reads, point and bulk, are built) and the Update.
 * :mod:`repro.core.writes` — a view's one write side: ``ViewWriter`` turns a
   run of base-table writes into entity churn plus a run of models, inline for
   an unserved view and on the maintenance worker for a served one.

@@ -3,16 +3,24 @@
 :class:`ViewMaintainer` writes the three operations of §2.2 — Single Entity
 read, All Members read, Update (Figures 7 and 8) — and the bulk load once,
 with the batched point read, the key-range read and the top-k read built on
-the same scans.  A strategy supplies only what the paper says differs:
+the same store calls.  An All Members or key-range read is **one store
+call**: :meth:`EntityStore.stored_members` for the eager approach (stored
+labels are current), :meth:`EntityStore.lazy_members` for the lazy one
+(tuples outside the position band labelled by their eps, the rest scored
+under the current model), each answered in bulk by the architecture.  A
+strategy supplies only what the paper says differs:
 
 * :meth:`~ViewMaintainer.read_hint` — whether a point read can be answered
   without fetching the tuple (Figure 8's ε-map / water-band short-circuit);
-* :meth:`~ViewMaintainer.classifier` — how a fetched tuple is labelled: the
-  stored label (eager, :class:`EagerReads`), a dot product (naive lazy), or
-  band-then-dot-product (Hazy lazy);
+* :meth:`~ViewMaintainer.classifier` — how a point read labels the tuple it
+  fetched: the stored label (eager, :class:`EagerReads`), else the lazy rule
+  built from the position band below;
 * :meth:`~ViewMaintainer.candidates` — which tuples a read must look at: the
   whole table, or only those above low / below high water (Hazy, both
   approaches);
+* :meth:`~ViewMaintainer.position_band` — outside which eps band a lazy read
+  knows a tuple's label from its position alone (Hazy's water band; none for
+  naive);
 * :meth:`~ViewMaintainer.apply_model` — what an Update does with the new
   model: swap it, advance the band, or relabel a scan.
 
@@ -25,6 +33,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from abc import ABC, abstractmethod
 from collections.abc import Callable, Iterable, Sequence
 from operator import attrgetter
@@ -169,14 +178,40 @@ class ViewMaintainer(ABC):
         """
         return None  # noqa: RET501
 
-    @abstractmethod
     def classifier(self) -> Callable[[EntityRecord], int]:
-        """How this strategy labels a fetched record, resolved once per operation.
+        """How a point read labels a fetched record, resolved once per operation.
 
-        The current model and the water band are looked up here and held by
-        the returned callable, so a scan pays one call per tuple and nothing
-        more.  The callable charges the dot products it computes.
+        The lazy rule, the same two comparisons as
+        :meth:`~repro.core.stores.base.EntityStore.lazy_members`: a stored eps
+        above :meth:`position_band` is positive, below it negative, and any
+        other (a NaN eps too) costs one dot product under the current model.
+        The model and the band are looked up here and held by the returned
+        callable, which charges the dot products it computes.
         """
+        low, high = self.position_band() or (-math.inf, math.inf)
+        charge_dot_product = self.store.charge_dot_product
+        margin = self.current_model.margin
+
+        def classify(record: EntityRecord) -> int:
+            eps = record.eps
+            if eps > high:
+                return 1
+            if eps < low:
+                return -1
+            charge_dot_product(record.features)
+            return sign(margin(record.features))
+
+        return classify
+
+    def position_band(self) -> tuple[float, float] | None:
+        """The eps band outside which a stored tuple's current label follows from its eps.
+
+        None for the naive strategies, which have no bound to lean on: a lazy
+        read scores every tuple it classifies.  Hazy's is the water band.  Both
+        lazy reads — :meth:`classifier` for a point read, the store's
+        ``lazy_members`` for a run — are built from it.
+        """
+        return None  # noqa: RET501
 
     def candidates(self, label: int) -> tuple[float | None, float | None] | None:
         """The run a read for class ``label`` must look at, as ``store.scan`` takes it.
@@ -279,26 +314,25 @@ class ViewMaintainer(ABC):
     def _scan_members(
         self, label: int, key_range: KeyRange | None = None
     ) -> tuple[list[object], int, float]:
-        """The scan behind All Members and key-range reads: ``(members, classified, cost)``.
+        """The run behind All Members and key-range reads: ``(members, classified, cost)``.
 
-        Keys outside ``key_range`` are dropped *before* classification, so lazy
-        strategies pay dot products only for tuples that can appear in the
-        answer; a key-range read is dispatched as a statement of its own.
+        One store call: keys outside ``key_range`` are dropped *before*
+        classification, so lazy strategies pay dot products only for tuples
+        that can appear in the answer; a key-range read is dispatched as a
+        statement of its own.
         """
         self._require_loaded()
         start = self.store.cost_snapshot()
-        candidates = self.store.scan(self.candidates(label))
         if key_range is not None:
             self.store.charge_statement_overhead()
-            candidates = (r for r in candidates if key_range.contains(r.entity_id))
-        classify = self.classifier()
-        members: list[object] = []
-        touched = 0
-        for record in candidates:
-            touched += 1
-            if classify(record) == label:
-                members.append(record.entity_id)
-        return members, touched, self.store.cost_snapshot() - start
+        members, classified = self._members(label, key_range)
+        return members, classified, self.store.cost_snapshot() - start
+
+    def _members(self, label: int, key_range: KeyRange | None) -> tuple[list[object], int]:
+        """Classify on read: the store labels the candidate run under the current model."""
+        return self.store.lazy_members(
+            label, self.current_model, self.candidates(label), self.position_band(), key_range
+        )
 
     def count_members(self, label: int = 1) -> int:
         """Number of entities in the class (executes an All Members read)."""
@@ -306,6 +340,8 @@ class ViewMaintainer(ABC):
 
     def top_k(self, k: int, label: int = 1) -> list[tuple[object, float]]:
         """The ``k`` entities deepest inside class ``label``, as ``(id, margin)`` pairs."""
+        if k <= 0:
+            return []
         ids, _, margins = self.store.score(self.current_model)
         tie = itertools.count()
         heap: list[tuple[float, int, object]] = []
@@ -351,7 +387,7 @@ class EagerReads:
     """The eager approach's reads (§2.2): stored labels are always current.
 
     Mixed in ahead of a strategy's base; the lazy maintainers classify on
-    read through :class:`ViewMaintainer`'s scan instead.
+    read through :meth:`EntityStore.lazy_members` instead.
     """
 
     approach = "eager"
@@ -360,10 +396,6 @@ class EagerReads:
         """Every fetched record already carries its label."""
         return _stored_label
 
-    def read_all_members(self, label: int = 1) -> list[object]:
-        """A stored-label filter over the candidate run: nothing to classify, one store call."""
-        self._require_loaded()
-        start = self.store.cost_snapshot()
-        members, scanned = self.store.stored_members(label, self.candidates(label))
-        self.stats.record_all_members(scanned, self.store.cost_snapshot() - start)
-        return members
+    def _members(self, label: int, key_range: KeyRange | None) -> tuple[list[object], int]:
+        """A stored-label filter over the candidate run: nothing to classify."""
+        return self.store.stored_members(label, self.candidates(label), key_range)

@@ -14,17 +14,19 @@ scratch table is worth its cost.
 Both read All Members from the clustered layout: only the tuples that could
 possibly be in the class (everything above the low water for the positive
 class, below the high water for the negative) are scanned — the eager variant
-filters their stored labels, the lazy one classifies them.
+filters their stored labels, the lazy one classifies them in one store call,
+where a tuple above the high water is positive and one below the low water
+negative by position, and only the band costs a dot product.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from repro.core.bounds import WaterBandTracker, holder_pair_for_norm
 from repro.core.maintainers.base import EagerReads, ViewMaintainer
 from repro.core.skiing import SkiingStrategy
-from repro.core.stores.base import EntityRecord, EntityStore
+from repro.core.stores.base import EntityStore
 from repro.db.types import KeyRange
 from repro.exceptions import MaintenanceError
 from repro.learn.model import LinearModel, sign
@@ -147,6 +149,11 @@ class _HazyMaintainerBase(ViewMaintainer):
             return -1
         return None
 
+    def position_band(self) -> tuple[float, float]:
+        """The water band: above high water a tuple is positive, below low water negative."""
+        band = self._require_tracker().band()
+        return band.low, band.high
+
     def candidates(self, label: int) -> tuple[float | None, float | None]:
         """Only the tuples that could be in the class: above low water, or below high water.
 
@@ -216,28 +223,10 @@ class HazyLazyMaintainer(_HazyMaintainerBase):
         self.stats.record_update(0, 0, self.store.cost_snapshot() - start)
         self.stats.record_band(-1, band.width())  # -1: size not measured on the lazy path
 
-    def classifier(self) -> Callable[[EntityRecord], int]:
-        """Stored labels may be stale: answer from the band, else one dot product."""
-        band = self._require_tracker().band()
-        low, high = band.low, band.high
-        charge_dot_product = self.store.charge_dot_product
-        margin = self.current_model.margin
-
-        def classify(record: EntityRecord) -> int:
-            eps = record.eps
-            if eps > high:
-                return 1
-            if eps < low:
-                return -1
-            charge_dot_product(record.features)
-            return sign(margin(record.features))
-
-        return classify
-
     def _scan_members(
         self, label: int, key_range: KeyRange | None = None
     ) -> tuple[list[object], int, float]:
-        """Skiing decides before the scan; the scan's wasted fraction (§3.4) is charged after it.
+        """Skiing decides before the read; its wasted fraction (§3.4) is charged after it.
 
         Key-range reads feed the same accounting as All Members, so a
         range-only workload still reorganizes when re-clustering pays.

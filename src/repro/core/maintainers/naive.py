@@ -7,11 +7,8 @@ and reclassifies whatever a read touches.
 
 from __future__ import annotations
 
-from collections.abc import Callable
-
 from repro.core.maintainers.base import EagerReads, ViewMaintainer
-from repro.core.stores.base import EntityRecord
-from repro.learn.model import LinearModel, sign
+from repro.learn.model import LinearModel
 
 __all__ = ["NaiveEagerMaintainer", "NaiveLazyMaintainer"]
 
@@ -42,13 +39,3 @@ class NaiveLazyMaintainer(ViewMaintainer):
         self.current_model = model
         self.stats.record_update(0, 0, 0.0)
 
-    def classifier(self) -> Callable[[EntityRecord], int]:
-        """Stored labels are stale: every fetched record costs one dot product."""
-        charge_dot_product = self.store.charge_dot_product
-        margin = self.current_model.margin
-
-        def classify(record: EntityRecord) -> int:
-            charge_dot_product(record.features)
-            return sign(margin(record.features))
-
-        return classify

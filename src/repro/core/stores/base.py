@@ -1,17 +1,60 @@
-"""The entity-store interface shared by the on-disk, in-memory and hybrid architectures."""
+"""The entity-store interface shared by the on-disk, in-memory and hybrid architectures.
+
+Every read that walks a run of tuples is one store call, written here once
+as a plain loop over :meth:`EntityStore.scan` — the definition — and
+answered in bulk by an architecture that can: :meth:`~EntityStore.score`
+(the eager relabel pass, ``top_k``), :meth:`~EntityStore.stored_members`
+(an eager All Members or key-range read) and :meth:`~EntityStore.lazy_members`
+(a lazy one: tuples outside the water band labelled by their position, the
+band scored in one kernel call when the size rule of
+:data:`KERNEL_NONZEROS_PER_ROW` says the run pays).  An override returns
+the same answer in the same order and leaves the same ledger, charge for
+charge.
+"""
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 from repro.db.buffer_pool import IOStatistics
 from repro.db.costmodel import CostModel
-from repro.learn.model import LinearModel
+from repro.db.types import KeyRange
+from repro.learn.model import LinearModel, sign
 from repro.linalg import SparseVector
 
-__all__ = ["EntityRecord", "EntityStore"]
+__all__ = ["EntityRecord", "EntityStore", "KERNEL_NONZEROS_PER_ROW"]
+
+#: The kernel/scalar size rule: a run of ``rows`` tuples is scored by the
+#: kernel when ``rows * KERNEL_NONZEROS_PER_ROW >= max(nnz(w), dimension)`` —
+#: when the slice holds at least about as many non-zeros as the weight array
+#: has cells.  The model already is that array (zero-padded only when the
+#: store's ``dimension`` reaches past it).  The kernel costs a fixed set of
+#: NumPy calls per slice, the scalar loop one ``LinearModel.margin`` per tuple
+#: (a gather and an accumulate, ~3 us at 40 non-zeros).  Measured with
+#: ``perf/run.py`` on one pinned CPU of a 2-CPU container, ten alternating
+#: pairs each: ``feedback_eager`` and ``wire_reads`` (bands of ~1,700 tuples x
+#: ~18 non-zeros against a 1,900-wide model) sit far on the kernel side;
+#: ``durable_writes`` (bands of ~15 tuples per shard) sits on the scalar side,
+#: and forcing the kernel there (the constant set to infinity) made
+#: ``core.apply_model_ms`` 0.123 -> 0.171 ms (slower in 9 of 10 traced pairs)
+#: and ``write_visible_p50_ms`` 0.86 -> 1.03 ms (8 of 10 untraced pairs).  The
+#: ``dimension`` half keeps the zero-padded weight array within 16 cells a
+#: scored tuple, however far a stored index reaches.  Sixteen is what a row is
+#: taken to hold where the run's non-zeros are not counted (the mirror's
+#: slices); the on-disk lazy read counts its band's exactly, for the dot
+#: product charges, and passes the count.  Its rows are wider: on
+#: ``hybrid_lazy`` (~60 non-zeros a row, a 20,000-cell model) the count sends
+#: bands of 581-990 rows to the kernel that sixteen a row would leave to the
+#: scalar loop, and ten alternating ``perf/run.py`` pairs with and without it
+#: (same CPU and container as above) gave ``members_read_p50_ms`` 2.82 ->
+#: 2.57 ms (lower in 8 of 10) and ``ops_per_s`` 4,880 -> 5,183 (higher in 8
+#: of 10).  Both sides produce the same bits and the same ledger, which
+#: ``tests/core/test_operation_ledger.py`` pins by forcing each, on every
+#: architecture and approach.
+KERNEL_NONZEROS_PER_ROW = 16
 
 
 @dataclass(slots=True)
@@ -47,6 +90,8 @@ class EntityStore(ABC):
         self.stats = stats
         self.feature_norm_q = float(feature_norm_q)
         self._max_feature_norm = 0.0
+        #: One more than the largest feature index ever stored.
+        self._dimension = 0
 
     # -- cost helpers -----------------------------------------------------------------
 
@@ -86,6 +131,17 @@ class EntityStore(ABC):
         norm = features.norm(self.feature_norm_q)
         if norm > self._max_feature_norm:
             self._max_feature_norm = norm
+        self._dimension = max(self._dimension, features.max_index() + 1)
+
+    def _kernel_pays(self, rows: int, model: LinearModel, nonzeros: int | None = None) -> bool:
+        """The size rule of :data:`KERNEL_NONZEROS_PER_ROW` for a run of ``rows`` tuples.
+
+        ``nonzeros`` is the run's non-zero count where the caller has it at
+        hand; without it, each row is taken to hold ``KERNEL_NONZEROS_PER_ROW``.
+        """
+        if nonzeros is None:
+            nonzeros = rows * KERNEL_NONZEROS_PER_ROW
+        return nonzeros >= max(model.weights.nnz(), self._dimension, 1)
 
     # -- lifecycle -------------------------------------------------------------------------
 
@@ -163,23 +219,71 @@ class EntityStore(ABC):
         return self._score_scan(model, self.scan(band))
 
     def stored_members(
-        self, label: int, band: tuple[float | None, float | None] | None
+        self,
+        label: int,
+        run: tuple[float | None, float | None] | None,
+        key_range: KeyRange | None = None,
     ) -> tuple[list[object], int]:
-        """Ids in one run whose *stored* label is ``label``, and how many tuples the run held.
+        """Ids in one run whose *stored* label is ``label``, and how many tuples were kept.
 
-        ``band`` picks the run as for :meth:`scan`.  The ids come in scan
-        order and the ledger is charged what the scan charges, nothing more.
-        This loop is the definition; the main-memory store answers the same
-        call from its clustering and the feature mirror's label column with
-        one mask, charging one ``tuple_read`` per tuple of the slice.
+        ``run`` picks the tuples as for :meth:`scan`; a tuple whose key lies
+        outside ``key_range`` is read and dropped, and only the rest count.
+        The ids come in scan order and the ledger is charged what the scan
+        charges, nothing more.  This loop is the definition; the main-memory
+        store answers the same call from its clustering and the feature
+        mirror's label column with one mask, charging one ``tuple_read`` per
+        tuple of the slice.
         """
         members: list[object] = []
-        scanned = 0
-        for record in self.scan(band):
-            scanned += 1
+        kept = 0
+        for record in self.scan(run):
+            if key_range is not None and not key_range.contains(record.entity_id):
+                continue
+            kept += 1
             if record.label == label:
                 members.append(record.entity_id)
-        return members, scanned
+        return members, kept
+
+    def lazy_members(
+        self,
+        label: int,
+        model: LinearModel,
+        run: tuple[float | None, float | None] | None,
+        band: tuple[float, float] | None,
+        key_range: KeyRange | None = None,
+    ) -> tuple[list[object], int]:
+        """Ids in one run whose label under ``model`` is ``label``, and how many were classified.
+
+        The lazy All Members and key-range read.  ``run`` picks the tuples as
+        for :meth:`scan`; a tuple whose key lies outside ``key_range`` is
+        read and dropped before classification.  ``band`` is the water band
+        ``(low, high)`` of Lemma 3.1: a tuple whose stored eps is above
+        ``high`` is positive by position, below ``low`` negative — the two
+        comparisons of ``ViewMaintainer.classifier``, so a NaN eps falls
+        to neither — and any other costs one dot product under ``model``.
+        ``band=None`` (the naive strategies) scores every tuple.  The ids come
+        in scan order.  This loop is the definition; the main-memory and
+        on-disk stores answer the same call in bulk, the band in one kernel
+        call when it pays.
+        """
+        low, high = band if band is not None else (-math.inf, math.inf)
+        members: list[object] = []
+        classified = 0
+        for record in self.scan(run):
+            if key_range is not None and not key_range.contains(record.entity_id):
+                continue
+            classified += 1
+            eps = record.eps
+            if eps > high:
+                answer = 1
+            elif eps < low:
+                answer = -1
+            else:
+                self.charge_dot_product(record.features)
+                answer = sign(model.margin(record.features))
+            if answer == label:
+                members.append(record.entity_id)
+        return members, classified
 
     def _score_scan(
         self, model: LinearModel, records: Iterable[EntityRecord]

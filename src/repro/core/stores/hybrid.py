@@ -21,6 +21,7 @@ from repro.core.stores.base import EntityRecord, EntityStore
 from repro.core.stores.ondisk import OnDiskEntityStore
 from repro.db.buffer_pool import BufferPool, IOStatistics
 from repro.db.costmodel import CostModel
+from repro.db.types import KeyRange
 from repro.exceptions import ConfigurationError
 from repro.learn.model import LinearModel
 from repro.linalg import SparseVector
@@ -141,6 +142,17 @@ class HybridEntityStore(EntityStore):
         self, low: float | None = None, high: float | None = None
     ) -> Iterator[EntityRecord]:
         return self.disk.scan_eps(low, high)
+
+    def lazy_members(
+        self,
+        label: int,
+        model: LinearModel,
+        run: tuple[float | None, float | None] | None,
+        band: tuple[float, float] | None,
+        key_range: KeyRange | None = None,
+    ) -> tuple[list[object], int]:
+        """The disk component's page-at-a-time read: a run is a walk of its eps index."""
+        return self.disk.lazy_members(label, model, run, band, key_range)
 
     # -- writes -------------------------------------------------------------------------------------
 

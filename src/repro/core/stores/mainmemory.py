@@ -18,8 +18,8 @@ scored by one call of :func:`repro.linalg.kernels.sparse_margins` against the
 model's dense weight array as it is, bit-identical to ``LinearModel.margin``
 on every row, and charged to the ledger exactly as the per-tuple loop charged
 it (:meth:`IOStatistics.charge_interleaved`) — when the slice is worth a
-kernel call (:data:`KERNEL_NONZEROS_PER_ROW`); a smaller one takes the scalar
-loop over the records.  Its invariants:
+kernel call (:data:`~repro.core.stores.base.KERNEL_NONZEROS_PER_ROW`); a
+smaller one takes the scalar loop over the records.  Its invariants:
 
 * Rows sit in *slot* order — the order the records entered ``_records`` — and
   each keeps its vector's stored order, which is the summation order of the
@@ -34,18 +34,27 @@ loop over the records.  Its invariants:
   does ``insert`` once they outnumber the live ones.
 * The label column follows ``record.label`` (``update_label``, ``insert``,
   ``reorganize``): a relabel pass compares labels without touching the band's
-  Python objects, and an All Members read (``stored_members``) answers from
-  it with one mask over its eps slice.  Point reads answer from the records.
+  Python objects, and an eager All Members read (``stored_members``) answers
+  from it with one mask over its eps slice.  Point reads answer from the
+  records.
 * Only the write path writes it (bulk load, insert, delete, relabel,
   reorganize — under the server's write lock when served).  A read that uses
   it (``top_k``, All Members) captures the clustering once, as every scan
   does.
+
+**The lazy read** (``lazy_members``) bisects the run and the water band in
+the clustering: the ids below low water and above high water are slices of
+it, answered by position, and the band is scored through the mirror like any
+other slice.  A clustering that holds a NaN eps is not sorted, so its lazy
+read takes the inherited loop.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 from collections.abc import Collection, Iterable, Iterator, Sequence
+from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
@@ -53,32 +62,13 @@ import numpy as np
 from repro.core.stores.base import EntityRecord, EntityStore
 from repro.db.buffer_pool import IOStatistics
 from repro.db.costmodel import CostModel
+from repro.db.types import KeyRange
 from repro.exceptions import DuplicateKeyError, KeyNotFoundError
-from repro.learn.model import LinearModel
+from repro.learn.model import LinearModel, sign
 from repro.linalg import SparseVector
 from repro.linalg.kernels import flatten, sparse_margins
 
-__all__ = ["InMemoryEntityStore", "KERNEL_NONZEROS_PER_ROW"]
-
-#: The kernel/scalar size rule: a run of ``rows`` tuples is scored by the
-#: kernel when ``rows * KERNEL_NONZEROS_PER_ROW >= max(nnz(w), dimension)`` —
-#: when the slice holds at least about as many non-zeros as the weight array
-#: has cells.  The model already is that array (zero-padded only when the
-#: store's ``dimension`` reaches past it).  The kernel costs a fixed set of
-#: NumPy calls per slice, the scalar loop one ``LinearModel.margin`` per tuple
-#: (a gather and an accumulate, ~3 us at 40 non-zeros).  Measured with
-#: ``perf/run.py`` on one pinned CPU of a 2-CPU container, ten alternating
-#: pairs each: ``feedback_eager`` and ``wire_reads`` (bands of ~1,700 tuples x
-#: ~18 non-zeros against a 1,900-wide model) sit far on the kernel side;
-#: ``durable_writes`` (bands of ~15 tuples per shard) sits on the scalar side,
-#: and forcing the kernel there (the constant set to infinity) made
-#: ``core.apply_model_ms`` 0.123 -> 0.171 ms (slower in 9 of 10 traced pairs)
-#: and ``write_visible_p50_ms`` 0.86 -> 1.03 ms (8 of 10 untraced pairs).  The
-#: ``dimension`` half keeps the zero-padded weight array within 16 cells a
-#: scored tuple, however far a stored index reaches.  Both sides produce the
-#: same bits and the same ledger, which ``tests/core/test_operation_ledger.py``
-#: pins by forcing each.
-KERNEL_NONZEROS_PER_ROW = 16
+__all__ = ["InMemoryEntityStore"]
 
 
 class _FeatureMirror:
@@ -154,6 +144,10 @@ class _Clustering(NamedTuple):
     eps: list[float]
     rows: np.ndarray  #: their mirror rows
     mirror: _FeatureMirror
+    #: No stored eps is NaN, so ``eps`` is sorted and a bisection around the
+    #: water band answers the lazy classifier's two comparisons.  A NaN makes
+    #: it False until the next recluster.
+    nan_free: bool = True
 
     def bounds(self, band: tuple[float | None, float | None] | None) -> tuple[int, int]:
         """Positions ``[start, stop)`` of the tuples with ``low <= eps <= high``."""
@@ -168,22 +162,24 @@ class _Clustering(NamedTuple):
 
     def inserted(self, position: int, entity_id: object, eps: float, row: int) -> _Clustering:
         """A copy with one more tuple at ``position``, whose mirror row is ``row``."""
-        ids, order_eps, rows, mirror = self
+        ids, order_eps, rows, mirror, nan_free = self
         return _Clustering(
             ids[:position] + [entity_id] + ids[position:],
             order_eps[:position] + [eps] + order_eps[position:],
             np.concatenate((rows[:position], [row], rows[position:]), dtype=rows.dtype),
             mirror,
+            nan_free and not math.isnan(eps),
         )
 
     def removed(self, position: int) -> _Clustering:
         """A copy without the tuple at ``position`` (its mirror row stays behind, dead)."""
-        ids, order_eps, rows, mirror = self
+        ids, order_eps, rows, mirror, nan_free = self
         return _Clustering(
             ids[:position] + ids[position + 1 :],
             order_eps[:position] + order_eps[position + 1 :],
             np.concatenate((rows[:position], rows[position + 1 :])),
             mirror,
+            nan_free,
         )
 
 
@@ -211,16 +207,6 @@ class InMemoryEntityStore(EntityStore):
         self._records: dict[object, EntityRecord] = {}
         self._clustering = _Clustering([], [], np.zeros(0, np.int32), _FeatureMirror([], cost_model))
         self._label_counts: dict[int, int] = {1: 0, -1: 0}
-        #: One more than the largest feature index ever stored.
-        self._dimension = 0
-
-    def _observe_features(self, features: SparseVector) -> None:
-        super()._observe_features(features)
-        self._dimension = max(self._dimension, features.max_index() + 1)
-
-    def _kernel_pays(self, rows: int, model: LinearModel) -> bool:
-        """The size rule of :data:`KERNEL_NONZEROS_PER_ROW` for a run of ``rows`` tuples."""
-        return rows * KERNEL_NONZEROS_PER_ROW >= max(model.weights.nnz(), self._dimension, 1)
 
     # -- lifecycle -----------------------------------------------------------------------
 
@@ -292,7 +278,7 @@ class InMemoryEntityStore(EntityStore):
         """Score every record under ``model``, store eps and label, publish the clustering.
 
         ``mirror`` holds exactly the records' rows, in slot order.  The kernel
-        scores them when the table is worth it (:data:`KERNEL_NONZEROS_PER_ROW`),
+        scores them when the table is worth it (the size rule, ``_kernel_pays``),
         the scalar loop otherwise; both are charged per tuple as one dot
         product, then one tuple write.  The label counts start over.
         """
@@ -335,25 +321,28 @@ class InMemoryEntityStore(EntityStore):
         """
         records = list(self._records.values())
         eps = [record.eps for record in records]  # the records' own float objects
-        order = np.argsort(np.array(eps, dtype=np.float64), kind="stable")
+        keys = np.array(eps, dtype=np.float64)
+        order = np.argsort(keys, kind="stable")
         positions = order.tolist()
         self._clustering = _Clustering(
             [records[position].entity_id for position in positions],
             [eps[position] for position in positions],
             order.astype(np.int32),
             mirror,
+            not np.isnan(keys).any(),
         )
 
     def _compact(self) -> None:
         """Publish the clustering over a mirror of the live records only, order unchanged."""
         records = self._records
         row_of = dict(zip(records, range(len(records))))
-        ids, order_eps, _, _ = self._clustering
+        ids, order_eps, _, _, nan_free = self._clustering
         self._clustering = _Clustering(
             ids,
             order_eps,
             np.array([row_of[entity_id] for entity_id in ids], dtype=np.int32),
             _FeatureMirror(records.values(), self.cost_model),
+            nan_free,
         )
 
     # -- reads -------------------------------------------------------------------------------
@@ -418,20 +407,82 @@ class InMemoryEntityStore(EntityStore):
         return ids, mirror.labels.take(rows), margins
 
     def stored_members(
-        self, label: int, band: tuple[float | None, float | None] | None
+        self,
+        label: int,
+        run: tuple[float | None, float | None] | None,
+        key_range: KeyRange | None = None,
     ) -> tuple[list[object], int]:
         """The slice's ids whose label is ``label``: one mask over the mirror's label column.
 
         Same answer (eps order) and same ledger as the inherited scan loop.
         """
         clustering = self._clustering
-        start, stop = clustering.bounds(band)
+        start, stop = clustering.bounds(run)
         ids = clustering.ids[start:stop]
         kept = clustering.mirror.labels.take(clustering.rows[start:stop]) == label
         members = [ids[position] for position in np.flatnonzero(kept).tolist()]
         self.stats.tuples_read += len(ids)
         self.stats.charge_interleaved(("tuple_read", np.full(len(ids), self.cost_model.tuple_cpu)))
-        return members, len(ids)
+        if key_range is None:
+            return members, len(ids)
+        return [i for i in members if key_range.contains(i)], sum(map(key_range.contains, ids))
+
+    def lazy_members(
+        self,
+        label: int,
+        model: LinearModel,
+        run: tuple[float | None, float | None] | None,
+        band: tuple[float, float] | None,
+        key_range: KeyRange | None = None,
+    ) -> tuple[list[object], int]:
+        """The run bisected around the water band: the ids beyond it as slices, the band scored.
+
+        The band is scored through the feature mirror as :meth:`score` scores
+        a slice.  Same answer (eps order) and same ledger as the inherited
+        loop, which still serves a clustering holding a NaN eps (a bisection
+        there would not answer the classifier's comparisons).
+        """
+        clustering, records = self._clustering, self._records
+        if not clustering.nan_free:
+            return super().lazy_members(label, model, run, band, key_range)
+        start, stop = clustering.bounds(run)
+        below, above = start, stop  # no band: every tuple of the run is scored
+        if band is not None:
+            low, high = band
+            above = bisect.bisect_right(clustering.eps, high, start, stop)
+            below = bisect.bisect_left(clustering.eps, low, start, above)
+        negatives = clustering.ids[start:below]
+        scored = clustering.ids[below:above]
+        positives = clustering.ids[above:stop]
+        rows = clustering.rows[below:above]
+        charges = clustering.mirror.charges.take(rows)
+        if key_range is not None:
+            contains = key_range.contains
+            kept = np.fromiter(map(contains, scored), dtype=bool, count=len(scored))
+            charges = np.where(kept, charges, 0.0)  # a tuple read and dropped is not scored
+            rows = rows[kept]
+            scored = list(compress(scored, kept))
+            negatives = list(filter(contains, negatives))
+            positives = list(filter(contains, positives))
+        if self._kernel_pays(len(scored), model):
+            margins = clustering.mirror.margins(rows, model, self._dimension)
+            labels = np.where(margins >= 0.0, 1, -1).tolist()  # sign(): NaN is negative
+        else:
+            labels = list(map(sign, model.margins(records[i].features for i in scored)))
+        in_band = [entity_id for entity_id, answer in zip(scored, labels) if answer == label]
+        members = negatives + in_band if label == -1 else in_band + positives
+        dots = np.zeros(stop - start)  # the run's dot-product charges, in eps order
+        dots[below - start : above - start] = charges
+        self.stats.tuples_read += stop - start
+        self.stats.dot_products += len(scored)
+        tuple_cpu = self.cost_model.tuple_cpu
+        if scored:
+            # A zero adds nothing to a fold of non-negative costs: the ledger
+            # is the per-tuple loop's, dropped tuples included.
+            self.stats.charge_interleaved(("tuple_read", tuple_cpu), ("dot_product", dots))
+        else:
+            self.stats.charge_interleaved(("tuple_read", np.full(stop - start, tuple_cpu)))
+        return members, len(negatives) + len(scored) + len(positives)
 
     # -- writes ---------------------------------------------------------------------------------
 

@@ -6,11 +6,21 @@ database's buffer pool.  At each reorganization the heap is rewritten in
 B+-tree over ``eps`` is rebuilt, so scans of the water band touch only the few
 contiguous pages that hold it.  A hash index on the entity id serves Single
 Entity reads.
+
+The lazy All Members and key-range read (``lazy_members``) is one walk of
+the eps B+-tree and one buffer-pool fetch per heap page, in the scan's
+page/slot order, so the pool sees exactly the hits, misses and evictions of
+a read per tuple.  Rows beyond the water band are answered by position; the
+band's vectors are collected and scored together — one kernel call when the
+size rule says the run pays — and the ledger is charged in scan order.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Iterator
+
+import numpy as np
 
 from repro.core.stores.base import EntityRecord, EntityStore
 from repro.db.btree import BPlusTree
@@ -19,12 +29,16 @@ from repro.db.costmodel import CostModel
 from repro.db.hash_index import HashIndex
 from repro.db.heap import HeapFile
 from repro.db.page import RecordId
-from repro.db.types import estimate_value_size
+from repro.db.types import KeyRange, estimate_value_size
 from repro.exceptions import DuplicateKeyError, KeyNotFoundError
 from repro.learn.model import LinearModel
 from repro.linalg import SparseVector
+from repro.linalg.kernels import flatten, sparse_margins
 
 __all__ = ["OnDiskEntityStore"]
+
+#: Marks a band tuple in a lazy read's answer list that scored outside the class.
+_NOT_A_MEMBER = object()
 
 
 def _row_size(row: dict[str, object]) -> int:
@@ -156,21 +170,120 @@ class OnDiskEntityStore(EntityStore):
         for _, row in self.heap.scan():
             yield self._record_from_row(row)
 
-    def _scan_rids(self, rids: Iterable[RecordId]) -> Iterator[EntityRecord]:
-        """Read a set of record ids page-by-page so each page is fetched once."""
-        by_page: dict[int, list[RecordId]] = {}
-        for rid in rids:
-            by_page.setdefault(rid.page_id, []).append(rid)
-        for page_id in sorted(by_page):
-            for rid in sorted(by_page[page_id], key=lambda r: r.slot):
-                yield self._record_from_row(self.heap.read(rid, sequential=True))
+    def _eps_slots(self, low: float | None, high: float | None) -> list[tuple[int, list[int]]]:
+        """``(page id, slots)`` holding ``low <= eps <= high``: one walk of the eps index.
+
+        Grouped by page, pages and slots ascending, so a scan fetches each page once.
+        """
+        by_page: dict[int, list[int]] = {}
+        for _, rid in self.eps_index.range_scan(low, high):
+            by_page.setdefault(rid.page_id, []).append(rid.slot)
+        return [(page_id, sorted(by_page[page_id])) for page_id in sorted(by_page)]
+
+    def _read_slots(self, pages: list[tuple[int, list[int]]]) -> Iterator[EntityRecord]:
+        for page_id, slots in pages:
+            for slot in slots:
+                row = self.heap.read(RecordId(page_id, slot), sequential=True)
+                yield self._record_from_row(row)
 
     def scan_eps(
         self, low: float | None = None, high: float | None = None
     ) -> Iterator[EntityRecord]:
         """Range walk of the clustered B+-tree, then the heap pages it points at."""
-        rids = [rid for _, rid in self.eps_index.range_scan(low, high)]
-        return self._scan_rids(rids)
+        return self._read_slots(self._eps_slots(low, high))
+
+    def _page_rows(
+        self, run: tuple[float | None, float | None] | None
+    ) -> Iterator[list[dict[str, object]]]:
+        """The rows of one run, a list per heap page in :meth:`scan`'s order.
+
+        The tuple reads are left to the caller to charge.
+        """
+        if run is None:
+            yield from self.heap.page_rows()
+            return
+        for page_id, slots in self._eps_slots(*run):
+            yield self.heap.read_slots(page_id, slots)
+
+    def lazy_members(
+        self,
+        label: int,
+        model: LinearModel,
+        run: tuple[float | None, float | None] | None,
+        band: tuple[float, float] | None,
+        key_range: KeyRange | None = None,
+    ) -> tuple[list[object], int]:
+        """A page at a time: rows beyond the water band by position, the band scored at once.
+
+        Same answer (scan order) and same ledger as the inherited loop.  Each
+        page is fetched where the loop's first read of it was, its other rows
+        are the buffer hits the loop's reads scored, and each page's tuple
+        reads and dot products are added to the clock right after its fetch,
+        in scan order — the loop's additions, one by one.  The band's vectors
+        are scored together: by the kernel when the size rule, given the
+        band's non-zero count, says the run pays, else by the scalar margin.
+        """
+        low, high = band if band is not None else (-math.inf, math.inf)
+        stats, detail = self.stats, self.stats.detail
+        tuple_cpu = self.cost_model.tuple_cpu
+        dot_costs: dict[int, float] = {}  # by non-zero count: the charge_dot_product amounts
+        read_total = detail.get("tuple_read", 0.0)
+        dot_total = detail.get("dot_product", 0.0)
+        answers: list[object] = []  # members by position, and every band tuple
+        band_positions: list[int] = []  # where in ``answers`` each band tuple sits
+        band_vectors: list[SparseVector] = []
+        reads = classified = band_nonzeros = 0
+        for rows in self._page_rows(run):
+            reads += len(rows)
+            seconds = stats.simulated_seconds
+            for row in rows:
+                seconds += tuple_cpu
+                read_total += tuple_cpu
+                entity_id = row["id"]
+                if key_range is not None and not key_range.contains(entity_id):
+                    continue
+                classified += 1
+                eps = row["eps"]
+                if eps > high:
+                    if label == 1:
+                        answers.append(entity_id)
+                elif eps < low:
+                    if label == -1:
+                        answers.append(entity_id)
+                else:
+                    vector = row["features"]
+                    nonzeros = vector.nnz()
+                    band_nonzeros += nonzeros
+                    cost = dot_costs.get(nonzeros)
+                    if cost is None:
+                        cost = dot_costs[nonzeros] = self.cost_model.dot_product_cost(nonzeros)
+                    seconds += cost
+                    dot_total += cost
+                    band_positions.append(len(answers))
+                    answers.append(entity_id)
+                    band_vectors.append(vector)
+            stats.simulated_seconds = seconds
+        stats.tuples_read += reads
+        if reads:
+            detail["tuple_read"] = read_total
+        if not band_vectors:
+            return answers, classified
+        stats.dot_products += len(band_vectors)
+        detail["dot_product"] = dot_total
+        if self._kernel_pays(len(band_vectors), model, band_nonzeros):
+            indptr, indices, values = flatten(band_vectors, np.int32)
+            everyone = np.arange(len(band_vectors))
+            margins = sparse_margins(
+                indptr, indices, values, everyone, model.weights.array, model.bias, self._dimension
+            )
+            positive = (margins >= 0.0).tolist()  # sign(): NaN is negative
+        else:
+            positive = [margin >= 0.0 for margin in model.margins(band_vectors)]
+        wanted = label == 1
+        for position, answer in zip(band_positions, positive):
+            if answer != wanted:
+                answers[position] = _NOT_A_MEMBER
+        return [entity_id for entity_id in answers if entity_id is not _NOT_A_MEMBER], classified
 
     # -- writes -------------------------------------------------------------------------------------
 

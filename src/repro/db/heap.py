@@ -91,6 +91,24 @@ class HeapFile:
         self.pool.stats.charge(self.pool.cost_model.tuple_cpu, "tuple_read")
         return page.read(rid.slot)
 
+    def read_slots(self, page_id: int, slots: list[int]) -> list[dict[str, object]]:
+        """The rows at ``slots`` (ascending) of one page, fetched once, sequentially.
+
+        The ledger is what one :meth:`read` per slot leaves *except* the tuple
+        reads, which the caller charges in its own order: the first read's
+        fetch, then a buffer hit for each further one (the page is the most
+        recently used by then).
+        """
+        page = self.pool.fetch(page_id, sequential=True)
+        self.pool.stats.buffer_hits += len(slots) - 1
+        return page.read_slots(slots)
+
+    def page_rows(self) -> Iterator[list[dict[str, object]]]:
+        """Every live row, a list per page in physical order: :meth:`scan` less its tuple reads."""
+        for page_id in self._page_ids:
+            page = self.pool.fetch(page_id, sequential=True)
+            yield [row for _, row in page.rows()]
+
     def scan(self) -> Iterator[tuple[RecordId, dict[str, object]]]:
         """Full sequential scan in physical order."""
         for page_id in self._page_ids:

@@ -80,6 +80,17 @@ class Page:
             raise PageError(f"slot {slot} of page {self.page_id} is deleted")
         return row
 
+    def read_slots(self, slots: list[int]) -> list[dict[str, object]]:
+        """:meth:`read` of each of ``slots`` (ascending), in one call; raises as it does."""
+        if slots:
+            self._check_slot(slots[0])
+            self._check_slot(slots[-1])
+        stored = self._slots
+        rows = [stored[slot] for slot in slots]
+        if None in rows:
+            raise PageError(f"slot {slots[rows.index(None)]} of page {self.page_id} is deleted")
+        return rows
+
     def update(self, slot: int, row: dict[str, object], row_size: int) -> None:
         """Replace the row at ``slot`` in place (the paper's in-place-update UDF)."""
         self._check_slot(slot)

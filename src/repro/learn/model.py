@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 from repro.learn.weights import Weights
 from repro.linalg import SparseVector, p_norm
+from repro.linalg.vectors import dot_weights_each
 
 __all__ = ["LinearModel", "sign"]
 
@@ -53,7 +54,8 @@ class LinearModel:
     def margins(self, vectors: Iterable[SparseVector]) -> list[float]:
         """:meth:`margin` of each vector in turn — the scalar loop the batched
         kernels of :mod:`repro.linalg.kernels` reproduce bit for bit."""
-        return [self.margin(features) for features in vectors]
+        bias = self.bias
+        return [dot - bias for dot in dot_weights_each(vectors, self.weights.array)]
 
     def predict(self, features: SparseVector) -> int:
         """Return the label ``sign(w · f - b)`` in ``{-1, +1}``."""

@@ -27,7 +27,7 @@ import numpy.typing as npt
 
 from repro.exceptions import ConfigurationError
 
-__all__ = ["SparseVector", "dot", "to_dense", "to_sparse"]
+__all__ = ["SparseVector", "dot", "dot_weights_each", "to_dense", "to_sparse"]
 
 # Smallest positive normal double: naive power sums below this (or non-finite
 # ones) have lost precision to subnormal underflow or overflow and are redone
@@ -174,8 +174,13 @@ class SparseVector:
         the first product, and ``0.0 +`` its last partial sum is what starting
         from ``0.0`` gives (the two differ only in a zero's sign).  Not
         ``np.sum`` / ``np.dot``, which add pairwise.  The decorator form of
-        ``np.errstate`` costs a fraction of the ``with`` form.
+        ``np.errstate`` costs a fraction of the ``with`` form;
+        :func:`dot_weights_each` enters it once for a run of vectors.
         """
+        return self._fold_weights(weights)
+
+    def _fold_weights(self, weights: npt.NDArray[Any]) -> float:
+        """The fold of :meth:`dot_weights`, under whatever ``errstate`` the caller holds."""
         if not len(self._values):
             return 0.0
         size = weights.shape[0]
@@ -320,6 +325,12 @@ def to_dense(vector: SparseVector | npt.NDArray[Any], dimension: int) -> npt.NDA
         result[: min(dimension, vector.shape[0])] = vector[: min(dimension, vector.shape[0])]
         return result
     return vector.to_dense(dimension)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def dot_weights_each(vectors: Iterable[SparseVector], weights: npt.NDArray[Any]) -> list[float]:
+    """:meth:`SparseVector.dot_weights` of each vector: the same floats, one ``errstate``."""
+    return [vector._fold_weights(weights) for vector in vectors]
 
 
 def dot(left: SparseVector | npt.NDArray[Any], right: SparseVector | npt.NDArray[Any]) -> float:

@@ -17,8 +17,8 @@ from repro.core.stores import (
     HybridEntityStore,
     InMemoryEntityStore,
     OnDiskEntityStore,
-    mainmemory,
 )
+from repro.core.stores.base import EntityStore
 from repro.core.view import view_contents
 from repro.db.buffer_pool import BufferPool, IOStatistics
 from repro.db.costmodel import CostModel
@@ -281,7 +281,9 @@ class TestAllMembersFromTheSlice:
     def force_size_rule(monkeypatch, kernel):
         if kernel is not None:
             monkeypatch.setattr(
-                mainmemory, "KERNEL_NONZEROS_PER_ROW", float("inf") if kernel else 0
+                EntityStore,
+                "_kernel_pays",
+                lambda store, rows, model, nonzeros=None: kernel and rows > 0,
             )
 
     @pytest.mark.parametrize("approach", ["eager", "lazy"])

@@ -14,10 +14,11 @@ When a change is *meant* to move the ledger, regenerate the golden values with
 ``PYTHONPATH=src python tests/core/test_operation_ledger.py --record`` and say
 in the PR which tags moved and why.
 
-The main-memory store scores a run either through its feature mirror and the
-batched kernel or through the scalar loop, by a size rule; the *differential*
-test at the bottom drives the same stream with the rule forced each way and
-requires the two sides to agree on everything, stored ``eps`` included.
+A store scores a run either through the batched kernel (the main-memory
+store's feature mirror, or a lazy read's band on disk) or through the scalar
+loop, by a size rule; the *differential* test at the bottom drives the same
+stream through every cell with the rule forced each way and requires the two
+sides to agree on everything, stored ``eps`` included.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ import pytest
 
 from repro.bench.harness import build_store
 from repro.core.maintainers import MAINTAINERS, build_maintainer
-from repro.core.stores import ARCHITECTURES, mainmemory
+from repro.core.stores import ARCHITECTURES, mainmemory, ondisk
+from repro.core.stores.base import EntityStore
 from repro.db.costmodel import CostModel
 from repro.db.types import KeyRange
 from repro.learn.sgd import SGDTrainer, TrainingExample
@@ -186,38 +188,61 @@ def test_stream_exercises_what_it_claims(cell, golden):
         assert float(maintenance["average_band_size"]) > 0.0
 
 
+#: The module each architecture's batched scoring calls the kernel from.
+KERNEL_CALLERS = {"mainmemory": mainmemory, "ondisk": ondisk, "hybrid": ondisk}
+
+#: ``EntityStore._kernel_pays`` forced each way: every non-empty run, or none.
+FORCED_SIZE_RULES = {
+    "kernel": lambda store, rows, model, nonzeros=None: rows > 0,
+    "scalar": lambda store, rows, model, nonzeros=None: False,
+}
+
+
+@pytest.mark.parametrize("approach", ["eager", "lazy"])
+@pytest.mark.parametrize("architecture", ARCHITECTURES)
 @pytest.mark.parametrize("strategy", ["hazy", "naive"])
-def test_kernel_and_scalar_scoring_leave_the_same_ledger(strategy, monkeypatch):
-    """Main-memory eager, size rule forced to "always kernel" and to "never kernel".
+def test_kernel_and_scalar_scoring_leave_the_same_ledger(
+    strategy, architecture, approach, monkeypatch
+):
+    """Size rule forced to "always kernel" and to "never kernel", in every cell.
 
     Every answer, every stored ``eps``, the simulated clock after every step,
     the per-tag totals, the I/O counters and the band history must be equal —
-    with entity inserts and deletes between the updates, and (Hazy) several
-    reorganizations on each side.  The constant is patched here, in the test:
-    it is not an option.
+    with entity inserts and deletes between the updates, and (Hazy, main
+    memory) several reorganizations on each side.  The eager cells score a
+    relabel pass (main memory only: the disk stores relabel through the scan
+    loop), the lazy cells every All Members and key-range read's band.  The
+    rule is patched here, in the test: it is not an option.
     """
     kernel_calls = []
-    real_kernel = mainmemory.sparse_margins
+    caller = KERNEL_CALLERS[architecture]
+    real_kernel = caller.sparse_margins
 
     def counting_kernel(*args):
         kernel_calls.append(len(args[3]))
         return real_kernel(*args)
 
-    monkeypatch.setattr(mainmemory, "sparse_margins", counting_kernel)
+    monkeypatch.setattr(caller, "sparse_margins", counting_kernel)
     sides = {}
-    for side, nonzeros_per_row in (("kernel", float("inf")), ("scalar", 0)):
-        monkeypatch.setattr(mainmemory, "KERNEL_NONZEROS_PER_ROW", nonzeros_per_row)
+    for side, rule in FORCED_SIZE_RULES.items():
+        monkeypatch.setattr(EntityStore, "_kernel_pays", rule)
         kernel_calls.clear()
-        sides[side] = run_stream("mainmemory", strategy, "eager")
+        sides[side] = run_stream(architecture, strategy, approach)
+        maintenance = sides[side]["maintenance"]
         if side == "scalar":
             assert not kernel_calls
-        else:
+        elif approach == "lazy":
+            # Most member reads score a non-empty band (all of them, naive).
+            reads = maintenance["all_member_reads"] + maintenance["range_reads"]
+            assert len(kernel_calls) >= reads // 2
+        elif architecture == "mainmemory":
             # Every relabel pass that touched a tuple, and every reorganization.
-            maintenance = sides[side]["maintenance"]
             assert len(kernel_calls) >= maintenance["updates"] // 2
             assert sum(kernel_calls) >= maintenance["tuples_reclassified"]
-        if strategy == "hazy":
-            assert sides[side]["maintenance"]["reorganizations"] >= 1
+        else:
+            assert not kernel_calls
+        if strategy == "hazy" and architecture == "mainmemory":
+            assert maintenance["reorganizations"] >= 1
     assert sides["kernel"] == sides["scalar"]
 
 

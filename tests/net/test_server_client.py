@@ -170,6 +170,15 @@ class TestSessions:
             ).fetchone()
             assert row is not None
 
+    def test_a_ranked_read_of_zero_rows_crosses_as_no_rows(self, served_server):
+        """``ORDER BY margin DESC LIMIT 0`` on a served view used to come back
+        as an ``InternalError`` (a raw ``IndexError`` on every shard)."""
+        server, _, _ = served_server
+        ranked = "SELECT id, margin FROM labeled_papers ORDER BY margin DESC LIMIT {}"
+        with connect(server.host, server.port, timeout=TEST_TIMEOUT_S) as client:
+            assert client.execute(ranked.format(0)).fetchall() == []
+            assert len(client.execute(ranked.format(2)).fetchall()) == 2
+
     def test_connections_have_independent_prepared_caches(self, server):
         with connect(server.host, server.port, timeout=TEST_TIMEOUT_S) as first:
             with connect(server.host, server.port, timeout=TEST_TIMEOUT_S) as second:

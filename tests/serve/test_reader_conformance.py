@@ -105,6 +105,7 @@ def test_every_reader_answers_every_read_like_view_contents(conn, name):
         ]
         ranked = sorted(margins.items(), key=lambda pair: pair[1], reverse=label == 1)[:5]
         assert reader.top_k(5, label) == ranked
+        assert reader.top_k(0, label) == []
     assert set(answered) | {"all_members", "range_scan", "top_k"} == set(READS)
 
 
@@ -193,6 +194,15 @@ class TestRankedReadNeedsNoServer:
             assert plain.execute(self.SQL).fetchall() == unserved
             plain.execute("STOP SERVING labeled")
         assert plain.execute(self.SQL).fetchall() == unserved
+
+    def test_a_limit_of_zero_is_no_rows_served_or_not(self, plain):
+        """``LIMIT 0`` used to reach an empty heap and raise a raw ``IndexError``."""
+        zero = self.SQL.replace("LIMIT 5", "LIMIT 0")
+        assert plain.execute(zero).fetchall() == []
+        for shards in (1, 2):
+            plain.execute(f"SERVE VIEW labeled WITH (shards = {shards})")
+            assert plain.execute(zero).fetchall() == []
+            plain.execute("STOP SERVING labeled")
 
     def test_unserved_plan_is_priced(self, plain):
         leaf = plain.execute(f"EXPLAIN {self.SQL}").fetchall()[-1]
