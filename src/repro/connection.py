@@ -495,7 +495,6 @@ def connect(
     cost_model: CostModel | None = None,
     buffer_pool_pages: int | None = None,
     observability: Observability | None = None,
-    execution_mode: str | None = None,
     registry: FeatureFunctionRegistry | None = None,
     architecture: str | None = None,
     strategy: str | None = None,
@@ -523,10 +522,7 @@ def connect(
     for the new database (e.g. ``Observability(enabled=False)`` for the no-op
     path, or a custom ``slow_query_seconds`` threshold); connections opened
     over an existing ``engine=``/``database=`` share that database's context,
-    reachable as ``conn.database.obs``.  ``execution_mode=`` sets the new
-    database's execution mode: ``"batched"`` (default) runs the plan
-    operators over full columnar chunks, ``"row"`` runs the same operators
-    one row per chunk plus a modelled per-tuple dispatch charge.
+    reachable as ``conn.database.obs``.
 
     Connections and cursors are context managers::
 
@@ -540,14 +536,9 @@ def connect(
                 "connect(database=..., engine=...) requires the engine to be "
                 "attached to that same database"
             )
-        if (
-            cost_model is not None
-            or buffer_pool_pages is not None
-            or observability is not None
-            or execution_mode is not None
-        ):
+        if cost_model is not None or buffer_pool_pages is not None or observability is not None:
             raise ConfigurationError(
-                "cost_model/buffer_pool_pages/observability/execution_mode "
+                "cost_model/buffer_pool_pages/observability "
                 "configure a new database; they cannot be combined with engine="
             )
         if (
@@ -568,16 +559,10 @@ def connect(
             cost_model=cost_model,
             buffer_pool_pages=buffer_pool_pages,
             observability=observability,
-            execution_mode=execution_mode if execution_mode is not None else "batched",
         )
-    elif (
-        cost_model is not None
-        or buffer_pool_pages is not None
-        or observability is not None
-        or execution_mode is not None
-    ):
+    elif cost_model is not None or buffer_pool_pages is not None or observability is not None:
         raise ConfigurationError(
-            "cost_model/buffer_pool_pages/observability/execution_mode "
+            "cost_model/buffer_pool_pages/observability "
             "configure a new database; they cannot be combined with database="
         )
     engine = HazyEngine(

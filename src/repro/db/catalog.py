@@ -99,10 +99,6 @@ class Catalog:
             raise CatalogError(f"no index named {name!r}")
         return self._tables[table_key]
 
-    def index_names(self) -> list[str]:
-        """Sorted secondary-index names."""
-        return sorted(self._indexes)
-
     # -- classification views -------------------------------------------------------------
 
     def register_classification_view(self, name: str, view: object) -> None:
@@ -126,10 +122,6 @@ class Catalog:
         if view is None:
             raise CatalogError(f"no classification view named {name!r}")
         return view
-
-    def has_classification_view(self, name: str) -> bool:
-        """Whether a classification view with this name exists."""
-        return name.lower() in self._classification_views
 
     # -- system tables ---------------------------------------------------------------------
 
@@ -165,15 +157,3 @@ class Catalog:
         if key in self._system_tables:
             return "system_table"
         return None
-
-    def resolve(self, name: str) -> object:
-        """Return whichever catalog object (table/classification view/system
-        table) matches."""
-        key = name.lower()
-        if key in self._tables:
-            return self._tables[key]
-        if key in self._classification_views:
-            return self._classification_views[key]
-        if key in self._system_tables:
-            return self._system_tables[key]
-        raise CatalogError(f"no catalog object named {name!r}")

@@ -21,6 +21,9 @@ __all__ = ["CostModel"]
 class CostModel:
     """Per-operation simulated costs, all in seconds.
 
+    SQL plan operators add no charge of their own: a query costs the storage
+    operations its plan performs.
+
     Attributes
     ----------
     random_page_read / random_page_write:
@@ -51,16 +54,6 @@ class CostModel:
         Per-statement RDBMS overhead for point queries (parsing, planning,
         trigger dispatch); this is what bounds the main-memory Single Entity
         read rate at ~14k reads/s as in Figure 5.
-    row_interpret_cpu:
-        Modelled per-tuple *interpretation* overhead of row-at-a-time
-        operator execution — the virtual dispatch, per-row branching and
-        per-value boxing a Volcano-style iterator pays on every tuple at
-        every operator.  Charged (in ``PlanNode.execute``, from the row
-        counts the runtime records) only when a database runs in the explicit
-        ``"row"`` execution mode, which is the one operator set run at one
-        row per chunk; the default batched mode amortizes this dispatch over
-        whole chunks, which is exactly the vectorized-execution argument
-        (MonetDB/X100) and is modeled as zero extra cost per tuple.
     """
 
     random_page_read: float = 5e-3
@@ -73,7 +66,6 @@ class CostModel:
     sort_per_tuple_factor: float = 4e-7
     model_update: float = 1e-4
     statement_overhead: float = 7e-5
-    row_interpret_cpu: float = 6e-7
     page_size_bytes: int = 8192
     extra: dict[str, float] = field(default_factory=dict)
 

@@ -32,14 +32,9 @@ class Database:
         database shares (metrics registry, trace ring, slow-query log).
         Default constructs an enabled one; pass
         ``Observability(enabled=False)`` for the zero-overhead null path.
-    execution_mode:
-        There is one set of plan operators, all speaking the columnar
-        ``Chunk`` protocol.  ``"batched"`` (default) runs them at
-        ``DEFAULT_CHUNK_ROWS`` rows per chunk; ``"row"`` runs the same
-        operators at one row per chunk and additionally charges the modelled
-        ``row_interpret_cpu`` per tuple per operator (Volcano-style dispatch
-        overhead).  Both modes produce identical rows and identical storage
-        charges.
+
+    There is one SQL executor: the plan operators of
+    :mod:`repro.db.sql.plan`, all speaking the columnar ``Chunk`` protocol.
 
     Examples
     --------
@@ -56,11 +51,7 @@ class Database:
         cost_model: CostModel | None = None,
         buffer_pool_pages: int | None = None,
         observability: Observability | None = None,
-        execution_mode: str = "batched",
     ):
-        if execution_mode not in ("batched", "row"):
-            raise ValueError(f"unknown execution_mode {execution_mode!r}; use 'batched' or 'row'")
-        self.execution_mode = execution_mode
         self.cost_model = cost_model if cost_model is not None else CostModel()
         self.stats = IOStatistics()
         self.pool = BufferPool(self.cost_model, buffer_pool_pages, self.stats)

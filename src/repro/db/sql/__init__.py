@@ -66,12 +66,9 @@ under its served name (``ServedPointRead``, ``ServedScatterGather``,
 There is **one executor**: every plan node produces columnar
 :class:`~repro.db.sql.plan.Chunk` batches (NumPy predicate kernels in
 ``Filter``, one stable ``argsort`` in ``Sort``/``TopK``) and rows are
-materialized once, at the plan root.  The default ``execution_mode="batched"``
-runs the operators over full chunks; the explicit ``execution_mode="row"``
-runs the *same* operators at one row per chunk and adds the cost model's
-``row_interpret_cpu`` per tuple per operator — a modelled dispatch charge,
-not a second code path.  Every access node's ``EXPLAIN`` detail carries a
-``mode=batched|row`` flag (and ``covering=true`` for index-only scans).
+materialized once, at the plan root.  Operators add no charge beyond the
+storage they touch, and an index-only scan's ``EXPLAIN`` detail carries
+``covering=true``.
 
 ``EXPLAIN`` prints exactly the tree the executor would walk; ``EXPLAIN
 ANALYZE`` walks it and reports actual vs estimated simulated seconds per

@@ -26,8 +26,16 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True)
 class Statement:
-    """Marker base class for parsed statements."""
+    """Base class for parsed statements.
+
+    ``placeholders`` is how many ``?`` parameters the statement binds, counted
+    once by the parser; the executor refuses any other number before it plans
+    or reads anything.
+    """
+
+    placeholders: int = field(default=0, kw_only=True)
 
 
 @dataclass(frozen=True)

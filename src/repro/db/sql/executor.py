@@ -154,8 +154,24 @@ class SQLExecutor:
         monotonic read-your-writes session.  ``plan`` short-circuits planning
         (the prepared-statement cache passes the :meth:`plan_for` it already
         built; parameters are re-bound without re-planning).
+
+        The parameters must fill the statement's ``?`` placeholders exactly
+        (:attr:`Statement.placeholders`); any other number is refused here,
+        before anything is planned or read.  Plain ``EXPLAIN`` binds nothing
+        and may also be given none: it prints each ``?``.
         """
         parameters = list(parameters or [])
+        supplied, expected = len(parameters), statement.placeholders
+        prints_only = isinstance(statement, Explain) and not statement.analyze
+        if supplied != expected and not (prints_only and supplied == 0):
+            problem = (
+                "not enough parameters for placeholders"
+                if supplied < expected
+                else "too many parameters for placeholders"
+            )
+            raise SQLExecutionError(
+                f"{problem}: the statement has {expected}, {supplied} were supplied"
+            )
         if isinstance(statement, CreateTable):
             return self._execute_create_table(statement)
         if isinstance(statement, DropTable):
@@ -275,15 +291,9 @@ class SQLExecutor:
 
     @staticmethod
     def _bind_values(literals: Sequence[object], supplied: Iterator[object]) -> list[object]:
-        """``literals`` with each ``?`` replaced by the next supplied parameter."""
-        bound = []
-        for value in literals:
-            if value is PLACEHOLDER:
-                value = next(supplied, PLACEHOLDER)
-                if value is PLACEHOLDER:
-                    raise SQLExecutionError("not enough parameters for placeholders")
-            bound.append(value)
-        return bound
+        """``literals`` with each ``?`` replaced by the next supplied parameter
+        (:meth:`execute` checked there is one for every ``?``)."""
+        return [next(supplied) if value is PLACEHOLDER else value for value in literals]
 
     def _execute_insert(self, statement: Insert, parameters: list) -> ResultSet:
         table = self._database.catalog.table(statement.table)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.db.sql.ast import (
     PLACEHOLDER,
     CheckpointView,
@@ -40,6 +42,7 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self._tokens = tokens
         self._position = 0
+        self._placeholders = 0
 
     # -- token utilities ----------------------------------------------------------
 
@@ -131,6 +134,7 @@ class _Parser:
     def _parse_literal(self) -> object:
         token = self._advance()
         if token.type is TokenType.PLACEHOLDER:
+            self._placeholders += 1
             return PLACEHOLDER
         if token.type is TokenType.NUMBER:
             text = token.value
@@ -154,7 +158,8 @@ class _Parser:
     # -- statements ------------------------------------------------------------------------
 
     def parse_statement(self) -> Statement:
-        """Parse exactly one statement and ensure nothing trails it."""
+        """Parse exactly one statement, ensure nothing trails it, and count
+        its ``?`` placeholders."""
         statement = self._parse_statement_body()
         self._accept_punctuation(";")
         trailing = self._peek()
@@ -164,6 +169,8 @@ class _Parser:
                 position=trailing.position,
                 token=trailing.value,
             )
+        if self._placeholders:
+            statement = replace(statement, placeholders=self._placeholders)
         return statement
 
     def _parse_statement_body(self) -> Statement:
@@ -399,10 +406,10 @@ class _Parser:
         if self._accept_keyword("limit"):
             literal_token = self._peek()
             literal = self._parse_literal()
-            if not isinstance(literal, int):
+            if type(literal) is not int or literal < 0:
                 raise SQLSyntaxError(
-                    f"LIMIT expects an integer literal, found {literal_token.value!r} "
-                    f"at position {literal_token.position}",
+                    "LIMIT expects a non-negative integer literal, found "
+                    f"{literal_token.value!r} at position {literal_token.position}",
                     position=literal_token.position,
                     token=literal_token.value,
                 )

@@ -50,14 +50,9 @@ chunks, ``Filter`` evaluates predicates as NumPy masks over whole columns (via
 :mod:`repro.linalg.kernels`), ``Sort``/``TopK`` order them with one stable
 ``argsort``, ``Project``/``Aggregate``/``HashJoin`` consume and emit columns,
 and rows are materialized exactly once, at the plan root
-(:meth:`~repro.db.sql.planner.SelectPlan.run`).  The execution mode selects no
-code path.  ``"batched"`` (the default) runs the operators at
-:data:`DEFAULT_CHUNK_ROWS` rows per chunk and charges nothing beyond storage.
-``"row"`` runs the *same* operators at one row per chunk and
-:meth:`PlanNode.execute` adds the cost model's ``row_interpret_cpu`` per tuple
-per operator (tag ``row_execute``) — the modelled tuple-at-a-time dispatch
-overhead that vectorization amortizes, which is what the vectorized-execution
-benchmark gate measures.  Simulated storage costs are identical in both modes.
+(:meth:`~repro.db.sql.planner.SelectPlan.run`).  Operators cut their output
+at :data:`DEFAULT_CHUNK_ROWS` rows per chunk, read when they run, and charge
+nothing beyond the storage they touch.
 """
 
 from __future__ import annotations
@@ -125,8 +120,6 @@ class Predicate:
         WHERE value becomes concrete, so it is :func:`typed_bound` here."""
         value = self.value
         if value is PLACEHOLDER:
-            if self.param_index is None or self.param_index >= len(parameters):
-                raise SQLExecutionError("not enough parameters for placeholders")
             value = parameters[self.param_index]
         data_type = self.data_type
         if data_type is None or type(value) is data_type.spelling:
@@ -194,7 +187,8 @@ def _key_range(predicates, parameters) -> KeyRange | None:
     return KeyRange.tighten((p.operator, p.bind(parameters)) for p in predicates)
 
 
-#: Rows per columnar batch in batched execution mode.
+#: Rows per columnar batch.  Operators read it when they run, so a test can
+#: patch it (to 1, say) to move every chunk boundary.
 DEFAULT_CHUNK_ROWS = 1024
 
 #: float64 represents integers exactly up to 2**53; larger ints stay on the
@@ -315,13 +309,12 @@ class Chunk:
         return [self._slice(start, start + size) for start in range(0, self.length, size)]
 
 
-def _rows_to_chunks(
-    names: Sequence[str], rows, chunk_rows: int = DEFAULT_CHUNK_ROWS
-) -> list["Chunk"]:
-    """Turn schema-shaped row mappings into columnar chunks of ``chunk_rows``."""
+def _rows_to_chunks(names: Sequence[str], rows) -> list["Chunk"]:
+    """Turn schema-shaped row mappings into columnar chunks of
+    :data:`DEFAULT_CHUNK_ROWS` rows."""
     rows = list(rows)
     return Chunk.columnar(names, {name: [row[name] for row in rows] for name in names}).split(
-        chunk_rows
+        DEFAULT_CHUNK_ROWS
     )
 
 
@@ -341,26 +334,14 @@ class PlanRuntime:
     ``context`` is the per-connection session registry threaded through from
     :class:`repro.connection.Connection`; served-view nodes use it to read on
     that connection's monotonic read-your-writes session.
-
-    ``mode`` (default: the owning database's ``execution_mode``) selects no
-    operator implementation.  It sets :attr:`chunk_rows` — ``"batched"`` runs
-    the operators at :data:`DEFAULT_CHUNK_ROWS` rows per chunk, ``"row"`` at
-    one — and :attr:`interpret_cpu`, the per-tuple dispatch charge
-    :meth:`PlanNode.execute` adds: the cost model's ``row_interpret_cpu`` in
-    row mode, zero in batched mode, which amortizes that dispatch away and
-    so charges storage costs only.
     """
 
-    def __init__(self, database, parameters, context, cost_probe, mode: str | None = None) -> None:
+    def __init__(self, database, parameters, context, cost_probe) -> None:
         self.database = database
         self.parameters = list(parameters or [])
         self.context = context
         self._cost_probe = cost_probe
         self.node_stats: dict[int, NodeStats] = {}
-        self.mode = mode or getattr(database, "execution_mode", "batched")
-        row_mode = self.mode == "row"
-        self.chunk_rows = 1 if row_mode else DEFAULT_CHUNK_ROWS
-        self.interpret_cpu = database.pool.cost_model.row_interpret_cpu if row_mode else 0.0
         #: Join probe keys, by ``id`` of the probe-side lookup node they drive.
         self.probe_keys: dict[int, list] = {}
 
@@ -375,11 +356,6 @@ class PlanRuntime:
 class PlanNode:
     """Base class: children, cost annotations, measured execution."""
 
-    #: Which row count row mode's per-tuple dispatch charge applies to:
-    #: ``"produced"`` (this node's output), ``"consumed"`` (what its children
-    #: recorded producing) or None (the node interprets no tuples).
-    interpreted: str | None = None
-
     def __init__(self, children=(), estimated_seconds: float | None = None, detail: str = ""):
         self.children: tuple[PlanNode, ...] = tuple(children)
         self.estimated_seconds = estimated_seconds
@@ -390,19 +366,11 @@ class PlanNode:
     def execute(self, runtime: PlanRuntime) -> list[Chunk]:
         """Run this node (and its children), attributing simulated seconds.
 
-        The one measured entry point: it charges row mode's interpretation
-        cost (tag ``row_execute``) for the tuples this node handled and
-        records the node's stats.
+        The one measured entry point: it records the node's stats.
         """
         start = runtime.cost()
         chunks = self._produce(runtime)
         rows = sum(chunk.length for chunk in chunks)
-        if runtime.interpret_cpu and self.interpreted is not None:
-            handled = rows
-            if self.interpreted == "consumed":
-                handled = sum(runtime.stats_of(child).rows for child in self.children)
-            if handled:
-                runtime.database.stats.charge(handled * runtime.interpret_cpu, "row_execute")
         inclusive = runtime.cost() - start
         children_inclusive = sum(
             runtime.stats_of(child).inclusive for child in self.children
@@ -437,19 +405,13 @@ def _render_predicates(predicates) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _scan_chunks(table, runtime: PlanRuntime) -> list[Chunk]:
+def _scan_chunks(table) -> list[Chunk]:
     """The whole heap of ``table``, in physical order, as columnar chunks."""
-    return _rows_to_chunks(
-        table.schema.column_names(),
-        (row for _, row in table.heap.scan()),
-        runtime.chunk_rows,
-    )
+    return _rows_to_chunks(table.schema.column_names(), (row for _, row in table.heap.scan()))
 
 
 class SeqScan(PlanNode):
     """Sequential heap scan of a base table."""
-
-    interpreted = "produced"
 
     def __init__(self, table, **kwargs):
         super().__init__(**kwargs)
@@ -459,13 +421,11 @@ class SeqScan(PlanNode):
         return f"SeqScan({self.table.name})"
 
     def _produce(self, runtime: PlanRuntime) -> list[Chunk]:
-        return _scan_chunks(self.table, runtime)
+        return _scan_chunks(self.table)
 
 
 class IndexRange(PlanNode):
     """Primary-key index access; the point form is the degenerate ``[k, k]`` range."""
-
-    interpreted = "produced"
 
     def __init__(self, table, predicate: Predicate, **kwargs):
         super().__init__(**kwargs)
@@ -477,9 +437,7 @@ class IndexRange(PlanNode):
 
     def _produce(self, runtime: PlanRuntime) -> list[Chunk]:
         row = self.table.try_get_by_key(self.predicate.bind(runtime.parameters))
-        return _rows_to_chunks(
-            self.table.schema.column_names(), [row] if row is not None else [], runtime.chunk_rows
-        )
+        return _rows_to_chunks(self.table.schema.column_names(), [row] if row is not None else [])
 
 
 class SecondaryIndexRange(PlanNode):
@@ -514,8 +472,6 @@ class SecondaryIndexRange(PlanNode):
     residual ``Filter`` above re-checks every conjunct either way, so answers
     stay byte-identical to a scan.
     """
-
-    interpreted = "produced"
 
     #: Sentinel distinguishing "fall back to a heap scan" from "provably
     #: empty result" (conflicting equality bindings on a prefix column).
@@ -646,20 +602,19 @@ class SecondaryIndexRange(PlanNode):
     def _produce(self, runtime: PlanRuntime) -> list[Chunk]:
         entries = self._resolve_entries(runtime)
         if entries is None:
-            chunks = _scan_chunks(self.table, runtime)
+            chunks = _scan_chunks(self.table)
             if self.order is None:
                 return chunks
             ordered = _sorted_chunk(chunks, self.column, self.order == "desc")
-            return ordered.split(runtime.chunk_rows)
+            return ordered.split(DEFAULT_CHUNK_ROWS)
         if self.covering:
             # Rebuild the (partial) rows from the tree keys — no heap access.
             single = len(self.key_columns) == 1
             rows = (dict(zip(self.key_columns, (key,) if single else key)) for key, _ in entries)
-            return _rows_to_chunks(self.key_columns, rows, runtime.chunk_rows)
+            return _rows_to_chunks(self.key_columns, rows)
         return _rows_to_chunks(
             self.table.schema.column_names(),
             (self.table.heap.read(rid, sequential=False) for rid in entries),
-            runtime.chunk_rows,
         )
 
 
@@ -684,7 +639,7 @@ class SystemTableScan(PlanNode):
     def _produce(self, runtime: PlanRuntime) -> list[Chunk]:
         rows = list(self.producer())
         try:
-            return _rows_to_chunks(list(rows[0]) if rows else [], rows, runtime.chunk_rows)
+            return _rows_to_chunks(list(rows[0]) if rows else [], rows)
         except KeyError as missing:
             raise SQLExecutionError(
                 f"the producer's rows do not all carry column {missing.args[0]!r}"
@@ -716,12 +671,12 @@ class _ViewNode(PlanNode):
     def _label(self, argument: str) -> str:
         return f"{self.names[self.served]}({self.view.name}{argument})"
 
-    def _chunks(self, runtime: PlanRuntime, ids: list, labels: list) -> list[Chunk]:
+    def _chunks(self, ids: list, labels: list) -> list[Chunk]:
         """The view's ``(key, class)`` columns for ``ids`` and their binary labels."""
         key_column = self.view.definition.view_key
         shown = {label: self.view.from_binary_label(label) for label in set(labels)}
         columns = {key_column: ids, "class": [shown[label] for label in labels]}
-        return Chunk.columnar([key_column, "class"], columns).split(runtime.chunk_rows)
+        return Chunk.columnar([key_column, "class"], columns).split(DEFAULT_CHUNK_ROWS)
 
     def _binary_class(self, value: object) -> int | None:
         """Map a user-facing class literal to {-1, +1}; None when unmappable."""
@@ -741,7 +696,7 @@ class ViewScan(_ViewNode):
 
     def _produce(self, runtime: PlanRuntime) -> list[Chunk]:
         contents = self.view.reader(runtime.context).contents()
-        return self._chunks(runtime, list(contents), list(contents.values()))
+        return self._chunks(list(contents), list(contents.values()))
 
 
 class ViewPointRead(_ViewNode):
@@ -775,13 +730,13 @@ class ViewPointRead(_ViewNode):
                     "a probe-side ServedPointRead executes only through its join"
                 )
             found = reader.labels_of([typed_bound(key, self.key_type) for key in keys])
-            return self._chunks(runtime, list(found), list(found.values()))
+            return self._chunks(list(found), list(found.values()))
         key = self.predicate.bind(runtime.parameters)
         try:
             label = reader.label_of(key)
         except KeyNotFoundError:
             return []
-        return self._chunks(runtime, [key], [label])
+        return self._chunks([key], [label])
 
 
 class ViewMembers(_ViewNode):
@@ -801,7 +756,7 @@ class ViewMembers(_ViewNode):
         if label is None:
             return []
         members = self.view.reader(runtime.context).all_members(label)
-        return self._chunks(runtime, list(members), [label] * len(members))
+        return self._chunks(list(members), [label] * len(members))
 
 
 class ViewRangeRead(_ViewNode):
@@ -842,7 +797,7 @@ class ViewRangeRead(_ViewNode):
                 f"the range bounds on {self.view.definition.view_key!r} cannot be "
                 f"ordered against the keys of view {self.view.name!r}: {exc}"
             ) from exc
-        return self._chunks(runtime, list(members), [label] * len(members))
+        return self._chunks(list(members), [label] * len(members))
 
 
 # ---------------------------------------------------------------------------
@@ -852,8 +807,6 @@ class ViewRangeRead(_ViewNode):
 
 class Filter(PlanNode):
     """Residual predicate re-check above an access path."""
-
-    interpreted = "consumed"
 
     def __init__(self, child: PlanNode, predicates, **kwargs):
         super().__init__(children=(child,), **kwargs)
@@ -939,8 +892,6 @@ def _sorted_chunk(
 class Sort(PlanNode):
     """Full sort for ORDER BY without LIMIT."""
 
-    interpreted = "consumed"
-
     def __init__(self, child: PlanNode, column: str, descending: bool, **kwargs):
         super().__init__(children=(child,), **kwargs)
         self.column = column
@@ -952,7 +903,7 @@ class Sort(PlanNode):
 
     def _produce(self, runtime: PlanRuntime) -> list[Chunk]:
         chunks = self.children[0].execute(runtime)
-        return _sorted_chunk(chunks, self.column, self.descending).split(runtime.chunk_rows)
+        return _sorted_chunk(chunks, self.column, self.descending).split(DEFAULT_CHUNK_ROWS)
 
 
 class TopK(PlanNode):
@@ -961,11 +912,8 @@ class TopK(PlanNode):
     With a child, a stable sort-and-slice over the child's rows.  Without one
     (``view`` set), the *fused* top-k answered by the view's reader — the
     maintainer's heap, or per-shard heaps merged across the shards by the
-    server and driven through the session — it consumes no child rows, so
-    row mode charges it no interpretation.
+    server and driven through the session — it consumes no child rows.
     """
-
-    interpreted = "consumed"
 
     def __init__(
         self,
@@ -990,7 +938,7 @@ class TopK(PlanNode):
         if self.view is None:
             chunks = self.children[0].execute(runtime)
             ranked = _sorted_chunk(chunks, self.column, self.descending, limit=self.k)
-            return ranked.split(runtime.chunk_rows)
+            return ranked.split(DEFAULT_CHUNK_ROWS)
         key_column = self.view.definition.view_key
         ranked = self.view.reader(runtime.context).top_k(self.k, label=1)
         columns = {
@@ -998,13 +946,11 @@ class TopK(PlanNode):
             "class": [self.view.from_binary_label(1)] * len(ranked),
             "margin": [margin for _, margin in ranked],
         }
-        return Chunk.columnar([key_column, "class", "margin"], columns).split(runtime.chunk_rows)
+        return Chunk.columnar([key_column, "class", "margin"], columns).split(DEFAULT_CHUNK_ROWS)
 
 
 class Limit(PlanNode):
     """LIMIT without ORDER BY."""
-
-    interpreted = "produced"
 
     def __init__(self, child: PlanNode, count: int, **kwargs):
         super().__init__(children=(child,), **kwargs)
@@ -1027,8 +973,6 @@ class Limit(PlanNode):
 
 class Project(PlanNode):
     """Column projection; ``lookups`` are the row keys resolved at plan time."""
-
-    interpreted = "consumed"
 
     def __init__(self, child: PlanNode, lookups, **kwargs):
         super().__init__(children=(child,), **kwargs)
@@ -1053,8 +997,6 @@ class Project(PlanNode):
 class Aggregate(PlanNode):
     """``COUNT(*)`` over the child's rows."""
 
-    interpreted = "consumed"
-
     def __init__(self, child: PlanNode, **kwargs):
         super().__init__(children=(child,), **kwargs)
 
@@ -1075,8 +1017,6 @@ class HashJoin(PlanNode):
     keys drive one batched lookup through the server's read batcher instead of
     materializing the whole view.
     """
-
-    interpreted = "consumed"
 
     def __init__(
         self,
@@ -1123,4 +1063,4 @@ class HashJoin(PlanNode):
         columns = dict(left.take(left_order).columns)
         for name, values in right.take(right_order).columns.items():
             columns[self.right_renames.get(name.lower(), name)] = values
-        return Chunk.columnar(list(columns), columns).split(runtime.chunk_rows)
+        return Chunk.columnar(list(columns), columns).split(DEFAULT_CHUNK_ROWS)

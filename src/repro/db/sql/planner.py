@@ -105,6 +105,11 @@ _VIEW_READ_DETAILS = {
 _INDEXABLE_OPERATORS = ("=", "<", "<=", ">", ">=")
 
 
+def _covering_flag(covering: bool) -> str:
+    """The suffix an index-only (covering) access node's EXPLAIN detail carries."""
+    return "; covering=true" if covering else ""
+
+
 class SelectPlan:
     """A planned SELECT: the node tree plus what one execution needs.
 
@@ -215,13 +220,6 @@ class Planner:
         self._database = database
         self._use_index_paths = use_index_paths
         self._use_covering_scans = use_covering_scans
-
-    def _detail_flags(self, covering: bool = False) -> str:
-        """The ``mode=``/``covering=`` suffix every table-access detail carries."""
-        mode = getattr(self._database, "execution_mode", "batched")
-        if covering:
-            return f"covering=true; mode={mode}"
-        return f"mode={mode}"
 
     # -- entry point ---------------------------------------------------------------------
 
@@ -483,7 +481,7 @@ class Planner:
             + cost_model.scan_cost(table.page_count(), table.row_count()),
             detail=(
                 f"sequential scan of {table.page_count()} pages / "
-                f"{table.row_count()} tuples; {self._detail_flags()}"
+                f"{table.row_count()} tuples"
             ),
         )
 
@@ -591,8 +589,7 @@ class Planner:
                 table,
                 point,
                 estimated_seconds=cost_model.statement_overhead + cost_model.random_page_read,
-                detail=f"primary-key hash lookup on {pk!r} (1 random page); "
-                f"{self._detail_flags()}",
+                detail=f"primary-key hash lookup on {pk!r} (1 random page)",
             )
         best = self._seq_scan_node(table)
         best_cost = best.estimated_seconds
@@ -627,8 +624,8 @@ class Planner:
                     estimated_seconds=cost,
                     detail=(
                         f"B+-tree probe on {probe} "
-                        f"(~{est:.0f} of {table.row_count()} rows) + {fetch}; "
-                        f"{self._detail_flags(covering)}"
+                        f"(~{est:.0f} of {table.row_count()} rows) + {fetch}"
+                        f"{_covering_flag(covering)}"
                     ),
                 )
         return best
@@ -743,7 +740,7 @@ class Planner:
                     estimated_seconds=fused_cost,
                     detail=(
                         f"index-ordered walk of {order_column!r}; {fetch}, "
-                        f"Sort/TopK elided; {self._detail_flags(covering)}"
+                        f"Sort/TopK elided{_covering_flag(covering)}"
                     ),
                 )
         return best, order_fused

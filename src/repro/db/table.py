@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterator, Mapping, Sequence
 
 from repro.db.buffer_pool import BufferPool
 from repro.db.hash_index import HashIndex
@@ -57,14 +57,6 @@ class Table:
             index.insert(validated, rid)
         self.triggers.fire(TriggerEvent.AFTER_INSERT, self.name, validated, None)
         return rid
-
-    def insert_many(self, rows: Iterable[Mapping[str, object]]) -> int:
-        """Bulk insert; returns the number of rows inserted."""
-        count = 0
-        for row in rows:
-            self.insert(row)
-            count += 1
-        return count
 
     def update_by_key(self, key: object, changes: Mapping[str, object]) -> dict[str, object]:
         """Update the row with primary key ``key`` in place; returns the new row."""

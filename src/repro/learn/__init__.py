@@ -27,7 +27,6 @@ from repro.learn.kernels import (
     GaussianKernel,
     Kernel,
     LaplacianKernel,
-    LinearKernel,
 )
 from repro.learn.loss import HingeLoss, LogisticLoss, Loss, SquaredLoss, get_loss
 from repro.learn.metrics import accuracy, confusion_counts, f1_score, precision_recall
@@ -58,7 +57,6 @@ __all__ = [
     "SGDTrainer",
     "BatchSubgradientSVM",
     "Kernel",
-    "LinearKernel",
     "GaussianKernel",
     "LaplacianKernel",
     "RandomFourierFeatures",

@@ -16,11 +16,8 @@ from repro.linalg import SparseVector
 
 __all__ = [
     "Kernel",
-    "LinearKernel",
     "GaussianKernel",
     "LaplacianKernel",
-    "get_kernel",
-    "KERNELS",
 ]
 
 
@@ -37,15 +34,6 @@ class Kernel(ABC):
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
-
-
-class LinearKernel(Kernel):
-    """The trivial kernel ``K(x, y) = x · y``."""
-
-    name = "linear"
-
-    def __call__(self, left: SparseVector, right: SparseVector) -> float:
-        return left.dot(right)
 
 
 def _squared_distance(left: SparseVector, right: SparseVector) -> float:
@@ -108,21 +96,3 @@ class LaplacianKernel(Kernel):
     def __repr__(self) -> str:
         return f"LaplacianKernel(gamma={self.gamma})"
 
-
-#: Registry of kernels selectable by name in view declarations.
-KERNELS: dict[str, type[Kernel]] = {
-    "linear": LinearKernel,
-    "gaussian": GaussianKernel,
-    "rbf": GaussianKernel,
-    "laplacian": LaplacianKernel,
-}
-
-
-def get_kernel(name: str | Kernel, **kwargs) -> Kernel:
-    """Resolve ``name`` (or pass through an instance) to a :class:`Kernel`."""
-    if isinstance(name, Kernel):
-        return name
-    key = name.strip().lower()
-    if key not in KERNELS:
-        raise ConfigurationError(f"unknown kernel {name!r}; available: {sorted(set(KERNELS))}")
-    return KERNELS[key](**kwargs)

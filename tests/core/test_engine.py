@@ -61,7 +61,7 @@ class TestCreateClassificationView:
         engine = HazyEngine(db)
         db.execute(VIEW_DDL)
         assert "labeled_papers" in engine.views
-        assert db.catalog.has_classification_view("Labeled_Papers")
+        assert db.catalog.object_kind("Labeled_Papers") == "classification_view"
 
     def test_duplicate_view_rejected(self):
         db, _ = build_database()

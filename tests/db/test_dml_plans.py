@@ -291,8 +291,9 @@ class TestTheExecutorKeepsNoScanLoopOfItsOwn:
         assert not hasattr(executor_module.SQLExecutor, "_matches")
         assert not hasattr(executor_module.SQLExecutor, "_bind_where")
 
-    def test_one_message_two_spellings(self):
-        """``Predicate.bind`` for a WHERE value, one binder for VALUES and SET."""
+    def test_one_parameter_count_check(self):
+        """``SQLExecutor.execute`` checks the ``?`` count once, for WHERE,
+        VALUES and SET alike; no binder checks it again."""
         import repro.db.sql as package
         from pathlib import Path
 
@@ -301,7 +302,4 @@ class TestTheExecutorKeepsNoScanLoopOfItsOwn:
             path.name: path.read_text(encoding="utf-8").count(text)
             for path in Path(package.__file__).parent.glob("*.py")
         }
-        assert {name: count for name, count in hits.items() if count} == {
-            "executor.py": 1,
-            "plan.py": 1,
-        }
+        assert {name: count for name, count in hits.items() if count} == {"executor.py": 1}

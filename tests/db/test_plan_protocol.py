@@ -1,17 +1,20 @@
 """The one-executor contract of :mod:`repro.db.sql.plan`.
 
 Every plan node speaks the columnar ``Chunk`` protocol through a single
-producer method and a single measured entry point; the execution mode only
-sets the chunk size (``"row"`` = one row per chunk) and the modelled dispatch
-charge.  These tests pin the protocol's completeness, the answers at chunk
-boundaries against the forced-``SeqScan`` reference, the NULL placement of
+producer method and a single measured entry point, and there is one execution
+mode: no option selects a chunk size or a dispatch charge.  These tests pin
+the protocol's completeness, the answers at chunk boundaries against the
+forced-``SeqScan`` reference (at the default chunk size and, by patching
+``plan.DEFAULT_CHUNK_ROWS``, at one row per chunk), the NULL placement of
 every ordering path, and the documented error for a type-mismatched bound.
 """
 
 from __future__ import annotations
 
+import ast
 import inspect
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -25,8 +28,6 @@ from repro.db.sql.planner import Planner
 from repro.exceptions import SQLExecutionError
 
 from tests.db.test_sql_plan import PreFeaturizedColumn, balanced_portal
-
-MODES = ("batched", "row")
 
 
 # ---------------------------------------------------------------------------
@@ -78,14 +79,23 @@ class TestProtocolCompleteness:
             assert not hasattr(plan.HashJoin, name)
         assert not hasattr(plan.SecondaryIndexRange, "_covered_row")
 
-    def test_mode_only_sets_chunk_size_and_charge(self):
-        batched = PlanRuntime(Database(), [], None, lambda: 0.0)
-        row = PlanRuntime(Database(execution_mode="row"), [], None, lambda: 0.0)
-        assert (batched.chunk_rows, batched.interpret_cpu) == (DEFAULT_CHUNK_ROWS, 0.0)
-        assert (row.chunk_rows, row.interpret_cpu) == (1, CostModel().row_interpret_cpu)
+    def test_one_execution_mode(self):
+        """No option picks a chunk size or a per-tuple dispatch charge: the
+        operators cut at ``DEFAULT_CHUNK_ROWS`` and charge only storage."""
+        for entry in (Database.__init__, repro.connect):
+            assert "execution_mode" not in inspect.signature(entry).parameters
+        assert "row_interpret_cpu" not in {field.name for field in fields(CostModel)}
         assert list(inspect.signature(PlanRuntime).parameters) == [
-            "database", "parameters", "context", "cost_probe", "mode",
+            "database", "parameters", "context", "cost_probe",
         ]
+        assigned = {
+            node.attr
+            for node in ast.walk(ast.parse(inspect.getsource(PlanRuntime)))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+        }
+        assert not {"mode", "chunk_rows", "interpret_cpu"} & assigned, assigned
+        for cls in [PlanNode, *_node_classes()]:
+            assert not hasattr(cls, "interpreted"), cls.__name__
 
 
 # ---------------------------------------------------------------------------
@@ -95,9 +105,9 @@ class TestProtocolCompleteness:
 BOUNDARY_ROWS = DEFAULT_CHUNK_ROWS + 5
 
 
-def boundary_db(mode: str) -> Database:
-    """``big`` spans two chunks in batched mode (1024 + 5 rows)."""
-    db = Database(cost_model=CostModel.main_memory(), execution_mode=mode)
+def boundary_db() -> Database:
+    """``big`` spans two chunks at the default chunk size (1024 + 5 rows)."""
+    db = Database(cost_model=CostModel.main_memory())
     db.execute("CREATE TABLE big (id integer PRIMARY KEY, v integer, w float)")
     db.executemany(
         "INSERT INTO big (id, v, w) VALUES (?, ?, ?)",
@@ -125,10 +135,9 @@ BOUNDARY_QUERIES = [
 
 
 class TestChunkBoundaries:
-    @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("sql,ordered", BOUNDARY_QUERIES)
-    def test_matches_forced_seqscan_reference(self, sql, ordered, mode):
-        db = boundary_db(mode)
+    def test_matches_forced_seqscan_reference(self, sql, ordered, chunk_rows):
+        db = boundary_db()
         db.execute("CREATE INDEX idx_v ON big (v)")
         got = db.execute(sql).rows
         reference, _ = (
@@ -140,11 +149,12 @@ class TestChunkBoundaries:
         assert got == reference
         assert got, "a boundary case must not be vacuous"
 
-    def test_scan_really_spans_two_chunks_in_batched_mode(self):
-        db = boundary_db("batched")
+    def test_scan_really_spans_the_chunk_boundary(self, chunk_rows):
+        db = boundary_db()
         runtime = PlanRuntime(db, [], None, lambda: 0.0)
         chunks = db.executor.plan_select(parse("SELECT * FROM big")).root.execute(runtime)
-        assert [chunk.length for chunk in chunks] == [DEFAULT_CHUNK_ROWS, 5]
+        full, tail = divmod(BOUNDARY_ROWS, chunk_rows)
+        assert [chunk.length for chunk in chunks] == [chunk_rows] * full + ([tail] if tail else [])
 
     def test_join_probe_keys_drawn_from_two_chunks(self):
         """A served, predicate-free join side is driven by the probe keys of
@@ -191,8 +201,8 @@ class TestChunkBoundaries:
 # ---------------------------------------------------------------------------
 
 
-def nullable_db(mode: str) -> Database:
-    db = Database(cost_model=CostModel.main_memory(), execution_mode=mode)
+def nullable_db() -> Database:
+    db = Database(cost_model=CostModel.main_memory())
     db.execute("CREATE TABLE papers (id integer PRIMARY KEY, year integer, venue text)")
     rows = [
         (1, 2009, "vldb"), (2, None, "sigmod"), (3, 2011, None), (4, 2007, "icde"),
@@ -210,12 +220,11 @@ def _expected_order(db: Database, column: str, descending: bool) -> list:
 
 
 class TestNullOrdering:
-    @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("descending", [False, True])
     @pytest.mark.parametrize("column", ["year", "venue"])
     @pytest.mark.parametrize("path", ["Sort", "TopK", "SecondaryIndexRange"])
-    def test_nulls_last_ascending_first_descending(self, path, column, descending, mode):
-        db = nullable_db(mode)
+    def test_nulls_last_ascending_first_descending(self, path, column, descending, chunk_rows):
+        db = nullable_db()
         direction = "DESC" if descending else "ASC"
         sql = f"SELECT id, {column} FROM papers ORDER BY {column} {direction}"
         if path != "Sort":
@@ -231,9 +240,8 @@ class TestNullOrdering:
         got = [row[column] for row in db.execute(sql).rows]
         assert got == _expected_order(db, column, descending)
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_limit_cuts_after_null_placement(self, mode):
-        db = nullable_db(mode)
+    def test_limit_cuts_after_null_placement(self, chunk_rows):
+        db = nullable_db()
         top = db.execute("SELECT id FROM papers ORDER BY year DESC LIMIT 3").rows
         assert [row["id"] for row in top] == [2, 5, 3]  # NULLs first, then 2011 (stable)
         bottom = db.execute("SELECT id FROM papers ORDER BY year LIMIT 2").rows
@@ -246,8 +254,8 @@ class TestNullOrdering:
 
 
 class TestIncomparableBound:
-    def _conn(self, mode: str, indexed: bool):
-        conn = repro.connect(execution_mode=mode)
+    def _conn(self, indexed: bool):
+        conn = repro.connect()
         conn.execute("CREATE TABLE papers (id integer PRIMARY KEY, year integer)")
         conn.executemany(
             "INSERT INTO papers (id, year) VALUES (?, ?)", [(1, 2009), (2, 2011), (3, None)]
@@ -256,7 +264,6 @@ class TestIncomparableBound:
             conn.execute("CREATE INDEX idx_year ON papers (year)")
         return conn
 
-    @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("indexed", [False, True])
     @pytest.mark.parametrize(
         "sql,params",
@@ -267,16 +274,17 @@ class TestIncomparableBound:
             ("DELETE FROM papers WHERE year < ?", ("x",)),
         ],
     )
-    def test_raises_sql_execution_error_naming_both_types(self, sql, params, indexed, mode):
-        with self._conn(mode, indexed) as conn:
+    def test_raises_sql_execution_error_naming_both_types(
+        self, sql, params, indexed, chunk_rows
+    ):
+        with self._conn(indexed) as conn:
             with pytest.raises(SQLExecutionError, match=r"int column value.*str bound"):
                 conn.execute(sql, params)
             # Nothing was modified by the failed DML.
             assert conn.execute("SELECT COUNT(*) FROM papers").scalar() == 3
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_equality_operators_never_raise(self, mode):
-        with self._conn(mode, indexed=False) as conn:
+    def test_equality_operators_never_raise(self, chunk_rows):
+        with self._conn(indexed=False) as conn:
             assert conn.execute("SELECT * FROM papers WHERE year = ?", ("x",)).fetchall() == []
             assert (
                 conn.execute("SELECT COUNT(*) FROM papers WHERE year != ?", ("x",)).scalar() == 3

@@ -10,8 +10,9 @@ and every query is executed twice: once through the planner's chosen plan
 ``SeqScan`` under the residual ``Filter``.  The two answers must be
 identical: same row multiset always, and for ordered queries the same
 ORDER BY column sequence (SQL leaves tie order unspecified, so ties are
-compared as sets).  Each program also draws its execution mode (``batched``
-or ``row``) at random, so both protocols face the oracle.
+compared as sets).  Every program runs twice, at the default chunk size and
+at one row per chunk (by patching ``plan.DEFAULT_CHUNK_ROWS``), so every
+chunk boundary faces the oracle.
 
 Writes face it too.  Before each generated ``UPDATE`` / ``DELETE`` — the
 ``WHERE num = ?`` of old, a composite-index prefix, ranges, up to three
@@ -36,6 +37,7 @@ import pytest
 
 from repro.db.costmodel import CostModel
 from repro.db.database import Database
+from repro.db.sql import plan
 from repro.db.sql.parser import parse
 from repro.db.sql.planner import Planner
 
@@ -103,10 +105,7 @@ class Program:
 
     def __init__(self, rng: random.Random, cost_model: CostModel):
         self.rng = rng
-        self.db = Database(
-            cost_model=cost_model,
-            execution_mode=rng.choice(("batched", "row")),
-        )
+        self.db = Database(cost_model=cost_model)
         self.reference_planner = Planner(self.db, use_index_paths=False)
         self.columns = {
             "t_a": ["id", "num", "score", "tag"],
@@ -188,7 +187,7 @@ class Program:
         access = self.db.execute(f"EXPLAIN {sql}", parameters).rows[-1]["node"]
         self.write_paths[access.strip().partition("(")[0]] += 1
         self.rows_written += len(located)
-        context = f"{sql}  {parameters!r} (mode={self.db.execution_mode})"
+        context = f"{sql}  {parameters!r} (chunk rows: {plan.DEFAULT_CHUNK_ROWS})"
         assert self.db.execute(sql, parameters).rowcount == len(located), context
         stored = self.run_reference(f"SELECT * FROM {table}")
         assert len(stored) == len(rows) and {row["id"]: row for row in stored} == rows, context
@@ -293,7 +292,7 @@ class Program:
 @pytest.mark.parametrize(
     "cost_model_name", ["main_memory", "on_disk"], ids=["mm", "disk"]
 )
-def test_differential_oracle(program_index: int, cost_model_name: str):
+def test_differential_oracle(program_index: int, cost_model_name: str, chunk_rows: int):
     """Every generated query answers identically with and without indexes."""
     cost_model = (
         CostModel.main_memory() if cost_model_name == "main_memory" else CostModel()

@@ -73,13 +73,15 @@ class TestTable:
 
     def test_scan_with_predicate(self):
         table = make_table()
-        table.insert_many([{"id": i, "title": f"p{i}"} for i in range(10)])
+        for i in range(10):
+            table.insert({"id": i, "title": f"p{i}"})
         even = list(table.scan(lambda row: row["id"] % 2 == 0))
         assert len(even) == 5
 
     def test_count(self):
         table = make_table()
-        table.insert_many([{"id": i} for i in range(7)])
+        for i in range(7):
+            table.insert({"id": i})
         assert table.count() == 7
         assert table.count(lambda row: row["id"] < 3) == 3
 
@@ -95,14 +97,16 @@ class TestTable:
 
     def test_truncate(self):
         table = make_table()
-        table.insert_many([{"id": i} for i in range(5)])
+        for i in range(5):
+            table.insert({"id": i})
         table.truncate()
         assert table.row_count() == 0
         assert table.try_get_by_key(1) is None
 
     def test_size_accounting(self):
         table = make_table()
-        table.insert_many([{"id": i, "title": "x" * 100} for i in range(100)])
+        for i in range(100):
+            table.insert({"id": i, "title": "x" * 100})
         assert table.page_count() >= 1
         assert table.approximate_size_bytes() >= table.page_count() * 8192
 
@@ -179,7 +183,8 @@ class TestCatalog:
         with pytest.raises(CatalogError):
             catalog.classification_view("nope")
         with pytest.raises(CatalogError):
-            catalog.resolve("nope")
+            catalog.system_table("nope")
+        assert catalog.object_kind("nope") is None
 
     def test_drop_table(self):
         catalog = Catalog()
@@ -194,9 +199,9 @@ class TestCatalog:
         marker = object()
         catalog.register_classification_view("cv", marker)
         assert catalog.classification_view("cv") is marker
-        assert catalog.has_classification_view("CV")
+        assert catalog.object_kind("CV") == "classification_view"
 
-    def test_resolve_dispatches_by_kind(self):
+    def test_object_kind_names_the_namespace(self):
         catalog = Catalog()
         table = make_table()
         catalog.register_table(table)
@@ -205,5 +210,7 @@ class TestCatalog:
             return iter([])
 
         catalog.register_system_table("system.x", producer)
-        assert catalog.resolve("papers") is table
-        assert catalog.resolve("system.x") is producer
+        assert catalog.object_kind("papers") == "table"
+        assert catalog.table("papers") is table
+        assert catalog.object_kind("system.x") == "system_table"
+        assert catalog.system_table("system.x") is producer

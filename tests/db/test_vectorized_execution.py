@@ -1,11 +1,10 @@
 """The batched (vectorized) execution protocol and its planner surface.
 
-Covers the chunk container itself, the ``batched`` / ``row`` execution modes
-(identical answers, row mode alone pays the per-tuple interpretation charge),
-the ``mode=`` / ``covering=true`` EXPLAIN detail flags, index-only (covering)
-scans, and the ``ORDER BY ... DESC LIMIT k`` fused walk over the ``prev_leaf``
-chain.  Golden-plan assertions pin the EXPLAIN text so the flags cannot
-silently disappear.
+Covers the chunk container itself, identical answers at one row per chunk
+and at the default chunk size, the ``covering=true`` EXPLAIN detail flag,
+index-only (covering) scans, and the ``ORDER BY ... DESC LIMIT k`` fused walk
+over the ``prev_leaf`` chain.  Golden-plan assertions pin the EXPLAIN text so
+the flag cannot silently disappear.
 """
 
 from __future__ import annotations
@@ -13,13 +12,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-import repro
 from repro.db.costmodel import CostModel
 from repro.db.database import Database
+from repro.db.sql import plan
 from repro.db.sql.parser import parse
 from repro.db.sql.plan import Chunk, _rows_to_chunks
 from repro.db.sql.planner import Planner
-from repro.exceptions import ConfigurationError
 
 
 def _canonical(rows: list[dict]) -> list[tuple]:
@@ -28,10 +26,8 @@ def _canonical(rows: list[dict]) -> list[tuple]:
     )
 
 
-def make_db(execution_mode: str = "batched", cost_model: CostModel | None = None) -> Database:
-    db = Database(
-        cost_model=cost_model or CostModel.main_memory(), execution_mode=execution_mode
-    )
+def make_db(cost_model: CostModel | None = None) -> Database:
+    db = Database(cost_model=cost_model or CostModel.main_memory())
     db.execute(
         "CREATE TABLE t (id integer PRIMARY KEY, a integer, b float, c text)"
     )
@@ -97,7 +93,7 @@ class TestChunk:
 
 
 # ---------------------------------------------------------------------------
-# Execution modes
+# Chunk size
 # ---------------------------------------------------------------------------
 
 
@@ -112,71 +108,43 @@ QUERIES = [
 ]
 
 
-class TestExecutionModes:
+def _answer_at_each_chunk_size(monkeypatch, db: Database, sql: str) -> list[list[dict]]:
+    """``sql``'s rows at the default chunk size, then at one row per chunk."""
+    answers = [db.execute(sql).rows]
+    monkeypatch.setattr(plan, "DEFAULT_CHUNK_ROWS", 1)
+    answers.append(db.execute(sql).rows)
+    return answers
+
+
+class TestChunkSize:
     @pytest.mark.parametrize("sql", QUERIES)
-    def test_batched_and_row_modes_answer_identically(self, sql):
-        batched = make_db("batched")
-        row = make_db("row")
-        got = batched.execute(sql).rows
-        want = row.execute(sql).rows
+    def test_one_row_per_chunk_answers_identically(self, sql, monkeypatch):
+        got, want = _answer_at_each_chunk_size(monkeypatch, make_db(), sql)
         # Ordered queries must match exactly; others as multisets.
         if "ORDER BY" in sql:
             assert got == want, sql
         else:
             assert _canonical(got) == _canonical(want), sql
 
-    def test_join_answers_identically_across_modes(self):
-        answers = []
-        for mode in ("batched", "row"):
-            db = make_db(mode)
-            db.execute("CREATE TABLE u (id integer PRIMARY KEY, w float)")
-            for i in range(0, 300, 3):
-                db.execute("INSERT INTO u (id, w) VALUES (?, ?)", (i, i / 10.0))
-            answers.append(
-                db.execute(
-                    "SELECT t.id, t.a, u.w FROM t JOIN u ON t.id = u.id "
-                    "WHERE t.a >= 2"
-                ).rows
-            )
-        assert _canonical(answers[0]) == _canonical(answers[1])
+    def test_join_answers_identically_at_one_row_per_chunk(self, monkeypatch):
+        db = make_db()
+        db.execute("CREATE TABLE u (id integer PRIMARY KEY, w float)")
+        for i in range(0, 300, 3):
+            db.execute("INSERT INTO u (id, w) VALUES (?, ?)", (i, i / 10.0))
+        sql = "SELECT t.id, t.a, u.w FROM t JOIN u ON t.id = u.id WHERE t.a >= 2"
+        got, want = _answer_at_each_chunk_size(monkeypatch, db, sql)
+        assert _canonical(got) == _canonical(want)
 
-    def test_row_mode_charges_interpretation_and_batched_does_not(self):
+    def test_chunk_size_moves_no_charge(self, monkeypatch):
         sql = "SELECT COUNT(*) FROM t WHERE a >= 1"
-        batched = make_db("batched")
-        row = make_db("row")
-        before = [db.stats.simulated_seconds for db in (batched, row)]
-        batched.execute(sql)
-        row.execute(sql)
-        assert batched.stats.detail.get("row_execute", 0.0) == 0.0
-        interpretation = row.stats.detail["row_execute"]
-        assert interpretation > 0.0
-        # Storage charges are identical: row mode only ADDS interpretation.
-        batched_delta = batched.stats.simulated_seconds - before[0]
-        row_delta = row.stats.simulated_seconds - before[1]
-        assert row_delta - interpretation == pytest.approx(batched_delta)
+        ledgers = []
+        for rows in (plan.DEFAULT_CHUNK_ROWS, 1):
+            monkeypatch.setattr(plan, "DEFAULT_CHUNK_ROWS", rows)
+            db = make_db()
+            db.execute(sql)
+            ledgers.append(db.stats.snapshot())
+        assert ledgers[0] == ledgers[1]
 
-    def test_row_mode_analyze_actuals_exceed_batched(self):
-        sql = "SELECT COUNT(*) FROM t WHERE a >= 1"
-        batched_rows = make_db("batched").execute(f"EXPLAIN ANALYZE {sql}").rows
-        row_rows = make_db("row").execute(f"EXPLAIN ANALYZE {sql}").rows
-        batched_scan = batched_rows[-1]
-        row_scan = row_rows[-1]
-        assert "SeqScan" in batched_scan["node"]
-        assert row_scan["actual_seconds"] > batched_scan["actual_seconds"]
-
-    def test_database_rejects_unknown_execution_mode(self):
-        with pytest.raises(ValueError, match="unknown execution_mode"):
-            Database(execution_mode="volcano")
-
-    def test_connect_passes_execution_mode_through(self):
-        with repro.connect(execution_mode="row") as conn:
-            assert conn.database.execution_mode == "row"
-            conn.execute("CREATE TABLE z (id integer PRIMARY KEY)")
-            conn.execute("INSERT INTO z (id) VALUES (1)")
-            assert conn.execute("SELECT COUNT(*) FROM z").scalar() == 1
-        with pytest.raises(ConfigurationError, match="execution_mode"):
-            with repro.connect() as conn:
-                repro.connect(engine=conn.engine, execution_mode="row")
 
 
 # ---------------------------------------------------------------------------
@@ -185,13 +153,11 @@ class TestExecutionModes:
 
 
 class TestExplainFlags:
-    def test_seq_scan_detail_carries_mode_flag(self):
-        db = make_db("batched")
+    def test_seq_scan_detail_golden(self):
+        db = make_db()
         detail = db.execute("EXPLAIN SELECT * FROM t").rows[-1]["detail"]
-        assert detail.endswith("mode=batched")
-        row_db = make_db("row")
-        detail = row_db.execute("EXPLAIN SELECT * FROM t").rows[-1]["detail"]
-        assert detail.endswith("mode=row")
+        pages = db.catalog.table("t").page_count()
+        assert detail == f"sequential scan of {pages} pages / 300 tuples"
 
     def test_index_probe_detail_carries_flags(self):
         db = make_db()
@@ -203,7 +169,7 @@ class TestExplainFlags:
         assert access["node"].strip() == (
             "SecondaryIndexRange(t.idx_ab: a = 2 AND b >= 3.0, covering)"
         )
-        assert "covering=true; mode=batched" in access["detail"]
+        assert access["detail"].endswith("; covering=true")
         assert "index-only, no heap fetches" in access["detail"]
 
     def test_non_covering_probe_has_no_covering_flag(self):
@@ -212,7 +178,6 @@ class TestExplainFlags:
         access = db.execute("EXPLAIN SELECT * FROM t WHERE a = 2 AND b >= 3.0").rows[-1]
         assert "covering" not in access["node"]
         assert "covering=true" not in access["detail"]
-        assert "mode=batched" in access["detail"]
 
     def test_desc_fused_walk_golden_plan(self):
         db = make_db()

@@ -7,21 +7,19 @@ import math
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.learn.kernels import (
-    GaussianKernel,
-    LaplacianKernel,
-    LinearKernel,
-    get_kernel,
-)
+from repro.learn.kernels import GaussianKernel, Kernel, LaplacianKernel
 from repro.learn.random_features import RandomFourierFeatures
 from repro.linalg import SparseVector
 
 
-class TestKernels:
-    def test_linear_kernel_is_dot_product(self):
-        kernel = LinearKernel()
-        assert kernel(SparseVector({0: 1.0, 1: 2.0}), SparseVector({1: 3.0})) == pytest.approx(6.0)
+class DotKernel(Kernel):
+    """``K(x, y) = x · y``: a kernel that is not shift invariant."""
 
+    def __call__(self, left: SparseVector, right: SparseVector) -> float:
+        return left.dot(right)
+
+
+class TestKernels:
     def test_gaussian_kernel_identity(self):
         kernel = GaussianKernel(gamma=0.5)
         x = SparseVector({0: 1.0, 3: -2.0})
@@ -49,18 +47,13 @@ class TestKernels:
     def test_shift_invariance_flags(self):
         assert GaussianKernel().shift_invariant
         assert LaplacianKernel().shift_invariant
-        assert not LinearKernel().shift_invariant
+        assert not DotKernel().shift_invariant
 
     def test_invalid_gamma(self):
         with pytest.raises(ConfigurationError):
             GaussianKernel(gamma=0.0)
         with pytest.raises(ConfigurationError):
             LaplacianKernel(gamma=-1.0)
-
-    def test_registry(self):
-        assert isinstance(get_kernel("rbf"), GaussianKernel)
-        with pytest.raises(ConfigurationError):
-            get_kernel("bogus")
 
 
 class TestRandomFourierFeatures:
@@ -70,7 +63,7 @@ class TestRandomFourierFeatures:
 
     def test_requires_shift_invariant_kernel(self):
         with pytest.raises(ConfigurationError):
-            RandomFourierFeatures(4, 10, kernel=LinearKernel())
+            RandomFourierFeatures(4, 10, kernel=DotKernel())
 
     def test_output_dimension(self):
         rff = RandomFourierFeatures(5, 64, kernel=GaussianKernel(gamma=1.0), seed=1)

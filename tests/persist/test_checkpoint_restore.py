@@ -448,7 +448,7 @@ class TestEngineWarmRestart:
         monkeypatch.undo()
         # Nothing was registered and the triggers were rolled back...
         assert "labeled_papers" not in restart.views
-        assert not restart_db.catalog.has_classification_view("Labeled_Papers")
+        assert restart_db.catalog.object_kind("Labeled_Papers") is None
         restart_db.execute(
             "INSERT INTO papers (id, title) VALUES (777001, 'post-failure row')"
         )

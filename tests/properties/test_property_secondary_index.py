@@ -88,9 +88,9 @@ def test_indexes_agree_with_scan_after_any_interleaving(ops, nullable_values):
             db.execute(f"DROP INDEX {live.pop(key % len(live))}")
         check_index_agrees_with_scan(table)
     # Dropped indexes must be gone from table and catalog alike.
-    assert set(table.secondary_index_names()) == {
-        name for name in db.catalog.index_names()
-    }
+    assert set(table.secondary_index_names()) == set(live)
+    for name in (f"idx_{number}" for number in range(next_index)):
+        assert db.catalog.has_index(name) == (name in live), name
 
 
 @settings(max_examples=30, deadline=None)
