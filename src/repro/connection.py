@@ -12,8 +12,8 @@ Prepared statements
 -------------------
 
 ``execute(sql, params)`` treats every SQL string as a prepared statement:
-each connection keeps an LRU cache (``plan_cache_size`` entries, default 128)
-keyed on the SQL text holding the parsed AST *and* its planned
+each connection keeps an LRU cache (:data:`PLAN_CACHE_SIZE` entries) keyed
+on the SQL text holding the parsed AST *and* its planned
 :class:`~repro.db.sql.planner.SelectPlan` — a SELECT's own, and for ``UPDATE``
 / ``DELETE`` the plan that locates the rows to write (``EXPLAIN`` of any of
 them caches the same plan).  Re-executing the same text — including through
@@ -87,6 +87,9 @@ from repro.serve.sync import SessionRegistry
 __all__ = ["connect", "Connection", "Cursor", "PreparedStatement"]
 
 _CONNECTION_IDS = itertools.count(1)
+
+#: Prepared statements one connection keeps, least recently used evicted first.
+PLAN_CACHE_SIZE = 128
 
 #: Statements whose execution may invalidate cached plans (schema or serving
 #: topology changes).  CheckpointView is included for symmetry with the other
@@ -240,19 +243,12 @@ class Connection:
     and ``.engine`` for tooling, but the quickstart never needs them.
     """
 
-    def __init__(
-        self,
-        database: Database,
-        engine: HazyEngine,
-        owns_engine: bool,
-        plan_cache_size: int = 128,
-    ) -> None:
+    def __init__(self, database: Database, engine: HazyEngine, owns_engine: bool) -> None:
         self.database = database
         self.engine = engine
         self._owns_engine = owns_engine
         self._sessions = SessionRegistry()
         self._closed = False
-        self._plan_cache_size = int(plan_cache_size)
         self._statements: OrderedDict[str, PreparedStatement] = OrderedDict()
         self.name = f"conn-{next(_CONNECTION_IDS)}"
         self._plan_cache_hits = 0
@@ -269,7 +265,7 @@ class Connection:
             "misses_total": self._plan_cache_misses,
             "invalidations_total": self._plan_cache_invalidations,
             "entries": len(self._statements),
-            "capacity": self._plan_cache_size,
+            "capacity": PLAN_CACHE_SIZE,
         }
 
     # -- statement execution ------------------------------------------------------------
@@ -338,10 +334,9 @@ class Connection:
                 detail="plan cache miss" if plan is not None else "not a planned statement",
             )
         prepared = PreparedStatement(sql, statement, plan)
-        if self._plan_cache_size > 0:
-            self._statements[sql] = prepared
-            while len(self._statements) > self._plan_cache_size:
-                self._statements.popitem(last=False)
+        self._statements[sql] = prepared
+        while len(self._statements) > PLAN_CACHE_SIZE:
+            self._statements.popitem(last=False)
         return prepared
 
     def _invalidate_plans(self, statement: Statement) -> None:
@@ -499,7 +494,6 @@ def connect(
     architecture: str | None = None,
     strategy: str | None = None,
     approach: str | None = None,
-    plan_cache_size: int = 128,
     **engine_options,
 ) -> Connection:
     """Open a connection to a (new or existing) Hazy database.
@@ -514,9 +508,7 @@ def connect(
 
     ``architecture`` / ``strategy`` / ``approach`` and any extra keyword
     arguments configure the engine exactly as :class:`HazyEngine` does; they
-    are rejected when ``engine=`` is supplied.  ``plan_cache_size`` bounds the
-    per-connection prepared-statement LRU (parsed AST + plan per SQL text; 0
-    disables caching).
+    are rejected when ``engine=`` is supplied.
 
     ``observability=`` supplies a preconfigured :class:`repro.obs.Observability`
     for the new database (e.g. ``Observability(enabled=False)`` for the no-op
@@ -551,9 +543,7 @@ def connect(
             raise ConfigurationError(
                 "engine options cannot be combined with an existing engine="
             )
-        return Connection(
-            engine.database, engine, owns_engine=False, plan_cache_size=plan_cache_size
-        )
+        return Connection(engine.database, engine, owns_engine=False)
     if database is None:
         database = Database(
             cost_model=cost_model,
@@ -573,4 +563,4 @@ def connect(
         approach=approach if approach is not None else "eager",
         **engine_options,
     )
-    return Connection(database, engine, owns_engine=True, plan_cache_size=plan_cache_size)
+    return Connection(database, engine, owns_engine=True)

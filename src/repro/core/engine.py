@@ -416,9 +416,6 @@ class HazyEngine:
     #: number may take (None: any).
     _SERVER_OPTIONS = {
         "shards": (int, "an integer", 1),
-        "queue_capacity": (int, "an integer", 1),
-        "max_write_batch": (int, "an integer", 1),
-        "cache_capacity": (int, "an integer", 0),
         "epoch_history": (int, "an integer", 0),
         "wal": (str, "a string", None),
     }

@@ -19,8 +19,7 @@ from collections.abc import Iterable, Iterator
 
 from repro.core.stores.base import EntityRecord, EntityStore
 from repro.core.stores.ondisk import OnDiskEntityStore
-from repro.db.buffer_pool import BufferPool, IOStatistics
-from repro.db.costmodel import CostModel
+from repro.db.buffer_pool import BufferPool
 from repro.db.types import KeyRange
 from repro.exceptions import ConfigurationError
 from repro.learn.model import LinearModel
@@ -34,10 +33,12 @@ class HybridEntityStore(EntityStore):
 
     Parameters
     ----------
+    pool:
+        The on-disk component's buffer pool (see
+        :class:`~repro.core.stores.ondisk.OnDiskEntityStore`).
     buffer_fraction:
         Fraction of the entities that may be cached as full records (the
-        paper's experiments use 1 %).  ``buffer_capacity`` overrides it with an
-        absolute count when given.
+        paper's experiments use 1 %).
     """
 
     architecture = "hybrid"
@@ -45,21 +46,15 @@ class HybridEntityStore(EntityStore):
     def __init__(
         self,
         pool: BufferPool | None = None,
-        cost_model: CostModel | None = None,
-        stats: IOStatistics | None = None,
         feature_norm_q: float = 1.0,
         buffer_fraction: float = 0.01,
-        buffer_capacity: int | None = None,
     ):
         if buffer_fraction < 0 or buffer_fraction > 1:
             raise ConfigurationError("buffer_fraction must be in [0, 1]")
-        disk = OnDiskEntityStore(
-            pool=pool, cost_model=cost_model, stats=stats, feature_norm_q=feature_norm_q
-        )
+        disk = OnDiskEntityStore(pool=pool, feature_norm_q=feature_norm_q)
         super().__init__(disk.cost_model, disk.stats, feature_norm_q)
         self.disk = disk
         self.buffer_fraction = float(buffer_fraction)
-        self.buffer_capacity = buffer_capacity
         self._eps_map: dict[object, float] = {}
         self._buffer: dict[object, EntityRecord] = {}
         #: Counters a maintainer (or benchmark) can inspect to see where reads were served.
@@ -70,8 +65,6 @@ class HybridEntityStore(EntityStore):
     # -- sizing ---------------------------------------------------------------------------
 
     def _buffer_limit(self) -> int:
-        if self.buffer_capacity is not None:
-            return self.buffer_capacity
         return max(1, int(self.buffer_fraction * max(1, self.disk.count())))
 
     def _refill_buffer(self) -> None:

@@ -37,6 +37,9 @@ from repro.linalg.kernels import flatten, sparse_margins
 
 __all__ = ["OnDiskEntityStore"]
 
+#: Fan-out of the clustered B+-tree over eps.
+BTREE_ORDER = 64
+
 #: Marks a band tuple in a lazy read's answer list that scored outside the class.
 _NOT_A_MEMBER = object()
 
@@ -52,7 +55,9 @@ class OnDiskEntityStore(EntityStore):
     Parameters
     ----------
     pool:
-        The buffer pool to allocate pages from.  Supplying a pool with a small
+        The buffer pool to allocate pages from, whose cost model and ledger
+        price the store; None makes an unbounded pool under the default
+        :class:`~repro.db.costmodel.CostModel`.  Supplying a pool with a small
         ``capacity_pages`` models a memory-starved system; an unbounded pool
         still pays the cold-read and write-back costs that dominate on-disk
         behaviour right after a reorganization.
@@ -60,25 +65,15 @@ class OnDiskEntityStore(EntityStore):
 
     architecture = "ondisk"
 
-    def __init__(
-        self,
-        pool: BufferPool | None = None,
-        cost_model: CostModel | None = None,
-        stats: IOStatistics | None = None,
-        feature_norm_q: float = 1.0,
-        btree_order: int = 64,
-    ):
+    def __init__(self, pool: BufferPool | None = None, feature_norm_q: float = 1.0):
         if pool is None:
-            cost_model = cost_model if cost_model is not None else CostModel()
-            stats = stats if stats is not None else IOStatistics()
-            pool = BufferPool(cost_model, capacity_pages=None, statistics=stats)
+            pool = BufferPool(CostModel(), capacity_pages=None, statistics=IOStatistics())
         super().__init__(pool.cost_model, pool.stats, feature_norm_q)
         self.pool = pool
         self.heap = HeapFile(pool, sizer=_row_size)
         self.id_index = HashIndex("id")
-        self.eps_index = BPlusTree(order=btree_order)
+        self.eps_index = BPlusTree(order=BTREE_ORDER)
         self._label_counts: dict[int, int] = {1: 0, -1: 0}
-        self._btree_order = btree_order
 
     # -- lifecycle ------------------------------------------------------------------------
 
@@ -102,7 +97,7 @@ class OnDiskEntityStore(EntityStore):
         staged.sort(key=lambda item: item[2])
         self.heap.truncate()
         self.id_index.clear()
-        self.eps_index = BPlusTree(order=self._btree_order)
+        self.eps_index = BPlusTree(order=BTREE_ORDER)
         self._label_counts = {1: 0, -1: 0}
         seen: set[object] = set()
         for entity_id, features, eps, label in staged:

@@ -215,7 +215,6 @@ class ServeView(Statement):
 
     Puts a classification view behind the concurrent serving front-end;
     ``options`` carries the ``WITH`` clause verbatim (``shards``,
-    ``queue_capacity``, ``max_write_batch``, ``cache_capacity``,
     ``epoch_history``, ``wal``).
     """
 

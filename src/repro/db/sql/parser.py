@@ -486,13 +486,23 @@ class _Parser:
     # -- serving statements ------------------------------------------------------------------
 
     def _parse_with_options(self) -> dict[str, object]:
-        """``WITH (name = literal, ...)`` — empty dict when absent."""
+        """``WITH (name = literal, ...)`` — empty dict when absent.  Each
+        name is given once and each value is a literal: a repeated name or a
+        ``?`` is a syntax error at its token."""
         if not self._accept_keyword("with"):
             return {}
         self._expect_punctuation("(")
         options: dict[str, object] = {}
         while True:
-            name = self._expect_identifier()
+            name_token = self._peek()
+            name = self._expect_identifier().lower()
+            if name in options:
+                raise SQLSyntaxError(
+                    f"option {name!r} is given twice in WITH clause "
+                    f"at position {name_token.position}",
+                    position=name_token.position,
+                    token=name_token.value,
+                )
             operator = self._advance()
             if operator.type is not TokenType.OPERATOR or operator.value != "=":
                 raise SQLSyntaxError(
@@ -501,7 +511,15 @@ class _Parser:
                     position=operator.position,
                     token=operator.value,
                 )
-            options[name.lower()] = self._parse_literal()
+            value = self._peek()
+            if value.type is TokenType.PLACEHOLDER:
+                raise SQLSyntaxError(
+                    f"option {name!r} takes a literal, not '?', "
+                    f"at position {value.position}",
+                    position=value.position,
+                    token=value.value,
+                )
+            options[name] = self._parse_literal()
             if not self._accept_punctuation(","):
                 break
         self._expect_punctuation(")")

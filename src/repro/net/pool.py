@@ -10,8 +10,9 @@ across many client threads::
     pool.close()
 
 ``size`` bounds *total* connections (checked out + idle); a thread asking for
-a connection when all are busy blocks up to ``acquire_timeout_s`` and then
-raises :class:`~repro.exceptions.PoolExhaustedError`.  Checkout health-checks
+a connection when all are busy blocks up to :data:`ACQUIRE_TIMEOUT_S` (or the
+``timeout`` given to :meth:`ConnectionPool.acquire`) and then raises
+:class:`~repro.exceptions.PoolExhaustedError`.  Checkout health-checks
 idle members — a connection poisoned by a timeout, closed by the server, or
 failing its ping is discarded and replaced with a fresh dial, so a server
 restart heals transparently.
@@ -34,6 +35,9 @@ from repro.net.client import DEFAULT_TIMEOUT_S, NetworkConnection, connect
 
 __all__ = ["ConnectionPool"]
 
+#: How long :meth:`ConnectionPool.acquire` waits for a free slot by default.
+ACQUIRE_TIMEOUT_S = 30.0
+
 
 class ConnectionPool:
     """Bounded, health-checked pool of :class:`NetworkConnection` objects.
@@ -46,11 +50,6 @@ class ConnectionPool:
         Maximum live connections (idle + checked out).
     timeout:
         Per-request deadline applied to every pooled connection.
-    acquire_timeout_s:
-        How long :meth:`acquire` waits for a free slot before raising.
-    health_check:
-        Ping idle members at checkout (a dead one is replaced); disable only
-        in latency microbenchmarks where the extra round trip matters.
     """
 
     # Shared-state contract, enforced by repro-lint's lock pass: acquire()
@@ -71,8 +70,6 @@ class ConnectionPool:
         size: int = 4,
         *,
         timeout: float | None = DEFAULT_TIMEOUT_S,
-        acquire_timeout_s: float = 30.0,
-        health_check: bool = True,
     ) -> None:
         if size < 1:
             raise ConfigurationError("pool size must be at least 1")
@@ -80,8 +77,6 @@ class ConnectionPool:
         self.port = int(port)
         self.size = int(size)
         self.timeout = timeout
-        self.acquire_timeout_s = float(acquire_timeout_s)
-        self.health_check = bool(health_check)
         self._condition = threading.Condition()
         self._idle: deque[NetworkConnection] = deque()
         self._live = 0  # idle + checked out
@@ -94,9 +89,7 @@ class ConnectionPool:
 
     def acquire(self, timeout: float | None = None) -> NetworkConnection:
         """Check out a healthy connection; dial lazily up to ``size``."""
-        deadline = time.perf_counter() + (
-            timeout if timeout is not None else self.acquire_timeout_s
-        )
+        deadline = time.perf_counter() + (timeout if timeout is not None else ACQUIRE_TIMEOUT_S)
         while True:
             with self._condition:
                 if self._closed:
@@ -121,7 +114,7 @@ class ConnectionPool:
                         self._live -= 1
                         self._condition.notify()
                     raise
-            elif self.health_check and not self._healthy(candidate):
+            elif not self._healthy(candidate):
                 # Replace the dead member; the slot is already ours.
                 candidate.close()
                 with self._condition:

@@ -263,9 +263,8 @@ class SQLServer:
         ``server.port`` after :meth:`start`).
     max_connections:
         Accepted-socket cap; excess dials are refused with a structured error.
-    admission:
-        A preconfigured :class:`AdmissionController`; default builds one from
-        ``slots``/``queue_capacity``/``point_weight``/``bulk_weight``.
+    slots / queue_capacity / point_weight / bulk_weight / bulk_slot_cap:
+        The lanes of the server's :class:`AdmissionController`.
     admission_timeout_s:
         Default lane-wait deadline per statement (None = wait forever);
         clients can override per statement via the request's options.
@@ -289,7 +288,6 @@ class SQLServer:
         port: int = 0,
         *,
         max_connections: int = 64,
-        admission: AdmissionController | None = None,
         slots: int = 4,
         queue_capacity: int = 128,
         point_weight: int = 4,
@@ -301,7 +299,7 @@ class SQLServer:
         self.host = host
         self.port = int(port)
         self.max_connections = int(max_connections)
-        self.admission = admission if admission is not None else AdmissionController(
+        self.admission = AdmissionController(
             slots=slots,
             queue_capacity=queue_capacity,
             point_weight=point_weight,

@@ -63,6 +63,10 @@ __all__ = [
 #: second means "touched thousands of tuples or hundreds of pages".
 DEFAULT_SLOW_QUERY_SECONDS = 0.1
 
+#: Ring sizes: the most recent traces, and the most recent slow statements, kept.
+TRACE_CAPACITY = 128
+SLOW_QUERY_CAPACITY = 64
+
 
 class Observability:
     """Registry + trace ring + slow-query log, as one shareable object.
@@ -71,8 +75,6 @@ class Observability:
     ----------
     enabled:
         False gives the zero-overhead null path (benchmark baseline).
-    trace_capacity / slow_query_capacity:
-        Ring sizes for recent traces and slow statements.
     slow_query_seconds:
         Simulated-seconds threshold at which a statement enters the slow log.
         Mutable at runtime (``db.obs.slow_query_seconds = 0.0`` traps every
@@ -82,14 +84,12 @@ class Observability:
     def __init__(
         self,
         enabled: bool = True,
-        trace_capacity: int = 128,
-        slow_query_capacity: int = 64,
         slow_query_seconds: float = DEFAULT_SLOW_QUERY_SECONDS,
     ):
         self.enabled = bool(enabled)
         self.registry = MetricsRegistry(enabled=enabled)
-        self.traces = TraceRing(trace_capacity)
-        self.slow_queries = TraceRing(slow_query_capacity)
+        self.traces = TraceRing(TRACE_CAPACITY)
+        self.slow_queries = TraceRing(SLOW_QUERY_CAPACITY)
         self.slow_query_seconds = float(slow_query_seconds)
         self._lock = threading.Lock()
         self._plan_caches: dict[str, object] = {}

@@ -16,7 +16,7 @@ Two events bound the cache's validity:
   so all cached margins become meaningless — the cache watches the
   maintainer's reorganization counter and drops everything when it moves.
 
-Entries are evicted FIFO beyond ``capacity`` (0 keeps none).  The cache is
+Entries are evicted FIFO beyond :data:`CACHE_CAPACITY`.  The cache is
 manipulated only under its shard's lock, so it needs no locking of its own.
 """
 
@@ -30,6 +30,9 @@ from repro.core.stores.base import EntityRecord
 
 __all__ = ["WaterBandResultCache"]
 
+#: The most cached ε entries one shard's cache holds (FIFO eviction beyond).
+CACHE_CAPACITY = 100_000
+
 
 class WaterBandResultCache:
     """Serve repeat Single Entity reads from cached ε values.
@@ -41,19 +44,15 @@ class WaterBandResultCache:
         strategy has no band (naive maintainers) — the cache then never hits.
     reorg_supplier:
         Returns the shard's reorganization count; any change invalidates.
-    capacity:
-        Maximum number of cached ε entries (FIFO eviction; 0 caches nothing).
     """
 
     def __init__(
         self,
         band_supplier: Callable[[], WaterBand | None],
         reorg_supplier: Callable[[], int],
-        capacity: int = 100_000,
     ):
         self._band_supplier = band_supplier
         self._reorg_supplier = reorg_supplier
-        self._capacity = int(capacity)
         self._eps: OrderedDict[object, float] = OrderedDict()
         self._seen_reorgs = reorg_supplier()
         self.hits = 0
@@ -88,7 +87,7 @@ class WaterBandResultCache:
         """Deposit the stored ε of a record some read just fetched."""
         self._check_epoch()
         self._eps[record.entity_id] = record.eps
-        if len(self._eps) > self._capacity:
+        if len(self._eps) > CACHE_CAPACITY:
             self._eps.popitem(last=False)
 
     def evict(self, entity_id: object) -> None:

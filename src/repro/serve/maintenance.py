@@ -50,7 +50,8 @@ a. a :meth:`WriteTicket.wait() <repro.serve.requests.WriteTicket.wait>` on a
    ``flush``, ``STOP SERVING``, ``close``, a restore's WAL replay — starts
    it immediately;
 b. so does a ``BARRIER`` op;
-c. so does the queue holding a full ``max_batch`` (or being full outright);
+c. so does the queue holding a full :data:`MAX_WRITE_BATCH` (or being full
+   outright);
 d. otherwise it starts :data:`ROUND_DEADLINE_S` (2 ms) after the first op was
    taken — the bound on how much later than the end of the previous round a
    *sessionless* reader can see an acknowledged write.
@@ -60,9 +61,9 @@ so a waiter whose op missed this drain finds the event still set for the next
 one: no lost wake-up.  Durability is unaffected — the WAL append happens
 before ``enqueue``.
 
-Backpressure is the queue bound: when maintenance falls behind, producers
-(SQL triggers, ``insert_example`` callers) block in ``enqueue`` instead of
-growing an unbounded backlog.
+Backpressure is the queue bound, :data:`QUEUE_CAPACITY`: when maintenance
+falls behind, producers (SQL triggers, ``insert_example`` callers) block in
+``enqueue`` instead of growing an unbounded backlog.
 """
 
 from __future__ import annotations
@@ -89,6 +90,12 @@ _STOP = object()
 #: wakes the worker, which then competes with the producer for the interpreter.
 ROUND_DEADLINE_S = 0.002
 
+#: The most ops one round applies (module docstring, case c).
+MAX_WRITE_BATCH = 64
+
+#: The write queue's bound; a producer that finds it full blocks (backpressure).
+QUEUE_CAPACITY = 4096
+
 
 class MaintenanceWorker:
     """Drains the write queue and applies batches to the sharded view.
@@ -101,17 +108,9 @@ class MaintenanceWorker:
     ``shards``, ``rw_lock`` and ``epoch`` attributes.
     """
 
-    def __init__(
-        self,
-        host,
-        queue_capacity: int = 4096,
-        max_batch: int = 64,
-    ):
-        if max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
+    def __init__(self, host):
         self._host = host
-        self._queue: queue.Queue = queue.Queue(maxsize=queue_capacity)
-        self._max_batch = int(max_batch)
+        self._queue: queue.Queue = queue.Queue(maxsize=QUEUE_CAPACITY)
         self.batches_applied = 0
         self.ops_applied = 0
         self.backpressure_waits = 0
@@ -132,7 +131,7 @@ class MaintenanceWorker:
             self._started = True
             self._thread.start()
 
-    def enqueue(self, op: WriteOp, timeout: float | None = None) -> WriteTicket:
+    def enqueue(self, op: WriteOp) -> WriteTicket:
         """Admit one write; blocks when the queue is full (backpressure)."""
         op.ticket.on_wait = self._demand.set
         try:
@@ -141,14 +140,14 @@ class MaintenanceWorker:
             # The bound is doing its job: count the stall, then block as before.
             self.backpressure_waits += 1
             self._demand.set()
-            self._queue.put(op, timeout=timeout)
+            self._queue.put(op)
         if op.kind is WriteKind.BARRIER or self._batch_is_full():
             self._demand.set()
         return op.ticket
 
     def _batch_is_full(self) -> bool:
         """Whether the queue holds a whole batch behind the op the worker has taken."""
-        return self._queue.qsize() >= self._max_batch - 1
+        return self._queue.qsize() >= MAX_WRITE_BATCH - 1
 
     def flush(self, timeout: float | None = None) -> int:
         """Barrier: returns once everything enqueued before it is visible."""
@@ -170,7 +169,8 @@ class MaintenanceWorker:
     # -- worker side --------------------------------------------------------------------------
 
     def _drain(self) -> tuple[list[WriteOp], bool]:
-        """Block for the first op, park until the round is due, take up to ``max_batch``."""
+        """Block for the first op, park until the round is due, take up to
+        :data:`MAX_WRITE_BATCH`."""
         first = self._queue.get()
         if first is _STOP:
             return [], True
@@ -179,7 +179,7 @@ class MaintenanceWorker:
         self._demand.clear()
         ops = [first]
         stop = False
-        while len(ops) < self._max_batch:
+        while len(ops) < MAX_WRITE_BATCH:
             try:
                 item = self._queue.get_nowait()
             except queue.Empty:

@@ -189,20 +189,13 @@ class ViewServer:
         store_factory: Callable[[], EntityStore],
         maintainer_factory: Callable[[EntityStore], ViewMaintainer],
         shards: int = 4,
-        queue_capacity: int = 4096,
-        max_write_batch: int = 64,
-        cache_capacity: int = 100_000,
         epoch_history: int = 256,
         wal: str | Path | None = None,
         resume: LoadedCheckpoint | None = None,
     ):
         writer = view.writer
         self._view = view
-        per_shard = dict(
-            store_factory=store_factory,
-            maintainer_factory=maintainer_factory,
-            cache_capacity=cache_capacity,
-        )
+        per_shard = dict(store_factory=store_factory, maintainer_factory=maintainer_factory)
         if resume is not None:
             imports = [state.to_import() for state in resume.shard_states]
             self.shards = ShardSet.restore(imports, **per_shard)
@@ -255,9 +248,7 @@ class ViewServer:
         #: Where the last successful checkpoint landed — the default parent
         #: for ``checkpoint(..., incremental=True)``.
         self._last_checkpoint_path: Path | None = None
-        self.worker = MaintenanceWorker(
-            self, queue_capacity=queue_capacity, max_batch=max_write_batch
-        )
+        self.worker = MaintenanceWorker(self)
         self.batcher = ReadBatcher(
             self._execute_read_batch, cost_probe=self.shards.simulated_seconds
         )

@@ -60,13 +60,12 @@ class Shard:
     """One hash partition: store + maintainer + cache, and the lock every
     operation on them takes."""
 
-    def __init__(self, index: int, maintainer: ViewMaintainer, cache_capacity: int = 100_000):
+    def __init__(self, index: int, maintainer: ViewMaintainer):
         self.index = index
         self.maintainer = maintainer
         self.cache = WaterBandResultCache(
             band_supplier=self._band,
             reorg_supplier=lambda: self.maintainer.stats.reorganizations,
-            capacity=cache_capacity,
         )
         self.lock = threading.Lock()
 
@@ -121,7 +120,6 @@ class ShardSet:
         store_factory: Callable[[], EntityStore],
         maintainer_factory: Callable[[EntityStore], ViewMaintainer],
         num_shards: int = 4,
-        cache_capacity: int = 100_000,
     ) -> "ShardSet":
         """Partition ``entities`` by key hash and bulk-load every shard under ``model``."""
         if num_shards < 1:
@@ -129,10 +127,7 @@ class ShardSet:
         partitions: list[list[tuple[object, SparseVector]]] = [[] for _ in range(num_shards)]
         for entity_id, features in entities:
             partitions[shard_index(entity_id, num_shards)].append((entity_id, features))
-        shards = [
-            Shard(index, maintainer_factory(store_factory()), cache_capacity=cache_capacity)
-            for index in range(num_shards)
-        ]
+        shards = [Shard(index, maintainer_factory(store_factory())) for index in range(num_shards)]
         shard_set = cls(shards)
         shard_set._scatter("bulk_load", each=[(part, model) for part in partitions])
         return shard_set
@@ -143,7 +138,6 @@ class ShardSet:
         shard_states: Sequence[dict[str, object]],
         store_factory: Callable[[], EntityStore],
         maintainer_factory: Callable[[EntityStore], ViewMaintainer],
-        cache_capacity: int = 100_000,
     ) -> "ShardSet":
         """Rebuild a sharded view from per-shard snapshot states (warm restart).
 
@@ -153,8 +147,7 @@ class ShardSet:
         :func:`shard_index` is process-stable so routing still agrees.
         """
         shards = [
-            Shard(index, maintainer_factory(store_factory()), cache_capacity=cache_capacity)
-            for index in range(len(shard_states))
+            Shard(index, maintainer_factory(store_factory())) for index in range(len(shard_states))
         ]
         shard_set = cls(shards)
         shard_set._scatter("import_state", each=[(state,) for state in shard_states])

@@ -5,11 +5,11 @@
 ``HazyEngine._validated``; the cases below are generated from those two
 tables — a value of the wrong type, one below the option's least value, an
 empty string — so an option added to either is checked here without being
-listed.  Beside them: an empty TO / FROM directory, and the removed batching
-options.  Each case is issued twice — as SQL and through the imperative
-``serve`` / ``restore`` / ``checkpoint``, keyword for option — and must be
-refused with the same message, leaving nothing in the directory given or in
-the working directory an empty path would stand for.
+listed.  Beside them: an empty TO / FROM directory, and the removed batching,
+queue and cache options.  Each case is issued twice — as SQL and through the
+imperative ``serve`` / ``restore`` / ``checkpoint``, keyword for option — and
+must be refused with the same message, leaving nothing in the directory given
+or in the working directory an empty path would stand for.
 """
 
 from __future__ import annotations
@@ -52,8 +52,18 @@ def cases():
             if kind is str:
                 yield verb, DIR, {name: ""}, f"option {name!r} must not be empty"
     for verb in ("serve", "restore"):
-        # A read round never waits and drains a fixed 64 keys: nothing configures it.
-        for removed in ("max_wait_s", "adaptive_batching", "max_read_batch"):
+        # A read round never waits and drains a fixed 64 keys, and the write
+        # queue's bound, a write round's size and a shard's result cache are
+        # constants: nothing configures them.
+        removed_options = (
+            "max_wait_s",
+            "adaptive_batching",
+            "max_read_batch",
+            "queue_capacity",
+            "max_write_batch",
+            "cache_capacity",
+        )
+        for removed in removed_options:
             yield verb, DIR, {removed: 1}, f"unknown serving option {removed!r}"
     yield "checkpoint", DIR, {"parent": "/elsewhere"}, "'parent' requires incremental = true"
     yield "checkpoint", DIR, {"parent": "/elsewhere", "incremental": False}, "requires incremental"
@@ -151,9 +161,9 @@ def test_an_empty_path_never_stands_for_a_usable_working_directory(
     assert not elsewhere.exists()
 
 
-def test_a_nan_capacity_is_refused_imperatively(portals):
+def test_a_nan_option_is_refused_imperatively(portals):
     """SQL has no NaN literal; a caller's dict can carry one, and it is no integer."""
-    message = "option 'cache_capacity' expects an integer, got nan"
+    message = "option 'epoch_history' expects an integer, got nan"
     with pytest.raises(ConfigurationError, match=re.escape(message)):
-        portals["serve"].serve(VIEW, cache_capacity=float("nan"))
+        portals["serve"].serve(VIEW, epoch_history=float("nan"))
     assert portals["serve"].view(VIEW).server is None

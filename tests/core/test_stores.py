@@ -177,6 +177,24 @@ class TestStoreContract:
 
 
 class TestOnDiskSpecifics:
+    def test_a_store_is_priced_by_its_pool(self):
+        pool = BufferPool(CostModel(), statistics=IOStatistics())
+        for store in (OnDiskEntityStore(pool=pool), HybridEntityStore(pool=pool)):
+            assert store.cost_model is pool.cost_model and store.stats is pool.stats
+        fresh = OnDiskEntityStore()
+        assert fresh.pool is not pool
+        assert fresh.cost_model is fresh.pool.cost_model and fresh.stats is fresh.pool.stats
+
+    def test_the_btree_order_is_read_when_the_store_is_built(self, monkeypatch):
+        monkeypatch.setattr("repro.core.stores.ondisk.BTREE_ORDER", 4)
+        store = make_store("ondisk")
+        assert store.eps_index.order == 4
+        store.bulk_load(sample_entities(), sample_model())  # rebuilds the tree
+        assert store.eps_index.order == 4
+        # margin = -2 + 0.1 * i: eps order is id order through a many-level tree.
+        assert [record.entity_id for record in store.scan_all()] == list(range(40))
+        assert sorted(r.entity_id for r in store.scan_eps(-0.05, 0.05)) == [20]
+
     def test_operations_charge_simulated_io(self):
         store = make_store("ondisk", buffer_pool_pages=2)
         store.bulk_load(sample_entities(200), sample_model())
@@ -225,7 +243,7 @@ class TestHybridSpecifics:
         store = HybridEntityStore(
             pool=BufferPool(CostModel(), statistics=IOStatistics()),
             feature_norm_q=1.0,
-            buffer_capacity=10,
+            buffer_fraction=0.25,  # 10 of the 40 entities
         )
         store.bulk_load(sample_entities(), sample_model())
         # The buffered entities are the ones with the smallest |eps| (around id 20).
@@ -237,7 +255,7 @@ class TestHybridSpecifics:
         store = HybridEntityStore(
             pool=BufferPool(CostModel(), statistics=IOStatistics()),
             feature_norm_q=1.0,
-            buffer_capacity=40,
+            buffer_fraction=1.0,  # all 40 entities
         )
         store.bulk_load(sample_entities(), sample_model())
         store.update_label(20, 1)

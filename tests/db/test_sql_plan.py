@@ -532,14 +532,16 @@ class TestPreparedStatements:
             other.close()
             conn.close()
 
-    def test_cache_is_lru_bounded(self):
-        conn = repro.connect(plan_cache_size=2)
+    def test_cache_is_lru_bounded(self, monkeypatch):
+        monkeypatch.setattr("repro.connection.PLAN_CACHE_SIZE", 2)
+        conn = repro.connect()
         try:
             conn.execute("CREATE TABLE t (a integer PRIMARY KEY)")
             conn.execute("SELECT * FROM t")
             conn.execute("SELECT a FROM t")
             conn.execute("SELECT COUNT(*) FROM t")
-            assert len(conn._statements) == 2
+            assert list(conn._statements) == ["SELECT a FROM t", "SELECT COUNT(*) FROM t"]
+            assert conn.plan_cache_stats()["capacity"] == 2
         finally:
             conn.close()
 

@@ -73,10 +73,10 @@ class TestParsing:
         assert (statement.view, statement.path) == ("v", "/tmp/ck")
 
     def test_restore_view_with_options(self):
-        statement = parse("RESTORE VIEW v FROM '/tmp/ck' WITH (cache_capacity = 32)")
+        statement = parse("RESTORE VIEW v FROM '/tmp/ck' WITH (epoch_history = 32)")
         assert isinstance(statement, RestoreView)
         assert statement.path == "/tmp/ck"
-        assert statement.options == {"cache_capacity": 32}
+        assert statement.options == {"epoch_history": 32}
 
     def test_explain_wraps_any_statement(self):
         statement = parse("EXPLAIN SELECT * FROM t WHERE id = 3")
@@ -150,7 +150,7 @@ class TestServingLifecycle:
             ("read_batch_wait_s = 0.1", "unknown serving option 'read_batch_wait_s'"),
             ("wal_dir = 'somewhere'", "unknown serving option 'wal_dir'"),
             ("shards = true", "option 'shards' expects an integer, got True"),
-            ("cache_capacity = 2.5", "option 'cache_capacity' expects an integer, got 2.5"),
+            ("epoch_history = 2.5", "option 'epoch_history' expects an integer, got 2.5"),
             ("wal = 3", "option 'wal' expects a string, got 3"),
             ("wal = ''", "option 'wal' must not be empty"),
             # A read round never waits and drains a fixed 64 keys: nothing configures it.
@@ -169,14 +169,11 @@ class TestServingLifecycle:
         db, engine, _ = build_portal(count=20)
         db.execute(
             "SERVE VIEW labeled_papers WITH (shards = 2, "
-            "queue_capacity = 64, max_write_batch = 4, cache_capacity = 100, "
             f"epoch_history = 8, wal = '{tmp_path / 'wal'}')"
         )
         server = engine.view("labeled_papers").server
         assert len(server.shards) == 2 and server.wal is not None
-        assert sorted(engine._SERVER_OPTIONS) == sorted(
-            "shards queue_capacity max_write_batch cache_capacity epoch_history wal".split()
-        )
+        assert sorted(engine._SERVER_OPTIONS) == ["epoch_history", "shards", "wal"]
         db.execute("STOP SERVING labeled_papers")
 
     def test_stop_serving_unserved_view_fails(self):

@@ -13,6 +13,7 @@ from repro.exceptions import (
     AdmissionTimeoutError,
     ConfigurationError,
 )
+from repro.net import SQLServer
 from repro.net.admission import (
     BULK_LANE,
     POINT_LANE,
@@ -242,3 +243,27 @@ class TestAdmissionController:
                 "max_wait_seconds",
             ):
                 assert f"{lane}.{key}" in stats
+
+    def test_a_server_builds_its_controller_from_its_lane_settings(self):
+        conn = repro.connect()
+        try:
+            server = SQLServer(
+                conn.engine,
+                slots=3,
+                queue_capacity=5,
+                point_weight=2,
+                bulk_weight=1,
+                bulk_slot_cap=1,
+            )
+            admission = server.admission
+            assert (
+                admission.slots,
+                admission.queue_capacity,
+                admission.point_weight,
+                admission.bulk_weight,
+                admission.bulk_slot_cap,
+            ) == (3, 5, 2, 1, 1)
+            with pytest.raises(ConfigurationError, match="bulk_slot_cap"):
+                SQLServer(conn.engine, slots=2, bulk_slot_cap=3)
+        finally:
+            conn.close()

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
+import repro.net.pool
 from repro.exceptions import ConfigurationError, PoolExhaustedError
 from repro.net import ConnectionPool, SQLServer
 
@@ -46,6 +48,19 @@ class TestCheckout:
         try:
             with pytest.raises(PoolExhaustedError):
                 pool.acquire(timeout=0.1)
+        finally:
+            for conn in held:
+                pool.release(conn)
+
+    def test_exhaustion_waits_the_default_acquire_timeout(self, pool, monkeypatch):
+        assert repro.net.pool.ACQUIRE_TIMEOUT_S == 30.0
+        monkeypatch.setattr("repro.net.pool.ACQUIRE_TIMEOUT_S", 0.1)
+        held = [pool.acquire() for _ in range(3)]
+        try:
+            started = time.perf_counter()
+            with pytest.raises(PoolExhaustedError):
+                pool.acquire()  # no timeout given: the module's default applies
+            assert time.perf_counter() - started < TEST_TIMEOUT_S
         finally:
             for conn in held:
                 pool.release(conn)

@@ -7,6 +7,10 @@ over the wire alike.
 * A statement's ``?`` count is checked once, before anything is planned or
   read.  Too few parameters used to pass whenever no row reached the
   unbound conjunct, and extra parameters were silently dropped.
+* A ``WITH (...)`` clause names each option once and gives it a literal.  A
+  repeated name used to let the last value win (``shards = 2, shards = 5``
+  served five shards), and a ``?`` reached the option validator unbound,
+  whose message then carried the placeholder's memory address.
 
 Each case runs through ``repro.connect()`` and through a ``repro.net`` client
 of the same engine, and must raise the same class with the same text.
@@ -20,7 +24,7 @@ import repro
 from repro.exceptions import SQLExecutionError, SQLSyntaxError
 from repro.net import SQLServer, connect
 
-from tests.net.conftest import TEST_TIMEOUT_S
+from tests.net.conftest import TEST_TIMEOUT_S, VIEW_DDL, corpus, create_base_tables
 
 ROWS = 50
 
@@ -131,3 +135,66 @@ def test_plain_explain_without_parameters_prints_the_placeholder(fronts):
     assert answers[0] == answers[1]
     assert any("score > ?" in row["node"] for row in answers[0])
     assert fronts["wire"].execute(sql, (1.0,)).fetchall() == answers[0]
+
+
+@pytest.mark.parametrize(
+    "sql,parameters,token,problem",
+    [
+        (
+            "SERVE VIEW labeled_papers WITH (shards = 2, shards = 5)",
+            (),
+            "shards",
+            "option 'shards' is given twice in WITH clause",
+        ),
+        (
+            "CHECKPOINT VIEW labeled_papers TO 'ck' "
+            "WITH (incremental = true, INCREMENTAL = false)",
+            (),
+            "INCREMENTAL",
+            "option 'incremental' is given twice in WITH clause",
+        ),
+        (
+            "RESTORE VIEW labeled_papers FROM 'ck' WITH (wal = 'a', wal = 'b')",
+            (),
+            "wal",
+            "option 'wal' is given twice in WITH clause",
+        ),
+        (  # the same value twice is still two values
+            "SERVE VIEW labeled_papers WITH (epoch_history = 4, EPOCH_HISTORY = 4)",
+            (),
+            "EPOCH_HISTORY",
+            "option 'epoch_history' is given twice in WITH clause",
+        ),
+        (
+            "SERVE VIEW labeled_papers WITH (shards = ?)",
+            (3,),
+            "?",
+            "option 'shards' takes a literal, not '?',",
+        ),
+        (
+            "RESTORE VIEW labeled_papers FROM 'ck' WITH (epoch_history = 8, wal = ?)",
+            ("wal",),
+            "?",
+            "option 'wal' takes a literal, not '?',",
+        ),
+        (
+            "CHECKPOINT VIEW labeled_papers TO 'ck' WITH (incremental = true, parent = ?)",
+            ("elsewhere",),
+            "?",
+            "option 'parent' takes a literal, not '?',",
+        ),
+    ],
+)
+def test_a_with_clause_takes_each_option_once_as_a_literal(
+    fronts, sql, parameters, token, problem
+):
+    conn = fronts["in_process"]
+    create_base_tables(conn, corpus(count=12))
+    conn.execute(VIEW_DDL)
+    kind, text, position, found = refusals(
+        fronts, lambda front: front.execute(sql, parameters)
+    )
+    assert kind is SQLSyntaxError
+    assert (position, found) == (sql.rindex(token), token)
+    assert text == f"{problem} at position {position}"
+    assert conn.engine.view("labeled_papers").server is None

@@ -59,6 +59,15 @@ class TestTraceRing:
         ring.clear()
         assert len(ring) == 0
 
+    def test_observability_sizes_its_rings_when_built(self, monkeypatch):
+        monkeypatch.setattr("repro.obs.TRACE_CAPACITY", 3)
+        monkeypatch.setattr("repro.obs.SLOW_QUERY_CAPACITY", 2)
+        obs = Observability(slow_query_seconds=0.0)  # every statement is slow
+        for i in range(5):
+            obs.record_trace(TraceContext(f"q{i}"))
+        assert [t.sql for t in obs.traces.snapshot()] == ["q2", "q3", "q4"]
+        assert [t.sql for t in obs.slow_queries.snapshot()] == ["q3", "q4"]
+
 
 class TestStatementTracing:
     def test_execute_records_full_span_tree(self):

@@ -18,11 +18,9 @@ class FakeShardState:
         self.reorganizations = 0
 
 
-def make_cache(state, capacity=100):
+def make_cache(state):
     return WaterBandResultCache(
-        band_supplier=lambda: state.band,
-        reorg_supplier=lambda: state.reorganizations,
-        capacity=capacity,
+        band_supplier=lambda: state.band, reorg_supplier=lambda: state.reorganizations
     )
 
 
@@ -65,16 +63,15 @@ def test_reorganization_clears_everything():
 
 
 def test_no_band_means_no_hits():
-    cache = WaterBandResultCache(
-        band_supplier=lambda: None, reorg_supplier=lambda: 0, capacity=10
-    )
+    cache = WaterBandResultCache(band_supplier=lambda: None, reorg_supplier=lambda: 0)
     cache.observe(make_record("p", 0.9))
     assert cache.lookup("p") is None
 
 
-def test_fifo_eviction_beyond_capacity():
+def test_fifo_eviction_beyond_capacity(monkeypatch):
+    monkeypatch.setattr("repro.serve.cache.CACHE_CAPACITY", 2)
     state = FakeShardState()
-    cache = make_cache(state, capacity=2)
+    cache = make_cache(state)
     cache.observe(make_record("a", 0.9))
     cache.observe(make_record("b", 0.9))
     cache.observe(make_record("c", 0.9))  # evicts "a"

@@ -28,8 +28,9 @@ def oracle_for(server, corpus):
     return view_contents(entities.items(), server.trainer.model)
 
 
-def test_queued_examples_apply_in_batches(serve_corpus):
-    server = build_corpus_server(serve_corpus, max_write_batch=16)
+def test_queued_examples_apply_in_batches(serve_corpus, monkeypatch):
+    monkeypatch.setattr("repro.serve.maintenance.MAX_WRITE_BATCH", 16)
+    server = build_corpus_server(serve_corpus)
     try:
         tickets = [
             server.insert_example(doc.entity_id, doc.label) for doc in serve_corpus[:40]
@@ -39,6 +40,53 @@ def test_queued_examples_apply_in_batches(serve_corpus):
         # Batching happened: fewer maintenance batches than operations.
         assert server.worker.batches_applied < 40
         assert server.worker.ops_applied == 40
+        assert server.contents() == oracle_for(server, serve_corpus)
+    finally:
+        server.close(timeout=30)
+
+
+def test_a_full_queue_blocks_the_producer_until_the_worker_drains(serve_corpus, monkeypatch):
+    """Backpressure: with room for one queued write and the worker stalled
+    behind the write lock, the next producer blocks (and is counted) instead
+    of growing the backlog; once released, every write applies."""
+    monkeypatch.setattr("repro.serve.maintenance.QUEUE_CAPACITY", 1)
+    server = build_corpus_server(serve_corpus, shards=2)
+    preparing, blocked = threading.Event(), threading.Event()
+    prepare, put = server.writer.prepare, server.worker._queue.put
+
+    def announcing_prepare(*args, **kwargs):
+        preparing.set()  # the worker has drained its batch
+        return prepare(*args, **kwargs)
+
+    def announcing_put(item, block=True, timeout=None):
+        if block:  # enqueue's put_nowait found the queue full
+            blocked.set()
+        return put(item, block, timeout)
+
+    monkeypatch.setattr(server.writer, "prepare", announcing_prepare)
+    monkeypatch.setattr(server.worker._queue, "put", announcing_put)
+    docs = serve_corpus[:3]
+    tickets = []
+    producer = threading.Thread(
+        target=lambda: tickets.append(server.insert_example(docs[2].entity_id, docs[2].label))
+    )
+    try:
+        with server.rw_lock.write_locked():
+            tickets.append(server.insert_example(docs[0].entity_id, docs[0].label))
+            assert preparing.wait(10)  # taken, and stalled before its apply
+            tickets.append(server.insert_example(docs[1].entity_id, docs[1].label))
+            assert server.worker.backlog() == 1  # the queue is full
+            assert server.worker.stats()["backpressure_waits_total"] == 0
+            producer.start()
+            assert blocked.wait(10)
+            assert producer.is_alive() and len(tickets) == 2
+            assert server.worker.stats()["backpressure_waits_total"] == 1
+        producer.join(10)
+        assert not producer.is_alive() and len(tickets) == 3
+        assert server.stats()["maintenance.backpressure_waits_total"] == 1
+        epoch = server.flush(timeout=30)  # its barrier may wait for room too
+        assert all(ticket.wait(10) <= epoch for ticket in tickets)
+        assert server.worker.ops_applied == 3
         assert server.contents() == oracle_for(server, serve_corpus)
     finally:
         server.close(timeout=30)
@@ -57,10 +105,11 @@ def test_entity_inserts_flow_through_the_queue(serve_corpus):
         server.close(timeout=30)
 
 
-def test_zero_cache_capacity_and_epoch_history_keep_nothing(serve_corpus):
+def test_zero_cache_capacity_and_epoch_history_keep_nothing(serve_corpus, monkeypatch):
     """0 means "keep none": no cached eps and no past model, while reads and
     writes still answer exactly what the oracle does."""
-    server = build_corpus_server(serve_corpus, shards=2, cache_capacity=0, epoch_history=0)
+    monkeypatch.setattr("repro.serve.cache.CACHE_CAPACITY", 0)
+    server = build_corpus_server(serve_corpus, shards=2, epoch_history=0)
     try:
         for doc in serve_corpus[:20]:
             server.insert_example(doc.entity_id, doc.label)
@@ -150,7 +199,7 @@ def test_bad_write_fails_its_ticket_but_server_survives(serve_corpus):
 
 def test_insert_then_delete_same_entity_in_one_batch(serve_corpus):
     """Intra-batch entity churn must replay in arrival order, not grouped."""
-    server = build_corpus_server(serve_corpus, max_write_batch=64)
+    server = build_corpus_server(serve_corpus)
     try:
         row = entity_row(90_001, serve_corpus[0].features)
         first = server.insert_entity(row)
@@ -265,7 +314,8 @@ def test_a_waiter_starts_the_round_at_once(serve_corpus, monkeypatch, demand):
 
 def test_a_full_batch_starts_without_a_waiter(serve_corpus, monkeypatch):
     monkeypatch.setattr("repro.serve.maintenance.ROUND_DEADLINE_S", 120.0)
-    server = build_corpus_server(serve_corpus, max_write_batch=8)
+    monkeypatch.setattr("repro.serve.maintenance.MAX_WRITE_BATCH", 8)
+    server = build_corpus_server(serve_corpus)
     try:
         for doc in serve_corpus[:8]:
             server.insert_example(doc.entity_id, doc.label)

@@ -128,11 +128,12 @@ def assert_checkpoints_hold_their_epoch(server, checkpoints, entities, factories
             restored.close(timeout=30)
 
 
-def test_all_members_reads_are_snapshot_consistent(serve_corpus, factories, tmp_path):
+def test_all_members_reads_are_snapshot_consistent(
+    serve_corpus, factories, tmp_path, monkeypatch
+):
     """Concurrent gather reads match the oracle at their tagged epoch exactly."""
-    server = build_corpus_server(
-        serve_corpus, shards=4, epoch_history=100_000, max_write_batch=BATCH, **factories
-    )
+    monkeypatch.setattr("repro.serve.maintenance.MAX_WRITE_BATCH", BATCH)
+    server = build_corpus_server(serve_corpus, shards=4, epoch_history=100_000, **factories)
     entities = [(doc.entity_id, doc.features) for doc in serve_corpus]
     observations: list[tuple[int, frozenset]] = []
     lock = threading.Lock()
@@ -158,11 +159,10 @@ def test_all_members_reads_are_snapshot_consistent(serve_corpus, factories, tmp_
     server.close(timeout=30)
 
 
-def test_single_reads_are_snapshot_consistent(serve_corpus, factories, tmp_path):
+def test_single_reads_are_snapshot_consistent(serve_corpus, factories, tmp_path, monkeypatch):
     """Batched label_of answers agree with the oracle at their tagged epoch."""
-    server = build_corpus_server(
-        serve_corpus, shards=4, epoch_history=100_000, max_write_batch=BATCH, **factories
-    )
+    monkeypatch.setattr("repro.serve.maintenance.MAX_WRITE_BATCH", BATCH)
+    server = build_corpus_server(serve_corpus, shards=4, epoch_history=100_000, **factories)
     entities = [(doc.entity_id, doc.features) for doc in serve_corpus]
     features = dict(entities)
     observations: list[tuple[object, int, int]] = []
