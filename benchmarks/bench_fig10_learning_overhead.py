@@ -66,7 +66,7 @@ def build_table():
         batch_precision, batch_recall = _pr(batch.predict, test)
 
         # Single-pass SGD on raw vectors (the file-based stand-in).
-        sgd = SGDTrainer(loss="svm", seed=1)
+        sgd = SGDTrainer(loss="svm")
         start = time.perf_counter()
         for example in train:
             sgd.absorb(example)
@@ -74,7 +74,7 @@ def build_table():
         sgd_precision, sgd_recall = _pr(sgd.predict, test)
 
         # The same SGD driven through view maintenance (the Hazy row).
-        hazy_trainer = SGDTrainer(loss="svm", seed=1)
+        hazy_trainer = SGDTrainer(loss="svm")
         maintainer = HazyEagerMaintainer(InMemoryEntityStore(feature_norm_q=2.0))
         maintainer.bulk_load([(ex.entity_id, ex.features) for ex in examples], hazy_trainer.model)
         start = time.perf_counter()

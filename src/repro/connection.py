@@ -49,6 +49,7 @@ worker connections in a multi-threaded client can come and go freely.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import time
 from collections import OrderedDict
@@ -494,7 +495,7 @@ def connect(
     architecture: str | None = None,
     strategy: str | None = None,
     approach: str | None = None,
-    **engine_options,
+    **unknown,
 ) -> Connection:
     """Open a connection to a (new or existing) Hazy database.
 
@@ -506,9 +507,13 @@ def connect(
     additional connection over an existing engine (e.g. one connection per
     client thread, each with its own session timeline).
 
-    ``architecture`` / ``strategy`` / ``approach`` and any extra keyword
-    arguments configure the engine exactly as :class:`HazyEngine` does; they
-    are rejected when ``engine=`` is supplied.
+    ``registry`` / ``architecture`` / ``strategy`` / ``approach`` configure
+    the engine exactly as :class:`HazyEngine` does; they are rejected when
+    ``engine=`` is supplied.  Those are all the engine takes: Skiing's α, the
+    hybrid buffer fraction and the trainer's settings are constants of the
+    modules that use them.  Any other keyword is a
+    :class:`~repro.exceptions.ConfigurationError` that names it and lists
+    the keywords ``connect`` takes.
 
     ``observability=`` supplies a preconfigured :class:`repro.obs.Observability`
     for the new database (e.g. ``Observability(enabled=False)`` for the no-op
@@ -522,6 +527,9 @@ def connect(
             with conn.execute("SELECT COUNT(*) FROM papers") as cursor:
                 total = cursor.scalar()
     """
+    if unknown:
+        known = sorted(inspect.signature(connect).parameters.keys() - {"unknown"})
+        raise ConfigurationError(f"unknown connect option {sorted(unknown)[0]!r}; known: {known}")
     if engine is not None:
         if database is not None and engine.database is not database:
             raise ConfigurationError(
@@ -538,7 +546,6 @@ def connect(
             or architecture is not None
             or strategy is not None
             or approach is not None
-            or engine_options
         ):
             raise ConfigurationError(
                 "engine options cannot be combined with an existing engine="
@@ -561,6 +568,5 @@ def connect(
         architecture=architecture if architecture is not None else "mainmemory",
         strategy=strategy if strategy is not None else "hazy",
         approach=approach if approach is not None else "eager",
-        **engine_options,
     )
     return Connection(database, engine, owns_engine=True)

@@ -41,6 +41,7 @@ from repro.db.sql.executor import ResultSet
 from repro.db.triggers import Trigger, TriggerEvent
 from repro.exceptions import (
     ConfigurationError,
+    SnapshotCorruptionError,
     SnapshotMismatchError,
     ViewDefinitionError,
 )
@@ -277,6 +278,21 @@ class ClassificationView:
         return self.definition.view_name
 
 
+def _definition_of(document, path) -> ClassificationViewDefinition:
+    """A checkpoint's view definition; one with an unknown or missing key is corrupt."""
+    if isinstance(document, dict) and document.get("options", {}) == {}:
+        # Checkpoints written before the definition lost its never-filled
+        # ``options`` field carry it, empty.
+        document = {key: value for key, value in document.items() if key != "options"}
+    try:
+        return ClassificationViewDefinition(**document)
+    except TypeError as error:
+        raise SnapshotCorruptionError(
+            f"checkpoint {path} manifest passed its CRC but holds a malformed view "
+            f"definition: {error}"
+        ) from None
+
+
 class HazyEngine:
     """Factory and registry of classification views over one database.
 
@@ -290,10 +306,11 @@ class HazyEngine:
         ``"hazy"`` (incremental, water band + Skiing) or ``"naive"``.
     approach:
         ``"eager"`` or ``"lazy"``.
-    alpha:
-        The Skiing threshold multiplier (ignored by naive strategies).
-    buffer_fraction:
-        Hybrid-only: fraction of entities kept in the hot buffer.
+
+    Skiing's α and the hybrid store's buffer fraction are the maintainer's
+    and the store's defaults; a view's trainer is an
+    :class:`~repro.learn.sgd.SGDTrainer` with the loss its ``USING`` clause
+    names.
     """
 
     def __init__(
@@ -303,9 +320,6 @@ class HazyEngine:
         architecture: str = "mainmemory",
         strategy: str = "hazy",
         approach: str = "eager",
-        alpha: float = 1.0,
-        buffer_fraction: float = 0.01,
-        trainer_factory: Callable[[str], SGDTrainer] | None = None,
     ):
         if architecture not in ARCHITECTURES:
             raise ConfigurationError(f"architecture must be one of {ARCHITECTURES}")
@@ -318,9 +332,6 @@ class HazyEngine:
         self.architecture = architecture
         self.strategy = strategy
         self.approach = approach
-        self.alpha = alpha
-        self.buffer_fraction = buffer_fraction
-        self._trainer_factory = trainer_factory
         self.views: dict[str, ClassificationView] = {}
         database.executor.set_classification_view_handler(self._handle_create_statement)
         database.executor.set_serving_handler(self._handle_serving_statement)
@@ -340,27 +351,17 @@ class HazyEngine:
         pool = pool if pool is not None else self.database.pool
         if self.architecture == "ondisk":
             return OnDiskEntityStore(pool=pool, feature_norm_q=feature_norm_q)
-        return HybridEntityStore(
-            pool=pool,
-            feature_norm_q=feature_norm_q,
-            buffer_fraction=self.buffer_fraction,
-        )
+        return HybridEntityStore(pool=pool, feature_norm_q=feature_norm_q)
 
     def _build_maintainer(self, store: EntityStore) -> ViewMaintainer:
-        return build_maintainer(self.strategy, self.approach, store, alpha=self.alpha)
-
-    def _build_trainer(self, definition: ClassificationViewDefinition) -> SGDTrainer:
-        loss = definition.loss_name() or "svm"
-        if self._trainer_factory is not None:
-            return self._trainer_factory(loss)
-        return SGDTrainer(loss=loss)
+        return build_maintainer(self.strategy, self.approach, store)
 
     def _build_view(
         self, definition, feature_function: FeatureFunction, positive_label, restored=False
     ) -> ClassificationView:
         """A view over a fresh writer and direct maintainer (cold, or restored)."""
         writer = ViewWriter(
-            self._build_trainer(definition),
+            SGDTrainer(definition.loss_name() or "svm"),
             feature_function,
             positive_label,
             entities_key=definition.entities_key,
@@ -631,7 +632,7 @@ class HazyEngine:
                     f"checkpoint {path} was written under {attribute}={recorded!r}; "
                     f"this engine is configured with {configured!r}"
                 )
-        definition = ClassificationViewDefinition(**manifest.definition)
+        definition = _definition_of(manifest.definition, path)
         feature_function = checkpoint.feature_function
         if feature_function is None:
             # Degenerate checkpoint without a pickled feature function: build a
@@ -758,6 +759,5 @@ class HazyEngine:
             labels_table=statement.labels_table,
             labels_column=statement.labels_column,
             method=statement.method,
-            options=dict(statement.options),
         )
         self.create_view(definition)

@@ -32,8 +32,8 @@ class MulticlassClassificationView:
         Callables building a fresh entity store and a maintainer over it, one
         pair per label; this is how the benchmark switches between Naive-MM and
         Hazy-MM while keeping everything else fixed.
-    trainer_factory:
-        Builds the per-label binary trainer (default: SVM-loss SGD).
+
+    Each label's binary trainer is an SVM-loss :class:`SGDTrainer`.
     """
 
     def __init__(
@@ -41,20 +41,18 @@ class MulticlassClassificationView:
         labels: Sequence[object],
         store_factory: Callable[[], EntityStore],
         maintainer_factory: Callable[[EntityStore], ViewMaintainer],
-        trainer_factory: Callable[[], SGDTrainer] | None = None,
     ):
         labels = list(labels)
         if len(labels) < 2:
             raise ConfigurationError("a multiclass view needs at least 2 labels")
         if len(set(labels)) != len(labels):
             raise ConfigurationError("duplicate labels in the label set")
-        trainer_factory = trainer_factory if trainer_factory is not None else SGDTrainer
         self.labels = labels
         self.trainers: dict[object, SGDTrainer] = {}
         self.maintainers: dict[object, ViewMaintainer] = {}
         for label in labels:
             store = store_factory()
-            self.trainers[label] = trainer_factory()
+            self.trainers[label] = SGDTrainer()
             self.maintainers[label] = maintainer_factory(store)
         self._loaded = False
         self._updates = 0

@@ -11,8 +11,8 @@ from ``CREATE CLASSIFICATION VIEW``.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import dataclass
 
 from repro.exceptions import ViewDefinitionError
 from repro.learn.model import LinearModel
@@ -52,7 +52,6 @@ class ClassificationViewDefinition:
     labels_table: str | None = None
     labels_column: str | None = None
     method: str | None = None
-    options: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not self.view_name:

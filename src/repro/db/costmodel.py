@@ -12,7 +12,7 @@ Theorem 3.3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["CostModel"]
 
@@ -67,7 +67,6 @@ class CostModel:
     model_update: float = 1e-4
     statement_overhead: float = 7e-5
     page_size_bytes: int = 8192
-    extra: dict[str, float] = field(default_factory=dict)
 
     def sort_cost(self, tuple_count: int) -> float:
         """CPU cost of sorting ``tuple_count`` tuples (n log n)."""

@@ -206,7 +206,6 @@ class CreateClassificationView(Statement):
     examples_label: str
     feature_function: str
     method: str | None = None
-    options: dict[str, str] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)

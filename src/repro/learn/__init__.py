@@ -5,14 +5,17 @@ view-maintenance machinery only needs a sequence of models ``(w(i), b(i))``
 produced by *incremental* training.  This package provides that substrate:
 
 * :mod:`repro.learn.loss` / :mod:`repro.learn.regularizers` — the convex
-  building blocks of Figure 9 (hinge, squared, logistic losses; lp, Tikhonov,
-  entropy penalties).
+  building blocks of Figure 9: the hinge, squared and logistic losses a
+  view's ``USING`` clause picks, and the L2 penalty.  Figure 9b's other
+  penalties have no SQL spelling (no clause of ``CREATE CLASSIFICATION VIEW``
+  names a penalty), so L2 is the only one exposed.
 * :mod:`repro.learn.model` — the ``(w, b)`` pair itself.  A model version is
   a value: built once by the trainer, shared by reference, never changed — a
   frozen dataclass whose ``w`` is one read-only array
   (:mod:`repro.learn.weights`).
 * :mod:`repro.learn.sgd` — Bottou-style stochastic gradient descent, Hazy's
-  default trainer.
+  trainer: one step per example, its schedule and penalty strength module
+  constants.
 * :mod:`repro.learn.batch` — a batch sub-gradient SVM solver standing in for
   SVMLight in the Figure 10 comparison.
 * :mod:`repro.learn.kernels`, :mod:`repro.learn.random_features` — kernel
@@ -32,13 +35,7 @@ from repro.learn.loss import HingeLoss, LogisticLoss, Loss, SquaredLoss, get_los
 from repro.learn.metrics import accuracy, confusion_counts, f1_score, precision_recall
 from repro.learn.model import LinearModel
 from repro.learn.random_features import RandomFourierFeatures
-from repro.learn.regularizers import (
-    ElasticNetPenalty,
-    L1Penalty,
-    L2Penalty,
-    Regularizer,
-    get_regularizer,
-)
+from repro.learn.regularizers import L2Penalty
 from repro.learn.sgd import SGDTrainer, TrainingExample
 
 __all__ = [
@@ -47,11 +44,7 @@ __all__ = [
     "LogisticLoss",
     "SquaredLoss",
     "get_loss",
-    "Regularizer",
-    "L1Penalty",
     "L2Penalty",
-    "ElasticNetPenalty",
-    "get_regularizer",
     "LinearModel",
     "TrainingExample",
     "SGDTrainer",

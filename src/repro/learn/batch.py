@@ -10,7 +10,6 @@ more work per unit of quality than single-pass SGD — which this preserves.
 
 from __future__ import annotations
 
-import random
 from collections.abc import Sequence
 
 import numpy as np
@@ -40,7 +39,6 @@ class BatchSubgradientSVM:
         iterations: int = 200,
         loss: str | Loss = "svm",
         tolerance: float = 1e-6,
-        seed: int = 0,
     ):
         if regularization <= 0:
             raise ConfigurationError("regularization must be positive")
@@ -51,7 +49,6 @@ class BatchSubgradientSVM:
         self.loss = get_loss(loss)
         self._shrink = L2Penalty(self.regularization)
         self.tolerance = float(tolerance)
-        self._rng = random.Random(seed)
         self.model: LinearModel | None = None
         self.objective_trace: list[float] = []
         #: Number of example visits performed during fit (work accounting for Fig 10).

@@ -6,26 +6,38 @@ footprint, and — crucially for view maintenance — updates the model
 *incrementally*: each new training example produces the next model
 ``(w(i+1), b(i+1))`` from ``(w(i), b(i))`` with one gradient step.
 Each step builds the next :class:`~repro.learn.model.LinearModel` as a new
-value: the regularizer's shrink returns a fresh weight array, the loss step is
-written into it, and it is frozen as the next model's weights.  A model the
-trainer returned is never changed, so everyone holds it by reference and
-nobody copies it.
+value: the L2 shrink returns a fresh weight array, the loss step is written
+into it, and it is frozen as the next model's weights.  A model the trainer
+returned is never changed, so everyone holds it by reference and nobody
+copies it.
+
+The view's ``USING`` clause picks the loss; nothing picks anything else, so
+the penalty strength and the step schedule are the constants below.  They are
+read when a trainer is built and when it steps, so a test that needs another
+value patches the module attribute before it builds the trainer.
 """
 
 from __future__ import annotations
 
-import random
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from repro.exceptions import ConfigurationError
 from repro.learn.loss import Loss, get_loss
 from repro.learn.model import LinearModel
-from repro.learn.regularizers import Regularizer, get_regularizer
+from repro.learn.regularizers import L2Penalty
 from repro.learn.weights import Weights, add_scaled
 from repro.linalg import SparseVector
 
 __all__ = ["TrainingExample", "SGDTrainer"]
+
+#: Strength of the L2 penalty ``(strength / 2) * ||w||_2^2``.
+REGULARIZATION = 1e-4
+#: Base step size ``eta_0``: the ``t``-th absorbed example is taken with step
+#: ``eta_0 / (1 + t * DECAY)``.
+LEARNING_RATE = 0.3
+#: Learning-rate decay constant.
+DECAY = 0.02
 
 
 @dataclass(frozen=True)
@@ -42,45 +54,16 @@ class TrainingExample:
 
 
 class SGDTrainer:
-    """Incremental stochastic gradient descent over a convex loss + penalty.
+    """Incremental stochastic gradient descent over a convex loss + L2 penalty.
 
-    Parameters
-    ----------
-    loss:
-        Loss name (``"svm"``, ``"logistic"``, ``"ridge"``) or a :class:`Loss`.
-    regularizer:
-        Penalty name or instance; default l2 with small strength.
-    learning_rate:
-        Base step size ``eta_0``; the effective step decays as
-        ``eta_0 / (1 + t * decay)`` where ``t`` counts absorbed examples.
-    decay:
-        Learning-rate decay constant; 0 keeps a constant step size.
-    fit_bias:
-        Whether to learn the bias term ``b`` (the paper's models all do).
-    seed:
-        Seed for the shuffling used by :meth:`fit` (epoch training).
+    ``loss`` is a loss name (``"svm"``, ``"logistic"``, ``"ridge"``) or a
+    :class:`Loss`; the bias ``b`` is always learned, as in all of the paper's
+    models.
     """
 
-    def __init__(
-        self,
-        loss: str | Loss = "svm",
-        regularizer: str | Regularizer = "l2",
-        regularization: float = 1e-4,
-        learning_rate: float = 0.3,
-        decay: float = 0.02,
-        fit_bias: bool = True,
-        seed: int = 0,
-    ):
-        if learning_rate <= 0:
-            raise ConfigurationError("learning_rate must be positive")
-        if decay < 0:
-            raise ConfigurationError("decay must be >= 0")
+    def __init__(self, loss: str | Loss = "svm"):
         self.loss = get_loss(loss)
-        self.regularizer = get_regularizer(regularizer, regularization)
-        self.learning_rate = float(learning_rate)
-        self.decay = float(decay)
-        self.fit_bias = bool(fit_bias)
-        self._rng = random.Random(seed)
+        self.penalty = L2Penalty(REGULARIZATION)
         self._steps = 0
         self.model = LinearModel()
 
@@ -107,7 +90,7 @@ class SGDTrainer:
 
     def current_step_size(self) -> float:
         """The learning rate that the *next* example will be absorbed with."""
-        return self.learning_rate / (1.0 + self.decay * self._steps)
+        return LEARNING_RATE / (1.0 + DECAY * self._steps)
 
     def absorb(self, example: TrainingExample) -> LinearModel:
         """Absorb one training example and return the new model.
@@ -121,13 +104,12 @@ class SGDTrainer:
         # Regularize first (shrink), then take the loss step — the usual
         # ordering for truncated-gradient style updates.  The shrunk array is
         # new, so the loss step changes no model anyone holds.
-        weights = self.regularizer.shrink(self.model.weights.array, eta)
+        weights = self.penalty.shrink(self.model.weights.array, eta)
         bias = self.model.bias
         if grad != 0.0:
             weights = add_scaled(weights, example.features, -eta * grad)
-            if self.fit_bias:
-                # d(eps)/db = -1, so the bias moves in the opposite direction.
-                bias += eta * grad
+            # d(eps)/db = -1, so the bias moves in the opposite direction.
+            bias += eta * grad
         self._steps += 1
         self.model = LinearModel(Weights(weights), bias, self._steps)
         return self.model
@@ -136,19 +118,6 @@ class SGDTrainer:
         """Absorb a stream of examples; returns the final model."""
         for example in examples:
             self.absorb(example)
-        return self.model
-
-    # -- batch-style API ------------------------------------------------------
-
-    def fit(self, examples: Sequence[TrainingExample], epochs: int = 5) -> LinearModel:
-        """Run ``epochs`` shuffled passes over ``examples`` (bulk loading)."""
-        if epochs < 1:
-            raise ConfigurationError("epochs must be >= 1")
-        order = list(examples)
-        for _ in range(epochs):
-            self._rng.shuffle(order)
-            for example in order:
-                self.absorb(example)
         return self.model
 
     def predict(self, features: SparseVector) -> int:

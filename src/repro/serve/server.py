@@ -589,11 +589,9 @@ class ViewServer:
     def _manifest_identity(self) -> dict[str, object]:
         """The manifest fields naming the view and its engine configuration."""
         reference = self.shards.shards[0].maintainer
-        definition = dataclasses.asdict(self._view.definition)
-        definition["options"] = dict(definition.get("options") or {})
         return dict(
             view_name=self._view.definition.view_name,
-            definition=definition,
+            definition=dataclasses.asdict(self._view.definition),
             architecture=reference.store.architecture,
             strategy=reference.strategy_name,
             approach=reference.approach,

@@ -14,14 +14,21 @@ import pytest
 import repro
 import repro.connection
 import repro.core.stores.ondisk
+import repro.learn
+import repro.learn.sgd
 import repro.net.pool
 import repro.obs
 import repro.serve.cache
 import repro.serve.maintenance
 from repro.connection import Connection
 from repro.core.engine import HazyEngine
+from repro.core.multiclass_view import MulticlassClassificationView
 from repro.core.stores import HybridEntityStore, OnDiskEntityStore
+from repro.core.view import ClassificationViewDefinition
+from repro.db.costmodel import CostModel
+from repro.db.sql.ast import CreateClassificationView
 from repro.exceptions import ConfigurationError
+from repro.learn import BatchSubgradientSVM, SGDTrainer
 from repro.net import ConnectionPool, SQLServer
 from repro.obs import Observability
 from repro.serve.cache import WaterBandResultCache
@@ -45,6 +52,13 @@ GONE = {
     Observability: {"trace_capacity", "slow_query_capacity"},
     ConnectionPool: {"health_check", "acquire_timeout_s"},
     SQLServer: {"admission"},
+    SGDTrainer: {"regularizer", "regularization", "learning_rate", "decay", "fit_bias", "seed"},
+    BatchSubgradientSVM: {"seed"},
+    HazyEngine: {"alpha", "buffer_fraction", "trainer_factory"},
+    MulticlassClassificationView: {"trainer_factory"},
+    CostModel: {"extra"},
+    ClassificationViewDefinition: {"options"},
+    CreateClassificationView: {"options"},
 }
 
 #: (module, constant) -> the value its parameter defaulted to.
@@ -57,6 +71,9 @@ CONSTANTS = {
     (repro.obs, "TRACE_CAPACITY"): 128,
     (repro.obs, "SLOW_QUERY_CAPACITY"): 64,
     (repro.net.pool, "ACQUIRE_TIMEOUT_S"): 30.0,
+    (repro.learn.sgd, "REGULARIZATION"): 1e-4,
+    (repro.learn.sgd, "LEARNING_RATE"): 0.3,
+    (repro.learn.sgd, "DECAY"): 0.02,
 }
 
 
@@ -91,3 +108,21 @@ def test_a_removed_serving_option_is_refused_listing_the_three():
         )
     finally:
         conn.close()
+
+
+def test_the_learner_exposes_one_penalty_and_no_epoch_training():
+    assert not {"L1Penalty", "ElasticNetPenalty", "Regularizer", "get_regularizer"} & set(
+        dir(repro.learn)
+    )
+    assert not hasattr(SGDTrainer, "fit")
+
+
+@pytest.mark.parametrize("keyword,value", [("bogus", 1), ("plan_cache_size", 2), ("alpha", 1.0)])
+def test_connect_refuses_a_keyword_it_does_not_take(keyword, value):
+    with pytest.raises(ConfigurationError) as refused:
+        repro.connect(**{keyword: value})
+    assert str(refused.value) == (
+        f"unknown connect option {keyword!r}; known: ['approach', 'architecture', "
+        "'buffer_pool_pages', 'cost_model', 'database', 'engine', 'observability', "
+        "'registry', 'strategy']"
+    )

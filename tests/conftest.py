@@ -7,6 +7,7 @@ import random
 import pytest
 
 from repro.db.sql import plan
+from repro.learn import sgd
 from repro.learn.model import LinearModel
 from repro.learn.weights import Weights
 from repro.learn.sgd import SGDTrainer, TrainingExample
@@ -24,6 +25,23 @@ def chunk_rows(request, monkeypatch) -> int:
     """
     monkeypatch.setattr(plan, "DEFAULT_CHUNK_ROWS", request.param)
     return request.param
+
+
+@pytest.fixture
+def sgd_constants(monkeypatch):
+    """Set :mod:`repro.learn.sgd`'s constants for this test:
+    ``sgd_constants(LEARNING_RATE=0.5, DECAY=0.0)``.
+
+    A trainer reads them when it is built and when it steps, so set them
+    before building the trainer.
+    """
+
+    def patch(**values) -> None:
+        for name, value in values.items():
+            assert hasattr(sgd, name), name
+            monkeypatch.setattr(sgd, name, value)
+
+    return patch
 
 
 @pytest.fixture
@@ -68,7 +86,7 @@ def tiny_labels(tiny_corpus) -> dict[int, int]:
 @pytest.fixture
 def warm_trainer(tiny_corpus) -> SGDTrainer:
     """An SGD trainer warmed up on a sample of the tiny corpus."""
-    trainer = SGDTrainer(loss="svm", seed=3)
+    trainer = SGDTrainer(loss="svm")
     rng = random.Random(11)
     for _ in range(80):
         doc = tiny_corpus[rng.randrange(len(tiny_corpus))]

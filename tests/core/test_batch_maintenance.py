@@ -26,9 +26,9 @@ def factory_for(name):
     return lambda store: build_maintainer(strategy, approach, store, alpha=1.0)
 
 
-def make_models(tiny_corpus, count=12, seed=9):
+def make_models(tiny_corpus, count=12):
     """A run of successive model snapshots from incremental training."""
-    trainer = SGDTrainer(loss="svm", seed=seed)
+    trainer = SGDTrainer(loss="svm")
     for doc in tiny_corpus[:40]:
         trainer.absorb(TrainingExample(doc.entity_id, doc.features, doc.label))
     models = []
@@ -41,7 +41,7 @@ def make_models(tiny_corpus, count=12, seed=9):
 def test_apply_model_batch_matches_sequential_replay(tiny_entities, tiny_corpus, name):
     factory = factory_for(name)
     trainer, models = make_models(tiny_corpus)
-    base_model = SGDTrainer(loss="svm", seed=9)
+    base_model = SGDTrainer(loss="svm")
     for doc in tiny_corpus[:40]:
         base_model.absorb(TrainingExample(doc.entity_id, doc.features, doc.label))
 
@@ -61,7 +61,7 @@ def test_apply_model_batch_matches_sequential_replay(tiny_entities, tiny_corpus,
 
 def test_eager_batch_is_cheaper_than_replay(tiny_entities, tiny_corpus):
     _, models = make_models(tiny_corpus)
-    base = SGDTrainer(loss="svm", seed=9)
+    base = SGDTrainer(loss="svm")
     for doc in tiny_corpus[:40]:
         base.absorb(TrainingExample(doc.entity_id, doc.features, doc.label))
 

@@ -75,11 +75,12 @@ class TestDuplicateAndMissingEntities:
 
 
 class TestExtremeModels:
-    def test_huge_model_jump_forces_full_band(self):
+    def test_huge_model_jump_forces_full_band(self, sgd_constants):
         """A drastic model change puts everything in the band — and stays correct."""
         entities = [(i, SparseVector({0: 1.0, 1: float(i)})) for i in range(30)]
         maintainer = HazyEagerMaintainer(InMemoryEntityStore(feature_norm_q=1.0))
-        trainer = SGDTrainer(learning_rate=50.0, decay=0.0)
+        sgd_constants(LEARNING_RATE=50.0, DECAY=0.0)
+        trainer = SGDTrainer()
         maintainer.bulk_load(entities, trainer.model)
         model = trainer.absorb(TrainingExample(0, SparseVector({0: 1.0, 1: 29.0}), -1))
         maintainer.apply_model(model)
@@ -104,12 +105,13 @@ class TestExtremeModels:
 
 
 class TestSkiingIntegrationWithStores:
-    def test_reorganization_cost_tracks_measured_cost(self):
+    def test_reorganization_cost_tracks_measured_cost(self, sgd_constants):
         pool = BufferPool(CostModel(), capacity_pages=8, statistics=IOStatistics())
         store = OnDiskEntityStore(pool=pool, feature_norm_q=1.0)
         maintainer = HazyEagerMaintainer(store, alpha=0.01)
         entities = [(i, SparseVector({0: 1.0, 1: i / 50.0})) for i in range(300)]
-        trainer = SGDTrainer(learning_rate=1.0, decay=0.0)
+        sgd_constants(LEARNING_RATE=1.0, DECAY=0.0)
+        trainer = SGDTrainer()
         maintainer.bulk_load(entities, trainer.model)
         initial_estimate = maintainer.skiing.reorganization_cost
         assert initial_estimate > 0

@@ -90,7 +90,7 @@ class TestAgainstDeclarativeSemantics:
     def test_matches_oracle_after_update_stream(self, name):
         documents = corpus(120)
         entities = [(doc.entity_id, doc.features) for doc in documents]
-        trainer = SGDTrainer(seed=5)
+        trainer = SGDTrainer()
         maintainer = MAINTAINER_CLASSES[name](make_store("mainmemory"))
         maintainer.bulk_load(entities, trainer.model)
         final_model = run_update_stream(maintainer, trainer, documents, updates=60)
@@ -101,7 +101,7 @@ class TestAgainstDeclarativeSemantics:
     def test_all_members_matches_oracle(self, name):
         documents = corpus(100, seed=11)
         entities = [(doc.entity_id, doc.features) for doc in documents]
-        trainer = SGDTrainer(seed=2)
+        trainer = SGDTrainer()
         maintainer = MAINTAINER_CLASSES[name](make_store("mainmemory"))
         maintainer.bulk_load(entities, trainer.model)
         final_model = run_update_stream(maintainer, trainer, documents, updates=40, seed=9)
@@ -114,7 +114,7 @@ class TestAgainstDeclarativeSemantics:
     def test_new_entities_are_classified_and_maintained(self, name):
         documents = corpus(80, seed=21)
         entities = [(doc.entity_id, doc.features) for doc in documents]
-        trainer = SGDTrainer(seed=8)
+        trainer = SGDTrainer()
         maintainer = MAINTAINER_CLASSES[name](make_store("mainmemory"))
         maintainer.bulk_load(entities, trainer.model)
         run_update_stream(maintainer, trainer, documents, updates=25, seed=4)
@@ -134,12 +134,12 @@ class TestArchitectureConsistency:
         documents = corpus(100, seed=31)
         entities = [(doc.entity_id, doc.features) for doc in documents]
 
-        naive_trainer = SGDTrainer(seed=7)
+        naive_trainer = SGDTrainer()
         naive = NaiveEagerMaintainer(make_store("mainmemory"))
         naive.bulk_load(entities, naive_trainer.model)
         run_update_stream(naive, naive_trainer, documents, updates=50, seed=13)
 
-        hazy_trainer = SGDTrainer(seed=7)
+        hazy_trainer = SGDTrainer()
         hazy = HazyEagerMaintainer(make_store(kind))
         hazy.bulk_load(entities, hazy_trainer.model)
         run_update_stream(hazy, hazy_trainer, documents, updates=50, seed=13)
@@ -150,12 +150,12 @@ class TestArchitectureConsistency:
         documents = corpus(100, seed=41)
         entities = [(doc.entity_id, doc.features) for doc in documents]
 
-        naive_trainer = SGDTrainer(seed=17)
+        naive_trainer = SGDTrainer()
         naive = NaiveEagerMaintainer(make_store("mainmemory"))
         naive.bulk_load(entities, naive_trainer.model)
         run_update_stream(naive, naive_trainer, documents, updates=40, seed=23)
 
-        lazy_trainer = SGDTrainer(seed=17)
+        lazy_trainer = SGDTrainer()
         lazy = HazyLazyMaintainer(make_store(kind))
         lazy.bulk_load(entities, lazy_trainer.model)
         run_update_stream(lazy, lazy_trainer, documents, updates=40, seed=23)
@@ -167,7 +167,7 @@ class TestHazyEagerBehaviour:
     def test_incremental_step_touches_fewer_tuples_than_naive(self):
         documents = corpus(200, seed=51)
         entities = [(doc.entity_id, doc.features) for doc in documents]
-        trainer = SGDTrainer(seed=3)
+        trainer = SGDTrainer()
         # Warm the model first so per-update deltas are small.
         warm = [
             TrainingExample(doc.entity_id, doc.features, doc.label)
@@ -181,10 +181,11 @@ class TestHazyEagerBehaviour:
         naive_tuples = 30 * len(entities)
         assert hazy.stats.tuples_reclassified < naive_tuples
 
-    def test_reorganization_triggered_by_accumulated_waste(self):
+    def test_reorganization_triggered_by_accumulated_waste(self, sgd_constants):
         documents = corpus(80, seed=61)
         entities = [(doc.entity_id, doc.features) for doc in documents]
-        trainer = SGDTrainer(seed=19, learning_rate=1.0, decay=0.0)
+        sgd_constants(LEARNING_RATE=1.0, DECAY=0.0)
+        trainer = SGDTrainer()
         hazy = HazyEagerMaintainer(InMemoryEntityStore(feature_norm_q=1.0), alpha=0.05)
         hazy.bulk_load(entities, trainer.model)
         run_update_stream(hazy, trainer, documents, updates=60, seed=37)
@@ -194,7 +195,7 @@ class TestHazyEagerBehaviour:
     def test_band_size_history_recorded(self):
         documents = corpus(60, seed=71)
         entities = [(doc.entity_id, doc.features) for doc in documents]
-        trainer = SGDTrainer(seed=23)
+        trainer = SGDTrainer()
         hazy = HazyEagerMaintainer(make_store("mainmemory"))
         hazy.bulk_load(entities, trainer.model)
         run_update_stream(hazy, trainer, documents, updates=10, seed=41)
@@ -204,7 +205,7 @@ class TestHazyEagerBehaviour:
     def test_read_single_uses_epsmap_on_hybrid(self):
         documents = corpus(120, seed=81)
         entities = [(doc.entity_id, doc.features) for doc in documents]
-        trainer = SGDTrainer(seed=29)
+        trainer = SGDTrainer()
         # Warm the model before the bulk load so the water band stays narrow
         # and most single-entity reads can be answered from the eps-map alone.
         warm = [
@@ -225,7 +226,7 @@ class TestHazyLazyBehaviour:
     def test_updates_do_not_touch_tuples(self):
         documents = corpus(80, seed=91)
         entities = [(doc.entity_id, doc.features) for doc in documents]
-        trainer = SGDTrainer(seed=31)
+        trainer = SGDTrainer()
         lazy = HazyLazyMaintainer(make_store("mainmemory"))
         lazy.bulk_load(entities, trainer.model)
         run_update_stream(lazy, trainer, documents, updates=20, seed=47)
@@ -234,7 +235,7 @@ class TestHazyLazyBehaviour:
     def test_waste_accumulates_and_triggers_reorganization(self):
         documents = corpus(100, seed=97)
         entities = [(doc.entity_id, doc.features) for doc in documents]
-        trainer = SGDTrainer(seed=41)
+        trainer = SGDTrainer()
         lazy = HazyLazyMaintainer(InMemoryEntityStore(feature_norm_q=1.0), alpha=0.01)
         lazy.bulk_load(entities, trainer.model)
         for _ in range(15):
@@ -245,7 +246,7 @@ class TestHazyLazyBehaviour:
     def test_negative_class_query(self):
         documents = corpus(80, seed=99)
         entities = [(doc.entity_id, doc.features) for doc in documents]
-        trainer = SGDTrainer(seed=43)
+        trainer = SGDTrainer()
         lazy = HazyLazyMaintainer(make_store("mainmemory"))
         lazy.bulk_load(entities, trainer.model)
         final_model = run_update_stream(lazy, trainer, documents, updates=20, seed=61)
@@ -269,7 +270,7 @@ class TestAllMembersFromTheSlice:
     """A Hazy All Members read, eager or lazy, scans only the eps slice Lemma 3.1 leaves open."""
 
     def warmed(self, maintainer_cls, kind, documents):
-        trainer = SGDTrainer(seed=37)
+        trainer = SGDTrainer()
         for doc in random.Random(7).sample(documents, 120):
             trainer.absorb(TrainingExample(doc.entity_id, doc.features, doc.label))
         maintainer = maintainer_cls(make_store(kind))
@@ -348,7 +349,7 @@ class TestNaiveBehaviour:
     def test_naive_eager_touches_every_tuple_per_update(self):
         documents = corpus(60, seed=101)
         entities = [(doc.entity_id, doc.features) for doc in documents]
-        trainer = SGDTrainer(seed=47)
+        trainer = SGDTrainer()
         naive = NaiveEagerMaintainer(make_store("mainmemory"))
         naive.bulk_load(entities, trainer.model)
         run_update_stream(naive, trainer, documents, updates=10, seed=67)
@@ -357,7 +358,7 @@ class TestNaiveBehaviour:
     def test_naive_lazy_update_is_free(self):
         documents = corpus(60, seed=103)
         entities = [(doc.entity_id, doc.features) for doc in documents]
-        trainer = SGDTrainer(seed=53)
+        trainer = SGDTrainer()
         naive = NaiveLazyMaintainer(make_store("mainmemory"))
         naive.bulk_load(entities, trainer.model)
         run_update_stream(naive, trainer, documents, updates=10, seed=71)
@@ -366,7 +367,7 @@ class TestNaiveBehaviour:
     def test_single_reads_are_counted(self):
         documents = corpus(30, seed=105)
         entities = [(doc.entity_id, doc.features) for doc in documents]
-        trainer = SGDTrainer(seed=59)
+        trainer = SGDTrainer()
         naive = NaiveEagerMaintainer(make_store("mainmemory"))
         naive.bulk_load(entities, trainer.model)
         for doc in documents[:10]:

@@ -114,7 +114,7 @@ def test_an_update_is_a_batch_of_one(architecture, strategy, approach, tiny_corp
     """``apply_model(m)`` and ``apply_model_batch([m])`` leave the same ledger."""
 
     def run(update):
-        trainer = SGDTrainer(loss="svm", seed=4)
+        trainer = SGDTrainer(loss="svm")
         maintainer = build_maintainer(
             strategy, approach, build_store(architecture, buffer_pool_pages=8), alpha=0.5
         )

@@ -8,8 +8,13 @@ from repro.core.maintainers import HazyEagerMaintainer, NaiveEagerMaintainer
 from repro.core.multiclass_view import MulticlassClassificationView
 from repro.core.stores import InMemoryEntityStore
 from repro.exceptions import ConfigurationError, NotFittedError
-from repro.learn.sgd import SGDTrainer
 from repro.workloads.synth_dense import DenseDatasetGenerator
+
+
+@pytest.fixture(autouse=True)
+def constant_step(sgd_constants):
+    """Every per-label trainer steps at a constant 0.5."""
+    sgd_constants(LEARNING_RATE=0.5, DECAY=0.0)
 
 
 def build_view(strategy: str = "hazy", labels=None) -> MulticlassClassificationView:
@@ -23,7 +28,6 @@ def build_view(strategy: str = "hazy", labels=None) -> MulticlassClassificationV
         labels=labels,
         store_factory=lambda: InMemoryEntityStore(feature_norm_q=2.0),
         maintainer_factory=maintainer_factory,
-        trainer_factory=lambda: SGDTrainer(loss="svm", learning_rate=0.5, decay=0.0),
     )
 
 

@@ -76,7 +76,7 @@ def run_stream(architecture: str, strategy: str, approach: str) -> dict[str, obj
         vocabulary_size=150, nonzeros_per_document=8, positive_fraction=0.4, seed=5
     ).generate_list(260)
     initial, arrivals = corpus[:220], corpus[220:]
-    trainer = SGDTrainer(loss="svm", seed=3)
+    trainer = SGDTrainer(loss="svm")
     rng = random.Random(23)
 
     def next_model():

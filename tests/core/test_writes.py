@@ -46,7 +46,7 @@ def example(entity_id, label):
 
 @pytest.fixture
 def writer():
-    writer = ViewWriter(SGDTrainer(loss="svm", seed=1), Given())
+    writer = ViewWriter(SGDTrainer(loss="svm"), Given())
     prepared = writer.prepare(
         [(WriteKind.EXAMPLE_INSERT, example(1, 1), None), (WriteKind.EXAMPLE_INSERT, example(2, -1), None)],
         features_of,

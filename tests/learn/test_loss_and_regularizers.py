@@ -1,4 +1,4 @@
-"""Unit tests for loss functions and regularization penalties (Figure 9)."""
+"""Unit tests for the loss functions and the L2 penalty (Figure 9)."""
 
 from __future__ import annotations
 
@@ -9,12 +9,7 @@ import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.learn.loss import HingeLoss, LogisticLoss, SquaredLoss, get_loss
-from repro.learn.regularizers import (
-    ElasticNetPenalty,
-    L1Penalty,
-    L2Penalty,
-    get_regularizer,
-)
+from repro.learn.regularizers import L2Penalty
 
 
 class TestHingeLoss:
@@ -109,53 +104,3 @@ class TestL2Penalty:
     def test_negative_strength_rejected(self):
         with pytest.raises(ConfigurationError):
             L2Penalty(strength=-1.0)
-
-
-class TestL1Penalty:
-    def test_value(self):
-        assert L1Penalty(strength=0.5).value(np.array([-2.0])) == pytest.approx(1.0)
-
-    def test_truncation_drives_small_weights_to_zero(self):
-        penalty = L1Penalty(strength=1.0)
-        weights = penalty.shrink(np.array([0.5, -2.0]), learning_rate=1.0)
-        assert weights[0] == 0.0
-        assert weights[1] == pytest.approx(-1.0)
-
-    def test_zero_learning_rate_is_noop(self):
-        penalty = L1Penalty(strength=1.0)
-        weights = np.array([0.5])
-        shrunk = penalty.shrink(weights, learning_rate=0.0)
-        assert shrunk[0] == 0.5 and shrunk is not weights
-
-
-class TestElasticNet:
-    def test_combines_both_penalties(self):
-        penalty = ElasticNetPenalty(strength=1.0, ratio=0.5)
-        value = penalty.value(np.array([1.0]))
-        assert value == pytest.approx(0.5 * 1.0 + 0.5 * 0.5 * 1.0)
-
-    def test_invalid_ratio_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ElasticNetPenalty(ratio=1.5)
-
-    def test_apply_shrinks(self):
-        penalty = ElasticNetPenalty(strength=0.2, ratio=0.5)
-        weights = penalty.shrink(np.array([1.0]), learning_rate=1.0)
-        assert 0.0 < weights[0] < 1.0
-
-
-class TestRegularizerRegistry:
-    def test_lookup_by_alias(self):
-        assert isinstance(get_regularizer("lasso"), L1Penalty)
-        assert isinstance(get_regularizer("ridge"), L2Penalty)
-
-    def test_strength_is_forwarded(self):
-        assert get_regularizer("l2", strength=0.25).strength == 0.25
-
-    def test_instance_passthrough(self):
-        penalty = L2Penalty()
-        assert get_regularizer(penalty) is penalty
-
-    def test_unknown_name_raises(self):
-        with pytest.raises(ConfigurationError):
-            get_regularizer("bogus")

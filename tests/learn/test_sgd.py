@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import ConfigurationError
+from repro.learn import sgd
 from repro.learn.sgd import SGDTrainer, TrainingExample
 from repro.linalg import SparseVector
 
@@ -32,13 +33,18 @@ class TestTrainingExample:
 
 
 class TestConstruction:
-    def test_invalid_learning_rate(self):
-        with pytest.raises(ConfigurationError):
-            SGDTrainer(learning_rate=0.0)
+    def test_the_first_step_is_the_learning_rate(self):
+        assert sgd.LEARNING_RATE > 0
+        assert SGDTrainer().current_step_size() == sgd.LEARNING_RATE
 
-    def test_invalid_decay(self):
-        with pytest.raises(ConfigurationError):
-            SGDTrainer(decay=-1.0)
+    def test_the_step_size_never_grows(self):
+        assert sgd.DECAY >= 0
+        trainer = SGDTrainer()
+        trainer.load_state(trainer.model, steps=100)
+        assert 0 < trainer.current_step_size() <= sgd.LEARNING_RATE
+
+    def test_the_penalty_is_l2_at_the_constant_strength(self):
+        assert SGDTrainer().penalty.strength == sgd.REGULARIZATION
 
     def test_initial_model_is_zero(self):
         model = SGDTrainer().model
@@ -85,29 +91,33 @@ class TestIncrementalTraining:
         assert trainer.model.version == len(xor_free_examples())
         assert trainer.steps == len(xor_free_examples())
 
-    def test_positive_example_moves_margin_up(self):
-        trainer = SGDTrainer(loss="svm", learning_rate=0.5, decay=0.0, regularization=0.0)
+    def test_positive_example_moves_margin_up(self, sgd_constants):
+        sgd_constants(LEARNING_RATE=0.5, DECAY=0.0, REGULARIZATION=0.0)
+        trainer = SGDTrainer(loss="svm")
         example = TrainingExample(0, SparseVector({0: 1.0}), 1)
         before = trainer.model.margin(example.features)
         trainer.absorb(example)
         after = trainer.model.margin(example.features)
         assert after > before
 
-    def test_negative_example_moves_margin_down(self):
-        trainer = SGDTrainer(loss="svm", learning_rate=0.5, decay=0.0, regularization=0.0)
+    def test_negative_example_moves_margin_down(self, sgd_constants):
+        sgd_constants(LEARNING_RATE=0.5, DECAY=0.0, REGULARIZATION=0.0)
+        trainer = SGDTrainer(loss="svm")
         example = TrainingExample(0, SparseVector({0: 1.0}), -1)
         before = trainer.model.margin(example.features)
         trainer.absorb(example)
         assert trainer.model.margin(example.features) < before
 
-    def test_learning_rate_decays(self):
-        trainer = SGDTrainer(learning_rate=1.0, decay=1.0)
+    def test_learning_rate_decays(self, sgd_constants):
+        sgd_constants(LEARNING_RATE=1.0, DECAY=1.0)
+        trainer = SGDTrainer()
         assert trainer.current_step_size() == pytest.approx(1.0)
         trainer.absorb(TrainingExample(0, SparseVector({0: 1.0}), 1))
         assert trainer.current_step_size() == pytest.approx(0.5)
 
-    def test_zero_gradient_leaves_weights_unchanged_except_regularization(self):
-        trainer = SGDTrainer(loss="svm", learning_rate=0.1, decay=0.0, regularization=0.0)
+    def test_zero_gradient_leaves_weights_unchanged_except_regularization(self, sgd_constants):
+        sgd_constants(LEARNING_RATE=0.1, DECAY=0.0, REGULARIZATION=0.0)
+        trainer = SGDTrainer(loss="svm")
         # Make the example easily satisfied, then absorb it again.
         example = TrainingExample(0, SparseVector({0: 1.0}), 1)
         for _ in range(30):
@@ -124,20 +134,20 @@ class TestIncrementalTraining:
         assert trainer.steps == 0
 
 
-class TestBatchTraining:
-    def test_fit_separates_separable_data(self):
-        trainer = SGDTrainer(loss="svm", learning_rate=0.5, decay=0.0)
+class TestRepeatedPasses:
+    """Passes over a fixed example list, absorbed in order."""
+
+    def test_passes_separate_separable_data(self, sgd_constants):
+        sgd_constants(LEARNING_RATE=0.5, DECAY=0.0)
+        trainer = SGDTrainer(loss="svm")
         examples = xor_free_examples()
-        trainer.fit(examples, epochs=20)
+        trainer.absorb_many(examples * 20)
         assert all(trainer.predict(ex.features) == ex.label for ex in examples)
 
-    def test_fit_requires_positive_epochs(self):
-        with pytest.raises(ConfigurationError):
-            SGDTrainer().fit(xor_free_examples(), epochs=0)
-
-    def test_average_loss_decreases_with_training(self):
+    def test_average_loss_decreases_with_training(self, sgd_constants):
         examples = xor_free_examples()
-        trainer = SGDTrainer(loss="svm", learning_rate=0.5, decay=0.0)
+        sgd_constants(LEARNING_RATE=0.5, DECAY=0.0)
+        trainer = SGDTrainer(loss="svm")
 
         def mean_loss() -> float:
             losses = [
@@ -147,19 +157,20 @@ class TestBatchTraining:
             return sum(losses) / len(losses)
 
         initial = mean_loss()
-        trainer.fit(examples, epochs=20)
+        trainer.absorb_many(examples * 20)
         assert mean_loss() < initial
 
-    def test_logistic_loss_also_learns(self):
-        trainer = SGDTrainer(loss="logistic", learning_rate=1.0, decay=0.0)
+    def test_logistic_loss_also_learns(self, sgd_constants):
+        sgd_constants(LEARNING_RATE=1.0, DECAY=0.0)
+        trainer = SGDTrainer(loss="logistic")
         examples = xor_free_examples()
-        trainer.fit(examples, epochs=30)
+        trainer.absorb_many(examples * 30)
         assert all(trainer.predict(ex.features) == ex.label for ex in examples)
 
     def test_learns_synthetic_corpus_reasonably(self, tiny_corpus, example_factory):
         """On the synthetic corpus, training beats the majority-class baseline."""
-        trainer = SGDTrainer(loss="svm", seed=1)
-        trainer.fit(example_factory(tiny_corpus, 300, seed=2), epochs=3)
+        trainer = SGDTrainer(loss="svm")
+        trainer.absorb_many(example_factory(tiny_corpus, 300, seed=2) * 3)
         correct = sum(
             1 for doc in tiny_corpus if trainer.predict(doc.features) == doc.label
         )

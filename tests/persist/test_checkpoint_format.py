@@ -7,7 +7,9 @@ its two shards and references the other, the write-ahead log as the crash
 left it, and the answers the live server gave at the two cuts.  The tests
 here restore those directories with the code as it is now and require the
 recorded answers, then run the same program again and require documents with
-the same keys — and, the program being deterministic, the same values.
+the same keys — and, the program being deterministic, the same values — but
+for the manifest's view definition, which has lost its never-filled
+``options`` field (:func:`without_options`).
 
 Regenerate (only when the format is *meant* to move, from a checkout of the
 commit whose format is the reference) with
@@ -24,6 +26,7 @@ from pathlib import Path
 import pytest
 
 from repro import HazyEngine
+from repro.exceptions import SnapshotCorruptionError
 from repro.persist import MANIFEST_NAME, load_checkpoint
 from repro.persist.format import read_frame, read_json_frame, write_json_frame
 from repro.workloads.synth_text import SparseCorpusGenerator
@@ -35,6 +38,14 @@ DATA = Path(__file__).with_name("data")
 #: Values that name a directory: an incremental manifest references its
 #: parent's shard files by absolute path.
 PATH_KEYS = ("shard_sources", "parent")
+
+
+def without_options(definition: dict) -> dict:
+    """A recorded manifest's view definition as written today: the image's
+    carries an ``options`` field that no statement ever filled (always
+    ``{}``), and the definition no longer has it."""
+    assert definition["options"] == {}
+    return {key: value for key, value in definition.items() if key != "options"}
 
 
 def corpus():
@@ -194,6 +205,24 @@ def test_a_parent_written_incremental_checkpoint_and_wal_restore_to_the_final_an
         server.close()
 
 
+@pytest.mark.parametrize(
+    "malform",
+    [
+        pytest.param(lambda definition: definition.update(bogus=1), id="unknown key"),
+        pytest.param(lambda definition: definition.pop("feature_function"), id="missing key"),
+    ],
+)
+def test_a_malformed_view_definition_is_a_corrupt_snapshot(image, malform):
+    manifest_path = image / "full" / MANIFEST_NAME
+    manifest = read_json_frame(manifest_path)
+    malform(manifest["definition"])
+    write_json_frame(manifest_path, manifest)  # a fresh CRC: only the content is wrong
+    engine = engine_over(corpus(), "before_full")
+    with pytest.raises(SnapshotCorruptionError, match="malformed view definition"):
+        engine.database.execute(f"RESTORE VIEW Labeled_Papers FROM '{image / 'full'}'")
+    assert not engine.views
+
+
 def test_the_same_program_writes_the_same_documents(tmp_path, recorded):
     """Key for key — and, but for the directory names, value for value."""
     fresh = tmp_path / "fresh"
@@ -203,7 +232,10 @@ def test_the_same_program_writes_the_same_documents(tmp_path, recorded):
     for name in before:
         assert before[name].keys() == after[name].keys(), name
         for key in before[name].keys() - set(PATH_KEYS):
-            assert before[name][key] == after[name][key], (name, key)
+            expected = before[name][key]
+            if name.endswith(MANIFEST_NAME) and key == "definition":
+                expected = without_options(expected)
+            assert expected == after[name][key], (name, key)
     for name in ("full", "incremental"):
         assert read_frame(fresh / name / "features.hzs") == read_frame(DATA / name / "features.hzs")
     sources = after[f"incremental/{MANIFEST_NAME}"]["shard_sources"]

@@ -118,7 +118,7 @@ def test_every_cell_survives_the_shard_state_round_trip(architecture, strategy, 
     corpus = SparseCorpusGenerator(
         vocabulary_size=120, nonzeros_per_document=8, positive_fraction=0.4, seed=3
     ).generate_list(80)
-    trainer = SGDTrainer(loss="svm", seed=5)
+    trainer = SGDTrainer(loss="svm")
     source = build_maintainer(strategy, approach, make_store(architecture))
     source.bulk_load([(doc.entity_id, doc.features) for doc in corpus], trainer.model)
     for doc in corpus[:25]:  # enough steps to open a water band and move Skiing's accounts

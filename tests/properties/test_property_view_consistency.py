@@ -59,13 +59,13 @@ def maintenance_scenarios(draw):
     return documents, steps, alpha
 
 
-def check_scenario(cell, scenario, trainer_seed):
+def check_scenario(cell, scenario):
     """Drive the stream through one cell, checking every read against the oracle."""
     architecture, strategy, approach = cell
     documents, steps, alpha = scenario
     arrivals = documents[-ARRIVALS:]
     live = {doc.entity_id: doc.features for doc in documents[:-ARRIVALS]}
-    trainer = SGDTrainer(seed=trainer_seed)
+    trainer = SGDTrainer()
     store = build_store(architecture, buffer_fraction=0.1, buffer_pool_pages=16)
     maintainer = build_maintainer(strategy, approach, store, alpha=alpha)
     maintainer.bulk_load(list(live.items()), trainer.model)
@@ -123,13 +123,11 @@ class TestViewConsistencyProperty:
     @given(maintenance_scenarios(), st.sampled_from(CELLS))
     @settings(max_examples=60, deadline=None)
     def test_every_strategy_matches_final_model_semantics(self, scenario, cell):
-        check_scenario(cell, scenario, trainer_seed=1)
+        check_scenario(cell, scenario)
 
     @given(maintenance_scenarios(), st.sampled_from(["ondisk", "hybrid"]))
     @settings(max_examples=15, deadline=None)
     def test_hazy_eager_consistent_on_disk_architectures(self, scenario, architecture):
-        maintainer, oracle = check_scenario(
-            (architecture, "hazy", "eager"), scenario, trainer_seed=2
-        )
+        maintainer, oracle = check_scenario((architecture, "hazy", "eager"), scenario)
         positive = {eid for eid, lab in oracle.items() if lab == 1}
         assert set(maintainer.read_all_members(1)) == positive

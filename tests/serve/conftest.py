@@ -58,7 +58,7 @@ def warm_sample(corpus, count: int = 60, seed: int = 2) -> list:
 
 def warm_trainer_for(corpus, count: int = 60, seed: int = 2) -> SGDTrainer:
     """An SGD trainer warmed on a sample of the corpus (the test view's model)."""
-    trainer = SGDTrainer(loss="svm", seed=1)
+    trainer = SGDTrainer(loss="svm")
     for doc in warm_sample(corpus, count, seed):
         trainer.absorb(TrainingExample(doc.entity_id, doc.features, doc.label))
     return trainer
@@ -71,7 +71,7 @@ def entity_row(entity_id, features) -> dict:
 
 def corpus_engine(database: Database, feature_function=PreFeaturizedColumn) -> HazyEngine:
     """A main-memory eager engine over ``database`` that knows ``corpus_features``."""
-    engine = HazyEngine(database, trainer_factory=lambda loss: SGDTrainer(loss=loss, seed=1))
+    engine = HazyEngine(database)
     engine.registry.register("corpus_features", feature_function)
     return engine
 

@@ -78,11 +78,11 @@ class TestSparseCorpusGenerator:
             vocabulary_size=400, nonzeros_per_document=12, positive_fraction=0.4, seed=8
         )
         docs = generator.generate_list(400)
-        trainer = SGDTrainer(loss="svm", seed=0)
+        trainer = SGDTrainer(loss="svm")
         from repro.learn.sgd import TrainingExample
 
-        trainer.fit(
-            [TrainingExample(d.entity_id, d.features, d.label) for d in docs[:300]], epochs=3
+        trainer.absorb_many(
+            [TrainingExample(d.entity_id, d.features, d.label) for d in docs[:300]] * 3
         )
         holdout = docs[300:]
         accuracy = sum(1 for d in holdout if trainer.predict(d.features) == d.label) / len(holdout)
