@@ -286,7 +286,7 @@ def _definition_of(document, path) -> ClassificationViewDefinition:
         document = {key: value for key, value in document.items() if key != "options"}
     try:
         return ClassificationViewDefinition(**document)
-    except TypeError as error:
+    except (AttributeError, TypeError, ViewDefinitionError) as error:
         raise SnapshotCorruptionError(
             f"checkpoint {path} manifest passed its CRC but holds a malformed view "
             f"definition: {error}"

@@ -8,8 +8,8 @@ allowed because distinct entities can share an ``eps`` value.
 
 The same structure backs the *secondary* indexes that ``CREATE INDEX``
 attaches to base tables (:mod:`repro.db.secondary_index`).  Those trees hold
-whatever type the indexed column carries, so the float coercion the eps index
-wants is a constructor option (``coerce``) rather than hard-wired.
+tuples of column values, so the float coercion the eps index wants is a
+constructor option (``coerce``) rather than hard-wired.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ class _Node:
 
 
 class BPlusTree:
-    """A B+-tree over float keys with duplicate support and range scans.
+    """A B+-tree over mutually comparable keys with duplicate support and range scans.
 
     Parameters
     ----------
@@ -48,8 +48,8 @@ class BPlusTree:
     coerce:
         Applied to every key on insert/delete.  The eps index keeps the
         default (``float``); secondary indexes pass ``None`` so the tree
-        stores the column's values as-is (ints, floats or strings — any
-        mutually comparable type).
+        stores their keys as-is (tuples of column values, compared
+        lexicographically).
     """
 
     def __init__(self, order: int = 64, coerce=float):
@@ -158,16 +158,22 @@ class BPlusTree:
         return self.range_scan(None, None)
 
     def min_key(self) -> float | None:
-        """Smallest key in the tree, or None when empty."""
-        leaf = self._leftmost_leaf()
-        return leaf.keys[0] if leaf.keys else None
+        """Smallest key in the tree, or None when empty.
+
+        Lazy deletion can leave the end leaves empty, so both ends walk the
+        leaf chain inwards to the first leaf that still holds a key.
+        """
+        leaf: _Node | None = self._leftmost_leaf()
+        while leaf is not None and not leaf.keys:
+            leaf = leaf.next_leaf
+        return leaf.keys[0] if leaf is not None else None
 
     def max_key(self) -> float | None:
-        """Largest key in the tree, or None when empty."""
-        node = self._root
-        while not node.is_leaf:
-            node = node.children[-1]
-        return node.keys[-1] if node.keys else None
+        """Largest key in the tree, or None when empty (see :meth:`min_key`)."""
+        leaf: _Node | None = self._rightmost_leaf()
+        while leaf is not None and not leaf.keys:
+            leaf = leaf.prev_leaf
+        return leaf.keys[-1] if leaf is not None else None
 
     def _leftmost_leaf(self) -> _Node:
         node = self._root

@@ -3,22 +3,23 @@
 A :class:`SecondaryIndex` maps one or more columns' values to the heap record
 ids of the rows carrying them, backed by the same
 :class:`~repro.db.btree.BPlusTree` that clusters the scratch table on ``eps``.
-Single-column indexes store the raw column value as the tree key; composite
-indexes (``CREATE INDEX idx ON t (a, b)``) store the tuple of column values,
-compared lexicographically, which gives the planner the classic
-leftmost-prefix rule: equality conjuncts on leading columns plus at most one
-range on the next column become a contiguous key range.  A probe takes that
-range as one :class:`~repro.db.types.KeyRange` — :meth:`SecondaryIndex.scan`
-walks the tree over its inclusive bounds and drops the equal key of a strict
-bound — and the single-column estimator takes the same value, None when it is
-unknown at plan time.  The
+Every index keys on the tuple of its columns' values, compared
+lexicographically — a one-column index is the composite case with no prefix —
+which gives the planner the classic leftmost-prefix rule
+(:func:`~repro.db.sql.plan.leftmost_prefix`): equality conjuncts pin leading
+columns and at most one range on the next column becomes a contiguous key
+range.  A probe takes the pinned values and that range as one
+:class:`~repro.db.types.KeyRange` — :meth:`SecondaryIndex.scan` walks the tree
+over its inclusive bounds and drops the equal key of a strict bound — and the
+one estimator, :meth:`SecondaryIndex.estimate_matches`, takes the number of
+pinned columns and the same range, None when it is unknown at plan time.  The
 table maintains its indexes inline on every INSERT/UPDATE/DELETE, so an index
 scan is always exactly as fresh as a heap scan; the planner prices the access
 paths against each other and the :class:`~repro.db.sql.plan.SecondaryIndexRange`
 node is what an index win executes.
 
-NULL values are **not** indexed (as in most engines), and a composite entry is
-skipped when *any* key component is NULL: a predicate never selects such rows
+NULL values are **not** indexed (as in most engines): an entry is skipped when
+*any* key component is NULL, since a predicate never selects such rows
 through a B+-tree, and the residual ``Filter`` the planner keeps above every
 access path re-checks the original conjuncts anyway.  The ``covers_all_rows``
 probe tells order-sensitive consumers (index-ordered ``ORDER BY ... LIMIT k``)
@@ -29,10 +30,9 @@ Cost accounting follows the house convention: *actual* charges are CPU-style
 ``index_read``/``index_write``/``index_build`` in the ledger detail); the heap
 fetch for each matching rid goes through the buffer pool and prices its own
 pages — unless the scan is *covering*, in which case the caller rebuilds rows
-from the keys this scan yields and no heap page is ever touched.  *Estimates*
-(``estimate_matches`` / ``estimate_prefix_matches``) are pure statistics —
-entry count, distinct keys, min/max interpolation — so planning never touches
-data.
+from the keys this scan yields and no heap page is ever touched.  The
+*estimate* is pure statistics — entry count, distinct keys, min/max
+interpolation — so planning never touches data.
 """
 
 from __future__ import annotations
@@ -83,30 +83,13 @@ _TOP = _Top()
 class SecondaryIndex:
     """A named B+-tree over one or more columns: key -> record ids (dups allowed)."""
 
-    def __init__(
-        self,
-        name: str,
-        columns: str | Sequence[str],
-        pool: BufferPool,
-        order: int = 64,
-    ):
+    def __init__(self, name: str, columns: Sequence[str], pool: BufferPool, order: int = 64):
         self.name = name
-        if isinstance(columns, str):
-            columns = (columns,)
         self.columns: tuple[str, ...] = tuple(columns)
         if not self.columns:
             raise ValueError("secondary index needs at least one column")
         self.pool = pool
         self.tree = BPlusTree(order=order, coerce=None)
-
-    @property
-    def column(self) -> str:
-        """Leading key column (the whole key for single-column indexes)."""
-        return self.columns[0]
-
-    @property
-    def is_composite(self) -> bool:
-        return len(self.columns) > 1
 
     def __len__(self) -> int:
         return len(self.tree)
@@ -133,30 +116,17 @@ class SecondaryIndex:
         fallback path."""
         return value is not None and value == value
 
-    def key_of(self, row: dict) -> object | None:
-        """The tree key for ``row``, or None when the row is unindexable.
-
-        Single-column indexes key on the raw value; composite indexes key on
-        the tuple of values.  Any NULL/NaN component makes the whole row
-        unindexable (so ``covers_all_rows`` keeps its meaning for tuples).
-        """
-        if len(self.columns) == 1:
-            value = row.get(self.columns[0])
-            return value if self._indexable(value) else None
+    def key_of(self, row: dict) -> tuple | None:
+        """The tree key for ``row`` — the tuple of its key columns' values —
+        or None when any component is NULL/NaN and the row is unindexable."""
         parts = tuple(row.get(column) for column in self.columns)
         if all(self._indexable(part) for part in parts):
             return parts
         return None
 
     @staticmethod
-    def _same_key(old: object, new: object) -> bool:
-        if type(old) is not type(new):
-            return False
-        if isinstance(old, tuple):
-            return len(old) == len(new) and all(
-                a == b and type(a) is type(b) for a, b in zip(old, new)
-            )
-        return old == new
+    def _same_key(old: tuple, new: tuple) -> bool:
+        return all(a == b and type(a) is type(b) for a, b in zip(old, new))
 
     def insert(self, row: dict, rid: RecordId) -> None:
         """Index ``row -> rid``; rows with NULL/NaN key components are skipped."""
@@ -196,21 +166,18 @@ class SecondaryIndex:
         """Whether every live row is indexed (False when key columns have NULLs)."""
         return len(self.tree) == live_rows
 
-    def _tree_bounds(
-        self, key_range: KeyRange, equalities: tuple
-    ) -> tuple[object | None, object | None]:
+    @staticmethod
+    def _tree_bounds(key_range: KeyRange, equalities: tuple) -> tuple[tuple | None, tuple | None]:
         """Full tree-key bounds for an equality prefix plus a range on the
         next column.  A shorter tuple is already an inclusive lower bound for
         every extension; the upper bound appends :data:`_TOP` so every
         extension of the bounded prefix stays in range."""
         low, high = key_range.low, key_range.high
-        if len(self.columns) == 1:
-            return low, high
-        tree_low: object | None = equalities + ((low,) if low is not None else ())
+        tree_low: tuple | None = equalities + ((low,) if low is not None else ())
         if not tree_low:
             tree_low = None
         if high is not None:
-            tree_high: object | None = equalities + (high, _TOP)
+            tree_high: tuple | None = equalities + (high, _TOP)
         elif equalities:
             tree_high = equalities + (_TOP,)
         else:
@@ -226,18 +193,16 @@ class SecondaryIndex:
     ) -> Iterator[RecordId] | Iterator[tuple[object, RecordId]]:
         """Record ids (or ``(key, rid)`` pairs) matching the probe, in key order.
 
-        ``equalities`` pins the leading key columns (composite indexes only);
-        ``key_range`` bounds the next key column.  The tree walks the
-        inclusive ``[low, high]`` leaf chain, so a strict bound has only its
-        equal key left to drop.  ``reverse=True`` walks the leaf back-chain so
+        ``equalities`` pins the leading key columns (all of them, for a
+        full-key probe); ``key_range`` bounds the next key column.  The tree
+        walks the inclusive ``[low, high]`` leaf chain, so a strict bound has
+        only its equal key left to drop.  ``reverse=True`` walks the leaf back-chain so
         descending consumers can early-exit; ``with_keys=True`` additionally
         yields the tree key, which is how covering scans rebuild rows without
         touching the heap.  Each visited entry and each descent level charges
         ``tuple_cpu`` to the ledger.
         """
         equalities = tuple(equalities)
-        if equalities and len(self.columns) == 1:
-            raise ValueError("equality prefix requires a composite index")
         charge = self.pool.stats.charge
         tuple_cpu = self.pool.cost_model.tuple_cpu
         charge(self.tree.height * tuple_cpu, "index_read")
@@ -253,8 +218,7 @@ class SecondaryIndex:
         drop_high = high is not None and not key_range.include_high
         for key, rid in entries:
             charge(tuple_cpu, "index_read")
-            part = key if len(self.columns) == 1 else key[position]
-            if (drop_low and part == low) or (drop_high and part == high):
+            if (drop_low and key[position] == low) or (drop_high and key[position] == high):
                 continue
             yield (key, rid) if with_keys else rid
 
@@ -264,48 +228,21 @@ class SecondaryIndex:
     def _numeric(value: object) -> bool:
         return isinstance(value, (int, float)) and not isinstance(value, bool)
 
-    def estimate_matches(self, key_range: KeyRange | None, equality: bool = False) -> float:
-        """Estimated matching entries for a single-column probe over ``key_range``.
+    def estimate_matches(self, eq_count: int, key_range: KeyRange | None) -> float:
+        """Estimated entries a probe walks: ``eq_count`` leading key columns
+        pinned by equalities and ``key_range`` over the next one (an
+        unbounded ``KeyRange()`` when no conjunct ranges over it; None when
+        the range is unknown at plan time: ``?`` parameters, or literals that
+        cannot be ordered against each other).
 
-        Pure statistics — no data access.  Equality probes use the classic
-        ``n / distinct`` estimator; ranges with known numeric bounds
-        interpolate uniformly between the tree's min and max keys; a range
-        unknown at plan time (None: ``?`` parameters, or literals that cannot
-        be ordered against each other) or non-numeric bounds fall back to
-        :data:`DEFAULT_RANGE_SELECTIVITY`.
-        """
-        n = len(self.tree)
-        if n == 0:
-            return 0.0
-        if equality:
-            return n / max(1, self.tree.distinct_keys)
-        if key_range is None:
-            return n * DEFAULT_RANGE_SELECTIVITY
-        min_key, max_key = self.tree.min_key(), self.tree.max_key()
-        if not (self._numeric(min_key) and self._numeric(max_key)):
-            return n * DEFAULT_RANGE_SELECTIVITY
-        span = max_key - min_key
-        lo = min_key if key_range.low is None else key_range.low
-        hi = max_key if key_range.high is None else key_range.high
-        if not (self._numeric(lo) and self._numeric(hi)):
-            return n * DEFAULT_RANGE_SELECTIVITY
-        if span <= 0:
-            return float(n) if lo <= min_key <= hi else 0.0
-        covered = min(hi, max_key) - max(lo, min_key)
-        if covered < 0:
-            return 0.0
-        return n * min(1.0, covered / span)
-
-    def estimate_prefix_matches(self, eq_count: int, has_range: bool) -> float:
-        """Estimated matches for an equality prefix of ``eq_count`` leading
-        columns of a composite key plus an optional range on the next one.
-
-        Columns are assumed independent: the full-tuple distinct count spreads
-        evenly across the key columns, so each leading equality divides by
-        ``distinct ** (1/ncols)`` (which degenerates to the classic
-        ``n / distinct`` when the whole key is pinned), and a trailing range
-        multiplies by :data:`DEFAULT_RANGE_SELECTIVITY` (tuple min/max keys do
-        not interpolate).
+        Pure statistics — no data access.  A whole pinned key is the classic
+        ``n / distinct``.  Otherwise columns are assumed independent: the
+        full-key distinct count spreads evenly across the key columns, so each
+        pinned column divides by ``distinct ** (1/ncols)``.  With no column
+        pinned, a numeric range on the leading column interpolates uniformly
+        between the tree's min and max leading values (an absent bound takes
+        the min or max); any other range — unknown, non-numeric, or after a
+        pinned prefix — takes :data:`DEFAULT_RANGE_SELECTIVITY`.
         """
         n = len(self.tree)
         if n == 0:
@@ -317,9 +254,29 @@ class SecondaryIndex:
         if eq_count:
             per_column = max(1.0, self.tree.distinct_keys ** (1.0 / ncols))
             estimate /= per_column**eq_count
-        if has_range:
-            estimate *= DEFAULT_RANGE_SELECTIVITY
-        return min(estimate, float(n))
+            if key_range == KeyRange():
+                return estimate
+        elif key_range is not None:
+            return estimate * self._leading_fraction(key_range)
+        return estimate * DEFAULT_RANGE_SELECTIVITY
+
+    def _leading_fraction(self, key_range: KeyRange) -> float:
+        """The share of entries whose leading value lies in ``key_range``,
+        interpolated between the tree's min and max leading values."""
+        min_key, max_key = self.tree.min_key()[0], self.tree.max_key()[0]
+        if not (self._numeric(min_key) and self._numeric(max_key)):
+            return DEFAULT_RANGE_SELECTIVITY
+        span = max_key - min_key
+        lo = min_key if key_range.low is None else key_range.low
+        hi = max_key if key_range.high is None else key_range.high
+        if not (self._numeric(lo) and self._numeric(hi)):
+            return DEFAULT_RANGE_SELECTIVITY
+        if span <= 0:
+            return 1.0 if lo <= min_key <= hi else 0.0
+        covered = min(hi, max_key) - max(lo, min_key)
+        if covered < 0:
+            return 0.0
+        return min(1.0, covered / span)
 
     def __repr__(self) -> str:
         columns = ", ".join(repr(column) for column in self.columns)

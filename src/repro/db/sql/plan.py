@@ -60,6 +60,7 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from itertools import chain, compress
+from typing import NamedTuple
 
 import numpy as np
 
@@ -96,6 +97,7 @@ __all__ = [
     "Aggregate",
     "HashJoin",
     "compare_values",
+    "leftmost_prefix",
 ]
 
 
@@ -185,6 +187,51 @@ def _key_range(predicates, parameters) -> KeyRange | None:
     """The one interval this execution's bindings of ``predicates`` admit
     (:meth:`KeyRange.tighten`; None when a bound binds to NULL)."""
     return KeyRange.tighten((p.operator, p.bind(parameters)) for p in predicates)
+
+
+#: Operators a B+-tree over a key can answer (NULL-valued literals excluded).
+_INDEXABLE_OPERATORS = ("=", "<", "<=", ">", ">=")
+
+
+class KeyPrefix(NamedTuple):
+    """The conjuncts an index keyed on a tuple of columns answers, by key column.
+
+    ``pinned`` holds one group of conjuncts per leading key column that
+    carries an ``=`` (so they admit one value, or none); ``range`` the
+    conjuncts over the next key column when it carries only ranges (empty
+    when it carries none).
+    """
+
+    pinned: tuple[tuple[Predicate, ...], ...]
+    range: tuple[Predicate, ...]
+
+    @property
+    def conjuncts(self) -> tuple[Predicate, ...]:
+        """Every conjunct the probe answers, in key-column order."""
+        return (*chain.from_iterable(self.pinned), *self.range)
+
+
+def leftmost_prefix(key_columns: Sequence[str], predicates) -> KeyPrefix:
+    """The leftmost-prefix rule: which of ``predicates`` a B+-tree keyed on
+    the tuple of ``key_columns`` answers as one contiguous key range.
+
+    Walks the key columns in order: a column whose servable conjuncts include
+    an ``=`` is pinned and the walk goes on; the first column with only range
+    conjuncts ends it with that range, and a column with none ends it bare.
+    ``col = NULL`` is never servable (it matches NULL rows under this
+    dialect, which a B+-tree never stores).
+    """
+    by_column: dict[str, list[Predicate]] = {}
+    for predicate in predicates:
+        if predicate.operator in _INDEXABLE_OPERATORS and predicate.value is not None:
+            by_column.setdefault(predicate.column.lower(), []).append(predicate)
+    pinned: list[tuple[Predicate, ...]] = []
+    for column in key_columns:
+        conjuncts = tuple(by_column.get(column.lower(), ()))
+        if not any(p.operator == "=" for p in conjuncts):
+            return KeyPrefix(tuple(pinned), conjuncts)
+        pinned.append(conjuncts)
+    return KeyPrefix(tuple(pinned), ())
 
 
 #: Rows per columnar batch.  Operators read it when they run, so a test can
@@ -444,19 +491,19 @@ class SecondaryIndexRange(PlanNode):
     """B+-tree probe over a ``CREATE INDEX`` key, plus a heap fetch per match
     (unless the scan is *covering*).
 
-    ``predicates`` are the conjuncts the index serves.  For a single-column
-    index they are ``=``, ``<``, ``<=``, ``>``, ``>=`` comparisons on the
-    indexed column, tightened to one ``[low, high]`` interval at execution.
-    For a composite index they follow the leftmost-prefix rule the planner
-    enforced: equality conjuncts pinning the leading key columns plus at most
-    one range over the next column, which the index turns into a contiguous
-    tuple-key range.
+    Of the ``predicates`` it is given, the node answers those the
+    leftmost-prefix rule (:func:`leftmost_prefix`) assigns to its key — its
+    own :attr:`predicates`: the values of the pinned leading key columns plus
+    at most one range over the next one, which the index turns into a
+    contiguous tuple-key range at execution.  A one-column index is the case
+    with no prefix.
 
-    With ``order`` set the node is *index-ordered*: rows come back sorted by
-    ``column`` (the leaf chain is walked forward for ``asc`` and backwards
-    along the ``prev_leaf`` chain for ``desc``, so **both** directions
-    early-exit) and the planner elided the ``Sort``/``TopK`` above; ``limit``
-    then caps how many entries are walked, which is the fused top-k win.
+    With ``order`` set — ``(column, "asc" | "desc")`` — the node is
+    *index-ordered*: rows come back sorted by that key column (the leaf chain
+    is walked forward for ``asc`` and backwards along the ``prev_leaf`` chain
+    for ``desc``, so **both** directions early-exit) and the planner elided
+    the ``Sort``/``TopK`` above; ``limit`` then caps how many entries are
+    walked, which is the fused top-k win.
 
     With ``covering`` set the SELECT's column set is a subset of the index
     key, so rows are rebuilt from the B+-tree keys themselves and the
@@ -467,83 +514,65 @@ class SecondaryIndexRange(PlanNode):
     scan semantics: the index was dropped (a cached plan raced the DDL), a
     bound binds to NULL (``col = NULL`` matches NULL rows under this
     dialect's ``compare_values``, but NULLs are never indexed), a bound is of
-    a type the keys cannot be ordered against, or an ordered read finds
-    unindexed NULL rows the ordering must still place.  The
-    residual ``Filter`` above re-checks every conjunct either way, so answers
-    stay byte-identical to a scan.
+    a type the keys cannot be ordered against, or unindexed NULL rows could
+    belong to the answer (an ordered read must place them; a probe that
+    leaves a key column unconstrained may match them).  The residual
+    ``Filter`` above re-checks every conjunct either way, so answers stay
+    byte-identical to a scan.
     """
-
-    #: Sentinel distinguishing "fall back to a heap scan" from "provably
-    #: empty result" (conflicting equality bindings on a prefix column).
-    _EMPTY = object()
 
     def __init__(
         self,
         table,
         index_name: str,
-        column: str,
+        key_columns: Sequence[str],
         predicates,
-        order: str | None = None,
+        order: tuple[str, str] | None = None,
         limit: int | None = None,
-        key_columns: Sequence[str] | None = None,
         covering: bool = False,
         **kwargs,
     ):
         super().__init__(**kwargs)
         self.table = table
         self.index_name = index_name
-        self.column = column
-        self.predicates = tuple(predicates)
+        self.key_columns = tuple(key_columns)
+        self.prefix = leftmost_prefix(self.key_columns, predicates)
+        self.predicates = self.prefix.conjuncts
         self.order = order
         self.limit = limit
-        self.key_columns = tuple(key_columns) if key_columns else (column,)
         self.covering = covering
 
     def label(self) -> str:
         parts = [_render_predicates(self.predicates) or "unbounded"]
         if self.order is not None:
-            parts.append(f"order={self.column} {self.order}")
+            column, direction = self.order
+            parts.append(f"order={column} {direction}")
         if self.limit is not None:
             parts.append(f"limit={self.limit}")
         if self.covering:
             parts.append("covering")
         return f"SecondaryIndexRange({self.table.name}.{self.index_name}: {', '.join(parts)})"
 
-    def _composite_probe(self, parameters):
-        """Resolve the probe: equality prefix values + the range on the next
-        key column (a single-column index is the case with no prefix).
+    def _probe(self, parameters) -> tuple[tuple, KeyRange] | None:
+        """This execution's pinned key values and the range over the next key
+        column — None when a bound binds to NULL (scan fallback).
 
-        Returns None for scan fallback (a NULL binding), :data:`_EMPTY` when
-        conflicting equality bindings make the result provably empty, or
-        ``(eq_values, key_range)``.
+        Each pinned column's conjuncts tighten to one point, its value in the
+        prefix; conjuncts that admit no single point (``a = 1 AND a = 2``,
+        ``a = 1 AND a > 1``) become the range instead, an empty one, and end
+        the probe there.
         """
-        by_column: dict[str, list[Predicate]] = {}
-        for predicate in self.predicates:
-            by_column.setdefault(predicate.column.lower(), []).append(predicate)
-        eq_values: list[object] = []
-        key_range: KeyRange | None = KeyRange()
-        for key_column in self.key_columns:
-            preds = by_column.get(key_column.lower())
-            if not preds:
-                break
-            if all(p.operator == "=" for p in preds) and len(eq_values) < len(self.key_columns) - 1:
-                values = [p.bind(parameters) for p in preds]
-                if any(value is None for value in values):
-                    return None
-                first = values[0]
-                if any(
-                    not (value == first and type(value) is type(first))
-                    for value in values[1:]
-                ):
-                    return self._EMPTY
-                eq_values.append(first)
-                continue
-            # Range column: tighten all its conjuncts to one interval.
-            key_range = _key_range(preds, parameters)
+        equalities: list[object] = []
+        for conjuncts in (*self.prefix.pinned, self.prefix.range):
+            key_range = _key_range(conjuncts, parameters)
             if key_range is None:
                 return None
-            break
-        return tuple(eq_values), key_range
+            low = key_range.low
+            point = key_range.include_low and key_range.include_high and low == key_range.high
+            if low is None or not point:
+                return tuple(equalities), key_range
+            equalities.append(low)
+        return tuple(equalities), KeyRange()
 
     def _matching_entries(self, index, parameters):
         """The probe's index entries — rids, or ``(key, rid)`` when covering.
@@ -552,16 +581,14 @@ class SecondaryIndexRange(PlanNode):
         back to a heap scan.  Applies the fused ``limit`` by early-exiting
         the leaf walk in either direction.
         """
-        probe = self._composite_probe(parameters)
+        probe = self._probe(parameters)
         if probe is None:
             return None
-        if probe is self._EMPTY:
-            return []
-        eq_values, key_range = probe
+        equalities, key_range = probe
         scan = index.scan(
             key_range,
-            equalities=eq_values,
-            reverse=self.order == "desc",
+            equalities=equalities,
+            reverse=self.order is not None and self.order[1] == "desc",
             with_keys=self.covering,
         )
         if self.limit is not None:
@@ -578,20 +605,14 @@ class SecondaryIndexRange(PlanNode):
         index = self.table.secondary_index(self.index_name)
         if index is None:
             return None
-        if not index.covers_all_rows(self.table.row_count()):
-            # Some live rows are unindexed (NULL/NaN in a key column).  For a
-            # single-column index with bound predicates those rows could never
-            # match anyway, but any of these reads must see them:
-            if self.order is not None:
-                # index order would misplace (drop) rows the ordering must place
-                return None
-            if len(self.key_columns) > 1:
-                # a row NULL in one key column may still match a partial-prefix
-                # probe on the others, yet is absent from the tree
-                return None
-            if not self.predicates:
-                # an unbounded read has no predicate to exclude the NULL rows
-                return None
+        unconstrained = self.key_columns[len(self.prefix.pinned) + bool(self.prefix.range) :]
+        if (self.order is not None or unconstrained) and not index.covers_all_rows(
+            self.table.row_count()
+        ):
+            # Some live rows are unindexed (NULL/NaN in a key column): index
+            # order would misplace (drop) rows the ordering must place, and a
+            # row NULL in a key column no conjunct constrains may still match.
+            return None
         try:
             return self._matching_entries(index, runtime.parameters)
         except TypeError:
@@ -605,12 +626,12 @@ class SecondaryIndexRange(PlanNode):
             chunks = _scan_chunks(self.table)
             if self.order is None:
                 return chunks
-            ordered = _sorted_chunk(chunks, self.column, self.order == "desc")
+            column, direction = self.order
+            ordered = _sorted_chunk(chunks, column, direction == "desc")
             return ordered.split(DEFAULT_CHUNK_ROWS)
         if self.covering:
             # Rebuild the (partial) rows from the tree keys — no heap access.
-            single = len(self.key_columns) == 1
-            rows = (dict(zip(self.key_columns, (key,) if single else key)) for key, _ in entries)
+            rows = (dict(zip(self.key_columns, key)) for key, _ in entries)
             return _rows_to_chunks(self.key_columns, rows)
         return _rows_to_chunks(
             self.table.schema.column_names(),

@@ -20,7 +20,8 @@ Access-path choice per source:
   :class:`SecondaryIndexRange` (B+-tree probe + one heap fetch per estimated
   match, selectivity from the index's own statistics) against the
   :class:`SeqScan`, and the cheapest estimate wins — on the FROM side and the
-  JOIN side alike.  Composite indexes follow the leftmost-prefix rule:
+  JOIN side alike.  Every index keys on the tuple of its columns and follows
+  the one leftmost-prefix rule (:func:`~repro.db.sql.plan.leftmost_prefix`):
   equality conjuncts pin leading key columns and at most one range applies to
   the next column.  When the query's referenced columns (SELECT list, WHERE,
   ORDER BY) all sit inside an index's key, the probe becomes a *covering*
@@ -70,6 +71,7 @@ from repro.db.sql.plan import (
     ViewPointRead,
     ViewRangeRead,
     ViewScan,
+    leftmost_prefix,
 )
 from repro.db.types import DataType, KeyRange
 from repro.exceptions import SQLExecutionError, SQLPlanningError
@@ -101,8 +103,6 @@ _VIEW_READ_DETAILS = {
         "per-shard top-k heaps + n-way merge across {n} shards",
     ),
 }
-#: Operators a secondary B+-tree index can serve (NULL-valued literals excluded).
-_INDEXABLE_OPERATORS = ("=", "<", "<=", ">", ">=")
 
 
 def _covering_flag(covering: bool) -> str:
@@ -485,49 +485,6 @@ class Planner:
             ),
         )
 
-    @staticmethod
-    def _servable_by(index, predicates) -> list[Predicate]:
-        """The conjuncts a single-column secondary index can answer (NULL
-        literals excluded: ``col = NULL`` matches NULL rows under this
-        dialect, which a B+-tree never stores)."""
-        return [
-            predicate
-            for predicate in predicates
-            if predicate.column.lower() == index.column.lower()
-            and predicate.operator in _INDEXABLE_OPERATORS
-            and predicate.value is not None
-        ]
-
-    @staticmethod
-    def _composite_servable(index, predicates):
-        """Leftmost-prefix match of ``predicates`` against a composite key.
-
-        Walks the key columns in order, consuming pure-equality conjuncts for
-        leading columns and stopping at the first column with a range (or no)
-        conjunct.  Returns ``(servable, eq_count, has_range)`` — or None when
-        even the leading column is unserved.
-        """
-        by_column: dict[str, list[Predicate]] = {}
-        for predicate in predicates:
-            if predicate.operator in _INDEXABLE_OPERATORS and predicate.value is not None:
-                by_column.setdefault(predicate.column.lower(), []).append(predicate)
-        servable: list[Predicate] = []
-        eq_count = 0
-        has_range = False
-        for column in index.columns:
-            conjuncts = by_column.get(column.lower())
-            if not conjuncts:
-                break
-            servable.extend(conjuncts)
-            if all(p.operator == "=" for p in conjuncts):
-                eq_count += 1
-                continue
-            has_range = True
-            break
-        if not servable:
-            return None
-        return servable, eq_count, has_range
-
     def _covers(self, index, needed) -> bool:
         """Whether every column the query touches sits inside the index key."""
         if not self._use_covering_scans or needed is None:
@@ -549,10 +506,9 @@ class Planner:
         except TypeError:
             return None
 
-    def _single_column_estimate(self, index, servable) -> float:
-        """Estimated matches of a single-column probe answering ``servable``."""
-        equality = any(p.operator == "=" for p in servable)
-        return index.estimate_matches(self._static_range(servable), equality=equality)
+    def _estimate(self, index, prefix) -> float:
+        """Estimated entries the probe answering ``prefix`` walks."""
+        return index.estimate_matches(len(prefix.pinned), self._static_range(prefix.range))
 
     def _index_probe_estimate(self, index, est_matches: float, fetch_rows: float) -> float:
         """Cost of one index read: descend the tree, walk ``est_matches``
@@ -594,19 +550,10 @@ class Planner:
         best = self._seq_scan_node(table)
         best_cost = best.estimated_seconds
         for index in table.secondary_indexes.values():
-            if index.is_composite:
-                match = self._composite_servable(index, predicates)
-                if match is None:
-                    continue
-                servable, eq_count, has_range = match
-                est = index.estimate_prefix_matches(eq_count, has_range)
-                probe = "(" + ", ".join(repr(c) for c in index.columns) + ") prefix"
-            else:
-                servable = self._servable_by(index, predicates)
-                if not servable:
-                    continue
-                est = self._single_column_estimate(index, servable)
-                probe = f"{index.column!r}"
+            prefix = leftmost_prefix(index.columns, predicates)
+            if not prefix.conjuncts:
+                continue
+            est = self._estimate(index, prefix)
             covering = self._covers(index, needed)
             cost = self._index_probe_estimate(index, est, 0.0 if covering else est)
             if cost < best_cost:
@@ -617,13 +564,12 @@ class Planner:
                 best = SecondaryIndexRange(
                     table,
                     index.name,
-                    index.column,
-                    servable,
-                    key_columns=index.columns,
+                    index.columns,
+                    predicates,
                     covering=covering,
                     estimated_seconds=cost,
                     detail=(
-                        f"B+-tree probe on {probe} "
+                        f"B+-tree probe on {', '.join(repr(c) for c in index.columns)} "
                         f"(~{est:.0f} of {table.row_count()} rows) + {fetch}"
                         f"{_covering_flag(covering)}"
                     ),
@@ -644,33 +590,25 @@ class Planner:
             needed.add(self._split_reference(select.order_by)[1].lower())
         return needed
 
-    def _order_fusion_eligible(self, index, order_column: str, predicates) -> bool:
-        """Whether walking ``index`` in key order yields ``order_column`` order.
+    @staticmethod
+    def _order_prefix(index, order_column: str, predicates):
+        """The probe of a walk of ``index`` in ``order_column`` order, or None
+        when walking it in key order would not yield that order.
 
         The order column must be a key column with every earlier key column
-        pinned by pure-equality conjuncts (a fixed prefix makes the tuple-key
-        order the order column's order), and every WHERE conjunct must be
-        servable by those same columns — a residual-only conjunct could drop
-        rows the early LIMIT already cut.
+        pinned (a fixed prefix makes the tuple-key order the order column's
+        order), and the key up to the order column must answer every WHERE
+        conjunct — a residual-only conjunct could drop rows the early LIMIT
+        already cut.
         """
         columns = [column.lower() for column in index.columns]
-        try:
-            position = columns.index(order_column.lower())
-        except ValueError:
-            return False
-        usable = set(columns[: position + 1])
-        for predicate in predicates:
-            if (
-                predicate.column.lower() not in usable
-                or predicate.operator not in _INDEXABLE_OPERATORS
-                or predicate.value is None
-            ):
-                return False
-        for column in columns[:position]:
-            conjuncts = [p for p in predicates if p.column.lower() == column]
-            if not conjuncts or any(p.operator != "=" for p in conjuncts):
-                return False
-        return True
+        if order_column.lower() not in columns:
+            return None
+        position = columns.index(order_column.lower())
+        prefix = leftmost_prefix(index.columns[: position + 1], predicates)
+        if len(prefix.pinned) < position or len(prefix.conjuncts) < len(predicates):
+            return None
+        return prefix
 
     def _plan_table_read(self, table, predicates, select: Select, source: _Source):
         """Access path for a FROM-side base table, with index-ordered fusion.
@@ -702,16 +640,10 @@ class Planner:
         best_cost = None
         order_fused = False
         for index in table.secondary_indexes.values():
-            if not self._order_fusion_eligible(index, order_column, predicates):
+            prefix = self._order_prefix(index, order_column, predicates)
+            if prefix is None:
                 continue
-            if index.is_composite:
-                match = self._composite_servable(index, predicates)
-                servable, eq_count, has_range = match or ((), 0, False)
-                est = index.estimate_prefix_matches(eq_count, has_range)
-                servable = list(servable)
-            else:
-                servable = self._servable_by(index, predicates)
-                est = self._single_column_estimate(index, servable)
+            est = self._estimate(index, prefix)
             fetches = min(est, float(select.limit))
             # Both directions early-exit after k entries: ascending walks the
             # leaf chain forward, descending walks the prev_leaf back-chain.
@@ -731,11 +663,10 @@ class Planner:
                 best = SecondaryIndexRange(
                     table,
                     index.name,
-                    order_column,
-                    servable,
-                    order="desc" if select.descending else "asc",
+                    index.columns,
+                    predicates,
+                    order=(order_column, "desc" if select.descending else "asc"),
                     limit=select.limit,
-                    key_columns=index.columns,
                     covering=covering,
                     estimated_seconds=fused_cost,
                     detail=(

@@ -148,9 +148,8 @@ class Table:
     ) -> SecondaryIndex:
         """Build a B+-tree index over ``columns``, backfilled from a full scan.
 
-        A single column name builds a classic value-keyed index; a sequence of
-        names builds a composite index keyed on the tuple of values.  The
-        backfill prices like the physical operation it models: one sequential
+        Every index keys on the tuple of its columns' values; a single column
+        name is a one-column key.  The backfill prices like the physical operation it models: one sequential
         heap scan (charged by the scan itself) plus an n·log n sort charge for
         building the tree, tagged ``index_build``.
         """

@@ -30,7 +30,6 @@ from repro.persist.checkpoint import (
     FEATURES_NAME,
     CheckpointWriter,
     MANIFEST_NAME,
-    describe_checkpoint,
     load_checkpoint,
     shard_file_name,
     shard_file_sha,
@@ -71,7 +70,6 @@ __all__ = [
     "shard_file_name",
     "shard_file_sha",
     "load_checkpoint",
-    "describe_checkpoint",
     "write_shard_state",
     "write_manifest",
     "row_content_hash",

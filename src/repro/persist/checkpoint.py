@@ -55,7 +55,6 @@ __all__ = [
     "pickle_feature_function",
     "CheckpointWriter",
     "load_checkpoint",
-    "describe_checkpoint",
 ]
 
 MANIFEST_NAME = "MANIFEST.hzs"
@@ -122,7 +121,7 @@ class CheckpointWriter:
             raise ConfigurationError(
                 f"incremental checkpoint cannot use itself ({self.directory}) as parent"
             )
-        manifest = CheckpointManifest.from_document(read_json_frame(parent_dir / MANIFEST_NAME))
+        _, manifest = _read_manifest(parent_dir)
         if manifest.num_shards != num_shards:
             raise ConfigurationError(
                 f"parent checkpoint {parent_dir} holds {manifest.num_shards} shards, "
@@ -234,31 +233,19 @@ class CheckpointWriter:
 
 
 def _read_manifest(path: Path | str) -> tuple[Path, CheckpointManifest]:
+    """A checkpoint directory's manifest; one whose CRC holds but whose fields
+    do not decode (a wrong type, a missing key) is corrupt."""
     directory = Path(path)
     if not directory.is_dir():
         raise SnapshotError(f"checkpoint directory {directory} does not exist")
-    return directory, CheckpointManifest.from_document(read_json_frame(directory / MANIFEST_NAME))
-
-
-def describe_checkpoint(path: Path | str) -> dict[str, object]:
-    """Summarize a checkpoint by reading (and validating) only its manifest.
-
-    Cheap inspection for tooling and the SQL ``RESTORE VIEW`` result row: no
-    shard payloads are decoded and no feature function is unpickled.
-    """
-    directory, manifest = _read_manifest(path)
-    return {
-        "path": str(directory),
-        "view": manifest.view_name,
-        "epoch": manifest.epoch,
-        "num_shards": manifest.num_shards,
-        "examples": len(manifest.examples),
-        "architecture": manifest.architecture,
-        "strategy": manifest.strategy,
-        "approach": manifest.approach,
-        "wal_applied_seq": manifest.wal_applied_seq,
-        "parent": manifest.parent,
-    }
+    document = read_json_frame(directory / MANIFEST_NAME)
+    try:
+        return directory, CheckpointManifest.from_document(document)
+    except (AttributeError, KeyError, TypeError, ValueError) as error:
+        raise SnapshotCorruptionError(
+            f"checkpoint {directory} manifest passed its CRC but holds a malformed "
+            f"field: {error!r}"
+        ) from None
 
 
 def load_checkpoint(path: Path | str) -> LoadedCheckpoint:

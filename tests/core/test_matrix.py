@@ -26,7 +26,7 @@ from repro.core.maintainers import (
 from repro.core.stores import ARCHITECTURES, STORES, EntityStore
 from repro.exceptions import ConfigurationError, SnapshotMismatchError
 from repro.learn.sgd import SGDTrainer, TrainingExample
-from repro.persist import describe_checkpoint
+from repro.persist import load_checkpoint
 
 from tests.persist.test_checkpoint_restore import build_engine_database, cold_engine
 
@@ -78,7 +78,7 @@ def test_checkpoint_restore_round_trips_the_architecture_name(architecture, tiny
     before = server.contents()
     server.checkpoint(tmp_path / "ckpt")
     server.close()
-    assert describe_checkpoint(tmp_path / "ckpt")["architecture"] == architecture
+    assert load_checkpoint(tmp_path / "ckpt").manifest.architecture == architecture
 
     restart = HazyEngine(build_engine_database(tiny_corpus), architecture=architecture)
     restored = restart.restore("Labeled_Papers", tmp_path / "ckpt")

@@ -210,6 +210,7 @@ def test_a_parent_written_incremental_checkpoint_and_wal_restore_to_the_final_an
     [
         pytest.param(lambda definition: definition.update(bogus=1), id="unknown key"),
         pytest.param(lambda definition: definition.pop("feature_function"), id="missing key"),
+        pytest.param(lambda definition: definition.update(method=5), id="method not a name"),
     ],
 )
 def test_a_malformed_view_definition_is_a_corrupt_snapshot(image, malform):
@@ -220,6 +221,28 @@ def test_a_malformed_view_definition_is_a_corrupt_snapshot(image, malform):
     engine = engine_over(corpus(), "before_full")
     with pytest.raises(SnapshotCorruptionError, match="malformed view definition"):
         engine.database.execute(f"RESTORE VIEW Labeled_Papers FROM '{image / 'full'}'")
+    assert not engine.views
+
+
+@pytest.mark.parametrize(
+    "malform",
+    [
+        pytest.param(lambda manifest: manifest.update(epoch="x"), id="epoch not a number"),
+        pytest.param(lambda manifest: manifest.pop("model"), id="missing model"),
+        pytest.param(lambda manifest: manifest.update(trainer_steps=None), id="null steps"),
+    ],
+)
+def test_a_malformed_manifest_field_is_a_corrupt_snapshot(image, malform):
+    """A CRC-valid manifest whose fields do not decode names the checkpoint in
+    a :class:`SnapshotCorruptionError`, never a raw builtin."""
+    manifest_path = image / "full" / MANIFEST_NAME
+    manifest = read_json_frame(manifest_path)
+    malform(manifest)
+    write_json_frame(manifest_path, manifest)
+    engine = engine_over(corpus(), "before_full")
+    with pytest.raises(SnapshotCorruptionError, match="malformed field") as raised:
+        engine.database.execute(f"RESTORE VIEW Labeled_Papers FROM '{image / 'full'}'")
+    assert str(image / "full") in str(raised.value)
     assert not engine.views
 
 

@@ -1,11 +1,11 @@
 """Property-based invariants for secondary B+-tree index maintenance.
 
 After *any* interleaving of INSERT/UPDATE/DELETE — with CREATE INDEX and
-DROP INDEX landing mid-sequence — every live secondary index must agree
-exactly with a full table scan: each (value, row) the scan sees has exactly
-one index entry (no missing entries), and each index entry resolves to a live
-heap row carrying that value (no ghosts).  NULL column values must never be
-indexed.
+DROP INDEX landing mid-sequence, over one column or two in either order —
+every live secondary index must agree exactly with a full table scan: each
+(key, row) the scan sees has exactly one index entry (no missing entries),
+and each index entry resolves to a live heap row carrying that key (no
+ghosts).  A row NULL in any key column must never be indexed.
 """
 
 from __future__ import annotations
@@ -30,6 +30,10 @@ operations = st.lists(
 )
 
 
+#: The keys ``create_index`` draws from: one column, or two in either order.
+KEYS = ("v", "w", "v, w", "w, v")
+
+
 def _index_entries(index) -> list[tuple[object, object]]:
     """Every (key, rid) pair currently in the tree."""
     return list(index.tree.items())
@@ -43,15 +47,17 @@ def check_index_agrees_with_scan(table) -> None:
         # No ghosts: every entry points at a live row still carrying the key.
         for key, rid in entries:
             assert rid in scan, f"{index.name}: ghost entry {key!r} -> {rid}"
-            assert scan[rid][index.column] == key, (
+            assert index.key_of(scan[rid]) == key, (
                 f"{index.name}: entry {key!r} -> {rid} but row has "
-                f"{scan[rid][index.column]!r}"
+                f"{index.key_of(scan[rid])!r}"
             )
-        # No missing or duplicated entries: one entry per non-NULL row value.
-        expected = sorted(
-            (row[index.column], rid)
-            for rid, row in scan.items()
-            if row[index.column] is not None
+        # No missing or duplicated entries: one entry per row with no NULL
+        # key component.
+        keys = {rid: index.key_of(row) for rid, row in scan.items()}
+        expected = sorted((key, rid) for rid, key in keys.items() if key is not None)
+        assert all(
+            (key is None) == any(row[column] is None for column in index.columns)
+            for key, row in zip(keys.values(), scan.values())
         )
         assert sorted(entries) == expected, f"{index.name}: entries diverge from scan"
         assert len(index.tree) == len(expected)
@@ -82,7 +88,7 @@ def test_indexes_agree_with_scan_after_any_interleaving(ops, nullable_values):
         elif kind == "create_index":
             name = f"idx_{next_index}"
             next_index += 1
-            db.execute(f"CREATE INDEX {name} ON t ({'v' if value >= 0 else 'w'})")
+            db.execute(f"CREATE INDEX {name} ON t ({KEYS[key % len(KEYS)]})")
             live.append(name)
         elif live:  # drop_index, only when one exists
             db.execute(f"DROP INDEX {live.pop(key % len(live))}")
