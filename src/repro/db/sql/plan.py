@@ -129,10 +129,16 @@ class Predicate:
         return typed_bound(value, data_type)
 
     def render(self) -> str:
-        """Stable text form for EXPLAIN output."""
+        """Stable text form for EXPLAIN output, the value spelled as SQL."""
         if self.value is PLACEHOLDER:
-            return f"{self.column} {self.operator} ?"
-        return f"{self.column} {self.operator} {self.value!r}"
+            literal = "?"
+        elif self.value is None:
+            literal = "NULL"
+        elif isinstance(self.value, bool):
+            literal = "TRUE" if self.value else "FALSE"
+        else:
+            literal = repr(self.value)
+        return f"{self.column} {self.operator} {literal}"
 
 
 def typed_bound(value: object, data_type: DataType | None) -> object:

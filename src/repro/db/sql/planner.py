@@ -12,6 +12,15 @@ annotates every node with a deterministic cost-model estimate.  The executor
 runs the returned :class:`SelectPlan`; ``EXPLAIN`` prints it; the connection
 layer caches it per SQL text and re-binds ``?`` parameters without re-planning.
 
+Every SELECT takes one path: a single-table read is a join of one source.  One
+scope over the statement's one or two sources resolves every column reference
+(JOIN ON, WHERE, ORDER BY, the SELECT list) and refuses the same way for one
+source as for two; one source planner builds each access node and its
+residual ``Filter`` — the FROM side of a single-source read may also answer
+the ORDER BY and LIMIT itself — and a join adds only its ON keys, the
+probe-lookup rule and the ``HashJoin``; one wrapper orders, limits, counts and
+projects either shape.
+
 Access-path choice per source:
 
 * base table — primary-key equality takes an :class:`IndexRange` point
@@ -201,6 +210,96 @@ class _Source:
         return column.lower() in {name.lower() for name in known}
 
 
+class _Scope:
+    """The statement's sources — FROM's, then JOIN's — and what a column
+    reference names in them.
+
+    Every reference of a statement (JOIN ON, WHERE, ORDER BY, the SELECT list)
+    resolves here, so one source and two refuse the same way: an unknown
+    qualifier, an unknown or ambiguous column, and a view's ``margin`` outside
+    the fused top-k read.  In a join, the right side's columns that collide
+    with the left's reach the rows as ``<source>.<column>`` (``renames``).
+    """
+
+    def __init__(self, sources: list[_Source]) -> None:
+        self.sources = sources
+        self.renames: dict[str, str] = {}
+        if len(sources) == 2:
+            left, right = sources
+            taken = {name.lower() for name in left.columns()}
+            self.renames = {
+                name.lower(): f"{right.name}.{name}"
+                for name in right.columns()
+                if name.lower() in taken
+            }
+
+    def resolve(
+        self, reference: str, position, clause: str, margin_ok: bool = False
+    ) -> tuple[int, str]:
+        """``(source index, bare column)`` of an optionally qualified reference."""
+        qualifier, _, bare = reference.rpartition(".")
+        sources = self.sources
+        if qualifier:
+            for index, source in enumerate(sources):
+                if source.name.lower() == qualifier.lower():
+                    break
+            else:
+                origin = f" (FROM {sources[0].name})" if len(sources) == 1 else ""
+                raise SQLPlanningError(
+                    f"unknown table qualifier {qualifier!r} in {reference!r}{origin}",
+                    position=position,
+                    token=reference,
+                )
+        elif len(sources) == 1:
+            index = 0
+        else:
+            left, right = sources
+            having = [left.has_column(bare), right.has_column(bare)]
+            if all(having):
+                raise SQLPlanningError(
+                    f"ambiguous column {bare!r}: qualify it with {left.name!r} or {right.name!r}",
+                    position=position,
+                    token=reference,
+                )
+            if any(having):
+                return having.index(True), bare
+            margin = [_is_margin(left, bare), _is_margin(right, bare)]
+            if not any(margin):
+                raise SQLPlanningError(
+                    f"unknown column {bare!r} in {clause} (neither {left.name!r} "
+                    f"nor {right.name!r} has it)",
+                    position=position,
+                    token=reference,
+                )
+            index = margin.index(True)
+        source = sources[index]
+        if source.has_column(bare) or (margin_ok and _is_margin(source, bare)):
+            return index, bare
+        if _is_margin(source, bare):
+            raise SQLPlanningError(
+                f"column 'margin' of view {source.name!r} is only available on "
+                "ORDER BY margin DESC LIMIT k reads",
+                position=position,
+                token=bare,
+            )
+        raise SQLPlanningError(
+            f"unknown column {bare!r} in {clause} (source {source.name!r} "
+            f"has columns {', '.join(source.columns())})",
+            position=position,
+            token=bare,
+        )
+
+    def lookup(self, reference: str, position, clause: str, margin_ok: bool = False) -> str:
+        """The name the plan's rows carry a reference's column under."""
+        index, bare = self.resolve(reference, position, clause, margin_ok)
+        return self.renames.get(bare.lower(), bare) if index else bare
+
+
+def _is_margin(source: _Source, column: str) -> bool:
+    """Whether ``column`` is a view's ``margin``, readable only by its fused top-k."""
+    return source.kind == "classification_view" and column.lower() == "margin"
+
+
 class Planner:
     """Builds :class:`SelectPlan` trees against one database's catalog.
 
@@ -224,9 +323,56 @@ class Planner:
     # -- entry point ---------------------------------------------------------------------
 
     def plan_select(self, select: Select) -> SelectPlan:
-        if select.join is not None:
-            return self._plan_join(select)
-        return self._plan_single(select)
+        """One path for every SELECT: a single-table read is a join of one.
+
+        References resolve in statement order — JOIN ON, WHERE, ORDER BY, the
+        SELECT list — so the first bad one is the one refused; then each
+        source gets its access node and residual ``Filter``, a join joins
+        them, and one wrapper orders, limits and projects.
+        """
+        join = select.join
+        sources = [self._resolve_source(select.table, select.table_position)]
+        if join is not None:
+            sources.append(self._resolve_source(join.table, join.table_position))
+            for source, position in zip(sources, (select.table_position, join.table_position)):
+                if source.kind not in ("table", "classification_view"):
+                    raise SQLPlanningError(
+                        f"joins support base tables and classification views; "
+                        f"{source.name!r} is a {source.kind.replace('_', ' ')}",
+                        position=position,
+                        token=source.name,
+                    )
+        scope = _Scope(sources)
+        keys = self._join_keys(join, scope) if join is not None else None
+
+        counter = [0]
+        predicates: list[list[Predicate]] = [[] for _ in sources]
+        for comparison in select.where:
+            index, bare = scope.resolve(comparison.column, comparison.position, "WHERE clause")
+            predicates[index].append(
+                self._build_predicate(comparison, bare, counter, sources[index])
+            )
+        topk = join is None and self._is_margin_topk(select, sources[0])
+        order = None
+        if select.order_by is not None and not topk:
+            order = scope.lookup(select.order_by, select.order_by_position, "ORDER BY")
+        output = None
+        if not select.count and select.columns != ("*",):
+            positions = select.column_positions or (None,) * len(select.columns)
+            output = [
+                scope.lookup(column, position, "SELECT list", margin_ok=topk)
+                for column, position in zip(select.columns, positions)
+            ]
+
+        if join is None:
+            node, ordered = self._plan_source(sources[0], predicates[0], select, order, output)
+        else:
+            node, ordered = self._plan_join(scope, keys, predicates), False
+        if not ordered:
+            node = self._wrap_order_limit(node, select, order)
+        node = self._wrap_output(node, select, output)
+        views = [source.obj for source in sources if source.kind == "classification_view"]
+        return SelectPlan(node, select, views, catalog_version=self._database.catalog.version)
 
     def plan_locate(self, statement: Update | Delete) -> SelectPlan:
         """Where a write lands: the plan of ``SELECT <pk> FROM t WHERE <the
@@ -252,33 +398,6 @@ class Planner:
         if kind == "classification_view":
             return _Source(name, kind, self._database.catalog.classification_view(name))
         return _Source(name, kind, self._database.catalog.system_table(name))
-
-    @staticmethod
-    def _split_reference(reference: str) -> tuple[str | None, str]:
-        qualifier, _, bare = reference.rpartition(".")
-        return (qualifier or None), bare
-
-    def _strip_qualifier(self, reference: str, source: _Source, position) -> str:
-        qualifier, bare = self._split_reference(reference)
-        if qualifier is not None and qualifier.lower() != source.name.lower():
-            raise SQLPlanningError(
-                f"unknown table qualifier {qualifier!r} in {reference!r} "
-                f"(FROM {source.name})",
-                position=position,
-                token=reference,
-            )
-        return bare
-
-    def _require_column(self, source: _Source, column: str, position, clause: str) -> None:
-        if source.has_column(column):
-            return
-        known = source.columns() or ()
-        raise SQLPlanningError(
-            f"unknown column {column!r} in {clause} (source {source.name!r} "
-            f"has columns {', '.join(known)})",
-            position=position,
-            token=column,
-        )
 
     # -- predicates ----------------------------------------------------------------------
 
@@ -312,148 +431,102 @@ class Planner:
             data_type=self._column_type(source, column),
         )
 
-    # -- single-source planning -----------------------------------------------------------
+    # -- one source: its access node and residual Filter --------------------------------
 
-    def _plan_single(self, select: Select) -> SelectPlan:
-        source = self._resolve_source(select.table, select.table_position)
-        counter = [0]
-        predicates: list[Predicate] = []
-        for comparison in select.where:
-            column = self._strip_qualifier(comparison.column, source, comparison.position)
-            if source.kind == "classification_view":
-                self._validate_view_column(source, column, comparison.position, "WHERE clause")
-            else:
-                self._require_column(source, column, comparison.position, "WHERE clause")
-            predicates.append(self._build_predicate(comparison, column, counter, source))
+    def _plan_source(
+        self,
+        source: _Source,
+        predicates: list[Predicate],
+        select: Select | None = None,
+        order: str | None = None,
+        output: list[str] | None = None,
+        probe_lookup: bool = False,
+    ) -> tuple[PlanNode, bool]:
+        """One source's access node under its residual ``Filter``, and whether
+        the node already answers the statement's ORDER BY and LIMIT.
 
-        topk_fused = False
-        order_fused = False
-        if source.kind == "classification_view":
-            topk_fused = self._is_margin_topk(select, source, predicates)
-            access = (
-                self._fused_topk_node(select, source)
-                if topk_fused
-                else self._plan_view_access(source.obj, predicates)
-            )
-        elif source.kind == "table":
-            access, order_fused = self._plan_table_read(source.obj, predicates, select, source)
-        else:
-            access = SystemTableScan(
+        Given the SELECT (the FROM side of a single-source read), a base table
+        may take a covering probe or an index-ordered walk — its ``Limit``
+        stays above the ``Filter``, as the fallback scan inside the node
+        returns everything — and a view the fused top-k.  Without it the node
+        is one side of a join: ``probe_lookup`` lets a predicate-free served
+        view read the probe side's join keys (see :meth:`_plan_view_access`).
+        """
+        ordered = False
+        if source.kind == "system_table":
+            node = SystemTableScan(
                 source.name,
                 source.obj,
                 detail="virtual observability table; reads process state, costs nothing",
             )
-
-        node = access
-        if predicates and not topk_fused:
+        elif source.kind == "classification_view":
+            ordered = select is not None and self._is_margin_topk(select, source)
+            node = (
+                self._fused_topk_node(select, source)
+                if ordered
+                else self._plan_view_access(source.obj, predicates, probe_lookup)
+            )
+        elif select is None:
+            node = self._plan_table_access(source.obj, predicates)
+        else:
+            node, ordered = self._plan_table_read(
+                source.obj, predicates, select, order, output
+            )
+        if predicates:
             node = Filter(
                 node,
                 predicates,
                 estimated_seconds=0.0,
                 detail="residual re-check of every WHERE conjunct",
             )
-        node = self._wrap_order_limit(node, select, source, topk_fused, order_fused)
-        node = self._wrap_output(node, select, source)
-        views = [source.obj] if source.kind == "classification_view" else []
-        return SelectPlan(
-            node, select, views, catalog_version=self._database.catalog.version
-        )
+        if ordered and source.kind == "table":
+            node = Limit(
+                node,
+                select.limit,
+                estimated_seconds=0.0,
+                detail="rows arrive index-ordered; Sort elided",
+            )
+        return node, ordered
 
     # -- ORDER BY / LIMIT / COUNT / projection wrapping ----------------------------------
 
-    def _wrap_order_limit(
-        self,
-        node: PlanNode,
-        select: Select,
-        source: _Source | None,
-        topk_fused: bool,
-        order_fused: bool = False,
-    ) -> PlanNode:
-        if order_fused:
-            # The access path already yields rows in ORDER BY order; the Limit
-            # stays (the fallback scan inside the node returns everything).
+    @staticmethod
+    def _wrap_order_limit(node: PlanNode, select: Select, order: str | None) -> PlanNode:
+        if order is None:
             if select.limit is not None:
-                return Limit(
-                    node,
-                    select.limit,
-                    estimated_seconds=0.0,
-                    detail="rows arrive index-ordered; Sort elided",
-                )
-            return node
-        if topk_fused or select.order_by is None:
-            if select.limit is not None and not topk_fused:
                 return Limit(node, select.limit, estimated_seconds=0.0)
             return node
-        column = self._strip_qualifier(select.order_by, source, select.order_by_position)
-        if source.kind in ("table", "classification_view"):
-            self._require_column(source, column, select.order_by_position, "ORDER BY")
         if select.limit is not None:
+            rows = "joined rows" if select.join is not None else "child's rows"
             return TopK(
                 select.limit,
-                column,
+                order,
                 select.descending,
                 child=node,
                 estimated_seconds=0.0,
-                detail="stable sort + slice of the child's rows",
+                detail=f"stable sort + slice of the {rows}",
             )
-        return Sort(node, column, select.descending, estimated_seconds=0.0)
+        return Sort(node, order, select.descending, estimated_seconds=0.0)
 
-    def _wrap_output(self, node: PlanNode, select: Select, source: _Source | None) -> PlanNode:
+    @staticmethod
+    def _wrap_output(node: PlanNode, select: Select, output: list[str] | None) -> PlanNode:
         if select.count:
             return Aggregate(node, estimated_seconds=0.0)
-        if select.columns == ("*",):
+        if output is None:
             return node
-        lookups = []
-        positions = select.column_positions or (None,) * len(select.columns)
-        for column, position in zip(select.columns, positions):
-            if source is None:
-                lookups.append(column.rpartition(".")[2])
-                continue
-            bare = self._strip_qualifier(column, source, position)
-            if source.kind == "classification_view":
-                self._validate_view_column(
-                    source, bare, position, "SELECT list", select=select
-                )
-            elif source.kind == "table":
-                self._require_column(source, bare, position, "SELECT list")
-            lookups.append(bare)
-        return Project(node, lookups, estimated_seconds=0.0)
+        return Project(node, output, estimated_seconds=0.0)
 
     # -- classification-view specifics ----------------------------------------------------
 
-    def _validate_view_column(
-        self, source: _Source, column: str, position, clause: str, select: Select | None = None
-    ) -> None:
-        lowered = column.lower()
-        if lowered == "margin":
-            if clause == "SELECT list" and select is not None and self._margin_topk_shape(select):
-                return
-            raise SQLPlanningError(
-                f"column 'margin' of view {source.name!r} is only available on "
-                "ORDER BY margin DESC LIMIT k reads",
-                position=position,
-                token=column,
-            )
-        self._require_column(source, column, position, clause)
-
     @staticmethod
-    def _margin_topk_shape(select: Select) -> bool:
-        return (
-            select.order_by is not None
-            and select.order_by.rpartition(".")[2].lower() == "margin"
-            and select.descending
-            and select.limit is not None
-            and not select.where
-        )
-
-    def _is_margin_topk(self, select: Select, source: _Source, predicates) -> bool:
-        """Whether this read is the fused top-k shape; rejects near-misses loudly."""
-        order = select.order_by.rpartition(".")[2].lower() if select.order_by else None
-        if order != "margin":
+    def _is_margin_topk(select: Select, source: _Source) -> bool:
+        """Whether this single-source read is a view's fused top-k — ``ORDER BY
+        margin DESC LIMIT k`` with no WHERE; rejects near-misses loudly."""
+        if not _is_margin(source, (select.order_by or "").rpartition(".")[2]):
             return False
-        if self._margin_topk_shape(select):
-            return True
-        if select.limit is not None and not select.descending and not predicates:
+        if select.limit is not None and not select.where:
+            if select.descending:
+                return True
             raise SQLPlanningError(
                 "ORDER BY margin ASC is not a top-k read: top_k answers the "
                 "highest margins only",
@@ -576,19 +649,13 @@ class Planner:
                 )
         return best
 
-    def _needed_columns(self, select: Select, table, predicates) -> set[str]:
+    @staticmethod
+    def _needed_columns(table, predicates, select: Select, order, output) -> set[str]:
         """Every column this single-table read touches (for covering checks)."""
-        if select.columns == ("*",) and not select.count:
+        if output is None and not select.count:
             return {name.lower() for name in table.schema.column_names()}
-        needed: set[str] = set()
-        if not select.count:
-            for column in select.columns:
-                needed.add(self._split_reference(column)[1].lower())
-        for predicate in predicates:
-            needed.add(predicate.column.lower())
-        if select.order_by is not None:
-            needed.add(self._split_reference(select.order_by)[1].lower())
-        return needed
+        touched = [*(output or ()), *(predicate.column for predicate in predicates)]
+        return {column.lower() for column in touched + ([order] if order else [])}
 
     @staticmethod
     def _order_prefix(index, order_column: str, predicates):
@@ -610,7 +677,7 @@ class Planner:
             return None
         return prefix
 
-    def _plan_table_read(self, table, predicates, select: Select, source: _Source):
+    def _plan_table_read(self, table, predicates, select: Select, order, output):
         """Access path for a FROM-side base table, with index-ordered fusion.
 
         Returns ``(node, order_fused)``.  ``ORDER BY col LIMIT k`` over an
@@ -622,20 +689,17 @@ class Planner:
         (otherwise the residual Filter could drop rows the early LIMIT
         already cut).
         """
-        needed = self._needed_columns(select, table, predicates)
+        needed = self._needed_columns(table, predicates, select, order, output)
         access = self._plan_table_access(table, predicates, needed=needed)
         if (
             not self._use_index_paths
-            or select.order_by is None
+            or order is None
             or select.limit is None
             or isinstance(access, IndexRange)  # pk point: at most one row
         ):
             return access, False
         cost_model = self._database.cost_model
-        order_column = self._strip_qualifier(select.order_by, source, select.order_by_position)
-        if not table.schema.has_column(order_column):
-            return access, False  # _wrap_order_limit raises the planning error
-        order_column = table.schema.column(order_column).name
+        order_column = table.schema.column(order).name
         best = access
         best_cost = None
         order_fused = False
@@ -735,179 +799,36 @@ class Planner:
 
     # -- join planning --------------------------------------------------------------------
 
-    def _plan_join(self, select: Select) -> SelectPlan:
-        join = select.join
-        left = self._resolve_source(select.table, select.table_position)
-        right = self._resolve_source(join.table, join.table_position)
-        for source, position in ((left, select.table_position), (right, join.table_position)):
-            if source.kind not in ("table", "classification_view"):
-                raise SQLPlanningError(
-                    f"joins support base tables and classification views; "
-                    f"{source.name!r} is a {source.kind.replace('_', ' ')}",
-                    position=position,
-                    token=source.name,
-                )
-
-        left_key = self._resolve_column_side(
-            join.left_column, join.left_position, left, right, "JOIN ON"
-        )
-        right_key = self._resolve_column_side(
-            join.right_column, join.right_position, left, right, "JOIN ON"
-        )
-        if {left_key[0], right_key[0]} != {"left", "right"}:
+    @staticmethod
+    def _join_keys(join, scope: _Scope) -> tuple[str, str]:
+        """The ON columns, the left side's first: one from each side."""
+        left = scope.resolve(join.left_column, join.left_position, "JOIN ON")
+        right = scope.resolve(join.right_column, join.right_position, "JOIN ON")
+        if {left[0], right[0]} != {0, 1}:
             raise SQLPlanningError(
                 "JOIN ... ON must reference one column from each side",
                 position=join.left_position,
                 token=join.left_column,
             )
-        if left_key[0] == "right":
-            left_key, right_key = right_key, left_key
+        return (left[1], right[1]) if left[0] == 0 else (right[1], left[1])
 
-        counter = [0]
-        left_predicates: list[Predicate] = []
-        right_predicates: list[Predicate] = []
-        for comparison in select.where:
-            side, bare = self._resolve_column_side(
-                comparison.column, comparison.position, left, right, "WHERE clause"
-            )
-            source = left if side == "left" else right
-            predicate = self._build_predicate(comparison, bare, counter, source)
-            (left_predicates if side == "left" else right_predicates).append(predicate)
-
-        left_node = self._plan_join_side(left, left_predicates)
+    def _plan_join(self, scope: _Scope, keys: tuple[str, str], predicates) -> HashJoin:
+        left, right = scope.sources
+        left_key, right_key = keys
         # The batched probe-lookup treats the probe side's join values as
         # entity ids, so it is only sound when the join key IS the view's
         # entity key; joins on any other column (e.g. ON t.topic = v.class)
         # must materialize the view instead.
         probe_ok = (
             right.kind == "classification_view"
-            and right_key[1].lower() == right.obj.definition.view_key.lower()
+            and right_key.lower() == right.obj.definition.view_key.lower()
         )
-        right_node = self._plan_join_side(
-            right, right_predicates, allow_probe_lookup=probe_ok
-        )
-
-        left_columns = {name.lower() for name in left.columns()}
-        right_renames = {
-            name.lower(): f"{right.name}.{name}"
-            for name in right.columns()
-            if name.lower() in left_columns
-        }
-        node: PlanNode = HashJoin(
-            left_node,
-            right_node,
-            left_key[1],
-            right_key[1],
-            right_renames,
+        return HashJoin(
+            self._plan_source(left, predicates[0])[0],
+            self._plan_source(right, predicates[1], probe_lookup=probe_ok)[0],
+            left_key,
+            right_key,
+            scope.renames,
             estimated_seconds=0.0,
             detail=f"build on {right.name}, probe with {left.name}",
         )
-        node = self._wrap_join_order_limit(node, select, left, right, right_renames)
-        node = self._wrap_join_output(node, select, left, right, right_renames)
-        views = [
-            source.obj
-            for source in (left, right)
-            if source.kind == "classification_view"
-        ]
-        return SelectPlan(
-            node, select, views, catalog_version=self._database.catalog.version
-        )
-
-    def _plan_join_side(
-        self, source: _Source, predicates, allow_probe_lookup: bool = False
-    ) -> PlanNode:
-        if source.kind == "classification_view":
-            node = self._plan_view_access(
-                source.obj, predicates, allow_probe_lookup=allow_probe_lookup
-            )
-        else:
-            node = self._plan_table_access(source.obj, predicates)
-        if predicates:
-            node = Filter(
-                node,
-                predicates,
-                estimated_seconds=0.0,
-                detail="residual re-check of every WHERE conjunct",
-            )
-        return node
-
-    def _resolve_column_side(
-        self, reference: str, position, left: _Source, right: _Source, clause: str
-    ) -> tuple[str, str]:
-        """Which side an (optionally qualified) column belongs to, plus its bare name."""
-        qualifier, bare = self._split_reference(reference)
-        if qualifier is not None:
-            for side_name, source in (("left", left), ("right", right)):
-                if qualifier.lower() == source.name.lower():
-                    self._require_column(source, bare, position, clause)
-                    return side_name, bare
-            raise SQLPlanningError(
-                f"unknown table qualifier {qualifier!r} in {reference!r}",
-                position=position,
-                token=reference,
-            )
-        in_left = left.has_column(bare)
-        in_right = right.has_column(bare)
-        if in_left and in_right:
-            raise SQLPlanningError(
-                f"ambiguous column {bare!r}: qualify it with "
-                f"{left.name!r} or {right.name!r}",
-                position=position,
-                token=reference,
-            )
-        if in_left:
-            return "left", bare
-        if in_right:
-            return "right", bare
-        raise SQLPlanningError(
-            f"unknown column {bare!r} in {clause} (neither {left.name!r} "
-            f"nor {right.name!r} has it)",
-            position=position,
-            token=reference,
-        )
-
-    def _join_lookup(
-        self, reference: str, position, left: _Source, right: _Source,
-        right_renames: dict[str, str], clause: str,
-    ) -> str:
-        side, bare = self._resolve_column_side(reference, position, left, right, clause)
-        if side == "right":
-            return right_renames.get(bare.lower(), bare)
-        return bare
-
-    def _wrap_join_order_limit(
-        self, node: PlanNode, select: Select, left: _Source, right: _Source,
-        right_renames: dict[str, str],
-    ) -> PlanNode:
-        if select.order_by is None:
-            if select.limit is not None:
-                return Limit(node, select.limit, estimated_seconds=0.0)
-            return node
-        lookup = self._join_lookup(
-            select.order_by, select.order_by_position, left, right, right_renames, "ORDER BY"
-        )
-        if select.limit is not None:
-            return TopK(
-                select.limit,
-                lookup,
-                select.descending,
-                child=node,
-                estimated_seconds=0.0,
-                detail="stable sort + slice of the joined rows",
-            )
-        return Sort(node, lookup, select.descending, estimated_seconds=0.0)
-
-    def _wrap_join_output(
-        self, node: PlanNode, select: Select, left: _Source, right: _Source,
-        right_renames: dict[str, str],
-    ) -> PlanNode:
-        if select.count:
-            return Aggregate(node, estimated_seconds=0.0)
-        if select.columns == ("*",):
-            return node
-        positions = select.column_positions or (None,) * len(select.columns)
-        lookups = [
-            self._join_lookup(column, position, left, right, right_renames, "SELECT list")
-            for column, position in zip(select.columns, positions)
-        ]
-        return Project(node, lookups, estimated_seconds=0.0)

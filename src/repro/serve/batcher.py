@@ -49,6 +49,13 @@ class _Request:
 class ReadBatcher:
     """Coalesces concurrently read keys into batched calls of ``execute_batch``.
 
+    Combining across readers earns its keep.  Two readers on one served view
+    (``perf/run.py --workload wire_reads --trace 1``,
+    ``serve.concurrent2_reads_per_s``, seeds 4202–4204, a 2-CPU machine) read
+    49.7k / 57.4k / 48.3k keys/s through shared rounds and 40.4k / 20.8k /
+    19.4k/s when each reader ran rounds of its own keys only — with rounds of
+    1.001–1.002 keys on average, so the gain is not from larger batches.
+
     Parameters
     ----------
     execute_batch:

@@ -1,20 +1,23 @@
 """Every SELECT shape's EXPLAIN rows and every planner refusal, pinned.
 
-Recorded before the planner planned a single-table SELECT as a join of one
-(``PYTHONPATH=src:. python tests/db/test_select_plan_table.py --record``
-prints the current tables in the same form).  ``PLANS`` holds the
-``(node, estimated_seconds, detail)`` rows ``EXPLAIN`` prints for each read
-shape over one base table, a classification view — unserved and served on 2
-shards — and the joins between them; ``REFUSALS`` holds every planner
-refusal as ``(class, message, position, token)``.  Only the cells in
-``MOVED`` may differ from what was recorded: a view's ``margin`` referenced
-in a join now gets the single-source message, and a ``NULL`` / ``TRUE`` /
-``FALSE`` bound prints as a SQL literal.
+``select_plan_golden.json`` was recorded before the planner planned a
+single-table SELECT as a join of one (``PYTHONPATH=src:. python
+tests/db/test_select_plan_table.py --record`` rewrites it from the current
+code).  ``plans`` holds the ``(node, estimated_seconds, detail)`` rows
+``EXPLAIN`` prints for each read shape over one base table, a classification
+view — unserved and served on 2 shards — and the joins between them;
+``refusals`` holds every planner refusal as ``(class, message, position,
+token)``.  Only the cells under ``moved_plans`` / ``moved_refusals`` may
+differ from what was recorded, and they print what is stored there: a
+``NULL`` or ``TRUE`` bound is spelled as the SQL literal, and a view's
+``margin`` referenced in a join gets the message it gets from ``FROM v``.
 """
 
 from __future__ import annotations
 
+import json
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -24,12 +27,21 @@ from repro.db.database import Database
 from repro.exceptions import SQLExecutionError
 from repro.workloads.synth_text import SparseCorpusGenerator
 
-from tests.db.test_sql_serving import VIEW_DDL
+GOLDEN_PATH = Path(__file__).with_name("select_plan_golden.json")
+
+VIEW_DDL = (
+    "CREATE CLASSIFICATION VIEW labeled KEY id ENTITIES FROM papers KEY id "
+    "LABELS FROM paper_area LABEL label EXAMPLES FROM example_papers KEY id LABEL label "
+    "FEATURE FUNCTION tf_bag_of_words USING SVM"
+)
+ITEMS_DDL = "CREATE TABLE items (id integer PRIMARY KEY, num integer, score float, tag text)"
+TAGS = ("alpha", "beta", "gamma", "delta")
 
 #: ``items`` carries a one-column and a composite index; ``papers`` only its
-#: primary key; ``labeled_papers`` is the classification view over ``papers``.
-JOIN = "FROM papers JOIN labeled_papers ON papers.id = labeled_papers.id"
+#: primary key; ``labeled`` is the classification view over ``papers``.
+JOIN = "FROM papers JOIN labeled ON papers.id = labeled.id"
 ITEMS_JOIN = "FROM items JOIN papers ON items.id = papers.id"
+PAPERS_ITEMS_JOIN = "FROM papers JOIN items ON papers.id = items.id"
 
 TABLE_READS = {
     "seq scan": "SELECT * FROM items WHERE score > 0.5",
@@ -51,32 +63,21 @@ TABLE_READS = {
     "system table ordered": "SELECT * FROM system.plan_cache ORDER BY sql LIMIT 2",
 }
 VIEW_READS = {
-    "view point": "SELECT class FROM labeled_papers WHERE id = 1",
-    "view members": "SELECT id FROM labeled_papers WHERE class = 'database' ORDER BY id",
-    "view top-k": "SELECT id, margin FROM labeled_papers ORDER BY margin DESC LIMIT 3",
-    "view top-k, qualified": (
-        "SELECT labeled_papers.id FROM labeled_papers ORDER BY labeled_papers.margin DESC LIMIT 2"
-    ),
-    "view count": "SELECT COUNT(*) FROM labeled_papers WHERE class = 'other'",
+    "view point": "SELECT class FROM labeled WHERE id = 1",
+    "view members": "SELECT id FROM labeled WHERE class = 'database' ORDER BY id",
+    "view top-k": "SELECT id, margin FROM labeled ORDER BY margin DESC LIMIT 3",
+    "view top-k, qualified": "SELECT labeled.id FROM labeled ORDER BY labeled.margin DESC LIMIT 2",
+    "view count": "SELECT COUNT(*) FROM labeled WHERE class = 'other'",
     "table join table": f"SELECT items.id, papers.title {ITEMS_JOIN} WHERE items.num = 4",
-    "table join table, indexed join side": (
-        "SELECT papers.id, items.score FROM papers JOIN items ON papers.id = items.id "
-        "WHERE items.num = 4 AND items.score >= 0.0"
-    ),
+    "indexed join side": f"SELECT papers.id, score {PAPERS_ITEMS_JOIN} WHERE num = 4 AND score > 0",
     "table join view": f"SELECT papers.id, class {JOIN}",
     "table join view, class predicate": f"SELECT papers.id, class {JOIN} WHERE class = 'database'",
-    "table join view, key range": (
-        f"SELECT papers.id, class {JOIN} WHERE class = 'database' AND labeled_papers.id >= 5"
-    ),
-    "table join view on class": (
-        "SELECT items.id FROM items JOIN labeled_papers ON items.tag = labeled_papers.class"
-    ),
-    "view join table": (
-        "SELECT title FROM labeled_papers JOIN papers ON labeled_papers.id = papers.id"
-    ),
+    "table join view, key range": f"SELECT title {JOIN} WHERE class = 'other' AND labeled.id >= 5",
+    "table join view on class": "SELECT items.id FROM items JOIN labeled ON tag = class",
+    "view join table": "SELECT title FROM labeled JOIN papers ON labeled.id = papers.id",
     "colliding renames": f"SELECT * {JOIN}",
-    "colliding renamed projection": f"SELECT labeled_papers.id, papers.id, title {JOIN}",
-    "join order by renamed column": f"SELECT * {JOIN} ORDER BY labeled_papers.id DESC LIMIT 3",
+    "colliding renamed projection": f"SELECT labeled.id, papers.id, title {JOIN}",
+    "join order by renamed column": f"SELECT * {JOIN} ORDER BY labeled.id DESC LIMIT 3",
     "join sort": f"SELECT papers.id, class {JOIN} ORDER BY class",
     "join limit": f"SELECT title {JOIN} LIMIT 2",
     "join count": f"SELECT COUNT(*) {JOIN} WHERE class = 'other'",
@@ -92,7 +93,7 @@ REFUSED = {
     "unknown qualifier in SELECT list": "SELECT other.id FROM items",
     "unknown qualifier in ORDER BY": "SELECT id FROM items ORDER BY other.num",
     "unknown qualifier in ORDER BY LIMIT": "SELECT id FROM items ORDER BY other.num LIMIT 2",
-    "unknown qualifier on a view": "SELECT other.id FROM labeled_papers",
+    "unknown qualifier on a view": "SELECT other.id FROM labeled",
     "unknown qualifier on a system table": "SELECT other.sql FROM system.plan_cache",
     "join unknown qualifier in WHERE": f"SELECT items.id {ITEMS_JOIN} WHERE other.num = 1",
     "join unknown qualifier in SELECT list": f"SELECT other.id {ITEMS_JOIN}",
@@ -103,11 +104,11 @@ REFUSED = {
     "unknown column in SELECT list": "SELECT id, nope FROM items",
     "unknown column in ORDER BY": "SELECT id FROM items ORDER BY nope",
     "unknown column in ORDER BY LIMIT": "SELECT id FROM items ORDER BY nope LIMIT 3",
-    "unknown column in WHERE before ORDER BY": "SELECT nope1 FROM items WHERE nope2 = 1 ORDER BY nope3",
-    "unknown column in ORDER BY before SELECT list": "SELECT nope1 FROM items ORDER BY nope3",
-    "unknown view column in WHERE": "SELECT id FROM labeled_papers WHERE nope = 1",
-    "unknown view column in SELECT list": "SELECT nope FROM labeled_papers",
-    "unknown view column in ORDER BY": "SELECT id FROM labeled_papers ORDER BY nope",
+    "WHERE before ORDER BY": "SELECT nope1 FROM items WHERE nope2 = 1 ORDER BY nope3",
+    "ORDER BY before SELECT list": "SELECT nope1 FROM items ORDER BY nope3",
+    "unknown view column in WHERE": "SELECT id FROM labeled WHERE nope = 1",
+    "unknown view column in SELECT list": "SELECT nope FROM labeled",
+    "unknown view column in ORDER BY": "SELECT id FROM labeled ORDER BY nope",
     "join unknown column in WHERE": f"SELECT items.id {ITEMS_JOIN} WHERE nope = 1",
     "join unknown qualified column in WHERE": f"SELECT items.id {ITEMS_JOIN} WHERE papers.nope = 1",
     "join unknown column in SELECT list": f"SELECT nope {ITEMS_JOIN}",
@@ -115,52 +116,45 @@ REFUSED = {
     "join unknown column in ORDER BY": f"SELECT items.id {ITEMS_JOIN} ORDER BY nope",
     "join unknown column in ON": "SELECT * FROM items JOIN papers ON items.nope = papers.id",
     "join unknown view column": f"SELECT nope {JOIN}",
-    "join WHERE before ORDER BY before SELECT list": (
-        f"SELECT nope1 {ITEMS_JOIN} WHERE nope2 = 1 ORDER BY nope3"
-    ),
+    "join ON before WHERE": "SELECT * FROM items JOIN papers ON nope1 = papers.id WHERE nope2 = 1",
+    "join WHERE before ORDER BY": f"SELECT nope1 {ITEMS_JOIN} WHERE nope2 = 1 ORDER BY nope3",
+    "join ORDER BY before SELECT list": f"SELECT nope1 {ITEMS_JOIN} ORDER BY nope3",
     "ambiguous column in SELECT list": f"SELECT id {ITEMS_JOIN}",
     "ambiguous column in WHERE": f"SELECT items.id {ITEMS_JOIN} WHERE id = 1",
     "ambiguous column in ORDER BY": f"SELECT items.id {ITEMS_JOIN} ORDER BY id",
     "ambiguous column in ON": "SELECT * FROM items JOIN papers ON id = papers.id",
     "ON on one side": "SELECT * FROM items JOIN papers ON items.id = items.num",
     "ON on the right side twice": "SELECT * FROM items JOIN papers ON papers.id = title",
-    "system table on the right of a join": (
-        "SELECT * FROM items JOIN system.plan_cache ON items.id = sql"
-    ),
-    "system table on the left of a join": (
-        "SELECT * FROM system.plan_cache JOIN items ON sql = items.id"
-    ),
-    "margin in WHERE": "SELECT id FROM labeled_papers WHERE margin > 0",
-    "margin in SELECT list": "SELECT id, margin FROM labeled_papers",
-    "margin in SELECT list ordered by id": (
-        "SELECT margin FROM labeled_papers ORDER BY id DESC LIMIT 3"
-    ),
-    "qualified margin in SELECT list": "SELECT labeled_papers.margin FROM labeled_papers",
-    "margin ASC": "SELECT id FROM labeled_papers ORDER BY margin ASC LIMIT 3",
-    "margin without LIMIT": "SELECT id FROM labeled_papers ORDER BY margin DESC",
-    "margin with WHERE": (
-        "SELECT id FROM labeled_papers WHERE class = 'other' ORDER BY margin DESC LIMIT 3"
-    ),
-    "margin before SELECT list": "SELECT nope FROM labeled_papers ORDER BY margin ASC LIMIT 3",
+    "system table on the right of a join": "SELECT * FROM items JOIN system.plan_cache ON id = sql",
+    "system table on the left of a join": "SELECT * FROM system.plan_cache JOIN items ON sql = id",
+    "margin in WHERE": "SELECT id FROM labeled WHERE margin > 0",
+    "margin in SELECT list": "SELECT id, margin FROM labeled",
+    "margin in SELECT list ordered by id": "SELECT margin FROM labeled ORDER BY id DESC LIMIT 3",
+    "qualified margin in SELECT list": "SELECT labeled.margin FROM labeled",
+    "margin ASC": "SELECT id FROM labeled ORDER BY margin ASC LIMIT 3",
+    "margin without LIMIT": "SELECT id FROM labeled ORDER BY margin DESC",
+    "margin with WHERE": "SELECT id FROM labeled WHERE id = 1 ORDER BY margin DESC LIMIT 3",
+    "margin before SELECT list": "SELECT nope FROM labeled ORDER BY margin ASC LIMIT 3",
     "join margin in SELECT list": f"SELECT margin {JOIN}",
-    "join qualified margin in SELECT list": f"SELECT labeled_papers.margin {JOIN}",
+    "join qualified margin in SELECT list": f"SELECT labeled.margin {JOIN}",
     "join margin in WHERE": f"SELECT title {JOIN} WHERE margin > 0",
     "join margin in ORDER BY": f"SELECT title {JOIN} ORDER BY margin DESC LIMIT 3",
-    "join margin in ON": "SELECT * FROM papers JOIN labeled_papers ON papers.id = margin",
+    "join margin in ON": "SELECT * FROM papers JOIN labeled ON papers.id = margin",
 }
 
 
-def build():
-    """``build_portal``'s papers and view over 40 documents, priced in memory,
-    beside an ``items`` table the index paths win on."""
+def build() -> Database:
+    """40 papers under a classification view, priced in memory, beside an
+    ``items`` table the index paths win on."""
     db = Database(cost_model=CostModel.main_memory())
     db.execute("CREATE TABLE papers (id integer PRIMARY KEY, title text)")
     db.execute("CREATE TABLE paper_area (label text PRIMARY KEY)")
     db.execute("CREATE TABLE example_papers (id integer PRIMARY KEY, label text)")
     db.execute("INSERT INTO paper_area (label) VALUES ('database'), ('other')")
-    documents = SparseCorpusGenerator(
+    generator = SparseCorpusGenerator(
         vocabulary_size=300, nonzeros_per_document=10, positive_fraction=0.4, seed=11
-    ).generate_list(40)
+    )
+    documents = generator.generate_list(40)
     db.executemany(
         "INSERT INTO papers (id, title) VALUES (?, ?)",
         [(doc.entity_id, doc.text) for doc in documents],
@@ -171,447 +165,58 @@ def build():
         "INSERT INTO example_papers (id, label) VALUES (?, ?)",
         [(doc.entity_id, "database" if doc.label == 1 else "other") for doc in documents[:30]],
     )
-    db.execute("CREATE TABLE items (id integer PRIMARY KEY, num integer, score float, tag text)")
+    db.execute(ITEMS_DDL)
     db.executemany(
         "INSERT INTO items (id, num, score, tag) VALUES (?, ?, ?, ?)",
-        [
-            (i, (i * 7) % 25, round(((i * 37) % 41) / 10.0 - 2.0, 2), ("alpha", "beta", "gamma", "delta")[i % 4])
-            for i in range(120)
-        ],
+        [(i, i * 7 % 25, round(i * 37 % 41 / 10 - 2.0, 2), TAGS[i % 4]) for i in range(120)],
     )
     db.execute("CREATE INDEX idx_tag ON items (tag)")
     db.execute("CREATE INDEX idx_ns ON items (num, score)")
     return db
 
 
-def _explain(db, sql: str) -> list[tuple]:
-    return [
-        (row["node"], row["estimated_seconds"], row["detail"])
-        for row in db.execute(f"EXPLAIN {sql}").rows
-    ]
+def _explain(db: Database, sql: str) -> list[list]:
+    rows = db.execute(f"EXPLAIN {sql}").rows
+    return [[row["node"], row["estimated_seconds"], row["detail"]] for row in rows]
 
 
-def plan_table() -> dict[tuple[str, str], list[tuple]]:
-    """``{(read, state): [(node, estimated_seconds, detail), ...]}``."""
+def plan_table() -> dict[str, list[list]]:
+    """``{"<read> / <state>": [[node, estimated_seconds, detail], ...]}``."""
     db = build()
-    table = {(read, "unserved"): _explain(db, sql) for read, sql in TABLE_READS.items()}
+    table = {f"{read} / unserved": _explain(db, sql) for read, sql in TABLE_READS.items()}
     for state in STATES:
         if state != "unserved":
-            db.execute("SERVE VIEW labeled_papers WITH (shards = 2)")
+            db.execute("SERVE VIEW labeled WITH (shards = 2)")
         for read, sql in VIEW_READS.items():
-            table[(read, state)] = _explain(db, sql)
-    db.execute("STOP SERVING labeled_papers")
+            table[f"{read} / {state}"] = _explain(db, sql)
+    db.execute("STOP SERVING labeled")
     return table
 
 
-def refusal_table() -> dict[str, tuple]:
-    """``{refusal: (class, message, position, token)}``."""
+def refusal_table() -> dict[str, list]:
+    """``{refusal: [class, message, position, token]}``."""
     db = build()
     table = {}
     for refusal, sql in REFUSED.items():
         with pytest.raises(SQLExecutionError) as excinfo:
             db.execute(sql)
         error = excinfo.value
-        table[refusal] = (
-            type(error).__name__,
-            str(error),
-            getattr(error, "position", None),
-            getattr(error, "token", None),
-        )
+        table[refusal] = [type(error).__name__, str(error), error.position, error.token]
     return table
 
 
-#: What the moved cells print now.
-MOVED_PLANS: dict[tuple[str, str], list[tuple]] = {}
-MOVED_REFUSALS: dict[str, tuple] = {}
-
-#: The tables as they were recorded.
-PLANS: dict[tuple[str, str], list[tuple]] = {
-    ('seq scan', 'unserved'): [
-        ('Filter(score > 0.5)', 0.0, 'residual re-check of every WHERE conjunct'),
-        ('  SeqScan(items)', 9.4e-05, 'sequential scan of 1 pages / 120 tuples'),
-    ],
-    ('pk point', 'unserved'): [
-        ('Filter(id = 3)', 0.0, 'residual re-check of every WHERE conjunct'),
-        ('  IndexRange(items.id = 3)', 7e-05, "primary-key hash lookup on 'id' (1 random page)"),
-    ],
-    ('one-column index', 'unserved'): [
-        ("Filter(tag = 'beta')", 0.0, 'residual re-check of every WHERE conjunct'),
-        ("  SecondaryIndexRange(items.idx_tag: tag = 'beta')", 8.219999999999999e-05, "B+-tree probe on 'tag' (~30 of 120 rows) + heap fetch per match"),
-    ],
-    ('composite index', 'unserved'): [
-        ('Filter(num = 4 AND score >= 0.0)', 0.0, 'residual re-check of every WHERE conjunct'),
-        ('  SecondaryIndexRange(items.idx_ns: num = 4 AND score >= 0.0)', 7.186059348668043e-05, "B+-tree probe on 'num', 'score' (~4 of 120 rows) + heap fetch per match"),
-    ],
-    ('covering index', 'unserved'): [
-        ('Project(num, score)', 0.0, ''),
-        ('  Filter(num = 4 AND score >= 0.0)', 0.0, 'residual re-check of every WHERE conjunct'),
-        ('    SecondaryIndexRange(items.idx_ns: num = 4 AND score >= 0.0, covering)', 7.113029674334022e-05, "B+-tree probe on 'num', 'score' (~4 of 120 rows) + index-only, no heap fetches; covering=true"),
-    ],
-    ('index-ordered asc', 'unserved'): [
-        ('Limit(3)', 0.0, 'rows arrive index-ordered; Sort elided'),
-        ('  SecondaryIndexRange(items.idx_ns: unbounded, order=num asc, limit=3)', 7.159999999999999e-05, "index-ordered walk of 'num'; at most 3 heap fetches, Sort/TopK elided"),
-    ],
-    ('index-ordered desc', 'unserved'): [
-        ('Project(id, score)', 0.0, ''),
-        ('  Limit(3)', 0.0, 'rows arrive index-ordered; Sort elided'),
-        ('    Filter(num = 4)', 0.0, 'residual re-check of every WHERE conjunct'),
-        ('      SecondaryIndexRange(items.idx_ns: num = 4, order=score desc, limit=3)', 7.159999999999999e-05, "index-ordered walk of 'score'; at most 3 heap fetches, Sort/TopK elided"),
-    ],
-    ('sort', 'unserved'): [
-        ('Project(id, tag)', 0.0, ''),
-        ('  Sort(by=tag asc)', 0.0, ''),
-        ('    Filter(score < 0.0)', 0.0, 'residual re-check of every WHERE conjunct'),
-        ('      SeqScan(items)', 9.4e-05, 'sequential scan of 1 pages / 120 tuples'),
-    ],
-    ('top-k', 'unserved'): [
-        ('TopK(k=5, by=score desc)', 0.0, "stable sort + slice of the child's rows"),
-        ('  SeqScan(items)', 9.4e-05, 'sequential scan of 1 pages / 120 tuples'),
-    ],
-    ('limit', 'unserved'): [
-        ('Project(id)', 0.0, ''),
-        ('  Limit(4)', 0.0, ''),
-        ('    SeqScan(items)', 9.4e-05, 'sequential scan of 1 pages / 120 tuples'),
-    ],
-    ('count', 'unserved'): [
-        ('Aggregate(count)', 0.0, ''),
-        ('  Filter(num = 4)', 0.0, 'residual re-check of every WHERE conjunct'),
-        ('    SecondaryIndexRange(items.idx_ns: num = 4, covering)', 7.259089023002066e-05, "B+-tree probe on 'num', 'score' (~11 of 120 rows) + index-only, no heap fetches; covering=true"),
-    ],
-    ('qualified projection', 'unserved'): [
-        ('Project(id, tag)', 0.0, ''),
-        ('  Filter(num >= 20)', 0.0, 'residual re-check of every WHERE conjunct'),
-        ('    SecondaryIndexRange(items.idx_ns: num >= 20)', 7.84e-05, "B+-tree probe on 'num', 'score' (~20 of 120 rows) + heap fetch per match"),
-    ],
-    ('null bound', 'unserved'): [
-        ('Project(id)', 0.0, ''),
-        ('  Filter(tag = None)', 0.0, 'residual re-check of every WHERE conjunct'),
-        ('    SeqScan(items)', 9.4e-05, 'sequential scan of 1 pages / 120 tuples'),
-    ],
-    ('true bound', 'unserved'): [
-        ('Project(id)', 0.0, ''),
-        ('  Filter(num = True)', 0.0, 'residual re-check of every WHERE conjunct'),
-        ('    SecondaryIndexRange(items.idx_ns: num = True)', 7.478178046004132e-05, "B+-tree probe on 'num', 'score' (~11 of 120 rows) + heap fetch per match"),
-    ],
-    ('placeholder', 'unserved'): [
-        ('Project(id)', 0.0, ''),
-        ('  Filter(num = ? AND score > ?)', 0.0, 'residual re-check of every WHERE conjunct'),
-        ('    SecondaryIndexRange(items.idx_ns: num = ? AND score > ?)', 7.186059348668043e-05, "B+-tree probe on 'num', 'score' (~4 of 120 rows) + heap fetch per match"),
-    ],
-    ('system table', 'unserved'): [
-        ('SystemTableScan(system.plan_cache)', 0.0, 'virtual observability table; reads process state, costs nothing'),
-    ],
-    ('system table ordered', 'unserved'): [
-        ('TopK(k=2, by=sql asc)', 0.0, "stable sort + slice of the child's rows"),
-        ('  SystemTableScan(system.plan_cache)', 0.0, 'virtual observability table; reads process state, costs nothing'),
-    ],
-    ('view point', 'unserved'): [
-        ('Project(class)', 0.0, ''),
-        ('  Filter(id = 1)', 0.0, 'residual re-check of every WHERE conjunct'),
-        ('    ViewPointRead(labeled_papers.id = 1)', 7.02e-05, 'direct maintainer read_single (view is not served)'),
-    ],
-    ('view members', 'unserved'): [
-        ('Project(id)', 0.0, ''),
-        ('  Sort(by=id asc)', 0.0, ''),
-        ("    Filter(class = 'database')", 0.0, 'residual re-check of every WHERE conjunct'),
-        ("      ViewMembers(labeled_papers, class = 'database')", 7.8e-05, 'direct maintainer All Members read (view is not served)'),
-    ],
-    ('view top-k', 'unserved'): [
-        ('Project(id, margin)', 0.0, ''),
-        ('  TopK(k=3, by=margin desc)', 7.8e-05, 'direct maintainer top-k heap over one scored scan (view is not served)'),
-    ],
-    ('view top-k, qualified', 'unserved'): [
-        ('Project(id)', 0.0, ''),
-        ('  TopK(k=2, by=margin desc)', 7.8e-05, 'direct maintainer top-k heap over one scored scan (view is not served)'),
-    ],
-    ('view count', 'unserved'): [
-        ('Aggregate(count)', 0.0, ''),
-        ("  Filter(class = 'other')", 0.0, 'residual re-check of every WHERE conjunct'),
-        ("    ViewMembers(labeled_papers, class = 'other')", 7.8e-05, 'direct maintainer All Members read (view is not served)'),
-    ],
-    ('table join table', 'unserved'): [
-        ('Project(id, title)', 0.0, ''),
-        ('  HashJoin(id = id)', 0.0, 'build on papers, probe with items'),
-        ('    Filter(num = 4)', 0.0, 'residual re-check of every WHERE conjunct'),
-        ('      SecondaryIndexRange(items.idx_ns: num = 4)', 7.478178046004132e-05, "B+-tree probe on 'num', 'score' (~11 of 120 rows) + heap fetch per match"),
-        ('    SeqScan(papers)', 7.8e-05, 'sequential scan of 1 pages / 40 tuples'),
-    ],
-    ('table join table, indexed join side', 'unserved'): [
-        ('Project(id, score)', 0.0, ''),
-        ('  HashJoin(id = id)', 0.0, 'build on items, probe with papers'),
-        ('    SeqScan(papers)', 7.8e-05, 'sequential scan of 1 pages / 40 tuples'),
-        ('    Filter(num = 4 AND score >= 0.0)', 0.0, 'residual re-check of every WHERE conjunct'),
-        ('      SecondaryIndexRange(items.idx_ns: num = 4 AND score >= 0.0)', 7.186059348668043e-05, "B+-tree probe on 'num', 'score' (~4 of 120 rows) + heap fetch per match"),
-    ],
-    ('table join view', 'unserved'): [
-        ('Project(id, class)', 0.0, ''),
-        ('  HashJoin(id = id)', 0.0, 'build on labeled_papers, probe with papers'),
-        ('    SeqScan(papers)', 7.8e-05, 'sequential scan of 1 pages / 40 tuples'),
-        ('    ViewScan(labeled_papers)', 0.002886, 'materialize the view through the direct maintainer'),
-    ],
-    ('table join view, class predicate', 'unserved'): [
-        ('Project(id, class)', 0.0, ''),
-        ('  HashJoin(id = id)', 0.0, 'build on labeled_papers, probe with papers'),
-        ('    SeqScan(papers)', 7.8e-05, 'sequential scan of 1 pages / 40 tuples'),
-        ("    Filter(class = 'database')", 0.0, 'residual re-check of every WHERE conjunct'),
-        ("      ViewMembers(labeled_papers, class = 'database')", 7.8e-05, 'direct maintainer All Members read (view is not served)'),
-    ],
-    ('table join view, key range', 'unserved'): [
-        ('Project(id, class)', 0.0, ''),
-        ('  HashJoin(id = id)', 0.0, 'build on labeled_papers, probe with papers'),
-        ('    SeqScan(papers)', 7.8e-05, 'sequential scan of 1 pages / 40 tuples'),
-        ("    Filter(class = 'database' AND id >= 5)", 0.0, 'residual re-check of every WHERE conjunct'),
-        ("      ViewRangeRead(labeled_papers, class = 'database' AND id >= 5)", 7.8e-05, 'maintainer read_range (view is not served)'),
-    ],
-    ('table join view on class', 'unserved'): [
-        ('Project(id)', 0.0, ''),
-        ('  HashJoin(tag = class)', 0.0, 'build on labeled_papers, probe with items'),
-        ('    SeqScan(items)', 9.4e-05, 'sequential scan of 1 pages / 120 tuples'),
-        ('    ViewScan(labeled_papers)', 0.002886, 'materialize the view through the direct maintainer'),
-    ],
-    ('view join table', 'unserved'): [
-        ('Project(title)', 0.0, ''),
-        ('  HashJoin(id = id)', 0.0, 'build on papers, probe with labeled_papers'),
-        ('    ViewScan(labeled_papers)', 0.002886, 'materialize the view through the direct maintainer'),
-        ('    SeqScan(papers)', 7.8e-05, 'sequential scan of 1 pages / 40 tuples'),
-    ],
-    ('colliding renames', 'unserved'): [
-        ('HashJoin(id = id)', 0.0, 'build on labeled_papers, probe with papers'),
-        ('  SeqScan(papers)', 7.8e-05, 'sequential scan of 1 pages / 40 tuples'),
-        ('  ViewScan(labeled_papers)', 0.002886, 'materialize the view through the direct maintainer'),
-    ],
-    ('colliding renamed projection', 'unserved'): [
-        ('Project(labeled_papers.id, id, title)', 0.0, ''),
-        ('  HashJoin(id = id)', 0.0, 'build on labeled_papers, probe with papers'),
-        ('    SeqScan(papers)', 7.8e-05, 'sequential scan of 1 pages / 40 tuples'),
-        ('    ViewScan(labeled_papers)', 0.002886, 'materialize the view through the direct maintainer'),
-    ],
-    ('join order by renamed column', 'unserved'): [
-        ('TopK(k=3, by=labeled_papers.id desc)', 0.0, 'stable sort + slice of the joined rows'),
-        ('  HashJoin(id = id)', 0.0, 'build on labeled_papers, probe with papers'),
-        ('    SeqScan(papers)', 7.8e-05, 'sequential scan of 1 pages / 40 tuples'),
-        ('    ViewScan(labeled_papers)', 0.002886, 'materialize the view through the direct maintainer'),
-    ],
-    ('join sort', 'unserved'): [
-        ('Project(id, class)', 0.0, ''),
-        ('  Sort(by=class asc)', 0.0, ''),
-        ('    HashJoin(id = id)', 0.0, 'build on labeled_papers, probe with papers'),
-        ('      SeqScan(papers)', 7.8e-05, 'sequential scan of 1 pages / 40 tuples'),
-        ('      ViewScan(labeled_papers)', 0.002886, 'materialize the view through the direct maintainer'),
-    ],
-    ('join limit', 'unserved'): [
-        ('Project(title)', 0.0, ''),
-        ('  Limit(2)', 0.0, ''),
-        ('    HashJoin(id = id)', 0.0, 'build on labeled_papers, probe with papers'),
-        ('      SeqScan(papers)', 7.8e-05, 'sequential scan of 1 pages / 40 tuples'),
-        ('      ViewScan(labeled_papers)', 0.002886, 'materialize the view through the direct maintainer'),
-    ],
-    ('join count', 'unserved'): [
-        ('Aggregate(count)', 0.0, ''),
-        ('  HashJoin(id = id)', 0.0, 'build on labeled_papers, probe with papers'),
-        ('    SeqScan(papers)', 7.8e-05, 'sequential scan of 1 pages / 40 tuples'),
-        ("    Filter(class = 'other')", 0.0, 'residual re-check of every WHERE conjunct'),
-        ("      ViewMembers(labeled_papers, class = 'other')", 7.8e-05, 'direct maintainer All Members read (view is not served)'),
-    ],
-    ('join unqualified order', 'unserved'): [
-        ('Project(id, title)', 0.0, ''),
-        ('  TopK(k=4, by=title asc)', 0.0, 'stable sort + slice of the joined rows'),
-        ('    HashJoin(id = id)', 0.0, 'build on papers, probe with items'),
-        ('      SeqScan(items)', 9.4e-05, 'sequential scan of 1 pages / 120 tuples'),
-        ('      SeqScan(papers)', 7.8e-05, 'sequential scan of 1 pages / 40 tuples'),
-    ],
-    ('join placeholder', 'unserved'): [
-        ('Project(id)', 0.0, ''),
-        ('  HashJoin(id = id)', 0.0, 'build on papers, probe with items'),
-        ('    Filter(num = ?)', 0.0, 'residual re-check of every WHERE conjunct'),
-        ('      SecondaryIndexRange(items.idx_ns: num = ?)', 7.478178046004132e-05, "B+-tree probe on 'num', 'score' (~11 of 120 rows) + heap fetch per match"),
-        ('    Filter(id < ?)', 0.0, 'residual re-check of every WHERE conjunct'),
-        ('      SeqScan(papers)', 7.8e-05, 'sequential scan of 1 pages / 40 tuples'),
-    ],
-    ('view point', '2 shards'): [
-        ('Project(class)', 0.0, ''),
-        ('  Filter(id = 1)', 0.0, 'residual re-check of every WHERE conjunct'),
-        ('    ServedPointRead(labeled_papers.id = 1)', 7.02e-05, 'batched read on the owning shard of 2; statement overhead amortized per coalesced batch'),
-    ],
-    ('view members', '2 shards'): [
-        ('Project(id)', 0.0, ''),
-        ('  Sort(by=id asc)', 0.0, ''),
-        ("    Filter(class = 'database')", 0.0, 'residual re-check of every WHERE conjunct'),
-        ("      ServedScatterGather(labeled_papers, class = 'database')", 7.8e-05, 'scatter/gather All Members across 2 shards'),
-    ],
-    ('view top-k', '2 shards'): [
-        ('Project(id, margin)', 0.0, ''),
-        ('  TopK(k=3, by=margin desc)', 7.8e-05, 'per-shard top-k heaps + n-way merge across 2 shards'),
-    ],
-    ('view top-k, qualified', '2 shards'): [
-        ('Project(id)', 0.0, ''),
-        ('  TopK(k=2, by=margin desc)', 7.8e-05, 'per-shard top-k heaps + n-way merge across 2 shards'),
-    ],
-    ('view count', '2 shards'): [
-        ('Aggregate(count)', 0.0, ''),
-        ("  Filter(class = 'other')", 0.0, 'residual re-check of every WHERE conjunct'),
-        ("    ServedScatterGather(labeled_papers, class = 'other')", 7.8e-05, 'scatter/gather All Members across 2 shards'),
-    ],
-    ('table join table', '2 shards'): [
-        ('Project(id, title)', 0.0, ''),
-        ('  HashJoin(id = id)', 0.0, 'build on papers, probe with items'),
-        ('    Filter(num = 4)', 0.0, 'residual re-check of every WHERE conjunct'),
-        ('      SecondaryIndexRange(items.idx_ns: num = 4)', 7.478178046004132e-05, "B+-tree probe on 'num', 'score' (~11 of 120 rows) + heap fetch per match"),
-        ('    SeqScan(papers)', 7.8e-05, 'sequential scan of 1 pages / 40 tuples'),
-    ],
-    ('table join table, indexed join side', '2 shards'): [
-        ('Project(id, score)', 0.0, ''),
-        ('  HashJoin(id = id)', 0.0, 'build on items, probe with papers'),
-        ('    SeqScan(papers)', 7.8e-05, 'sequential scan of 1 pages / 40 tuples'),
-        ('    Filter(num = 4 AND score >= 0.0)', 0.0, 'residual re-check of every WHERE conjunct'),
-        ('      SecondaryIndexRange(items.idx_ns: num = 4 AND score >= 0.0)', 7.186059348668043e-05, "B+-tree probe on 'num', 'score' (~4 of 120 rows) + heap fetch per match"),
-    ],
-    ('table join view', '2 shards'): [
-        ('Project(id, class)', 0.0, ''),
-        ('  HashJoin(id = id)', 0.0, 'build on labeled_papers, probe with papers'),
-        ('    SeqScan(papers)', 7.8e-05, 'sequential scan of 1 pages / 40 tuples'),
-        ('    ServedPointRead(labeled_papers, batch)', None, "batched point reads for the join's probe keys through the read batcher"),
-    ],
-    ('table join view, class predicate', '2 shards'): [
-        ('Project(id, class)', 0.0, ''),
-        ('  HashJoin(id = id)', 0.0, 'build on labeled_papers, probe with papers'),
-        ('    SeqScan(papers)', 7.8e-05, 'sequential scan of 1 pages / 40 tuples'),
-        ("    Filter(class = 'database')", 0.0, 'residual re-check of every WHERE conjunct'),
-        ("      ServedScatterGather(labeled_papers, class = 'database')", 7.8e-05, 'scatter/gather All Members across 2 shards'),
-    ],
-    ('table join view, key range', '2 shards'): [
-        ('Project(id, class)', 0.0, ''),
-        ('  HashJoin(id = id)', 0.0, 'build on labeled_papers, probe with papers'),
-        ('    SeqScan(papers)', 7.8e-05, 'sequential scan of 1 pages / 40 tuples'),
-        ("    Filter(class = 'database' AND id >= 5)", 0.0, 'residual re-check of every WHERE conjunct'),
-        ("      ServedRangeScan(labeled_papers, class = 'database' AND id >= 5)", 7.8e-05, 'pushed-down read_range across 2 shards; classifies only in-range candidates'),
-    ],
-    ('table join view on class', '2 shards'): [
-        ('Project(id)', 0.0, ''),
-        ('  HashJoin(tag = class)', 0.0, 'build on labeled_papers, probe with items'),
-        ('    SeqScan(items)', 9.4e-05, 'sequential scan of 1 pages / 120 tuples'),
-        ('    ServedScatterGather(labeled_papers, contents)', 0.002886, 'materialize one coherent epoch via read_single per entity across 2 shards'),
-    ],
-    ('view join table', '2 shards'): [
-        ('Project(title)', 0.0, ''),
-        ('  HashJoin(id = id)', 0.0, 'build on papers, probe with labeled_papers'),
-        ('    ServedScatterGather(labeled_papers, contents)', 0.002886, 'materialize one coherent epoch via read_single per entity across 2 shards'),
-        ('    SeqScan(papers)', 7.8e-05, 'sequential scan of 1 pages / 40 tuples'),
-    ],
-    ('colliding renames', '2 shards'): [
-        ('HashJoin(id = id)', 0.0, 'build on labeled_papers, probe with papers'),
-        ('  SeqScan(papers)', 7.8e-05, 'sequential scan of 1 pages / 40 tuples'),
-        ('  ServedPointRead(labeled_papers, batch)', None, "batched point reads for the join's probe keys through the read batcher"),
-    ],
-    ('colliding renamed projection', '2 shards'): [
-        ('Project(labeled_papers.id, id, title)', 0.0, ''),
-        ('  HashJoin(id = id)', 0.0, 'build on labeled_papers, probe with papers'),
-        ('    SeqScan(papers)', 7.8e-05, 'sequential scan of 1 pages / 40 tuples'),
-        ('    ServedPointRead(labeled_papers, batch)', None, "batched point reads for the join's probe keys through the read batcher"),
-    ],
-    ('join order by renamed column', '2 shards'): [
-        ('TopK(k=3, by=labeled_papers.id desc)', 0.0, 'stable sort + slice of the joined rows'),
-        ('  HashJoin(id = id)', 0.0, 'build on labeled_papers, probe with papers'),
-        ('    SeqScan(papers)', 7.8e-05, 'sequential scan of 1 pages / 40 tuples'),
-        ('    ServedPointRead(labeled_papers, batch)', None, "batched point reads for the join's probe keys through the read batcher"),
-    ],
-    ('join sort', '2 shards'): [
-        ('Project(id, class)', 0.0, ''),
-        ('  Sort(by=class asc)', 0.0, ''),
-        ('    HashJoin(id = id)', 0.0, 'build on labeled_papers, probe with papers'),
-        ('      SeqScan(papers)', 7.8e-05, 'sequential scan of 1 pages / 40 tuples'),
-        ('      ServedPointRead(labeled_papers, batch)', None, "batched point reads for the join's probe keys through the read batcher"),
-    ],
-    ('join limit', '2 shards'): [
-        ('Project(title)', 0.0, ''),
-        ('  Limit(2)', 0.0, ''),
-        ('    HashJoin(id = id)', 0.0, 'build on labeled_papers, probe with papers'),
-        ('      SeqScan(papers)', 7.8e-05, 'sequential scan of 1 pages / 40 tuples'),
-        ('      ServedPointRead(labeled_papers, batch)', None, "batched point reads for the join's probe keys through the read batcher"),
-    ],
-    ('join count', '2 shards'): [
-        ('Aggregate(count)', 0.0, ''),
-        ('  HashJoin(id = id)', 0.0, 'build on labeled_papers, probe with papers'),
-        ('    SeqScan(papers)', 7.8e-05, 'sequential scan of 1 pages / 40 tuples'),
-        ("    Filter(class = 'other')", 0.0, 'residual re-check of every WHERE conjunct'),
-        ("      ServedScatterGather(labeled_papers, class = 'other')", 7.8e-05, 'scatter/gather All Members across 2 shards'),
-    ],
-    ('join unqualified order', '2 shards'): [
-        ('Project(id, title)', 0.0, ''),
-        ('  TopK(k=4, by=title asc)', 0.0, 'stable sort + slice of the joined rows'),
-        ('    HashJoin(id = id)', 0.0, 'build on papers, probe with items'),
-        ('      SeqScan(items)', 9.4e-05, 'sequential scan of 1 pages / 120 tuples'),
-        ('      SeqScan(papers)', 7.8e-05, 'sequential scan of 1 pages / 40 tuples'),
-    ],
-    ('join placeholder', '2 shards'): [
-        ('Project(id)', 0.0, ''),
-        ('  HashJoin(id = id)', 0.0, 'build on papers, probe with items'),
-        ('    Filter(num = ?)', 0.0, 'residual re-check of every WHERE conjunct'),
-        ('      SecondaryIndexRange(items.idx_ns: num = ?)', 7.478178046004132e-05, "B+-tree probe on 'num', 'score' (~11 of 120 rows) + heap fetch per match"),
-        ('    Filter(id < ?)', 0.0, 'residual re-check of every WHERE conjunct'),
-        ('      SeqScan(papers)', 7.8e-05, 'sequential scan of 1 pages / 40 tuples'),
-    ],
-}
-REFUSALS: dict[str, tuple] = {
-    'no such table': ('SQLPlanningError', "no table or view named 'nope'", 14, 'nope'),
-    'no such join table': ('SQLPlanningError', "no table or view named 'nope'", 25, 'nope'),
-    'unknown qualifier in WHERE': ('SQLPlanningError', "unknown table qualifier 'other' in 'other.num' (FROM items)", 27, 'other.num'),
-    'unknown qualifier in SELECT list': ('SQLPlanningError', "unknown table qualifier 'other' in 'other.id' (FROM items)", 7, 'other.id'),
-    'unknown qualifier in ORDER BY': ('SQLPlanningError', "unknown table qualifier 'other' in 'other.num' (FROM items)", 30, 'other.num'),
-    'unknown qualifier in ORDER BY LIMIT': ('SQLPlanningError', "unknown table qualifier 'other' in 'other.num' (FROM items)", 30, 'other.num'),
-    'unknown qualifier on a view': ('SQLPlanningError', "unknown table qualifier 'other' in 'other.id' (FROM labeled_papers)", 7, 'other.id'),
-    'unknown qualifier on a system table': ('SQLPlanningError', "unknown table qualifier 'other' in 'other.sql' (FROM system.plan_cache)", 7, 'other.sql'),
-    'join unknown qualifier in WHERE': ('SQLPlanningError', "unknown table qualifier 'other' in 'other.num'", 69, 'other.num'),
-    'join unknown qualifier in SELECT list': ('SQLPlanningError', "unknown table qualifier 'other' in 'other.id'", 7, 'other.id'),
-    'join unknown qualifier in ORDER BY': ('SQLPlanningError', "unknown table qualifier 'other' in 'other.id'", 72, 'other.id'),
-    'join unknown qualifier in ON': ('SQLPlanningError', "unknown table qualifier 'other' in 'other.id'", 35, 'other.id'),
-    'unknown column in WHERE': ('SQLPlanningError', "unknown column 'nope' in WHERE clause (source 'items' has columns id, num, score, tag)", 27, 'nope'),
-    'unknown qualified column in WHERE': ('SQLPlanningError', "unknown column 'nope' in WHERE clause (source 'items' has columns id, num, score, tag)", 27, 'nope'),
-    'unknown column in SELECT list': ('SQLPlanningError', "unknown column 'nope' in SELECT list (source 'items' has columns id, num, score, tag)", 11, 'nope'),
-    'unknown column in ORDER BY': ('SQLPlanningError', "unknown column 'nope' in ORDER BY (source 'items' has columns id, num, score, tag)", 30, 'nope'),
-    'unknown column in ORDER BY LIMIT': ('SQLPlanningError', "unknown column 'nope' in ORDER BY (source 'items' has columns id, num, score, tag)", 30, 'nope'),
-    'unknown column in WHERE before ORDER BY': ('SQLPlanningError', "unknown column 'nope2' in WHERE clause (source 'items' has columns id, num, score, tag)", 30, 'nope2'),
-    'unknown column in ORDER BY before SELECT list': ('SQLPlanningError', "unknown column 'nope3' in ORDER BY (source 'items' has columns id, num, score, tag)", 33, 'nope3'),
-    'unknown view column in WHERE': ('SQLPlanningError', "unknown column 'nope' in WHERE clause (source 'labeled_papers' has columns id, class)", 36, 'nope'),
-    'unknown view column in SELECT list': ('SQLPlanningError', "unknown column 'nope' in SELECT list (source 'labeled_papers' has columns id, class)", 7, 'nope'),
-    'unknown view column in ORDER BY': ('SQLPlanningError', "unknown column 'nope' in ORDER BY (source 'labeled_papers' has columns id, class)", 39, 'nope'),
-    'join unknown column in WHERE': ('SQLPlanningError', "unknown column 'nope' in WHERE clause (neither 'items' nor 'papers' has it)", 69, 'nope'),
-    'join unknown qualified column in WHERE': ('SQLPlanningError', "unknown column 'nope' in WHERE clause (source 'papers' has columns id, title)", 69, 'nope'),
-    'join unknown column in SELECT list': ('SQLPlanningError', "unknown column 'nope' in SELECT list (neither 'items' nor 'papers' has it)", 7, 'nope'),
-    'join unknown qualified column in SELECT list': ('SQLPlanningError', "unknown column 'nope' in SELECT list (source 'papers' has columns id, title)", 7, 'nope'),
-    'join unknown column in ORDER BY': ('SQLPlanningError', "unknown column 'nope' in ORDER BY (neither 'items' nor 'papers' has it)", 72, 'nope'),
-    'join unknown column in ON': ('SQLPlanningError', "unknown column 'nope' in JOIN ON (source 'items' has columns id, num, score, tag)", 35, 'nope'),
-    'join unknown view column': ('SQLPlanningError', "unknown column 'nope' in SELECT list (neither 'papers' nor 'labeled_papers' has it)", 7, 'nope'),
-    'join WHERE before ORDER BY before SELECT list': ('SQLPlanningError', "unknown column 'nope2' in WHERE clause (neither 'items' nor 'papers' has it)", 66, 'nope2'),
-    'ambiguous column in SELECT list': ('SQLPlanningError', "ambiguous column 'id': qualify it with 'items' or 'papers'", 7, 'id'),
-    'ambiguous column in WHERE': ('SQLPlanningError', "ambiguous column 'id': qualify it with 'items' or 'papers'", 69, 'id'),
-    'ambiguous column in ORDER BY': ('SQLPlanningError', "ambiguous column 'id': qualify it with 'items' or 'papers'", 72, 'id'),
-    'ambiguous column in ON': ('SQLPlanningError', "ambiguous column 'id': qualify it with 'items' or 'papers'", 35, 'id'),
-    'ON on one side': ('SQLPlanningError', 'JOIN ... ON must reference one column from each side', 35, 'items.id'),
-    'ON on the right side twice': ('SQLPlanningError', 'JOIN ... ON must reference one column from each side', 35, 'papers.id'),
-    'system table on the right of a join': ('SQLPlanningError', "joins support base tables and classification views; 'system.plan_cache' is a system table", 25, 'system.plan_cache'),
-    'system table on the left of a join': ('SQLPlanningError', "joins support base tables and classification views; 'system.plan_cache' is a system table", 14, 'system.plan_cache'),
-    'margin in WHERE': ('SQLPlanningError', "column 'margin' of view 'labeled_papers' is only available on ORDER BY margin DESC LIMIT k reads", 36, 'margin'),
-    'margin in SELECT list': ('SQLPlanningError', "column 'margin' of view 'labeled_papers' is only available on ORDER BY margin DESC LIMIT k reads", 11, 'margin'),
-    'margin in SELECT list ordered by id': ('SQLPlanningError', "column 'margin' of view 'labeled_papers' is only available on ORDER BY margin DESC LIMIT k reads", 7, 'margin'),
-    'qualified margin in SELECT list': ('SQLPlanningError', "column 'margin' of view 'labeled_papers' is only available on ORDER BY margin DESC LIMIT k reads", 7, 'margin'),
-    'margin ASC': ('SQLPlanningError', 'ORDER BY margin ASC is not a top-k read: top_k answers the highest margins only', 39, 'margin'),
-    'margin without LIMIT': ('SQLPlanningError', 'ORDER BY margin requires the exact shape ORDER BY margin DESC LIMIT k with no WHERE clause', 39, 'margin'),
-    'margin with WHERE': ('SQLPlanningError', 'ORDER BY margin requires the exact shape ORDER BY margin DESC LIMIT k with no WHERE clause', 61, 'margin'),
-    'margin before SELECT list': ('SQLPlanningError', 'ORDER BY margin ASC is not a top-k read: top_k answers the highest margins only', 41, 'margin'),
-    'join margin in SELECT list': ('SQLPlanningError', "unknown column 'margin' in SELECT list (neither 'papers' nor 'labeled_papers' has it)", 7, 'margin'),
-    'join qualified margin in SELECT list': ('SQLPlanningError', "unknown column 'margin' in SELECT list (source 'labeled_papers' has columns id, class)", 7, 'margin'),
-    'join margin in WHERE': ('SQLPlanningError', "unknown column 'margin' in WHERE clause (neither 'papers' nor 'labeled_papers' has it)", 84, 'margin'),
-    'join margin in ORDER BY': ('SQLPlanningError', "unknown column 'margin' in ORDER BY (neither 'papers' nor 'labeled_papers' has it)", 87, 'margin'),
-    'join margin in ON': ('SQLPlanningError', "unknown column 'margin' in JOIN ON (neither 'papers' nor 'labeled_papers' has it)", 56, 'margin'),
-}
+CELLS = [f"{read} / unserved" for read in TABLE_READS]
+CELLS += [f"{read} / {state}" for read in VIEW_READS for state in STATES]
 
 
-def test_the_recorded_tables_cover_every_cell():
-    expected = {(read, "unserved") for read in TABLE_READS}
-    expected |= {(read, state) for read in VIEW_READS for state in STATES}
-    assert set(PLANS) == expected
-    assert set(REFUSALS) == set(REFUSED)
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN_PATH.read_text())
+
+
+def test_the_recorded_tables_cover_every_cell(golden):
+    assert sorted(golden["plans"]) == sorted(CELLS)
+    assert sorted(golden["refusals"]) == sorted(REFUSED)
 
 
 @pytest.fixture(scope="module")
@@ -624,30 +229,47 @@ def refusals():
     return refusal_table()
 
 
-@pytest.mark.parametrize("cell", sorted(PLANS), ids=" / ".join)
-def test_explain_rows_equal_the_recorded_ones(plans, cell):
-    assert plans[cell] == MOVED_PLANS.get(cell, PLANS[cell])
+@pytest.mark.parametrize("cell", CELLS)
+def test_explain_rows_equal_the_recorded_ones(golden, plans, cell):
+    assert plans[cell] == golden["moved_plans"].get(cell, golden["plans"][cell])
 
 
-@pytest.mark.parametrize("refusal", sorted(REFUSALS))
-def test_refusals_equal_the_recorded_ones(refusals, refusal):
-    assert refusals[refusal] == MOVED_REFUSALS.get(refusal, REFUSALS[refusal])
+@pytest.mark.parametrize("refusal", REFUSED)
+def test_refusals_equal_the_recorded_ones(golden, refusals, refusal):
+    expected = golden["moved_refusals"].get(refusal, golden["refusals"][refusal])
+    assert refusals[refusal] == expected
 
 
-def _render(name: str, table: dict) -> str:
-    lines = [f"{name} = {{"]
-    for cell, rows in table.items():
-        if isinstance(rows, list):
-            lines.append(f"    {cell!r}: [")
-            lines.extend(f"        {row!r}," for row in rows)
-            lines.append("    ],")
-        else:
-            lines.append(f"    {cell!r}: {rows!r},")
-    return "\n".join([*lines, "}"])
+def test_the_moved_cells_moved_only_where_intended(golden):
+    """A moved plan differs only in how its labels spell a literal; a moved
+    refusal keeps its class, position and token and takes ``FROM v``'s text."""
+    for cell, rows in golden["moved_plans"].items():
+        before = golden["plans"][cell]
+        assert [row[1:] for row in rows] == [row[1:] for row in before]
+        python = [row[0].replace("NULL", "None").replace("TRUE", "True") for row in rows]
+        assert python == [row[0] for row in before] != [row[0] for row in rows]
+    single_source = golden["refusals"]["margin in SELECT list"][1]
+    for refusal, moved in golden["moved_refusals"].items():
+        before = golden["refusals"][refusal]
+        assert refusal.startswith("join") and "margin" in refusal
+        assert [moved[0], *moved[2:]] == [before[0], *before[2:]]
+        assert moved[1] == single_source != before[1]
+
+
+@pytest.mark.parametrize("literal", ["NULL", "TRUE", "FALSE"])
+def test_explain_spells_null_true_and_false_as_sql_literals(literal):
+    rows = build().execute(f"EXPLAIN SELECT id FROM items WHERE tag = {literal}").rows
+    assert f"Filter(tag = {literal})" in [row["node"].strip() for row in rows]
 
 
 if __name__ == "__main__":
-    if "--record" not in sys.argv:
-        raise SystemExit("usage: PYTHONPATH=src:. python tests/db/test_select_plan_table.py --record")
-    print(_render("PLANS", plan_table()))
-    print(_render("REFUSALS", refusal_table()))
+    if sys.argv[1:] != ["--record"]:
+        raise SystemExit(f"usage: {sys.argv[0]} --record")
+    recorded = {
+        "plans": plan_table(),
+        "refusals": refusal_table(),
+        "moved_plans": {},
+        "moved_refusals": {},
+    }
+    GOLDEN_PATH.write_text(json.dumps(recorded, indent=1) + "\n")
+    print(f"recorded {len(recorded['plans'])} plans, {len(recorded['refusals'])} refusals")

@@ -2,8 +2,11 @@
 
 A seeded generator produces random tables, secondary indexes — single-column
 and composite — and a stream of SELECTs: equality and range predicates,
-multi-conjunct WHEREs, one join, explicit projections (which can make an
-index probe *covering*), ``ORDER BY ... ASC|DESC`` with and without LIMIT —
+multi-conjunct WHEREs, joins (on the key, where every column collides, and on
+a non-key column, where references go unqualified; ``*``, ``COUNT(*)`` and
+ORDER BY / LIMIT over a joined column, a renamed right-side one too), explicit
+projections (which can make an index probe *covering*), ``ORDER BY ...
+ASC|DESC`` with and without LIMIT —
 and every query is executed twice: once through the planner's chosen plan
 (index paths enabled) and once through a reference
 ``Planner(db, use_index_paths=False)`` whose only base-table access path is
@@ -49,6 +52,8 @@ PROGRAMS = 6
 ROWS_PER_TABLE = (40, 140)
 
 _COMPARABLE_OPS = ("=", "!=", "<", "<=", ">", ">=")
+#: ``t_c``'s columns: joined to ``t_a`` on ``num = cid``, none collides with ``t_a``'s.
+_T_C = ("cid", "label", "weight")
 
 
 def _canonical(rows: list[dict]) -> list[tuple]:
@@ -59,10 +64,10 @@ def _canonical(rows: list[dict]) -> list[tuple]:
 
 
 def _order_column_values(rows: list[dict], column: str) -> list:
-    bare = column.rpartition(".")[2].lower()
+    """The ``column`` values in row order (``column`` as the rows carry it)."""
     out = []
     for row in rows:
-        matched = next(key for key in row if key.lower() == bare)
+        matched = next(key for key in row if key.lower() == column.lower())
         out.append(row[matched])
     return out
 
@@ -126,6 +131,16 @@ class Program:
             )
             for row_id in range(rng.randrange(*ROWS_PER_TABLE)):
                 self.insert(table, row_id)
+        # A fixed lookup table: 18 of ``num``'s 25 values, and an index to probe.
+        self.db.execute("CREATE TABLE t_c (cid integer PRIMARY KEY, label text, weight integer)")
+        self.db.executemany(
+            "INSERT INTO t_c (cid, label, weight) VALUES (?, ?, ?)",
+            [
+                (cid, rng.choice(("red", "green", "blue")), rng.randrange(10))
+                for cid in sorted(rng.sample(range(25), 18))
+            ],
+        )
+        self.db.execute("CREATE INDEX idx_weight ON t_c (weight)")
 
     # -- random DDL/DML churn ------------------------------------------------------------
 
@@ -239,14 +254,7 @@ class Program:
         ORDER BY + LIMIT queries (tie-at-the-cutoff containment check)."""
         rng = self.rng
         if rng.random() < 0.15:
-            sql = (
-                "SELECT t_a.id, t_a.num, t_b.tag FROM t_a JOIN t_b ON t_a.id = t_b.id"
-            )
-            if rng.random() < 0.6:
-                sql += f" WHERE {self._predicate('t_a.')}"
-                if rng.random() < 0.5:
-                    sql += f" AND {self._predicate('t_b.')}"
-            return sql, None, None
+            return self.random_join()
         table = rng.choice(list(self.columns))
         where = ""
         if rng.random() < 0.85:
@@ -274,6 +282,44 @@ class Program:
             unlimited_sql = sql
             sql += f" LIMIT {rng.randrange(1, 12)}"
         return sql, order_by, unlimited_sql
+
+    def random_join(self) -> tuple[str, str | None, str | None]:
+        """A join, shaped like ``random_select``'s answer: ``t_a JOIN t_b`` on
+        the key, where every column collides (references are qualified and the
+        right side's columns reach the rows as ``t_b.<column>``), or ``t_a JOIN
+        t_c`` on ``num = cid``, where none does and references go unqualified
+        as often as not.  The read is a ``COUNT(*)``, ``*`` or a projection,
+        ordered (with or without a LIMIT) by a joined column or not at all."""
+        rng = self.rng
+        if rng.random() < 0.5:
+            source = "t_a JOIN t_b ON t_a.id = t_b.id"
+            columns = ["t_a.id", "t_a.num", "t_a.score", "t_b.num", "t_b.score", "t_b.tag"]
+            conjuncts = [self._predicate("t_a."), self._predicate("t_b.")]
+        else:
+            source = "t_a JOIN t_c ON num = cid"
+            columns = [
+                rng.choice((column, f"{table}.{column}"))
+                for table, names in (("t_a", ("id", "num", "score", "tag")), ("t_c", _T_C))
+                for column in names
+            ]
+            weight = f"{rng.choice(('', 't_c.'))}weight {rng.choice(_COMPARABLE_OPS)} "
+            conjuncts = [self._predicate(rng.choice(("", "t_a."))), weight + str(rng.randrange(10))]
+        where = " AND ".join(rng.sample(conjuncts, rng.choice((0, 1, 1, 2))))
+        where = f" WHERE {where}" if where else ""
+        if rng.random() < 0.2:
+            return f"SELECT COUNT(*) FROM {source}{where}", None, None
+        projection = "*" if rng.random() < 0.3 else ", ".join(rng.sample(columns, 3))
+        if rng.random() < 0.4:
+            return f"SELECT {projection} FROM {source}{where}", None, None
+        order = rng.choice(columns)
+        if projection != "*" and order not in projection.split(", "):
+            projection += f", {order}"
+        # The rows carry a left or unique column bare, a colliding right one renamed.
+        order_key = order if order.startswith("t_b.") else order.rpartition(".")[2]
+        sql = f"SELECT {projection} FROM {source}{where} ORDER BY {order} {rng.choice(('ASC', 'DESC'))}"
+        if rng.random() < 0.6:
+            return f"{sql} LIMIT {rng.randrange(1, 12)}", order_key, sql
+        return sql, order_key, None
 
     # -- the two executions --------------------------------------------------------------
 
@@ -319,6 +365,25 @@ def test_generated_writes_reach_every_access_path():
         program.mutate()
     assert {"IndexRange", "SecondaryIndexRange", "SeqScan"} <= set(program.write_paths)
     assert program.rows_written > 100
+
+
+def test_generated_joins_reach_every_shape():
+    """The join generator draws every shape the oracle is meant to face, and
+    some join side is read through an index."""
+    program = Program(random.Random("joins"), CostModel.main_memory())
+    for _ in range(40):
+        program.mutate()
+    drawn = [program.random_join() for _ in range(300)]
+    sqls = [sql for sql, _, _ in drawn]
+    assert any("COUNT(*)" in sql for sql in sqls)
+    assert any(sql.startswith("SELECT * ") for sql in sqls)
+    assert any(key == "t_b.num" and unlimited for _, key, unlimited in drawn)
+    assert any(" ON num = cid" in sql and " t_a." not in sql for sql in sqls)
+    assert any(
+        "IndexRange" in row["node"]
+        for sql in sqls
+        for row in program.db.execute(f"EXPLAIN {sql}").rows
+    )
 
 
 def test_reference_planner_never_uses_indexes():
