@@ -50,9 +50,14 @@ Access-path choice per source:
   estimate — a reader prices its own reads, so nothing here looks inside a
   view.
 
-All original WHERE conjuncts are kept as a residual :class:`Filter` re-check
-above the access node: the pushdown decides what the storage layer *scans*,
-the re-check keeps answers byte-identical to the post-filter semantics.  Each
+Every WHERE conjunct is kept as a residual :class:`Filter` re-check above the
+access node — the pushdown decides what the storage layer *scans*, the
+re-check keeps answers byte-identical to the post-filter semantics — except
+the ones the node answers exactly (:attr:`~repro.db.sql.plan.PlanNode.answered`):
+a view read bound by ``class = x`` (``ViewMembers``, ``ViewRangeRead``) shows
+one class on every row, checks once per statement that it equals the bound,
+and so leaves ``class = x`` out of the ``Filter``, which goes when nothing
+else is left in it.  A key range and every point read stay re-checked.  Each
 predicate carries its column's declared type where the catalog knows it (a
 view's key column: its entities table's), so a bound that equals a stored
 value is bound *as* that value (:func:`~repro.db.sql.plan.typed_bound`).
@@ -354,8 +359,10 @@ class Planner:
             )
         topk = join is None and self._is_margin_topk(select, sources[0])
         order = None
-        if select.order_by is not None and not topk:
-            order = scope.lookup(select.order_by, select.order_by_position, "ORDER BY")
+        if select.order_by is not None:
+            order = scope.lookup(
+                select.order_by, select.order_by_position, "ORDER BY", margin_ok=topk
+            )
         output = None
         if not select.count and select.columns != ("*",):
             positions = select.column_positions or (None,) * len(select.columns)
@@ -472,10 +479,11 @@ class Planner:
             node, ordered = self._plan_table_read(
                 source.obj, predicates, select, order, output
             )
-        if predicates:
+        residual = [p for p in predicates if p not in node.answered]
+        if residual:
             node = Filter(
                 node,
-                predicates,
+                residual,
                 estimated_seconds=0.0,
                 detail="residual re-check of every WHERE conjunct",
             )

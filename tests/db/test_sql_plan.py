@@ -142,7 +142,6 @@ class TestGoldenPlans:
             "Project(title, class)",
             "HashJoin(id = id)",
             "SeqScan(papers)",
-            "Filter(class = 'database')",
             "ViewMembers(labeled_papers, class = 'database')",
         ]
         db.execute("SERVE VIEW labeled_papers WITH (shards = 2)")

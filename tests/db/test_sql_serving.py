@@ -262,7 +262,6 @@ class TestExplain:
         )
         assert members == [
             "Aggregate(count)",
-            "Filter(class = 'database')",
             "ServedScatterGather(labeled_papers, class = 'database')",
         ]
         topk = plan_nodes(

@@ -10,7 +10,10 @@ and hybrid lazy.  PR 20 gave a view one reader that prices its own reads; the
 table proves the estimates are the parent's floats everywhere except the two
 cells that PR moved on purpose (``MOVED`` below — both on the *unserved*
 view: the ``ViewScan`` estimate adopts the formula of the ``contents()`` body
-it runs, and the fused ``TopK`` gets a number instead of ``None``).
+it runs, and the fused ``TopK`` gets a number instead of ``None``).  The
+All Members and key-range cells moved later, in ``CLASS_ANSWERED``: those
+reads answer their ``class = x`` conjunct exactly, so it left the residual
+``Filter`` above them, and every estimate stayed where it was.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import sys
 
 import pytest
 
+from tests.db.test_select_plan_table import class_answered
 from tests.db.test_sql_serving import build_portal
 
 READS = {
@@ -67,6 +71,46 @@ MOVED: dict[tuple[str, str, str], list[tuple]] = {
     ('hybrid/lazy', 'ranked', 'unserved'): [
         ('Project(id)', 0.0, ''),
         ('  TopK(k=4, by=margin desc)', 0.001078, 'direct maintainer top-k heap over one scored scan (view is not served)'),
+    ],
+}
+
+#: The cells whose view read answers ``class = x`` itself: what they print now.
+CLASS_ANSWERED: dict[tuple[str, str, str], list[tuple]] = {
+    ('mainmemory/eager', 'members', 'unserved'): [
+        ('Project(id)', 0.0, ''),
+        ("  ViewMembers(labeled_papers, class = 'database')", 7.8e-05, 'direct maintainer All Members read (view is not served)'),
+    ],
+    ('mainmemory/eager', 'range', 'unserved'): [
+        ('Project(id)', 0.0, ''),
+        ('  Filter(id >= 5)', 0.0, 'residual re-check of every WHERE conjunct'),
+        ("    ViewRangeRead(labeled_papers, class = 'database' AND id >= 5)", 7.8e-05, 'maintainer read_range (view is not served)'),
+    ],
+    ('mainmemory/eager', 'members', '2 shards'): [
+        ('Project(id)', 0.0, ''),
+        ("  ServedScatterGather(labeled_papers, class = 'database')", 7.8e-05, 'scatter/gather All Members across 2 shards'),
+    ],
+    ('mainmemory/eager', 'range', '2 shards'): [
+        ('Project(id)', 0.0, ''),
+        ('  Filter(id >= 5)', 0.0, 'residual re-check of every WHERE conjunct'),
+        ("    ServedRangeScan(labeled_papers, class = 'database' AND id >= 5)", 7.8e-05, 'pushed-down read_range across 2 shards; classifies only in-range candidates'),
+    ],
+    ('hybrid/lazy', 'members', 'unserved'): [
+        ('Project(id)', 0.0, ''),
+        ("  ViewMembers(labeled_papers, class = 'database')", 0.001078, 'direct maintainer All Members read (view is not served)'),
+    ],
+    ('hybrid/lazy', 'range', 'unserved'): [
+        ('Project(id)', 0.0, ''),
+        ('  Filter(id >= 5)', 0.0, 'residual re-check of every WHERE conjunct'),
+        ("    ViewRangeRead(labeled_papers, class = 'database' AND id >= 5)", 0.001078, 'maintainer read_range (view is not served)'),
+    ],
+    ('hybrid/lazy', 'members', '2 shards'): [
+        ('Project(id)', 0.0, ''),
+        ("  ServedScatterGather(labeled_papers, class = 'database')", 0.001078, 'scatter/gather All Members across 2 shards'),
+    ],
+    ('hybrid/lazy', 'range', '2 shards'): [
+        ('Project(id)', 0.0, ''),
+        ('  Filter(id >= 5)', 0.0, 'residual re-check of every WHERE conjunct'),
+        ("    ServedRangeScan(labeled_papers, class = 'database' AND id >= 5)", 0.001078, 'pushed-down read_range across 2 shards; classifies only in-range candidates'),
     ],
 }
 
@@ -169,6 +213,9 @@ def test_the_recorded_table_covers_every_cell():
     assert set(MOVED) == {
         (c, r, "unserved") for c in CONFIGURATIONS for r in ("contents", "ranked")
     }
+    assert set(CLASS_ANSWERED) == {
+        (c, r, s) for c in CONFIGURATIONS for r in ("members", "range") for s in STATES
+    }
 
 
 @pytest.fixture(scope="module")
@@ -178,7 +225,7 @@ def table():
 
 @pytest.mark.parametrize("cell", sorted(PARENT), ids=" ".join)
 def test_explain_rows_equal_the_parents_except_the_two_moved_cells(table, cell):
-    assert table[cell] == MOVED.get(cell, PARENT[cell])
+    assert table[cell] == CLASS_ANSWERED.get(cell, MOVED.get(cell, PARENT[cell]))
 
 
 def test_the_moved_cells_moved_only_where_intended():
@@ -189,6 +236,12 @@ def test_the_moved_cells_moved_only_where_intended():
         assert [row[0] for row in rows] == [row[0] for row in before]
         assert rows[:-1] == before[:-1]
         assert before[-1][1] != rows[-1][1] and rows[-1][1] > 0.0
+
+
+def test_the_class_answered_cells_lost_only_their_class_conjunct():
+    for cell, rows in CLASS_ANSWERED.items():
+        before = [list(row) for row in PARENT[cell]]
+        assert [list(row) for row in rows] == class_answered(before) != before
 
 
 def _render(table: dict[tuple[str, str, str], list[tuple]]) -> str:
