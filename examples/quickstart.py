@@ -103,7 +103,7 @@ def run_demo(conn: repro.Connection) -> None:
         if conn.execute(
             "SELECT class FROM Labeled_Papers WHERE id = ?", (doc.entity_id,)
         ).scalar()
-        == ("database" if doc.label == 1 else "not_database")
+        == ("database" if doc.label == 1 else "other")
     )
     print(f"agreement with ground truth: {correct}/{len(corpus)}")
 

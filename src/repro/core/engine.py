@@ -92,8 +92,8 @@ class ClassificationView:
                 f"entities table {entities_table.name!r} has no column "
                 f"{definition.entities_key!r}"
             )
+        self._resolve_labels(restored)
         if not restored:
-            self._resolve_positive_label()
             self._cold_load(entities_table, examples_table)
         for table_name, name, event, kind in self._triggers():
             database.table(table_name).add_trigger(
@@ -124,17 +124,24 @@ class ClassificationView:
 
         self.maintainer.bulk_load(entity_features.items(), self.trainer.model)
 
-    def _resolve_positive_label(self) -> None:
-        if self.positive_label is not None:
-            return
-        if self.definition.labels_table and self.database.catalog.has_table(
+    def _resolve_labels(self, restored: bool) -> None:
+        """The class values from the definition's LABELS table: its first row
+        means +1 unless a positive label is already known (given, or restored),
+        and when it lists exactly two distinct values, -1 shows as the other
+        one (else as ``not_<positive>``, :meth:`from_binary_label`)."""
+        self._negative_label = None
+        if not self.definition.labels_table or not self.database.catalog.has_table(
             self.definition.labels_table
         ):
-            labels_table = self.database.table(self.definition.labels_table)
-            column = self.definition.labels_column or labels_table.schema.column_names()[0]
-            for row in labels_table.scan():
-                self.writer.positive_label = row.get(column)
-                break
+            return
+        labels_table = self.database.table(self.definition.labels_table)
+        column = self.definition.labels_column or labels_table.schema.column_names()[0]
+        labels = list(dict.fromkeys(row.get(column) for row in labels_table.scan()))
+        if self.positive_label is None and labels and not restored:
+            self.writer.positive_label = labels[0]
+        others = [label for label in labels if label != self.positive_label]
+        if len(labels) == 2 and len(others) == 1:
+            self._negative_label = others[0]
 
     def _triggers(self) -> tuple[tuple[str, str, TriggerEvent, WriteKind], ...]:
         """``(table, trigger name, event, kind)``: the six base-table events
@@ -182,6 +189,8 @@ class ClassificationView:
             return label
         if label == 1:
             return self.positive_label
+        if self._negative_label is not None:
+            return self._negative_label
         return f"not_{self.positive_label}"
 
     def _on_write(self, kind: WriteKind, _table_name: str, new_row, old_row) -> None:

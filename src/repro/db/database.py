@@ -34,7 +34,7 @@ class Database:
         ``Observability(enabled=False)`` for the zero-overhead null path.
 
     There is one SQL executor: the plan operators of
-    :mod:`repro.db.sql.plan`, all speaking the columnar ``Chunk`` protocol.
+    :mod:`repro.db.sql.plan`, each returning its answer as one columnar ``Chunk``.
 
     Examples
     --------

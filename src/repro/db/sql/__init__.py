@@ -62,10 +62,10 @@ from that reader; ``EXPLAIN`` prints a view node planned against a live server
 under its served name (``ServedPointRead``, ``ServedScatterGather``,
 ``ServedRangeScan``).
 
-There is **one executor**: every plan node produces columnar
-:class:`~repro.db.sql.plan.Chunk` batches (NumPy predicate kernels in
-``Filter``, one stable ``argsort`` in ``Sort``/``TopK``) and rows are
-materialized once, at the plan root.  Operators add no charge beyond the
+There is **one executor**: every plan node returns its answer as one columnar
+:class:`~repro.db.sql.plan.Chunk` (NumPy predicate kernels in ``Filter``, one
+stable ``argsort`` in ``Sort``/``TopK``) and rows are materialized once, at
+the plan root.  Operators add no charge beyond the
 storage they touch, and an index-only scan's ``EXPLAIN`` detail carries
 ``covering=true``.
 

@@ -43,20 +43,22 @@ correctly after ``STOP SERVING`` (and vice versa) — the label records what the
 planner *saw*, the reader guarantees the answer stays right.
 
 **Execution protocol.**  There is one operator set and it speaks one
-protocol: every node implements :meth:`PlanNode._produce`, which returns a list
-of columnar :class:`Chunk` batches, and is driven through the single measured
-entry point :meth:`PlanNode.execute`.  Scans and view reads emit column-array
-chunks, ``Filter`` evaluates predicates as NumPy masks over whole columns (via
-:mod:`repro.linalg.kernels`), ``Sort``/``TopK`` order them with one stable
-``argsort``, ``Project``/``Aggregate``/``HashJoin`` consume and emit columns,
-and rows are materialized exactly once, at the plan root
-(:meth:`~repro.db.sql.planner.SelectPlan.run`).  Operators cut their output
-at :data:`DEFAULT_CHUNK_ROWS` rows per chunk, read when they run, and charge
-nothing beyond the storage they touch.
+protocol: every node implements :meth:`PlanNode._produce`, which returns its
+whole answer as one columnar :class:`Chunk` (zero rows is an answer too), and
+is driven through the single measured entry point :meth:`PlanNode.execute`.
+Scans and view reads emit column arrays, ``Filter`` evaluates predicates as
+NumPy masks over whole columns (via :mod:`repro.linalg.kernels`),
+``Sort``/``TopK`` order them with one stable ``argsort``,
+``Project``/``Aggregate``/``HashJoin`` consume and emit columns, and rows are
+materialized exactly once, at the plan root
+(:meth:`~repro.db.sql.planner.SelectPlan.run`).  Operators charge nothing
+beyond the storage they touch.  An operator over a zero-row child returns it
+without resolving a column: a ``system.*`` table with no rows has none.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from itertools import chain, compress
@@ -80,7 +82,6 @@ __all__ = [
     "NodeStats",
     "PlanNode",
     "Chunk",
-    "DEFAULT_CHUNK_ROWS",
     "SeqScan",
     "IndexRange",
     "SecondaryIndexRange",
@@ -138,6 +139,8 @@ class Predicate:
             literal = "TRUE" if self.value else "FALSE"
         elif isinstance(self.value, str):
             literal = "'" + self.value.replace("'", "''") + "'"
+        elif isinstance(self.value, float) and math.isinf(self.value):
+            literal = "1e999" if self.value > 0 else "-1e999"  # the lexer reads back ±inf
         else:
             literal = repr(self.value)
         return f"{self.column} {self.operator} {literal}"
@@ -242,23 +245,18 @@ def leftmost_prefix(key_columns: Sequence[str], predicates) -> KeyPrefix:
     return KeyPrefix(tuple(pinned), ())
 
 
-#: Rows per columnar batch.  Operators read it when they run, so a test can
-#: patch it (to 1, say) to move every chunk boundary.
-DEFAULT_CHUNK_ROWS = 1024
-
 #: float64 represents integers exactly up to 2**53; larger ints stay on the
 #: exact Python comparison path rather than risking a lossy conversion.
 _EXACT_FLOAT_INT = 2**53
 
 
 class Chunk:
-    """A batch of rows, held as columns.
+    """A node's rows, held as columns.
 
-    A chunk holds one Python list per column (exact original values, so
-    results never depend on the chunk size) plus lazily-built NumPy
-    ``float64`` views for numeric columns, which is what the vectorized
-    ``Filter``/``Sort`` kernels operate on.  Every operator reads a chunk
-    through :meth:`resolve` / :meth:`values`.
+    A chunk holds one Python list per column (exact original values) plus
+    lazily-built NumPy ``float64`` views for numeric columns, which is what
+    the vectorized ``Filter``/``Sort`` kernels operate on.  Every operator
+    reads a chunk through :meth:`resolve` / :meth:`values`.
     """
 
     __slots__ = ("names", "columns", "length", "_numeric_cache")
@@ -274,27 +272,6 @@ class Chunk:
         names = list(names)
         length = len(columns[names[0]]) if names else 0
         return cls(names, columns, length)
-
-    @classmethod
-    def concat(cls, chunks: Sequence["Chunk"]) -> "Chunk":
-        """One chunk holding every row of ``chunks``, in order.
-
-        Every producer emits one column set, so all of ``chunks`` share the
-        first one's names.
-        """
-        chunks = [chunk for chunk in chunks if chunk.length]
-        if len(chunks) == 1:
-            return chunks[0]
-        if not chunks:
-            return cls.columnar([], {})
-        names = chunks[0].names
-        return cls.columnar(
-            names,
-            {
-                name: list(chain.from_iterable(chunk.columns[name] for chunk in chunks))
-                for name in names
-            },
-        )
 
     def to_rows(self) -> list[dict]:
         """Materialize as fresh row dicts (column order preserved).
@@ -353,30 +330,19 @@ class Chunk:
             {name: [column[i] for i in order] for name, column in self.columns.items()},
         )
 
-    def _slice(self, start: int, stop: int) -> "Chunk":
-        return Chunk.columnar(
-            self.names,
-            {name: column[start:stop] for name, column in self.columns.items()},
-        )
-
     def head(self, count: int) -> "Chunk":
         """A new chunk with only the first ``count`` rows."""
-        return self if count >= self.length else self._slice(0, count)
-
-    def split(self, size: int) -> list["Chunk"]:
-        """This chunk cut into chunks of at most ``size`` rows (none when empty)."""
-        if self.length <= size:
-            return [self] if self.length else []
-        return [self._slice(start, start + size) for start in range(0, self.length, size)]
+        if count >= self.length:
+            return self
+        return Chunk.columnar(
+            self.names, {name: column[:count] for name, column in self.columns.items()}
+        )
 
 
-def _rows_to_chunks(names: Sequence[str], rows) -> list["Chunk"]:
-    """Turn schema-shaped row mappings into columnar chunks of
-    :data:`DEFAULT_CHUNK_ROWS` rows."""
+def _rows_to_chunk(names: Sequence[str], rows) -> Chunk:
+    """Schema-shaped row mappings as one columnar chunk."""
     rows = list(rows)
-    return Chunk.columnar(names, {name: [row[name] for row in rows] for name in names}).split(
-        DEFAULT_CHUNK_ROWS
-    )
+    return Chunk.columnar(names, {name: [row[name] for row in rows] for name in names})
 
 
 @dataclass
@@ -428,25 +394,24 @@ class PlanNode:
 
     # -- execution -----------------------------------------------------------------------
 
-    def execute(self, runtime: PlanRuntime) -> list[Chunk]:
+    def execute(self, runtime: PlanRuntime) -> Chunk:
         """Run this node (and its children), attributing simulated seconds.
 
         The one measured entry point: it records the node's stats.
         """
         start = runtime.cost()
-        chunks = self._produce(runtime)
-        rows = sum(chunk.length for chunk in chunks)
+        chunk = self._produce(runtime)
         inclusive = runtime.cost() - start
         children_inclusive = sum(
             runtime.stats_of(child).inclusive for child in self.children
         )
         runtime.node_stats[id(self)] = NodeStats(
-            rows=rows, seconds=inclusive - children_inclusive, inclusive=inclusive
+            rows=chunk.length, seconds=inclusive - children_inclusive, inclusive=inclusive
         )
-        return chunks
+        return chunk
 
-    def _produce(self, runtime: PlanRuntime) -> list[Chunk]:  # pragma: no cover - abstract
-        """This node's output for one execution, as non-empty chunks."""
+    def _produce(self, runtime: PlanRuntime) -> Chunk:  # pragma: no cover - abstract
+        """This node's output for one execution, as one chunk."""
         raise NotImplementedError
 
     # -- explain -------------------------------------------------------------------------
@@ -470,9 +435,9 @@ def _render_predicates(predicates) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _scan_chunks(table) -> list[Chunk]:
-    """The whole heap of ``table``, in physical order, as columnar chunks."""
-    return _rows_to_chunks(table.schema.column_names(), (row for _, row in table.heap.scan()))
+def _scan_chunk(table) -> Chunk:
+    """The whole heap of ``table``, in physical order, as one columnar chunk."""
+    return _rows_to_chunk(table.schema.column_names(), (row for _, row in table.heap.scan()))
 
 
 class SeqScan(PlanNode):
@@ -485,8 +450,8 @@ class SeqScan(PlanNode):
     def label(self) -> str:
         return f"SeqScan({self.table.name})"
 
-    def _produce(self, runtime: PlanRuntime) -> list[Chunk]:
-        return _scan_chunks(self.table)
+    def _produce(self, runtime: PlanRuntime) -> Chunk:
+        return _scan_chunk(self.table)
 
 
 class IndexRange(PlanNode):
@@ -500,9 +465,9 @@ class IndexRange(PlanNode):
     def label(self) -> str:
         return f"IndexRange({self.table.name}.{self.predicate.render()})"
 
-    def _produce(self, runtime: PlanRuntime) -> list[Chunk]:
+    def _produce(self, runtime: PlanRuntime) -> Chunk:
         row = self.table.try_get_by_key(self.predicate.bind(runtime.parameters))
-        return _rows_to_chunks(self.table.schema.column_names(), [row] if row is not None else [])
+        return _rows_to_chunk(self.table.schema.column_names(), [row] if row is not None else [])
 
 
 class SecondaryIndexRange(PlanNode):
@@ -638,20 +603,19 @@ class SecondaryIndexRange(PlanNode):
             # scan, whose residual Filter raises the documented error.
             return None
 
-    def _produce(self, runtime: PlanRuntime) -> list[Chunk]:
+    def _produce(self, runtime: PlanRuntime) -> Chunk:
         entries = self._resolve_entries(runtime)
         if entries is None:
-            chunks = _scan_chunks(self.table)
+            chunk = _scan_chunk(self.table)
             if self.order is None:
-                return chunks
+                return chunk
             column, direction = self.order
-            ordered = _sorted_chunk(chunks, column, direction == "desc")
-            return ordered.split(DEFAULT_CHUNK_ROWS)
+            return _sorted_chunk(chunk, column, direction == "desc")
         if self.covering:
             # Rebuild the (partial) rows from the tree keys — no heap access.
             rows = (dict(zip(self.key_columns, key)) for key, _ in entries)
-            return _rows_to_chunks(self.key_columns, rows)
-        return _rows_to_chunks(
+            return _rows_to_chunk(self.key_columns, rows)
+        return _rows_to_chunk(
             self.table.schema.column_names(),
             (self.table.heap.read(rid, sequential=False) for rid in entries),
         )
@@ -675,10 +639,10 @@ class SystemTableScan(PlanNode):
     def label(self) -> str:
         return f"SystemTableScan({self.name})"
 
-    def _produce(self, runtime: PlanRuntime) -> list[Chunk]:
+    def _produce(self, runtime: PlanRuntime) -> Chunk:
         rows = list(self.producer())
         try:
-            return _rows_to_chunks(list(rows[0]) if rows else [], rows)
+            return _rows_to_chunk(list(rows[0]) if rows else [], rows)
         except KeyError as missing:
             raise SQLExecutionError(
                 f"the producer's rows do not all carry column {missing.args[0]!r}"
@@ -710,16 +674,15 @@ class _ViewNode(PlanNode):
     def _label(self, argument: str) -> str:
         return f"{self.names[self.served]}({self.view.name}{argument})"
 
-    def _chunks(self, ids: list, labels: list) -> list[Chunk]:
+    def _chunk(self, ids: list, labels: list) -> Chunk:
         """The view's ``(key, class)`` columns for ``ids`` and their binary labels."""
         shown = {label: self.view.from_binary_label(label) for label in set(labels)}
         return self._columns(ids, [shown[label] for label in labels])
 
-    def _columns(self, ids: list, classes: list) -> list[Chunk]:
+    def _columns(self, ids: list, classes: list) -> Chunk:
         """The view's ``(key, class)`` columns: ``ids`` and the classes shown for them."""
         key_column = self.view.definition.view_key
-        columns = {key_column: ids, "class": classes}
-        return Chunk.columnar([key_column, "class"], columns).split(DEFAULT_CHUNK_ROWS)
+        return Chunk.columnar([key_column, "class"], {key_column: ids, "class": classes})
 
 
 class _ViewClassNode(_ViewNode):
@@ -740,12 +703,12 @@ class _ViewClassNode(_ViewNode):
         except ConfigurationError:
             return None
 
-    def _class_chunks(self, members, label: int, bound: object) -> list[Chunk]:
-        """``label``'s members as ``(key, class)`` chunks; none when the class
-        they show does not equal ``bound``."""
+    def _class_chunk(self, members, label: int, bound: object) -> Chunk:
+        """``label``'s members as ``(key, class)`` columns; no rows when the
+        class they show does not equal ``bound``."""
         shown = self.view.from_binary_label(label)
         if not compare_values(shown, "=", bound):
-            return []
+            return self._columns([], [])
         return self._columns(list(members), [shown] * len(members))
 
 
@@ -757,9 +720,9 @@ class ViewScan(_ViewNode):
     def label(self) -> str:
         return self._label(", contents" if self.served else "")
 
-    def _produce(self, runtime: PlanRuntime) -> list[Chunk]:
+    def _produce(self, runtime: PlanRuntime) -> Chunk:
         contents = self.view.reader(runtime.context).contents()
-        return self._chunks(list(contents), list(contents.values()))
+        return self._chunk(list(contents), list(contents.values()))
 
 
 class ViewPointRead(_ViewNode):
@@ -784,7 +747,7 @@ class ViewPointRead(_ViewNode):
     def label(self) -> str:
         return self._label(", batch" if self.is_probe_lookup else f".{self.predicate.render()}")
 
-    def _produce(self, runtime: PlanRuntime) -> list[Chunk]:
+    def _produce(self, runtime: PlanRuntime) -> Chunk:
         reader = self.view.reader(runtime.context)
         if self.is_probe_lookup:
             keys = runtime.probe_keys.get(id(self))
@@ -793,13 +756,13 @@ class ViewPointRead(_ViewNode):
                     "a probe-side ServedPointRead executes only through its join"
                 )
             found = reader.labels_of([typed_bound(key, self.key_type) for key in keys])
-            return self._chunks(list(found), list(found.values()))
+            return self._chunk(list(found), list(found.values()))
         key = self.predicate.bind(runtime.parameters)
         try:
             label = reader.label_of(key)
         except KeyNotFoundError:
-            return []
-        return self._chunks([key], [label])
+            return self._columns([], [])
+        return self._chunk([key], [label])
 
 
 class ViewMembers(_ViewClassNode):
@@ -810,13 +773,13 @@ class ViewMembers(_ViewClassNode):
     def label(self) -> str:
         return self._label(f", {self.class_predicate.render()}")
 
-    def _produce(self, runtime: PlanRuntime) -> list[Chunk]:
+    def _produce(self, runtime: PlanRuntime) -> Chunk:
         bound = self.class_predicate.bind(runtime.parameters)
         label = self._binary_class(bound)
         if label is None:
-            return []
+            return self._columns([], [])
         members = self.view.reader(runtime.context).all_members(label)
-        return self._class_chunks(members, label, bound)
+        return self._class_chunk(members, label, bound)
 
 
 class ViewRangeRead(_ViewClassNode):
@@ -842,22 +805,22 @@ class ViewRangeRead(_ViewClassNode):
             f", {_render_predicates((self.class_predicate, *self.range_predicates))}"
         )
 
-    def _produce(self, runtime: PlanRuntime) -> list[Chunk]:
+    def _produce(self, runtime: PlanRuntime) -> Chunk:
         bound = self.class_predicate.bind(runtime.parameters)
         label = self._binary_class(bound)
         if label is None:
-            return []
+            return self._columns([], [])
         try:
             key_range = _key_range(self.range_predicates, runtime.parameters)
             if key_range is None:
-                return []
+                return self._columns([], [])
             members = self.view.reader(runtime.context).range_scan(label, key_range)
         except TypeError as exc:
             raise SQLExecutionError(
                 f"the range bounds on {self.view.definition.view_key!r} cannot be "
                 f"ordered against the keys of view {self.view.name!r}: {exc}"
             ) from exc
-        return self._class_chunks(members, label, bound)
+        return self._class_chunk(members, label, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -875,16 +838,13 @@ class Filter(PlanNode):
     def label(self) -> str:
         return f"Filter({_render_predicates(self.predicates)})"
 
-    def _produce(self, runtime: PlanRuntime) -> list[Chunk]:
-        filtered = (
-            self._filter_chunk(chunk, runtime) for chunk in self.children[0].execute(runtime)
-        )
-        return [chunk for chunk in filtered if chunk.length]
-
-    def _filter_chunk(self, chunk: Chunk, runtime: PlanRuntime) -> Chunk:
+    def _produce(self, runtime: PlanRuntime) -> Chunk:
         """Evaluate the conjuncts over whole columns; NumPy masks on numeric
         columns (via :func:`repro.linalg.kernels.compare`), per-value
         :func:`compare_values` — the scalar definition — otherwise."""
+        chunk = self.children[0].execute(runtime)
+        if not chunk.length:
+            return chunk
         mask: np.ndarray | None = None
         kept = chunk.length
         for predicate in self.predicates:
@@ -923,10 +883,8 @@ def _sort_key(value: object) -> tuple:
     return (value is None, value)
 
 
-def _sorted_chunk(
-    chunks: list[Chunk], column: str, descending: bool, limit: int | None = None
-) -> Chunk:
-    """The first ``limit`` rows of ``chunks`` ordered by ``column``, as one chunk.
+def _sorted_chunk(chunk: Chunk, column: str, descending: bool, limit: int | None = None) -> Chunk:
+    """The first ``limit`` rows of ``chunk`` ordered by ``column``.
 
     A NaN-free numeric sort column is ordered by one stable ``np.argsort``
     (negated for descending — stability then preserves the original order of
@@ -934,19 +892,18 @@ def _sorted_chunk(
     takes the Python sort under :func:`_sort_key`: NULLs last ascending,
     NULLs first descending, ties in arrival order either way.
     """
-    merged = Chunk.concat(chunks)
-    if merged.length == 0:
-        return merged
-    resolved = merged.resolve(column)
+    if chunk.length == 0:
+        return chunk
+    resolved = chunk.resolve(column)
     if resolved is None:
         raise SQLExecutionError(f"unknown ORDER BY column {column!r}")
-    numeric = merged.numeric(resolved)
+    numeric = chunk.numeric(resolved)
     if numeric is not None and not np.isnan(numeric).any():
         order = np.argsort(-numeric if descending else numeric, kind="stable").tolist()
     else:
-        keys = [_sort_key(value) for value in merged.values(resolved)]
-        order = sorted(range(merged.length), key=keys.__getitem__, reverse=descending)
-    return merged.take(order[:limit])
+        keys = [_sort_key(value) for value in chunk.values(resolved)]
+        order = sorted(range(chunk.length), key=keys.__getitem__, reverse=descending)
+    return chunk.take(order[:limit])
 
 
 class Sort(PlanNode):
@@ -961,9 +918,8 @@ class Sort(PlanNode):
         direction = "desc" if self.descending else "asc"
         return f"Sort(by={self.column} {direction})"
 
-    def _produce(self, runtime: PlanRuntime) -> list[Chunk]:
-        chunks = self.children[0].execute(runtime)
-        return _sorted_chunk(chunks, self.column, self.descending).split(DEFAULT_CHUNK_ROWS)
+    def _produce(self, runtime: PlanRuntime) -> Chunk:
+        return _sorted_chunk(self.children[0].execute(runtime), self.column, self.descending)
 
 
 class TopK(PlanNode):
@@ -994,11 +950,10 @@ class TopK(PlanNode):
         direction = "desc" if self.descending else "asc"
         return f"TopK(k={self.k}, by={self.column} {direction})"
 
-    def _produce(self, runtime: PlanRuntime) -> list[Chunk]:
+    def _produce(self, runtime: PlanRuntime) -> Chunk:
         if self.view is None:
-            chunks = self.children[0].execute(runtime)
-            ranked = _sorted_chunk(chunks, self.column, self.descending, limit=self.k)
-            return ranked.split(DEFAULT_CHUNK_ROWS)
+            child = self.children[0].execute(runtime)
+            return _sorted_chunk(child, self.column, self.descending, limit=self.k)
         key_column = self.view.definition.view_key
         ranked = self.view.reader(runtime.context).top_k(self.k, label=1)
         columns = {
@@ -1006,7 +961,7 @@ class TopK(PlanNode):
             "class": [self.view.from_binary_label(1)] * len(ranked),
             "margin": [margin for _, margin in ranked],
         }
-        return Chunk.columnar([key_column, "class", "margin"], columns).split(DEFAULT_CHUNK_ROWS)
+        return Chunk.columnar([key_column, "class", "margin"], columns)
 
 
 class Limit(PlanNode):
@@ -1019,16 +974,8 @@ class Limit(PlanNode):
     def label(self) -> str:
         return f"Limit({self.count})"
 
-    def _produce(self, runtime: PlanRuntime) -> list[Chunk]:
-        out: list[Chunk] = []
-        remaining = self.count
-        for chunk in self.children[0].execute(runtime):
-            if remaining <= 0:
-                break
-            taken = chunk.head(remaining)
-            out.append(taken)
-            remaining -= taken.length
-        return out
+    def _produce(self, runtime: PlanRuntime) -> Chunk:
+        return self.children[0].execute(runtime).head(self.count)
 
 
 class Project(PlanNode):
@@ -1041,17 +988,17 @@ class Project(PlanNode):
     def label(self) -> str:
         return f"Project({', '.join(self.lookups)})"
 
-    def _produce(self, runtime: PlanRuntime) -> list[Chunk]:
-        out: list[Chunk] = []
-        for chunk in self.children[0].execute(runtime):
-            columns: dict[str, list] = {}
-            for wanted in self.lookups:
-                resolved = chunk.resolve(wanted)
-                if resolved is None:
-                    raise SQLExecutionError(f"unknown column {wanted!r} in SELECT list")
-                columns[resolved] = chunk.values(resolved)
-            out.append(Chunk.columnar(list(columns), columns))
-        return out
+    def _produce(self, runtime: PlanRuntime) -> Chunk:
+        chunk = self.children[0].execute(runtime)
+        if not chunk.length:
+            return chunk
+        columns: dict[str, list] = {}
+        for wanted in self.lookups:
+            resolved = chunk.resolve(wanted)
+            if resolved is None:
+                raise SQLExecutionError(f"unknown column {wanted!r} in SELECT list")
+            columns[resolved] = chunk.values(resolved)
+        return Chunk.columnar(list(columns), columns)
 
 
 class Aggregate(PlanNode):
@@ -1063,10 +1010,9 @@ class Aggregate(PlanNode):
     def label(self) -> str:
         return "Aggregate(count)"
 
-    def _produce(self, runtime: PlanRuntime) -> list[Chunk]:
-        # Counting never materializes rows: chunk lengths sum directly.
-        total = sum(chunk.length for chunk in self.children[0].execute(runtime))
-        return [Chunk.columnar(["count"], {"count": [total]})]
+    def _produce(self, runtime: PlanRuntime) -> Chunk:
+        # Counting never materializes rows: the child's length is the count.
+        return Chunk.columnar(["count"], {"count": [self.children[0].execute(runtime).length]})
 
 
 class HashJoin(PlanNode):
@@ -1102,15 +1048,15 @@ class HashJoin(PlanNode):
             raise SQLExecutionError(f"unknown join column {key!r}")
         return chunk.values(resolved)
 
-    def _produce(self, runtime: PlanRuntime) -> list[Chunk]:
+    def _produce(self, runtime: PlanRuntime) -> Chunk:
         left_node, right_node = self.children
-        left = Chunk.concat(left_node.execute(runtime))
+        left = left_node.execute(runtime)
         left_keys = self._key_values(left, self.left_key) if left.length else []
         if getattr(right_node, "is_probe_lookup", False):
             runtime.probe_keys[id(right_node)] = list(dict.fromkeys(left_keys))
-        right = Chunk.concat(right_node.execute(runtime))
+        right = right_node.execute(runtime)
         if not left.length or not right.length:
-            return []
+            return Chunk.columnar([], {})
         build: dict[object, list[int]] = {}
         for position, value in enumerate(self._key_values(right, self.right_key)):
             build.setdefault(value, []).append(position)
@@ -1123,4 +1069,4 @@ class HashJoin(PlanNode):
         columns = dict(left.take(left_order).columns)
         for name, values in right.take(right_order).columns.items():
             columns[self.right_renames.get(name.lower(), name)] = values
-        return Chunk.columnar(list(columns), columns).split(DEFAULT_CHUNK_ROWS)
+        return Chunk.columnar(list(columns), columns)

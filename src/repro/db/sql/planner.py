@@ -21,6 +21,13 @@ the ORDER BY and LIMIT itself — and a join adds only its ON keys, the
 probe-lookup rule and the ``HashJoin``; one wrapper orders, limits, counts and
 projects either shape.
 
+``COUNT(*)`` counts every row the WHERE and JOIN admit: its rows are planned
+as if the statement had no ORDER BY and no LIMIT (no ``Sort``, ``TopK``,
+index-ordered walk or fused top-k under the ``Aggregate``), and its LIMIT is a
+``Limit`` above the ``Aggregate`` — over the one row it answers, so ``LIMIT
+0`` answers none.  Its ORDER BY is resolved like any other, so it refuses what
+it refuses elsewhere, and orders nothing.
+
 Access-path choice per source:
 
 * base table — primary-key equality takes an :class:`IndexRange` point
@@ -64,6 +71,8 @@ value is bound *as* that value (:func:`~repro.db.sql.plan.typed_bound`).
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 from repro.db.sql.ast import PLACEHOLDER, Comparison, Delete, Select, Update
 from repro.db.sql.plan import (
@@ -146,10 +155,9 @@ class SelectPlan:
         self.estimated_seconds = sum(estimates) if estimates else None
 
     def run(self, database, parameters, context) -> tuple[list[dict], PlanRuntime]:
-        """Execute the plan; rows are materialized here, once, from the root's chunks."""
+        """Execute the plan; rows are materialized here, once, from the root's chunk."""
         runtime = PlanRuntime(database, parameters, context, self.cost_probe(database))
-        chunks = self.root.execute(runtime)
-        return [row for chunk in chunks for row in chunk.to_rows()], runtime
+        return self.root.execute(runtime).to_rows(), runtime
 
     def cost_probe(self, database):
         """Sum every ledger this plan's sources charge (database + view stores);
@@ -333,7 +341,8 @@ class Planner:
         References resolve in statement order — JOIN ON, WHERE, ORDER BY, the
         SELECT list — so the first bad one is the one refused; then each
         source gets its access node and residual ``Filter``, a join joins
-        them, and one wrapper orders, limits and projects.
+        them, and one wrapper orders, limits and projects — or counts, and
+        then limits the count.
         """
         join = select.join
         sources = [self._resolve_source(select.table, select.table_position)]
@@ -371,12 +380,15 @@ class Planner:
                 for column, position in zip(select.columns, positions)
             ]
 
+        rows = select  # what the rows under the output are planned for
+        if select.count:  # counts every admitted row: no ORDER BY or LIMIT below it
+            rows, order = replace(select, order_by=None, limit=None), None
         if join is None:
-            node, ordered = self._plan_source(sources[0], predicates[0], select, order, output)
+            node, ordered = self._plan_source(sources[0], predicates[0], rows, order, output)
         else:
             node, ordered = self._plan_join(scope, keys, predicates), False
         if not ordered:
-            node = self._wrap_order_limit(node, select, order)
+            node = self._wrap_order_limit(node, rows, order)
         node = self._wrap_output(node, select, output)
         views = [source.obj for source in sources if source.kind == "classification_view"]
         return SelectPlan(node, select, views, catalog_version=self._database.catalog.version)
@@ -519,7 +531,10 @@ class Planner:
     @staticmethod
     def _wrap_output(node: PlanNode, select: Select, output: list[str] | None) -> PlanNode:
         if select.count:
-            return Aggregate(node, estimated_seconds=0.0)
+            node = Aggregate(node, estimated_seconds=0.0)
+            if select.limit is None:
+                return node
+            return Limit(node, select.limit, estimated_seconds=0.0)
         if output is None:
             return node
         return Project(node, output, estimated_seconds=0.0)

@@ -2,7 +2,7 @@
 
 Each constant keeps the value its parameter defaulted to and is read when
 the code runs, so a test that needs another value patches the module
-attribute (as the ``chunk_rows`` fixture patches ``plan.DEFAULT_CHUNK_ROWS``).
+attribute (as the ``sgd_constants`` fixture patches ``learn.sgd.LEARNING_RATE``).
 """
 
 from __future__ import annotations

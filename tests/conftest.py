@@ -6,7 +6,6 @@ import random
 
 import pytest
 
-from repro.db.sql import plan
 from repro.learn import sgd
 from repro.learn.model import LinearModel
 from repro.learn.weights import Weights
@@ -14,17 +13,6 @@ from repro.learn.sgd import SGDTrainer, TrainingExample
 from repro.linalg import SparseVector
 from repro.workloads.datasets import dblife_like
 from repro.workloads.synth_text import SparseCorpusGenerator
-
-
-@pytest.fixture(params=[1, plan.DEFAULT_CHUNK_ROWS], ids=lambda rows: f"chunk{rows}")
-def chunk_rows(request, monkeypatch) -> int:
-    """Run the test at one row per chunk and at the default chunk size.
-
-    The SQL operators read ``plan.DEFAULT_CHUNK_ROWS`` when they run, so the
-    patch moves every chunk boundary of every plan the test executes.
-    """
-    monkeypatch.setattr(plan, "DEFAULT_CHUNK_ROWS", request.param)
-    return request.param
 
 
 @pytest.fixture

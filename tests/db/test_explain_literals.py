@@ -2,15 +2,18 @@
 
 ``Predicate.render`` spells a WHERE value as SQL: a string between single
 quotes with each quote doubled (the lexer's only escape), ``NULL``, ``TRUE`` /
-``FALSE``, and a number as Python writes it, which the lexer reads back.  A
-printed conjunct is parsed again here and must give the same value, of the
-same type — a backslash stays one backslash, and a quote never switches the
-string to double quotes.  (A float that is NaN or infinite has no SQL
-spelling and is not drawn.)  ``EXPLAIN`` itself printing such strings is
+``FALSE``, an infinite float as ``1e999`` / ``-1e999`` (a literal the lexer
+reads as ±inf), and any other number as Python writes it, which the lexer
+reads back.  A printed conjunct is parsed again here and must give the same
+value, of the same type — a backslash stays one backslash, and a quote never
+switches the string to double quotes.  (A NaN float has no SQL spelling and is
+not drawn.)  ``EXPLAIN`` itself printing such strings is
 ``test_select_plan_table.py``'s literal test.
 """
 
 from __future__ import annotations
+
+import math
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -22,7 +25,8 @@ literals = st.one_of(
     st.text(),
     st.sampled_from(["it's", "a\\b", "''", "'", '"', "\\'", "x\ny", ""]),
     st.integers(min_value=-(2**70), max_value=2**70),
-    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False),
+    st.sampled_from([math.inf, -math.inf]),
     st.booleans(),
     st.none(),
 )

@@ -1,12 +1,13 @@
 """The one-executor contract of :mod:`repro.db.sql.plan`.
 
-Every plan node speaks the columnar ``Chunk`` protocol through a single
-producer method and a single measured entry point, and there is one execution
-mode: no option selects a chunk size or a dispatch charge.  These tests pin
-the protocol's completeness, the answers at chunk boundaries against the
-forced-``SeqScan`` reference (at the default chunk size and, by patching
-``plan.DEFAULT_CHUNK_ROWS``, at one row per chunk), the NULL placement of
-every ordering path, and the documented error for a type-mismatched bound.
+Every plan node returns its whole answer as one columnar ``Chunk`` through a
+single producer method and a single measured entry point, and there is one
+execution mode: no option selects a chunk size or a dispatch charge.  These
+tests pin the protocol's completeness (every node of every shape the golden
+plan table pins returns one ``Chunk``), answers over a 1,029-row table
+against the forced-``SeqScan`` reference, empty answers that raise nothing,
+the NULL placement of every ordering path, and the documented error for a
+type-mismatched bound.
 """
 
 from __future__ import annotations
@@ -23,10 +24,11 @@ from repro.db.costmodel import CostModel
 from repro.db.database import Database
 from repro.db.sql import plan
 from repro.db.sql.parser import parse
-from repro.db.sql.plan import DEFAULT_CHUNK_ROWS, PlanNode, PlanRuntime
+from repro.db.sql.plan import Chunk, PlanNode, PlanRuntime
 from repro.db.sql.planner import Planner
 from repro.exceptions import SQLExecutionError
 
+from tests.db import test_select_plan_table as golden_shapes
 from tests.db.test_sql_plan import PreFeaturizedColumn, balanced_portal
 
 
@@ -78,15 +80,51 @@ class TestProtocolCompleteness:
         for name in ("_probe_keys", "_right_rows"):
             assert not hasattr(plan.HashJoin, name)
         assert not hasattr(plan.SecondaryIndexRange, "_covered_row")
+        assert not hasattr(plan, "DEFAULT_CHUNK_ROWS")
+        for name in ("split", "concat", "_slice"):
+            assert not hasattr(plan.Chunk, name), name
+
+    def test_every_node_of_every_golden_shape_returns_one_chunk(self, monkeypatch):
+        """Each node of each read ``select_plan_golden.json`` pins, unserved
+        and on 2 shards, returns one ``Chunk`` from ``execute``, and the root's
+        is the answer."""
+        returned: dict[int, list] = {}
+        execute = PlanNode.execute
+
+        def recording(node, runtime):
+            chunk = execute(node, runtime)
+            returned.setdefault(id(node), []).append(chunk)
+            return chunk
+
+        monkeypatch.setattr(PlanNode, "execute", recording)
+        db = golden_shapes.build()
+        parameters = {"placeholder": [4, 0.0], "join placeholder": [4, 10]}
+        shapes = [("unserved", golden_shapes.TABLE_READS)]
+        shapes += [(state, golden_shapes.VIEW_READS) for state in golden_shapes.STATES]
+        for state, reads in shapes:
+            if state == "2 shards":
+                db.execute("SERVE VIEW labeled WITH (shards = 2)")
+            for read, sql in reads.items():
+                select = db.executor.plan_select(parse(sql))
+                returned.clear()
+                rows, _ = select.run(db, parameters.get(read, []), None)
+                for _, node in select.root.walk():
+                    (chunk,) = returned[id(node)]
+                    assert type(chunk) is Chunk, (read, state, node.label())
+                assert returned[id(select.root)][0].to_rows() == rows, (read, state)
+        db.execute("STOP SERVING labeled")
 
     def test_one_execution_mode(self):
-        """No option picks a chunk size or a per-tuple dispatch charge: the
-        operators cut at ``DEFAULT_CHUNK_ROWS`` and charge only storage."""
+        """No option picks a chunk size or a per-tuple dispatch charge: every
+        node returns one chunk and charges only storage."""
         for entry in (Database.__init__, repro.connect):
             assert "execution_mode" not in inspect.signature(entry).parameters
         assert "row_interpret_cpu" not in {field.name for field in fields(CostModel)}
         assert list(inspect.signature(PlanRuntime).parameters) == [
-            "database", "parameters", "context", "cost_probe",
+            "database",
+            "parameters",
+            "context",
+            "cost_probe",
         ]
         assigned = {
             node.attr
@@ -99,66 +137,57 @@ class TestProtocolCompleteness:
 
 
 # ---------------------------------------------------------------------------
-# Chunk boundaries vs the forced-SeqScan reference
+# A 1,029-row table vs the forced-SeqScan reference
 # ---------------------------------------------------------------------------
 
-BOUNDARY_ROWS = DEFAULT_CHUNK_ROWS + 5
+BIG_ROWS = 1029
 
 
-def boundary_db() -> Database:
-    """``big`` spans two chunks at the default chunk size (1024 + 5 rows)."""
+def big_db() -> Database:
+    """``big`` holds 1,029 rows; ``other`` four of its keys."""
     db = Database(cost_model=CostModel.main_memory())
     db.execute("CREATE TABLE big (id integer PRIMARY KEY, v integer, w float)")
     db.executemany(
         "INSERT INTO big (id, v, w) VALUES (?, ?, ?)",
-        [(i, (i * 37) % 101, float((i * 13) % 29)) for i in range(BOUNDARY_ROWS)],
+        [(i, (i * 37) % 101, float((i * 13) % 29)) for i in range(BIG_ROWS)],
     )
     db.execute("CREATE TABLE other (id integer PRIMARY KEY, tag text)")
     db.executemany(
         "INSERT INTO other (id, tag) VALUES (?, ?)",
-        [(i, f"t{i}") for i in (3, DEFAULT_CHUNK_ROWS - 1, DEFAULT_CHUNK_ROWS, BOUNDARY_ROWS - 1)],
+        [(i, f"t{i}") for i in (3, 1023, 1024, BIG_ROWS - 1)],
     )
     return db
 
 
 #: (sql, ordered) — ``ordered`` answers are compared as sequences.
-BOUNDARY_QUERIES = [
-    (f"SELECT * FROM big LIMIT {DEFAULT_CHUNK_ROWS + 2}", True),  # Limit straddles
-    (f"SELECT id FROM big WHERE id >= {DEFAULT_CHUNK_ROWS}", True),  # first chunk emptied
-    (f"SELECT id FROM big WHERE id < {DEFAULT_CHUNK_ROWS}", True),  # last chunk emptied
-    ("SELECT id, w FROM big ORDER BY w DESC", True),  # Sort across chunks
-    (f"SELECT id, v FROM big ORDER BY v LIMIT {DEFAULT_CHUNK_ROWS + 2}", True),  # TopK
+BIG_QUERIES = [
+    ("SELECT * FROM big LIMIT 1026", True),
+    ("SELECT id FROM big WHERE id >= 1024", True),
+    ("SELECT id FROM big WHERE id < 1024", True),
+    ("SELECT id, w FROM big ORDER BY w DESC", True),  # Sort
+    ("SELECT id, v FROM big ORDER BY v LIMIT 1026", True),  # TopK
     ("SELECT big.id, other.tag FROM big JOIN other ON big.id = other.id", False),
     ("SELECT COUNT(*) FROM big", True),
-    (f"SELECT COUNT(*) FROM big WHERE v > 50 AND id >= {DEFAULT_CHUNK_ROWS - 3}", True),
+    ("SELECT COUNT(*) FROM big WHERE v > 50 AND id >= 1021", True),
 ]
 
 
-class TestChunkBoundaries:
-    @pytest.mark.parametrize("sql,ordered", BOUNDARY_QUERIES)
-    def test_matches_forced_seqscan_reference(self, sql, ordered, chunk_rows):
-        db = boundary_db()
+class TestBigTable:
+    @pytest.mark.parametrize("sql,ordered", BIG_QUERIES)
+    def test_matches_forced_seqscan_reference(self, sql, ordered):
+        db = big_db()
         db.execute("CREATE INDEX idx_v ON big (v)")
         got = db.execute(sql).rows
-        reference, _ = (
-            Planner(db, use_index_paths=False).plan_select(parse(sql)).run(db, [], None)
-        )
+        reference, _ = Planner(db, use_index_paths=False).plan_select(parse(sql)).run(db, [], None)
         if not ordered:
             got = sorted(got, key=lambda row: row["id"])
             reference = sorted(reference, key=lambda row: row["id"])
         assert got == reference
-        assert got, "a boundary case must not be vacuous"
+        assert got, "a case must not be vacuous"
 
-    def test_scan_really_spans_the_chunk_boundary(self, chunk_rows):
-        db = boundary_db()
-        runtime = PlanRuntime(db, [], None, lambda: 0.0)
-        chunks = db.executor.plan_select(parse("SELECT * FROM big")).root.execute(runtime)
-        full, tail = divmod(BOUNDARY_ROWS, chunk_rows)
-        assert [chunk.length for chunk in chunks] == [chunk_rows] * full + ([tail] if tail else [])
-
-    def test_join_probe_keys_drawn_from_two_chunks(self):
-        """A served, predicate-free join side is driven by the probe keys of
-        *every* left chunk through one batched lookup."""
+    def test_join_probe_keys_drive_one_batched_lookup(self):
+        """A served, predicate-free join side is driven by every probe key of
+        the 1,029-row left side through one batched lookup."""
         conn = repro.connect(architecture="mainmemory", strategy="hazy", approach="eager")
         try:
             conn.engine.registry.register("prefeaturized", PreFeaturizedColumn)
@@ -166,10 +195,7 @@ class TestChunkBoundaries:
             conn.execute("CREATE TABLE examples (id integer, label integer)")
             conn.executemany(
                 "INSERT INTO entities (id, features) VALUES (?, ?)",
-                [
-                    (i, json.dumps({"0": 1.0 if i % 3 else -1.0, "1": 0.5}))
-                    for i in range(BOUNDARY_ROWS)
-                ],
+                [(i, json.dumps({"0": 1.0 if i % 3 else -1.0, "1": 0.5})) for i in range(BIG_ROWS)],
             )
             conn.executemany(
                 "INSERT INTO examples (id, label) VALUES (?, ?)",
@@ -190,10 +216,53 @@ class TestChunkBoundaries:
             assert "ServedPointRead(labeled, batch)" in nodes
             got = {row["id"]: row["class"] for row in conn.execute(sql).fetchall()}
             view = conn.engine.view("labeled")
-            assert got == {i: view.label_of(i) for i in range(BOUNDARY_ROWS)}
+            assert got == {i: view.label_of(i) for i in range(BIG_ROWS)}
             assert len(set(got.values())) == 2, "fixture must split into both classes"
         finally:
             conn.close()
+
+
+# ---------------------------------------------------------------------------
+# An empty answer is an answer: operators over zero rows raise nothing
+# ---------------------------------------------------------------------------
+
+
+def _empty_db() -> Database:
+    db = Database(cost_model=CostModel.main_memory())
+    db.execute("CREATE TABLE t (id integer PRIMARY KEY, v integer)")
+    db.execute("CREATE TABLE empty (id integer PRIMARY KEY, v integer)")
+    db.executemany("INSERT INTO t (id, v) VALUES (?, ?)", [(i, i % 3) for i in range(5)])
+    return db
+
+
+#: A system table with no rows has no columns; a base table's zero-row answer
+#: keeps its schema's.
+EMPTY_ANSWERS = [
+    "SELECT sql FROM system.slow_queries",
+    "SELECT sql FROM system.slow_queries WHERE sql = 'x' ORDER BY sql",
+    "SELECT sql FROM system.slow_queries ORDER BY sql LIMIT 3",
+    "SELECT id FROM empty WHERE v > 1",
+    "SELECT id FROM empty WHERE v > 1 ORDER BY v LIMIT 2",
+    "SELECT id FROM t WHERE v > 7",
+    "SELECT t.id, empty.v FROM t JOIN empty ON t.id = empty.id",
+    "SELECT t.id FROM empty JOIN t ON empty.id = t.id WHERE t.v = 1",
+    "SELECT t.id FROM t JOIN empty ON t.id = empty.id ORDER BY t.v LIMIT 1",
+]
+
+
+class TestEmptyAnswers:
+    @pytest.mark.parametrize("sql", EMPTY_ANSWERS)
+    def test_answers_no_rows(self, sql):
+        assert _empty_db().execute(sql).rows == []
+
+    def test_slow_queries_on_a_fresh_engine(self):
+        with repro.connect() as conn:
+            assert conn.execute("SELECT sql FROM system.slow_queries").fetchall() == []
+
+    def test_count_over_an_empty_table_is_zero(self):
+        db = _empty_db()
+        assert db.execute("SELECT COUNT(*) FROM empty WHERE v = 1").rows == [{"count": 0}]
+        assert db.execute("SELECT COUNT(*) FROM empty LIMIT 0").rows == []
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +274,13 @@ def nullable_db() -> Database:
     db = Database(cost_model=CostModel.main_memory())
     db.execute("CREATE TABLE papers (id integer PRIMARY KEY, year integer, venue text)")
     rows = [
-        (1, 2009, "vldb"), (2, None, "sigmod"), (3, 2011, None), (4, 2007, "icde"),
-        (5, None, None), (6, 2011, "cidr"), (7, 2003, "pods"),
+        (1, 2009, "vldb"),
+        (2, None, "sigmod"),
+        (3, 2011, None),
+        (4, 2007, "icde"),
+        (5, None, None),
+        (6, 2011, "cidr"),
+        (7, 2003, "pods"),
     ]
     db.executemany("INSERT INTO papers (id, year, venue) VALUES (?, ?, ?)", rows)
     return db
@@ -223,7 +297,7 @@ class TestNullOrdering:
     @pytest.mark.parametrize("descending", [False, True])
     @pytest.mark.parametrize("column", ["year", "venue"])
     @pytest.mark.parametrize("path", ["Sort", "TopK", "SecondaryIndexRange"])
-    def test_nulls_last_ascending_first_descending(self, path, column, descending, chunk_rows):
+    def test_nulls_last_ascending_first_descending(self, path, column, descending):
         db = nullable_db()
         direction = "DESC" if descending else "ASC"
         sql = f"SELECT id, {column} FROM papers ORDER BY {column} {direction}"
@@ -240,7 +314,7 @@ class TestNullOrdering:
         got = [row[column] for row in db.execute(sql).rows]
         assert got == _expected_order(db, column, descending)
 
-    def test_limit_cuts_after_null_placement(self, chunk_rows):
+    def test_limit_cuts_after_null_placement(self):
         db = nullable_db()
         top = db.execute("SELECT id FROM papers ORDER BY year DESC LIMIT 3").rows
         assert [row["id"] for row in top] == [2, 5, 3]  # NULLs first, then 2011 (stable)
@@ -274,21 +348,17 @@ class TestIncomparableBound:
             ("DELETE FROM papers WHERE year < ?", ("x",)),
         ],
     )
-    def test_raises_sql_execution_error_naming_both_types(
-        self, sql, params, indexed, chunk_rows
-    ):
+    def test_raises_sql_execution_error_naming_both_types(self, sql, params, indexed):
         with self._conn(indexed) as conn:
             with pytest.raises(SQLExecutionError, match=r"int column value.*str bound"):
                 conn.execute(sql, params)
             # Nothing was modified by the failed DML.
             assert conn.execute("SELECT COUNT(*) FROM papers").scalar() == 3
 
-    def test_equality_operators_never_raise(self, chunk_rows):
+    def test_equality_operators_never_raise(self):
         with self._conn(indexed=False) as conn:
             assert conn.execute("SELECT * FROM papers WHERE year = ?", ("x",)).fetchall() == []
-            assert (
-                conn.execute("SELECT COUNT(*) FROM papers WHERE year != ?", ("x",)).scalar() == 3
-            )
+            assert conn.execute("SELECT COUNT(*) FROM papers WHERE year != ?", ("x",)).scalar() == 3
 
     @pytest.mark.parametrize("served", [False, True])
     def test_view_range_pushdown_raises_the_documented_error(self, served):

@@ -14,7 +14,10 @@ referenced in a join gets the message it gets from ``FROM v``, and a view read
 bound by ``class = x`` answers that conjunct itself, so it leaves the residual
 ``Filter`` (and the ``Filter`` goes when nothing else is left in it).  The
 refusal of a bad qualifier on the fused top-k's ORDER BY was added later, as
-a recorded row of its own.
+a recorded row of its own, and so were the ``COUNT(*)`` reads with an ORDER BY
+or a LIMIT (the ``count …`` cells below ``count``): a ``Limit`` above the
+``Aggregate``, and no ``Sort``, ``TopK``, index-ordered walk or fused top-k
+under it.
 """
 
 from __future__ import annotations
@@ -59,6 +62,11 @@ TABLE_READS = {
     "top-k": "SELECT * FROM items ORDER BY score DESC LIMIT 5",
     "limit": "SELECT id FROM items LIMIT 4",
     "count": "SELECT COUNT(*) FROM items WHERE num = 4",
+    "count limit": "SELECT COUNT(*) FROM items LIMIT 5",
+    "count limit 0": "SELECT COUNT(*) FROM items LIMIT 0",
+    "count order by limit": "SELECT COUNT(*) FROM items ORDER BY score LIMIT 3",
+    "count index order": "SELECT COUNT(*) FROM items WHERE num = 4 ORDER BY score DESC LIMIT 3",
+    "count order by": "SELECT COUNT(*) FROM items WHERE score < 0.0 ORDER BY tag",
     "qualified projection": "SELECT items.id, items.tag FROM items WHERE items.num >= 20",
     "null bound": "SELECT id FROM items WHERE tag = NULL",
     "true bound": "SELECT id FROM items WHERE num = TRUE",
@@ -72,6 +80,8 @@ VIEW_READS = {
     "view top-k": "SELECT id, margin FROM labeled ORDER BY margin DESC LIMIT 3",
     "view top-k, qualified": "SELECT labeled.id FROM labeled ORDER BY labeled.margin DESC LIMIT 2",
     "view count": "SELECT COUNT(*) FROM labeled WHERE class = 'other'",
+    "view count limit": "SELECT COUNT(*) FROM labeled LIMIT 3",
+    "view count top-k": "SELECT COUNT(*) FROM labeled ORDER BY margin DESC LIMIT 3",
     "table join table": f"SELECT items.id, papers.title {ITEMS_JOIN} WHERE items.num = 4",
     "indexed join side": f"SELECT papers.id, score {PAPERS_ITEMS_JOIN} WHERE num = 4 AND score > 0",
     "table join view": f"SELECT papers.id, class {JOIN}",
@@ -85,6 +95,7 @@ VIEW_READS = {
     "join sort": f"SELECT papers.id, class {JOIN} ORDER BY class",
     "join limit": f"SELECT title {JOIN} LIMIT 2",
     "join count": f"SELECT COUNT(*) {JOIN} WHERE class = 'other'",
+    "join count order by limit": f"SELECT COUNT(*) {JOIN} ORDER BY papers.id DESC LIMIT 2",
     "join unqualified order": f"SELECT items.id, title {ITEMS_JOIN} ORDER BY title LIMIT 4",
     "join placeholder": f"SELECT items.id {ITEMS_JOIN} WHERE num = ? AND papers.id < ?",
 }

@@ -13,9 +13,13 @@ and every query is executed twice: once through the planner's chosen plan
 ``SeqScan`` under the residual ``Filter``.  The two answers must be
 identical: same row multiset always, and for ordered queries the same
 ORDER BY column sequence (SQL leaves tie order unspecified, so ties are
-compared as sets).  Every program runs twice, at the default chunk size and
-at one row per chunk (by patching ``plan.DEFAULT_CHUNK_ROWS``), so every
-chunk boundary faces the oracle.
+compared as sets).
+
+``COUNT(*)`` faces a second oracle, because the reference shares the planner
+and so would share a fault in where a count is planned: beside each SELECT a
+``COUNT(*)`` over a table or a join, with an ORDER BY and a LIMIT as often as
+not, must answer the row count of the same read's ``SELECT *`` with its ORDER
+BY and LIMIT dropped, that one row then cut by its LIMIT.
 
 Writes face it too.  Before each generated ``UPDATE`` / ``DELETE`` — the
 ``WHERE num = ?`` of old, a composite-index prefix, ranges, up to three
@@ -40,7 +44,6 @@ import pytest
 
 from repro.db.costmodel import CostModel
 from repro.db.database import Database
-from repro.db.sql import plan
 from repro.db.sql.parser import parse
 from repro.db.sql.planner import Planner
 
@@ -58,9 +61,7 @@ _T_C = ("cid", "label", "weight")
 
 def _canonical(rows: list[dict]) -> list[tuple]:
     """Order-insensitive canonical form of a result set (a sorted multiset)."""
-    return sorted(
-        tuple(sorted((k.lower(), repr(v)) for k, v in row.items())) for row in rows
-    )
+    return sorted(tuple(sorted((k.lower(), repr(v)) for k, v in row.items())) for row in rows)
 
 
 def _order_column_values(rows: list[dict], column: str) -> list:
@@ -202,7 +203,7 @@ class Program:
         access = self.db.execute(f"EXPLAIN {sql}", parameters).rows[-1]["node"]
         self.write_paths[access.strip().partition("(")[0]] += 1
         self.rows_written += len(located)
-        context = f"{sql}  {parameters!r} (chunk rows: {plan.DEFAULT_CHUNK_ROWS})"
+        context = f"{sql}  {parameters!r}"
         assert self.db.execute(sql, parameters).rowcount == len(located), context
         stored = self.run_reference(f"SELECT * FROM {table}")
         assert len(stored) == len(rows) and {row["id"]: row for row in stored} == rows, context
@@ -321,6 +322,25 @@ class Program:
             return f"{sql} LIMIT {rng.randrange(1, 12)}", order_key, sql
         return sql, order_key, None
 
+    def check_count(self) -> None:
+        """A ``COUNT(*)`` answers one row, the count of every row its WHERE and
+        JOIN admit, whatever its ORDER BY — then cut by its LIMIT."""
+        rng = self.rng
+        if rng.random() < 0.3:
+            source, columns = "t_a JOIN t_c ON num = cid", ("id", "num", "score", "weight")
+        else:
+            source, columns = rng.choice(list(self.columns)), ("id", "num", "score", "tag")
+        where = f" WHERE {self._predicate()}" if rng.random() < 0.7 else ""
+        sql = f"SELECT COUNT(*) FROM {source}{where}"
+        if rng.random() < 0.6:
+            sql += f" ORDER BY {rng.choice(columns)} {rng.choice(('ASC', 'DESC'))}"
+        limit = rng.choice((None, 0, 1, rng.randrange(1, 12)))
+        if limit is not None:
+            sql += f" LIMIT {limit}"
+        counted = [{"count": len(self.run_reference(f"SELECT * FROM {source}{where}"))}]
+        assert self.db.execute(sql).rows == counted[:limit], sql
+        assert self.run_reference(sql) == counted[:limit], sql
+
     # -- the two executions --------------------------------------------------------------
 
     def run_both(self, sql: str) -> tuple[list[dict], list[dict]]:
@@ -335,14 +355,10 @@ class Program:
 
 
 @pytest.mark.parametrize("program_index", range(PROGRAMS))
-@pytest.mark.parametrize(
-    "cost_model_name", ["main_memory", "on_disk"], ids=["mm", "disk"]
-)
-def test_differential_oracle(program_index: int, cost_model_name: str, chunk_rows: int):
+@pytest.mark.parametrize("cost_model_name", ["main_memory", "on_disk"], ids=["mm", "disk"])
+def test_differential_oracle(program_index: int, cost_model_name: str):
     """Every generated query answers identically with and without indexes."""
-    cost_model = (
-        CostModel.main_memory() if cost_model_name == "main_memory" else CostModel()
-    )
+    cost_model = CostModel.main_memory() if cost_model_name == "main_memory" else CostModel()
     rng = random.Random(f"{SEED}:{cost_model_name}:{program_index}")
     program = Program(rng, cost_model)
     for _ in range(QUERIES_PER_PROGRAM):
@@ -350,10 +366,9 @@ def test_differential_oracle(program_index: int, cost_model_name: str, chunk_row
             program.mutate()
         sql, order_by, unlimited_sql = program.random_select()
         chosen, reference = program.run_both(sql)
-        unlimited = (
-            program.run_reference(unlimited_sql) if unlimited_sql is not None else None
-        )
+        unlimited = program.run_reference(unlimited_sql) if unlimited_sql is not None else None
         assert_equivalent(chosen, reference, sql, order_by, unlimited)
+        program.check_count()
 
 
 def test_generated_writes_reach_every_access_path():
@@ -415,15 +430,17 @@ def test_composite_covering_and_desc_shapes_against_reference():
     degenerate into plain scans).
     """
     db = Database(cost_model=CostModel.main_memory())
-    db.execute(
-        "CREATE TABLE t (id integer PRIMARY KEY, num integer, score float, tag text)"
-    )
+    db.execute("CREATE TABLE t (id integer PRIMARY KEY, num integer, score float, tag text)")
     rng = random.Random(7)
     for i in range(180):
         db.execute(
             "INSERT INTO t (id, num, score, tag) VALUES (?, ?, ?, ?)",
-            (i, rng.randrange(0, 12), round(rng.uniform(-2.0, 2.0), 2),
-             rng.choice(("alpha", "beta", "gamma"))),
+            (
+                i,
+                rng.randrange(0, 12),
+                round(rng.uniform(-2.0, 2.0), 2),
+                rng.choice(("alpha", "beta", "gamma")),
+            ),
         )
     db.execute("CREATE INDEX idx_ns ON t (num, score)")
     db.execute("CREATE INDEX idx_score ON t (score)")
@@ -440,8 +457,6 @@ def test_composite_covering_and_desc_shapes_against_reference():
         chosen = db.execute(sql).rows
         rows, _ = reference.plan_select(parse(sql)).run(db, [], None)
         if "ORDER BY" in sql:
-            assert _order_column_values(chosen, "score") == _order_column_values(
-                rows, "score"
-            ), sql
+            assert _order_column_values(chosen, "score") == _order_column_values(rows, "score"), sql
         else:
             assert_equivalent(chosen, rows, sql)

@@ -1,7 +1,6 @@
 """The batched (vectorized) execution protocol and its planner surface.
 
-Covers the chunk container itself, identical answers at one row per chunk
-and at the default chunk size, the ``covering=true`` EXPLAIN detail flag,
+Covers the chunk container itself, the ``covering=true`` EXPLAIN detail flag,
 index-only (covering) scans, and the ``ORDER BY ... DESC LIMIT k`` fused walk
 over the ``prev_leaf`` chain.  Golden-plan assertions pin the EXPLAIN text so
 the flag cannot silently disappear.
@@ -14,23 +13,18 @@ import pytest
 
 from repro.db.costmodel import CostModel
 from repro.db.database import Database
-from repro.db.sql import plan
 from repro.db.sql.parser import parse
-from repro.db.sql.plan import Chunk, _rows_to_chunks
+from repro.db.sql.plan import Chunk, _rows_to_chunk
 from repro.db.sql.planner import Planner
 
 
 def _canonical(rows: list[dict]) -> list[tuple]:
-    return sorted(
-        tuple(sorted((k.lower(), repr(v)) for k, v in row.items())) for row in rows
-    )
+    return sorted(tuple(sorted((k.lower(), repr(v)) for k, v in row.items())) for row in rows)
 
 
 def make_db(cost_model: CostModel | None = None) -> Database:
     db = Database(cost_model=cost_model or CostModel.main_memory())
-    db.execute(
-        "CREATE TABLE t (id integer PRIMARY KEY, a integer, b float, c text)"
-    )
+    db.execute("CREATE TABLE t (id integer PRIMARY KEY, a integer, b float, c text)")
     for i in range(300):
         db.execute(
             "INSERT INTO t (id, a, b, c) VALUES (?, ?, ?, ?)",
@@ -47,18 +41,9 @@ def make_db(cost_model: CostModel | None = None) -> Database:
 class TestChunk:
     def test_columnar_round_trip_preserves_exact_values(self):
         rows = [{"a": 1, "b": 2.5}, {"a": 2, "b": None}, {"a": 3, "b": -1.0}]
-        chunks = _rows_to_chunks(["a", "b"], iter(rows))
-        assert len(chunks) == 1
-        chunk = chunks[0]
+        chunk = _rows_to_chunk(["a", "b"], iter(rows))
         assert chunk.length == 3
         assert chunk.to_rows() == rows
-
-    def test_rows_to_chunks_slices_at_chunk_size(self):
-        from repro.db.sql.plan import DEFAULT_CHUNK_ROWS
-
-        rows = ({"x": i} for i in range(DEFAULT_CHUNK_ROWS + 5))
-        chunks = _rows_to_chunks(["x"], rows)
-        assert [chunk.length for chunk in chunks] == [DEFAULT_CHUNK_ROWS, 5]
 
     def test_resolve_is_case_insensitive(self):
         chunk = Chunk.columnar(["Id", "Val"], {"Id": [1], "Val": [2]})
@@ -93,61 +78,6 @@ class TestChunk:
 
 
 # ---------------------------------------------------------------------------
-# Chunk size
-# ---------------------------------------------------------------------------
-
-
-QUERIES = [
-    "SELECT * FROM t WHERE a = 3",
-    "SELECT * FROM t WHERE b >= 2.0 AND b < 5.0",
-    "SELECT id, c FROM t WHERE c = 'tag1' AND a != 2",
-    "SELECT COUNT(*) FROM t WHERE b > 0.0",
-    "SELECT * FROM t ORDER BY b LIMIT 7",
-    "SELECT * FROM t ORDER BY b DESC LIMIT 7",
-    "SELECT id, a FROM t ORDER BY id DESC",
-]
-
-
-def _answer_at_each_chunk_size(monkeypatch, db: Database, sql: str) -> list[list[dict]]:
-    """``sql``'s rows at the default chunk size, then at one row per chunk."""
-    answers = [db.execute(sql).rows]
-    monkeypatch.setattr(plan, "DEFAULT_CHUNK_ROWS", 1)
-    answers.append(db.execute(sql).rows)
-    return answers
-
-
-class TestChunkSize:
-    @pytest.mark.parametrize("sql", QUERIES)
-    def test_one_row_per_chunk_answers_identically(self, sql, monkeypatch):
-        got, want = _answer_at_each_chunk_size(monkeypatch, make_db(), sql)
-        # Ordered queries must match exactly; others as multisets.
-        if "ORDER BY" in sql:
-            assert got == want, sql
-        else:
-            assert _canonical(got) == _canonical(want), sql
-
-    def test_join_answers_identically_at_one_row_per_chunk(self, monkeypatch):
-        db = make_db()
-        db.execute("CREATE TABLE u (id integer PRIMARY KEY, w float)")
-        for i in range(0, 300, 3):
-            db.execute("INSERT INTO u (id, w) VALUES (?, ?)", (i, i / 10.0))
-        sql = "SELECT t.id, t.a, u.w FROM t JOIN u ON t.id = u.id WHERE t.a >= 2"
-        got, want = _answer_at_each_chunk_size(monkeypatch, db, sql)
-        assert _canonical(got) == _canonical(want)
-
-    def test_chunk_size_moves_no_charge(self, monkeypatch):
-        sql = "SELECT COUNT(*) FROM t WHERE a >= 1"
-        ledgers = []
-        for rows in (plan.DEFAULT_CHUNK_ROWS, 1):
-            monkeypatch.setattr(plan, "DEFAULT_CHUNK_ROWS", rows)
-            db = make_db()
-            db.execute(sql)
-            ledgers.append(db.stats.snapshot())
-        assert ledgers[0] == ledgers[1]
-
-
-
-# ---------------------------------------------------------------------------
 # EXPLAIN detail flags (golden plans)
 # ---------------------------------------------------------------------------
 
@@ -162,9 +92,7 @@ class TestExplainFlags:
     def test_index_probe_detail_carries_flags(self):
         db = make_db()
         db.execute("CREATE INDEX idx_ab ON t (a, b)")
-        rows = db.execute(
-            "EXPLAIN SELECT a, b FROM t WHERE a = 2 AND b >= 3.0"
-        ).rows
+        rows = db.execute("EXPLAIN SELECT a, b FROM t WHERE a = 2 AND b >= 3.0").rows
         access = rows[-1]
         assert access["node"].strip() == (
             "SecondaryIndexRange(t.idx_ab: a = 2 AND b >= 3.0, covering)"
@@ -189,9 +117,7 @@ class TestExplainFlags:
         )
         assert "Sort/TopK elided" in access["detail"]
         # No Sort/TopK node anywhere in the fused plan.
-        assert not any(
-            r["node"].strip().startswith(("Sort", "TopK")) for r in rows
-        )
+        assert not any(r["node"].strip().startswith(("Sort", "TopK")) for r in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -235,11 +161,7 @@ class TestCoveringScans:
         statement = parse(sql)
         covering_row = Planner(db).plan_select(statement).explain_rows()[-1]
         assert "covering" in covering_row["node"]
-        heap_row = (
-            Planner(db, use_covering_scans=False)
-            .plan_select(statement)
-            .explain_rows()[-1]
-        )
+        heap_row = Planner(db, use_covering_scans=False).plan_select(statement).explain_rows()[-1]
         assert heap_row["node"].strip().startswith("SeqScan"), heap_row
         assert covering_row["estimated_seconds"] < heap_row["estimated_seconds"]
 

@@ -40,6 +40,7 @@ LITERALS = {
     "-1": -1,
     "7": 7,
     "'database'": "database",
+    "'other'": "other",
     "'not_database'": "not_database",
 }
 #: Every bound as a literal, and the first five bound to ``?`` too.

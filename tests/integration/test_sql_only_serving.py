@@ -38,10 +38,7 @@ def create_base_tables(conn, documents):
 def label_examples(conn, documents):
     conn.executemany(
         "INSERT INTO example_papers (id, label) VALUES (?, ?)",
-        [
-            (doc.entity_id, "database" if doc.label == 1 else "other")
-            for doc in documents
-        ],
+        [(doc.entity_id, "database" if doc.label == 1 else "other") for doc in documents],
     )
 
 
@@ -53,9 +50,7 @@ def test_sql_only_end_to_end_checkpoint_restore(tmp_path):
     conn = repro.connect()
     create_base_tables(conn, documents)
     conn.execute(VIEW_DDL)
-    serve_row = conn.execute(
-        "SERVE VIEW labeled_papers WITH (shards = 2)"
-    ).fetchone()
+    serve_row = conn.execute("SERVE VIEW labeled_papers WITH (shards = 2)").fetchone()
     assert serve_row["status"] == "serving"
 
     label_examples(conn, documents[:60])
@@ -64,32 +59,22 @@ def test_sql_only_end_to_end_checkpoint_restore(tmp_path):
     point = conn.execute(
         "SELECT class FROM labeled_papers WHERE id = ?", (documents[0].entity_id,)
     ).scalar()
-    assert point in ("database", "not_database")
-    count = conn.execute(
-        "SELECT COUNT(*) FROM labeled_papers WHERE class = 'database'"
-    ).scalar()
-    members = conn.execute(
-        "SELECT id FROM labeled_papers WHERE class = 'database'"
-    ).fetchall()
+    assert point in ("database", "other")
+    count = conn.execute("SELECT COUNT(*) FROM labeled_papers WHERE class = 'database'").scalar()
+    members = conn.execute("SELECT id FROM labeled_papers WHERE class = 'database'").fetchall()
     assert count == len(members)
     top = conn.execute(
         "SELECT id, margin FROM labeled_papers ORDER BY margin DESC LIMIT 5"
     ).fetchall()
     assert len(top) == 5
-    assert all(
-        earlier["margin"] >= later["margin"] for earlier, later in zip(top, top[1:])
-    )
+    assert all(earlier["margin"] >= later["margin"] for earlier, later in zip(top, top[1:]))
 
     # EXPLAIN prints the served plan without executing anything.
-    plan = conn.execute(
-        "EXPLAIN SELECT class FROM labeled_papers WHERE id = 3"
-    ).fetchall()
+    plan = conn.execute("EXPLAIN SELECT class FROM labeled_papers WHERE id = 3").fetchall()
     assert plan[-1]["node"].strip() == "ServedPointRead(labeled_papers.id = 3)"
     assert plan[-1]["estimated_seconds"] > 0
 
-    everything_before = conn.execute(
-        "SELECT id, class FROM labeled_papers ORDER BY id"
-    ).fetchall()
+    everything_before = conn.execute("SELECT id, class FROM labeled_papers ORDER BY id").fetchall()
     info = conn.execute(f"CHECKPOINT VIEW labeled_papers TO '{checkpoint_dir}'").fetchone()
     assert info["entities"] == len(documents)
 
@@ -100,17 +85,13 @@ def test_sql_only_end_to_end_checkpoint_restore(tmp_path):
     conn2 = repro.connect()
     create_base_tables(conn2, documents)
     label_examples(conn2, documents[:60])
-    restore_row = conn2.execute(
-        f"RESTORE VIEW labeled_papers FROM '{checkpoint_dir}'"
-    ).fetchone()
+    restore_row = conn2.execute(f"RESTORE VIEW labeled_papers FROM '{checkpoint_dir}'").fetchone()
     assert restore_row["status"] == "serving"
     assert restore_row["epoch"] == info["epoch"]
     assert restore_row["checkpoint_epoch"] == info["epoch"]
     assert restore_row["examples"] == 60  # the labels given before the checkpoint
 
-    everything_after = conn2.execute(
-        "SELECT id, class FROM labeled_papers ORDER BY id"
-    ).fetchall()
+    everything_after = conn2.execute("SELECT id, class FROM labeled_papers ORDER BY id").fetchall()
     assert everything_after == everything_before  # bit-identical answers
 
     # The restored view is live: new feedback flows through SQL and is
@@ -120,13 +101,11 @@ def test_sql_only_end_to_end_checkpoint_restore(tmp_path):
     re_point = conn2.execute(
         "SELECT class FROM labeled_papers WHERE id = ?", (fresh[0].entity_id,)
     ).scalar()
-    assert re_point in ("database", "not_database")
+    assert re_point in ("database", "other")
 
     conn2.execute("STOP SERVING labeled_papers")
     # After STOP SERVING the direct maintainer answers the same SQL.
-    assert (
-        conn2.execute("SELECT COUNT(*) FROM labeled_papers").scalar() == len(documents)
-    )
+    assert conn2.execute("SELECT COUNT(*) FROM labeled_papers").scalar() == len(documents)
     conn2.close()
 
 

@@ -174,10 +174,10 @@ class TestMidWritesDeath:
                 "SELECT id FROM labeled_papers WHERE class = 'database'"
             ).fetchall()
             negatives = client.execute(
-                "SELECT id FROM labeled_papers WHERE class = 'not_database'"
+                "SELECT id FROM labeled_papers WHERE class = 'other'"
             ).fetchall()
             assert len(members) + len(negatives) == total
             point = client.execute(
                 "SELECT class FROM labeled_papers WHERE id = ?", (fresh[0].entity_id,)
             ).scalar()
-            assert point in ("database", "not_database")
+            assert point in ("database", "other")

@@ -6,8 +6,7 @@ they must agree with are :func:`repro.db.sql.plan.compare_values` (one value,
 one bound) and Python's stable sort under :func:`repro.db.sql.plan._sort_key`.
 No second interpreter cross-checks the kernels any more, so this property
 does — over the values where a ``float64`` view could lie (ints beyond
-``2**53``, NaN, infinities, ``-0.0``, bools, NULLs, strings) and at arbitrary
-chunk boundaries.
+``2**53``, NaN, infinities, ``-0.0``, bools, NULLs, strings).
 """
 
 from __future__ import annotations
@@ -65,20 +64,19 @@ _RUNTIME = PlanRuntime(Database(), [], None, lambda: 0.0)
 
 
 class _Leaf(PlanNode):
-    """A producer handing the operator under test pre-built chunks."""
+    """A producer handing the operator under test a pre-built chunk."""
 
-    def __init__(self, chunks):
+    def __init__(self, chunk):
         super().__init__()
-        self._chunks = chunks
+        self._chunk = chunk
 
     def _produce(self, runtime):
-        return self._chunks
+        return self._chunk
 
 
-def _chunks(column: list, size: int) -> list[Chunk]:
-    """``column`` beside its positions, cut every ``size`` rows."""
-    names = ["pos", "X"]
-    return Chunk.columnar(names, {"pos": list(range(len(column))), "X": column}).split(size)
+def _chunk(column: list) -> Chunk:
+    """``column`` beside its positions."""
+    return Chunk.columnar(["pos", "X"], {"pos": list(range(len(column))), "X": column})
 
 
 def _identical(left: object, right: object) -> bool:
@@ -93,9 +91,8 @@ def _identical(left: object, right: object) -> bool:
     column=columns,
     operator=st.sampled_from(OPERATORS),
     bound=bounds,
-    size=st.integers(min_value=1, max_value=45),
 )
-def test_filter_mask_equals_scalar_compare_values(column, operator, bound, size):
+def test_filter_mask_equals_scalar_compare_values(column, operator, bound):
     try:
         expected = [
             position
@@ -104,14 +101,14 @@ def test_filter_mask_equals_scalar_compare_values(column, operator, bound, size)
         ]
     except SQLExecutionError:
         expected = None
-    node = Filter(_Leaf(_chunks(column, size)), [Predicate("x", operator, bound)])
+    node = Filter(_Leaf(_chunk(column)), [Predicate("x", operator, bound)])
     try:
-        kept = [p for chunk in node.execute(_RUNTIME) for p in chunk.values("pos")]
+        kept = node.execute(_RUNTIME).values("pos")
     except SQLExecutionError:
         kept = None
     if expected is None:
         # The scalar definition raises at the first incomparable value it
-        # meets; the chunked evaluation may stop earlier only by raising too.
+        # meets; the column-wide evaluation must raise too.
         assert kept is None
     else:
         assert kept == expected
@@ -121,13 +118,12 @@ def test_filter_mask_equals_scalar_compare_values(column, operator, bound, size)
 @given(
     column=sortable_columns,
     descending=st.booleans(),
-    size=st.integers(min_value=1, max_value=45),
     limit=st.one_of(st.none(), st.integers(min_value=0, max_value=45)),
 )
-def test_sorted_chunk_equals_stable_python_sort(column, descending, size, limit):
+def test_sorted_chunk_equals_stable_python_sort(column, descending, limit):
     rows = [{"pos": position, "X": value} for position, value in enumerate(column)]
     expected = sorted(rows, key=lambda row: _sort_key(row["X"]), reverse=descending)[:limit]
-    got = _sorted_chunk(_chunks(column, size), "x", descending, limit=limit).to_rows()
+    got = _sorted_chunk(_chunk(column), "x", descending, limit=limit).to_rows()
     # Positions pin the tie order; values must come back exact, never as the
     # float64 the argsort looked at.
     assert [row["pos"] for row in got] == [row["pos"] for row in expected]

@@ -4,18 +4,16 @@
 from the tuple ``zip(*columns)`` yields.  The two must give equal dicts with
 the same key order holding the very same value objects, for chunks of 0-6
 columns (a name may repeat) and 0-3,000 rows of mixed values — None, bools,
-NaN, ints past ``2**53``, text — cut at one row per chunk and at the default
-chunk size.
+NaN, ints past ``2**53``, text.
 """
 
 from __future__ import annotations
 
 import math
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.db.sql import plan
 from repro.db.sql.plan import Chunk
 
 NAMES = ("id", "class", "Title", "x.y", "", "margin")
@@ -50,24 +48,17 @@ def _same(rows: list[dict], expected: list[dict]) -> None:
     )
 
 
-@settings(
-    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
-)
+@settings(max_examples=60, deadline=None)
 @given(
     names=st.lists(st.sampled_from(NAMES), max_size=6),
     layouts=st.lists(columns, min_size=6, max_size=6),
     pool=st.lists(values, min_size=1, max_size=24),
     length=st.one_of(st.integers(0, 8), st.integers(0, 3000)),
 )
-def test_to_rows_equals_its_definition(chunk_rows, names, layouts, pool, length):
+def test_to_rows_equals_its_definition(names, layouts, pool, length):
     data = {
         name: [pool[(stride * i + offset) % len(pool)] for i in range(length)]
         for name, (stride, offset) in zip(names, layouts)
     }
-    whole = Chunk.columnar(names, data)
-    pieces = whole.split(plan.DEFAULT_CHUNK_ROWS)
-    assert sum(piece.length for piece in pieces) == whole.length
-    rows = [row for piece in pieces for row in piece.to_rows()]
-    _same(rows, definition(whole))
-    for piece in pieces:
-        _same(piece.to_rows(), definition(piece))
+    chunk = Chunk.columnar(names, data)
+    _same(chunk.to_rows(), definition(chunk))
