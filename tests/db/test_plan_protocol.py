@@ -37,6 +37,10 @@ from tests.db.test_sql_plan import PreFeaturizedColumn, balanced_portal
 # ---------------------------------------------------------------------------
 
 
+#: The bound values of the golden shapes that take ``?`` placeholders.
+GOLDEN_PARAMETERS = {"placeholder": [4, 0.0], "join placeholder": [4, 10]}
+
+
 def _node_classes() -> list[type]:
     exported = [getattr(plan, name) for name in plan.__all__]
     return [
@@ -98,7 +102,6 @@ class TestProtocolCompleteness:
 
         monkeypatch.setattr(PlanNode, "execute", recording)
         db = golden_shapes.build()
-        parameters = {"placeholder": [4, 0.0], "join placeholder": [4, 10]}
         shapes = [("unserved", golden_shapes.TABLE_READS)]
         shapes += [(state, golden_shapes.VIEW_READS) for state in golden_shapes.STATES]
         for state, reads in shapes:
@@ -107,7 +110,7 @@ class TestProtocolCompleteness:
             for read, sql in reads.items():
                 select = db.executor.plan_select(parse(sql))
                 returned.clear()
-                rows, _ = select.run(db, parameters.get(read, []), None)
+                rows, _ = select.run(db, GOLDEN_PARAMETERS.get(read, []), None)
                 for _, node in select.root.walk():
                     (chunk,) = returned[id(node)]
                     assert type(chunk) is Chunk, (read, state, node.label())
@@ -250,6 +253,14 @@ EMPTY_ANSWERS = [
 ]
 
 
+#: Every golden shape that reads ``items``, alone or as one side of a join.
+EMPTIED_READS = {
+    read: sql
+    for read, sql in {**golden_shapes.TABLE_READS, **golden_shapes.VIEW_READS}.items()
+    if "items" in sql
+}
+
+
 class TestEmptyAnswers:
     @pytest.mark.parametrize("sql", EMPTY_ANSWERS)
     def test_answers_no_rows(self, sql):
@@ -258,6 +269,39 @@ class TestEmptyAnswers:
     def test_slow_queries_on_a_fresh_engine(self):
         with repro.connect() as conn:
             assert conn.execute("SELECT sql FROM system.slow_queries").fetchall() == []
+
+    @pytest.mark.parametrize("read", list(EMPTIED_READS))
+    def test_golden_plan_over_an_emptied_table(self, read, monkeypatch):
+        """The recorded plan tree of each golden shape that reads ``items``,
+        planned while the table holds rows and run after it is emptied: every
+        node meets a zero-row child (an empty index walk, an empty join side)
+        and still returns one ``Chunk``, and the answer is the forced-SeqScan
+        reference's, which is no rows, or a zero count."""
+        sql = EMPTIED_READS[read]
+        parameters = GOLDEN_PARAMETERS.get(read, [])
+        db = golden_shapes.build()
+        select = db.executor.plan_select(parse(sql))
+        db.execute("DELETE FROM items")
+        returned: dict[int, list] = {}
+        execute = PlanNode.execute
+
+        def recording(node, runtime):
+            chunk = execute(node, runtime)
+            returned.setdefault(id(node), []).append(chunk)
+            return chunk
+
+        monkeypatch.setattr(PlanNode, "execute", recording)
+        rows, _ = select.run(db, parameters, None)
+        for _, node in select.root.walk():
+            (chunk,) = returned[id(node)]
+            assert type(chunk) is Chunk, node.label()
+        monkeypatch.undo()
+        reference, _ = Planner(db, use_index_paths=False).plan_select(parse(sql)).run(
+            db, parameters, None
+        )
+        assert rows == reference
+        counted = "COUNT(*)" in sql and "LIMIT 0" not in sql
+        assert rows == ([{"count": 0}] if counted else [])
 
     def test_count_over_an_empty_table_is_zero(self):
         db = _empty_db()
