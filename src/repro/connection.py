@@ -113,19 +113,19 @@ class PreparedStatement:
     """One cached compilation: the parsed AST plus its plan, if it has one
     (:meth:`SQLExecutor.plan_for <repro.db.sql.executor.SQLExecutor.plan_for>`).
 
-    ``probe`` memoizes the plan's cost probe (``probe_plan`` records which
-    plan it was built for, so a refreshed plan rebuilds it) — the traced
-    execution path reads the probe on every statement.
+    ``probe`` memoizes the statement's cost probe (``probe_key``: the plan, or
+    without one the catalog version, it was built for, so a refreshed plan or a
+    new view rebuilds it) — the traced execution path reads it on every statement.
     """
 
-    __slots__ = ("sql", "statement", "plan", "probe", "probe_plan")
+    __slots__ = ("sql", "statement", "plan", "probe", "probe_key")
 
     def __init__(self, sql: str, statement: Statement, plan) -> None:
         self.sql = sql
         self.statement = statement
         self.plan = plan
         self.probe = None
-        self.probe_plan = None
+        self.probe_key = None
 
 
 class Cursor:
@@ -350,17 +350,33 @@ class Connection:
         """Simulated-seconds probe covering every ledger this statement touches.
 
         Planned statements reuse the plan's own probe (database + served-shard
-        + view-store ledgers); everything else charges the database ledger
-        only (DML's serving-side cost is applied asynchronously by the
-        maintenance worker and attributed there).
+        + view-store ledgers), everything else reads the database ledger; DML
+        adds the direct maintainers' ledgers of the views its table feeds: an
+        unserved view is maintained inside the statement, a served one by its
+        worker, which its idle direct maintainer leaves attributed there.
         """
-        plan = prepared.plan
-        if plan is not None:
-            if prepared.probe_plan is not plan:
-                prepared.probe = plan.cost_probe(self.database)
-                prepared.probe_plan = plan
-            return prepared.probe
-        return lambda: self.database.stats.simulated_seconds
+        statement, plan, database = prepared.statement, prepared.plan, self.database
+        # A catalog move replaces a plan; a statement without one keys on the version.
+        key = plan if plan is not None else database.catalog.version
+        if prepared.probe_key != key:
+            read = plan.cost_probe(database) if plan is not None else None
+            dml = isinstance(statement, (Insert, Update, Delete))
+            written = statement.table.lower() if dml else None
+            maintained = [
+                view.maintainer.store.stats
+                for view in self.engine.views.values()
+                if written in view.source_table_names()
+                # On disk a view's store charges the database's own ledger.
+                and view.maintainer.store.stats is not database.stats
+            ]
+
+            def probe() -> float:
+                total = read() if read is not None else database.stats.simulated_seconds
+                return total + sum(ledger.simulated_seconds for ledger in maintained)
+
+            prepared.probe = probe if maintained or read is None else read
+            prepared.probe_key = key
+        return prepared.probe
 
     def _execute(self, sql: str, parameters: Sequence[object] | None) -> ResultSet:
         self._require_open()
@@ -431,7 +447,7 @@ class Connection:
         table = statement.table.lower()
         for view in self.engine.served_views():
             server = view.server
-            if table not in server.source_table_names():
+            if table not in view.source_table_names():
                 continue
             ticket = server.take_session_ticket()
             if ticket is not None:

@@ -158,6 +158,10 @@ class ClassificationView:
             (examples, f"{prefix}_examples_delete", on.AFTER_DELETE, WriteKind.EXAMPLE_DELETE),
         )
 
+    def source_table_names(self) -> tuple[str, ...]:
+        """Lower-cased names of the base tables feeding this view."""
+        return (self.definition.entities_table.lower(), self.definition.examples_table.lower())
+
     def _detach_triggers(self) -> None:
         """Drop this view's maintenance triggers (engine rollback path)."""
         for table_name, name, _event, _kind in self._triggers():

@@ -230,13 +230,9 @@ class ViewMaintainer(ABC):
         self.store.charge_statement_overhead()
         label = self.read_hint(entity_id)
         if label is None:
-            label = self.classify_record(self.store.get(entity_id))
+            label = self.classifier()(self.store.get(entity_id))
         self.stats.record_single_read(self.store.cost_snapshot() - start)
         return label
-
-    def classify_record(self, record: EntityRecord) -> int:
-        """Label of one already-fetched record under the current model."""
-        return self.classifier()(record)
 
     def read_many(
         self,
@@ -250,7 +246,9 @@ class ViewMaintainer(ABC):
         single-read throughput in Figure 5 — is charged once for the batch,
         hint-answerable entities are served without touching the store, and
         the remainder is fetched either by point lookups or by one shared
-        sequential scan, whichever the cost model prices cheaper.
+        sequential scan, whichever the cost model prices cheaper.  An id the
+        store does not hold is left out of the answer, so one unknown key
+        costs the batch nothing more.
 
         ``on_record`` observes every record the batch had to fetch (the
         serving layer's result cache harvests stored ε values through it).
@@ -269,30 +267,40 @@ class ViewMaintainer(ABC):
             else:
                 remaining.add(entity_id)
         if remaining:
-            classify = self.classifier()
             point_cost = len(remaining) * self.store.point_read_cost_estimate()
             if self.store.scan_cost_estimate() < point_cost:
                 # Coalesce the batch into one sequential scan of the store.
-                for record in self.store.scan_all():
-                    if record.entity_id in remaining:
-                        results[record.entity_id] = classify(record)
-                        remaining.discard(record.entity_id)
-                        if on_record is not None:
-                            on_record(record)
-                        if not remaining:
-                            break
+                results.update(self._classify_scan(remaining, on_record))
             else:
+                classify = self.classifier()
                 for entity_id in remaining:
-                    record = self.store.get(entity_id)
+                    try:
+                        record = self.store.get(entity_id)
+                    except KeyNotFoundError:
+                        continue
                     results[entity_id] = classify(record)
                     if on_record is not None:
                         on_record(record)
-                remaining.clear()
-        if remaining:
-            missing = next(iter(remaining))
-            raise KeyNotFoundError(f"no entity with id {missing!r}")
         self.stats.record_batched_read(len(results), self.store.cost_snapshot() - start)
         return results
+
+    def _classify_scan(
+        self,
+        wanted: set[object] | None = None,
+        on_record: Callable[[EntityRecord], None] | None = None,
+    ) -> dict[object, int]:
+        """One sequential scan labelling, through :meth:`classifier` and in scan
+        order, the records in ``wanted`` (every one when None) until all are found."""
+        classify = self.classifier()
+        labels: dict[object, int] = {}
+        for record in self.store.scan_all():
+            if wanted is None or record.entity_id in wanted:
+                labels[record.entity_id] = classify(record)
+                if on_record is not None:
+                    on_record(record)
+                if wanted is not None and len(labels) == len(wanted):
+                    break
+        return labels
 
     def read_all_members(self, label: int = 1) -> list[object]:
         """All Members read: ids of every entity carrying ``label``."""
@@ -334,10 +342,6 @@ class ViewMaintainer(ABC):
             label, self.current_model, self.candidates(label), self.position_band(), key_range
         )
 
-    def count_members(self, label: int = 1) -> int:
-        """Number of entities in the class (executes an All Members read)."""
-        return len(self.read_all_members(label))
-
     def top_k(self, k: int, label: int = 1) -> list[tuple[object, float]]:
         """The ``k`` entities deepest inside class ``label``, as ``(id, margin)`` pairs."""
         if k <= 0:
@@ -359,13 +363,14 @@ class ViewMaintainer(ABC):
     # -- helpers ------------------------------------------------------------------------------
 
     def contents(self) -> dict[object, int]:
-        """The full view ``{id: label}`` under the current model.
-
-        Default implementation answers through :meth:`read_single` for each
-        stored entity, which is correct for every strategy (if slow); used by
-        the consistency tests.
-        """
-        return {record.entity_id: self.read_single(record.entity_id) for record in self.store.scan_all()}
+        """The full view ``{id: label}`` under the current model, in scan order:
+        one statement, whose one scan labels every record through :meth:`classifier`."""
+        self._require_loaded()
+        start = self.store.cost_snapshot()
+        self.store.charge_statement_overhead()
+        labels = self._classify_scan()
+        self.stats.record_batched_read(len(labels), self.store.cost_snapshot() - start)
+        return labels
 
     def _require_loaded(self) -> None:
         if not self._loaded:

@@ -2,8 +2,9 @@
 
 The paper reads a view two ways (§2.2) — Single Entity and All Members — and
 the SQL layer adds a key range (one :class:`~repro.db.types.KeyRange`, handed
-unchanged to the maintainer), a ranked read and a contents scan.  Whoever
-answers them *now* is the view's **reader**, handed out by
+unchanged to the maintainer), a ranked read and a contents scan; a batch read
+(a join's probe keys, the contents scan) is one statement.  Whoever answers
+them *now* is the view's **reader**, handed out by
 :meth:`~repro.core.engine.ClassificationView.reader`, the one place that asks
 "am I served?" for a read: :class:`DirectReads` over the view's own maintainer
 while it is not, the :class:`~repro.serve.server.ViewServer` — or a
@@ -19,12 +20,11 @@ their reads charge (``ledger_seconds()``): ``repro.db`` never walks a server.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
 from repro.core.maintainers.base import ViewMaintainer
 from repro.core.stores.base import EntityStore
 from repro.db.types import KeyRange
-from repro.exceptions import KeyNotFoundError
 
 __all__ = ["READS", "ESTIMATES", "DirectReads", "read_estimate"]
 
@@ -39,23 +39,16 @@ def read_estimate(operation: str, stores: Sequence[EntityStore]) -> float:
     """Cost-model estimate, in simulated seconds, of one read over ``stores``.
 
     A point read is priced on the first store (the cheaper of a point lookup
-    and a scan, as ``read_many`` chooses); All Members, a key range and a
-    ranked read scan every store once; a contents read also answers through
-    ``read_single`` — statement overhead included — per stored entity.  On a
-    Hazy strategy All Members and a key range scan only the eps slice above
-    low / below high water, so the full scan is their upper bound, the price
-    the plan shows before the band is known.
+    and a scan, as ``read_many`` chooses); All Members, a key range, a ranked
+    read and a contents read scan every store once.  On a Hazy strategy All
+    Members and a key range scan only the eps slice above low / below high
+    water, so the full scan is their upper bound, the price the plan shows
+    before the band is known.
     """
     first = stores[0]
     overhead = first.cost_model.statement_overhead
     if operation == "label_of":
         return overhead + min(first.point_read_cost_estimate(), first.scan_cost_estimate())
-    if operation == "contents":
-        return overhead + sum(
-            store.scan_cost_estimate()
-            + store.count() * (overhead + store.point_read_cost_estimate())
-            for store in stores
-        )
     if operation in ESTIMATES:
         return overhead + sum(store.scan_cost_estimate() for store in stores)
     raise ValueError(f"no estimate for read {operation!r}; known: {ESTIMATES}")
@@ -78,15 +71,9 @@ class DirectReads:
         """Single Entity read: the entity's label in {-1, +1}."""
         return self._maintainer.read_single(entity_id)
 
-    def labels_of(self, entity_ids: Iterable[object]) -> dict[object, int]:
-        """Point reads for a join's probe keys; unknown ids are absent."""
-        found: dict[object, int] = {}
-        for entity_id in entity_ids:
-            try:
-                found[entity_id] = self._maintainer.read_single(entity_id)
-            except KeyNotFoundError:
-                continue
-        return found
+    def labels_of(self, entity_ids: Sequence[object]) -> dict[object, int]:
+        """One batched point read for a join's probe keys; unknown ids are absent."""
+        return self._maintainer.read_many(entity_ids)
 
     def all_members(self, label: int = 1) -> list[object]:
         """All Members read: ids of every entity carrying ``label``."""

@@ -80,11 +80,6 @@ class CreateIndex(Statement):
     table_position: int | None = field(default=None, compare=False)
     column_positions: tuple[int | None, ...] = field(default=(), compare=False)
 
-    @property
-    def column(self) -> str:
-        """Leading indexed column (the whole key for single-column indexes)."""
-        return self.columns[0]
-
 
 @dataclass(frozen=True)
 class DropIndex(Statement):

@@ -23,8 +23,8 @@ The node vocabulary:
 ``Sort`` / ``Limit``      ORDER BY without LIMIT / LIMIT without ORDER BY
 ``Filter`` / ``Project``  residual predicate re-check / column projection
 ``Aggregate``             ``COUNT(*)``
-``HashJoin``              equi-join; a predicate-free served side is driven
-                          through the read batcher with the probe side's keys
+``HashJoin``              equi-join; a predicate-free view side on the view key
+                          is one batched read of the probe side's keys
 ========================  ==========================================================
 
 A view node reads through ``view.reader(...)`` — whoever answers the view's
@@ -731,9 +731,10 @@ class ViewPointRead(_ViewNode):
 
     With ``predicate=None`` the node is a *probe-side lookup* for
     :class:`HashJoin`: it has no key of its own and reads the probe keys its
-    join left in :attr:`PlanRuntime.probe_keys`, all driven through the read
-    batcher in one coalesced burst — each spelled as the view's key column
-    stores it (``key_type``, :func:`typed_bound`), as a bound predicate's is.
+    join left in :attr:`PlanRuntime.probe_keys` as one batch (one read batcher
+    burst served, one ``read_many`` statement not) — each spelled as the view's
+    key column stores it (``key_type``, :func:`typed_bound`), as a bound
+    predicate's is.
     """
 
     names = ("ViewPointRead", "ServedPointRead")
@@ -753,7 +754,7 @@ class ViewPointRead(_ViewNode):
             keys = runtime.probe_keys.get(id(self))
             if keys is None:  # only a HashJoin may drive this node
                 raise SQLExecutionError(
-                    "a probe-side ServedPointRead executes only through its join"
+                    "a probe-side ViewPointRead executes only through its join"
                 )
             found = reader.labels_of([typed_bound(key, self.key_type) for key in keys])
             return self._chunk(list(found), list(found.values()))
@@ -1018,9 +1019,9 @@ class Aggregate(PlanNode):
 class HashJoin(PlanNode):
     """Inner equi-join: build a hash table on the right side, probe with the left.
 
-    When the right child is a probe-side :class:`ViewPointRead` (a served
-    view with no pushable predicate), the left side runs first and its join
-    keys drive one batched lookup through the server's read batcher instead of
+    When the right child is a probe-side :class:`ViewPointRead` (a view
+    joined on its key with no pushable predicate, served or not), the left
+    side runs first and its join keys drive one batched lookup instead of
     materializing the whole view.
     """
 

@@ -118,8 +118,12 @@ _VIEW_READ_DETAILS = {
         "pushed-down read_range across {n} shards; classifies only in-range candidates",
     ),
     "contents": (
-        "materialize the view through the direct maintainer",
-        "materialize one coherent epoch via read_single per entity across {n} shards",
+        "materialize the view through the direct maintainer in one scan",
+        "materialize one coherent epoch in one scan per shard across {n} shards",
+    ),
+    "labels_of": (
+        "one batched point read for the join's probe keys (view is not served)",
+        "batched point reads for the join's probe keys through the read batcher",
     ),
     "top_k": (
         "direct maintainer top-k heap over one scored scan (view is not served)",
@@ -468,8 +472,8 @@ class Planner:
         may take a covering probe or an index-ordered walk — its ``Limit``
         stays above the ``Filter``, as the fallback scan inside the node
         returns everything — and a view the fused top-k.  Without it the node
-        is one side of a join: ``probe_lookup`` lets a predicate-free served
-        view read the probe side's join keys (see :meth:`_plan_view_access`).
+        is one side of a join: ``probe_lookup`` lets a predicate-free view
+        read the probe side's join keys (see :meth:`_plan_view_access`).
         """
         ordered = False
         if source.kind == "system_table":
@@ -776,12 +780,13 @@ class Planner:
         """Choose the access path for a classification-view source.
 
         ``allow_probe_lookup`` is set for the JOIN side *when the join key is
-        the view's entity key*: a predicate-free served view then becomes a
-        batch point-lookup driven by the probe side's join keys instead of a
-        full materialization.  The view's reader is captured **once** —
-        ``STOP SERVING`` on another thread between here and node construction
-        must degrade to the unserved plan, never crash planning (execution
-        asks the view for its reader again anyway).
+        the view's entity key*: a predicate-free view, served or not (serving
+        never changes a plan's shape), then becomes a batch point-lookup driven
+        by the probe side's join keys instead of a full materialization.  The
+        view's reader is captured **once** — ``STOP SERVING`` on another thread
+        between here and node construction must degrade to the unserved plan,
+        never crash planning (execution asks the view for its reader again
+        anyway).
         """
         key_column = view.definition.view_key.lower()
         class_eq = next(
@@ -799,14 +804,14 @@ class Planner:
         ]
         reader = view.reader()
         served = reader.served
-        if allow_probe_lookup and served and not predicates:
+        if allow_probe_lookup and not predicates:
             return ViewPointRead(
                 view,
                 None,
                 key_type=self._view_key_type(view),
-                served=True,
+                served=served,
                 estimated_seconds=None,
-                detail="batched point reads for the join's probe keys through the read batcher",
+                detail=_VIEW_READ_DETAILS["labels_of"][served].format(n=reader.fanout),
             )
         if key_eq is not None:
             return ViewPointRead(view, key_eq, served=served, **self._view_read(reader, "label_of"))

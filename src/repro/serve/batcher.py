@@ -70,6 +70,7 @@ class ReadBatcher:
         records a ``batcher.round`` span — with the round's simulated-cost
         delta — into every distinct trace whose statement contributed a
         request, so per-query traces stay complete whichever reader ran it.
+        A round no trace reads is not probed.
     """
 
     # Shared-state contract, enforced by repro-lint's lock pass: the queue,
@@ -169,26 +170,25 @@ class ReadBatcher:
         the round's span must already be in the tree by then.
         """
         keys = list(dict.fromkeys(request.key for request in batch))
+        traces = {
+            request.trace.trace_id: request.trace
+            for request in batch
+            if request.trace is not None
+        }
+        probe = self._cost_probe if traces else None
         wall_started = time.perf_counter()
         cost_before = 0.0
         try:
-            cost_before = self._cost_probe() if self._cost_probe is not None else 0.0
+            cost_before = probe() if probe is not None else 0.0
             results = self._execute_batch(keys)
             answers = [results[request.key] for request in batch]
         except BaseException as error:  # the round fails for every waiter in it
             # This reader's own key is always in the round it runs, so an
             # interrupt here reaches it as that key's answer.
             answers = [error] * len(batch)
-        traces = {
-            request.trace.trace_id: request.trace
-            for request in batch
-            if request.trace is not None
-        }
         if traces:
             wall = time.perf_counter() - wall_started
-            simulated = (
-                self._cost_probe() - cost_before if self._cost_probe is not None else 0.0
-            )
+            simulated = probe() - cost_before if probe is not None else 0.0
             detail = f"coalesced {len(batch)} requests into {len(keys)} keys"
             for trace in traces.values():
                 trace.add_span(

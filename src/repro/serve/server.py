@@ -493,13 +493,6 @@ class ViewServer:
         self._ticket_local.ticket = None
         return ticket
 
-    def source_table_names(self) -> tuple[str, ...]:
-        """Lower-cased base-table names feeding this server."""
-        return (
-            self._view.definition.entities_table.lower(),
-            self._view.definition.examples_table.lower(),
-        )
-
     # ------------------------------------------- host protocol (maintenance worker)
 
     def charge_featurize(self, nonzeros: int) -> None:

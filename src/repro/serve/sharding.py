@@ -77,7 +77,7 @@ class Shard:
         """Cache-first batched Single Entity read over this partition (the
         caller holds :attr:`lock`).
 
-        Unknown ids resolve to the :class:`~repro.exceptions.KeyNotFoundError`
+        Unknown ids resolve to a :class:`~repro.exceptions.KeyNotFoundError`
         *instance* instead of raising, so one bad key cannot fail the whole
         coalesced round (the batcher re-raises per waiter).
         """
@@ -90,17 +90,12 @@ class Shard:
             else:
                 misses.append(entity_id)
         if misses:
-            try:
-                results.update(self.maintainer.read_many(misses, on_record=self.cache.observe))
-            except KeyNotFoundError:
-                # Rare path: retry key-by-key so only the bad ids fail.
-                for entity_id in misses:
-                    try:
-                        results[entity_id] = self.maintainer.read_many(
-                            [entity_id], on_record=self.cache.observe
-                        )[entity_id]
-                    except KeyNotFoundError as error:
-                        results[entity_id] = error
+            found = self.maintainer.read_many(misses, on_record=self.cache.observe)
+            for entity_id in misses:
+                if entity_id in found:
+                    results[entity_id] = found[entity_id]
+                else:
+                    results[entity_id] = KeyNotFoundError(f"no entity with id {entity_id!r}")
         return results
 
 
@@ -159,13 +154,6 @@ class ShardSet:
         """The shard owning ``entity_id``."""
         return self.shards[shard_index(entity_id, len(self.shards))]
 
-    def partition_ids(self, entity_ids: Sequence[object]) -> dict[Shard, list[object]]:
-        """Group a batch of entity keys by owning shard."""
-        grouped: dict[Shard, list[object]] = {}
-        for entity_id in entity_ids:
-            grouped.setdefault(self.shard_for(entity_id), []).append(entity_id)
-        return grouped
-
     # -- scatter/gather reads --------------------------------------------------------------
 
     def read_batch(self, entity_ids: Sequence[object]) -> dict[object, object]:
@@ -174,8 +162,11 @@ class ShardSet:
         Unknown ids map to their ``KeyNotFoundError`` instance (per-key error
         isolation through the batcher); known ids map to their label.
         """
+        grouped: dict[Shard, list[object]] = {}
+        for entity_id in entity_ids:
+            grouped.setdefault(self.shard_for(entity_id), []).append(entity_id)
         results: dict[object, object] = {}
-        for shard, ids in self.partition_ids(entity_ids).items():
+        for shard, ids in grouped.items():
             with shard.lock:
                 results.update(shard.read_batch_local(ids))
         return results

@@ -133,12 +133,41 @@ def test_read_many_coalesces_into_a_scan_on_disk(tiny_entities, tiny_corpus):
     assert maintainer.store.stats.random_reads == start_random
 
 
-def test_read_many_unknown_id_raises(tiny_entities, tiny_corpus):
+@pytest.mark.parametrize("architecture", ["mainmemory", "ondisk"])
+def test_read_many_leaves_unknown_ids_out(tiny_entities, tiny_corpus, architecture):
+    """Point lookups on main memory, one shared scan on disk: either way an
+    unknown id is absent from the answer, and a Single Entity read of it raises."""
     trainer, _ = make_models(tiny_corpus)
-    maintainer = HazyEagerMaintainer(InMemoryEntityStore(feature_norm_q=1.0), alpha=1.0)
+    if architecture == "mainmemory":
+        store = InMemoryEntityStore(feature_norm_q=1.0)
+    else:
+        pool = BufferPool(CostModel(), capacity_pages=8, statistics=IOStatistics())
+        store = OnDiskEntityStore(pool=pool, feature_norm_q=1.0)
+    maintainer = NaiveEagerMaintainer(store)
     maintainer.bulk_load(tiny_entities, trainer.model)
-    with pytest.raises(KeyNotFoundError):
-        maintainer.read_many(["definitely-not-there"])
+    ids = [entity_id for entity_id, _ in tiny_entities]
+    known = ids[:3] if architecture == "mainmemory" else ids  # every entity: scan wins
+    expected = {entity_id: store.get(entity_id).label for entity_id in known}
+    assert maintainer.read_many([*known, "definitely-not-there"]) == expected
+    with pytest.raises(KeyNotFoundError, match="no entity with id 'definitely-not-there'"):
+        maintainer.read_single("definitely-not-there")
+
+
+@pytest.mark.parametrize("name", CELLS)
+def test_contents_is_one_statement_over_one_scan(tiny_entities, tiny_corpus, name):
+    trainer, models = make_models(tiny_corpus)
+    maintainer = factory_for(name)(InMemoryEntityStore(feature_norm_q=1.0))
+    maintainer.bulk_load(tiny_entities, trainer.model)
+    for model in models[:3]:
+        maintainer.apply_model(model)
+    stats = maintainer.store.stats
+    before = stats.detail.get("statement", 0.0)
+    contents = maintainer.contents()
+    assert stats.detail.get("statement", 0.0) - before == pytest.approx(
+        maintainer.store.cost_model.statement_overhead
+    )
+    assert list(contents) == [record.entity_id for record in maintainer.store.scan_all()]
+    assert contents == {entity_id: maintainer.read_single(entity_id) for entity_id in contents}
 
 
 @pytest.mark.parametrize(

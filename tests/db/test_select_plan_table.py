@@ -17,7 +17,11 @@ refusal of a bad qualifier on the fused top-k's ORDER BY was added later, as
 a recorded row of its own, and so were the ``COUNT(*)`` reads with an ORDER BY
 or a LIMIT (the ``count …`` cells below ``count``): a ``Limit`` above the
 ``Aggregate``, and no ``Sort``, ``TopK``, index-ordered walk or fused top-k
-under it.
+under it.  Later still a view's contents read became one statement over one
+scan per store, which reprices every ``ViewScan`` and rewords its detail, and
+an unserved view joined on its key came to read the probe keys in one batch as
+a served one does (``ViewPointRead(labeled, batch)``): those cells moved too,
+and serving now changes a plan's names, details and estimates, never its shape.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ import pytest
 from repro.core.engine import HazyEngine
 from repro.db.costmodel import CostModel
 from repro.db.database import Database
+from repro.db.sql.parser import parse
 from repro.exceptions import SQLExecutionError
 from repro.workloads.synth_text import SparseCorpusGenerator
 
@@ -258,6 +263,35 @@ def test_refusals_equal_the_recorded_ones(golden, refusals, refusal):
     assert refusals[refusal] == expected
 
 
+def shape_table() -> dict[str, dict[str, list[tuple[int, str]]]]:
+    """``{state: {read: [(depth, node class), ...]}}`` for every SELECT above."""
+    db = build()
+    shapes = {}
+    for state in STATES:
+        if state != "unserved":
+            db.execute("SERVE VIEW labeled WITH (shards = 2)")
+        shapes[state] = {
+            read: [
+                (depth, type(node).__name__)
+                for depth, node in db.executor.plan_select(parse(sql)).root.walk()
+            ]
+            for read, sql in {**TABLE_READS, **VIEW_READS}.items()
+        }
+    db.execute("STOP SERVING labeled")
+    return shapes
+
+
+@pytest.fixture(scope="module")
+def shapes():
+    return shape_table()
+
+
+@pytest.mark.parametrize("read", [*TABLE_READS, *VIEW_READS])
+def test_serving_never_changes_a_plans_shape(shapes, read):
+    """Serving changes a plan's names, details and estimates, never its nodes."""
+    assert shapes["unserved"][read] == shapes["2 shards"][read]
+
+
 def _spelled_in_python(rows: list[list]) -> list[list]:
     """``rows`` with their labels' SQL literals spelled as Python's ``repr``."""
     return [[row[0].replace("NULL", "None").replace("TRUE", "True"), *row[1:]] for row in rows]
@@ -285,14 +319,50 @@ def class_answered(rows: list[list]) -> list[list]:
     return answered
 
 
+def contents_repriced(rows: list[list], before: list[list]) -> bool:
+    """Whether ``rows`` differ from ``before`` only in the estimate and detail
+    of the view's contents read (``ViewScan``, served or not)."""
+    contents = ("ViewScan(", "ServedScatterGather(labeled, contents)")
+    moved = [(row, old) for row, old in zip(rows, before) if row != old]
+    return len(rows) == len(before) and all(
+        row[0] == old[0] and row[0].strip().startswith(contents) and row[1] < old[1]
+        for row, old in moved
+    )
+
+
+def probe_read(rows: list[list], before: list[list], served: list[list]) -> bool:
+    """Whether ``rows`` are ``before`` with the ``ViewScan`` of an unserved key
+    join swapped for the probe-side batch read its served twin plans."""
+    scans = [i for i, row in enumerate(before) if row[0].strip() == "ViewScan(labeled)"]
+    if len(scans) != 1 or len(rows) != len(before):
+        return False
+    (at,) = scans
+    batch = before[at][0].replace("ViewScan(labeled)", "ViewPointRead(labeled, batch)")
+    twin = [row[0].replace("ServedPointRead(", "ViewPointRead(") for row in served]
+    return (
+        rows[:at] + rows[at + 1 :] == before[:at] + before[at + 1 :]
+        and rows[at][:2] == [batch, None]
+        and [row[0] for row in rows] == twin
+    )
+
+
 def test_the_moved_cells_moved_only_where_intended(golden):
-    """A moved plan differs only in how its labels spell a literal, or in the
-    ``class = x`` conjuncts its view read answers; a moved refusal keeps its
+    """A moved plan differs only in how its labels spell a literal, in the
+    ``class = x`` conjuncts its view read answers, in the price and detail of
+    the view's contents read, or — an unserved join on the view key — in
+    reading the probe keys as its served twin does; a moved refusal keeps its
     class, position and token and takes ``FROM v``'s text."""
+    plans = {**golden["plans"], **golden["moved_plans"]}
     for cell, rows in golden["moved_plans"].items():
         before = golden["plans"][cell]
+        twin = plans.get(cell.replace(" / unserved", " / 2 shards"), [])
         assert rows != before
-        assert _spelled_in_python(rows) == before or rows == class_answered(before)
+        assert (
+            _spelled_in_python(rows) == before
+            or rows == class_answered(before)
+            or contents_repriced(rows, before)
+            or probe_read(rows, before, twin)
+        )
     single_source = golden["refusals"]["margin in SELECT list"][1]
     for refusal, moved in golden["moved_refusals"].items():
         before = golden["refusals"][refusal]

@@ -17,9 +17,7 @@ def expected_join(conn, class_value=None):
         row["id"]: row["features"]
         for row in conn.execute("SELECT * FROM entities").fetchall()
     }
-    view = {
-        row["id"]: row["class"] for row in conn.execute("SELECT * FROM labeled").fetchall()
-    }
+    view = {row["id"]: row["class"] for row in conn.execute("SELECT * FROM labeled").fetchall()}
     rows = []
     for entity_id, features in entities.items():
         if entity_id not in view:
@@ -77,9 +75,7 @@ class TestJoinCorrectness:
                 "ON entities.id = labeled.id "
                 "WHERE class = 1 AND labeled.id >= 40 ORDER BY entities.id"
             ).fetchall()
-            expected = [
-                row for row in expected_join(conn, class_value=1) if row["id"] >= 40
-            ]
+            expected = [row for row in expected_join(conn, class_value=1) if row["id"] >= 40]
             assert [{"id": row["id"], "class": row["class"]} for row in got] == expected
             conn.execute("STOP SERVING labeled")
         finally:
@@ -121,6 +117,29 @@ class TestJoinCorrectness:
         finally:
             conn.close()
 
+    def test_unserved_key_join_reads_its_probe_keys_in_one_statement(self):
+        """An unserved view joined on its key reads the probe side's keys as
+        one batch, as a served one does: one statement overhead, not one per
+        key or per stored entity."""
+        conn = balanced_portal()
+        try:
+            sql = "SELECT examples.id, class FROM examples JOIN labeled ON examples.id = labeled.id"
+            plan = [row["node"].strip() for row in conn.execute(f"EXPLAIN {sql}").fetchall()]
+            assert "ViewPointRead(labeled, batch)" in plan
+            store = conn.engine.view("labeled").maintainer.store
+            before = store.stats.detail.get("statement", 0.0)
+            rows = conn.execute(sql).fetchall()
+            charged = store.stats.detail.get("statement", 0.0) - before
+            assert charged == pytest.approx(store.cost_model.statement_overhead)
+            view = {
+                row["id"]: row["class"]
+                for row in conn.execute("SELECT * FROM labeled").fetchall()
+            }
+            examples = [row["id"] for row in conn.execute("SELECT id FROM examples").fetchall()]
+            assert rows == [{"id": key, "class": view[key]} for key in examples]
+        finally:
+            conn.close()
+
     def test_count_over_join(self):
         conn = balanced_portal()
         try:
@@ -146,13 +165,9 @@ class TestJoinCorrectness:
         conn = balanced_portal()
         try:
             with pytest.raises(SQLPlanningError, match="each side"):
-                conn.execute(
-                    "SELECT * FROM entities JOIN labeled ON entities.id = entities.id"
-                )
+                conn.execute("SELECT * FROM entities JOIN labeled ON entities.id = entities.id")
             with pytest.raises(SQLSyntaxError, match="equality"):
-                conn.execute(
-                    "SELECT * FROM entities JOIN labeled ON entities.id >= labeled.id"
-                )
+                conn.execute("SELECT * FROM entities JOIN labeled ON entities.id >= labeled.id")
         finally:
             conn.close()
 
@@ -164,9 +179,7 @@ class TestJoinSessionConsistency:
         conn = balanced_portal()
         try:
             conn.execute("SERVE VIEW labeled WITH (shards = 3)")
-            missing = conn.execute(
-                "SELECT COUNT(*) FROM examples WHERE id = 999"
-            ).scalar()
+            missing = conn.execute("SELECT COUNT(*) FROM examples WHERE id = 999").scalar()
             assert missing == 0
             # A diverted write through this connection parks a ticket on its
             # session; the next join read must wait for it to become visible.

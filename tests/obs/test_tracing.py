@@ -7,6 +7,8 @@ import pytest
 import repro
 from repro.obs import Observability, TraceContext, TraceRing, current_trace, use_trace
 
+from tests.db.test_sql_plan import balanced_portal
+
 
 class TestTraceContext:
     def test_span_tree_parenting(self):
@@ -123,9 +125,7 @@ class TestStatementTracing:
         """Per-node simulated seconds in the trace == EXPLAIN ANALYZE actuals."""
         conn = repro.connect()
         conn.execute("CREATE TABLE t (id integer PRIMARY KEY, v integer)")
-        conn.executemany(
-            "INSERT INTO t (id, v) VALUES (?, ?)", [(i, i * 2) for i in range(50)]
-        )
+        conn.executemany("INSERT INTO t (id, v) VALUES (?, ?)", [(i, i * 2) for i in range(50)])
         sql = "SELECT * FROM t WHERE v > 10"
         conn.execute(sql).fetchall()
         trace = conn.database.obs.traces.snapshot()[-1]
@@ -142,3 +142,38 @@ class TestStatementTracing:
             assert label in actuals
             assert span.simulated_seconds == pytest.approx(actuals[label])
         conn.close()
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "INSERT INTO examples (id, label) VALUES (?, 1)",
+            "UPDATE entities SET features = ? WHERE id = ?",
+            "DELETE FROM entities WHERE id = ?",
+        ],
+    )
+    def test_dml_trace_carries_the_maintenance_of_an_unserved_view(self, sql):
+        """An unserved view is maintained inside the statement that writes its
+        base table, so the statement's trace carries that cost; a served view
+        is maintained by its worker, and the statement's trace does not."""
+        conn = balanced_portal()
+        try:
+            ledgers = (conn.database.stats, conn.engine.view("labeled").maintainer.store.stats)
+            rows = conn.execute("SELECT * FROM entities LIMIT 2").fetchall()
+            for served, row in zip((False, True), rows):
+                if served:
+                    conn.execute("SERVE VIEW labeled WITH (shards = 2)")
+                parameters = (row["id"],)
+                if sql.startswith("UPDATE"):
+                    parameters = (row["features"], row["id"])
+                before = [ledger.simulated_seconds for ledger in ledgers]
+                conn.execute(sql, parameters)
+                written, maintained = (
+                    ledger.simulated_seconds - start for ledger, start in zip(ledgers, before)
+                )
+                trace = conn.database.obs.traces.snapshot()[-1]
+                (execute,) = [span for span in trace.spans() if span.name == "execute"]
+                assert (maintained > 0.0) is not served
+                assert execute.simulated_seconds == pytest.approx(written + maintained)
+            conn.execute("STOP SERVING labeled")
+        finally:
+            conn.close()

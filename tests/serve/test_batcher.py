@@ -405,3 +405,20 @@ class TestRoundSpans:
             (span,) = [span for span in trace.spans() if span.name == "batcher.round"]
             assert span.rows == 2
             assert span.detail == "coalesced 2 requests into 2 keys"
+
+    def test_only_a_traced_round_reads_the_ledgers(self):
+        probes = []
+
+        def probe():
+            probes.append(len(probes))
+            return float(len(probes))
+
+        batcher = ReadBatcher(lambda keys: {key: key for key in keys}, cost_probe=probe)
+        assert batcher.read(1) == 1
+        assert probes == []  # no trace reads this round's span
+        trace = TraceContext("read 2")
+        with use_trace(trace):
+            assert batcher.read(2) == 2
+        assert probes == [0, 1]
+        (span,) = [span for span in trace.spans() if span.name == "batcher.round"]
+        assert span.simulated_seconds == 1.0

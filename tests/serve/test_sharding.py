@@ -9,6 +9,7 @@ import pytest
 from repro.core.maintainers import HazyEagerMaintainer, HazyLazyMaintainer
 from repro.core.stores import InMemoryEntityStore
 from repro.core.view import view_contents
+from repro.exceptions import KeyNotFoundError
 from repro.learn.model import sign
 from repro.serve.sharding import ShardSet, shard_index
 
@@ -42,9 +43,7 @@ def test_partitioning_covers_every_entity(serve_corpus):
 @pytest.mark.parametrize("maintainer_cls", [HazyEagerMaintainer, HazyLazyMaintainer])
 def test_scatter_gather_matches_oracle(serve_corpus, maintainer_cls):
     shard_set, trainer = build_shard_set(serve_corpus, maintainer_cls=maintainer_cls)
-    oracle = view_contents(
-        [(doc.entity_id, doc.features) for doc in serve_corpus], trainer.model
-    )
+    oracle = view_contents([(doc.entity_id, doc.features) for doc in serve_corpus], trainer.model)
     assert shard_set.contents() == oracle
     expected_positive = sorted(k for k, v in oracle.items() if v == 1)
     assert sorted(shard_set.all_members(1)) == expected_positive
@@ -54,11 +53,28 @@ def test_scatter_gather_matches_oracle(serve_corpus, maintainer_cls):
     assert shard_set.read_batch(batch) == {key: oracle[key] for key in batch}
 
 
+def test_a_round_with_an_unknown_id_is_one_statement(serve_corpus):
+    """An unknown id leaves its round one statement: the known ids are answered
+    by the same ``read_many``, the unknown one gets its error as a value."""
+    shard_set, trainer = build_shard_set(serve_corpus, num_shards=1)
+    store = shard_set.shards[0].maintainer.store
+    known = [doc.entity_id for doc in serve_corpus[:5]]
+    before = store.stats.detail.get("statement", 0.0)
+    answers = shard_set.read_batch([*known, "no-such-id"])
+    charged = store.stats.detail.get("statement", 0.0) - before
+    assert charged == pytest.approx(store.cost_model.statement_overhead)
+    features = {doc.entity_id: doc.features for doc in serve_corpus}
+    assert {key: answers[key] for key in known} == {
+        key: sign(trainer.model.margin(features[key])) for key in known
+    }
+    error = answers["no-such-id"]
+    assert isinstance(error, KeyNotFoundError)
+    assert str(error) == "no entity with id 'no-such-id'"
+
+
 def test_top_k_is_globally_ranked(serve_corpus):
     shard_set, trainer = build_shard_set(serve_corpus)
-    margins = {
-        doc.entity_id: trainer.model.margin(doc.features) for doc in serve_corpus
-    }
+    margins = {doc.entity_id: trainer.model.margin(doc.features) for doc in serve_corpus}
     top = shard_set.top_k(10, label=1)
     assert len(top) == 10
     expected_ids = [
@@ -79,14 +95,10 @@ def test_model_batch_and_entity_churn(serve_corpus):
     for doc in serve_corpus[:20]:
         from repro.learn.sgd import TrainingExample
 
-        models.append(
-            trainer.absorb(TrainingExample(doc.entity_id, doc.features, doc.label))
-        )
+        models.append(trainer.absorb(TrainingExample(doc.entity_id, doc.features, doc.label)))
     shard_set.apply_model_batch(models)
     final = trainer.model
-    oracle = view_contents(
-        [(doc.entity_id, doc.features) for doc in serve_corpus], final
-    )
+    oracle = view_contents([(doc.entity_id, doc.features) for doc in serve_corpus], final)
     assert shard_set.contents() == oracle
 
     extra = serve_corpus[0].features
