@@ -2,11 +2,11 @@
 
 ``SELECT id FROM v WHERE class = 1 AND id >= k`` used to be answered by
 materializing the *whole* served view (scatter/gather ``contents()`` — one
-statement over one full scan per shard) and post-filtering the rows
-client-side.  The plan-first query layer pushes the predicate into the
-serving layer as a real shard operator: every shard runs ``read_range`` over
-its own eps-clustered store, applying the key filter before any
-classification work, under one coherent epoch.
+``read_single`` per entity, statement overhead included) and post-filtering
+the rows client-side.  The plan-first query layer pushes the predicate into
+the serving layer as a real shard operator: every shard runs
+``read_range`` over its own eps-clustered store, applying the key filter
+before any classification work, under one coherent epoch.
 
 The gate enforced here: the pushed-down read is **>= 2x cheaper** in
 simulated seconds than the post-filter path, with identical rows.  Both

@@ -267,12 +267,19 @@ class ViewMaintainer(ABC):
             else:
                 remaining.add(entity_id)
         if remaining:
+            classify = self.classifier()
             point_cost = len(remaining) * self.store.point_read_cost_estimate()
             if self.store.scan_cost_estimate() < point_cost:
                 # Coalesce the batch into one sequential scan of the store.
-                results.update(self._classify_scan(remaining, on_record))
+                for record in self.store.scan_all():
+                    if record.entity_id in remaining:
+                        results[record.entity_id] = classify(record)
+                        remaining.discard(record.entity_id)
+                        if on_record is not None:
+                            on_record(record)
+                        if not remaining:
+                            break
             else:
-                classify = self.classifier()
                 for entity_id in remaining:
                     try:
                         record = self.store.get(entity_id)
@@ -283,24 +290,6 @@ class ViewMaintainer(ABC):
                         on_record(record)
         self.stats.record_batched_read(len(results), self.store.cost_snapshot() - start)
         return results
-
-    def _classify_scan(
-        self,
-        wanted: set[object] | None = None,
-        on_record: Callable[[EntityRecord], None] | None = None,
-    ) -> dict[object, int]:
-        """One sequential scan labelling, through :meth:`classifier` and in scan
-        order, the records in ``wanted`` (every one when None) until all are found."""
-        classify = self.classifier()
-        labels: dict[object, int] = {}
-        for record in self.store.scan_all():
-            if wanted is None or record.entity_id in wanted:
-                labels[record.entity_id] = classify(record)
-                if on_record is not None:
-                    on_record(record)
-                if wanted is not None and len(labels) == len(wanted):
-                    break
-        return labels
 
     def read_all_members(self, label: int = 1) -> list[object]:
         """All Members read: ids of every entity carrying ``label``."""
@@ -363,14 +352,13 @@ class ViewMaintainer(ABC):
     # -- helpers ------------------------------------------------------------------------------
 
     def contents(self) -> dict[object, int]:
-        """The full view ``{id: label}`` under the current model, in scan order:
-        one statement, whose one scan labels every record through :meth:`classifier`."""
-        self._require_loaded()
-        start = self.store.cost_snapshot()
-        self.store.charge_statement_overhead()
-        labels = self._classify_scan()
-        self.stats.record_batched_read(len(labels), self.store.cost_snapshot() - start)
-        return labels
+        """The full view ``{id: label}`` under the current model.
+
+        Default implementation answers through :meth:`read_single` for each
+        stored entity, which is correct for every strategy (if slow); used by
+        the consistency tests.
+        """
+        return {record.entity_id: self.read_single(record.entity_id) for record in self.store.scan_all()}
 
     def _require_loaded(self) -> None:
         if not self._loaded:

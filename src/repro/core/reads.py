@@ -2,9 +2,9 @@
 
 The paper reads a view two ways (§2.2) — Single Entity and All Members — and
 the SQL layer adds a key range (one :class:`~repro.db.types.KeyRange`, handed
-unchanged to the maintainer), a ranked read and a contents scan; a batch read
-(a join's probe keys, the contents scan) is one statement.  Whoever answers
-them *now* is the view's **reader**, handed out by
+unchanged to the maintainer), a ranked read and a contents scan; a join's
+probe keys are one batched point read.  Whoever answers them *now* is the
+view's **reader**, handed out by
 :meth:`~repro.core.engine.ClassificationView.reader`, the one place that asks
 "am I served?" for a read: :class:`DirectReads` over the view's own maintainer
 while it is not, the :class:`~repro.serve.server.ViewServer` — or a
@@ -39,16 +39,23 @@ def read_estimate(operation: str, stores: Sequence[EntityStore]) -> float:
     """Cost-model estimate, in simulated seconds, of one read over ``stores``.
 
     A point read is priced on the first store (the cheaper of a point lookup
-    and a scan, as ``read_many`` chooses); All Members, a key range, a ranked
-    read and a contents read scan every store once.  On a Hazy strategy All
-    Members and a key range scan only the eps slice above low / below high
-    water, so the full scan is their upper bound, the price the plan shows
-    before the band is known.
+    and a scan, as ``read_many`` chooses); All Members, a key range and a
+    ranked read scan every store once; a contents read also answers through
+    ``read_single`` — statement overhead included — per stored entity.  On a
+    Hazy strategy All Members and a key range scan only the eps slice above
+    low / below high water, so the full scan is their upper bound, the price
+    the plan shows before the band is known.
     """
     first = stores[0]
     overhead = first.cost_model.statement_overhead
     if operation == "label_of":
         return overhead + min(first.point_read_cost_estimate(), first.scan_cost_estimate())
+    if operation == "contents":
+        return overhead + sum(
+            store.scan_cost_estimate()
+            + store.count() * (overhead + store.point_read_cost_estimate())
+            for store in stores
+        )
     if operation in ESTIMATES:
         return overhead + sum(store.scan_cost_estimate() for store in stores)
     raise ValueError(f"no estimate for read {operation!r}; known: {ESTIMATES}")

@@ -118,8 +118,8 @@ _VIEW_READ_DETAILS = {
         "pushed-down read_range across {n} shards; classifies only in-range candidates",
     ),
     "contents": (
-        "materialize the view through the direct maintainer in one scan",
-        "materialize one coherent epoch in one scan per shard across {n} shards",
+        "materialize the view through the direct maintainer",
+        "materialize one coherent epoch via read_single per entity across {n} shards",
     ),
     "labels_of": (
         "one batched point read for the join's probe keys (view is not served)",

@@ -153,23 +153,6 @@ def test_read_many_leaves_unknown_ids_out(tiny_entities, tiny_corpus, architectu
         maintainer.read_single("definitely-not-there")
 
 
-@pytest.mark.parametrize("name", CELLS)
-def test_contents_is_one_statement_over_one_scan(tiny_entities, tiny_corpus, name):
-    trainer, models = make_models(tiny_corpus)
-    maintainer = factory_for(name)(InMemoryEntityStore(feature_norm_q=1.0))
-    maintainer.bulk_load(tiny_entities, trainer.model)
-    for model in models[:3]:
-        maintainer.apply_model(model)
-    stats = maintainer.store.stats
-    before = stats.detail.get("statement", 0.0)
-    contents = maintainer.contents()
-    assert stats.detail.get("statement", 0.0) - before == pytest.approx(
-        maintainer.store.cost_model.statement_overhead
-    )
-    assert list(contents) == [record.entity_id for record in maintainer.store.scan_all()]
-    assert contents == {entity_id: maintainer.read_single(entity_id) for entity_id in contents}
-
-
 @pytest.mark.parametrize(
     "store_factory",
     [

@@ -14,8 +14,7 @@ from tests.db.test_sql_plan import balanced_portal
 def expected_join(conn, class_value=None):
     """Reference result: nested-loop join computed client-side."""
     entities = {
-        row["id"]: row["features"]
-        for row in conn.execute("SELECT * FROM entities").fetchall()
+        row["id"]: row["features"] for row in conn.execute("SELECT * FROM entities").fetchall()
     }
     view = {row["id"]: row["class"] for row in conn.execute("SELECT * FROM labeled").fetchall()}
     rows = []
@@ -132,8 +131,7 @@ class TestJoinCorrectness:
             charged = store.stats.detail.get("statement", 0.0) - before
             assert charged == pytest.approx(store.cost_model.statement_overhead)
             view = {
-                row["id"]: row["class"]
-                for row in conn.execute("SELECT * FROM labeled").fetchall()
+                row["id"]: row["class"] for row in conn.execute("SELECT * FROM labeled").fetchall()
             }
             examples = [row["id"] for row in conn.execute("SELECT id FROM examples").fetchall()]
             assert rows == [{"id": key, "class": view[key]} for key in examples]
@@ -206,8 +204,7 @@ class TestJoinSessionConsistency:
             conn.execute("SERVE VIEW labeled WITH (shards = 3)")
             entity_count = conn.execute("SELECT COUNT(*) FROM entities").scalar()
             labels = {
-                row["id"]: row["label"]
-                for row in conn.execute("SELECT * FROM examples").fetchall()
+                row["id"]: row["label"] for row in conn.execute("SELECT * FROM examples").fetchall()
             }
             unlabeled = [
                 row["id"]

@@ -13,15 +13,11 @@ view: the ``ViewScan`` estimate adopts the formula of the ``contents()`` body
 it runs, and the fused ``TopK`` gets a number instead of ``None``).  The
 All Members and key-range cells moved later, in ``CLASS_ANSWERED``: those
 reads answer their ``class = x`` conjunct exactly, so it left the residual
-``Filter`` above them, and every estimate stayed where it was.  The four
-contents cells moved last, in ``ONE_SCAN``: a contents read became one
-statement over one scan per store, priced as an All Members read is and
-described so.
+``Filter`` above them, and every estimate stayed where it was.
 """
 
 from __future__ import annotations
 
-import json
 import sys
 
 import pytest
@@ -62,315 +58,151 @@ def explain_table() -> dict[tuple[str, str, str], list[tuple]]:
 
 #: The cells PR 20 moved on purpose: what they print now.
 MOVED: dict[tuple[str, str, str], list[tuple]] = {
-    ("mainmemory/eager", "contents", "unserved"): [
-        (
-            "ViewScan(labeled_papers)",
-            0.002886,
-            "materialize the view through the direct maintainer",
-        ),
+    ('mainmemory/eager', 'contents', 'unserved'): [
+        ('ViewScan(labeled_papers)', 0.002886, 'materialize the view through the direct maintainer'),
     ],
-    ("mainmemory/eager", "ranked", "unserved"): [
-        ("Project(id)", 0.0, ""),
-        (
-            "  TopK(k=4, by=margin desc)",
-            7.8e-05,
-            "direct maintainer top-k heap over one scored scan (view is not served)",
-        ),
+    ('mainmemory/eager', 'ranked', 'unserved'): [
+        ('Project(id)', 0.0, ''),
+        ('  TopK(k=4, by=margin desc)', 7.8e-05, 'direct maintainer top-k heap over one scored scan (view is not served)'),
     ],
-    ("hybrid/lazy", "contents", "unserved"): [
-        (
-            "ViewScan(labeled_papers)",
-            0.19889379999999995,
-            "materialize the view through the direct maintainer",
-        ),
+    ('hybrid/lazy', 'contents', 'unserved'): [
+        ('ViewScan(labeled_papers)', 0.19889379999999995, 'materialize the view through the direct maintainer'),
     ],
-    ("hybrid/lazy", "ranked", "unserved"): [
-        ("Project(id)", 0.0, ""),
-        (
-            "  TopK(k=4, by=margin desc)",
-            0.001078,
-            "direct maintainer top-k heap over one scored scan (view is not served)",
-        ),
+    ('hybrid/lazy', 'ranked', 'unserved'): [
+        ('Project(id)', 0.0, ''),
+        ('  TopK(k=4, by=margin desc)', 0.001078, 'direct maintainer top-k heap over one scored scan (view is not served)'),
     ],
 }
 
 #: The cells whose view read answers ``class = x`` itself: what they print now.
 CLASS_ANSWERED: dict[tuple[str, str, str], list[tuple]] = {
-    ("mainmemory/eager", "members", "unserved"): [
-        ("Project(id)", 0.0, ""),
-        (
-            "  ViewMembers(labeled_papers, class = 'database')",
-            7.8e-05,
-            "direct maintainer All Members read (view is not served)",
-        ),
+    ('mainmemory/eager', 'members', 'unserved'): [
+        ('Project(id)', 0.0, ''),
+        ("  ViewMembers(labeled_papers, class = 'database')", 7.8e-05, 'direct maintainer All Members read (view is not served)'),
     ],
-    ("mainmemory/eager", "range", "unserved"): [
-        ("Project(id)", 0.0, ""),
-        ("  Filter(id >= 5)", 0.0, "residual re-check of every WHERE conjunct"),
-        (
-            "    ViewRangeRead(labeled_papers, class = 'database' AND id >= 5)",
-            7.8e-05,
-            "maintainer read_range (view is not served)",
-        ),
+    ('mainmemory/eager', 'range', 'unserved'): [
+        ('Project(id)', 0.0, ''),
+        ('  Filter(id >= 5)', 0.0, 'residual re-check of every WHERE conjunct'),
+        ("    ViewRangeRead(labeled_papers, class = 'database' AND id >= 5)", 7.8e-05, 'maintainer read_range (view is not served)'),
     ],
-    ("mainmemory/eager", "members", "2 shards"): [
-        ("Project(id)", 0.0, ""),
-        (
-            "  ServedScatterGather(labeled_papers, class = 'database')",
-            7.8e-05,
-            "scatter/gather All Members across 2 shards",
-        ),
+    ('mainmemory/eager', 'members', '2 shards'): [
+        ('Project(id)', 0.0, ''),
+        ("  ServedScatterGather(labeled_papers, class = 'database')", 7.8e-05, 'scatter/gather All Members across 2 shards'),
     ],
-    ("mainmemory/eager", "range", "2 shards"): [
-        ("Project(id)", 0.0, ""),
-        ("  Filter(id >= 5)", 0.0, "residual re-check of every WHERE conjunct"),
-        (
-            "    ServedRangeScan(labeled_papers, class = 'database' AND id >= 5)",
-            7.8e-05,
-            "pushed-down read_range across 2 shards; classifies only in-range candidates",
-        ),
+    ('mainmemory/eager', 'range', '2 shards'): [
+        ('Project(id)', 0.0, ''),
+        ('  Filter(id >= 5)', 0.0, 'residual re-check of every WHERE conjunct'),
+        ("    ServedRangeScan(labeled_papers, class = 'database' AND id >= 5)", 7.8e-05, 'pushed-down read_range across 2 shards; classifies only in-range candidates'),
     ],
-    ("hybrid/lazy", "members", "unserved"): [
-        ("Project(id)", 0.0, ""),
-        (
-            "  ViewMembers(labeled_papers, class = 'database')",
-            0.001078,
-            "direct maintainer All Members read (view is not served)",
-        ),
+    ('hybrid/lazy', 'members', 'unserved'): [
+        ('Project(id)', 0.0, ''),
+        ("  ViewMembers(labeled_papers, class = 'database')", 0.001078, 'direct maintainer All Members read (view is not served)'),
     ],
-    ("hybrid/lazy", "range", "unserved"): [
-        ("Project(id)", 0.0, ""),
-        ("  Filter(id >= 5)", 0.0, "residual re-check of every WHERE conjunct"),
-        (
-            "    ViewRangeRead(labeled_papers, class = 'database' AND id >= 5)",
-            0.001078,
-            "maintainer read_range (view is not served)",
-        ),
+    ('hybrid/lazy', 'range', 'unserved'): [
+        ('Project(id)', 0.0, ''),
+        ('  Filter(id >= 5)', 0.0, 'residual re-check of every WHERE conjunct'),
+        ("    ViewRangeRead(labeled_papers, class = 'database' AND id >= 5)", 0.001078, 'maintainer read_range (view is not served)'),
     ],
-    ("hybrid/lazy", "members", "2 shards"): [
-        ("Project(id)", 0.0, ""),
-        (
-            "  ServedScatterGather(labeled_papers, class = 'database')",
-            0.001078,
-            "scatter/gather All Members across 2 shards",
-        ),
+    ('hybrid/lazy', 'members', '2 shards'): [
+        ('Project(id)', 0.0, ''),
+        ("  ServedScatterGather(labeled_papers, class = 'database')", 0.001078, 'scatter/gather All Members across 2 shards'),
     ],
-    ("hybrid/lazy", "range", "2 shards"): [
-        ("Project(id)", 0.0, ""),
-        ("  Filter(id >= 5)", 0.0, "residual re-check of every WHERE conjunct"),
-        (
-            "    ServedRangeScan(labeled_papers, class = 'database' AND id >= 5)",
-            0.001078,
-            "pushed-down read_range across 2 shards; classifies only in-range candidates",
-        ),
-    ],
-}
-
-#: The contents cells once a contents read is one statement over one scan: what they print now.
-ONE_SCAN: dict[tuple[str, str, str], list[tuple]] = {
-    ("mainmemory/eager", "contents", "unserved"): [
-        (
-            "ViewScan(labeled_papers)",
-            7.8e-05,
-            "materialize the view through the direct maintainer in one scan",
-        ),
-    ],
-    ("mainmemory/eager", "contents", "2 shards"): [
-        (
-            "ServedScatterGather(labeled_papers, contents)",
-            7.8e-05,
-            "materialize one coherent epoch in one scan per shard across 2 shards",
-        ),
-    ],
-    ("hybrid/lazy", "contents", "unserved"): [
-        (
-            "ViewScan(labeled_papers)",
-            0.001078,
-            "materialize the view through the direct maintainer in one scan",
-        ),
-    ],
-    ("hybrid/lazy", "contents", "2 shards"): [
-        (
-            "ServedScatterGather(labeled_papers, contents)",
-            0.001078,
-            "materialize one coherent epoch in one scan per shard across 2 shards",
-        ),
+    ('hybrid/lazy', 'range', '2 shards'): [
+        ('Project(id)', 0.0, ''),
+        ('  Filter(id >= 5)', 0.0, 'residual re-check of every WHERE conjunct'),
+        ("    ServedRangeScan(labeled_papers, class = 'database' AND id >= 5)", 0.001078, 'pushed-down read_range across 2 shards; classifies only in-range candidates'),
     ],
 }
 
 #: The table as the parent printed it.
 PARENT: dict[tuple[str, str, str], list[tuple]] = {
-    ("mainmemory/eager", "point", "unserved"): [
-        ("Project(class)", 0.0, ""),
-        ("  Filter(id = 1)", 0.0, "residual re-check of every WHERE conjunct"),
-        (
-            "    ViewPointRead(labeled_papers.id = 1)",
-            7.02e-05,
-            "direct maintainer read_single (view is not served)",
-        ),
+    ('mainmemory/eager', 'point', 'unserved'): [
+        ('Project(class)', 0.0, ''),
+        ('  Filter(id = 1)', 0.0, 'residual re-check of every WHERE conjunct'),
+        ('    ViewPointRead(labeled_papers.id = 1)', 7.02e-05, 'direct maintainer read_single (view is not served)'),
     ],
-    ("mainmemory/eager", "members", "unserved"): [
-        ("Project(id)", 0.0, ""),
-        ("  Filter(class = 'database')", 0.0, "residual re-check of every WHERE conjunct"),
-        (
-            "    ViewMembers(labeled_papers, class = 'database')",
-            7.8e-05,
-            "direct maintainer All Members read (view is not served)",
-        ),
+    ('mainmemory/eager', 'members', 'unserved'): [
+        ('Project(id)', 0.0, ''),
+        ("  Filter(class = 'database')", 0.0, 'residual re-check of every WHERE conjunct'),
+        ("    ViewMembers(labeled_papers, class = 'database')", 7.8e-05, 'direct maintainer All Members read (view is not served)'),
     ],
-    ("mainmemory/eager", "range", "unserved"): [
-        ("Project(id)", 0.0, ""),
-        (
-            "  Filter(class = 'database' AND id >= 5)",
-            0.0,
-            "residual re-check of every WHERE conjunct",
-        ),
-        (
-            "    ViewRangeRead(labeled_papers, class = 'database' AND id >= 5)",
-            7.8e-05,
-            "maintainer read_range (view is not served)",
-        ),
+    ('mainmemory/eager', 'range', 'unserved'): [
+        ('Project(id)', 0.0, ''),
+        ("  Filter(class = 'database' AND id >= 5)", 0.0, 'residual re-check of every WHERE conjunct'),
+        ("    ViewRangeRead(labeled_papers, class = 'database' AND id >= 5)", 7.8e-05, 'maintainer read_range (view is not served)'),
     ],
-    ("mainmemory/eager", "contents", "unserved"): [
-        ("ViewScan(labeled_papers)", 7.8e-05, "materialize the view through the direct maintainer"),
+    ('mainmemory/eager', 'contents', 'unserved'): [
+        ('ViewScan(labeled_papers)', 7.8e-05, 'materialize the view through the direct maintainer'),
     ],
-    ("mainmemory/eager", "ranked", "unserved"): [
-        ("Project(id)", 0.0, ""),
-        ("  TopK(k=4, by=margin desc)", None, "requires the view to be served"),
+    ('mainmemory/eager', 'ranked', 'unserved'): [
+        ('Project(id)', 0.0, ''),
+        ('  TopK(k=4, by=margin desc)', None, 'requires the view to be served'),
     ],
-    ("mainmemory/eager", "point", "2 shards"): [
-        ("Project(class)", 0.0, ""),
-        ("  Filter(id = 1)", 0.0, "residual re-check of every WHERE conjunct"),
-        (
-            "    ServedPointRead(labeled_papers.id = 1)",
-            7.02e-05,
-            "batched read on the owning shard of 2; statement overhead amortized per coalesced batch",
-        ),
+    ('mainmemory/eager', 'point', '2 shards'): [
+        ('Project(class)', 0.0, ''),
+        ('  Filter(id = 1)', 0.0, 'residual re-check of every WHERE conjunct'),
+        ('    ServedPointRead(labeled_papers.id = 1)', 7.02e-05, 'batched read on the owning shard of 2; statement overhead amortized per coalesced batch'),
     ],
-    ("mainmemory/eager", "members", "2 shards"): [
-        ("Project(id)", 0.0, ""),
-        ("  Filter(class = 'database')", 0.0, "residual re-check of every WHERE conjunct"),
-        (
-            "    ServedScatterGather(labeled_papers, class = 'database')",
-            7.8e-05,
-            "scatter/gather All Members across 2 shards",
-        ),
+    ('mainmemory/eager', 'members', '2 shards'): [
+        ('Project(id)', 0.0, ''),
+        ("  Filter(class = 'database')", 0.0, 'residual re-check of every WHERE conjunct'),
+        ("    ServedScatterGather(labeled_papers, class = 'database')", 7.8e-05, 'scatter/gather All Members across 2 shards'),
     ],
-    ("mainmemory/eager", "range", "2 shards"): [
-        ("Project(id)", 0.0, ""),
-        (
-            "  Filter(class = 'database' AND id >= 5)",
-            0.0,
-            "residual re-check of every WHERE conjunct",
-        ),
-        (
-            "    ServedRangeScan(labeled_papers, class = 'database' AND id >= 5)",
-            7.8e-05,
-            "pushed-down read_range across 2 shards; classifies only in-range candidates",
-        ),
+    ('mainmemory/eager', 'range', '2 shards'): [
+        ('Project(id)', 0.0, ''),
+        ("  Filter(class = 'database' AND id >= 5)", 0.0, 'residual re-check of every WHERE conjunct'),
+        ("    ServedRangeScan(labeled_papers, class = 'database' AND id >= 5)", 7.8e-05, 'pushed-down read_range across 2 shards; classifies only in-range candidates'),
     ],
-    ("mainmemory/eager", "contents", "2 shards"): [
-        (
-            "ServedScatterGather(labeled_papers, contents)",
-            0.002886,
-            "materialize one coherent epoch via read_single per entity across 2 shards",
-        ),
+    ('mainmemory/eager', 'contents', '2 shards'): [
+        ('ServedScatterGather(labeled_papers, contents)', 0.002886, 'materialize one coherent epoch via read_single per entity across 2 shards'),
     ],
-    ("mainmemory/eager", "ranked", "2 shards"): [
-        ("Project(id)", 0.0, ""),
-        (
-            "  TopK(k=4, by=margin desc)",
-            7.8e-05,
-            "per-shard top-k heaps + n-way merge across 2 shards",
-        ),
+    ('mainmemory/eager', 'ranked', '2 shards'): [
+        ('Project(id)', 0.0, ''),
+        ('  TopK(k=4, by=margin desc)', 7.8e-05, 'per-shard top-k heaps + n-way merge across 2 shards'),
     ],
-    ("hybrid/lazy", "point", "unserved"): [
-        ("Project(class)", 0.0, ""),
-        ("  Filter(id = 1)", 0.0, "residual re-check of every WHERE conjunct"),
-        (
-            "    ViewPointRead(labeled_papers.id = 1)",
-            0.001078,
-            "direct maintainer read_single (view is not served)",
-        ),
+    ('hybrid/lazy', 'point', 'unserved'): [
+        ('Project(class)', 0.0, ''),
+        ('  Filter(id = 1)', 0.0, 'residual re-check of every WHERE conjunct'),
+        ('    ViewPointRead(labeled_papers.id = 1)', 0.001078, 'direct maintainer read_single (view is not served)'),
     ],
-    ("hybrid/lazy", "members", "unserved"): [
-        ("Project(id)", 0.0, ""),
-        ("  Filter(class = 'database')", 0.0, "residual re-check of every WHERE conjunct"),
-        (
-            "    ViewMembers(labeled_papers, class = 'database')",
-            0.001078,
-            "direct maintainer All Members read (view is not served)",
-        ),
+    ('hybrid/lazy', 'members', 'unserved'): [
+        ('Project(id)', 0.0, ''),
+        ("  Filter(class = 'database')", 0.0, 'residual re-check of every WHERE conjunct'),
+        ("    ViewMembers(labeled_papers, class = 'database')", 0.001078, 'direct maintainer All Members read (view is not served)'),
     ],
-    ("hybrid/lazy", "range", "unserved"): [
-        ("Project(id)", 0.0, ""),
-        (
-            "  Filter(class = 'database' AND id >= 5)",
-            0.0,
-            "residual re-check of every WHERE conjunct",
-        ),
-        (
-            "    ViewRangeRead(labeled_papers, class = 'database' AND id >= 5)",
-            0.001078,
-            "maintainer read_range (view is not served)",
-        ),
+    ('hybrid/lazy', 'range', 'unserved'): [
+        ('Project(id)', 0.0, ''),
+        ("  Filter(class = 'database' AND id >= 5)", 0.0, 'residual re-check of every WHERE conjunct'),
+        ("    ViewRangeRead(labeled_papers, class = 'database' AND id >= 5)", 0.001078, 'maintainer read_range (view is not served)'),
     ],
-    ("hybrid/lazy", "contents", "unserved"): [
-        (
-            "ViewScan(labeled_papers)",
-            0.001078,
-            "materialize the view through the direct maintainer",
-        ),
+    ('hybrid/lazy', 'contents', 'unserved'): [
+        ('ViewScan(labeled_papers)', 0.001078, 'materialize the view through the direct maintainer'),
     ],
-    ("hybrid/lazy", "ranked", "unserved"): [
-        ("Project(id)", 0.0, ""),
-        ("  TopK(k=4, by=margin desc)", None, "requires the view to be served"),
+    ('hybrid/lazy', 'ranked', 'unserved'): [
+        ('Project(id)', 0.0, ''),
+        ('  TopK(k=4, by=margin desc)', None, 'requires the view to be served'),
     ],
-    ("hybrid/lazy", "point", "2 shards"): [
-        ("Project(class)", 0.0, ""),
-        ("  Filter(id = 1)", 0.0, "residual re-check of every WHERE conjunct"),
-        (
-            "    ServedPointRead(labeled_papers.id = 1)",
-            0.0005736,
-            "batched read on the owning shard of 2; statement overhead amortized per coalesced batch",
-        ),
+    ('hybrid/lazy', 'point', '2 shards'): [
+        ('Project(class)', 0.0, ''),
+        ('  Filter(id = 1)', 0.0, 'residual re-check of every WHERE conjunct'),
+        ('    ServedPointRead(labeled_papers.id = 1)', 0.0005736, 'batched read on the owning shard of 2; statement overhead amortized per coalesced batch'),
     ],
-    ("hybrid/lazy", "members", "2 shards"): [
-        ("Project(id)", 0.0, ""),
-        ("  Filter(class = 'database')", 0.0, "residual re-check of every WHERE conjunct"),
-        (
-            "    ServedScatterGather(labeled_papers, class = 'database')",
-            0.001078,
-            "scatter/gather All Members across 2 shards",
-        ),
+    ('hybrid/lazy', 'members', '2 shards'): [
+        ('Project(id)', 0.0, ''),
+        ("  Filter(class = 'database')", 0.0, 'residual re-check of every WHERE conjunct'),
+        ("    ServedScatterGather(labeled_papers, class = 'database')", 0.001078, 'scatter/gather All Members across 2 shards'),
     ],
-    ("hybrid/lazy", "range", "2 shards"): [
-        ("Project(id)", 0.0, ""),
-        (
-            "  Filter(class = 'database' AND id >= 5)",
-            0.0,
-            "residual re-check of every WHERE conjunct",
-        ),
-        (
-            "    ServedRangeScan(labeled_papers, class = 'database' AND id >= 5)",
-            0.001078,
-            "pushed-down read_range across 2 shards; classifies only in-range candidates",
-        ),
+    ('hybrid/lazy', 'range', '2 shards'): [
+        ('Project(id)', 0.0, ''),
+        ("  Filter(class = 'database' AND id >= 5)", 0.0, 'residual re-check of every WHERE conjunct'),
+        ("    ServedRangeScan(labeled_papers, class = 'database' AND id >= 5)", 0.001078, 'pushed-down read_range across 2 shards; classifies only in-range candidates'),
     ],
-    ("hybrid/lazy", "contents", "2 shards"): [
-        (
-            "ServedScatterGather(labeled_papers, contents)",
-            0.19389359999999997,
-            "materialize one coherent epoch via read_single per entity across 2 shards",
-        ),
+    ('hybrid/lazy', 'contents', '2 shards'): [
+        ('ServedScatterGather(labeled_papers, contents)', 0.19389359999999997, 'materialize one coherent epoch via read_single per entity across 2 shards'),
     ],
-    ("hybrid/lazy", "ranked", "2 shards"): [
-        ("Project(id)", 0.0, ""),
-        (
-            "  TopK(k=4, by=margin desc)",
-            0.001078,
-            "per-shard top-k heaps + n-way merge across 2 shards",
-        ),
+    ('hybrid/lazy', 'ranked', '2 shards'): [
+        ('Project(id)', 0.0, ''),
+        ('  TopK(k=4, by=margin desc)', 0.001078, 'per-shard top-k heaps + n-way merge across 2 shards'),
     ],
 }
 
@@ -384,7 +216,6 @@ def test_the_recorded_table_covers_every_cell():
     assert set(CLASS_ANSWERED) == {
         (c, r, s) for c in CONFIGURATIONS for r in ("members", "range") for s in STATES
     }
-    assert set(ONE_SCAN) == {(c, "contents", s) for c in CONFIGURATIONS for s in STATES}
 
 
 @pytest.fixture(scope="module")
@@ -394,8 +225,7 @@ def table():
 
 @pytest.mark.parametrize("cell", sorted(PARENT), ids=" ".join)
 def test_explain_rows_equal_the_parents_except_the_two_moved_cells(table, cell):
-    expected = ONE_SCAN.get(cell, CLASS_ANSWERED.get(cell, MOVED.get(cell, PARENT[cell])))
-    assert table[cell] == expected
+    assert table[cell] == CLASS_ANSWERED.get(cell, MOVED.get(cell, PARENT[cell]))
 
 
 def test_the_moved_cells_moved_only_where_intended():
@@ -408,50 +238,22 @@ def test_the_moved_cells_moved_only_where_intended():
         assert before[-1][1] != rows[-1][1] and rows[-1][1] > 0.0
 
 
-def test_the_one_scan_cells_moved_only_their_price_and_detail():
-    """Same node, a lower estimate — the All Members read's — and a detail
-    that says one scan."""
-    for (configuration, read, state), rows in ONE_SCAN.items():
-        ((node, estimate, detail),) = rows
-        ((node_before, estimate_before, detail_before),) = MOVED.get(
-            (configuration, read, state), PARENT[(configuration, read, state)]
-        )
-        assert node == node_before and detail != detail_before and "one scan" in detail
-        assert estimate < estimate_before
-        assert estimate == CLASS_ANSWERED[(configuration, "members", state)][-1][1]
-
-
 def test_the_class_answered_cells_lost_only_their_class_conjunct():
     for cell, rows in CLASS_ANSWERED.items():
         before = [list(row) for row in PARENT[cell]]
         assert [list(row) for row in rows] == class_answered(before) != before
 
 
-def _literal(value: object) -> str:
-    """``repr`` with strings in double quotes, as the formatter writes them."""
-    if isinstance(value, tuple):
-        return f"({', '.join(_literal(item) for item in value)})"
-    return json.dumps(value) if isinstance(value, str) else repr(value)
-
-
 def _render(table: dict[tuple[str, str, str], list[tuple]]) -> str:
-    """The table in source form, each row split one value a line when it is too long."""
     lines = ["{"]
     for cell, rows in table.items():
-        lines.append(f"    {_literal(cell)}: [")
-        for row in rows:
-            line = f"        {_literal(row)},"
-            if len(line) <= 100:
-                lines.append(line)
-            else:
-                lines.extend(["        (", *(f"            {_literal(v)}," for v in row), "        ),"])
+        lines.append(f"    {cell!r}: [")
+        lines.extend(f"        {row!r}," for row in rows)
         lines.append("    ],")
     return "\n".join([*lines, "}"])
 
 
 if __name__ == "__main__":
     if "--record" not in sys.argv:
-        raise SystemExit(
-            "usage: PYTHONPATH=src:. python tests/db/test_view_explain_table.py --record"
-        )
+        raise SystemExit("usage: PYTHONPATH=src:. python tests/db/test_view_explain_table.py --record")
     print(_render(explain_table()))

@@ -132,9 +132,7 @@ class TestStatementTracing:
         node_spans = [s for s in trace.spans() if s.name.startswith("node:")]
         analyze = conn.execute(f"EXPLAIN ANALYZE {sql}").fetchall()
         actuals = {
-            row["node"].strip(): row["actual_seconds"]
-            for row in analyze
-            if "actual_seconds" in row
+            row["node"].strip(): row["actual_seconds"] for row in analyze if "actual_seconds" in row
         }
         assert node_spans, "trace carries no plan-node spans"
         for span in node_spans:

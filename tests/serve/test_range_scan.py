@@ -34,7 +34,9 @@ class TestRangeScan:
             KeyRange(low=low, high=high, include_high=False),
         ):
             got = corpus_server.range_scan(1, key_range)
-            assert sorted(got) == sorted(m for m in members if in_range(m, key_range)), key_range
+            assert sorted(got) == sorted(
+                m for m in members if in_range(m, key_range)
+            ), key_range
 
     def test_negative_class_and_empty_range(self, corpus_server):
         negatives = set(corpus_server.all_members(-1))
@@ -49,7 +51,9 @@ class TestRangeScan:
             doc = serve_corpus[121]
             session.insert_entity(entity_row(doc.entity_id, doc.features))
             session.insert_example(doc.entity_id, doc.label)
-            members = session.range_scan(doc.label, KeyRange(low=doc.entity_id, high=doc.entity_id))
+            members = session.range_scan(
+                doc.label, KeyRange(low=doc.entity_id, high=doc.entity_id)
+            )
             # Read-your-writes: the freshly inserted entity is classified and,
             # if it landed in the class, visible to the range read.
             assert session.last_epoch >= 1
@@ -60,25 +64,15 @@ class TestRangeScan:
             server.close(timeout=30)
 
     def test_range_scan_cheaper_than_contents(self, corpus_server):
-        """The key filter applies before any tuple is read: the pushed-down read
-        reads at most half the tuples a contents read does, and costs less."""
         ids = sorted(corpus_server.all_members(1))
         low = ids[len(ids) // 2]
-        stores = [shard.maintainer.store for shard in corpus_server.shards.shards]
-
-        def charged(read) -> tuple[float, int]:
-            tuples = sum(store.stats.tuples_read for store in stores)
-            start = corpus_server.shards.simulated_seconds()
-            read()
-            return (
-                corpus_server.shards.simulated_seconds() - start,
-                sum(store.stats.tuples_read for store in stores) - tuples,
-            )
-
-        pushed, pushed_tuples = charged(lambda: corpus_server.range_scan(1, KeyRange(low=low)))
-        materialized, materialized_tuples = charged(corpus_server.contents)
-        assert pushed < materialized
-        assert pushed_tuples * 2 <= materialized_tuples
+        start = corpus_server.shards.simulated_seconds()
+        corpus_server.range_scan(1, KeyRange(low=low))
+        pushed = corpus_server.shards.simulated_seconds() - start
+        start = corpus_server.shards.simulated_seconds()
+        corpus_server.contents()
+        materialized = corpus_server.shards.simulated_seconds() - start
+        assert pushed * 2 <= materialized
 
 
 class TestLabelsOf:
@@ -130,7 +124,9 @@ class TestMaintainerReadRange:
         corpus = serve_corpus[:150]
         trainer = warm_trainer_for(corpus)
         maintainer = HazyLazyMaintainer(InMemoryEntityStore(feature_norm_q=1.0))
-        maintainer.bulk_load([(doc.entity_id, doc.features) for doc in corpus], trainer.model)
+        maintainer.bulk_load(
+            [(doc.entity_id, doc.features) for doc in corpus], trainer.model
+        )
         members = set(maintainer.read_all_members(1))
         ids = sorted(members)
         low = ids[len(ids) // 3]

@@ -78,8 +78,7 @@ def test_top_k_is_globally_ranked(serve_corpus):
     top = shard_set.top_k(10, label=1)
     assert len(top) == 10
     expected_ids = [
-        entity_id
-        for entity_id, _ in sorted(margins.items(), key=lambda kv: -kv[1])[:10]
+        entity_id for entity_id, _ in sorted(margins.items(), key=lambda kv: -kv[1])[:10]
     ]
     got_margins = [margin for _, margin in top]
     assert got_margins == sorted(got_margins, reverse=True)
