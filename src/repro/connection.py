@@ -56,6 +56,7 @@ from collections import OrderedDict
 from collections.abc import Iterator, Sequence
 
 from repro.core.engine import HazyEngine
+from repro.db.buffer_pool import ledger_probe
 from repro.db.costmodel import CostModel
 from repro.db.database import Database
 from repro.db.sql.ast import (
@@ -113,9 +114,9 @@ class PreparedStatement:
     """One cached compilation: the parsed AST plus its plan, if it has one
     (:meth:`SQLExecutor.plan_for <repro.db.sql.executor.SQLExecutor.plan_for>`).
 
-    ``probe`` memoizes the statement's cost probe (``probe_key``: the plan, or
-    without one the catalog version, it was built for, so a refreshed plan or a
-    new view rebuilds it) — the traced execution path reads it on every statement.
+    ``probe`` memoizes the statement's cost probe (``probe_key``: the plan's
+    probe, or without a plan the catalog version, it was built for) — the
+    traced execution path reads it on every statement.
     """
 
     __slots__ = ("sql", "statement", "plan", "probe", "probe_key")
@@ -349,32 +350,20 @@ class Connection:
     def _statement_cost_probe(self, prepared: PreparedStatement):
         """Simulated-seconds probe covering every ledger this statement touches.
 
-        Planned statements reuse the plan's own probe (database + served-shard
-        + view-store ledgers), everything else reads the database ledger; DML
-        adds the direct maintainers' ledgers of the views its table feeds: an
-        unserved view is maintained inside the statement, a served one by its
-        worker, which its idle direct maintainer leaves attributed there.
+        The plan's ledger groups (the database ledger alone without a plan),
+        then, for DML, the direct maintainers' ledgers of the views its table
+        feeds: an unserved view is maintained inside the statement, a served
+        one by its worker, which its idle direct maintainer leaves attributed there.
         """
         statement, plan, database = prepared.statement, prepared.plan, self.database
-        # A catalog move replaces a plan; a statement without one keys on the version.
-        key = plan if plan is not None else database.catalog.version
+        # A catalog move replaces a plan, and a view served or stopped its probe.
+        key = plan.cost_probe(database) if plan is not None else database.catalog.version
         if prepared.probe_key != key:
-            read = plan.cost_probe(database) if plan is not None else None
             dml = isinstance(statement, (Insert, Update, Delete))
             written = statement.table.lower() if dml else None
-            maintained = [
-                view.maintainer.store.stats
-                for view in self.engine.views.values()
-                if written in view.source_table_names()
-                # On disk a view's store charges the database's own ledger.
-                and view.maintainer.store.stats is not database.stats
-            ]
-
-            def probe() -> float:
-                total = read() if read is not None else database.stats.simulated_seconds
-                return total + sum(ledger.simulated_seconds for ledger in maintained)
-
-            prepared.probe = probe if maintained or read is None else read
+            fed = [v for v in self.engine.views.values() if written in v.source_table_names()]
+            groups = plan.ledger_groups(database) if plan is not None else [(database.stats,)]
+            prepared.probe = ledger_probe(*groups, [view.maintainer.store.stats for view in fed])
             prepared.probe_key = key
         return prepared.probe
 
@@ -563,9 +552,7 @@ def connect(
             or strategy is not None
             or approach is not None
         ):
-            raise ConfigurationError(
-                "engine options cannot be combined with an existing engine="
-            )
+            raise ConfigurationError("engine options cannot be combined with an existing engine=")
         return Connection(engine.database, engine, owns_engine=False)
     if database is None:
         database = Database(

@@ -14,8 +14,8 @@ Every reader answers the six :data:`READS` with the same signatures, so plan
 nodes never fork.  The two the planner can be handed (``DirectReads``,
 ``ViewServer``) also **price their own reads** — ``estimate(operation)`` is
 :func:`read_estimate` over the one store of a maintainer or the N stores of
-the shards — say who they are (``served``, ``fanout``) and name the ledger
-their reads charge (``ledger_seconds()``): ``repro.db`` never walks a server.
+the shards — say who they are (``served``, ``fanout``) and hand out the
+ledgers their reads charge (``ledgers()``): ``repro.db`` never walks a server.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from collections.abc import Sequence
 
 from repro.core.maintainers.base import ViewMaintainer
 from repro.core.stores.base import EntityStore
+from repro.db.buffer_pool import IOStatistics
 from repro.db.types import KeyRange
 
 __all__ = ["READS", "ESTIMATES", "DirectReads", "read_estimate"]
@@ -102,6 +103,6 @@ class DirectReads:
         """What the planner should expect ``operation`` to cost here."""
         return read_estimate(operation, [self._maintainer.store])
 
-    def ledger_seconds(self) -> float:
-        """Simulated seconds on the ledger these reads charge."""
-        return self._maintainer.store.stats.simulated_seconds
+    def ledgers(self) -> tuple[IOStatistics, ...]:
+        """The ledger these reads charge: the store's (the database's own on disk)."""
+        return (self._maintainer.store.stats,)

@@ -11,7 +11,8 @@ architecture (after warm-up), which is how Hazy-MM is modeled.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -19,7 +20,7 @@ from repro.db.costmodel import CostModel
 from repro.db.page import Page
 from repro.exceptions import PageError
 
-__all__ = ["IOStatistics", "DiskManager", "BufferPool"]
+__all__ = ["IOStatistics", "ledger_probe", "DiskManager", "BufferPool"]
 
 
 @dataclass
@@ -67,41 +68,43 @@ class IOStatistics:
 
     def snapshot(self) -> "IOStatistics":
         """Copy of the current counters (detail dict copied shallowly)."""
-        clone = IOStatistics(
-            page_reads=self.page_reads,
-            page_writes=self.page_writes,
-            sequential_reads=self.sequential_reads,
-            random_reads=self.random_reads,
-            buffer_hits=self.buffer_hits,
-            buffer_misses=self.buffer_misses,
-            evictions=self.evictions,
-            tuples_read=self.tuples_read,
-            tuples_written=self.tuples_written,
-            dot_products=self.dot_products,
-            simulated_seconds=self.simulated_seconds,
-        )
-        clone.detail = dict(self.detail)
-        return clone
+        return replace(self, detail=dict(self.detail))
 
     def diff(self, earlier: "IOStatistics") -> "IOStatistics":
         """Counters accumulated since ``earlier`` (a snapshot taken before)."""
-        result = IOStatistics(
-            page_reads=self.page_reads - earlier.page_reads,
-            page_writes=self.page_writes - earlier.page_writes,
-            sequential_reads=self.sequential_reads - earlier.sequential_reads,
-            random_reads=self.random_reads - earlier.random_reads,
-            buffer_hits=self.buffer_hits - earlier.buffer_hits,
-            buffer_misses=self.buffer_misses - earlier.buffer_misses,
-            evictions=self.evictions - earlier.evictions,
-            tuples_read=self.tuples_read - earlier.tuples_read,
-            tuples_written=self.tuples_written - earlier.tuples_written,
-            dot_products=self.dot_products - earlier.dot_products,
-            simulated_seconds=self.simulated_seconds - earlier.simulated_seconds,
+        names = [counter.name for counter in fields(self) if counter.name != "detail"]
+        detail = {key: value - earlier.detail.get(key, 0.0) for key, value in self.detail.items()}
+        return IOStatistics(
+            **{name: getattr(self, name) - getattr(earlier, name) for name in names}, detail=detail
         )
-        result.detail = {
-            key: value - earlier.detail.get(key, 0.0) for key, value in self.detail.items()
-        }
-        return result
+
+
+def ledger_probe(*groups: Iterable[IOStatistics]) -> Callable[[], float]:
+    """A zero-argument probe of the simulated seconds on ``groups`` of ledgers,
+    the one place ledger identity is decided: a ledger counts where it first
+    appears (an unserved on-disk view's store charges the database's ledger,
+    so list that first).  Groups are summed on their own, then added in order."""
+    seen: dict[int, IOStatistics] = {}
+    kept = []
+    for group in groups:
+        distinct = {id(ledger): ledger for ledger in group if id(ledger) not in seen}
+        seen.update(distinct)
+        if distinct:
+            kept.append(tuple(distinct.values()))
+
+    def probe() -> float:
+        total = 0.0
+        for group in kept:
+            if len(group) == 1:  # the common case, read without a second loop
+                total += group[0].simulated_seconds
+                continue
+            subtotal = 0.0
+            for ledger in group:
+                subtotal += ledger.simulated_seconds
+            total += subtotal
+        return total
+
+    return probe
 
 
 def _fold(current: float, amounts: np.ndarray) -> float:

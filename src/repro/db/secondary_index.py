@@ -239,10 +239,9 @@ class SecondaryIndex:
         ``n / distinct``.  Otherwise columns are assumed independent: the
         full-key distinct count spreads evenly across the key columns, so each
         pinned column divides by ``distinct ** (1/ncols)``.  With no column
-        pinned, a numeric range on the leading column interpolates uniformly
-        between the tree's min and max leading values (an absent bound takes
-        the min or max); any other range — unknown, non-numeric, or after a
-        pinned prefix — takes :data:`DEFAULT_RANGE_SELECTIVITY`.
+        pinned, a known range on the leading column takes
+        :meth:`_leading_fraction` of the entries; an unknown one, or one after
+        a pinned prefix, takes :data:`DEFAULT_RANGE_SELECTIVITY`.
         """
         n = len(self.tree)
         if n == 0:
@@ -261,22 +260,28 @@ class SecondaryIndex:
         return estimate * DEFAULT_RANGE_SELECTIVITY
 
     def _leading_fraction(self, key_range: KeyRange) -> float:
-        """The share of entries whose leading value lies in ``key_range``,
-        interpolated between the tree's min and max leading values."""
+        """The share of entries whose leading value lies in ``key_range``: all
+        for an unbounded range, the default third when an end is no number,
+        else interpolated between the tree's min and max leading values, over
+        the integer values covered when every end is an integer (a strict
+        bound made inclusive first: ``v > 8`` is ``v >= 9``)."""
+        low, high = key_range.low, key_range.high
+        if low is None and high is None:
+            return 1.0
         min_key, max_key = self.tree.min_key()[0], self.tree.max_key()[0]
-        if not (self._numeric(min_key) and self._numeric(max_key)):
+        lo = min_key if low is None else low
+        hi = max_key if high is None else high
+        ends = (min_key, max_key, lo, hi)
+        if not all(self._numeric(end) for end in ends):
             return DEFAULT_RANGE_SELECTIVITY
-        span = max_key - min_key
-        lo = min_key if key_range.low is None else key_range.low
-        hi = max_key if key_range.high is None else key_range.high
-        if not (self._numeric(lo) and self._numeric(hi)):
-            return DEFAULT_RANGE_SELECTIVITY
+        step = int(all(isinstance(end, int) for end in ends))  # one integer value
+        lo += step * (low is not None and not key_range.include_low)
+        hi -= step * (high is not None and not key_range.include_high)
+        span = max_key - min_key + step
         if span <= 0:
             return 1.0 if lo <= min_key <= hi else 0.0
-        covered = min(hi, max_key) - max(lo, min_key)
-        if covered < 0:
-            return 0.0
-        return min(1.0, covered / span)
+        covered = min(hi, max_key) - max(lo, min_key) + step
+        return min(1.0, max(0.0, covered / span))
 
     def __repr__(self) -> str:
         columns = ", ".join(repr(column) for column in self.columns)

@@ -367,14 +367,11 @@ class PlanRuntime:
         self.database = database
         self.parameters = list(parameters or [])
         self.context = context
-        self._cost_probe = cost_probe
+        #: ``cost()``: current simulated seconds across every ledger this plan touches.
+        self.cost = cost_probe
         self.node_stats: dict[int, NodeStats] = {}
         #: Join probe keys, by ``id`` of the probe-side lookup node they drive.
         self.probe_keys: dict[int, list] = {}
-
-    def cost(self) -> float:
-        """Current simulated seconds across every ledger this plan touches."""
-        return self._cost_probe()
 
     def stats_of(self, node: "PlanNode") -> NodeStats:
         return self.node_stats.get(id(node)) or NodeStats()

@@ -74,6 +74,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+from repro.db.buffer_pool import ledger_probe
 from repro.db.sql.ast import PLACEHOLDER, Comparison, Delete, Select, Update
 from repro.db.sql.plan import (
     Aggregate,
@@ -140,10 +141,10 @@ def _covering_flag(covering: bool) -> str:
 class SelectPlan:
     """A planned SELECT: the node tree plus what one execution needs.
 
-    The plan is immutable and parameter-agnostic — ``run`` binds ``?``
-    placeholders positionally, so a cached plan is re-executed without
-    re-parsing or re-planning.  ``explain_rows`` renders the tree (optionally
-    with the actuals a finished :class:`PlanRuntime` collected).
+    The plan is immutable but for its probe memo, and parameter-agnostic —
+    ``run`` binds ``?`` placeholders positionally, so a cached plan is re-run
+    without re-parsing or re-planning.  ``explain_rows`` renders the tree
+    (optionally with the actuals a finished :class:`PlanRuntime` collected).
     """
 
     def __init__(self, root: PlanNode, select: Select, views=(), catalog_version: int = 0) -> None:
@@ -157,24 +158,29 @@ class SelectPlan:
         estimates = [n.estimated_seconds for _, n in root.walk() if n.estimated_seconds is not None]
         #: The statement's estimate: the sum of its nodes' own (None: no node has one).
         self.estimated_seconds = sum(estimates) if estimates else None
+        #: ``(readers, probe)``: the cost probe, kept while every view's reader is.
+        self._probe: tuple[list, object] | None = None
 
     def run(self, database, parameters, context) -> tuple[list[dict], PlanRuntime]:
         """Execute the plan; rows are materialized here, once, from the root's chunk."""
         runtime = PlanRuntime(database, parameters, context, self.cost_probe(database))
         return self.root.execute(runtime).to_rows(), runtime
 
+    def ledger_groups(self, database) -> list:
+        """The ledgers this plan's sources charge, one group per source: the
+        database's, then each view reader's ``ledgers()``."""
+        return [(database.stats,), *[view.reader().ledgers() for view in self._views]]
+
     def cost_probe(self, database):
-        """Sum every ledger this plan's sources charge (database + view stores);
-        also used by callers timing whole statements (tracing)."""
-        views = self._views
-
-        def probe() -> float:
-            total = database.stats.simulated_seconds
-            for view in views:
-                total += view.reader().ledger_seconds()
-            return total
-
-        return probe
+        """A probe of :meth:`ledger_groups`, counting a ledger two sources share
+        once (:func:`~repro.db.buffer_pool.ledger_probe`).  Every execution
+        asks each view for its reader, since ``SERVE VIEW`` moves no catalog
+        version, and builds the probe again when one changed."""
+        readers = [view.reader() for view in self._views]
+        memo = self._probe
+        if memo is None or memo[0] != readers:
+            memo = self._probe = (readers, ledger_probe(*self.ledger_groups(database)))
+        return memo[1]
 
     def explain_rows(self, runtime: PlanRuntime | None = None, io_delta=None) -> list[dict]:
         """One output row per plan node, pre-order, indented by depth.

@@ -64,7 +64,7 @@ from typing import TYPE_CHECKING
 from repro.core.maintainers.base import ViewMaintainer
 from repro.core.reads import READS, read_estimate
 from repro.core.stores.base import EntityStore
-from repro.db.buffer_pool import IOStatistics
+from repro.db.buffer_pool import IOStatistics, ledger_probe
 from repro.db.types import KeyRange
 from repro.exceptions import ConfigurationError, KeyNotFoundError, MaintenanceError
 from repro.learn.model import LinearModel, sign
@@ -230,6 +230,7 @@ class ViewServer:
         )
         self._train_stats = IOStatistics()
         self._cost_model = self.shards.shards[0].maintainer.store.cost_model
+        self._ledgers = tuple(shard.maintainer.store.stats for shard in self.shards.shards)
         #: The last write to each entity id touched while serving — its
         #: features, None once removed — replayed against the source view on
         #: close.  Bounded by the distinct ids written, not by the write count.
@@ -249,9 +250,7 @@ class ViewServer:
         #: for ``checkpoint(..., incremental=True)``.
         self._last_checkpoint_path: Path | None = None
         self.worker = MaintenanceWorker(self)
-        self.batcher = ReadBatcher(
-            self._execute_read_batch, cost_probe=self.shards.simulated_seconds
-        )
+        self.batcher = ReadBatcher(self._execute_read_batch, cost_probe=ledger_probe(self._ledgers))
         # Serving's one thread starts last, after everything that can raise.
         self.worker.start()
         # From here the view's trigger body hands its writes to ``submit``.
@@ -287,19 +286,19 @@ class ViewServer:
         if trace is None:
             yield
             return
-        shards = self.shards.shards
-        before = [shard.maintainer.store.stats.simulated_seconds for shard in shards]
+        ledgers = self.ledgers()
+        before = [ledger.simulated_seconds for ledger in ledgers]
         parent = trace.add_span(
             f"serve.{operation}",
             parent_id=trace.cross_thread_parent_id,
-            detail=f"scatter/gather across {len(shards)} shards",
+            detail=f"scatter/gather across {len(ledgers)} shards",
         )
         started = time.perf_counter()
         try:
             yield
         finally:
             parent.wall_seconds = time.perf_counter() - started
-            after = [shard.maintainer.store.stats.simulated_seconds for shard in shards]
+            after = [ledger.simulated_seconds for ledger in ledgers]
             parent.simulated_seconds = sum(after) - sum(before)
             for index, (earlier, later) in enumerate(zip(before, after)):
                 trace.add_span(
@@ -385,9 +384,9 @@ class ViewServer:
         """What the planner should expect ``operation`` to cost here."""
         return read_estimate(operation, [shard.maintainer.store for shard in self.shards.shards])
 
-    def ledger_seconds(self) -> float:
-        """Simulated seconds on the ledgers reads charge (the shard stores')."""
-        return self.shards.simulated_seconds()
+    def ledgers(self) -> tuple[IOStatistics, ...]:
+        """The ledgers reads charge: each shard store's private one, in shard order."""
+        return self._ledgers
 
     def classify(self, row) -> int:
         """Classify an ad-hoc entity row without storing it."""
@@ -756,7 +755,8 @@ class ViewServer:
 
     def simulated_seconds(self) -> float:
         """Total simulated seconds across shard ledgers and training."""
-        return self.shards.simulated_seconds() + self._train_stats.simulated_seconds
+        shard_seconds = sum(ledger.simulated_seconds for ledger in self.ledgers())
+        return shard_seconds + self._train_stats.simulated_seconds
 
     def simulated_read_seconds(self) -> float:
         """Simulated seconds spent serving reads."""

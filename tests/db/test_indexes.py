@@ -336,14 +336,14 @@ class TestSecondaryIndexMaintenance:
             ("v", [], 100 * 1.0),
             ("v", [("=", 5)], 100 / 10),
             ("v", [("=", 5), (">", 3)], 100 / 10),
-            ("v", [(">", 3)], 100 * (6 / 9)),
-            ("v", [(">=", 2), ("<", 5)], 100 * (3 / 9)),
+            ("v", [(">", 3)], 100 * (6 / 10)),
+            ("v", [(">=", 2), ("<", 5)], 100 * (3 / 10)),
             ("v", [(">=", 2.5), ("<=", 4)], 100 * (1.5 / 9)),
             ("v", [("<", 100)], 100 * 1.0),
             ("v", [(">", 20)], 0.0),
             ("v", [(">", "?")], 100 * (1 / 3)),
             ("v", [("=", "?")], 100 / 10),
-            ("s", [], 100 * (1 / 3)),
+            ("s", [], 100 * 1.0),
             ("s", [("=", "w3")], 100 / 7),
             ("s", [(">", "w2")], 100 * (1 / 3)),
         ],
@@ -351,8 +351,10 @@ class TestSecondaryIndexMaintenance:
     def test_single_column_estimates(self, column, conjuncts, expected):
         """The planner's estimate of a one-column probe, bit for bit: the
         whole key pinned is ``n / distinct`` (an ``=`` pins it whatever
-        ranges ride along), a literal numeric range interpolates over
-        [min, max], anything else takes the default third."""
+        ranges ride along), an unbounded walk reads every entry, a literal
+        integer range counts the integer values it covers of [min, max], a
+        literal numeric one interpolates over [min, max], anything else
+        takes the default third."""
         from repro.db.sql.ast import PLACEHOLDER
         from repro.db.sql.plan import Predicate, leftmost_prefix
         from repro.db.sql.planner import Planner
@@ -371,6 +373,51 @@ class TestSecondaryIndexMaintenance:
         ]
         prefix = leftmost_prefix(index.columns, predicates)
         assert Planner(db)._estimate(index, prefix) == expected
+
+    @pytest.mark.parametrize("conjunct", [(">=", 9), (">", 8), ("=", 9)])
+    def test_integer_range_estimates_count_the_values_it_covers(self, conjunct):
+        """``v >= 9`` over ``v = i % 10`` holds one value of ten, as ``v = 9``
+        does: about 100 of 1,000 rows, not the zero that interpolating over
+        the span [0, 9] gives a range touching only its max."""
+        from repro.db.sql.plan import Predicate, leftmost_prefix
+        from repro.db.sql.planner import Planner
+
+        db, table = self._table()
+        db.executemany("INSERT INTO t (id, v) VALUES (?, ?)", [(i, i % 10) for i in range(1000)])
+        db.execute("CREATE INDEX iv ON t (v)")
+        index = table.secondary_index("iv")
+        prefix = leftmost_prefix(index.columns, [Predicate("v", *conjunct)])
+        assert Planner(db)._estimate(index, prefix) == pytest.approx(100.0)
+
+    def test_an_unbounded_walk_over_text_reads_every_entry(self):
+        """A range with neither bound walks every entry, whatever the column's
+        type: a text index is priced at all of it, not a default third."""
+        db, table = self._table()
+        db.executemany(
+            "INSERT INTO t (id, s) VALUES (?, ?)", [(i, f"w{i % 7}") for i in range(100)]
+        )
+        index = table.create_secondary_index("idx_s", "s")
+        assert index.estimate_matches(0, KeyRange()) == 100.0
+
+    def test_order_fusion_prices_the_sort_of_every_text_entry(self):
+        """``ORDER BY s LIMIT 5`` weighs an index-ordered walk against a scan
+        plus a sort of every entry; priced as a third of them, the sort looked
+        cheap enough to keep the scan on 4,000 rows."""
+        from repro.db.database import Database
+
+        db = Database()
+        db.execute("CREATE TABLE t (id integer PRIMARY KEY, s text)")
+        db.executemany(
+            "INSERT INTO t (id, s) VALUES (?, ?)", [(i, f"w{i % 7}") for i in range(4000)]
+        )
+        db.execute("CREATE INDEX isx ON t (s)")
+        sql = "SELECT id, s FROM t ORDER BY s LIMIT 5"
+        nodes = [row["node"].strip() for row in db.execute(f"EXPLAIN {sql}").rows]
+        assert nodes[1:] == [
+            "Limit(5)",
+            "SecondaryIndexRange(t.isx: unbounded, order=s asc, limit=5)",
+        ]
+        assert db.execute(sql).rows == [{"id": i, "s": "w0"} for i in range(0, 35, 7)]
 
     def test_range_estimate_survives_deletes_that_empty_the_end_leaves(self):
         """Lazy deletion leaves empty leaves behind; the min/max the range
@@ -555,13 +602,11 @@ class TestCompositeSecondaryIndex:
     @pytest.mark.parametrize(
         "columns, conjuncts, before, after",
         [
-            # A literal range on the leading column interpolates over [0, 3].
-            (("a", "b"), [("a", ">=", 1)], 100 / 3, 100 * (2 / 3)),
+            # A literal range on the leading column counts 3 of the values 0..3.
+            (("a", "b"), [("a", ">=", 1)], 100 / 3, 100 * (3 / 4)),
             # A column carrying an ``=`` is pinned, whatever ranges ride along.
             (("a", "b"), [("a", "=", 1), ("a", ">", 0)], 100 / 3, 100 / 100**0.5),
             (("a", "b"), [("a", "=", 1), ("a", ">", 0), ("b", "=", 5.0)], 100 / 3, 100 / 100),
-            # An unbounded walk over a text leading column: no interpolation.
-            (("c", "a"), [], 100.0, 100 * (1 / 3)),
         ],
     )
     def test_composite_estimates_gain_the_single_column_rules(

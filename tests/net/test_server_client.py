@@ -238,8 +238,7 @@ class TestObservability:
         server = SQLServer(backend.engine).start()
         server.close()
         names = {
-            row["name"]
-            for row in backend.execute("SELECT * FROM system.metrics").fetchall()
+            row["name"] for row in backend.execute("SELECT * FROM system.metrics").fetchall()
         }
         assert not any(name.startswith("net.") for name in names)
         assert backend.execute("SELECT * FROM system.connections").fetchall() == []

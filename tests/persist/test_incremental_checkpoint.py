@@ -84,9 +84,7 @@ class TestCorpusIncremental:
         server.checkpoint(tmp_path / "c2", incremental=True)
         server.insert_entity(entity_row(999_002, SparseVector({5: 1.0})))
         server.flush()
-        server.checkpoint(
-            tmp_path / "c3", incremental=True, parent=tmp_path / "c2"
-        )
+        server.checkpoint(tmp_path / "c3", incremental=True, parent=tmp_path / "c2")
         contents = server.contents()
         server.close()
 

@@ -21,6 +21,7 @@ import pytest
 
 from repro.core.reads import ESTIMATES, READS, DirectReads
 from repro.core.view import view_contents
+from repro.db.buffer_pool import IOStatistics
 from repro.db.types import KeyRange
 from repro.exceptions import HazyError, MaintenanceError
 from repro.net.protocol import decode_error, encode_error
@@ -114,7 +115,10 @@ def test_every_reader_the_planner_is_handed_prices_every_read(conn, name):
     reader = reader_of(conn, name)
     assert reader.served is (name == "ViewServer")
     assert reader.fanout == (2 if reader.served else 1)
-    assert isinstance(reader.ledger_seconds(), float) and reader.ledger_seconds() > 0.0
+    ledgers = reader.ledgers()
+    assert isinstance(ledgers, tuple) and ledgers
+    assert all(isinstance(ledger, IOStatistics) for ledger in ledgers)
+    assert sum(ledger.simulated_seconds for ledger in ledgers) > 0.0
     for operation in ESTIMATES:
         estimate = reader.estimate(operation)
         assert isinstance(estimate, float) and estimate > 0.0, operation
