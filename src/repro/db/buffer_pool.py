@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -68,15 +68,41 @@ class IOStatistics:
 
     def snapshot(self) -> "IOStatistics":
         """Copy of the current counters (detail dict copied shallowly)."""
-        return replace(self, detail=dict(self.detail))
+        clone = IOStatistics(
+            page_reads=self.page_reads,
+            page_writes=self.page_writes,
+            sequential_reads=self.sequential_reads,
+            random_reads=self.random_reads,
+            buffer_hits=self.buffer_hits,
+            buffer_misses=self.buffer_misses,
+            evictions=self.evictions,
+            tuples_read=self.tuples_read,
+            tuples_written=self.tuples_written,
+            dot_products=self.dot_products,
+            simulated_seconds=self.simulated_seconds,
+        )
+        clone.detail = dict(self.detail)
+        return clone
 
     def diff(self, earlier: "IOStatistics") -> "IOStatistics":
         """Counters accumulated since ``earlier`` (a snapshot taken before)."""
-        names = [counter.name for counter in fields(self) if counter.name != "detail"]
-        detail = {key: value - earlier.detail.get(key, 0.0) for key, value in self.detail.items()}
-        return IOStatistics(
-            **{name: getattr(self, name) - getattr(earlier, name) for name in names}, detail=detail
+        result = IOStatistics(
+            page_reads=self.page_reads - earlier.page_reads,
+            page_writes=self.page_writes - earlier.page_writes,
+            sequential_reads=self.sequential_reads - earlier.sequential_reads,
+            random_reads=self.random_reads - earlier.random_reads,
+            buffer_hits=self.buffer_hits - earlier.buffer_hits,
+            buffer_misses=self.buffer_misses - earlier.buffer_misses,
+            evictions=self.evictions - earlier.evictions,
+            tuples_read=self.tuples_read - earlier.tuples_read,
+            tuples_written=self.tuples_written - earlier.tuples_written,
+            dot_products=self.dot_products - earlier.dot_products,
+            simulated_seconds=self.simulated_seconds - earlier.simulated_seconds,
         )
+        result.detail = {
+            key: value - earlier.detail.get(key, 0.0) for key, value in self.detail.items()
+        }
+        return result
 
 
 def ledger_probe(*groups: Iterable[IOStatistics]) -> Callable[[], float]:
@@ -95,9 +121,6 @@ def ledger_probe(*groups: Iterable[IOStatistics]) -> Callable[[], float]:
     def probe() -> float:
         total = 0.0
         for group in kept:
-            if len(group) == 1:  # the common case, read without a second loop
-                total += group[0].simulated_seconds
-                continue
             subtotal = 0.0
             for ledger in group:
                 subtotal += ledger.simulated_seconds

@@ -72,6 +72,7 @@ value is bound *as* that value (:func:`~repro.db.sql.plan.typed_bound`).
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import replace
 
 from repro.db.buffer_pool import ledger_probe
@@ -158,7 +159,8 @@ class SelectPlan:
         estimates = [n.estimated_seconds for _, n in root.walk() if n.estimated_seconds is not None]
         #: The statement's estimate: the sum of its nodes' own (None: no node has one).
         self.estimated_seconds = sum(estimates) if estimates else None
-        #: ``(readers, probe)``: the cost probe, kept while every view's reader is.
+        #: ``(readers, probe)``: the cost probe, kept while every view's reader
+        #: is; weak references, so a stopped server is not kept alive by a plan.
         self._probe: tuple[list, object] | None = None
 
     def run(self, database, parameters, context) -> tuple[list[dict], PlanRuntime]:
@@ -176,7 +178,7 @@ class SelectPlan:
         once (:func:`~repro.db.buffer_pool.ledger_probe`).  Every execution
         asks each view for its reader, since ``SERVE VIEW`` moves no catalog
         version, and builds the probe again when one changed."""
-        readers = [view.reader() for view in self._views]
+        readers = [weakref.ref(view.reader()) for view in self._views]
         memo = self._probe
         if memo is None or memo[0] != readers:
             memo = self._probe = (readers, ledger_probe(*self.ledger_groups(database)))

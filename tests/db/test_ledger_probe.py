@@ -10,10 +10,14 @@ ledger, so those groups can name one ledger twice; the probe counts it once.
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 import repro
 from repro.db.buffer_pool import IOStatistics, ledger_probe
+from repro.db.sql.parser import parse
 
 from tests.db.test_sql_serving import build_portal
 
@@ -101,3 +105,18 @@ def test_a_cached_plan_follows_its_view_being_served_and_stopped(architecture):
             assert execute.simulated_seconds == pytest.approx(moved, rel=1e-9), served
     finally:
         conn.close()
+
+
+def test_a_cached_plan_does_not_keep_a_stopped_server_alive():
+    """The plan keeps its probe while each view's reader stays the same, but
+    holds those readers weakly: after ``STOP SERVING`` the server, its shards
+    and their stores are collected though the plan that read them is kept."""
+    db, engine, _ = portal("mainmemory")
+    statement = parse("SELECT class FROM labeled_papers WHERE id = ?")
+    plan = db.executor.plan_for(statement)
+    server = weakref.ref(engine.serve("labeled_papers", shards=2))
+    served = db.executor.execute(statement, (7,), plan=plan).rows
+    engine.stop_serving("labeled_papers")
+    gc.collect()
+    assert server() is None
+    assert db.executor.execute(statement, (7,), plan=plan).rows == served
