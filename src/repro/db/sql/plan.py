@@ -52,8 +52,13 @@ NumPy masks over whole columns (via :mod:`repro.linalg.kernels`),
 ``Project``/``Aggregate``/``HashJoin`` consume and emit columns, and rows are
 materialized exactly once, at the plan root
 (:meth:`~repro.db.sql.planner.SelectPlan.run`).  Operators charge nothing
-beyond the storage they touch.  An operator over a zero-row child returns it
-without resolving a column: a ``system.*`` table with no rows has none.
+beyond the storage they touch, so only a leaf and ``HashJoin`` (whose two
+children's figures it would otherwise have to add) read the cost probe before
+and after they run; ``Filter``, ``Project``, ``Limit``, ``Sort``,
+``Aggregate`` and a ``TopK`` over a child take their one child's figure, and a
+point read (``Project`` over ``ViewPointRead``) reads the probe twice.  An
+operator over a zero-row child returns it without resolving a column: a
+``system.*`` table with no rows has none.
 """
 
 from __future__ import annotations
@@ -356,7 +361,8 @@ class NodeStats:
 
 class PlanRuntime:
     """Everything one execution of a plan needs: parameters, session context,
-    and the cost probe that attributes simulated seconds to nodes.
+    and the cost probe that attributes simulated seconds to nodes — read by
+    the leaves and joins only (:meth:`PlanNode.execute`).
 
     ``context`` is the per-connection session registry threaded through from
     :class:`repro.connection.Connection`; served-view nodes use it to read on
@@ -394,8 +400,19 @@ class PlanNode:
     def execute(self, runtime: PlanRuntime) -> Chunk:
         """Run this node (and its children), attributing simulated seconds.
 
-        The one measured entry point: it records the node's stats.
+        The one measured entry point: it records the node's stats.  A leaf
+        or a join reads the cost probe before and after it runs.  A node with
+        one child touches no storage of its own and nothing charges between
+        its start and its child's, or between its child's end and its own,
+        so it takes its child's ``inclusive`` and ``0.0`` seconds of its own
+        — bit for bit what its own pair of readings would give — without
+        reading the probe.
         """
+        if len(self.children) == 1:
+            chunk = self._produce(runtime)
+            inclusive = runtime.stats_of(self.children[0]).inclusive
+            runtime.node_stats[id(self)] = NodeStats(chunk.length, 0.0, inclusive)
+            return chunk
         start = runtime.cost()
         chunk = self._produce(runtime)
         inclusive = runtime.cost() - start
@@ -726,6 +743,11 @@ class ViewPointRead(_ViewNode):
     """Single Entity read; planned against a live server it goes through the
     request batcher, session-consistent, and prints as ``ServedPointRead``.
 
+    A keyed read answers its ``key = k`` exactly: it shows the bound key
+    itself on the one row it finds, and checks once, after the read (which
+    thus charges what it did under a ``Filter``), that the key equals
+    itself, as no key equals a NaN.
+
     With ``predicate=None`` the node is a *probe-side lookup* for
     :class:`HashJoin`: it has no key of its own and reads the probe keys its
     join left in :attr:`PlanRuntime.probe_keys` as one batch (one read batcher
@@ -741,6 +763,8 @@ class ViewPointRead(_ViewNode):
         self.predicate = predicate
         self.is_probe_lookup = predicate is None
         self.key_type = key_type
+        if predicate is not None:
+            self.answered = (predicate,)
 
     def label(self) -> str:
         return self._label(", batch" if self.is_probe_lookup else f".{self.predicate.render()}")
@@ -759,6 +783,8 @@ class ViewPointRead(_ViewNode):
         try:
             label = reader.label_of(key)
         except KeyNotFoundError:
+            return self._columns([], [])
+        if not compare_values(key, "=", key):
             return self._columns([], [])
         return self._chunk([key], [label])
 

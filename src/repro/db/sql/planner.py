@@ -62,12 +62,14 @@ access node — the pushdown decides what the storage layer *scans*, the
 re-check keeps answers byte-identical to the post-filter semantics — except
 the ones the node answers exactly (:attr:`~repro.db.sql.plan.PlanNode.answered`):
 a view read bound by ``class = x`` (``ViewMembers``, ``ViewRangeRead``) shows
-one class on every row, checks once per statement that it equals the bound,
-and so leaves ``class = x`` out of the ``Filter``, which goes when nothing
-else is left in it.  A key range and every point read stay re-checked.  Each
-predicate carries its column's declared type where the catalog knows it (a
-view's key column: its entities table's), so a bound that equals a stored
-value is bound *as* that value (:func:`~repro.db.sql.plan.typed_bound`).
+one class on every row and checks once per statement that it equals the
+bound, and a keyed ``ViewPointRead`` shows its bound key on the one row it
+finds; each leaves its conjunct out of the ``Filter``, which goes when nothing
+else is left in it.  A second key conjunct, a view's key range and a base
+table's index keys stay re-checked.  Each predicate carries its column's
+declared type where the catalog knows it (a view's key column: its entities
+table's), so a bound that equals a stored value is bound *as* that value
+(:func:`~repro.db.sql.plan.typed_bound`).
 """
 
 from __future__ import annotations

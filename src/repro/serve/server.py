@@ -55,6 +55,7 @@ from __future__ import annotations
 import dataclasses
 import threading
 import time
+import weakref
 from collections import OrderedDict
 from collections.abc import Callable, Collection, Mapping, Sequence
 from contextlib import contextmanager
@@ -92,12 +93,22 @@ class ClientSession:
     write; every read first waits for the pending write to become visible
     (read-your-writes) and then verifies the returned epoch never moves
     backwards (monotonic reads).
+
+    It holds its server weakly, so a connection's sessions never keep a
+    stopped server — its shards, stores and batcher — alive; a session whose
+    server is gone answers as a closed server does.
     """
 
     def __init__(self, server: "ViewServer"):
-        self._server = server
+        self._server = weakref.ref(server)
         self.last_epoch = 0
         self._pending: WriteTicket | None = None
+
+    def _live(self) -> "ViewServer":
+        server = self._server()
+        if server is None:
+            raise MaintenanceError("server is closed")
+        return server
 
     def _read(self, operation: str, *args):
         """Every session read: wait for this session's pending write
@@ -108,7 +119,7 @@ class ClientSession:
             # session then recovers instead of re-raising forever.
             ticket, self._pending = self._pending, None
             self.last_epoch = max(self.last_epoch, ticket.wait())
-        answer, epoch = self._server.read(operation, *args)
+        answer, epoch = self._live().read(operation, *args)
         if epoch < self.last_epoch:
             raise MaintenanceError(
                 f"monotonic-read violation: session at epoch {self.last_epoch}, "
@@ -144,13 +155,13 @@ class ClientSession:
 
     def insert_example(self, entity_id: object, label_value: object) -> WriteTicket:
         """Queue a training example; subsequent session reads see it applied."""
-        ticket = self._server.insert_example(entity_id, label_value)
+        ticket = self._live().insert_example(entity_id, label_value)
         self._pending = ticket
         return ticket
 
     def insert_entity(self, row) -> WriteTicket:
         """Queue a new entity; subsequent session reads see it applied."""
-        ticket = self._server.insert_entity(row)
+        ticket = self._live().insert_entity(row)
         self._pending = ticket
         return ticket
 

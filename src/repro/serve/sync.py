@@ -104,7 +104,8 @@ class SessionRegistry:
     stopped and served again (or restored from a checkpoint), the stale
     session is silently replaced — the new server's published epoch may have
     restarted, so carrying the old session's watermark across would raise
-    spurious monotonicity violations.
+    spurious monotonicity violations.  A session holds its server weakly, so
+    the registry never keeps a stopped server alive.
     """
 
     def __init__(self) -> None:
@@ -114,7 +115,7 @@ class SessionRegistry:
         """The session bound to ``name``, creating/replacing it as needed."""
         key = name.lower()
         session = self._sessions.get(key)
-        if session is None or session._server is not server:
+        if session is None or session._server() is not server:
             session = server.session()
             self._sessions[key] = session
         return session

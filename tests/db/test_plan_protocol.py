@@ -24,7 +24,7 @@ from repro.db.costmodel import CostModel
 from repro.db.database import Database
 from repro.db.sql import plan
 from repro.db.sql.parser import parse
-from repro.db.sql.plan import Chunk, PlanNode, PlanRuntime
+from repro.db.sql.plan import Chunk, NodeStats, PlanNode, PlanRuntime
 from repro.db.sql.planner import Planner
 from repro.exceptions import SQLExecutionError
 
@@ -137,6 +137,81 @@ class TestProtocolCompleteness:
         assert not {"mode", "chunk_rows", "interpret_cpu"} & assigned, assigned
         for cls in [PlanNode, *_node_classes()]:
             assert not hasattr(cls, "interpreted"), cls.__name__
+
+
+# ---------------------------------------------------------------------------
+# Probe reads: only the nodes that touch storage read the cost probe
+# ---------------------------------------------------------------------------
+
+
+def measured_execute(node: PlanNode, runtime: PlanRuntime) -> Chunk:
+    """Every node reads the probe before and after it runs: the reference a
+    one-child node's borrowed figures must equal bit for bit."""
+    start = runtime.cost()
+    chunk = node._produce(runtime)
+    inclusive = runtime.cost() - start
+    children = sum(runtime.stats_of(child).inclusive for child in node.children)
+    runtime.node_stats[id(node)] = NodeStats(chunk.length, inclusive - children, inclusive)
+    return chunk
+
+
+def golden_node_stats(architecture: str) -> dict[tuple[str, str], list[tuple[str, str]]]:
+    """``(label, repr(NodeStats))`` per node of every golden read, unserved
+    and on 2 shards, over a freshly built golden database."""
+    db = golden_shapes.build(architecture)
+    shapes = [("unserved", golden_shapes.TABLE_READS)]
+    shapes += [(state, golden_shapes.VIEW_READS) for state in golden_shapes.STATES]
+    stats = {}
+    try:
+        for state, reads in shapes:
+            if state == "2 shards":
+                db.execute("SERVE VIEW labeled WITH (shards = 2)")
+            for read, sql in reads.items():
+                select = db.executor.plan_select(parse(sql))
+                _, runtime = select.run(db, GOLDEN_PARAMETERS.get(read, []), None)
+                stats[(state, read)] = [
+                    (node.label(), repr(runtime.stats_of(node))) for _, node in select.root.walk()
+                ]
+    finally:
+        db.execute("STOP SERVING labeled")
+    return stats
+
+
+class TestProbeReads:
+    @pytest.mark.parametrize("state", golden_shapes.STATES)
+    def test_a_point_statement_reads_the_probe_twice(self, monkeypatch, state):
+        """``SELECT class FROM v WHERE id = ?`` runs ``Project`` over the
+        view's point read: the read takes the probe's two readings, and the
+        ``Project`` takes its figures."""
+        db = golden_shapes.build()
+        if state != "unserved":
+            db.execute("SERVE VIEW labeled WITH (shards = 2)")
+        try:
+            select = db.executor.plan_select(parse("SELECT class FROM labeled WHERE id = ?"))
+            probe = select.cost_probe(db)
+            reads = []
+
+            def counted() -> float:
+                reads.append(None)
+                return probe()
+
+            monkeypatch.setattr(select, "cost_probe", lambda database: counted)
+            rows, runtime = select.run(db, [1], None)
+        finally:
+            if state != "unserved":
+                db.execute("STOP SERVING labeled")
+        assert len(rows) == 1
+        assert len(reads) == 2
+        project, read = [node for _, node in select.root.walk()]
+        assert runtime.stats_of(project) == NodeStats(1, 0.0, runtime.stats_of(read).inclusive)
+
+    @pytest.mark.parametrize("architecture", ["mainmemory", "ondisk", "hybrid"])
+    def test_every_node_records_what_its_own_probe_readings_give(self, monkeypatch, architecture):
+        """Each node's rows and seconds, its own and inclusive, are the ones
+        it records when every node reads the probe around itself."""
+        taken = golden_node_stats(architecture)
+        monkeypatch.setattr(PlanNode, "execute", measured_execute)
+        assert taken == golden_node_stats(architecture)
 
 
 # ---------------------------------------------------------------------------

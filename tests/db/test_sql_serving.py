@@ -3,8 +3,12 @@ RESTORE / EXPLAIN statements and SELECT routing through the ViewServer."""
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
+import repro
 from repro.core.engine import HazyEngine
 from repro.db.database import Database
 from repro.db.sql.ast import (
@@ -16,7 +20,12 @@ from repro.db.sql.ast import (
     StopServing,
 )
 from repro.db.sql.parser import parse
-from repro.exceptions import ConfigurationError, SQLExecutionError, ViewDefinitionError
+from repro.exceptions import (
+    ConfigurationError,
+    MaintenanceError,
+    SQLExecutionError,
+    ViewDefinitionError,
+)
 from repro.workloads.synth_text import SparseCorpusGenerator
 
 VIEW_DDL = (
@@ -114,9 +123,7 @@ class TestServingLifecycle:
         assert sql_class == view.from_binary_label(view.server.label_of(doc.entity_id))
 
         # All Members scatter/gathers; count matches the server's view.
-        count = db.execute(
-            "SELECT COUNT(*) FROM labeled_papers WHERE class = 'database'"
-        ).scalar()
+        count = db.execute("SELECT COUNT(*) FROM labeled_papers WHERE class = 'database'").scalar()
         assert count == len(view.server.all_members(1))
 
         # Top-k via the margin virtual column.
@@ -207,10 +214,7 @@ class TestServingLifecycle:
         )
         db2.executemany(
             "INSERT INTO example_papers (id, label) VALUES (?, ?)",
-            [
-                (doc.entity_id, "database" if doc.label == 1 else "other")
-                for doc in documents[:30]
-            ],
+            [(doc.entity_id, "database" if doc.label == 1 else "other") for doc in documents[:30]],
         )
         engine2 = HazyEngine(db2)
         restored = db2.execute(f"RESTORE VIEW labeled_papers FROM '{directory}'").rows[0]
@@ -248,11 +252,7 @@ class TestExplain:
     def test_explain_view_unserved_vs_served(self):
         db, _, _ = build_portal(count=20)
         unserved = plan_nodes(db, "EXPLAIN SELECT class FROM labeled_papers WHERE id = 1")
-        assert unserved == [
-            "Project(class)",
-            "Filter(id = 1)",
-            "ViewPointRead(labeled_papers.id = 1)",
-        ]
+        assert unserved == ["Project(class)", "ViewPointRead(labeled_papers.id = 1)"]
 
         db.execute("SERVE VIEW labeled_papers WITH (shards = 2)")
         served = plan_nodes(db, "EXPLAIN SELECT class FROM labeled_papers WHERE id = 1")
@@ -264,9 +264,7 @@ class TestExplain:
             "Aggregate(count)",
             "ServedScatterGather(labeled_papers, class = 'database')",
         ]
-        topk = plan_nodes(
-            db, "EXPLAIN SELECT id FROM labeled_papers ORDER BY margin DESC LIMIT 5"
-        )
+        topk = plan_nodes(db, "EXPLAIN SELECT id FROM labeled_papers ORDER BY margin DESC LIMIT 5")
         assert topk == ["Project(id)", "TopK(k=5, by=margin desc)"]
         db.execute("STOP SERVING labeled_papers")
 
@@ -285,6 +283,44 @@ class TestExplain:
 
 
 class TestServedSessionSemantics:
+    @pytest.mark.parametrize("stop", ["STOP SERVING", "engine.stop_serving"])
+    def test_a_connection_does_not_keep_a_stopped_server_alive(self, stop):
+        """A connection's session for a served view holds its server weakly:
+        once the view stops, the server — its shards, stores and batcher — is
+        collected though the connection read through it, and a session kept
+        from then answers as a closed server does; served again, the view
+        gives the connection a fresh session that reads its own writes."""
+        db, engine, documents = build_portal(count=40)
+        conn = repro.connect(database=db, engine=engine)
+        sql = "SELECT class FROM labeled_papers WHERE id = ?"
+        try:
+            conn.execute("SERVE VIEW labeled_papers WITH (shards = 2)")
+            server = weakref.ref(engine.view("labeled_papers").server)
+            served = conn.execute(sql, (7,)).scalar()
+            kept = conn.session("labeled_papers")
+            if stop == "STOP SERVING":
+                conn.execute("STOP SERVING labeled_papers")
+            else:
+                engine.stop_serving("labeled_papers")
+            gc.collect()
+            assert server() is None
+            with pytest.raises(MaintenanceError, match="^server is closed$"):
+                kept.label_of(7)
+            assert conn.execute(sql, (7,)).scalar() == served
+
+            conn.execute("SERVE VIEW labeled_papers WITH (shards = 2)")
+            doc = documents[35]  # not a training example yet
+            conn.execute(
+                "INSERT INTO example_papers (id, label) VALUES (?, 'database')",
+                (doc.entity_id,),
+            )
+            session = conn.session("labeled_papers")
+            assert conn.execute(sql, (doc.entity_id,)).scalar() in ("database", "other")
+            assert session.last_epoch >= 1  # the read waited for the write's epoch
+            conn.execute("STOP SERVING labeled_papers")
+        finally:
+            conn.close()
+
     def test_sql_read_your_writes_through_context(self):
         db, engine, documents = build_portal()
         db.execute("SERVE VIEW labeled_papers WITH (shards = 2)")

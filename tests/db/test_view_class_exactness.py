@@ -1,4 +1,4 @@
-"""A view read bound by ``class = x`` answers that conjunct exactly.
+"""A view read bound by ``class = x`` or by its key answers that conjunct exactly.
 
 ``ViewMembers`` and ``ViewRangeRead`` ask the view's reader for one binary
 label's members, and no residual ``Filter`` re-checks ``class = x`` above them:
@@ -9,9 +9,15 @@ label mapping takes, bounds it refuses, and bounds it maps to a class they do
 not equal (``'1'`` or ``1`` on a text-labelled view, where every value maps
 to a label), as literals and as ``?`` parameters, on a ``±1``-labelled and a
 text-labelled view, unserved and served on 2 shards.
+
+A point read answers its ``id = ?`` the same way, with no ``Filter`` above
+it: the bound goes through ``Predicate.bind``, so ``3.0`` finds the stored
+``3`` and answers with it, while ``'3'``, ``3.5``, NULL and NaN find nothing.
 """
 
 from __future__ import annotations
+
+import math
 
 import pytest
 
@@ -51,6 +57,8 @@ READS = {
     "range": (" AND id >= 8", ("ViewRangeRead", "ServedRangeScan")),
 }
 STATES = {"unserved": 0, "2 shards": 1}
+#: ``id = ?`` bound to each value, and the stored keys it finds.
+KEY_BOUNDS = [(3, [3]), (3.0, [3]), ("3", []), (3.5, []), (None, []), (float("nan"), [])]
 
 
 def build(labelling: str) -> Database:
@@ -91,6 +99,12 @@ def view_db(request):
         db.execute("STOP SERVING v")
 
 
+def _serve(db: Database, state: str) -> None:
+    """Serve ``v`` on 2 shards, or stop serving it, as ``state`` asks."""
+    if STATES[state] != db.catalog.classification_view("v").reader().served:
+        db.execute("SERVE VIEW v WITH (shards = 2)" if STATES[state] else "STOP SERVING v")
+
+
 def _typed(rows) -> list[tuple]:
     """Rows as ``(id, class, type of class)``, by id: ``1 == True`` is not enough."""
     return sorted((row["id"], row["class"], type(row["class"])) for row in rows)
@@ -101,8 +115,7 @@ def _typed(rows) -> list[tuple]:
 @pytest.mark.parametrize("bound", BOUNDS, ids=lambda b: f"{b[0]}={b[1]!r}" if b[2] else b[0])
 def test_a_class_read_equals_the_filtered_view(view_db, state, read, bound):
     labelling, db = view_db
-    if STATES[state] != db.catalog.classification_view("v").reader().served:
-        db.execute("SERVE VIEW v WITH (shards = 2)" if STATES[state] else "STOP SERVING v")
+    _serve(db, state)
     literal, value, placeholder = bound
     suffix, nodes = READS[read]
     sql = f"SELECT id, class FROM v WHERE class = {literal}{suffix}"
@@ -119,6 +132,58 @@ def test_a_class_read_equals_the_filtered_view(view_db, state, read, bound):
         if compare_values(row["class"], "=", value) and (not suffix or row["id"] >= 8)
     ]
     assert _typed(db.execute(sql, parameters).rows) == _typed(expected), labelling
+
+
+@pytest.mark.parametrize("state", STATES)
+@pytest.mark.parametrize("bound", KEY_BOUNDS, ids=lambda bound: repr(bound[0]))
+def test_a_point_read_equals_the_filtered_view(view_db, state, bound):
+    labelling, db = view_db
+    _serve(db, state)
+    value, found = bound
+    sql = "SELECT id, class FROM v WHERE id = ?"
+
+    plan = [row["node"].strip() for row in db.execute(f"EXPLAIN {sql}", [value]).rows]
+    access = ("ViewPointRead", "ServedPointRead")[STATES[state]]
+    assert plan == ["Project(id, class)", f"{access}(v.id = ?)"]
+
+    expected = [
+        row
+        for row in db.execute("SELECT id, class FROM v").rows
+        if compare_values(row["id"], "=", value)
+    ]
+    answer = db.execute(sql, [value]).rows
+    assert _typed(answer) == _typed(expected), labelling
+    assert [(row["id"], type(row["id"])) for row in answer] == [(key, int) for key in found]
+    classes = db.execute("SELECT class FROM v WHERE id = ?", [value]).rows
+    assert classes == [{"class": row["class"]} for row in answer]
+
+
+@pytest.mark.parametrize("state", STATES)
+def test_a_point_read_finds_no_stored_nan_key(state):
+    """A REAL key column can store a NaN, and ``math.nan`` bound to ``id = ?``
+    is the very object stored, which a key lookup finds; no key equals a NaN
+    under ``=``, so the read still answers nothing."""
+    db = Database(cost_model=CostModel.main_memory())
+    db.execute("CREATE TABLE docs (id float PRIMARY KEY, title text)")
+    db.execute("CREATE TABLE examples (id float PRIMARY KEY, label integer)")
+    db.executemany(
+        "INSERT INTO docs (id, title) VALUES (?, ?)",
+        [(math.nan, "a b c"), (1.5, "b c d"), (2.5, "x y")],
+    )
+    HazyEngine(db)
+    db.execute(
+        "CREATE CLASSIFICATION VIEW v KEY id ENTITIES FROM docs KEY id "
+        "EXAMPLES FROM examples KEY id LABEL label "
+        "FEATURE FUNCTION tf_bag_of_words USING SVM"
+    )
+    db.executemany("INSERT INTO examples (id, label) VALUES (?, ?)", [(1.5, 1), (2.5, -1)])
+    _serve(db, state)
+    try:
+        assert len(db.execute("SELECT id FROM v").rows) == 3
+        assert db.execute("SELECT id, class FROM v WHERE id = ?", [math.nan]).rows == []
+        assert len(db.execute("SELECT id, class FROM v WHERE id = ?", [1.5]).rows) == 1
+    finally:
+        _serve(db, "unserved")
 
 
 def test_both_classes_have_members(view_db):

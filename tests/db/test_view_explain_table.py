@@ -13,7 +13,9 @@ view: the ``ViewScan`` estimate adopts the formula of the ``contents()`` body
 it runs, and the fused ``TopK`` gets a number instead of ``None``).  The
 All Members and key-range cells moved later, in ``CLASS_ANSWERED``: those
 reads answer their ``class = x`` conjunct exactly, so it left the residual
-``Filter`` above them, and every estimate stayed where it was.
+``Filter`` above them, and every estimate stayed where it was.  The point
+cells moved last, in ``KEY_ANSWERED``: a point read answers its own ``id = 1``
+the same way, so the ``Filter(id = 1)`` above it went.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import sys
 
 import pytest
 
-from tests.db.test_select_plan_table import class_answered
+from tests.db.test_select_plan_table import class_answered, key_answered
 from tests.db.test_sql_serving import build_portal
 
 READS = {
@@ -58,151 +60,319 @@ def explain_table() -> dict[tuple[str, str, str], list[tuple]]:
 
 #: The cells PR 20 moved on purpose: what they print now.
 MOVED: dict[tuple[str, str, str], list[tuple]] = {
-    ('mainmemory/eager', 'contents', 'unserved'): [
-        ('ViewScan(labeled_papers)', 0.002886, 'materialize the view through the direct maintainer'),
+    ("mainmemory/eager", "contents", "unserved"): [
+        (
+            "ViewScan(labeled_papers)",
+            0.002886,
+            "materialize the view through the direct maintainer",
+        ),
     ],
-    ('mainmemory/eager', 'ranked', 'unserved'): [
-        ('Project(id)', 0.0, ''),
-        ('  TopK(k=4, by=margin desc)', 7.8e-05, 'direct maintainer top-k heap over one scored scan (view is not served)'),
+    ("mainmemory/eager", "ranked", "unserved"): [
+        ("Project(id)", 0.0, ""),
+        (
+            "  TopK(k=4, by=margin desc)",
+            7.8e-05,
+            "direct maintainer top-k heap over one scored scan (view is not served)",
+        ),
     ],
-    ('hybrid/lazy', 'contents', 'unserved'): [
-        ('ViewScan(labeled_papers)', 0.19889379999999995, 'materialize the view through the direct maintainer'),
+    ("hybrid/lazy", "contents", "unserved"): [
+        (
+            "ViewScan(labeled_papers)",
+            0.19889379999999995,
+            "materialize the view through the direct maintainer",
+        ),
     ],
-    ('hybrid/lazy', 'ranked', 'unserved'): [
-        ('Project(id)', 0.0, ''),
-        ('  TopK(k=4, by=margin desc)', 0.001078, 'direct maintainer top-k heap over one scored scan (view is not served)'),
+    ("hybrid/lazy", "ranked", "unserved"): [
+        ("Project(id)", 0.0, ""),
+        (
+            "  TopK(k=4, by=margin desc)",
+            0.001078,
+            "direct maintainer top-k heap over one scored scan (view is not served)",
+        ),
     ],
 }
 
 #: The cells whose view read answers ``class = x`` itself: what they print now.
 CLASS_ANSWERED: dict[tuple[str, str, str], list[tuple]] = {
-    ('mainmemory/eager', 'members', 'unserved'): [
-        ('Project(id)', 0.0, ''),
-        ("  ViewMembers(labeled_papers, class = 'database')", 7.8e-05, 'direct maintainer All Members read (view is not served)'),
+    ("mainmemory/eager", "members", "unserved"): [
+        ("Project(id)", 0.0, ""),
+        (
+            "  ViewMembers(labeled_papers, class = 'database')",
+            7.8e-05,
+            "direct maintainer All Members read (view is not served)",
+        ),
     ],
-    ('mainmemory/eager', 'range', 'unserved'): [
-        ('Project(id)', 0.0, ''),
-        ('  Filter(id >= 5)', 0.0, 'residual re-check of every WHERE conjunct'),
-        ("    ViewRangeRead(labeled_papers, class = 'database' AND id >= 5)", 7.8e-05, 'maintainer read_range (view is not served)'),
+    ("mainmemory/eager", "range", "unserved"): [
+        ("Project(id)", 0.0, ""),
+        ("  Filter(id >= 5)", 0.0, "residual re-check of every WHERE conjunct"),
+        (
+            "    ViewRangeRead(labeled_papers, class = 'database' AND id >= 5)",
+            7.8e-05,
+            "maintainer read_range (view is not served)",
+        ),
     ],
-    ('mainmemory/eager', 'members', '2 shards'): [
-        ('Project(id)', 0.0, ''),
-        ("  ServedScatterGather(labeled_papers, class = 'database')", 7.8e-05, 'scatter/gather All Members across 2 shards'),
+    ("mainmemory/eager", "members", "2 shards"): [
+        ("Project(id)", 0.0, ""),
+        (
+            "  ServedScatterGather(labeled_papers, class = 'database')",
+            7.8e-05,
+            "scatter/gather All Members across 2 shards",
+        ),
     ],
-    ('mainmemory/eager', 'range', '2 shards'): [
-        ('Project(id)', 0.0, ''),
-        ('  Filter(id >= 5)', 0.0, 'residual re-check of every WHERE conjunct'),
-        ("    ServedRangeScan(labeled_papers, class = 'database' AND id >= 5)", 7.8e-05, 'pushed-down read_range across 2 shards; classifies only in-range candidates'),
+    ("mainmemory/eager", "range", "2 shards"): [
+        ("Project(id)", 0.0, ""),
+        ("  Filter(id >= 5)", 0.0, "residual re-check of every WHERE conjunct"),
+        (
+            "    ServedRangeScan(labeled_papers, class = 'database' AND id >= 5)",
+            7.8e-05,
+            "pushed-down read_range across 2 shards; classifies only in-range candidates",
+        ),
     ],
-    ('hybrid/lazy', 'members', 'unserved'): [
-        ('Project(id)', 0.0, ''),
-        ("  ViewMembers(labeled_papers, class = 'database')", 0.001078, 'direct maintainer All Members read (view is not served)'),
+    ("hybrid/lazy", "members", "unserved"): [
+        ("Project(id)", 0.0, ""),
+        (
+            "  ViewMembers(labeled_papers, class = 'database')",
+            0.001078,
+            "direct maintainer All Members read (view is not served)",
+        ),
     ],
-    ('hybrid/lazy', 'range', 'unserved'): [
-        ('Project(id)', 0.0, ''),
-        ('  Filter(id >= 5)', 0.0, 'residual re-check of every WHERE conjunct'),
-        ("    ViewRangeRead(labeled_papers, class = 'database' AND id >= 5)", 0.001078, 'maintainer read_range (view is not served)'),
+    ("hybrid/lazy", "range", "unserved"): [
+        ("Project(id)", 0.0, ""),
+        ("  Filter(id >= 5)", 0.0, "residual re-check of every WHERE conjunct"),
+        (
+            "    ViewRangeRead(labeled_papers, class = 'database' AND id >= 5)",
+            0.001078,
+            "maintainer read_range (view is not served)",
+        ),
     ],
-    ('hybrid/lazy', 'members', '2 shards'): [
-        ('Project(id)', 0.0, ''),
-        ("  ServedScatterGather(labeled_papers, class = 'database')", 0.001078, 'scatter/gather All Members across 2 shards'),
+    ("hybrid/lazy", "members", "2 shards"): [
+        ("Project(id)", 0.0, ""),
+        (
+            "  ServedScatterGather(labeled_papers, class = 'database')",
+            0.001078,
+            "scatter/gather All Members across 2 shards",
+        ),
     ],
-    ('hybrid/lazy', 'range', '2 shards'): [
-        ('Project(id)', 0.0, ''),
-        ('  Filter(id >= 5)', 0.0, 'residual re-check of every WHERE conjunct'),
-        ("    ServedRangeScan(labeled_papers, class = 'database' AND id >= 5)", 0.001078, 'pushed-down read_range across 2 shards; classifies only in-range candidates'),
+    ("hybrid/lazy", "range", "2 shards"): [
+        ("Project(id)", 0.0, ""),
+        ("  Filter(id >= 5)", 0.0, "residual re-check of every WHERE conjunct"),
+        (
+            "    ServedRangeScan(labeled_papers, class = 'database' AND id >= 5)",
+            0.001078,
+            "pushed-down read_range across 2 shards; classifies only in-range candidates",
+        ),
+    ],
+}
+
+#: The cells whose point read answers its ``id = 1`` itself: what they print now.
+KEY_ANSWERED: dict[tuple[str, str, str], list[tuple]] = {
+    ("mainmemory/eager", "point", "unserved"): [
+        ("Project(class)", 0.0, ""),
+        (
+            "  ViewPointRead(labeled_papers.id = 1)",
+            7.02e-05,
+            "direct maintainer read_single (view is not served)",
+        ),
+    ],
+    ("mainmemory/eager", "point", "2 shards"): [
+        ("Project(class)", 0.0, ""),
+        (
+            "  ServedPointRead(labeled_papers.id = 1)",
+            7.02e-05,
+            "batched read on the owning shard of 2; statement overhead amortized per coalesced batch",
+        ),
+    ],
+    ("hybrid/lazy", "point", "unserved"): [
+        ("Project(class)", 0.0, ""),
+        (
+            "  ViewPointRead(labeled_papers.id = 1)",
+            0.001078,
+            "direct maintainer read_single (view is not served)",
+        ),
+    ],
+    ("hybrid/lazy", "point", "2 shards"): [
+        ("Project(class)", 0.0, ""),
+        (
+            "  ServedPointRead(labeled_papers.id = 1)",
+            0.0005736,
+            "batched read on the owning shard of 2; statement overhead amortized per coalesced batch",
+        ),
     ],
 }
 
 #: The table as the parent printed it.
 PARENT: dict[tuple[str, str, str], list[tuple]] = {
-    ('mainmemory/eager', 'point', 'unserved'): [
-        ('Project(class)', 0.0, ''),
-        ('  Filter(id = 1)', 0.0, 'residual re-check of every WHERE conjunct'),
-        ('    ViewPointRead(labeled_papers.id = 1)', 7.02e-05, 'direct maintainer read_single (view is not served)'),
+    ("mainmemory/eager", "point", "unserved"): [
+        ("Project(class)", 0.0, ""),
+        ("  Filter(id = 1)", 0.0, "residual re-check of every WHERE conjunct"),
+        (
+            "    ViewPointRead(labeled_papers.id = 1)",
+            7.02e-05,
+            "direct maintainer read_single (view is not served)",
+        ),
     ],
-    ('mainmemory/eager', 'members', 'unserved'): [
-        ('Project(id)', 0.0, ''),
-        ("  Filter(class = 'database')", 0.0, 'residual re-check of every WHERE conjunct'),
-        ("    ViewMembers(labeled_papers, class = 'database')", 7.8e-05, 'direct maintainer All Members read (view is not served)'),
+    ("mainmemory/eager", "members", "unserved"): [
+        ("Project(id)", 0.0, ""),
+        ("  Filter(class = 'database')", 0.0, "residual re-check of every WHERE conjunct"),
+        (
+            "    ViewMembers(labeled_papers, class = 'database')",
+            7.8e-05,
+            "direct maintainer All Members read (view is not served)",
+        ),
     ],
-    ('mainmemory/eager', 'range', 'unserved'): [
-        ('Project(id)', 0.0, ''),
-        ("  Filter(class = 'database' AND id >= 5)", 0.0, 'residual re-check of every WHERE conjunct'),
-        ("    ViewRangeRead(labeled_papers, class = 'database' AND id >= 5)", 7.8e-05, 'maintainer read_range (view is not served)'),
+    ("mainmemory/eager", "range", "unserved"): [
+        ("Project(id)", 0.0, ""),
+        (
+            "  Filter(class = 'database' AND id >= 5)",
+            0.0,
+            "residual re-check of every WHERE conjunct",
+        ),
+        (
+            "    ViewRangeRead(labeled_papers, class = 'database' AND id >= 5)",
+            7.8e-05,
+            "maintainer read_range (view is not served)",
+        ),
     ],
-    ('mainmemory/eager', 'contents', 'unserved'): [
-        ('ViewScan(labeled_papers)', 7.8e-05, 'materialize the view through the direct maintainer'),
+    ("mainmemory/eager", "contents", "unserved"): [
+        ("ViewScan(labeled_papers)", 7.8e-05, "materialize the view through the direct maintainer"),
     ],
-    ('mainmemory/eager', 'ranked', 'unserved'): [
-        ('Project(id)', 0.0, ''),
-        ('  TopK(k=4, by=margin desc)', None, 'requires the view to be served'),
+    ("mainmemory/eager", "ranked", "unserved"): [
+        ("Project(id)", 0.0, ""),
+        ("  TopK(k=4, by=margin desc)", None, "requires the view to be served"),
     ],
-    ('mainmemory/eager', 'point', '2 shards'): [
-        ('Project(class)', 0.0, ''),
-        ('  Filter(id = 1)', 0.0, 'residual re-check of every WHERE conjunct'),
-        ('    ServedPointRead(labeled_papers.id = 1)', 7.02e-05, 'batched read on the owning shard of 2; statement overhead amortized per coalesced batch'),
+    ("mainmemory/eager", "point", "2 shards"): [
+        ("Project(class)", 0.0, ""),
+        ("  Filter(id = 1)", 0.0, "residual re-check of every WHERE conjunct"),
+        (
+            "    ServedPointRead(labeled_papers.id = 1)",
+            7.02e-05,
+            "batched read on the owning shard of 2; statement overhead amortized per coalesced batch",
+        ),
     ],
-    ('mainmemory/eager', 'members', '2 shards'): [
-        ('Project(id)', 0.0, ''),
-        ("  Filter(class = 'database')", 0.0, 'residual re-check of every WHERE conjunct'),
-        ("    ServedScatterGather(labeled_papers, class = 'database')", 7.8e-05, 'scatter/gather All Members across 2 shards'),
+    ("mainmemory/eager", "members", "2 shards"): [
+        ("Project(id)", 0.0, ""),
+        ("  Filter(class = 'database')", 0.0, "residual re-check of every WHERE conjunct"),
+        (
+            "    ServedScatterGather(labeled_papers, class = 'database')",
+            7.8e-05,
+            "scatter/gather All Members across 2 shards",
+        ),
     ],
-    ('mainmemory/eager', 'range', '2 shards'): [
-        ('Project(id)', 0.0, ''),
-        ("  Filter(class = 'database' AND id >= 5)", 0.0, 'residual re-check of every WHERE conjunct'),
-        ("    ServedRangeScan(labeled_papers, class = 'database' AND id >= 5)", 7.8e-05, 'pushed-down read_range across 2 shards; classifies only in-range candidates'),
+    ("mainmemory/eager", "range", "2 shards"): [
+        ("Project(id)", 0.0, ""),
+        (
+            "  Filter(class = 'database' AND id >= 5)",
+            0.0,
+            "residual re-check of every WHERE conjunct",
+        ),
+        (
+            "    ServedRangeScan(labeled_papers, class = 'database' AND id >= 5)",
+            7.8e-05,
+            "pushed-down read_range across 2 shards; classifies only in-range candidates",
+        ),
     ],
-    ('mainmemory/eager', 'contents', '2 shards'): [
-        ('ServedScatterGather(labeled_papers, contents)', 0.002886, 'materialize one coherent epoch via read_single per entity across 2 shards'),
+    ("mainmemory/eager", "contents", "2 shards"): [
+        (
+            "ServedScatterGather(labeled_papers, contents)",
+            0.002886,
+            "materialize one coherent epoch via read_single per entity across 2 shards",
+        ),
     ],
-    ('mainmemory/eager', 'ranked', '2 shards'): [
-        ('Project(id)', 0.0, ''),
-        ('  TopK(k=4, by=margin desc)', 7.8e-05, 'per-shard top-k heaps + n-way merge across 2 shards'),
+    ("mainmemory/eager", "ranked", "2 shards"): [
+        ("Project(id)", 0.0, ""),
+        (
+            "  TopK(k=4, by=margin desc)",
+            7.8e-05,
+            "per-shard top-k heaps + n-way merge across 2 shards",
+        ),
     ],
-    ('hybrid/lazy', 'point', 'unserved'): [
-        ('Project(class)', 0.0, ''),
-        ('  Filter(id = 1)', 0.0, 'residual re-check of every WHERE conjunct'),
-        ('    ViewPointRead(labeled_papers.id = 1)', 0.001078, 'direct maintainer read_single (view is not served)'),
+    ("hybrid/lazy", "point", "unserved"): [
+        ("Project(class)", 0.0, ""),
+        ("  Filter(id = 1)", 0.0, "residual re-check of every WHERE conjunct"),
+        (
+            "    ViewPointRead(labeled_papers.id = 1)",
+            0.001078,
+            "direct maintainer read_single (view is not served)",
+        ),
     ],
-    ('hybrid/lazy', 'members', 'unserved'): [
-        ('Project(id)', 0.0, ''),
-        ("  Filter(class = 'database')", 0.0, 'residual re-check of every WHERE conjunct'),
-        ("    ViewMembers(labeled_papers, class = 'database')", 0.001078, 'direct maintainer All Members read (view is not served)'),
+    ("hybrid/lazy", "members", "unserved"): [
+        ("Project(id)", 0.0, ""),
+        ("  Filter(class = 'database')", 0.0, "residual re-check of every WHERE conjunct"),
+        (
+            "    ViewMembers(labeled_papers, class = 'database')",
+            0.001078,
+            "direct maintainer All Members read (view is not served)",
+        ),
     ],
-    ('hybrid/lazy', 'range', 'unserved'): [
-        ('Project(id)', 0.0, ''),
-        ("  Filter(class = 'database' AND id >= 5)", 0.0, 'residual re-check of every WHERE conjunct'),
-        ("    ViewRangeRead(labeled_papers, class = 'database' AND id >= 5)", 0.001078, 'maintainer read_range (view is not served)'),
+    ("hybrid/lazy", "range", "unserved"): [
+        ("Project(id)", 0.0, ""),
+        (
+            "  Filter(class = 'database' AND id >= 5)",
+            0.0,
+            "residual re-check of every WHERE conjunct",
+        ),
+        (
+            "    ViewRangeRead(labeled_papers, class = 'database' AND id >= 5)",
+            0.001078,
+            "maintainer read_range (view is not served)",
+        ),
     ],
-    ('hybrid/lazy', 'contents', 'unserved'): [
-        ('ViewScan(labeled_papers)', 0.001078, 'materialize the view through the direct maintainer'),
+    ("hybrid/lazy", "contents", "unserved"): [
+        (
+            "ViewScan(labeled_papers)",
+            0.001078,
+            "materialize the view through the direct maintainer",
+        ),
     ],
-    ('hybrid/lazy', 'ranked', 'unserved'): [
-        ('Project(id)', 0.0, ''),
-        ('  TopK(k=4, by=margin desc)', None, 'requires the view to be served'),
+    ("hybrid/lazy", "ranked", "unserved"): [
+        ("Project(id)", 0.0, ""),
+        ("  TopK(k=4, by=margin desc)", None, "requires the view to be served"),
     ],
-    ('hybrid/lazy', 'point', '2 shards'): [
-        ('Project(class)', 0.0, ''),
-        ('  Filter(id = 1)', 0.0, 'residual re-check of every WHERE conjunct'),
-        ('    ServedPointRead(labeled_papers.id = 1)', 0.0005736, 'batched read on the owning shard of 2; statement overhead amortized per coalesced batch'),
+    ("hybrid/lazy", "point", "2 shards"): [
+        ("Project(class)", 0.0, ""),
+        ("  Filter(id = 1)", 0.0, "residual re-check of every WHERE conjunct"),
+        (
+            "    ServedPointRead(labeled_papers.id = 1)",
+            0.0005736,
+            "batched read on the owning shard of 2; statement overhead amortized per coalesced batch",
+        ),
     ],
-    ('hybrid/lazy', 'members', '2 shards'): [
-        ('Project(id)', 0.0, ''),
-        ("  Filter(class = 'database')", 0.0, 'residual re-check of every WHERE conjunct'),
-        ("    ServedScatterGather(labeled_papers, class = 'database')", 0.001078, 'scatter/gather All Members across 2 shards'),
+    ("hybrid/lazy", "members", "2 shards"): [
+        ("Project(id)", 0.0, ""),
+        ("  Filter(class = 'database')", 0.0, "residual re-check of every WHERE conjunct"),
+        (
+            "    ServedScatterGather(labeled_papers, class = 'database')",
+            0.001078,
+            "scatter/gather All Members across 2 shards",
+        ),
     ],
-    ('hybrid/lazy', 'range', '2 shards'): [
-        ('Project(id)', 0.0, ''),
-        ("  Filter(class = 'database' AND id >= 5)", 0.0, 'residual re-check of every WHERE conjunct'),
-        ("    ServedRangeScan(labeled_papers, class = 'database' AND id >= 5)", 0.001078, 'pushed-down read_range across 2 shards; classifies only in-range candidates'),
+    ("hybrid/lazy", "range", "2 shards"): [
+        ("Project(id)", 0.0, ""),
+        (
+            "  Filter(class = 'database' AND id >= 5)",
+            0.0,
+            "residual re-check of every WHERE conjunct",
+        ),
+        (
+            "    ServedRangeScan(labeled_papers, class = 'database' AND id >= 5)",
+            0.001078,
+            "pushed-down read_range across 2 shards; classifies only in-range candidates",
+        ),
     ],
-    ('hybrid/lazy', 'contents', '2 shards'): [
-        ('ServedScatterGather(labeled_papers, contents)', 0.19389359999999997, 'materialize one coherent epoch via read_single per entity across 2 shards'),
+    ("hybrid/lazy", "contents", "2 shards"): [
+        (
+            "ServedScatterGather(labeled_papers, contents)",
+            0.19389359999999997,
+            "materialize one coherent epoch via read_single per entity across 2 shards",
+        ),
     ],
-    ('hybrid/lazy', 'ranked', '2 shards'): [
-        ('Project(id)', 0.0, ''),
-        ('  TopK(k=4, by=margin desc)', 0.001078, 'per-shard top-k heaps + n-way merge across 2 shards'),
+    ("hybrid/lazy", "ranked", "2 shards"): [
+        ("Project(id)", 0.0, ""),
+        (
+            "  TopK(k=4, by=margin desc)",
+            0.001078,
+            "per-shard top-k heaps + n-way merge across 2 shards",
+        ),
     ],
 }
 
@@ -216,6 +386,7 @@ def test_the_recorded_table_covers_every_cell():
     assert set(CLASS_ANSWERED) == {
         (c, r, s) for c in CONFIGURATIONS for r in ("members", "range") for s in STATES
     }
+    assert set(KEY_ANSWERED) == {(c, "point", s) for c in CONFIGURATIONS for s in STATES}
 
 
 @pytest.fixture(scope="module")
@@ -225,7 +396,7 @@ def table():
 
 @pytest.mark.parametrize("cell", sorted(PARENT), ids=" ".join)
 def test_explain_rows_equal_the_parents_except_the_two_moved_cells(table, cell):
-    assert table[cell] == CLASS_ANSWERED.get(cell, MOVED.get(cell, PARENT[cell]))
+    assert table[cell] == {**PARENT, **MOVED, **CLASS_ANSWERED, **KEY_ANSWERED}[cell]
 
 
 def test_the_moved_cells_moved_only_where_intended():
@@ -244,16 +415,34 @@ def test_the_class_answered_cells_lost_only_their_class_conjunct():
         assert [list(row) for row in rows] == class_answered(before) != before
 
 
+def test_the_key_answered_cells_lost_only_their_key_conjunct():
+    for cell, rows in KEY_ANSWERED.items():
+        before = [list(row) for row in PARENT[cell]]
+        assert [list(row) for row in rows] == key_answered(before) != before
+
+
+def _literal(value: object) -> str:
+    return f'"{value}"' if isinstance(value, str) else repr(value)
+
+
 def _render(table: dict[tuple[str, str, str], list[tuple]]) -> str:
+    """The table as this file spells it: a row past 100 columns one value a line."""
     lines = ["{"]
     for cell, rows in table.items():
-        lines.append(f"    {cell!r}: [")
-        lines.extend(f"        {row!r}," for row in rows)
+        lines.append(f"    ({', '.join(map(_literal, cell))}): [")
+        for row in rows:
+            line = f"        ({', '.join(map(_literal, row))}),"
+            if len(line) > 100:
+                values = "".join(f"            {_literal(value)},\n" for value in row)
+                line = f"        (\n{values}        ),"
+            lines.append(line)
         lines.append("    ],")
     return "\n".join([*lines, "}"])
 
 
 if __name__ == "__main__":
     if "--record" not in sys.argv:
-        raise SystemExit("usage: PYTHONPATH=src:. python tests/db/test_view_explain_table.py --record")
+        raise SystemExit(
+            "usage: PYTHONPATH=src:. python tests/db/test_view_explain_table.py --record"
+        )
     print(_render(explain_table()))
