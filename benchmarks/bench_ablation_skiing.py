@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from repro.bench.harness import build_maintained_view, run_eager_update_experiment
 from repro.bench.reporting import format_table
-from repro.core.skiing import OfflineOptimalScheduler
+from repro.core.skiing import OfflineOptimalScheduler, SkiingDecision, SkiingStrategy
 from repro.workloads import update_trace
 
 ALPHAS = (0.25, 0.5, 1.0, 2.0, 4.0)
@@ -39,15 +39,34 @@ def build_alpha_table(dataset, warmup: int = 500, timed: int = 150):
     return rows
 
 
+def record_decisions(skiing: SkiingStrategy) -> list[SkiingDecision]:
+    """Every decision ``skiing`` returns from now on, in order.
+
+    The strategy keeps running totals only; the benchmark that needs the
+    per-round trace wraps the two recording calls and keeps what they return.
+    """
+    decisions: list[SkiingDecision] = []
+    for name in ("record_incremental_step", "record_reorganization"):
+        record = getattr(skiing, name)
+
+        def recording(cost: float, record=record) -> SkiingDecision:
+            decision = record(cost)
+            decisions.append(decision)
+            return decision
+
+        setattr(skiing, name, recording)
+    return decisions
+
+
 def build_ratio_table(dataset, warmup: int = 500, timed: int = 120):
     """Replay the workload's incremental-cost trace against alternative schedules."""
     trace = update_trace(dataset, warmup=warmup, timed=timed, seed=21)
     view = build_maintained_view(
         dataset, "mainmemory", "hazy", "eager", warm_examples=trace.warm_examples()
     )
-    view.absorb_many(trace.timed_examples())
     skiing = view.maintainer.skiing
-    history = skiing.history
+    decisions = record_decisions(skiing)
+    view.absorb_many(trace.timed_examples())
     reorg_cost = skiing.reorganization_cost or view.maintainer.stats.simulated_reorganization_seconds
     if reorg_cost <= 0:
         reorg_cost = 1e-3
@@ -55,7 +74,7 @@ def build_ratio_table(dataset, warmup: int = 500, timed: int = 120):
     # (the accumulator resets to zero at every reorganization).
     per_round: list[float] = []
     previous = 0.0
-    for decision in history:
+    for decision in decisions:
         if decision.reorganize:
             previous = 0.0
             continue

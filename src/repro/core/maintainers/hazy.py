@@ -194,7 +194,7 @@ class HazyEagerMaintainer(EagerReads, _HazyMaintainerBase):
             # The round still counts as an Update; its cost is recorded as a
             # reorganization rather than an incremental step.
             self.stats.record_update(0, 0, 0.0)
-            self.stats.record_band(0, 0.0)
+            self.stats.record_band(0)
             return
         start = self.store.cost_snapshot()
         for model in models:
@@ -204,7 +204,7 @@ class HazyEagerMaintainer(EagerReads, _HazyMaintainerBase):
         cost = self.store.cost_snapshot() - start
         self.skiing.record_incremental_step(cost)
         self.stats.record_update(touched, changed, cost)
-        self.stats.record_band(touched, band.width())
+        self.stats.record_band(touched)
 
 
 class HazyLazyMaintainer(_HazyMaintainerBase):
@@ -219,9 +219,8 @@ class HazyLazyMaintainer(_HazyMaintainerBase):
         self.current_model = model
         start = self.store.cost_snapshot()
         self.store.charge_bound_update(model.weights.nnz())
-        band = tracker.advance(model)
+        tracker.advance(model)
         self.stats.record_update(0, 0, self.store.cost_snapshot() - start)
-        self.stats.record_band(-1, band.width())  # -1: size not measured on the lazy path
 
     def _scan_members(
         self, label: int, key_range: KeyRange | None = None

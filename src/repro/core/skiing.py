@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.exceptions import ConfigurationError
 
@@ -63,7 +63,6 @@ class SkiingStrategy:
     rounds: int = 0
     reorganizations: int = 0
     incremental_cost_total: float = 0.0
-    history: list[SkiingDecision] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if self.alpha < 0:
@@ -89,13 +88,11 @@ class SkiingStrategy:
         self.rounds += 1
         self.accumulated_cost += cost
         self.incremental_cost_total += cost
-        decision = SkiingDecision(
+        return SkiingDecision(
             reorganize=False,
             accumulated_cost=self.accumulated_cost,
             threshold=self.alpha * self.reorganization_cost,
         )
-        self.history.append(decision)
-        return decision
 
     def record_reorganization(self, measured_cost: float) -> SkiingDecision:
         """Account an actual reorganization: update ``S`` and reset the waste."""
@@ -105,13 +102,11 @@ class SkiingStrategy:
         self.reorganizations += 1
         self.reorganization_cost = measured_cost
         self.accumulated_cost = 0.0
-        decision = SkiingDecision(
+        return SkiingDecision(
             reorganize=True,
             accumulated_cost=0.0,
             threshold=self.alpha * self.reorganization_cost,
         )
-        self.history.append(decision)
-        return decision
 
     def record_lazy_waste(self, tuples_read: int, members: int, scan_cost: float) -> float:
         """The lazy-approach waste model of §3.4.
@@ -126,12 +121,6 @@ class SkiingStrategy:
         waste = (tuples_read - members) / tuples_read * scan_cost
         self.record_incremental_step(waste)
         return waste
-
-    def total_cost(self) -> float:
-        """Total cost paid so far: incremental steps plus reorganizations."""
-        # Each reorganization paid the then-current S; approximate with the
-        # last measured cost, which is exact when S is stable.
-        return self.incremental_cost_total + self.reorganizations * self.reorganization_cost
 
 
 class OfflineOptimalScheduler:

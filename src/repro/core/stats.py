@@ -1,14 +1,15 @@
 """Runtime statistics for view maintenance.
 
 Every maintainer records what it did — rounds, reorganizations, tuples
-reclassified, band sizes, and simulated cost — so that benchmarks can report
-the quantities behind the paper's figures (e.g. the Figure 13 band-size curve
-is exactly ``band_size_history``).
+reclassified, band sizes, and simulated cost — as running totals, so that
+benchmarks can report the quantities behind the paper's figures without the
+statistics growing with every update.  (The Figure 13 band-size curve is
+sampled from ``band_tuple_count()`` by its benchmark, not read from here.)
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["MaintenanceStatistics"]
 
@@ -31,8 +32,8 @@ class MaintenanceStatistics:
     simulated_update_seconds: float = 0.0
     simulated_read_seconds: float = 0.0
     simulated_reorganization_seconds: float = 0.0
-    band_size_history: list[int] = field(default_factory=list)
-    band_width_history: list[float] = field(default_factory=list)
+    band_rounds: int = 0
+    band_size_total: int = 0
 
     # -- recording -----------------------------------------------------------------
 
@@ -48,10 +49,10 @@ class MaintenanceStatistics:
         self.reorganizations += 1
         self.simulated_reorganization_seconds += cost
 
-    def record_band(self, size: int, width: float) -> None:
-        """Record the number of tuples (and eps width) inside the current water band."""
-        self.band_size_history.append(size)
-        self.band_width_history.append(width)
+    def record_band(self, size: int) -> None:
+        """One round that relabelled the water band: ``size`` tuples were inside it."""
+        self.band_rounds += 1
+        self.band_size_total += size
 
     def record_single_read(self, cost: float = 0.0) -> None:
         """One Single Entity read."""
@@ -81,12 +82,12 @@ class MaintenanceStatistics:
 
     def average_band_size(self) -> float:
         """Mean number of tuples in the water band across recorded rounds."""
-        if not self.band_size_history:
+        if not self.band_rounds:
             return 0.0
-        return sum(self.band_size_history) / len(self.band_size_history)
+        return self.band_size_total / self.band_rounds
 
     def as_dict(self) -> dict[str, float]:
-        """Flat dictionary for reporting (band histories summarized)."""
+        """Flat dictionary for reporting (the band totals as their average)."""
         return {
             "updates": self.updates,
             "reorganizations": self.reorganizations,

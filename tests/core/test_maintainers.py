@@ -192,14 +192,15 @@ class TestHazyEagerBehaviour:
         assert hazy.stats.reorganizations >= 1
         assert hazy.skiing.reorganizations == hazy.stats.reorganizations
 
-    def test_band_size_history_recorded(self):
+    def test_band_rounds_counted(self):
         documents = corpus(60, seed=71)
         entities = [(doc.entity_id, doc.features) for doc in documents]
         trainer = SGDTrainer()
         hazy = HazyEagerMaintainer(make_store("mainmemory"))
         hazy.bulk_load(entities, trainer.model)
         run_update_stream(hazy, trainer, documents, updates=10, seed=41)
-        assert len(hazy.stats.band_size_history) == 10
+        assert hazy.stats.band_rounds == 10
+        assert hazy.stats.average_band_size() == hazy.stats.band_size_total / 10
         assert hazy.band_tuple_count() >= 0
 
     def test_read_single_uses_epsmap_on_hybrid(self):
@@ -252,6 +253,18 @@ class TestHazyLazyBehaviour:
         final_model = run_update_stream(lazy, trainer, documents, updates=20, seed=61)
         expected = {eid for eid, label in view_contents(entities, final_model).items() if label == -1}
         assert set(lazy.read_all_members(-1)) == expected
+
+    def test_updates_record_no_band_round(self):
+        """A lazy update relabels nothing: no band round, and an average of 0.0, not -1.0."""
+        documents = corpus(60, seed=71)
+        entities = [(doc.entity_id, doc.features) for doc in documents]
+        trainer = SGDTrainer()
+        lazy = HazyLazyMaintainer(make_store("mainmemory"))
+        lazy.bulk_load(entities, trainer.model)
+        run_update_stream(lazy, trainer, documents, updates=10, seed=41)
+        assert lazy.stats.updates == 10
+        assert lazy.stats.band_rounds == 0
+        assert lazy.stats.average_band_size() == 0.0
 
 
 #: ``(architecture, kernel)``: main memory twice, its size rule forced so the

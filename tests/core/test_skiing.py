@@ -8,6 +8,7 @@ import pytest
 
 from repro.core.skiing import (
     OfflineOptimalScheduler,
+    SkiingDecision,
     SkiingStrategy,
     optimal_alpha,
     simulate_skiing_on_trace,
@@ -90,13 +91,16 @@ class TestSkiingStrategy:
     def test_lazy_waste_zero_reads(self):
         assert SkiingStrategy().record_lazy_waste(0, 0, 5.0) == 0.0
 
-    def test_total_cost_and_history(self):
+    def test_running_totals_after_a_step_and_a_reorganization(self):
         strategy = SkiingStrategy(alpha=1.0, reorganization_cost=5.0)
-        strategy.record_incremental_step(2.0)
-        strategy.record_reorganization(5.0)
-        assert strategy.total_cost() == pytest.approx(7.0)
-        assert len(strategy.history) == 2
+        step = strategy.record_incremental_step(2.0)
+        reorganization = strategy.record_reorganization(5.0)
+        assert step == SkiingDecision(False, accumulated_cost=2.0, threshold=5.0)
+        assert reorganization == SkiingDecision(True, accumulated_cost=0.0, threshold=5.0)
         assert strategy.rounds == 2
+        assert strategy.reorganizations == 1
+        assert strategy.incremental_cost_total == 2.0
+        assert strategy.accumulated_cost == 0.0
 
 
 class TestOfflineOptimal:

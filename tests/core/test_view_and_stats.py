@@ -85,12 +85,13 @@ class TestMaintenanceStatistics:
         assert stats.labels_changed == 3
         assert stats.simulated_update_seconds == pytest.approx(0.75)
 
-    def test_band_history_and_average(self):
+    def test_band_totals_and_average(self):
         stats = MaintenanceStatistics()
-        stats.record_band(10, 0.5)
-        stats.record_band(20, 0.7)
-        assert stats.average_band_size() == pytest.approx(15.0)
-        assert stats.band_width_history == [0.5, 0.7]
+        stats.record_band(10)
+        stats.record_band(20)
+        assert stats.band_rounds == 2
+        assert stats.band_size_total == 30
+        assert stats.average_band_size() == 15.0
 
     def test_average_band_size_empty(self):
         assert MaintenanceStatistics().average_band_size() == 0.0
