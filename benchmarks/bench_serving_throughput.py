@@ -129,12 +129,20 @@ def run_served(dataset, check_consistency: bool = False):
     """≥4 concurrent SQL readers through the batcher + SQL writers through the pipeline."""
     trace, ids = _workload(dataset)
     conn = _sql_portal(dataset, trace.warm_examples())
-    epoch_history = 100_000 if check_consistency else 256
-    conn.execute(
-        f"SERVE VIEW served_entities WITH (shards = {NUM_SHARDS}, "
-        f"epoch_history = {epoch_history})"
-    )
+    conn.execute(f"SERVE VIEW served_entities WITH (shards = {NUM_SHARDS})")
     server = conn.engine.view("served_entities").server
+    if check_consistency:
+        # The server keeps only its newest model, so the check notes each
+        # epoch's as it is published (under the write lock).
+        models = {server.epoch: server.published.model}
+        publish_epoch = server.publish_epoch
+
+        def recording(*args, **kwargs):
+            epoch = publish_epoch(*args, **kwargs)
+            models[epoch] = server.published.model
+            return epoch
+
+        server.publish_epoch = recording
     timed = list(trace.timed_examples())
     chunks = [ids[i::READER_THREADS] for i in range(READER_THREADS)]
     write_chunks = [timed[i::WRITER_THREADS] for i in range(WRITER_THREADS)]
@@ -201,14 +209,11 @@ def run_served(dataset, check_consistency: bool = False):
     if check_consistency:
         features = {entity_id: f for entity_id, f in dataset.entities}
         consistency = all(
-            label == model.predict(features[entity_id])
+            label == models[epoch].predict(features[entity_id])
             for entity_id, label, epoch in observations
-            for model in (server.model_for_epoch(epoch),)
-            if model is not None
+            if epoch in models
         )
-        checked = sum(
-            1 for _, _, epoch in observations if server.model_for_epoch(epoch) is not None
-        )
+        checked = sum(1 for _, _, epoch in observations if epoch in models)
         row["snapshot_consistent"] = consistency and checked == len(observations)
     conn.close(timeout=60)
     return row

@@ -430,7 +430,6 @@ class HazyEngine:
     #: number may take (None: any).
     _SERVER_OPTIONS = {
         "shards": (int, "an integer", 1),
-        "epoch_history": (int, "an integer", 0),
         "wal": (str, "a string", None),
     }
     _CHECKPOINT_OPTIONS = {

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 
 from repro.db.buffer_pool import BufferPool, IOStatistics
 from repro.db.catalog import Catalog
@@ -173,9 +173,3 @@ class Database:
         execution only re-binds the ``?`` parameters.
         """
         return self.executor.execute_many(parse(sql), parameter_rows, context)
-
-    # -- convenience ------------------------------------------------------------------------
-
-    def insert_row(self, table_name: str, row: Mapping[str, object]) -> None:
-        """Insert a row dict directly (bypasses SQL parsing, keeps triggers/costs)."""
-        self.catalog.table(table_name).insert(row)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
@@ -90,8 +91,13 @@ class TableSchema:
                     f"column {column.name!r} of table {self.name!r} is NOT NULL"
                 )
             validated[column.name] = coerced
-        if self.primary_key is not None and validated[self.primary_key] is None:
-            raise SchemaError(f"primary key {self.primary_key!r} may not be NULL")
+        if self.primary_key is not None:
+            key = validated[self.primary_key]
+            if key is None:
+                raise SchemaError(f"primary key {self.primary_key!r} may not be NULL")
+            if isinstance(key, float) and math.isnan(key):
+                # A NaN equals no key, itself included: no ``=`` could reach it.
+                raise SchemaError(f"primary key {self.primary_key!r} may not be NaN")
         return validated
 
     def row_size(self, row: Mapping[str, object]) -> int:

@@ -23,9 +23,9 @@ The dialect covers what the paper's examples and experiments need:
 * the serving lifecycle verbs (``SERVE VIEW`` / ``STOP SERVING`` /
   ``CHECKPOINT VIEW ... TO [WITH (incremental = true, parent = '...')]`` /
   ``RESTORE VIEW ... FROM``), all taking ``WITH (...)`` options, each a
-  literal named once; ``SERVE`` and ``RESTORE`` take ``shards``,
-  ``epoch_history`` and ``wal``.  Read batching has no option: a point-read
-  round never waits, and drains the reads that queued behind the previous one
+  literal named once; ``SERVE`` and ``RESTORE`` take ``shards`` and ``wal``.
+  Read batching has no option: a point-read round never waits, and drains
+  the reads that queued behind the previous one
 * ``EXPLAIN`` and ``EXPLAIN ANALYZE`` (the latter also reports buffer-pool
   pages read/written by the statement)
 * the virtual ``system.*`` observability tables, readable with plain

@@ -208,8 +208,7 @@ class ServeView(Statement):
     """``SERVE VIEW name [WITH (option = literal, ...)]``.
 
     Puts a classification view behind the concurrent serving front-end;
-    ``options`` carries the ``WITH`` clause verbatim (``shards``,
-    ``epoch_history``, ``wal``).
+    ``options`` carries the ``WITH`` clause verbatim (``shards``, ``wal``).
     """
 
     view: str

@@ -364,11 +364,6 @@ class SQLServer:
         self._accept_thread.start()
         return self
 
-    @property
-    def address(self) -> tuple[str, int]:
-        """The bound ``(host, port)`` pair."""
-        return (self.host, self.port)
-
     def close(self, timeout: float | None = 10.0) -> None:
         """Stop accepting, drain handlers, unregister surfaces (idempotent).
 

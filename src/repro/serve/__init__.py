@@ -14,7 +14,7 @@ Module map
     ``ClassificationView``, which lends it its
     :class:`~repro.core.writes.ViewWriter` and hands it every base-table
     write through ``submit``.  Reads (``label_of``, ``all_members``,
-    ``top_k``, ``classify``) and writes (``insert_entity``,
+    ``top_k``) and writes (``insert_entity``,
     ``insert_example``), epoch-tagged snapshot reads (``read(operation,
     ...)`` — the one body every read runs through), per-client
     :class:`~repro.serve.server.ClientSession` monotonicity, and

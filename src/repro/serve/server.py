@@ -18,11 +18,10 @@ The server owns five moving parts and wires them together:
   examples, per-shard epochs, applied WAL sequence number, the pickled
   feature function, the base-row hash of every stored entity) that
   :meth:`ViewServer.publish_epoch` swaps in with one assignment under the
-  write lock.  A read's epoch tag, the model :meth:`ViewServer.classify`
-  scores under and everything a checkpoint writes beside the shards' own
-  exports are read from it: a checkpoint is a function of that one value,
-  composed in :mod:`repro.persist.checkpoint`, and a warm restart resumes
-  from the same value (:meth:`ViewServer.restore`);
+  write lock.  A read's epoch tag and everything a checkpoint writes beside
+  the shards' own exports are read from it: a checkpoint is a function of
+  that one value, composed in :mod:`repro.persist.checkpoint`, and a warm
+  restart resumes from the same value (:meth:`ViewServer.restore`);
 * the :class:`~repro.serve.sync.ReadWriteLock` giving **snapshot
   consistency**: every read executes under the shared side of the lock, so it
   observes a fully applied epoch, and is tagged with that epoch; writes
@@ -56,7 +55,6 @@ import dataclasses
 import threading
 import time
 import weakref
-from collections import OrderedDict
 from collections.abc import Callable, Collection, Mapping, Sequence
 from contextlib import contextmanager
 from pathlib import Path
@@ -68,7 +66,7 @@ from repro.core.stores.base import EntityStore
 from repro.db.buffer_pool import IOStatistics, ledger_probe
 from repro.db.types import KeyRange
 from repro.exceptions import ConfigurationError, KeyNotFoundError, MaintenanceError
-from repro.learn.model import LinearModel, sign
+from repro.learn.model import LinearModel
 from repro.linalg import SparseVector
 from repro.obs import Counter, current_trace
 from repro.persist.checkpoint import CheckpointWriter, write_shard_state
@@ -200,7 +198,6 @@ class ViewServer:
         store_factory: Callable[[], EntityStore],
         maintainer_factory: Callable[[EntityStore], ViewMaintainer],
         shards: int = 4,
-        epoch_history: int = 256,
         wal: str | Path | None = None,
         resume: LoadedCheckpoint | None = None,
     ):
@@ -233,11 +230,6 @@ class ViewServer:
         #: checkpoint — reads this.  Replaced, never mutated, under the write lock.
         self.published = dataclasses.replace(
             published, feature_function=writer.pickled_feature_function()
-        )
-        self._epoch_history = int(epoch_history)
-        #: Epoch -> the model published at it, newest ``epoch_history`` only.
-        self._epoch_models: OrderedDict[int, LinearModel] = OrderedDict(
-            {published.epoch: published.model}
         )
         self._train_stats = IOStatistics()
         self._cost_model = self.shards.shards[0].maintainer.store.cost_model
@@ -399,21 +391,9 @@ class ViewServer:
         """The ledgers reads charge: each shard store's private one, in shard order."""
         return self._ledgers
 
-    def classify(self, row) -> int:
-        """Classify an ad-hoc entity row without storing it."""
-        with self.writer.feature_lock:
-            # Stateful featurizers exist to be serialized by exactly this
-            # lock; the work belongs under it.
-            features = self.writer.feature_function.compute_feature(row)  # repro: noqa(LOCK002)
-        return sign(self.published.model.margin(features))
-
     def session(self) -> ClientSession:
         """A new per-client session with monotonic read-your-writes semantics."""
         return ClientSession(self)
-
-    def model_for_epoch(self, epoch: int) -> LinearModel | None:
-        """The model published at ``epoch`` (None once evicted from history)."""
-        return self._epoch_models.get(epoch)
 
     @property
     def epoch(self) -> int:
@@ -560,9 +540,6 @@ class ViewServer:
             row_hashes=hashes,
         )
         self.epochs_published.inc()
-        self._epoch_models[epoch] = self.published.model
-        while len(self._epoch_models) > self._epoch_history:
-            self._epoch_models.popitem(last=False)
         return epoch
 
     def rotate_wal(self) -> None:

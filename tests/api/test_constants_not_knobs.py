@@ -38,7 +38,7 @@ from repro.serve.sharding import Shard, ShardSet
 
 #: callable -> the parameters it no longer takes.
 GONE = {
-    ViewServer: {"queue_capacity", "max_write_batch", "cache_capacity"},
+    ViewServer: {"queue_capacity", "max_write_batch", "cache_capacity", "epoch_history"},
     ShardSet.build: {"cache_capacity"},
     ShardSet.restore: {"cache_capacity"},
     Shard: {"cache_capacity"},
@@ -94,17 +94,17 @@ def test_a_constant_keeps_its_old_default(module, name, value):
     assert getattr(module, name) == value
 
 
-def test_serving_takes_three_options():
-    assert set(HazyEngine._SERVER_OPTIONS) == {"shards", "epoch_history", "wal"}
+def test_serving_takes_two_options():
+    assert set(HazyEngine._SERVER_OPTIONS) == {"shards", "wal"}
 
 
-def test_a_removed_serving_option_is_refused_listing_the_three():
+def test_a_removed_serving_option_is_refused_listing_the_two():
     conn = repro.connect()
     try:
         with pytest.raises(ConfigurationError) as refused:
             conn.execute("SERVE VIEW v WITH (max_write_batch = 4)")
         assert str(refused.value) == (
-            "unknown serving option 'max_write_batch'; known: ['epoch_history', 'shards', 'wal']"
+            "unknown serving option 'max_write_batch'; known: ['shards', 'wal']"
         )
     finally:
         conn.close()

@@ -26,6 +26,11 @@ Two things are left out of the bound on purpose:
 While the Skiing strategy kept a log of its decisions and the statistics kept
 lists of band sizes and widths, the second half retained about 57 KiB there
 unserved and 117 KiB on two shards (each shard's maintainer keeps its own).
+
+The served view is also held to a number of live models (every
+``LinearModel`` ``gc`` can find, less those alive before it was built) after
+each half: 3 or 4 on two shards.  While the server kept the model of each of
+its newest 256 epochs for epoch-tagged reads, it held 257.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ import tracemalloc
 import pytest
 
 import repro
+from repro.learn.model import LinearModel
 from repro.workloads.synth_text import SparseCorpusGenerator
 
 #: Updates per half.
@@ -43,6 +49,9 @@ N = 300
 
 #: The most the second half may add under ``repro/core`` (``writes.py`` aside).
 BOUND_BYTES = 8 * 1024
+
+#: The most models a 2-shard served view may keep alive after either half.
+MODEL_BOUND = 8
 
 CORE = [
     tracemalloc.Filter(True, "*/repro/core/*"),
@@ -97,6 +106,11 @@ def maintainers(conn):
     return [shard.maintainer for shard in view.server.shards.shards]
 
 
+def live_models() -> int:
+    gc.collect()
+    return sum(1 for obj in gc.get_objects() if isinstance(obj, LinearModel))
+
+
 def settled_snapshot() -> tracemalloc.Snapshot:
     gc.collect()
     return tracemalloc.take_snapshot().filter_traces(CORE)
@@ -124,3 +138,19 @@ def test_core_memory_does_not_grow_with_updates(shards):
     growth = sum(stat.size_diff for stat in stats)
     top = "\n".join(str(stat) for stat in stats[:5])
     assert growth < BOUND_BYTES, f"repro/core grew {growth} B over {N} updates:\n{top}"
+
+
+def test_a_served_view_holds_a_fixed_number_of_models():
+    """A server keeps its newest published model, not one per epoch: the
+    trainer's, the published and each shard's clustered model (and the
+    unserved view's own) are all it holds, however many rounds ran."""
+    elsewhere = live_models()
+    conn, documents = build(2)
+    counts = []
+    try:
+        for start in (0, N):
+            run_updates(conn, documents, start, N)
+            counts.append(live_models() - elsewhere)
+    finally:
+        conn.close()
+    assert max(counts) <= MODEL_BOUND, f"live models after {N} and {2 * N} rounds: {counts}"

@@ -52,9 +52,9 @@ def cases():
             if kind is str:
                 yield verb, DIR, {name: ""}, f"option {name!r} must not be empty"
     for verb in ("serve", "restore"):
-        # A read round never waits and drains a fixed 64 keys, and the write
+        # A read round never waits and drains a fixed 64 keys, the write
         # queue's bound, a write round's size and a shard's result cache are
-        # constants: nothing configures them.
+        # constants, and a server keeps no past models: nothing configures them.
         removed_options = (
             "max_wait_s",
             "adaptive_batching",
@@ -62,6 +62,7 @@ def cases():
             "queue_capacity",
             "max_write_batch",
             "cache_capacity",
+            "epoch_history",
         )
         for removed in removed_options:
             yield verb, DIR, {removed: 1}, f"unknown serving option {removed!r}"
@@ -163,7 +164,7 @@ def test_an_empty_path_never_stands_for_a_usable_working_directory(
 
 def test_a_nan_option_is_refused_imperatively(portals):
     """SQL has no NaN literal; a caller's dict can carry one, and it is no integer."""
-    message = "option 'epoch_history' expects an integer, got nan"
+    message = "option 'shards' expects an integer, got nan"
     with pytest.raises(ConfigurationError, match=re.escape(message)):
-        portals["serve"].serve(VIEW, epoch_history=float("nan"))
+        portals["serve"].serve(VIEW, shards=float("nan"))
     assert portals["serve"].view(VIEW).server is None

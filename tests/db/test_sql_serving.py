@@ -4,6 +4,8 @@ RESTORE / EXPLAIN statements and SELECT routing through the ViewServer."""
 from __future__ import annotations
 
 import gc
+import os
+import threading
 import weakref
 
 import pytest
@@ -39,6 +41,23 @@ VIEW_DDL = (
 
 def build_portal(count: int = 80, seed: int = 11, **engine_options):
     db = Database()
+    documents = add_papers(db, count, seed)
+    engine = HazyEngine(db, **engine_options)
+    add_view(db, documents)
+    return db, engine, documents
+
+
+def owned_portal(count: int = 80, seed: int = 11):
+    """``build_portal``'s portal behind a connection that owns its engine, so
+    that closing the connection stops every view it serves."""
+    owner = repro.connect()
+    documents = add_papers(owner.database, count, seed)
+    add_view(owner.database, documents)
+    return owner, documents
+
+
+def add_papers(db, count: int, seed: int) -> list:
+    """The base tables and ``count`` papers."""
     db.execute("CREATE TABLE papers (id integer PRIMARY KEY, title text)")
     db.execute("CREATE TABLE paper_area (label text PRIMARY KEY)")
     db.execute("CREATE TABLE example_papers (id integer PRIMARY KEY, label text)")
@@ -50,14 +69,28 @@ def build_portal(count: int = 80, seed: int = 11, **engine_options):
         "INSERT INTO papers (id, title) VALUES (?, ?)",
         [(doc.entity_id, doc.text) for doc in documents],
     )
-    engine = HazyEngine(db, **engine_options)
+    return documents
+
+
+def add_view(db, documents) -> None:
+    """The view ``labeled_papers``, then its first 30 papers as examples."""
     db.execute(VIEW_DDL)
     for doc in documents[:30]:
         db.execute(
             "INSERT INTO example_papers (id, label) VALUES (?, ?)",
             (doc.entity_id, "database" if doc.label == 1 else "other"),
         )
-    return db, engine, documents
+
+
+def open_files_under(directory) -> list[str]:
+    """The files under ``directory`` this process holds open."""
+    names = []
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            names.append(os.readlink(f"/proc/self/fd/{fd}"))
+        except FileNotFoundError:  # the descriptor ``listdir`` itself held
+            continue
+    return [name for name in names if name.startswith(f"{directory}{os.sep}")]
 
 
 class TestParsing:
@@ -68,8 +101,8 @@ class TestParsing:
         assert statement.options == {}
 
     def test_serve_view_with_options(self):
-        statement = parse("SERVE VIEW v WITH (shards = 8, wal = '/tmp/wal', epoch_history = 16)")
-        assert statement.options == {"shards": 8, "wal": "/tmp/wal", "epoch_history": 16}
+        statement = parse("SERVE VIEW v WITH (shards = 8, wal = '/tmp/wal')")
+        assert statement.options == {"shards": 8, "wal": "/tmp/wal"}
 
     def test_stop_serving(self):
         statement = parse("STOP SERVING v;")
@@ -82,10 +115,10 @@ class TestParsing:
         assert (statement.view, statement.path) == ("v", "/tmp/ck")
 
     def test_restore_view_with_options(self):
-        statement = parse("RESTORE VIEW v FROM '/tmp/ck' WITH (epoch_history = 32)")
+        statement = parse("RESTORE VIEW v FROM '/tmp/ck' WITH (shards = 32)")
         assert isinstance(statement, RestoreView)
         assert statement.path == "/tmp/ck"
-        assert statement.options == {"epoch_history": 32}
+        assert statement.options == {"shards": 32}
 
     def test_explain_wraps_any_statement(self):
         statement = parse("EXPLAIN SELECT * FROM t WHERE id = 3")
@@ -157,7 +190,8 @@ class TestServingLifecycle:
             ("read_batch_wait_s = 0.1", "unknown serving option 'read_batch_wait_s'"),
             ("wal_dir = 'somewhere'", "unknown serving option 'wal_dir'"),
             ("shards = true", "option 'shards' expects an integer, got True"),
-            ("epoch_history = 2.5", "option 'epoch_history' expects an integer, got 2.5"),
+            ("shards = 2.5", "option 'shards' expects an integer, got 2.5"),
+            ("epoch_history = 4", "unknown serving option 'epoch_history'"),
             ("wal = 3", "option 'wal' expects a string, got 3"),
             ("wal = ''", "option 'wal' must not be empty"),
             # A read round never waits and drains a fixed 64 keys: nothing configures it.
@@ -174,13 +208,10 @@ class TestServingLifecycle:
 
     def test_every_serving_option_is_accepted_under_its_one_name(self, tmp_path):
         db, engine, _ = build_portal(count=20)
-        db.execute(
-            "SERVE VIEW labeled_papers WITH (shards = 2, "
-            f"epoch_history = 8, wal = '{tmp_path / 'wal'}')"
-        )
+        db.execute(f"SERVE VIEW labeled_papers WITH (shards = 2, wal = '{tmp_path / 'wal'}')")
         server = engine.view("labeled_papers").server
         assert len(server.shards) == 2 and server.wal is not None
-        assert sorted(engine._SERVER_OPTIONS) == ["epoch_history", "shards", "wal"]
+        assert sorted(engine._SERVER_OPTIONS) == ["shards", "wal"]
         db.execute("STOP SERVING labeled_papers")
 
     def test_stop_serving_unserved_view_fails(self):
@@ -283,32 +314,48 @@ class TestExplain:
 
 
 class TestServedSessionSemantics:
-    @pytest.mark.parametrize("stop", ["STOP SERVING", "engine.stop_serving"])
-    def test_a_connection_does_not_keep_a_stopped_server_alive(self, stop):
+    @pytest.mark.parametrize("wal", [False, True], ids=["no wal", "wal"])
+    @pytest.mark.parametrize("shards", [1, 3])
+    @pytest.mark.parametrize("stop", ["STOP SERVING", "engine.stop_serving", "owner close()"])
+    def test_a_connection_does_not_keep_a_stopped_server_alive(self, stop, shards, wal, tmp_path):
         """A connection's session for a served view holds its server weakly:
-        once the view stops, the server — its shards, stores and batcher — is
-        collected though the connection read through it, and a session kept
-        from then answers as a closed server does; served again, the view
-        gives the connection a fresh session that reads its own writes."""
-        db, engine, documents = build_portal(count=40)
-        conn = repro.connect(database=db, engine=engine)
+        once the view stops — by statement, by the engine, or by closing the
+        connection that owns the engine — the server, each shard and each
+        store are collected though another connection read through it, its
+        thread is gone and its WAL is closed, and a session kept from then
+        answers as a closed server does; served again, the view gives the
+        connection a fresh session that reads its own writes."""
+        owner, documents = owned_portal(count=40)
+        engine = owner.engine
+        conn = repro.connect(engine=engine)
+        wal_dir = tmp_path / "wal"
+        options = f"shards = {shards}" + (f", wal = '{wal_dir}'" if wal else "")
         sql = "SELECT class FROM labeled_papers WHERE id = ?"
         try:
-            conn.execute("SERVE VIEW labeled_papers WITH (shards = 2)")
-            server = weakref.ref(engine.view("labeled_papers").server)
+            owner.execute(f"SERVE VIEW labeled_papers WITH ({options})")
+            server = engine.view("labeled_papers").server
+            shard_list = server.shards.shards
+            released = [weakref.ref(server)]
+            released += [weakref.ref(shard) for shard in shard_list]
+            released += [weakref.ref(shard.maintainer.store) for shard in shard_list]
+            del server, shard_list
             served = conn.execute(sql, (7,)).scalar()
             kept = conn.session("labeled_papers")
             if stop == "STOP SERVING":
-                conn.execute("STOP SERVING labeled_papers")
-            else:
+                owner.execute("STOP SERVING labeled_papers")
+            elif stop == "engine.stop_serving":
                 engine.stop_serving("labeled_papers")
+            else:
+                owner.close()
             gc.collect()
-            assert server() is None
+            assert [ref() for ref in released] == [None] * len(released)
+            assert "hazy-maintenance" not in [thread.name for thread in threading.enumerate()]
+            assert open_files_under(wal_dir) == []
             with pytest.raises(MaintenanceError, match="^server is closed$"):
                 kept.label_of(7)
             assert conn.execute(sql, (7,)).scalar() == served
 
-            conn.execute("SERVE VIEW labeled_papers WITH (shards = 2)")
+            conn.execute(f"SERVE VIEW labeled_papers WITH (shards = {shards})")
             doc = documents[35]  # not a training example yet
             conn.execute(
                 "INSERT INTO example_papers (id, label) VALUES (?, 'database')",
@@ -320,6 +367,7 @@ class TestServedSessionSemantics:
             conn.execute("STOP SERVING labeled_papers")
         finally:
             conn.close()
+            owner.close()
 
     def test_sql_read_your_writes_through_context(self):
         db, engine, documents = build_portal()

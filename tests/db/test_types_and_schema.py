@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.db.schema import Column, TableSchema
@@ -125,6 +127,12 @@ class TestTableSchema:
     def test_primary_key_may_not_be_null(self):
         with pytest.raises(SchemaError):
             paper_schema().validate_row({"title": "no id"})
+
+    @pytest.mark.parametrize("key", [float("nan"), math.nan, "nan", "NaN"])
+    def test_primary_key_may_not_be_nan(self, key):
+        schema = TableSchema("t", [Column("id", DataType.FLOAT)], primary_key="id")
+        with pytest.raises(SchemaError, match="may not be NaN"):
+            schema.validate_row({"id": key})
 
     def test_row_size_scales_with_content(self):
         schema = paper_schema()

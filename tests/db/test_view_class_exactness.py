@@ -25,6 +25,7 @@ from repro.core.engine import HazyEngine
 from repro.db.costmodel import CostModel
 from repro.db.database import Database
 from repro.db.sql.plan import compare_values
+from repro.exceptions import SchemaError
 from repro.workloads.synth_text import SparseCorpusGenerator
 
 #: The view's labels: ``numeric`` stores ``±1``, ``text`` names its classes.
@@ -159,17 +160,14 @@ def test_a_point_read_equals_the_filtered_view(view_db, state, bound):
 
 
 @pytest.mark.parametrize("state", STATES)
-def test_a_point_read_finds_no_stored_nan_key(state):
-    """A REAL key column can store a NaN, and ``math.nan`` bound to ``id = ?``
-    is the very object stored, which a key lookup finds; no key equals a NaN
-    under ``=``, so the read still answers nothing."""
+def test_a_nan_key_is_refused(state):
+    """A REAL key column refuses a NaN as it refuses NULL, on INSERT and on
+    UPDATE: no key equals a NaN under ``=``, so a stored one would be an
+    entity no point read reaches.  ``id = NaN`` then finds nothing."""
     db = Database(cost_model=CostModel.main_memory())
     db.execute("CREATE TABLE docs (id float PRIMARY KEY, title text)")
     db.execute("CREATE TABLE examples (id float PRIMARY KEY, label integer)")
-    db.executemany(
-        "INSERT INTO docs (id, title) VALUES (?, ?)",
-        [(math.nan, "a b c"), (1.5, "b c d"), (2.5, "x y")],
-    )
+    db.executemany("INSERT INTO docs (id, title) VALUES (?, ?)", [(1.5, "b c d"), (2.5, "x y")])
     HazyEngine(db)
     db.execute(
         "CREATE CLASSIFICATION VIEW v KEY id ENTITIES FROM docs KEY id "
@@ -179,7 +177,14 @@ def test_a_point_read_finds_no_stored_nan_key(state):
     db.executemany("INSERT INTO examples (id, label) VALUES (?, ?)", [(1.5, 1), (2.5, -1)])
     _serve(db, state)
     try:
-        assert len(db.execute("SELECT id FROM v").rows) == 3
+        for key in (float("nan"), math.nan):
+            with pytest.raises(SchemaError, match="may not be NaN"):
+                db.execute("INSERT INTO docs (id, title) VALUES (?, 'a b c')", [key])
+        with pytest.raises(SchemaError, match="may not be NaN"):
+            db.execute("UPDATE docs SET id = ? WHERE id = 1.5", [math.nan])
+        with pytest.raises(SchemaError, match="may not be NaN"):
+            db.execute("INSERT INTO examples (id, label) VALUES (?, 1)", [math.nan])
+        assert sorted(row["id"] for row in db.execute("SELECT id FROM v").rows) == [1.5, 2.5]
         assert db.execute("SELECT id, class FROM v WHERE id = ?", [math.nan]).rows == []
         assert len(db.execute("SELECT id, class FROM v WHERE id = ?", [1.5]).rows) == 1
     finally:

@@ -160,10 +160,10 @@ def test_plain_explain_without_parameters_prints_the_placeholder(fronts):
             "option 'wal' is given twice in WITH clause",
         ),
         (  # the same value twice is still two values
-            "SERVE VIEW labeled_papers WITH (epoch_history = 4, EPOCH_HISTORY = 4)",
+            "SERVE VIEW labeled_papers WITH (shards = 4, SHARDS = 4)",
             (),
-            "EPOCH_HISTORY",
-            "option 'epoch_history' is given twice in WITH clause",
+            "SHARDS",
+            "option 'shards' is given twice in WITH clause",
         ),
         (
             "SERVE VIEW labeled_papers WITH (shards = ?)",
@@ -172,7 +172,7 @@ def test_plain_explain_without_parameters_prints_the_placeholder(fronts):
             "option 'shards' takes a literal, not '?',",
         ),
         (
-            "RESTORE VIEW labeled_papers FROM 'ck' WITH (epoch_history = 8, wal = ?)",
+            "RESTORE VIEW labeled_papers FROM 'ck' WITH (shards = 8, wal = ?)",
             ("wal",),
             "?",
             "option 'wal' takes a literal, not '?',",

@@ -175,7 +175,6 @@ class TestCorpusServer:
             with pytest.raises((pickle.PicklingError, AttributeError), match="Unpicklable"):
                 server.checkpoint(tmp_path / "ckpt")
             assert not (tmp_path / "ckpt" / MANIFEST_NAME).exists()
-            assert server.classify(entity_row(7, SparseVector({0: 1.0}))) in (-1, 1)
         finally:
             server.close()
 

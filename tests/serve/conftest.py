@@ -17,6 +17,7 @@ from repro import Database, HazyEngine
 from repro.core.maintainers import HazyEagerMaintainer
 from repro.core.stores import InMemoryEntityStore
 from repro.core.view import ClassificationViewDefinition
+from repro.learn.model import LinearModel
 from repro.learn.sgd import SGDTrainer, TrainingExample
 from repro.persist import load_checkpoint
 from repro.persist.snapshot import encode_vector
@@ -107,6 +108,26 @@ def build_corpus_server(
     engine = corpus_engine(database, feature_function)
     database.execute(DDL)
     return ViewServer(engine.view(VIEW), shards=shards, **{**FACTORIES, **options})
+
+
+def record_epoch_models(server: ViewServer) -> dict[int, LinearModel]:
+    """Epoch -> the model ``server`` published at it, from its current epoch on.
+
+    A server keeps only its newest published state, so an oracle that checks
+    an epoch-tagged read against that epoch's model records the models here:
+    ``publish_epoch``, the one place an epoch is made, is wrapped to note the
+    model it swapped in, under the write lock it runs under.
+    """
+    models = {server.epoch: server.published.model}
+    publish_epoch = server.publish_epoch
+
+    def recording(*args, **kwargs) -> int:
+        epoch = publish_epoch(*args, **kwargs)
+        models[epoch] = server.published.model
+        return epoch
+
+    server.publish_epoch = recording
+    return models
 
 
 def restore_by_sql(database: Database, path) -> ViewServer:

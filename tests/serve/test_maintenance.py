@@ -105,16 +105,16 @@ def test_entity_inserts_flow_through_the_queue(serve_corpus):
         server.close(timeout=30)
 
 
-def test_zero_cache_capacity_and_epoch_history_keep_nothing(serve_corpus, monkeypatch):
-    """0 means "keep none": no cached eps and no past model, while reads and
-    writes still answer exactly what the oracle does."""
+def test_zero_cache_capacity_keeps_nothing(serve_corpus, monkeypatch):
+    """0 means "keep none": no cached eps, while reads and writes still answer
+    exactly what the oracle does."""
     monkeypatch.setattr("repro.serve.cache.CACHE_CAPACITY", 0)
-    server = build_corpus_server(serve_corpus, shards=2, epoch_history=0)
+    server = build_corpus_server(serve_corpus, shards=2)
     try:
         for doc in serve_corpus[:20]:
             server.insert_example(doc.entity_id, doc.label)
         server.insert_entity(entity_row(90_001, serve_corpus[0].features))
-        epoch = server.flush(timeout=30)
+        server.flush(timeout=30)
         expected = oracle_for(server, serve_corpus)
         # A second pass is where a cache that kept anything would answer.
         for _ in range(2):
@@ -122,7 +122,6 @@ def test_zero_cache_capacity_and_epoch_history_keep_nothing(serve_corpus, monkey
             assert server.label_of(90_001) == expected[90_001]
         assert server.contents() == expected
         assert server.stats()["cache.entries"] == 0
-        assert server.model_for_epoch(epoch) is None
     finally:
         server.close(timeout=30)
 

@@ -53,8 +53,8 @@ def test_a_served_view_runs_one_thread(tmp_path, shards):
 def test_a_refused_serve_starts_no_thread():
     db, engine, _ = build_portal(count=20)
     before = set(threading.enumerate())
-    with pytest.raises(ConfigurationError, match="epoch_history"):
-        db.execute(f"SERVE VIEW {VIEW} WITH (shards = 3, epoch_history = -1)")
+    with pytest.raises(ConfigurationError, match="shards"):
+        db.execute(f"SERVE VIEW {VIEW} WITH (shards = -1)")
     assert started_since(before) == []
     assert engine.view(VIEW).server is None
 

@@ -32,7 +32,7 @@ from repro.db.buffer_pool import BufferPool, IOStatistics
 from repro.db.costmodel import CostModel
 from repro.persist.checkpoint import load_checkpoint
 
-from tests.serve.conftest import build_corpus_server, restore_directly
+from tests.serve.conftest import build_corpus_server, record_epoch_models, restore_directly
 
 READERS = 4
 WRITES = 60
@@ -110,7 +110,7 @@ def serve_under_load(server, corpus, reader, tmp_path, reader_args) -> list:
     return checkpoints
 
 
-def assert_checkpoints_hold_their_epoch(server, checkpoints, entities, factories) -> None:
+def assert_checkpoints_hold_their_epoch(server, models, checkpoints, entities, factories) -> None:
     """Each checkpoint restores to exactly the view at the epoch it was cut at
     (the first one cut at each epoch is restored; the rest only load)."""
     restored_epochs: set[int] = set()
@@ -119,8 +119,7 @@ def assert_checkpoints_hold_their_epoch(server, checkpoints, entities, factories
         if loaded.published.epoch in restored_epochs:
             continue
         restored_epochs.add(loaded.published.epoch)
-        model = server.model_for_epoch(loaded.published.epoch)
-        assert model is not None
+        model = models[loaded.published.epoch]
         restored = restore_directly(server._view.database, path, **factories)
         try:
             assert restored.contents() == view_contents(entities, model), path.name
@@ -133,7 +132,8 @@ def test_all_members_reads_are_snapshot_consistent(
 ):
     """Concurrent gather reads match the oracle at their tagged epoch exactly."""
     monkeypatch.setattr("repro.serve.maintenance.MAX_WRITE_BATCH", BATCH)
-    server = build_corpus_server(serve_corpus, shards=4, epoch_history=100_000, **factories)
+    server = build_corpus_server(serve_corpus, shards=4, **factories)
+    models = record_epoch_models(server)
     entities = [(doc.entity_id, doc.features) for doc in serve_corpus]
     observations: list[tuple[int, frozenset]] = []
     lock = threading.Lock()
@@ -150,19 +150,18 @@ def test_all_members_reads_are_snapshot_consistent(
     epochs_seen = {epoch for epoch, _ in observations}
     assert len(epochs_seen) > 1, "maintenance should have advanced the epoch mid-read"
     for epoch, members in set(observations):
-        model = server.model_for_epoch(epoch)
-        assert model is not None
-        oracle = view_contents(entities, model)
+        oracle = view_contents(entities, models[epoch])
         expected = frozenset(k for k, v in oracle.items() if v == 1)
         assert members == expected, f"read at epoch {epoch} mixed model versions"
-    assert_checkpoints_hold_their_epoch(server, checkpoints, entities, factories)
+    assert_checkpoints_hold_their_epoch(server, models, checkpoints, entities, factories)
     server.close(timeout=30)
 
 
 def test_single_reads_are_snapshot_consistent(serve_corpus, factories, tmp_path, monkeypatch):
     """Batched label_of answers agree with the oracle at their tagged epoch."""
     monkeypatch.setattr("repro.serve.maintenance.MAX_WRITE_BATCH", BATCH)
-    server = build_corpus_server(serve_corpus, shards=4, epoch_history=100_000, **factories)
+    server = build_corpus_server(serve_corpus, shards=4, **factories)
+    models = record_epoch_models(server)
     entities = [(doc.entity_id, doc.features) for doc in serve_corpus]
     features = dict(entities)
     observations: list[tuple[object, int, int]] = []
@@ -183,21 +182,18 @@ def test_single_reads_are_snapshot_consistent(serve_corpus, factories, tmp_path,
 
     assert observations
     for entity_id, label, epoch in observations:
-        model = server.model_for_epoch(epoch)
-        assert model is not None
-        assert label == model.predict(features[entity_id]), (
+        assert label == models[epoch].predict(features[entity_id]), (
             f"label of {entity_id!r} at epoch {epoch} does not match that epoch's model"
         )
-    assert_checkpoints_hold_their_epoch(server, checkpoints, entities, factories)
+    assert_checkpoints_hold_their_epoch(server, models, checkpoints, entities, factories)
     server.close(timeout=30)
 
 
 def test_sessions_are_monotonic_with_read_your_writes(serve_corpus, factories):
     """Per-client sessions never observe epochs going backwards, and writes
-    are visible to the writer's next read."""
-    server = build_corpus_server(
-        serve_corpus, shards=4, epoch_history=100_000, **factories
-    )
+    are visible to the writer's next read, which answers as its epoch's model does."""
+    server = build_corpus_server(serve_corpus, shards=4, **factories)
+    models = record_epoch_models(server)
     errors: list[BaseException] = []
 
     def client(offset):
@@ -207,8 +203,9 @@ def test_sessions_are_monotonic_with_read_your_writes(serve_corpus, factories):
             for step in range(15):
                 doc = serve_corpus[(offset + step * 7) % len(serve_corpus)]
                 ticket = session.insert_example(doc.entity_id, doc.label)
-                session.label_of(doc.entity_id)  # waits for the ticket: RYW
+                label = session.label_of(doc.entity_id)  # waits for the ticket: RYW
                 assert session.last_epoch >= ticket.wait(0)
+                assert label == models[session.last_epoch].predict(doc.features)
                 trail.append(session.last_epoch)
             assert trail == sorted(trail), "session epochs must be monotonic"
         except BaseException as error:  # pragma: no cover - failure path
