@@ -627,7 +627,7 @@ class HazyEngine:
         options = self._serving_options(options)
         checkpoint = load_checkpoint(self._checkpoint_directory(path, "RESTORE VIEW ... FROM"))
         manifest = checkpoint.manifest
-        if (manifest.view_name or "").lower() != name.lower():
+        if manifest.view_name.lower() != name.lower():
             raise SnapshotMismatchError(
                 f"checkpoint {path} holds view {manifest.view_name!r}, not {name!r}"
             )
@@ -639,20 +639,14 @@ class HazyEngine:
         for attribute in ("architecture", "strategy", "approach"):
             recorded = getattr(manifest, attribute)
             configured = getattr(self, attribute)
-            if recorded is not None and recorded != configured:
+            if recorded != configured:
                 raise SnapshotMismatchError(
                     f"checkpoint {path} was written under {attribute}={recorded!r}; "
                     f"this engine is configured with {configured!r}"
                 )
         definition = _definition_of(manifest.definition, path)
-        feature_function = checkpoint.feature_function
-        if feature_function is None:
-            # Degenerate checkpoint without a pickled feature function: build a
-            # fresh one and pay a stats pass over the entities table.
-            feature_function = self.registry.create(definition.feature_function)
-            feature_function.compute_stats(self.database.table(definition.entities_table).scan())
         view = self._build_view(
-            definition, feature_function, manifest.positive_label, restored=True
+            definition, checkpoint.feature_function, manifest.positive_label, restored=True
         )
 
         # Register nothing until the server is fully built and the replay has
@@ -698,8 +692,8 @@ class HazyEngine:
         content hash no longer matches the base table are re-featurized as
         updates — the fix for the warm-restart staleness bug where a
         content-only UPDATE between checkpoint and restore silently kept the
-        stale features.  Snapshots written before hashes were stored keep the
-        old insert/delete-only contract.
+        stale features.  The row hashes name exactly the snapshot's entities,
+        so the diff's expected entity set is their keys.
         """
         from collections import Counter
 
@@ -707,8 +701,7 @@ class HazyEngine:
 
         definition = view.definition
         entities_key = definition.entities_key
-        snapshot_ids = set(checkpoint.entity_ids)
-        hashes = dict(checkpoint.published.row_hashes or {})
+        hashes = dict(checkpoint.published.row_hashes)
 
         example_key = view.writer.example_key
         retained = Counter(map(example_key, checkpoint.published.examples))
@@ -716,10 +709,8 @@ class HazyEngine:
         # ---- Pass 1: WAL replay (bookkeeping keeps pass 2 from double-applying)
         def observe(kind: WriteKind, row, old_row) -> None:
             if kind in (WriteKind.ENTITY_UPDATE, WriteKind.ENTITY_DELETE):
-                snapshot_ids.discard(old_row[entities_key])
                 hashes.pop(old_row[entities_key], None)
             if kind in (WriteKind.ENTITY_INSERT, WriteKind.ENTITY_UPDATE):
-                snapshot_ids.add(row[entities_key])
                 hashes[row[entities_key]] = row_content_hash(row)
             if kind in (WriteKind.EXAMPLE_UPDATE, WriteKind.EXAMPLE_DELETE):
                 retained[example_key(old_row)] -= 1
@@ -733,13 +724,11 @@ class HazyEngine:
         for row in self.database.table(definition.entities_table).scan():
             entity_id = row[entities_key]
             live_ids.add(entity_id)
-            if entity_id not in snapshot_ids:
+            if entity_id not in hashes:
                 server.replay(WriteKind.ENTITY_INSERT, dict(row))
-                continue
-            stored = hashes.get(entity_id)
-            if stored is not None and stored != row_content_hash(row):
+            elif hashes[entity_id] != row_content_hash(row):
                 server.replay(WriteKind.ENTITY_UPDATE, dict(row), {entities_key: entity_id})
-        for entity_id in snapshot_ids - live_ids:
+        for entity_id in hashes.keys() - live_ids:
             server.replay(WriteKind.ENTITY_DELETE, None, {entities_key: entity_id})
         for row in self.database.table(definition.examples_table).scan():
             key = example_key(row)

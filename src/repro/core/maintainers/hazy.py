@@ -21,6 +21,7 @@ negative by position, and only the band costs a dot product.
 
 from __future__ import annotations
 
+import dataclasses
 from collections.abc import Iterable, Sequence
 
 from repro.core.bounds import WaterBandTracker, holder_pair_for_norm
@@ -73,13 +74,9 @@ class _HazyMaintainerBase(ViewMaintainer):
         state["band_low"] = band.low
         state["band_high"] = band.high
         state["max_feature_norm"] = tracker.max_feature_norm
-        state["skiing"] = {
-            "reorganization_cost": self.skiing.reorganization_cost,
-            "accumulated_cost": self.skiing.accumulated_cost,
-            "rounds": self.skiing.rounds,
-            "reorganizations": self.skiing.reorganizations,
-            "incremental_cost_total": self.skiing.incremental_cost_total,
-        }
+        # Skiing's accounts; its alpha is configuration, not state.
+        state["skiing"] = dataclasses.asdict(self.skiing)
+        del state["skiing"]["alpha"]
         return state
 
     def import_state(self, state: dict[str, object]) -> None:
@@ -91,22 +88,13 @@ class _HazyMaintainerBase(ViewMaintainer):
         checkpointed epoch instead of assuming a fresh reorganization.
         """
         super().import_state(state)
-        stored_model = state.get("stored_model")
-        if stored_model is None:
-            raise MaintenanceError("Hazy snapshot is missing its stored model")
-        self.tracker = WaterBandTracker(
-            self.holder_p, float(state.get("max_feature_norm", self.store.max_feature_norm))
-        )
+        stored_model, skiing_state = state["stored_model"], state["skiing"]
+        if stored_model is None or skiing_state is None:
+            raise MaintenanceError("Hazy snapshot is missing its stored model or Skiing state")
+        self.tracker = WaterBandTracker(self.holder_p, float(state["max_feature_norm"]))
         self.tracker.reset(stored_model)
         self.tracker.restore_band(float(state["band_low"]), float(state["band_high"]))
-        skiing_state = state.get("skiing") or {}
-        self.skiing.reorganization_cost = float(skiing_state.get("reorganization_cost", 0.0))
-        self.skiing.accumulated_cost = float(skiing_state.get("accumulated_cost", 0.0))
-        self.skiing.rounds = int(skiing_state.get("rounds", 0))
-        self.skiing.reorganizations = int(skiing_state.get("reorganizations", 0))
-        self.skiing.incremental_cost_total = float(
-            skiing_state.get("incremental_cost_total", 0.0)
-        )
+        self.skiing = dataclasses.replace(self.skiing, **skiing_state)
 
     def add_entity(self, entity_id: object, features: SparseVector) -> int:
         """Store a new entity: eps under the *stored* model, label under the current one."""

@@ -339,9 +339,7 @@ class EntityStore(ABC):
             pages = max(1, -(-payload_bytes // self.cost_model.page_size_bytes))
             self.stats.charge(pages * self.cost_model.sequential_page_read, "snapshot_read")
         self._import_records(state["records"])
-        self._max_feature_norm = max(
-            self._max_feature_norm, float(state.get("max_feature_norm", 0.0))
-        )
+        self._max_feature_norm = max(self._max_feature_norm, float(state["max_feature_norm"]))
         return self.cost_snapshot() - start
 
     @abstractmethod

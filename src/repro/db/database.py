@@ -146,30 +146,18 @@ class Database:
 
     # -- SQL -------------------------------------------------------------------------------
 
-    def execute(
-        self,
-        sql: str,
-        parameters: tuple | list | None = None,
-        context: object = None,
-    ) -> ResultSet:
+    def execute(self, sql: str, parameters: tuple | list | None = None) -> ResultSet:
         """Parse and execute one SQL statement.
 
-        ``context`` is an opaque per-connection object (see
-        :func:`repro.connect`) giving served-view reads that connection's
-        session semantics; plain ``Database.execute`` calls leave it None and
-        read served views without session tracking.
+        Served views are read without session tracking; a
+        :func:`repro.connect` connection gives its reads a session.
         """
-        return self.executor.execute(parse(sql), parameters, context)
+        return self.executor.execute(parse(sql), parameters)
 
-    def executemany(
-        self,
-        sql: str,
-        parameter_rows: Sequence[Sequence[object]],
-        context: object = None,
-    ) -> int:
+    def executemany(self, sql: str, parameter_rows: Sequence[Sequence[object]]) -> int:
         """Execute a prepared statement once per parameter row; returns total rowcount.
 
         The statement is parsed once and (for SELECTs) planned once; each
         execution only re-binds the ``?`` parameters.
         """
-        return self.executor.execute_many(parse(sql), parameter_rows, context)
+        return self.executor.execute_many(parse(sql), parameter_rows)

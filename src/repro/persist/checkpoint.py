@@ -4,15 +4,16 @@ A checkpoint is a directory::
 
     <path>/
         shard-0000.hzs ... shard-NNNN.hzs   one frame per shard
-        features.hzs                        pickled feature function (optional)
+        features.hzs                        pickled feature function
         MANIFEST.hzs                        global state — written LAST, atomically
 
 The manifest is the commit point: :func:`load_checkpoint` starts from it, so
 a checkpoint interrupted before the manifest rename simply does not exist.
 Every file is CRC-checked and version-checked (see
-:mod:`repro.persist.format`); a truncated or corrupted shard file surfaces as
-:class:`~repro.exceptions.SnapshotCorruptionError` before any state is
-imported.
+:mod:`repro.persist.format`), and every shard file against its manifest's
+digest; a truncated, corrupted or malformed file (a field of the writer's
+missing or mistyped) surfaces as :class:`~repro.exceptions.SnapshotCorruptionError`
+naming the file and the field, before any state is imported.
 
 Both directions are a function of one value — the
 :class:`~repro.persist.snapshot.PublishedState` a served view last published —
@@ -127,11 +128,6 @@ class CheckpointWriter:
                 f"parent checkpoint {parent_dir} holds {manifest.num_shards} shards, "
                 f"this server runs {num_shards}"
             )
-        if manifest.shard_epochs is None:
-            raise ConfigurationError(
-                f"parent checkpoint {parent_dir} predates per-shard epoch tracking "
-                "and cannot anchor an incremental checkpoint; write a full one first"
-            )
         self.parent_dir, self.parent = parent_dir, manifest
 
     def stale_shards(self, shard_epochs: Sequence[int]) -> list[int]:
@@ -147,17 +143,11 @@ class CheckpointWriter:
 
     @staticmethod
     def shard_state(
-        index: int, exported: dict[str, object], row_hashes: Mapping[object, str] | None
+        index: int, exported: dict[str, object], row_hashes: Mapping[object, str]
     ) -> ShardState:
         """Shard ``index``'s file content: its ``export_state()`` dict plus
         the published hashes of the rows it stores."""
-        hashes = None
-        if row_hashes is not None:
-            hashes = [
-                [entity_id, row_hashes[entity_id]]
-                for entity_id, _, _, _ in exported["records"]
-                if entity_id in row_hashes
-            ]
+        hashes = [[entity_id, row_hashes[entity_id]] for entity_id, _, _, _ in exported["records"]]
         return ShardState(index=index, row_hashes=hashes, **exported)
 
     def commit(
@@ -190,21 +180,14 @@ class CheckpointWriter:
             parent = self.parent
             source = parent.shard_sources[index] if parent.shard_sources is not None else None
             resolved = Path(source) if source else self.parent_dir / parent.shard_files[index]
-            if parent.shard_shas is not None:
-                shard_shas.append(parent.shard_shas[index])
-            else:
-                shard_shas.append(shard_file_sha(resolved))
+            shard_shas.append(parent.shard_shas[index])
             shard_sources.append(str(resolved))
-            shard_entities.append(
-                parent.shard_entities[index] if parent.shard_entities is not None else 0
-            )
+            shard_entities.append(parent.shard_entities[index])
 
-        total_bytes = shard_bytes
         pickled = published.feature_function
         if isinstance(pickled, Exception):
             raise pickled
-        if pickled is not None:
-            total_bytes += write_frame(self.directory / FEATURES_NAME, pickled)
+        total_bytes = shard_bytes + write_frame(self.directory / FEATURES_NAME, pickled)
         manifest = CheckpointManifest(
             epoch=published.epoch,
             model=published.model,
@@ -212,7 +195,6 @@ class CheckpointWriter:
             num_shards=self.num_shards,
             shard_files=[shard_file_name(index) for index in range(self.num_shards)],
             examples=list(published.examples),
-            has_feature_function=pickled is not None,
             wal_applied_seq=published.wal_applied_seq,
             shard_epochs=list(published.shard_epochs),
             shard_shas=shard_shas,
@@ -232,30 +214,30 @@ class CheckpointWriter:
         }
 
 
+def _decoded(what: str, file_path: Path, from_document, **keywords):
+    """``from_document`` of the JSON frame at ``file_path``; a frame whose CRC
+    holds but whose fields do not decode is corrupt."""
+    document = read_json_frame(file_path)
+    try:
+        return from_document(document, **keywords)
+    except (AttributeError, KeyError, TypeError, ValueError) as error:
+        raise SnapshotCorruptionError(
+            f"{what} passed its CRC but holds a malformed field: {error}"
+        ) from None
+
+
 def _read_manifest(path: Path | str) -> tuple[Path, CheckpointManifest]:
-    """A checkpoint directory's manifest; one whose CRC holds but whose fields
-    do not decode (a wrong type, a missing key) is corrupt."""
+    """A checkpoint directory and its decoded manifest."""
     directory = Path(path)
     if not directory.is_dir():
         raise SnapshotError(f"checkpoint directory {directory} does not exist")
-    document = read_json_frame(directory / MANIFEST_NAME)
-    try:
-        return directory, CheckpointManifest.from_document(document)
-    except (AttributeError, KeyError, TypeError, ValueError) as error:
-        raise SnapshotCorruptionError(
-            f"checkpoint {directory} manifest passed its CRC but holds a malformed "
-            f"field: {error!r}"
-        ) from None
+    what = f"checkpoint {directory} manifest"
+    return directory, _decoded(what, directory / MANIFEST_NAME, CheckpointManifest.from_document)
 
 
 def load_checkpoint(path: Path | str) -> LoadedCheckpoint:
     """Read a whole checkpoint directory back into memory, validating every frame."""
     directory, manifest = _read_manifest(path)
-    if len(manifest.shard_files) != manifest.num_shards:
-        raise SnapshotCorruptionError(
-            f"checkpoint {directory} promises {manifest.num_shards} shards but its "
-            f"manifest lists {len(manifest.shard_files)} shard files"
-        )
     shard_states: list[ShardState] = []
     for index, name in enumerate(manifest.shard_files):
         source = manifest.shard_sources[index] if manifest.shard_sources else None
@@ -266,37 +248,33 @@ def load_checkpoint(path: Path | str) -> LoadedCheckpoint:
                 f"checkpoint {directory} manifest {where} {file_path} "
                 "but it is missing"
             )
-        if manifest.shard_shas is not None and shard_file_sha(file_path) != manifest.shard_shas[index]:
+        if shard_file_sha(file_path) != manifest.shard_shas[index]:
             raise SnapshotCorruptionError(
                 f"checkpoint {directory} shard file {file_path} does not match the "
                 "content digest its manifest recorded: the file was rewritten or corrupted"
             )
-        payload_bytes = file_path.stat().st_size
-        shard_states.append(
-            ShardState.from_document(read_json_frame(file_path), payload_bytes=payload_bytes)
-        )
-    feature_function = pickled = None
-    if manifest.has_feature_function:
-        pickled = read_frame(directory / FEATURES_NAME)
-        try:
-            feature_function = pickle.loads(pickled)
-        except Exception as error:
-            raise SnapshotCorruptionError(
-                f"checkpoint {directory} has an unreadable feature function: {error}"
-            ) from error
-    hashed = [state.row_hashes for state in shard_states if state.row_hashes is not None]
-    row_hashes = {entity_id: digest for pairs in hashed for entity_id, digest in pairs}
-    shard_epochs = manifest.shard_epochs
-    if shard_epochs is None or len(shard_epochs) != manifest.num_shards:
-        shard_epochs = [manifest.epoch] * manifest.num_shards
+        what, size = f"checkpoint {directory} shard file {file_path}", file_path.stat().st_size
+        state = _decoded(what, file_path, ShardState.from_document, payload_bytes=size)
+        if state.index != index:  # reads route by index: a shard out of place answers nothing
+            raise SnapshotCorruptionError(f"{what} holds shard {state.index}, not shard {index}")
+        shard_states.append(state)
+    pickled = read_frame(directory / FEATURES_NAME)
+    try:
+        feature_function = pickle.loads(pickled)
+    except Exception as error:
+        raise SnapshotCorruptionError(
+            f"checkpoint {directory} has an unreadable feature function: {error}"
+        ) from error
     published = PublishedState(
         epoch=manifest.epoch,
         model=manifest.model,
         examples=tuple(manifest.examples),
-        shard_epochs=tuple(int(value) for value in shard_epochs),
+        shard_epochs=tuple(manifest.shard_epochs),
         wal_applied_seq=manifest.wal_applied_seq,
         feature_function=pickled,
-        row_hashes=row_hashes if hashed else None,
+        row_hashes={
+            entity_id: digest for state in shard_states for entity_id, digest in state.row_hashes
+        },
     )
     return LoadedCheckpoint(
         manifest=manifest,

@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections.abc import Mapping
-from dataclasses import dataclass, field
+from collections.abc import Callable, Mapping
+from dataclasses import dataclass
 
 from repro.exceptions import ConfigurationError, SnapshotCorruptionError, SnapshotError
 from repro.learn.model import LinearModel
@@ -73,6 +73,46 @@ def _hashable(value: object) -> object:
 _SCALAR_TYPES = (str, int, float, bool)
 
 
+def _typed(*kinds: type) -> Callable[[object], object]:
+    """A decoder passing only a value whose type is one of ``kinds`` (a bool is no int)."""
+
+    def decode(value: object) -> object:
+        if type(value) not in kinds:
+            raise TypeError(f"{type(value).__name__} is not {'/'.join(k.__name__ for k in kinds)}")
+        return value
+
+    return decode
+
+
+_int = _typed(int)
+_str = _typed(str)
+_dict = _typed(dict)
+_list = _typed(list)
+_number = _typed(int, float)
+
+
+def _optional(decode: Callable[[object], object]) -> Callable[[object], object]:
+    return lambda value: None if value is None else decode(value)
+
+
+def _list_of(decode: Callable[[object], object]) -> Callable[[object], list]:
+    return lambda value: [decode(item) for item in _list(value)]
+
+
+def _field(document: object, key: str, decode: Callable[[object], object]) -> object:
+    """``decode(document[key])``; a missing key or a failed decode is a ``ValueError``."""
+    fields = _dict(document)
+    try:
+        return decode(fields[key])
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError, SnapshotError) as error:
+        raise ValueError(f"{key!r}: {type(error).__name__}: {error}") from None
+
+
+def _object(**schema: Callable[[object], object]) -> Callable[[object], dict[str, object]]:
+    """A decoder of a JSON object: each key of ``schema``, decoded by its decoder."""
+    return lambda document: {key: _field(document, key, decode) for key, decode in schema.items()}
+
+
 def _check_id(entity_id: object) -> object:
     if entity_id is not None and not isinstance(entity_id, _SCALAR_TYPES):
         raise SnapshotError(
@@ -118,9 +158,9 @@ def encode_model(model: LinearModel) -> dict[str, object]:
 
 def decode_model(document: dict[str, object]) -> LinearModel:
     return LinearModel(
-        weights=Weights.of(decode_vector(document["weights"])),
-        bias=float(document["bias"]),
-        version=int(document["version"]),
+        weights=Weights.of(_field(document, "weights", decode_vector)),
+        bias=_field(document, "bias", _number),
+        version=_field(document, "version", _int),
     )
 
 
@@ -135,7 +175,7 @@ def encode_records(records: list[tuple[object, SparseVector, float, int]]) -> li
 def decode_records(rows: list[list]) -> list[tuple[object, SparseVector, float, int]]:
     return [
         (entity_id, decode_vector(features), float(eps), int(label))
-        for entity_id, features, eps, label in rows
+        for entity_id, features, eps, label in _list(rows)
     ]
 
 
@@ -149,9 +189,16 @@ def encode_examples(examples: list[TrainingExample]) -> list[list]:
 
 def decode_examples(rows: list[list]) -> list[TrainingExample]:
     return [
-        TrainingExample(entity_id=entity_id, features=decode_vector(features), label=int(label))
-        for entity_id, features, label in rows
+        TrainingExample(entity_id=entity_id, features=decode_vector(features), label=_int(label))
+        for entity_id, features, label in _list(rows)
     ]
+
+
+def _decode_row_hashes(rows: list[list]) -> list[list[object]]:
+    # Checked in place: a copy of every pair would double the peak of a restore.
+    if not all(type(row) is list and len(row) == 2 and type(row[1]) is str for row in _list(rows)):
+        raise ValueError("a row is not an [entity id, digest string] pair")
+    return rows
 
 
 @dataclass(frozen=True)
@@ -166,24 +213,44 @@ class PublishedState:
     """
 
     epoch: int
-    #: Shared, never mutated: the epoch history and every checkpoint hold
-    #: this same object.
+    #: Shared, never mutated: the server, its readers and every checkpoint
+    #: hold this same object.
     model: LinearModel
     #: The retained examples (the retrain input), in absorption order.
-    examples: tuple[TrainingExample, ...] = ()
+    examples: tuple[TrainingExample, ...]
     #: Per-shard epoch of last change — what an incremental checkpoint diffs.
-    shard_epochs: tuple[int, ...] = ()
+    shard_epochs: tuple[int, ...]
     #: Highest WAL sequence number whose op this state reflects.
-    wal_applied_seq: int = 0
+    wal_applied_seq: int
     #: The pickled feature function, corpus statistics as of this epoch
     #: (see :func:`~repro.persist.checkpoint.pickle_feature_function`) — or
-    #: the exception pickling raised, which a checkpoint re-raises; None
-    #: until a server fills it in.
-    feature_function: bytes | Exception | None = None
+    #: the exception pickling raised, which a checkpoint re-raises.
+    feature_function: bytes | Exception
     #: ``{entity id: row_content_hash(base-table row)}`` of the row each
-    #: stored entity's features were computed from; None for a snapshot
-    #: written before hashes were stored (a server scans the table then).
-    row_hashes: Mapping[object, str] | None = None
+    #: stored entity's features were computed from: one entry per entity.
+    row_hashes: Mapping[object, str]
+
+
+_SHARD_FIELDS = _object(
+    index=_int,
+    strategy=_str,
+    approach=_str,
+    records=decode_records,
+    current_model=decode_model,
+    row_hashes=_decode_row_hashes,
+    max_feature_norm=_number,
+    band_low=_number,
+    band_high=_number,
+    skiing=_optional(
+        _object(
+            reorganization_cost=_number,
+            accumulated_cost=_number,
+            rounds=_int,
+            reorganizations=_int,
+            incremental_cost_total=_number,
+        )
+    ),
+)
 
 
 @dataclass
@@ -200,6 +267,8 @@ class ShardState:
     approach: str
     records: list[tuple[object, SparseVector, float, int]]
     current_model: LinearModel
+    #: ``[entity_id, row_content_hash(base-table row)]``, one per record.
+    row_hashes: list[list[object]]
     max_feature_norm: float = 0.0
     #: Hazy-only: the stored model the shard is clustered under and the
     #: cumulative water band accumulated since its last reorganization.
@@ -212,11 +281,6 @@ class ShardState:
     #: Bytes of the frame this state was read from (restore charges its
     #: sequential read against the shard's ledger); 0 when freshly exported.
     payload_bytes: int = 0
-    #: ``[entity_id, content_hash]`` pairs (see :func:`row_content_hash`) for
-    #: this shard's entities: the hash of the base-table row each one's
-    #: features were computed from.  None for snapshots written before
-    #: hashes existed; replay then falls back to the insert/delete-only diff.
-    row_hashes: list[list[object]] | None = None
 
     def to_import(self) -> dict[str, object]:
         """``ViewMaintainer.import_state``'s input: the exported dict back,
@@ -239,27 +303,44 @@ class ShardState:
         }
         if self.stored_model is not None:
             document["stored_model"] = encode_model(self.stored_model)
-        if self.row_hashes is not None:
-            document["row_hashes"] = [[_check_id(i), h] for i, h in self.row_hashes]
+        document["row_hashes"] = [[_check_id(i), h] for i, h in self.row_hashes]
         return document
 
     @classmethod
     def from_document(cls, document: dict[str, object], payload_bytes: int = 0) -> "ShardState":
-        stored = document.get("stored_model")
-        return cls(
-            index=int(document["index"]),
-            strategy=str(document["strategy"]),
-            approach=str(document["approach"]),
-            records=decode_records(document["records"]),
-            current_model=decode_model(document["current_model"]),
-            max_feature_norm=float(document["max_feature_norm"]),
-            stored_model=decode_model(stored) if stored is not None else None,
-            band_low=float(document["band_low"]),
-            band_high=float(document["band_high"]),
-            skiing=document.get("skiing"),
-            payload_bytes=payload_bytes,
-            row_hashes=document.get("row_hashes"),
-        )
+        """The state :meth:`to_document` wrote; any other shape (hashes not one
+        per record included) raises a ``ValueError`` naming the key."""
+        fields = _SHARD_FIELDS(document)
+        if "stored_model" in document:
+            fields["stored_model"] = _field(document, "stored_model", decode_model)
+        records = fields["records"]
+        hashed = {entity_id for entity_id, _ in fields["row_hashes"]}
+        if len(hashed) != len(records) or hashed != {record[0] for record in records}:
+            raise ValueError("'row_hashes' do not hash the shard's records one for one")
+        return cls(**fields, payload_bytes=payload_bytes)
+
+
+_MANIFEST_FIELDS = _object(
+    view_name=_str,
+    epoch=_int,
+    model=decode_model,
+    trainer_steps=_int,
+    num_shards=_int,
+    shard_files=_list_of(_str),
+    examples=decode_examples,
+    architecture=_str,
+    strategy=_str,
+    approach=_str,
+    definition=_dict,
+    positive_label=lambda label: label,
+    has_feature_function=_typed(bool),
+    wal_applied_seq=_int,
+    shard_epochs=_list_of(_int),
+    shard_shas=_list_of(_str),
+    shard_sources=_optional(_list_of(_optional(_str))),
+    shard_entities=_list_of(_int),
+    parent=_optional(_str),
+)
 
 
 @dataclass
@@ -271,41 +352,39 @@ class CheckpointManifest:
     half-restorable state.
     """
 
-    view_name: str | None
+    view_name: str
     epoch: int
     model: LinearModel
     trainer_steps: int
     num_shards: int
     shard_files: list[str]
-    examples: list[TrainingExample] = field(default_factory=list)
-    architecture: str | None = None
-    strategy: str | None = None
-    approach: str | None = None
+    examples: list[TrainingExample]
+    architecture: str
+    strategy: str
+    approach: str
     #: The ``CREATE CLASSIFICATION VIEW`` definition of the checkpointed
     #: view, as a plain dict.
-    definition: dict[str, object] | None = None
-    positive_label: object = None
-    has_feature_function: bool = False
+    definition: dict[str, object]
+    positive_label: object
     #: The highest WAL sequence number whose op is reflected in this
     #: snapshot; recovery replays only records above it.  0 when the server
     #: ran without a WAL.
-    wal_applied_seq: int = 0
+    wal_applied_seq: int
     #: Per-shard epoch of last change, captured at checkpoint time; the
     #: basis for incremental checkpoints (a shard whose epoch did not move
-    #: past the parent's is not rewritten).  None on older snapshots.
-    shard_epochs: list[int] | None = None
-    #: Per-shard content digest of the shard *file* bytes, so an
-    #: incremental child can reference a parent shard by path and later
-    #: verify it was not rewritten underneath.  None on older snapshots.
-    shard_shas: list[str] | None = None
+    #: past the parent's is not rewritten).
+    shard_epochs: list[int]
+    #: Per-shard content digest of the shard *file* bytes, verified on load
+    #: (an incremental child references a parent shard by path).
+    shard_shas: list[str]
+    #: Per-shard record counts, so describing an incremental checkpoint
+    #: does not need to open parent shard files.
+    shard_entities: list[int]
     #: Per-shard source path for shards this (incremental) checkpoint did
     #: not rewrite: an absolute path into the parent checkpoint (chains are
     #: flattened at write time, so a source never points at another
     #: incremental reference).  None entries mean "this directory".
     shard_sources: list[str | None] | None = None
-    #: Per-shard record counts, so describing an incremental checkpoint
-    #: does not need to open parent shard files.
-    shard_entities: list[int] | None = None
     #: The parent checkpoint path when this one was written incrementally.
     parent: str | None = None
 
@@ -323,7 +402,7 @@ class CheckpointManifest:
             "approach": self.approach,
             "definition": self.definition,
             "positive_label": self.positive_label,
-            "has_feature_function": self.has_feature_function,
+            "has_feature_function": True,
             "wal_applied_seq": self.wal_applied_seq,
             "shard_epochs": self.shard_epochs,
             "shard_shas": self.shard_shas,
@@ -334,27 +413,18 @@ class CheckpointManifest:
 
     @classmethod
     def from_document(cls, document: dict[str, object]) -> "CheckpointManifest":
-        return cls(
-            view_name=document.get("view_name"),
-            epoch=int(document["epoch"]),
-            model=decode_model(document["model"]),
-            trainer_steps=int(document["trainer_steps"]),
-            num_shards=int(document["num_shards"]),
-            shard_files=list(document["shard_files"]),
-            examples=decode_examples(document.get("examples", [])),
-            architecture=document.get("architecture"),
-            strategy=document.get("strategy"),
-            approach=document.get("approach"),
-            definition=document.get("definition"),
-            positive_label=document.get("positive_label"),
-            has_feature_function=bool(document.get("has_feature_function", False)),
-            wal_applied_seq=int(document.get("wal_applied_seq", 0)),
-            shard_epochs=document.get("shard_epochs"),
-            shard_shas=document.get("shard_shas"),
-            shard_sources=document.get("shard_sources"),
-            shard_entities=document.get("shard_entities"),
-            parent=document.get("parent"),
-        )
+        """The manifest :meth:`to_document` wrote; any other shape (a per-shard
+        list without one entry per shard included) raises a ``ValueError``."""
+        fields = _MANIFEST_FIELDS(document)
+        if not fields.pop("has_feature_function"):
+            raise ValueError("'has_feature_function' is false: the corpus statistics are lost")
+        shards = fields["num_shards"]
+        if shards < 1:
+            raise ValueError(f"'num_shards' is {shards}: a view has at least one shard")
+        for key in ("shard_files", "shard_epochs", "shard_shas", "shard_sources", "shard_entities"):
+            if fields[key] is not None and len(fields[key]) != shards:
+                raise ValueError(f"{key!r} has {len(fields[key])} entries for {shards} shards")
+        return cls(**fields)
 
 
 @dataclass
@@ -366,12 +436,4 @@ class LoadedCheckpoint:
     #: The published state the manifest and the shards' hashes spell — what a
     #: warm-restarted server resumes from.
     published: PublishedState
-    feature_function: object | None = None
-
-    @property
-    def entity_ids(self) -> set[object]:
-        """Every entity id present in the snapshot, across all shards."""
-        ids: set[object] = set()
-        for state in self.shard_states:
-            ids.update(entity_id for entity_id, _, _, _ in state.records)
-        return ids
+    feature_function: object

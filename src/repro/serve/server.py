@@ -212,14 +212,12 @@ class ViewServer:
             self.shards = ShardSet.build(
                 view.entity_snapshot(), view.model, num_shards=shards, **per_shard
             )
-            published = PublishedState(
-                0, view.model, tuple(writer.examples), shard_epochs=(0,) * shards
-            )
-        if published.row_hashes is None:
             # The one scan of the base table: nothing is queued yet, so table
-            # and shards agree; from here the hashes follow the writes.  (A
-            # resumed server carries its snapshot's, unless that predates them.)
-            published = dataclasses.replace(published, row_hashes=self._base_row_hashes())
+            # and shards agree; from here the hashes follow the writes.
+            features, hashes = writer.pickled_feature_function(), self._base_row_hashes()
+            published = PublishedState(
+                0, view.model, tuple(writer.examples), (0,) * shards, 0, features, hashes
+            )
         self.fanout = len(self.shards)
         self.writer = writer
         self.trainer = writer.trainer
@@ -228,9 +226,7 @@ class ViewServer:
         #: examples, trainer and corpus statistics before the batch is visible;
         #: whatever must describe the *published* epoch — a read's tag, a
         #: checkpoint — reads this.  Replaced, never mutated, under the write lock.
-        self.published = dataclasses.replace(
-            published, feature_function=writer.pickled_feature_function()
-        )
+        self.published = published
         self._train_stats = IOStatistics()
         self._cost_model = self.shards.shards[0].maintainer.store.cost_model
         self._ledgers = tuple(shard.maintainer.store.stats for shard in self.shards.shards)

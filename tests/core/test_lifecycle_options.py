@@ -74,6 +74,19 @@ def cases():
     yield "restore", "", {}, "RESTORE VIEW ... FROM needs a directory, got ''"
 
 
+def with_ids(rows) -> list:
+    """Each ``(verb, target, options, message)`` row under an id built from the
+    verb, each option and its value, and a literal path — never from the row's
+    position, so removing an option removes only its own rows."""
+    params = []
+    for verb, target, options, message in rows:
+        parts = [verb, *(f"{name}-{value!r}" for name, value in options.items())]
+        if target is not DIR:
+            parts.append(f"path-{target!r}")
+        params.append(pytest.param(verb, target, options, message, id="-".join(parts)))
+    return params
+
+
 def literal(value: object) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -110,7 +123,7 @@ def attempts(engine, verb: str, target: str, options: dict) -> dict:
     return {"sql": lambda: engine.database.execute(sql), "imperative": call}
 
 
-@pytest.mark.parametrize("verb, target, options, message", list(cases()))
+@pytest.mark.parametrize("verb, target, options, message", with_ids(cases()))
 def test_a_bad_option_is_refused_the_same_way_in_sql_and_imperatively(
     portals, tmp_path, monkeypatch, verb, target, options, message
 ):
@@ -138,7 +151,7 @@ EMPTY_PATHS = [
 
 
 @pytest.mark.parametrize("form", ["sql", "imperative"])
-@pytest.mark.parametrize("verb, target, options, message", EMPTY_PATHS)
+@pytest.mark.parametrize("verb, target, options, message", with_ids(EMPTY_PATHS))
 def test_an_empty_path_never_stands_for_a_usable_working_directory(
     portals, tmp_path, monkeypatch, form, verb, target, options, message
 ):

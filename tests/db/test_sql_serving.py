@@ -376,19 +376,18 @@ class TestServedSessionSemantics:
 
         context = SessionRegistry()
         doc = documents[40]
-        db.execute(
-            "INSERT INTO example_papers (id, label) VALUES (?, ?)",
+        # The executor is where a connection hands its context in.
+        db.executor.execute(
+            parse("INSERT INTO example_papers (id, label) VALUES (?, ?)"),
             (doc.entity_id, "database" if doc.label == 1 else "other"),
-            context=context,
+            context,
         )
         server = engine.view("labeled_papers").server
         ticket = server.take_session_ticket()
         assert ticket is not None  # the diverted trigger parked the write's ticket
         context.note_write("labeled_papers", server, ticket)
-        db.execute(
-            "SELECT class FROM labeled_papers WHERE id = ?",
-            (doc.entity_id,),
-            context=context,
+        db.executor.execute(
+            parse("SELECT class FROM labeled_papers WHERE id = ?"), (doc.entity_id,), context
         )
         session = context.session_for("labeled_papers", server)
         assert session.last_epoch >= 1  # the read waited for the write's epoch

@@ -338,7 +338,7 @@ class TestCheckpointBehindItsOwnCut:
         assert parked.wait(timeout=10)
         self._crash_image(db, tmp_path, wal=True)
         snapshot = load_checkpoint(tmp_path / "crash-ckpt")
-        assert snapshot.manifest.epoch == epoch and 100 not in snapshot.entity_ids
+        assert snapshot.manifest.epoch == epoch and 100 not in snapshot.published.row_hashes
         release.set()
         server.flush()
         live = server.writer.feature_function

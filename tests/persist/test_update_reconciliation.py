@@ -9,13 +9,9 @@ restoring must land bit-identical to a cold rebuild over the updated tables.
 
 from __future__ import annotations
 
-import json
-
 from repro import HazyEngine
 from repro.linalg import SparseVector
-from repro.persist import MANIFEST_NAME, load_checkpoint
-from repro.persist.checkpoint import shard_file_name
-from repro.persist.format import read_frame, write_frame
+from repro.persist import load_checkpoint
 from repro.persist.snapshot import row_content_hash
 
 from tests.persist.test_checkpoint_restore import DDL, build_engine_database
@@ -130,38 +126,6 @@ def test_untouched_restore_stays_bit_identical(corpus, tmp_path):
         assert restored.top_k(len(corpus)) == before_top
         # No churn, no replay: the restore resumes at the snapshot epoch.
         assert restored.epoch == load_checkpoint(tmp_path / "ckpt").manifest.epoch
-    finally:
-        restored.close()
-
-
-def _strip_row_hashes(directory, num_shards: int) -> None:
-    """Rewrite a checkpoint as a pre-hash writer would have produced it."""
-    for index in range(num_shards):
-        shard_path = directory / shard_file_name(index)
-        document = json.loads(read_frame(shard_path))
-        document.pop("row_hashes", None)
-        write_frame(shard_path, json.dumps(document, separators=(",", ":")).encode("utf-8"))
-    manifest_path = directory / MANIFEST_NAME
-    manifest = json.loads(read_frame(manifest_path))
-    # The shard files were just rewritten, so the recorded digests are void.
-    manifest.pop("shard_shas", None)
-    write_frame(manifest_path, json.dumps(manifest, separators=(",", ":")).encode("utf-8"))
-
-
-def test_legacy_checkpoint_without_hashes_keeps_the_old_contract(corpus, tmp_path):
-    """Snapshots without stored hashes replay inserts/deletes only — the
-    documented fallback — so the in-place UPDATE is (still) missed.  This is
-    the companion proving the regression test above pins real behavior."""
-    target_id, update, before_top = _checkpoint_and_update(corpus, tmp_path)
-    _strip_row_hashes(tmp_path / "ckpt", num_shards=4)
-
-    restart_db = build_engine_database(corpus)
-    restart_db.execute(*update)
-    restart = _engine_over(restart_db)
-    restored = restart.restore("Labeled_Papers", tmp_path / "ckpt")
-    try:
-        # The target keeps its stale pre-update margin, bit for bit.
-        assert dict(restored.top_k(len(corpus)))[target_id] == before_top[target_id]
     finally:
         restored.close()
 
