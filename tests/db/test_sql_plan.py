@@ -21,6 +21,14 @@ from repro.workloads import dblife_like
 from tests.db.test_sql_serving import build_portal
 
 
+def net_of_statements(server) -> float:
+    """Simulated seconds on the server's shard ledgers, less their ``statement`` charges."""
+    return sum(
+        ledger.simulated_seconds - ledger.detail.get("statement", 0.0)
+        for ledger in server.ledgers()
+    )
+
+
 def plan_nodes(executor, sql: str) -> list[str]:
     """The EXPLAIN node labels for one SELECT, indentation stripped."""
     statement = parse(sql)
@@ -614,17 +622,18 @@ class TestRangePushdown:
             conn.close()
 
     def test_served_range_scan_cheaper_than_contents(self):
-        """The shard operator beats materialize-and-post-filter on the ledger."""
+        """The shard operator beats materialize-and-post-filter on the ledger,
+        net of the statement dispatch both pay once per shard."""
         conn = balanced_portal()
         try:
             conn.execute("SERVE VIEW labeled WITH (shards = 3)")
             server = conn.engine.view("labeled").server
-            start = server.shards.simulated_seconds()
+            start = net_of_statements(server)
             conn.execute("SELECT id FROM labeled WHERE class = 1 AND id >= 40")
-            pushed = server.shards.simulated_seconds() - start
-            start = server.shards.simulated_seconds()
+            pushed = net_of_statements(server) - start
+            start = net_of_statements(server)
             conn.execute("SELECT * FROM labeled").fetchall()
-            materialized = server.shards.simulated_seconds() - start
+            materialized = net_of_statements(server) - start
             assert pushed * 2 <= materialized
             conn.execute("STOP SERVING labeled")
         finally:
