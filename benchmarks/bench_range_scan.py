@@ -2,7 +2,7 @@
 
 ``SELECT id FROM v WHERE class = 1 AND id >= k`` used to be answered by
 materializing the *whole* served view (scatter/gather ``contents()`` — one
-``read_single`` per entity, statement overhead included) and post-filtering
+statement and one scan of every stored tuple per shard) and post-filtering
 the rows client-side.  The plan-first query layer pushes the predicate into
 the serving layer as a real shard operator: every shard runs
 ``read_range`` over its own eps-clustered store, applying the key filter

@@ -24,8 +24,9 @@ strategy supplies only what the paper says differs:
 * :meth:`~ViewMaintainer.apply_model` — what an Update does with the new
   model: swap it, advance the band, or relabel a scan.
 
-Costs are the store's simulated seconds.  Skiing compares accumulated floats,
-so the *order* of charges inside an operation is part of the contract;
+Every read charges the statement overhead once, then what its store calls
+charge, in simulated seconds.  Skiing compares accumulated floats, so the
+*order* of charges inside an operation is part of the contract;
 ``tests/core/test_operation_ledger.py`` pins it for every cell of the matrix.
 """
 
@@ -313,15 +314,13 @@ class ViewMaintainer(ABC):
     ) -> tuple[list[object], int, float]:
         """The run behind All Members and key-range reads: ``(members, classified, cost)``.
 
-        One store call: keys outside ``key_range`` are dropped *before*
-        classification, so lazy strategies pay dot products only for tuples
-        that can appear in the answer; a key-range read is dispatched as a
-        statement of its own.
+        One statement and one store call: keys outside ``key_range`` are
+        dropped *before* classification, so lazy strategies pay dot products
+        only for tuples that can appear in the answer.
         """
         self._require_loaded()
         start = self.store.cost_snapshot()
-        if key_range is not None:
-            self.store.charge_statement_overhead()
+        self.store.charge_statement_overhead()
         members, classified = self._members(label, key_range)
         return members, classified, self.store.cost_snapshot() - start
 
@@ -335,6 +334,7 @@ class ViewMaintainer(ABC):
         """The ``k`` entities deepest inside class ``label``, as ``(id, margin)`` pairs."""
         if k <= 0:
             return []
+        self.store.charge_statement_overhead()
         ids, _, margins = self.store.score(self.current_model)
         tie = itertools.count()
         heap: list[tuple[float, int, object]] = []
@@ -349,16 +349,14 @@ class ViewMaintainer(ABC):
         sign_ = 1.0 if label == 1 else -1.0
         return [(entity_id, sign_ * score) for score, _, entity_id in ranked]
 
-    # -- helpers ------------------------------------------------------------------------------
-
     def contents(self) -> dict[object, int]:
-        """The full view ``{id: label}`` under the current model.
+        """The full view ``{id: label}``: one scan, each tuple labelled by :meth:`classifier`."""
+        self._require_loaded()
+        self.store.charge_statement_overhead()
+        classify = self.classifier()
+        return {record.entity_id: classify(record) for record in self.store.scan_all()}
 
-        Default implementation answers through :meth:`read_single` for each
-        stored entity, which is correct for every strategy (if slow); used by
-        the consistency tests.
-        """
-        return {record.entity_id: self.read_single(record.entity_id) for record in self.store.scan_all()}
+    # -- helpers ------------------------------------------------------------------------------
 
     def _require_loaded(self) -> None:
         if not self._loaded:

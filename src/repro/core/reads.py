@@ -11,11 +11,12 @@ while it is not, the :class:`~repro.serve.server.ViewServer` — or a
 connection's :class:`~repro.serve.server.ClientSession` on it — while it is.
 
 Every reader answers the six :data:`READS` with the same signatures, so plan
-nodes never fork.  The two the planner can be handed (``DirectReads``,
-``ViewServer``) also **price their own reads** — ``estimate(operation)`` is
-:func:`read_estimate` over the one store of a maintainer or the N stores of
-the shards — say who they are (``served``, ``fanout``) and hand out the
-ledgers their reads charge (``ledgers()``): ``repro.db`` never walks a server.
+nodes never fork, and charge one statement per store they touch.  The two the
+planner can be handed (``DirectReads``, ``ViewServer``) also **price their own
+reads** — ``estimate(operation)`` is :func:`read_estimate` over the one store
+of a maintainer or the N stores of the shards — say who they are (``served``,
+``fanout``) and hand out the ledgers their reads charge (``ledgers()``):
+``repro.db`` never walks a server.
 """
 
 from __future__ import annotations
@@ -39,26 +40,21 @@ ESTIMATES = ("label_of", "all_members", "range_scan", "top_k", "contents")
 def read_estimate(operation: str, stores: Sequence[EntityStore]) -> float:
     """Cost-model estimate, in simulated seconds, of one read over ``stores``.
 
-    A point read is priced on the first store (the cheaper of a point lookup
-    and a scan, as ``read_many`` chooses); All Members, a key range and a
-    ranked read scan every store once; a contents read also answers through
-    ``read_single`` — statement overhead included — per stored entity.  On a
+    Every read is one statement per store it touches.  A point read touches
+    one, priced on the first (the cheaper of a point lookup and a scan, as
+    ``read_many`` chooses); every other read scans each store once.  On a
     Hazy strategy All Members and a key range scan only the eps slice above
     low / below high water, so the full scan is their upper bound, the price
-    the plan shows before the band is known.
+    the plan shows before the band is known.  No dot product is priced
+    (stores do not count their non-zeros): a read that scores tuples charges
+    them on top of this figure.
     """
     first = stores[0]
     overhead = first.cost_model.statement_overhead
     if operation == "label_of":
         return overhead + min(first.point_read_cost_estimate(), first.scan_cost_estimate())
-    if operation == "contents":
-        return overhead + sum(
-            store.scan_cost_estimate()
-            + store.count() * (overhead + store.point_read_cost_estimate())
-            for store in stores
-        )
     if operation in ESTIMATES:
-        return overhead + sum(store.scan_cost_estimate() for store in stores)
+        return sum(overhead + store.scan_cost_estimate() for store in stores)
     raise ValueError(f"no estimate for read {operation!r}; known: {ESTIMATES}")
 
 

@@ -123,7 +123,7 @@ _VIEW_READ_DETAILS = {
     ),
     "contents": (
         "materialize the view through the direct maintainer",
-        "materialize one coherent epoch via read_single per entity across {n} shards",
+        "materialize one coherent epoch: one scan per shard across {n} shards",
     ),
     "labels_of": (
         "one batched point read for the join's probe keys (view is not served)",

@@ -24,7 +24,11 @@ details and estimates, never its shape.  Then a range over an integer index
 column came to be estimated by the integer values it covers: an index probe's
 estimate and its ``~N of M rows`` moved, nothing else.  Last, a view point
 read came to answer its own ``key = k`` as a class read answers ``class = x``:
-the two ``view point`` cells lost their ``Filter``.
+the two ``view point`` cells lost their ``Filter``.  Last, every view read came
+to charge one statement per store it touches: the cells under ``priced_plans``
+differ from their recorded or moved rows only in one scan-shaped view read's
+estimate, ``sum(overhead + scan)`` over its stores, and in the served contents
+read's detail (one scan per shard, not a point read per entity).
 """
 
 from __future__ import annotations
@@ -260,7 +264,8 @@ def refusals():
 
 @pytest.mark.parametrize("cell", CELLS)
 def test_explain_rows_equal_the_recorded_ones(golden, plans, cell):
-    assert plans[cell] == golden["moved_plans"].get(cell, golden["plans"][cell])
+    moved = golden["moved_plans"].get(cell, golden["plans"][cell])
+    assert plans[cell] == golden["priced_plans"].get(cell, moved)
 
 
 @pytest.mark.parametrize("refusal", REFUSED)
@@ -414,6 +419,19 @@ def test_the_moved_cells_moved_only_where_intended(golden):
         assert moved[1] == single_source != before[1]
 
 
+def test_the_priced_cells_moved_only_one_view_reads_estimate(golden):
+    """On the 40-entity view one store's scan is 8e-06 s and a statement 7e-05 s,
+    so a scan-shaped view read is priced 7.8e-05 s unserved and 0.000148 s on 2
+    shards, contents and All Members alike."""
+    for cell, rows in golden["priced_plans"].items():
+        before = golden["moved_plans"].get(cell, golden["plans"][cell])
+        assert [row[0] for row in rows] == [row[0] for row in before]
+        ((row, old),) = [(row, old) for row, old in zip(rows, before) if row != old]
+        assert row[0].strip().startswith(("ViewScan(", "TopK(", "Served"))
+        assert row[1] == (0.000148 if cell.endswith("/ 2 shards") else 7.8e-05) != old[1]
+        assert row[2] == old[2] or "one scan per shard" in row[2]
+
+
 @pytest.mark.parametrize("literal", ["NULL", "TRUE", "FALSE", "'a\\b'", "'it''s'", "''''"])
 def test_explain_spells_null_true_and_false_as_sql_literals(literal):
     rows = build().execute(f"EXPLAIN SELECT id FROM items WHERE tag = {literal}").rows
@@ -428,6 +446,7 @@ if __name__ == "__main__":
         "refusals": refusal_table(),
         "moved_plans": {},
         "moved_refusals": {},
+        "priced_plans": {},
     }
     GOLDEN_PATH.write_text(json.dumps(recorded, indent=1) + "\n")
     print(f"recorded {len(recorded['plans'])} plans, {len(recorded['refusals'])} refusals")

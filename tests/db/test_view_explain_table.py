@@ -14,8 +14,11 @@ it runs, and the fused ``TopK`` gets a number instead of ``None``).  The
 All Members and key-range cells moved later, in ``CLASS_ANSWERED``: those
 reads answer their ``class = x`` conjunct exactly, so it left the residual
 ``Filter`` above them, and every estimate stayed where it was.  The point
-cells moved last, in ``KEY_ANSWERED``: a point read answers its own ``id = 1``
-the same way, so the ``Filter(id = 1)`` above it went.
+cells moved in ``KEY_ANSWERED``: a point read answers its own ``id = 1``
+the same way, so the ``Filter(id = 1)`` above it went.  The scan-shaped cells
+moved last, in ``ONE_RULE``: every view read charges one statement per store it
+touches, so a 2-shard scan's estimate gains the second shard's overhead, and a
+contents read is one scan per store, priced as every other scan.
 """
 
 from __future__ import annotations
@@ -376,6 +379,84 @@ PARENT: dict[tuple[str, str, str], list[tuple]] = {
     ],
 }
 
+#: The scan-shaped cells priced by one statement per store: what they print now.
+ONE_RULE: dict[tuple[str, str, str], list[tuple]] = {
+    ("hybrid/lazy", "contents", "2 shards"): [
+        (
+            "ServedScatterGather(labeled_papers, contents)",
+            0.001148,
+            "materialize one coherent epoch: one scan per shard across 2 shards",
+        ),
+    ],
+    ("hybrid/lazy", "contents", "unserved"): [
+        (
+            "ViewScan(labeled_papers)",
+            0.001078,
+            "materialize the view through the direct maintainer",
+        ),
+    ],
+    ("hybrid/lazy", "members", "2 shards"): [
+        ("Project(id)", 0.0, ""),
+        (
+            "  ServedScatterGather(labeled_papers, class = 'database')",
+            0.001148,
+            "scatter/gather All Members across 2 shards",
+        ),
+    ],
+    ("hybrid/lazy", "range", "2 shards"): [
+        ("Project(id)", 0.0, ""),
+        ("  Filter(id >= 5)", 0.0, "residual re-check of every WHERE conjunct"),
+        (
+            "    ServedRangeScan(labeled_papers, class = 'database' AND id >= 5)",
+            0.001148,
+            "pushed-down read_range across 2 shards; classifies only in-range candidates",
+        ),
+    ],
+    ("hybrid/lazy", "ranked", "2 shards"): [
+        ("Project(id)", 0.0, ""),
+        (
+            "  TopK(k=4, by=margin desc)",
+            0.001148,
+            "per-shard top-k heaps + n-way merge across 2 shards",
+        ),
+    ],
+    ("mainmemory/eager", "contents", "2 shards"): [
+        (
+            "ServedScatterGather(labeled_papers, contents)",
+            0.000148,
+            "materialize one coherent epoch: one scan per shard across 2 shards",
+        ),
+    ],
+    ("mainmemory/eager", "contents", "unserved"): [
+        ("ViewScan(labeled_papers)", 7.8e-05, "materialize the view through the direct maintainer"),
+    ],
+    ("mainmemory/eager", "members", "2 shards"): [
+        ("Project(id)", 0.0, ""),
+        (
+            "  ServedScatterGather(labeled_papers, class = 'database')",
+            0.000148,
+            "scatter/gather All Members across 2 shards",
+        ),
+    ],
+    ("mainmemory/eager", "range", "2 shards"): [
+        ("Project(id)", 0.0, ""),
+        ("  Filter(id >= 5)", 0.0, "residual re-check of every WHERE conjunct"),
+        (
+            "    ServedRangeScan(labeled_papers, class = 'database' AND id >= 5)",
+            0.000148,
+            "pushed-down read_range across 2 shards; classifies only in-range candidates",
+        ),
+    ],
+    ("mainmemory/eager", "ranked", "2 shards"): [
+        ("Project(id)", 0.0, ""),
+        (
+            "  TopK(k=4, by=margin desc)",
+            0.000148,
+            "per-shard top-k heaps + n-way merge across 2 shards",
+        ),
+    ],
+}
+
 
 def test_the_recorded_table_covers_every_cell():
     expected = {(c, r, s) for c in CONFIGURATIONS for r in READS for s in STATES}
@@ -387,6 +468,10 @@ def test_the_recorded_table_covers_every_cell():
         (c, r, s) for c in CONFIGURATIONS for r in ("members", "range") for s in STATES
     }
     assert set(KEY_ANSWERED) == {(c, "point", s) for c in CONFIGURATIONS for s in STATES}
+    scans = ("members", "range", "contents", "ranked")
+    assert set(ONE_RULE) == {(c, "contents", "unserved") for c in CONFIGURATIONS} | {
+        (c, r, "2 shards") for c in CONFIGURATIONS for r in scans
+    }
 
 
 @pytest.fixture(scope="module")
@@ -396,7 +481,7 @@ def table():
 
 @pytest.mark.parametrize("cell", sorted(PARENT), ids=" ".join)
 def test_explain_rows_equal_the_parents_except_the_two_moved_cells(table, cell):
-    assert table[cell] == {**PARENT, **MOVED, **CLASS_ANSWERED, **KEY_ANSWERED}[cell]
+    assert table[cell] == {**PARENT, **MOVED, **CLASS_ANSWERED, **KEY_ANSWERED, **ONE_RULE}[cell]
 
 
 def test_the_moved_cells_moved_only_where_intended():
@@ -419,6 +504,24 @@ def test_the_key_answered_cells_lost_only_their_key_conjunct():
     for cell, rows in KEY_ANSWERED.items():
         before = [list(row) for row in PARENT[cell]]
         assert [list(row) for row in rows] == key_answered(before) != before
+
+
+def test_the_one_rule_cells_moved_only_their_access_estimate():
+    """Each scan-shaped read's estimate is ``sum(overhead + scan)`` over its stores:
+    a 2-shard read gains one overhead, and contents costs what All Members does."""
+    earlier = {**PARENT, **MOVED, **CLASS_ANSWERED, **KEY_ANSWERED}
+    now = {**earlier, **ONE_RULE}
+    for cell, rows in ONE_RULE.items():
+        before = earlier[cell]
+        assert [row[0] for row in rows] == [row[0] for row in before]
+        assert rows[:-1] == before[:-1]
+        if cell[1] != "contents":
+            assert rows[-1][1] - before[-1][1] == pytest.approx(7e-05)
+            assert rows[-1][2] == before[-1][2]
+    for configuration in CONFIGURATIONS:
+        for state in STATES:
+            contents = now[(configuration, "contents", state)][-1][1]
+            assert contents == now[(configuration, "members", state)][-1][1]
 
 
 def _literal(value: object) -> str:

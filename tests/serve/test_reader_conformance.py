@@ -9,23 +9,31 @@ answer each read, with one signature, and agree with ``view_contents`` computed
 from scratch; and each reader the *planner* can be handed must price every
 name in :data:`~repro.core.reads.ESTIMATES`.  A closed server refuses all six
 with the documented error, on the server handle and on a session alike.
+
+The charge table holds every read to one rule, in every cell of the matrix,
+unserved and on 2 shards: one ``statement`` charge per store it touches, and
+what it charges net of dot products (which no estimate prices) at most its
+estimate — exactly its estimate on main memory wherever no band can narrow
+the read (the naive strategies, point reads).
 """
 
 from __future__ import annotations
 
 import inspect
-import json
 import random
 
 import pytest
 
+from repro.core.maintainers import MAINTAINERS
 from repro.core.reads import ESTIMATES, READS, DirectReads
+from repro.core.stores import STORES
 from repro.core.view import view_contents
 from repro.db.buffer_pool import IOStatistics
 from repro.db.types import KeyRange
 from repro.exceptions import HazyError, MaintenanceError
 from repro.net.protocol import decode_error, encode_error
 from repro.serve import ClientSession, SessionRegistry, ViewServer
+from repro.serve.sharding import shard_index
 
 from tests.serve.test_read_path_differential import ENTITIES, build, corpus
 
@@ -215,16 +223,63 @@ class TestRankedReadNeedsNoServer:
         assert "served" not in leaf["detail"].replace("not served", "")
 
 
-@pytest.mark.parametrize("served", [False, True])
-def test_view_scan_estimate_is_what_the_scan_charges(plain, served):
-    """One formula for the one ``contents()`` body: the unserved estimate was
-    128x under its actual while the served one was within 1%."""
-    plain.executemany(
-        "INSERT INTO entities (id, features) VALUES (?, ?)",
-        [(i, json.dumps({"0": 0.1, "1": 0.5})) for i in range(ENTITIES, 200)],
-    )
-    if served:
-        plain.execute("SERVE VIEW labeled WITH (shards = 2)")
-    (row,) = plain.execute("EXPLAIN ANALYZE SELECT * FROM labeled").fetchall()
-    assert row["rows"] == 200
-    assert row["actual_seconds"] / 2 <= row["estimated_seconds"] <= row["actual_seconds"] * 2
+CELLS = [
+    (architecture, strategy, approach)
+    for architecture in STORES
+    for strategy, approach in MAINTAINERS
+]
+#: The charge table's reads and their arguments; ``labels_of`` is counted, not priced.
+CHARGED_READS = {
+    "label_of": (7,),
+    "all_members": (1,),
+    "range_scan": (1, KeyRange(5, 20, True, False)),
+    "top_k": (5,),
+    "contents": (),
+    "labels_of": ([30, 31, 32, 33],),
+}
+
+
+def stores_touched(read: str, arguments: tuple, shards: int | None) -> list[int]:
+    """Statements each ledger should see: one per store the read touches."""
+    if shards is None:
+        return [1]
+    if read == "label_of":
+        owners = {shard_index(arguments[0], shards)}
+    elif read == "labels_of":
+        owners = {shard_index(key, shards) for key in arguments[0]}
+    else:
+        owners = set(range(shards))
+    return [int(index in owners) for index in range(shards)]
+
+
+@pytest.mark.parametrize("shards", [None, 2], ids=["unserved", "2-shards"])
+@pytest.mark.parametrize("cell", CELLS, ids="/".join)
+def test_every_read_charges_one_statement_per_store_and_at_most_its_estimate(cell, shards):
+    architecture, strategy, approach = cell
+    conn = portal(architecture=architecture, strategy=strategy, approach=approach)
+    try:
+        reader = reader_of(conn, "DirectReads" if shards is None else "ViewServer")
+        overhead = conn.engine.view("labeled").maintainer.store.cost_model.statement_overhead
+        ledgers = reader.ledgers()
+        assert set(CHARGED_READS) == set(ESTIMATES) | {"labels_of"}
+        failures = []
+        for read, arguments in CHARGED_READS.items():
+            estimate = reader.estimate(read) if read in ESTIMATES else None
+            before = [ledger.snapshot() for ledger in ledgers]
+            getattr(reader, read)(*arguments)
+            charged = [ledger.diff(earlier) for ledger, earlier in zip(ledgers, before)]
+            statements = [round(d.detail.get("statement", 0.0) / overhead) for d in charged]
+            net = sum(d.simulated_seconds - d.detail.get("dot_product", 0.0) for d in charged)
+            row = f"{read}: statements {statements}, net {net:.6g} s, estimate {estimate}"
+            if statements != stores_touched(read, arguments, shards):
+                failures.append(f"{row} -- one statement per store touched")
+            if estimate is None:
+                continue
+            if net > estimate * (1 + 1e-9):
+                failures.append(f"{row} -- above its estimate")
+            exact = architecture == "mainmemory" and (strategy == "naive" or read == "label_of")
+            if exact and net != pytest.approx(estimate, rel=1e-9):
+                failures.append(f"{row} -- not its estimate")
+        assert not failures, "\n".join(failures)
+    finally:
+        conn.close()
