@@ -34,11 +34,21 @@ from __future__ import annotations
 
 import hashlib
 import pickle
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from pathlib import Path
 
 from repro.exceptions import ConfigurationError, SnapshotCorruptionError, SnapshotError
-from repro.persist.format import read_frame, read_json_frame, write_frame, write_json_frame
+from repro.persist.format import (
+    decode_frame,
+    decode_json,
+    encode_frame,
+    encode_json,
+    read_file,
+    read_frame,
+    write_file,
+    write_frame,
+    write_json_frame,
+)
 from repro.persist.snapshot import (
     CheckpointManifest,
     LoadedCheckpoint,
@@ -50,6 +60,7 @@ __all__ = [
     "MANIFEST_NAME",
     "FEATURES_NAME",
     "shard_file_name",
+    "shard_sha",
     "shard_file_sha",
     "write_shard_state",
     "write_manifest",
@@ -67,17 +78,26 @@ def shard_file_name(index: int) -> str:
     return f"shard-{index:04d}.hzs"
 
 
-def shard_file_sha(path: Path | str) -> str:
+def shard_sha(raw: bytes) -> str:
     """Content digest of a shard file's raw bytes (frame header included).
 
-    Incremental checkpoints record this next to a parent-shard reference so
-    a later restore can prove the referenced file was not rewritten."""
-    return hashlib.blake2b(Path(path).read_bytes(), digest_size=16).hexdigest()
+    The manifest records it for every shard, an incremental checkpoint's
+    parent-shard references included, so a restore can prove no file was
+    rewritten."""
+    return hashlib.blake2b(raw, digest_size=16).hexdigest()
 
 
-def write_shard_state(directory: Path | str, state: ShardState) -> int:
-    """Write one shard's state; returns the bytes written (for read pricing)."""
-    return write_json_frame(Path(directory) / shard_file_name(state.index), state.to_document())
+def shard_file_sha(path: Path | str) -> str:
+    """:func:`shard_sha` of the file at ``path``."""
+    return shard_sha(read_file(path))
+
+
+def write_shard_state(directory: Path | str, state: ShardState) -> tuple[int, str]:
+    """Write one shard's state; returns the size (for read pricing) and the
+    :func:`shard_sha` of the frame written, hashed from the bytes in hand."""
+    raw = encode_frame(encode_json(state.to_document()))
+    write_file(Path(directory) / shard_file_name(state.index), raw)
+    return len(raw), shard_sha(raw)
 
 
 def write_manifest(directory: Path | str, manifest: CheckpointManifest) -> int:
@@ -153,26 +173,31 @@ class CheckpointWriter:
     def commit(
         self,
         published: PublishedState,
-        written: Iterable[ShardState],
-        shard_bytes: int,
+        written: Sequence[tuple[ShardState, int, str]],
         **identity: object,
     ) -> dict[str, object]:
         """Write the feature function and then the manifest — the commit point.
 
-        ``written`` are the shard states whose files now exist in the
-        directory (``shard_bytes`` in total), ``identity`` the manifest fields
-        naming the view and its engine configuration.  Returns the info row
-        ``CHECKPOINT VIEW`` answers with.
+        ``written`` holds each shard state whose file now exists in the
+        directory with the size and digest :func:`write_shard_state` returned
+        for it, ``identity`` the manifest fields naming the view and its
+        engine configuration.  A parent shard carried forward is checked
+        against the digest its manifest recorded first: a rewritten or
+        corrupted one raises :class:`SnapshotCorruptionError`, and no
+        manifest is written.  Returns the info row ``CHECKPOINT VIEW``
+        answers with.
         """
-        records = {state.index: len(state.records) for state in written}
+        fresh = {state.index: (len(state.records), sha) for state, _, sha in written}
+        shard_bytes = sum(size for _, size, _ in written)
         shard_shas: list[str] = []
         shard_sources: list[str | None] = []
         shard_entities: list[int] = []
         for index in range(self.num_shards):
-            if index in records:
-                shard_shas.append(shard_file_sha(self.directory / shard_file_name(index)))
+            if index in fresh:
+                records, sha = fresh[index]
+                shard_shas.append(sha)
                 shard_sources.append(None)
-                shard_entities.append(records[index])
+                shard_entities.append(records)
                 continue
             # Unchanged since the parent cut: reference the parent's file
             # (flattening chains — a source never points at another
@@ -180,6 +205,11 @@ class CheckpointWriter:
             parent = self.parent
             source = parent.shard_sources[index] if parent.shard_sources is not None else None
             resolved = Path(source) if source else self.parent_dir / parent.shard_files[index]
+            if shard_file_sha(resolved) != parent.shard_shas[index]:
+                raise SnapshotCorruptionError(
+                    f"parent checkpoint {self.parent_dir} shard file {resolved} does not match "
+                    "the content digest its manifest recorded: the file was rewritten or corrupted"
+                )
             shard_shas.append(parent.shard_shas[index])
             shard_sources.append(str(resolved))
             shard_entities.append(parent.shard_entities[index])
@@ -209,15 +239,15 @@ class CheckpointWriter:
             "epoch": published.epoch,
             "entities": sum(shard_entities),
             "bytes": total_bytes,
-            "shards_written": len(records),
+            "shards_written": len(fresh),
             "shard_bytes": shard_bytes,
         }
 
 
-def _decoded(what: str, file_path: Path, from_document, **keywords):
-    """``from_document`` of the JSON frame at ``file_path``; a frame whose CRC
-    holds but whose fields do not decode is corrupt."""
-    document = read_json_frame(file_path)
+def _decoded(what: str, file_path: Path, raw: bytes, from_document, **keywords):
+    """``from_document`` of the JSON frame ``raw``, read from ``file_path``; a
+    frame whose CRC holds but whose fields do not decode is corrupt."""
+    document = decode_json(decode_frame(raw, file_path), file_path)
     try:
         return from_document(document, **keywords)
     except (AttributeError, KeyError, TypeError, ValueError) as error:
@@ -231,8 +261,10 @@ def _read_manifest(path: Path | str) -> tuple[Path, CheckpointManifest]:
     directory = Path(path)
     if not directory.is_dir():
         raise SnapshotError(f"checkpoint directory {directory} does not exist")
-    what = f"checkpoint {directory} manifest"
-    return directory, _decoded(what, directory / MANIFEST_NAME, CheckpointManifest.from_document)
+    what, file_path = f"checkpoint {directory} manifest", directory / MANIFEST_NAME
+    return directory, _decoded(
+        what, file_path, read_file(file_path), CheckpointManifest.from_document
+    )
 
 
 def load_checkpoint(path: Path | str) -> LoadedCheckpoint:
@@ -248,13 +280,14 @@ def load_checkpoint(path: Path | str) -> LoadedCheckpoint:
                 f"checkpoint {directory} manifest {where} {file_path} "
                 "but it is missing"
             )
-        if shard_file_sha(file_path) != manifest.shard_shas[index]:
+        raw = read_file(file_path)  # once: the digest, the size and the decode
+        if shard_sha(raw) != manifest.shard_shas[index]:
             raise SnapshotCorruptionError(
                 f"checkpoint {directory} shard file {file_path} does not match the "
                 "content digest its manifest recorded: the file was rewritten or corrupted"
             )
-        what, size = f"checkpoint {directory} shard file {file_path}", file_path.stat().st_size
-        state = _decoded(what, file_path, ShardState.from_document, payload_bytes=size)
+        what = f"checkpoint {directory} shard file {file_path}"
+        state = _decoded(what, file_path, raw, ShardState.from_document, payload_bytes=len(raw))
         if state.index != index:  # reads route by index: a shard out of place answers nothing
             raise SnapshotCorruptionError(f"{what} holds shard {state.index}, not shard {index}")
         shard_states.append(state)

@@ -31,6 +31,12 @@ __all__ = [
     "MAGIC",
     "WAL_MAGIC",
     "WAL_VERSION",
+    "encode_frame",
+    "decode_frame",
+    "encode_json",
+    "decode_json",
+    "read_file",
+    "write_file",
     "write_frame",
     "read_frame",
     "write_json_frame",
@@ -54,35 +60,51 @@ _WAL_HEADER = struct.Struct(">6sH")
 _WAL_RECORD = struct.Struct(">II")
 
 
-def write_frame(path: Path | str, payload: bytes, version: int = FORMAT_VERSION) -> int:
-    """Write ``payload`` to ``path`` wrapped in a snapshot frame.
+def encode_frame(payload: bytes, version: int = FORMAT_VERSION) -> bytes:
+    """``payload`` wrapped in a snapshot frame: the header, then the payload."""
+    return _HEADER.pack(MAGIC, version, len(payload), zlib.crc32(payload) & 0xFFFFFFFF) + payload
+
+
+def write_file(path: Path | str, raw: bytes) -> int:
+    """Write ``raw`` to ``path``; returns the number of bytes written.
 
     The bytes land in a temporary sibling first and are moved into place with
     an atomic rename, so a crash mid-write leaves either the old file or no
-    file — never a half-written frame under the final name.  Returns the total
-    number of bytes written (header + payload).
+    file — never a half-written frame under the final name.
     """
     path = Path(path)
-    header = _HEADER.pack(MAGIC, version, len(payload), zlib.crc32(payload) & 0xFFFFFFFF)
     temp = path.with_name(path.name + ".tmp")
-    temp.write_bytes(header + payload)
+    temp.write_bytes(raw)
     temp.replace(path)
-    return len(header) + len(payload)
+    return len(raw)
 
 
-def read_frame(path: Path | str, expected_version: int = FORMAT_VERSION) -> bytes:
-    """Read and validate one frame; returns the payload bytes.
+def write_frame(path: Path | str, payload: bytes, version: int = FORMAT_VERSION) -> int:
+    """Write ``payload`` to ``path`` wrapped in a snapshot frame (atomically,
+    as :func:`write_file` writes).  Returns the total number of bytes written
+    (header + payload)."""
+    return write_file(path, encode_frame(payload, version))
 
-    Raises :class:`SnapshotCorruptionError` on a missing/short header, bad
-    magic, truncated payload, or CRC mismatch, and
-    :class:`SnapshotVersionError` when the frame was written by a different
-    format version.
-    """
+
+def read_file(path: Path | str) -> bytes:
+    """Every byte of one snapshot file, read once; a missing file is corrupt."""
     path = Path(path)
     try:
-        raw = path.read_bytes()
+        return path.read_bytes()
     except FileNotFoundError as error:
         raise SnapshotCorruptionError(f"snapshot file {path} is missing") from error
+
+
+def decode_frame(
+    raw: bytes, path: Path | str, expected_version: int = FORMAT_VERSION
+) -> bytes:
+    """Validate the frame ``raw``, read from ``path``; returns the payload bytes.
+
+    Raises :class:`SnapshotCorruptionError` on a short header, bad magic,
+    truncated payload, or CRC mismatch, and :class:`SnapshotVersionError` when
+    the frame was written by a different format version.  Nothing is
+    allocated from the header's length field: it is only compared.
+    """
     if len(raw) < _HEADER.size:
         raise SnapshotCorruptionError(
             f"snapshot file {path} is truncated: {len(raw)} bytes, "
@@ -107,21 +129,34 @@ def read_frame(path: Path | str, expected_version: int = FORMAT_VERSION) -> byte
     return payload
 
 
+def read_frame(path: Path | str, expected_version: int = FORMAT_VERSION) -> bytes:
+    """Read one file and validate its frame; returns the payload bytes."""
+    return decode_frame(read_file(path), path, expected_version)
+
+
+def encode_json(document: object) -> bytes:
+    """``document`` as the compact JSON payload every JSON frame carries."""
+    return json.dumps(document, separators=(",", ":")).encode("utf-8")
+
+
+def decode_json(payload: bytes, path: Path | str) -> object:
+    """Parse a frame's payload, read from ``path``, as JSON (nested too deep is corrupt)."""
+    try:
+        return json.loads(payload.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as error:
+        raise SnapshotCorruptionError(
+            f"snapshot file {path} passed its CRC but holds unparseable JSON: {error}"
+        ) from error
+
+
 def write_json_frame(path: Path | str, document: object, version: int = FORMAT_VERSION) -> int:
     """Serialize ``document`` as compact JSON and write it as one frame."""
-    payload = json.dumps(document, separators=(",", ":")).encode("utf-8")
-    return write_frame(path, payload, version=version)
+    return write_frame(path, encode_json(document), version=version)
 
 
 def read_json_frame(path: Path | str, expected_version: int = FORMAT_VERSION) -> object:
     """Read one frame and parse its payload as JSON."""
-    payload = read_frame(path, expected_version=expected_version)
-    try:
-        return json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
-        raise SnapshotCorruptionError(
-            f"snapshot file {path} passed its CRC but holds unparseable JSON: {error}"
-        ) from error
+    return decode_json(read_frame(path, expected_version=expected_version), path)
 
 
 # --- WAL segment framing -------------------------------------------------

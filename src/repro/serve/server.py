@@ -613,8 +613,8 @@ class ViewServer:
             writer.shard_state(index, state, published.row_hashes)
             for index, state in exported.items()
         ]
-        shard_bytes = sum(write_shard_state(writer.directory, state) for state in states)
-        info = writer.commit(published, states, shard_bytes, **self._manifest_identity())
+        written = [(state, *write_shard_state(writer.directory, state)) for state in states]
+        info = writer.commit(published, written, **self._manifest_identity())
         if self._wal is not None and published.wal_applied_seq:
             # Everything at or below the manifest's applied seq is durable in
             # the snapshot; replay will never need those segments again.
