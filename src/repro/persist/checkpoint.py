@@ -45,6 +45,7 @@ from repro.persist.format import (
     encode_json,
     read_file,
     read_frame,
+    read_json_frame,
     write_file,
     write_frame,
     write_json_frame,
@@ -88,8 +89,13 @@ def shard_sha(raw: bytes) -> str:
 
 
 def shard_file_sha(path: Path | str) -> str:
-    """:func:`shard_sha` of the file at ``path``."""
-    return shard_sha(read_file(path))
+    """:func:`shard_sha` of the file at ``path``, hashed as it streams in: a
+    parent shard is checked without holding its bytes."""
+    try:
+        with Path(path).open("rb") as file:
+            return hashlib.file_digest(file, lambda: hashlib.blake2b(digest_size=16)).hexdigest()
+    except FileNotFoundError as error:
+        raise SnapshotCorruptionError(f"snapshot file {path} is missing") from error
 
 
 def write_shard_state(directory: Path | str, state: ShardState) -> tuple[int, str]:
@@ -244,10 +250,9 @@ class CheckpointWriter:
         }
 
 
-def _decoded(what: str, file_path: Path, raw: bytes, from_document, **keywords):
-    """``from_document`` of the JSON frame ``raw``, read from ``file_path``; a
-    frame whose CRC holds but whose fields do not decode is corrupt."""
-    document = decode_json(decode_frame(raw, file_path), file_path)
+def _decoded(what: str, document: object, from_document, **keywords):
+    """``from_document`` of a JSON frame's ``document``; a frame whose CRC
+    holds but whose fields do not decode is corrupt."""
     try:
         return from_document(document, **keywords)
     except (AttributeError, KeyError, TypeError, ValueError) as error:
@@ -261,36 +266,39 @@ def _read_manifest(path: Path | str) -> tuple[Path, CheckpointManifest]:
     directory = Path(path)
     if not directory.is_dir():
         raise SnapshotError(f"checkpoint directory {directory} does not exist")
-    what, file_path = f"checkpoint {directory} manifest", directory / MANIFEST_NAME
-    return directory, _decoded(
-        what, file_path, read_file(file_path), CheckpointManifest.from_document
-    )
+    what = f"checkpoint {directory} manifest"
+    document = read_json_frame(directory / MANIFEST_NAME)  # its bytes freed before the parse
+    return directory, _decoded(what, document, CheckpointManifest.from_document)
+
+
+def _read_shard(directory: Path, manifest: CheckpointManifest, index: int) -> ShardState:
+    """Shard ``index`` of a checkpoint: its file read once, for the digest, the
+    size and the decode, and released with the document when this returns."""
+    source = manifest.shard_sources[index] if manifest.shard_sources else None
+    file_path = Path(source) if source else directory / manifest.shard_files[index]
+    if not file_path.is_file():
+        where = "references parent shard file" if source else "lists shard file"
+        raise SnapshotCorruptionError(
+            f"checkpoint {directory} manifest {where} {file_path} but it is missing"
+        )
+    raw = read_file(file_path)
+    if shard_sha(raw) != manifest.shard_shas[index]:
+        raise SnapshotCorruptionError(
+            f"checkpoint {directory} shard file {file_path} does not match the "
+            "content digest its manifest recorded: the file was rewritten or corrupted"
+        )
+    what = f"checkpoint {directory} shard file {file_path}"
+    document = decode_json(decode_frame(raw, file_path), file_path)
+    state = _decoded(what, document, ShardState.from_document, payload_bytes=len(raw))
+    if state.index != index:  # reads route by index: a shard out of place answers nothing
+        raise SnapshotCorruptionError(f"{what} holds shard {state.index}, not shard {index}")
+    return state
 
 
 def load_checkpoint(path: Path | str) -> LoadedCheckpoint:
     """Read a whole checkpoint directory back into memory, validating every frame."""
     directory, manifest = _read_manifest(path)
-    shard_states: list[ShardState] = []
-    for index, name in enumerate(manifest.shard_files):
-        source = manifest.shard_sources[index] if manifest.shard_sources else None
-        file_path = Path(source) if source else directory / name
-        if not file_path.is_file():
-            where = "references parent shard file" if source else "lists shard file"
-            raise SnapshotCorruptionError(
-                f"checkpoint {directory} manifest {where} {file_path} "
-                "but it is missing"
-            )
-        raw = read_file(file_path)  # once: the digest, the size and the decode
-        if shard_sha(raw) != manifest.shard_shas[index]:
-            raise SnapshotCorruptionError(
-                f"checkpoint {directory} shard file {file_path} does not match the "
-                "content digest its manifest recorded: the file was rewritten or corrupted"
-            )
-        what = f"checkpoint {directory} shard file {file_path}"
-        state = _decoded(what, file_path, raw, ShardState.from_document, payload_bytes=len(raw))
-        if state.index != index:  # reads route by index: a shard out of place answers nothing
-            raise SnapshotCorruptionError(f"{what} holds shard {state.index}, not shard {index}")
-        shard_states.append(state)
+    shard_states = [_read_shard(directory, manifest, index) for index in range(manifest.num_shards)]
     pickled = read_frame(directory / FEATURES_NAME)
     try:
         feature_function = pickle.loads(pickled)

@@ -97,13 +97,14 @@ def read_file(path: Path | str) -> bytes:
 
 def decode_frame(
     raw: bytes, path: Path | str, expected_version: int = FORMAT_VERSION
-) -> bytes:
-    """Validate the frame ``raw``, read from ``path``; returns the payload bytes.
+) -> memoryview:
+    """Validate the frame ``raw``, read from ``path``; returns a view of its payload.
 
     Raises :class:`SnapshotCorruptionError` on a short header, bad magic,
     truncated payload, or CRC mismatch, and :class:`SnapshotVersionError` when
     the frame was written by a different format version.  Nothing is
-    allocated from the header's length field: it is only compared.
+    allocated from the header's length field, which is only compared, and the
+    payload is not copied: a caller decoding it holds one buffer, not two.
     """
     if len(raw) < _HEADER.size:
         raise SnapshotCorruptionError(
@@ -118,7 +119,7 @@ def decode_frame(
             f"snapshot file {path} is format version {version}, "
             f"this reader understands version {expected_version}"
         )
-    payload = raw[_HEADER.size :]
+    payload = memoryview(raw)[_HEADER.size :]
     if len(payload) != length:
         raise SnapshotCorruptionError(
             f"snapshot file {path} is truncated: header promises {length} payload "
@@ -131,7 +132,7 @@ def decode_frame(
 
 def read_frame(path: Path | str, expected_version: int = FORMAT_VERSION) -> bytes:
     """Read one file and validate its frame; returns the payload bytes."""
-    return decode_frame(read_file(path), path, expected_version)
+    return bytes(decode_frame(read_file(path), path, expected_version))
 
 
 def encode_json(document: object) -> bytes:
@@ -139,10 +140,10 @@ def encode_json(document: object) -> bytes:
     return json.dumps(document, separators=(",", ":")).encode("utf-8")
 
 
-def decode_json(payload: bytes, path: Path | str) -> object:
+def decode_json(payload: bytes | memoryview, path: Path | str) -> object:
     """Parse a frame's payload, read from ``path``, as JSON (nested too deep is corrupt)."""
     try:
-        return json.loads(payload.decode("utf-8"))
+        return json.loads(str(payload, "utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as error:
         raise SnapshotCorruptionError(
             f"snapshot file {path} passed its CRC but holds unparseable JSON: {error}"

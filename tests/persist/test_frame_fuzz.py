@@ -25,7 +25,7 @@ from pathlib import Path
 from repro.exceptions import SnapshotError
 from repro.persist import MANIFEST_NAME
 from repro.persist.checkpoint import _decoded
-from repro.persist.format import decode_frame, encode_frame
+from repro.persist.format import decode_frame, decode_json, encode_frame
 from repro.persist.snapshot import CheckpointManifest, ShardState
 
 DATA = Path(__file__).with_name("data")
@@ -42,10 +42,10 @@ HEADER_BYTES = 20
 
 def decode(path: Path, raw: bytes):
     """What ``load_checkpoint`` makes of ``raw`` read from ``path``."""
-    cls = FRAMES[path]
+    cls, document = FRAMES[path], decode_json(decode_frame(raw, path), path)
     if cls is ShardState:
-        return _decoded(str(path), path, raw, cls.from_document, payload_bytes=len(raw))
-    return _decoded(str(path), path, raw, cls.from_document)
+        return _decoded(str(path), document, cls.from_document, payload_bytes=len(raw))
+    return _decoded(str(path), document, cls.from_document)
 
 
 def truncations(raw: bytes) -> list[bytes]:
