@@ -57,7 +57,8 @@ def flips(raw: bytes, rng: random.Random) -> list[bytes]:
     positions = [*range(HEADER_BYTES), *rng.sample(range(HEADER_BYTES, len(raw)), 40)]
     damaged = []
     for position in positions:
-        for bit in ((0, 7) if position >= HEADER_BYTES else range(8)):
+        bits = range(8) if position < HEADER_BYTES else (0, 7)
+        for bit in bits:
             copy = bytearray(raw)
             copy[position] ^= 1 << bit
             damaged.append(bytes(copy))
