@@ -15,6 +15,14 @@ from repro.workloads.datasets import dblife_like
 from repro.workloads.synth_text import SparseCorpusGenerator
 
 
+def net_of_statements(server) -> float:
+    """Simulated seconds on the server's shard ledgers, less their ``statement`` charges."""
+    return sum(
+        ledger.simulated_seconds - ledger.detail.get("statement", 0.0)
+        for ledger in server.ledgers()
+    )
+
+
 @pytest.fixture
 def sgd_constants(monkeypatch):
     """Set :mod:`repro.learn.sgd`'s constants for this test:

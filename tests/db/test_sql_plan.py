@@ -18,15 +18,8 @@ from repro.features.base import FeatureFunction
 from repro.persist.snapshot import decode_vector, encode_vector
 from repro.workloads import dblife_like
 
+from tests.conftest import net_of_statements
 from tests.db.test_sql_serving import build_portal
-
-
-def net_of_statements(server) -> float:
-    """Simulated seconds on the server's shard ledgers, less their ``statement`` charges."""
-    return sum(
-        ledger.simulated_seconds - ledger.detail.get("statement", 0.0)
-        for ledger in server.ledgers()
-    )
 
 
 def plan_nodes(executor, sql: str) -> list[str]:

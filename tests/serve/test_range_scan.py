@@ -7,15 +7,8 @@ import pytest
 from repro.db.types import KeyRange
 from repro.exceptions import MaintenanceError
 
+from tests.conftest import net_of_statements
 from tests.serve.conftest import build_corpus_server, entity_row
-
-
-def net_of_statements(server) -> float:
-    """Simulated seconds on the server's shard ledgers, less their ``statement`` charges."""
-    return sum(
-        ledger.simulated_seconds - ledger.detail.get("statement", 0.0)
-        for ledger in server.ledgers()
-    )
 
 
 def in_range(key, key_range):
