@@ -55,6 +55,9 @@ from repro.persist.snapshot import (
     LoadedCheckpoint,
     PublishedState,
     ShardState,
+    record_vectors,
+    reference_examples,
+    resolve_examples,
 )
 
 __all__ = [
@@ -187,7 +190,10 @@ class CheckpointWriter:
         ``written`` holds each shard state whose file now exists in the
         directory with the size and digest :func:`write_shard_state` returned
         for it, ``identity`` the manifest fields naming the view and its
-        engine configuration.  A parent shard carried forward is checked
+        engine configuration.  A retained example whose features are the
+        record one of those states holds for its entity is written by
+        reference (a carried parent shard's entities have no record here,
+        so theirs go inline).  A parent shard carried forward is checked
         against the digest its manifest recorded first: a rewritten or
         corrupted one raises :class:`SnapshotCorruptionError`, and no
         manifest is written.  Returns the info row ``CHECKPOINT VIEW``
@@ -230,7 +236,9 @@ class CheckpointWriter:
             trainer_steps=published.model.version,
             num_shards=self.num_shards,
             shard_files=[shard_file_name(index) for index in range(self.num_shards)],
-            examples=list(published.examples),
+            examples=reference_examples(
+                published.examples, record_vectors(state for state, _, _ in written)
+            ),
             wal_applied_seq=published.wal_applied_seq,
             shard_epochs=list(published.shard_epochs),
             shard_shas=shard_shas,
@@ -296,7 +304,8 @@ def _read_shard(directory: Path, manifest: CheckpointManifest, index: int) -> Sh
 
 
 def load_checkpoint(path: Path | str) -> LoadedCheckpoint:
-    """Read a whole checkpoint directory back into memory, validating every frame."""
+    """Read a whole checkpoint directory back into memory, validating every
+    frame; each retained example is resolved against the decoded records."""
     directory, manifest = _read_manifest(path)
     shard_states = [_read_shard(directory, manifest, index) for index in range(manifest.num_shards)]
     pickled = read_frame(directory / FEATURES_NAME)
@@ -306,10 +315,16 @@ def load_checkpoint(path: Path | str) -> LoadedCheckpoint:
         raise SnapshotCorruptionError(
             f"checkpoint {directory} has an unreadable feature function: {error}"
         ) from error
+    examples = _decoded(
+        f"checkpoint {directory} manifest",
+        manifest.examples,
+        resolve_examples,
+        records=record_vectors(shard_states),
+    )
     published = PublishedState(
         epoch=manifest.epoch,
         model=manifest.model,
-        examples=tuple(manifest.examples),
+        examples=examples,
         shard_epochs=tuple(manifest.shard_epochs),
         wal_applied_seq=manifest.wal_applied_seq,
         feature_function=pickled,

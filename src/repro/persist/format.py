@@ -13,8 +13,9 @@ pickled feature function — is wrapped in the same self-describing frame::
 The frame makes the two crash shapes recovery must survive cheap to detect:
 a **truncated** file fails the length check (or the CRC if the tail of the
 payload itself is cut), and a **torn or bit-flipped** payload fails the CRC.
-Version skew between writer and reader raises
-:class:`~repro.exceptions.SnapshotVersionError` before any payload is parsed.
+A frame written by a newer format version than the reader's raises
+:class:`~repro.exceptions.SnapshotVersionError` before any payload is parsed;
+every older version reads (the snapshot decoders take each one's documents).
 """
 
 from __future__ import annotations
@@ -48,7 +49,9 @@ __all__ = [
 
 MAGIC = b"HZSNAP"
 #: Bump on any incompatible change to the payload schemas in snapshot.py.
-FORMAT_VERSION = 1
+#: Version 2 writes a retained example's vector by reference; a version-1
+#: manifest is the case with every vector inline, so both versions read.
+FORMAT_VERSION = 2
 
 _HEADER = struct.Struct(">6sHQI")
 
@@ -95,16 +98,15 @@ def read_file(path: Path | str) -> bytes:
         raise SnapshotCorruptionError(f"snapshot file {path} is missing") from error
 
 
-def decode_frame(
-    raw: bytes, path: Path | str, expected_version: int = FORMAT_VERSION
-) -> memoryview:
+def decode_frame(raw: bytes, path: Path | str) -> memoryview:
     """Validate the frame ``raw``, read from ``path``; returns a view of its payload.
 
     Raises :class:`SnapshotCorruptionError` on a short header, bad magic,
     truncated payload, or CRC mismatch, and :class:`SnapshotVersionError` when
-    the frame was written by a different format version.  Nothing is
-    allocated from the header's length field, which is only compared, and the
-    payload is not copied: a caller decoding it holds one buffer, not two.
+    the frame's format version is not one from 1 to :data:`FORMAT_VERSION`.
+    Nothing is allocated from the header's length field, which is only
+    compared, and the payload is not copied: a caller decoding it holds one
+    buffer, not two.
     """
     if len(raw) < _HEADER.size:
         raise SnapshotCorruptionError(
@@ -114,10 +116,10 @@ def decode_frame(
     magic, version, length, crc = _HEADER.unpack_from(raw)
     if magic != MAGIC:
         raise SnapshotCorruptionError(f"snapshot file {path} has bad magic {magic!r}")
-    if version != expected_version:
+    if not 1 <= version <= FORMAT_VERSION:
         raise SnapshotVersionError(
             f"snapshot file {path} is format version {version}, "
-            f"this reader understands version {expected_version}"
+            f"this reader understands versions 1 to {FORMAT_VERSION}"
         )
     payload = memoryview(raw)[_HEADER.size :]
     if len(payload) != length:
@@ -130,9 +132,9 @@ def decode_frame(
     return payload
 
 
-def read_frame(path: Path | str, expected_version: int = FORMAT_VERSION) -> bytes:
+def read_frame(path: Path | str) -> bytes:
     """Read one file and validate its frame; returns the payload bytes."""
-    return bytes(decode_frame(read_file(path), path, expected_version))
+    return bytes(decode_frame(read_file(path), path))
 
 
 def encode_json(document: object) -> bytes:
@@ -155,9 +157,9 @@ def write_json_frame(path: Path | str, document: object, version: int = FORMAT_V
     return write_frame(path, encode_json(document), version=version)
 
 
-def read_json_frame(path: Path | str, expected_version: int = FORMAT_VERSION) -> object:
+def read_json_frame(path: Path | str) -> object:
     """Read one frame and parse its payload as JSON."""
-    return decode_json(read_frame(path, expected_version=expected_version), path)
+    return decode_json(read_frame(path), path)
 
 
 # --- WAL segment framing -------------------------------------------------

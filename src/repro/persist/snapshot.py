@@ -15,6 +15,12 @@ with the shard's index and its rows' content hashes beside it: the field
 names are that dict's keys, so ``ShardState(index=i, row_hashes=h, **state)``
 is the mapping one way and :meth:`ShardState.to_import` the other.
 
+A retained example's vector is a shared value — usually the very object its
+entity's stored record holds — so the manifest writes each vector once
+(:func:`reference_examples`): by reference to the record a shard file of the
+same checkpoint writes, by the index of an earlier example holding the same
+object, or inline.  :func:`resolve_examples` restores that sharing.
+
 Entity ids must be JSON-native scalars (str, int, float, bool) — the same
 values the SQL substrate stores as keys.
 """
@@ -23,7 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections.abc import Callable, Mapping
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
 from repro.exceptions import ConfigurationError, SnapshotCorruptionError, SnapshotError
@@ -43,6 +49,10 @@ __all__ = [
     "decode_vector",
     "encode_records",
     "decode_records",
+    "ExampleRow",
+    "record_vectors",
+    "reference_examples",
+    "resolve_examples",
     "encode_examples",
     "decode_examples",
     "row_content_hash",
@@ -179,19 +189,98 @@ def decode_records(rows: list[list]) -> list[tuple[object, SparseVector, float, 
     ]
 
 
-def encode_examples(examples: list[TrainingExample]) -> list[list]:
-    """Retained training examples as ``[id, features, label]`` rows."""
+#: One retained example as a manifest holds it: ``(entity id, slot, label)``.
+#: The slot is the feature vector itself, ``None`` for the vector of the
+#: entity's stored record, or the position of an earlier example whose
+#: vector it shares.
+ExampleRow = tuple[object, SparseVector | int | None, int]
+
+
+def record_vectors(states: Iterable[ShardState]) -> dict[object, SparseVector]:
+    """Entity id -> the vector object of the record ``states`` hold for it:
+    what an example's ``None`` slot names."""
+    return {
+        entity_id: features for state in states for entity_id, features, _, _ in state.records
+    }
+
+
+def reference_examples(
+    examples: Sequence[TrainingExample], records: Mapping[object, SparseVector]
+) -> list[ExampleRow]:
+    """The rows a checkpoint writes for ``examples``: each vector once.
+
+    ``records`` maps an entity id to the vector of the record this checkpoint
+    writes for it (:func:`record_vectors` of the shard states it writes).  An
+    example whose features *are* that vector (``is``) refers to it; one that
+    shares its vector object with an earlier example refers to the first such
+    example; any other carries its vector inline.
+    """
+    first: dict[int, int] = {}  # id(vector) -> position of its first holder
+    rows: list[ExampleRow] = []
+    for position, example in enumerate(examples):
+        features = example.features
+        earlier = first.setdefault(id(features), position)
+        if records.get(example.entity_id) is features:
+            slot = None
+        elif earlier < position:
+            slot = earlier
+        else:
+            slot = features
+        rows.append((example.entity_id, slot, example.label))
+    return rows
+
+
+def resolve_examples(
+    rows: Sequence[ExampleRow], records: Mapping[object, SparseVector]
+) -> tuple[TrainingExample, ...]:
+    """The examples :func:`reference_examples` wrote ``rows`` for, every slot
+    resolved against the decoded ``records``: a restored example holds its
+    record's vector, and examples that shared a vector share one again."""
+    examples: list[TrainingExample] = []
+    for position, (entity_id, slot, label) in enumerate(rows):
+        if slot is None:
+            slot = records.get(entity_id)
+            if slot is None:
+                raise ValueError(
+                    f"'examples': example {position} refers to the record of entity "
+                    f"{entity_id!r}, which no shard of the checkpoint stores"
+                )
+        elif type(slot) is int:
+            slot = examples[slot].features
+        examples.append(TrainingExample(entity_id=entity_id, features=slot, label=label))
+    return tuple(examples)
+
+
+def encode_examples(rows: Sequence[ExampleRow]) -> list[list]:
+    """Example rows as ``[id, slot, label]``: an inline vector as
+    :func:`encode_vector` writes it, a reference as ``null`` or an index."""
     return [
-        [_check_id(example.entity_id), encode_vector(example.features), example.label]
-        for example in examples
+        [_check_id(entity_id), _encode_slot(slot), label] for entity_id, slot, label in rows
     ]
 
 
-def decode_examples(rows: list[list]) -> list[TrainingExample]:
-    return [
-        TrainingExample(entity_id=entity_id, features=decode_vector(features), label=_int(label))
-        for entity_id, features, label in _list(rows)
-    ]
+def _encode_slot(slot: SparseVector | int | None) -> object:
+    return slot if slot is None or type(slot) is int else encode_vector(slot)
+
+
+def decode_examples(document: object) -> list[ExampleRow]:
+    """The rows :func:`encode_examples` wrote.  A version-1 manifest is the
+    case with every vector inline.  An index must name an earlier example, and
+    an id must be a JSON scalar; anything else raises a ``ValueError``."""
+    rows: list[ExampleRow] = []
+    for position, row in enumerate(_list(document)):
+        if type(row) is not list or len(row) != 3:
+            raise ValueError(f"example {position} is not an [id, features, label] row")
+        entity_id, slot, label = row
+        if entity_id is not None and type(entity_id) not in _SCALAR_TYPES:
+            raise ValueError(f"example {position} has an id of type {type(entity_id).__name__}")
+        if type(slot) is int:
+            if not 0 <= slot < position:
+                raise ValueError(f"example {position} refers to example {slot}, not an earlier one")
+        elif slot is not None:
+            slot = decode_vector(slot)
+        rows.append((entity_id, slot, _int(label)))
+    return rows
 
 
 def _decode_row_hashes(rows: list[list]) -> list[list[object]]:
@@ -358,7 +447,9 @@ class CheckpointManifest:
     trainer_steps: int
     num_shards: int
     shard_files: list[str]
-    examples: list[TrainingExample]
+    #: The retained examples, each vector written once: rows resolved
+    #: against the shards' records by :func:`resolve_examples`.
+    examples: list[ExampleRow]
     architecture: str
     strategy: str
     approach: str

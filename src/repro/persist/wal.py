@@ -88,7 +88,7 @@ class WalRecord:
     def from_payload(cls, payload: bytes, path: Path) -> "WalRecord":
         try:
             document = json.loads(payload.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as error:
             raise SnapshotCorruptionError(
                 f"WAL segment {path} record passed its CRC but holds unparseable JSON: {error}"
             ) from error

@@ -8,8 +8,16 @@ left it, and the answers the live server gave at the two cuts.  The tests
 here restore those directories with the code as it is now and require the
 recorded answers, then run the same program again and require documents with
 the same keys — and, the program being deterministic, the same values — but
-for the manifest's view definition, which has lost its never-filled
-``options`` field (:func:`without_options`).
+for three fields that moved on purpose:
+
+* the manifest's view definition has lost its never-filled ``options`` field
+  (:func:`without_options`);
+* the retained examples are written by reference since format version 2, so
+  the two ``examples`` documents differ, and must resolve through
+  :func:`load_checkpoint` to the same examples (:func:`retrain_input`);
+* a shard digest covers the frame header, which now carries version 2, so
+  ``shard_shas`` must name the recorded shard payload under that header
+  (:func:`reframed_digests`).
 
 Regenerate (only when the format is *meant* to move, from a checkout of the
 commit whose format is the reference) with
@@ -28,7 +36,14 @@ import pytest
 from repro import HazyEngine
 from repro.exceptions import SnapshotCorruptionError
 from repro.persist import MANIFEST_NAME, load_checkpoint
-from repro.persist.format import read_frame, read_json_frame, write_json_frame
+from repro.persist.checkpoint import shard_sha
+from repro.persist.format import (
+    decode_frame,
+    encode_frame,
+    read_frame,
+    read_json_frame,
+    write_json_frame,
+)
 from repro.workloads.synth_text import SparseCorpusGenerator
 
 from tests.persist.test_checkpoint_restore import DDL, build_engine_database
@@ -246,19 +261,44 @@ def test_a_malformed_manifest_field_is_a_corrupt_snapshot(image, malform):
     assert not engine.views
 
 
-def test_the_same_program_writes_the_same_documents(tmp_path, recorded):
-    """Key for key — and, but for the directory names, value for value."""
+def retrain_input(examples) -> list[tuple]:
+    """Retained examples in stored order, each vector as its ``(index,
+    value)`` pairs with the values' bits."""
+    return [
+        (example.entity_id, example.label, [(i, v.hex()) for i, v in example.features.items()])
+        for example in examples
+    ]
+
+
+def reframed_digests() -> dict[str, str]:
+    """Each recorded shard file's digest -> the digest of its payload framed today."""
+    return {
+        shard_sha(raw): shard_sha(encode_frame(decode_frame(raw, path)))
+        for path in sorted(DATA.glob("*/shard-*.hzs"))
+        for raw in [path.read_bytes()]
+    }
+
+
+def test_the_same_program_writes_the_same_documents(tmp_path, image, recorded):
+    """Key for key — and, but for the directory names and the three moves the
+    module docstring lists, value for value."""
     fresh = tmp_path / "fresh"
     assert normalized(run_program(fresh)) == recorded
     before, after = documents(DATA), documents(fresh)
+    reframed = reframed_digests()
     assert before.keys() == after.keys()
     for name in before:
         assert before[name].keys() == after[name].keys(), name
-        for key in before[name].keys() - set(PATH_KEYS):
+        for key in before[name].keys() - {*PATH_KEYS, "examples"}:
             expected = before[name][key]
             if name.endswith(MANIFEST_NAME) and key == "definition":
                 expected = without_options(expected)
+            if key == "shard_shas":
+                expected = [reframed[digest] for digest in expected]
             assert expected == after[name][key], (name, key)
+    for name in ("full", "incremental"):
+        resolved = [load_checkpoint(root / name).published.examples for root in (fresh, image)]
+        assert retrain_input(resolved[0]) == retrain_input(resolved[1]), name
     for name in ("full", "incremental"):
         assert read_frame(fresh / name / "features.hzs") == read_frame(DATA / name / "features.hzs")
     sources = after[f"incremental/{MANIFEST_NAME}"]["shard_sources"]

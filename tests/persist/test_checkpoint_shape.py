@@ -71,6 +71,24 @@ def shorten(key):
     return lambda document: document.__setitem__(key, (document[key] or [None, None])[:-1])
 
 
+#: An example's features slot that does not resolve, set on the second example:
+#: an index must name an earlier example, and nothing but ``null``, an int or
+#: a vector is a slot.
+BAD_SLOTS = {
+    "self-index": 1,
+    "forward-index": 2,
+    "out-of-range-index": 10**6,
+    "negative-index": -1,
+    "bool": True,
+    "str": "0",
+    "list": [],
+}
+
+
+def set_slot(position, slot):
+    return lambda document: document["examples"][position].__setitem__(1, slot)
+
+
 def cases():
     for target, document in DOCUMENTS.items():
         for key, value in document.items():
@@ -120,6 +138,16 @@ def cases():
         lambda document: document["row_hashes"].pop(),
         "row_hashes",
         id="shard-row_hashes-short",
+    )
+    for name, slot in BAD_SLOTS.items():
+        yield pytest.param(
+            "manifest", set_slot(1, slot), "examples", id=f"manifest-example-slot-{name}"
+        )
+    yield pytest.param(
+        "manifest",
+        lambda document: document["examples"][0].__setitem__(slice(0, 2), [10**9, None]),
+        "examples",
+        id="manifest-example-of-a-dangling-entity",
     )
     yield pytest.param("features", None, None, id="features-not-a-pickle")
 

@@ -1,9 +1,11 @@
 """Byte-level fuzz of the snapshot frame decoder.
 
 Every manifest and shard frame of the committed checkpoints under
-``tests/persist/data/`` is truncated, bit-flipped, spliced with another frame
-and given a grown length field, and each result is decoded from its bytes the
-way :func:`~repro.persist.load_checkpoint` decodes a file it has read:
+``tests/persist/data/`` (format version 1), and the two manifests the same
+program writes today (version 2, examples by reference), is truncated,
+bit-flipped, spliced with another frame and given a grown length field, and
+each result is decoded from its bytes the way
+:func:`~repro.persist.load_checkpoint` decodes a file it has read:
 :func:`~repro.persist.format.decode_frame`, then the JSON, then the document
 schema.  Each input must decode to the recorded state or raise a
 :class:`~repro.exceptions.SnapshotError` subclass; a raw exception, a hang or
@@ -22,30 +24,42 @@ import time
 import tracemalloc
 from pathlib import Path
 
-from repro.exceptions import SnapshotError
+import pytest
+
+from repro.exceptions import SnapshotError, SnapshotVersionError
 from repro.persist import MANIFEST_NAME
 from repro.persist.checkpoint import _decoded
 from repro.persist.format import decode_frame, decode_json, encode_frame
 from repro.persist.snapshot import CheckpointManifest, ShardState
 
+from tests.persist.test_checkpoint_format import run_program
+
 DATA = Path(__file__).with_name("data")
-FRAMES = {
-    path: (CheckpointManifest if path.name == MANIFEST_NAME else ShardState)
+RECORDED = [
+    path
     for directory in ("full", "incremental")
     for path in sorted((DATA / directory).glob("*.hzs"))
     if path.name != "features.hzs"
-}
+]
 #: Offset and width of the header's payload-length field (after magic and version).
 LENGTH_FIELD = slice(8, 16)
 HEADER_BYTES = 20
 
 
+@pytest.fixture(scope="module")
+def frames(tmp_path_factory) -> list[Path]:
+    """The recorded frames, then the two manifests the program writes today."""
+    root = tmp_path_factory.mktemp("fresh")
+    run_program(root)
+    return RECORDED + [root / name / MANIFEST_NAME for name in ("full", "incremental")]
+
+
 def decode(path: Path, raw: bytes):
     """What ``load_checkpoint`` makes of ``raw`` read from ``path``."""
-    cls, document = FRAMES[path], decode_json(decode_frame(raw, path), path)
-    if cls is ShardState:
-        return _decoded(str(path), document, cls.from_document, payload_bytes=len(raw))
-    return _decoded(str(path), document, cls.from_document)
+    document = decode_json(decode_frame(raw, path), path)
+    if path.name == MANIFEST_NAME:
+        return _decoded(str(path), document, CheckpointManifest.from_document)
+    return _decoded(str(path), document, ShardState.from_document, payload_bytes=len(raw))
 
 
 def truncations(raw: bytes) -> list[bytes]:
@@ -106,9 +120,9 @@ def outcome(path: Path, raw: bytes):
         return None
 
 
-def test_every_damaged_frame_decodes_to_its_recorded_state_or_is_refused():
+def test_every_damaged_frame_decodes_to_its_recorded_state_or_is_refused(frames):
     rng = random.Random(7)
-    raws = {path: path.read_bytes() for path in FRAMES}
+    raws = {path: path.read_bytes() for path in frames}
     paths = list(raws)
     fed = 0
     tracemalloc.start()
@@ -137,7 +151,7 @@ def test_every_damaged_frame_decodes_to_its_recorded_state_or_is_refused():
 
 
 def test_a_grown_length_field_is_refused_before_any_payload_is_parsed():
-    raw = next(iter(FRAMES)).read_bytes()
+    raw = RECORDED[0].read_bytes()
     for damaged in grown_lengths(raw):
         try:
             decode_frame(damaged, "grown")
@@ -145,3 +159,14 @@ def test_a_grown_length_field_is_refused_before_any_payload_is_parsed():
             assert "truncated" in str(error)
         else:
             raise AssertionError("a grown length field decoded")
+
+
+def test_version_1_and_2_frames_read_and_version_3_is_refused(frames):
+    versions = set()
+    for path in frames:
+        raw = path.read_bytes()
+        versions.add(struct.unpack(">H", raw[6:8])[0])
+        assert decode(path, raw).to_document() == decode_json(decode_frame(raw, path), path)
+        with pytest.raises(SnapshotVersionError, match="format version 3"):
+            decode(path, encode_frame(decode_frame(raw, path), version=3))
+    assert versions == {1, 2}

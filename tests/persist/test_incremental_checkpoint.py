@@ -12,12 +12,15 @@ from repro.linalg import SparseVector
 from repro.persist import load_checkpoint
 from repro.persist.format import read_frame, write_frame
 
+from tests.persist.test_checkpoint_format import retrain_input
 from tests.persist.test_checkpoint_restore import build_engine_database, cold_engine
+from tests.persist.test_example_references import records_of
 from tests.serve.conftest import (
     build_corpus_server,
     entity_row,
     restore_by_sql,
     restore_directly,
+    warm_sample,
 )
 
 
@@ -72,6 +75,35 @@ class TestCorpusIncremental:
         info = server.checkpoint(tmp_path / "inc", incremental=True)
         assert info["shards_written"] == 4
         server.close()
+
+    def test_an_entity_updated_since_the_parent_keeps_its_old_vector_in_its_examples(
+        self, corpus, tmp_path
+    ):
+        """The retrain input holds the vector each example was taken with: an
+        entity UPDATEd between a parent and its incremental restores the old
+        vector in its earlier examples, not its new record's."""
+        server = build_corpus_server(corpus)
+        moved = warm_sample(corpus)[0].entity_id
+        server.flush()
+        server.checkpoint(tmp_path / "full")
+        new_row = entity_row(moved, SparseVector({3: 1.0}))
+        server._view.database.execute(
+            "UPDATE entities SET features = ? WHERE id = ?", (new_row["features"], moved)
+        )
+        server.flush()
+        info = server.checkpoint(tmp_path / "inc", incremental=True)
+        retained = retrain_input(server.writer.examples)
+        server.close()
+        assert info["shards_written"] == 1
+        old = [features for entity_id, _, features in retained if entity_id == moved]
+        assert old and [(3, (1.0).hex())] not in old
+
+        restored = restore_by_sql(server._view.database, tmp_path / "inc")
+        try:
+            assert retrain_input(restored.writer.examples) == retained
+            assert list(records_of(restored)[moved].items()) == [(3, 1.0)]
+        finally:
+            restored.close()
 
     def test_parent_chain_flattens_references(self, corpus, tmp_path):
         """C3 -> C2 -> C1: unchanged shards must reference real payload files

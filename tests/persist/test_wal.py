@@ -220,6 +220,19 @@ class TestMalformedRecords:
             WriteAheadLog(tmp_path, fresh=False)
         assert segment.name in str(excinfo.value)
 
+    def test_a_record_nested_too_deep_is_corruption_at_replay(self, tmp_path):
+        # An older segment, so opening the log (which reads only the newest)
+        # succeeds and replay is the first to parse the record.
+        deep = b'{"seq":1,"kind":"entity_insert","row":' + b"[" * 100_000 + b"]" * 100_000 + b"}"
+        older = tmp_path / f"wal-{1:016d}{SEGMENT_SUFFIX}"
+        older.write_bytes(wal_header() + pack_wal_record(deep))
+        newest = tmp_path / f"wal-{2:016d}{SEGMENT_SUFFIX}"
+        newest.write_bytes(wal_header())
+        log = WriteAheadLog(tmp_path, fresh=False)
+        with pytest.raises(SnapshotCorruptionError, match="unparseable JSON") as excinfo:
+            log.records_after(0)
+        assert older.name in str(excinfo.value)
+
 
 class TestServerSurfaces:
     def test_stats_and_metrics_expose_wal_counters(self, corpus, tmp_path):
