@@ -97,6 +97,36 @@ class SparseVector:
         vector._dimension = int(indices.max()) + 1 if len(indices) else 0
         return vector
 
+    @classmethod
+    def _runs(
+        cls,
+        indices: npt.NDArray[np.int32],
+        values: npt.NDArray[np.float64],
+        lengths: npt.NDArray[np.int32],
+    ) -> list[SparseVector]:
+        """The vectors whose valid entries lie end to end in two columns,
+        ``lengths[i]`` of them for vector ``i``: each vector's arrays are a
+        slice of the columns, which are frozen, not copied.  One reduction
+        gives every largest index."""
+        _frozen(indices)
+        _frozen(values)
+        stops = np.cumsum(lengths, dtype=np.int64)
+        starts = stops - lengths
+        filled = lengths > 0
+        highest = np.zeros(len(lengths), dtype=np.int64)
+        if filled.any():
+            highest[filled] = np.maximum.reduceat(indices, starts[filled])
+        vectors = []
+        for start, stop, top in zip(starts.tolist(), stops.tolist(), highest.tolist()):
+            vector = cls.__new__(cls)
+            if start == stop:
+                vector._indices, vector._values, vector._dimension = _NO_INDICES, _NO_VALUES, 0
+            else:
+                vector._indices, vector._values = indices[start:stop], values[start:stop]
+                vector._dimension = top + 1
+            vectors.append(vector)
+        return vectors
+
     def __reduce__(self) -> tuple[object, tuple[object, ...]]:
         return SparseVector._of, (self._indices, self._values)
 

@@ -8,8 +8,10 @@ the pieces:
 
 * :mod:`repro.persist.format` — the versioned, CRC-checked frame every
   snapshot file is wrapped in;
-* :mod:`repro.persist.snapshot` — the exported state types and their JSON
-  codecs (floats round-trip exactly, so restored reads are bit-identical);
+* :mod:`repro.persist.snapshot` — the exported state types and their
+  codecs: a JSON manifest, and a shard file as binary columns laid out by
+  :mod:`repro.persist.columns` (floats round-trip exactly either way, so
+  restored reads are bit-identical);
 * :mod:`repro.persist.checkpoint` — the checkpoint directory layout, with the
   manifest as the atomic commit point, and :func:`load_checkpoint`;
 * :mod:`repro.persist.wal` — the append-only write-ahead log of diverted

@@ -3,7 +3,7 @@
 A checkpoint is a directory::
 
     <path>/
-        shard-0000.hzs ... shard-NNNN.hzs   one frame per shard
+        shard-0000.hzs ... shard-NNNN.hzs   one frame per shard (binary columns)
         features.hzs                        pickled feature function
         MANIFEST.hzs                        global state — written LAST, atomically
 
@@ -42,7 +42,7 @@ from repro.persist.format import (
     decode_frame,
     decode_json,
     encode_frame,
-    encode_json,
+    frame_version,
     read_file,
     read_frame,
     read_json_frame,
@@ -67,6 +67,7 @@ __all__ = [
     "shard_sha",
     "shard_file_sha",
     "write_shard_state",
+    "decode_shard",
     "write_manifest",
     "pickle_feature_function",
     "CheckpointWriter",
@@ -104,7 +105,7 @@ def shard_file_sha(path: Path | str) -> str:
 def write_shard_state(directory: Path | str, state: ShardState) -> tuple[int, str]:
     """Write one shard's state; returns the size (for read pricing) and the
     :func:`shard_sha` of the frame written, hashed from the bytes in hand."""
-    raw = encode_frame(encode_json(state.to_document()))
+    raw = encode_frame(state.to_document())
     write_file(Path(directory) / shard_file_name(state.index), raw)
     return len(raw), shard_sha(raw)
 
@@ -259,8 +260,9 @@ class CheckpointWriter:
 
 
 def _decoded(what: str, document: object, from_document, **keywords):
-    """``from_document`` of a JSON frame's ``document``; a frame whose CRC
-    holds but whose fields do not decode is corrupt."""
+    """``from_document`` of a frame's ``document`` (a JSON value, or a
+    payload of columns); a frame whose CRC holds but whose fields do not
+    decode is corrupt."""
     try:
         return from_document(document, **keywords)
     except (AttributeError, KeyError, TypeError, ValueError) as error:
@@ -279,9 +281,24 @@ def _read_manifest(path: Path | str) -> tuple[Path, CheckpointManifest]:
     return directory, _decoded(what, document, CheckpointManifest.from_document)
 
 
+def decode_shard(raw: bytes, path: Path | str, what: str | None = None) -> ShardState:
+    """The shard state in ``raw``, the bytes of the shard file at ``path``,
+    decoded by the payload schema of the frame's own version: binary columns
+    from version 3 on, a JSON document before.  A frame or payload off its
+    schema raises :class:`SnapshotCorruptionError` naming ``what`` (by
+    default the file) and the section or field."""
+    payload = decode_frame(raw, path)
+    what = what or f"snapshot file {path}"
+    if frame_version(raw) >= 3:
+        return _decoded(what, payload, ShardState.from_payload, payload_bytes=len(raw))
+    document = decode_json(payload, path)
+    return _decoded(what, document, ShardState.from_document, payload_bytes=len(raw))
+
+
 def _read_shard(directory: Path, manifest: CheckpointManifest, index: int) -> ShardState:
     """Shard ``index`` of a checkpoint: its file read once, for the digest, the
-    size and the decode, and released with the document when this returns."""
+    size and the decode, and released with the decoded state's columns when
+    this returns."""
     source = manifest.shard_sources[index] if manifest.shard_sources else None
     file_path = Path(source) if source else directory / manifest.shard_files[index]
     if not file_path.is_file():
@@ -296,8 +313,7 @@ def _read_shard(directory: Path, manifest: CheckpointManifest, index: int) -> Sh
             "content digest its manifest recorded: the file was rewritten or corrupted"
         )
     what = f"checkpoint {directory} shard file {file_path}"
-    document = decode_json(decode_frame(raw, file_path), file_path)
-    state = _decoded(what, document, ShardState.from_document, payload_bytes=len(raw))
+    state = decode_shard(raw, file_path, what)
     if state.index != index:  # reads route by index: a shard out of place answers nothing
         raise SnapshotCorruptionError(f"{what} holds shard {state.index}, not shard {index}")
     return state

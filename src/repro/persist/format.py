@@ -15,7 +15,8 @@ a **truncated** file fails the length check (or the CRC if the tail of the
 payload itself is cut), and a **torn or bit-flipped** payload fails the CRC.
 A frame written by a newer format version than the reader's raises
 :class:`~repro.exceptions.SnapshotVersionError` before any payload is parsed;
-every older version reads (the snapshot decoders take each one's documents).
+every older version reads, and a decoder picks the payload schema by the
+version in the file's own header (:func:`frame_version`).
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ __all__ = [
     "WAL_VERSION",
     "encode_frame",
     "decode_frame",
+    "frame_version",
     "encode_json",
     "decode_json",
     "read_file",
@@ -51,7 +53,9 @@ MAGIC = b"HZSNAP"
 #: Bump on any incompatible change to the payload schemas in snapshot.py.
 #: Version 2 writes a retained example's vector by reference; a version-1
 #: manifest is the case with every vector inline, so both versions read.
-FORMAT_VERSION = 2
+#: Version 3 writes a shard file as binary columns (:mod:`repro.persist.columns`);
+#: a version-1 or -2 shard file is JSON and reads through the JSON decoder.
+FORMAT_VERSION = 3
 
 _HEADER = struct.Struct(">6sHQI")
 
@@ -130,6 +134,11 @@ def decode_frame(raw: bytes, path: Path | str) -> memoryview:
     if zlib.crc32(payload) & 0xFFFFFFFF != crc:
         raise SnapshotCorruptionError(f"snapshot file {path} failed its CRC check")
     return payload
+
+
+def frame_version(raw: bytes) -> int:
+    """The format version in the header of ``raw``, a frame :func:`decode_frame` accepted."""
+    return _HEADER.unpack_from(raw)[1]
 
 
 def read_frame(path: Path | str) -> bytes:

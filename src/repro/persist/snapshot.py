@@ -1,10 +1,14 @@
-"""In-memory snapshot state and its JSON codecs.
+"""In-memory snapshot state and its codecs.
 
 The layers below the serving subsystem export their state as plain Python
 structures holding live objects (:class:`~repro.learn.model.LinearModel`,
-:class:`~repro.linalg.SparseVector`); this module turns those into
-JSON-serializable documents and back.  Floats round-trip exactly (``json``
-emits shortest-round-trip ``repr`` forms), so a restored model answers reads
+:class:`~repro.linalg.SparseVector`); this module turns those into payloads
+and back.  A manifest is a JSON document; a shard file, from format version
+3, is binary columns (:meth:`ShardState.to_document`, laid out by
+:mod:`repro.persist.columns`), and a version-1 or -2 shard file's JSON
+document still reads (:meth:`ShardState.from_document`).  Floats round-trip
+exactly either way (columns hold their bits, ``json`` emits
+shortest-round-trip ``repr`` forms), so a restored model answers reads
 bit-identically to the one that was checkpointed.
 
 Two values carry everything a checkpoint says.  :class:`PublishedState` is
@@ -32,11 +36,15 @@ import json
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.exceptions import ConfigurationError, SnapshotCorruptionError, SnapshotError
 from repro.learn.model import LinearModel
 from repro.learn.sgd import TrainingExample
 from repro.learn.weights import Weights
 from repro.linalg import SparseVector
+from repro.linalg.kernels import flatten
+from repro.persist.columns import pack_columns, unpack_columns
 
 __all__ = [
     "PublishedState",
@@ -47,7 +55,6 @@ __all__ = [
     "decode_model",
     "encode_vector",
     "decode_vector",
-    "encode_records",
     "decode_records",
     "ExampleRow",
     "record_vectors",
@@ -174,15 +181,8 @@ def decode_model(document: dict[str, object]) -> LinearModel:
     )
 
 
-def encode_records(records: list[tuple[object, SparseVector, float, int]]) -> list[list]:
-    """Entity records as ``[id, features, eps, label]`` rows (clustering order)."""
-    return [
-        [_check_id(entity_id), encode_vector(features), eps, label]
-        for entity_id, features, eps, label in records
-    ]
-
-
 def decode_records(rows: list[list]) -> list[tuple[object, SparseVector, float, int]]:
+    """A version-1 or -2 shard document's ``[id, features, eps, label]`` rows."""
     return [
         (entity_id, decode_vector(features), float(eps), int(label))
         for entity_id, features, eps, label in _list(rows)
@@ -320,6 +320,18 @@ class PublishedState:
     row_hashes: Mapping[object, str]
 
 
+_SKIING = _optional(
+    _object(
+        reorganization_cost=_number,
+        accumulated_cost=_number,
+        rounds=_int,
+        reorganizations=_int,
+        incremental_cost_total=_number,
+    )
+)
+
+#: A version-1 or -2 shard file's JSON document (``stored_model`` is read
+#: only when present: a naive shard has none).
 _SHARD_FIELDS = _object(
     index=_int,
     strategy=_str,
@@ -330,16 +342,115 @@ _SHARD_FIELDS = _object(
     max_feature_norm=_number,
     band_low=_number,
     band_high=_number,
-    skiing=_optional(
-        _object(
-            reorganization_cost=_number,
-            accumulated_cost=_number,
-            rounds=_int,
-            reorganizations=_int,
-            incremental_cost_total=_number,
-        )
-    ),
+    skiing=_SKIING,
 )
+
+
+def _entity_ids(value: object) -> list[object]:
+    ids = _list(value)
+    if not all(entity_id is None or type(entity_id) in _SCALAR_TYPES for entity_id in ids):
+        raise TypeError("an id is not a JSON scalar")
+    return ids
+
+
+_MODEL_HEAD = _object(bias=_number, version=_int)
+
+#: A version-3 shard payload's head (:mod:`repro.persist.columns`): the scalars,
+#: the entity ids in record order, and each model's bias and version
+#: (``stored_model`` null for a naive shard).
+_SHARD_HEAD = _object(
+    index=_int,
+    strategy=_str,
+    approach=_str,
+    ids=_entity_ids,
+    max_feature_norm=_number,
+    band_low=_number,
+    band_high=_number,
+    skiing=_SKIING,
+    current_model=_MODEL_HEAD,
+    stored_model=_optional(_MODEL_HEAD),
+)
+
+#: A version-3 shard payload's sections, in file order, with their dtypes.
+#: ``nnz`` holds each record's entry count, ``indices`` / ``values`` every
+#: record's entries end to end, each vector's in its stored order, and
+#: ``digests`` each record's row digest as its 8 raw bytes.  A model's
+#: section is its weight array as the model holds it: a length the tiling
+#: check bounds, where a largest index would size the array unchecked.
+_SHARD_SECTIONS = {
+    "nnz": np.dtype("<i4"),
+    "indices": np.dtype("<i4"),
+    "values": np.dtype("<f8"),
+    "eps": np.dtype("<f8"),
+    "labels": np.dtype("i1"),
+    "digests": np.dtype("V8"),
+    "current_model.weights": np.dtype("<f8"),
+    "stored_model.weights": np.dtype("<f8"),
+}
+_DIGEST_HEX = 2 * _SHARD_SECTIONS["digests"].itemsize
+_NO_WEIGHTS = np.zeros(0)
+
+
+def _entry_columns(vectors: Sequence[SparseVector]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(nnz, indices, values)`` of ``vectors``: every vector's arrays end to
+    end.  An entry whose value is zero (a :meth:`SparseVector.scale` that
+    underflowed) is left out, as the JSON decoder dropped it."""
+    indptr, indices, values = flatten(vectors, np.int32)
+    nnz = np.diff(indptr)
+    kept = values != 0.0
+    if not kept.all():
+        nnz = np.bincount(np.repeat(np.arange(len(vectors)), nnz)[kept], minlength=len(vectors))
+        indices, values = indices[kept], values[kept]
+    return nnz, indices, values
+
+
+def _digest_column(row_hashes: Sequence[Sequence[object]], ids: Sequence[object]) -> np.ndarray:
+    """The row digest of each of ``ids``, in order, as 8 raw bytes apiece."""
+    hashes = dict(row_hashes)
+    if len(hashes) != len(row_hashes) or len(hashes) != len(ids):
+        raise SnapshotError("'row_hashes' do not hash the shard's records one for one")
+    try:
+        digests = [hashes[entity_id] for entity_id in ids]
+    except KeyError as error:
+        raise SnapshotError(f"'row_hashes' hold no digest of record {error}") from None
+    if not all(type(digest) is str and len(digest) == _DIGEST_HEX for digest in digests):
+        raise SnapshotError(f"'row_hashes' hold a digest that is not {_DIGEST_HEX} hex digits")
+    return np.frombuffer(bytes.fromhex("".join(digests)), _SHARD_SECTIONS["digests"])
+
+
+def _record_vectors(columns: Mapping[str, np.ndarray]) -> list[SparseVector]:
+    """Each record's vector, a slice of the ``indices`` / ``values`` columns,
+    once the columns hold only what the writer writes."""
+    nnz, indices, values = columns["nnz"], columns["indices"], columns["values"]
+    if len(nnz) and int(nnz.min()) < 0:
+        raise ValueError(f"'nnz': a negative entry count {int(nnz.min())}")
+    total = int(nnz.sum(dtype=np.int64))
+    if total != len(indices):
+        raise ValueError(f"'nnz': the counts sum to {total}, 'indices' holds {len(indices)}")
+    if len(values) != len(indices):
+        raise ValueError(f"'values': {len(values)} values for {len(indices)} indices")
+    if len(indices) and int(indices.min()) < 0:
+        raise ValueError(f"'indices': a negative index {int(indices.min())}")
+    if not values.all():
+        raise ValueError("'values': a zero value, which no vector stores")
+    # (record, index) as one int64 each: a repeat within a record sorts adjacent.
+    keys = np.repeat(np.arange(len(nnz), dtype=np.int64) << 31, nnz) | indices
+    keys.sort()
+    repeated = np.flatnonzero(keys[1:] == keys[:-1])
+    if len(repeated):
+        raise ValueError(f"'indices': record {int(keys[repeated[0]] >> 31)} holds an index twice")
+    return SparseVector._runs(indices, values, nnz)
+
+
+def _decode_model(
+    columns: Mapping[str, np.ndarray], name: str, head: Mapping[str, object] | None
+) -> LinearModel | None:
+    weights = columns[f"{name}.weights"]
+    if head is None:
+        if len(weights):
+            raise ValueError(f"'{name}.weights': weights of a model the head does not hold")
+        return None
+    return LinearModel(weights=Weights(weights), bias=head["bias"], version=head["version"])
 
 
 @dataclass
@@ -378,27 +489,81 @@ class ShardState:
         del state["index"], state["row_hashes"]
         return state
 
-    def to_document(self) -> dict[str, object]:
-        document: dict[str, object] = {
+    def to_document(self) -> bytes:
+        """This state as a version-3 shard payload: the head, then columns.
+
+        The records' vectors are concatenated as the arrays they hold, in
+        stored order (a margin's fold order), never sorted; the row digests
+        follow the records' order.  An id that is not a JSON scalar, a label
+        other than ``±1`` or digests that are not one per record raise
+        :class:`SnapshotError`.
+        """
+        records = self.records
+        ids = [_check_id(entity_id) for entity_id, _, _, _ in records]
+        labels = np.array([label for _, _, _, label in records], dtype=np.int64)
+        if not ((labels == 1) | (labels == -1)).all():
+            raise SnapshotError("a shard record's label is not +1 or -1: it cannot be snapshotted")
+        models = {"current_model": self.current_model, "stored_model": self.stored_model}
+        head = {
             "index": self.index,
             "strategy": self.strategy,
             "approach": self.approach,
-            "records": encode_records(self.records),
-            "current_model": encode_model(self.current_model),
+            "ids": ids,
             "max_feature_norm": self.max_feature_norm,
             "band_low": self.band_low,
             "band_high": self.band_high,
             "skiing": self.skiing,
+            **{
+                name: None if model is None else {"bias": model.bias, "version": model.version}
+                for name, model in models.items()
+            },
         }
-        if self.stored_model is not None:
-            document["stored_model"] = encode_model(self.stored_model)
-        document["row_hashes"] = [[_check_id(i), h] for i, h in self.row_hashes]
-        return document
+        columns = [
+            *_entry_columns([features for _, features, _, _ in records]),
+            np.array([eps for _, _, eps, _ in records], dtype=np.float64),
+            labels,
+            _digest_column(self.row_hashes, ids),
+            *(_NO_WEIGHTS if model is None else model.weights.array for model in models.values()),
+        ]
+        return pack_columns(head, columns, _SHARD_SECTIONS)
+
+    @classmethod
+    def from_payload(cls, payload: bytes | memoryview, payload_bytes: int = 0) -> "ShardState":
+        """The state :meth:`to_document` wrote, every check vectorized; any
+        other payload raises a ``ValueError`` naming the section or field."""
+        head, columns = unpack_columns(payload, _SHARD_SECTIONS)
+        fields = _SHARD_HEAD(head)
+        ids = fields.pop("ids")
+        records = len(columns["nnz"])
+        for name, count in (
+            ("ids", len(ids)),
+            ("eps", len(columns["eps"])),
+            ("labels", len(columns["labels"])),
+            ("digests", len(columns["digests"])),
+        ):
+            if count != records:
+                raise ValueError(f"{name!r}: {count} entries for {records} records")
+        if len(set(ids)) != records:
+            raise ValueError("'ids': an entity id twice")
+        labels = columns["labels"]
+        if not ((labels == 1) | (labels == -1)).all():
+            raise ValueError("'labels': a label other than +1 or -1")
+        vectors = _record_vectors(columns)
+        for name in ("current_model", "stored_model"):
+            fields[name] = _decode_model(columns, name, fields[name])
+        digests = columns["digests"].tobytes().hex()
+        fields["records"] = list(zip(ids, vectors, columns["eps"].tolist(), labels.tolist()))
+        fields["row_hashes"] = [
+            [entity_id, digests[start : start + _DIGEST_HEX]]
+            for entity_id, start in zip(ids, range(0, len(digests), _DIGEST_HEX))
+        ]
+        return cls(**fields, payload_bytes=payload_bytes)
 
     @classmethod
     def from_document(cls, document: dict[str, object], payload_bytes: int = 0) -> "ShardState":
-        """The state :meth:`to_document` wrote; any other shape (hashes not one
-        per record included) raises a ``ValueError`` naming the key."""
+        """The state a version-1 or -2 shard file's JSON document holds; any
+        other shape (hashes not one per record included) raises a
+        ``ValueError`` naming the key."""
         fields = _SHARD_FIELDS(document)
         if "stored_model" in document:
             fields["stored_model"] = _field(document, "stored_model", decode_model)

@@ -241,6 +241,11 @@ class ViewServer:
         #: the engine registers as the per-view metrics provider).
         self.epochs_published = Counter()
         self.trigger_diverts = Counter()
+        #: Committed checkpoints, the bytes each wrote and the wall seconds
+        #: each took — checkpoint I/O as ``system.metrics`` shows it.
+        self.checkpoints = Counter()
+        self.checkpoint_bytes = Counter()
+        self.checkpoint_wall_seconds = Counter()
         #: Write-ahead log of diverted ops (optional).  A fresh serve wipes
         #: any stale segments — the base tables are authoritative for
         #: pre-serve state — while a warm restart continues the survivor.
@@ -603,6 +608,7 @@ class ViewServer:
         """
         if self._closed:
             raise MaintenanceError("cannot checkpoint a closed server")
+        started = time.perf_counter()
         writer = CheckpointWriter(
             path, len(self.shards), incremental, parent or self._last_checkpoint_path
         )
@@ -620,6 +626,9 @@ class ViewServer:
             # the snapshot; replay will never need those segments again.
             self._wal.prune(published.wal_applied_seq)
         self._last_checkpoint_path = writer.directory
+        self.checkpoints.inc()
+        self.checkpoint_bytes.inc(info["bytes"])
+        self.checkpoint_wall_seconds.inc(time.perf_counter() - started)
         return info
 
     @classmethod
@@ -772,6 +781,11 @@ class ViewServer:
                     key.removeprefix("cache_"): sum(shard[key] for shard in per_shard)
                     for key in per_shard[0]
                     if key.startswith("cache_")
+                },
+                "checkpoint": {
+                    "total": self.checkpoints.value,
+                    "bytes_total": self.checkpoint_bytes.value,
+                    "wall_seconds_total": self.checkpoint_wall_seconds.value,
                 },
             }
             if self._wal is not None:

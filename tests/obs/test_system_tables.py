@@ -52,6 +52,9 @@ SERVED_VIEW_METRICS = [
     "cache.hits_total",
     "cache.invalidations_total",
     "cache.misses_total",
+    "checkpoint.bytes_total",
+    "checkpoint.total",
+    "checkpoint.wall_seconds_total",
     "entities",
     "epoch",
     "epochs_published_total",
@@ -172,6 +175,43 @@ class TestServedViewObservability:
             "cache_hits_total": stats["cache.hits_total"],
             "simulated_seconds_total": stats["simulated_seconds_total"],
         }
+        conn.execute("STOP SERVING labeled_papers")
+        conn.close()
+
+    def test_checkpoint_io_shows_in_system_metrics(self, tmp_path):
+        """After a full and an incremental checkpoint, ``checkpoint.*`` count
+        both, the bytes both put on disk and the wall time they took."""
+        conn, documents = build_served_connection()
+        prefix = "serve.labeled_papers.checkpoint."
+
+        def checkpoint_metrics() -> dict[str, float]:
+            return {
+                row["name"].removeprefix(prefix): row["value"]
+                for row in conn.execute("SELECT name, value FROM system.metrics").fetchall()
+                if row["name"].startswith(prefix)
+            }
+
+        def bytes_on_disk(directory) -> int:
+            return sum(path.stat().st_size for path in directory.iterdir())
+
+        assert checkpoint_metrics() == {"total": 0, "bytes_total": 0, "wall_seconds_total": 0}
+        full = conn.execute(f"CHECKPOINT VIEW labeled_papers TO '{tmp_path / 'full'}'").fetchone()
+        after_full = checkpoint_metrics()
+        assert after_full["total"] == 1
+        assert after_full["bytes_total"] == full["bytes"] == bytes_on_disk(tmp_path / "full")
+        assert after_full["wall_seconds_total"] > 0
+        conn.execute("INSERT INTO papers (id, title) VALUES (?, ?)", (900_001, documents[3].text))
+        conn.engine.view("labeled_papers").server.flush(timeout=30)
+        incremental = conn.execute(
+            f"CHECKPOINT VIEW labeled_papers TO '{tmp_path / 'incremental'}' "
+            "WITH (incremental = true)"
+        ).fetchone()
+        assert incremental["shards_written"] == 1
+        after = checkpoint_metrics()
+        assert after["total"] == 2
+        assert after["bytes_total"] == full["bytes"] + incremental["bytes"]
+        assert incremental["bytes"] == bytes_on_disk(tmp_path / "incremental")
+        assert after["wall_seconds_total"] > after_full["wall_seconds_total"]
         conn.execute("STOP SERVING labeled_papers")
         conn.close()
 

@@ -1,23 +1,26 @@
 """Byte-level fuzz of the snapshot frame decoder.
 
 Every manifest and shard frame of the committed checkpoints under
-``tests/persist/data/`` (format version 1), and the two manifests the same
-program writes today (version 2, examples by reference), is truncated,
-bit-flipped, spliced with another frame and given a grown length field, and
-each result is decoded from its bytes the way
-:func:`~repro.persist.load_checkpoint` decodes a file it has read:
-:func:`~repro.persist.format.decode_frame`, then the JSON, then the document
-schema.  Each input must decode to the recorded state or raise a
-:class:`~repro.exceptions.SnapshotError` subclass; a raw exception, a hang or
-an allocation beyond a few megabytes fails the test.
+``tests/persist/data/`` (format version 1), and the manifests and shard
+files the same program writes today (version 3: examples by reference,
+shards as binary columns), is truncated, bit-flipped, spliced with another
+frame and given a grown length field, and each result is decoded from its
+bytes the way :func:`~repro.persist.load_checkpoint` decodes a file it has
+read: :func:`~repro.persist.format.decode_frame`, then the JSON document or
+the columns, then the schema.  Each input must decode to the recorded state
+or raise a :class:`~repro.exceptions.SnapshotError` subclass; a raw
+exception, a hang or an allocation beyond a few megabytes fails the test.
 
-A second family re-frames a damaged *payload* under a fresh, valid CRC, so the
-JSON and schema decoders see the bytes: those inputs may decode to some other
-state, but they too must raise nothing other than a ``SnapshotError``.
+A second family re-frames a damaged *payload* under a fresh, valid CRC (and
+the frame's own version), so the payload decoders see the bytes: those
+inputs may decode to some other state, but they too must raise nothing
+other than a ``SnapshotError``.  A column count grown past the payload is
+refused before anything is allocated from it.
 """
 
 from __future__ import annotations
 
+import json
 import random
 import struct
 import time
@@ -28,11 +31,11 @@ import pytest
 
 from repro.exceptions import SnapshotError, SnapshotVersionError
 from repro.persist import MANIFEST_NAME
-from repro.persist.checkpoint import _decoded
-from repro.persist.format import decode_frame, decode_json, encode_frame
-from repro.persist.snapshot import CheckpointManifest, ShardState
+from repro.persist.checkpoint import _decoded, decode_shard
+from repro.persist.format import decode_frame, decode_json, encode_frame, frame_version
+from repro.persist.snapshot import CheckpointManifest
 
-from tests.persist.test_checkpoint_format import run_program
+from tests.persist.test_checkpoint_format import run_program, shard_fields
 
 DATA = Path(__file__).with_name("data")
 RECORDED = [
@@ -48,18 +51,24 @@ HEADER_BYTES = 20
 
 @pytest.fixture(scope="module")
 def frames(tmp_path_factory) -> list[Path]:
-    """The recorded frames, then the two manifests the program writes today."""
+    """The recorded frames, then the manifests and shard files the program
+    writes today (the incremental rewrites one shard)."""
     root = tmp_path_factory.mktemp("fresh")
     run_program(root)
-    return RECORDED + [root / name / MANIFEST_NAME for name in ("full", "incremental")]
+    return RECORDED + sorted(
+        path
+        for name in ("full", "incremental")
+        for path in (root / name).glob("*.hzs")
+        if path.name != "features.hzs"
+    )
 
 
 def decode(path: Path, raw: bytes):
     """What ``load_checkpoint`` makes of ``raw`` read from ``path``."""
+    if path.name != MANIFEST_NAME:
+        return decode_shard(raw, path)
     document = decode_json(decode_frame(raw, path), path)
-    if path.name == MANIFEST_NAME:
-        return _decoded(str(path), document, CheckpointManifest.from_document)
-    return _decoded(str(path), document, ShardState.from_document, payload_bytes=len(raw))
+    return _decoded(str(path), document, CheckpointManifest.from_document)
 
 
 def truncations(raw: bytes) -> list[bytes]:
@@ -103,13 +112,14 @@ def grown_lengths(raw: bytes) -> list[bytes]:
 
 
 def reframed(raw: bytes, rng: random.Random) -> list[bytes]:
-    """Damaged payloads under a valid frame: the JSON and schema decoders see them."""
-    payload = raw[HEADER_BYTES:]
+    """Damaged payloads under a valid frame of the same version: the payload
+    and schema decoders see them."""
+    payload, version = raw[HEADER_BYTES:], frame_version(raw)
     damaged = [payload[:cut] for cut in range(0, len(payload), max(1, len(payload) // 30))]
     for position in rng.sample(range(len(payload)), 60):
         damaged.append(payload[:position] + bytes([rng.randrange(256)]) + payload[position + 1 :])
     damaged += [b"", b"null", b"[]", b"{}", b"\xff\xfe", b"[" * 100_000, b'{"a":' * 50_000]
-    return [encode_frame(payload) for payload in damaged]
+    return [encode_frame(payload, version) for payload in damaged]
 
 
 def outcome(path: Path, raw: bytes):
@@ -161,12 +171,62 @@ def test_a_grown_length_field_is_refused_before_any_payload_is_parsed():
             raise AssertionError("a grown length field decoded")
 
 
-def test_version_1_and_2_frames_read_and_version_3_is_refused(frames):
+def grown_counts(payload: bytes) -> list[bytes]:
+    """A v3 shard payload with each column count in its head set far past the
+    payload's length (4 GiB of bytes at least), the head rewritten in place
+    of the old one."""
+    (length,) = struct.unpack_from("<Q", payload)
+    head = json.loads(payload[8 : 8 + length])
+    body = payload[8 + length :]
+    grown = []
+    for name in head["sections"]:
+        for count in (2**32, 2**40, 2**62):
+            document = {**head, "sections": {**head["sections"], name: count}}
+            encoded = json.dumps(document, separators=(",", ":")).encode()
+            grown.append(struct.pack("<Q", len(encoded)) + encoded + body)
+    return grown
+
+
+def test_a_column_count_past_the_payload_allocates_nothing(frames):
+    columns = [path for path in frames if frame_version(path.read_bytes()) == 3]
+    columns = [path for path in columns if path.name != MANIFEST_NAME]
+    assert columns
+    for path in columns:
+        damaged = [encode_frame(payload) for payload in grown_counts(path.read_bytes()[HEADER_BYTES:])]
+        tracemalloc.start()
+        try:
+            for raw in damaged:
+                with pytest.raises(SnapshotError, match="'sections'"):
+                    decode(path, raw)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, "a column count drove an allocation"
+
+
+def canonical(state):
+    """A decoded manifest's document, or a decoded shard's fields by their bits."""
+    return state.to_document() if isinstance(state, CheckpointManifest) else shard_fields(state)
+
+
+def test_version_1_to_3_frames_read_and_version_4_is_refused(frames):
     versions = set()
     for path in frames:
         raw = path.read_bytes()
-        versions.add(struct.unpack(">H", raw[6:8])[0])
-        assert decode(path, raw).to_document() == decode_json(decode_frame(raw, path), path)
-        with pytest.raises(SnapshotVersionError, match="format version 3"):
-            decode(path, encode_frame(decode_frame(raw, path), version=3))
-    assert versions == {1, 2}
+        version = frame_version(raw)
+        versions.add(version)
+        state = decode(path, raw)
+        if path.name == MANIFEST_NAME or version < 3:
+            # A manifest, or a shard's JSON document: the decode is the document.
+            document = decode_json(decode_frame(raw, path), path)
+            if path.name == MANIFEST_NAME:
+                assert state.to_document() == document
+            else:
+                assert canonical(decode(path, encode_frame(state.to_document()))) == canonical(
+                    state
+                )
+        else:
+            assert state.to_document() == bytes(decode_frame(raw, path))
+        with pytest.raises(SnapshotVersionError, match="format version 4"):
+            decode(path, encode_frame(decode_frame(raw, path), version=4))
+    assert versions == {1, 3}
