@@ -9,9 +9,8 @@ classes (deadlocks, torn counters, uncharged I/O, layering erosion) are
 caught before a test ever runs.
 
 The framework is intentionally tiny and dependency-free: findings are
-(path, line, rule, message) tuples, suppression is a ``# repro: noqa(RULE)``
-line comment, and pre-existing debt lives in a committed baseline file so a
-new rule can land strict without blocking CI on history.
+(path, line, rule, message) tuples, and a justified ``# repro: noqa(RULE)``
+line comment is the one way to silence a finding.
 """
 
 from repro.analysis.findings import Finding

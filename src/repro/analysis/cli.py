@@ -1,8 +1,8 @@
-"""``repro-lint``: run the analysis passes and gate on new findings.
+"""``repro-lint``: run the analysis passes and gate on every finding.
 
-Exit status is 0 when every finding is suppressed or baselined, 1 when new
-findings exist, 2 on usage errors.  The default invocation from the repo
-root (``repro-lint``) scans ``src/repro`` against ``analysis-baseline.json``.
+Exit status is 0 when every finding is suppressed by a ``# repro: noqa(RULE)``
+directive, 1 when any finding stands, 2 on usage errors.  The default
+invocation from the repo root (``repro-lint``) scans ``src/repro``.
 """
 
 from __future__ import annotations
@@ -11,13 +11,11 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.analysis.baseline import Baseline, split_by_baseline
 from repro.analysis.runner import DEFAULT_PASSES, analyze_paths
 
 __all__ = ["main"]
 
 _DEFAULT_SCAN = "src/repro"
-_DEFAULT_BASELINE = "analysis-baseline.json"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -30,22 +28,6 @@ def _build_parser() -> argparse.ArgumentParser:
         nargs="*",
         type=Path,
         help=f"files or directories to scan (default: {_DEFAULT_SCAN})",
-    )
-    parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        help=f"baseline file (default: {_DEFAULT_BASELINE}; missing file = empty)",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore the baseline and report every finding",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="rewrite the baseline from the current findings (notes preserved) and exit 0",
     )
     parser.add_argument(
         "--show-suppressed",
@@ -79,28 +61,14 @@ def main(argv: list[str] | None = None) -> int:
 
     active, suppressed = analyze_paths(scan_paths, passes=passes, repo_root=repo_root)
 
-    baseline_path = args.baseline or Path(_DEFAULT_BASELINE)
-    baseline = Baseline.empty() if args.no_baseline else Baseline.load(baseline_path)
-
-    if args.write_baseline:
-        Baseline.from_findings(active, notes=baseline.notes).write(baseline_path)
-        print(f"repro-lint: wrote {len(active)} finding(s) to {baseline_path}")
-        return 0
-
-    new, known = split_by_baseline(active, baseline)
-
     if args.show_suppressed:
         for finding in suppressed:
             print(f"{finding.render()}  [suppressed]")
-    for finding in new:
+    for finding in active:
         print(finding.render())
 
-    summary = (
-        f"repro-lint: {len(new)} new finding(s), {len(known)} baselined, "
-        f"{len(suppressed)} suppressed"
-    )
-    print(summary, file=sys.stderr)
-    return 1 if new else 0
+    print(f"repro-lint: {len(active)} finding(s), {len(suppressed)} suppressed", file=sys.stderr)
+    return 1 if active else 0
 
 
 if __name__ == "__main__":

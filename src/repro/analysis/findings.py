@@ -11,7 +11,7 @@ __all__ = ["Finding"]
 class Finding:
     """One rule violation at one source location.
 
-    Findings sort by (path, line, rule) so reports and baselines are stable
+    Findings sort by (path, line, rule) so reports are stable
     across runs regardless of pass execution order.
     """
 

@@ -157,8 +157,7 @@ def analyze_paths(
 
     Returns ``(active, suppressed)``: findings that stand, and findings
     silenced by a ``# repro: noqa(...)`` directive (reported separately so a
-    ``--show-suppressed`` listing stays possible).  Baseline filtering is the
-    caller's concern — see :mod:`repro.analysis.baseline`.
+    ``--show-suppressed`` listing stays possible).
     """
     files: list[Path] = []
     for path in paths:

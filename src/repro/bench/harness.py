@@ -166,17 +166,6 @@ class ExperimentResult:
             return float("inf")
         return self.operations / self.wall_seconds
 
-    def as_row(self) -> dict[str, object]:
-        """Flat dictionary for table rendering."""
-        row: dict[str, object] = {
-            "cell": self.label,
-            "operations": self.operations,
-            "simulated_ops_per_s": round(self.simulated_ops_per_second, 2),
-            "wall_ops_per_s": round(self.wall_ops_per_second, 2),
-        }
-        row.update({key: round(value, 4) for key, value in self.detail.items()})
-        return row
-
 
 def run_eager_update_experiment(
     dataset: GeneratedDataset,

@@ -259,10 +259,6 @@ class ClassificationView:
         """All Members read: ids of every entity with the given binary label."""
         return self.reader().all_members(label)
 
-    def count_members(self, label: int = 1) -> int:
-        """Number of entities in the class."""
-        return len(self.members(label))
-
     # -- serving hooks ------------------------------------------------------------------------
 
     def entity_snapshot(self) -> list[tuple[object, SparseVector]]:

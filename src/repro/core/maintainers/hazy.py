@@ -41,11 +41,9 @@ class _HazyMaintainerBase(ViewMaintainer):
 
     strategy_name = "hazy"
 
-    def __init__(self, store: EntityStore, alpha: float = 1.0, holder_p: float | None = None):
+    def __init__(self, store: EntityStore, alpha: float = 1.0):
         super().__init__(store)
-        if holder_p is None:
-            holder_p, _ = holder_pair_for_norm(store.feature_norm_q)
-        self.holder_p = holder_p
+        self.holder_p, _ = holder_pair_for_norm(store.feature_norm_q)
         self.skiing = SkiingStrategy(alpha=alpha)
         self.tracker: WaterBandTracker | None = None
 

@@ -186,10 +186,6 @@ class Table:
         """The index called ``name``, or None."""
         return self.secondary_indexes.get(name.lower())
 
-    def secondary_index_names(self) -> list[str]:
-        """Sorted names of this table's secondary indexes."""
-        return sorted(index.name for index in self.secondary_indexes.values())
-
     # -- triggers -----------------------------------------------------------------------
 
     def add_trigger(self, trigger: Trigger) -> None:

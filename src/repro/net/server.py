@@ -45,6 +45,7 @@ import threading
 import time
 import weakref
 
+from repro.db.sql.lexer import TokenType, tokenize
 from repro.exceptions import ConfigurationError, HazyError, NetworkError, ProtocolError
 from repro.net.admission import (
     BULK_LANE,
@@ -470,11 +471,6 @@ class SQLServer:
 
     # -- observability -------------------------------------------------------------------
 
-    def connection_count(self) -> int:
-        """Live wire connections right now."""
-        with self._lock:
-            return len(self._handlers)
-
     def connection_rows(self) -> list[dict[str, object]]:
         """``system.connections`` producer: one row per live wire connection."""
         with self._lock:
@@ -507,47 +503,6 @@ class SQLServer:
 # ---------------------------------------------------------------------------
 # The repro-serve console entry point
 # ---------------------------------------------------------------------------
-
-
-def _split_sql(script: str) -> list[str]:
-    """Split a SQL script on top-level semicolons.
-
-    Respects single-quoted strings (with ``''`` escapes) and ``--`` line
-    comments, which is all the dialect produces.
-    """
-    statements: list[str] = []
-    current: list[str] = []
-    in_string = False
-    index = 0
-    while index < len(script):
-        char = script[index]
-        if not in_string and char == "-" and script.startswith("--", index):
-            newline = script.find("\n", index)
-            index = len(script) if newline == -1 else newline
-            continue
-        if in_string:
-            current.append(char)
-            if char == "'":
-                if index + 1 < len(script) and script[index + 1] == "'":
-                    current.append("'")
-                    index += 1
-                else:
-                    in_string = False
-        elif char == "'":
-            in_string = True
-            current.append(char)
-        elif char == ";":
-            text = "".join(current).strip()
-            if text:
-                statements.append(text)
-            current = []
-        else:
-            current.append(char)
-        index += 1
-    text = "".join(current).strip()
-    if text:
-        statements.append(text)
-    return statements
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -587,8 +542,17 @@ def main(argv: list[str] | None = None) -> int:
     if args.init:
         with open(args.init, "r", encoding="utf-8") as handle:
             script = handle.read()
-        for statement in _split_sql(script):
-            conn.execute(statement)
+        # Each statement runs from its first token up to its ``;`` (or the end),
+        # cut where the dialect's own lexer puts them.
+        ends = {(TokenType.PUNCTUATION, ";"), (TokenType.END, "")}
+        start = None
+        for token in tokenize(script):
+            if (token.type, token.value) in ends:
+                if start is not None:
+                    conn.execute(script[start : token.position])
+                start = None
+            elif start is None:
+                start = token.position
     server = SQLServer(
         conn.engine,
         host=args.host,

@@ -199,9 +199,7 @@ ExampleRow = tuple[object, SparseVector | int | None, int]
 def record_vectors(states: Iterable[ShardState]) -> dict[object, SparseVector]:
     """Entity id -> the vector object of the record ``states`` hold for it:
     what an example's ``None`` slot names."""
-    return {
-        entity_id: features for state in states for entity_id, features, _, _ in state.records
-    }
+    return {entity_id: features for state in states for entity_id, features, _, _ in state.records}
 
 
 def reference_examples(
@@ -254,9 +252,7 @@ def resolve_examples(
 def encode_examples(rows: Sequence[ExampleRow]) -> list[list]:
     """Example rows as ``[id, slot, label]``: an inline vector as
     :func:`encode_vector` writes it, a reference as ``null`` or an index."""
-    return [
-        [_check_id(entity_id), _encode_slot(slot), label] for entity_id, slot, label in rows
-    ]
+    return [[_check_id(entity_id), _encode_slot(slot), label] for entity_id, slot, label in rows]
 
 
 def _encode_slot(slot: SparseVector | int | None) -> object:

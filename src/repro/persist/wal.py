@@ -24,9 +24,11 @@ segment — the one a crash mid-append tears — is expected, and replay stops
 at the last complete record; torn bytes anywhere else mean the log device
 lied and raise :class:`~repro.exceptions.SnapshotCorruptionError`.
 
-A record is ``{"seq", "kind", "row", "old_row"}``, each row the trigger's
+A record is ``{"seq", "kind", "row", "old_row"}``: every key present, ``seq``
+an int, ``kind`` one of :data:`LOGGED_KINDS`, each row the trigger's
 base-table row as ``{"row": {column: value}}`` or null.  One that passes its
-CRC but does not have that shape raises the same error, naming its segment.
+CRC but does not have that shape raises the same error, naming its segment
+and the field (the checkpoint's exact-type schema, ``persist.snapshot``).
 """
 
 from __future__ import annotations
@@ -39,8 +41,9 @@ from typing import BinaryIO
 
 from repro.exceptions import SnapshotCorruptionError
 from repro.persist.format import pack_wal_record, scan_wal_records, wal_header
+from repro.persist.snapshot import _dict, _field, _int, _object, _str
 
-__all__ = ["WalRecord", "WriteAheadLog", "SEGMENT_SUFFIX"]
+__all__ = ["WalRecord", "WriteAheadLog", "SEGMENT_SUFFIX", "LOGGED_KINDS"]
 
 SEGMENT_SUFFIX = ".hzl"
 _SEGMENT_PREFIX = "wal-"
@@ -60,10 +63,31 @@ def _encode_row(row: object) -> object:
     return None if row is None else {"row": dict(row)}
 
 
-def _decode_row(document: object) -> dict[str, object] | None:
-    if document is None:
-        return None
-    return dict(document["row"])
+#: The write kinds a record may carry: ``repro.core.writes.WriteKind``'s values
+#: but ``barrier``, which is never logged (``persist`` may not import ``core``).
+LOGGED_KINDS = frozenset(
+    {
+        "entity_insert",
+        "entity_update",
+        "entity_delete",
+        "example_insert",
+        "example_update",
+        "example_delete",
+    }
+)
+
+
+def _decode_kind(value: object) -> object:
+    if _str(value) not in LOGGED_KINDS:
+        raise ValueError(f"{value!r} is not a logged write kind")
+    return value
+
+
+def _decode_row(document: object) -> object:
+    return None if document is None else _field(document, "row", _dict)
+
+
+_RECORD_FIELDS = _object(seq=_int, kind=_decode_kind, row=_decode_row, old_row=_decode_row)
 
 
 @dataclass(frozen=True)
@@ -93,16 +117,10 @@ class WalRecord:
                 f"WAL segment {path} record passed its CRC but holds unparseable JSON: {error}"
             ) from error
         try:
-            return cls(
-                seq=int(document["seq"]),
-                kind=str(document["kind"]),
-                row=_decode_row(document.get("row")),
-                old_row=_decode_row(document.get("old_row")),
-            )
-        except (KeyError, TypeError, ValueError) as error:
+            return cls(**_RECORD_FIELDS(document))
+        except (TypeError, ValueError) as error:
             raise SnapshotCorruptionError(
-                f"WAL segment {path} record passed its CRC but is not a WAL record: "
-                f"{type(error).__name__}: {error}"
+                f"WAL segment {path} record passed its CRC but is not a WAL record: {error}"
             ) from error
 
 

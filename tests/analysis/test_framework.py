@@ -1,11 +1,9 @@
-"""Runner, suppression, baseline, and CLI self-checks."""
+"""Runner, suppression, and CLI self-checks."""
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
-from repro.analysis.baseline import Baseline, split_by_baseline
 from repro.analysis.cli import main
 from repro.analysis.findings import Finding
 from repro.analysis.passes.locks import LockDisciplinePass
@@ -49,81 +47,23 @@ def test_syntax_error_becomes_parse_finding(tmp_path):
     assert active[0].line == 1
 
 
-def test_baseline_write_load_round_trip(tmp_path):
-    findings = [
-        Finding(path="a.py", line=3, rule="LAY001", message="up-import"),
-        Finding(path="a.py", line=9, rule="LAY001", message="up-import"),
-        Finding(path="b.py", line=1, rule="COST001", message="raw heap"),
-    ]
-    notes = {("b.py", "COST001", "raw heap"): "kept: migration pending"}
-    baseline = Baseline.from_findings(findings, notes=notes)
-    target = tmp_path / "baseline.json"
-    baseline.write(target)
-
-    loaded = Baseline.load(target)
-    assert loaded.counts == baseline.counts
-    assert loaded.notes == notes
-
-    raw = json.loads(target.read_text(encoding="utf-8"))
-    duplicated = [e for e in raw["entries"] if e["path"] == "a.py"]
-    assert duplicated[0]["count"] == 2
-
-
-def test_baseline_matching_ignores_line_numbers():
-    baseline = Baseline.from_findings(
-        [Finding(path="a.py", line=3, rule="LAY001", message="up-import")]
-    )
-    moved = Finding(path="a.py", line=77, rule="LAY001", message="up-import")
-    new, known = split_by_baseline([moved], baseline)
-    assert new == []
-    assert known == [moved]
-
-
-def test_baseline_excess_occurrence_is_new_debt():
-    baseline = Baseline.from_findings(
-        [Finding(path="a.py", line=3, rule="LAY001", message="up-import")]
-    )
-    first = Finding(path="a.py", line=3, rule="LAY001", message="up-import")
-    second = Finding(path="a.py", line=40, rule="LAY001", message="up-import")
-    new, known = split_by_baseline([second, first], baseline)
-    assert known == [first]  # earliest line consumes the budget
-    assert new == [second]
-
-
-def test_missing_baseline_file_is_empty(tmp_path):
-    assert Baseline.load(tmp_path / "absent.json").counts == {}
-
-
 def test_cli_exit_codes(fixtures_dir, tmp_path, capsys):
     assert main(["--list-rules"]) == 0
     assert "LAY001" in capsys.readouterr().out
 
     assert main([str(tmp_path / "nope.py")]) == 2
 
-    assert main([str(fixtures_dir / "lay_clean.py"), "--no-baseline"]) == 0
+    assert main([str(fixtures_dir / "lay_clean.py")]) == 0
     capsys.readouterr()
 
-    assert main([str(fixtures_dir / "lay_bad.py"), "--no-baseline"]) == 1
+    assert main([str(fixtures_dir / "lay_bad.py")]) == 1
     out = capsys.readouterr()
     assert "LAY001" in out.out
-    assert "new finding(s)" in out.err
-
-
-def test_cli_write_baseline_then_clean(fixtures_dir, tmp_path, capsys):
-    baseline_path = tmp_path / "baseline.json"
-    bad = str(fixtures_dir / "lay_bad.py")
-
-    assert main([bad, "--baseline", str(baseline_path), "--write-baseline"]) == 0
-    assert baseline_path.exists()
-    capsys.readouterr()
-
-    # The same findings are now all baselined, so the gate passes.
-    assert main([bad, "--baseline", str(baseline_path)]) == 0
-    assert "0 new finding(s)" in capsys.readouterr().err
+    assert "3 finding(s), 0 suppressed" in out.err
 
 
 def test_cli_show_suppressed_lists_noqa_findings(fixtures_dir, capsys):
-    main([str(fixtures_dir / "lock_bad.py"), "--no-baseline", "--show-suppressed"])
+    main([str(fixtures_dir / "lock_bad.py"), "--show-suppressed"])
     assert "[suppressed]" in capsys.readouterr().out
 
 

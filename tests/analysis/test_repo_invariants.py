@@ -2,25 +2,22 @@
 
 The injection tests are the acceptance check for the CI gate: take a scratch
 copy of a real module, insert one violation of each tentpole invariant, and
-assert the pass catches it even after baseline filtering.
+assert the pass reports it as an active finding.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from repro.analysis.baseline import Baseline, split_by_baseline
 from repro.analysis.runner import analyze_paths
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SRC = REPO_ROOT / "src" / "repro"
-BASELINE = REPO_ROOT / "analysis-baseline.json"
 
 
 def _analyze_scratch(path: Path, tmp_path: Path):
     active, _ = analyze_paths([path], repo_root=tmp_path)
-    new, _ = split_by_baseline(active, Baseline.load(BASELINE))
-    return new
+    return active
 
 
 def _scratch_copy(tmp_path: Path, rel: str, extra: str) -> Path:
@@ -32,10 +29,9 @@ def _scratch_copy(tmp_path: Path, rel: str, extra: str) -> Path:
     return target
 
 
-def test_src_tree_is_clean_against_committed_baseline():
+def test_src_tree_has_no_active_findings():
     active, _ = analyze_paths([SRC], repo_root=REPO_ROOT)
-    new, _ = split_by_baseline(active, Baseline.load(BASELINE))
-    assert new == [], "new findings:\n" + "\n".join(f.render() for f in new)
+    assert active == [], "findings:\n" + "\n".join(f.render() for f in active)
 
 
 def test_injected_upward_import_fails_the_gate(tmp_path):

@@ -60,12 +60,6 @@ class TestExperimentResult:
         result = ExperimentResult("x", operations=10, wall_seconds=0.0, simulated_seconds=0.0)
         assert result.simulated_ops_per_second == float("inf")
 
-    def test_as_row_contains_detail(self):
-        result = ExperimentResult("x", 10, 1.0, 1.0, detail={"reorganizations": 2.0})
-        row = result.as_row()
-        assert row["cell"] == "x"
-        assert row["reorganizations"] == 2.0
-
 
 class TestExperiments:
     def test_eager_update_experiment_runs(self, dataset):

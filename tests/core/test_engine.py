@@ -141,7 +141,7 @@ class TestIncrementalMaintenanceThroughSQL:
         for doc in documents[:20]:
             view.insert_example(doc.entity_id, "database" if doc.label == 1 else "other")
         members = view.members(1)
-        assert view.count_members(1) == len(members)
+        assert len(view.members(1)) == len(members)
         assert set(members).issubset({doc.entity_id for doc in documents})
 
     def test_new_entity_via_sql_insert_is_classified(self):
@@ -185,7 +185,7 @@ class TestIncrementalMaintenanceThroughSQL:
         db_count = db.execute(
             "SELECT COUNT(*) FROM Labeled_Papers WHERE class = 'database'"
         ).scalar()
-        assert db_count == view.count_members(1)
+        assert db_count == len(view.members(1))
 
     def test_positive_label_resolved_from_labels_table(self):
         db, _ = build_database()

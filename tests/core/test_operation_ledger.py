@@ -7,12 +7,11 @@ that is algebraically neutral can flip a reorganization at a knife edge and
 move every figure behind it.  This test drives one fixed stream through every
 architecture x strategy x approach cell and compares every answer, the
 simulated clock after every step, the per-tag ledger, the maintenance counters
-and each round's band size and width with values recorded once and committed in
-``operation_ledger_golden.json``.
-
-When a change is *meant* to move the ledger, regenerate the golden values with
-``PYTHONPATH=src python tests/core/test_operation_ledger.py --record`` and say
-in the PR which tags moved and why.
+and each round's band size and width with the ``ledger`` table of
+``tests/golden.py`` (``operation_ledger_golden.json``, its current cells and
+the log of every move).  A change *meant* to move the ledger re-records it
+there, naming the rule that claims the move (``ledger_tags``), and quotes the
+tags it prints as moved.
 
 A store scores a run either through the batched kernel (the main-memory
 store's feature mirror, or a lazy read's band on disk) or through the scalar
@@ -27,8 +26,6 @@ import dataclasses
 import hashlib
 import json
 import random
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -40,8 +37,7 @@ from repro.db.costmodel import CostModel
 from repro.db.types import KeyRange
 from repro.learn.sgd import SGDTrainer, TrainingExample
 from repro.workloads.synth_text import SparseCorpusGenerator
-
-GOLDEN_PATH = Path(__file__).with_name("operation_ledger_golden.json")
+from tests import golden
 
 CELLS = [
     (architecture, strategy, approach)
@@ -162,19 +158,28 @@ def run_stream(architecture: str, strategy: str, approach: str) -> dict[str, obj
     }
 
 
-@pytest.fixture(scope="module")
-def golden() -> dict[str, dict[str, object]]:
-    return json.loads(GOLDEN_PATH.read_text())
+def golden_table() -> dict[str, dict[str, object]]:
+    """The ``ledger`` golden table: each cell's summary but the stored records'
+    digest (the differential test's, not the golden's)."""
+    table = {}
+    for cell in CELLS:
+        summary = run_stream(*cell)
+        del summary["stored_digest"]
+        table[cell_name(cell)] = json.loads(json.dumps(summary, sort_keys=True))
+    return table
 
 
-def test_golden_file_covers_exactly_the_declared_matrix(golden):
-    assert sorted(golden) == sorted(cell_name(cell) for cell in CELLS)
+RECORDED = golden.cells("ledger")
+
+
+def test_golden_file_covers_exactly_the_declared_matrix():
+    assert sorted(RECORDED) == sorted(cell_name(cell) for cell in CELLS)
 
 
 @pytest.mark.parametrize("cell", CELLS, ids=cell_name)
-def test_cell_matches_the_recorded_ledger(cell, golden):
+def test_cell_matches_the_recorded_ledger(cell):
     first = run_stream(*cell)
-    expected = golden[cell_name(cell)]
+    expected = RECORDED[cell_name(cell)]
     # Per-tag totals first: a mismatch here names the tag that moved.
     assert first["detail"] == expected["detail"]
     assert first["maintenance"] == expected["maintenance"]
@@ -186,10 +191,10 @@ def test_cell_matches_the_recorded_ledger(cell, golden):
 
 
 @pytest.mark.parametrize("cell", CELLS, ids=cell_name)
-def test_stream_exercises_what_it_claims(cell, golden):
+def test_stream_exercises_what_it_claims(cell):
     """The stream is only a pin if the band is non-empty and Skiing actually fires."""
     architecture, strategy, approach = cell
-    maintenance = golden[cell_name(cell)]["maintenance"]
+    maintenance = RECORDED[cell_name(cell)]["maintenance"]
     for counter in ("updates", "single_reads", "batched_reads", "all_member_reads", "range_reads"):
         assert maintenance[counter] > 0
     if strategy == "hazy" and architecture == "mainmemory":
@@ -254,14 +259,3 @@ def test_kernel_and_scalar_scoring_leave_the_same_ledger(
         if strategy == "hazy" and architecture == "mainmemory":
             assert maintenance["reorganizations"] >= 1
     assert sides["kernel"] == sides["scalar"]
-
-
-if __name__ == "__main__":
-    if sys.argv[1:] != ["--record"]:
-        raise SystemExit(f"usage: {sys.argv[0]} --record")
-    recorded = {}
-    for cell in CELLS:
-        recorded[cell_name(cell)] = run_stream(*cell)
-        del recorded[cell_name(cell)]["stored_digest"]  # the differential test's, not the golden's
-    GOLDEN_PATH.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n")
-    print(f"recorded {len(CELLS)} cells to {GOLDEN_PATH}")

@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 import pytest
 
 from repro.core.stats import MaintenanceStatistics
@@ -12,6 +9,7 @@ from repro.core.view import ClassificationViewDefinition, view_contents
 from repro.exceptions import ViewDefinitionError
 from repro.learn.model import LinearModel
 from repro.linalg import SparseVector
+from tests import golden
 
 
 def definition(**overrides) -> ClassificationViewDefinition:
@@ -125,8 +123,6 @@ class TestMaintenanceStatistics:
         assert "average_band_size" in summary
         # A reported counter is one some maintainer writes: every key moves in
         # at least one cell of the recorded operation stream.
-        recorded = json.loads(
-            Path(__file__).with_name("operation_ledger_golden.json").read_text()
-        ).values()
+        recorded = golden.cells("ledger").values()
         for key in summary:
             assert any(float(cell["maintenance"][key]) != 0.0 for cell in recorded), key

@@ -1,42 +1,21 @@
 """Every SELECT shape's EXPLAIN rows and every planner refusal, pinned.
 
-``select_plan_golden.json`` was recorded before the planner planned a
-single-table SELECT as a join of one (``PYTHONPATH=src:. python
-tests/db/test_select_plan_table.py --record`` rewrites it from the current
-code).  ``plans`` holds the ``(node, estimated_seconds, detail)`` rows
-``EXPLAIN`` prints for each read shape over one base table, a classification
-view — unserved and served on 2 shards — and the joins between them;
-``refusals`` holds every planner refusal as ``(class, message, position,
-token)``.  Only the cells under ``moved_plans`` / ``moved_refusals`` may
-differ from what was recorded, and they print what is stored there: a
-``NULL`` or ``TRUE`` bound is spelled as the SQL literal, a view's ``margin``
-referenced in a join gets the message it gets from ``FROM v``, and a view read
-bound by ``class = x`` answers that conjunct itself, so it leaves the residual
-``Filter`` (and the ``Filter`` goes when nothing else is left in it).  The
-refusal of a bad qualifier on the fused top-k's ORDER BY was added later, as
-a recorded row of its own, and so were the ``COUNT(*)`` reads with an ORDER BY
-or a LIMIT (the ``count …`` cells below ``count``): a ``Limit`` above the
-``Aggregate``, and no ``Sort``, ``TopK``, index-ordered walk or fused top-k
-under it.  Later still an unserved view joined on its key came to read the
-probe keys in one batch as a served one does (``ViewPointRead(labeled,
-batch)``): those cells moved too, and serving now changes a plan's names,
-details and estimates, never its shape.  Then a range over an integer index
-column came to be estimated by the integer values it covers: an index probe's
-estimate and its ``~N of M rows`` moved, nothing else.  Last, a view point
-read came to answer its own ``key = k`` as a class read answers ``class = x``:
-the two ``view point`` cells lost their ``Filter``.  Last, every view read came
-to charge one statement per store it touches: the cells under ``priced_plans``
-differ from their recorded or moved rows only in one scan-shaped view read's
-estimate, ``sum(overhead + scan)`` over its stores, and in the served contents
-read's detail (one scan per shard, not a point read per entity).
+The ``plans`` table of ``tests/golden.py`` (``select_plan_golden.json``, its
+current cells and the log of every move): the ``(node, estimated_seconds,
+detail)`` rows ``EXPLAIN`` prints for each read shape over one base table, a
+classification view — unserved and served on 2 shards — and the joins between
+them, and every planner refusal as ``refused / <name>``: ``[class, message,
+position, token]``.  Beside the exact compare, the invariants the moves
+established hold on every run, over the plan trees or the current cells: serving
+changes a plan's names, details and estimates, never its shape; no ``Filter``
+re-checks a conjunct its child answers (a view read's ``class = x`` or key);
+an unserved view joined on its key reads the probe keys in one batch, which
+prints no estimate; every scan-shaped view read is priced ``sum(overhead +
+scan)`` over the stores it reads; a join's ``margin`` refusal says what
+``FROM v``'s does; and EXPLAIN spells a literal as SQL does.
 """
 
 from __future__ import annotations
-
-import json
-import re
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -44,12 +23,11 @@ from repro.core.engine import HazyEngine
 from repro.db.costmodel import CostModel
 from repro.db.database import Database
 from repro.db.sql.parser import parse
-from repro.db.sql.plan import Filter
+from repro.db.sql.plan import Filter, TopK, ViewMembers, ViewRangeRead, ViewScan
 from repro.db.sql.planner import SelectPlan
 from repro.exceptions import SQLExecutionError
 from repro.workloads.synth_text import SparseCorpusGenerator
-
-GOLDEN_PATH = Path(__file__).with_name("select_plan_golden.json")
+from tests import golden
 
 VIEW_DDL = (
     "CREATE CLASSIFICATION VIEW labeled KEY id ENTITIES FROM papers KEY id "
@@ -227,29 +205,30 @@ def plan_table() -> dict[str, list[list]]:
 
 
 def refusal_table() -> dict[str, list]:
-    """``{refusal: [class, message, position, token]}``."""
+    """``{"refused / <refusal>": [class, message, position, token]}``."""
     db = build()
     table = {}
     for refusal, sql in REFUSED.items():
         with pytest.raises(SQLExecutionError) as excinfo:
             db.execute(sql)
         error = excinfo.value
-        table[refusal] = [type(error).__name__, str(error), error.position, error.token]
+        cell = [type(error).__name__, str(error), error.position, error.token]
+        table[f"refused / {refusal}"] = cell
     return table
 
 
+def golden_table() -> dict[str, list]:
+    """The ``plans`` golden table: every plan, then every refusal."""
+    return {**plan_table(), **refusal_table()}
+
+
 CELLS = [f"{read} / unserved" for read in TABLE_READS]
-CELLS += [f"{read} / {state}" for read in VIEW_READS for state in STATES]
+CELLS += [f"{read} / {state}" for state in STATES for read in VIEW_READS]
+RECORDED = golden.cells("plans")
 
 
-@pytest.fixture(scope="module")
-def golden():
-    return json.loads(GOLDEN_PATH.read_text())
-
-
-def test_the_recorded_tables_cover_every_cell(golden):
-    assert sorted(golden["plans"]) == sorted(CELLS)
-    assert sorted(golden["refusals"]) == sorted(REFUSED)
+def test_the_recorded_tables_cover_every_cell():
+    assert list(RECORDED) == CELLS + [f"refused / {refusal}" for refusal in REFUSED]
 
 
 @pytest.fixture(scope="module")
@@ -263,28 +242,28 @@ def refusals():
 
 
 @pytest.mark.parametrize("cell", CELLS)
-def test_explain_rows_equal_the_recorded_ones(golden, plans, cell):
-    moved = golden["moved_plans"].get(cell, golden["plans"][cell])
-    assert plans[cell] == golden["priced_plans"].get(cell, moved)
+def test_explain_rows_equal_the_recorded_ones(plans, cell):
+    assert golden.bits(plans[cell]) == golden.bits(RECORDED[cell])
 
 
 @pytest.mark.parametrize("refusal", REFUSED)
-def test_refusals_equal_the_recorded_ones(golden, refusals, refusal):
-    expected = golden["moved_refusals"].get(refusal, golden["refusals"][refusal])
-    assert refusals[refusal] == expected
+def test_refusals_equal_the_recorded_ones(refusals, refusal):
+    cell = f"refused / {refusal}"
+    assert golden.bits(refusals[cell]) == golden.bits(RECORDED[cell])
 
 
-def plan_trees() -> dict[str, dict[str, SelectPlan]]:
-    """``{state: {read: plan}}`` for every SELECT above."""
+def plan_trees() -> dict[str, tuple[dict[str, SelectPlan], float]]:
+    """``{state: ({read: plan}, scan estimate)}`` for every SELECT above."""
     db = build()
     trees = {}
     for state in STATES:
         if state != "unserved":
             db.execute("SERVE VIEW labeled WITH (shards = 2)")
-        trees[state] = {
+        plans = {
             read: db.executor.plan_select(parse(sql))
             for read, sql in {**TABLE_READS, **VIEW_READS}.items()
         }
+        trees[state] = plans, scan_estimate(db.catalog.classification_view("labeled"))
     db.execute("STOP SERVING labeled")
     return trees
 
@@ -298,155 +277,79 @@ def trees():
 def test_serving_never_changes_a_plans_shape(trees, read):
     """Serving changes a plan's names, details and estimates, never its nodes."""
     shapes = [
-        [(depth, type(node).__name__) for depth, node in trees[state][read].root.walk()]
+        [(depth, type(node).__name__) for depth, node in trees[state][0][read].root.walk()]
         for state in STATES
     ]
     assert shapes[0] == shapes[1]
 
 
+def rechecked_conjuncts(plan: SelectPlan) -> list[str]:
+    """The conjuncts a ``Filter`` of ``plan`` re-checks though its child answers them."""
+    return [
+        predicate.render()
+        for _, node in plan.root.walk()
+        if isinstance(node, Filter)
+        for predicate in node.predicates
+        if predicate in node.children[0].answered
+    ]
+
+
 @pytest.mark.parametrize("read", [*TABLE_READS, *VIEW_READS])
 def test_no_filter_re_checks_a_conjunct_its_child_answers(trees, read):
     for state in STATES:
-        for _, node in trees[state][read].root.walk():
-            if isinstance(node, Filter):
-                (child,) = node.children
-                rechecked = [p.render() for p in node.predicates if p in child.answered]
-                assert not rechecked, (state, node.label())
+        assert not rechecked_conjuncts(trees[state][0][read]), state
 
 
-def _spelled_in_python(rows: list[list]) -> list[list]:
-    """``rows`` with their labels' SQL literals spelled as Python's ``repr``."""
-    return [[row[0].replace("NULL", "None").replace("TRUE", "True"), *row[1:]] for row in rows]
+def scan_estimate(view) -> float:
+    """``sum(overhead + scan)`` over the stores a scan-shaped read of ``view`` reads."""
+    server = view.server
+    if server is None:
+        stores = [view.maintainer.store]
+    else:
+        stores = [shard.maintainer.store for shard in server.shards.shards]
+    return sum(store.cost_model.statement_overhead + store.scan_cost_estimate() for store in stores)
 
 
-def _answered(rows: list[list], answers) -> list[list]:
-    """``rows`` with every conjunct ``answers(conjunct, child)`` says the node
-    right below its ``Filter`` answers out of that ``Filter``; a ``Filter``
-    left empty goes, and its subtree moves up one level."""
-    answered: list[list] = []
-    dropped_at = None  # the indent of a dropped Filter while in its subtree
-    for at, (node, *rest) in enumerate(rows):
-        indent = len(node) - len(node.lstrip())
-        if dropped_at is not None and indent > dropped_at:
-            answered.append([node[2:], *rest])
-            continue
-        dropped_at = None
-        if node.lstrip().startswith("Filter("):
-            child = rows[at + 1][0].strip()
-            conjuncts = node.strip()[len("Filter(") : -1].split(" AND ")
-            kept = [c for c in conjuncts if not answers(c, child)]
-            if not kept:
-                dropped_at = indent
-                continue
-            node = f"{' ' * indent}Filter({' AND '.join(kept)})"
-        answered.append([node, *rest])
-    return answered
+def scan_shaped(plan: SelectPlan) -> list:
+    """The view reads of ``plan`` that scan every store: contents, All Members,
+    a key range and the fused top-k."""
+
+    def scans(node) -> bool:
+        fused_top_k = isinstance(node, TopK) and node.view is not None
+        return fused_top_k or isinstance(node, (ViewScan, ViewMembers, ViewRangeRead))
+
+    return [node for _, node in plan.root.walk() if scans(node)]
 
 
-def class_answered(rows: list[list]) -> list[list]:
-    """``rows`` with every ``class = x`` conjunct out of its ``Filter``."""
-    return _answered(rows, lambda conjunct, child: conjunct.startswith("class = "))
+@pytest.mark.parametrize("state", STATES)
+def test_every_scan_shaped_view_read_is_priced_over_the_stores_it_reads(trees, state):
+    plans, expected = trees[state]
+    priced = [node.estimated_seconds for plan in plans.values() for node in scan_shaped(plan)]
+    assert len(priced) >= 10 and set(priced) == {expected}
 
 
-def key_answered(rows: list[list]) -> list[list]:
-    """``rows`` with a view point read's own ``key = k`` — the conjunct its
-    label prints — out of the ``Filter`` right above it."""
-
-    def answers(conjunct: str, child: str) -> bool:
-        point_read = child.startswith(("ViewPointRead(", "ServedPointRead("))
-        return point_read and child.endswith(f".{conjunct})")
-
-    return _answered(rows, answers)
+KEY_JOINS = [read for read, sql in VIEW_READS.items() if JOIN in sql and "WHERE" not in sql]
 
 
-def probe_read(rows: list[list], before: list[list], served: list[list]) -> bool:
-    """Whether ``rows`` are ``before`` with the ``ViewScan`` of an unserved key
-    join swapped for the probe-side batch read its served twin plans."""
-    scans = [i for i, row in enumerate(before) if row[0].strip() == "ViewScan(labeled)"]
-    if len(scans) != 1 or len(rows) != len(before):
-        return False
-    (at,) = scans
-    batch = before[at][0].replace("ViewScan(labeled)", "ViewPointRead(labeled, batch)")
-    twin = [row[0].replace("ServedPointRead(", "ViewPointRead(") for row in served]
-    return (
-        rows[:at] + rows[at + 1 :] == before[:at] + before[at + 1 :]
-        and rows[at][:2] == [batch, None]
-        and [row[0] for row in rows] == twin
-    )
+def test_a_view_joined_on_its_key_reads_the_probe_keys_in_one_batch(plans):
+    """Unserved as served; the batch prints no estimate."""
+    assert len(KEY_JOINS) == 7
+    for cell in [f"{read} / {state}" for read in KEY_JOINS for state in STATES]:
+        batch = [row for row in plans[cell] if row[0].strip().endswith("(labeled, batch)")]
+        assert [row[1] for row in batch] == [None], cell
+        assert batch[0][0].strip().startswith(("ViewPointRead(", "ServedPointRead(")), cell
 
 
-def estimate_moved(rows: list[list], before: list[list]) -> bool:
-    """Whether ``rows`` are ``before`` with only index probes' estimates moved:
-    the same nodes, and a changed row is a ``SecondaryIndexRange`` whose
-    detail differs in its ``~N`` rows alone."""
-
-    def unsized(detail: str) -> str:
-        return re.sub(r"~\d+ of", "~ of", detail)
-
-    if [row[0] for row in rows] != [row[0] for row in before]:
-        return False
-    changed = [(row, old) for row, old in zip(rows, before) if row != old]
-    return all(
-        row[0].strip().startswith("SecondaryIndexRange(") and unsized(row[2]) == unsized(old[2])
-        for row, old in changed
-    )
-
-
-def test_the_moved_cells_moved_only_where_intended(golden):
-    """A moved plan differs only in how its labels spell a literal, in the
-    ``class = x`` conjuncts its view read answers, in the key a view point
-    read answers, in an index probe's estimate, or — an unserved join on the
-    view key — in reading the probe keys as its served twin does; a moved
-    refusal keeps its class, position and token and takes ``FROM v``'s
-    text."""
-    plans = {**golden["plans"], **golden["moved_plans"]}
-    for cell, rows in golden["moved_plans"].items():
-        before = golden["plans"][cell]
-        twin = plans.get(cell.replace(" / unserved", " / 2 shards"), [])
-        assert rows != before
-        assert (
-            _spelled_in_python(rows) == before
-            or rows == class_answered(before)
-            or rows == key_answered(before)
-            or probe_read(rows, before, twin)
-            or estimate_moved(rows, before)
-        )
-    single_source = golden["refusals"]["margin in SELECT list"][1]
-    for refusal, moved in golden["moved_refusals"].items():
-        before = golden["refusals"][refusal]
-        assert refusal.startswith("join") and "margin" in refusal
-        assert [moved[0], *moved[2:]] == [before[0], *before[2:]]
-        assert moved[1] == single_source != before[1]
-
-
-def test_the_priced_cells_moved_only_one_view_reads_estimate(golden):
-    """On the 40-entity view one store's scan is 8e-06 s and a statement 7e-05 s,
-    so a scan-shaped view read is priced 7.8e-05 s unserved and 0.000148 s on 2
-    shards, contents and All Members alike."""
-    for cell, rows in golden["priced_plans"].items():
-        before = golden["moved_plans"].get(cell, golden["plans"][cell])
-        assert [row[0] for row in rows] == [row[0] for row in before]
-        ((row, old),) = [(row, old) for row, old in zip(rows, before) if row != old]
-        assert row[0].strip().startswith(("ViewScan(", "TopK(", "Served"))
-        assert row[1] == (0.000148 if cell.endswith("/ 2 shards") else 7.8e-05) != old[1]
-        assert row[2] == old[2] or "one scan per shard" in row[2]
+def test_a_joins_margin_refusal_says_what_from_v_says(refusals):
+    """Its message is ``FROM v``'s (its class, position and token are the recorded cell's)."""
+    single_source = refusals["refused / margin in SELECT list"][1]
+    joins = [cell for cell in refusals if cell.startswith("refused / join") and "margin" in cell]
+    assert len(joins) == 5
+    for cell in joins:
+        assert refusals[cell][1] == single_source, cell
 
 
 @pytest.mark.parametrize("literal", ["NULL", "TRUE", "FALSE", "'a\\b'", "'it''s'", "''''"])
 def test_explain_spells_null_true_and_false_as_sql_literals(literal):
     rows = build().execute(f"EXPLAIN SELECT id FROM items WHERE tag = {literal}").rows
     assert f"Filter(tag = {literal})" in [row["node"].strip() for row in rows]
-
-
-if __name__ == "__main__":
-    if sys.argv[1:] != ["--record"]:
-        raise SystemExit(f"usage: {sys.argv[0]} --record")
-    recorded = {
-        "plans": plan_table(),
-        "refusals": refusal_table(),
-        "moved_plans": {},
-        "moved_refusals": {},
-        "priced_plans": {},
-    }
-    GOLDEN_PATH.write_text(json.dumps(recorded, indent=1) + "\n")
-    print(f"recorded {len(recorded['plans'])} plans, {len(recorded['refusals'])} refusals")

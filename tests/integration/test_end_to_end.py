@@ -87,7 +87,7 @@ class TestPaperPortalScenario:
         sql_count = db.execute(
             "SELECT COUNT(*) FROM labeled_papers WHERE class = 'database'"
         ).scalar()
-        assert sql_count == view.count_members(1)
+        assert sql_count == len(view.members(1))
 
     def test_two_views_over_the_same_entities(self):
         db, documents = paper_portal_database(60)

@@ -38,9 +38,9 @@ def raw_dial(server) -> socket.socket:
 
 def wait_for_roster(server, count: int, timeout: float = TEST_TIMEOUT_S) -> None:
     deadline = time.perf_counter() + timeout
-    while server.connection_count() != count:
+    while len(server.connection_rows()) != count:
         assert time.perf_counter() < deadline, (
-            f"roster stuck at {server.connection_count()}, wanted {count}"
+            f"roster stuck at {len(server.connection_rows())}, wanted {count}"
         )
         time.sleep(0.02)
 

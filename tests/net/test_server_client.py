@@ -14,6 +14,7 @@ from repro.exceptions import (
     SQLSyntaxError,
 )
 from repro.net import SQLServer, connect
+from repro.net import server as net_server
 from repro.obs import render_text
 
 from tests.net.conftest import TEST_TIMEOUT_S
@@ -206,7 +207,7 @@ class TestObservability:
             assert row["lane"] == "point"  # system-table reads ride the fast lane
         # After disconnect the roster empties (in-process view, post-goodbye).
         deadline = 50
-        while server.connection_count() and deadline:
+        while len(server.connection_rows()) and deadline:
             import time
 
             time.sleep(0.02)
@@ -255,7 +256,7 @@ class TestServerLifecycle:
                 assert server.stats()["refused_total"] == 1
             # The slot frees after disconnect; retry succeeds.
             deadline = 100
-            while server.connection_count() and deadline:
+            while len(server.connection_rows()) and deadline:
                 import time
 
                 time.sleep(0.02)
@@ -303,3 +304,31 @@ class TestServerLifecycle:
         monkeypatch.setattr(client_module, "PROTOCOL_VERSION", 999)
         with pytest.raises(ProtocolError):
             client_module.connect(server.host, server.port, timeout=TEST_TIMEOUT_S)
+
+
+class TestServeCommand:
+    def test_init_runs_each_statement_the_dialects_lexer_ends(self, tmp_path, monkeypatch):
+        """A ``;`` or ``--`` inside a literal, either quote, is part of the literal."""
+        script = tmp_path / "init.sql"
+        script.write_text(
+            "-- the table; then its rows\n"
+            "CREATE TABLE t (id integer PRIMARY KEY, s text);\n"
+            'INSERT INTO t (id, s) VALUES (1, "a;b");\n'
+            'INSERT INTO t (id, s) VALUES (2, "x--y");'
+            " INSERT INTO t (id, s) VALUES (3, 'c;')\n"
+            "-- trailing comment; no statement\n"
+        )
+        engines = []
+
+        class Served(Exception):
+            pass
+
+        def serve(engine, **options):
+            engines.append(engine)
+            raise Served  # stop before binding a socket
+
+        monkeypatch.setattr(net_server, "SQLServer", serve)
+        with pytest.raises(Served):
+            net_server.main(["--init", str(script)])
+        rows = engines[0].database.execute("SELECT id, s FROM t ORDER BY id").rows
+        assert [(row["id"], row["s"]) for row in rows] == [(1, "a;b"), (2, "x--y"), (3, "c;")]

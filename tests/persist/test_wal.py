@@ -5,10 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import SnapshotCorruptionError, SnapshotVersionError
+from repro.core.writes import WriteKind
 from repro.persist.format import WAL_VERSION, pack_wal_record, wal_header
-from repro.persist.wal import SEGMENT_SUFFIX, WriteAheadLog
+from repro.persist.wal import LOGGED_KINDS, SEGMENT_SUFFIX, WriteAheadLog
 
-from tests.serve.conftest import build_corpus_server
+from tests.serve.conftest import VIEW, build_corpus_server, copy_base_tables, corpus_engine
 
 
 def segments_of(directory):
@@ -197,28 +198,61 @@ class TestTornTails:
         assert [record.seq for record in log.records_after(0)] == [1]
 
 
+#: ``(payload, the field its refusal names)``: every key present and typed exactly.
+MALFORMED = {
+    "row-not-wrapped": (b'{"seq":1,"kind":"entity_insert","row":{"x":1}}', "'row'"),
+    "no-seq": (b'{"kind":"entity_insert","row":null}', "'seq'"),
+    "list": (b'[1,"entity_insert",null,null]', "list is not dict"),
+    "seq-not-a-number": (b'{"seq":"one","kind":"entity_insert"}', "'seq'"),
+    "row-not-a-mapping": (b'{"seq":1,"kind":"entity_insert","row":{"row":[1,2,3]}}', "'row'"),
+    "seq-bool": (b'{"seq":true,"kind":"entity_insert","row":null,"old_row":null}', "'seq'"),
+    "seq-float": (b'{"seq":1.0,"kind":"entity_insert","row":null,"old_row":null}', "'seq'"),
+    "seq-str": (b'{"seq":"1","kind":"entity_insert","row":null,"old_row":null}', "'seq'"),
+    "kind-int": (b'{"seq":1,"kind":1,"row":null,"old_row":null}', "'kind'"),
+    "kind-unknown": (b'{"seq":1,"kind":"bogus_kind","row":null,"old_row":null}', "'kind'"),
+    "kind-barrier": (b'{"seq":1,"kind":"barrier","row":null,"old_row":null}', "'kind'"),
+    "no-row": (b'{"seq":1,"kind":"entity_delete","old_row":{"row":{"id":1}}}', "'row'"),
+    "no-old_row": (b'{"seq":1,"kind":"entity_insert","row":{"row":{"id":1}}}', "'old_row'"),
+    "row-pairs": (
+        b'{"seq":1,"kind":"entity_insert","row":{"row":[["id",1]]},"old_row":null}',
+        "'row'",
+    ),
+    "old_row-false": (
+        b'{"seq":1,"kind":"entity_insert","row":null,"old_row":false}',
+        "'old_row'",
+    ),
+}
+
+
 class TestMalformedRecords:
     """A record whose CRC holds but whose JSON is not a WAL record is corruption."""
 
-    @pytest.mark.parametrize(
-        "payload",
-        [
-            b'{"seq":1,"kind":"entity_insert","row":{"x":1}}',
-            b'{"kind":"entity_insert","row":null}',
-            b'[1,"entity_insert",null,null]',
-            b'{"seq":"one","kind":"entity_insert"}',
-            b'{"seq":1,"kind":"entity_insert","row":{"row":[1,2,3]}}',
-        ],
-        ids=["row-not-wrapped", "no-seq", "list", "seq-not-a-number", "row-not-a-mapping"],
-    )
-    def test_a_record_that_passes_its_crc_but_is_malformed_names_its_segment(
-        self, tmp_path, payload
+    @pytest.mark.parametrize("payload, field", MALFORMED.values(), ids=list(MALFORMED))
+    def test_a_record_that_passes_its_crc_but_is_malformed_names_its_segment_and_field(
+        self, tmp_path, payload, field
     ):
         segment = tmp_path / f"wal-{1:016d}{SEGMENT_SUFFIX}"
         segment.write_bytes(wal_header() + pack_wal_record(payload))
         with pytest.raises(SnapshotCorruptionError, match="is not a WAL record") as excinfo:
             WriteAheadLog(tmp_path, fresh=False)
         assert segment.name in str(excinfo.value)
+        assert field in str(excinfo.value)
+
+    def test_the_logged_kinds_are_the_write_kinds_but_the_barrier(self):
+        assert LOGGED_KINDS == {kind.value for kind in WriteKind} - {WriteKind.BARRIER.value}
+
+    def test_restore_refuses_a_record_of_a_kind_that_is_never_logged(self, corpus, tmp_path):
+        server = build_corpus_server(corpus[:40], wal=tmp_path / "wal")
+        try:
+            server.checkpoint(tmp_path / "ckpt")
+            server.wal.append("bogus_kind", None, None)
+            tables = copy_base_tables(server._view.database)
+        finally:
+            server.close()
+        restore = f"RESTORE VIEW {VIEW} FROM '{tmp_path}/ckpt' WITH (wal = '{tmp_path}/wal')"
+        with pytest.raises(SnapshotCorruptionError, match="'kind'") as excinfo:
+            corpus_engine(tables).database.execute(restore)
+        assert f"wal-{1:016d}{SEGMENT_SUFFIX}" in str(excinfo.value)
 
     def test_a_record_nested_too_deep_is_corruption_at_replay(self, tmp_path):
         # An older segment, so opening the log (which reads only the newest)
