@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.exceptions import SnapshotCorruptionError, SnapshotVersionError
 from repro.core.writes import WriteKind
+from repro.exceptions import SnapshotCorruptionError, SnapshotVersionError
 from repro.persist.format import WAL_VERSION, pack_wal_record, wal_header
 from repro.persist.wal import LOGGED_KINDS, SEGMENT_SUFFIX, WriteAheadLog
 
